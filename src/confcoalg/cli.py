@@ -8,8 +8,7 @@ Commands:
   crosscheck  diff the machine dual against the tabulated coproduct
 
 Exit codes: 0 success, 1 verification/crosscheck failure, 2 usage error.
-Output is deterministic; --workers enables process parallelism for the
-heavy checks (default 1 keeps runs bitwise reproducible).
+Output is deterministic.
 """
 
 from __future__ import annotations
@@ -118,6 +117,9 @@ def parse_scalar(text: str) -> Scalar:
 
 
 def _resolve(args) -> tuple:
+    if args.family is None:
+        hint = " or --in" if hasattr(args, "infile") else ""
+        raise UsageError(f"--family{hint} is required")
     name = args.family.lower()
     if name not in FAMILIES:
         raise UsageError(f"unknown family {args.family!r}; choose from "
@@ -217,13 +219,11 @@ def cmd_verify(args) -> int:
         if c == "skew":
             reports.append(check_skew(S))
         elif c == "jacobi":
-            reports.append(check_jacobi(S, workers=args.workers))
+            reports.append(check_jacobi(S))
         elif c == "jordan-comm":
             reports.append(check_jordan_comm(S))
         elif c == "jordan-id":
-            reports.append(
-                check_jordan_identity(S, workers=args.workers)
-            )
+            reports.append(check_jordan_identity(S))
         elif c == "coalg":
             reports.append(check_lie_coalgebra(dualize(S)))
         elif c == "cojordan":
@@ -231,8 +231,10 @@ def cmd_verify(args) -> int:
         elif c == "roundtrip":
             reports.append(double_dual_roundtrip(S))
         elif c == "crosscheck":
-            rc = _crosscheck_report(args)
-            reports.append(rc)
+            if args.infile:
+                raise UsageError("the crosscheck check needs --family; "
+                                 "an imported table (--in) has no tabulated coproduct")
+            reports.append(_crosscheck_report(args))
         else:
             raise UsageError(f"unknown check {c!r}")
     ok = all(r.ok for r in reports)
@@ -318,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "latex", "text"),
                        default="text")
         p.add_argument("--out", default=None)
-        p.add_argument("--workers", type=int, default=1)
         p.add_argument("--allow-large", action="store_true")
         if infile:
             p.add_argument("--in", dest="infile", default=None,

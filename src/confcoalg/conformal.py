@@ -18,11 +18,13 @@ to arbitrary elements.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .poly import ALPHABET, D, LAM, MU, NU, MultiPoly, P_ONE, Scalar
+from .poly import (
+    D, LAM, MU, NU, MultiPoly, P_ONE, Scalar, add_product,
+    _VAR_SHIFT, pack_vector, unpack_vector,
+)
 
 LIE = "lie"
 JORDAN = "jordan"
@@ -275,61 +277,107 @@ def _gen_names(S: LambdaStructure, idxs) -> Tuple[str, ...]:
     return tuple(S.generators[i].id for i in idxs)
 
 
-def check_skew(S: LambdaStructure) -> Report:
-    """[a lam b] = -(-1)^{p(a)p(b)} [b -lam-d a], exactly, per generator pair."""
-    if S.kind != LIE:
-        raise StructureError("skew-symmetry applies to Lie kind")
-    rep = Report("skew", S.name)
-    minus_lam_d = -LAM - D
+# -- renamed tables ------------------------------------------------------------
+#
+# Every term of the Jacobi and Jordan identities on generators is a sparse
+# contraction of copies of the table with its variables renamed,
+# P^{ij}_k(lam, d) -> P^{ij}_k(lam_img, d_img).  The copies are built per
+# check call, never stored on the structure, so a with_entry copy can never
+# see stale ones.
+
+
+def _renamed(S: LambdaStructure, lam_img: MultiPoly, d_img: MultiPoly):
+    """rows[i][j] = [(k, P^{ij}_k(lam_img, d_img))].
+
+    The substitution is simultaneous: lam is parked in x4, which neither a
+    table entry (lam and d only) nor an image uses, so d_img may contain lam.
+    """
+    def rename(p):
+        return p.permute_vars({"lam": "x4"}).subst_general("d", d_img).subst_general("x4", lam_img)
+
+    n = S.rank
+    rows = [[[] for _ in range(n)] for _ in range(n)]
+    for (i, j), entries in S.table.items():
+        rows[i][j] = [(k, rename(p)) for k, p in entries]
+    return rows
+
+
+def _packed(S: LambdaStructure, lam_img: MultiPoly, d_img: MultiPoly):
+    """_renamed with every row packed into one term dict (see poly.pack_vector)."""
+    return [[pack_vector(row) for row in rows] for rows in _renamed(S, lam_img, d_img)]
+
+
+def _check_flip(S: LambdaStructure, check: str, sign: int) -> Report:
+    """[a lam b] = sign (-1)^{p(a)p(b)} [b_{-lam-d} a], per generator pair."""
+    rep = Report(check, S.name)
+    flipped = _renamed(S, -LAM - D, D)
     for i in range(S.rank):
         for j in range(S.rank):
             rep.total += 1
-            lhs = S.entry(i, j)
-            flipped = shift_spectral(S.pair_element(j, i, "mu"), "mu", minus_lam_d)
-            sign = -1 if (S.parity(i) * S.parity(j)) & 1 else 1
-            resid = lhs + flipped.scale(MultiPoly.const(sign))
+            s = -sign if S.parity(i) & S.parity(j) else sign
+            resid = S.entry(i, j) - ConformalElement(dict(flipped[j][i])).scale(MultiPoly.const(s))
             if not resid.is_zero():
                 rep.add(_gen_names(S, (i, j)), resid, S)
     return rep
 
 
-def _jacobi_residual(S: LambdaStructure, i: int, j: int, k: int) -> ConformalElement:
-    ei, ej, ek = map(ConformalElement.gen, (i, j, k))
-    lhs = bracket(S, ei, bracket(S, ej, ek, "mu"), "lam")
-    inner = bracket(S, ei, ej, "lam")
-    r1 = shift_spectral(bracket(S, inner, ek, "nu"), "nu", LAM + MU)
-    r2 = bracket(S, ej, bracket(S, ei, ek, "lam"), "mu")
-    sign = -1 if (S.parity(i) * S.parity(j)) & 1 else 1
-    return lhs - r1 - r2.scale(MultiPoly.const(sign))
-
-
-def check_jacobi(S: LambdaStructure, workers: int = 1) -> Report:
-    """[a lam [b mu c]] = [[a lam b] lam+mu c] + (-1)^{p(a)p(b)} [b mu [a lam c]]."""
+def check_skew(S: LambdaStructure) -> Report:
+    """[a lam b] = -(-1)^{p(a)p(b)} [b -lam-d a], exactly, per generator pair."""
     if S.kind != LIE:
-        raise StructureError("Jacobi applies to Lie kind")
-    rep = Report("jacobi", S.name)
-    triples = list(itertools.product(range(S.rank), repeat=3))
-    rep.total = len(triples)
-    for where, resid in _run_tuples(S, triples, _jacobi_residual, workers):
-        rep.violations.append(Violation(_gen_names(S, where), resid.pretty(S)))
-    return rep
+        raise StructureError("skew-symmetry applies to Lie kind")
+    return _check_flip(S, "skew", -1)
 
 
 def check_jordan_comm(S: LambdaStructure) -> Report:
     """a lam b = (-1)^{p(a)p(b)} b_{-lam-d} a, exactly, per generator pair."""
     if S.kind != JORDAN:
         raise StructureError("commutativity applies to Jordan kind")
-    rep = Report("jordan-comm", S.name)
-    minus_lam_d = -LAM - D
-    for i in range(S.rank):
-        for j in range(S.rank):
-            rep.total += 1
-            lhs = S.entry(i, j)
-            flipped = shift_spectral(S.pair_element(j, i, "mu"), "mu", minus_lam_d)
-            sign = -1 if (S.parity(i) * S.parity(j)) & 1 else 1
-            resid = lhs - flipped.scale(MultiPoly.const(sign))
-            if not resid.is_zero():
-                rep.add(_gen_names(S, (i, j)), resid, S)
+    return _check_flip(S, "jordan-comm", 1)
+
+
+def _record(rep: Report, S: LambdaStructure, where, acc) -> None:
+    """Add a violation at the tuple where unless the packed residual acc is zero."""
+    resid = unpack_vector(acc)
+    if resid:
+        rep.add(_gen_names(S, where), ConformalElement(resid), S)
+
+
+def check_jacobi(S: LambdaStructure) -> Report:
+    """[a lam [b mu c]] = [[a lam b] lam+mu c] + (-1)^{p(a)p(b)} [b mu [a lam c]].
+
+    The residual at a_m of the triple (i, j, k) is the contraction
+
+        sum_l P^{jk}_l(mu, lam+d) P^{il}_m(lam, d)
+      - sum_l P^{ij}_l(lam, -lam-mu) P^{lk}_m(lam+mu, d)
+      - s sum_l P^{ik}_l(lam, mu+d) P^{jl}_m(mu, d),    s = (-1)^{p(i)p(j)}.
+    """
+    if S.kind != LIE:
+        raise StructureError("Jacobi applies to Lie kind")
+    n = S.rank
+    rep = Report("jacobi", S.name, total=n ** 3)
+    inner_jk = _renamed(S, MU, LAM + D)
+    outer_il = _packed(S, LAM, D)
+    left_ij = _renamed(S, LAM, -LAM - MU)
+    right_lk = _packed(S, LAM + MU, D)
+    inner_ik = _renamed(S, LAM, MU + D)
+    outer_jl = _packed(S, MU, D)
+    par = [S.parity(i) for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            first2 = left_ij[i][j]
+            even = not par[i] & par[j]
+            for k in range(n):
+                first1, first3 = inner_jk[j][k], inner_ik[i][k]
+                if not (first1 or first2 or first3):
+                    continue
+                acc = {}
+                for l, p in first1:
+                    add_product(acc, p, outer_il[i][l])
+                for l, p in first2:
+                    add_product(acc, p, right_lk[l][k], negate=True)
+                for l, p in first3:
+                    add_product(acc, p, outer_jl[j][l], negate=even)
+                _record(rep, S, (i, j, k), acc)
     return rep
 
 
@@ -337,12 +385,28 @@ PRINTED = "printed"
 CONSISTENT = "consistent"
 
 
-def _jordan_residual(
-    S: LambdaStructure, a: int, b: int, c: int, d: int, variant: str
-) -> ConformalElement:
-    """Six-term Jordan identity residual LHS - RHS for one generator quadruple.
+def _chain(acc, first, mid, d, last, negate):
+    """acc += sum_{l,m} first_l mid[l][d]_m last[m] (last a packed row)."""
+    inner = {}
+    for l, p in first:
+        add_product(inner, p, mid[l][d])
+    for m, q in unpack_vector(inner).items():
+        add_product(acc, q, last[m], negate)
 
-    Terms (sign factors s1 = (-1)^{|a||c|}, s2 = (-1)^{|a||b|}, s3 = (-1)^{|b||c|}):
+
+def _split(acc, first, second, last, negate):
+    """acc += sum_{l,m} first_l second_m last[l][m] (last packed rows)."""
+    for l, p in first:
+        row = last[l]
+        for m, q in second:
+            if row[m]:
+                add_product(acc, p * q, row[m], negate)
+
+
+def check_jordan_identity(S: LambdaStructure, variant: str = CONSISTENT) -> Report:
+    """Exact six-term Jordan identity over all generator quadruples.
+
+    With sign factors s1 = (-1)^{|a||c|}, s2 = (-1)^{|a||b|}, s3 = (-1)^{|b||c|}:
 
         s1 a_lam((b_mu c)_nu d) + s2 b_mu((c_{nu-mu} a)_{T} d)
             + s3 c_{nu-mu}((a_{-mu-d} b)_{lam+mu} d)
@@ -353,118 +417,63 @@ def _jordan_residual(
     the printed form has lam-mu, which breaks the conservation of total
     spectral weight lam+nu satisfied by every other term (substituting
     d -> d'+d in the last slot rescales terms by (total + d)); the
-    consistent variant uses lam+nu-mu, the unique total-conserving choice,
-    which also matches the subscript of the sixth term sharing the same
-    (c, a)-product.  Intermediate evaluations use scratch slot variables
-    x1..x3, substituted away before returning.
-    """
-    ea, eb, ec, ed = map(ConformalElement.gen, (a, b, c, d))
-    pa, pb, pc, pd = (S.parity(g) for g in (a, b, c, d))
-    s1 = MultiPoly.const(-1 if (pa * pc) & 1 else 1)
-    s2 = MultiPoly.const(-1 if (pa * pb) & 1 else 1)
-    s3 = MultiPoly.const(-1 if (pb * pc) & 1 else 1)
-    x1, x2, x3 = (MultiPoly.var(v) for v in ("x1", "x2", "x3"))
-    nu_mu = NU - MU
-    lam_mu_sub = (LAM + NU - MU) if variant == CONSISTENT else (LAM - MU)
+    consistent variant (default) uses lam+nu-mu, the unique
+    total-conserving choice, which also matches the subscript of the sixth
+    term sharing the same (c, a)-product.  The printed variant exists so
+    that a failure can be reported with its minimal failing quadruple and
+    residual instead of being silently papered over.
 
-    # T1 = a_lam((b_mu c)_nu d)
-    t1 = bracket(S, ea, bracket(S, bracket(S, eb, ec, "mu"), ed, "nu"), "lam")
+    Each left-hand term is a chain contraction and each right-hand term a
+    split one; for the first terms of each side
 
-    # T2 = b_mu((c_{nu-mu} a)_{T} d)
-    u = bracket(S, ec, ea, "x1")
-    v = bracket(S, u, ed, "x2")
-    t2 = bracket(S, eb, v, "mu")
-    t2 = shift_spectral(shift_spectral(t2, "x1", nu_mu), "x2", lam_mu_sub)
+        a_lam((b_mu c)_nu d) = sum P^{bc}_l(mu, -nu) P^{ld}_m(nu, lam+d) P^{am}_n(lam, d)
+        (a_{-mu-d} b)_{lam+mu}(c_{nu-mu} d)
+            = sum P^{ab}_l(lam, -lam-mu) P^{cd}_m(nu-mu, lam+mu+d) P^{lm}_n(lam+mu, d)
 
-    # T3 = c_{nu-mu}((a_{-mu-d} b)_{lam+mu} d)
-    u = shift_spectral(bracket(S, ea, eb, "x1"), "x1", -MU - D)
-    v = shift_spectral(bracket(S, u, ed, "x2"), "x2", LAM + MU)
-    t3 = shift_spectral(bracket(S, ec, v, "x3"), "x3", nu_mu)
-
-    # T4 = (a_{-mu-d} b)_{lam+mu}(c_{nu-mu} d)
-    u = shift_spectral(bracket(S, ea, eb, "x1"), "x1", -MU - D)
-    w = shift_spectral(bracket(S, ec, ed, "x1"), "x1", nu_mu)
-    t4 = shift_spectral(bracket(S, u, w, "x2"), "x2", LAM + MU)
-
-    # T5 = (b_mu c)_nu(a_lam d)
-    t5 = bracket(S, bracket(S, eb, ec, "mu"), bracket(S, ea, ed, "lam"), "nu")
-
-    # T6 = (c_{nu-mu} a)_{lam+nu-mu}(b_mu d)
-    u = shift_spectral(bracket(S, ec, ea, "x1"), "x1", nu_mu)
-    t6 = shift_spectral(bracket(S, u, bracket(S, eb, ed, "mu"), "x2"), "x2", LAM + NU - MU)
-
-    lhs = t1.scale(s1) + t2.scale(s2) + t3.scale(s3)
-    rhs = t4.scale(s1) + t5.scale(s2) + t6.scale(s3)
-    return lhs - rhs
-
-
-def check_jordan_identity(
-    S: LambdaStructure, variant: str = CONSISTENT, workers: int = 1
-) -> Report:
-    """Exact six-term Jordan identity over all generator quadruples.
-
-    variant "consistent" (default) uses the spectral-weight-conserving
-    subscript lam+nu-mu in the second term; variant "printed" uses lam-mu
-    and exists so that a failure can be reported with its minimal failing
-    quadruple and residual instead of being silently papered over.
+    and the others follow the same pattern.
     """
     if S.kind != JORDAN:
         raise StructureError("Jordan identity applies to Jordan kind")
     if variant not in (PRINTED, CONSISTENT):
         raise StructureError(f"unknown variant {variant!r}")
-    rep = Report(f"jordan-id[{variant}]", S.name)
-    quads = list(itertools.product(range(S.rank), repeat=4))
-    rep.total = len(quads)
-    fn = lambda S, *q: _jordan_residual(S, *q, variant)  # noqa: E731
-    for where, resid in _run_tuples(S, quads, fn, workers, _variant=variant):
-        rep.violations.append(Violation(_gen_names(S, where), resid.pretty(S)))
+    n = S.rank
+    rep = Report(f"jordan-id[{variant}]", S.name, total=n ** 4)
+    nu_mu = NU - MU
+    t = LAM + NU - MU if variant == CONSISTENT else LAM - MU
+    # first factors, rows by the first pair of the term
+    f_bc = _renamed(S, MU, -NU)
+    f_ab = _renamed(S, LAM, -LAM - MU)
+    f_ca_chain = _renamed(S, nu_mu, -t)
+    f_ca_split = _renamed(S, nu_mu, MU - LAM - NU)
+    # chain terms: middle and last factors
+    c1_mid, c1_last = _packed(S, NU, LAM + D), _packed(S, LAM, D)
+    c2_mid, c2_last = _packed(S, t, MU + D), _packed(S, MU, D)
+    c3_mid, c3_last = _packed(S, LAM + MU, nu_mu + D), _packed(S, nu_mu, D)
+    # split terms: second and last factors
+    s1_sec, s1_last = _renamed(S, nu_mu, LAM + MU + D), _packed(S, LAM + MU, D)
+    s2_sec, s2_last = _renamed(S, LAM, NU + D), _packed(S, NU, D)
+    s3_sec, s3_last = _renamed(S, MU, LAM + NU - MU + D), _packed(S, LAM + NU - MU, D)
+    par = [S.parity(i) for i in range(n)]
+    for a in range(n):
+        for b in range(n):
+            ab = f_ab[a][b]
+            odd_ab = par[a] & par[b]
+            for c in range(n):
+                bc, ca_chain = f_bc[b][c], f_ca_chain[c][a]
+                if not (ab or bc or ca_chain):
+                    continue
+                ca_split = f_ca_split[c][a]
+                odd_ac, odd_bc = par[a] & par[c], par[b] & par[c]
+                for d in range(n):
+                    acc = {}
+                    _chain(acc, bc, c1_mid, d, c1_last[a], odd_ac)
+                    _chain(acc, ca_chain, c2_mid, d, c2_last[b], odd_ab)
+                    _chain(acc, ab, c3_mid, d, c3_last[c], odd_bc)
+                    _split(acc, ab, s1_sec[c][d], s1_last, not odd_ac)
+                    _split(acc, bc, s2_sec[a][d], s2_last, not odd_ab)
+                    _split(acc, ca_split, s3_sec[b][d], s3_last, not odd_bc)
+                    _record(rep, S, (a, b, c, d), acc)
     return rep
-
-
-# -- worker plumbing ---------------------------------------------------------
-
-def _chunk_jacobi(args):
-    S, chunk = args
-    out = []
-    for t in chunk:
-        r = _jacobi_residual(S, *t)
-        if not r.is_zero():
-            out.append((t, r))
-    return out
-
-
-def _chunk_jordan(args):
-    S, chunk, variant = args
-    out = []
-    for t in chunk:
-        r = _jordan_residual(S, *t, variant)
-        if not r.is_zero():
-            out.append((t, r))
-    return out
-
-
-def _run_tuples(S, tuples, fn, workers, _variant=None):
-    """Evaluate fn over index tuples; violations in deterministic tuple order."""
-    if workers <= 1:
-        for t in tuples:
-            r = fn(S, *t)
-            if not r.is_zero():
-                yield t, r
-        return
-    from concurrent.futures import ProcessPoolExecutor
-
-    nchunks = workers * 4
-    chunks = [tuples[i::nchunks] for i in range(nchunks)]
-    runner = _chunk_jacobi if _variant is None else _chunk_jordan
-    payload = [
-        (S, c) if _variant is None else (S, c, _variant) for c in chunks if c
-    ]
-    results = []
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        for part in ex.map(runner, payload):
-            results.extend(part)
-    results.sort(key=lambda pair: pair[0])
-    yield from results
 
 
 # ---------------------------------------------------------------------------
@@ -506,15 +515,18 @@ def _deg_d(p: MultiPoly) -> int:
     return p.degree_in("d")
 
 
+_D_SHIFT = _VAR_SHIFT["d"]
+
+
 def _divmod_d(a: MultiPoly, b: MultiPoly) -> Tuple[MultiPoly, MultiPoly]:
     """Univariate division in Q(beta)[d]: a = q*b + r with deg r < deg b."""
     q = MultiPoly.zero()
     r = a
     db = _deg_d(b)
-    lead_b = b.terms.get(db << 24) if db >= 0 else None  # d is variable #3
+    lead_b = b.terms.get(db << _D_SHIFT) if db >= 0 else None
     while not r.is_zero() and _deg_d(r) >= db:
         dr = _deg_d(r)
-        lead_r = r.terms.get(dr << 24)
+        lead_r = r.terms.get(dr << _D_SHIFT)
         if lead_r is None:
             raise StructureError("non-univariate entry in kernel elimination")
         step = MultiPoly.monomial({"d": dr - db}, lead_r * lead_b.inverse())

@@ -8,10 +8,18 @@ alphabet
     d            -- the symbol acting on free module generators
     x1 .. x4     -- tensor-slot variables (x_i tracks d acting on slot i)
 
-A monomial is packed into a single int, eight bits of exponent per variable,
-so monomial multiplication is integer addition.  Polynomials are dicts from
-packed monomials to nonzero ``Scalar`` coefficients; the zero polynomial is
-the empty dict, which makes equality structural and ``is_zero`` O(1).
+A monomial is packed into a single int, one nine-bit field per variable:
+eight bits of exponent (0..255) and a guard bit above them.  Monomial
+multiplication is integer addition; two exponents below 256 cannot carry
+out of their field, and a sum above 255 sets the guard bit, which every
+product checks, so an overflow raises instead of wrapping into the next
+variable.  Polynomials are dicts from packed monomials to nonzero ``Scalar``
+coefficients; the zero polynomial is the empty dict, which makes equality
+structural and ``is_zero`` O(1).
+
+Scalars keep each rational part as a plain ``int`` when it is integral and
+as a ``Fraction`` only when it must; the two compare and hash equal, so
+the choice never shows in equality, ``repr`` or JSON.
 """
 
 from __future__ import annotations
@@ -21,44 +29,82 @@ from typing import Dict, Iterable, Iterator, Tuple
 
 ALPHABET: Tuple[str, ...] = ("lam", "mu", "nu", "d", "x1", "x2", "x3", "x4")
 _VAR_INDEX = {name: i for i, name in enumerate(ALPHABET)}
-_VAR_SHIFT = {name: 8 * i for i, name in enumerate(ALPHABET)}
 _NVARS = len(ALPHABET)
+_EXP_BITS = 8
+_WIDTH = _EXP_BITS + 1                      # exponent bits plus one guard bit
+_MAXEXP = (1 << _EXP_BITS) - 1              # largest exponent; also the field mask
+_VAR_SHIFT = {name: _WIDTH * i for i, name in enumerate(ALPHABET)}
+_GUARD = sum(1 << (_WIDTH * i + _EXP_BITS) for i in range(_NVARS))
+# packed vectors (see pack_vector) keep the component index above all fields
+_COMPONENT_SHIFT = _WIDTH * _NVARS
+_MONO_MASK = (1 << _COMPONENT_SHIFT) - 1
+
+
+def _exact(x):
+    """x as an int when integral, else as a Fraction; floats are refused."""
+    if type(x) is int:
+        return x
+    if isinstance(x, float):
+        raise TypeError(f"Scalar parts must be exact, got float {x!r}")
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+_new = object.__new__
+
+
+def _make(re, im) -> "Scalar":
+    """Scalar from int/Fraction parts, demoting integral Fractions to int."""
+    if type(re) is not int and re.denominator == 1:
+        re = re.numerator
+    if type(im) is not int and im.denominator == 1:
+        im = im.numerator
+    s = _new(Scalar)
+    s.re = re
+    s.im = im
+    return s
 
 
 class Scalar:
-    """An element re + im*beta of Q(beta), beta**2 = -1, in lowest terms."""
+    """An element re + im*beta of Q(beta), beta**2 = -1, in lowest terms.
+
+    Each part is an int when integral and a Fraction otherwise.
+    """
 
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+        self.re = _exact(re)
+        self.im = _exact(im)
 
     @staticmethod
     def beta() -> "Scalar":
         return Scalar(0, 1)
 
     def __add__(self, other: "Scalar") -> "Scalar":
-        return Scalar(self.re + other.re, self.im + other.im)
+        return _make(self.re + other.re, self.im + other.im)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
-        return Scalar(self.re - other.re, self.im - other.im)
+        return _make(self.re - other.re, self.im - other.im)
 
     def __neg__(self) -> "Scalar":
-        return Scalar(-self.re, -self.im)
+        return _make(-self.re, -self.im)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
         a, b, c, d = self.re, self.im, other.re, other.im
-        return Scalar(a * c - b * d, a * d + b * c)
+        if b or d:
+            return _make(a * c - b * d, a * d + b * c)
+        return _make(a * c, 0)
 
     def inverse(self) -> "Scalar":
         n = self.re * self.re + self.im * self.im
-        if n == 0:
+        if not n:
             raise ZeroDivisionError("scalar inverse of 0")
-        return Scalar(self.re / n, -self.im / n)
+        return _make(Fraction(self.re, n), Fraction(-self.im, n))
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self.re and not self.im
 
     def __eq__(self, other) -> bool:
         return (
@@ -86,7 +132,7 @@ ONE = Scalar(1)
 def _pack(exps: Dict[str, int]) -> int:
     key = 0
     for v, e in exps.items():
-        if e < 0 or e > 255:
+        if e < 0 or e > _MAXEXP:
             raise ValueError(f"exponent out of range: {v}**{e}")
         key |= e << _VAR_SHIFT[v]
     return key
@@ -95,14 +141,14 @@ def _pack(exps: Dict[str, int]) -> int:
 def _unpack(key: int) -> Dict[str, int]:
     out = {}
     for v, s in _VAR_SHIFT.items():
-        e = (key >> s) & 0xFF
+        e = (key >> s) & _MAXEXP
         if e:
             out[v] = e
     return out
 
 
 def _exp_of(key: int, var: str) -> int:
-    return (key >> _VAR_SHIFT[var]) & 0xFF
+    return (key >> _VAR_SHIFT[var]) & _MAXEXP
 
 
 class MultiPoly:
@@ -185,7 +231,7 @@ class MultiPoly:
                         del out[k]
                     else:
                         out[k] = s
-        return MultiPoly(out)
+        return MultiPoly(_checked(out))
 
     __rmul__ = __mul__
 
@@ -213,7 +259,7 @@ class MultiPoly:
         seen = set()
         for k in self.terms:
             for v, s in _VAR_SHIFT.items():
-                if (k >> s) & 0xFF:
+                if (k >> s) & _MAXEXP:
                     seen.add(v)
         return seen
 
@@ -248,10 +294,10 @@ class MultiPoly:
 
     def _subst(self, var: str, repl: "MultiPoly") -> "MultiPoly":
         shift = _VAR_SHIFT[var]
-        mask = 0xFF << shift
+        mask = _MAXEXP << shift
         maxexp = 0
         for k in self.terms:
-            e = (k >> shift) & 0xFF
+            e = (k >> shift) & _MAXEXP
             if e > maxexp:
                 maxexp = e
         if maxexp == 0:
@@ -261,7 +307,7 @@ class MultiPoly:
             powers.append(powers[-1] * repl)
         out = MultiPoly({})
         for k, c in self.terms.items():
-            e = (k >> shift) & 0xFF
+            e = (k >> shift) & _MAXEXP
             base = MultiPoly({k & ~mask: c})
             out = out + (base * powers[e] if e else base)
         return out
@@ -279,12 +325,12 @@ class MultiPoly:
             nk = k
             moved = 0
             for v, w in sigma.items():
-                e = (k >> _VAR_SHIFT[v]) & 0xFF
+                e = (k >> _VAR_SHIFT[v]) & _MAXEXP
                 if e:
-                    nk &= ~(0xFF << _VAR_SHIFT[v])
+                    nk &= ~(_MAXEXP << _VAR_SHIFT[v])
                     moved |= e << _VAR_SHIFT[w]
             for w in sigma.values():
-                if (nk >> _VAR_SHIFT[w]) & 0xFF and w not in sigma:
+                if (nk >> _VAR_SHIFT[w]) & _MAXEXP and w not in sigma:
                     raise ValueError(f"target variable {w!r} already present")
             nk |= moved
             if nk in out:
@@ -297,7 +343,7 @@ class MultiPoly:
         shift = _VAR_SHIFT[var]
         out = {}
         for k, c in self.terms.items():
-            if not (k >> shift) & 0xFF:
+            if not (k >> shift) & _MAXEXP:
                 raise ValueError(f"term not divisible by {var}")
             out[k - (1 << shift)] = c
         return MultiPoly(out)
@@ -346,19 +392,74 @@ class MultiPoly:
 
 def _sort_key(k: int) -> Tuple[int, int]:
     # graded, then packed-int lex; only used for canonical orderings
-    deg = sum((k >> (8 * i)) & 0xFF for i in range(_NVARS))
+    deg = sum((k >> (_WIDTH * i)) & _MAXEXP for i in range(_NVARS))
     return (deg, k)
 
 
 def _divides(a: int, b: int) -> bool:
     for i in range(_NVARS):
-        if ((a >> (8 * i)) & 0xFF) > ((b >> (8 * i)) & 0xFF):
+        if ((a >> (_WIDTH * i)) & _MAXEXP) > ((b >> (_WIDTH * i)) & _MAXEXP):
             return False
     return True
 
 
 def _mono_div(b: int, a: int) -> int:
     return b - a
+
+
+def _checked(terms: Dict[int, Scalar]) -> Dict[int, Scalar]:
+    """terms unchanged, unless a product overflowed an exponent field."""
+    for k in terms:
+        if k & _GUARD:
+            raise ValueError(f"exponent overflow: a product exceeds {_MAXEXP} in one variable")
+    return terms
+
+
+# -- fused kernels -----------------------------------------------------------
+#
+# A packed vector is a family {m: p_m} of polynomials stored as one term dict
+# whose keys carry the component index m above the monomial fields.  A product
+# of a plain polynomial with a packed vector is then a single double loop, and
+# the component of each product term comes for free from the key addition.
+
+
+def pack_vector(entries: Iterable[Tuple[int, MultiPoly]]) -> Dict[int, Scalar]:
+    """Pack [(m, p_m)] (distinct m) into one term dict."""
+    out: Dict[int, Scalar] = {}
+    for m, p in entries:
+        tag = m << _COMPONENT_SHIFT
+        for k, c in p.terms.items():
+            out[tag | k] = c
+    return out
+
+
+def unpack_vector(acc: Dict[int, Scalar]) -> Dict[int, MultiPoly]:
+    """Inverse of pack_vector: drop zero coefficients and check for overflow."""
+    parts: Dict[int, Dict[int, Scalar]] = {}
+    for k, c in acc.items():
+        if c.re or c.im:
+            m = k >> _COMPONENT_SHIFT
+            part = parts.get(m)
+            if part is None:
+                parts[m] = part = {}
+            part[k & _MONO_MASK] = c
+    return {m: MultiPoly(_checked(t)) for m, t in parts.items()}
+
+
+def add_product(acc: Dict[int, Scalar], p: MultiPoly, q: Dict[int, Scalar],
+                negate: bool = False) -> None:
+    """acc += p*q (or -= with negate); p plain, q a term dict or packed vector.
+
+    Zero coefficients may remain in acc; unpack_vector removes them.
+    """
+    get = acc.get
+    for k1, c1 in p.terms.items():
+        if negate:
+            c1 = -c1
+        for k2, c2 in q.items():
+            k = k1 + k2
+            prev = get(k)
+            acc[k] = c1 * c2 if prev is None else prev + c1 * c2
 
 
 # module-level generators, convenient for building structure constants

@@ -112,7 +112,17 @@ def test_corrupted_table_import_fails_with_one_line(tmp_path, capsys):
     assert len(lines) == 1 and "(d)*L" in lines[0]
 
 
-def test_workers_flag(capsys):
-    code, _, _ = run(capsys, "verify", "--family", "K", "--n", "1",
-                     "--checks", "jacobi", "--workers", "2")
-    assert code == 0
+def test_verify_without_family_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "verify")
+    assert code == 2 and out == ""
+    assert err == "error: --family or --in is required\n"
+
+
+def test_crosscheck_of_imported_table_is_a_usage_error(tmp_path, capsys):
+    table = tmp_path / "vir.json"
+    table.write_text(serialize.dumps(make_vir()))
+    code, out, err = run(capsys, "verify", "--in", str(table),
+                         "--checks", "skew,crosscheck")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--family" in err

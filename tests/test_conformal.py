@@ -97,12 +97,6 @@ def test_jordan_identity_variants(JS1):
     assert tttt and tttt[0].residual == "(-2*mu*nu - 1*nu*d)*S"
 
 
-def test_workers_agree(JS1):
-    a = check_jordan_identity(JS1, variant="printed", workers=1)
-    b = check_jordan_identity(JS1, variant="printed", workers=2)
-    assert [v.where for v in a.violations] == [v.where for v in b.violations]
-
-
 def test_parity_validation():
     gens = [Generator("a", 0), Generator("b", 1)]
     with pytest.raises(StructureError):

@@ -1,0 +1,189 @@
+"""Differential tests: the contraction kernels against nested-bracket oracles.
+
+The oracles below evaluate each identity definitionally, by nesting
+``bracket`` calls and substituting spectral variables, one generator tuple
+at a time.  The checks in ``confcoalg.conformal`` must return exactly the
+same violations -- the same tuples, in the same order, with the same
+residuals -- on every family and on seeded corruptions.
+"""
+
+import itertools
+import random
+
+import pytest
+
+from confcoalg import families
+from confcoalg.conformal import (
+    CONSISTENT, JORDAN, PRINTED, ConformalElement, bracket, check_jacobi,
+    check_jordan_comm, check_jordan_identity, check_skew, shift_spectral,
+)
+from confcoalg.families import corrupt_entry
+from confcoalg.poly import D, LAM, MU, NU, MultiPoly, Scalar
+
+
+# -- oracles -------------------------------------------------------------------
+
+
+def _sign(S, x, y):
+    return MultiPoly.const(-1 if (S.parity(x) * S.parity(y)) & 1 else 1)
+
+
+def _flip_residual(S, i, j):
+    """[a lam b] - sign (-1)^{p(a)p(b)} [b_{-lam-d} a]; sign -1 (skew) or +1 (comm)."""
+    sign = 1 if S.kind == JORDAN else -1
+    flipped = shift_spectral(S.pair_element(j, i, "mu"), "mu", -LAM - D)
+    return S.entry(i, j) - flipped.scale(_sign(S, i, j).scalar_mul(sign))
+
+
+def _jacobi_residual(S, i, j, k):
+    ei, ej, ek = map(ConformalElement.gen, (i, j, k))
+    lhs = bracket(S, ei, bracket(S, ej, ek, "mu"), "lam")
+    inner = bracket(S, ei, ej, "lam")
+    r1 = shift_spectral(bracket(S, inner, ek, "nu"), "nu", LAM + MU)
+    r2 = bracket(S, ej, bracket(S, ei, ek, "lam"), "mu")
+    return lhs - r1 - r2.scale(_sign(S, i, j))
+
+
+def _jordan_residual(S, a, b, c, d, variant):
+    """Six-term Jordan identity LHS - RHS; scratch slot variables x1..x3."""
+    ea, eb, ec, ed = map(ConformalElement.gen, (a, b, c, d))
+    s1, s2, s3 = _sign(S, a, c), _sign(S, a, b), _sign(S, b, c)
+    nu_mu = NU - MU
+    lam_mu_sub = (LAM + NU - MU) if variant == CONSISTENT else (LAM - MU)
+
+    # T1 = a_lam((b_mu c)_nu d)
+    t1 = bracket(S, ea, bracket(S, bracket(S, eb, ec, "mu"), ed, "nu"), "lam")
+
+    # T2 = b_mu((c_{nu-mu} a)_{T} d)
+    u = bracket(S, ec, ea, "x1")
+    v = bracket(S, u, ed, "x2")
+    t2 = bracket(S, eb, v, "mu")
+    t2 = shift_spectral(shift_spectral(t2, "x1", nu_mu), "x2", lam_mu_sub)
+
+    # T3 = c_{nu-mu}((a_{-mu-d} b)_{lam+mu} d)
+    u = shift_spectral(bracket(S, ea, eb, "x1"), "x1", -MU - D)
+    v = shift_spectral(bracket(S, u, ed, "x2"), "x2", LAM + MU)
+    t3 = shift_spectral(bracket(S, ec, v, "x3"), "x3", nu_mu)
+
+    # T4 = (a_{-mu-d} b)_{lam+mu}(c_{nu-mu} d)
+    u = shift_spectral(bracket(S, ea, eb, "x1"), "x1", -MU - D)
+    w = shift_spectral(bracket(S, ec, ed, "x1"), "x1", nu_mu)
+    t4 = shift_spectral(bracket(S, u, w, "x2"), "x2", LAM + MU)
+
+    # T5 = (b_mu c)_nu(a_lam d)
+    t5 = bracket(S, bracket(S, eb, ec, "mu"), bracket(S, ea, ed, "lam"), "nu")
+
+    # T6 = (c_{nu-mu} a)_{lam+nu-mu}(b_mu d)
+    u = shift_spectral(bracket(S, ec, ea, "x1"), "x1", nu_mu)
+    t6 = shift_spectral(bracket(S, u, bracket(S, eb, ed, "mu"), "x2"), "x2", LAM + NU - MU)
+
+    lhs = t1.scale(s1) + t2.scale(s2) + t3.scale(s3)
+    rhs = t4.scale(s1) + t5.scale(s2) + t6.scale(s3)
+    return lhs - rhs
+
+
+def _oracle(S, arity, residual):
+    out = []
+    for where in itertools.product(range(S.rank), repeat=arity):
+        r = residual(S, *where)
+        if not r.is_zero():
+            out.append((tuple(S.generators[g].id for g in where), r.pretty(S)))
+    return out
+
+
+def _found(rep):
+    return [(v.where, v.residual) for v in rep.violations]
+
+
+def assert_lie_kernels_match(S):
+    rep = check_jacobi(S)
+    assert rep.total == S.rank ** 3
+    assert _found(rep) == _oracle(S, 3, _jacobi_residual), S.name
+    assert _found(check_skew(S)) == _oracle(S, 2, _flip_residual), S.name
+
+
+def assert_jordan_kernels_match(S):
+    for variant in (CONSISTENT, PRINTED):
+        rep = check_jordan_identity(S, variant=variant)
+        assert rep.total == S.rank ** 4
+        expected = _oracle(S, 4, lambda S_, *q: _jordan_residual(S_, *q, variant))
+        assert _found(rep) == expected, (S.name, variant)
+    assert _found(check_jordan_comm(S)) == _oracle(S, 2, _flip_residual), S.name
+
+
+# -- families ------------------------------------------------------------------
+
+
+LIE_FAMILIES = {
+    "Vir": families.make_vir,
+    "Cur-sl2": families.make_cur_sl2,
+    **{f"W_{n}": (lambda n=n: families.make_W(n)) for n in range(3)},
+    "S_2": lambda: families.make_S(2),
+    **{f"S_2b-{b}": (lambda b=b: families.make_S_b(2, s))
+       for b, s in (("0", Scalar(0)), ("1", Scalar(1)), ("beta", Scalar(0, 1)))},
+    "S~_2": lambda: families.make_S_tilde(2),
+    **{f"K_{n}": (lambda n=n: families.make_K(n)) for n in range(5)},
+    "K_4'": families.make_K4prime,
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIE_FAMILIES))
+def test_lie_kernels_match_oracle(name):
+    S = LIE_FAMILIES[name]()
+    assert S.rank <= 16
+    assert_lie_kernels_match(S)
+
+
+@pytest.mark.parametrize("name", ["J_2", "JS_1", "JCK_4"])
+def test_jordan_kernels_match_oracle(name, Jn, JS1, JCK4):
+    S = {"J_2": Jn[2], "JS_1": JS1, "JCK_4": JCK4}[name]
+    assert_jordan_kernels_match(S)
+
+
+def test_by_design_violation_counts(Jn, JS1, JCK4):
+    assert len(check_jordan_identity(Jn[2]).violations) == 66
+    assert len(check_jordan_identity(JCK4, variant=PRINTED).violations) == 182
+    assert len(check_jordan_identity(JS1, variant=PRINTED).violations) == 8
+
+
+# -- corruptions ---------------------------------------------------------------
+
+
+def test_criterion_9_corruptions_match_oracle(vir, K, JS1):
+    assert_lie_kernels_match(corrupt_entry(vir, "L", "L", "L", D + LAM))
+    assert_lie_kernels_match(
+        corrupt_entry(K[2], "xi1", "xi2", "xi12", MultiPoly.const(-1)))
+    assert_jordan_kernels_match(corrupt_entry(JS1, "T", "T", "S", 2 * LAM))
+
+
+def _random_coefficient(rng):
+    p = MultiPoly.zero()
+    for _ in range(rng.randrange(1, 4)):
+        c = rng.choice((1, -1, 2, Scalar(1, 1), Scalar(0, -1)))
+        p = p + MultiPoly.monomial({"lam": rng.randrange(3), "d": rng.randrange(3)}, c)
+    return p
+
+
+def _seeded_corruption(S, seed):
+    """S with one entry replaced by a random coefficient on a parity-allowed target."""
+    rng = random.Random(seed)
+    i, j = rng.randrange(S.rank), rng.randrange(S.rank)
+    parity = (S.parity(i) + S.parity(j)) & 1
+    k = rng.choice([g for g in range(S.rank) if S.parity(g) == parity])
+    ids = [g.id for g in S.generators]
+    return corrupt_entry(S, ids[i], ids[j], ids[k], _random_coefficient(rng))
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", ["K_3", "W_1", "S_2b-beta"])
+def test_seeded_corruptions_match_oracle(name, seed):
+    bad = _seeded_corruption(LIE_FAMILIES[name](), seed)
+    assert not check_jacobi(bad).ok
+    assert_lie_kernels_match(bad)
+
+
+def test_tables_are_not_cached_across_copies(K):
+    bad = corrupt_entry(K[2], "xi1", "xi2", "xi12", MultiPoly.const(-1))
+    assert check_jacobi(K[2]).ok
+    assert not check_jacobi(bad).ok
+    assert check_jacobi(K[2]).ok

@@ -124,3 +124,44 @@ def test_total_degree_and_variables():
     p = LAM * LAM * D + MU
     assert p.total_degree() == 3
     assert p.variables() == {"lam", "d", "mu"}
+
+
+def test_scalar_parts_are_ints_when_integral():
+    s = Scalar(Fraction(4, 2))
+    assert s.re == 2 and type(s.re) is int and type(s.im) is int
+    half = Scalar(2).inverse()
+    assert half == Scalar(Fraction(1, 2))
+    assert type(half.re) is Fraction and type(half.im) is int
+    assert not any(isinstance(x, float) for x in (half.re, half.im))
+    assert type((half + half).re) is int
+    assert type((Scalar(0, 1) * Scalar(0, 1)).re) is int
+    # int and Fraction parts hash and compare alike
+    assert hash(Scalar(1)) == hash(Scalar(Fraction(3, 3)))
+    assert repr(Scalar(Fraction(6, 3), Fraction(-1, 2))) == "(2-1/2*beta)"
+
+
+def test_scalar_rejects_float():
+    for bad in ((0.5,), (1, 2.0), (float("nan"),)):
+        with pytest.raises(TypeError):
+            Scalar(*bad)
+
+
+def test_poly_to_json_unchanged():
+    p = MultiPoly.monomial({"lam": 2, "d": 1}, Scalar(3, Fraction(-1, 2))) + D.scalar_mul(2)
+    assert poly_to_json(p) == [
+        {"coeff": [2, 1, 0, 1], "exps": {"d": 1}},
+        {"coeff": [3, 1, -1, 2], "exps": {"lam": 2, "d": 1}},
+    ]
+
+
+def test_exponent_overflow_raises():
+    big = MultiPoly.var("lam", 200)
+    with pytest.raises(ValueError, match="overflow"):
+        big * MultiPoly.var("lam", 100)
+    # no carry into the next variable at the boundary
+    assert big * MultiPoly.var("lam", 55) == MultiPoly.var("lam", 255)
+    with pytest.raises(ValueError, match="overflow"):
+        MultiPoly.var("x4", 255) * MultiPoly.var("x4", 1)
+    with pytest.raises(ValueError, match="overflow"):
+        MultiPoly.var("d", 128).subst_general("d", D * D)
+    assert (big * MU).variables() == {"lam", "mu"}
