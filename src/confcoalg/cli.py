@@ -31,6 +31,7 @@ from .coalgebra import (
 from .conformal import (
     JORDAN,
     LIE,
+    LambdaStructure,
     StructureError,
     check_jacobi,
     check_jordan_comm,
@@ -196,6 +197,14 @@ def _emit_coproduct(C, fmt, out):
         _write("\n".join(lines), out)
 
 
+def _load_table(path: str) -> LambdaStructure:
+    with open(path) as fh:
+        S = serialize.loads(fh.read())
+    if not isinstance(S, LambdaStructure):
+        raise StructureError(f"{path} holds a coproduct; --in needs a lambda_structure table")
+    return S
+
+
 def cmd_construct(args) -> int:
     fd, n, b = _resolve(args)
     S = fd.build(n, b)
@@ -205,9 +214,7 @@ def cmd_construct(args) -> int:
 
 def cmd_verify(args) -> int:
     if args.infile:
-        with open(args.infile) as fh:
-            S = serialize.loads(fh.read())
-        fd = None
+        S = _load_table(args.infile)
     else:
         fd, n, b = _resolve(args)
         S = fd.build(n, b)
@@ -263,8 +270,7 @@ def _viol_line(v) -> str:
 
 def cmd_dualize(args) -> int:
     if args.infile:
-        with open(args.infile) as fh:
-            S = serialize.loads(fh.read())
+        S = _load_table(args.infile)
     else:
         fd, n, b = _resolve(args)
         S = fd.build(n, b)

@@ -15,18 +15,28 @@ of generator indices.  Swapping adjacent slots introduces the Koszul sign
 (-1)^{p(a)p(b)} and permutes the matching slot variables; expanding a slot
 with a coproduct splits its variable into the sum of the two new ones
 (d is a coderivation on tensor products).
+
+``apply_delta_slot``, ``tau`` and ``zeta`` implement these operations on
+``TensorElement`` values and are the definitional path.  The co-Jacobi and
+co-Jordan checks do not call them: each evaluates a dual generator's
+residual as one sparse contraction of slot-renamed copies of the table.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .conformal import Generator, LambdaStructure, Report, StructureError, Violation
-from .poly import D, LAM, MultiPoly, P_ONE, X1, X2
+from .poly import (
+    D, LAM, MultiPoly, ONE, P_ONE, X1, X2, X3, X4, _MAXEXP, _MONO_MASK,
+    _VAR_SHIFT, add_product, compact_vector, pack_vector, relabel_vector,
+    unpack_vector,
+)
 
 _X = ("x1", "x2", "x3", "x4")
+# monomial fields of every variable but x1 and x2, the two coproduct slots
+_NOT_SLOT = _MONO_MASK & ~(_MAXEXP << _VAR_SHIFT["x1"] | _MAXEXP << _VAR_SHIFT["x2"])
 _MINUS_X1_X2 = -X1 - X2
 
 
@@ -44,15 +54,25 @@ class Coproduct:
         self.generators = list(generators)
         self.name = name
         self.index = {g.id: i for i, g in enumerate(self.generators)}
+        if len(self.index) != len(self.generators):
+            raise StructureError("generator ids not unique")
         self.table = {}
         for k in range(len(self.generators)):
             entries = [(i, j, q) for i, j, q in table.get(k, []) if not q.is_zero()]
             pk = self.generators[k].parity
-            for i, j, _ in entries:
+            for i, j, q in entries:
                 if (self.generators[i].parity + self.generators[j].parity) & 1 != pk:
                     raise StructureError(
                         f"parity violation in delta({self.generators[k].id})"
                     )
+                for key in q.terms:
+                    if key & _NOT_SLOT:
+                        stray = ", ".join(sorted(q.variables() - {"x1", "x2"}))
+                        raise StructureError(
+                            f"delta({self.generators[k].id}) @ {self.generators[i].id} (x) "
+                            f"{self.generators[j].id} uses {stray}; "
+                            "coproduct entries may only use x1 and x2"
+                        )
             self.table[k] = entries
 
     @property
@@ -247,9 +267,104 @@ def zeta(t: TensorElement) -> TensorElement:
     return out
 
 
-def zeta_via_tau(t: TensorElement) -> TensorElement:
-    """zeta as two adjacent swaps; used to cross-check the closed-form sign."""
-    return tau(tau(t, 1), 2)
+# -- contraction kernels ---------------------------------------------------------
+#
+# At a dual generator a_k^* every term of co-Jacobi and co-Jordan is a sparse
+# contraction of copies of the table with its slot variables renamed,
+# Q^{ij}_k(x1, x2) -> Q^{ij}_k(a, b).  A tensor tuple (t_1, ..., t_r) is the
+# component t_1 n^{r-1} + ... + t_r of a packed vector (see
+# poly.pack_vector), n the rank, so the component tag of a first factor plus
+# the component of a packed row is the output tuple.  The copies are built
+# per check call, never stored on the Coproduct.
+
+_UNIT = {0: ONE}
+_ZETA_SLOTS = {"x1": "x3", "x2": "x1", "x3": "x2"}
+
+
+def _entries(cop: Coproduct):
+    """entries[k] = [(i, j, Q^{ij}_k(x1, x2))], duplicate (i, j) merged."""
+    return [[(i, j, q) for (i, j), q in cop.normalized(k).items()] for k in range(cop.rank)]
+
+
+def _renamed(entries, a: MultiPoly, b: MultiPoly):
+    """entries with every Q(x1, x2) replaced by Q(a, b), simultaneously.
+
+    An entry holds x1 and x2 only, so each of its monomials x1^e1 x2^e2 maps
+    to a^e1 b^e2; these images are computed once per call.
+    """
+    images = {}
+
+    def image(key):
+        img = images.get(key)
+        if img is None:
+            mono = MultiPoly({key: ONE})
+            img = _power(a, mono.degree_in("x1")) * _power(b, mono.degree_in("x2"))
+            images[key] = img
+        return img
+
+    def rename(q):
+        acc = {}
+        for key, c in q.terms.items():
+            add_product(acc, image(key), {0: c})
+        return MultiPoly(compact_vector(acc))
+
+    return [[(i, j, rename(q)) for i, j, q in row] for row in entries]
+
+
+def _power(p: MultiPoly, e: int) -> MultiPoly:
+    out = P_ONE
+    for _ in range(e):
+        out = out * p
+    return out
+
+
+def _firsts(renamed, tag):
+    """renamed with the component tag(i, j) packed into each entry's keys."""
+    return [
+        [(i, j, MultiPoly(pack_vector([(tag(i, j), q)]))) for i, j, q in row]
+        for row in renamed
+    ]
+
+
+def _rows(renamed, place, odd=None):
+    """Each row [(l, m, q)] packed at component place(l, m).
+
+    With odd given, the terms whose first index l has odd[l] set change sign
+    (a Koszul sign by the parity of the first index).
+    """
+    return [
+        pack_vector((place(l, m), -q if odd and odd[l] else q) for l, m, q in row)
+        for row in renamed
+    ]
+
+
+def _flip(plain, swapped, par, negate_plain: bool):
+    """Packed tau(delta a_k) + delta a_k (- with negate_plain).
+
+    plain holds Q^{ij}_k(x1, x2) at [i,j], swapped Q^{ij}_k(x2, x1) at [j,i].
+    """
+    acc = {}
+    for i, j, p in plain:
+        add_product(acc, p, _UNIT, negate_plain)
+    for i, j, q in swapped:
+        add_product(acc, q, _UNIT, bool(par[i] & par[j]))
+    return acc
+
+
+def _record(rep: Report, cop: Coproduct, k: int, check: str, arity: int, acc) -> None:
+    """Add a violation at (a_k^*, check) unless the packed residual acc is zero."""
+    resid = unpack_vector(acc)
+    if resid:
+        n = cop.rank
+        terms = {}
+        for m, p in resid.items():
+            digits = []
+            for _ in range(arity):
+                m, r = divmod(m, n)
+                digits.append(r)
+            terms[tuple(reversed(digits))] = p
+        t = TensorElement(arity, terms)
+        rep.violations.append(Violation((cop.generators[k].id, check), repr(t)))
 
 
 def check_lie_coalgebra(cop: Coproduct) -> Report:
@@ -257,25 +372,59 @@ def check_lie_coalgebra(cop: Coproduct) -> Report:
 
     The antisymmetric-image condition of the definition is equivalent, over
     an exact field, to delta landing in the -1 eigenspace of tau.  Co-Jacobi:
-    (I (x) delta) delta - (tau (x) I)(I (x) delta) delta = (delta (x) I) delta.
+    (I (x) delta) delta - (tau (x) I)(I (x) delta) delta = (delta (x) I) delta,
+    where, with delta(a_k^*) = sum Q^{ij}_k(x1, x2) a_i^* (x) a_j^* and
+    [i,l,m] standing for a_i^* (x) a_l^* (x) a_m^*,
+
+        (I (x) delta) delta a_k = sum Q^{ij}_k(x1, x2+x3) Q^{lm}_j(x2, x3) [i,l,m]
+        (tau (x) I)(I (x) delta) delta a_k
+            = sum (-1)^{p_i p_l} Q^{ij}_k(x2, x1+x3) Q^{lm}_j(x1, x3) [l,i,m]
+        (delta (x) I) delta a_k = sum Q^{ij}_k(x1+x2, x3) Q^{lm}_i(x1, x2) [l,m,j]
     """
     if cop.kind != "lie":
         raise StructureError("Lie coalgebra axioms apply to Lie kind")
-    rep = Report("coalg", cop.name)
-    for k in range(cop.rank):
-        rep.total += 1
-        d1 = apply_delta_slot(TensorElement.seed(k, cop), cop, 1)
-        anti = tau(d1, 1) + d1
-        a = apply_delta_slot(d1, cop, 2)          # (I x delta) delta
-        b = tau(a, 1)                              # (tau x I)(I x delta) delta
-        c = apply_delta_slot(d1, cop, 1)           # (delta x I) delta
-        cojac = a - b - c
-        gname = cop.generators[k].id
-        if not anti.is_zero():
-            rep.violations.append(Violation((gname, "antisymmetry"), repr(anti)))
-        if not cojac.is_zero():
-            rep.violations.append(Violation((gname, "co-jacobi"), repr(cojac)))
+    n = cop.rank
+    n2 = n * n
+    par = [g.parity for g in cop.generators]
+    rep = Report("coalg", cop.name, total=n)
+    entries = _entries(cop)
+    plain = _firsts(entries, lambda i, j: i * n + j)
+    swapped = _firsts(_renamed(entries, X2, X1), lambda i, j: j * n + i)
+    first_a = _firsts(_renamed(entries, X1, X2 + X3), lambda i, j: i * n2)
+    rows_a = _rows(_renamed(entries, X2, X3), lambda l, m: l * n + m)
+    first_b = _firsts(_renamed(entries, X2, X1 + X3), lambda i, j: i * n)
+    renamed_b = _renamed(entries, X1, X3)
+    rows_b = _rows(renamed_b, lambda l, m: l * n2 + m)
+    rows_b_odd = _rows(renamed_b, lambda l, m: l * n2 + m, par)
+    first_c = _firsts(_renamed(entries, X1 + X2, X3), lambda i, j: j)
+    rows_c = _rows(entries, lambda l, m: (l * n + m) * n)
+    for k in range(n):
+        _record(rep, cop, k, "antisymmetry", 2, _flip(plain[k], swapped[k], par, False))
+        acc = {}
+        for i, j, p in first_a[k]:
+            add_product(acc, p, rows_a[j])
+        for i, j, p in first_b[k]:
+            add_product(acc, p, (rows_b_odd if par[i] else rows_b)[j], negate=True)
+        for i, j, p in first_c[k]:
+            add_product(acc, p, rows_c[i], negate=True)
+        _record(rep, cop, k, "co-jacobi", 3, acc)
     return rep
+
+
+def _zeta_packed(terms, n: int, par) -> dict:
+    """zeta on a packed arity-4 vector: [a,b,c,d] -> (-1)^{p_a(p_b+p_c)} [b,c,a,d].
+
+    The slot variables follow their factors; terms must be overflow-checked.
+    """
+    n2, n3 = n * n, n * n * n
+
+    def component(m):
+        a, rest = divmod(m, n3)
+        b, rest = divmod(rest, n2)
+        c, d = divmod(rest, n)
+        return ((b * n + c) * n + a) * n + d, bool(par[a] & (par[b] ^ par[c]))
+
+    return relabel_vector(terms, _ZETA_SLOTS, component)
 
 
 def check_jordan_coalgebra(cop: Coproduct) -> Report:
@@ -283,30 +432,55 @@ def check_jordan_coalgebra(cop: Coproduct) -> Report:
 
     (1+zeta+zeta^2)(Delta (x) Delta) Delta
         = (1+zeta+zeta^2)(I (x) Delta (x) I)(I (x) Delta) Delta
+
+    zeta is linear, so the residual is (1+zeta+zeta^2)(lhs - rhs), with
+
+        (Delta (x) Delta) Delta a_k
+            = sum Q^{ij}_k(x1+x2, x3+x4) Q^{lm}_j(x3, x4) Q^{uv}_i(x1, x2) [u,v,l,m]
+        (I (x) Delta (x) I)(I (x) Delta) Delta a_k
+            = sum Q^{ij}_k(x1, x2+x3+x4) Q^{lm}_j(x2+x3, x4) Q^{uv}_l(x2, x3) [i,u,v,m]
     """
     if cop.kind != "jordan":
         raise StructureError("Jordan coalgebra axioms apply to Jordan kind")
-    rep = Report("cojordan", cop.name)
-    for k in range(cop.rank):
-        rep.total += 1
-        d1 = apply_delta_slot(TensorElement.seed(k, cop), cop, 1)
-        gname = cop.generators[k].id
-        cocomm = tau(d1, 1) - d1
-        if not cocomm.is_zero():
-            rep.violations.append(Violation((gname, "co-commutativity"), repr(cocomm)))
-        # (Delta x Delta) Delta: expand slot 2 then slot 1
-        lhs = apply_delta_slot(apply_delta_slot(d1, cop, 2), cop, 1)
-        # (I x Delta x I)(I x Delta) Delta: expand slot 2 twice
-        rhs = apply_delta_slot(apply_delta_slot(d1, cop, 2), cop, 2)
-        resid = _cyclic_sum(lhs) - _cyclic_sum(rhs)
-        if not resid.is_zero():
-            rep.violations.append(Violation((gname, "co-jordan"), repr(resid)))
+    n = cop.rank
+    n2, n3 = n * n, n * n * n
+    par = [g.parity for g in cop.generators]
+    rep = Report("cojordan", cop.name, total=n)
+    entries = _entries(cop)
+    plain = _firsts(entries, lambda i, j: i * n + j)
+    swapped = _firsts(_renamed(entries, X2, X1), lambda i, j: j * n + i)
+    first_l = _renamed(entries, X1 + X2, X3 + X4)
+    rows_lm = _rows(_renamed(entries, X3, X4), lambda l, m: l * n + m)
+    rows_uv = _rows(entries, lambda u, v: (u * n + v) * n2)
+    first_r = _firsts(_renamed(entries, X1, X2 + X3 + X4), lambda i, j: i * n3)
+    # tails[j] = sum Q^{lm}_j(x2+x3, x4) Q^{uv}_l(x2, x3) [., u, v, m]
+    rows_mid = _renamed(entries, X2 + X3, X4)
+    rows_uv_mid = _rows(_renamed(entries, X2, X3), lambda u, v: (u * n + v) * n)
+    tails = []
+    for row in rows_mid:
+        tail = {}
+        for l, m, q in row:
+            add_product(tail, MultiPoly(pack_vector([(m, q)])), rows_uv_mid[l])
+        tails.append(compact_vector(tail))
+    for k in range(n):
+        _record(rep, cop, k, "co-commutativity", 2, _flip(plain[k], swapped[k], par, True))
+        acc = {}
+        by_i = {}
+        for i, j, p in first_l[k]:
+            add_product(by_i.setdefault(i, {}), p, rows_lm[j])
+        for i, part in by_i.items():
+            add_product(acc, MultiPoly(compact_vector(part)), rows_uv[i])
+        for i, j, p in first_r[k]:
+            add_product(acc, p, tails[j], negate=True)
+        diff = compact_vector(acc)
+        once = _zeta_packed(diff, n, par)
+        resid = dict(diff)
+        for z in (once, _zeta_packed(once, n, par)):
+            for key, c in z.items():
+                prev = resid.get(key)
+                resid[key] = c if prev is None else prev + c
+        _record(rep, cop, k, "co-jordan", 4, resid)
     return rep
-
-
-def _cyclic_sum(t: TensorElement) -> TensorElement:
-    z = zeta(t)
-    return t + z + zeta(z)
 
 
 # ---------------------------------------------------------------------------

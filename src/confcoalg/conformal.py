@@ -224,14 +224,6 @@ def shift_spectral(
     return x.map_coeffs(lambda p: p.subst_general(svar, image))
 
 
-def element_parity(S: LambdaStructure, x: ConformalElement) -> int:
-    """Parity of a homogeneous element; raises on mixed parities."""
-    ps = {S.parity(g) for g in x.terms}
-    if len(ps) > 1:
-        raise StructureError("element is not parity-homogeneous")
-    return ps.pop() if ps else 0
-
-
 # ---------------------------------------------------------------------------
 # axiom checkers
 

@@ -25,7 +25,7 @@ the choice never shows in equality, ``repr`` or JSON.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, Tuple
+from typing import Callable, Dict, Iterable, Iterator, Tuple
 
 ALPHABET: Tuple[str, ...] = ("lam", "mu", "nu", "d", "x1", "x2", "x3", "x4")
 _VAR_INDEX = {name: i for i, name in enumerate(ALPHABET)}
@@ -273,9 +273,6 @@ class MultiPoly:
             return -1
         return max(sum(_unpack(k).values()) for k in self.terms)
 
-    def constant_coeff(self) -> Scalar:
-        return self.terms.get(0, ZERO)
-
     def items(self) -> Iterator[Tuple[Dict[str, int], Scalar]]:
         for k in sorted(self.terms, key=_sort_key):
             yield _unpack(k), self.terms[k]
@@ -446,11 +443,48 @@ def unpack_vector(acc: Dict[int, Scalar]) -> Dict[int, MultiPoly]:
     return {m: MultiPoly(_checked(t)) for m, t in parts.items()}
 
 
+def compact_vector(acc: Dict[int, Scalar]) -> Dict[int, Scalar]:
+    """acc without its zero coefficients, checked for exponent overflow.
+
+    The result can be multiplied again: as q of add_product, or wrapped in a
+    MultiPoly as its p.
+    """
+    return _checked({k: c for k, c in acc.items() if c.re or c.im})
+
+
+def relabel_vector(acc: Dict[int, Scalar], sigma: Dict[str, str],
+                   component: Callable[[int], Tuple[int, bool]]) -> Dict[int, Scalar]:
+    """A packed vector with its variables and components relabelled.
+
+    The exponent of v moves to sigma[v], sigma a permutation of its keys;
+    component(m) gives (m', negate), and the term at component m moves to m',
+    negated when negate is set.  acc must be overflow-checked (compact_vector).
+    """
+    moves = [(_VAR_SHIFT[v], _VAR_SHIFT[w]) for v, w in sigma.items()]
+    keep = _MONO_MASK & ~sum(_MAXEXP << s for s, _ in moves)
+    tags: Dict[int, Tuple[int, bool]] = {}
+    out: Dict[int, Scalar] = {}
+    for k, c in acc.items():
+        m = k >> _COMPONENT_SHIFT
+        hit = tags.get(m)
+        if hit is None:
+            m2, negate = component(m)
+            hit = tags[m] = (m2 << _COMPONENT_SHIFT, negate)
+        tag, negate = hit
+        mono = k & keep
+        for s, t in moves:
+            mono |= ((k >> s) & _MAXEXP) << t
+        out[tag | mono] = -c if negate else c
+    return out
+
+
 def add_product(acc: Dict[int, Scalar], p: MultiPoly, q: Dict[int, Scalar],
                 negate: bool = False) -> None:
-    """acc += p*q (or -= with negate); p plain, q a term dict or packed vector.
+    """acc += p*q (or -= with negate); q a term dict or packed vector.
 
-    Zero coefficients may remain in acc; unpack_vector removes them.
+    The keys of p may carry a component too; keys add, so the components of
+    p and q must occupy disjoint digits.  Zero coefficients may remain in
+    acc; unpack_vector and compact_vector remove them.
     """
     get = acc.get
     for k1, c1 in p.terms.items():

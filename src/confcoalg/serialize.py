@@ -63,16 +63,18 @@ def structure_to_json(S: LambdaStructure) -> dict:
 
 
 def structure_from_json(data: dict) -> LambdaStructure:
-    if data.get("type") != "lambda_structure":
+    if _doc_type(data) != "lambda_structure":
         raise StructureError("not a lambda_structure document")
-    gens = [Generator(g["id"], int(g["parity"])) for g in data["generators"]]
-    index = {g.id: i for i, g in enumerate(gens)}
+    gens, index = _generators(data)
     table: Dict[Tuple[int, int], List[Tuple[int, MultiPoly]]] = {}
-    for row in data["table"]:
-        key = (index[row["left"]], index[row["right"]])
-        table[key] = [
-            (index[t["gen"]], poly_from_json(t["poly"])) for t in row["terms"]
-        ]
+    for r, row in enumerate(_list(data, "table", "document")):
+        what = f"table row {r}"
+        key = (_gen_ref(index, row, "left", what), _gen_ref(index, row, "right", what))
+        terms = []
+        for t, term in enumerate(_list(row, "terms", what)):
+            term_what = f"term {t} of {what}"
+            terms.append((_gen_ref(index, term, "gen", term_what), _poly(term, term_what)))
+        table[key] = terms
     return LambdaStructure(
         data.get("kind", "lie"), gens, table, name=data.get("name", "imported")
     )
@@ -115,19 +117,79 @@ def coproduct_to_json(C: Coproduct) -> dict:
 
 
 def coproduct_from_json(data: dict) -> Coproduct:
-    if data.get("type") != "coproduct":
+    if _doc_type(data) != "coproduct":
         raise StructureError("not a coproduct document")
-    gens = [Generator(g["id"], int(g["parity"])) for g in data["generators"]]
-    index = {g.id: i for i, g in enumerate(gens)}
+    gens, index = _generators(data)
     table: Dict[int, List[Tuple[int, int, MultiPoly]]] = {}
-    for row in data["table"]:
-        table[index[row["gen"]]] = [
-            (index[p["left"]], index[p["right"]], poly_from_json(p["poly"]))
-            for p in row["pairs"]
-        ]
+    for r, row in enumerate(_list(data, "table", "document")):
+        what = f"table row {r}"
+        pairs = []
+        for t, pair in enumerate(_list(row, "pairs", what)):
+            pair_what = f"pair {t} of {what}"
+            pairs.append((
+                _gen_ref(index, pair, "left", pair_what),
+                _gen_ref(index, pair, "right", pair_what),
+                _poly(pair, pair_what),
+            ))
+        table[_gen_ref(index, row, "gen", what)] = pairs
     return Coproduct(
         data.get("kind", "lie"), gens, table, name=data.get("name", "imported")
     )
+
+
+# -- schema checks: every malformed document raises a StructureError
+
+
+def _doc_type(data):
+    if not isinstance(data, dict):
+        raise StructureError("document is not a JSON object")
+    return data.get("type")
+
+
+def _field(obj, key: str, what: str):
+    """obj[key]; a StructureError if obj is no JSON object or lacks key."""
+    if not isinstance(obj, dict):
+        raise StructureError(f"{what} is not a JSON object")
+    if key not in obj:
+        raise StructureError(f"{what} has no {key!r} key")
+    return obj[key]
+
+
+def _list(obj, key: str, what: str) -> list:
+    value = _field(obj, key, what)
+    if not isinstance(value, list):
+        raise StructureError(f"{key!r} of {what} is not a JSON list")
+    return value
+
+
+def _generators(data: dict):
+    gens = []
+    for g, gen in enumerate(_list(data, "generators", "document")):
+        what = f"generator {g}"
+        try:
+            parity = int(_field(gen, "parity", what))
+        except (TypeError, ValueError):
+            parity = None
+        if parity not in (0, 1):
+            raise StructureError(f"parity of {what} is not 0 or 1")
+        gens.append(Generator(_field(gen, "id", what), parity))
+    return gens, {g.id: i for i, g in enumerate(gens)}
+
+
+def _gen_ref(index: Dict[str, int], obj, key: str, what: str) -> int:
+    gid = _field(obj, key, what)
+    try:
+        return index[gid]
+    except (KeyError, TypeError):
+        raise StructureError(f"{key!r} of {what} names unknown generator {gid!r}") from None
+
+
+def _poly(obj, what: str) -> MultiPoly:
+    data = _list(obj, "poly", what)
+    try:
+        return poly_from_json(data)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
+        raise StructureError(f"malformed poly of {what}: {e!r}") from None
 
 
 def dumps(obj) -> str:
@@ -142,9 +204,10 @@ def dumps(obj) -> str:
 
 def loads(text: str):
     data = json.loads(text)
-    if data.get("type") == "lambda_structure":
+    kind = _doc_type(data)
+    if kind == "lambda_structure":
         return structure_from_json(data)
-    if data.get("type") == "coproduct":
+    if kind == "coproduct":
         return coproduct_from_json(data)
     raise StructureError("unknown document type")
 

@@ -6,6 +6,7 @@ import pytest
 
 from confcoalg import serialize
 from confcoalg.cli import main, parse_scalar
+from confcoalg.coalgebra import dualize
 from confcoalg.families import corrupt_entry, make_vir
 from confcoalg.poly import D, LAM, MultiPoly, Scalar
 
@@ -126,3 +127,66 @@ def test_crosscheck_of_imported_table_is_a_usage_error(tmp_path, capsys):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "--family" in err
+
+
+# -- malformed --in documents: exit 2 with one error line naming the fault
+
+
+def _table_doc():
+    return json.loads(serialize.dumps(make_vir()))
+
+
+def _coproduct_doc():
+    return json.loads(serialize.dumps(dualize(make_vir())))
+
+
+def _first_row(doc):
+    return doc["table"][0]
+
+
+MALFORMED = {
+    "non-object": (lambda: [1, 2], lambda doc: None, "document is not a JSON object"),
+    "no-generators": (_table_doc, lambda doc: doc.pop("generators"),
+                      "document has no 'generators' key"),
+    "no-table": (_table_doc, lambda doc: doc.pop("table"), "document has no 'table' key"),
+    "no-terms": (_table_doc, lambda doc: _first_row(doc).pop("terms"),
+                 "table row 0 has no 'terms' key"),
+    "no-pairs": (_coproduct_doc, lambda doc: _first_row(doc).pop("pairs"),
+                 "table row 0 has no 'pairs' key"),
+    "unknown-gen": (_table_doc, lambda doc: _first_row(doc)["terms"][0].update(gen="nosuch"),
+                    "'gen' of term 0 of table row 0 names unknown generator 'nosuch'"),
+    "unknown-left": (_table_doc, lambda doc: _first_row(doc).update(left="nosuch"),
+                     "'left' of table row 0 names unknown generator 'nosuch'"),
+    "unknown-right": (_coproduct_doc,
+                      lambda doc: _first_row(doc)["pairs"][0].update(right="nosuch"),
+                      "'right' of pair 0 of table row 0 names unknown generator 'nosuch'"),
+    "bad-parity": (_table_doc, lambda doc: doc["generators"][0].update(parity=2),
+                   "parity of generator 0 is not 0 or 1"),
+    "duplicate-id": (_coproduct_doc, lambda doc: doc["generators"].append(doc["generators"][0]),
+                     "generator ids not unique"),
+    "stray-variable": (_coproduct_doc,
+                       lambda doc: _first_row(doc)["pairs"][0]["poly"][0]["exps"].update(x3=1),
+                       "delta(L*) @ L* (x) L* uses x3; coproduct entries may only use x1 and x2"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_document_is_an_input_error(case, tmp_path, capsys):
+    make, edit, message = MALFORMED[case]
+    doc = make()
+    edit(doc)
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    for command in ("verify", "dualize"):
+        code, out, err = run(capsys, command, "--in", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
+
+def test_coproduct_document_is_not_a_table(tmp_path, capsys):
+    path = tmp_path / "vir-dual.json"
+    path.write_text(json.dumps(_coproduct_doc()))
+    code, out, err = run(capsys, "verify", "--in", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "lambda_structure" in err

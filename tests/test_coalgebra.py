@@ -7,7 +7,6 @@ import pytest
 from confcoalg.coalgebra import (
     Coproduct, TensorElement, apply_delta_slot, check_jordan_coalgebra,
     check_lie_coalgebra, compare, double_dual_roundtrip, dualize, tau, zeta,
-    zeta_via_tau,
 )
 from confcoalg.conformal import Generator, LambdaStructure, StructureError
 from confcoalg.families import make_vir
@@ -49,6 +48,11 @@ def test_tau_involution_and_signs(JS1):
     # even (x) even: the slot variable follows its factor
     ss = TensorElement(2, {(0, 0): X1}, (0, 1))
     assert tau(ss, 1) == TensorElement(2, {(0, 0): X2}, (0, 1))
+
+
+def zeta_via_tau(t):
+    """zeta as two adjacent swaps; cross-checks the closed-form sign of zeta."""
+    return tau(tau(t, 1), 2)
 
 
 def test_zeta_matches_two_swaps(JCK4):
@@ -133,6 +137,13 @@ def test_double_dual_roundtrip_random_tables():
         assert p.subst_general("d", img).subst_general("d", img) == p
         checked += 1
     assert checked == 10_000
+
+
+@pytest.mark.parametrize("var", ["x3", "lam"])
+def test_coproduct_rejects_stray_variables(var):
+    gens = [Generator("L*", 0)]
+    with pytest.raises(StructureError, match=f"uses {var}; "):
+        Coproduct("lie", gens, {0: [(0, 0, X1 - MultiPoly.var(var))]}, name="bad")
 
 
 def test_compare_identity_and_perturbation(vir):

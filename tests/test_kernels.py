@@ -1,10 +1,13 @@
-"""Differential tests: the contraction kernels against nested-bracket oracles.
+"""Differential tests: the contraction kernels against definitional oracles.
 
-The oracles below evaluate each identity definitionally, by nesting
-``bracket`` calls and substituting spectral variables, one generator tuple
-at a time.  The checks in ``confcoalg.conformal`` must return exactly the
-same violations -- the same tuples, in the same order, with the same
-residuals -- on every family and on seeded corruptions.
+The oracles below evaluate each identity definitionally: the conformal ones
+by nesting ``bracket`` calls and substituting spectral variables, one
+generator tuple at a time; the coalgebra ones by expanding tensor slots
+with ``apply_delta_slot`` and permuting them with ``tau`` and ``zeta``, one
+dual generator at a time.  The checks in ``confcoalg.conformal`` and
+``confcoalg.coalgebra`` must return exactly the same violations -- the same
+tuples, in the same order, with the same residuals -- on every family and on
+seeded corruptions.
 """
 
 import itertools
@@ -12,7 +15,12 @@ import random
 
 import pytest
 
+from confcoalg import closed_form as cf
 from confcoalg import families
+from confcoalg.coalgebra import (
+    Coproduct, TensorElement, apply_delta_slot, check_jordan_coalgebra,
+    check_lie_coalgebra, dualize, tau, zeta,
+)
 from confcoalg.conformal import (
     CONSISTENT, JORDAN, PRINTED, ConformalElement, bracket, check_jacobi,
     check_jordan_comm, check_jordan_identity, check_skew, shift_spectral,
@@ -187,3 +195,102 @@ def test_tables_are_not_cached_across_copies(K):
     assert check_jacobi(K[2]).ok
     assert not check_jacobi(bad).ok
     assert check_jacobi(K[2]).ok
+
+
+# -- coalgebra oracles -----------------------------------------------------------
+
+
+def _coalg_residuals(cop, k):
+    """tau(delta a) + delta a and the co-Jacobi residual, slot by slot."""
+    d1 = apply_delta_slot(TensorElement.seed(k, cop), cop, 1)
+    anti = tau(d1, 1) + d1
+    a = apply_delta_slot(d1, cop, 2)          # (I x delta) delta
+    b = tau(a, 1)                              # (tau x I)(I x delta) delta
+    c = apply_delta_slot(d1, cop, 1)           # (delta x I) delta
+    return [("antisymmetry", anti), ("co-jacobi", a - b - c)]
+
+
+def _cyclic_sum(t):
+    z = zeta(t)
+    return t + z + zeta(z)
+
+
+def _cojordan_residuals(cop, k):
+    """tau Delta - Delta and (1+zeta+zeta^2)((Delta x Delta) Delta - (I x Delta x I)(I x Delta) Delta)."""
+    d1 = apply_delta_slot(TensorElement.seed(k, cop), cop, 1)
+    cocomm = tau(d1, 1) - d1
+    lhs = apply_delta_slot(apply_delta_slot(d1, cop, 2), cop, 1)
+    rhs = apply_delta_slot(apply_delta_slot(d1, cop, 2), cop, 2)
+    return [("co-commutativity", cocomm), ("co-jordan", _cyclic_sum(lhs) - _cyclic_sum(rhs))]
+
+
+def _co_oracle(cop, residuals):
+    out = []
+    for k in range(cop.rank):
+        for check, r in residuals(cop, k):
+            if not r.is_zero():
+                out.append(((cop.generators[k].id, check), repr(r)))
+    return cop.rank, out
+
+
+def assert_co_kernels_match(cop):
+    if cop.kind == JORDAN:
+        rep, residuals = check_jordan_coalgebra(cop), _cojordan_residuals
+    else:
+        rep, residuals = check_lie_coalgebra(cop), _coalg_residuals
+    assert (rep.total, _found(rep)) == _co_oracle(cop, residuals), cop.name
+    return rep
+
+
+@pytest.mark.parametrize("name", sorted(LIE_FAMILIES) + ["CK_6"])
+def test_lie_co_kernels_match_oracle(name, CK6):
+    S = CK6 if name == "CK_6" else LIE_FAMILIES[name]()
+    assert_co_kernels_match(dualize(S))
+
+
+@pytest.mark.parametrize("name", ["J_0", "J_1", "J_2", "J_3", "JS_1", "JCK_4"])
+def test_jordan_co_kernels_match_oracle(name, Jn, JS1, JCK4):
+    S = {"JS_1": JS1, "JCK_4": JCK4, **{f"J_{n}": Jn[n] for n in range(4)}}[name]
+    assert_co_kernels_match(dualize(S))
+
+
+FAILING_EMITTERS = {
+    "S_2": lambda: cf.coproduct_S(2),
+    "S_3": lambda: cf.coproduct_S(3),
+    "N=2": lambda: cf.coproduct_N(2),
+    "N=4": lambda: cf.coproduct_N(4),
+    "K_4'": cf.coproduct_K4prime,
+    "CK_6": cf.coproduct_CK6,
+    "J_2": lambda: cf.coproduct_Jn(2),
+    "J_3": lambda: cf.coproduct_Jn(3),
+    "JCK_4": cf.coproduct_JCK4,
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAILING_EMITTERS))
+def test_closed_form_co_kernels_match_oracle(name):
+    assert_co_kernels_match(FAILING_EMITTERS[name]())
+
+
+def _corrupt_coproduct(cop, seed):
+    """cop with one random x1, x2 entry added on a parity-allowed (i, j) of some k."""
+    rng = random.Random(seed)
+    k = rng.randrange(cop.rank)
+    pk = cop.parity(k)
+    pairs = [(i, j) for i in range(cop.rank) for j in range(cop.rank)
+             if (cop.parity(i) + cop.parity(j)) & 1 == pk]
+    i, j = rng.choice(pairs)
+    q = MultiPoly.zero()
+    for _ in range(rng.randrange(1, 4)):
+        c = rng.choice((1, -1, 2, Scalar(1, 1), Scalar(0, -1)))
+        q = q + MultiPoly.monomial({"x1": rng.randrange(3), "x2": rng.randrange(3)}, c)
+    table = {g: list(cop.table[g]) for g in range(cop.rank)}
+    table[k].append((i, j, q))
+    return Coproduct(cop.kind, cop.generators, table, name=f"{cop.name}~{seed}")
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("name", ["W_2", "K_3", "S_2b-beta", "J_2", "JCK_4"])
+def test_seeded_co_corruptions_match_oracle(name, seed, Jn, JCK4):
+    S = {"J_2": Jn[2], "JCK_4": JCK4}.get(name) or LIE_FAMILIES[name]()
+    assert not assert_co_kernels_match(_corrupt_coproduct(dualize(S), seed)).ok

@@ -6,8 +6,9 @@ from fractions import Fraction
 import pytest
 
 from confcoalg.poly import (
-    BETA, D, LAM, MU, MultiPoly, P_ONE, P_ZERO, Scalar, X1, X2,
-    poly_from_json, poly_to_json, random_poly,
+    BETA, D, LAM, MU, MultiPoly, P_ONE, P_ZERO, Scalar, X1, X2, X3,
+    add_product, compact_vector, pack_vector, poly_from_json, poly_to_json,
+    random_poly, relabel_vector, unpack_vector,
 )
 
 
@@ -165,3 +166,18 @@ def test_exponent_overflow_raises():
     with pytest.raises(ValueError, match="overflow"):
         MultiPoly.var("d", 128).subst_general("d", D * D)
     assert (big * MU).variables() == {"lam", "mu"}
+
+
+def test_compact_and_relabel_vector():
+    acc = {}
+    add_product(acc, X1 + X2, pack_vector([(1, X1), (2, X3)]))
+    add_product(acc, X2, pack_vector([(1, X1)]), negate=True)
+    v = compact_vector(acc)                  # the x1*x2 terms cancel and go
+    assert len(v) == 3
+    assert unpack_vector(v) == {1: X1 * X1, 2: (X1 + X2) * X3}
+    swapped = relabel_vector(v, {"x1": "x2", "x2": "x1"}, lambda m: (3 - m, m == 2))
+    assert unpack_vector(swapped) == {2: X2 * X2, 1: -(X1 + X2) * X3}
+    acc = {}
+    add_product(acc, MultiPoly.var("x1", 200), pack_vector([(0, MultiPoly.var("x1", 100))]))
+    with pytest.raises(ValueError, match="overflow"):
+        compact_vector(acc)
