@@ -105,15 +105,15 @@ def parse_scalar(text: str) -> Scalar:
     )
     if not m or (m.group("re") is None and m.group("unit") is None) or not t:
         raise ValueError(f"cannot parse scalar {text!r}")
-    re_part = Fraction(m.group("re")) if m.group("re") else Fraction(0)
-    im_part = Fraction(0)
-    if m.group("unit"):
-        im_part = Fraction(m.group("im")) if m.group("im") else Fraction(1)
-        if m.group("sign") == "-":
-            im_part = -im_part
-        # bare "-i" puts the sign in the re group; recover it
-        if m.group("re") in ("-", "+"):
-            raise ValueError(f"cannot parse scalar {text!r}")
+    try:
+        re_part = Fraction(m.group("re")) if m.group("re") else Fraction(0)
+        im_part = Fraction(0)
+        if m.group("unit"):
+            im_part = Fraction(m.group("im")) if m.group("im") else Fraction(1)
+            if m.group("sign") == "-":
+                im_part = -im_part
+    except ZeroDivisionError:  # a zero denominator, as in 1/0
+        raise ValueError(f"cannot parse scalar {text!r}") from None
     return Scalar(re_part, im_part)
 
 

@@ -40,7 +40,7 @@ from .families import (
     _xi_name,
     sn_basis,
 )
-from .grassmann import IndexSet, alpha, complement, eps
+from .grassmann import IndexSet, alpha, alpha_mask, complement, eps_mask
 from .poly import MultiPoly, P_ONE, Scalar, X1, X2
 
 LIE = "lie"
@@ -81,14 +81,6 @@ def _deg(m: int) -> int:
 
 def _mask_of(i: int) -> int:
     return 1 << (i - 1)
-
-
-def _alpha_m(n: int, a: int, b: int) -> int:
-    return alpha(IndexSet.from_mask(n, a), IndexSet.from_mask(n, b))
-
-
-def _eps_m(n: int, i: int, J: int) -> int:
-    return eps(i, IndexSet.from_mask(n, J))
 
 
 def _members(n: int, m: int) -> Tuple[int, ...]:
@@ -155,7 +147,7 @@ def coproduct_W(n: int) -> Coproduct:
         # pairs with ord(I, J) = K
         for I in _submasks(K):
             J = K & ~I
-            a = _alpha_m(n, I, J)
+            a = alpha_mask(I, J)
             c = _sgn(a)
             kosz = _sgn(_deg(I) * _deg(J))
             b.add(Kn, _w_name(n, I), _w_name(n, J), X2 * c)
@@ -174,7 +166,7 @@ def coproduct_W(n: int) -> Coproduct:
                 if not (I & _mask_of(i) or not (K & _mask_of(i))):
                     continue
                 J = Jm | _mask_of(i)
-                c = _sgn(_eps_m(n, i, J) + _alpha_m(n, I, Jm))
+                c = _sgn(eps_mask(i, J) + alpha_mask(I, Jm))
                 cf = MultiPoly.const(c)
                 kosz = _sgn(_deg(J) * (_deg(I) + 1))
                 b.add(Kn, _w_name(n, I, i), _w_name(n, J), cf)
@@ -209,7 +201,7 @@ def coproduct_K(n: int) -> Coproduct:
         Kn = _xi_name(n, K)
         for I in _submasks(K):
             J = K & ~I
-            c = _sgn(_alpha_m(n, I, J)) * (_deg(J) - 2)
+            c = _sgn(alpha_mask(I, J)) * (_deg(J) - 2)
             kosz = _sgn(_deg(I) * _deg(J))
             b.add(Kn, _xi_name(n, I), _xi_name(n, J), X1 * c)
             b.add(Kn, _xi_name(n, J), _xi_name(n, I), X2 * (-c * kosz))
@@ -222,9 +214,9 @@ def coproduct_K(n: int) -> Coproduct:
                 J = Jp | _mask_of(i)
                 e = (
                     _deg(I)
-                    + _eps_m(n, i, I)
-                    + _eps_m(n, i, J)
-                    + _alpha_m(n, Ip, Jp)
+                    + eps_mask(i, I)
+                    + eps_mask(i, J)
+                    + alpha_mask(Ip, Jp)
                 )
                 b.add(Kn, _xi_name(n, I), _xi_name(n, J), MultiPoly.const(_sgn(e)))
     return b.done()
@@ -550,7 +542,7 @@ def coproduct_S(n: int) -> Coproduct:
         for I in _submasks(K):
             J = K & ~I
             dI, dJ = _deg(I), _deg(J)
-            al = _sgn(_alpha_m(n, I, J))
+            al = _sgn(alpha_mask(I, J))
             kosz = _sgn(dI * dJ)
             # sum 1
             c = MultiPoly.const(al * (n - dJ))
@@ -585,7 +577,7 @@ def coproduct_S(n: int) -> Coproduct:
                 assert den != 0
                 c = MultiPoly.const(
                     Fraction(dJ - n, den)
-                    * _sgn(_eps_m(n, i, J) + _alpha_m(n, I, Jm))
+                    * _sgn(eps_mask(i, J) + alpha_mask(I, Jm))
                 )
                 kosz = _sgn((dI + 1) * dJ)
                 b.add(Kn, _A_name(n, I, i), _B_name(n, Jm | _mask_of(i)), c)
@@ -598,7 +590,7 @@ def coproduct_S(n: int) -> Coproduct:
             for I in _submasks(K):
                 J = K & ~I
                 dI, dJ = _deg(I), _deg(J)
-                al = _sgn(_alpha_m(n, I, J))
+                al = _sgn(alpha_mask(I, J))
                 # sum 1: neighbours of k in I^c
                 compI = comp_members(I)
                 r = compI.index(k)
@@ -627,7 +619,7 @@ def coproduct_S(n: int) -> Coproduct:
                     J = Jm | _mask_of(i)
                     dI, dJ = _deg(I), _deg(J)
                     c = MultiPoly.const(
-                        _sgn(_eps_m(n, i, J) + _alpha_m(n, I, Jm))
+                        _sgn(eps_mask(i, J) + alpha_mask(I, Jm))
                     )
                     kosz = _sgn((dI + 1) * (dJ + 1))
                     b.add(Kn, _A_name(n, I, i), _A_name(n, J, k), c)
@@ -653,7 +645,7 @@ def coproduct_S(n: int) -> Coproduct:
                     sg, a2 = sym
                     c = MultiPoly.const(
                         sg * _sgn(
-                            _eps_m(n, l, I) + 1 + dI + dJ + _alpha_m(n, Ip, J)
+                            eps_mask(l, I) + 1 + dI + dJ + alpha_mask(Ip, J)
                         )
                     )
                     kosz = _sgn(dI * (dJ + 1))
@@ -676,8 +668,8 @@ def coproduct_S(n: int) -> Coproduct:
                         dI, dJ = _deg(I), _deg(J)
                         c = MultiPoly.const(
                             ev * _sgn(
-                                _eps_m(n, i, J) + _eps_m(n, j, I)
-                                + dI + dJ + _alpha_m(n, Ip, Jp)
+                                eps_mask(i, J) + eps_mask(j, I)
+                                + dI + dJ + alpha_mask(Ip, Jp)
                             )
                         )
                         kosz = _sgn((dI + 1) * (dJ + 1))
@@ -700,7 +692,7 @@ def coproduct_S(n: int) -> Coproduct:
                         continue
                     c = MultiPoly.const(
                         Fraction(ev, den)
-                        * _sgn(_eps_m(n, i, J) + _alpha_m(n, I, Jm))
+                        * _sgn(eps_mask(i, J) + alpha_mask(I, Jm))
                     )
                     kosz = _sgn((dI + 1) * dJ)
                     left = X2 * (1 - dI) + X1 * (dJ - n)
@@ -711,7 +703,7 @@ def coproduct_S(n: int) -> Coproduct:
             for I in _submasks(K):
                 J = K & ~I
                 dI, dJ = _deg(I), _deg(J)
-                al = _sgn(_alpha_m(n, I, J))
+                al = _sgn(alpha_mask(I, J))
                 kosz = _sgn(dI * dJ)
                 sym = _A2_dual(n, I, ik, ik1)
                 if sym is not None:
@@ -946,14 +938,14 @@ def coproduct_Jn(n: int) -> Coproduct:
         for I in _submasks(K):
             J = K & ~I
             dI, dJ = _deg(I), _deg(J)
-            al = _sgn(_alpha_m(n, I, J))
+            al = _sgn(alpha_mask(I, J))
             # Delta((xi_K th)*)
             b.add(Ktn, _xi_name(n, I), _th_name(n, J), MultiPoly.const(al))
             b.add(Ktn, _th_name(n, J), _xi_name(n, I),
                   MultiPoly.const(al * _sgn(dI * (dJ + 1))))
             # Delta(xi_K*), first and second sums
             b.add(Kn, _xi_name(n, I), _xi_name(n, J), MultiPoly.const(al))
-            c = MultiPoly.const(_sgn(dJ + _alpha_m(n, I, J)) * (dJ - 2))
+            c = MultiPoly.const(_sgn(dJ + alpha_mask(I, J)) * (dJ - 2))
             kosz = _sgn((dI + 1) * (dJ + 1))
             b.add(Kn, _th_name(n, I), _th_name(n, J), c * X1)
             b.add(Kn, _th_name(n, J), _th_name(n, I), c * X2 * kosz)
@@ -979,9 +971,9 @@ def _add_swap_deriv(b: "_Builder", n: int, K: int, i: int, j: int):
         dI, dJ = _deg(I), _deg(J)
         e = (
             dI + dJ
-            + _eps_m(n, i, I)
-            + _eps_m(n, j, J)
-            + _alpha_m(n, Ip, Jp)
+            + eps_mask(i, I)
+            + eps_mask(j, J)
+            + alpha_mask(Ip, Jp)
         )
         b.add(_xi_name(n, K), _th_name(n, I), _th_name(n, J),
               MultiPoly.const(_sgn(e)))

@@ -102,13 +102,36 @@ def dual_generators(S: LambdaStructure) -> List[Generator]:
     ]
 
 
+def _substitution(x: str, y: str, a: MultiPoly, b: MultiPoly):
+    """The map q -> q with x -> a and y -> b, simultaneously.
+
+    Each monomial x^e1 y^e2 m maps to a^e1 b^e2 m; the image of a monomial
+    is computed once per map and reused for every polynomial it renames.
+    """
+    sx, sy = _VAR_SHIFT[x], _VAR_SHIFT[y]
+    rest = _MONO_MASK & ~(_MAXEXP << sx | _MAXEXP << sy)
+    images = {}
+
+    def rename(q: MultiPoly) -> MultiPoly:
+        acc = {}
+        for key, c in q.terms.items():
+            img = images.get(key)
+            if img is None:
+                img = _power(a, key >> sx & _MAXEXP) * _power(b, key >> sy & _MAXEXP)
+                images[key] = img
+            add_product(acc, img, {key & rest: c})
+        return MultiPoly(compact_vector(acc))
+
+    return rename
+
+
 def dualize(S: LambdaStructure, name: Optional[str] = None) -> Coproduct:
     """The coproduct on the dual basis: Q^{ij}_k(x, y) = P^{ij}_k(x, -x-y)."""
+    rename = _substitution("lam", "d", X1, _MINUS_X1_X2)
     table: Dict[int, List[Tuple[int, int, MultiPoly]]] = {}
     for (i, j), entries in S.table.items():
         for k, p in entries:
-            q = p.permute_vars({"lam": "x1"}).subst_general("d", _MINUS_X1_X2)
-            table.setdefault(k, []).append((i, j, q))
+            table.setdefault(k, []).append((i, j, rename(p)))
     for k in table:
         table[k].sort(key=lambda t: (t[0], t[1]))
     return Coproduct(S.kind, dual_generators(S), table, name=name or (S.name + "^c"))
@@ -287,27 +310,8 @@ def _entries(cop: Coproduct):
 
 
 def _renamed(entries, a: MultiPoly, b: MultiPoly):
-    """entries with every Q(x1, x2) replaced by Q(a, b), simultaneously.
-
-    An entry holds x1 and x2 only, so each of its monomials x1^e1 x2^e2 maps
-    to a^e1 b^e2; these images are computed once per call.
-    """
-    images = {}
-
-    def image(key):
-        img = images.get(key)
-        if img is None:
-            mono = MultiPoly({key: ONE})
-            img = _power(a, mono.degree_in("x1")) * _power(b, mono.degree_in("x2"))
-            images[key] = img
-        return img
-
-    def rename(q):
-        acc = {}
-        for key, c in q.terms.items():
-            add_product(acc, image(key), {0: c})
-        return MultiPoly(compact_vector(acc))
-
+    """entries with every Q(x1, x2) replaced by Q(a, b), simultaneously."""
+    rename = _substitution("x1", "x2", a, b)
     return [[(i, j, rename(q)) for i, j, q in row] for row in entries]
 
 

@@ -19,7 +19,7 @@ to arbitrary elements.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .poly import (
     D, LAM, MU, NU, MultiPoly, P_ONE, Scalar, add_product,
@@ -215,6 +215,34 @@ def bracket(
                 acc[k] = Pk if prev is None else prev + Pk
             out = out + ConformalElement({k: c * Pk for k, Pk in acc.items()})
     return out
+
+
+def bracket_pairs(
+    S: LambdaStructure, xs: Sequence[ConformalElement]
+) -> Iterator[Tuple[Tuple[int, int], ConformalElement]]:
+    """Yield ((a, b), [x_a lam x_b]) for every ordered pair of xs, row by row.
+
+    The same values as bracket(S, x_a, x_b, "lam"), with the work shared: the
+    left images p(-lam) and right images q(lam+d) of each element are taken
+    once, and every pair is one contraction of image products with packed
+    rows of S.  Rows are packed where they are used, not kept: in CK_6 each
+    row of K_6 meets one pair only, and keeping them costs about 1 MB.  A
+    caller that keeps only what it derives from each bracket never holds
+    all the brackets at once.
+    """
+    if any("lam" in p.variables() for x in xs for p in x.terms.values()):
+        raise StructureError("left coefficient already uses lam")
+    lefts = [[(i, p.substitute("d", -LAM)) for i, p in x.terms.items()] for x in xs]
+    rights = [[(j, q.subst_general("d", LAM + D)) for j, q in x.terms.items()] for x in xs]
+    for a, left in enumerate(lefts):
+        for b, right in enumerate(rights):
+            acc = {}
+            for i, pl in left:
+                for j, qr in right:
+                    entries = S.table[(i, j)]
+                    if entries:
+                        add_product(acc, pl * qr, pack_vector(entries))
+            yield (a, b), ConformalElement(unpack_vector(acc))
 
 
 def shift_spectral(

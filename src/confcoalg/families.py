@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
-from . import grassmann as gr
 from .conformal import (
     ConformalElement,
     Generator,
@@ -32,6 +31,7 @@ from .conformal import (
     StructureError,
     Violation,
     bracket,
+    bracket_pairs,
     check_jacobi,
     check_jordan_comm,
     check_jordan_identity,
@@ -39,8 +39,10 @@ from .conformal import (
     kernel_basis,
     shift_spectral,
 )
-from .grassmann import IndexSet, alpha, complement, derive, eps, hodge, mul
-from .poly import D, LAM, MultiPoly, P_ONE, P_ZERO, Scalar
+from .grassmann import (
+    IndexSet, alpha, alpha_mask, complement, derive, eps, eps_mask, hodge, mul,
+)
+from .poly import D, LAM, MultiPoly, P_ONE, P_ZERO, Scalar, _VAR_SHIFT
 
 # desk-scale caps; constructors allow more when allow_large is set
 CAPS = {"W": 4, "S": 3, "K": 6, "Sb": 2, "Stilde": 2, "Jn": 3, "N": 4}
@@ -727,21 +729,19 @@ def make_S(n: int, strict: bool = False) -> LambdaStructure:
             prop_coords[(a, b)] = flipped
 
     diffs = []
-    for a in range(len(basis)):
-        for b in range(len(basis)):
-            w = bracket(W, embeds[a], embeds[b], "lam")
-            coords = canonicalize_S(w, W)
-            printed = prop_coords[(a, b)]
-            keys = set(coords) | set(printed)
-            for nm in keys:
-                pa = coords.get(nm, P_ZERO)
-                pb = printed.get(nm, P_ZERO)
-                if pa != pb:
-                    diffs.append(
-                        f"[{names[a]} lam {names[b]}] @ {nm}: W-path {pa!r}"
-                        f" vs formula {pb!r}"
-                    )
-            table[(a, b)] = [(idx[nm], p) for nm, p in sorted(coords.items())]
+    for (a, b), w in bracket_pairs(W, embeds):
+        coords = canonicalize_S(w, W)
+        printed = prop_coords[(a, b)]
+        keys = set(coords) | set(printed)
+        for nm in keys:
+            pa = coords.get(nm, P_ZERO)
+            pb = printed.get(nm, P_ZERO)
+            if pa != pb:
+                diffs.append(
+                    f"[{names[a]} lam {names[b]}] @ {nm}: W-path {pa!r}"
+                    f" vs formula {pb!r}"
+                )
+        table[(a, b)] = [(idx[nm], p) for nm, p in sorted(coords.items())]
     if diffs and strict:
         raise ConstructionMismatch(f"S_{n}", diffs)
     return LambdaStructure(
@@ -836,12 +836,10 @@ def make_S_b(n: int, b: Scalar) -> LambdaStructure:
             raise StructureError("kernel basis element not parity-homogeneous")
         gens.append(Generator(f"k{j}", par.pop()))
         embeds.append(ConformalElement(dict(c)))
-    table: Dict[Tuple[int, int], List[Tuple[int, MultiPoly]]] = {}
-    for a in range(len(gens)):
-        for c in range(len(gens)):
-            w = bracket(W, embeds[a], embeds[c], "lam")
-            coords = _solve_in_echelon(cols, pivots, w.terms)
-            table[(a, c)] = sorted(coords.items())
+    table = {
+        key: sorted(_solve_in_echelon(cols, pivots, w.terms).items())
+        for key, w in bracket_pairs(W, embeds)
+    }
     return LambdaStructure(
         LIE, gens, table, name=f"S_{n},b",
         meta={"n": n, "b": b, "W": W, "embeds": embeds},
@@ -877,13 +875,11 @@ def make_S_tilde(n: int) -> LambdaStructure:
     names = [b.name(n) for b in basis]
     idx = {nm: i for i, nm in enumerate(names)}
     table: Dict[Tuple[int, int], List[Tuple[int, MultiPoly]]] = {}
-    for a in range(len(basis)):
-        for c in range(len(basis)):
-            w = bracket(W, embeds[a], embeds[c], "lam")
-            # (1+xi_star)(1-xi_star) = 1, so coordinates over the tilde basis
-            # are the S_n coordinates of (1+xi_star) w
-            coords = canonicalize_S(w + _xi_star_mult(W, w), W)
-            table[(a, c)] = [(idx[nm], p) for nm, p in sorted(coords.items())]
+    for key, w in bracket_pairs(W, embeds):
+        # (1+xi_star)(1-xi_star) = 1, so coordinates over the tilde basis
+        # are the S_n coordinates of (1+xi_star) w
+        coords = canonicalize_S(w + _xi_star_mult(W, w), W)
+        table[key] = [(idx[nm], p) for nm, p in sorted(coords.items())]
     return LambdaStructure(
         LIE, gens, table, name=f"S~_{n}",
         meta={"n": n, "W": W, "embeds": embeds, "basis": basis},
@@ -897,6 +893,11 @@ def make_S_tilde(n: int) -> LambdaStructure:
 def make_K(n: int) -> LambdaStructure:
     """K_n on Lambda(n), rank 2^n:
     [f lam g] = (|f|-2) d(fg) + (-1)^{|f|} sum_i (d_i f)(d_i g) + lam (|f|+|g|-4) fg.
+
+    On monomials each entry has a closed form: (-1)^alpha(I,J) ((|I|-2) d
+    + (|I|+|J|-4) lam) xi_{I+J} for I, J disjoint; the constant
+    (-1)^(|I| + eps(i,I) + eps(i,J) + alpha(I-i, J-i)) on xi_{(I+J)-i} when
+    I and J meet in {i} alone; zero when they share more.
     """
     if n < 0:
         raise StructureError("K_n needs n >= 0")
@@ -906,35 +907,25 @@ def make_K(n: int) -> LambdaStructure:
         for m in masks
     ]
     lam_idx = {m: i for i, m in enumerate(masks)}
+    d_key, lam_key = 1 << _VAR_SHIFT["d"], 1 << _VAR_SHIFT["lam"]
     table: Dict[Tuple[int, int], List[Tuple[int, MultiPoly]]] = {}
     for I in masks:
-        dI = bin(I).count("1")
+        dI = I.bit_count()
         for J in masks:
-            dJ = bin(J).count("1")
-            acc: Dict[int, MultiPoly] = {}
-            m = mul(IndexSet.from_mask(n, I), IndexSet.from_mask(n, J))
-            if m is not None:
-                k = lam_idx[m.idxset.mask]
-                p = (D * (dI - 2) + LAM * (dI + dJ - 4)) * m.sign
-                if not p.is_zero():
-                    acc[k] = p
-            for i in range(1, n + 1):
-                da = derive(i, IndexSet.from_mask(n, I))
-                db = derive(i, IndexSet.from_mask(n, J))
-                if da is None or db is None:
-                    continue
-                mm = mul(da.idxset, db.idxset)
-                if mm is None:
-                    continue
-                k = lam_idx[mm.idxset.mask]
-                c = MultiPoly.const(_sgn(dI) * da.sign * db.sign * mm.sign)
-                prev = acc.get(k)
-                s = c if prev is None else prev + c
-                if s.is_zero():
-                    acc.pop(k, None)
-                else:
-                    acc[k] = s
-            table[(lam_idx[I], lam_idx[J])] = sorted(acc.items())
+            common = I & J
+            if not common:
+                s = _sgn(alpha_mask(I, J))
+                terms = {}
+                if dI != 2:
+                    terms[d_key] = Scalar(s * (dI - 2))
+                if dI + J.bit_count() != 4:
+                    terms[lam_key] = Scalar(s * (dI + J.bit_count() - 4))
+                if terms:
+                    table[(lam_idx[I], lam_idx[J])] = [(lam_idx[I | J], MultiPoly(terms))]
+            elif not common & (common - 1):
+                i = common.bit_length()
+                e = dI + eps_mask(i, I) + eps_mask(i, J) + alpha_mask(I ^ common, J ^ common)
+                table[(lam_idx[I], lam_idx[J])] = [(lam_idx[(I | J) ^ common], _csgn(e))]
     return LambdaStructure(
         LIE, gens, table, name=f"K_{n}", meta={"n": n, "lam_idx": lam_idx}
     )
@@ -967,16 +958,9 @@ def make_K4prime() -> LambdaStructure:
                 out.append((gmap[g], p))
         return out
 
-    def k4_elem(i: int) -> ConformalElement:
-        if i == dstar_idx:
-            return ConformalElement({star_gen: D})
-        return ConformalElement.gen(lam_idx[keep[i]])
-
-    table: Dict[Tuple[int, int], List[Tuple[int, MultiPoly]]] = {}
-    for a in range(len(gens)):
-        for b in range(len(gens)):
-            w = bracket(K4, k4_elem(a), k4_elem(b), "lam")
-            table[(a, b)] = to_prime(w)
+    elems = [ConformalElement.gen(lam_idx[m]) for m in keep]
+    elems.append(ConformalElement({star_gen: D}))
+    table = {key: to_prime(w) for key, w in bracket_pairs(K4, elems)}
     return LambdaStructure(
         LIE, gens, table, name="K_4'",
         meta={"n": 4, "keep": keep, "K4": K4},
@@ -1076,11 +1060,9 @@ def make_CK6(strict: bool = False) -> LambdaStructure:
     idx = {_ck6_name(t): i for i, t in enumerate(tuples)}
     embeds = [ck6_embed(t, K6) for t in tuples]
     table: Dict[Tuple[int, int], List[Tuple[int, MultiPoly]]] = {}
-    for a in range(len(tuples)):
-        for b in range(len(tuples)):
-            w = bracket(K6, embeds[a], embeds[b], "lam")
-            coords = canonicalize_CK6(w, K6)
-            table[(a, b)] = [(idx[nm], p) for nm, p in sorted(coords.items())]
+    for key, w in bracket_pairs(K6, embeds):
+        coords = canonicalize_CK6(w, K6)
+        table[key] = [(idx[nm], p) for nm, p in sorted(coords.items())]
     S = LambdaStructure(
         LIE, gens, table, name="CK_6",
         meta={"K6": K6, "tuples": tuples, "embeds": embeds},

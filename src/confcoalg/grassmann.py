@@ -103,6 +103,18 @@ def _check_ambient(a: IndexSet, b: IndexSet):
         raise ValueError("ambient dimensions differ")
 
 
+def alpha_mask(a: int, b: int) -> int:
+    """alpha on plain masks: #{(i, j): i in a, j in b, j < i}; a, b disjoint."""
+    if a & b:
+        raise ValueError("alpha undefined for overlapping sets")
+    count = 0
+    while a:
+        low = a & -a                        # the lowest member left in a
+        count += (b & (low - 1)).bit_count()
+        a ^= low
+    return count
+
+
 def alpha(I: IndexSet, J: IndexSet) -> int:
     """Number of adjacent transpositions sorting the juxtaposition I.J.
 
@@ -110,15 +122,7 @@ def alpha(I: IndexSet, J: IndexSet) -> int:
     I and J disjoint.
     """
     _check_ambient(I, J)
-    if I.mask & J.mask:
-        raise ValueError("alpha undefined for overlapping sets")
-    count = 0
-    jm = J.mask
-    im = I.mask
-    for b in range(I.n):
-        if im >> b & 1:
-            count += bin(jm & ((1 << b) - 1)).count("1")
-    return count
+    return alpha_mask(I.mask, J.mask)
 
 
 def mul(I: IndexSet, J: IndexSet) -> Optional[SignedMonomial]:
@@ -130,11 +134,18 @@ def mul(I: IndexSet, J: IndexSet) -> Optional[SignedMonomial]:
     return SignedMonomial(sign, IndexSet.from_mask(I.n, I.mask | J.mask))
 
 
+def eps_mask(i: int, m: int) -> int:
+    """eps on a plain mask: members of m strictly below i; i must belong to m."""
+    if not m >> (i - 1) & 1:
+        raise ValueError(f"{i} not a member of mask {m:b}")
+    return (m & ((1 << (i - 1)) - 1)).bit_count()
+
+
 def eps(i: int, J: IndexSet) -> int:
     """Count of members of J strictly below i; i must belong to J."""
     if i not in J:
         raise ValueError(f"{i} not a member of {J}")
-    return bin(J.mask & ((1 << (i - 1)) - 1)).count("1")
+    return eps_mask(i, J.mask)
 
 
 def derive(i: int, J: IndexSet) -> Optional[SignedMonomial]:

@@ -510,26 +510,6 @@ P_ZERO = MultiPoly.zero()
 BETA = MultiPoly.const(Scalar.beta())
 
 
-def poly(c=0) -> MultiPoly:
-    """Constant polynomial from an int/Fraction/Scalar."""
-    return MultiPoly.const(c)
-
-
-def random_poly(rng, nvars=4, nterms=4, maxexp=3, scalars=(1, -1, 2, Fraction(1, 2))) -> MultiPoly:
-    """Small random polynomial in the first nvars variables (for tests)."""
-    out = MultiPoly.zero()
-    for _ in range(rng.randrange(nterms + 1)):
-        exps = {
-            ALPHABET[rng.randrange(nvars)]: rng.randrange(maxexp + 1)
-            for _ in range(rng.randrange(1, 3))
-        }
-        c = rng.choice(scalars)
-        if rng.random() < 0.3:
-            c = Scalar(c, rng.choice((1, -1)))
-        out = out + MultiPoly.monomial(exps, c)
-    return out
-
-
 # -- JSON encoding ----------------------------------------------------------
 
 def poly_to_json(p: MultiPoly) -> list:

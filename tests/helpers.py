@@ -1,0 +1,20 @@
+"""Test-only helpers shared by several test modules."""
+
+from fractions import Fraction
+
+from confcoalg.poly import ALPHABET, MultiPoly, Scalar
+
+
+def random_poly(rng, nvars=4, nterms=4, maxexp=3, scalars=(1, -1, 2, Fraction(1, 2))) -> MultiPoly:
+    """Small random polynomial in the first nvars variables."""
+    out = MultiPoly.zero()
+    for _ in range(rng.randrange(nterms + 1)):
+        exps = {
+            ALPHABET[rng.randrange(nvars)]: rng.randrange(maxexp + 1)
+            for _ in range(rng.randrange(1, 3))
+        }
+        c = rng.choice(scalars)
+        if rng.random() < 0.3:
+            c = Scalar(c, rng.choice((1, -1)))
+        out = out + MultiPoly.monomial(exps, c)
+    return out

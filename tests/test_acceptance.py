@@ -32,7 +32,9 @@ from confcoalg.conformal import (
 from confcoalg.families import (
     check_div_identity, corrupt_entry, div_w, embed_sn, sn_basis,
 )
-from confcoalg.poly import D, LAM, MultiPoly, Scalar, random_poly
+from confcoalg.poly import D, LAM, MultiPoly, Scalar
+
+from helpers import random_poly
 
 
 def crit(num: int, ok: bool, detail: str = ""):

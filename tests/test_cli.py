@@ -183,6 +183,13 @@ def test_malformed_document_is_an_input_error(case, tmp_path, capsys):
         assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("b", ["1/0", "0/0"])
+def test_zero_denominator_scalar_is_an_input_error(b, capsys):
+    code, out, err = run(capsys, "construct", "--family", "Sb", "--n", "2", "--b", b)
+    assert code == 2 and out == ""
+    assert err == f"error: cannot parse scalar '{b}'\n"
+
+
 def test_coproduct_document_is_not_a_table(tmp_path, capsys):
     path = tmp_path / "vir-dual.json"
     path.write_text(json.dumps(_coproduct_doc()))

@@ -10,7 +10,9 @@ from confcoalg.coalgebra import (
 )
 from confcoalg.conformal import Generator, LambdaStructure, StructureError
 from confcoalg.families import make_vir
-from confcoalg.poly import D, LAM, MultiPoly, P_ONE, Scalar, X1, X2, random_poly
+from confcoalg.poly import D, LAM, MultiPoly, P_ONE, Scalar, X1, X2
+
+from helpers import random_poly
 
 
 def test_dualize_vir(vir):

@@ -22,8 +22,9 @@ from confcoalg.coalgebra import (
     check_lie_coalgebra, dualize, tau, zeta,
 )
 from confcoalg.conformal import (
-    CONSISTENT, JORDAN, PRINTED, ConformalElement, bracket, check_jacobi,
-    check_jordan_comm, check_jordan_identity, check_skew, shift_spectral,
+    CONSISTENT, JORDAN, PRINTED, ConformalElement, StructureError, bracket,
+    bracket_pairs, check_jacobi, check_jordan_comm, check_jordan_identity,
+    check_skew, shift_spectral,
 )
 from confcoalg.families import corrupt_entry
 from confcoalg.poly import D, LAM, MU, NU, MultiPoly, Scalar
@@ -195,6 +196,132 @@ def test_tables_are_not_cached_across_copies(K):
     assert check_jacobi(K[2]).ok
     assert not check_jacobi(bad).ok
     assert check_jacobi(K[2]).ok
+    # two constructor calls share no table state: negating every coefficient
+    # of one, in place, leaves the other as it was built
+    for make in (families.make_CK6, lambda: families.make_S(3)):
+        one, two = make(), make()
+        assert one.table == two.table
+        built = repr(sorted(two.table.items()))
+        for entries in one.table.values():
+            for _, p in entries:
+                for key, c in p.terms.items():
+                    p.terms[key] = -c
+        assert one.table != two.table
+        assert repr(sorted(two.table.items())) == built
+
+
+# -- constructors ----------------------------------------------------------------
+#
+# make_K writes each entry in closed form on masks, and the restricted families
+# take their brackets from conformal.bracket_pairs.  The oracles are the
+# definitional constructions: K_n summed term by term through IndexSet, mul
+# and derive, and the restriction one bracket call per ordered pair.
+
+
+def _make_K_oracle(n, flip=None):
+    """K_n term by term; flip = (I, J) negates the derivative terms of that pair."""
+    from confcoalg.conformal import LIE, Generator, LambdaStructure
+    from confcoalg.grassmann import IndexSet, derive, mul
+
+    masks = families._masks(n)
+    gens = [Generator(families._xi_name(n, m), bin(m).count("1") & 1,
+                      families._xi_latex(n, m)) for m in masks]
+    lam_idx = {m: i for i, m in enumerate(masks)}
+    table = {}
+    for I in masks:
+        dI = bin(I).count("1")
+        for J in masks:
+            dJ = bin(J).count("1")
+            acc = {}
+            m = mul(IndexSet.from_mask(n, I), IndexSet.from_mask(n, J))
+            if m is not None:
+                p = (D * (dI - 2) + LAM * (dI + dJ - 4)) * m.sign
+                if not p.is_zero():
+                    acc[lam_idx[m.idxset.mask]] = p
+            for i in range(1, n + 1):
+                da = derive(i, IndexSet.from_mask(n, I))
+                db = derive(i, IndexSet.from_mask(n, J))
+                if da is None or db is None:
+                    continue
+                mm = mul(da.idxset, db.idxset)
+                if mm is None:
+                    continue
+                k = lam_idx[mm.idxset.mask]
+                sign = (-1) ** dI * da.sign * db.sign * mm.sign
+                c = MultiPoly.const(-sign if flip == (I, J) else sign)
+                s = acc[k] + c if k in acc else c
+                if s.is_zero():
+                    acc.pop(k, None)
+                else:
+                    acc[k] = s
+            table[(lam_idx[I], lam_idx[J])] = sorted(acc.items())
+    return LambdaStructure(LIE, gens, table, name=f"K_{n}", meta={"n": n, "lam_idx": lam_idx})
+
+
+def _bracket_loop(S, xs):
+    for a, x in enumerate(xs):
+        for b, y in enumerate(xs):
+            yield (a, b), bracket(S, x, y, "lam")
+
+
+CONSTRUCTORS = {
+    **{f"K_{n}": (lambda n=n: families.make_K(n)) for n in range(7)},
+    "K_4'": families.make_K4prime,
+    "CK_6": families.make_CK6,
+    "S_2": lambda: families.make_S(2),
+    "S_3": lambda: families.make_S(3),
+    **{f"S_2b-{b}": (lambda s=s: families.make_S_b(2, s))
+       for b, s in (("0", Scalar(0)), ("1", Scalar(1)), ("beta", Scalar(0, 1)))},
+    "S~_2": lambda: families.make_S_tilde(2),
+}
+
+
+def _built(S):
+    """Everything a constructor decides: generators, table and the diff lists."""
+    return (S.generators, S.table, S.meta.get("lam_idx"),
+            S.meta.get("printed_diffs"), S.meta.get("proposition_diffs"))
+
+
+def _by_oracle(monkeypatch, make, make_K=_make_K_oracle, restrict=_bracket_loop):
+    with monkeypatch.context() as m:
+        m.setattr(families, "make_K", make_K)
+        m.setattr(families, "bracket_pairs", restrict)
+        return make()
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTORS))
+def test_constructors_match_oracle(name, monkeypatch):
+    make = CONSTRUCTORS[name]
+    assert _built(make()) == _built(_by_oracle(monkeypatch, make))
+
+
+def test_constructor_oracle_bites(monkeypatch):
+    """One seeded sign flip in the oracles shows up in the comparison."""
+    rng = random.Random(5)
+    K3 = families.make_K(3)
+    overlaps = [(I, J) for I in range(8) for J in range(8) if bin(I & J).count("1") == 1]
+    I, J = rng.choice(overlaps)
+    flipped = _make_K_oracle(3, flip=(I, J))
+    lam_idx = K3.meta["lam_idx"]
+    assert [key for key in K3.table if K3.table[key] != flipped.table[key]] == [
+        (lam_idx[I], lam_idx[J])]
+
+    CK6 = families.make_CK6()
+    a, b = rng.randrange(CK6.rank), rng.randrange(CK6.rank)
+
+    def one_pair_flipped(S, xs):
+        for key, w in _bracket_loop(S, xs):
+            yield key, -w if key == (a, b) else w
+
+    wrong = _by_oracle(monkeypatch, families.make_CK6, restrict=one_pair_flipped)
+    assert [key for key in CK6.table if CK6.table[key] != wrong.table[key]] == [(a, b)]
+
+
+def test_bracket_pairs_match_bracket_and_refuse_lam(K):
+    xs = [ConformalElement.gen(g).scale(D + MultiPoly.const(g)) for g in range(K[2].rank)]
+    assert list(bracket_pairs(K[2], xs)) == list(_bracket_loop(K[2], xs))
+    with pytest.raises(StructureError, match="already uses lam"):
+        list(bracket_pairs(K[1], [ConformalElement({0: LAM})]))
 
 
 # -- coalgebra oracles -----------------------------------------------------------

@@ -8,8 +8,10 @@ import pytest
 from confcoalg.poly import (
     BETA, D, LAM, MU, MultiPoly, P_ONE, P_ZERO, Scalar, X1, X2, X3,
     add_product, compact_vector, pack_vector, poly_from_json, poly_to_json,
-    random_poly, relabel_vector, unpack_vector,
+    relabel_vector, unpack_vector,
 )
+
+from helpers import random_poly
 
 
 def test_beta_squares_to_minus_one():
