@@ -31,7 +31,7 @@ from .conformal import Generator, LambdaStructure, Report, StructureError, Viola
 from .poly import (
     D, LAM, MultiPoly, ONE, P_ONE, X1, X2, X3, X4, _MAXEXP, _MONO_MASK,
     _VAR_SHIFT, add_product, compact_vector, pack_vector, relabel_vector,
-    unpack_vector,
+    substitution, tagged, unpack_vector,
 )
 
 _X = ("x1", "x2", "x3", "x4")
@@ -102,32 +102,9 @@ def dual_generators(S: LambdaStructure) -> List[Generator]:
     ]
 
 
-def _substitution(x: str, y: str, a: MultiPoly, b: MultiPoly):
-    """The map q -> q with x -> a and y -> b, simultaneously.
-
-    Each monomial x^e1 y^e2 m maps to a^e1 b^e2 m; the image of a monomial
-    is computed once per map and reused for every polynomial it renames.
-    """
-    sx, sy = _VAR_SHIFT[x], _VAR_SHIFT[y]
-    rest = _MONO_MASK & ~(_MAXEXP << sx | _MAXEXP << sy)
-    images = {}
-
-    def rename(q: MultiPoly) -> MultiPoly:
-        acc = {}
-        for key, c in q.terms.items():
-            img = images.get(key)
-            if img is None:
-                img = _power(a, key >> sx & _MAXEXP) * _power(b, key >> sy & _MAXEXP)
-                images[key] = img
-            add_product(acc, img, {key & rest: c})
-        return MultiPoly(compact_vector(acc))
-
-    return rename
-
-
 def dualize(S: LambdaStructure, name: Optional[str] = None) -> Coproduct:
     """The coproduct on the dual basis: Q^{ij}_k(x, y) = P^{ij}_k(x, -x-y)."""
-    rename = _substitution("lam", "d", X1, _MINUS_X1_X2)
+    rename = substitution("lam", "d", X1, _MINUS_X1_X2)
     table: Dict[int, List[Tuple[int, int, MultiPoly]]] = {}
     for (i, j), entries in S.table.items():
         for k, p in entries:
@@ -311,21 +288,14 @@ def _entries(cop: Coproduct):
 
 def _renamed(entries, a: MultiPoly, b: MultiPoly):
     """entries with every Q(x1, x2) replaced by Q(a, b), simultaneously."""
-    rename = _substitution("x1", "x2", a, b)
+    rename = substitution("x1", "x2", a, b)
     return [[(i, j, rename(q)) for i, j, q in row] for row in entries]
-
-
-def _power(p: MultiPoly, e: int) -> MultiPoly:
-    out = P_ONE
-    for _ in range(e):
-        out = out * p
-    return out
 
 
 def _firsts(renamed, tag):
     """renamed with the component tag(i, j) packed into each entry's keys."""
     return [
-        [(i, j, MultiPoly(pack_vector([(tag(i, j), q)]))) for i, j, q in row]
+        [(i, j, tagged(q, tag(i, j))) for i, j, q in row]
         for row in renamed
     ]
 
@@ -464,7 +434,7 @@ def check_jordan_coalgebra(cop: Coproduct) -> Report:
     for row in rows_mid:
         tail = {}
         for l, m, q in row:
-            add_product(tail, MultiPoly(pack_vector([(m, q)])), rows_uv_mid[l])
+            add_product(tail, tagged(q, m), rows_uv_mid[l])
         tails.append(compact_vector(tail))
     for k in range(n):
         _record(rep, cop, k, "co-commutativity", 2, _flip(plain[k], swapped[k], par, True))

@@ -22,14 +22,16 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .poly import (
-    D, LAM, MU, NU, MultiPoly, P_ONE, Scalar, add_product,
-    _VAR_SHIFT, pack_vector, unpack_vector,
+    D, LAM, MU, NU, MultiPoly, P_ONE, Scalar, add_product, compact_vector,
+    _MAXEXP, _MONO_MASK, _VAR_SHIFT, pack_vector, substitution, unpack_vector,
 )
 
 LIE = "lie"
 JORDAN = "jordan"
 
 SPECTRAL_VARS = ("lam", "mu", "nu", "x1", "x2", "x3", "x4")
+# monomial fields of every variable but lam and d, the two of a table entry
+_NOT_LAM_D = _MONO_MASK & ~(_MAXEXP << _VAR_SHIFT["lam"] | _MAXEXP << _VAR_SHIFT["d"])
 
 
 class StructureError(ValueError):
@@ -124,21 +126,30 @@ class LambdaStructure:
         if len(set(ids)) != len(ids):
             raise StructureError("generator ids not unique")
         self.index = {g.id: i for i, g in enumerate(self.generators)}
-        n = len(self.generators)
+        par = [g.parity for g in self.generators]
+        n = len(par)
         self.table = {}
         for i in range(n):
             for j in range(n):
+                row = self.table[(i, j)] = []
                 merged: Dict[int, MultiPoly] = {}
-                for k, p in table.get((i, j), []):
+                for k, p in table.get((i, j), ()):
                     prev = merged.get(k)
-                    s = p if prev is None else prev + p
-                    if s.is_zero():
-                        merged.pop(k, None)
-                    else:
-                        merged[k] = s
-                self.table[(i, j)] = sorted(merged.items())
-        if validate:
-            self.validate()
+                    merged[k] = p if prev is None else prev + p
+                for k in sorted(merged):
+                    p = merged[k]
+                    if not p.terms:
+                        continue
+                    # parity additivity and coefficient-variable discipline
+                    if validate and par[k] != (par[i] + par[j]) & 1:
+                        raise StructureError(
+                            f"parity violation in ({self.generators[i].id},"
+                            f"{self.generators[j].id}) -> {self.generators[k].id}"
+                        )
+                    if validate and any(key & _NOT_LAM_D for key in p.terms):
+                        bad = p.variables() - {"lam", "d"}
+                        raise StructureError(f"table entry uses variables {bad}")
+                    row.append((k, p))
 
     @property
     def rank(self) -> int:
@@ -146,20 +157,6 @@ class LambdaStructure:
 
     def parity(self, i: int) -> int:
         return self.generators[i].parity
-
-    def validate(self):
-        """Parity additivity and coefficient-variable discipline."""
-        for (i, j), entries in self.table.items():
-            pij = (self.parity(i) + self.parity(j)) & 1
-            for k, p in entries:
-                if self.parity(k) != pij:
-                    raise StructureError(
-                        f"parity violation in ({self.generators[i].id},"
-                        f"{self.generators[j].id}) -> {self.generators[k].id}"
-                    )
-                bad = p.variables() - {"lam", "d"}
-                if bad:
-                    raise StructureError(f"table entry uses variables {bad}")
 
     def entry(self, i: int, j: int) -> "ConformalElement":
         return ConformalElement({k: p for k, p in self.table[(i, j)]})
@@ -303,18 +300,13 @@ def _gen_names(S: LambdaStructure, idxs) -> Tuple[str, ...]:
 # contraction of copies of the table with its variables renamed,
 # P^{ij}_k(lam, d) -> P^{ij}_k(lam_img, d_img).  The copies are built per
 # check call, never stored on the structure, so a with_entry copy can never
-# see stale ones.
+# see stale ones.  Free tuple indices ride in the component of packed vectors
+# (see poly.pack_vector), so one add_product covers a whole batch of tuples.
 
 
 def _renamed(S: LambdaStructure, lam_img: MultiPoly, d_img: MultiPoly):
-    """rows[i][j] = [(k, P^{ij}_k(lam_img, d_img))].
-
-    The substitution is simultaneous: lam is parked in x4, which neither a
-    table entry (lam and d only) nor an image uses, so d_img may contain lam.
-    """
-    def rename(p):
-        return p.permute_vars({"lam": "x4"}).subst_general("d", d_img).subst_general("x4", lam_img)
-
+    """rows[i][j] = [(k, P^{ij}_k(lam_img, d_img))], lam and d replaced simultaneously."""
+    rename = substitution("lam", "d", lam_img, d_img)
     n = S.rank
     rows = [[[] for _ in range(n)] for _ in range(n)]
     for (i, j), entries in S.table.items():
@@ -322,9 +314,20 @@ def _renamed(S: LambdaStructure, lam_img: MultiPoly, d_img: MultiPoly):
     return rows
 
 
-def _packed(S: LambdaStructure, lam_img: MultiPoly, d_img: MultiPoly):
-    """_renamed with every row packed into one term dict (see poly.pack_vector)."""
-    return [[pack_vector(row) for row in rows] for rows in _renamed(S, lam_img, d_img)]
+def _gather(S: LambdaStructure, lam_img: MultiPoly, d_img: MultiPoly, place, odd=None):
+    """Packed vectors out[slot] of the renamed entries P^{ij}_k(lam_img, d_img).
+
+    place(i, j, k) = (slot, m) puts the entry at component m of out[slot];
+    with odd given, the entries whose first index i has odd[i] set change sign.
+    """
+    rename = substitution("lam", "d", lam_img, d_img)
+    out = {}
+    for (i, j), entries in S.table.items():
+        for k, p in entries:
+            slot, m = place(i, j, k)
+            q = rename(p)
+            out.setdefault(slot, {}).update(pack_vector([(m, -q if odd and odd[i] else q)]))
+    return {slot: MultiPoly(vec) for slot, vec in out.items()}
 
 
 def _check_flip(S: LambdaStructure, check: str, sign: int) -> Report:
@@ -355,11 +358,21 @@ def check_jordan_comm(S: LambdaStructure) -> Report:
     return _check_flip(S, "jordan-comm", 1)
 
 
-def _record(rep: Report, S: LambdaStructure, where, acc) -> None:
-    """Add a violation at the tuple where unless the packed residual acc is zero."""
-    resid = unpack_vector(acc)
-    if resid:
-        rep.add(_gen_names(S, where), ConformalElement(resid), S)
+def _record(rep: Report, S: LambdaStructure, head, acc, width: int) -> None:
+    """Add a violation at each tuple head + tail whose part of acc is nonzero.
+
+    acc is a packed residual whose components are tail n + m, m the
+    generator of the residual and tail the last width tuple indices as
+    base-n digits; violations follow in the order of the tails.
+    """
+    n = S.rank
+    by_tail: Dict[int, Dict[int, MultiPoly]] = {}
+    for comp, p in unpack_vector(acc).items():
+        tail, m = divmod(comp, n)
+        by_tail.setdefault(tail, {})[m] = p
+    for tail in sorted(by_tail):
+        where = head + tuple(tail // n ** e % n for e in reversed(range(width)))
+        rep.add(_gen_names(S, where), ConformalElement(by_tail[tail]), S)
 
 
 def check_jacobi(S: LambdaStructure) -> Report:
@@ -370,34 +383,39 @@ def check_jacobi(S: LambdaStructure) -> Report:
         sum_l P^{jk}_l(mu, lam+d) P^{il}_m(lam, d)
       - sum_l P^{ij}_l(lam, -lam-mu) P^{lk}_m(lam+mu, d)
       - s sum_l P^{ik}_l(lam, mu+d) P^{jl}_m(mu, d),    s = (-1)^{p(i)p(j)}.
+
+    All (j, k) of one i form one accumulation at component (j n + k) n + m:
+    per l, the first term takes a column over (j, k), the second the first
+    factors tagged by j against a row packed over (k, m), and the third the
+    first factors tagged by k against a column over (j, m) that carries the
+    sign s, one column set for even i and one for odd i.
     """
     if S.kind != LIE:
         raise StructureError("Jacobi applies to Lie kind")
     n = S.rank
+    n2 = n * n
     rep = Report("jacobi", S.name, total=n ** 3)
-    inner_jk = _renamed(S, MU, LAM + D)
-    outer_il = _packed(S, LAM, D)
-    left_ij = _renamed(S, LAM, -LAM - MU)
-    right_lk = _packed(S, LAM + MU, D)
-    inner_ik = _renamed(S, LAM, MU + D)
-    outer_jl = _packed(S, MU, D)
     par = [S.parity(i) for i in range(n)]
+    cols1 = _gather(S, MU, LAM + D, lambda j, k, l: (l, (j * n + k) * n))
+    outer_il = _gather(S, LAM, D, lambda i, l, m: ((i, l), m))
+    first2 = _gather(S, LAM, -LAM - MU, lambda i, j, l: ((i, l), j * n2))
+    rows2 = _gather(S, LAM + MU, D, lambda l, k, m: (l, k * n + m))
+    first3 = _gather(S, LAM, MU + D, lambda i, k, l: ((i, l), k * n))
+    cols3 = [_gather(S, MU, D, lambda j, l, m: (l, j * n2 + m), odd) for odd in (None, par)]
     for i in range(n):
-        for j in range(n):
-            first2 = left_ij[i][j]
-            even = not par[i] & par[j]
-            for k in range(n):
-                first1, first3 = inner_jk[j][k], inner_ik[i][k]
-                if not (first1 or first2 or first3):
-                    continue
-                acc = {}
-                for l, p in first1:
-                    add_product(acc, p, outer_il[i][l])
-                for l, p in first2:
-                    add_product(acc, p, right_lk[l][k], negate=True)
-                for l, p in first3:
-                    add_product(acc, p, outer_jl[j][l], negate=even)
-                _record(rep, S, (i, j, k), acc)
+        acc = {}
+        signed = cols3[par[i]]
+        for l in range(n):
+            p = outer_il.get((i, l))
+            if p and l in cols1:
+                add_product(acc, p, cols1[l].terms)
+            p = first2.get((i, l))
+            if p and l in rows2:
+                add_product(acc, p, rows2[l].terms, negate=True)
+            p = first3.get((i, l))
+            if p and l in signed:
+                add_product(acc, p, signed[l].terms, negate=True)
+        _record(rep, S, (i,), acc, 2)
     return rep
 
 
@@ -405,22 +423,22 @@ PRINTED = "printed"
 CONSISTENT = "consistent"
 
 
-def _chain(acc, first, mid, d, last, negate):
-    """acc += sum_{l,m} first_l mid[l][d]_m last[m] (last a packed row)."""
-    inner = {}
-    for l, p in first:
-        add_product(inner, p, mid[l][d])
-    for m, q in unpack_vector(inner).items():
-        add_product(acc, q, last[m], negate)
+def _hoisted(S: LambdaStructure, first, last):
+    """h[(x, y)] = sum_{d,m} P^{xd}_m(*first) P^{ym}_k(*last), packed at d n + k.
 
-
-def _split(acc, first, second, last, negate):
-    """acc += sum_{l,m} first_l second_m last[l][m] (last packed rows)."""
-    for l, p in first:
-        row = last[l]
-        for m, q in second:
-            if row[m]:
-                add_product(acc, p * q, row[m], negate)
+    first and last are (lam_img, d_img) pairs; the fourth tuple index d
+    rides in the component, so each h[(x, y)] serves every d at once.
+    """
+    n = S.rank
+    firsts = _gather(S, *first, lambda x, d, m: ((x, m), d * n))
+    lasts: Dict[int, list] = {}
+    for (y, m), row in _gather(S, *last, lambda y, m, k: ((y, m), k)).items():
+        lasts.setdefault(m, []).append((y, row.terms))
+    out: Dict[Tuple[int, int], dict] = {}
+    for (x, m), p in firsts.items():
+        for y, row in lasts.get(m, ()):
+            add_product(out.setdefault((x, y), {}), p, row)
+    return {key: compact_vector(acc) for key, acc in out.items()}
 
 
 def check_jordan_identity(S: LambdaStructure, variant: str = CONSISTENT) -> Report:
@@ -446,11 +464,14 @@ def check_jordan_identity(S: LambdaStructure, variant: str = CONSISTENT) -> Repo
     Each left-hand term is a chain contraction and each right-hand term a
     split one; for the first terms of each side
 
-        a_lam((b_mu c)_nu d) = sum P^{bc}_l(mu, -nu) P^{ld}_m(nu, lam+d) P^{am}_n(lam, d)
-        (a_{-mu-d} b)_{lam+mu}(c_{nu-mu} d)
-            = sum P^{ab}_l(lam, -lam-mu) P^{cd}_m(nu-mu, lam+mu+d) P^{lm}_n(lam+mu, d)
+        a_lam((b_mu c)_nu d) = sum_l P^{bc}_l(mu, -nu) R1[l, a]
+            R1[l, a] = sum P^{ld}_m(nu, lam+d) P^{am}_n(lam, d)
+        (a_{-mu-d} b)_{lam+mu}(c_{nu-mu} d) = sum_l P^{ab}_l(lam, -lam-mu) Q1[c, l]
+            Q1[c, l] = sum P^{cd}_m(nu-mu, lam+mu+d) P^{lm}_n(lam+mu, d)
 
-    and the others follow the same pattern.
+    and the others follow the same pattern.  Each R and Q depends on two
+    indices besides d and is built once per call (see _hoisted); d rides in
+    the packed component, so each (a, b, c) is one accumulation.
     """
     if S.kind != JORDAN:
         raise StructureError("Jordan identity applies to Jordan kind")
@@ -465,14 +486,13 @@ def check_jordan_identity(S: LambdaStructure, variant: str = CONSISTENT) -> Repo
     f_ab = _renamed(S, LAM, -LAM - MU)
     f_ca_chain = _renamed(S, nu_mu, -t)
     f_ca_split = _renamed(S, nu_mu, MU - LAM - NU)
-    # chain terms: middle and last factors
-    c1_mid, c1_last = _packed(S, NU, LAM + D), _packed(S, LAM, D)
-    c2_mid, c2_last = _packed(S, t, MU + D), _packed(S, MU, D)
-    c3_mid, c3_last = _packed(S, LAM + MU, nu_mu + D), _packed(S, nu_mu, D)
-    # split terms: second and last factors
-    s1_sec, s1_last = _renamed(S, nu_mu, LAM + MU + D), _packed(S, LAM + MU, D)
-    s2_sec, s2_last = _renamed(S, LAM, NU + D), _packed(S, NU, D)
-    s3_sec, s3_last = _renamed(S, MU, LAM + NU - MU + D), _packed(S, LAM + NU - MU, D)
+    # chain terms r[(l, x)], split terms q[(x, l)]
+    r1 = _hoisted(S, (NU, LAM + D), (LAM, D))
+    r2 = _hoisted(S, (t, MU + D), (MU, D))
+    r3 = _hoisted(S, (LAM + MU, nu_mu + D), (nu_mu, D))
+    q1 = _hoisted(S, (nu_mu, LAM + MU + D), (LAM + MU, D))
+    q2 = _hoisted(S, (LAM, NU + D), (NU, D))
+    q3 = _hoisted(S, (MU, LAM + NU - MU + D), (LAM + NU - MU, D))
     par = [S.parity(i) for i in range(n)]
     for a in range(n):
         for b in range(n):
@@ -482,17 +502,25 @@ def check_jordan_identity(S: LambdaStructure, variant: str = CONSISTENT) -> Repo
                 bc, ca_chain = f_bc[b][c], f_ca_chain[c][a]
                 if not (ab or bc or ca_chain):
                     continue
-                ca_split = f_ca_split[c][a]
                 odd_ac, odd_bc = par[a] & par[c], par[b] & par[c]
-                for d in range(n):
-                    acc = {}
-                    _chain(acc, bc, c1_mid, d, c1_last[a], odd_ac)
-                    _chain(acc, ca_chain, c2_mid, d, c2_last[b], odd_ab)
-                    _chain(acc, ab, c3_mid, d, c3_last[c], odd_bc)
-                    _split(acc, ab, s1_sec[c][d], s1_last, not odd_ac)
-                    _split(acc, bc, s2_sec[a][d], s2_last, not odd_ab)
-                    _split(acc, ca_split, s3_sec[b][d], s3_last, not odd_bc)
-                    _record(rep, S, (a, b, c, d), acc)
+                acc = {}
+                for l, p in bc:
+                    if (l, a) in r1:
+                        add_product(acc, p, r1[(l, a)], odd_ac)
+                    if (a, l) in q2:
+                        add_product(acc, p, q2[(a, l)], not odd_ab)
+                for l, p in ca_chain:
+                    if (l, b) in r2:
+                        add_product(acc, p, r2[(l, b)], odd_ab)
+                for l, p in ab:
+                    if (l, c) in r3:
+                        add_product(acc, p, r3[(l, c)], odd_bc)
+                    if (c, l) in q1:
+                        add_product(acc, p, q1[(c, l)], not odd_ac)
+                for l, p in f_ca_split[c][a]:
+                    if (b, l) in q3:
+                        add_product(acc, p, q3[(b, l)], not odd_bc)
+                _record(rep, S, (a, b, c), acc, 1)
     return rep
 
 

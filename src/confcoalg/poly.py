@@ -82,17 +82,30 @@ class Scalar:
     def beta() -> "Scalar":
         return Scalar(0, 1)
 
+    # an operand that is no Scalar (it has no re/im) is left to its reflected
+    # method, so Scalar(1, 3) * D works as D * Scalar(1, 3) does
+
     def __add__(self, other: "Scalar") -> "Scalar":
-        return _make(self.re + other.re, self.im + other.im)
+        try:
+            return _make(self.re + other.re, self.im + other.im)
+        except AttributeError:
+            return NotImplemented
 
     def __sub__(self, other: "Scalar") -> "Scalar":
-        return _make(self.re - other.re, self.im - other.im)
+        try:
+            return _make(self.re - other.re, self.im - other.im)
+        except AttributeError:
+            return NotImplemented
 
     def __neg__(self) -> "Scalar":
         return _make(-self.re, -self.im)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
-        a, b, c, d = self.re, self.im, other.re, other.im
+        try:
+            c, d = other.re, other.im
+        except AttributeError:
+            return NotImplemented
+        a, b = self.re, self.im
         if b or d:
             return _make(a * c - b * d, a * d + b * c)
         return _make(a * c, 0)
@@ -476,6 +489,42 @@ def relabel_vector(acc: Dict[int, Scalar], sigma: Dict[str, str],
             mono |= ((k >> s) & _MAXEXP) << t
         out[tag | mono] = -c if negate else c
     return out
+
+
+def tagged(p: MultiPoly, m: int) -> MultiPoly:
+    """p with the component m in its keys: a first factor of add_product whose
+    product with a packed row lands at component m plus the row's component."""
+    return MultiPoly(pack_vector([(m, p)]))
+
+
+def _power(p: MultiPoly, e: int) -> MultiPoly:
+    out = MultiPoly({0: ONE})
+    for _ in range(e):
+        out = out * p
+    return out
+
+
+def substitution(x: str, y: str, a: MultiPoly, b: MultiPoly) -> Callable[[MultiPoly], MultiPoly]:
+    """The map q -> q with x -> a and y -> b, simultaneously.
+
+    Each monomial x^e1 y^e2 m maps to a^e1 b^e2 m; the image of a monomial
+    is computed once per map and reused for every polynomial it renames.
+    """
+    sx, sy = _VAR_SHIFT[x], _VAR_SHIFT[y]
+    rest = _MONO_MASK & ~(_MAXEXP << sx | _MAXEXP << sy)
+    images = {}
+
+    def rename(q: MultiPoly) -> MultiPoly:
+        acc = {}
+        for key, c in q.terms.items():
+            img = images.get(key)
+            if img is None:
+                img = _power(a, key >> sx & _MAXEXP) * _power(b, key >> sy & _MAXEXP)
+                images[key] = img
+            add_product(acc, img, {key & rest: c})
+        return MultiPoly(compact_vector(acc))
+
+    return rename
 
 
 def add_product(acc: Dict[int, Scalar], p: MultiPoly, q: Dict[int, Scalar],

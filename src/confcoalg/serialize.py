@@ -203,7 +203,10 @@ def dumps(obj) -> str:
 
 
 def loads(text: str):
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise StructureError("document is nested too deeply") from None
     kind = _doc_type(data)
     if kind == "lambda_structure":
         return structure_from_json(data)

@@ -183,6 +183,15 @@ def test_malformed_document_is_an_input_error(case, tmp_path, capsys):
         assert err == f"error: {message}\n"
 
 
+def test_deeply_nested_document_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    for command in ("verify", "dualize"):
+        code, out, err = run(capsys, command, "--in", str(path))
+        assert code == 2 and out == ""
+        assert err == "error: document is nested too deeply\n"
+
+
 @pytest.mark.parametrize("b", ["1/0", "0/0"])
 def test_zero_denominator_scalar_is_an_input_error(b, capsys):
     code, out, err = run(capsys, "construct", "--family", "Sb", "--n", "2", "--b", b)

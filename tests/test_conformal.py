@@ -99,10 +99,18 @@ def test_jordan_identity_variants(JS1):
 
 def test_parity_validation():
     gens = [Generator("a", 0), Generator("b", 1)]
-    with pytest.raises(StructureError):
+    with pytest.raises(StructureError, match=r"^parity violation in \(a,a\) -> b$"):
         LambdaStructure("lie", gens, {(0, 0): [(1, P_ONE)]})
+    with pytest.raises(StructureError, match=r"^table entry uses variables \{'mu'\}$"):
+        LambdaStructure("lie", gens, {(0, 1): [(1, LAM)], (1, 1): [(0, LAM * MU + D)]})
     with pytest.raises(StructureError):
         LambdaStructure("weird", gens, {})
+    # duplicate targets are summed, zero sums dropped, and rows sorted by target
+    S = LambdaStructure("lie", gens, {(1, 1): [(0, D), (0, -D)], (0, 1): [(1, LAM), (1, D)]})
+    assert S.table == {(0, 0): [], (0, 1): [(1, LAM + D)], (1, 0): [], (1, 1): []}
+    S = LambdaStructure("lie", gens, {(1, 1): [(0, LAM), (0, D)], (0, 0): [(0, MU)]},
+                        validate=False)
+    assert S.table[(1, 1)] == [(0, LAM + D)] and S.table[(0, 0)] == [(0, MU)]
 
 
 def element_parity(S, x):

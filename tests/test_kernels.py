@@ -7,11 +7,14 @@ with ``apply_delta_slot`` and permuting them with ``tau`` and ``zeta``, one
 dual generator at a time.  The checks in ``confcoalg.conformal`` and
 ``confcoalg.coalgebra`` must return exactly the same violations -- the same
 tuples, in the same order, with the same residuals -- on every family and on
-seeded corruptions.
+seeded corruptions.  A second, faster oracle for the Jacobi and Jordan
+identities contracts renamed tables one generator tuple at a time, so it
+reaches tables too large for nested brackets.
 """
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -27,7 +30,9 @@ from confcoalg.conformal import (
     check_skew, shift_spectral,
 )
 from confcoalg.families import corrupt_entry
-from confcoalg.poly import D, LAM, MU, NU, MultiPoly, Scalar
+from confcoalg.poly import (
+    D, LAM, MU, NU, MultiPoly, Scalar, add_product, pack_vector, unpack_vector,
+)
 
 
 # -- oracles -------------------------------------------------------------------
@@ -120,6 +125,109 @@ def assert_jordan_kernels_match(S):
     assert _found(check_jordan_comm(S)) == _oracle(S, 2, _flip_residual), S.name
 
 
+# -- per-tuple contraction oracles ----------------------------------------------
+#
+# Each generator tuple is one sparse contraction of renamed table copies,
+# renamed term by term through permute_vars and subst_general: the kernels
+# as they stood before the hoisted and batched contractions.
+
+
+def _per_tuple_renamed(S, lam_img, d_img):
+    """rows[i][j] = [(k, P^{ij}_k(lam_img, d_img))]; lam parked in x4 meanwhile."""
+    def rename(p):
+        return p.permute_vars({"lam": "x4"}).subst_general("d", d_img).subst_general("x4", lam_img)
+
+    rows = [[[] for _ in range(S.rank)] for _ in range(S.rank)]
+    for (i, j), entries in S.table.items():
+        rows[i][j] = [(k, rename(p)) for k, p in entries]
+    return rows
+
+
+def _per_tuple_packed(S, lam_img, d_img):
+    return [[pack_vector(row) for row in rows] for rows in _per_tuple_renamed(S, lam_img, d_img)]
+
+
+def _per_tuple_found(S, where, acc, out):
+    resid = unpack_vector(acc)
+    if resid:
+        out.append((tuple(S.generators[g].id for g in where), ConformalElement(resid).pretty(S)))
+
+
+def _jacobi_per_tuple(S):
+    n = S.rank
+    out = []
+    inner_jk = _per_tuple_renamed(S, MU, LAM + D)
+    outer_il = _per_tuple_packed(S, LAM, D)
+    left_ij = _per_tuple_renamed(S, LAM, -LAM - MU)
+    right_lk = _per_tuple_packed(S, LAM + MU, D)
+    inner_ik = _per_tuple_renamed(S, LAM, MU + D)
+    outer_jl = _per_tuple_packed(S, MU, D)
+    for i, j, k in itertools.product(range(n), repeat=3):
+        even = not S.parity(i) & S.parity(j)
+        acc = {}
+        for l, p in inner_jk[j][k]:
+            add_product(acc, p, outer_il[i][l])
+        for l, p in left_ij[i][j]:
+            add_product(acc, p, right_lk[l][k], negate=True)
+        for l, p in inner_ik[i][k]:
+            add_product(acc, p, outer_jl[j][l], negate=even)
+        _per_tuple_found(S, (i, j, k), acc, out)
+    return n ** 3, out
+
+
+def _chain(acc, first, mid, d, last, negate):
+    """acc += sum_{l,m} first_l mid[l][d]_m last[m] (last a packed row)."""
+    inner = {}
+    for l, p in first:
+        add_product(inner, p, mid[l][d])
+    for m, q in unpack_vector(inner).items():
+        add_product(acc, q, last[m], negate)
+
+
+def _split(acc, first, second, last, negate):
+    """acc += sum_{l,m} first_l second_m last[l][m] (last packed rows)."""
+    for l, p in first:
+        for m, q in second:
+            if last[l][m]:
+                add_product(acc, p * q, last[l][m], negate)
+
+
+def _jordan_per_tuple(S, variant):
+    n = S.rank
+    out = []
+    nu_mu = NU - MU
+    t = LAM + NU - MU if variant == CONSISTENT else LAM - MU
+
+    def renamed(lam_img, d_img):
+        return _per_tuple_renamed(S, lam_img, d_img)
+
+    def packed(lam_img, d_img):
+        return _per_tuple_packed(S, lam_img, d_img)
+
+    f_bc, f_ab = renamed(MU, -NU), renamed(LAM, -LAM - MU)
+    f_ca_chain, f_ca_split = renamed(nu_mu, -t), renamed(nu_mu, MU - LAM - NU)
+    c1_mid, c1_last = packed(NU, LAM + D), packed(LAM, D)
+    c2_mid, c2_last = packed(t, MU + D), packed(MU, D)
+    c3_mid, c3_last = packed(LAM + MU, nu_mu + D), packed(nu_mu, D)
+    s1_sec, s1_last = renamed(nu_mu, LAM + MU + D), packed(LAM + MU, D)
+    s2_sec, s2_last = renamed(LAM, NU + D), packed(NU, D)
+    s3_sec, s3_last = renamed(MU, LAM + NU - MU + D), packed(LAM + NU - MU, D)
+    par = [S.parity(i) for i in range(n)]
+    for a, b, c, d in itertools.product(range(n), repeat=4):
+        if not (f_ab[a][b] or f_bc[b][c] or f_ca_chain[c][a]):
+            continue
+        odd_ab, odd_ac, odd_bc = par[a] & par[b], par[a] & par[c], par[b] & par[c]
+        acc = {}
+        _chain(acc, f_bc[b][c], c1_mid, d, c1_last[a], odd_ac)
+        _chain(acc, f_ca_chain[c][a], c2_mid, d, c2_last[b], odd_ab)
+        _chain(acc, f_ab[a][b], c3_mid, d, c3_last[c], odd_bc)
+        _split(acc, f_ab[a][b], s1_sec[c][d], s1_last, not odd_ac)
+        _split(acc, f_bc[b][c], s2_sec[a][d], s2_last, not odd_ab)
+        _split(acc, f_ca_split[c][a], s3_sec[b][d], s3_last, not odd_bc)
+        _per_tuple_found(S, (a, b, c, d), acc, out)
+    return n ** 4, out
+
+
 # -- families ------------------------------------------------------------------
 
 
@@ -173,14 +281,20 @@ def _random_coefficient(rng):
     return p
 
 
-def _seeded_corruption(S, seed):
+def _fractional_coefficient(rng):
+    """A random coefficient with a Fraction on d^2, which no integral term cancels."""
+    c = Fraction(rng.choice((1, -1, 3)), rng.choice((2, 3)))
+    return MultiPoly.monomial({"lam": rng.randrange(2), "d": 2}, c) + _random_coefficient(rng)
+
+
+def _seeded_corruption(S, seed, coefficient=_random_coefficient):
     """S with one entry replaced by a random coefficient on a parity-allowed target."""
     rng = random.Random(seed)
     i, j = rng.randrange(S.rank), rng.randrange(S.rank)
     parity = (S.parity(i) + S.parity(j)) & 1
     k = rng.choice([g for g in range(S.rank) if S.parity(g) == parity])
     ids = [g.id for g in S.generators]
-    return corrupt_entry(S, ids[i], ids[j], ids[k], _random_coefficient(rng))
+    return corrupt_entry(S, ids[i], ids[j], ids[k], coefficient(rng))
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -189,6 +303,31 @@ def test_seeded_corruptions_match_oracle(name, seed):
     bad = _seeded_corruption(LIE_FAMILIES[name](), seed)
     assert not check_jacobi(bad).ok
     assert_lie_kernels_match(bad)
+
+
+@pytest.mark.parametrize("name", ["J_2", "JCK_4"])
+def test_seeded_jordan_corruptions_match_per_tuple_oracle(name, Jn, JCK4):
+    bad = _seeded_corruption({"J_2": Jn[2], "JCK_4": JCK4}[name], 0, _fractional_coefficient)
+    for variant in (CONSISTENT, PRINTED):
+        rep = check_jordan_identity(bad, variant=variant)
+        expected = _jordan_per_tuple(bad, variant)
+        assert (rep.total, _found(rep)) == expected, (name, variant)
+        assert any("d^2" in residual and "/" in residual for _, residual in expected[1])
+
+
+def test_seeded_jordan_corruption_matches_nested_brackets(Jn):
+    bad = _seeded_corruption(Jn[2], 7, _fractional_coefficient)
+    rep = check_jordan_identity(bad)
+    expected = _oracle(bad, 4, lambda S_, *q: _jordan_residual(S_, *q, CONSISTENT))
+    assert any("d^2" in residual and "/" in residual for _, residual in expected)
+    assert (rep.total, _found(rep)) == (bad.rank ** 4, expected)
+
+
+def test_seeded_jacobi_corruption_matches_per_tuple_oracle(CK6):
+    bad = _seeded_corruption(CK6, 0, _fractional_coefficient)
+    rep = check_jacobi(bad)
+    assert (rep.total, _found(rep)) == _jacobi_per_tuple(bad)
+    assert rep.violations
 
 
 def test_tables_are_not_cached_across_copies(K):

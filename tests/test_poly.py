@@ -149,6 +149,15 @@ def test_scalar_rejects_float():
             Scalar(*bad)
 
 
+def test_scalar_times_poly_defers_to_poly():
+    c = Scalar(1, 3)
+    assert c * D == D * c == MultiPoly.monomial({"d": 1}, c)
+    assert Scalar(Fraction(1, 2)) * (LAM + D) == (LAM + D).scalar_mul(Fraction(1, 2))
+    for op in (lambda: c + D, lambda: c - D, lambda: c * "x"):
+        with pytest.raises(TypeError):
+            op()
+
+
 def test_poly_to_json_unchanged():
     p = MultiPoly.monomial({"lam": 2, "d": 1}, Scalar(3, Fraction(-1, 2))) + D.scalar_mul(2)
     assert poly_to_json(p) == [
