@@ -25,13 +25,16 @@ residual as one sparse contraction of slot-renamed copies of the table.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .conformal import Generator, LambdaStructure, Report, StructureError, Violation
+from .conformal import (
+    Generator, LambdaStructure, Report, StructureError, Violation, _gather, _packed,
+)
 from .poly import (
-    D, LAM, MultiPoly, ONE, P_ONE, X1, X2, X3, X4, _MAXEXP, _MONO_MASK,
-    _VAR_SHIFT, add_product, compact_vector, pack_vector, relabel_vector,
-    substitution, tagged, unpack_vector,
+    D, LAM, MultiPoly, P_ONE, X1, X2, X3, X4, _MAXEXP, _MONO_MASK, _VAR_SHIFT,
+    add_product, common_denominator, compact_vector, pack_vector, relabel_vector,
+    substitution, unpack_vector,
 )
 
 _X = ("x1", "x2", "x3", "x4")
@@ -103,14 +106,17 @@ def dual_generators(S: LambdaStructure) -> List[Generator]:
 
 
 def dualize(S: LambdaStructure, name: Optional[str] = None) -> Coproduct:
-    """The coproduct on the dual basis: Q^{ij}_k(x, y) = P^{ij}_k(x, -x-y)."""
+    """The coproduct on the dual basis: Q^{ij}_k(x, y) = P^{ij}_k(x, -x-y).
+
+    The whole table is renamed as one packed vector, entry e at component e.
+    """
+    entries = [(i, j, k, p) for (i, j), row in S.table.items() for k, p in row]
+    L = common_denominator(p for *_, p in entries)
     rename = substitution("lam", "d", X1, _MINUS_X1_X2)
+    duals = unpack_vector(rename(pack_vector(((e, t[3]) for e, t in enumerate(entries)), L)), L)
     table: Dict[int, List[Tuple[int, int, MultiPoly]]] = {}
-    for (i, j), entries in S.table.items():
-        for k, p in entries:
-            table.setdefault(k, []).append((i, j, rename(p)))
-    for k in table:
-        table[k].sort(key=lambda t: (t[0], t[1]))
+    for e, (i, j, k, _) in enumerate(entries):
+        table.setdefault(k, []).append((i, j, duals[e]))
     return Coproduct(S.kind, dual_generators(S), table, name=name or (S.name + "^c"))
 
 
@@ -274,60 +280,36 @@ def zeta(t: TensorElement) -> TensorElement:
 # Q^{ij}_k(x1, x2) -> Q^{ij}_k(a, b).  A tensor tuple (t_1, ..., t_r) is the
 # component t_1 n^{r-1} + ... + t_r of a packed vector (see
 # poly.pack_vector), n the rank, so the component tag of a first factor plus
-# the component of a packed row is the output tuple.  The copies are built
-# per check call, never stored on the Coproduct.
+# the component of a packed row is the output tuple.  As in conformal, the
+# table is packed times its common denominator L, and a residual of degree g
+# is reported divided by L**g.  The copies are built per check call, never
+# stored on the Coproduct.
 
-_UNIT = {0: ONE}
+_UNIT = {0: 1}
 _ZETA_SLOTS = {"x1": "x3", "x2": "x1", "x3": "x2"}
 
 
-def _entries(cop: Coproduct):
-    """entries[k] = [(i, j, Q^{ij}_k(x1, x2))], duplicate (i, j) merged."""
-    return [[(i, j, q) for (i, j), q in cop.normalized(k).items()] for k in range(cop.rank)]
+def _gatherer(cop: Coproduct):
+    """(L, gather): the merged table packed times its denominator L, and its _gather on x1, x2."""
+    L, table = _packed([(i, j, k, q) for k in range(cop.rank)
+                        for (i, j), q in cop.normalized(k).items()])
+    return L, partial(_gather, table, names=("x1", "x2"))
 
 
-def _renamed(entries, a: MultiPoly, b: MultiPoly):
-    """entries with every Q(x1, x2) replaced by Q(a, b), simultaneously."""
-    rename = substitution("x1", "x2", a, b)
-    return [[(i, j, rename(q)) for i, j, q in row] for row in entries]
-
-
-def _firsts(renamed, tag):
-    """renamed with the component tag(i, j) packed into each entry's keys."""
-    return [
-        [(i, j, tagged(q, tag(i, j))) for i, j, q in row]
-        for row in renamed
-    ]
-
-
-def _rows(renamed, place, odd=None):
-    """Each row [(l, m, q)] packed at component place(l, m).
-
-    With odd given, the terms whose first index l has odd[l] set change sign
-    (a Koszul sign by the parity of the first index).
-    """
-    return [
-        pack_vector((place(l, m), -q if odd and odd[l] else q) for l, m, q in row)
-        for row in renamed
-    ]
-
-
-def _flip(plain, swapped, par, negate_plain: bool):
-    """Packed tau(delta a_k) + delta a_k (- with negate_plain).
-
-    plain holds Q^{ij}_k(x1, x2) at [i,j], swapped Q^{ij}_k(x2, x1) at [j,i].
-    """
-    acc = {}
-    for i, j, p in plain:
-        add_product(acc, p, _UNIT, negate_plain)
-    for i, j, q in swapped:
-        add_product(acc, q, _UNIT, bool(par[i] & par[j]))
+def _flips(gather, n: int, par, negate_plain: bool):
+    """Packed tau(delta a_k) + delta a_k (- with negate_plain) at slot k, [i,j]
+    at component i n + j; tau swaps x1 and x2 and has the Koszul sign."""
+    acc = gather(None, None, lambda i, j, k: (k, i * n + j), lambda i, j: negate_plain)
+    swapped = gather(X2, X1, lambda i, j, k: (k, j * n + i), lambda i, j: par[i] & par[j])
+    for k, vec in swapped.items():
+        add_product(acc.setdefault(k, {}), vec, _UNIT)
     return acc
 
 
-def _record(rep: Report, cop: Coproduct, k: int, check: str, arity: int, acc) -> None:
-    """Add a violation at (a_k^*, check) unless the packed residual acc is zero."""
-    resid = unpack_vector(acc)
+def _record(rep: Report, cop: Coproduct, k: int, check: str, arity: int, acc, scale) -> None:
+    """Add a violation at (a_k^*, check) unless the packed residual acc is zero;
+    acc is scale times too large."""
+    resid = unpack_vector(acc, scale)
     if resid:
         n = cop.rank
         terms = {}
@@ -361,27 +343,25 @@ def check_lie_coalgebra(cop: Coproduct) -> Report:
     n2 = n * n
     par = [g.parity for g in cop.generators]
     rep = Report("coalg", cop.name, total=n)
-    entries = _entries(cop)
-    plain = _firsts(entries, lambda i, j: i * n + j)
-    swapped = _firsts(_renamed(entries, X2, X1), lambda i, j: j * n + i)
-    first_a = _firsts(_renamed(entries, X1, X2 + X3), lambda i, j: i * n2)
-    rows_a = _rows(_renamed(entries, X2, X3), lambda l, m: l * n + m)
-    first_b = _firsts(_renamed(entries, X2, X1 + X3), lambda i, j: i * n)
-    renamed_b = _renamed(entries, X1, X3)
-    rows_b = _rows(renamed_b, lambda l, m: l * n2 + m)
-    rows_b_odd = _rows(renamed_b, lambda l, m: l * n2 + m, par)
-    first_c = _firsts(_renamed(entries, X1 + X2, X3), lambda i, j: j)
-    rows_c = _rows(entries, lambda l, m: (l * n + m) * n)
+    L, gather = _gatherer(cop)
+    flips = _flips(gather, n, par, False)
+    # first factors by (k, j), or (k, j, p_i), or (k, i); rows by the index they contract
+    first_a = gather(X1, X2 + X3, lambda i, j, k: ((k, j), i * n2))
+    rows_a = gather(X2, X3, lambda l, m, j: (j, l * n + m))
+    first_b = gather(X2, X1 + X3, lambda i, j, k: ((k, j, par[i]), i * n))
+    rows_b = [gather(X1, X3, lambda l, m, j: (j, l * n2 + m), odd)
+              for odd in (None, lambda l, m: par[l])]
+    first_c = gather(X1 + X2, X3, lambda i, j, k: ((k, i), j))
+    rows_c = gather(None, None, lambda l, m, i: (i, (l * n + m) * n))
     for k in range(n):
-        _record(rep, cop, k, "antisymmetry", 2, _flip(plain[k], swapped[k], par, False))
+        _record(rep, cop, k, "antisymmetry", 2, flips.get(k, {}), L)
         acc = {}
-        for i, j, p in first_a[k]:
-            add_product(acc, p, rows_a[j])
-        for i, j, p in first_b[k]:
-            add_product(acc, p, (rows_b_odd if par[i] else rows_b)[j], negate=True)
-        for i, j, p in first_c[k]:
-            add_product(acc, p, rows_c[i], negate=True)
-        _record(rep, cop, k, "co-jacobi", 3, acc)
+        for j in range(n):
+            add_product(acc, first_a.get((k, j), {}), rows_a.get(j, {}))
+            for odd in (0, 1):
+                add_product(acc, first_b.get((k, j, odd), {}), rows_b[odd].get(j, {}), True)
+            add_product(acc, first_c.get((k, j), {}), rows_c.get(j, {}), True)
+        _record(rep, cop, k, "co-jacobi", 3, acc, L * L)
     return rep
 
 
@@ -420,40 +400,36 @@ def check_jordan_coalgebra(cop: Coproduct) -> Report:
     n2, n3 = n * n, n * n * n
     par = [g.parity for g in cop.generators]
     rep = Report("cojordan", cop.name, total=n)
-    entries = _entries(cop)
-    plain = _firsts(entries, lambda i, j: i * n + j)
-    swapped = _firsts(_renamed(entries, X2, X1), lambda i, j: j * n + i)
-    first_l = _renamed(entries, X1 + X2, X3 + X4)
-    rows_lm = _rows(_renamed(entries, X3, X4), lambda l, m: l * n + m)
-    rows_uv = _rows(entries, lambda u, v: (u * n + v) * n2)
-    first_r = _firsts(_renamed(entries, X1, X2 + X3 + X4), lambda i, j: i * n3)
+    L, gather = _gatherer(cop)
+    flips = _flips(gather, n, par, True)
+    first_l: Dict[int, Dict[int, list]] = {}
+    for (k, i, j), p in gather(X1 + X2, X3 + X4, lambda i, j, k: ((k, i, j), 0)).items():
+        first_l.setdefault(k, {}).setdefault(i, []).append((j, p))
+    rows_lm = gather(X3, X4, lambda l, m, j: (j, l * n + m))
+    rows_uv = gather(None, None, lambda u, v, i: (i, (u * n + v) * n2))
+    first_r = gather(X1, X2 + X3 + X4, lambda i, j, k: ((k, j), i * n3))
     # tails[j] = sum Q^{lm}_j(x2+x3, x4) Q^{uv}_l(x2, x3) [., u, v, m]
-    rows_mid = _renamed(entries, X2 + X3, X4)
-    rows_uv_mid = _rows(_renamed(entries, X2, X3), lambda u, v: (u * n + v) * n)
-    tails = []
-    for row in rows_mid:
-        tail = {}
-        for l, m, q in row:
-            add_product(tail, tagged(q, m), rows_uv_mid[l])
-        tails.append(compact_vector(tail))
+    tails = {}
+    rows_uv_mid = gather(X2, X3, lambda u, v, l: (l, (u * n + v) * n))
+    for (j, l), p in gather(X2 + X3, X4, lambda l, m, j: ((j, l), m)).items():
+        add_product(tails.setdefault(j, {}), p, rows_uv_mid.get(l, {}))
+    tails = {j: compact_vector(tail) for j, tail in tails.items()}
     for k in range(n):
-        _record(rep, cop, k, "co-commutativity", 2, _flip(plain[k], swapped[k], par, True))
+        _record(rep, cop, k, "co-commutativity", 2, flips.get(k, {}), L)
         acc = {}
-        by_i = {}
-        for i, j, p in first_l[k]:
-            add_product(by_i.setdefault(i, {}), p, rows_lm[j])
-        for i, part in by_i.items():
-            add_product(acc, MultiPoly(compact_vector(part)), rows_uv[i])
-        for i, j, p in first_r[k]:
-            add_product(acc, p, tails[j], negate=True)
+        for i, row in first_l.get(k, {}).items():
+            part = {}
+            for j, p in row:
+                add_product(part, p, rows_lm.get(j, {}))
+            add_product(acc, compact_vector(part), rows_uv.get(i, {}))
+        for j in range(n):
+            add_product(acc, first_r.get((k, j), {}), tails.get(j, {}), True)
         diff = compact_vector(acc)
         once = _zeta_packed(diff, n, par)
         resid = dict(diff)
         for z in (once, _zeta_packed(once, n, par)):
-            for key, c in z.items():
-                prev = resid.get(key)
-                resid[key] = c if prev is None else prev + c
-        _record(rep, cop, k, "co-jordan", 4, resid)
+            add_product(resid, z, _UNIT)
+        _record(rep, cop, k, "co-jordan", 4, resid, L ** 3)
     return rep
 
 

@@ -19,11 +19,14 @@ to arbitrary elements.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
+from math import gcd
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .poly import (
-    D, LAM, MU, NU, MultiPoly, P_ONE, Scalar, add_product, compact_vector,
-    _MAXEXP, _MONO_MASK, _VAR_SHIFT, pack_vector, substitution, unpack_vector,
+    D, LAM, MU, NU, MultiPoly, P_ONE, Scalar, add_product, common_denominator,
+    compact_vector, _MAXEXP, _MONO_MASK, _VAR_SHIFT, pack_vector,
+    substitution, tagged, unpack_vector,
 )
 
 LIE = "lie"
@@ -175,8 +178,8 @@ class LambdaStructure:
         table = {key: list(v) for key, v in self.table.items()}
         table[(i, j)] = sorted(value.terms.items())
         return LambdaStructure(
-            self.kind, self.generators, table, name=self.name + "?", meta=dict(self.meta),
-            validate=False,
+            self.kind, self.generators, table, name=self.name + "?",
+            meta=type(self.meta)(self.meta), validate=False,
         )
 
 
@@ -220,17 +223,21 @@ def bracket_pairs(
     """Yield ((a, b), [x_a lam x_b]) for every ordered pair of xs, row by row.
 
     The same values as bracket(S, x_a, x_b, "lam"), with the work shared: the
-    left images p(-lam) and right images q(lam+d) of each element are taken
+    left images p(-lam) and right images q(lam+d) of each element are packed
     once, and every pair is one contraction of image products with packed
-    rows of S.  Rows are packed where they are used, not kept: in CK_6 each
-    row of K_6 meets one pair only, and keeping them costs about 1 MB.  A
-    caller that keeps only what it derives from each bracket never holds
-    all the brackets at once.
+    rows of S (each side times its common denominator).  Rows are packed
+    where they are used, not kept: in CK_6 each row of K_6 meets one pair
+    only, and keeping them costs about 1 MB.  A caller that keeps only what
+    it derives from each bracket never holds all the brackets at once.
     """
     if any("lam" in p.variables() for x in xs for p in x.terms.values()):
         raise StructureError("left coefficient already uses lam")
-    lefts = [[(i, p.substitute("d", -LAM)) for i, p in x.terms.items()] for x in xs]
-    rights = [[(j, q.subst_general("d", LAM + D)) for j, q in x.terms.items()] for x in xs]
+    Lx = common_denominator(p for x in xs for p in x.terms.values())
+    Ls = common_denominator(p for row in S.table.values() for _, p in row)
+    lefts = [[(i, pack_vector([(0, p.substitute("d", -LAM))], Lx)) for i, p in x.terms.items()]
+             for x in xs]
+    rights = [[(j, pack_vector([(0, q.subst_general("d", LAM + D))], Lx))
+               for j, q in x.terms.items()] for x in xs]
     for a, left in enumerate(lefts):
         for b, right in enumerate(rights):
             acc = {}
@@ -238,8 +245,9 @@ def bracket_pairs(
                 for j, qr in right:
                     entries = S.table[(i, j)]
                     if entries:
-                        add_product(acc, pl * qr, pack_vector(entries))
-            yield (a, b), ConformalElement(unpack_vector(acc))
+                        add_product(acc, compact_vector(add_product({}, pl, qr)),
+                                    pack_vector(entries, Ls))
+            yield (a, b), ConformalElement(unpack_vector(acc, Lx * Lx * Ls))
 
 
 def shift_spectral(
@@ -298,49 +306,62 @@ def _gen_names(S: LambdaStructure, idxs) -> Tuple[str, ...]:
 #
 # Every term of the Jacobi and Jordan identities on generators is a sparse
 # contraction of copies of the table with its variables renamed,
-# P^{ij}_k(lam, d) -> P^{ij}_k(lam_img, d_img).  The copies are built per
-# check call, never stored on the structure, so a with_entry copy can never
-# see stale ones.  Free tuple indices ride in the component of packed vectors
-# (see poly.pack_vector), so one add_product covers a whole batch of tuples.
+# P^{ij}_k(lam, d) -> P^{ij}_k(lam_img, d_img), packed once per check times
+# the common denominator L of the table (see poly.pack_vector), so a residual
+# of degree g is reported divided by L**g.  The copies are built per check
+# call, never stored on the structure, so a with_entry copy can never see
+# stale ones.  Free tuple indices ride in the component of packed vectors,
+# so one add_product covers a whole batch of tuples.
 
 
-def _renamed(S: LambdaStructure, lam_img: MultiPoly, d_img: MultiPoly):
+def _packed(entries):
+    """(L, [(i, j, k, L p packed)]) for entries [(i, j, k, p)], L their common denominator."""
+    L = common_denominator(p for *_, p in entries)
+    return L, [(i, j, k, pack_vector([(0, p)], L)) for i, j, k, p in entries]
+
+
+def _packed_table(S: LambdaStructure):
+    return _packed([(i, j, k, p) for (i, j), row in S.table.items() for k, p in row])
+
+
+def _renamed(table, n: int, lam_img: MultiPoly, d_img: MultiPoly):
     """rows[i][j] = [(k, P^{ij}_k(lam_img, d_img))], lam and d replaced simultaneously."""
     rename = substitution("lam", "d", lam_img, d_img)
-    n = S.rank
     rows = [[[] for _ in range(n)] for _ in range(n)]
-    for (i, j), entries in S.table.items():
-        rows[i][j] = [(k, rename(p)) for k, p in entries]
+    for i, j, k, p in table:
+        rows[i][j].append((k, rename(p)))
     return rows
 
 
-def _gather(S: LambdaStructure, lam_img: MultiPoly, d_img: MultiPoly, place, odd=None):
+def _gather(table, lam_img, d_img, place, negate=None, names=("lam", "d")):
     """Packed vectors out[slot] of the renamed entries P^{ij}_k(lam_img, d_img).
 
     place(i, j, k) = (slot, m) puts the entry at component m of out[slot];
-    with odd given, the entries whose first index i has odd[i] set change sign.
+    with negate given, the entries for which negate(i, j) holds change sign.
+    names are the two variables renamed; with lam_img None nothing is.
     """
-    rename = substitution("lam", "d", lam_img, d_img)
     out = {}
-    for (i, j), entries in S.table.items():
-        for k, p in entries:
-            slot, m = place(i, j, k)
-            q = rename(p)
-            out.setdefault(slot, {}).update(pack_vector([(m, -q if odd and odd[i] else q)]))
-    return {slot: MultiPoly(vec) for slot, vec in out.items()}
+    for i, j, k, p in table:
+        slot, m = place(i, j, k)
+        out.setdefault(slot, {}).update(tagged(p, m, bool(negate and negate(i, j))))
+    if lam_img is None:
+        return out
+    rename = substitution(*names, lam_img, d_img)
+    return {slot: rename(vec) for slot, vec in out.items()}
 
 
 def _check_flip(S: LambdaStructure, check: str, sign: int) -> Report:
-    """[a lam b] = sign (-1)^{p(a)p(b)} [b_{-lam-d} a], per generator pair."""
-    rep = Report(check, S.name)
-    flipped = _renamed(S, -LAM - D, D)
-    for i in range(S.rank):
-        for j in range(S.rank):
-            rep.total += 1
-            s = -sign if S.parity(i) & S.parity(j) else sign
-            resid = S.entry(i, j) - ConformalElement(dict(flipped[j][i])).scale(MultiPoly.const(s))
-            if not resid.is_zero():
-                rep.add(_gen_names(S, (i, j)), resid, S)
+    """[a lam b] = sign (-1)^{p(a)p(b)} [b_{-lam-d} a] per pair; the residual of (i, j),
+    at components (i n + j) n + k, has the flipped term times -sign (-1)^{p(a)p(b)}."""
+    n = S.rank
+    rep = Report(check, S.name, total=n * n)
+    par = [S.parity(i) for i in range(n)]
+    L, table = _packed_table(S)
+    acc = _gather(table, None, None, lambda i, j, k: (0, (i * n + j) * n + k)).get(0, {})
+    flipped = _gather(table, -LAM - D, D, lambda j, i, k: (0, (i * n + j) * n + k),
+                      lambda j, i: (sign == 1) != bool(par[i] & par[j]))
+    add_product(acc, flipped.get(0, {}), {0: 1})
+    _record(rep, S, (), acc, 2, L)
     return rep
 
 
@@ -358,16 +379,16 @@ def check_jordan_comm(S: LambdaStructure) -> Report:
     return _check_flip(S, "jordan-comm", 1)
 
 
-def _record(rep: Report, S: LambdaStructure, head, acc, width: int) -> None:
+def _record(rep: Report, S: LambdaStructure, head, acc, width: int, scale: int) -> None:
     """Add a violation at each tuple head + tail whose part of acc is nonzero.
 
-    acc is a packed residual whose components are tail n + m, m the
-    generator of the residual and tail the last width tuple indices as
+    acc is a packed residual, scale times too large, at components tail n + m,
+    m the generator of the residual and tail the last width tuple indices as
     base-n digits; violations follow in the order of the tails.
     """
     n = S.rank
     by_tail: Dict[int, Dict[int, MultiPoly]] = {}
-    for comp, p in unpack_vector(acc).items():
+    for comp, p in unpack_vector(acc, scale).items():
         tail, m = divmod(comp, n)
         by_tail.setdefault(tail, {})[m] = p
     for tail in sorted(by_tail):
@@ -396,26 +417,28 @@ def check_jacobi(S: LambdaStructure) -> Report:
     n2 = n * n
     rep = Report("jacobi", S.name, total=n ** 3)
     par = [S.parity(i) for i in range(n)]
-    cols1 = _gather(S, MU, LAM + D, lambda j, k, l: (l, (j * n + k) * n))
-    outer_il = _gather(S, LAM, D, lambda i, l, m: ((i, l), m))
-    first2 = _gather(S, LAM, -LAM - MU, lambda i, j, l: ((i, l), j * n2))
-    rows2 = _gather(S, LAM + MU, D, lambda l, k, m: (l, k * n + m))
-    first3 = _gather(S, LAM, MU + D, lambda i, k, l: ((i, l), k * n))
-    cols3 = [_gather(S, MU, D, lambda j, l, m: (l, j * n2 + m), odd) for odd in (None, par)]
+    L, table = _packed_table(S)
+    cols1 = _gather(table, MU, LAM + D, lambda j, k, l: (l, (j * n + k) * n))
+    outer_il = _gather(table, None, None, lambda i, l, m: ((i, l), m))
+    first2 = _gather(table, LAM, -LAM - MU, lambda i, j, l: ((i, l), j * n2))
+    rows2 = _gather(table, LAM + MU, D, lambda l, k, m: (l, k * n + m))
+    first3 = _gather(table, LAM, MU + D, lambda i, k, l: ((i, l), k * n))
+    cols3 = [_gather(table, MU, D, lambda j, l, m: (l, j * n2 + m), odd)
+             for odd in (None, lambda j, l: par[j])]
     for i in range(n):
         acc = {}
         signed = cols3[par[i]]
         for l in range(n):
             p = outer_il.get((i, l))
             if p and l in cols1:
-                add_product(acc, p, cols1[l].terms)
+                add_product(acc, p, cols1[l])
             p = first2.get((i, l))
             if p and l in rows2:
-                add_product(acc, p, rows2[l].terms, negate=True)
+                add_product(acc, p, rows2[l], negate=True)
             p = first3.get((i, l))
             if p and l in signed:
-                add_product(acc, p, signed[l].terms, negate=True)
-        _record(rep, S, (i,), acc, 2)
+                add_product(acc, p, signed[l], negate=True)
+        _record(rep, S, (i,), acc, 2, L * L)
     return rep
 
 
@@ -423,17 +446,16 @@ PRINTED = "printed"
 CONSISTENT = "consistent"
 
 
-def _hoisted(S: LambdaStructure, first, last):
+def _hoisted(table, n: int, first, last):
     """h[(x, y)] = sum_{d,m} P^{xd}_m(*first) P^{ym}_k(*last), packed at d n + k.
 
     first and last are (lam_img, d_img) pairs; the fourth tuple index d
     rides in the component, so each h[(x, y)] serves every d at once.
     """
-    n = S.rank
-    firsts = _gather(S, *first, lambda x, d, m: ((x, m), d * n))
+    firsts = _gather(table, *first, lambda x, d, m: ((x, m), d * n))
     lasts: Dict[int, list] = {}
-    for (y, m), row in _gather(S, *last, lambda y, m, k: ((y, m), k)).items():
-        lasts.setdefault(m, []).append((y, row.terms))
+    for (y, m), row in _gather(table, *last, lambda y, m, k: ((y, m), k)).items():
+        lasts.setdefault(m, []).append((y, row))
     out: Dict[Tuple[int, int], dict] = {}
     for (x, m), p in firsts.items():
         for y, row in lasts.get(m, ()):
@@ -481,18 +503,19 @@ def check_jordan_identity(S: LambdaStructure, variant: str = CONSISTENT) -> Repo
     rep = Report(f"jordan-id[{variant}]", S.name, total=n ** 4)
     nu_mu = NU - MU
     t = LAM + NU - MU if variant == CONSISTENT else LAM - MU
+    L, table = _packed_table(S)
     # first factors, rows by the first pair of the term
-    f_bc = _renamed(S, MU, -NU)
-    f_ab = _renamed(S, LAM, -LAM - MU)
-    f_ca_chain = _renamed(S, nu_mu, -t)
-    f_ca_split = _renamed(S, nu_mu, MU - LAM - NU)
+    f_bc = _renamed(table, n, MU, -NU)
+    f_ab = _renamed(table, n, LAM, -LAM - MU)
+    f_ca_chain = _renamed(table, n, nu_mu, -t)
+    f_ca_split = _renamed(table, n, nu_mu, MU - LAM - NU)
     # chain terms r[(l, x)], split terms q[(x, l)]
-    r1 = _hoisted(S, (NU, LAM + D), (LAM, D))
-    r2 = _hoisted(S, (t, MU + D), (MU, D))
-    r3 = _hoisted(S, (LAM + MU, nu_mu + D), (nu_mu, D))
-    q1 = _hoisted(S, (nu_mu, LAM + MU + D), (LAM + MU, D))
-    q2 = _hoisted(S, (LAM, NU + D), (NU, D))
-    q3 = _hoisted(S, (MU, LAM + NU - MU + D), (LAM + NU - MU, D))
+    r1 = _hoisted(table, n, (NU, LAM + D), (None, None))
+    r2 = _hoisted(table, n, (t, MU + D), (MU, D))
+    r3 = _hoisted(table, n, (LAM + MU, nu_mu + D), (nu_mu, D))
+    q1 = _hoisted(table, n, (nu_mu, LAM + MU + D), (LAM + MU, D))
+    q2 = _hoisted(table, n, (LAM, NU + D), (NU, D))
+    q3 = _hoisted(table, n, (MU, LAM + NU - MU + D), (LAM + NU - MU, D))
     par = [S.parity(i) for i in range(n)]
     for a in range(n):
         for b in range(n):
@@ -520,7 +543,7 @@ def check_jordan_identity(S: LambdaStructure, variant: str = CONSISTENT) -> Repo
                 for l, p in f_ca_split[c][a]:
                     if (b, l) in q3:
                         add_product(acc, p, q3[(b, l)], not odd_bc)
-                _record(rep, S, (a, b, c), acc, 1)
+                _record(rep, S, (a, b, c), acc, 1, L ** 3)
     return rep
 
 
@@ -637,22 +660,11 @@ def kernel_basis(M: ModuleMap) -> List[Dict[int, MultiPoly]]:
 
 def _normalise_content(coords: Dict[int, MultiPoly]) -> Dict[int, MultiPoly]:
     """Divide through by the rational content and fix the leading sign."""
-    from fractions import Fraction
-
-    nums = []
-    for p in coords.values():
-        for c in p.terms.values():
-            nums.extend(x for x in (c.re, c.im) if x != 0)
-    if not nums:
+    g = gcd(*(x.numerator for p in coords.values() for c in p.terms.values()
+              for x in (c.re, c.im)))
+    if not g:
         return coords
-    from math import gcd
-
-    g = 0
-    l = 1
-    for f in nums:
-        g = gcd(g, abs(f.numerator))
-        l = l * f.denominator // gcd(l, f.denominator)
-    scale = Scalar(Fraction(l, g))
+    scale = Scalar(Fraction(common_denominator(coords.values()), g))
     first = min(coords)
     lead = coords[first].terms[max(coords[first].terms)]
     if (lead * scale).re < 0 or ((lead * scale).re == 0 and (lead * scale).im < 0):

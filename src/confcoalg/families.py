@@ -15,6 +15,7 @@ in JCK_4, 1 and omega_i are even, x and x_i odd.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,6 +56,17 @@ class ConstructionMismatch(StructureError):
         self.diffs = diffs
         lines = "\n".join(str(d) for d in diffs[:10])
         super().__init__(f"{name}: construction cross-check failed:\n{lines}")
+
+
+class LazyMeta(dict):
+    """A meta dict that calls its callable values when read (functools.cache ones run once)."""
+
+    def __getitem__(self, key):
+        value = dict.__getitem__(self, key)
+        return value() if callable(value) else value
+
+    def get(self, key, default=None):
+        return self[key] if key in self else default
 
 
 def _sgn(e: int) -> int:
@@ -1048,8 +1060,8 @@ def make_CK6(strict: bool = False) -> LambdaStructure:
     verified against the restriction table term-by-term.
 
     The returned table is the K_6 restriction (the definition).  The
-    comparison against the tabulated brackets lands in
-    meta["printed_diffs"]; it is not empty, because the tabulated weights
+    comparison against the tabulated brackets, computed when it is first
+    read, is meta["printed_diffs"]; it is not empty, because the tabulated weights
     of C_i and C_ij are transposed ([L lam C_i] restricts to
     (3/2 lam + d) C_i, matching the standard weight-(2, 3/2, 1, 1/2)
     field content, while the table prints (lam + d) C_i).  strict raises
@@ -1065,12 +1077,11 @@ def make_CK6(strict: bool = False) -> LambdaStructure:
         table[key] = [(idx[nm], p) for nm, p in sorted(coords.items())]
     S = LambdaStructure(
         LIE, gens, table, name="CK_6",
-        meta={"K6": K6, "tuples": tuples, "embeds": embeds},
+        meta=LazyMeta(K6=K6, tuples=tuples, embeds=embeds),
     )
-    diffs = verify_ck6_printed(S)
-    if diffs and strict:
-        raise ConstructionMismatch("CK_6", diffs)
-    S.meta["printed_diffs"] = diffs
+    S.meta["printed_diffs"] = functools.cache(lambda: verify_ck6_printed(S))
+    if strict and S.meta["printed_diffs"]:
+        raise ConstructionMismatch("CK_6", S.meta["printed_diffs"])
     return S
 
 

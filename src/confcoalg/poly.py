@@ -25,6 +25,7 @@ the choice never shows in equality, ``repr`` or JSON.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Dict, Iterable, Iterator, Tuple
 
 ALPHABET: Tuple[str, ...] = ("lam", "mu", "nu", "d", "x1", "x2", "x3", "x4")
@@ -35,9 +36,7 @@ _WIDTH = _EXP_BITS + 1                      # exponent bits plus one guard bit
 _MAXEXP = (1 << _EXP_BITS) - 1              # largest exponent; also the field mask
 _VAR_SHIFT = {name: _WIDTH * i for i, name in enumerate(ALPHABET)}
 _GUARD = sum(1 << (_WIDTH * i + _EXP_BITS) for i in range(_NVARS))
-# packed vectors (see pack_vector) keep the component index above all fields
-_COMPONENT_SHIFT = _WIDTH * _NVARS
-_MONO_MASK = (1 << _COMPONENT_SHIFT) - 1
+_MONO_MASK = (1 << (_WIDTH * _NVARS)) - 1   # every monomial field
 
 
 def _exact(x):
@@ -201,7 +200,11 @@ class MultiPoly:
 
     # -- ring operations ---------------------------------------------------
 
+    # other operands are left to their reflected methods: D + 1 raises TypeError
+
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
+        if not isinstance(other, MultiPoly):
+            return NotImplemented
         if not other.terms:
             return self
         if not self.terms:
@@ -220,7 +223,7 @@ class MultiPoly:
         return MultiPoly(out)
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
-        return self + (-other)
+        return self + (-other) if isinstance(other, MultiPoly) else NotImplemented
 
     def __neg__(self) -> "MultiPoly":
         return MultiPoly({k: -c for k, c in self.terms.items()})
@@ -228,6 +231,8 @@ class MultiPoly:
     def __mul__(self, other) -> "MultiPoly":
         if isinstance(other, (int, Fraction, Scalar)):
             return self.scalar_mul(other)
+        if not isinstance(other, MultiPoly):
+            return NotImplemented
         if not self.terms or not other.terms:
             return MultiPoly({})
         out: Dict[int, Scalar] = {}
@@ -369,9 +374,10 @@ class MultiPoly:
         quot: Dict[int, Scalar] = {}
         while rem:
             k = max(rem, key=_sort_key)
-            if not _divides(lead, k):
+            # lead divides k iff no field of k - lead borrows from its guard bit
+            if ((k | _GUARD) - lead) & _GUARD != _GUARD:
                 raise ValueError("polynomial division is not exact")
-            qk = _mono_div(k, lead)
+            qk = k - lead
             qc = rem[k] * lead_c_inv
             quot[qk] = qc
             for dk, dc in divisor.terms.items():
@@ -406,77 +412,99 @@ def _sort_key(k: int) -> Tuple[int, int]:
     return (deg, k)
 
 
-def _divides(a: int, b: int) -> bool:
-    for i in range(_NVARS):
-        if ((a >> (_WIDTH * i)) & _MAXEXP) > ((b >> (_WIDTH * i)) & _MAXEXP):
-            return False
-    return True
-
-
-def _mono_div(b: int, a: int) -> int:
-    return b - a
-
-
-def _checked(terms: Dict[int, Scalar]) -> Dict[int, Scalar]:
-    """terms unchanged, unless a product overflowed an exponent field."""
+def _checked(terms):
+    """terms (keys, or a dict of them) unchanged, unless a product overflowed an exponent field."""
     for k in terms:
         if k & _GUARD:
             raise ValueError(f"exponent overflow: a product exceeds {_MAXEXP} in one variable")
     return terms
 
 
-# -- fused kernels -----------------------------------------------------------
+# -- packed vectors ------------------------------------------------------------
 #
-# A packed vector is a family {m: p_m} of polynomials stored as one term dict
-# whose keys carry the component index m above the monomial fields.  A product
-# of a plain polynomial with a packed vector is then a single double loop, and
-# the component of each product term comes for free from the key addition.
+# The kernels work on packed vectors, dicts from int keys to int coefficients.
+# A key holds a monomial, above it beta's exponent in a two-bit digit, above
+# that a component m, so one vector holds a family {m: p_m}; re + im*beta is
+# re under its key and im under the key with beta digit 1.  Adding two keys
+# multiplies monomials and powers of beta and adds components, and
+# compact_vector folds beta**2 into -1.  Coefficients are ints because a
+# check packs its table times the common denominator L of its coefficients;
+# unpack_vector divides a residual of degree g by L**g when it is reported.
+
+_BETA_SHIFT = _WIDTH * _NVARS
+_BETA = 1 << _BETA_SHIFT                    # beta digit 1
+_BETA_SQ = 2 << _BETA_SHIFT                 # high bit of the beta digit: beta**2 = -1
+_COMPONENT_SHIFT = _BETA_SHIFT + 2
+_TERM_MASK = (1 << _COMPONENT_SHIFT) - 1    # monomial fields and beta digit
 
 
-def pack_vector(entries: Iterable[Tuple[int, MultiPoly]]) -> Dict[int, Scalar]:
-    """Pack [(m, p_m)] (distinct m) into one term dict."""
-    out: Dict[int, Scalar] = {}
+def common_denominator(polys: Iterable[MultiPoly]) -> int:
+    """The least L for which L times each coefficient of polys is a Gaussian integer."""
+    return lcm(1, *{x.denominator for p in polys for c in p.terms.values()
+                    if type(c.re) is not int or type(c.im) is not int for x in (c.re, c.im)})
+
+
+def pack_vector(entries: Iterable[Tuple[int, MultiPoly]], scale: int = 1) -> Dict[int, int]:
+    """Pack [(m, p_m)] (distinct m) into one vector, every coefficient times
+    scale, which must clear their denominators (common_denominator)."""
+    out: Dict[int, int] = {}
     for m, p in entries:
         tag = m << _COMPONENT_SHIFT
         for k, c in p.terms.items():
-            out[tag | k] = c
+            re, im = c.re * scale, c.im * scale
+            if type(re) is not int or type(im) is not int:
+                if re.denominator != 1 or im.denominator != 1:
+                    raise ValueError(f"scale {scale} leaves a denominator in {c!r}")
+                re, im = re.numerator, im.numerator
+            if re:
+                out[tag | k] = re
+            if im:
+                out[tag | k | _BETA] = im
     return out
 
 
-def unpack_vector(acc: Dict[int, Scalar]) -> Dict[int, MultiPoly]:
-    """Inverse of pack_vector: drop zero coefficients and check for overflow."""
+def _divided(x: int, scale: int):
+    return Fraction(x, scale) if x % scale else x // scale
+
+
+def unpack_vector(acc: Dict[int, int], scale: int = 1) -> Dict[int, MultiPoly]:
+    """Inverse of pack_vector: {m: p_m}, every coefficient divided by scale."""
+    vec = compact_vector(acc)
     parts: Dict[int, Dict[int, Scalar]] = {}
-    for k, c in acc.items():
-        if c.re or c.im:
-            m = k >> _COMPONENT_SHIFT
-            part = parts.get(m)
-            if part is None:
-                parts[m] = part = {}
-            part[k & _MONO_MASK] = c
-    return {m: MultiPoly(_checked(t)) for m, t in parts.items()}
+    for k in vec:
+        k &= ~_BETA             # the re key; a coefficient with re and im is made twice
+        re, im = vec.get(k, 0), vec.get(k | _BETA, 0)
+        if scale != 1:
+            re, im = _divided(re, scale), _divided(im, scale)
+        parts.setdefault(k >> _COMPONENT_SHIFT, {})[k & _MONO_MASK] = _make(re, im)
+    return {m: MultiPoly(terms) for m, terms in parts.items()}
 
 
-def compact_vector(acc: Dict[int, Scalar]) -> Dict[int, Scalar]:
-    """acc without its zero coefficients, checked for exponent overflow.
+def compact_vector(acc: Dict[int, int]) -> Dict[int, int]:
+    """acc with beta**2 folded into -1 and without zero coefficients, checked
+    for exponent overflow: an operand for add_product."""
+    out = {k: c for k, c in acc.items() if c}
+    for k in _checked([k for k in out if k & (_GUARD | _BETA_SQ)]):
+        c = out.get(k ^ _BETA_SQ, 0) - out.pop(k)
+        if c:
+            out[k ^ _BETA_SQ] = c
+        else:
+            del out[k ^ _BETA_SQ]
+    return out
 
-    The result can be multiplied again: as q of add_product, or wrapped in a
-    MultiPoly as its p.
-    """
-    return _checked({k: c for k, c in acc.items() if c.re or c.im})
 
-
-def relabel_vector(acc: Dict[int, Scalar], sigma: Dict[str, str],
-                   component: Callable[[int], Tuple[int, bool]]) -> Dict[int, Scalar]:
+def relabel_vector(acc: Dict[int, int], sigma: Dict[str, str],
+                   component: Callable[[int], Tuple[int, bool]]) -> Dict[int, int]:
     """A packed vector with its variables and components relabelled.
 
     The exponent of v moves to sigma[v], sigma a permutation of its keys;
     component(m) gives (m', negate), and the term at component m moves to m',
-    negated when negate is set.  acc must be overflow-checked (compact_vector).
+    negated when negate is set.  acc must be compact (compact_vector).
     """
     moves = [(_VAR_SHIFT[v], _VAR_SHIFT[w]) for v, w in sigma.items()]
-    keep = _MONO_MASK & ~sum(_MAXEXP << s for s, _ in moves)
+    keep = _TERM_MASK & ~sum(_MAXEXP << s for s, _ in moves)
     tags: Dict[int, Tuple[int, bool]] = {}
-    out: Dict[int, Scalar] = {}
+    out: Dict[int, int] = {}
     for k, c in acc.items():
         m = k >> _COMPONENT_SHIFT
         hit = tags.get(m)
@@ -491,58 +519,61 @@ def relabel_vector(acc: Dict[int, Scalar], sigma: Dict[str, str],
     return out
 
 
-def tagged(p: MultiPoly, m: int) -> MultiPoly:
-    """p with the component m in its keys: a first factor of add_product whose
-    product with a packed row lands at component m plus the row's component."""
-    return MultiPoly(pack_vector([(m, p)]))
+def tagged(vec: Dict[int, int], m: int, negate: bool = False) -> Dict[int, int]:
+    """vec, packed at component 0, moved to component m (negated with negate):
+    a first factor whose product with a packed row lands at m plus its component."""
+    tag, sign = m << _COMPONENT_SHIFT, -1 if negate else 1
+    return {k + tag: sign * c for k, c in vec.items()}
 
 
-def _power(p: MultiPoly, e: int) -> MultiPoly:
-    out = MultiPoly({0: ONE})
-    for _ in range(e):
-        out = out * p
-    return out
+def substitution(x: str, y: str, a: MultiPoly, b: MultiPoly) -> Callable[[dict], dict]:
+    """The map v -> v with x -> a and y -> b, simultaneously, on packed vectors.
 
-
-def substitution(x: str, y: str, a: MultiPoly, b: MultiPoly) -> Callable[[MultiPoly], MultiPoly]:
-    """The map q -> q with x -> a and y -> b, simultaneously.
-
-    Each monomial x^e1 y^e2 m maps to a^e1 b^e2 m; the image of a monomial
-    is computed once per map and reused for every polynomial it renames.
+    Each monomial x^e1 y^e2 m maps to a^e1 b^e2 m, its beta digit and
+    component going along; the image of x^e1 y^e2 is computed once per map
+    and reused for every vector it renames.  a and b need integer coefficients.
     """
     sx, sy = _VAR_SHIFT[x], _VAR_SHIFT[y]
-    rest = _MONO_MASK & ~(_MAXEXP << sx | _MAXEXP << sy)
-    images = {}
+    xy = _MAXEXP << sx | _MAXEXP << sy
+    a, b = pack_vector([(0, a)]), pack_vector([(0, b)])
+    images: Dict[int, Dict[int, int]] = {}
 
-    def rename(q: MultiPoly) -> MultiPoly:
-        acc = {}
-        for key, c in q.terms.items():
-            img = images.get(key)
+    def rename(vec: Dict[int, int]) -> Dict[int, int]:
+        acc: Dict[int, int] = {}
+        get = acc.get
+        for key, c in vec.items():
+            exps = key & xy
+            img = images.get(exps)
             if img is None:
-                img = _power(a, key >> sx & _MAXEXP) * _power(b, key >> sy & _MAXEXP)
-                images[key] = img
-            add_product(acc, img, {key & rest: c})
-        return MultiPoly(compact_vector(acc))
+                img = {0: 1}
+                for factor in [a] * (exps >> sx & _MAXEXP) + [b] * (exps >> sy & _MAXEXP):
+                    img = compact_vector(add_product({}, img, factor))
+                images[exps] = img
+            rest = key - exps
+            for k, ci in img.items():
+                k += rest
+                acc[k] = get(k, 0) + c * ci
+        return compact_vector(acc)
 
     return rename
 
 
-def add_product(acc: Dict[int, Scalar], p: MultiPoly, q: Dict[int, Scalar],
-                negate: bool = False) -> None:
-    """acc += p*q (or -= with negate); q a term dict or packed vector.
+def add_product(acc: Dict[int, int], p: Dict[int, int], q: Dict[int, int],
+                negate: bool = False) -> Dict[int, int]:
+    """acc += p*q (or -= with negate) for packed vectors p and q; returns acc.
 
-    The keys of p may carry a component too; keys add, so the components of
-    p and q must occupy disjoint digits.  Zero coefficients may remain in
-    acc; unpack_vector and compact_vector remove them.
-    """
+    Keys add, so p and q need components in disjoint digits and beta digits
+    0 or 1 (as pack_vector and compact_vector leave them); compact_vector
+    clears the zeros and beta**2 left in acc."""
     get = acc.get
-    for k1, c1 in p.terms.items():
+    q_items = q.items()
+    for k1, c1 in p.items():
         if negate:
             c1 = -c1
-        for k2, c2 in q.items():
+        for k2, c2 in q_items:
             k = k1 + k2
-            prev = get(k)
-            acc[k] = c1 * c2 if prev is None else prev + c1 * c2
+            acc[k] = get(k, 0) + c1 * c2
+    return acc
 
 
 # module-level generators, convenient for building structure constants
@@ -583,5 +614,9 @@ def poly_from_json(data: Iterable[dict]) -> MultiPoly:
     for term in data:
         rn, rd, im_n, im_d = term["coeff"]
         c = Scalar(Fraction(rn, rd), Fraction(im_n, im_d))
-        out = out + MultiPoly.monomial({str(v): int(e) for v, e in term["exps"].items()}, c)
+        exps = term["exps"]
+        for v, e in exps.items():
+            if type(e) is not int:
+                raise ValueError(f"exponent {e!r} of {v} is not an integer")
+        out = out + MultiPoly.monomial({str(v): e for v, e in exps.items()}, c)
     return out

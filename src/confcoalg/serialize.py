@@ -70,6 +70,8 @@ def structure_from_json(data: dict) -> LambdaStructure:
     for r, row in enumerate(_list(data, "table", "document")):
         what = f"table row {r}"
         key = (_gen_ref(index, row, "left", what), _gen_ref(index, row, "right", what))
+        if key in table:
+            raise StructureError(f"{what} repeats the pair ({row['left']}, {row['right']})")
         terms = []
         for t, term in enumerate(_list(row, "terms", what)):
             term_what = f"term {t} of {what}"
@@ -143,6 +145,9 @@ def coproduct_from_json(data: dict) -> Coproduct:
 def _doc_type(data):
     if not isinstance(data, dict):
         raise StructureError("document is not a JSON object")
+    version = data.get("format_version")
+    if type(version) is not int or version != FORMAT_VERSION:
+        raise StructureError(f"unsupported format_version {version!r}")
     return data.get("type")
 
 

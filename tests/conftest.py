@@ -2,11 +2,24 @@
 
 Each family is constructed once per run and shared between modules.
 Building all of them takes about a quarter of a second on a 2-vCPU Xeon
-(CK_6, whose printed-bracket comparison runs at build time, is the largest
-part); tests that need a fresh or corrupted table build their own.
+(CK_6 is the largest part); tests that need a fresh or corrupted table
+build their own.
+
+The property tests run under the "tier1" hypothesis profile: derandomized,
+with a fixed number of examples and no deadline, so that every run draws
+the same tables.
 """
 
 import pytest
+
+try:
+    from hypothesis import settings
+except ImportError:          # the property tests skip themselves
+    pass
+else:
+    settings.register_profile("tier1", derandomize=True, deadline=None, max_examples=15,
+                              database=None)
+    settings.load_profile("tier1")
 
 from confcoalg import families
 from confcoalg.poly import Scalar

@@ -164,6 +164,17 @@ MALFORMED = {
                    "parity of generator 0 is not 0 or 1"),
     "duplicate-id": (_coproduct_doc, lambda doc: doc["generators"].append(doc["generators"][0]),
                      "generator ids not unique"),
+    "format-version": (_table_doc, lambda doc: doc.update(format_version=99),
+                       "unsupported format_version 99"),
+    "no-format-version": (_coproduct_doc, lambda doc: doc.pop("format_version"),
+                          "unsupported format_version None"),
+    **{f"exponent-{name}": (_table_doc, lambda doc, e=e: _first_row(doc)["terms"][0]["poly"][0]
+                            ["exps"].update(lam=e),
+                            "malformed poly of term 0 of table row 0: "
+                            + repr(ValueError(f"exponent {e!r} of lam is not an integer")))
+       for name, e in (("true", True), ("float", 1.5), ("string", "2"))},
+    "duplicate-row": (_table_doc, lambda doc: doc["table"].append(doc["table"][0]),
+                      "table row 1 repeats the pair (L, L)"),
     "stray-variable": (_coproduct_doc,
                        lambda doc: _first_row(doc)["pairs"][0]["poly"][0]["exps"].update(x3=1),
                        "delta(L*) @ L* (x) L* uses x3; coproduct entries may only use x1 and x2"),

@@ -297,6 +297,27 @@ def test_ck6_printed_diffs_are_the_weight_transposition(CK6):
         assert other != "L" and len(other) in (2, 3)  # C_i or C_ij only
 
 
+def test_ck6_printed_check_runs_on_first_read(monkeypatch):
+    from confcoalg import families
+    from confcoalg.families import ConstructionMismatch
+
+    calls = []
+    verify = families.verify_ck6_printed
+    monkeypatch.setattr(families, "verify_ck6_printed",
+                        lambda S: calls.append(S.name) or verify(S))
+    S = make_CK6()
+    assert calls == []
+    copy = corrupt_entry(S, "L", "L", "L", D)
+    diffs = S.meta["printed_diffs"]
+    assert len(diffs) == 42 and calls == ["CK_6"]
+    assert S.meta.get("printed_diffs") is diffs and S.meta.get("nosuch") is None
+    # a copy sees the value of the table it was made from, computed once
+    assert copy.meta["printed_diffs"] is diffs and calls == ["CK_6"]
+    with pytest.raises(ConstructionMismatch):
+        make_CK6(strict=True)
+    assert calls == ["CK_6", "CK_6"]
+
+
 def test_ck6_axioms(CK6):
     assert check_skew(CK6).ok
 

@@ -30,9 +30,7 @@ from confcoalg.conformal import (
     check_skew, shift_spectral,
 )
 from confcoalg.families import corrupt_entry
-from confcoalg.poly import (
-    D, LAM, MU, NU, MultiPoly, Scalar, add_product, pack_vector, unpack_vector,
-)
+from confcoalg.poly import D, LAM, MU, NU, MultiPoly, Scalar, _MONO_MASK, _checked
 
 
 # -- oracles -------------------------------------------------------------------
@@ -129,7 +127,46 @@ def assert_jordan_kernels_match(S):
 #
 # Each generator tuple is one sparse contraction of renamed table copies,
 # renamed term by term through permute_vars and subst_general: the kernels
-# as they stood before the hoisted and batched contractions.
+# as they stood before the hoisted and batched contractions.  They keep their
+# own Scalar-valued packed vectors (the three functions below), so they share
+# nothing with the integer vectors of confcoalg.poly.
+
+_COMPONENT_SHIFT = _MONO_MASK.bit_length()
+
+
+def pack_vector(entries):
+    """Pack [(m, p_m)] (distinct m) into one term dict."""
+    out = {}
+    for m, p in entries:
+        tag = m << _COMPONENT_SHIFT
+        for k, c in p.terms.items():
+            out[tag | k] = c
+    return out
+
+
+def unpack_vector(acc):
+    """Inverse of pack_vector: drop zero coefficients and check for overflow."""
+    parts = {}
+    for k, c in acc.items():
+        if c.re or c.im:
+            m = k >> _COMPONENT_SHIFT
+            part = parts.get(m)
+            if part is None:
+                parts[m] = part = {}
+            part[k & _MONO_MASK] = c
+    return {m: MultiPoly(_checked(t)) for m, t in parts.items()}
+
+
+def add_product(acc, p, q, negate=False):
+    """acc += p*q (or -= with negate); q a term dict or packed vector."""
+    get = acc.get
+    for k1, c1 in p.terms.items():
+        if negate:
+            c1 = -c1
+        for k2, c2 in q.items():
+            k = k1 + k2
+            prev = get(k)
+            acc[k] = c1 * c2 if prev is None else prev + c1 * c2
 
 
 def _per_tuple_renamed(S, lam_img, d_img):

@@ -7,8 +7,8 @@ import pytest
 
 from confcoalg.poly import (
     BETA, D, LAM, MU, MultiPoly, P_ONE, P_ZERO, Scalar, X1, X2, X3,
-    add_product, compact_vector, pack_vector, poly_from_json, poly_to_json,
-    relabel_vector, unpack_vector,
+    add_product, common_denominator, compact_vector, pack_vector, poly_from_json,
+    poly_to_json, relabel_vector, substitution, unpack_vector, _MONO_MASK,
 )
 
 from helpers import random_poly
@@ -179,16 +179,63 @@ def test_exponent_overflow_raises():
     assert (big * MU).variables() == {"lam", "mu"}
 
 
+def _packed(p, m=0):
+    return pack_vector([(m, p)])
+
+
 def test_compact_and_relabel_vector():
     acc = {}
-    add_product(acc, X1 + X2, pack_vector([(1, X1), (2, X3)]))
-    add_product(acc, X2, pack_vector([(1, X1)]), negate=True)
+    add_product(acc, _packed(X1 + X2), pack_vector([(1, X1), (2, X3)]))
+    add_product(acc, _packed(X2), pack_vector([(1, X1)]), negate=True)
     v = compact_vector(acc)                  # the x1*x2 terms cancel and go
     assert len(v) == 3
     assert unpack_vector(v) == {1: X1 * X1, 2: (X1 + X2) * X3}
     swapped = relabel_vector(v, {"x1": "x2", "x2": "x1"}, lambda m: (3 - m, m == 2))
     assert unpack_vector(swapped) == {2: X2 * X2, 1: -(X1 + X2) * X3}
     acc = {}
-    add_product(acc, MultiPoly.var("x1", 200), pack_vector([(0, MultiPoly.var("x1", 100))]))
+    add_product(acc, _packed(MultiPoly.var("x1", 200)), pack_vector([(0, MultiPoly.var("x1", 100))]))
     with pytest.raises(ValueError, match="overflow"):
         compact_vector(acc)
+
+
+def test_packed_vectors_hold_ints_with_beta_as_a_digit():
+    p = MultiPoly.monomial({"lam": 1}, Scalar(Fraction(1, 2), Fraction(-1, 3))) + BETA * D
+    q = LAM.scalar_mul(Scalar(Fraction(2, 5), 1)) + P_ONE
+    L = common_denominator([p, q])
+    assert L == 30
+    pp, pq = pack_vector([(0, p)], L), pack_vector([(0, q)], L)
+    assert all(type(c) is int for c in (*pp.values(), *pq.values()))
+    # re and im of one coefficient differ only in the beta digit
+    assert len(pp) == 3 and len({k & _MONO_MASK for k in pp}) == 2
+    acc = {}
+    add_product(acc, pp, pq)
+    assert unpack_vector(acc, L * L) == {0: p * q}
+    # beta**2 folds into -1 before a vector is multiplied again
+    b = pack_vector([(0, BETA)])
+    acc = {}
+    add_product(acc, b, b)
+    square = compact_vector(acc)
+    assert square == {0: -1} and unpack_vector(acc) == {0: MultiPoly.const(-1)}
+    acc = {}
+    add_product(acc, square, b)
+    assert unpack_vector(acc) == {0: -BETA}
+    with pytest.raises(ValueError, match="denominator"):
+        pack_vector([(0, p)], 2)
+
+
+def test_substitution_on_packed_vectors():
+    p = MultiPoly.monomial({"lam": 2, "d": 1}, Scalar(3, Fraction(-1, 2))) + BETA * MU
+    rename = substitution("lam", "d", X1, -X1 - X2)
+    got = unpack_vector(rename(pack_vector([(4, p)], 2)), 2)
+    assert got == {4: p.permute_vars({"lam": "x4"}).subst_general("d", -X1 - X2)
+                   .subst_general("x4", X1)}
+
+
+def test_bad_operands_raise_type_error():
+    for op in (lambda: D + 1, lambda: D - 1, lambda: D * 0.5, lambda: 0.5 * D,
+               lambda: 1 + D, lambda: D + Scalar(1)):
+        with pytest.raises(TypeError):
+            op()
+    assert D * 2 == 2 * D == D + D
+    assert D * Fraction(1, 3) == D.scalar_mul(Fraction(1, 3))
+    assert D * Scalar(0, 1) == BETA * D

@@ -1,0 +1,95 @@
+"""Property tests: the kernels against their oracles on random small tables.
+
+The family tables are homogeneous in spectral weight, with small integral or
+beta coefficients.  The tables drawn here are not: rank 2-4, mixed parities,
+sparse entries of d-degree up to 3 in no particular weight, and coefficients
+with denominators 2, 3 and 5, some of them multiples of beta.  They satisfy
+no axiom, so every check has violations to report, and the integer kernels
+must report them exactly as the oracles of ``test_kernels`` do: the nested
+brackets, the per-tuple contractions on Scalar-valued vectors, and the
+definitional tensor operations.  The hypothesis profile is set in conftest.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, strategies as st  # noqa: E402
+
+from confcoalg.coalgebra import (  # noqa: E402
+    Coproduct, check_jordan_coalgebra, check_lie_coalgebra, dual_generators, dualize,
+)
+from confcoalg.conformal import (  # noqa: E402
+    CONSISTENT, JORDAN, LIE, PRINTED, Generator, LambdaStructure, check_jacobi,
+    check_jordan_comm, check_jordan_identity, check_skew,
+)
+from confcoalg.poly import MultiPoly, Scalar, X1, X2  # noqa: E402
+
+from test_kernels import (  # noqa: E402
+    _co_oracle, _coalg_residuals, _cojordan_residuals, _flip_residual, _found,
+    _jacobi_residual, _jordan_per_tuple, _oracle,
+)
+
+_parts = st.builds(Fraction, st.sampled_from((1, -1, 2, -3)), st.sampled_from((1, 2, 3, 5)))
+_coefficients = st.builds(Scalar, _parts, st.one_of(st.just(0), _parts))
+
+
+_terms = st.tuples(st.integers(0, 2), st.integers(0, 3), _coefficients)
+
+
+@st.composite
+def tables(draw, kind, max_entries):
+    """A table of rank 2-4 with one to max_entries entries, each a sum of one
+    or two terms lam^a d^b (a <= 2, b <= 3) on a target of the right parity."""
+    n = draw(st.integers(2, 4))
+    par = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    table = {}
+    for _ in range(draw(st.integers(1, max_entries))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        k = draw(st.sampled_from([k for k in range(n) if par[k] == par[i] ^ par[j]] or [None]))
+        p = MultiPoly.zero()
+        for a, b, c in draw(st.lists(_terms, min_size=1, max_size=2)):
+            p = p + MultiPoly.monomial({"lam": a, "d": b}, c)
+        if k is not None:
+            table.setdefault((i, j), []).append((k, p))
+    gens = [Generator(f"g{i}", p) for i, p in enumerate(par)]
+    return LambdaStructure(kind, gens, table, name="random")
+
+
+def _dualize_oracle(S):
+    """dualize, entry by entry through permute_vars and subst_general."""
+    table = {}
+    for (i, j), entries in S.table.items():
+        for k, p in entries:
+            q = p.permute_vars({"lam": "x4"}).subst_general("d", -X1 - X2).subst_general("x4", X1)
+            table.setdefault(k, []).append((i, j, q))
+    return Coproduct(S.kind, dual_generators(S), table, name=S.name + "^c")
+
+
+def _assert_dual_matches(S, check, residuals):
+    cop = dualize(S)
+    assert cop.table == _dualize_oracle(S).table
+    rep = check(cop)
+    assert (rep.total, _found(rep)) == _co_oracle(cop, residuals)
+
+
+@given(tables(LIE, 8))
+def test_lie_kernels_on_random_tables(S):
+    rep = check_jacobi(S)
+    assert (rep.total, _found(rep)) == (S.rank ** 3, _oracle(S, 3, _jacobi_residual))
+    rep = check_skew(S)
+    assert (rep.total, _found(rep)) == (S.rank ** 2, _oracle(S, 2, _flip_residual))
+    _assert_dual_matches(S, check_lie_coalgebra, _coalg_residuals)
+
+
+# a Jordan residual has degree 3 in the table, so its tables are smaller
+@given(tables(JORDAN, 4))
+def test_jordan_kernels_on_random_tables(S):
+    for variant in (CONSISTENT, PRINTED):
+        rep = check_jordan_identity(S, variant=variant)
+        assert (rep.total, _found(rep)) == _jordan_per_tuple(S, variant)
+    rep = check_jordan_comm(S)
+    assert (rep.total, _found(rep)) == (S.rank ** 2, _oracle(S, 2, _flip_residual))
+    _assert_dual_matches(S, check_jordan_coalgebra, _cojordan_residuals)
