@@ -25,15 +25,11 @@ from .conformal import (
 )
 from .coalgebra import (
     Coproduct,
-    TensorElement,
-    apply_delta_slot,
     check_jordan_coalgebra,
     check_lie_coalgebra,
     compare,
     double_dual_roundtrip,
     dualize,
-    tau,
-    zeta,
 )
 from .poly import MultiPoly, Scalar
 
@@ -41,9 +37,8 @@ __all__ = [
     "ConformalElement", "Generator", "LambdaStructure", "ModuleMap",
     "Report", "StructureError", "bracket", "check_jacobi",
     "check_jordan_comm", "check_jordan_identity", "check_skew",
-    "kernel_basis", "shift_spectral", "Coproduct", "TensorElement",
-    "apply_delta_slot", "check_jordan_coalgebra", "check_lie_coalgebra",
-    "compare", "double_dual_roundtrip", "dualize", "tau", "zeta",
+    "kernel_basis", "shift_spectral", "Coproduct", "check_jordan_coalgebra",
+    "check_lie_coalgebra", "compare", "double_dual_roundtrip", "dualize",
     "MultiPoly", "Scalar",
 ]
 

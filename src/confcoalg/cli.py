@@ -141,6 +141,8 @@ def _resolve(args) -> tuple:
             )
         if n < 0:
             raise UsageError("n must be >= 0")
+    elif n is not None:
+        raise UsageError(f"family {args.family} takes no --n")
     b = parse_scalar(args.b) if getattr(args, "b", None) else Scalar(0)
     return fd, n, b
 

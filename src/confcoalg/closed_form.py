@@ -31,16 +31,21 @@ from .coalgebra import Coproduct
 from .conformal import Generator, StructureError
 from .families import (
     SnBasisElement,
+    _CK6_STAR,
     _ck6_basis_tuples,
     _ck6_name,
     _ck6_parity,
-    _digits,
+    _mask_of,
     _masks,
+    _monomial,
     _sgn,
     _xi_name,
+    _xi_word,
+    ck6_symbol,
+    sl2_constants,
     sn_basis,
 )
-from .grassmann import IndexSet, alpha, alpha_mask, complement, eps_mask
+from .grassmann import alpha_mask, eps_mask, members
 from .poly import MultiPoly, P_ONE, Scalar, X1, X2
 
 LIE = "lie"
@@ -79,14 +84,6 @@ def _deg(m: int) -> int:
     return bin(m).count("1")
 
 
-def _mask_of(i: int) -> int:
-    return 1 << (i - 1)
-
-
-def _members(n: int, m: int) -> Tuple[int, ...]:
-    return IndexSet.from_mask(n, m).members
-
-
 # ---------------------------------------------------------------------------
 # Vir and currents
 
@@ -114,8 +111,6 @@ def coproduct_current(
 
 
 def coproduct_cur_sl2() -> Coproduct:
-    from .families import sl2_constants
-
     names, pars, prods = sl2_constants()
     return coproduct_current(names, pars, prods, LIE, "Cur(sl2)^c[formula]")
 
@@ -125,38 +120,35 @@ def coproduct_cur_sl2() -> Coproduct:
 
 
 def _w_primal(n: int) -> List[Tuple[str, int]]:
-    out = [(_xi_name(n, m), _deg(m) & 1) for m in _masks(n)]
+    out = [(_xi_name(m), _deg(m) & 1) for m in _masks(n)]
     for m in _masks(n):
         for i in range(1, n + 1):
-            nm = ("" if m == 0 else "xi" + _digits(_members(n, m))) + f"d{i}"
-            out.append((nm, (_deg(m) + 1) & 1))
+            out.append((_w_name(m, i), (_deg(m) + 1) & 1))
     return out
 
 
-def _w_name(n: int, m: int, i: int = 0) -> str:
-    if i == 0:
-        return _xi_name(n, m)
-    return ("" if m == 0 else "xi" + _digits(_members(n, m))) + f"d{i}"
+def _w_name(m: int, i: int = 0) -> str:
+    return _xi_word(m) + f"d{i}" if i else _xi_name(m)
 
 
 def coproduct_W(n: int) -> Coproduct:
     """The two displayed sums for delta(xi_K*) and delta((xi_K d_k)*)."""
     b = _Builder(LIE, _w_primal(n), f"W_{n}^c[formula]")
     for K in _masks(n):
-        Kn = _w_name(n, K)
+        Kn = _w_name(K)
         # pairs with ord(I, J) = K
         for I in _submasks(K):
             J = K & ~I
             a = alpha_mask(I, J)
             c = _sgn(a)
             kosz = _sgn(_deg(I) * _deg(J))
-            b.add(Kn, _w_name(n, I), _w_name(n, J), X2 * c)
-            b.add(Kn, _w_name(n, J), _w_name(n, I), X1 * (-c * kosz))
+            b.add(Kn, _w_name(I), _w_name(J), X2 * c)
+            b.add(Kn, _w_name(J), _w_name(I), X1 * (-c * kosz))
             for k in range(1, n + 1):
-                Kkn = _w_name(n, K, k)
+                Kkn = _w_name(K, k)
                 kosz2 = _sgn(_deg(I) * (_deg(J) + 1))
-                b.add(Kkn, _w_name(n, I), _w_name(n, J, k), X2 * c)
-                b.add(Kkn, _w_name(n, J, k), _w_name(n, I), X1 * (-c * kosz2))
+                b.add(Kkn, _w_name(I), _w_name(J, k), X2 * c)
+                b.add(Kkn, _w_name(J, k), _w_name(I), X1 * (-c * kosz2))
         # triples (I, J, i): i in J, I cap (J - i) = empty, ord(I, J - i) = K
         for I in _submasks(K):
             Jm = K & ~I
@@ -169,14 +161,14 @@ def coproduct_W(n: int) -> Coproduct:
                 c = _sgn(eps_mask(i, J) + alpha_mask(I, Jm))
                 cf = MultiPoly.const(c)
                 kosz = _sgn(_deg(J) * (_deg(I) + 1))
-                b.add(Kn, _w_name(n, I, i), _w_name(n, J), cf)
-                b.add(Kn, _w_name(n, J), _w_name(n, I, i),
+                b.add(Kn, _w_name(I, i), _w_name(J), cf)
+                b.add(Kn, _w_name(J), _w_name(I, i),
                       MultiPoly.const(-c * kosz))
                 for k in range(1, n + 1):
-                    Kkn = _w_name(n, K, k)
+                    Kkn = _w_name(K, k)
                     kosz2 = _sgn((_deg(I) + 1) * (_deg(J) + 1))
-                    b.add(Kkn, _w_name(n, I, i), _w_name(n, J, k), cf)
-                    b.add(Kkn, _w_name(n, J, k), _w_name(n, I, i),
+                    b.add(Kkn, _w_name(I, i), _w_name(J, k), cf)
+                    b.add(Kkn, _w_name(J, k), _w_name(I, i),
                           MultiPoly.const(-c * kosz2))
     return b.done()
 
@@ -186,7 +178,7 @@ def coproduct_W(n: int) -> Coproduct:
 
 
 def _k_primal(n: int) -> List[Tuple[str, int]]:
-    return [(_xi_name(n, m), _deg(m) & 1) for m in _masks(n)]
+    return [(_xi_name(m), _deg(m) & 1) for m in _masks(n)]
 
 
 def coproduct_K(n: int) -> Coproduct:
@@ -198,13 +190,13 @@ def coproduct_K(n: int) -> Coproduct:
     """
     b = _Builder(LIE, _k_primal(n), f"K_{n}^c[formula]")
     for K in _masks(n):
-        Kn = _xi_name(n, K)
+        Kn = _xi_name(K)
         for I in _submasks(K):
             J = K & ~I
             c = _sgn(alpha_mask(I, J)) * (_deg(J) - 2)
             kosz = _sgn(_deg(I) * _deg(J))
-            b.add(Kn, _xi_name(n, I), _xi_name(n, J), X1 * c)
-            b.add(Kn, _xi_name(n, J), _xi_name(n, I), X2 * (-c * kosz))
+            b.add(Kn, _xi_name(I), _xi_name(J), X1 * c)
+            b.add(Kn, _xi_name(J), _xi_name(I), X2 * (-c * kosz))
         for Ip in _submasks(K):
             Jp = K & ~Ip
             for i in range(1, n + 1):
@@ -218,25 +210,14 @@ def coproduct_K(n: int) -> Coproduct:
                     + eps_mask(i, J)
                     + alpha_mask(Ip, Jp)
                 )
-                b.add(Kn, _xi_name(n, I), _xi_name(n, J), MultiPoly.const(_sgn(e)))
+                b.add(Kn, _xi_name(I), _xi_name(J), MultiPoly.const(_sgn(e)))
     return b.done()
 
 
-def _xi_sym(n: int, idxs: Tuple[int, ...]) -> Optional[Tuple[int, str]]:
+def _xi_sym(idxs: Tuple[int, ...]) -> Optional[Tuple[int, str]]:
     """xi dual symbol with arbitrary index order: (sign, sorted name)."""
-    if len(set(idxs)) != len(idxs):
-        return None
-    sign = 1
-    lst = list(idxs)
-    for a in range(len(lst)):
-        for b_ in range(len(lst) - 1 - a):
-            if lst[b_] > lst[b_ + 1]:
-                lst[b_], lst[b_ + 1] = lst[b_ + 1], lst[b_]
-                sign = -sign
-    m = 0
-    for i in lst:
-        m |= _mask_of(i)
-    return sign, _xi_name(n, m)
+    sign, m = _monomial(idxs)
+    return (sign, _xi_name(m)) if sign else None
 
 
 def _n4_rows(drop_star: bool):
@@ -361,9 +342,9 @@ def coproduct_N(n: int) -> Coproduct:
     one: Tuple[int, ...] = ()
 
     def add(K, coeff, lt, rt):
-        sl = _xi_sym(n, lt)
-        sr = _xi_sym(n, rt)
-        sk = _xi_sym(n, K)
+        sl = _xi_sym(lt)
+        sr = _xi_sym(rt)
+        sk = _xi_sym(K)
         if sl is None or sr is None:
             return
         b.add(sk[1], sl[1], sr[1], coeff * (sl[0] * sr[0] * sk[0]))
@@ -437,7 +418,7 @@ def coproduct_N(n: int) -> Coproduct:
 def coproduct_K4prime() -> Coproduct:
     """delta on (K_4')^c: the K_4 list with xi_star* terms removed, plus the
     d xi_star generator's displayed sums."""
-    prim = [(_xi_name(4, m), _deg(m) & 1) for m in _masks(4) if m != 0b1111]
+    prim = [(_xi_name(m), _deg(m) & 1) for m in _masks(4) if m != 0b1111]
     prim.append(("dxistar", 0))
     b = _Builder(LIE, prim, "K_4'^c[formula]")
 
@@ -447,7 +428,7 @@ def coproduct_K4prime() -> Coproduct:
             if t == "dxistar":
                 names.append(t)
             else:
-                s = _xi_sym(4, t)
+                s = _xi_sym(t)
                 if s is None:
                     return
                 coeff = coeff * s[0]
@@ -532,7 +513,7 @@ def coproduct_S(n: int) -> Coproduct:
     full = (1 << n) - 1
 
     def comp_members(m: int) -> Tuple[int, ...]:
-        return _members(n, (~m) & full)
+        return members(~m & full)
 
     # ---- delta(B_K*) ----
     for K in _masks(n):
@@ -749,13 +730,18 @@ def _ck6_dual(t: Tuple[int, ...]) -> Optional[Tuple[Scalar, str]]:
     Permutations contribute their sign; a 3-tuple without 1 reduces through
     the inverse of the primal scaling relation (1/beta = -beta).
     """
-    from .families import ck6_symbol
-
     coords = ck6_symbol(t)
     if not coords:
         return None
     (nm, c), = coords.items()
     return c.inverse(), nm
+
+
+def _contact_sign(x: int, y: int, z: int) -> int:
+    """(-1)^(alpha(I, I^c) + alpha({x}, I^c) + alpha({x} + I^c, {y, z})) for I = {x, y, z}."""
+    X, YZ = _mask_of(x), _mask_of(y) | _mask_of(z)
+    Ic = _CK6_STAR ^ X ^ YZ
+    return _sgn(alpha_mask(X | YZ, Ic) + alpha_mask(X, Ic) + alpha_mask(X | Ic, YZ))
 
 
 def coproduct_CK6() -> Coproduct:
@@ -792,9 +778,9 @@ def coproduct_CK6() -> Coproduct:
     for s in range(2, 7):
         for t in range(s + 1, 7):
             Kn = f"C1{s}{t}"
-            I = IndexSet(6, (1, s, t))
-            Ic = complement(I)
-            a_, b_, c_ = Ic.members
+            I = 1 | _mask_of(s) | _mask_of(t)
+            Ic = _CK6_STAR ^ I
+            a_, b_, c_ = members(Ic)
             add(Kn, X1, (1, s, t), ())
             add(Kn, -X2, (), (1, s, t))
             half = MultiPoly.const(Fraction(1, 2))
@@ -806,7 +792,7 @@ def coproduct_CK6() -> Coproduct:
             add(Kn, -X2, (s,), (1, t))
             add(Kn, -X1, (s, t), (1,))
             add(Kn, X2, (1,), (s, t))
-            bsg = MultiPoly.const(beta * Scalar(_sgn(alpha(Ic, I))))
+            bsg = MultiPoly.const(beta * Scalar(_sgn(alpha_mask(Ic, I))))
             for u, vw in ((a_, (b_, c_)), (b_, (a_, c_)), (c_, (a_, b_))):
                 add(Kn, bsg, (1, u), (1,) + vw)
                 add(Kn, -bsg, (1,) + vw, (1, u))
@@ -849,65 +835,31 @@ def coproduct_CK6() -> Coproduct:
                 add(Kn, P_ONE, (r, i), (s, i))
                 add(Kn, MultiPoly.const(-1), (s, i), (r, i))
             # double sum over i, 1 < k < l with {i,1,k,l}^c = {r,s}
+            rs = _mask_of(r) | _mask_of(s)
             for i in range(1, 7):
                 for k in range(2, 7):
                     for l in range(k + 1, 7):
-                        if i in (1, k, l):
+                        kl = 1 | _mask_of(k) | _mask_of(l)
+                        if _mask_of(i) & kl or _mask_of(i) | kl != _CK6_STAR ^ rs:
                             continue
-                        if set((i, 1, k, l)) | {r, s} != set(range(1, 7)):
-                            continue
-                        if {r, s} & set((i, 1, k, l)):
-                            continue
-                        e = alpha(IndexSet(6, (i,)), IndexSet(6, (1, k, l)))
-                        ordm = IndexSet(6, tuple(sorted((i, 1, k, l))))
-                        e += alpha(ordm, IndexSet(6, (r, s)))
+                        e = alpha_mask(_mask_of(i), kl) + alpha_mask(_mask_of(i) | kl, rs)
                         cf = MultiPoly.const(beta * Scalar(_sgn(e)))
                         add(Kn, cf, (i,), (1, k, l))
                         add(Kn, cf, (1, k, l), (i,))
             if r > 1:
-                I = IndexSet(6, (1, r, s))
-                Ic = complement(I)
-                A = (
-                    alpha(I, Ic)
-                    + alpha(IndexSet(6, (1,)), Ic)
-                    + alpha(
-                        IndexSet(6, tuple(sorted((1,) + Ic.members))),
-                        IndexSet(6, (r, s)),
-                    )
-                )
-                cf = MultiPoly.const(-Scalar(_sgn(A)))
+                cf = MultiPoly.const(-Scalar(_contact_sign(1, r, s)))
                 add(Kn, cf, (1,), (1, r, s))
                 add(Kn, cf, (1, r, s), (1,))
             else:
                 for i in range(2, s):
-                    I = IndexSet(6, tuple(sorted((1, i, s))))
-                    Ic = complement(I)
-                    B = (
-                        alpha(I, Ic)
-                        + alpha(IndexSet(6, (i,)), Ic)
-                        + alpha(
-                            IndexSet(6, tuple(sorted((i,) + Ic.members))),
-                            IndexSet(6, (1, s)),
-                        )
-                    )
-                    cf = MultiPoly.const(-Scalar(_sgn(B)))
+                    cf = MultiPoly.const(-Scalar(_contact_sign(i, 1, s)))
                     add(Kn, cf, (i,), (1, i, s))
                     # the display labels this factor C_{i1s}; reading the
                     # subscript as an unordered label (no permutation sign)
                     # keeps the formula tau-antisymmetric
                     add(Kn, cf, (1, i, s), (i,))
                 for i in range(s + 1, 7):
-                    I = IndexSet(6, tuple(sorted((1, s, i))))
-                    Ic = complement(I)
-                    C = (
-                        alpha(I, Ic)
-                        + alpha(IndexSet(6, (i,)), Ic)
-                        + alpha(
-                            IndexSet(6, tuple(sorted((i,) + Ic.members))),
-                            IndexSet(6, (1, s)),
-                        )
-                    )
-                    cf = MultiPoly.const(Scalar(_sgn(C)))
+                    cf = MultiPoly.const(Scalar(_contact_sign(i, 1, s)))
                     add(Kn, cf, (i,), (1, s, i))
                     add(Kn, cf, (1, s, i), (i,))
     return b.done()
@@ -918,47 +870,45 @@ def coproduct_CK6() -> Coproduct:
 
 
 def _jn_primal(n: int) -> List[Tuple[str, int]]:
-    out = [(_xi_name(n, m), _deg(m) & 1) for m in _masks(n)]
-    for m in _masks(n):
-        nm = "th" if m == 0 else "xi" + _digits(_members(n, m)) + "th"
-        out.append((nm, (_deg(m) + 1) & 1))
+    out = [(_xi_name(m), _deg(m) & 1) for m in _masks(n)]
+    out += [(_th_name(m), (_deg(m) + 1) & 1) for m in _masks(n)]
     return out
 
 
-def _th_name(n: int, m: int) -> str:
-    return "th" if m == 0 else "xi" + _digits(_members(n, m)) + "th"
+def _th_name(m: int) -> str:
+    return _xi_word(m) + "th"
 
 
 def coproduct_Jn(n: int) -> Coproduct:
     """The two displayed formulas for Delta((xi_K theta)*) and Delta(xi_K*)."""
     b = _Builder(JORDAN, _jn_primal(n), f"J_{n}^c[formula]")
     for K in _masks(n):
-        Ktn = _th_name(n, K)
-        Kn = _xi_name(n, K)
+        Ktn = _th_name(K)
+        Kn = _xi_name(K)
         for I in _submasks(K):
             J = K & ~I
             dI, dJ = _deg(I), _deg(J)
             al = _sgn(alpha_mask(I, J))
             # Delta((xi_K th)*)
-            b.add(Ktn, _xi_name(n, I), _th_name(n, J), MultiPoly.const(al))
-            b.add(Ktn, _th_name(n, J), _xi_name(n, I),
+            b.add(Ktn, _xi_name(I), _th_name(J), MultiPoly.const(al))
+            b.add(Ktn, _th_name(J), _xi_name(I),
                   MultiPoly.const(al * _sgn(dI * (dJ + 1))))
             # Delta(xi_K*), first and second sums
-            b.add(Kn, _xi_name(n, I), _xi_name(n, J), MultiPoly.const(al))
+            b.add(Kn, _xi_name(I), _xi_name(J), MultiPoly.const(al))
             c = MultiPoly.const(_sgn(dJ + alpha_mask(I, J)) * (dJ - 2))
             kosz = _sgn((dI + 1) * (dJ + 1))
-            b.add(Kn, _th_name(n, I), _th_name(n, J), c * X1)
-            b.add(Kn, _th_name(n, J), _th_name(n, I), c * X2 * kosz)
+            b.add(Kn, _th_name(I), _th_name(J), c * X1)
+            b.add(Kn, _th_name(J), _th_name(I), c * X2 * kosz)
         # derivative sums: diagonal pairs up to n-2 and the swapped last two
         for i in range(1, max(n - 1, 0)):
-            _add_swap_deriv(b, n, K, i, i)
+            _add_swap_deriv(b, K, i, i)
         if n >= 2:
-            _add_swap_deriv(b, n, K, n - 1, n)
-            _add_swap_deriv(b, n, K, n, n - 1)
+            _add_swap_deriv(b, K, n - 1, n)
+            _add_swap_deriv(b, K, n, n - 1)
     return b.done()
 
 
-def _add_swap_deriv(b: "_Builder", n: int, K: int, i: int, j: int):
+def _add_swap_deriv(b: "_Builder", K: int, i: int, j: int):
     """The (d_i a)(d_j b) sum of Delta(xi_K*) for the swapped index pair."""
     for Ip in _submasks(K):
         Jp = K & ~Ip
@@ -975,7 +925,7 @@ def _add_swap_deriv(b: "_Builder", n: int, K: int, i: int, j: int):
             + eps_mask(j, J)
             + alpha_mask(Ip, Jp)
         )
-        b.add(_xi_name(n, K), _th_name(n, I), _th_name(n, J),
+        b.add(_xi_name(K), _th_name(I), _th_name(J),
               MultiPoly.const(_sgn(e)))
 
 

@@ -198,7 +198,7 @@ def bracket(
     for i, p in x.terms.items():
         if svar in p.variables():
             raise StructureError(f"left coefficient already uses {svar}")
-        pl = p.substitute("d", -sv)
+        pl = p.subst_general("d", -sv)
         for j, q in y.terms.items():
             if svar in q.variables():
                 raise StructureError(f"right coefficient already uses {svar}")
@@ -234,7 +234,7 @@ def bracket_pairs(
         raise StructureError("left coefficient already uses lam")
     Lx = common_denominator(p for x in xs for p in x.terms.values())
     Ls = common_denominator(p for row in S.table.values() for _, p in row)
-    lefts = [[(i, pack_vector([(0, p.substitute("d", -LAM))], Lx)) for i, p in x.terms.items()]
+    lefts = [[(i, pack_vector([(0, p.subst_general("d", -LAM))], Lx)) for i, p in x.terms.items()]
              for x in xs]
     rights = [[(j, pack_vector([(0, q.subst_general("d", LAM + D))], Lx))
                for j, q in x.terms.items()] for x in xs]

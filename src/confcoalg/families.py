@@ -1,11 +1,11 @@
 """Constructors for every family in the classification.
 
 Each constructor returns a ``LambdaStructure`` built from first principles
-out of the Grassmann sign calculus.  Families defined as subalgebras (S_n,
-S_{n,b}, S~_n, K_4', CK_6) are constructed in two independent ways where a
-closed bracket table is available -- by restriction inside the ambient
-algebra and directly from the tabulated formulas -- and construction fails
-loudly if the two disagree.
+out of the Grassmann sign calculus on plain int subset masks.  Families
+defined as subalgebras (S_n, S_{n,b}, S~_n, K_4', CK_6) are constructed in
+two independent ways where a closed bracket table is available -- by
+restriction inside the ambient algebra and directly from the tabulated
+formulas -- and construction fails loudly if the two disagree.
 
 Parity conventions (stated once, used everywhere): p(xi_I) = |I| mod 2 in
 the Lambda(n) parts, p(xi_I d_i) = |I|+1, p(xi_I theta) = |I|+1; in CK_6,
@@ -19,7 +19,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from .conformal import (
     ConformalElement,
@@ -40,9 +40,7 @@ from .conformal import (
     kernel_basis,
     shift_spectral,
 )
-from .grassmann import (
-    IndexSet, alpha, alpha_mask, complement, derive, eps, eps_mask, hodge, mul,
-)
+from .grassmann import alpha_mask, eps_mask, members, mul_sign
 from .poly import D, LAM, MultiPoly, P_ONE, P_ZERO, Scalar, _VAR_SHIFT
 
 # desk-scale caps; constructors allow more when allow_large is set
@@ -77,26 +75,47 @@ def _csgn(e: int) -> MultiPoly:
     return MultiPoly.const(_sgn(e))
 
 
-def _digits(members: Tuple[int, ...]) -> str:
-    return "".join(str(i) for i in members)
+def _digits(indices: Tuple[int, ...]) -> str:
+    return "".join(str(i) for i in indices)
+
+
+def _mask_of(i: int) -> int:
+    return 1 << (i - 1)
+
+
+def _monomial(indices: Tuple[int, ...]) -> Tuple[int, int]:
+    """xi_{i1} ... xi_{ir} as (sign, mask); the sign is 0 when an index repeats."""
+    sign, mask = 1, 0
+    for i in indices:
+        sign *= mul_sign(mask, _mask_of(i))
+        mask |= _mask_of(i)
+    return sign, mask
+
+
+def _d_mul(a: int, i: int, b: int) -> Tuple[int, int]:
+    """xi_a d_i(xi_b) as (sign, mask); the sign is 0 when it vanishes."""
+    if not b & _mask_of(i):
+        return 0, 0
+    rest = b ^ _mask_of(i)
+    return _sgn(eps_mask(i, b)) * mul_sign(a, rest), a | rest
 
 
 def _masks(n: int) -> List[int]:
     """All subset masks of {1..n}, graded then lexicographic on members."""
-    key = lambda m: (bin(m).count("1"), IndexSet.from_mask(n, m).members)  # noqa: E731
-    return sorted(range(1 << n), key=key)
+    return sorted(range(1 << n), key=lambda m: (m.bit_count(), members(m)))
 
 
-def _xi_name(n: int, mask: int) -> str:
-    if mask == 0:
-        return "1"
-    return "xi" + _digits(IndexSet.from_mask(n, mask).members)
+def _xi_word(mask: int) -> str:
+    """xi followed by the members of mask; empty for the empty set."""
+    return "xi" + _digits(members(mask)) if mask else ""
 
 
-def _xi_latex(n: int, mask: int) -> str:
-    if mask == 0:
-        return "1"
-    return r"\xi_{" + _digits(IndexSet.from_mask(n, mask).members) + "}"
+def _xi_name(mask: int) -> str:
+    return _xi_word(mask) or "1"
+
+
+def _xi_latex(mask: int) -> str:
+    return r"\xi_{" + _digits(members(mask)) + "}" if mask else "1"
 
 
 # ---------------------------------------------------------------------------
@@ -187,77 +206,51 @@ def make_W(n: int) -> LambdaStructure:
     w_idx: Dict[Tuple[int, int], int] = {}
     for m in masks:
         lam_idx[m] = len(gens)
-        gens.append(Generator(_xi_name(n, m), bin(m).count("1") & 1, _xi_latex(n, m)))
+        gens.append(Generator(_xi_name(m), m.bit_count() & 1, _xi_latex(m)))
     for m in masks:
         for i in range(1, n + 1):
             w_idx[(m, i)] = len(gens)
-            nm = ("" if m == 0 else "xi" + _digits(IndexSet.from_mask(n, m).members)) + f"d{i}"
-            lx = (_xi_latex(n, m) if m else "") + r"\partial_{" + str(i) + "}"
-            gens.append(Generator(nm, (bin(m).count("1") + 1) & 1, lx))
-
-    def iset(m):
-        return IndexSet.from_mask(n, m)
+            lx = (_xi_latex(m) if m else "") + r"\partial_{" + str(i) + "}"
+            gens.append(Generator(_xi_word(m) + f"d{i}", (m.bit_count() + 1) & 1, lx))
 
     table: Dict[Tuple[int, int], List[Tuple[int, MultiPoly]]] = {}
 
     def put(i, j, k, p):
-        if not p.is_zero():
-            table.setdefault((i, j), []).append((k, p))
+        table.setdefault((i, j), []).append((k, p))
 
     minus_d_2lam = -(D + 2 * LAM)
     for I in masks:
-        dI = bin(I).count("1")
+        dI = I.bit_count()
         for J in masks:
-            dJ = bin(J).count("1")
+            dJ = J.bit_count()
             # [xi_I lam xi_J]
-            m = mul(iset(I), iset(J))
-            if m is not None:
-                put(lam_idx[I], lam_idx[J], lam_idx[m.idxset.mask],
-                    minus_d_2lam * m.sign)
-            # [xi_I d_i lam xi_J] and [xi_I lam xi_J d_j]
+            s = mul_sign(I, J)
+            if s:
+                put(lam_idx[I], lam_idx[J], lam_idx[I | J], minus_d_2lam * s)
+            s_JI = mul_sign(J, I)
+            # xi_J d_j(xi_I) for each j, used by [xi_I d_i lam xi_J d_j]
+            d_IJ = [_d_mul(J, j, I) for j in range(1, n + 1)]
+            # [xi_I d_i lam xi_J] and [xi_J lam xi_I d_i]
             for i in range(1, n + 1):
-                # xi_I d_i (xi_J) part
-                dv = derive(i, iset(J))
-                if dv is not None:
-                    m2 = mul(iset(I), dv.idxset)
-                    if m2 is not None:
-                        put(w_idx[(I, i)], lam_idx[J],
-                            lam_idx[m2.idxset.mask],
-                            MultiPoly.const(dv.sign * m2.sign))
-                # -lam (-1)^{(|I|+1)|J|} xi_J xi_I d_i part
-                m3 = mul(iset(J), iset(I))
-                if m3 is not None:
-                    sg = _sgn((dI + 1) * dJ) * m3.sign
-                    put(w_idx[(I, i)], lam_idx[J],
-                        w_idx[(m3.idxset.mask, i)], -LAM * sg)
-                # [xi_J lam xi_I d_i] = -(-1)^{|J|(|I|+1)} xi_I d_i(xi_J)
-                #                       - (lam+d) xi_J xi_I d_i
-                if dv is not None:
-                    m2 = mul(iset(I), dv.idxset)
-                    if m2 is not None:
-                        sg = -_sgn(dJ * (dI + 1)) * dv.sign * m2.sign
-                        put(lam_idx[J], w_idx[(I, i)],
-                            lam_idx[m2.idxset.mask], MultiPoly.const(sg))
-                if m3 is not None:
-                    put(lam_idx[J], w_idx[(I, i)],
-                        w_idx[(m3.idxset.mask, i)],
-                        -(LAM + D) * m3.sign)
+                wi = w_idx[(I, i)]
+                s_d, K = _d_mul(I, i, J)
+                if s_d:
+                    # xi_I d_i(xi_J), and -(-1)^{|J|(|I|+1)} of it in the flipped order
+                    put(wi, lam_idx[J], lam_idx[K], MultiPoly.const(s_d))
+                    put(lam_idx[J], wi, lam_idx[K],
+                        MultiPoly.const(-_sgn(dJ * (dI + 1)) * s_d))
+                if s_JI:
+                    # -lam (-1)^{(|I|+1)|J|} xi_J xi_I d_i, and -(lam+d) xi_J xi_I d_i
+                    put(wi, lam_idx[J], w_idx[(I | J, i)], -LAM * (_sgn((dI + 1) * dJ) * s_JI))
+                    put(lam_idx[J], wi, w_idx[(I | J, i)], -(LAM + D) * s_JI)
                 # [xi_I d_i lam xi_J d_j]
                 for j in range(1, n + 1):
-                    if dv is not None:
-                        m2 = mul(iset(I), dv.idxset)
-                        if m2 is not None:
-                            put(w_idx[(I, i)], w_idx[(J, j)],
-                                w_idx[(m2.idxset.mask, j)],
-                                MultiPoly.const(dv.sign * m2.sign))
-                    dw = derive(j, iset(I))
-                    if dw is not None:
-                        m4 = mul(iset(J), dw.idxset)
-                        if m4 is not None:
-                            sg = -_sgn((dI + 1) * (dJ + 1)) * dw.sign * m4.sign
-                            put(w_idx[(I, i)], w_idx[(J, j)],
-                                w_idx[(m4.idxset.mask, i)],
-                                MultiPoly.const(sg))
+                    if s_d:
+                        put(wi, w_idx[(J, j)], w_idx[(K, j)], MultiPoly.const(s_d))
+                    s_e, K_e = d_IJ[j - 1]
+                    if s_e:
+                        put(wi, w_idx[(J, j)], w_idx[(K_e, i)],
+                            MultiPoly.const(-_sgn((dI + 1) * (dJ + 1)) * s_e))
     S = LambdaStructure(
         LIE,
         gens,
@@ -275,7 +268,6 @@ def make_W(n: int) -> LambdaStructure:
 def div_w(W: LambdaStructure, x: ConformalElement, b: Scalar = Scalar(0)) -> ConformalElement:
     """div_b on an element of W_n: div(f d_i) = (-1)^{p(f)} d_i f,
     div(f) = (b - d) f; C[d]-linear, valued in the Lambda(n) part."""
-    n = W.meta["n"]
     lam_idx = W.meta["lam_idx"]
     rev = _reverse_maps(W)
     out = ConformalElement()
@@ -285,13 +277,9 @@ def div_w(W: LambdaStructure, x: ConformalElement, b: Scalar = Scalar(0)) -> Con
         if kind == "lam":
             out = out + ConformalElement({g: p * bd})
         else:
-            I = IndexSet.from_mask(n, mask)
-            if i in I:
-                dv = derive(i, I)
-                sg = _sgn(I.degree) * dv.sign
-                out = out + ConformalElement(
-                    {lam_idx[dv.idxset.mask]: p * sg}
-                )
+            s, K = _d_mul(0, i, mask)
+            if s:
+                out = out + ConformalElement({lam_idx[K]: p * (_sgn(mask.bit_count()) * s)})
     return out
 
 
@@ -329,14 +317,13 @@ def current_action(
     of conformal modules; the adjoint bracket does not (its f-part carries
     -(d + 2 svar)).
     """
-    n = W.meta["n"]
     lam_idx = W.meta["lam_idx"]
     rev = _reverse_maps(W)
     sv = MultiPoly.var(svar)
     out = ConformalElement()
     for gd, p in x.terms.items():
         kind, mask, i = rev[gd]
-        pl = p.substitute("d", -sv)
+        pl = p.subst_general("d", -sv)
         for gg, q in g.terms.items():
             gkind, gmask, _ = rev[gg]
             if gkind != "lam":
@@ -346,22 +333,13 @@ def current_action(
             if c.is_zero():
                 continue
             if kind == "w":
-                dv = derive(i, IndexSet.from_mask(n, gmask))
-                if dv is None:
-                    continue
-                m2 = mul(IndexSet.from_mask(n, mask), dv.idxset)
-                if m2 is None:
-                    continue
-                out = out + ConformalElement(
-                    {lam_idx[m2.idxset.mask]: c * (dv.sign * m2.sign)}
-                )
+                s, K = _d_mul(mask, i, gmask)
+                if s:
+                    out = out + ConformalElement({lam_idx[K]: c * s})
             else:
-                m2 = mul(IndexSet.from_mask(n, mask), IndexSet.from_mask(n, gmask))
-                if m2 is None:
-                    continue
-                out = out + ConformalElement(
-                    {lam_idx[m2.idxset.mask]: -(D + sv) * c * m2.sign}
-                )
+                s = mul_sign(mask, gmask)
+                if s:
+                    out = out + ConformalElement({lam_idx[mask | gmask]: -(D + sv) * c * s})
     return out
 
 
@@ -404,7 +382,7 @@ class SnBasisElement:
     j: int = 0
 
     def name(self, n: int) -> str:
-        ds = _digits(IndexSet.from_mask(n, self.mask).members)
+        ds = _digits(members(self.mask))
         if self.tag == "A":
             return f"A{ds}_{self.i}"
         if self.tag == "A2":
@@ -416,7 +394,7 @@ class SnBasisElement:
         return (deg + 1) & 1 if self.tag == "A" else deg & 1
 
     def latex(self, n: int) -> str:
-        ds = "{" + _digits(IndexSet.from_mask(n, self.mask).members) + "}"
+        ds = "{" + _digits(members(self.mask)) + "}"
         if self.tag == "A":
             return f"A_{{{ds},{self.i}}}"
         if self.tag == "A2":
@@ -427,7 +405,7 @@ class SnBasisElement:
 def sn_basis(n: int) -> List[SnBasisElement]:
     out = []
     for m in _masks(n):
-        comp = IndexSet.from_mask(n, (~m) & ((1 << n) - 1)).members
+        comp = members(~m & ((1 << n) - 1))
         for i in comp:
             out.append(SnBasisElement("A", m, i))
         for a, b in zip(comp, comp[1:]):
@@ -441,24 +419,18 @@ def embed_sn(el: SnBasisElement, W: LambdaStructure) -> ConformalElement:
     """The S_n basis element as an explicit element of W_n."""
     n = W.meta["n"]
     w_idx = W.meta["w_idx"]
-    I = IndexSet.from_mask(n, el.mask)
+    I = el.mask
     if el.tag == "A":
-        return ConformalElement({w_idx[(el.mask, el.i)]: P_ONE})
+        return ConformalElement({w_idx[(I, el.i)]: P_ONE})
     if el.tag == "A2":
         out = ConformalElement()
         for idx, sign in ((el.i, 1), (el.j, -1)):
-            m = mul(I, IndexSet(n, [idx]))
-            out = out + ConformalElement(
-                {w_idx[(m.idxset.mask, idx)]: MultiPoly.const(sign * m.sign)}
-            )
+            s = sign * mul_sign(I, _mask_of(idx))
+            out = out + ConformalElement({w_idx[(I | _mask_of(idx), idx)]: MultiPoly.const(s)})
         return out
-    coeff = bin(el.mask).count("1") - n
-    out = ConformalElement({W.meta["lam_idx"][el.mask]: MultiPoly.const(coeff)})
-    for i in IndexSet.from_mask(n, (~el.mask) & ((1 << n) - 1)).members:
-        m = mul(I, IndexSet(n, [i]))
-        out = out + ConformalElement(
-            {w_idx[(m.idxset.mask, i)]: D * m.sign}
-        )
+    out = ConformalElement({W.meta["lam_idx"][I]: MultiPoly.const(I.bit_count() - n)})
+    for i in members(~I & ((1 << n) - 1)):
+        out = out + ConformalElement({w_idx[(I | _mask_of(i), i)]: D * mul_sign(I, _mask_of(i))})
     return out
 
 
@@ -487,17 +459,15 @@ def canonicalize_S(
         p = work.pop(g, None)
         if p is None:
             continue
-        deg = bin(m).count("1")
+        deg = m.bit_count()
         if deg == n:
             raise NotInSpan("component on the top Lambda monomial")
         cb = p.scalar_mul(Fraction(1, deg - n))
         el = SnBasisElement("B", m)
         coords[el.name(n)] = cb
-        I = IndexSet.from_mask(n, m)
-        for i in IndexSet.from_mask(n, (~m) & ((1 << n) - 1)).members:
-            mm = mul(I, IndexSet(n, [i]))
-            gidx = w_idx[(mm.idxset.mask, i)]
-            sub = cb * (D * mm.sign)
+        for i in members(~m & ((1 << n) - 1)):
+            gidx = w_idx[(m | _mask_of(i), i)]
+            sub = cb * (D * mul_sign(m, _mask_of(i)))
             prev = work.get(gidx, P_ZERO)
             s = prev - sub
             if s.is_zero():
@@ -516,11 +486,10 @@ def canonicalize_S(
     by_I: Dict[int, Dict[int, MultiPoly]] = {}
     for g, p in work.items():
         _, mask, i = rev[g]
-        I = mask & ~(1 << (i - 1))
-        sign = _sgn(alpha(IndexSet.from_mask(n, I), IndexSet(n, [i])))
-        by_I.setdefault(I, {})[i] = p * sign
+        I = mask & ~_mask_of(i)
+        by_I.setdefault(I, {})[i] = p * _sgn(alpha_mask(I, _mask_of(i)))
     for I, comps in by_I.items():
-        comp = IndexSet.from_mask(n, (~I) & ((1 << n) - 1)).members
+        comp = members(~I & ((1 << n) - 1))
         total = P_ZERO
         for a in comp:
             total = total + comps.get(a, P_ZERO)
@@ -556,7 +525,7 @@ def _raw_A_pair(n: int, mask: int, p: int, q: int, coeff: MultiPoly,
     if p > q:
         p, q = q, p
         coeff = -coeff
-    comp = IndexSet.from_mask(n, (~mask) & ((1 << n) - 1)).members
+    comp = members(~mask & ((1 << n) - 1))
     for a, b in zip(comp, comp[1:]):
         if p <= a and b <= q:
             _acc(store, SnBasisElement("A2", mask, a, b).name(n), coeff)
@@ -575,120 +544,111 @@ def _prop_entry(n: int, u: SnBasisElement, v: SnBasisElement) -> Dict[str, Multi
     from these by skew-symmetry in make_S.
     """
     out: Dict[str, MultiPoly] = {}
-    I = IndexSet.from_mask(n, u.mask)
-    J = IndexSet.from_mask(n, v.mask)
-    dI, dJ = I.degree, J.degree
-    disjoint = not (u.mask & v.mask)
+    I, J = u.mask, v.mask
+    dI, dJ = I.bit_count(), J.bit_count()
+    disjoint = not I & J
+    full = (1 << n) - 1
+
+    def single(mask: int, i: int) -> str:
+        return SnBasisElement("A", mask, i).name(n)
 
     if u.tag == "A2" and v.tag == "A2":
         return out
 
     if u.tag == "A2" and v.tag == "A":
         i, j, r = u.i, u.j, v.i
-        if r in I and disjoint and not (j in J or i in J):
-            Ir = IndexSet.from_mask(n, u.mask & ~(1 << (r - 1)))
-            m = mul(Ir, J)
-            if m is not None:
-                sg = _sgn(eps(r, I) + 1 + dI + dJ) * m.sign
-                _raw_A_pair(n, m.idxset.mask, i, j, MultiPoly.const(sg), out)
-        elif r not in I and disjoint:
-            m = mul(I, J)
-            if m is not None:
-                if r == j and j not in J:
-                    _acc(out, SnBasisElement("A", m.idxset.mask, j).name(n),
-                         MultiPoly.const(m.sign))
-                if r == i and i not in J:
-                    _acc(out, SnBasisElement("A", m.idxset.mask, i).name(n),
-                         MultiPoly.const(-m.sign))
+        if I & _mask_of(r) and disjoint and not J & (_mask_of(i) | _mask_of(j)):
+            Ir = I ^ _mask_of(r)
+            s = mul_sign(Ir, J)
+            if s:
+                sg = _sgn(eps_mask(r, I) + 1 + dI + dJ) * s
+                _raw_A_pair(n, Ir | J, i, j, MultiPoly.const(sg), out)
+        elif not I & _mask_of(r) and disjoint:
+            s = mul_sign(I, J)
+            if s:
+                if r == j and not J & _mask_of(j):
+                    _acc(out, single(I | J, j), MultiPoly.const(s))
+                if r == i and not J & _mask_of(i):
+                    _acc(out, single(I | J, i), MultiPoly.const(-s))
         return out
 
     if u.tag == "A" and v.tag == "A":
         i, j = u.i, v.i
-        if i not in J and j not in I:
+        i_in_J, j_in_I = J & _mask_of(i), I & _mask_of(j)
+        if not i_in_J and not j_in_I:
             return out
-        if i in J and j not in I:
-            dv = derive(i, J)
-            m = mul(I, dv.idxset)
-            if m is not None and not (m.idxset.mask >> (j - 1)) & 1:
-                _acc(out, SnBasisElement("A", m.idxset.mask, j).name(n),
-                     MultiPoly.const(dv.sign * m.sign))
-        elif i not in J and j in I:
-            dw = derive(j, I)
-            m = mul(dw.idxset, J)
-            if m is not None and not (m.idxset.mask >> (i - 1)) & 1:
-                sg = _sgn(dI) * dw.sign * m.sign
-                _acc(out, SnBasisElement("A", m.idxset.mask, i).name(n),
-                     MultiPoly.const(sg))
+        if i_in_J and not j_in_I:
+            s, K = _d_mul(I, i, J)
+            if s and not K & _mask_of(j):
+                _acc(out, single(K, j), MultiPoly.const(s))
+        elif j_in_I and not i_in_J:
+            rest = I ^ _mask_of(j)
+            s = _sgn(eps_mask(j, I)) * mul_sign(rest, J)
+            if s and not (rest | J) & _mask_of(i):
+                _acc(out, single(rest | J, i), MultiPoly.const(_sgn(dI) * s))
         else:
-            dv = derive(i, J)
-            dw = derive(j, I)
-            m = mul(dw.idxset, dv.idxset)
-            if m is not None:
-                sg = _sgn(dI + dJ) * dv.sign * dw.sign * m.sign
-                _raw_A_pair(n, m.idxset.mask, j, i, MultiPoly.const(sg), out)
+            Iw, Jv = I ^ _mask_of(j), J ^ _mask_of(i)
+            s = mul_sign(Iw, Jv)
+            if s:
+                sg = _sgn(dI + dJ + eps_mask(i, J) + eps_mask(j, I)) * s
+                _raw_A_pair(n, Iw | Jv, j, i, MultiPoly.const(sg), out)
         return out
 
     if u.tag == "B" and v.tag == "B":
         if not disjoint:
             return out
-        m = mul(I, J)
-        coeff = (LAM * (2 * n - dI - dJ) + D * (n - dI)) * m.sign
-        _raw_B(n, m.idxset.mask, coeff, out)
+        coeff = (LAM * (2 * n - dI - dJ) + D * (n - dI)) * mul_sign(I, J)
+        _raw_B(n, I | J, coeff, out)
         return out
 
     if u.tag == "A" and v.tag == "B":
         i = u.i
         if not disjoint:
             return out
-        if i not in J:
-            m = mul(I, J)
-            if m is not None:
-                coeff = (LAM * (n - dJ + 1 - dI) + D * (1 - dI)) * (_sgn(dJ) * m.sign)
-                _acc(out, SnBasisElement("A", m.idxset.mask, i).name(n), coeff)
+        if not J & _mask_of(i):
+            s = mul_sign(I, J)
+            if s:
+                coeff = (LAM * (n - dJ + 1 - dI) + D * (1 - dI)) * (_sgn(dJ) * s)
+                _acc(out, single(I | J, i), coeff)
         else:
-            dv = derive(i, J)
-            m = mul(I, dv.idxset)
-            if m is None:
+            s, K = _d_mul(I, i, J)
+            if not s:
                 return out
             den = dI + dJ - n - 1
             assert den != 0, "S_n proposition denominator vanished"
-            sg = dv.sign * m.sign
-            K = m.idxset.mask
-            _raw_B(n, K, MultiPoly.const(Fraction(dJ - n, den) * sg), out)
-            carrier = IndexSet.from_mask(n, K | u.mask | v.mask)
-            free = complement(IndexSet.from_mask(n, u.mask | v.mask)).members
-            coeff_d = D.scalar_mul(Fraction(dI - 1, den)) * sg
-            for j in free:
+            _raw_B(n, K, MultiPoly.const(Fraction(dJ - n, den) * s), out)
+            coeff_d = D.scalar_mul(Fraction(dI - 1, den)) * s
+            for j in members(~(I | J) & full):
                 _raw_A_pair(n, K, j, i, coeff_d, out)
-                _raw_A_pair(n, K, j, i, LAM * sg, out)
+                _raw_A_pair(n, K, j, i, LAM * s, out)
         return out
 
     if u.tag == "A2" and v.tag == "B":
         i, k = u.i, u.j
         if not disjoint:
             return out
-        i_in, k_in = i in J, k in J
+        i_in, k_in = J & _mask_of(i), J & _mask_of(k)
         if i_in and k_in:
             return out
-        m = mul(I, J)
-        if m is None:
+        s = mul_sign(I, J)
+        if not s:
             return out
-        K = m.idxset.mask
+        K = I | J
         if not i_in and not k_in:
-            coeff = (LAM * (n - dJ - dI) - D * dI) * m.sign
+            coeff = (LAM * (n - dJ - dI) - D * dI) * s
             _raw_A_pair(n, K, i, k, coeff, out)
             return out
         den = dI + dJ - n
         assert den != 0, "S_n proposition denominator vanished"
-        free = [j for j in complement(IndexSet.from_mask(n, K)).members]
+        free = members(~K & full)
         if i_in:
-            _raw_B(n, K, MultiPoly.const(Fraction(dJ - n, den)) * m.sign, out)
-            coeff = (LAM + D.scalar_mul(Fraction(dI, den))) * m.sign
+            _raw_B(n, K, MultiPoly.const(Fraction(dJ - n, den)) * s, out)
+            coeff = (LAM + D.scalar_mul(Fraction(dI, den))) * s
             for j in free:
                 _raw_A_pair(n, K, j, k, coeff, out)
         else:
-            _raw_B(n, K, MultiPoly.const(Fraction(n - dJ, den)) * m.sign, out)
-            coeff = (LAM + D.scalar_mul(Fraction(dI, den))) * m.sign
+            _raw_B(n, K, MultiPoly.const(Fraction(n - dJ, den)) * s, out)
+            coeff = (LAM + D.scalar_mul(Fraction(dI, den))) * s
             for j in free:
                 _raw_A_pair(n, K, j, i, -coeff, out)
         return out
@@ -914,10 +874,7 @@ def make_K(n: int) -> LambdaStructure:
     if n < 0:
         raise StructureError("K_n needs n >= 0")
     masks = _masks(n)
-    gens = [
-        Generator(_xi_name(n, m), bin(m).count("1") & 1, _xi_latex(n, m))
-        for m in masks
-    ]
+    gens = [Generator(_xi_name(m), m.bit_count() & 1, _xi_latex(m)) for m in masks]
     lam_idx = {m: i for i, m in enumerate(masks)}
     d_key, lam_key = 1 << _VAR_SHIFT["d"], 1 << _VAR_SHIFT["lam"]
     table: Dict[Tuple[int, int], List[Tuple[int, MultiPoly]]] = {}
@@ -981,6 +938,14 @@ def make_K4prime() -> LambdaStructure:
 
 # CK_6 -----------------------------------------------------------------------
 
+_CK6_STAR = (1 << 6) - 1    # the mask of xi_star = xi_1 ... xi_6
+
+
+def _hodge_sign(m: int) -> int:
+    """The sign of xi_m^bullet = +-xi_{m^c} in Lambda(6), so that xi_m xi_m^bullet = xi_star."""
+    return _sgn(alpha_mask(m, _CK6_STAR ^ m))
+
+
 def _ck6_basis_tuples() -> List[Tuple[int, ...]]:
     out: List[Tuple[int, ...]] = [()]
     out += [(i,) for i in range(1, 7)]
@@ -1006,18 +971,16 @@ def ck6_embed(t: Tuple[int, ...], K6: LambdaStructure) -> ConformalElement:
     lam_idx = K6.meta["lam_idx"]
     beta = Scalar.beta()
     if t == ():
-        star = (1 << 6) - 1
         return ConformalElement({
             lam_idx[0]: MultiPoly.const(Fraction(-1, 2)),
-            lam_idx[star]: MultiPoly.monomial({"d": 3}, beta * Scalar(Fraction(1, 2))),
+            lam_idx[_CK6_STAR]: MultiPoly.monomial({"d": 3}, beta * Scalar(Fraction(1, 2))),
         })
-    I = IndexSet(6, t)
-    h = hodge(I)
+    _, m = _monomial(t)
     deg = len(t)
-    coeff = {1: -beta, 2: beta, 3: beta}[deg] * Scalar(h.sign)
+    coeff = {1: -beta, 2: beta, 3: beta}[deg] * Scalar(_hodge_sign(m))
     return ConformalElement({
-        lam_idx[I.mask]: P_ONE,
-        lam_idx[h.idxset.mask]: MultiPoly.monomial({"d": 3 - deg}, coeff),
+        lam_idx[m]: P_ONE,
+        lam_idx[_CK6_STAR ^ m]: MultiPoly.monomial({"d": 3 - deg}, coeff),
     })
 
 
@@ -1032,18 +995,13 @@ def canonicalize_CK6(
     """
     lam_idx = K6.meta["lam_idx"]
     rev = {g: m for m, g in lam_idx.items()}
-    beta = Scalar.beta()
     coords: Dict[str, MultiPoly] = {}
     expect = ConformalElement()
     for g, p in x.terms.items():
-        m = rev[g]
-        members = IndexSet.from_mask(6, m).members
-        deg = len(members)
-        if deg == 0:
-            t: Tuple[int, ...] = ()
+        t = members(rev[g])
+        if not t:
             c = p.scalar_mul(-2)
-        elif deg <= 2 or (deg == 3 and members[0] == 1):
-            t = members
+        elif len(t) <= 2 or (len(t) == 3 and t[0] == 1):
             c = p
         else:
             continue
@@ -1092,35 +1050,13 @@ def ck6_symbol(t: Tuple[int, ...]) -> Dict[str, Scalar]:
     3-tuple not containing 1 reduces through C_{I^c} = beta (-1)^{alpha(I^c,I)} C_I.
     The empty tuple names L.
     """
-    if len(set(t)) != len(t):
+    sign, m = _monomial(t)
+    if not sign:
         return {}
-    sign = 1
-    lst = list(t)
-    for i in range(len(lst)):
-        for j in range(len(lst) - 1 - i):
-            if lst[j] > lst[j + 1]:
-                lst[j], lst[j + 1] = lst[j + 1], lst[j]
-                sign = -sign
-    st = tuple(lst)
-    if len(st) == 3 and st[0] != 1:
-        J = IndexSet(6, st)
-        I = complement(J)
-        coeff = Scalar.beta() * Scalar(_sgn(alpha(J, I)) * sign)
-        return {_ck6_name(I.members): coeff}
-    return {_ck6_name(st): Scalar(sign)}
-
-
-def _signed_monomial_product(indices: Tuple[int, ...]):
-    """Product xi_{i1} ... xi_{ir} as (sign, IndexSet), or None if zero."""
-    acc = IndexSet(6, [])
-    sign = 1
-    for i in indices:
-        m = mul(acc, IndexSet(6, [i]))
-        if m is None:
-            return None
-        sign *= m.sign
-        acc = m.idxset
-    return sign, acc
+    if m.bit_count() == 3 and not m & 1:
+        coeff = Scalar.beta() * Scalar(_hodge_sign(m) * sign)
+        return {_ck6_name(members(_CK6_STAR ^ m)): coeff}
+    return {_ck6_name(members(m)): Scalar(sign)}
 
 
 def verify_ck6_printed(S: LambdaStructure) -> List[str]:
@@ -1159,12 +1095,12 @@ def verify_ck6_printed(S: LambdaStructure) -> List[str]:
         scale = MultiPoly.const(sa * sb)
         got = in_k6(a, b).scale(scale)
         if not (got - want).is_zero():
-            diffs.append(f"[{_lbl(ta)} lam {_lbl(tb)}]: restriction vs printed")
+            diffs.append(f"[{_ck6_name(ta)} lam {_ck6_name(tb)}]: restriction vs printed")
         got_m = in_k6(b, a).scale(scale)
         sgn = -_sgn(_ck6_parity(ta) * _ck6_parity(tb))
         want_m = shift_spectral(want, "lam", -LAM - D).scale(MultiPoly.const(sgn))
         if not (got_m - want_m).is_zero():
-            diffs.append(f"[{_lbl(tb)} lam {_lbl(ta)}]: restriction vs skew of printed")
+            diffs.append(f"[{_ck6_name(tb)} lam {_ck6_name(ta)}]: restriction vs skew of printed")
 
     # [L lam L] and [L lam C_t]: (2, 1, 3/2, 1/2) lam + d
     weights = {0: Fraction(2), 1: Fraction(1), 2: Fraction(3, 2), 3: Fraction(1, 2)}
@@ -1225,33 +1161,28 @@ def verify_ck6_printed(S: LambdaStructure) -> List[str]:
 
     # [C_i lam C_jkl] = beta (xi_{ijkl}^bullet + beta d xi_{ijkl})
     #                   - ((xi_i xi_{jkl}^bullet)^bullet + beta d xi_i xi_{jkl}^bullet)
-    def mono(iset: IndexSet, poly: MultiPoly) -> ConformalElement:
-        return ConformalElement({lam_idx[iset.mask]: poly})
+    def mono(m: int, poly: MultiPoly) -> ConformalElement:
+        return ConformalElement({lam_idx[m]: poly})
 
     for i in range(1, 7):
         for jk in itertools.combinations(range(2, 7), 2):
             jkl = (1,) + jk
             want = ConformalElement()
-            quad = _signed_monomial_product((i,) + jkl)
-            if quad is not None:
-                sgn, mset = quad
-                h = hodge(mset)
-                want = want + mono(h.idxset, MultiPoly.const(beta * Scalar(sgn * h.sign)))
-                want = want + mono(mset, D.scalar_mul(beta * beta * Scalar(sgn)))
-            hj = hodge(IndexSet(6, jkl))
-            m2 = mul(IndexSet(6, (i,)), hj.idxset)
-            if m2 is not None:
-                sgn2 = hj.sign * m2.sign
-                h2 = hodge(m2.idxset)
-                want = want - mono(h2.idxset, MultiPoly.const(Scalar(sgn2 * h2.sign)))
-                want = want - mono(m2.idxset, D.scalar_mul(beta * Scalar(sgn2)))
+            sgn, m = _monomial((i,) + jkl)
+            if sgn:
+                h = sgn * _hodge_sign(m)
+                want = want + mono(_CK6_STAR ^ m, MultiPoly.const(beta * Scalar(h)))
+                want = want + mono(m, D.scalar_mul(beta * beta * Scalar(sgn)))
+            _, m_jkl = _monomial(jkl)
+            hj = _CK6_STAR ^ m_jkl
+            sgn2 = _hodge_sign(m_jkl) * mul_sign(_mask_of(i), hj)
+            if sgn2:
+                m2 = _mask_of(i) | hj
+                want = want - mono(_CK6_STAR ^ m2, MultiPoly.const(Scalar(sgn2 * _hodge_sign(m2))))
+                want = want - mono(m2, D.scalar_mul(beta * Scalar(sgn2)))
             check((i,), jkl, want)
 
     return diffs
-
-
-def _lbl(t: Tuple[int, ...]) -> str:
-    return "L" if t == () else "C" + _digits(t)
 
 
 # ---------------------------------------------------------------------------
@@ -1277,12 +1208,11 @@ def make_Jn(n: int) -> LambdaStructure:
     th_idx: Dict[int, int] = {}
     for m in masks:
         ev_idx[m] = len(gens)
-        gens.append(Generator(_xi_name(n, m), bin(m).count("1") & 1, _xi_latex(n, m)))
+        gens.append(Generator(_xi_name(m), m.bit_count() & 1, _xi_latex(m)))
     for m in masks:
         th_idx[m] = len(gens)
-        nm = ("th" if m == 0 else "xi" + _digits(IndexSet.from_mask(n, m).members) + "th")
-        lx = (_xi_latex(n, m) if m else "") + r"\theta"
-        gens.append(Generator(nm, (bin(m).count("1") + 1) & 1, lx))
+        lx = (_xi_latex(m) if m else "") + r"\theta"
+        gens.append(Generator(_xi_word(m) + "th", (m.bit_count() + 1) & 1, lx))
 
     def deriv_pairs():
         for i in range(1, max(n - 1, 0)):
@@ -1293,49 +1223,33 @@ def make_Jn(n: int) -> LambdaStructure:
 
     table: Dict[Tuple[int, int], List[Tuple[int, MultiPoly]]] = {}
     for I in masks:
-        dI = bin(I).count("1")
+        dI = I.bit_count()
         for J in masks:
-            dJ = bin(J).count("1")
-            m = mul(IndexSet.from_mask(n, I), IndexSet.from_mask(n, J))
-            if m is not None:
-                k = m.idxset.mask
-                table[(ev_idx[I], ev_idx[J])] = [(ev_idx[k], MultiPoly.const(m.sign))]
-                table[(ev_idx[I], th_idx[J])] = [(th_idx[k], MultiPoly.const(m.sign))]
-                table[(th_idx[I], ev_idx[J])] = [
-                    (th_idx[k], MultiPoly.const(_sgn(dJ) * m.sign))
-                ]
-            acc: Dict[int, MultiPoly] = {}
-            if m is not None:
-                k = m.idxset.mask
-                p = (LAM * (dI + dJ - 4) + D * (dI - 2)) * (_sgn(dJ) * m.sign)
-                if not p.is_zero():
-                    acc[ev_idx[k]] = p
+            dJ = J.bit_count()
+            s = mul_sign(I, J)
+            # LambdaStructure merges the (a th) lam (b th) terms by target
+            th_th = table[(th_idx[I], th_idx[J])] = []
+            if s:
+                k = I | J
+                table[(ev_idx[I], ev_idx[J])] = [(ev_idx[k], MultiPoly.const(s))]
+                table[(ev_idx[I], th_idx[J])] = [(th_idx[k], MultiPoly.const(s))]
+                table[(th_idx[I], ev_idx[J])] = [(th_idx[k], MultiPoly.const(_sgn(dJ) * s))]
+                th_th.append((ev_idx[k], (LAM * (dI + dJ - 4) + D * (dI - 2)) * (_sgn(dJ) * s)))
             for i, j in deriv_pairs():
-                da = derive(i, IndexSet.from_mask(n, I))
-                db = derive(j, IndexSet.from_mask(n, J))
-                if da is None or db is None:
+                if not (I & _mask_of(i) and J & _mask_of(j)):
                     continue
-                mm = mul(da.idxset, db.idxset)
-                if mm is None:
-                    continue
-                kk = ev_idx[mm.idxset.mask]
-                c = MultiPoly.const(
-                    _sgn(dJ + dI) * da.sign * db.sign * mm.sign
-                )
-                prev = acc.get(kk)
-                s = c if prev is None else prev + c
-                if s.is_zero():
-                    acc.pop(kk, None)
-                else:
-                    acc[kk] = s
-            table[(th_idx[I], th_idx[J])] = sorted(acc.items())
+                Ii, Jj = I ^ _mask_of(i), J ^ _mask_of(j)
+                sd = mul_sign(Ii, Jj)
+                if sd:
+                    sd *= _sgn(dJ + dI + eps_mask(i, I) + eps_mask(j, J))
+                    th_th.append((ev_idx[Ii | Jj], MultiPoly.const(sd)))
     return LambdaStructure(
         JORDAN, gens, table, name=f"J_{n}",
         meta={"n": n, "ev_idx": ev_idx, "th_idx": th_idx},
     )
 
 
-def _mirror_fill(gens, table, idx):
+def _mirror_fill(gens, table):
     """Materialise missing (j, i) entries from (i, j) via commutativity."""
     for (i, j) in [(i, j) for i in range(len(gens)) for j in range(len(gens))]:
         if (i, j) in table or (j, i) not in table:
@@ -1345,7 +1259,6 @@ def _mirror_fill(gens, table, idx):
         for k, p in table[(j, i)]:
             flipped.append((k, p.subst_general("lam", -LAM - D) * sg))
         table[(i, j)] = flipped
-    _ = idx
 
 
 def make_JS1() -> LambdaStructure:
@@ -1356,7 +1269,7 @@ def make_JS1() -> LambdaStructure:
         (1, 1): [(0, LAM * 2 + D)],
         (1, 0): [(1, P_ONE)],
     }
-    _mirror_fill(gens, table, None)
+    _mirror_fill(gens, table)
     return LambdaStructure(JORDAN, gens, table, name="JS_1")
 
 
@@ -1402,7 +1315,7 @@ def make_JCK4() -> LambdaStructure:
         table[(idx[f"x{i}"], idx["x"])] = [(idx[f"w{i}"], P_ONE)]
         for j in (1, 2, 3):
             table[(idx[f"x{i}"], idx[f"x{j}"])] = []
-    _mirror_fill(gens, table, idx)
+    _mirror_fill(gens, table)
     return LambdaStructure(JORDAN, gens, table, name="JCK_4")
 
 

@@ -1,11 +1,16 @@
 """Sign combinatorics of the Grassmann algebra on n odd generators.
 
 Monomials are indexed by subsets of {1..n}, held as bitmasks (bit i-1 set
-means generator i occurs).  All products carry the sign (-1)**alpha(I,J)
+means generator i occurs); plain int masks are the one representation the
+package builds its tables on.  All products carry the sign (-1)**alpha(I,J)
 where alpha counts the adjacent transpositions needed to sort the
-juxtaposition I.J; disjointness, complements and derivative signs are all
-O(1)-ish bit operations.  Sign errors are the dominant bug class in this
-domain, so constructors reject unsorted input instead of sorting it.
+juxtaposition I.J.  The sign rule lives here once, on masks: ``alpha_mask``,
+``eps_mask`` (derivative signs) and ``mul_sign`` (product signs).
+
+The ``IndexSet``/``SignedMonomial`` layer wraps these helpers for readable
+examples; it is the reference that the tests and ``bench/micro.py`` use, and
+no production module calls it.  Sign errors are the dominant bug class in
+this domain, so its constructors reject unsorted input instead of sorting it.
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ class IndexSet:
 
     @property
     def members(self) -> Tuple[int, ...]:
-        return tuple(i + 1 for i in range(self.n) if self.mask >> i & 1)
+        return members(self.mask)
 
     @property
     def degree(self) -> int:
@@ -98,6 +103,11 @@ class SignedMonomial:
         return f"{'+' if self.sign > 0 else '-'}xi{self.idxset}"
 
 
+def members(mask: int) -> Tuple[int, ...]:
+    """The members of a subset mask, ascending."""
+    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+
+
 def _check_ambient(a: IndexSet, b: IndexSet):
     if a.n != b.n:
         raise ValueError("ambient dimensions differ")
@@ -115,6 +125,13 @@ def alpha_mask(a: int, b: int) -> int:
     return count
 
 
+def mul_sign(a: int, b: int) -> int:
+    """Sign of xi_a * xi_b = sign * xi_{a|b} on plain masks; 0 when a and b overlap."""
+    if a & b:
+        return 0
+    return -1 if alpha_mask(a, b) & 1 else 1
+
+
 def alpha(I: IndexSet, J: IndexSet) -> int:
     """Number of adjacent transpositions sorting the juxtaposition I.J.
 
@@ -128,10 +145,8 @@ def alpha(I: IndexSet, J: IndexSet) -> int:
 def mul(I: IndexSet, J: IndexSet) -> Optional[SignedMonomial]:
     """xi_I * xi_J: None when the sets overlap, else the signed union."""
     _check_ambient(I, J)
-    if I.mask & J.mask:
-        return None
-    sign = -1 if alpha(I, J) & 1 else 1
-    return SignedMonomial(sign, IndexSet.from_mask(I.n, I.mask | J.mask))
+    sign = mul_sign(I.mask, J.mask)
+    return SignedMonomial(sign, IndexSet.from_mask(I.n, I.mask | J.mask)) if sign else None
 
 
 def eps_mask(i: int, m: int) -> int:
@@ -152,7 +167,7 @@ def derive(i: int, J: IndexSet) -> Optional[SignedMonomial]:
     """The odd derivation d_i applied to xi_J."""
     if not 1 <= i <= J.n or i not in J:
         return None
-    sign = -1 if eps(i, J) & 1 else 1
+    sign = -1 if eps_mask(i, J.mask) & 1 else 1
     return SignedMonomial(sign, IndexSet.from_mask(J.n, J.mask & ~(1 << (i - 1))))
 
 
@@ -163,8 +178,7 @@ def complement(I: IndexSet) -> IndexSet:
 def hodge(I: IndexSet) -> SignedMonomial:
     """Signed complement monomial, normalised so xi_I * hodge(I) = xi_1..xi_n."""
     Ic = complement(I)
-    sign = -1 if alpha(I, Ic) & 1 else 1
-    return SignedMonomial(sign, Ic)
+    return SignedMonomial(-1 if alpha_mask(I.mask, Ic.mask) & 1 else 1, Ic)
 
 
 def subsets(n: int):

@@ -286,28 +286,14 @@ class MultiPoly:
             return -1
         return max(_exp_of(k, var) for k in self.terms)
 
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(_unpack(k).values()) for k in self.terms)
-
     def items(self) -> Iterator[Tuple[Dict[str, int], Scalar]]:
         for k in sorted(self.terms, key=_sort_key):
             yield _unpack(k), self.terms[k]
 
     # -- substitution ------------------------------------------------------
 
-    def substitute(self, var: str, repl: "MultiPoly") -> "MultiPoly":
-        """Image of self under var -> repl; repl must not contain var."""
-        if var in repl.variables():
-            raise ValueError(f"substitution image contains {var!r}")
-        return self._subst(var, repl)
-
     def subst_general(self, var: str, repl: "MultiPoly") -> "MultiPoly":
-        """Like substitute, but repl may itself contain var (single pass)."""
-        return self._subst(var, repl)
-
-    def _subst(self, var: str, repl: "MultiPoly") -> "MultiPoly":
+        """Image of self under var -> repl in a single pass; repl may itself contain var."""
         shift = _VAR_SHIFT[var]
         mask = _MAXEXP << shift
         maxexp = 0

@@ -113,10 +113,26 @@ def test_corrupted_table_import_fails_with_one_line(tmp_path, capsys):
     assert len(lines) == 1 and "(d)*L" in lines[0]
 
 
-def test_verify_without_family_is_a_usage_error(capsys):
-    code, out, err = run(capsys, "verify")
+COMMANDS = ("construct", "dualize", "emit", "crosscheck", "verify")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_missing_family_is_a_usage_error(command, capsys):
+    code, out, err = run(capsys, command)
     assert code == 2 and out == ""
-    assert err == "error: --family or --in is required\n"
+    hint = " or --in" if command in ("dualize", "verify") else ""
+    assert err == f"error: --family{hint} is required\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(("--family", "W"), "family W needs --n", id="missing-n"),
+    pytest.param(("--family", "vir", "--n", "3"), "family vir takes no --n", id="stray-n"),
+])
+@pytest.mark.parametrize("command", COMMANDS)
+def test_family_and_n_must_agree(command, argv, message, capsys):
+    code, out, err = run(capsys, command, *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_crosscheck_of_imported_table_is_a_usage_error(tmp_path, capsys):

@@ -207,7 +207,7 @@ def test_sb0_matches_s2_after_base_change(S, S2b):
             for na, pa in ca.items():
                 for nc, pc in cc.items():
                     ia, ic = s2.index[na], s2.index[nc]
-                    pa_l = pa.substitute("d", -LAM)
+                    pa_l = pa.subst_general("d", -LAM)
                     pc_r = pc.subst_general("d", LAM + D)
                     for k, P in s2.table[(ia, ic)]:
                         via = via + table_embeds[k].scale(pa_l * pc_r * P)

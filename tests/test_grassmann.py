@@ -1,12 +1,17 @@
 """Grassmann sign calculus: spec examples plus exhaustive invariants."""
 
+import ast
+import importlib
+import inspect
 import itertools
+import pkgutil
 
 import pytest
 
+import confcoalg
 from confcoalg.grassmann import (
-    IndexSet, SignedMonomial, alpha, complement, derive, eps, hodge, mul,
-    subsets,
+    IndexSet, SignedMonomial, alpha, complement, derive, eps, hodge, members,
+    mul, mul_sign, subsets,
 )
 
 
@@ -126,3 +131,34 @@ def test_derive_leibniz_exhaustive_n5():
                     acc[m.idxset.mask] = acc.get(m.idxset.mask, 0) + s * dJ.sign * m.sign
                 acc = {k: v for k, v in acc.items() if v}
                 assert lhs_val == acc
+
+
+def test_mask_helpers_exhaustive_n6():
+    # members lists the set bits; mul_sign is 0 on overlap, else (-1)^inversions
+    for a in range(1 << 6):
+        assert members(a) == tuple(i for i in range(1, 7) if a >> (i - 1) & 1)
+        for b in range(1 << 6):
+            inversions = sum(j < i for i in members(a) for j in members(b))
+            assert mul_sign(a, b) == (0 if a & b else (-1) ** inversions)
+
+
+def test_production_modules_use_masks_only():
+    """Masks are the one Grassmann representation: no module of the package
+    but grassmann itself names the IndexSet layer."""
+    layer = {"IndexSet", "SignedMonomial", "mul", "derive", "hodge", "complement",
+             "subsets", "alpha", "eps"}
+    modules = [confcoalg] + [importlib.import_module(f"confcoalg.{info.name}")
+                             for info in pkgutil.iter_modules(confcoalg.__path__)]
+    assert len(modules) > 5
+    for module in modules:
+        if module.__name__ == "confcoalg.grassmann":
+            continue
+        names = set()
+        for node in ast.walk(ast.parse(inspect.getsource(module))):
+            if isinstance(node, ast.ImportFrom):
+                names.update(a.name for a in node.names)
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+        assert not names & layer, (module.__name__, sorted(names & layer))

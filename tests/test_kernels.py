@@ -4,7 +4,8 @@ The oracles below evaluate each identity definitionally: the conformal ones
 by nesting ``bracket`` calls and substituting spectral variables, one
 generator tuple at a time; the coalgebra ones by expanding tensor slots
 with ``apply_delta_slot`` and permuting them with ``tau`` and ``zeta``, one
-dual generator at a time.  The checks in ``confcoalg.conformal`` and
+dual generator at a time (these tensor operations live here, and nowhere in
+the package).  The checks in ``confcoalg.conformal`` and
 ``confcoalg.coalgebra`` must return exactly the same violations -- the same
 tuples, in the same order, with the same residuals -- on every family and on
 seeded corruptions.  A second, faster oracle for the Jacobi and Jordan
@@ -15,22 +16,23 @@ reaches tables too large for nested brackets.
 import itertools
 import random
 from fractions import Fraction
+from typing import Dict, List, Optional, Tuple
 
 import pytest
 
 from confcoalg import closed_form as cf
 from confcoalg import families
 from confcoalg.coalgebra import (
-    Coproduct, TensorElement, apply_delta_slot, check_jordan_coalgebra,
-    check_lie_coalgebra, dualize, tau, zeta,
+    Coproduct, check_jordan_coalgebra, check_lie_coalgebra, dualize,
 )
 from confcoalg.conformal import (
-    CONSISTENT, JORDAN, PRINTED, ConformalElement, StructureError, bracket,
-    bracket_pairs, check_jacobi, check_jordan_comm, check_jordan_identity,
-    check_skew, shift_spectral,
+    CONSISTENT, JORDAN, LIE, PRINTED, ConformalElement, Generator, LambdaStructure,
+    StructureError, bracket, bracket_pairs, check_jacobi, check_jordan_comm,
+    check_jordan_identity, check_skew, shift_spectral,
 )
 from confcoalg.families import corrupt_entry
-from confcoalg.poly import D, LAM, MU, NU, MultiPoly, Scalar, _MONO_MASK, _checked
+from confcoalg.grassmann import IndexSet, derive, mul
+from confcoalg.poly import D, LAM, MU, NU, MultiPoly, P_ONE, Scalar, _MONO_MASK, _checked
 
 
 # -- oracles -------------------------------------------------------------------
@@ -388,20 +390,45 @@ def test_tables_are_not_cached_across_copies(K):
 
 # -- constructors ----------------------------------------------------------------
 #
-# make_K writes each entry in closed form on masks, and the restricted families
-# take their brackets from conformal.bracket_pairs.  The oracles are the
-# definitional constructions: K_n summed term by term through IndexSet, mul
-# and derive, and the restriction one bracket call per ordered pair.
+# The constructors build W_n, K_n and J_n on plain subset masks, and the
+# restricted families take their brackets from conformal.bracket_pairs.  The
+# oracles are the definitional constructions: W_n, K_n and J_n summed term
+# by term through the IndexSet layer (IndexSet, mul and derive), with their
+# own generator names and order, and the restriction one bracket call per
+# ordered pair.
+
+
+def _sgn(e: int) -> int:
+    return -1 if e & 1 else 1
+
+
+def _digits(members: Tuple[int, ...]) -> str:
+    return "".join(str(i) for i in members)
+
+
+def _masks(n: int) -> List[int]:
+    """All subset masks of {1..n}, graded then lexicographic on members."""
+    key = lambda m: (bin(m).count("1"), IndexSet.from_mask(n, m).members)  # noqa: E731
+    return sorted(range(1 << n), key=key)
+
+
+def _xi_name(n: int, mask: int) -> str:
+    if mask == 0:
+        return "1"
+    return "xi" + _digits(IndexSet.from_mask(n, mask).members)
+
+
+def _xi_latex(n: int, mask: int) -> str:
+    if mask == 0:
+        return "1"
+    return r"\xi_{" + _digits(IndexSet.from_mask(n, mask).members) + "}"
 
 
 def _make_K_oracle(n, flip=None):
     """K_n term by term; flip = (I, J) negates the derivative terms of that pair."""
-    from confcoalg.conformal import LIE, Generator, LambdaStructure
-    from confcoalg.grassmann import IndexSet, derive, mul
-
-    masks = families._masks(n)
-    gens = [Generator(families._xi_name(n, m), bin(m).count("1") & 1,
-                      families._xi_latex(n, m)) for m in masks]
+    masks = _masks(n)
+    gens = [Generator(_xi_name(n, m), bin(m).count("1") & 1,
+                      _xi_latex(n, m)) for m in masks]
     lam_idx = {m: i for i, m in enumerate(masks)}
     table = {}
     for I in masks:
@@ -434,6 +461,180 @@ def _make_K_oracle(n, flip=None):
     return LambdaStructure(LIE, gens, table, name=f"K_{n}", meta={"n": n, "lam_idx": lam_idx})
 
 
+def _make_W_oracle(n: int) -> LambdaStructure:
+    """W_n = C[d] (x) (W(n) + Lambda(n)), rank (n+1) 2^n.
+
+    Generators: xi_I (parity |I|) and xi_I d_i (parity |I|+1); brackets are
+    the four shapes obtained from [a lam f] = a(f) - (-1)^{p(a)p(f)} lam f a
+    and [f lam g] = -(d + 2 lam) f g, spelled out on the monomial basis.
+    """
+    if n < 0:
+        raise StructureError("W_n needs n >= 0")
+    masks = _masks(n)
+    gens: List[Generator] = []
+    lam_idx: Dict[int, int] = {}
+    w_idx: Dict[Tuple[int, int], int] = {}
+    for m in masks:
+        lam_idx[m] = len(gens)
+        gens.append(Generator(_xi_name(n, m), bin(m).count("1") & 1, _xi_latex(n, m)))
+    for m in masks:
+        for i in range(1, n + 1):
+            w_idx[(m, i)] = len(gens)
+            nm = ("" if m == 0 else "xi" + _digits(IndexSet.from_mask(n, m).members)) + f"d{i}"
+            lx = (_xi_latex(n, m) if m else "") + r"\partial_{" + str(i) + "}"
+            gens.append(Generator(nm, (bin(m).count("1") + 1) & 1, lx))
+
+    def iset(m):
+        return IndexSet.from_mask(n, m)
+
+    table: Dict[Tuple[int, int], List[Tuple[int, MultiPoly]]] = {}
+
+    def put(i, j, k, p):
+        if not p.is_zero():
+            table.setdefault((i, j), []).append((k, p))
+
+    minus_d_2lam = -(D + 2 * LAM)
+    for I in masks:
+        dI = bin(I).count("1")
+        for J in masks:
+            dJ = bin(J).count("1")
+            # [xi_I lam xi_J]
+            m = mul(iset(I), iset(J))
+            if m is not None:
+                put(lam_idx[I], lam_idx[J], lam_idx[m.idxset.mask],
+                    minus_d_2lam * m.sign)
+            # [xi_I d_i lam xi_J] and [xi_I lam xi_J d_j]
+            for i in range(1, n + 1):
+                # xi_I d_i (xi_J) part
+                dv = derive(i, iset(J))
+                if dv is not None:
+                    m2 = mul(iset(I), dv.idxset)
+                    if m2 is not None:
+                        put(w_idx[(I, i)], lam_idx[J],
+                            lam_idx[m2.idxset.mask],
+                            MultiPoly.const(dv.sign * m2.sign))
+                # -lam (-1)^{(|I|+1)|J|} xi_J xi_I d_i part
+                m3 = mul(iset(J), iset(I))
+                if m3 is not None:
+                    sg = _sgn((dI + 1) * dJ) * m3.sign
+                    put(w_idx[(I, i)], lam_idx[J],
+                        w_idx[(m3.idxset.mask, i)], -LAM * sg)
+                # [xi_J lam xi_I d_i] = -(-1)^{|J|(|I|+1)} xi_I d_i(xi_J)
+                #                       - (lam+d) xi_J xi_I d_i
+                if dv is not None:
+                    m2 = mul(iset(I), dv.idxset)
+                    if m2 is not None:
+                        sg = -_sgn(dJ * (dI + 1)) * dv.sign * m2.sign
+                        put(lam_idx[J], w_idx[(I, i)],
+                            lam_idx[m2.idxset.mask], MultiPoly.const(sg))
+                if m3 is not None:
+                    put(lam_idx[J], w_idx[(I, i)],
+                        w_idx[(m3.idxset.mask, i)],
+                        -(LAM + D) * m3.sign)
+                # [xi_I d_i lam xi_J d_j]
+                for j in range(1, n + 1):
+                    if dv is not None:
+                        m2 = mul(iset(I), dv.idxset)
+                        if m2 is not None:
+                            put(w_idx[(I, i)], w_idx[(J, j)],
+                                w_idx[(m2.idxset.mask, j)],
+                                MultiPoly.const(dv.sign * m2.sign))
+                    dw = derive(j, iset(I))
+                    if dw is not None:
+                        m4 = mul(iset(J), dw.idxset)
+                        if m4 is not None:
+                            sg = -_sgn((dI + 1) * (dJ + 1)) * dw.sign * m4.sign
+                            put(w_idx[(I, i)], w_idx[(J, j)],
+                                w_idx[(m4.idxset.mask, i)],
+                                MultiPoly.const(sg))
+    S = LambdaStructure(
+        LIE,
+        gens,
+        table,
+        name=f"W_{n}",
+        meta={"n": n, "lam_idx": lam_idx, "w_idx": w_idx},
+    )
+    return S
+
+
+def _make_Jn_oracle(n: int) -> LambdaStructure:
+    """J_n on Lambda(n) + Lambda(n) theta, rank 2 * 2^n, Jordan kind.
+
+    Products (a, b in Lambda(n)):
+      a lam b = ab;  a lam (b th) = (ab) th;  (a th) lam b = (-1)^{|b|} (ab) th;
+      (a th) lam (b th) = (-1)^{|b|} [ lam (|a|+|b|-4) ab + (|a|-2) d(ab)
+          + (-1)^{|a|} ( sum_{i<=n-2} (d_i a)(d_i b)
+                         + (d_n a)(d_{n-1} b) + (d_{n-1} a)(d_n b) ) ].
+    The swapped-index derivative terms need two coordinates and are present
+    only for n >= 2; for n < 2 the derivative block is empty.
+    """
+    if n < 0:
+        raise StructureError("J_n needs n >= 0")
+    masks = _masks(n)
+    gens: List[Generator] = []
+    ev_idx: Dict[int, int] = {}
+    th_idx: Dict[int, int] = {}
+    for m in masks:
+        ev_idx[m] = len(gens)
+        gens.append(Generator(_xi_name(n, m), bin(m).count("1") & 1, _xi_latex(n, m)))
+    for m in masks:
+        th_idx[m] = len(gens)
+        nm = ("th" if m == 0 else "xi" + _digits(IndexSet.from_mask(n, m).members) + "th")
+        lx = (_xi_latex(n, m) if m else "") + r"\theta"
+        gens.append(Generator(nm, (bin(m).count("1") + 1) & 1, lx))
+
+    def deriv_pairs():
+        for i in range(1, max(n - 1, 0)):
+            yield i, i
+        if n >= 2:
+            yield n, n - 1
+            yield n - 1, n
+
+    table: Dict[Tuple[int, int], List[Tuple[int, MultiPoly]]] = {}
+    for I in masks:
+        dI = bin(I).count("1")
+        for J in masks:
+            dJ = bin(J).count("1")
+            m = mul(IndexSet.from_mask(n, I), IndexSet.from_mask(n, J))
+            if m is not None:
+                k = m.idxset.mask
+                table[(ev_idx[I], ev_idx[J])] = [(ev_idx[k], MultiPoly.const(m.sign))]
+                table[(ev_idx[I], th_idx[J])] = [(th_idx[k], MultiPoly.const(m.sign))]
+                table[(th_idx[I], ev_idx[J])] = [
+                    (th_idx[k], MultiPoly.const(_sgn(dJ) * m.sign))
+                ]
+            acc: Dict[int, MultiPoly] = {}
+            if m is not None:
+                k = m.idxset.mask
+                p = (LAM * (dI + dJ - 4) + D * (dI - 2)) * (_sgn(dJ) * m.sign)
+                if not p.is_zero():
+                    acc[ev_idx[k]] = p
+            for i, j in deriv_pairs():
+                da = derive(i, IndexSet.from_mask(n, I))
+                db = derive(j, IndexSet.from_mask(n, J))
+                if da is None or db is None:
+                    continue
+                mm = mul(da.idxset, db.idxset)
+                if mm is None:
+                    continue
+                kk = ev_idx[mm.idxset.mask]
+                c = MultiPoly.const(
+                    _sgn(dJ + dI) * da.sign * db.sign * mm.sign
+                )
+                prev = acc.get(kk)
+                s = c if prev is None else prev + c
+                if s.is_zero():
+                    acc.pop(kk, None)
+                else:
+                    acc[kk] = s
+            table[(th_idx[I], th_idx[J])] = sorted(acc.items())
+    return LambdaStructure(
+        JORDAN, gens, table, name=f"J_{n}",
+        meta={"n": n, "ev_idx": ev_idx, "th_idx": th_idx},
+    )
+
+
+
 def _bracket_loop(S, xs):
     for a, x in enumerate(xs):
         for b, y in enumerate(xs):
@@ -441,7 +642,9 @@ def _bracket_loop(S, xs):
 
 
 CONSTRUCTORS = {
+    **{f"W_{n}": (lambda n=n: families.make_W(n)) for n in range(6)},
     **{f"K_{n}": (lambda n=n: families.make_K(n)) for n in range(7)},
+    **{f"J_{n}": (lambda n=n: families.make_Jn(n)) for n in range(5)},
     "K_4'": families.make_K4prime,
     "CK_6": families.make_CK6,
     "S_2": lambda: families.make_S(2),
@@ -453,14 +656,17 @@ CONSTRUCTORS = {
 
 
 def _built(S):
-    """Everything a constructor decides: generators, table and the diff lists."""
-    return (S.generators, S.table, S.meta.get("lam_idx"),
+    """Everything a constructor decides: generators, table, index maps and the diff lists."""
+    return (S.generators, S.table,
+            *(S.meta.get(key) for key in ("lam_idx", "w_idx", "ev_idx", "th_idx")),
             S.meta.get("printed_diffs"), S.meta.get("proposition_diffs"))
 
 
 def _by_oracle(monkeypatch, make, make_K=_make_K_oracle, restrict=_bracket_loop):
     with monkeypatch.context() as m:
+        m.setattr(families, "make_W", _make_W_oracle)
         m.setattr(families, "make_K", make_K)
+        m.setattr(families, "make_Jn", _make_Jn_oracle)
         m.setattr(families, "bracket_pairs", restrict)
         return make()
 
@@ -501,6 +707,154 @@ def test_bracket_pairs_match_bracket_and_refuse_lam(K):
 
 
 # -- coalgebra oracles -----------------------------------------------------------
+#
+# Tensor arithmetic keeps one coefficient polynomial in x1..x_arity per tuple
+# of generator indices.  Swapping adjacent slots introduces the Koszul sign
+# and permutes the matching slot variables; expanding a slot with a
+# coproduct splits its variable into the sum of the two new ones.
+
+_X = ("x1", "x2", "x3", "x4")
+
+
+class TensorElement:
+    """Element of the arity-fold tensor power with slot-variable coefficients."""
+
+    __slots__ = ("arity", "terms", "parities")
+
+    def __init__(
+        self,
+        arity: int,
+        terms: Optional[Dict[Tuple[int, ...], MultiPoly]] = None,
+        parities: Tuple[int, ...] = (),
+    ):
+        if not 1 <= arity <= 4:
+            raise StructureError("tensor arity must be 1..4")
+        self.arity = arity
+        self.parities = parities
+        self.terms = {}
+        if terms:
+            for key, p in terms.items():
+                if len(key) != arity:
+                    raise StructureError("tuple arity mismatch")
+                if not p.is_zero():
+                    self.terms[key] = p
+
+    @staticmethod
+    def seed(k: int, cop: Coproduct) -> "TensorElement":
+        pars = tuple(g.parity for g in cop.generators)
+        return TensorElement(1, {(k,): P_ONE}, pars)
+
+    def _add_term(self, key, p):
+        prev = self.terms.get(key)
+        s = p if prev is None else prev + p
+        if s.is_zero():
+            self.terms.pop(key, None)
+        else:
+            self.terms[key] = s
+
+    def __add__(self, other: "TensorElement") -> "TensorElement":
+        if self.arity != other.arity:
+            raise StructureError("tensor arity mismatch")
+        out = TensorElement(self.arity, dict(self.terms), self.parities)
+        for key, p in other.terms.items():
+            out._add_term(key, p)
+        return out
+
+    def __sub__(self, other: "TensorElement") -> "TensorElement":
+        return self + other.scale(MultiPoly.const(-1))
+
+    def scale(self, p: MultiPoly) -> "TensorElement":
+        return TensorElement(
+            self.arity, {k: p * q for k, q in self.terms.items()}, self.parities
+        )
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, TensorElement)
+            and self.arity == other.arity
+            and self.terms == other.terms
+        )
+
+    def __repr__(self):
+        if not self.terms:
+            return "0"
+        return " + ".join(
+            f"({p})*{key}" for key, p in sorted(self.terms.items())
+        )
+
+
+def apply_delta_slot(t: TensorElement, cop: Coproduct, slot: int) -> TensorElement:
+    """Expand the generator in position slot (1-based) by the coproduct.
+
+    The slot variable splits into the sum of the two new slot variables and
+    later slot variables shift up by one.  The coproduct is an even map, so
+    no Koszul sign appears.
+    """
+    if not 1 <= slot <= t.arity:
+        raise StructureError("slot out of range")
+    if t.arity >= 4:
+        raise StructureError("tensor arity overflow")
+    out = TensorElement(t.arity + 1, {}, t.parities)
+    xs = MultiPoly.var(_X[slot - 1])
+    xs1 = MultiPoly.var(_X[slot])
+    split = xs + xs1
+    for key, p in t.terms.items():
+        # shift variables of later slots up, then split the expanded slot
+        shifted = p
+        for v in range(t.arity, slot, -1):
+            shifted = shifted.permute_vars({_X[v - 1]: _X[v]})
+        shifted = shifted.subst_general(_X[slot - 1], split)
+        g = key[slot - 1]
+        sigma = {}
+        if _X[slot - 1] != "x1":
+            sigma["x1"] = _X[slot - 1]
+        if _X[slot] != "x2":
+            sigma["x2"] = _X[slot]
+        for i, j, q in cop.table[g]:
+            qq = q.permute_vars(sigma) if sigma else q
+            nkey = key[: slot - 1] + (i, j) + key[slot:]
+            out._add_term(nkey, shifted * qq)
+    return out
+
+
+def tau(t: TensorElement, slot: int = 1) -> TensorElement:
+    """Swap adjacent tensor slots (slot, slot+1) with the Koszul sign."""
+    if not 1 <= slot < t.arity:
+        raise StructureError("invalid adjacent pair")
+    out = TensorElement(t.arity, {}, t.parities)
+    va, vb = _X[slot - 1], _X[slot]
+    for key, p in t.terms.items():
+        a, b = key[slot - 1], key[slot]
+        nkey = key[: slot - 1] + (b, a) + key[slot + 1:]
+        q = p.permute_vars({va: vb, vb: va})
+        if (t.parities[a] * t.parities[b]) & 1:
+            q = -q
+        out._add_term(nkey, q)
+    return out
+
+
+def zeta(t: TensorElement) -> TensorElement:
+    """Cyclic shift of the first three of four slots with the super sign.
+
+    zeta(a (x) b (x) c (x) d) = (-1)^{p(a)(p(b)+p(c))} b (x) c (x) a (x) d,
+    the slot variables following their factors.
+    """
+    if t.arity != 4:
+        raise StructureError("zeta acts on arity-4 tensors")
+    out = TensorElement(4, {}, t.parities)
+    sigma = {"x1": "x3", "x2": "x1", "x3": "x2"}
+    for key, p in t.terms.items():
+        a, b, c, d = key
+        q = p.permute_vars(sigma)
+        if (t.parities[a] * (t.parities[b] + t.parities[c])) & 1:
+            q = -q
+        out._add_term((b, c, a, d), q)
+    return out
+
+
 
 
 def _coalg_residuals(cop, k):
