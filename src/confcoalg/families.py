@@ -976,6 +976,8 @@ def ck6_embed(t: Tuple[int, ...], K6: LambdaStructure) -> ConformalElement:
             lam_idx[_CK6_STAR]: MultiPoly.monomial({"d": 3}, beta * Scalar(Fraction(1, 2))),
         })
     _, m = _monomial(t)
+    if members(m) != t or m >> 6:
+        raise ValueError(f"CK_6 index tuple must be strictly increasing in 1..6, got {t}")
     deg = len(t)
     coeff = {1: -beta, 2: beta, 3: beta}[deg] * Scalar(_hodge_sign(m))
     return ConformalElement({

@@ -292,6 +292,12 @@ class MultiPoly:
 
     # -- substitution ------------------------------------------------------
 
+    def substitute(self, var: str, repl: "MultiPoly") -> "MultiPoly":
+        """Image of self under var -> repl; repl must not contain var."""
+        if var in repl.variables():
+            raise ValueError(f"substitution image contains {var!r}")
+        return self.subst_general(var, repl)
+
     def subst_general(self, var: str, repl: "MultiPoly") -> "MultiPoly":
         """Image of self under var -> repl in a single pass; repl may itself contain var."""
         shift = _VAR_SHIFT[var]

@@ -1,23 +1,18 @@
-"""Dualization, tensor calculus with Koszul signs, and the co-axioms.
-
-The tensor operations are the definitional oracles of tests/test_kernels.py;
-the tests here pin their signs.
-"""
+"""Dualization, tensor calculus with Koszul signs, and the co-axioms."""
 
 import random
 
 import pytest
 
 from confcoalg.coalgebra import (
-    Coproduct, check_jordan_coalgebra, check_lie_coalgebra, compare,
-    double_dual_roundtrip, dualize,
+    Coproduct, TensorElement, apply_delta_slot, check_jordan_coalgebra,
+    check_lie_coalgebra, compare, double_dual_roundtrip, dualize, tau, zeta,
 )
 from confcoalg.conformal import Generator, LambdaStructure, StructureError
 from confcoalg.families import make_vir
 from confcoalg.poly import D, LAM, MultiPoly, P_ONE, Scalar, X1, X2
 
 from helpers import random_poly
-from test_kernels import TensorElement, apply_delta_slot, tau, zeta
 
 
 def test_dualize_vir(vir):

@@ -397,3 +397,9 @@ def test_jck4_products(JCK4):
 
 def test_caps_table():
     assert CAPS["W"] == 4 and CAPS["K"] == 6 and CAPS["Jn"] == 3
+
+
+@pytest.mark.parametrize("t", [(2, 1), (1, 1), (3, 7), (0, 2)])
+def test_ck6_embed_rejects_unsorted_repeated_or_out_of_range(CK6, t):
+    with pytest.raises(ValueError):
+        ck6_embed(t, CK6.meta["K6"])

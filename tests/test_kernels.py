@@ -4,8 +4,8 @@ The oracles below evaluate each identity definitionally: the conformal ones
 by nesting ``bracket`` calls and substituting spectral variables, one
 generator tuple at a time; the coalgebra ones by expanding tensor slots
 with ``apply_delta_slot`` and permuting them with ``tau`` and ``zeta``, one
-dual generator at a time (these tensor operations live here, and nowhere in
-the package).  The checks in ``confcoalg.conformal`` and
+dual generator at a time (no production path calls these tensor
+operations).  The checks in ``confcoalg.conformal`` and
 ``confcoalg.coalgebra`` must return exactly the same violations -- the same
 tuples, in the same order, with the same residuals -- on every family and on
 seeded corruptions.  A second, faster oracle for the Jacobi and Jordan
@@ -23,7 +23,8 @@ import pytest
 from confcoalg import closed_form as cf
 from confcoalg import families
 from confcoalg.coalgebra import (
-    Coproduct, check_jordan_coalgebra, check_lie_coalgebra, dualize,
+    Coproduct, TensorElement, apply_delta_slot, check_jordan_coalgebra,
+    check_lie_coalgebra, dualize, tau, zeta,
 )
 from confcoalg.conformal import (
     CONSISTENT, JORDAN, LIE, PRINTED, ConformalElement, Generator, LambdaStructure,
@@ -707,155 +708,6 @@ def test_bracket_pairs_match_bracket_and_refuse_lam(K):
 
 
 # -- coalgebra oracles -----------------------------------------------------------
-#
-# Tensor arithmetic keeps one coefficient polynomial in x1..x_arity per tuple
-# of generator indices.  Swapping adjacent slots introduces the Koszul sign
-# and permutes the matching slot variables; expanding a slot with a
-# coproduct splits its variable into the sum of the two new ones.
-
-_X = ("x1", "x2", "x3", "x4")
-
-
-class TensorElement:
-    """Element of the arity-fold tensor power with slot-variable coefficients."""
-
-    __slots__ = ("arity", "terms", "parities")
-
-    def __init__(
-        self,
-        arity: int,
-        terms: Optional[Dict[Tuple[int, ...], MultiPoly]] = None,
-        parities: Tuple[int, ...] = (),
-    ):
-        if not 1 <= arity <= 4:
-            raise StructureError("tensor arity must be 1..4")
-        self.arity = arity
-        self.parities = parities
-        self.terms = {}
-        if terms:
-            for key, p in terms.items():
-                if len(key) != arity:
-                    raise StructureError("tuple arity mismatch")
-                if not p.is_zero():
-                    self.terms[key] = p
-
-    @staticmethod
-    def seed(k: int, cop: Coproduct) -> "TensorElement":
-        pars = tuple(g.parity for g in cop.generators)
-        return TensorElement(1, {(k,): P_ONE}, pars)
-
-    def _add_term(self, key, p):
-        prev = self.terms.get(key)
-        s = p if prev is None else prev + p
-        if s.is_zero():
-            self.terms.pop(key, None)
-        else:
-            self.terms[key] = s
-
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        if self.arity != other.arity:
-            raise StructureError("tensor arity mismatch")
-        out = TensorElement(self.arity, dict(self.terms), self.parities)
-        for key, p in other.terms.items():
-            out._add_term(key, p)
-        return out
-
-    def __sub__(self, other: "TensorElement") -> "TensorElement":
-        return self + other.scale(MultiPoly.const(-1))
-
-    def scale(self, p: MultiPoly) -> "TensorElement":
-        return TensorElement(
-            self.arity, {k: p * q for k, q in self.terms.items()}, self.parities
-        )
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TensorElement)
-            and self.arity == other.arity
-            and self.terms == other.terms
-        )
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        return " + ".join(
-            f"({p})*{key}" for key, p in sorted(self.terms.items())
-        )
-
-
-def apply_delta_slot(t: TensorElement, cop: Coproduct, slot: int) -> TensorElement:
-    """Expand the generator in position slot (1-based) by the coproduct.
-
-    The slot variable splits into the sum of the two new slot variables and
-    later slot variables shift up by one.  The coproduct is an even map, so
-    no Koszul sign appears.
-    """
-    if not 1 <= slot <= t.arity:
-        raise StructureError("slot out of range")
-    if t.arity >= 4:
-        raise StructureError("tensor arity overflow")
-    out = TensorElement(t.arity + 1, {}, t.parities)
-    xs = MultiPoly.var(_X[slot - 1])
-    xs1 = MultiPoly.var(_X[slot])
-    split = xs + xs1
-    for key, p in t.terms.items():
-        # shift variables of later slots up, then split the expanded slot
-        shifted = p
-        for v in range(t.arity, slot, -1):
-            shifted = shifted.permute_vars({_X[v - 1]: _X[v]})
-        shifted = shifted.subst_general(_X[slot - 1], split)
-        g = key[slot - 1]
-        sigma = {}
-        if _X[slot - 1] != "x1":
-            sigma["x1"] = _X[slot - 1]
-        if _X[slot] != "x2":
-            sigma["x2"] = _X[slot]
-        for i, j, q in cop.table[g]:
-            qq = q.permute_vars(sigma) if sigma else q
-            nkey = key[: slot - 1] + (i, j) + key[slot:]
-            out._add_term(nkey, shifted * qq)
-    return out
-
-
-def tau(t: TensorElement, slot: int = 1) -> TensorElement:
-    """Swap adjacent tensor slots (slot, slot+1) with the Koszul sign."""
-    if not 1 <= slot < t.arity:
-        raise StructureError("invalid adjacent pair")
-    out = TensorElement(t.arity, {}, t.parities)
-    va, vb = _X[slot - 1], _X[slot]
-    for key, p in t.terms.items():
-        a, b = key[slot - 1], key[slot]
-        nkey = key[: slot - 1] + (b, a) + key[slot + 1:]
-        q = p.permute_vars({va: vb, vb: va})
-        if (t.parities[a] * t.parities[b]) & 1:
-            q = -q
-        out._add_term(nkey, q)
-    return out
-
-
-def zeta(t: TensorElement) -> TensorElement:
-    """Cyclic shift of the first three of four slots with the super sign.
-
-    zeta(a (x) b (x) c (x) d) = (-1)^{p(a)(p(b)+p(c))} b (x) c (x) a (x) d,
-    the slot variables following their factors.
-    """
-    if t.arity != 4:
-        raise StructureError("zeta acts on arity-4 tensors")
-    out = TensorElement(4, {}, t.parities)
-    sigma = {"x1": "x3", "x2": "x1", "x3": "x2"}
-    for key, p in t.terms.items():
-        a, b, c, d = key
-        q = p.permute_vars(sigma)
-        if (t.parities[a] * (t.parities[b] + t.parities[c])) & 1:
-            q = -q
-        out._add_term((b, c, a, d), q)
-    return out
-
-
-
 
 def _coalg_residuals(cop, k):
     """tau(delta a) + delta a and the co-Jacobi residual, slot by slot."""

@@ -66,6 +66,9 @@ def test_substitute_examples():
     assert LAM.subst_general("mu", D) == LAM
     # an image may contain the variable itself: one pass, no recursion
     assert (D * D).subst_general("d", D + LAM) == (D + LAM) * (D + LAM)
+    # image containing the variable is rejected on the strict entry point
+    with pytest.raises(ValueError):
+        (D * D).substitute("d", D + LAM)
 
 
 def test_slot_substitution_is_involution():
