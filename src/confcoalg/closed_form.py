@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .coalgebra import Coproduct
-from .conformal import Generator, StructureError
+from .conformal import Generator, JORDAN, LIE, StructureError
 from .families import (
     SnBasisElement,
     _CK6_STAR,
@@ -47,9 +47,6 @@ from .families import (
 )
 from .grassmann import alpha_mask, eps_mask, members
 from .poly import MultiPoly, P_ONE, Scalar, X1, X2
-
-LIE = "lie"
-JORDAN = "jordan"
 
 
 class _Builder:
@@ -460,15 +457,15 @@ def coproduct_K4prime() -> Coproduct:
 
 
 def _sn_primal(n: int) -> List[Tuple[str, int]]:
-    return [(b.name(n), b.parity()) for b in sn_basis(n)]
+    return [(b.name(), b.parity()) for b in sn_basis(n)]
 
 
-def _B_name(n: int, m: int) -> str:
-    return SnBasisElement("B", m).name(n)
+def _B_name(m: int) -> str:
+    return SnBasisElement("B", m).name()
 
 
-def _A_name(n: int, m: int, i: int) -> str:
-    return SnBasisElement("A", m, i).name(n)
+def _A_name(m: int, i: int) -> str:
+    return SnBasisElement("A", m, i).name()
 
 
 def _A2_dual(n: int, I: int, p: int, q: int) -> Optional[Tuple[int, str]]:
@@ -483,7 +480,7 @@ def _A2_dual(n: int, I: int, p: int, q: int) -> Optional[Tuple[int, str]]:
     between = ((1 << (q - 1)) - 1) & ~((1 << p) - 1)
     if ((~I) & ((1 << n) - 1)) & between:
         return None
-    return sign, SnBasisElement("A2", I, p, q).name(n)
+    return sign, SnBasisElement("A2", I, p, q).name()
 
 
 def _pair_coeff(K: int, j: int, i: int, a: int, b_: int) -> int:
@@ -519,7 +516,7 @@ def coproduct_S(n: int) -> Coproduct:
     for K in _masks(n):
         if _deg(K) == n:
             continue
-        Kn = _B_name(n, K)
+        Kn = _B_name(K)
         for I in _submasks(K):
             J = K & ~I
             dI, dJ = _deg(I), _deg(J)
@@ -527,8 +524,8 @@ def coproduct_S(n: int) -> Coproduct:
             kosz = _sgn(dI * dJ)
             # sum 1
             c = MultiPoly.const(al * (n - dJ))
-            b.add(Kn, _B_name(n, I), _B_name(n, J), c * X1)
-            b.add(Kn, _B_name(n, J), _B_name(n, I), c * X2 * (-kosz))
+            b.add(Kn, _B_name(I), _B_name(J), c * X1)
+            b.add(Kn, _B_name(J), _B_name(I), c * X2 * (-kosz))
             # sums 3 and 4 over consecutive pairs of I^c
             comp = comp_members(I)
             for r in range(len(comp) - 1):
@@ -542,10 +539,10 @@ def coproduct_S(n: int) -> Coproduct:
                 cc = MultiPoly.const(Fraction(dJ - n, den) * al)
                 if in_r1:  # i_r not in J, i_{r+1} in J: leading minus
                     cc = -cc
-                a2 = SnBasisElement("A2", I, ir, ir1).name(n)
+                a2 = SnBasisElement("A2", I, ir, ir1).name()
                 kosz2 = _sgn(dI * dJ)
-                b.add(Kn, a2, _B_name(n, J), cc)
-                b.add(Kn, _B_name(n, J), a2, -cc * kosz2)
+                b.add(Kn, a2, _B_name(J), cc)
+                b.add(Kn, _B_name(J), a2, -cc * kosz2)
         # sum 2: i in J, i not in I
         for I in _submasks(K):
             Jm = K & ~I
@@ -561,13 +558,13 @@ def coproduct_S(n: int) -> Coproduct:
                     * _sgn(eps_mask(i, J) + alpha_mask(I, Jm))
                 )
                 kosz = _sgn((dI + 1) * dJ)
-                b.add(Kn, _A_name(n, I, i), _B_name(n, Jm | _mask_of(i)), c)
-                b.add(Kn, _B_name(n, Jm | _mask_of(i)), _A_name(n, I, i), -c * kosz)
+                b.add(Kn, _A_name(I, i), _B_name(Jm | _mask_of(i)), c)
+                b.add(Kn, _B_name(Jm | _mask_of(i)), _A_name(I, i), -c * kosz)
 
     # ---- delta(A_{K,k}*) ----
     for K in _masks(n):
         for k in comp_members(K):
-            Kn = _A_name(n, K, k)
+            Kn = _A_name(K, k)
             for I in _submasks(K):
                 J = K & ~I
                 dI, dJ = _deg(I), _deg(J)
@@ -577,20 +574,20 @@ def coproduct_S(n: int) -> Coproduct:
                 r = compI.index(k)
                 kosz = _sgn(dI * (dJ + 1))
                 if r + 1 < len(compI):
-                    a2 = SnBasisElement("A2", I, k, compI[r + 1]).name(n)
-                    b.add(Kn, a2, _A_name(n, J, k), MultiPoly.const(-al))
-                    b.add(Kn, _A_name(n, J, k), a2, MultiPoly.const(al * kosz))
+                    a2 = SnBasisElement("A2", I, k, compI[r + 1]).name()
+                    b.add(Kn, a2, _A_name(J, k), MultiPoly.const(-al))
+                    b.add(Kn, _A_name(J, k), a2, MultiPoly.const(al * kosz))
                 if r > 0:
-                    a2 = SnBasisElement("A2", I, compI[r - 1], k).name(n)
-                    b.add(Kn, a2, _A_name(n, J, k), MultiPoly.const(al))
-                    b.add(Kn, _A_name(n, J, k), a2, MultiPoly.const(-al * kosz))
+                    a2 = SnBasisElement("A2", I, compI[r - 1], k).name()
+                    b.add(Kn, a2, _A_name(J, k), MultiPoly.const(al))
+                    b.add(Kn, _A_name(J, k), a2, MultiPoly.const(-al * kosz))
                 # sum 3: B-paired terms
                 c = MultiPoly.const(al * _sgn(dJ))
                 kosz3 = _sgn((dI + 1) * dJ)
                 left = X1 * (n - dJ) + X2 * (dI - 1)
                 right = X2 * (n - dJ) + X1 * (dI - 1)
-                b.add(Kn, _A_name(n, I, k), _B_name(n, J), c * left)
-                b.add(Kn, _B_name(n, J), _A_name(n, I, k), c * right * (-kosz3))
+                b.add(Kn, _A_name(I, k), _B_name(J), c * left)
+                b.add(Kn, _B_name(J), _A_name(I, k), c * right * (-kosz3))
             # sum 2: i in J, i not in I, i != k
             for I in _submasks(K):
                 Jm = K & ~I
@@ -603,15 +600,15 @@ def coproduct_S(n: int) -> Coproduct:
                         _sgn(eps_mask(i, J) + alpha_mask(I, Jm))
                     )
                     kosz = _sgn((dI + 1) * (dJ + 1))
-                    b.add(Kn, _A_name(n, I, i), _A_name(n, J, k), c)
-                    b.add(Kn, _A_name(n, J, k), _A_name(n, I, i), -c * kosz)
+                    b.add(Kn, _A_name(I, i), _A_name(J, k), c)
+                    b.add(Kn, _A_name(J, k), _A_name(I, i), -c * kosz)
 
     # ---- delta(A_{K,i_k,i_{k+1}}*) ----
     for K in _masks(n):
         compK = comp_members(K)
         for rK in range(len(compK) - 1):
             ik, ik1 = compK[rK], compK[rK + 1]
-            Kn = SnBasisElement("A2", K, ik, ik1).name(n)
+            Kn = SnBasisElement("A2", K, ik, ik1).name()
             # sum 1: l in I, ord(I - l, J) = K
             for Ip in _submasks(K):
                 J = K & ~Ip
@@ -630,8 +627,8 @@ def coproduct_S(n: int) -> Coproduct:
                         )
                     )
                     kosz = _sgn(dI * (dJ + 1))
-                    b.add(Kn, a2, _A_name(n, J, l), c)
-                    b.add(Kn, _A_name(n, J, l), a2, -c * kosz)
+                    b.add(Kn, a2, _A_name(J, l), c)
+                    b.add(Kn, _A_name(J, l), a2, -c * kosz)
             # sum 2: i in J \ I, j in I \ J
             for Ip in _submasks(K):
                 Jp = K & ~Ip
@@ -654,8 +651,8 @@ def coproduct_S(n: int) -> Coproduct:
                             )
                         )
                         kosz = _sgn((dI + 1) * (dJ + 1))
-                        b.add(Kn, _A_name(n, I, i), _A_name(n, J, j), c)
-                        b.add(Kn, _A_name(n, J, j), _A_name(n, I, i), -c * kosz)
+                        b.add(Kn, _A_name(I, i), _A_name(J, j), c)
+                        b.add(Kn, _A_name(J, j), _A_name(I, i), -c * kosz)
             # sum 3: i in J, I cap J = empty, inner sum over j
             for I in _submasks(K):
                 Jm = K & ~I
@@ -678,8 +675,8 @@ def coproduct_S(n: int) -> Coproduct:
                     kosz = _sgn((dI + 1) * dJ)
                     left = X2 * (1 - dI) + X1 * (dJ - n)
                     right = X1 * (1 - dI) + X2 * (dJ - n)
-                    b.add(Kn, _A_name(n, I, i), _B_name(n, J), c * left)
-                    b.add(Kn, _B_name(n, J), _A_name(n, I, i), c * right * (-kosz))
+                    b.add(Kn, _A_name(I, i), _B_name(J), c * left)
+                    b.add(Kn, _B_name(J), _A_name(I, i), c * right * (-kosz))
             # sums 4, 5, 6: B-paired terms over disjoint (I, J) with ord = K
             for I in _submasks(K):
                 J = K & ~I
@@ -692,8 +689,8 @@ def coproduct_S(n: int) -> Coproduct:
                     c = MultiPoly.const(al * sg)
                     left = X1 * (n - dJ) + X2 * dI
                     right = X2 * (n - dJ) + X1 * dI
-                    b.add(Kn, a2, _B_name(n, J), c * left)
-                    b.add(Kn, _B_name(n, J), a2, c * right * (-kosz))
+                    b.add(Kn, a2, _B_name(J), c * left)
+                    b.add(Kn, _B_name(J), a2, c * right * (-kosz))
                 compI = comp_members(I)
                 for r in range(len(compI) - 1):
                     jr, jr1 = compI[r], compI[r + 1]
@@ -712,11 +709,11 @@ def coproduct_S(n: int) -> Coproduct:
                     c = MultiPoly.const(Fraction(ev * al, den))
                     if not in_r:  # j_r not in J, j_{r+1} in J: leading minus
                         c = -c
-                    a2 = SnBasisElement("A2", I, jr, jr1).name(n)
+                    a2 = SnBasisElement("A2", I, jr, jr1).name()
                     left = X1 * (dJ - n) - X2 * dI
                     right = X2 * (dJ - n) - X1 * dI
-                    b.add(Kn, a2, _B_name(n, J), c * left)
-                    b.add(Kn, _B_name(n, J), a2, c * right * (-kosz))
+                    b.add(Kn, a2, _B_name(J), c * left)
+                    b.add(Kn, _B_name(J), a2, c * right * (-kosz))
     return b.done()
 
 

@@ -30,10 +30,11 @@ from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .conformal import (
-    Generator, LambdaStructure, Report, StructureError, Violation, _gather, _packed,
+    Generator, JORDAN, LIE, LambdaStructure, Report, StructureError, Violation, _gather,
+    _packed,
 )
 from .poly import (
-    D, LAM, MultiPoly, P_ONE, X1, X2, X3, X4, _MAXEXP, _MONO_MASK, _VAR_SHIFT,
+    D, LAM, MultiPoly, P_ONE, X1, X2, X3, X4, _MAXEXP, _MONO_MASK, _VAR_SHIFT, accumulate,
     add_product, common_denominator, compact_vector, pack_vector, relabel_vector,
     substitution, unpack_vector,
 )
@@ -90,12 +91,7 @@ class Coproduct:
         """Collapse the (i, j) list of delta(a_k^*) into a merged map."""
         out: Dict[Tuple[int, int], MultiPoly] = {}
         for i, j, q in self.table[k]:
-            prev = out.get((i, j))
-            s = q if prev is None else prev + q
-            if s.is_zero():
-                out.pop((i, j), None)
-            else:
-                out[(i, j)] = s
+            accumulate(out, (i, j), q)
         return out
 
 
@@ -163,20 +159,12 @@ class TensorElement:
         pars = tuple(g.parity for g in cop.generators)
         return TensorElement(1, {(k,): P_ONE}, pars)
 
-    def _add_term(self, key, p):
-        prev = self.terms.get(key)
-        s = p if prev is None else prev + p
-        if s.is_zero():
-            self.terms.pop(key, None)
-        else:
-            self.terms[key] = s
-
     def __add__(self, other: "TensorElement") -> "TensorElement":
         if self.arity != other.arity:
             raise StructureError("tensor arity mismatch")
         out = TensorElement(self.arity, dict(self.terms), self.parities)
         for key, p in other.terms.items():
-            out._add_term(key, p)
+            accumulate(out.terms, key, p)
         return out
 
     def __sub__(self, other: "TensorElement") -> "TensorElement":
@@ -235,7 +223,7 @@ def apply_delta_slot(t: TensorElement, cop: Coproduct, slot: int) -> TensorEleme
         for i, j, q in cop.table[g]:
             qq = q.permute_vars(sigma) if sigma else q
             nkey = key[: slot - 1] + (i, j) + key[slot:]
-            out._add_term(nkey, shifted * qq)
+            accumulate(out.terms, nkey, shifted * qq)
     return out
 
 
@@ -251,7 +239,7 @@ def tau(t: TensorElement, slot: int = 1) -> TensorElement:
         q = p.permute_vars({va: vb, vb: va})
         if (t.parities[a] * t.parities[b]) & 1:
             q = -q
-        out._add_term(nkey, q)
+        accumulate(out.terms, nkey, q)
     return out
 
 
@@ -270,7 +258,7 @@ def zeta(t: TensorElement) -> TensorElement:
         q = p.permute_vars(sigma)
         if (t.parities[a] * (t.parities[b] + t.parities[c])) & 1:
             q = -q
-        out._add_term((b, c, a, d), q)
+        accumulate(out.terms, (b, c, a, d), q)
     return out
 
 
@@ -337,7 +325,7 @@ def check_lie_coalgebra(cop: Coproduct) -> Report:
             = sum (-1)^{p_i p_l} Q^{ij}_k(x2, x1+x3) Q^{lm}_j(x1, x3) [l,i,m]
         (delta (x) I) delta a_k = sum Q^{ij}_k(x1+x2, x3) Q^{lm}_i(x1, x2) [l,m,j]
     """
-    if cop.kind != "lie":
+    if cop.kind != LIE:
         raise StructureError("Lie coalgebra axioms apply to Lie kind")
     n = cop.rank
     n2 = n * n
@@ -394,7 +382,7 @@ def check_jordan_coalgebra(cop: Coproduct) -> Report:
         (I (x) Delta (x) I)(I (x) Delta) Delta a_k
             = sum Q^{ij}_k(x1, x2+x3+x4) Q^{lm}_j(x2+x3, x4) Q^{uv}_l(x2, x3) [i,u,v,m]
     """
-    if cop.kind != "jordan":
+    if cop.kind != JORDAN:
         raise StructureError("Jordan coalgebra axioms apply to Jordan kind")
     n = cop.rank
     n2, n3 = n * n, n * n * n

@@ -21,11 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .poly import (
-    D, LAM, MU, NU, MultiPoly, P_ONE, Scalar, add_product, common_denominator,
-    compact_vector, _MAXEXP, _MONO_MASK, _VAR_SHIFT, pack_vector,
+    D, LAM, MU, NU, MultiPoly, P_ONE, Scalar, accumulate, add_product,
+    common_denominator, compact_vector, _MAXEXP, _MONO_MASK, _VAR_SHIFT, pack_vector,
     substitution, tagged, unpack_vector,
 )
 
@@ -67,12 +67,7 @@ class ConformalElement:
     def __add__(self, other: "ConformalElement") -> "ConformalElement":
         out = dict(self.terms)
         for g, p in other.terms.items():
-            q = out.get(g)
-            s = p if q is None else q + p
-            if s.is_zero():
-                out.pop(g, None)
-            else:
-                out[g] = s
+            accumulate(out, g, p)
         return ConformalElement(out)
 
     def __sub__(self, other: "ConformalElement") -> "ConformalElement":
@@ -137,12 +132,9 @@ class LambdaStructure:
                 row = self.table[(i, j)] = []
                 merged: Dict[int, MultiPoly] = {}
                 for k, p in table.get((i, j), ()):
-                    prev = merged.get(k)
-                    merged[k] = p if prev is None else prev + p
+                    accumulate(merged, k, p)
                 for k in sorted(merged):
                     p = merged[k]
-                    if not p.terms:
-                        continue
                     # parity additivity and coefficient-variable discipline
                     if validate and par[k] != (par[i] + par[j]) & 1:
                         raise StructureError(
@@ -211,8 +203,7 @@ def bracket(
                 Pk = P if svar == "lam" else (
                     P.permute_vars({"lam": svar}) if "lam" in P.variables() else P
                 )
-                prev = acc.get(k)
-                acc[k] = Pk if prev is None else prev + Pk
+                accumulate(acc, k, Pk)
             out = out + ConformalElement({k: c * Pk for k, Pk in acc.items()})
     return out
 
@@ -570,20 +561,9 @@ class ModuleMap:
         out: Dict[int, MultiPoly] = {}
         for (ti, si), p in self.entries.items():
             c = coords.get(si)
-            if c is None:
-                continue
-            add = p * c
-            prev = out.get(ti)
-            s = add if prev is None else prev + add
-            if s.is_zero():
-                out.pop(ti, None)
-            else:
-                out[ti] = s
+            if c is not None:
+                accumulate(out, ti, p * c)
         return out
-
-
-def _deg_d(p: MultiPoly) -> int:
-    return p.degree_in("d")
 
 
 _D_SHIFT = _VAR_SHIFT["d"]
@@ -593,10 +573,10 @@ def _divmod_d(a: MultiPoly, b: MultiPoly) -> Tuple[MultiPoly, MultiPoly]:
     """Univariate division in Q(beta)[d]: a = q*b + r with deg r < deg b."""
     q = MultiPoly.zero()
     r = a
-    db = _deg_d(b)
+    db = b.degree_in("d")
     lead_b = b.terms.get(db << _D_SHIFT) if db >= 0 else None
-    while not r.is_zero() and _deg_d(r) >= db:
-        dr = _deg_d(r)
+    while not r.is_zero() and r.degree_in("d") >= db:
+        dr = r.degree_in("d")
         lead_r = r.terms.get(dr << _D_SHIFT)
         if lead_r is None:
             raise StructureError("non-univariate entry in kernel elimination")
@@ -606,6 +586,35 @@ def _divmod_d(a: MultiPoly, b: MultiPoly) -> Tuple[MultiPoly, MultiPoly]:
     return q, r
 
 
+def _eliminate_columns(
+    cols: List[Dict[int, MultiPoly]], track: Optional[List[Dict[int, MultiPoly]]] = None
+) -> List[Tuple[int, int]]:
+    """Unimodular column reduction of cols in place, each step repeated on track.
+
+    Row by row, division with remainder in d between the live columns leaves
+    one column nonzero in that row, its pivot.  Returns the pivots as
+    (row, col) in elimination order.
+    """
+    stores = [cols] if track is None else [cols, track]
+    pivots = []
+    active = list(range(len(cols)))
+    for row in sorted({r for c in cols for r in c}):
+        live = [j for j in active if row in cols[j]]
+        while len(live) > 1:
+            live.sort(key=lambda j: cols[j][row].degree_in("d"))
+            pivot, other = live[0], live[1]
+            q, _ = _divmod_d(cols[other][row], cols[pivot][row])
+            for store in stores:  # column other -= q * column pivot
+                dst = store[other]
+                for r, p in store[pivot].items():
+                    accumulate(dst, r, -(q * p))
+            live = [j for j in active if row in cols[j]]
+        if live:
+            pivots.append((row, live[0]))
+            active.remove(live[0])
+    return pivots
+
+
 def kernel_basis(M: ModuleMap) -> List[Dict[int, MultiPoly]]:
     """Free basis of ker M over Q(beta)[d], by tracked column elimination.
 
@@ -613,49 +622,13 @@ def kernel_basis(M: ModuleMap) -> List[Dict[int, MultiPoly]]:
     kernel, read off from the tracking matrix.  Returned as coordinate dicts
     over the source basis, content-normalised.
     """
-    nrows = len(M.target)
     ncols = len(M.source)
-    cols = []
-    for j in range(ncols):
-        col = {}
-        for i in range(nrows):
-            p = M.entries.get((i, j))
-            if p is not None:
-                col[i] = p
-        cols.append(col)
+    cols = [{i: M.entries[(i, j)] for i in range(len(M.target)) if (i, j) in M.entries}
+            for j in range(ncols)]
     track = [{j: P_ONE} for j in range(ncols)]
-
-    def combine(dst, src, q):
-        """dst -= q*src, on both the matrix column and its tracker."""
-        for store in (cols, track):
-            d_, s_ = store[dst], store[src]
-            for r, p in s_.items():
-                add = q * p
-                prev = d_.get(r)
-                s = -add if prev is None else prev - add
-                if s.is_zero():
-                    d_.pop(r, None)
-                else:
-                    d_[r] = s
-
-    active = list(range(ncols))
-    for row in range(nrows):
-        live = [j for j in active if row in cols[j]]
-        while len(live) > 1:
-            live.sort(key=lambda j: _deg_d(cols[j][row]))
-            pivot, other = live[0], live[1]
-            q, _ = _divmod_d(cols[other][row], cols[pivot][row])
-            combine(other, pivot, q)
-            live = [j for j in active if row in cols[j]]
-        if live:
-            active.remove(live[0])
-
-    basis = []
-    for j in range(ncols):
-        if j in active and not cols[j]:
-            coords = _normalise_content(track[j])
-            basis.append(coords)
-    return basis
+    pivots = {j for _, j in _eliminate_columns(cols, track)}
+    return [_normalise_content(track[j]) for j in range(ncols)
+            if j not in pivots and not cols[j]]
 
 
 def _normalise_content(coords: Dict[int, MultiPoly]) -> Dict[int, MultiPoly]:

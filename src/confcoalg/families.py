@@ -31,6 +31,7 @@ from .conformal import (
     Report,
     StructureError,
     Violation,
+    _eliminate_columns,
     bracket,
     bracket_pairs,
     check_jacobi,
@@ -41,7 +42,7 @@ from .conformal import (
     shift_spectral,
 )
 from .grassmann import alpha_mask, eps_mask, members, mul_sign
-from .poly import D, LAM, MultiPoly, P_ONE, P_ZERO, Scalar, _VAR_SHIFT
+from .poly import D, LAM, MultiPoly, P_ONE, P_ZERO, Scalar, _VAR_SHIFT, accumulate
 
 # desk-scale caps; constructors allow more when allow_large is set
 CAPS = {"W": 4, "S": 3, "K": 6, "Sb": 2, "Stilde": 2, "Jn": 3, "N": 4}
@@ -134,7 +135,6 @@ def make_current(
     products: Dict[Tuple[str, str], List[Tuple[str, Scalar]]],
     kind: str = LIE,
     name: str = "Cur",
-    validate_axioms: bool = True,
 ) -> LambdaStructure:
     """Current conformal (super)algebra of a finite-dimensional table.
 
@@ -151,19 +151,18 @@ def make_current(
             (idx[c], MultiPoly.const(sc)) for c, sc in terms
         ]
     S = LambdaStructure(kind, gens, table, name=name)
-    if validate_axioms:
-        if kind == LIE:
-            bad = [r for r in (check_skew(S), check_jacobi(S)) if not r.ok]
-        else:
-            bad = [
-                r
-                for r in (check_jordan_comm(S), check_jordan_identity(S))
-                if not r.ok
-            ]
-        if bad:
-            raise StructureError(
-                f"{name}: input constants violate {bad[0].check}"
-            )
+    if kind == LIE:
+        bad = [r for r in (check_skew(S), check_jacobi(S)) if not r.ok]
+    else:
+        bad = [
+            r
+            for r in (check_jordan_comm(S), check_jordan_identity(S))
+            if not r.ok
+        ]
+    if bad:
+        raise StructureError(
+            f"{name}: input constants violate {bad[0].check}"
+        )
     return S
 
 
@@ -381,7 +380,7 @@ class SnBasisElement:
     i: int = 0
     j: int = 0
 
-    def name(self, n: int) -> str:
+    def name(self) -> str:
         ds = _digits(members(self.mask))
         if self.tag == "A":
             return f"A{ds}_{self.i}"
@@ -393,7 +392,7 @@ class SnBasisElement:
         deg = bin(self.mask).count("1")
         return (deg + 1) & 1 if self.tag == "A" else deg & 1
 
-    def latex(self, n: int) -> str:
+    def latex(self) -> str:
         ds = "{" + _digits(members(self.mask)) + "}"
         if self.tag == "A":
             return f"A_{{{ds},{self.i}}}"
@@ -464,23 +463,17 @@ def canonicalize_S(
             raise NotInSpan("component on the top Lambda monomial")
         cb = p.scalar_mul(Fraction(1, deg - n))
         el = SnBasisElement("B", m)
-        coords[el.name(n)] = cb
+        coords[el.name()] = cb
         for i in members(~m & ((1 << n) - 1)):
             gidx = w_idx[(m | _mask_of(i), i)]
-            sub = cb * (D * mul_sign(m, _mask_of(i)))
-            prev = work.get(gidx, P_ZERO)
-            s = prev - sub
-            if s.is_zero():
-                work.pop(gidx, None)
-            else:
-                work[gidx] = s
+            accumulate(work, gidx, -(cb * (D * mul_sign(m, _mask_of(i)))))
 
     # A singles: components xi_M d_i with i not in M
     for g in list(work):
         _, mask, i = rev[g]
         if not (mask >> (i - 1)) & 1:
             el = SnBasisElement("A", mask, i)
-            coords[el.name(n)] = work.pop(g)
+            coords[el.name()] = work.pop(g)
 
     # A pairs: for each I, the components at (ord(I,a), a) must sum to zero
     by_I: Dict[int, Dict[int, MultiPoly]] = {}
@@ -500,19 +493,8 @@ def canonicalize_S(
             partial = partial + comps.get(a, P_ZERO)
             if not partial.is_zero():
                 el = SnBasisElement("A2", I, a, b)
-                coords[el.name(n)] = partial
+                coords[el.name()] = partial
     return coords
-
-
-def _acc(store: Dict[str, MultiPoly], name: str, p: MultiPoly):
-    if p.is_zero():
-        return
-    prev = store.get(name)
-    s = p if prev is None else prev + p
-    if s.is_zero():
-        store.pop(name, None)
-    else:
-        store[name] = s
 
 
 def _raw_A_pair(n: int, mask: int, p: int, q: int, coeff: MultiPoly,
@@ -528,12 +510,12 @@ def _raw_A_pair(n: int, mask: int, p: int, q: int, coeff: MultiPoly,
     comp = members(~mask & ((1 << n) - 1))
     for a, b in zip(comp, comp[1:]):
         if p <= a and b <= q:
-            _acc(store, SnBasisElement("A2", mask, a, b).name(n), coeff)
+            accumulate(store, SnBasisElement("A2", mask, a, b).name(), coeff)
 
 
 def _raw_B(n: int, mask: int, coeff: MultiPoly, store: Dict[str, MultiPoly]):
     if bin(mask).count("1") < n:
-        _acc(store, SnBasisElement("B", mask).name(n), coeff)
+        accumulate(store, SnBasisElement("B", mask).name(), coeff)
     # B on the full set degenerates to 0: (|I|-n) and the complement sum both vanish
 
 
@@ -550,7 +532,7 @@ def _prop_entry(n: int, u: SnBasisElement, v: SnBasisElement) -> Dict[str, Multi
     full = (1 << n) - 1
 
     def single(mask: int, i: int) -> str:
-        return SnBasisElement("A", mask, i).name(n)
+        return SnBasisElement("A", mask, i).name()
 
     if u.tag == "A2" and v.tag == "A2":
         return out
@@ -567,9 +549,9 @@ def _prop_entry(n: int, u: SnBasisElement, v: SnBasisElement) -> Dict[str, Multi
             s = mul_sign(I, J)
             if s:
                 if r == j and not J & _mask_of(j):
-                    _acc(out, single(I | J, j), MultiPoly.const(s))
+                    accumulate(out, single(I | J, j), MultiPoly.const(s))
                 if r == i and not J & _mask_of(i):
-                    _acc(out, single(I | J, i), MultiPoly.const(-s))
+                    accumulate(out, single(I | J, i), MultiPoly.const(-s))
         return out
 
     if u.tag == "A" and v.tag == "A":
@@ -580,12 +562,12 @@ def _prop_entry(n: int, u: SnBasisElement, v: SnBasisElement) -> Dict[str, Multi
         if i_in_J and not j_in_I:
             s, K = _d_mul(I, i, J)
             if s and not K & _mask_of(j):
-                _acc(out, single(K, j), MultiPoly.const(s))
+                accumulate(out, single(K, j), MultiPoly.const(s))
         elif j_in_I and not i_in_J:
             rest = I ^ _mask_of(j)
             s = _sgn(eps_mask(j, I)) * mul_sign(rest, J)
             if s and not (rest | J) & _mask_of(i):
-                _acc(out, single(rest | J, i), MultiPoly.const(_sgn(dI) * s))
+                accumulate(out, single(rest | J, i), MultiPoly.const(_sgn(dI) * s))
         else:
             Iw, Jv = I ^ _mask_of(j), J ^ _mask_of(i)
             s = mul_sign(Iw, Jv)
@@ -609,7 +591,7 @@ def _prop_entry(n: int, u: SnBasisElement, v: SnBasisElement) -> Dict[str, Multi
             s = mul_sign(I, J)
             if s:
                 coeff = (LAM * (n - dJ + 1 - dI) + D * (1 - dI)) * (_sgn(dJ) * s)
-                _acc(out, single(I | J, i), coeff)
+                accumulate(out, single(I | J, i), coeff)
         else:
             s, K = _d_mul(I, i, J)
             if not s:
@@ -678,8 +660,8 @@ def make_S(n: int, strict: bool = False) -> LambdaStructure:
         raise StructureError("S_n needs n >= 2")
     W = make_W(n)
     basis = sn_basis(n)
-    names = [b.name(n) for b in basis]
-    gens = [Generator(b.name(n), b.parity(), b.latex(n)) for b in basis]
+    names = [b.name() for b in basis]
+    gens = [Generator(b.name(), b.parity(), b.latex()) for b in basis]
     idx = {nm: i for i, nm in enumerate(names)}
     embeds = [embed_sn(b, W) for b in basis]
 
@@ -704,8 +686,7 @@ def make_S(n: int, strict: bool = False) -> LambdaStructure:
     for (a, b), w in bracket_pairs(W, embeds):
         coords = canonicalize_S(w, W)
         printed = prop_coords[(a, b)]
-        keys = set(coords) | set(printed)
-        for nm in keys:
+        for nm in sorted(set(coords) | set(printed)):
             pa = coords.get(nm, P_ZERO)
             pb = printed.get(nm, P_ZERO)
             if pa != pb:
@@ -729,37 +710,6 @@ def make_S(n: int, strict: bool = False) -> LambdaStructure:
 # S_{n,b} and S~_n
 
 
-def _echelonize_columns(cols: List[Dict[int, MultiPoly]]):
-    """Unimodular column reduction; returns (columns, pivots) with pivots
-    as (row, col) in elimination order.  Columns are modified in place."""
-    from .conformal import _divmod_d
-
-    pivots = []
-    active = list(range(len(cols)))
-    rows = sorted({r for c in cols for r in c})
-    for row in rows:
-        live = [j for j in active if row in cols[j]]
-        while len(live) > 1:
-            live.sort(key=lambda j: cols[j][row].degree_in("d"))
-            pj, oj = live[0], live[1]
-            q, _ = _divmod_d(cols[oj][row], cols[pj][row])
-            src = cols[pj]
-            dst = cols[oj]
-            for r, p in src.items():
-                add = q * p
-                prev = dst.get(r)
-                s = -add if prev is None else prev - add
-                if s.is_zero():
-                    dst.pop(r, None)
-                else:
-                    dst[r] = s
-            live = [j for j in active if row in cols[j]]
-        if live:
-            pivots.append((row, live[0]))
-            active.remove(live[0])
-    return cols, pivots
-
-
 def _solve_in_echelon(cols, pivots, w: Dict[int, MultiPoly]) -> Dict[int, MultiPoly]:
     """Solve sum_j x_j cols[j] = w by forward substitution over the pivots."""
     work = dict(w)
@@ -771,13 +721,7 @@ def _solve_in_echelon(cols, pivots, w: Dict[int, MultiPoly]) -> Dict[int, MultiP
         x = num.exact_div(cols[j][row])
         coords[j] = x
         for r, p in cols[j].items():
-            sub = x * p
-            prev = work.get(r, P_ZERO)
-            s = prev - sub
-            if s.is_zero():
-                work.pop(r, None)
-            else:
-                work[r] = s
+            accumulate(work, r, -(x * p))
     if work:
         raise NotInSpan("element outside the kernel span")
     return coords
@@ -786,8 +730,9 @@ def _solve_in_echelon(cols, pivots, w: Dict[int, MultiPoly]) -> Dict[int, MultiP
 def make_S_b(n: int, b: Scalar) -> LambdaStructure:
     """S_{n,b} = ker(div_b) in W_n, rank n 2^n, basis from kernel_basis.
 
-    The kernel basis is echelonized so closure re-expression is exact
-    forward substitution; closure failure raises NotInSpan.
+    The kernel basis is echelonized by kernel_basis's column elimination, so
+    closure re-expression is exact forward substitution over its pivots;
+    closure failure raises NotInSpan.
     """
     if n < 2:
         raise StructureError("S_{n,b} needs n >= 2")
@@ -799,7 +744,7 @@ def make_S_b(n: int, b: Scalar) -> LambdaStructure:
             f"S_{{{n},{b!r}}} kernel rank {len(raw)} != {n * (1 << n)}"
         )
     cols = [dict(c) for c in raw]
-    cols, pivots = _echelonize_columns(cols)
+    pivots = _eliminate_columns(cols)
     gens = []
     embeds = []
     for j, c in enumerate(cols):
@@ -843,8 +788,8 @@ def make_S_tilde(n: int) -> LambdaStructure:
     W = S.meta["W"]
     basis: List[SnBasisElement] = S.meta["basis"]
     embeds = [e - _xi_star_mult(W, e) for e in S.meta["embeds"]]
-    gens = [Generator(b.name(n), b.parity(), b.latex(n)) for b in basis]
-    names = [b.name(n) for b in basis]
+    gens = [Generator(b.name(), b.parity(), b.latex()) for b in basis]
+    names = [b.name() for b in basis]
     idx = {nm: i for i, nm in enumerate(names)}
     table: Dict[Tuple[int, int], List[Tuple[int, MultiPoly]]] = {}
     for key, w in bracket_pairs(W, embeds):

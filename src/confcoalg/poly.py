@@ -568,6 +568,16 @@ def add_product(acc: Dict[int, int], p: Dict[int, int], q: Dict[int, int],
     return acc
 
 
+def accumulate(store: Dict, key, p: MultiPoly) -> None:
+    """store[key] += p for a dict of polynomials; the key is dropped when the sum is zero."""
+    prev = store.get(key)
+    s = p if prev is None else prev + p
+    if s.terms:
+        store[key] = s
+    else:
+        store.pop(key, None)
+
+
 # module-level generators, convenient for building structure constants
 LAM = MultiPoly.var("lam")
 MU = MultiPoly.var("mu")

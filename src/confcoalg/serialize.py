@@ -23,7 +23,7 @@ import json
 from typing import Dict, List, Tuple
 
 from .coalgebra import Coproduct
-from .conformal import Generator, LambdaStructure, StructureError
+from .conformal import Generator, LIE, LambdaStructure, StructureError
 from .poly import MultiPoly, poly_from_json, poly_to_json
 
 FORMAT_VERSION = 1
@@ -78,7 +78,7 @@ def structure_from_json(data: dict) -> LambdaStructure:
             terms.append((_gen_ref(index, term, "gen", term_what), _poly(term, term_what)))
         table[key] = terms
     return LambdaStructure(
-        data.get("kind", "lie"), gens, table, name=data.get("name", "imported")
+        data.get("kind", LIE), gens, table, name=data.get("name", "imported")
     )
 
 
@@ -135,7 +135,7 @@ def coproduct_from_json(data: dict) -> Coproduct:
             ))
         table[_gen_ref(index, row, "gen", what)] = pairs
     return Coproduct(
-        data.get("kind", "lie"), gens, table, name=data.get("name", "imported")
+        data.get("kind", LIE), gens, table, name=data.get("name", "imported")
     )
 
 
@@ -248,7 +248,7 @@ def _coeff_tex(c) -> str:
     return "(%s%s%s)" % (frac(c.re), "+" if c.im > 0 else "", bpart)
 
 
-def poly_tex(p: MultiPoly, scalar_only=False) -> str:
+def poly_tex(p: MultiPoly) -> str:
     if p.is_zero():
         return "0"
     parts = []
@@ -279,7 +279,7 @@ def _gen_tex(g: Generator) -> str:
 def structure_tex(S: LambdaStructure) -> str:
     """One display line per nonzero bracket, in the lambda-bracket notation."""
     lines = []
-    op = "[%s_\\lambda\\, %s]" if S.kind == "lie" else "%s_\\lambda\\, %s"
+    op = "[%s_\\lambda\\, %s]" if S.kind == LIE else "%s_\\lambda\\, %s"
     order = sorted(range(S.rank), key=lambda i: S.generators[i].id)
     for i in order:
         for j in order:
@@ -313,7 +313,7 @@ def _dual_tex(g: Generator) -> str:
 
 def coproduct_tex(C: Coproduct) -> str:
     r"""delta(g^*) displays: each Q(x1, x2) term becomes d^a g_i^* \otimes d^b g_j^*."""
-    sym = r"\delta" if C.kind == "lie" else r"\Delta"
+    sym = r"\delta" if C.kind == LIE else r"\Delta"
     lines = []
     order = sorted(range(C.rank), key=lambda i: C.generators[i].id)
     for k in order:

@@ -264,7 +264,7 @@ def test_criterion_8_divergence(W):
         w = W[n]
         for el in sn_basis(n):
             if el.tag == "B":
-                assert div_w(w, embed_sn(el, w)).is_zero(), el.name(n)
+                assert div_w(w, embed_sn(el, w)).is_zero(), el.name()
     crit(8, True, "div_b identity on all W_2 pairs (b in {0,1,beta}); "
                   "div(B_I)=0 at n=2,3")
 

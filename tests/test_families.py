@@ -95,7 +95,7 @@ def test_div_of_B_elements(W):
     for n in (2, 3):
         w = W[n]
         for b in sn_basis(n):
-            assert div_w(w, embed_sn(b, w)).is_zero(), b.name(n)
+            assert div_w(w, embed_sn(b, w)).is_zero(), b.name()
 
 
 def test_div_identity_b0_and_deformed():
@@ -160,6 +160,18 @@ def test_s_strict_mode_raises():
         make_S(2, strict=True)
 
 
+def test_s_proposition_diffs_follow_basis_names():
+    """Within one bracket the diffs appear in name order, so the list (and a
+    strict ConstructionMismatch) does not depend on the string hash seed."""
+    by_pair = {}
+    for d in make_S(4).meta["proposition_diffs"]:
+        pair, at = re.match(r"(\[.+\]) @ (\S+):", d).groups()
+        by_pair.setdefault(pair, []).append(at)
+    assert sum(map(len, by_pair.values())) == 414
+    assert any(len(ats) > 1 for ats in by_pair.values())
+    assert all(ats == sorted(ats) for ats in by_pair.values())
+
+
 def test_canonicalize_s_rejects_outsiders(S, W):
     w2 = W[2]
     # xi_star has no preimage in S_2
@@ -176,7 +188,7 @@ def test_canonicalize_s_round_trip(S):
     W2 = s2.meta["W"]
     for el, emb in zip(s2.meta["basis"], s2.meta["embeds"]):
         coords = canonicalize_S(emb, W2)
-        assert coords == {el.name(2): P_ONE}
+        assert coords == {el.name(): P_ONE}
 
 
 # -- S_{n,b} and S~_n --------------------------------------------------------

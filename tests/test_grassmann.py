@@ -142,23 +142,54 @@ def test_mask_helpers_exhaustive_n6():
             assert mul_sign(a, b) == (0 if a & b else (-1) ** inversions)
 
 
+def _production_sources():
+    """(module name, syntax tree) for the package and each of its modules."""
+    modules = [confcoalg] + [importlib.import_module(f"confcoalg.{info.name}")
+                             for info in pkgutil.iter_modules(confcoalg.__path__)]
+    assert len(modules) > 5
+    return [(module.__name__, ast.parse(inspect.getsource(module))) for module in modules]
+
+
 def test_production_modules_use_masks_only():
     """Masks are the one Grassmann representation: no module of the package
     but grassmann itself names the IndexSet layer."""
     layer = {"IndexSet", "SignedMonomial", "mul", "derive", "hodge", "complement",
              "subsets", "alpha", "eps"}
-    modules = [confcoalg] + [importlib.import_module(f"confcoalg.{info.name}")
-                             for info in pkgutil.iter_modules(confcoalg.__path__)]
-    assert len(modules) > 5
-    for module in modules:
-        if module.__name__ == "confcoalg.grassmann":
+    for name, tree in _production_sources():
+        if name == "confcoalg.grassmann":
             continue
         names = set()
-        for node in ast.walk(ast.parse(inspect.getsource(module))):
+        for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom):
                 names.update(a.name for a in node.names)
             elif isinstance(node, ast.Name):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
-        assert not names & layer, (module.__name__, sorted(names & layer))
+        assert not names & layer, (name, sorted(names & layer))
+
+
+def _is_zero_test(expr):
+    return any((isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "is_zero")
+               or (isinstance(node, ast.Attribute) and node.attr == "terms")
+               for node in ast.walk(expr))
+
+
+def _pops_key(stmts):
+    return any(isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "pop" and len(node.args) == 2
+               and isinstance(node.args[1], ast.Constant) and node.args[1].value is None
+               for stmt in stmts for node in ast.walk(stmt))
+
+
+def test_only_poly_drops_zero_sums():
+    """poly.accumulate is the one copy of the rule "add at a key and drop the
+    key when the sum is zero": no other module branches on a zero test into
+    a pop(key, None)."""
+    for name, tree in _production_sources():
+        if name == "confcoalg.poly":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.If) and _is_zero_test(node.test):
+                assert not _pops_key(node.body + node.orelse), (name, node.lineno)

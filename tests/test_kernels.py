@@ -28,8 +28,8 @@ from confcoalg.coalgebra import (
 )
 from confcoalg.conformal import (
     CONSISTENT, JORDAN, LIE, PRINTED, ConformalElement, Generator, LambdaStructure,
-    StructureError, bracket, bracket_pairs, check_jacobi, check_jordan_comm,
-    check_jordan_identity, check_skew, shift_spectral,
+    ModuleMap, StructureError, _divmod_d, _normalise_content, bracket, bracket_pairs,
+    check_jacobi, check_jordan_comm, check_jordan_identity, check_skew, shift_spectral,
 )
 from confcoalg.families import corrupt_entry
 from confcoalg.grassmann import IndexSet, derive, mul
@@ -705,6 +705,63 @@ def test_bracket_pairs_match_bracket_and_refuse_lam(K):
     assert list(bracket_pairs(K[2], xs)) == list(_bracket_loop(K[2], xs))
     with pytest.raises(StructureError, match="already uses lam"):
         list(bracket_pairs(K[1], [ConformalElement({0: LAM})]))
+
+
+# -- kernel of a module map --------------------------------------------------------
+#
+# kernel_basis as it stood with its own copy of the column elimination, before
+# S_{n,b} shared it: every row of the target in turn, the tracker updated in
+# step with the matrix.
+
+
+def _deg_d(p: MultiPoly) -> int:
+    return p.degree_in("d")
+
+
+def _kernel_basis_oracle(M: ModuleMap) -> List[Dict[int, MultiPoly]]:
+    nrows = len(M.target)
+    ncols = len(M.source)
+    cols = []
+    for j in range(ncols):
+        col = {}
+        for i in range(nrows):
+            p = M.entries.get((i, j))
+            if p is not None:
+                col[i] = p
+        cols.append(col)
+    track = [{j: P_ONE} for j in range(ncols)]
+
+    def combine(dst, src, q):
+        """dst -= q*src, on both the matrix column and its tracker."""
+        for store in (cols, track):
+            d_, s_ = store[dst], store[src]
+            for r, p in s_.items():
+                add = q * p
+                prev = d_.get(r)
+                s = -add if prev is None else prev - add
+                if s.is_zero():
+                    d_.pop(r, None)
+                else:
+                    d_[r] = s
+
+    active = list(range(ncols))
+    for row in range(nrows):
+        live = [j for j in active if row in cols[j]]
+        while len(live) > 1:
+            live.sort(key=lambda j: _deg_d(cols[j][row]))
+            pivot, other = live[0], live[1]
+            q, _ = _divmod_d(cols[other][row], cols[pivot][row])
+            combine(other, pivot, q)
+            live = [j for j in active if row in cols[j]]
+        if live:
+            active.remove(live[0])
+
+    basis = []
+    for j in range(ncols):
+        if j in active and not cols[j]:
+            coords = _normalise_content(track[j])
+            basis.append(coords)
+    return basis
 
 
 # -- coalgebra oracles -----------------------------------------------------------

@@ -7,7 +7,9 @@ with denominators 2, 3 and 5, some of them multiples of beta.  They satisfy
 no axiom, so every check has violations to report, and the integer kernels
 must report them exactly as the oracles of ``test_kernels`` do: the nested
 brackets, the per-tuple contractions on Scalar-valued vectors, and the
-definitional tensor operations.  The hypothesis profile is set in conftest.
+definitional tensor operations.  ``bracket_pairs`` is compared with the
+``bracket`` loop on such tables, and ``kernel_basis`` with its oracle on
+random C[d]-module maps.  The hypothesis profile is set in conftest.
 """
 
 from fractions import Fraction
@@ -22,14 +24,15 @@ from confcoalg.coalgebra import (  # noqa: E402
     Coproduct, check_jordan_coalgebra, check_lie_coalgebra, dual_generators, dualize,
 )
 from confcoalg.conformal import (  # noqa: E402
-    CONSISTENT, JORDAN, LIE, PRINTED, Generator, LambdaStructure, check_jacobi,
-    check_jordan_comm, check_jordan_identity, check_skew,
+    CONSISTENT, JORDAN, LIE, PRINTED, ConformalElement, Generator, LambdaStructure,
+    ModuleMap, bracket_pairs, check_jacobi, check_jordan_comm, check_jordan_identity,
+    check_skew, kernel_basis,
 )
 from confcoalg.poly import MultiPoly, Scalar, X1, X2  # noqa: E402
 
 from test_kernels import (  # noqa: E402
-    _co_oracle, _coalg_residuals, _cojordan_residuals, _flip_residual, _found,
-    _jacobi_residual, _jordan_per_tuple, _oracle,
+    _bracket_loop, _co_oracle, _coalg_residuals, _cojordan_residuals, _flip_residual,
+    _found, _jacobi_residual, _jordan_per_tuple, _kernel_basis_oracle, _oracle,
 )
 
 _parts = st.builds(Fraction, st.sampled_from((1, -1, 2, -3)), st.sampled_from((1, 2, 3, 5)))
@@ -93,3 +96,40 @@ def test_jordan_kernels_on_random_tables(S):
     rep = check_jordan_comm(S)
     assert (rep.total, _found(rep)) == (S.rank ** 2, _oracle(S, 2, _flip_residual))
     _assert_dual_matches(S, check_jordan_coalgebra, _cojordan_residuals)
+
+
+def _d_poly(draw, min_size=0):
+    """A polynomial in d of degree at most 2 with up to two terms."""
+    return sum((MultiPoly.monomial({"d": b}, c)
+                for b, c in draw(st.lists(st.tuples(st.integers(0, 2), _coefficients),
+                                          min_size=min_size, max_size=2))), MultiPoly.zero())
+
+
+@st.composite
+def elements(draw, rank):
+    """One to three elements with one to three generator terms, coefficients in d."""
+    return [ConformalElement({draw(st.integers(0, rank - 1)): _d_poly(draw, 1)
+                              for _ in range(draw(st.integers(1, 3)))})
+            for _ in range(draw(st.integers(1, 3)))]
+
+
+@given(st.data())
+def test_bracket_pairs_match_bracket_loop_on_random_tables(data):
+    S = data.draw(tables(LIE, 12))
+    xs = data.draw(elements(S.rank))
+    assert list(bracket_pairs(S, xs)) == list(_bracket_loop(S, xs))
+
+
+@st.composite
+def module_maps(draw):
+    """A map from a free module of rank 1-4 to one of rank 1-3, entries in Q(beta)[d]."""
+    ncols, nrows = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    entries = {(i, j): _d_poly(draw) for i in range(nrows) for j in range(ncols)}
+    return ModuleMap([f"s{j}" for j in range(ncols)], [f"t{i}" for i in range(nrows)], entries)
+
+
+@given(module_maps())
+def test_kernel_basis_matches_oracle_on_random_maps(M):
+    basis = kernel_basis(M)
+    assert all(M.apply(v) == {} for v in basis)
+    assert [list(v.items()) for v in basis] == [list(v.items()) for v in _kernel_basis_oracle(M)]
