@@ -483,7 +483,7 @@ def _A2_dual(n: int, I: int, p: int, q: int) -> Optional[Tuple[int, str]]:
     return sign, SnBasisElement("A2", I, p, q).name()
 
 
-def _pair_coeff(K: int, j: int, i: int, a: int, b_: int) -> int:
+def _pair_coeff(j: int, i: int, a: int, b_: int) -> int:
     """Coefficient of the consecutive basis pair (a, b_) of K^c in the
     telescoped expansion of the raw pair element A_{K, j, i}."""
     if j == i:
@@ -640,7 +640,7 @@ def coproduct_S(n: int) -> Coproduct:
                             continue
                         I = Ip | _mask_of(j)
                         J = Jp | _mask_of(i)
-                        ev = _pair_coeff(K, j, i, ik, ik1)
+                        ev = _pair_coeff(j, i, ik, ik1)
                         if not ev:
                             continue
                         dI, dJ = _deg(I), _deg(J)
@@ -665,7 +665,7 @@ def coproduct_S(n: int) -> Coproduct:
                     assert den != 0
                     ev = 0
                     for j in comp_members(K | _mask_of(i)):
-                        ev += _pair_coeff(K, j, i, ik, ik1)
+                        ev += _pair_coeff(j, i, ik, ik1)
                     if not ev:
                         continue
                     c = MultiPoly.const(
@@ -703,7 +703,7 @@ def coproduct_S(n: int) -> Coproduct:
                     anchor = jr1 if in_r else jr
                     ev = 0
                     for j in comp_members(K):
-                        ev += _pair_coeff(K, j, anchor, ik, ik1)
+                        ev += _pair_coeff(j, anchor, ik, ik1)
                     if not ev:
                         continue
                     c = MultiPoly.const(Fraction(ev * al, den))

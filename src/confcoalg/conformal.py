@@ -126,25 +126,30 @@ class LambdaStructure:
         self.index = {g.id: i for i, g in enumerate(self.generators)}
         par = [g.parity for g in self.generators]
         n = len(par)
-        self.table = {}
-        for i in range(n):
-            for j in range(n):
-                row = self.table[(i, j)] = []
-                merged: Dict[int, MultiPoly] = {}
-                for k, p in table.get((i, j), ()):
-                    accumulate(merged, k, p)
-                for k in sorted(merged):
-                    p = merged[k]
+        # every pair gets a row, in row-major order; only the rows given with
+        # terms are merged and validated, in that order too
+        self.table = {(i, j): [] for i in range(n) for j in range(n)}
+        for (i, j), row in self.table.items():
+            entries = table.get((i, j))
+            if not entries:
+                continue
+            merged: Dict[int, MultiPoly] = {}
+            for k, p in entries:
+                accumulate(merged, k, p)
+            for k in sorted(merged):
+                p = merged[k]
+                if validate:
                     # parity additivity and coefficient-variable discipline
-                    if validate and par[k] != (par[i] + par[j]) & 1:
+                    if par[k] != (par[i] + par[j]) & 1:
                         raise StructureError(
                             f"parity violation in ({self.generators[i].id},"
                             f"{self.generators[j].id}) -> {self.generators[k].id}"
                         )
-                    if validate and any(key & _NOT_LAM_D for key in p.terms):
-                        bad = p.variables() - {"lam", "d"}
-                        raise StructureError(f"table entry uses variables {bad}")
-                    row.append((k, p))
+                    for key in p.terms:
+                        if key & _NOT_LAM_D:
+                            bad = p.variables() - {"lam", "d"}
+                            raise StructureError(f"table entry uses variables {bad}")
+                row.append((k, p))
 
     @property
     def rank(self) -> int:
@@ -186,7 +191,7 @@ def bracket(
     if svar not in SPECTRAL_VARS:
         raise StructureError(f"invalid spectral variable {svar!r}")
     sv = MultiPoly.var(svar)
-    out = ConformalElement()
+    out: Dict[int, MultiPoly] = {}
     for i, p in x.terms.items():
         if svar in p.variables():
             raise StructureError(f"left coefficient already uses {svar}")
@@ -198,14 +203,11 @@ def bracket(
             c = pl * qr
             if c.is_zero():
                 continue
-            acc = {}
             for k, P in S.table[(i, j)]:
-                Pk = P if svar == "lam" else (
-                    P.permute_vars({"lam": svar}) if "lam" in P.variables() else P
-                )
-                accumulate(acc, k, Pk)
-            out = out + ConformalElement({k: c * Pk for k, Pk in acc.items()})
-    return out
+                if svar != "lam" and "lam" in P.variables():
+                    P = P.permute_vars({"lam": svar})
+                accumulate(out, k, c * P)
+    return ConformalElement(out)
 
 
 def bracket_pairs(
@@ -213,32 +215,47 @@ def bracket_pairs(
 ) -> Iterator[Tuple[Tuple[int, int], ConformalElement]]:
     """Yield ((a, b), [x_a lam x_b]) for every ordered pair of xs, row by row.
 
-    The same values as bracket(S, x_a, x_b, "lam"), with the work shared: the
-    left images p(-lam) and right images q(lam+d) of each element are packed
-    once, and every pair is one contraction of image products with packed
-    rows of S (each side times its common denominator).  Rows are packed
-    where they are used, not kept: in CK_6 each row of K_6 meets one pair
-    only, and keeping them costs about 1 MB.  A caller that keeps only what
-    it derives from each bracket never holds all the brackets at once.
+    The same values as bracket(S, x_a, x_b, "lam"), with the work shared.
+    Images are packed times the common denominator of their side: the
+    right images q(lam+d) once each, and for each generator a_i met on the
+    left one vector holds sum_j q_bj(lam+d) [a_i lam a_j] for every b at
+    once, at component b n + k for a_k (n the rank of S).  Row a is then
+    one product p(-lam) times that vector per term p a_i of x_a, split by
+    b.  The vector of a_i is dropped after the last row that meets it, so
+    a caller that keeps only what it derives from each bracket never holds
+    all the brackets at once (in CK_6 each generator of K_6 meets one row).
     """
     if any("lam" in p.variables() for x in xs for p in x.terms.values()):
         raise StructureError("left coefficient already uses lam")
+    n = S.rank
     Lx = common_denominator(p for x in xs for p in x.terms.values())
     Ls = common_denominator(p for row in S.table.values() for _, p in row)
-    lefts = [[(i, pack_vector([(0, p.subst_general("d", -LAM))], Lx)) for i, p in x.terms.items()]
-             for x in xs]
     rights = [[(j, pack_vector([(0, q.subst_general("d", LAM + D))], Lx))
                for j, q in x.terms.items()] for x in xs]
-    for a, left in enumerate(lefts):
-        for b, right in enumerate(rights):
-            acc = {}
-            for i, pl in left:
-                for j, qr in right:
-                    entries = S.table[(i, j)]
-                    if entries:
-                        add_product(acc, compact_vector(add_product({}, pl, qr)),
-                                    pack_vector(entries, Ls))
-            yield (a, b), ConformalElement(unpack_vector(acc, Lx * Lx * Ls))
+    last_row = {i: a for a, x in enumerate(xs) for i in x.terms}
+    by_left: Dict[int, Dict[int, int]] = {}
+    for a, x in enumerate(xs):
+        acc: Dict[int, int] = {}
+        for i, p in x.terms.items():
+            vec = by_left.get(i)
+            if vec is None:
+                vec = {}
+                for b, right in enumerate(rights):
+                    for j, qr in right:
+                        entries = S.table[(i, j)]
+                        if entries:
+                            add_product(vec, qr, pack_vector(
+                                [(b * n + k, P) for k, P in entries], Ls))
+                vec = by_left[i] = compact_vector(vec)
+            add_product(acc, pack_vector([(0, p.subst_general("d", -LAM))], Lx), vec)
+            if last_row[i] == a:
+                del by_left[i]
+        row: List[Dict[int, MultiPoly]] = [{} for _ in xs]
+        for m, q in unpack_vector(acc, Lx * Lx * Ls).items():
+            b, k = divmod(m, n)
+            row[b][k] = q
+        for b, terms in enumerate(row):
+            yield (a, b), ConformalElement(terms)
 
 
 def shift_spectral(

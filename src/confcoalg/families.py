@@ -2,10 +2,15 @@
 
 Each constructor returns a ``LambdaStructure`` built from first principles
 out of the Grassmann sign calculus on plain int subset masks.  Families
-defined as subalgebras (S_n, S_{n,b}, S~_n, K_4', CK_6) are constructed in
-two independent ways where a closed bracket table is available -- by
-restriction inside the ambient algebra and directly from the tabulated
-formulas -- and construction fails loudly if the two disagree.
+defined as subalgebras (S_n, S_{n,b}, S~_n, K_4', CK_6) are built by
+restriction inside the ambient algebra: conformal.bracket_pairs gives the
+brackets of the embedded basis, and a reader worked out once per table
+gives their coordinates (a bracket outside the span raises NotInSpan).
+Where the paper tabulates the brackets (S_n, CK_6), the tabulated formulas
+are a second, independent path.  Its disagreements with the restriction
+are a meta entry computed when first read (``proposition_diffs``,
+``printed_diffs``); with ``strict=True`` the constructor computes them at
+once and raises ConstructionMismatch if there are any.
 
 Parity conventions (stated once, used everywhere): p(xi_I) = |I| mod 2 in
 the Lambda(n) parts, p(xi_I d_i) = |I|+1, p(xi_I theta) = |I|+1; in CK_6,
@@ -15,6 +20,7 @@ in JCK_4, 1 and omega_i are even, x and x_i odd.
 
 from __future__ import annotations
 
+import copy
 import functools
 import itertools
 from dataclasses import dataclass
@@ -72,8 +78,10 @@ def _sgn(e: int) -> int:
     return -1 if e & 1 else 1
 
 
-def _csgn(e: int) -> MultiPoly:
-    return MultiPoly.const(_sgn(e))
+def _units() -> Dict[int, MultiPoly]:
+    """The constant polynomials +-1, made once per table for all its entries
+    that are one of them (two tables share no polynomial)."""
+    return {1: MultiPoly.const(1), -1: MultiPoly.const(-1)}
 
 
 def _digits(indices: Tuple[int, ...]) -> str:
@@ -218,6 +226,7 @@ def make_W(n: int) -> LambdaStructure:
         table.setdefault((i, j), []).append((k, p))
 
     minus_d_2lam = -(D + 2 * LAM)
+    unit = _units()
     for I in masks:
         dI = I.bit_count()
         for J in masks:
@@ -235,9 +244,9 @@ def make_W(n: int) -> LambdaStructure:
                 s_d, K = _d_mul(I, i, J)
                 if s_d:
                     # xi_I d_i(xi_J), and -(-1)^{|J|(|I|+1)} of it in the flipped order
-                    put(wi, lam_idx[J], lam_idx[K], MultiPoly.const(s_d))
+                    put(wi, lam_idx[J], lam_idx[K], unit[s_d])
                     put(lam_idx[J], wi, lam_idx[K],
-                        MultiPoly.const(-_sgn(dJ * (dI + 1)) * s_d))
+                        unit[-_sgn(dJ * (dI + 1)) * s_d])
                 if s_JI:
                     # -lam (-1)^{(|I|+1)|J|} xi_J xi_I d_i, and -(lam+d) xi_J xi_I d_i
                     put(wi, lam_idx[J], w_idx[(I | J, i)], -LAM * (_sgn((dI + 1) * dJ) * s_JI))
@@ -245,11 +254,11 @@ def make_W(n: int) -> LambdaStructure:
                 # [xi_I d_i lam xi_J d_j]
                 for j in range(1, n + 1):
                     if s_d:
-                        put(wi, w_idx[(J, j)], w_idx[(K, j)], MultiPoly.const(s_d))
+                        put(wi, w_idx[(J, j)], w_idx[(K, j)], unit[s_d])
                     s_e, K_e = d_IJ[j - 1]
                     if s_e:
                         put(wi, w_idx[(J, j)], w_idx[(K_e, i)],
-                            MultiPoly.const(-_sgn((dI + 1) * (dJ + 1)) * s_e))
+                            unit[-_sgn((dI + 1) * (dJ + 1)) * s_e])
     S = LambdaStructure(
         LIE,
         gens,
@@ -447,54 +456,82 @@ def canonicalize_S(
     chain, with the zero-sum (divergence-free) defect as the membership
     test.
     """
+    return _sn_reader(W)(x)
+
+
+def _sn_reader(W: LambdaStructure):
+    """canonicalize_S for one W_n, with the index maps and names worked out once."""
     n = W.meta["n"]
-    lam_idx = W.meta["lam_idx"]
+    full = (1 << n) - 1
     w_idx = W.meta["w_idx"]
-    rev = _reverse_maps(W)
-    coords: Dict[str, MultiPoly] = {}
-    work = dict(x.terms)
-
-    for m, g in lam_idx.items():
-        p = work.pop(g, None)
-        if p is None:
+    # Lambda monomials in lam_idx order: (generator, B name, 1/(|I|-n),
+    # [(xi_{I+i} d_i, d (-1)^{alpha(I, i)})]); None on the top monomial
+    lams = []
+    for m, g in W.meta["lam_idx"].items():
+        if m == full:
+            lams.append((g, None))
             continue
-        deg = m.bit_count()
-        if deg == n:
-            raise NotInSpan("component on the top Lambda monomial")
-        cb = p.scalar_mul(Fraction(1, deg - n))
-        el = SnBasisElement("B", m)
-        coords[el.name()] = cb
-        for i in members(~m & ((1 << n) - 1)):
-            gidx = w_idx[(m | _mask_of(i), i)]
-            accumulate(work, gidx, -(cb * (D * mul_sign(m, _mask_of(i)))))
+        chain = [(w_idx[(m | _mask_of(i), i)], D * mul_sign(m, _mask_of(i)))
+                 for i in members(~m & full)]
+        lams.append((g, (SnBasisElement("B", m).name(), Fraction(1, m.bit_count() - n), chain)))
+    # xi_M d_i: the A single's name when i is not in M, else (I = M - i, i, sign)
+    singles: Dict[int, str] = {}
+    paired: Dict[int, Tuple[int, int, int]] = {}
+    for (m, i), g in w_idx.items():
+        if not m & _mask_of(i):
+            singles[g] = SnBasisElement("A", m, i).name()
+        else:
+            I = m ^ _mask_of(i)
+            paired[g] = (I, i, _sgn(alpha_mask(I, _mask_of(i))))
+    # each I's complement chain, with the name of the pair (a, b) at each a but the last
+    chains = {}
+    for I in range(full + 1):
+        comp = members(~I & full)
+        chains[I] = [(a, SnBasisElement("A2", I, a, b).name()) for a, b in zip(comp, comp[1:])]
 
-    # A singles: components xi_M d_i with i not in M
-    for g in list(work):
-        _, mask, i = rev[g]
-        if not (mask >> (i - 1)) & 1:
-            el = SnBasisElement("A", mask, i)
-            coords[el.name()] = work.pop(g)
+    def coordinates(x: ConformalElement) -> Dict[str, MultiPoly]:
+        coords: Dict[str, MultiPoly] = {}
+        if not x.terms:     # about half the brackets of S_n
+            return coords
+        work = dict(x.terms)
+        for g, b in lams:
+            p = work.pop(g, None)
+            if p is None:
+                continue
+            if b is None:
+                raise NotInSpan("component on the top Lambda monomial")
+            name, inv, chain = b
+            cb = coords[name] = p.scalar_mul(inv)
+            for gidx, ds in chain:
+                accumulate(work, gidx, -(cb * ds))
 
-    # A pairs: for each I, the components at (ord(I,a), a) must sum to zero
-    by_I: Dict[int, Dict[int, MultiPoly]] = {}
-    for g, p in work.items():
-        _, mask, i = rev[g]
-        I = mask & ~_mask_of(i)
-        by_I.setdefault(I, {})[i] = p * _sgn(alpha_mask(I, _mask_of(i)))
-    for I, comps in by_I.items():
-        comp = members(~I & ((1 << n) - 1))
-        total = P_ZERO
-        for a in comp:
-            total = total + comps.get(a, P_ZERO)
-        if not total.is_zero():
-            raise NotInSpan(f"nonzero divergence defect on I={I:b}")
-        partial = P_ZERO
-        for a, b in zip(comp, comp[1:]):
-            partial = partial + comps.get(a, P_ZERO)
-            if not partial.is_zero():
-                el = SnBasisElement("A2", I, a, b)
-                coords[el.name()] = partial
-    return coords
+        # A singles: components xi_M d_i with i not in M
+        for g in list(work):
+            name = singles.get(g)
+            if name is not None:
+                coords[name] = work.pop(g)
+
+        # A pairs: for each I, the components at (ord(I,a), a) must sum to zero
+        by_I: Dict[int, Dict[int, MultiPoly]] = {}
+        for g, p in work.items():
+            I, i, sign = paired[g]
+            by_I.setdefault(I, {})[i] = p if sign == 1 else -p
+        for I, comps in by_I.items():
+            total = P_ZERO
+            for p in comps.values():
+                total = total + p
+            if not total.is_zero():
+                raise NotInSpan(f"nonzero divergence defect on I={I:b}")
+            partial = P_ZERO
+            for a, name in chains[I]:
+                p = comps.get(a)
+                if p is not None:
+                    partial = partial + p
+                if not partial.is_zero():
+                    coords[name] = partial
+        return coords
+
+    return coordinates
 
 
 def _raw_A_pair(n: int, mask: int, p: int, q: int, coeff: MultiPoly,
@@ -649,61 +686,64 @@ def make_S(n: int, strict: bool = False) -> LambdaStructure:
     Path one restricts the W_n bracket to the embedded basis and
     re-expresses the result through canonicalize_S; path two evaluates the
     tabulated bracket formulas (mirrored orders via skew-symmetry).  The
-    returned table is always the definitional W-restriction; term-level
-    disagreements with the tabulated formulas are attached to
-    meta["proposition_diffs"], and raise ConstructionMismatch when strict
-    is set.  (The pair/single case of the tabulated formulas is missing
-    its i-in-J contributions, so the diff list is not empty; see the
-    diffs themselves for the exact terms.)
+    returned table is always the definitional W-restriction.  The
+    term-level disagreements of the tabulated formulas with it are
+    meta["proposition_diffs"], computed when first read; strict computes
+    them at once and raises ConstructionMismatch if there are any.  (The
+    pair/single case of the tabulated formulas is missing its i-in-J
+    contributions, so the diff list is not empty; see the diffs themselves
+    for the exact terms.)
     """
     if n < 2:
         raise StructureError("S_n needs n >= 2")
     W = make_W(n)
     basis = sn_basis(n)
-    names = [b.name() for b in basis]
     gens = [Generator(b.name(), b.parity(), b.latex()) for b in basis]
-    idx = {nm: i for i, nm in enumerate(names)}
     embeds = [embed_sn(b, W) for b in basis]
+    idx = {g.id: i for i, g in enumerate(gens)}
+    coordinates = _sn_reader(W)
+    # rows in any order: LambdaStructure sorts each by generator
+    table = {key: [(idx[nm], p) for nm, p in coordinates(w).items()]
+             for key, w in bracket_pairs(W, embeds)}
+    S = LambdaStructure(
+        LIE, gens, table, name=f"S_{n}",
+        meta=LazyMeta(n=n, basis=basis, W=W, embeds=embeds),
+    )
+    # the closure holds the rows, not S, so that S and its meta make no cycle
+    rows = S.table
+    S.meta["proposition_diffs"] = functools.cache(lambda: _proposition_diffs(n, basis, rows))
+    if strict and S.meta["proposition_diffs"]:
+        raise ConstructionMismatch(f"S_{n}", S.meta["proposition_diffs"])
+    return S
 
-    table: Dict[Tuple[int, int], List[Tuple[int, MultiPoly]]] = {}
-    prop_coords: Dict[Tuple[int, int], Dict[str, MultiPoly]] = {}
+
+def _proposition_diffs(n: int, basis: List[SnBasisElement], rows) -> List[str]:
+    """The terms where the tabulated S_n formulas differ from the rows of
+    the table, bracket by bracket in row-major order, by basis name within
+    a bracket."""
+    names = [b.name() for b in basis]
+    printed: Dict[Tuple[int, int], Dict[str, MultiPoly]] = {}
     for a, u in enumerate(basis):
         for b, v in enumerate(basis):
             if (u.tag, v.tag) in _PRINTED_ORDERS:
-                prop_coords[(a, b)] = _prop_entry(n, u, v)
-    for a, u in enumerate(basis):
-        for b, v in enumerate(basis):
-            if (a, b) in prop_coords:
-                continue
-            mirror = prop_coords[(b, a)]
-            sg = -_sgn(basis[a].parity() * basis[b].parity())
-            flipped: Dict[str, MultiPoly] = {}
-            for nm, p in mirror.items():
-                flipped[nm] = p.subst_general("lam", -LAM - D) * sg
-            prop_coords[(a, b)] = flipped
-
+                printed[(a, b)] = _prop_entry(n, u, v)
     diffs = []
-    for (a, b), w in bracket_pairs(W, embeds):
-        coords = canonicalize_S(w, W)
-        printed = prop_coords[(a, b)]
-        for nm in sorted(set(coords) | set(printed)):
-            pa = coords.get(nm, P_ZERO)
-            pb = printed.get(nm, P_ZERO)
+    for (a, b), row in rows.items():
+        want = printed.get((a, b))
+        if want is None:
+            sg = -_sgn(basis[a].parity() * basis[b].parity())
+            want = {nm: p.subst_general("lam", -LAM - D) * sg
+                    for nm, p in printed[(b, a)].items()}
+        got = {names[k]: p for k, p in row}
+        for nm in sorted(set(got) | set(want)):
+            pa = got.get(nm, P_ZERO)
+            pb = want.get(nm, P_ZERO)
             if pa != pb:
                 diffs.append(
                     f"[{names[a]} lam {names[b]}] @ {nm}: W-path {pa!r}"
                     f" vs formula {pb!r}"
                 )
-        table[(a, b)] = [(idx[nm], p) for nm, p in sorted(coords.items())]
-    if diffs and strict:
-        raise ConstructionMismatch(f"S_{n}", diffs)
-    return LambdaStructure(
-        LIE, gens, table, name=f"S_{n}",
-        meta={
-            "n": n, "basis": basis, "W": W, "embeds": embeds,
-            "proposition_diffs": diffs,
-        },
-    )
+    return diffs
 
 
 # ---------------------------------------------------------------------------
@@ -791,12 +831,13 @@ def make_S_tilde(n: int) -> LambdaStructure:
     gens = [Generator(b.name(), b.parity(), b.latex()) for b in basis]
     names = [b.name() for b in basis]
     idx = {nm: i for i, nm in enumerate(names)}
+    coordinates = _sn_reader(W)
     table: Dict[Tuple[int, int], List[Tuple[int, MultiPoly]]] = {}
     for key, w in bracket_pairs(W, embeds):
         # (1+xi_star)(1-xi_star) = 1, so coordinates over the tilde basis
         # are the S_n coordinates of (1+xi_star) w
-        coords = canonicalize_S(w + _xi_star_mult(W, w), W)
-        table[key] = [(idx[nm], p) for nm, p in sorted(coords.items())]
+        coords = coordinates(w + _xi_star_mult(W, w))
+        table[key] = [(idx[nm], p) for nm, p in coords.items()]
     return LambdaStructure(
         LIE, gens, table, name=f"S~_{n}",
         meta={"n": n, "W": W, "embeds": embeds, "basis": basis},
@@ -822,24 +863,30 @@ def make_K(n: int) -> LambdaStructure:
     gens = [Generator(_xi_name(m), m.bit_count() & 1, _xi_latex(m)) for m in masks]
     lam_idx = {m: i for i, m in enumerate(masks)}
     d_key, lam_key = 1 << _VAR_SHIFT["d"], 1 << _VAR_SHIFT["lam"]
+    # the entries take few values; each is made once and shared by its rows
+    unit = _units()
+    disjoint: Dict[Tuple[int, int, int], MultiPoly] = {}
     table: Dict[Tuple[int, int], List[Tuple[int, MultiPoly]]] = {}
     for I in masks:
         dI = I.bit_count()
         for J in masks:
             common = I & J
             if not common:
-                s = _sgn(alpha_mask(I, J))
-                terms = {}
-                if dI != 2:
-                    terms[d_key] = Scalar(s * (dI - 2))
-                if dI + J.bit_count() != 4:
-                    terms[lam_key] = Scalar(s * (dI + J.bit_count() - 4))
-                if terms:
-                    table[(lam_idx[I], lam_idx[J])] = [(lam_idx[I | J], MultiPoly(terms))]
+                s, dJ = _sgn(alpha_mask(I, J)), J.bit_count()
+                p = disjoint.get((s, dI, dJ))
+                if p is None:
+                    terms = {}
+                    if dI != 2:
+                        terms[d_key] = Scalar(s * (dI - 2))
+                    if dI + dJ != 4:
+                        terms[lam_key] = Scalar(s * (dI + dJ - 4))
+                    p = disjoint[(s, dI, dJ)] = MultiPoly(terms)
+                if p.terms:
+                    table[(lam_idx[I], lam_idx[J])] = [(lam_idx[I | J], p)]
             elif not common & (common - 1):
                 i = common.bit_length()
                 e = dI + eps_mask(i, I) + eps_mask(i, J) + alpha_mask(I ^ common, J ^ common)
-                table[(lam_idx[I], lam_idx[J])] = [(lam_idx[(I | J) ^ common], _csgn(e))]
+                table[(lam_idx[I], lam_idx[J])] = [(lam_idx[(I | J) ^ common], unit[_sgn(e)])]
     return LambdaStructure(
         LIE, gens, table, name=f"K_{n}", meta={"n": n, "lam_idx": lam_idx}
     )
@@ -940,24 +987,41 @@ def canonicalize_CK6(
     monomials containing 1; the remaining components are then forced and
     verified.
     """
-    lam_idx = K6.meta["lam_idx"]
-    rev = {g: m for m, g in lam_idx.items()}
-    coords: Dict[str, MultiPoly] = {}
-    expect = ConformalElement()
-    for g, p in x.terms.items():
-        t = members(rev[g])
-        if not t:
-            c = p.scalar_mul(-2)
-        elif len(t) <= 2 or (len(t) == 3 and t[0] == 1):
-            c = p
-        else:
-            continue
-        if not c.is_zero():
-            coords[_ck6_name(t)] = c
-            expect = expect + ck6_embed(t, K6).scale(c)
-    if not (x - expect).is_zero():
-        raise NotInSpan("element outside the CK_6 span")
-    return coords
+    return _ck6_reader(K6)(x)
+
+
+def _ck6_reader(K6: LambdaStructure):
+    """canonicalize_CK6 for one K_6, with the embedded basis worked out once.
+
+    Every monomial of Lambda(6) is the leading monomial of one CK_6 basis
+    element or the Hodge partner of one: the plan maps each leading
+    monomial to (name, the inverse of its coefficient or None for 1, the
+    partner, the partner's coefficient) and each partner to None.
+    """
+    plan: Dict[int, object] = {}
+    for t in _ck6_basis_tuples():
+        (g, lead), (h, tail) = ck6_embed(t, K6).terms.items()
+        inv = None if lead == P_ONE else lead.terms[0].inverse()
+        plan[g] = (_ck6_name(t), inv, h, tail)
+        plan[h] = None
+
+    def coordinates(x: ConformalElement) -> Dict[str, MultiPoly]:
+        terms = x.terms
+        coords: Dict[str, MultiPoly] = {}
+        for g, p in terms.items():
+            entry = plan[g]
+            if entry is None:
+                continue
+            name, inv, h, tail = entry
+            c = coords[name] = p if inv is None else p.scalar_mul(inv)
+            if terms.get(h) != c * tail:
+                raise NotInSpan("element outside the CK_6 span")
+        # each coordinate accounts for two components; any other is stray
+        if 2 * len(coords) != len(terms):
+            raise NotInSpan("element outside the CK_6 span")
+        return coords
+
+    return coordinates
 
 
 def make_CK6(strict: bool = False) -> LambdaStructure:
@@ -976,15 +1040,19 @@ def make_CK6(strict: bool = False) -> LambdaStructure:
     gens = [Generator(_ck6_name(t), _ck6_parity(t), None) for t in tuples]
     idx = {_ck6_name(t): i for i, t in enumerate(tuples)}
     embeds = [ck6_embed(t, K6) for t in tuples]
-    table: Dict[Tuple[int, int], List[Tuple[int, MultiPoly]]] = {}
-    for key, w in bracket_pairs(K6, embeds):
-        coords = canonicalize_CK6(w, K6)
-        table[key] = [(idx[nm], p) for nm, p in sorted(coords.items())]
+    coordinates = _ck6_reader(K6)
+    # rows in any order: LambdaStructure sorts each by generator
+    table = {key: [(idx[nm], p) for nm, p in coordinates(w).items()]
+             for key, w in bracket_pairs(K6, embeds)}
     S = LambdaStructure(
         LIE, gens, table, name="CK_6",
         meta=LazyMeta(K6=K6, tuples=tuples, embeds=embeds),
     )
-    S.meta["printed_diffs"] = functools.cache(lambda: verify_ck6_printed(S))
+    # the check reads a shallow copy of S with a plain meta dict, so that S
+    # and its meta make no reference cycle
+    view = copy.copy(S)
+    view.meta = dict(S.meta)
+    S.meta["printed_diffs"] = functools.cache(lambda: verify_ck6_printed(view))
     if strict and S.meta["printed_diffs"]:
         raise ConstructionMismatch("CK_6", S.meta["printed_diffs"])
     return S
@@ -1168,6 +1236,7 @@ def make_Jn(n: int) -> LambdaStructure:
             yield n, n - 1
             yield n - 1, n
 
+    unit = _units()
     table: Dict[Tuple[int, int], List[Tuple[int, MultiPoly]]] = {}
     for I in masks:
         dI = I.bit_count()
@@ -1178,9 +1247,9 @@ def make_Jn(n: int) -> LambdaStructure:
             th_th = table[(th_idx[I], th_idx[J])] = []
             if s:
                 k = I | J
-                table[(ev_idx[I], ev_idx[J])] = [(ev_idx[k], MultiPoly.const(s))]
-                table[(ev_idx[I], th_idx[J])] = [(th_idx[k], MultiPoly.const(s))]
-                table[(th_idx[I], ev_idx[J])] = [(th_idx[k], MultiPoly.const(_sgn(dJ) * s))]
+                table[(ev_idx[I], ev_idx[J])] = [(ev_idx[k], unit[s])]
+                table[(ev_idx[I], th_idx[J])] = [(th_idx[k], unit[s])]
+                table[(th_idx[I], ev_idx[J])] = [(th_idx[k], unit[_sgn(dJ) * s])]
                 th_th.append((ev_idx[k], (LAM * (dI + dJ - 4) + D * (dI - 2)) * (_sgn(dJ) * s)))
             for i, j in deriv_pairs():
                 if not (I & _mask_of(i) and J & _mask_of(j)):
@@ -1189,7 +1258,7 @@ def make_Jn(n: int) -> LambdaStructure:
                 sd = mul_sign(Ii, Jj)
                 if sd:
                     sd *= _sgn(dJ + dI + eps_mask(i, I) + eps_mask(j, J))
-                    th_th.append((ev_idx[Ii | Jj], MultiPoly.const(sd)))
+                    th_th.append((ev_idx[Ii | Jj], unit[sd]))
     return LambdaStructure(
         JORDAN, gens, table, name=f"J_{n}",
         meta={"n": n, "ev_idx": ev_idx, "th_idx": th_idx},

@@ -612,7 +612,11 @@ def poly_to_json(p: MultiPoly) -> list:
 
 
 def poly_from_json(data: Iterable[dict]) -> MultiPoly:
-    out = MultiPoly.zero()
+    """The polynomial of poly_to_json's terms; repeated monomials are summed.
+
+    A term whose coefficient is zero adds nothing: of its monomial only the
+    type of each exponent is checked."""
+    terms: Dict[int, Scalar] = {}
     for term in data:
         rn, rd, im_n, im_d = term["coeff"]
         c = Scalar(Fraction(rn, rd), Fraction(im_n, im_d))
@@ -620,5 +624,9 @@ def poly_from_json(data: Iterable[dict]) -> MultiPoly:
         for v, e in exps.items():
             if type(e) is not int:
                 raise ValueError(f"exponent {e!r} of {v} is not an integer")
-        out = out + MultiPoly.monomial({str(v): e for v, e in exps.items()}, c)
-    return out
+        if c.is_zero():
+            continue
+        k = _pack({str(v): e for v, e in exps.items()})
+        prev = terms.get(k)
+        terms[k] = c if prev is None else prev + c
+    return MultiPoly({k: c for k, c in terms.items() if not c.is_zero()})

@@ -1,7 +1,7 @@
 """Session-scoped family constructions shared across test modules.
 
 Each family is constructed once per run and shared between modules.
-Building all of them takes about a quarter of a second on a 2-vCPU Xeon
+Building all of them takes about a tenth of a second on a 2-vCPU Xeon
 (CK_6 is the largest part); tests that need a fresh or corrupted table
 build their own.
 

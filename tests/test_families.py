@@ -1,7 +1,9 @@
 """Family constructors: tabulated examples, ranks, and the documented
 discrepancies between the definitional constructions and the printed tables."""
 
+import gc
 import re
+import weakref
 
 import pytest
 
@@ -158,6 +160,48 @@ def test_s_strict_mode_raises():
 
     with pytest.raises(ConstructionMismatch):
         make_S(2, strict=True)
+
+
+def test_s_proposition_diffs_run_on_first_read(monkeypatch, S):
+    from confcoalg import families
+    from confcoalg.families import ConstructionMismatch
+
+    def refuse(*args):
+        raise AssertionError("tabulated formulas evaluated during construction")
+
+    with monkeypatch.context() as m:
+        m.setattr(families, "_prop_entry", refuse)
+        S3 = make_S(3)
+    calls = []
+    prop_entry = families._prop_entry
+    monkeypatch.setattr(families, "_prop_entry",
+                        lambda *args: calls.append(args) or prop_entry(*args))
+    copy = corrupt_entry(S3, "B", "B", "B", D)
+    diffs = S3.meta["proposition_diffs"]
+    assert diffs == S[3].meta["proposition_diffs"]
+    evaluated = len(calls)
+    assert evaluated and S3.meta.get("proposition_diffs") is diffs
+    # a copy sees the value of the table it was made from, computed once
+    assert copy.meta["proposition_diffs"] is diffs and len(calls) == evaluated
+    with pytest.raises(ConstructionMismatch):
+        make_S(3, strict=True)
+    assert len(calls) == 2 * evaluated
+
+
+@pytest.mark.parametrize("make, key", [(make_CK6, "printed_diffs"),
+                                       (lambda: make_S(2), "proposition_diffs")])
+def test_lazy_diffs_hold_no_cycle(make, key):
+    """A table whose diffs are computed when read is freed as soon as it is
+    dropped, without waiting for the cycle collector."""
+    gc.disable()
+    try:
+        S = make()
+        assert S.meta[key]
+        table = weakref.ref(S)
+        del S
+        assert table() is None
+    finally:
+        gc.enable()
 
 
 def test_s_proposition_diffs_follow_basis_names():

@@ -32,8 +32,10 @@ from confcoalg.conformal import (
     check_jacobi, check_jordan_comm, check_jordan_identity, check_skew, shift_spectral,
 )
 from confcoalg.families import corrupt_entry
-from confcoalg.grassmann import IndexSet, derive, mul
-from confcoalg.poly import D, LAM, MU, NU, MultiPoly, P_ONE, Scalar, _MONO_MASK, _checked
+from confcoalg.grassmann import IndexSet, alpha_mask, derive, members, mul, mul_sign
+from confcoalg.poly import (
+    D, LAM, MU, NU, MultiPoly, P_ONE, Scalar, _MONO_MASK, _checked, accumulate,
+)
 
 
 # -- oracles -------------------------------------------------------------------
@@ -387,6 +389,11 @@ def test_tables_are_not_cached_across_copies(K):
                     p.terms[key] = -c
         assert one.table != two.table
         assert repr(sorted(two.table.items())) == built
+    # the ambient tables share polynomials between their entries, never between calls
+    for make in (families.make_W, families.make_K, families.make_Jn):
+        one, two = make(3), make(3)
+        polys = [{id(p) for row in S.table.values() for _, p in row} for S in (one, two)]
+        assert not polys[0] & polys[1]
 
 
 # -- constructors ----------------------------------------------------------------
@@ -705,6 +712,203 @@ def test_bracket_pairs_match_bracket_and_refuse_lam(K):
     assert list(bracket_pairs(K[2], xs)) == list(_bracket_loop(K[2], xs))
     with pytest.raises(StructureError, match="already uses lam"):
         list(bracket_pairs(K[1], [ConformalElement({0: LAM})]))
+
+
+# -- coordinate readers ------------------------------------------------------------
+#
+# canonicalize_CK6 and canonicalize_S as they stood before each table worked
+# out its reader once, and make_S's comparison with the tabulated formulas as
+# it ran eagerly on every build: the CK_6 coordinates re-embedded and summed
+# as ConformalElements, the S_n maps rebuilt on every call.
+
+
+def _canonicalize_CK6_oracle(x, K6):
+    lam_idx = K6.meta["lam_idx"]
+    rev = {g: m for m, g in lam_idx.items()}
+    coords = {}
+    expect = ConformalElement()
+    for g, p in x.terms.items():
+        t = members(rev[g])
+        if not t:
+            c = p.scalar_mul(-2)
+        elif len(t) <= 2 or (len(t) == 3 and t[0] == 1):
+            c = p
+        else:
+            continue
+        if not c.is_zero():
+            coords[families._ck6_name(t)] = c
+            expect = expect + families.ck6_embed(t, K6).scale(c)
+    if not (x - expect).is_zero():
+        raise families.NotInSpan("element outside the CK_6 span")
+    return coords
+
+
+def _canonicalize_S_oracle(x, W):
+    n = W.meta["n"]
+    lam_idx = W.meta["lam_idx"]
+    w_idx = W.meta["w_idx"]
+    rev = families._reverse_maps(W)
+    coords = {}
+    work = dict(x.terms)
+
+    for m, g in lam_idx.items():
+        p = work.pop(g, None)
+        if p is None:
+            continue
+        deg = m.bit_count()
+        if deg == n:
+            raise families.NotInSpan("component on the top Lambda monomial")
+        cb = p.scalar_mul(Fraction(1, deg - n))
+        coords[families.SnBasisElement("B", m).name()] = cb
+        for i in members(~m & ((1 << n) - 1)):
+            gidx = w_idx[(m | (1 << (i - 1)), i)]
+            accumulate(work, gidx, -(cb * (D * mul_sign(m, 1 << (i - 1)))))
+
+    for g in list(work):
+        _, mask, i = rev[g]
+        if not (mask >> (i - 1)) & 1:
+            coords[families.SnBasisElement("A", mask, i).name()] = work.pop(g)
+
+    by_I = {}
+    for g, p in work.items():
+        _, mask, i = rev[g]
+        I = mask & ~(1 << (i - 1))
+        by_I.setdefault(I, {})[i] = p * (-1 if alpha_mask(I, 1 << (i - 1)) & 1 else 1)
+    for I, comps in by_I.items():
+        comp = members(~I & ((1 << n) - 1))
+        total = MultiPoly.zero()
+        for a in comp:
+            total = total + comps.get(a, MultiPoly.zero())
+        if not total.is_zero():
+            raise families.NotInSpan(f"nonzero divergence defect on I={I:b}")
+        partial = MultiPoly.zero()
+        for a, b in zip(comp, comp[1:]):
+            partial = partial + comps.get(a, MultiPoly.zero())
+            if not partial.is_zero():
+                coords[families.SnBasisElement("A2", I, a, b).name()] = partial
+    return coords
+
+
+def _proposition_diffs_oracle(n):
+    W = families.make_W(n)
+    basis = families.sn_basis(n)
+    names = [b.name() for b in basis]
+    embeds = [families.embed_sn(b, W) for b in basis]
+    prop_coords = {}
+    for a, u in enumerate(basis):
+        for b, v in enumerate(basis):
+            if (u.tag, v.tag) in families._PRINTED_ORDERS:
+                prop_coords[(a, b)] = families._prop_entry(n, u, v)
+    for a, u in enumerate(basis):
+        for b, v in enumerate(basis):
+            if (a, b) in prop_coords:
+                continue
+            mirror = prop_coords[(b, a)]
+            sg = -1 if basis[a].parity() * basis[b].parity() & 1 else 1
+            prop_coords[(a, b)] = {nm: p.subst_general("lam", -LAM - D) * -sg
+                                   for nm, p in mirror.items()}
+    diffs = []
+    for (a, b), w in bracket_pairs(W, embeds):
+        coords = _canonicalize_S_oracle(w, W)
+        printed = prop_coords[(a, b)]
+        for nm in sorted(set(coords) | set(printed)):
+            pa = coords.get(nm, MultiPoly.zero())
+            pb = printed.get(nm, MultiPoly.zero())
+            if pa != pb:
+                diffs.append(f"[{names[a]} lam {names[b]}] @ {nm}: W-path {pa!r}"
+                             f" vs formula {pb!r}")
+    return diffs
+
+
+def _reading(read, x, ambient):
+    """The coordinates of x, or the NotInSpan message."""
+    try:
+        return read(x, ambient)
+    except families.NotInSpan as e:
+        return f"NotInSpan: {e}"
+
+
+# every bracket goes through the reader the constructor uses; the seeded
+# corruptions below go through the public functions, which make a reader per call
+
+
+def test_ck6_coordinates_match_oracle(CK6):
+    K6 = CK6.meta["K6"]
+    read = families._ck6_reader(K6)
+    for _, w in bracket_pairs(K6, CK6.meta["embeds"]):
+        assert read(w) == _canonicalize_CK6_oracle(w, K6)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_s_coordinates_match_oracle(n, S):
+    built = S[n] if n in S else families.make_S(n)
+    W = built.meta["W"]
+    read = families._sn_reader(W)
+    for _, w in bracket_pairs(W, built.meta["embeds"]):
+        assert read(w) == _canonicalize_S_oracle(w, W)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_ck6_corruptions_refused_like_oracle(CK6, seed):
+    """A perturbed Hodge partner, a dropped partner and a stray component each
+    raise the same NotInSpan as the oracle, on brackets drawn by the seed."""
+    rng = random.Random(seed)
+    K6 = CK6.meta["K6"]
+    lam_idx = K6.meta["lam_idx"]
+    star = (1 << 6) - 1
+    brackets = [w for _, w in bracket_pairs(K6, CK6.meta["embeds"]) if w.terms]
+    # leading monomial -> Hodge partner, for the CK_6 basis elements
+    partner = {}
+    for t in families._ck6_basis_tuples():
+        m = sum(1 << (i - 1) for i in t)
+        partner[lam_idx[m]] = lam_idx[star ^ m]
+    for _ in range(5):
+        w = rng.choice(brackets)
+        terms = dict(w.terms)
+        lead = rng.choice([g for g in terms if g in partner])
+        h = partner[lead]
+        bump = rng.choice((P_ONE, D, MultiPoly.const(Scalar(0, 1)), LAM * 2))
+        absent = [g for g in partner if g not in terms]
+        corrupted = [
+            ConformalElement({**terms, h: terms[h] + bump}),
+            ConformalElement({g: p for g, p in terms.items() if g != h}),
+            ConformalElement({**terms, partner[rng.choice(absent)]: bump}),
+        ]
+        for x in corrupted:
+            got = _reading(families.canonicalize_CK6, x, K6)
+            assert got == _reading(_canonicalize_CK6_oracle, x, K6)
+            assert got == "NotInSpan: element outside the CK_6 span"
+        assert _reading(families.canonicalize_CK6, w, K6) == _canonicalize_CK6_oracle(w, K6)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_s_corruptions_read_like_oracle(S, seed):
+    """One component added to a bracket of S_3: the same coordinates, or the
+    same NotInSpan, as the oracle."""
+    rng = random.Random(seed)
+    W = S[3].meta["W"]
+    brackets = [w for _, w in bracket_pairs(W, S[3].meta["embeds"]) if w.terms]
+    refused = 0
+    for _ in range(20):
+        w = rng.choice(brackets)
+        g = rng.randrange(W.rank)
+        bump = rng.choice((P_ONE, D, MultiPoly.const(Scalar(1, 2)), LAM))
+        x = w + ConformalElement({g: bump})
+        got = _reading(families.canonicalize_S, x, W)
+        assert got == _reading(_canonicalize_S_oracle, x, W)
+        refused += isinstance(got, str)
+    assert refused
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_proposition_diffs_match_eager_oracle(n, S):
+    want = _proposition_diffs_oracle(n)
+    built = S[n] if n in S else families.make_S(n)
+    assert built.meta["proposition_diffs"] == want
+    with pytest.raises(families.ConstructionMismatch) as exc:
+        families.make_S(n, strict=True)
+    assert exc.value.diffs == want
+    assert str(exc.value).splitlines() == [f"S_{n}: construction cross-check failed:"] + want[:10]
 
 
 # -- kernel of a module map --------------------------------------------------------
