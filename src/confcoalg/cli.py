@@ -46,13 +46,14 @@ CHECK_FAILURE = 1
 
 class FamilyDef:
     def __init__(self, build, kind, needs_n=False, cap=None, formula=None,
-                 allowed_n=None):
+                 allowed_n=None, takes_b=False):
         self.build = build
         self.kind = kind
         self.needs_n = needs_n
         self.cap = cap
         self.formula = formula
         self.allowed_n = allowed_n
+        self.takes_b = takes_b
 
 
 FAMILIES = {
@@ -67,7 +68,7 @@ FAMILIES = {
                    cap=families.CAPS["S"],
                    formula=lambda n: closed_form.coproduct_S(n)),
     "sb": FamilyDef(lambda n, b: families.make_S_b(n, b), LIE, needs_n=True,
-                    cap=families.CAPS["Sb"]),
+                    cap=families.CAPS["Sb"], takes_b=True),
     "stilde": FamilyDef(lambda n, b: families.make_S_tilde(n), LIE,
                         needs_n=True, cap=families.CAPS["Stilde"]),
     "k": FamilyDef(lambda n, b: families.make_K(n), LIE, needs_n=True,
@@ -93,6 +94,19 @@ FAMILIES = {
 
 LIE_CHECKS = ("skew", "jacobi", "coalg", "roundtrip")
 JORDAN_CHECKS = ("jordan-comm", "jordan-id", "cojordan", "roundtrip")
+
+# check name -> the report it makes of a table; crosscheck reads the family
+# from the command line instead (see cmd_verify)
+CHECKS = {
+    "skew": check_skew,
+    "jacobi": check_jacobi,
+    "jordan-comm": check_jordan_comm,
+    "jordan-id": check_jordan_identity,
+    "coalg": lambda S: check_lie_coalgebra(dualize(S)),
+    "cojordan": lambda S: check_jordan_coalgebra(dualize(S)),
+    "roundtrip": double_dual_roundtrip,
+    "crosscheck": None,
+}
 
 
 def parse_scalar(text: str) -> Scalar:
@@ -143,7 +157,9 @@ def _resolve(args) -> tuple:
             raise UsageError("n must be >= 0")
     elif n is not None:
         raise UsageError(f"family {args.family} takes no --n")
-    b = parse_scalar(args.b) if getattr(args, "b", None) else Scalar(0)
+    if args.b is not None and not fd.takes_b:
+        raise UsageError(f"family {args.family} takes no --b")
+    b = parse_scalar(args.b) if args.b else Scalar(0)
     return fd, n, b
 
 
@@ -225,27 +241,15 @@ def cmd_verify(args) -> int:
     reports = []
     for c in wanted:
         c = c.strip()
-        if c == "skew":
-            reports.append(check_skew(S))
-        elif c == "jacobi":
-            reports.append(check_jacobi(S))
-        elif c == "jordan-comm":
-            reports.append(check_jordan_comm(S))
-        elif c == "jordan-id":
-            reports.append(check_jordan_identity(S))
-        elif c == "coalg":
-            reports.append(check_lie_coalgebra(dualize(S)))
-        elif c == "cojordan":
-            reports.append(check_jordan_coalgebra(dualize(S)))
-        elif c == "roundtrip":
-            reports.append(double_dual_roundtrip(S))
-        elif c == "crosscheck":
+        if c not in CHECKS:
+            raise UsageError(f"unknown check {c!r}")
+        if c == "crosscheck":
             if args.infile:
                 raise UsageError("the crosscheck check needs --family; "
                                  "an imported table (--in) has no tabulated coproduct")
             reports.append(_crosscheck_report(args))
         else:
-            raise UsageError(f"unknown check {c!r}")
+            reports.append(CHECKS[c](S))
     ok = all(r.ok for r in reports)
     if args.format == "json":
         doc = {
@@ -338,9 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_construct)
     p = sub.add_parser("verify", help="run axiom checks")
     common(p, infile=True)
-    p.add_argument("--checks", default=None,
-                   help="comma list: skew,jacobi,jordan-comm,jordan-id,"
-                        "coalg,cojordan,roundtrip,crosscheck")
+    p.add_argument("--checks", default=None, help="comma list: " + ",".join(CHECKS))
     p.set_defaults(fn=cmd_verify)
     p = sub.add_parser("dualize", help="emit the machine-dual coproduct")
     common(p, infile=True)

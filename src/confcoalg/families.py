@@ -3,9 +3,11 @@
 Each constructor returns a ``LambdaStructure`` built from first principles
 out of the Grassmann sign calculus on plain int subset masks.  Families
 defined as subalgebras (S_n, S_{n,b}, S~_n, K_4', CK_6) are built by
-restriction inside the ambient algebra: conformal.bracket_pairs gives the
-brackets of the embedded basis, and a reader worked out once per table
-gives their coordinates (a bracket outside the span raises NotInSpan).
+restriction inside the ambient algebra (W_n, K_4 or K_6): each lists its
+basis and embeds it, conformal.bracket_pairs gives the brackets of the
+embedded basis, and one span_reader per table gives their coordinates by
+forward substitution over pivots (a bracket outside the span raises
+NotInSpan).
 Where the paper tabulates the brackets (S_n, CK_6), the tabulated formulas
 are a second, independent path.  Its disagreements with the restriction
 are a meta entry computed when first read (``proposition_diffs``,
@@ -22,10 +24,11 @@ from __future__ import annotations
 
 import copy
 import functools
+import heapq
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .conformal import (
     ConformalElement,
@@ -125,6 +128,100 @@ def _xi_name(mask: int) -> str:
 
 def _xi_latex(mask: int) -> str:
     return r"\xi_{" + _digits(members(mask)) + "}" if mask else "1"
+
+
+# ---------------------------------------------------------------------------
+# restriction: coordinates over an embedded basis
+
+
+class NotInSpan(StructureError):
+    """An element outside the span of an embedded basis."""
+
+
+def span_reader(ambient: LambdaStructure, embeds: Sequence[ConformalElement]):
+    """Coordinates over a free basis embedded in ambient, by forward substitution.
+
+    The basis is ordered once, by pivots.  A pivot is an ambient row touched
+    by exactly one element not yet ordered; among those, the coefficient of
+    lowest d-degree comes first (then the lowest row).  A constant pivot is
+    multiplied by its inverse, any other (such as K_4''s d xi_star) divided
+    exactly.  The returned function maps an ambient element to {basis index:
+    coefficient}; a component left over, or a pivot row its coefficient does
+    not divide, raises NotInSpan naming that ambient generator.
+    """
+    touching: Dict[int, set] = {}
+    for j, e in enumerate(embeds):
+        for r in e.terms:
+            touching.setdefault(r, set()).add(j)
+    heap: List[Tuple[int, int]] = []
+
+    def offer(rows):
+        for r in rows:
+            if len(touching[r]) == 1:
+                j, = touching[r]
+                heapq.heappush(heap, (embeds[j].terms[r].degree_in("d"), r))
+
+    offer(touching)
+    # (pivot row, element, inverse of a constant pivot or None for 1,
+    #  divisor for any other pivot, the rest of the element negated)
+    plan = []
+    while heap:
+        _, r = heapq.heappop(heap)
+        if len(touching[r]) != 1:   # its element was ordered through another row
+            continue
+        j = touching[r].pop()
+        rest = dict(embeds[j].terms)
+        pivot = rest.pop(r)
+        inv = divisor = None
+        if list(pivot.terms) != [0]:
+            divisor = pivot
+        elif pivot != P_ONE:
+            inv = pivot.terms[0].inverse()
+        plan.append((r, j, inv, divisor, [(g, -q) for g, q in rest.items()]))
+        for g in rest:
+            touching[g].discard(j)
+        offer(rest)
+    if len(plan) != len(embeds):
+        raise StructureError(f"{ambient.name}: the embedded basis has no pivot order")
+
+    def outside(g: int) -> NotInSpan:
+        return NotInSpan(f"component on {ambient.generators[g].id} is outside the span")
+
+    # an element adds rows only at later positions, so the next pivot is
+    # always the earliest row present
+    position = {r: k for k, (r, *_) in enumerate(plan)}
+    end = len(plan)
+
+    def read(x: ConformalElement) -> Dict[int, MultiPoly]:
+        work = dict(x.terms)
+        coords: Dict[int, MultiPoly] = {}
+        while work:
+            k = min(position.get(g, end) for g in work)
+            if k == end:
+                raise outside(min(work))
+            r, j, inv, divisor, rest = plan[k]
+            p = work.pop(r)
+            if divisor is not None:
+                try:
+                    p = p.exact_div(divisor)
+                except ValueError:
+                    raise outside(r) from None
+            elif inv is not None:
+                p = p.scalar_mul(inv)
+            coords[j] = p
+            for g, q in rest:
+                accumulate(work, g, p * q)
+        return coords
+
+    return read
+
+
+def _restrict(ambient: LambdaStructure, embeds: List[ConformalElement]):
+    """The table of the subalgebra spanned by embeds: each bracket taken in
+    ambient and read back in coordinates over embeds."""
+    read = span_reader(ambient, embeds)
+    # rows in any order: LambdaStructure sorts each by generator
+    return {key: list(read(w).items()) for key, w in bracket_pairs(ambient, embeds)}
 
 
 # ---------------------------------------------------------------------------
@@ -291,12 +388,13 @@ def div_w(W: LambdaStructure, x: ConformalElement, b: Scalar = Scalar(0)) -> Con
     return out
 
 
-def _reverse_maps(W: LambdaStructure):
-    rev = {}
-    for m, g in W.meta["lam_idx"].items():
-        rev[g] = ("lam", m, 0)
-    for (m, i), g in W.meta["w_idx"].items():
-        rev[g] = ("w", m, i)
+def _reverse_maps(W: LambdaStructure) -> Dict[int, Tuple[str, int, int]]:
+    """Generator of W_n -> ("lam", I, 0) for xi_I or ("w", I, i) for xi_I d_i,
+    worked out on first use and kept in W.meta."""
+    rev = W.meta.get("rev")
+    if rev is None:
+        rev = W.meta["rev"] = {g: ("lam", m, 0) for m, g in W.meta["lam_idx"].items()}
+        rev.update({g: ("w", m, i) for (m, i), g in W.meta["w_idx"].items()})
     return rev
 
 
@@ -440,98 +538,6 @@ def embed_sn(el: SnBasisElement, W: LambdaStructure) -> ConformalElement:
     for i in members(~I & ((1 << n) - 1)):
         out = out + ConformalElement({w_idx[(I | _mask_of(i), i)]: D * mul_sign(I, _mask_of(i))})
     return out
-
-
-class NotInSpan(StructureError):
-    pass
-
-
-def canonicalize_S(
-    x: ConformalElement, W: LambdaStructure
-) -> Dict[str, MultiPoly]:
-    """Coordinates of a W_n element over the S_n basis; raises NotInSpan.
-
-    B coordinates are read off the Lambda components (coefficient |I|-n),
-    A-pair coordinates by telescoping partial sums over each complement
-    chain, with the zero-sum (divergence-free) defect as the membership
-    test.
-    """
-    return _sn_reader(W)(x)
-
-
-def _sn_reader(W: LambdaStructure):
-    """canonicalize_S for one W_n, with the index maps and names worked out once."""
-    n = W.meta["n"]
-    full = (1 << n) - 1
-    w_idx = W.meta["w_idx"]
-    # Lambda monomials in lam_idx order: (generator, B name, 1/(|I|-n),
-    # [(xi_{I+i} d_i, d (-1)^{alpha(I, i)})]); None on the top monomial
-    lams = []
-    for m, g in W.meta["lam_idx"].items():
-        if m == full:
-            lams.append((g, None))
-            continue
-        chain = [(w_idx[(m | _mask_of(i), i)], D * mul_sign(m, _mask_of(i)))
-                 for i in members(~m & full)]
-        lams.append((g, (SnBasisElement("B", m).name(), Fraction(1, m.bit_count() - n), chain)))
-    # xi_M d_i: the A single's name when i is not in M, else (I = M - i, i, sign)
-    singles: Dict[int, str] = {}
-    paired: Dict[int, Tuple[int, int, int]] = {}
-    for (m, i), g in w_idx.items():
-        if not m & _mask_of(i):
-            singles[g] = SnBasisElement("A", m, i).name()
-        else:
-            I = m ^ _mask_of(i)
-            paired[g] = (I, i, _sgn(alpha_mask(I, _mask_of(i))))
-    # each I's complement chain, with the name of the pair (a, b) at each a but the last
-    chains = {}
-    for I in range(full + 1):
-        comp = members(~I & full)
-        chains[I] = [(a, SnBasisElement("A2", I, a, b).name()) for a, b in zip(comp, comp[1:])]
-
-    def coordinates(x: ConformalElement) -> Dict[str, MultiPoly]:
-        coords: Dict[str, MultiPoly] = {}
-        if not x.terms:     # about half the brackets of S_n
-            return coords
-        work = dict(x.terms)
-        for g, b in lams:
-            p = work.pop(g, None)
-            if p is None:
-                continue
-            if b is None:
-                raise NotInSpan("component on the top Lambda monomial")
-            name, inv, chain = b
-            cb = coords[name] = p.scalar_mul(inv)
-            for gidx, ds in chain:
-                accumulate(work, gidx, -(cb * ds))
-
-        # A singles: components xi_M d_i with i not in M
-        for g in list(work):
-            name = singles.get(g)
-            if name is not None:
-                coords[name] = work.pop(g)
-
-        # A pairs: for each I, the components at (ord(I,a), a) must sum to zero
-        by_I: Dict[int, Dict[int, MultiPoly]] = {}
-        for g, p in work.items():
-            I, i, sign = paired[g]
-            by_I.setdefault(I, {})[i] = p if sign == 1 else -p
-        for I, comps in by_I.items():
-            total = P_ZERO
-            for p in comps.values():
-                total = total + p
-            if not total.is_zero():
-                raise NotInSpan(f"nonzero divergence defect on I={I:b}")
-            partial = P_ZERO
-            for a, name in chains[I]:
-                p = comps.get(a)
-                if p is not None:
-                    partial = partial + p
-                if not partial.is_zero():
-                    coords[name] = partial
-        return coords
-
-    return coordinates
 
 
 def _raw_A_pair(n: int, mask: int, p: int, q: int, coeff: MultiPoly,
@@ -683,8 +689,8 @@ _PRINTED_ORDERS = {
 def make_S(n: int, strict: bool = False) -> LambdaStructure:
     """S_n = ker(div) in W_n, rank n 2^n, built two independent ways.
 
-    Path one restricts the W_n bracket to the embedded basis and
-    re-expresses the result through canonicalize_S; path two evaluates the
+    Path one takes the brackets of the embedded basis (embed_sn) in W_n and
+    reads them back through span_reader; path two evaluates the
     tabulated bracket formulas (mirrored orders via skew-symmetry).  The
     returned table is always the definitional W-restriction.  The
     term-level disagreements of the tabulated formulas with it are
@@ -700,13 +706,8 @@ def make_S(n: int, strict: bool = False) -> LambdaStructure:
     basis = sn_basis(n)
     gens = [Generator(b.name(), b.parity(), b.latex()) for b in basis]
     embeds = [embed_sn(b, W) for b in basis]
-    idx = {g.id: i for i, g in enumerate(gens)}
-    coordinates = _sn_reader(W)
-    # rows in any order: LambdaStructure sorts each by generator
-    table = {key: [(idx[nm], p) for nm, p in coordinates(w).items()]
-             for key, w in bracket_pairs(W, embeds)}
     S = LambdaStructure(
-        LIE, gens, table, name=f"S_{n}",
+        LIE, gens, _restrict(W, embeds), name=f"S_{n}",
         meta=LazyMeta(n=n, basis=basis, W=W, embeds=embeds),
     )
     # the closure holds the rows, not S, so that S and its meta make no cycle
@@ -750,29 +751,12 @@ def _proposition_diffs(n: int, basis: List[SnBasisElement], rows) -> List[str]:
 # S_{n,b} and S~_n
 
 
-def _solve_in_echelon(cols, pivots, w: Dict[int, MultiPoly]) -> Dict[int, MultiPoly]:
-    """Solve sum_j x_j cols[j] = w by forward substitution over the pivots."""
-    work = dict(w)
-    coords: Dict[int, MultiPoly] = {}
-    for row, j in pivots:
-        num = work.get(row)
-        if num is None:
-            continue
-        x = num.exact_div(cols[j][row])
-        coords[j] = x
-        for r, p in cols[j].items():
-            accumulate(work, r, -(x * p))
-    if work:
-        raise NotInSpan("element outside the kernel span")
-    return coords
-
-
 def make_S_b(n: int, b: Scalar) -> LambdaStructure:
     """S_{n,b} = ker(div_b) in W_n, rank n 2^n, basis from kernel_basis.
 
-    The kernel basis is echelonized by kernel_basis's column elimination, so
-    closure re-expression is exact forward substitution over its pivots;
-    closure failure raises NotInSpan.
+    The basis is the kernel basis after one more column elimination (at
+    n = 3 that step changes it); brackets are read back through span_reader,
+    and closure failure raises NotInSpan.
     """
     if n < 2:
         raise StructureError("S_{n,b} needs n >= 2")
@@ -784,7 +768,7 @@ def make_S_b(n: int, b: Scalar) -> LambdaStructure:
             f"S_{{{n},{b!r}}} kernel rank {len(raw)} != {n * (1 << n)}"
         )
     cols = [dict(c) for c in raw]
-    pivots = _eliminate_columns(cols)
+    _eliminate_columns(cols)
     gens = []
     embeds = []
     for j, c in enumerate(cols):
@@ -793,53 +777,37 @@ def make_S_b(n: int, b: Scalar) -> LambdaStructure:
             raise StructureError("kernel basis element not parity-homogeneous")
         gens.append(Generator(f"k{j}", par.pop()))
         embeds.append(ConformalElement(dict(c)))
-    table = {
-        key: sorted(_solve_in_echelon(cols, pivots, w.terms).items())
-        for key, w in bracket_pairs(W, embeds)
-    }
     return LambdaStructure(
-        LIE, gens, table, name=f"S_{n},b",
+        LIE, gens, _restrict(W, embeds), name=f"S_{n},b",
         meta={"n": n, "b": b, "W": W, "embeds": embeds},
     )
 
 
-def _xi_star_mult(W: LambdaStructure, x: ConformalElement) -> ConformalElement:
-    """Left multiplication by xi_1..xi_n on a W_n element."""
-    n = W.meta["n"]
-    lam_idx = W.meta["lam_idx"]
-    w_idx = W.meta["w_idx"]
-    rev = _reverse_maps(W)
-    star = (1 << n) - 1
-    out = ConformalElement()
-    for g, p in x.terms.items():
-        kind, mask, i = rev[g]
-        if mask != 0:
-            continue
-        tgt = lam_idx[star] if kind == "lam" else w_idx[(star, i)]
-        out = out + ConformalElement({tgt: p})
-    return out
-
-
 def make_S_tilde(n: int) -> LambdaStructure:
-    """S~_n = (1 - xi_star) S_n inside W_n, rank n 2^n, n even."""
+    """S~_n = (1 - xi_star) S_n inside W_n, rank n 2^n, n even.
+
+    Each S_n basis element e embeds as e - xi_star e, where xi_star =
+    xi_1 ... xi_n keeps only the components of e free of xi.  Brackets are
+    read back through span_reader.
+    """
     if n < 2 or n % 2:
         raise StructureError("S~_n needs even n >= 2")
-    S = make_S(n)
-    W = S.meta["W"]
-    basis: List[SnBasisElement] = S.meta["basis"]
-    embeds = [e - _xi_star_mult(W, e) for e in S.meta["embeds"]]
+    W = make_W(n)
+    lam_idx, w_idx = W.meta["lam_idx"], W.meta["w_idx"]
+    star = (1 << n) - 1
+    # the components free of xi, 1 and d_i, and their xi_star multiples
+    lift = {lam_idx[0]: lam_idx[star]}
+    lift.update({w_idx[(0, i)]: w_idx[(star, i)] for i in range(1, n + 1)})
+    basis = sn_basis(n)
+    embeds = []
+    for b in basis:
+        terms = dict(embed_sn(b, W).terms)
+        for g in lift.keys() & terms.keys():
+            accumulate(terms, lift[g], -terms[g])
+        embeds.append(ConformalElement(terms))
     gens = [Generator(b.name(), b.parity(), b.latex()) for b in basis]
-    names = [b.name() for b in basis]
-    idx = {nm: i for i, nm in enumerate(names)}
-    coordinates = _sn_reader(W)
-    table: Dict[Tuple[int, int], List[Tuple[int, MultiPoly]]] = {}
-    for key, w in bracket_pairs(W, embeds):
-        # (1+xi_star)(1-xi_star) = 1, so coordinates over the tilde basis
-        # are the S_n coordinates of (1+xi_star) w
-        coords = coordinates(w + _xi_star_mult(W, w))
-        table[key] = [(idx[nm], p) for nm, p in coords.items()]
     return LambdaStructure(
-        LIE, gens, table, name=f"S~_{n}",
+        LIE, gens, _restrict(W, embeds), name=f"S~_{n}",
         meta={"n": n, "W": W, "embeds": embeds, "basis": basis},
     )
 
@@ -895,36 +863,23 @@ def make_K(n: int) -> LambdaStructure:
 def make_K4prime() -> LambdaStructure:
     """K_4' of rank 16: xi_I (|I| <= 3) plus the generator d xi_star.
 
-    Brackets are inherited from K_4; any component on xi_star must carry a
-    d-divisible coefficient, rewritten through exact division as a multiple
-    of d xi_star (a closure failure raises).  The extra printed brackets of
-    the derived algebra are verified against this inheritance in the tests.
+    Brackets are inherited from K_4 and read back through span_reader: a
+    component on xi_star is divided exactly by the pivot d of d xi_star, and
+    one that d does not divide raises NotInSpan.  The extra printed brackets
+    of the derived algebra are verified against this inheritance in the
+    tests.
     """
     K4 = make_K(4)
     lam_idx = K4.meta["lam_idx"]
     star = 0b1111
-    star_gen = lam_idx[star]
     keep = [m for m in _masks(4) if m != star]
     gens = [K4.generators[lam_idx[m]] for m in keep]
     gens.append(Generator("dxistar", 0, r"\partial\xi_\star"))
-    gmap = {lam_idx[m]: i for i, m in enumerate(keep)}
-    dstar_idx = len(keep)
-
-    def to_prime(elem: ConformalElement) -> List[Tuple[int, MultiPoly]]:
-        out = []
-        for g, p in sorted(elem.terms.items()):
-            if g == star_gen:
-                out.append((dstar_idx, p.exact_div_by_var("d")))
-            else:
-                out.append((gmap[g], p))
-        return out
-
     elems = [ConformalElement.gen(lam_idx[m]) for m in keep]
-    elems.append(ConformalElement({star_gen: D}))
-    table = {key: to_prime(w) for key, w in bracket_pairs(K4, elems)}
+    elems.append(ConformalElement({lam_idx[star]: D}))
     return LambdaStructure(
-        LIE, gens, table, name="K_4'",
-        meta={"n": 4, "keep": keep, "K4": K4},
+        LIE, gens, _restrict(K4, elems), name="K_4'",
+        meta={"n": 4, "keep": keep, "K4": K4, "embeds": elems},
     )
 
 
@@ -978,52 +933,6 @@ def ck6_embed(t: Tuple[int, ...], K6: LambdaStructure) -> ConformalElement:
     })
 
 
-def canonicalize_CK6(
-    x: ConformalElement, K6: LambdaStructure
-) -> Dict[str, MultiPoly]:
-    """Coordinates of a K_6 element over the CK_6 basis; raises NotInSpan.
-
-    Coordinates are read off the degree 0..2 monomials and the degree-3
-    monomials containing 1; the remaining components are then forced and
-    verified.
-    """
-    return _ck6_reader(K6)(x)
-
-
-def _ck6_reader(K6: LambdaStructure):
-    """canonicalize_CK6 for one K_6, with the embedded basis worked out once.
-
-    Every monomial of Lambda(6) is the leading monomial of one CK_6 basis
-    element or the Hodge partner of one: the plan maps each leading
-    monomial to (name, the inverse of its coefficient or None for 1, the
-    partner, the partner's coefficient) and each partner to None.
-    """
-    plan: Dict[int, object] = {}
-    for t in _ck6_basis_tuples():
-        (g, lead), (h, tail) = ck6_embed(t, K6).terms.items()
-        inv = None if lead == P_ONE else lead.terms[0].inverse()
-        plan[g] = (_ck6_name(t), inv, h, tail)
-        plan[h] = None
-
-    def coordinates(x: ConformalElement) -> Dict[str, MultiPoly]:
-        terms = x.terms
-        coords: Dict[str, MultiPoly] = {}
-        for g, p in terms.items():
-            entry = plan[g]
-            if entry is None:
-                continue
-            name, inv, h, tail = entry
-            c = coords[name] = p if inv is None else p.scalar_mul(inv)
-            if terms.get(h) != c * tail:
-                raise NotInSpan("element outside the CK_6 span")
-        # each coordinate accounts for two components; any other is stray
-        if 2 * len(coords) != len(terms):
-            raise NotInSpan("element outside the CK_6 span")
-        return coords
-
-    return coordinates
-
-
 def make_CK6(strict: bool = False) -> LambdaStructure:
     """CK_6 of rank 32 inside K_6; the printed closed-form brackets are
     verified against the restriction table term-by-term.
@@ -1038,14 +947,9 @@ def make_CK6(strict: bool = False) -> LambdaStructure:
     K6 = make_K(6)
     tuples = _ck6_basis_tuples()
     gens = [Generator(_ck6_name(t), _ck6_parity(t), None) for t in tuples]
-    idx = {_ck6_name(t): i for i, t in enumerate(tuples)}
     embeds = [ck6_embed(t, K6) for t in tuples]
-    coordinates = _ck6_reader(K6)
-    # rows in any order: LambdaStructure sorts each by generator
-    table = {key: [(idx[nm], p) for nm, p in coordinates(w).items()]
-             for key, w in bracket_pairs(K6, embeds)}
     S = LambdaStructure(
-        LIE, gens, table, name="CK_6",
+        LIE, gens, _restrict(K6, embeds), name="CK_6",
         meta=LazyMeta(K6=K6, tuples=tuples, embeds=embeds),
     )
     # the check reads a shallow copy of S with a plain meta dict, so that S

@@ -127,6 +127,7 @@ def test_missing_family_is_a_usage_error(command, capsys):
 @pytest.mark.parametrize("argv, message", [
     pytest.param(("--family", "W"), "family W needs --n", id="missing-n"),
     pytest.param(("--family", "vir", "--n", "3"), "family vir takes no --n", id="stray-n"),
+    pytest.param(("--family", "K", "--n", "2", "--b", "1"), "family K takes no --b", id="stray-b"),
 ])
 @pytest.mark.parametrize("command", COMMANDS)
 def test_family_and_n_must_agree(command, argv, message, capsys):

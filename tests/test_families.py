@@ -11,9 +11,9 @@ from confcoalg.conformal import (
     ConformalElement, StructureError, bracket, check_jacobi, check_skew,
 )
 from confcoalg.families import (
-    CAPS, NotInSpan, canonicalize_CK6, canonicalize_S, check_div_identity,
-    ck6_embed, corrupt_entry, div_module_map, div_w, embed_sn, kernel_basis,
-    make_CK6, make_current, make_Jn, make_S, make_S_b, make_W, sn_basis,
+    CAPS, NotInSpan, check_div_identity, ck6_embed, corrupt_entry, div_module_map,
+    div_w, embed_sn, kernel_basis, make_CK6, make_current, make_Jn, make_S, make_S_b,
+    make_W, sn_basis, span_reader,
 )
 from confcoalg.poly import D, LAM, MultiPoly, P_ONE, Scalar
 
@@ -216,23 +216,58 @@ def test_s_proposition_diffs_follow_basis_names():
     assert all(ats == sorted(ats) for ats in by_pair.values())
 
 
-def test_canonicalize_s_rejects_outsiders(S, W):
-    w2 = W[2]
-    # xi_star has no preimage in S_2
-    star = ConformalElement.gen(w2.index["xi12"])
-    with pytest.raises(NotInSpan):
-        canonicalize_S(star, w2)
-    # a divergence-full element: xi1 d1 alone
-    with pytest.raises(NotInSpan):
-        canonicalize_S(ConformalElement.gen(w2.index["xi1d1"]), w2)
+def test_span_reader_s_rejects_outsiders(S):
+    w2 = S[2].meta["W"]
+    read = span_reader(w2, S[2].meta["embeds"])
+    # xi_star has no preimage in S_2: no basis element touches it
+    with pytest.raises(NotInSpan, match=r"^component on xi12 is outside the span$"):
+        read(E(w2, "xi12"))
+    # a divergence-full element: xi1 d1 alone is read as A_{1,2}, which
+    # leaves -xi2 d2 over
+    with pytest.raises(NotInSpan, match=r"^component on xi2d2 is outside the span$"):
+        read(E(w2, "xi1d1"))
+    # xi12 d1 alone: its divergence d xi2 is not cancelled
+    with pytest.raises(NotInSpan, match=r"^component on xi12d1 is outside the span$"):
+        read(E(w2, "xi12d1"))
 
 
-def test_canonicalize_s_round_trip(S):
+def test_span_reader_s_round_trip(S):
     s2 = S[2]
-    W2 = s2.meta["W"]
-    for el, emb in zip(s2.meta["basis"], s2.meta["embeds"]):
-        coords = canonicalize_S(emb, W2)
-        assert coords == {el.name(): P_ONE}
+    read = span_reader(s2.meta["W"], s2.meta["embeds"])
+    for j, emb in enumerate(s2.meta["embeds"]):
+        assert read(emb) == {j: P_ONE}
+        assert read(emb.scale(D + LAM)) == {j: D + LAM}
+    assert read(ConformalElement()) == {}
+
+
+def test_span_reader_needs_a_pivot_order(W):
+    """Two elements on the same two rows leave no row to read either from."""
+    x, y = E(W[1], "1"), E(W[1], "d1")
+    with pytest.raises(StructureError, match="no pivot order"):
+        span_reader(W[1], [x + y, x - y])
+
+
+def test_restricted_constructors_build_one_reader_each(monkeypatch):
+    from confcoalg import families
+
+    built = []
+    real = families.span_reader
+
+    def counted(ambient, embeds):
+        built.append(ambient.name)
+        return real(ambient, embeds)
+
+    monkeypatch.setattr(families, "span_reader", counted)
+    for make, ambient in (
+        (lambda: make_S(3), "W_3"),
+        (lambda: families.make_S_tilde(2), "W_2"),
+        (lambda: make_S_b(2, Scalar(0, 1)), "W_2"),
+        (families.make_K4prime, "K_4"),
+        (make_CK6, "K_6"),
+    ):
+        built.clear()
+        make()
+        assert built == [ambient]
 
 
 # -- S_{n,b} and S~_n --------------------------------------------------------
@@ -254,15 +289,15 @@ def test_sb0_matches_s2_after_base_change(S, S2b):
     assert W2.meta["n"] == sb.meta["W"].meta["n"]
     Wb = sb.meta["W"]
     table_embeds = s2.meta["embeds"]
+    read = span_reader(Wb, table_embeds)
     for a in range(sb.rank):
         for c in range(sb.rank):
             direct = bracket(Wb, sb.meta["embeds"][a], sb.meta["embeds"][c], "lam")
-            ca = canonicalize_S(sb.meta["embeds"][a], Wb)
-            cc = canonicalize_S(sb.meta["embeds"][c], Wb)
+            ca = read(sb.meta["embeds"][a])
+            cc = read(sb.meta["embeds"][c])
             via = ConformalElement()
-            for na, pa in ca.items():
-                for nc, pc in cc.items():
-                    ia, ic = s2.index[na], s2.index[nc]
+            for ia, pa in ca.items():
+                for ic, pc in cc.items():
                     pa_l = pa.subst_general("d", -LAM)
                     pc_r = pc.subst_general("d", LAM + D)
                     for k, P in s2.table[(ia, ic)]:
@@ -274,6 +309,13 @@ def test_stilde_rank_and_axioms(Stilde2):
     assert Stilde2.rank == 8
     assert check_skew(Stilde2).ok
     assert check_jacobi(Stilde2).ok
+
+
+def test_stilde_does_not_build_s(Stilde2, monkeypatch):
+    from confcoalg import families
+
+    monkeypatch.setattr(families, "make_S", None)
+    assert families.make_S_tilde(2).table == Stilde2.table
 
 
 def test_stilde_needs_even_n():
@@ -378,15 +420,17 @@ def test_ck6_axioms(CK6):
     assert check_skew(CK6).ok
 
 
-def test_canonicalize_ck6(CK6):
+def test_span_reader_ck6(CK6):
     K6 = CK6.meta["K6"]
     lam_idx = K6.meta["lam_idx"]
+    read = span_reader(K6, CK6.meta["embeds"])
+    L, C123 = CK6.index["L"], CK6.index["C123"]
     # xi_empty - beta d^3 xi_star = -2 L
     x = ConformalElement({
         lam_idx[0]: P_ONE,
         lam_idx[(1 << 6) - 1]: MultiPoly.monomial({"d": 3}, -Scalar.beta()),
     })
-    assert canonicalize_CK6(x, K6) == {"L": MultiPoly.const(-2)}
+    assert read(x) == {L: MultiPoly.const(-2)}
     # C_456 = beta (-1)^alpha({4,5,6},{1,2,3}) C_123 = -beta C_123
     from confcoalg.grassmann import IndexSet, hodge
 
@@ -396,12 +440,11 @@ def test_canonicalize_ck6(CK6):
         lam_idx[t.mask]: P_ONE,
         lam_idx[h.idxset.mask]: MultiPoly.const(Scalar.beta() * Scalar(h.sign)),
     })
-    assert canonicalize_CK6(c456, K6) == {
-        "C123": MultiPoly.const(-Scalar.beta())
-    }
-    assert canonicalize_CK6(ConformalElement(), K6) == {}
-    with pytest.raises(NotInSpan):
-        canonicalize_CK6(ConformalElement.gen(lam_idx[0]), K6)
+    assert read(c456) == {C123: MultiPoly.const(-Scalar.beta())}
+    assert read(ConformalElement()) == {}
+    # xi_empty alone is read as -2 L, which leaves beta d^3 xi_star over
+    with pytest.raises(NotInSpan, match=r"^component on xi123456 is outside the span$"):
+        read(ConformalElement.gen(lam_idx[0]))
 
 
 # -- Jordan families ---------------------------------------------------------

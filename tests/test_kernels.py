@@ -716,10 +716,11 @@ def test_bracket_pairs_match_bracket_and_refuse_lam(K):
 
 # -- coordinate readers ------------------------------------------------------------
 #
-# canonicalize_CK6 and canonicalize_S as they stood before each table worked
-# out its reader once, and make_S's comparison with the tabulated formulas as
-# it ran eagerly on every build: the CK_6 coordinates re-embedded and summed
-# as ConformalElements, the S_n maps rebuilt on every call.
+# The bespoke CK_6 and S_n coordinate functions as they stood before each
+# table worked out its reader once, and make_S's comparison with the
+# tabulated formulas as it ran eagerly on every build: the CK_6 coordinates
+# re-embedded and summed as ConformalElements, the S_n maps rebuilt on every
+# call.  span_reader is checked against them.
 
 
 def _canonicalize_CK6_oracle(x, K6):
@@ -820,21 +821,29 @@ def _proposition_diffs_oracle(n):
     return diffs
 
 
-def _reading(read, x, ambient):
-    """The coordinates of x, or the NotInSpan message."""
+def _named_reader(S):
+    """span_reader over the embedded basis of S, with basis indices mapped to
+    the generator names of S, as the oracles name them."""
+    ambient = S.meta["K6"] if "K6" in S.meta else S.meta["W"]
+    read = families.span_reader(ambient, S.meta["embeds"])
+    return lambda x: {S.generators[j].id: p for j, p in read(x).items()}
+
+
+def _reading(read, x):
+    """The coordinates of x, or "NotInSpan"."""
     try:
-        return read(x, ambient)
-    except families.NotInSpan as e:
-        return f"NotInSpan: {e}"
+        return read(x)
+    except families.NotInSpan:
+        return "NotInSpan"
 
 
-# every bracket goes through the reader the constructor uses; the seeded
-# corruptions below go through the public functions, which make a reader per call
+# every bracket of each table, and seeded corruptions of them, go through one
+# reader per table and through the oracle
 
 
 def test_ck6_coordinates_match_oracle(CK6):
     K6 = CK6.meta["K6"]
-    read = families._ck6_reader(K6)
+    read = _named_reader(CK6)
     for _, w in bracket_pairs(K6, CK6.meta["embeds"]):
         assert read(w) == _canonicalize_CK6_oracle(w, K6)
 
@@ -843,19 +852,21 @@ def test_ck6_coordinates_match_oracle(CK6):
 def test_s_coordinates_match_oracle(n, S):
     built = S[n] if n in S else families.make_S(n)
     W = built.meta["W"]
-    read = families._sn_reader(W)
+    read = _named_reader(built)
     for _, w in bracket_pairs(W, built.meta["embeds"]):
         assert read(w) == _canonicalize_S_oracle(w, W)
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_ck6_corruptions_refused_like_oracle(CK6, seed):
-    """A perturbed Hodge partner, a dropped partner and a stray component each
-    raise the same NotInSpan as the oracle, on brackets drawn by the seed."""
+    """A perturbed Hodge partner, a dropped partner and a stray component are
+    each refused, as the oracle refuses them, on brackets drawn by the seed."""
     rng = random.Random(seed)
     K6 = CK6.meta["K6"]
     lam_idx = K6.meta["lam_idx"]
     star = (1 << 6) - 1
+    read = _named_reader(CK6)
+    oracle = lambda x: _canonicalize_CK6_oracle(x, K6)  # noqa: E731
     brackets = [w for _, w in bracket_pairs(K6, CK6.meta["embeds"]) if w.terms]
     # leading monomial -> Hodge partner, for the CK_6 basis elements
     partner = {}
@@ -875,18 +886,18 @@ def test_ck6_corruptions_refused_like_oracle(CK6, seed):
             ConformalElement({**terms, partner[rng.choice(absent)]: bump}),
         ]
         for x in corrupted:
-            got = _reading(families.canonicalize_CK6, x, K6)
-            assert got == _reading(_canonicalize_CK6_oracle, x, K6)
-            assert got == "NotInSpan: element outside the CK_6 span"
-        assert _reading(families.canonicalize_CK6, w, K6) == _canonicalize_CK6_oracle(w, K6)
+            assert _reading(read, x) == _reading(oracle, x) == "NotInSpan"
+        assert read(w) == oracle(w)
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_s_corruptions_read_like_oracle(S, seed):
-    """One component added to a bracket of S_3: the same coordinates, or the
-    same NotInSpan, as the oracle."""
+    """One component added to a bracket of S_3: the same coordinates as the
+    oracle, or NotInSpan exactly when the oracle raises it."""
     rng = random.Random(seed)
     W = S[3].meta["W"]
+    read = _named_reader(S[3])
+    oracle = lambda x: _canonicalize_S_oracle(x, W)  # noqa: E731
     brackets = [w for _, w in bracket_pairs(W, S[3].meta["embeds"]) if w.terms]
     refused = 0
     for _ in range(20):
@@ -894,9 +905,9 @@ def test_s_corruptions_read_like_oracle(S, seed):
         g = rng.randrange(W.rank)
         bump = rng.choice((P_ONE, D, MultiPoly.const(Scalar(1, 2)), LAM))
         x = w + ConformalElement({g: bump})
-        got = _reading(families.canonicalize_S, x, W)
-        assert got == _reading(_canonicalize_S_oracle, x, W)
-        refused += isinstance(got, str)
+        got = _reading(read, x)
+        assert got == _reading(oracle, x)
+        refused += got == "NotInSpan"
     assert refused
 
 

@@ -9,7 +9,10 @@ must report them exactly as the oracles of ``test_kernels`` do: the nested
 brackets, the per-tuple contractions on Scalar-valued vectors, and the
 definitional tensor operations.  ``bracket_pairs`` is compared with the
 ``bracket`` loop on such tables, and ``kernel_basis`` with its oracle on
-random C[d]-module maps.  The hypothesis profile is set in conftest.
+random C[d]-module maps.  ``span_reader`` reads random Q(beta)[d]
+combinations of the embedded bases of the restricted families back to the
+drawn coefficients, and refuses a random extra component exactly when the
+coordinate oracles do.  The hypothesis profile is set in conftest.
 """
 
 from fractions import Fraction
@@ -20,6 +23,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, strategies as st  # noqa: E402
 
+from confcoalg import families  # noqa: E402
 from confcoalg.coalgebra import (  # noqa: E402
     Coproduct, check_jordan_coalgebra, check_lie_coalgebra, dual_generators, dualize,
 )
@@ -28,11 +32,12 @@ from confcoalg.conformal import (  # noqa: E402
     ModuleMap, bracket_pairs, check_jacobi, check_jordan_comm, check_jordan_identity,
     check_skew, kernel_basis,
 )
-from confcoalg.poly import MultiPoly, Scalar, X1, X2  # noqa: E402
+from confcoalg.poly import D, MultiPoly, Scalar, X1, X2  # noqa: E402
 
 from test_kernels import (  # noqa: E402
-    _bracket_loop, _co_oracle, _coalg_residuals, _cojordan_residuals, _flip_residual,
-    _found, _jacobi_residual, _jordan_per_tuple, _kernel_basis_oracle, _oracle,
+    _bracket_loop, _canonicalize_CK6_oracle, _canonicalize_S_oracle, _co_oracle,
+    _coalg_residuals, _cojordan_residuals, _flip_residual, _found, _jacobi_residual,
+    _jordan_per_tuple, _kernel_basis_oracle, _oracle, _reading,
 )
 
 _parts = st.builds(Fraction, st.sampled_from((1, -1, 2, -3)), st.sampled_from((1, 2, 3, 5)))
@@ -133,3 +138,47 @@ def test_kernel_basis_matches_oracle_on_random_maps(M):
     basis = kernel_basis(M)
     assert all(M.apply(v) == {} for v in basis)
     assert [list(v.items()) for v in basis] == [list(v.items()) for v in _kernel_basis_oracle(M)]
+
+
+@pytest.fixture(scope="module")
+def restricted(S, Stilde2, S2b, K4p, CK6):
+    """name -> (table, ambient, the coordinate oracle over generator names or None)."""
+    W3, K6 = S[3].meta["W"], CK6.meta["K6"]
+    return {
+        "S_3": (S[3], W3, lambda x: _canonicalize_S_oracle(x, W3)),
+        "S~_2": (Stilde2, Stilde2.meta["W"], None),
+        "S_2b-beta": (S2b["beta"], S2b["beta"].meta["W"], None),
+        "K_4'": (K4p, K4p.meta["K4"], None),
+        "CK_6": (CK6, K6, lambda x: _canonicalize_CK6_oracle(x, K6)),
+    }
+
+
+@pytest.mark.parametrize("name", ["S_3", "S~_2", "S_2b-beta", "K_4'", "CK_6"])
+@given(data=st.data())
+def test_span_reader_on_random_combinations(restricted, name, data):
+    S, ambient, oracle = restricted[name]
+    embeds = S.meta["embeds"]
+    read = families.span_reader(ambient, embeds)
+    coeffs = {data.draw(st.integers(0, S.rank - 1)): _d_poly(data.draw, 1)
+              for _ in range(data.draw(st.integers(0, 3)))}
+    x = ConformalElement()
+    for j, c in coeffs.items():
+        x = x + embeds[j].scale(c)
+    assert read(x) == {j: c for j, c in coeffs.items() if c}
+    # one more ambient component
+    y = x + ConformalElement({data.draw(st.integers(0, ambient.rank - 1)): _d_poly(data.draw, 1)})
+    if oracle is not None:
+        named = lambda z: {S.generators[j].id: c for j, c in read(z).items()}  # noqa: E731
+        assert _reading(named, y) == _reading(oracle, y)
+
+
+@given(data=st.data())
+def test_k4prime_reader_needs_d_to_divide_the_star(K4p, data):
+    """A component d q on xi_star is read as q d xi_star; adding a nonzero
+    constant c leaves a remainder that no basis element of K_4' holds."""
+    read = families.span_reader(K4p.meta["K4"], K4p.meta["embeds"])
+    star, dstar = K4p.meta["K4"].index["xi1234"], K4p.index["dxistar"]
+    c, q = data.draw(_coefficients), _d_poly(data.draw)
+    assert read(ConformalElement({star: D * q})) == ({dstar: q} if q else {})
+    with pytest.raises(families.NotInSpan, match="^component on xi1234 is outside the span$"):
+        read(ConformalElement({star: MultiPoly.const(c) + D * q}))
