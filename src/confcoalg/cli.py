@@ -14,7 +14,6 @@ Output is deterministic.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from fractions import Fraction
@@ -247,7 +246,7 @@ def cmd_verify(args) -> int:
             if args.infile:
                 raise UsageError("the crosscheck check needs --family; "
                                  "an imported table (--in) has no tabulated coproduct")
-            reports.append(_crosscheck_report(args))
+            reports.append(compare(dualize(S), _formula(fd, args)(n)))
         else:
             reports.append(CHECKS[c](S))
     ok = all(r.ok for r in reports)
@@ -257,7 +256,7 @@ def cmd_verify(args) -> int:
             "ok": ok,
             "reports": [r.to_json() for r in reports],
         }
-        _write(json.dumps(doc, indent=2), args.out)
+        _write(serialize.dumps(doc), args.out)
     else:
         lines = [r.summary() if hasattr(r, "summary") else repr(r) for r in reports]
         for r in reports:
@@ -284,26 +283,25 @@ def cmd_dualize(args) -> int:
     return 0
 
 
-def cmd_emit(args) -> int:
-    fd, n, b = _resolve(args)
+def _formula(fd, args):
+    """The closed-form coproduct emitter of the family; a usage error if it has none."""
     if fd.formula is None:
         raise UsageError(f"family {args.family} has no tabulated coproduct")
-    _emit_coproduct(fd.formula(n), args.format, args.out)
+    return fd.formula
+
+
+def cmd_emit(args) -> int:
+    fd, n, b = _resolve(args)
+    _emit_coproduct(_formula(fd, args)(n), args.format, args.out)
     return 0
 
 
-def _crosscheck_report(args):
-    fd, n, b = _resolve(args)
-    if fd.formula is None:
-        raise UsageError(f"family {args.family} has no tabulated coproduct")
-    S = fd.build(n, b)
-    return compare(dualize(S), fd.formula(n))
-
-
 def cmd_crosscheck(args) -> int:
-    rep = _crosscheck_report(args)
+    fd, n, b = _resolve(args)
+    formula = _formula(fd, args)
+    rep = compare(dualize(fd.build(n, b)), formula(n))
     if args.format == "json":
-        _write(json.dumps(rep.to_json(), indent=2), args.out)
+        _write(serialize.dumps(rep.to_json()), args.out)
     else:
         if rep.ok:
             _write(f"crosscheck {rep.name_a} vs {rep.name_b}: empty diff", args.out)

@@ -399,9 +399,10 @@ class MultiPoly:
 
 
 def _sort_key(k: int) -> Tuple[int, int]:
-    # graded, then packed-int lex; only used for canonical orderings
-    deg = sum((k >> (_WIDTH * i)) & _MAXEXP for i in range(_NVARS))
-    return (deg, k)
+    # graded, then packed-int lex; only used for canonical orderings.  The
+    # degree is the sum of the eight exponent fields, written out.
+    return ((k & 255) + (k >> 9 & 255) + (k >> 18 & 255) + (k >> 27 & 255)
+            + (k >> 36 & 255) + (k >> 45 & 255) + (k >> 54 & 255) + (k >> 63 & 255), k)
 
 
 def _checked(terms):
@@ -605,7 +606,7 @@ def poly_to_json(p: MultiPoly) -> list:
                     c.im.numerator,
                     c.im.denominator,
                 ],
-                "exps": {v: e for v, e in sorted(exps.items(), key=lambda t: _VAR_INDEX[t[0]])},
+                "exps": exps,   # _unpack lists the variables in ALPHABET order
             }
         )
     return out
@@ -619,7 +620,11 @@ def poly_from_json(data: Iterable[dict]) -> MultiPoly:
     terms: Dict[int, Scalar] = {}
     for term in data:
         rn, rd, im_n, im_d = term["coeff"]
-        c = Scalar(Fraction(rn, rd), Fraction(im_n, im_d))
+        if (type(rn) is int and type(rd) is int and type(im_n) is int
+                and type(im_d) is int and rd == 1 and im_d == 1):
+            c = _make(rn, im_n)   # an integral coefficient needs no Fraction
+        else:
+            c = Scalar(Fraction(rn, rd), Fraction(im_n, im_d))
         exps = term["exps"]
         for v, e in exps.items():
             if type(e) is not int:

@@ -15,11 +15,18 @@ diff cleanly:
                                      "poly": [...]}, ...]}, ...]}
 
 Polynomials use the coefficient encoding of the poly module.
+
+Every JSON document this package writes, tables, coproducts and the CLI's
+reports alike, goes through one writer, ``_json_text``.  Its text is the
+layout of ``json.dumps(doc, indent=2)``: two-space indentation, every list
+item and object member on its own line, non-ASCII characters escaped.
 """
 
 from __future__ import annotations
 
 import json
+from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _str_text
 from typing import Dict, List, Tuple
 
 from .coalgebra import Coproduct
@@ -198,13 +205,119 @@ def _poly(obj, what: str) -> MultiPoly:
 
 
 def dumps(obj) -> str:
+    """A table or coproduct as its JSON document; any other JSON value as is."""
     if isinstance(obj, LambdaStructure):
         doc = structure_to_json(obj)
     elif isinstance(obj, Coproduct):
         doc = coproduct_to_json(obj)
     else:
         doc = obj
-    return json.dumps(doc, indent=2, sort_keys=False)
+    return _json_text(doc)
+
+
+# -- the JSON writer: json.dumps(doc, indent=2), without its generators.  The
+# standard library runs its C encoder only when indent is None.
+
+_int_text = int.__repr__
+
+
+def _float_text(f: float) -> str:
+    if f != f:
+        return "NaN"
+    if f == float("inf"):
+        return "Infinity"
+    if f == float("-inf"):
+        return "-Infinity"
+    return float.__repr__(f)
+
+
+def _key_text(k) -> str:
+    """An object key and the separator after it, as json writes them."""
+    if isinstance(k, str):
+        text = k
+    elif isinstance(k, float):
+        text = _float_text(k)
+    elif k is True or k is False or k is None:
+        text = "null" if k is None else "true" if k else "false"
+    elif isinstance(k, int):
+        text = _int_text(k)
+    else:
+        raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+    return _str_text(text) + ": "
+
+
+def _json_text(doc) -> str:
+    """The text of json.dumps(doc, indent=2), appended to one list and joined once.
+
+    Subclasses of str, int, float, list, tuple and dict are written as json
+    writes them, and an unsupported object or key raises json's TypeError.
+    A list or dict holding itself is not detected.
+    """
+    out = []
+    put = out.append
+    keys = {}   # str key -> _key_text(key), encoded once per call
+
+    def value(o, nl):
+        # plain ints, strs, dicts and lists, nearly every value of a document,
+        # are dispatched on their exact type; the rest in json's order
+        t = type(o)
+        if t is int:
+            put(_int_text(o))
+        elif t is str:
+            put(_str_text(o))
+        elif t is dict:
+            obj(o, nl)
+        elif t is list:
+            array(o, nl)
+        elif isinstance(o, str):
+            put(_str_text(o))
+        elif o is None:
+            put("null")
+        elif o is True:
+            put("true")
+        elif o is False:
+            put("false")
+        elif isinstance(o, int):
+            put(_int_text(o))
+        elif isinstance(o, float):
+            put(_float_text(o))
+        elif isinstance(o, (list, tuple)):
+            array(o, nl)
+        elif isinstance(o, dict):
+            obj(o, nl)
+        else:
+            raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+    def array(o, nl):
+        if not o:
+            put("[]")
+            return
+        inner = nl + "  "
+        sep, comma = "[" + inner, "," + inner
+        for v in o:
+            put(sep)
+            sep = comma
+            value(v, inner)
+        put(nl + "]")
+
+    def obj(o, nl):
+        if not o:
+            put("{}")
+            return
+        inner = nl + "  "
+        sep, comma = "{" + inner, "," + inner
+        for k, v in o.items():
+            put(sep)
+            sep = comma
+            if type(k) is str:
+                put(keys.get(k) or keys.setdefault(k, _key_text(k)))
+            else:
+                put(_key_text(k))
+            value(v, inner)
+        put(nl + "}")
+
+    value(doc, "\n")
+    return "".join(out)
 
 
 def loads(text: str):
@@ -231,8 +344,6 @@ _VAR_TEX = {
 
 
 def _coeff_tex(c) -> str:
-    from fractions import Fraction
-
     def frac(f: Fraction) -> str:
         if f.denominator == 1:
             return str(f.numerator)

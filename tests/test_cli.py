@@ -1,10 +1,11 @@
 """CLI surface: commands, formats, exit codes."""
 
+import hashlib
 import json
 
 import pytest
 
-from confcoalg import serialize
+from confcoalg import families, serialize
 from confcoalg.cli import main, parse_scalar
 from confcoalg.coalgebra import dualize
 from confcoalg.families import corrupt_entry, make_vir
@@ -80,6 +81,20 @@ def test_crosschecks(capsys):
     assert code == 0
     code, out, _ = run(capsys, "crosscheck", "--family", "JCK4")
     assert code == 1 and "6 differences" in out
+
+
+def test_verify_crosscheck_builds_the_table_once(monkeypatch, capsys):
+    calls = []
+    make = families.make_CK6
+    monkeypatch.setattr(families, "make_CK6", lambda: calls.append(1) or make())
+    code, out, _ = run(capsys, "verify", "--family", "ck6", "--checks", "crosscheck",
+                       "--format", "json")
+    assert code == 1 and len(calls) == 1
+    # the same document as when the table was built twice
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "00da603224e1599ec2cadb87901800bd9217cc6d1639bc6965fa67fae1e521c3")
+    code, cross, _ = run(capsys, "crosscheck", "--family", "ck6", "--format", "json")
+    assert code == 1 and json.loads(out)["reports"] == [json.loads(cross)]
 
 
 def test_emit_formula(capsys):

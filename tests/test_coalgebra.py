@@ -1,9 +1,17 @@
-"""Dualization, tensor calculus with Koszul signs, and the co-axioms."""
+"""Dualization, tensor calculus with Koszul signs, the co-axioms, and the
+JSON documents of tables, coproducts and reports."""
 
+import importlib
+import json
 import random
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+from confcoalg import closed_form, families, poly, serialize
+from confcoalg.cli import main
 from confcoalg.coalgebra import (
     Coproduct, TensorElement, apply_delta_slot, check_jordan_coalgebra,
     check_lie_coalgebra, compare, double_dual_roundtrip, dualize, tau, zeta,
@@ -162,3 +170,36 @@ def test_compare_identity_and_perturbation(vir):
 def test_compare_rejects_generator_mismatch(vir, JS1):
     with pytest.raises(StructureError):
         compare(dualize(vir), dualize(JS1))
+
+
+def _bench_workloads():
+    """bench/workloads.py: the families and crosschecks the benchmark runs."""
+    bench = str(Path(__file__).resolve().parents[1] / "bench")
+    sys.path.insert(0, bench)
+    try:
+        return importlib.import_module("workloads")
+    finally:
+        sys.path.remove(bench)
+
+
+def test_json_writer_on_every_benchmark_document(capsys):
+    """Every document the package writes is json.dumps(doc, indent=2): the
+    benchmark's tables, their duals, its crosscheck reports, and the verify
+    and crosscheck documents of the CLI, violations included."""
+    wl = _bench_workloads()
+    lib = SimpleNamespace(poly=poly, families=families)
+    tables = {name: wl.build_table(lib, name) for name in wl.FAMILIES}
+    docs = [doc for S in tables.values()
+            for doc in (serialize.structure_to_json(S), serialize.coproduct_to_json(dualize(S)))]
+    docs += [compare(dualize(tables[key]), getattr(closed_form, emitter)(*args)).to_json()
+             for _, key, emitter, args in wl.CROSSCHECKS]
+    for doc in docs:
+        assert serialize._json_text(doc) == json.dumps(doc, indent=2)
+    for argv in (("verify", "--family", "vir"),
+                 ("verify", "--family", "Jn", "--n", "2"),
+                 ("verify", "--family", "JCK4", "--checks", "jordan-id,crosscheck"),
+                 ("crosscheck", "--family", "S", "--n", "3"),
+                 ("crosscheck", "--family", "W", "--n", "2")):
+        main([*argv, "--format", "json"])
+        out = capsys.readouterr().out
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"

@@ -193,3 +193,16 @@ def test_only_poly_drops_zero_sums():
         for node in ast.walk(tree):
             if isinstance(node, ast.If) and _is_zero_test(node.test):
                 assert not _pops_key(node.body + node.orelse), (name, node.lineno)
+
+
+def test_only_serialize_writes_indented_json():
+    """serialize._json_text is the one JSON writer: no module of the package
+    passes indent= to json.dumps or json.dump, which would write the same
+    layout through the standard library's pure-Python encoder."""
+    for name, tree in _production_sources():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                assert not (called in ("dumps", "dump")
+                            and any(kw.arg == "indent" for kw in node.keywords)), (name, node.lineno)

@@ -8,7 +8,8 @@ import pytest
 from confcoalg.poly import (
     BETA, D, LAM, MU, MultiPoly, P_ONE, P_ZERO, Scalar, X1, X2, X3,
     add_product, common_denominator, compact_vector, pack_vector, poly_from_json,
-    poly_to_json, relabel_vector, substitution, unpack_vector, _MONO_MASK,
+    poly_to_json, relabel_vector, substitution, unpack_vector, _MONO_MASK, _VAR_SHIFT,
+    _sort_key,
 )
 
 from helpers import random_poly
@@ -123,6 +124,15 @@ def test_json_round_trip():
     for _ in range(200):
         p = random_poly(rng, nvars=8)
         assert poly_from_json(poly_to_json(p)) == p
+
+
+def test_sort_key_is_total_degree_then_key():
+    rng = random.Random(11)
+    cases = [{v: 255 for v in _VAR_SHIFT}, {}] + [
+        {v: rng.randrange(256) for v in _VAR_SHIFT if rng.random() < 0.5} for _ in range(300)]
+    for exps in cases:
+        k = sum(e << _VAR_SHIFT[v] for v, e in exps.items())
+        assert _sort_key(k) == (sum(exps.values()), k)
 
 
 def test_total_degree_and_variables():

@@ -12,18 +12,23 @@ definitional tensor operations.  ``bracket_pairs`` is compared with the
 random C[d]-module maps.  ``span_reader`` reads random Q(beta)[d]
 combinations of the embedded bases of the restricted families back to the
 drawn coefficients, and refuses a random extra component exactly when the
-coordinate oracles do.  The hypothesis profile is set in conftest.
+coordinate oracles do.  The JSON writer is compared with
+``json.dumps(x, indent=2)`` on random JSON values, random tables and raw
+random coproducts go through ``dumps`` and ``loads`` unchanged, and
+``poly_from_json`` agrees with its Fraction-only definition on random
+coefficients.  The hypothesis profile is set in conftest.
 """
 
+import json
 from fractions import Fraction
 
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, strategies as st  # noqa: E402
+from hypothesis import example, given, strategies as st  # noqa: E402
 
-from confcoalg import families  # noqa: E402
+from confcoalg import families, serialize  # noqa: E402
 from confcoalg.coalgebra import (  # noqa: E402
     Coproduct, check_jordan_coalgebra, check_lie_coalgebra, dual_generators, dualize,
 )
@@ -32,7 +37,7 @@ from confcoalg.conformal import (  # noqa: E402
     ModuleMap, bracket_pairs, check_jacobi, check_jordan_comm, check_jordan_identity,
     check_skew, kernel_basis,
 )
-from confcoalg.poly import D, MultiPoly, Scalar, X1, X2  # noqa: E402
+from confcoalg.poly import D, MultiPoly, Scalar, X1, X2, _pack, poly_from_json  # noqa: E402
 
 from test_kernels import (  # noqa: E402
     _bracket_loop, _canonicalize_CK6_oracle, _canonicalize_S_oracle, _co_oracle,
@@ -182,3 +187,132 @@ def test_k4prime_reader_needs_d_to_divide_the_star(K4p, data):
     assert read(ConformalElement({star: D * q})) == ({dstar: q} if q else {})
     with pytest.raises(families.NotInSpan, match="^component on xi1234 is outside the span$"):
         read(ConformalElement({star: MultiPoly.const(c) + D * q}))
+
+
+# -- JSON: the writer, the round trip of both document types, the coefficient reader
+
+_json_leaves = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-2 ** 200, 2 ** 200),
+    st.floats(allow_nan=True, allow_infinity=True),
+    # non-ASCII, control and lone surrogate characters
+    st.text(st.characters(exclude_categories=()), max_size=6),
+)
+_json_keys = st.one_of(st.text(st.characters(exclude_categories=()), max_size=4),
+                       st.integers(-3, 3), st.floats(), st.booleans(), st.none())
+
+
+def _json_containers(children):
+    return st.one_of(st.lists(children, max_size=4), st.lists(children, max_size=3).map(tuple),
+                     st.dictionaries(_json_keys, children, max_size=4))
+
+
+@given(st.recursive(_json_leaves, _json_containers, max_leaves=25))
+@example([float("nan"), float("inf"), -float("inf"), -0.0, {}, [], (), "\u00e9\x00\ud800"])
+@example({float("nan"): float("inf"), -float("inf"): 1, True: False, None: 2, 3: None})
+def test_json_writer_is_json_dumps_indent_2(x):
+    assert serialize._json_text(x) == json.dumps(x, indent=2)
+
+
+_unsupported = st.sampled_from([b"x", 1j, {1, 2}, Fraction(1, 2), Scalar(1), object()])
+
+
+@given(st.recursive(_unsupported, _json_containers, max_leaves=6),
+       st.recursive(_json_leaves, _json_containers, max_leaves=6))
+def test_json_writer_refuses_what_json_refuses(bad, good):
+    for x in (bad, [good, bad], {"k": [good, {(1,): good}]}):
+        try:
+            expected = json.dumps(x, indent=2)
+        except TypeError as e:
+            with pytest.raises(TypeError) as got:
+                serialize._json_text(x)
+            assert str(got.value) == str(e)
+        else:   # an empty container holds nothing to refuse
+            assert serialize._json_text(x) == expected
+
+
+def _same_table(a, b):
+    assert (a.kind, a.name, a.generators, a.table) == (b.kind, b.name, b.generators, b.table)
+
+
+@given(tables(LIE, 8), tables(JORDAN, 4))
+def test_tables_survive_json(S, T):
+    for table in (S, T):
+        text = serialize.dumps(table)
+        back = serialize.loads(text)
+        _same_table(back, table)
+        assert serialize.dumps(back) == text
+
+
+@st.composite
+def coproducts(draw):
+    """A raw coproduct, the dual of no table: rank 2-4, any parities, up to
+    eight entries, each one or two terms c x1^a x2^b (a <= 2, b <= 3) on a
+    target of the right parity."""
+    n = draw(st.integers(2, 4))
+    par = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    table = {}
+    for _ in range(draw(st.integers(0, 8))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        k = draw(st.sampled_from([k for k in range(n) if par[k] == par[i] ^ par[j]] or [None]))
+        q = MultiPoly.zero()
+        for a, b, c in draw(st.lists(_terms, min_size=1, max_size=2)):
+            q = q + MultiPoly.monomial({"x1": a, "x2": b}, c)
+        if k is not None:
+            table.setdefault(k, []).append((i, j, q))
+    gens = [Generator(f"g{i}*", p) for i, p in enumerate(par)]
+    return Coproduct(draw(st.sampled_from((LIE, JORDAN))), gens, table, name="random")
+
+
+@given(coproducts())
+def test_coproducts_survive_json(C):
+    text = serialize.dumps(C)
+    back = serialize.loads(text)
+    assert (back.kind, back.name, back.generators) == (C.kind, C.name, C.generators)
+    assert [back.normalized(k) for k in range(C.rank)] == [C.normalized(k) for k in range(C.rank)]
+    assert serialize.dumps(back) == text
+
+
+def _poly_from_json_oracle(data):
+    """poly_from_json by its definition: every coefficient part through Fraction."""
+    terms = {}
+    for term in data:
+        rn, rd, im_n, im_d = term["coeff"]
+        c = Scalar(Fraction(rn, rd), Fraction(im_n, im_d))
+        exps = term["exps"]
+        for v, e in exps.items():
+            if type(e) is not int:
+                raise ValueError(f"exponent {e!r} of {v} is not an integer")
+        if c.is_zero():
+            continue
+        k = _pack({str(v): e for v, e in exps.items()})
+        terms[k] = terms[k] + c if k in terms else c
+    return MultiPoly({k: c for k, c in terms.items() if not c.is_zero()})
+
+
+def _outcome(f, data):
+    """f(data) as its terms with the types of the coefficient parts, or the exception it raises."""
+    try:
+        p = f(data)
+    except Exception as e:     # noqa: BLE001 -- the exception is the outcome compared
+        return type(e), str(e)
+    return [(k, type(c.re), c.re, type(c.im), c.im) for k, c in sorted(p.terms.items())]
+
+
+_numerators = st.one_of(st.integers(-4, 4), st.integers(-2 ** 80, 2 ** 80), st.booleans())
+_denominators = st.one_of(st.just(1), st.integers(-3, 6), st.booleans())
+_json_terms = st.fixed_dictionaries({
+    "coeff": st.tuples(_numerators, _denominators, _numerators, _denominators).map(list),
+    # one exponent in three is a float or a bool; two terms often share a monomial
+    "exps": st.dictionaries(st.sampled_from(("lam", "d")),
+                            st.one_of(st.integers(0, 2), st.integers(0, 2),
+                                      st.sampled_from((1.0, True))), max_size=2),
+})
+
+
+@given(st.lists(_json_terms, max_size=3))
+@example([{"coeff": [True, 1, 0, 1], "exps": {}}, {"coeff": [2, 1, False, 1], "exps": {"d": 1}}])
+@example([{"coeff": [1, 0, 0, 1], "exps": {}}])
+@example([{"coeff": [1, 1, 0, 1], "exps": {"d": 1.0}}])
+@example([{"coeff": [1, 1, 2, 1], "exps": {"d": 1}}, {"coeff": [-1, 1, -2, 1], "exps": {"d": 1}}])
+def test_poly_from_json_matches_fraction_path(data):
+    assert _outcome(poly_from_json, data) == _outcome(_poly_from_json_oracle, data)
