@@ -16,100 +16,79 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from fractions import Fraction
 from typing import Optional
 
-from . import closed_form, families, serialize
-from .coalgebra import (
-    check_jordan_coalgebra,
-    check_lie_coalgebra,
-    compare,
-    double_dual_roundtrip,
-    dualize,
-)
-from .conformal import (
-    JORDAN,
-    LIE,
-    LambdaStructure,
-    StructureError,
-    check_jacobi,
-    check_jordan_comm,
-    check_jordan_identity,
-    check_skew,
-)
-from .poly import Scalar
+import confcoalg
 
 USAGE_ERROR = 2
 CHECK_FAILURE = 1
 
 
 class FamilyDef:
-    def __init__(self, build, kind, needs_n=False, cap=None, formula=None,
+    """A family of the command line, naming its constructor in families, its
+    cap in families.CAPS and its closed-form emitter in closed_form, so that
+    a command imports only the modules it runs."""
+
+    def __init__(self, make, needs_n=False, cap=None, formula=None,
                  allowed_n=None, takes_b=False):
-        self.build = build
-        self.kind = kind
+        self.make = make
         self.needs_n = needs_n
         self.cap = cap
         self.formula = formula
         self.allowed_n = allowed_n
         self.takes_b = takes_b
 
+    def build(self, n, b):
+        from . import families
+
+        args = ((n,) if self.needs_n else ()) + ((b,) if self.takes_b else ())
+        return getattr(families, self.make)(*args)
+
+    def tabulated(self, n):
+        from . import closed_form
+
+        return getattr(closed_form, self.formula)(*((n,) if self.needs_n else ()))
+
 
 FAMILIES = {
-    "vir": FamilyDef(lambda n, b: families.make_vir(), LIE,
-                     formula=lambda n: closed_form.coproduct_vir()),
-    "cur": FamilyDef(lambda n, b: families.make_cur_sl2(), LIE,
-                     formula=lambda n: closed_form.coproduct_cur_sl2()),
-    "w": FamilyDef(lambda n, b: families.make_W(n), LIE, needs_n=True,
-                   cap=families.CAPS["W"],
-                   formula=lambda n: closed_form.coproduct_W(n)),
-    "s": FamilyDef(lambda n, b: families.make_S(n), LIE, needs_n=True,
-                   cap=families.CAPS["S"],
-                   formula=lambda n: closed_form.coproduct_S(n)),
-    "sb": FamilyDef(lambda n, b: families.make_S_b(n, b), LIE, needs_n=True,
-                    cap=families.CAPS["Sb"], takes_b=True),
-    "stilde": FamilyDef(lambda n, b: families.make_S_tilde(n), LIE,
-                        needs_n=True, cap=families.CAPS["Stilde"]),
-    "k": FamilyDef(lambda n, b: families.make_K(n), LIE, needs_n=True,
-                   cap=families.CAPS["K"],
-                   formula=lambda n: closed_form.coproduct_K(n)),
-    "n": FamilyDef(lambda n, b: families.make_K(n), LIE, needs_n=True,
-                   allowed_n=(2, 3, 4),
-                   formula=lambda n: closed_form.coproduct_N(n)),
-    "k4prime": FamilyDef(lambda n, b: families.make_K4prime(), LIE,
-                         formula=lambda n: closed_form.coproduct_K4prime()),
-    "ck6": FamilyDef(lambda n, b: families.make_CK6(), LIE,
-                     formula=lambda n: closed_form.coproduct_CK6()),
-    "jn": FamilyDef(lambda n, b: families.make_Jn(n), JORDAN, needs_n=True,
-                    cap=families.CAPS["Jn"],
-                    formula=lambda n: closed_form.coproduct_Jn(n)),
-    "js1": FamilyDef(lambda n, b: families.make_JS1(), JORDAN,
-                     formula=lambda n: closed_form.coproduct_JS1()),
-    "jck4": FamilyDef(lambda n, b: families.make_JCK4(), JORDAN,
-                      formula=lambda n: closed_form.coproduct_JCK4()),
-    "curjordan": FamilyDef(lambda n, b: families.make_cur_jordan_unit(),
-                           JORDAN),
+    "vir": FamilyDef("make_vir", formula="coproduct_vir"),
+    "cur": FamilyDef("make_cur_sl2", formula="coproduct_cur_sl2"),
+    "w": FamilyDef("make_W", needs_n=True, cap="W", formula="coproduct_W"),
+    "s": FamilyDef("make_S", needs_n=True, cap="S", formula="coproduct_S"),
+    "sb": FamilyDef("make_S_b", needs_n=True, cap="Sb", takes_b=True),
+    "stilde": FamilyDef("make_S_tilde", needs_n=True, cap="Stilde"),
+    "k": FamilyDef("make_K", needs_n=True, cap="K", formula="coproduct_K"),
+    "n": FamilyDef("make_K", needs_n=True, allowed_n=(2, 3, 4), formula="coproduct_N"),
+    "k4prime": FamilyDef("make_K4prime", formula="coproduct_K4prime"),
+    "ck6": FamilyDef("make_CK6", formula="coproduct_CK6"),
+    "jn": FamilyDef("make_Jn", needs_n=True, cap="Jn", formula="coproduct_Jn"),
+    "js1": FamilyDef("make_JS1", formula="coproduct_JS1"),
+    "jck4": FamilyDef("make_JCK4", formula="coproduct_JCK4"),
+    "curjordan": FamilyDef("make_cur_jordan_unit"),
 }
 
 LIE_CHECKS = ("skew", "jacobi", "coalg", "roundtrip")
 JORDAN_CHECKS = ("jordan-comm", "jordan-id", "cojordan", "roundtrip")
 
-# check name -> the report it makes of a table; crosscheck reads the family
-# from the command line instead (see cmd_verify)
+# check name -> the report it makes of a table, its function imported when the
+# check runs; crosscheck reads the family from the command line instead (see
+# cmd_verify)
 CHECKS = {
-    "skew": check_skew,
-    "jacobi": check_jacobi,
-    "jordan-comm": check_jordan_comm,
-    "jordan-id": check_jordan_identity,
-    "coalg": lambda S: check_lie_coalgebra(dualize(S)),
-    "cojordan": lambda S: check_jordan_coalgebra(dualize(S)),
-    "roundtrip": double_dual_roundtrip,
+    "skew": lambda S: confcoalg.check_skew(S),
+    "jacobi": lambda S: confcoalg.check_jacobi(S),
+    "jordan-comm": lambda S: confcoalg.check_jordan_comm(S),
+    "jordan-id": lambda S: confcoalg.check_jordan_identity(S),
+    "coalg": lambda S: confcoalg.check_lie_coalgebra(confcoalg.dualize(S)),
+    "cojordan": lambda S: confcoalg.check_jordan_coalgebra(confcoalg.dualize(S)),
+    "roundtrip": lambda S: confcoalg.double_dual_roundtrip(S),
     "crosscheck": None,
 }
 
 
-def parse_scalar(text: str) -> Scalar:
+def parse_scalar(text: str) -> confcoalg.Scalar:
     """Parse "re/den+im/den i" style scalars; also 0, 1, -2, beta, 1+2i, -i."""
+    from fractions import Fraction
+
     t = text.strip().replace(" ", "")
     m = re.fullmatch(
         r"(?P<re>[+-]?\d+(?:/\d+)?)?"
@@ -127,7 +106,7 @@ def parse_scalar(text: str) -> Scalar:
                 im_part = -im_part
     except ZeroDivisionError:  # a zero denominator, as in 1/0
         raise ValueError(f"cannot parse scalar {text!r}") from None
-    return Scalar(re_part, im_part)
+    return confcoalg.Scalar(re_part, im_part)
 
 
 def _resolve(args) -> tuple:
@@ -147,18 +126,21 @@ def _resolve(args) -> tuple:
             raise UsageError(
                 f"family {args.family} allows n in {fd.allowed_n}"
             )
-        if fd.cap is not None and n > fd.cap and not args.allow_large:
-            raise UsageError(
-                f"n={n} exceeds the desk-scale cap {fd.cap} for "
-                f"{args.family}; pass --allow-large to override"
-            )
+        if fd.cap is not None:
+            from .families import CAPS
+
+            if n > CAPS[fd.cap] and not args.allow_large:
+                raise UsageError(
+                    f"n={n} exceeds the desk-scale cap {CAPS[fd.cap]} for "
+                    f"{args.family}; pass --allow-large to override"
+                )
         if n < 0:
             raise UsageError("n must be >= 0")
     elif n is not None:
         raise UsageError(f"family {args.family} takes no --n")
     if args.b is not None and not fd.takes_b:
         raise UsageError(f"family {args.family} takes no --b")
-    b = parse_scalar(args.b) if args.b else Scalar(0)
+    b = parse_scalar(args.b) if args.b else confcoalg.Scalar(0)
     return fd, n, b
 
 
@@ -176,9 +158,13 @@ def _write(text: str, out: Optional[str]):
 
 def _emit_structure(S, fmt, out):
     if fmt == "json":
-        _write(serialize.dumps(S), out)
+        from .serialize import dumps
+
+        _write(dumps(S), out)
     elif fmt == "latex":
-        _write(serialize.structure_tex(S), out)
+        from .serialize import structure_tex
+
+        _write(structure_tex(S), out)
     else:
         lines = [f"# {S.name} (kind={S.kind}, rank={S.rank})"]
         for i in range(S.rank):
@@ -194,9 +180,13 @@ def _emit_structure(S, fmt, out):
 
 def _emit_coproduct(C, fmt, out):
     if fmt == "json":
-        _write(serialize.dumps(C), out)
+        from .serialize import dumps
+
+        _write(dumps(C), out)
     elif fmt == "latex":
-        _write(serialize.coproduct_tex(C), out)
+        from .serialize import coproduct_tex
+
+        _write(coproduct_tex(C), out)
     else:
         lines = [f"# {C.name} (kind={C.kind}, rank={C.rank})"]
         for k in range(C.rank):
@@ -214,11 +204,14 @@ def _emit_coproduct(C, fmt, out):
         _write("\n".join(lines), out)
 
 
-def _load_table(path: str) -> LambdaStructure:
+def _load_table(path: str) -> confcoalg.LambdaStructure:
+    from .serialize import loads
+
     with open(path) as fh:
-        S = serialize.loads(fh.read())
-    if not isinstance(S, LambdaStructure):
-        raise StructureError(f"{path} holds a coproduct; --in needs a lambda_structure table")
+        S = loads(fh.read())
+    if not isinstance(S, confcoalg.LambdaStructure):
+        raise confcoalg.StructureError(
+            f"{path} holds a coproduct; --in needs a lambda_structure table")
     return S
 
 
@@ -235,6 +228,8 @@ def cmd_verify(args) -> int:
     else:
         fd, n, b = _resolve(args)
         S = fd.build(n, b)
+    from .conformal import LIE
+
     default = LIE_CHECKS if S.kind == LIE else JORDAN_CHECKS
     wanted = args.checks.split(",") if args.checks else list(default)
     reports = []
@@ -246,17 +241,19 @@ def cmd_verify(args) -> int:
             if args.infile:
                 raise UsageError("the crosscheck check needs --family; "
                                  "an imported table (--in) has no tabulated coproduct")
-            reports.append(compare(dualize(S), _formula(fd, args)(n)))
+            reports.append(confcoalg.compare(confcoalg.dualize(S), _formula(fd, args)(n)))
         else:
             reports.append(CHECKS[c](S))
     ok = all(r.ok for r in reports)
     if args.format == "json":
+        from .serialize import dumps
+
         doc = {
             "structure": S.name,
             "ok": ok,
             "reports": [r.to_json() for r in reports],
         }
-        _write(serialize.dumps(doc), args.out)
+        _write(dumps(doc), args.out)
     else:
         lines = [r.summary() if hasattr(r, "summary") else repr(r) for r in reports]
         for r in reports:
@@ -279,7 +276,7 @@ def cmd_dualize(args) -> int:
     else:
         fd, n, b = _resolve(args)
         S = fd.build(n, b)
-    _emit_coproduct(dualize(S), args.format, args.out)
+    _emit_coproduct(confcoalg.dualize(S), args.format, args.out)
     return 0
 
 
@@ -287,7 +284,7 @@ def _formula(fd, args):
     """The closed-form coproduct emitter of the family; a usage error if it has none."""
     if fd.formula is None:
         raise UsageError(f"family {args.family} has no tabulated coproduct")
-    return fd.formula
+    return fd.tabulated
 
 
 def cmd_emit(args) -> int:
@@ -299,9 +296,11 @@ def cmd_emit(args) -> int:
 def cmd_crosscheck(args) -> int:
     fd, n, b = _resolve(args)
     formula = _formula(fd, args)
-    rep = compare(dualize(fd.build(n, b)), formula(n))
+    rep = confcoalg.compare(confcoalg.dualize(fd.build(n, b)), formula(n))
     if args.format == "json":
-        _write(serialize.dumps(rep.to_json()), args.out)
+        from .serialize import dumps
+
+        _write(dumps(rep.to_json()), args.out)
     else:
         if rep.ok:
             _write(f"crosscheck {rep.name_a} vs {rep.name_b}: empty diff", args.out)
@@ -363,10 +362,7 @@ def main(argv=None) -> int:
         return USAGE_ERROR if e.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return USAGE_ERROR
-    except (StructureError, ValueError, OSError) as e:
+    except (UsageError, ValueError, OSError) as e:   # StructureError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return USAGE_ERROR
 

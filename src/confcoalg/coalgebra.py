@@ -25,13 +25,12 @@ residual as one sparse contraction of slot-renamed copies of the table.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .conformal import (
-    Generator, JORDAN, LIE, LambdaStructure, Report, StructureError, Violation, _gather,
-    _packed,
+    Generator, JORDAN, LIE, LambdaStructure, Record, Report, StructureError, Violation,
+    _gather, _packed,
 )
 from .poly import (
     D, LAM, MultiPoly, P_ONE, X1, X2, X3, X4, _MAXEXP, _MONO_MASK, _VAR_SHIFT, accumulate,
@@ -425,13 +424,11 @@ def check_jordan_coalgebra(cop: Coproduct) -> Report:
 # comparison of coproducts (machine-dual vs closed-form transcription)
 
 
-@dataclass
-class DiffLine:
-    gen: str
-    left: str
-    right: str
-    got: str
-    expected: str
+class DiffLine(Record):
+    __slots__ = ("gen", "left", "right", "got", "expected")
+
+    def __init__(self, gen: str, left: str, right: str, got: str, expected: str):
+        self._set(gen, left, right, got, expected)
 
     def __str__(self):
         return (
@@ -440,11 +437,11 @@ class DiffLine:
         )
 
 
-@dataclass
-class DiffReport:
-    name_a: str
-    name_b: str
-    lines: List[DiffLine] = field(default_factory=list)
+class DiffReport(Record):
+    __slots__ = ("name_a", "name_b", "lines")
+
+    def __init__(self, name_a: str, name_b: str, lines: Optional[List[DiffLine]] = None):
+        self._set(name_a, name_b, [] if lines is None else lines)
 
     @property
     def ok(self) -> bool:

@@ -18,7 +18,6 @@ to arbitrary elements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -41,11 +40,57 @@ class StructureError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Generator:
-    id: str
-    parity: int
-    latex: Optional[str] = None
+class Record:
+    """A plain record whose fields are its __slots__, in order.
+
+    It gives what the package used of dataclasses: the dataclass repr,
+    field-wise equality with records of the same class only, no hash, and
+    copies through the constructor. Each subclass writes its __init__ and
+    stores the fields with _set.
+    """
+
+    __slots__ = ()
+
+    def _set(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __reduce__(self):
+        return type(self), self._fields()
+
+
+class FrozenRecord(Record):
+    """A Record that hashes its fields and refuses assignment, as a frozen dataclass does."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Generator(FrozenRecord):
+    __slots__ = ("id", "parity", "latex")
+
+    def __init__(self, id: str, parity: int, latex: Optional[str] = None):
+        self._set(id, parity, latex)
 
 
 class ConformalElement:
@@ -269,18 +314,19 @@ def shift_spectral(
 # axiom checkers
 
 
-@dataclass
-class Violation:
-    where: Tuple[str, ...]
-    residual: str
+class Violation(Record):
+    __slots__ = ("where", "residual")
+
+    def __init__(self, where: Tuple[str, ...], residual: str):
+        self._set(where, residual)
 
 
-@dataclass
-class Report:
-    check: str
-    structure: str
-    total: int = 0
-    violations: List[Violation] = field(default_factory=list)
+class Report(Record):
+    __slots__ = ("check", "structure", "total", "violations")
+
+    def __init__(self, check: str, structure: str, total: int = 0,
+                 violations: Optional[List[Violation]] = None):
+        self._set(check, structure, total, [] if violations is None else violations)
 
     @property
     def ok(self) -> bool:

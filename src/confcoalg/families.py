@@ -26,12 +26,12 @@ import copy
 import functools
 import heapq
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from .conformal import (
     ConformalElement,
+    FrozenRecord,
     Generator,
     JORDAN,
     LIE,
@@ -478,14 +478,13 @@ def check_div_identity(n: int, b: Scalar = Scalar(0)) -> Report:
 # S_n: basis, embedding, canonicalization, two-path construction
 
 
-@dataclass(frozen=True)
-class SnBasisElement:
+class SnBasisElement(FrozenRecord):
     """Tagged S_n basis element: A (single), A2 (consecutive pair), or B."""
 
-    tag: str            # "A" | "A2" | "B"
-    mask: int           # the set I
-    i: int = 0
-    j: int = 0
+    __slots__ = ("tag", "mask", "i", "j")
+
+    def __init__(self, tag: str, mask: int, i: int = 0, j: int = 0):
+        self._set(tag, mask, i, j)   # tag "A" | "A2" | "B"; mask the set I
 
     def name(self) -> str:
         ds = _digits(members(self.mask))

@@ -31,7 +31,9 @@ from typing import Dict, List, Tuple
 
 from .coalgebra import Coproduct
 from .conformal import Generator, LIE, LambdaStructure, StructureError
-from .poly import MultiPoly, poly_from_json, poly_to_json
+from .poly import (
+    MultiPoly, _MAXEXP, _VAR_SHIFT, _exp_of, _sort_key, poly_from_json, poly_to_json,
+)
 
 FORMAT_VERSION = 1
 
@@ -341,6 +343,8 @@ _VAR_TEX = {
     "lam": r"\lambda", "mu": r"\mu", "nu": r"\nu", "d": r"\partial",
     "x1": "x_1", "x2": "x_2", "x3": "x_3", "x4": "x_4",
 }
+# (field shift in a packed monomial, LaTeX) of each variable, in name order
+_TEX_FIELDS = tuple((_VAR_SHIFT[v], _VAR_TEX[v]) for v in sorted(_VAR_TEX))
 
 
 def _coeff_tex(c) -> str:
@@ -363,12 +367,13 @@ def poly_tex(p: MultiPoly) -> str:
     if p.is_zero():
         return "0"
     parts = []
-    for exps, c in p.items():
-        mono = "".join(
-            _VAR_TEX[v] + ("" if e == 1 else "^{%d}" % e)
-            for v, e in sorted(exps.items())
-        )
-        cs = _coeff_tex(c)
+    for k in sorted(p.terms, key=_sort_key):
+        mono = ""
+        for shift, tex in _TEX_FIELDS:
+            e = k >> shift & _MAXEXP
+            if e:
+                mono += tex if e == 1 else "%s^{%d}" % (tex, e)
+        cs = _coeff_tex(p.terms[k])
         if mono:
             if cs == "1":
                 cs = ""
@@ -436,10 +441,10 @@ def coproduct_tex(C: Coproduct) -> str:
             merged, key=lambda t: (C.generators[t[0]].id, C.generators[t[1]].id)
         ):
             q = merged[(i, j)]
-            for exps, c in q.items():
-                a = exps.get("x1", 0)
-                b = exps.get("x2", 0)
-                cs = _coeff_tex(c)
+            for m in sorted(q.terms, key=_sort_key):
+                a = _exp_of(m, "x1")
+                b = _exp_of(m, "x2")
+                cs = _coeff_tex(q.terms[m])
                 if cs == "1":
                     cs = ""
                 elif cs == "-1":

@@ -2,9 +2,13 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import confcoalg
 from confcoalg import families, serialize
 from confcoalg.cli import main, parse_scalar
 from confcoalg.coalgebra import dualize
@@ -99,7 +103,7 @@ def test_verify_crosscheck_builds_the_table_once(monkeypatch, capsys):
 
 def test_emit_formula(capsys):
     code, out, _ = run(capsys, "emit", "--family", "vir", "--format", "latex")
-    assert code == 0 and "delta" in out or r"\delta" in out
+    assert code == 0 and r"\delta" in out
 
 
 def test_json_round_trip_via_files(tmp_path, capsys):
@@ -111,6 +115,8 @@ def test_json_round_trip_via_files(tmp_path, capsys):
                        "--checks", "skew,jacobi")
     assert code == 0
     # emitting the import again reproduces the file byte-for-byte
+    written = table.read_bytes()
+    assert (serialize.dumps(serialize.loads(written.decode())) + "\n").encode() == written
     code2, out2, _ = run(capsys, "dualize", "--in", str(table),
                          "--format", "json")
     assert code2 == 0
@@ -249,3 +255,72 @@ def test_coproduct_document_is_not_a_table(tmp_path, capsys):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "lambda_structure" in err
+
+
+# -- module footprint: each command imports only the modules it runs; with no
+# bytecode cache every module a child imports is compiled again
+
+
+def _footprint(code):
+    """Run `code` in a fresh interpreter; return what it binds to `result` and the
+    confcoalg modules it loaded, and dataclasses if it loaded that."""
+    probe = (f"import sys\n{code}\nimport json\n"
+             "print(json.dumps([result, sorted(m for m in sys.modules if m == 'dataclasses'"
+             " or m.split('.')[0] == 'confcoalg')]))")
+    src = os.path.dirname(os.path.dirname(confcoalg.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    result, modules = json.loads(proc.stdout.splitlines()[-1])
+    return result, {m.removeprefix("confcoalg.") for m in modules}
+
+
+def _main_footprint(*argv):
+    return _footprint(f"from confcoalg.cli import main\nresult = main({list(argv)!r})")
+
+
+def test_unknown_family_loads_no_library_module():
+    code, modules = _main_footprint("verify", "--family", "nosuch")
+    assert code == 2 and modules == {"confcoalg", "cli"}
+
+
+def test_imported_table_loads_no_constructor(tmp_path):
+    table = tmp_path / "vir.json"
+    table.write_text(serialize.dumps(make_vir()))
+    code, modules = _main_footprint("verify", "--in", str(table))
+    assert code == 0 and "serialize" in modules
+    assert not modules & {"families", "closed_form"}
+
+
+def test_verify_family_text_loads_no_emitter_or_serialiser():
+    code, modules = _main_footprint("verify", "--family", "vir")
+    assert code == 0 and "families" in modules
+    assert not modules & {"closed_form", "serialize"}
+
+
+def test_no_module_imports_dataclasses():
+    names, modules = _footprint(
+        "import importlib, pkgutil, confcoalg\n"
+        "result = [m.name for m in pkgutil.iter_modules(confcoalg.__path__)]\n"
+        "for name in result:\n"
+        "    importlib.import_module('confcoalg.' + name)")
+    assert len(names) > 5 and set(names) <= modules
+    assert "dataclasses" not in modules
+
+
+def test_package_root_imports_lazily():
+    (loaded, resolved, unknown), modules = _footprint(
+        "import importlib, confcoalg\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('confcoalg.'))\n"
+        "resolved = [n for n in confcoalg.__all__ if getattr(confcoalg, n) is getattr(\n"
+        "    importlib.import_module(getattr(confcoalg, n).__module__), n)]\n"
+        "try:\n"
+        "    confcoalg.nosuch\n"
+        "    unknown = 'resolved'\n"
+        "except AttributeError as e:\n"
+        "    unknown = str(e)\n"
+        "result = [loaded, resolved, unknown]")
+    assert loaded == []
+    assert resolved == confcoalg.__all__ and len(resolved) == 21
+    assert unknown == "module 'confcoalg' has no attribute 'nosuch'"
+    assert modules == {"confcoalg", "conformal", "coalgebra", "poly"}

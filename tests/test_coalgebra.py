@@ -13,7 +13,7 @@ import pytest
 from confcoalg import closed_form, families, poly, serialize
 from confcoalg.cli import main
 from confcoalg.coalgebra import (
-    Coproduct, TensorElement, apply_delta_slot, check_jordan_coalgebra,
+    Coproduct, DiffLine, DiffReport, TensorElement, apply_delta_slot, check_jordan_coalgebra,
     check_lie_coalgebra, compare, double_dual_roundtrip, dualize, tau, zeta,
 )
 from confcoalg.conformal import Generator, LambdaStructure, StructureError
@@ -203,3 +203,19 @@ def test_json_writer_on_every_benchmark_document(capsys):
         main([*argv, "--format", "json"])
         out = capsys.readouterr().out
         assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def test_diff_records_keep_their_dataclass_behaviour():
+    line = DiffLine("L*", "L*", "L*", "x1", "x2")
+    assert repr(line) == "DiffLine(gen='L*', left='L*', right='L*', got='x1', expected='x2')"
+    assert str(line) == "delta(L*) @ L* (x) L*: x1  !=  x2"
+    rep = DiffReport("Vir*", "Vir-closed", [line])
+    assert repr(rep) == ("DiffReport(name_a='Vir*', name_b='Vir-closed', lines=[DiffLine("
+                         "gen='L*', left='L*', right='L*', got='x1', expected='x2')])")
+    assert rep == DiffReport(name_a="Vir*", name_b="Vir-closed", lines=[line])
+    assert line != DiffLine("L*", "L*", "L*", "x1", "x1")
+    a, b = DiffReport("a", "b"), DiffReport("a", "b")
+    assert a == b and a.lines is not b.lines
+    for record in (line, rep):
+        with pytest.raises(TypeError):
+            hash(record)

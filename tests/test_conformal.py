@@ -1,16 +1,17 @@
 """Bracket evaluation, axiom checkers and kernel computation."""
 
+import copy
 import random
 
 import pytest
 
 from confcoalg.conformal import (
-    ConformalElement, Generator, LambdaStructure, ModuleMap, StructureError,
+    ConformalElement, Generator, LambdaStructure, ModuleMap, Report, StructureError, Violation,
     bracket, check_jacobi, check_jordan_comm, check_jordan_identity,
     check_skew, kernel_basis, shift_spectral,
 )
 from confcoalg.families import (
-    corrupt_entry, div_module_map, make_cur_sl2, make_JS1, make_vir, make_W,
+    SnBasisElement, corrupt_entry, div_module_map, make_cur_sl2, make_JS1, make_vir, make_W,
 )
 from confcoalg.poly import D, LAM, MU, MultiPoly, P_ONE, Scalar
 
@@ -171,3 +172,62 @@ def test_kernel_relation_column():
     assert M.apply(coords) == {}
     degs = sorted(p.degree_in("d") for p in coords.values())
     assert degs == [0, 1]
+
+
+# -- record classes: plain classes that keep what the package used of dataclasses
+
+
+def test_record_repr_is_the_dataclass_text():
+    assert repr(Generator("L", 0, "L")) == "Generator(id='L', parity=0, latex='L')"
+    assert repr(Generator("x", 1)) == "Generator(id='x', parity=1, latex=None)"
+    assert repr(Report("skew", "Vir", 1, [Violation(("L", "L"), "(d)*L")])) == (
+        "Report(check='skew', structure='Vir', total=1, "
+        "violations=[Violation(where=('L', 'L'), residual='(d)*L')])")
+    assert repr(Report("jacobi", "W_2")) == (
+        "Report(check='jacobi', structure='W_2', total=0, violations=[])")
+    assert repr(SnBasisElement("A2", 3, 1, 2)) == "SnBasisElement(tag='A2', mask=3, i=1, j=2)"
+    assert repr(SnBasisElement(tag="B", mask=5)) == "SnBasisElement(tag='B', mask=5, i=0, j=0)"
+
+
+def test_record_equality_and_hash():
+    assert Generator("L", 0) == Generator(id="L", parity=0, latex=None)
+    assert Generator("L", 0) != Generator("L", 1)
+    assert Generator("L", 0) != ("L", 0, None)
+    assert hash(Generator("L", 0)) == hash(Generator("L", 0, None))
+    assert len({SnBasisElement("A", 1, 1), SnBasisElement("A", 1, i=1, j=0),
+                SnBasisElement("B", 1)}) == 2
+    v = Violation(("L", "L"), "0")
+    assert Report("skew", "Vir", 1, [v]) == Report("skew", "Vir", total=1, violations=[v])
+    assert Report("skew", "Vir") != Report("skew", "Vir", 1)
+    for record in (v, Report("skew", "Vir")):
+        with pytest.raises(TypeError):
+            hash(record)
+
+
+def test_frozen_records_refuse_assignment():
+    g, el = Generator("L", 0), SnBasisElement("B", 1)
+    with pytest.raises(AttributeError):
+        g.parity = 1
+    with pytest.raises(AttributeError):
+        el.mask = 2
+    with pytest.raises(AttributeError):
+        del g.id
+    assert g == Generator("L", 0) and el == SnBasisElement("B", 1)
+    rep = Report("skew", "Vir")
+    rep.total = 4
+    assert rep.total == 4
+
+
+def test_report_default_violations_are_not_shared():
+    a, b = Report("skew", "A"), Report("skew", "B")
+    a.violations.append(Violation(("L",), "0"))
+    assert b.violations == [] and a.violations is not b.violations
+
+
+def test_records_copy_and_deepcopy():
+    g = Generator("L", 0, "L")
+    rep = Report("skew", "Vir", 1, [Violation(("L", "L"), "x")])
+    for clone in (copy.copy, copy.deepcopy):
+        assert clone(g) == g and clone(rep) == rep
+    assert copy.copy(rep).violations is rep.violations
+    assert copy.deepcopy(rep).violations is not rep.violations
