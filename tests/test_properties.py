@@ -16,7 +16,10 @@ coordinate oracles do.  The JSON writer is compared with
 ``json.dumps(x, indent=2)`` on random JSON values, random tables and raw
 random coproducts go through ``dumps`` and ``loads`` unchanged, and
 ``poly_from_json`` agrees with its Fraction-only definition on random
-coefficients.  The hypothesis profile is set in conftest.
+coefficients.  The co-Jacobi and co-Jordan kernels run on raw random
+coproducts against the tensor-slot oracle, and ``compare`` against a
+term-by-term diff of a coproduct and a permuted, partly dropped, negated
+and split copy of it.  The hypothesis profile is set in conftest.
 """
 
 import json
@@ -30,7 +33,7 @@ from hypothesis import example, given, strategies as st  # noqa: E402
 
 from confcoalg import families, serialize  # noqa: E402
 from confcoalg.coalgebra import (  # noqa: E402
-    Coproduct, check_jordan_coalgebra, check_lie_coalgebra, dual_generators, dualize,
+    Coproduct, check_jordan_coalgebra, check_lie_coalgebra, compare, dual_generators, dualize,
 )
 from confcoalg.conformal import (  # noqa: E402
     CONSISTENT, JORDAN, LIE, PRINTED, ConformalElement, Generator, LambdaStructure,
@@ -244,10 +247,10 @@ def test_tables_survive_json(S, T):
 
 
 @st.composite
-def coproducts(draw):
-    """A raw coproduct, the dual of no table: rank 2-4, any parities, up to
-    eight entries, each one or two terms c x1^a x2^b (a <= 2, b <= 3) on a
-    target of the right parity."""
+def coproducts(draw, kinds=(LIE, JORDAN)):
+    """A raw coproduct of one of kinds, the dual of no table: rank 2-4, any
+    parities, up to eight entries, each one or two terms c x1^a x2^b (a <= 2,
+    b <= 3) on a target of the right parity."""
     n = draw(st.integers(2, 4))
     par = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
     table = {}
@@ -260,7 +263,7 @@ def coproducts(draw):
         if k is not None:
             table.setdefault(k, []).append((i, j, q))
     gens = [Generator(f"g{i}*", p) for i, p in enumerate(par)]
-    return Coproduct(draw(st.sampled_from((LIE, JORDAN))), gens, table, name="random")
+    return Coproduct(draw(st.sampled_from(kinds)), gens, table, name="random")
 
 
 @given(coproducts())
@@ -270,6 +273,69 @@ def test_coproducts_survive_json(C):
     assert (back.kind, back.name, back.generators) == (C.kind, C.name, C.generators)
     assert [back.normalized(k) for k in range(C.rank)] == [C.normalized(k) for k in range(C.rank)]
     assert serialize.dumps(back) == text
+
+
+# the co-kernels on raw coproducts, the duals of no table, against the
+# definitional tensor-slot path
+
+@given(coproducts((LIE,)))
+def test_co_jacobi_on_random_coproducts(C):
+    assert (C.rank, _found(check_lie_coalgebra(C))) == _co_oracle(C, _coalg_residuals)
+
+
+@given(coproducts((JORDAN,)))
+def test_co_jordan_on_random_coproducts(C):
+    assert (C.rank, _found(check_jordan_coalgebra(C))) == _co_oracle(C, _cojordan_residuals)
+
+
+@st.composite
+def coproduct_pairs(draw):
+    """(a, b): a raw coproduct and a variant of it on the same generators in a
+    drawn order, with some entries dropped, negated or split into two entries
+    of one term each (so that compare has to merge them)."""
+    a = draw(coproducts())
+    order = draw(st.permutations(range(a.rank)))
+    at = {g: p for p, g in enumerate(order)}
+    table = {}
+    for k in range(a.rank):
+        for i, j, q in a.table[k]:
+            how = draw(st.sampled_from(("keep", "drop", "negate", "split")))
+            if how == "drop":
+                continue
+            parts = [-q] if how == "negate" else (
+                [MultiPoly({m: c}) for m, c in q.terms.items()] if how == "split" else [q])
+            table.setdefault(at[k], []).extend((at[i], at[j], p) for p in parts)
+    return a, Coproduct(a.kind, [a.generators[g] for g in order], table, name="variant")
+
+
+def _compare_oracle(a, b):
+    """compare by its definition: both sides summed term by term under generator
+    ids, the differing (gen, left, right) in a's generator order."""
+    def sums(C):
+        out = {}
+        for k, entries in C.table.items():
+            for i, j, q in entries:
+                key = tuple(C.generators[g].id for g in (k, i, j))
+                acc = out.setdefault(key, {})
+                for m, c in q.terms.items():
+                    acc[m] = acc[m] + c if m in acc else c
+        return {key: MultiPoly({m: c for m, c in t.items() if not c.is_zero()})
+                for key, t in out.items()}
+    sa, sb = sums(a), sums(b)
+    lines = []
+    for key in sorted(set(sa) | set(sb), key=lambda t: tuple(a.index[g] for g in t)):
+        qa, qb = sa.get(key, MultiPoly.zero()), sb.get(key, MultiPoly.zero())
+        if qa != qb:
+            lines.append((*key, repr(qa), repr(qb)))
+    return lines
+
+
+@given(coproduct_pairs())
+def test_compare_matches_term_by_term_diff(pair):
+    a, b = pair
+    rep = compare(a, b)
+    assert [(l.gen, l.left, l.right, l.got, l.expected) for l in rep.lines] == _compare_oracle(a, b)
+    assert compare(a, a).ok and compare(b, b).ok
 
 
 def _poly_from_json_oracle(data):
