@@ -5,6 +5,12 @@ formulas over the dual basis; none of them goes through ``dualize`` (a
 structural test enforces this), so agreement of the two paths is a genuine
 cross-check of the hand-computed tables.
 
+Each emitter works out every generator name and dual symbol once per call
+and then addresses generators by index, and it makes each coefficient
+polynomial (c, c x1, c x2, or a sum of these) once per call for all the
+entries that have it (``_Builder.poly``).  Nothing is kept between calls:
+two calls share no polynomial.
+
 Dual-symbol conventions used while transcribing:
 
 * xi/C symbols with permuted indices resolve with the permutation sign,
@@ -23,6 +29,7 @@ tensor factor and x2 puts it on the right one.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -30,7 +37,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .coalgebra import Coproduct
 from .conformal import Generator, JORDAN, LIE, StructureError
 from .families import (
-    SnBasisElement,
     _CK6_STAR,
     _ck6_basis_tuples,
     _ck6_name,
@@ -46,26 +52,53 @@ from .families import (
     sn_basis,
 )
 from .grassmann import alpha_mask, eps_mask, members
-from .poly import MultiPoly, P_ONE, Scalar, X1, X2
+from .poly import MultiPoly, Scalar, X1, X2
 
 
 class _Builder:
+    """The coproduct of one emitter call, its entries added by generator index."""
+
     def __init__(self, kind: str, prim: Sequence[Tuple[str, int]], name: str):
         self.gens = [Generator(nm + "*", p) for nm, p in prim]
-        self.index = {g.id: i for i, g in enumerate(self.gens)}
+        self.at = {nm: i for i, (nm, _) in enumerate(prim)}   # primal name -> index
         self.kind = kind
         self.name = name
         self.table: Dict[int, List[Tuple[int, int, MultiPoly]]] = {}
+        self._polys: Dict[tuple, MultiPoly] = {}
+
+    def put(self, k: int, i: int, j: int, p: MultiPoly):
+        """delta(a_k*) gets the term p a_i* (x) a_j*; a zero p adds nothing."""
+        if p.terms:
+            self.table.setdefault(k, []).append((i, j, p))
 
     def add(self, k: str, i: str, j: str, p: MultiPoly):
-        if p.is_zero():
-            return
-        self.table.setdefault(self.index[k + "*"], []).append(
-            (self.index[i + "*"], self.index[j + "*"], p)
-        )
+        """put, with the generators given by primal name."""
+        self.put(self.at[k], self.at[i], self.at[j], p)
+
+    def poly(self, c=0, x1=0, x2=0) -> MultiPoly:
+        """c + x1 X1 + x2 X2, made once per call for each (c, x1, x2)."""
+        key = (c, x1, x2)
+        p = self._polys.get(key)
+        if p is None:
+            p = self._polys[key] = (MultiPoly.const(c) + MultiPoly.var("x1", 1, x1)
+                                    + MultiPoly.var("x2", 1, x2))
+        return p
 
     def done(self) -> Coproduct:
         return Coproduct(self.kind, self.gens, self.table, self.name)
+
+
+# coefficient triples (c, x1, x2) of the hand-written lists: c, c x1, c x2
+def _c(v):
+    return (v, 0, 0)
+
+
+def _x1(v):
+    return (0, v, 0)
+
+
+def _x2(v):
+    return (0, 0, v)
 
 
 def _submasks(m: int):
@@ -78,7 +111,12 @@ def _submasks(m: int):
 
 
 def _deg(m: int) -> int:
-    return bin(m).count("1")
+    return m.bit_count()
+
+
+def _xi_indices(b: _Builder, n: int) -> List[int]:
+    """The generator index of xi_m* for every mask m of {1..n}."""
+    return [b.at[_xi_name(m)] for m in range(1 << n)]
 
 
 # ---------------------------------------------------------------------------
@@ -103,7 +141,7 @@ def coproduct_current(
     b = _Builder(kind, list(zip(gen_names, parities)), name)
     for (u, v), terms in products.items():
         for w, c in terms:
-            b.add(w, u, v, MultiPoly.const(c))
+            b.add(w, u, v, b.poly(c))
     return b.done()
 
 
@@ -131,21 +169,22 @@ def _w_name(m: int, i: int = 0) -> str:
 def coproduct_W(n: int) -> Coproduct:
     """The two displayed sums for delta(xi_K*) and delta((xi_K d_k)*)."""
     b = _Builder(LIE, _w_primal(n), f"W_{n}^c[formula]")
+    # w[m][0] indexes xi_m*, w[m][k] indexes (xi_m d_k)*
+    w = [[b.at[_w_name(m, k)] for k in range(n + 1)] for m in range(1 << n)]
     for K in _masks(n):
-        Kn = _w_name(K)
+        Kw = w[K]
         # pairs with ord(I, J) = K
         for I in _submasks(K):
             J = K & ~I
             a = alpha_mask(I, J)
             c = _sgn(a)
             kosz = _sgn(_deg(I) * _deg(J))
-            b.add(Kn, _w_name(I), _w_name(J), X2 * c)
-            b.add(Kn, _w_name(J), _w_name(I), X1 * (-c * kosz))
+            b.put(Kw[0], w[I][0], w[J][0], b.poly(x2=c))
+            b.put(Kw[0], w[J][0], w[I][0], b.poly(x1=-c * kosz))
             for k in range(1, n + 1):
-                Kkn = _w_name(K, k)
                 kosz2 = _sgn(_deg(I) * (_deg(J) + 1))
-                b.add(Kkn, _w_name(I), _w_name(J, k), X2 * c)
-                b.add(Kkn, _w_name(J, k), _w_name(I), X1 * (-c * kosz2))
+                b.put(Kw[k], w[I][0], w[J][k], b.poly(x2=c))
+                b.put(Kw[k], w[J][k], w[I][0], b.poly(x1=-c * kosz2))
         # triples (I, J, i): i in J, I cap (J - i) = empty, ord(I, J - i) = K
         for I in _submasks(K):
             Jm = K & ~I
@@ -156,17 +195,14 @@ def coproduct_W(n: int) -> Coproduct:
                     continue
                 J = Jm | _mask_of(i)
                 c = _sgn(eps_mask(i, J) + alpha_mask(I, Jm))
-                cf = MultiPoly.const(c)
+                cf = b.poly(c)
                 kosz = _sgn(_deg(J) * (_deg(I) + 1))
-                b.add(Kn, _w_name(I, i), _w_name(J), cf)
-                b.add(Kn, _w_name(J), _w_name(I, i),
-                      MultiPoly.const(-c * kosz))
+                b.put(Kw[0], w[I][i], w[J][0], cf)
+                b.put(Kw[0], w[J][0], w[I][i], b.poly(-c * kosz))
                 for k in range(1, n + 1):
-                    Kkn = _w_name(K, k)
                     kosz2 = _sgn((_deg(I) + 1) * (_deg(J) + 1))
-                    b.add(Kkn, _w_name(I, i), _w_name(J, k), cf)
-                    b.add(Kkn, _w_name(J, k), _w_name(I, i),
-                          MultiPoly.const(-c * kosz2))
+                    b.put(Kw[k], w[I][i], w[J][k], cf)
+                    b.put(Kw[k], w[J][k], w[I][i], b.poly(-c * kosz2))
     return b.done()
 
 
@@ -186,14 +222,15 @@ def coproduct_K(n: int) -> Coproduct:
     cross-check against the machine dual adjudicates the reading).
     """
     b = _Builder(LIE, _k_primal(n), f"K_{n}^c[formula]")
+    xi = _xi_indices(b, n)
     for K in _masks(n):
-        Kn = _xi_name(K)
+        Kx = xi[K]
         for I in _submasks(K):
             J = K & ~I
             c = _sgn(alpha_mask(I, J)) * (_deg(J) - 2)
             kosz = _sgn(_deg(I) * _deg(J))
-            b.add(Kn, _xi_name(I), _xi_name(J), X1 * c)
-            b.add(Kn, _xi_name(J), _xi_name(I), X2 * (-c * kosz))
+            b.put(Kx, xi[I], xi[J], b.poly(x1=c))
+            b.put(Kx, xi[J], xi[I], b.poly(x2=-c * kosz))
         for Ip in _submasks(K):
             Jp = K & ~Ip
             for i in range(1, n + 1):
@@ -207,18 +244,22 @@ def coproduct_K(n: int) -> Coproduct:
                     + eps_mask(i, J)
                     + alpha_mask(Ip, Jp)
                 )
-                b.add(Kn, _xi_name(I), _xi_name(J), MultiPoly.const(_sgn(e)))
+                b.put(Kx, xi[I], xi[J], b.poly(_sgn(e)))
     return b.done()
 
 
-def _xi_sym(idxs: Tuple[int, ...]) -> Optional[Tuple[int, str]]:
-    """xi dual symbol with arbitrary index order: (sign, sorted name)."""
-    sign, m = _monomial(idxs)
-    return (sign, _xi_name(m)) if sign else None
+def _xi_syms(b: _Builder):
+    """The xi dual symbol of an index tuple in any order as (sign, generator
+    index), or None when an index repeats; each tuple is worked out once per call."""
+    @functools.cache
+    def sym(idxs: Tuple[int, ...]) -> Optional[Tuple[int, int]]:
+        sign, m = _monomial(idxs)
+        return (sign, b.at[_xi_name(m)]) if sign else None
+    return sym
 
 
 def _n4_rows(drop_star: bool):
-    """The N=4 list as (K-tuple, [(coeff-poly, left-tuple, right-tuple)]).
+    """The N=4 list as (K-tuple, [(coefficient triple, left-tuple, right-tuple)]).
 
     Index tuples denote xi monomial symbols; () is 1 and (1,2,3,4) is
     xi_star.  With drop_star the xi_star* terms of the |K| = 3 display are
@@ -228,104 +269,104 @@ def _n4_rows(drop_star: bool):
     one: Tuple[int, ...] = ()
     star = (1, 2, 3, 4)
     # delta(1*)
-    terms = [(X2 * 2, one, one), (X1 * (-2), one, one)]
+    terms = [(_x2(2), one, one), (_x1(-2), one, one)]
     for i in range(1, 5):
-        terms.append((MultiPoly.const(-1), (i,), (i,)))
+        terms.append((_c(-1), (i,), (i,)))
     rows.append((one, terms))
     # delta(xi_k*)
     for k in range(1, 5):
         terms = [
-            (X2 * 2, one, (k,)), (X1 * (-2), (k,), one),
-            (X2, (k,), one), (X1 * (-1), one, (k,)),
+            (_x2(2), one, (k,)), (_x1(-2), (k,), one),
+            (_x2(1), (k,), one), (_x1(-1), one, (k,)),
         ]
         for i in range(1, k):
-            terms += [(P_ONE, (i, k), (i,)), (MultiPoly.const(-1), (i,), (i, k))]
+            terms += [(_c(1), (i, k), (i,)), (_c(-1), (i,), (i, k))]
         for i in range(k + 1, 5):
-            terms += [(P_ONE, (i,), (k, i)), (MultiPoly.const(-1), (k, i), (i,))]
+            terms += [(_c(1), (i,), (k, i)), (_c(-1), (k, i), (i,))]
         rows.append(((k,), terms))
     # delta(xi_kl*)
     for k in range(1, 5):
         for l in range(k + 1, 5):
             terms = [
-                (X2 * 2, one, (k, l)), (X1 * (-2), (k, l), one),
-                (X2, (k,), (l,)), (X1, (l,), (k,)),
-                (X1 * (-1), (k,), (l,)), (X2 * (-1), (l,), (k,)),
+                (_x2(2), one, (k, l)), (_x1(-2), (k, l), one),
+                (_x2(1), (k,), (l,)), (_x1(1), (l,), (k,)),
+                (_x1(-1), (k,), (l,)), (_x2(-1), (l,), (k,)),
             ]
             for i in range(1, k):
                 terms += [
-                    (MultiPoly.const(-1), (i, k, l), (i,)),
-                    (MultiPoly.const(-1), (i,), (i, k, l)),
-                    (P_ONE, (i, k), (i, l)), (P_ONE, (i, l), (i, k)),
+                    (_c(-1), (i, k, l), (i,)),
+                    (_c(-1), (i,), (i, k, l)),
+                    (_c(1), (i, k), (i, l)), (_c(1), (i, l), (i, k)),
                 ]
             for i in range(k + 1, l):
                 terms += [
-                    (P_ONE, (k, i, l), (i,)), (P_ONE, (i,), (k, i, l)),
-                    (MultiPoly.const(-1), (k, i), (i, l)), (P_ONE, (i, l), (k, i)),
+                    (_c(1), (k, i, l), (i,)), (_c(1), (i,), (k, i, l)),
+                    (_c(-1), (k, i), (i, l)), (_c(1), (i, l), (k, i)),
                 ]
             for i in range(l + 1, 5):
                 terms += [
-                    (MultiPoly.const(-1), (k, l, i), (i,)),
-                    (MultiPoly.const(-1), (i,), (k, l, i)),
-                    (P_ONE, (k, i), (l, i)), (MultiPoly.const(-1), (l, i), (k, i)),
+                    (_c(-1), (k, l, i), (i,)),
+                    (_c(-1), (i,), (k, l, i)),
+                    (_c(1), (k, i), (l, i)), (_c(-1), (l, i), (k, i)),
                 ]
             rows.append(((k, l), terms))
     # delta(xi_klm*)
     for k, l, m in itertools.combinations(range(1, 5), 3):
         terms = [
-            (X2 * 2, one, (k, l, m)), (X1 * (-2), (k, l, m), one),
-            (X1, one, (k, l, m)), (X2 * (-1), (k, l, m), one),
-            (X1 * (-1), (k, l), (m,)), (X2, (m,), (k, l)),
-            (X1, (k, m), (l,)), (X2 * (-1), (l,), (k, m)),
-            (X1 * (-1), (l, m), (k,)), (X2, (k,), (l, m)),
+            (_x2(2), one, (k, l, m)), (_x1(-2), (k, l, m), one),
+            (_x1(1), one, (k, l, m)), (_x2(-1), (k, l, m), one),
+            (_x1(-1), (k, l), (m,)), (_x2(1), (m,), (k, l)),
+            (_x1(1), (k, m), (l,)), (_x2(-1), (l,), (k, m)),
+            (_x1(-1), (l, m), (k,)), (_x2(1), (k,), (l, m)),
         ]
         def star_terms(i, sign):
             if drop_star:
                 return []
             return [
-                (MultiPoly.const(sign), star, (i,)),
-                (MultiPoly.const(-sign), (i,), star),
+                (_c(sign), star, (i,)),
+                (_c(-sign), (i,), star),
             ]
         for i in range(1, k):
             terms += star_terms(i, 1)
             terms += [
-                (MultiPoly.const(-1), (i, k, l), (i, m)), (P_ONE, (i, m), (i, k, l)),
-                (P_ONE, (i, k, m), (i, l)), (MultiPoly.const(-1), (i, l), (i, k, m)),
-                (MultiPoly.const(-1), (i, l, m), (i, k)), (P_ONE, (i, k), (i, l, m)),
+                (_c(-1), (i, k, l), (i, m)), (_c(1), (i, m), (i, k, l)),
+                (_c(1), (i, k, m), (i, l)), (_c(-1), (i, l), (i, k, m)),
+                (_c(-1), (i, l, m), (i, k)), (_c(1), (i, k), (i, l, m)),
             ]
         for i in range(k + 1, l):
             terms += star_terms(i, -1)
             terms += [
-                (P_ONE, (k, i, l), (i, m)), (MultiPoly.const(-1), (i, m), (k, i, l)),
-                (MultiPoly.const(-1), (k, i, m), (i, l)), (P_ONE, (i, l), (k, i, m)),
-                (P_ONE, (i, l, m), (k, i)), (MultiPoly.const(-1), (k, i), (i, l, m)),
+                (_c(1), (k, i, l), (i, m)), (_c(-1), (i, m), (k, i, l)),
+                (_c(-1), (k, i, m), (i, l)), (_c(1), (i, l), (k, i, m)),
+                (_c(1), (i, l, m), (k, i)), (_c(-1), (k, i), (i, l, m)),
             ]
         for i in range(l + 1, m):
             terms += star_terms(i, 1)
             terms += [
-                (MultiPoly.const(-1), (k, l, i), (i, m)), (P_ONE, (i, m), (k, l, i)),
-                (P_ONE, (k, i, m), (l, i)), (MultiPoly.const(-1), (l, i), (k, i, m)),
-                (MultiPoly.const(-1), (l, i, m), (k, i)), (P_ONE, (k, i), (l, i, m)),
+                (_c(-1), (k, l, i), (i, m)), (_c(1), (i, m), (k, l, i)),
+                (_c(1), (k, i, m), (l, i)), (_c(-1), (l, i), (k, i, m)),
+                (_c(-1), (l, i, m), (k, i)), (_c(1), (k, i), (l, i, m)),
             ]
         for i in range(m + 1, 5):
             terms += star_terms(i, -1)
             terms += [
-                (P_ONE, (k, l, i), (m, i)), (MultiPoly.const(-1), (m, i), (k, l, i)),
-                (MultiPoly.const(-1), (k, m, i), (l, i)), (P_ONE, (l, i), (k, m, i)),
-                (P_ONE, (l, m, i), (k, i)), (MultiPoly.const(-1), (k, i), (l, m, i)),
+                (_c(1), (k, l, i), (m, i)), (_c(-1), (m, i), (k, l, i)),
+                (_c(-1), (k, m, i), (l, i)), (_c(1), (l, i), (k, m, i)),
+                (_c(1), (l, m, i), (k, i)), (_c(-1), (k, i), (l, m, i)),
             ]
         rows.append(((k, l, m), terms))
     if not drop_star:
         terms = [
-            (X2 * 2, one, star), (X1 * (-2), star, one),
-            (X1 * 2, one, star), (X2 * (-2), star, one),
-            (X1 * (-1), (1, 2, 3), (4,)), (X2 * (-1), (4,), (1, 2, 3)),
-            (X2 * (-1), (1, 2, 3), (4,)), (X1 * (-1), (4,), (1, 2, 3)),
-            (X1, (1, 2, 4), (3,)), (X2, (3,), (1, 2, 4)),
-            (X2, (1, 2, 4), (3,)), (X1, (3,), (1, 2, 4)),
-            (X1 * (-1), (1, 3, 4), (2,)), (X2 * (-1), (2,), (1, 3, 4)),
-            (X2 * (-1), (1, 3, 4), (2,)), (X1 * (-1), (2,), (1, 3, 4)),
-            (X1, (2, 3, 4), (1,)), (X2, (1,), (2, 3, 4)),
-            (X2, (2, 3, 4), (1,)), (X1, (1,), (2, 3, 4)),
+            (_x2(2), one, star), (_x1(-2), star, one),
+            (_x1(2), one, star), (_x2(-2), star, one),
+            (_x1(-1), (1, 2, 3), (4,)), (_x2(-1), (4,), (1, 2, 3)),
+            (_x2(-1), (1, 2, 3), (4,)), (_x1(-1), (4,), (1, 2, 3)),
+            (_x1(1), (1, 2, 4), (3,)), (_x2(1), (3,), (1, 2, 4)),
+            (_x2(1), (1, 2, 4), (3,)), (_x1(1), (3,), (1, 2, 4)),
+            (_x1(-1), (1, 3, 4), (2,)), (_x2(-1), (2,), (1, 3, 4)),
+            (_x2(-1), (1, 3, 4), (2,)), (_x1(-1), (2,), (1, 3, 4)),
+            (_x1(1), (2, 3, 4), (1,)), (_x2(1), (1,), (2, 3, 4)),
+            (_x2(1), (2, 3, 4), (1,)), (_x1(1), (1,), (2, 3, 4)),
         ]
         rows.append((star, terms))
     return rows
@@ -337,73 +378,75 @@ def coproduct_N(n: int) -> Coproduct:
         raise StructureError("the N-lists cover n in {2, 3, 4}")
     b = _Builder(LIE, _k_primal(n), f"N={n}[formula]")
     one: Tuple[int, ...] = ()
+    sym = _xi_syms(b)
 
     def add(K, coeff, lt, rt):
-        sl = _xi_sym(lt)
-        sr = _xi_sym(rt)
-        sk = _xi_sym(K)
+        sl = sym(lt)
+        sr = sym(rt)
+        sk = sym(K)
         if sl is None or sr is None:
             return
-        b.add(sk[1], sl[1], sr[1], coeff * (sl[0] * sr[0] * sk[0]))
+        s = sl[0] * sr[0] * sk[0]
+        b.put(sk[1], sl[1], sr[1], b.poly(*(s * a for a in coeff)))
 
     # delta(1*), common to all three cases (the n = 4 row list already
     # contains it)
     if n in (2, 3):
-        add(one, X2 * 2, one, one)
-        add(one, X1 * (-2), one, one)
+        add(one, _x2(2), one, one)
+        add(one, _x1(-2), one, one)
         for i in range(1, n + 1):
-            add(one, MultiPoly.const(-1), (i,), (i,))
+            add(one, _c(-1), (i,), (i,))
 
     if n == 2:
         for i in (1, 2):
             ic = 2 if i == 1 else 1
-            add((i,), X2 * 2, one, (i,))
-            add((i,), X1 * (-2), (i,), one)
-            add((i,), X2, (i,), one)
-            add((i,), X1 * (-1), one, (i,))
-            add((i,), P_ONE, (ic,), (1, 2))
-            add((i,), MultiPoly.const(-1), (1, 2), (ic,))
-        add((1, 2), X2 * 2, one, (1, 2))
-        add((1, 2), X1 * (-2), (1, 2), one)
-        add((1, 2), X2 * (-1), (2,), (1,))
-        add((1, 2), X1 * (-1), (1,), (2,))
-        add((1, 2), X2, (1,), (2,))
-        add((1, 2), X1, (2,), (1,))
+            add((i,), _x2(2), one, (i,))
+            add((i,), _x1(-2), (i,), one)
+            add((i,), _x2(1), (i,), one)
+            add((i,), _x1(-1), one, (i,))
+            add((i,), _c(1), (ic,), (1, 2))
+            add((i,), _c(-1), (1, 2), (ic,))
+        add((1, 2), _x2(2), one, (1, 2))
+        add((1, 2), _x1(-2), (1, 2), one)
+        add((1, 2), _x2(-1), (2,), (1,))
+        add((1, 2), _x1(-1), (1,), (2,))
+        add((1, 2), _x2(1), (1,), (2,))
+        add((1, 2), _x1(1), (2,), (1,))
         return b.done()
 
     if n == 3:
         for i in (1, 2, 3):
-            add((i,), X2 * 2, one, (i,))
-            add((i,), X1 * (-2), (i,), one)
-            add((i,), X2, (i,), one)
-            add((i,), X1 * (-1), one, (i,))
+            add((i,), _x2(2), one, (i,))
+            add((i,), _x1(-2), (i,), one)
+            add((i,), _x2(1), (i,), one)
+            add((i,), _x1(-1), one, (i,))
             for k in (1, 2, 3):
                 if k != i:
-                    add((i,), P_ONE, (k,), (i, k))
-                    add((i,), MultiPoly.const(-1), (i, k), (k,))
+                    add((i,), _c(1), (k,), (i, k))
+                    add((i,), _c(-1), (i, k), (k,))
         for i, j in ((1, 2), (1, 3), (2, 3)):
             k = ({1, 2, 3} - {i, j}).pop()
-            add((i, j), X2 * 2, one, (i, j))
-            add((i, j), X1 * (-2), (i, j), one)
-            add((i, j), X2, (i,), (j,))
-            add((i, j), X1, (j,), (i,))
-            add((i, j), X1 * (-1), (i,), (j,))
-            add((i, j), X2 * (-1), (j,), (i,))
-            add((i, j), MultiPoly.const(_sgn(k)), (1, 2, 3), (k,))
-            add((i, j), MultiPoly.const(_sgn(k)), (k,), (1, 2, 3))
-            add((i, j), P_ONE, (k, j), (i, k))
-            add((i, j), MultiPoly.const(-1), (i, k), (k, j))
+            add((i, j), _x2(2), one, (i, j))
+            add((i, j), _x1(-2), (i, j), one)
+            add((i, j), _x2(1), (i,), (j,))
+            add((i, j), _x1(1), (j,), (i,))
+            add((i, j), _x1(-1), (i,), (j,))
+            add((i, j), _x2(-1), (j,), (i,))
+            add((i, j), _c(_sgn(k)), (1, 2, 3), (k,))
+            add((i, j), _c(_sgn(k)), (k,), (1, 2, 3))
+            add((i, j), _c(1), (k, j), (i, k))
+            add((i, j), _c(-1), (i, k), (k, j))
         K = (1, 2, 3)
-        add(K, X2 * 2, one, K)
-        add(K, X1 * (-2), K, one)
-        add(K, X1, one, K)
-        add(K, X2 * (-1), K, one)
-        add(K, X2, (1,), (2, 3))
-        add(K, X1 * (-1), (2, 3), (1,))
-        add(K, X2 * (-1), (2,), (1, 3))
-        add(K, X1, (1, 3), (2,))
-        add(K, X2, (3,), (1, 2))
-        add(K, X1 * (-1), (1, 2), (3,))
+        add(K, _x2(2), one, K)
+        add(K, _x1(-2), K, one)
+        add(K, _x1(1), one, K)
+        add(K, _x2(-1), K, one)
+        add(K, _x2(1), (1,), (2, 3))
+        add(K, _x1(-1), (2, 3), (1,))
+        add(K, _x2(-1), (2,), (1, 3))
+        add(K, _x1(1), (1, 3), (2,))
+        add(K, _x2(1), (3,), (1, 2))
+        add(K, _x1(-1), (1, 2), (3,))
         return b.done()
 
     for K, terms in _n4_rows(drop_star=False):
@@ -418,19 +461,21 @@ def coproduct_K4prime() -> Coproduct:
     prim = [(_xi_name(m), _deg(m) & 1) for m in _masks(4) if m != 0b1111]
     prim.append(("dxistar", 0))
     b = _Builder(LIE, prim, "K_4'^c[formula]")
+    sym = _xi_syms(b)
+    dxistar = b.at["dxistar"]
 
     def add(K, coeff, lt, rt):
-        names = []
+        sign, gens = 1, []
         for t in (K, lt, rt):
             if t == "dxistar":
-                names.append(t)
+                gens.append(dxistar)
             else:
-                s = _xi_sym(t)
-                if s is None:
+                st = sym(t)
+                if st is None:
                     return
-                coeff = coeff * s[0]
-                names.append(s[1])
-        b.add(names[0], names[1], names[2], coeff)
+                sign *= st[0]
+                gens.append(st[1])
+        b.put(*gens, b.poly(*(sign * a for a in coeff)))
 
     for K, terms in _n4_rows(drop_star=True):
         for coeff, lt, rt in terms:
@@ -439,16 +484,16 @@ def coproduct_K4prime() -> Coproduct:
     for K in itertools.combinations(range(1, 5), 3):
         (mm,) = tuple(sorted(set(range(1, 5)) - set(K)))
         sg = _sgn(mm - 1)
-        add(K, X2 * sg, (mm,), "dxistar")
-        add(K, X1 * (-sg), "dxistar", (mm,))
+        add(K, _x2(sg), (mm,), "dxistar")
+        add(K, _x1(-sg), "dxistar", (mm,))
     # delta((d xi_star)*)
-    b.add("dxistar", "dxistar", "1", X1 * (-2))
-    b.add("dxistar", "1", "dxistar", X2 * 2)
+    b.add("dxistar", "dxistar", "1", b.poly(x1=-2))
+    b.add("dxistar", "1", "dxistar", b.poly(x2=2))
     for i in range(1, 5):
         ic = tuple(sorted(set(range(1, 5)) - {i}))
         sg = -_sgn(i - 1)
-        add("dxistar", MultiPoly.const(sg), ic, (i,))
-        add("dxistar", MultiPoly.const(sg), (i,), ic)
+        add("dxistar", _c(sg), ic, (i,))
+        add("dxistar", _c(sg), (i,), ic)
     return b.done()
 
 
@@ -456,21 +501,9 @@ def coproduct_K4prime() -> Coproduct:
 # S_n
 
 
-def _sn_primal(n: int) -> List[Tuple[str, int]]:
-    return [(b.name(), b.parity()) for b in sn_basis(n)]
-
-
-def _B_name(m: int) -> str:
-    return SnBasisElement("B", m).name()
-
-
-def _A_name(m: int, i: int) -> str:
-    return SnBasisElement("A", m, i).name()
-
-
-def _A2_dual(n: int, I: int, p: int, q: int) -> Optional[Tuple[int, str]]:
-    """A-pair dual symbol: the basis name when (p, q) is consecutive in I^c
-    (with orientation sign), zero otherwise -- the adjoint of telescoping."""
+def _A2_dual(n: int, I: int, p: int, q: int) -> Optional[Tuple[int, int, int]]:
+    """A-pair dual symbol: (sign, p, q) with p < q when (p, q) is consecutive
+    in I^c (with orientation sign), None otherwise -- the adjoint of telescoping."""
     if p == q:
         return None
     sign = 1
@@ -480,7 +513,7 @@ def _A2_dual(n: int, I: int, p: int, q: int) -> Optional[Tuple[int, str]]:
     between = ((1 << (q - 1)) - 1) & ~((1 << p) - 1)
     if ((~I) & ((1 << n) - 1)) & between:
         return None
-    return sign, SnBasisElement("A2", I, p, q).name()
+    return sign, p, q
 
 
 def _pair_coeff(j: int, i: int, a: int, b_: int) -> int:
@@ -506,8 +539,19 @@ def coproduct_S(n: int) -> Coproduct:
     """
     if n < 2:
         raise StructureError("S_n needs n >= 2")
-    b = _Builder(LIE, _sn_primal(n), f"S_{n}^c[formula]")
+    basis = sn_basis(n)
+    b = _Builder(LIE, [(e.name(), e.parity()) for e in basis], f"S_{n}^c[formula]")
+    at = {(e.tag, e.mask, e.i, e.j): g for g, e in enumerate(basis)}
     full = (1 << n) - 1
+
+    def B(m: int) -> int:
+        return at["B", m, 0, 0]
+
+    def A(m: int, i: int) -> int:
+        return at["A", m, i, 0]
+
+    def A2(m: int, p: int, q: int) -> int:
+        return at["A2", m, p, q]
 
     def comp_members(m: int) -> Tuple[int, ...]:
         return members(~m & full)
@@ -516,16 +560,16 @@ def coproduct_S(n: int) -> Coproduct:
     for K in _masks(n):
         if _deg(K) == n:
             continue
-        Kn = _B_name(K)
+        Kn = B(K)
         for I in _submasks(K):
             J = K & ~I
             dI, dJ = _deg(I), _deg(J)
             al = _sgn(alpha_mask(I, J))
             kosz = _sgn(dI * dJ)
             # sum 1
-            c = MultiPoly.const(al * (n - dJ))
-            b.add(Kn, _B_name(I), _B_name(J), c * X1)
-            b.add(Kn, _B_name(J), _B_name(I), c * X2 * (-kosz))
+            c = al * (n - dJ)
+            b.put(Kn, B(I), B(J), b.poly(x1=c))
+            b.put(Kn, B(J), B(I), b.poly(x2=-c * kosz))
             # sums 3 and 4 over consecutive pairs of I^c
             comp = comp_members(I)
             for r in range(len(comp) - 1):
@@ -536,13 +580,13 @@ def coproduct_S(n: int) -> Coproduct:
                     continue
                 den = dI + dJ - n
                 assert den != 0
-                cc = MultiPoly.const(Fraction(dJ - n, den) * al)
+                cc = Fraction(dJ - n, den) * al
                 if in_r1:  # i_r not in J, i_{r+1} in J: leading minus
                     cc = -cc
-                a2 = SnBasisElement("A2", I, ir, ir1).name()
+                a2 = A2(I, ir, ir1)
                 kosz2 = _sgn(dI * dJ)
-                b.add(Kn, a2, _B_name(J), cc)
-                b.add(Kn, _B_name(J), a2, -cc * kosz2)
+                b.put(Kn, a2, B(J), b.poly(cc))
+                b.put(Kn, B(J), a2, b.poly(-cc * kosz2))
         # sum 2: i in J, i not in I
         for I in _submasks(K):
             Jm = K & ~I
@@ -550,21 +594,20 @@ def coproduct_S(n: int) -> Coproduct:
                 if (K | I) & _mask_of(i):
                     continue
                 J = Jm | _mask_of(i)
+                if J == full:   # the factor |J| - n vanishes, and B_{1..n} is no generator
+                    continue
                 dI, dJ = _deg(I), _deg(J)
                 den = dI + dJ - n - 1
                 assert den != 0
-                c = MultiPoly.const(
-                    Fraction(dJ - n, den)
-                    * _sgn(eps_mask(i, J) + alpha_mask(I, Jm))
-                )
+                c = Fraction(dJ - n, den) * _sgn(eps_mask(i, J) + alpha_mask(I, Jm))
                 kosz = _sgn((dI + 1) * dJ)
-                b.add(Kn, _A_name(I, i), _B_name(Jm | _mask_of(i)), c)
-                b.add(Kn, _B_name(Jm | _mask_of(i)), _A_name(I, i), -c * kosz)
+                b.put(Kn, A(I, i), B(J), b.poly(c))
+                b.put(Kn, B(J), A(I, i), b.poly(-c * kosz))
 
     # ---- delta(A_{K,k}*) ----
     for K in _masks(n):
         for k in comp_members(K):
-            Kn = _A_name(K, k)
+            Kn = A(K, k)
             for I in _submasks(K):
                 J = K & ~I
                 dI, dJ = _deg(I), _deg(J)
@@ -574,20 +617,18 @@ def coproduct_S(n: int) -> Coproduct:
                 r = compI.index(k)
                 kosz = _sgn(dI * (dJ + 1))
                 if r + 1 < len(compI):
-                    a2 = SnBasisElement("A2", I, k, compI[r + 1]).name()
-                    b.add(Kn, a2, _A_name(J, k), MultiPoly.const(-al))
-                    b.add(Kn, _A_name(J, k), a2, MultiPoly.const(al * kosz))
+                    a2 = A2(I, k, compI[r + 1])
+                    b.put(Kn, a2, A(J, k), b.poly(-al))
+                    b.put(Kn, A(J, k), a2, b.poly(al * kosz))
                 if r > 0:
-                    a2 = SnBasisElement("A2", I, compI[r - 1], k).name()
-                    b.add(Kn, a2, _A_name(J, k), MultiPoly.const(al))
-                    b.add(Kn, _A_name(J, k), a2, MultiPoly.const(-al * kosz))
+                    a2 = A2(I, compI[r - 1], k)
+                    b.put(Kn, a2, A(J, k), b.poly(al))
+                    b.put(Kn, A(J, k), a2, b.poly(-al * kosz))
                 # sum 3: B-paired terms
-                c = MultiPoly.const(al * _sgn(dJ))
+                c = al * _sgn(dJ)
                 kosz3 = _sgn((dI + 1) * dJ)
-                left = X1 * (n - dJ) + X2 * (dI - 1)
-                right = X2 * (n - dJ) + X1 * (dI - 1)
-                b.add(Kn, _A_name(I, k), _B_name(J), c * left)
-                b.add(Kn, _B_name(J), _A_name(I, k), c * right * (-kosz3))
+                b.put(Kn, A(I, k), B(J), b.poly(x1=c * (n - dJ), x2=c * (dI - 1)))
+                b.put(Kn, B(J), A(I, k), b.poly(x1=-kosz3 * c * (dI - 1), x2=-kosz3 * c * (n - dJ)))
             # sum 2: i in J, i not in I, i != k
             for I in _submasks(K):
                 Jm = K & ~I
@@ -596,19 +637,17 @@ def coproduct_S(n: int) -> Coproduct:
                         continue
                     J = Jm | _mask_of(i)
                     dI, dJ = _deg(I), _deg(J)
-                    c = MultiPoly.const(
-                        _sgn(eps_mask(i, J) + alpha_mask(I, Jm))
-                    )
+                    c = _sgn(eps_mask(i, J) + alpha_mask(I, Jm))
                     kosz = _sgn((dI + 1) * (dJ + 1))
-                    b.add(Kn, _A_name(I, i), _A_name(J, k), c)
-                    b.add(Kn, _A_name(J, k), _A_name(I, i), -c * kosz)
+                    b.put(Kn, A(I, i), A(J, k), b.poly(c))
+                    b.put(Kn, A(J, k), A(I, i), b.poly(-c * kosz))
 
     # ---- delta(A_{K,i_k,i_{k+1}}*) ----
     for K in _masks(n):
         compK = comp_members(K)
         for rK in range(len(compK) - 1):
             ik, ik1 = compK[rK], compK[rK + 1]
-            Kn = SnBasisElement("A2", K, ik, ik1).name()
+            Kn = A2(K, ik, ik1)
             # sum 1: l in I, ord(I - l, J) = K
             for Ip in _submasks(K):
                 J = K & ~Ip
@@ -620,15 +659,11 @@ def coproduct_S(n: int) -> Coproduct:
                     sym = _A2_dual(n, I, ik, ik1)
                     if sym is None:
                         continue
-                    sg, a2 = sym
-                    c = MultiPoly.const(
-                        sg * _sgn(
-                            eps_mask(l, I) + 1 + dI + dJ + alpha_mask(Ip, J)
-                        )
-                    )
+                    sg, p, q = sym
+                    c = sg * _sgn(eps_mask(l, I) + 1 + dI + dJ + alpha_mask(Ip, J))
                     kosz = _sgn(dI * (dJ + 1))
-                    b.add(Kn, a2, _A_name(J, l), c)
-                    b.add(Kn, _A_name(J, l), a2, -c * kosz)
+                    b.put(Kn, A2(I, p, q), A(J, l), b.poly(c))
+                    b.put(Kn, A(J, l), A2(I, p, q), b.poly(-c * kosz))
             # sum 2: i in J \ I, j in I \ J
             for Ip in _submasks(K):
                 Jp = K & ~Ip
@@ -644,15 +679,13 @@ def coproduct_S(n: int) -> Coproduct:
                         if not ev:
                             continue
                         dI, dJ = _deg(I), _deg(J)
-                        c = MultiPoly.const(
-                            ev * _sgn(
-                                eps_mask(i, J) + eps_mask(j, I)
-                                + dI + dJ + alpha_mask(Ip, Jp)
-                            )
+                        c = ev * _sgn(
+                            eps_mask(i, J) + eps_mask(j, I)
+                            + dI + dJ + alpha_mask(Ip, Jp)
                         )
                         kosz = _sgn((dI + 1) * (dJ + 1))
-                        b.add(Kn, _A_name(I, i), _A_name(J, j), c)
-                        b.add(Kn, _A_name(J, j), _A_name(I, i), -c * kosz)
+                        b.put(Kn, A(I, i), A(J, j), b.poly(c))
+                        b.put(Kn, A(J, j), A(I, i), b.poly(-c * kosz))
             # sum 3: i in J, I cap J = empty, inner sum over j
             for I in _submasks(K):
                 Jm = K & ~I
@@ -668,15 +701,10 @@ def coproduct_S(n: int) -> Coproduct:
                         ev += _pair_coeff(j, i, ik, ik1)
                     if not ev:
                         continue
-                    c = MultiPoly.const(
-                        Fraction(ev, den)
-                        * _sgn(eps_mask(i, J) + alpha_mask(I, Jm))
-                    )
+                    c = Fraction(ev, den) * _sgn(eps_mask(i, J) + alpha_mask(I, Jm))
                     kosz = _sgn((dI + 1) * dJ)
-                    left = X2 * (1 - dI) + X1 * (dJ - n)
-                    right = X1 * (1 - dI) + X2 * (dJ - n)
-                    b.add(Kn, _A_name(I, i), _B_name(J), c * left)
-                    b.add(Kn, _B_name(J), _A_name(I, i), c * right * (-kosz))
+                    b.put(Kn, A(I, i), B(J), b.poly(x1=c * (dJ - n), x2=c * (1 - dI)))
+                    b.put(Kn, B(J), A(I, i), b.poly(x1=-kosz * c * (1 - dI), x2=-kosz * c * (dJ - n)))
             # sums 4, 5, 6: B-paired terms over disjoint (I, J) with ord = K
             for I in _submasks(K):
                 J = K & ~I
@@ -685,12 +713,10 @@ def coproduct_S(n: int) -> Coproduct:
                 kosz = _sgn(dI * dJ)
                 sym = _A2_dual(n, I, ik, ik1)
                 if sym is not None:
-                    sg, a2 = sym
-                    c = MultiPoly.const(al * sg)
-                    left = X1 * (n - dJ) + X2 * dI
-                    right = X2 * (n - dJ) + X1 * dI
-                    b.add(Kn, a2, _B_name(J), c * left)
-                    b.add(Kn, _B_name(J), a2, c * right * (-kosz))
+                    sg, p, q = sym
+                    c = al * sg
+                    b.put(Kn, A2(I, p, q), B(J), b.poly(x1=c * (n - dJ), x2=c * dI))
+                    b.put(Kn, B(J), A2(I, p, q), b.poly(x1=-kosz * c * dI, x2=-kosz * c * (n - dJ)))
                 compI = comp_members(I)
                 for r in range(len(compI) - 1):
                     jr, jr1 = compI[r], compI[r + 1]
@@ -706,14 +732,12 @@ def coproduct_S(n: int) -> Coproduct:
                         ev += _pair_coeff(j, anchor, ik, ik1)
                     if not ev:
                         continue
-                    c = MultiPoly.const(Fraction(ev * al, den))
+                    c = Fraction(ev * al, den)
                     if not in_r:  # j_r not in J, j_{r+1} in J: leading minus
                         c = -c
-                    a2 = SnBasisElement("A2", I, jr, jr1).name()
-                    left = X1 * (dJ - n) - X2 * dI
-                    right = X2 * (dJ - n) - X1 * dI
-                    b.add(Kn, a2, _B_name(J), c * left)
-                    b.add(Kn, _B_name(J), a2, c * right * (-kosz))
+                    a2 = A2(I, jr, jr1)
+                    b.put(Kn, a2, B(J), b.poly(x1=c * (dJ - n), x2=-c * dI))
+                    b.put(Kn, B(J), a2, b.poly(x1=kosz * c * dI, x2=-kosz * c * (dJ - n)))
     return b.done()
 
 
@@ -721,17 +745,22 @@ def coproduct_S(n: int) -> Coproduct:
 # CK_6
 
 
-def _ck6_dual(t: Tuple[int, ...]) -> Optional[Tuple[Scalar, str]]:
-    """Dual C symbol with arbitrary indices: (coefficient, basis name).
+def _ck6_duals(b: _Builder):
+    """The dual C symbol of an index tuple in any order as (coefficient,
+    generator index), or None when an index repeats; each tuple is worked
+    out once per call.
 
     Permutations contribute their sign; a 3-tuple without 1 reduces through
     the inverse of the primal scaling relation (1/beta = -beta).
     """
-    coords = ck6_symbol(t)
-    if not coords:
-        return None
-    (nm, c), = coords.items()
-    return c.inverse(), nm
+    @functools.cache
+    def dual(t: Tuple[int, ...]) -> Optional[Tuple[Scalar, int]]:
+        coords = ck6_symbol(t)
+        if not coords:
+            return None
+        (nm, c), = coords.items()
+        return c.inverse(), b.at[nm]
+    return dual
 
 
 def _contact_sign(x: int, y: int, z: int) -> int:
@@ -746,91 +775,93 @@ def coproduct_CK6() -> Coproduct:
     prim = [(_ck6_name(t), _ck6_parity(t)) for t in _ck6_basis_tuples()]
     b = _Builder(LIE, prim, "CK_6^c[formula]")
     beta = Scalar.beta()
+    dual = _ck6_duals(b)
+    half = Fraction(1, 2)
 
-    def add(K: str, coeff: MultiPoly, lt: Tuple[int, ...], rt: Tuple[int, ...]):
-        sl = _ck6_dual(lt)
-        sr = _ck6_dual(rt)
+    def add(k: int, coeff, lt: Tuple[int, ...], rt: Tuple[int, ...]):
+        sl = dual(lt)
+        sr = dual(rt)
         if sl is None or sr is None:
             return
-        b.add(K, sl[1], sr[1], coeff.scalar_mul(sl[0] * sr[0]))
+        s = sl[0] * sr[0]
+        b.put(k, sl[1], sr[1], b.poly(*(s * (a if isinstance(a, Scalar) else Scalar(a))
+                                        for a in coeff)))
 
     # delta(L*)
     b.add("L", "L", "L", X1 - X2)
     for i in range(1, 7):
-        add("L", MultiPoly.const(2), (i,), (i,))
+        add(b.at["L"], _c(2), (i,), (i,))
 
     # delta(C_l*)
     for l in range(1, 7):
-        Kn = f"C{l}"
-        add(Kn, X1, (l,), ())
-        add(Kn, -X2, (), (l,))
+        Kn = b.at[f"C{l}"]
+        add(Kn, _x1(1), (l,), ())
+        add(Kn, _x2(-1), (), (l,))
         for k in range(1, 7):
             if k == l:
                 continue
             pair = (k, l) if k < l else (l, k)
-            add(Kn, P_ONE, pair, (k,))
-            add(Kn, MultiPoly.const(-1), (k,), pair)
+            add(Kn, _c(1), pair, (k,))
+            add(Kn, _c(-1), (k,), pair)
 
     # delta(C_{1st}*)
     for s in range(2, 7):
         for t in range(s + 1, 7):
-            Kn = f"C1{s}{t}"
+            Kn = b.at[f"C1{s}{t}"]
             I = 1 | _mask_of(s) | _mask_of(t)
             Ic = _CK6_STAR ^ I
             a_, b_, c_ = members(Ic)
-            add(Kn, X1, (1, s, t), ())
-            add(Kn, -X2, (), (1, s, t))
-            half = MultiPoly.const(Fraction(1, 2))
-            add(Kn, half * X2, (1, s, t), ())
-            add(Kn, -half * X1, (), (1, s, t))
-            add(Kn, -X1, (1, s), (t,))
-            add(Kn, X2, (t,), (1, s))
-            add(Kn, X1, (1, t), (s,))
-            add(Kn, -X2, (s,), (1, t))
-            add(Kn, -X1, (s, t), (1,))
-            add(Kn, X2, (1,), (s, t))
-            bsg = MultiPoly.const(beta * Scalar(_sgn(alpha_mask(Ic, I))))
+            add(Kn, _x1(1), (1, s, t), ())
+            add(Kn, _x2(-1), (), (1, s, t))
+            add(Kn, _x2(half), (1, s, t), ())
+            add(Kn, _x1(-half), (), (1, s, t))
+            add(Kn, _x1(-1), (1, s), (t,))
+            add(Kn, _x2(1), (t,), (1, s))
+            add(Kn, _x1(1), (1, t), (s,))
+            add(Kn, _x2(-1), (s,), (1, t))
+            add(Kn, _x1(-1), (s, t), (1,))
+            add(Kn, _x2(1), (1,), (s, t))
+            bsg = beta * Scalar(_sgn(alpha_mask(Ic, I)))
             for u, vw in ((a_, (b_, c_)), (b_, (a_, c_)), (c_, (a_, b_))):
-                add(Kn, bsg, (1, u), (1,) + vw)
-                add(Kn, -bsg, (1,) + vw, (1, u))
+                add(Kn, _c(bsg), (1, u), (1,) + vw)
+                add(Kn, _c(-bsg), (1,) + vw, (1, u))
             for i in range(2, s):
-                add(Kn, P_ONE, (i, s), (1, i, t))
-                add(Kn, MultiPoly.const(-1), (1, i, t), (i, s))
-                add(Kn, MultiPoly.const(-1), (i, t), (1, i, s))
-                add(Kn, P_ONE, (1, i, s), (i, t))
+                add(Kn, _c(1), (i, s), (1, i, t))
+                add(Kn, _c(-1), (1, i, t), (i, s))
+                add(Kn, _c(-1), (i, t), (1, i, s))
+                add(Kn, _c(1), (1, i, s), (i, t))
             for i in range(s + 1, t):
-                add(Kn, MultiPoly.const(-1), (s, i), (1, i, t))
-                add(Kn, P_ONE, (1, i, t), (s, i))
-                add(Kn, P_ONE, (i, t), (1, s, i))
-                add(Kn, MultiPoly.const(-1), (1, s, i), (i, t))
+                add(Kn, _c(-1), (s, i), (1, i, t))
+                add(Kn, _c(1), (1, i, t), (s, i))
+                add(Kn, _c(1), (i, t), (1, s, i))
+                add(Kn, _c(-1), (1, s, i), (i, t))
             for i in range(t + 1, 7):
-                add(Kn, P_ONE, (s, i), (1, t, i))
-                add(Kn, MultiPoly.const(-1), (1, t, i), (s, i))
-                add(Kn, MultiPoly.const(-1), (t, i), (1, s, i))
-                add(Kn, P_ONE, (1, s, i), (t, i))
+                add(Kn, _c(1), (s, i), (1, t, i))
+                add(Kn, _c(-1), (1, t, i), (s, i))
+                add(Kn, _c(-1), (t, i), (1, s, i))
+                add(Kn, _c(1), (1, s, i), (t, i))
 
     # delta(C_{rs}*)
     for r in range(1, 7):
         for s in range(r + 1, 7):
-            Kn = f"C{r}{s}"
-            add(Kn, X1, (r, s), ())
-            add(Kn, -X2, (), (r, s))
-            half = MultiPoly.const(Fraction(1, 2))
-            add(Kn, -half * X2, (r, s), ())
-            add(Kn, half * X1, (), (r, s))
-            add(Kn, X2, (r,), (s,))
-            add(Kn, X1, (s,), (r,))
-            add(Kn, -X1, (r,), (s,))
-            add(Kn, -X2, (s,), (r,))
+            Kn = b.at[f"C{r}{s}"]
+            add(Kn, _x1(1), (r, s), ())
+            add(Kn, _x2(-1), (), (r, s))
+            add(Kn, _x2(-half), (r, s), ())
+            add(Kn, _x1(half), (), (r, s))
+            add(Kn, _x2(1), (r,), (s,))
+            add(Kn, _x1(1), (s,), (r,))
+            add(Kn, _x1(-1), (r,), (s,))
+            add(Kn, _x2(-1), (s,), (r,))
             for i in range(1, r):
-                add(Kn, P_ONE, (i, r), (i, s))
-                add(Kn, MultiPoly.const(-1), (i, s), (i, r))
+                add(Kn, _c(1), (i, r), (i, s))
+                add(Kn, _c(-1), (i, s), (i, r))
             for i in range(r + 1, s):
-                add(Kn, MultiPoly.const(-1), (r, i), (i, s))
-                add(Kn, P_ONE, (i, s), (r, i))
+                add(Kn, _c(-1), (r, i), (i, s))
+                add(Kn, _c(1), (i, s), (r, i))
             for i in range(s + 1, 7):
-                add(Kn, P_ONE, (r, i), (s, i))
-                add(Kn, MultiPoly.const(-1), (s, i), (r, i))
+                add(Kn, _c(1), (r, i), (s, i))
+                add(Kn, _c(-1), (s, i), (r, i))
             # double sum over i, 1 < k < l with {i,1,k,l}^c = {r,s}
             rs = _mask_of(r) | _mask_of(s)
             for i in range(1, 7):
@@ -840,23 +871,23 @@ def coproduct_CK6() -> Coproduct:
                         if _mask_of(i) & kl or _mask_of(i) | kl != _CK6_STAR ^ rs:
                             continue
                         e = alpha_mask(_mask_of(i), kl) + alpha_mask(_mask_of(i) | kl, rs)
-                        cf = MultiPoly.const(beta * Scalar(_sgn(e)))
+                        cf = _c(beta * Scalar(_sgn(e)))
                         add(Kn, cf, (i,), (1, k, l))
                         add(Kn, cf, (1, k, l), (i,))
             if r > 1:
-                cf = MultiPoly.const(-Scalar(_contact_sign(1, r, s)))
+                cf = _c(-_contact_sign(1, r, s))
                 add(Kn, cf, (1,), (1, r, s))
                 add(Kn, cf, (1, r, s), (1,))
             else:
                 for i in range(2, s):
-                    cf = MultiPoly.const(-Scalar(_contact_sign(i, 1, s)))
+                    cf = _c(-_contact_sign(i, 1, s))
                     add(Kn, cf, (i,), (1, i, s))
                     # the display labels this factor C_{i1s}; reading the
                     # subscript as an unordered label (no permutation sign)
                     # keeps the formula tau-antisymmetric
                     add(Kn, cf, (1, i, s), (i,))
                 for i in range(s + 1, 7):
-                    cf = MultiPoly.const(Scalar(_contact_sign(i, 1, s)))
+                    cf = _c(_contact_sign(i, 1, s))
                     add(Kn, cf, (i,), (1, s, i))
                     add(Kn, cf, (1, s, i), (i,))
     return b.done()
@@ -879,34 +910,34 @@ def _th_name(m: int) -> str:
 def coproduct_Jn(n: int) -> Coproduct:
     """The two displayed formulas for Delta((xi_K theta)*) and Delta(xi_K*)."""
     b = _Builder(JORDAN, _jn_primal(n), f"J_{n}^c[formula]")
+    xi = _xi_indices(b, n)
+    th = [b.at[_th_name(m)] for m in range(1 << n)]
     for K in _masks(n):
-        Ktn = _th_name(K)
-        Kn = _xi_name(K)
         for I in _submasks(K):
             J = K & ~I
             dI, dJ = _deg(I), _deg(J)
             al = _sgn(alpha_mask(I, J))
             # Delta((xi_K th)*)
-            b.add(Ktn, _xi_name(I), _th_name(J), MultiPoly.const(al))
-            b.add(Ktn, _th_name(J), _xi_name(I),
-                  MultiPoly.const(al * _sgn(dI * (dJ + 1))))
+            b.put(th[K], xi[I], th[J], b.poly(al))
+            b.put(th[K], th[J], xi[I], b.poly(al * _sgn(dI * (dJ + 1))))
             # Delta(xi_K*), first and second sums
-            b.add(Kn, _xi_name(I), _xi_name(J), MultiPoly.const(al))
-            c = MultiPoly.const(_sgn(dJ + alpha_mask(I, J)) * (dJ - 2))
+            b.put(xi[K], xi[I], xi[J], b.poly(al))
+            c = _sgn(dJ + alpha_mask(I, J)) * (dJ - 2)
             kosz = _sgn((dI + 1) * (dJ + 1))
-            b.add(Kn, _th_name(I), _th_name(J), c * X1)
-            b.add(Kn, _th_name(J), _th_name(I), c * X2 * kosz)
+            b.put(xi[K], th[I], th[J], b.poly(x1=c))
+            b.put(xi[K], th[J], th[I], b.poly(x2=c * kosz))
         # derivative sums: diagonal pairs up to n-2 and the swapped last two
         for i in range(1, max(n - 1, 0)):
-            _add_swap_deriv(b, K, i, i)
+            _add_swap_deriv(b, xi, th, K, i, i)
         if n >= 2:
-            _add_swap_deriv(b, K, n - 1, n)
-            _add_swap_deriv(b, K, n, n - 1)
+            _add_swap_deriv(b, xi, th, K, n - 1, n)
+            _add_swap_deriv(b, xi, th, K, n, n - 1)
     return b.done()
 
 
-def _add_swap_deriv(b: "_Builder", K: int, i: int, j: int):
-    """The (d_i a)(d_j b) sum of Delta(xi_K*) for the swapped index pair."""
+def _add_swap_deriv(b: "_Builder", xi: List[int], th: List[int], K: int, i: int, j: int):
+    """The (d_i a)(d_j b) sum of Delta(xi_K*) for the swapped index pair;
+    xi[m] and th[m] index xi_m* and (xi_m theta)*."""
     for Ip in _submasks(K):
         Jp = K & ~Ip
         if Ip & _mask_of(i):
@@ -922,17 +953,16 @@ def _add_swap_deriv(b: "_Builder", K: int, i: int, j: int):
             + eps_mask(j, J)
             + alpha_mask(Ip, Jp)
         )
-        b.add(_xi_name(K), _th_name(I), _th_name(J),
-              MultiPoly.const(_sgn(e)))
+        b.put(xi[K], th[I], th[J], b.poly(_sgn(e)))
 
 
 def coproduct_JS1() -> Coproduct:
     """Delta(T*) = T* (x) S* + S* (x) T*;
     Delta(S*) = 2 S* (x) S* + d T* (x) T* - T* (x) d T*."""
     b = _Builder(JORDAN, [("S", 0), ("T", 1)], "JS_1^c[formula]")
-    b.add("T", "T", "S", P_ONE)
-    b.add("T", "S", "T", P_ONE)
-    b.add("S", "S", "S", MultiPoly.const(2))
+    b.add("T", "T", "S", b.poly(1))
+    b.add("T", "S", "T", b.poly(1))
+    b.add("S", "S", "S", b.poly(2))
     b.add("S", "T", "T", X1 - X2)
     return b.done()
 
@@ -942,25 +972,25 @@ def coproduct_JCK4() -> Coproduct:
     prim = [("one", 0), ("w1", 0), ("w2", 0), ("w3", 0),
             ("x", 1), ("x1", 1), ("x2", 1), ("x3", 1)]
     b = _Builder(JORDAN, prim, "JCK_4^c[formula]")
-    b.add("one", "one", "one", P_ONE)
+    b.add("one", "one", "one", b.poly(1))
     for i, sg in ((1, 1), (2, 1), (3, -1)):
-        b.add("one", f"w{i}", f"w{i}", MultiPoly.const(sg))
+        b.add("one", f"w{i}", f"w{i}", b.poly(sg))
     b.add("one", "x", "x", X1 - X2)
-    b.add("x", "one", "x", P_ONE)
-    b.add("x", "x", "one", P_ONE)
+    b.add("x", "one", "x", b.poly(1))
+    b.add("x", "x", "one", b.poly(1))
     for i in (1, 2, 3):
-        b.add(f"w{i}", "one", f"w{i}", P_ONE)
-        b.add(f"w{i}", f"w{i}", "one", P_ONE)
-        b.add(f"w{i}", f"x{i}", "x", P_ONE)
-        b.add(f"w{i}", "x", f"x{i}", MultiPoly.const(-1))
+        b.add(f"w{i}", "one", f"w{i}", b.poly(1))
+        b.add(f"w{i}", f"w{i}", "one", b.poly(1))
+        b.add(f"w{i}", f"x{i}", "x", b.poly(1))
+        b.add(f"w{i}", "x", f"x{i}", b.poly(-1))
     for k in (1, 2, 3):
-        b.add(f"x{k}", "one", f"x{k}", P_ONE)
-        b.add(f"x{k}", f"x{k}", "one", P_ONE)
-        b.add(f"x{k}", f"w{k}", "x", X1)
-        b.add(f"x{k}", "x", f"w{k}", X2)
+        b.add(f"x{k}", "one", f"x{k}", b.poly(1))
+        b.add(f"x{k}", f"x{k}", "one", b.poly(1))
+        b.add(f"x{k}", f"w{k}", "x", b.poly(x1=1))
+        b.add(f"x{k}", "x", f"w{k}", b.poly(x2=1))
         for i in (1, 2, 3):
             for j in (1, 2, 3):
                 if i != j and i != k and j != k:
-                    b.add(f"x{k}", f"w{i}", f"x{j}", MultiPoly.const(-1))
-                    b.add(f"x{k}", f"x{j}", f"w{i}", MultiPoly.const(-1))
+                    b.add(f"x{k}", f"w{i}", f"x{j}", b.poly(-1))
+                    b.add(f"x{k}", f"x{j}", f"w{i}", b.poly(-1))
     return b.done()

@@ -34,7 +34,7 @@ from .conformal import (
 )
 from .poly import (
     D, LAM, MultiPoly, P_ONE, X1, X2, X3, X4, _MAXEXP, _MONO_MASK, _VAR_SHIFT, accumulate,
-    add_product, common_denominator, compact_vector, pack_vector, relabel_vector,
+    add_product, common_denominator, compact_vector, pack_vector,
     substitution, unpack_vector,
 )
 
@@ -274,7 +274,6 @@ def zeta(t: TensorElement) -> TensorElement:
 # stored on the Coproduct.
 
 _UNIT = {0: 1}
-_ZETA_SLOTS = {"x1": "x3", "x2": "x1", "x3": "x2"}
 
 
 def _gatherer(cop: Coproduct):
@@ -352,20 +351,22 @@ def check_lie_coalgebra(cop: Coproduct) -> Report:
     return rep
 
 
-def _zeta_packed(terms, n: int, par) -> dict:
-    """zeta on a packed arity-4 vector: [a,b,c,d] -> (-1)^{p_a(p_b+p_c)} [b,c,a,d].
+def _zeta_sign(e: int, p1: int, p2: int, p3: int) -> int:
+    """The sign bit of zeta^e on [a, b, c, d], where p1, p2, p3 are the parities of a, b, c:
+    p(a)(p(b)+p(c)) for zeta, p(c)(p(a)+p(b)) for zeta^2."""
+    return (0, p1 & (p2 ^ p3), p3 & (p1 ^ p2))[e]
 
-    The slot variables follow their factors; terms must be overflow-checked.
-    """
-    n2, n3 = n * n, n * n * n
 
-    def component(m):
-        a, rest = divmod(m, n3)
-        b, rest = divmod(rest, n2)
-        c, d = divmod(rest, n)
-        return ((b * n + c) * n + a) * n + d, bool(par[a] & (par[b] ^ par[c]))
+def _grouped(vectors: dict) -> dict:
+    """{(a, *rest): v} as {a: [(*rest, v)]}."""
+    out = {}
+    for (a, *rest), v in vectors.items():
+        out.setdefault(a, []).append((*rest, v))
+    return out
 
-    return relabel_vector(terms, _ZETA_SLOTS, component)
+
+# zeta^e moves the factor in slot s (s = 1, 2, 3) to slot _CYCLE[e][s - 1]
+_CYCLE = ((1, 2, 3), (3, 1, 2), (2, 3, 1))
 
 
 def check_jordan_coalgebra(cop: Coproduct) -> Report:
@@ -380,43 +381,57 @@ def check_jordan_coalgebra(cop: Coproduct) -> Report:
             = sum Q^{ij}_k(x1+x2, x3+x4) Q^{lm}_j(x3, x4) Q^{uv}_i(x1, x2) [u,v,l,m]
         (I (x) Delta (x) I)(I (x) Delta) Delta a_k
             = sum Q^{ij}_k(x1, x2+x3+x4) Q^{lm}_j(x2+x3, x4) Q^{uv}_l(x2, x3) [i,u,v,m]
+
+    zeta is applied to the operands, never to the residual.  zeta^e moves the
+    factor in slot s to slot c = _CYCLE[e][s-1], with its slot variable and
+    tuple digit, so each image is the same contraction of operands gathered
+    with x_c and the digit weight n^(4-c) in place of x_s and n^(4-s).  Its
+    sign depends on the parities of the first three factors, which the two
+    operands of the last product share out: a part vector holds l and its
+    row u and v, a first factor of the right side holds i and its tail u and
+    v.  Each operand is split by those parities, so every product of two
+    halves has one sign.  The three images sum into one accumulation per
+    dual generator.
     """
     if cop.kind != JORDAN:
         raise StructureError("Jordan coalgebra axioms apply to Jordan kind")
     n = cop.rank
-    n2, n3 = n * n, n * n * n
     par = [g.parity for g in cop.generators]
     rep = Report("cojordan", cop.name, total=n)
     L, gather = _gatherer(cop)
     flips = _flips(gather, n, par, True)
-    first_l: Dict[int, Dict[int, list]] = {}
-    for (k, i, j), p in gather(X1 + X2, X3 + X4, lambda i, j, k: ((k, i, j), 0)).items():
-        first_l.setdefault(k, {}).setdefault(i, []).append((j, p))
-    rows_lm = gather(X3, X4, lambda l, m, j: (j, l * n + m))
-    rows_uv = gather(None, None, lambda u, v, i: (i, (u * n + v) * n2))
-    first_r = gather(X1, X2 + X3 + X4, lambda i, j, k: ((k, j), i * n3))
-    # tails[j] = sum Q^{lm}_j(x2+x3, x4) Q^{uv}_l(x2, x3) [., u, v, m]
-    tails = {}
-    rows_uv_mid = gather(X2, X3, lambda u, v, l: (l, (u * n + v) * n))
-    for (j, l), p in gather(X2 + X3, X4, lambda l, m, j: ((j, l), m)).items():
-        add_product(tails.setdefault(j, {}), p, rows_uv_mid.get(l, {}))
-    tails = {j: compact_vector(tail) for j, tail in tails.items()}
+    images = []
+    for e, cycle in enumerate(_CYCLE):
+        y1, y2, y3 = ((X1, X2, X3)[c - 1] for c in cycle)
+        w1, w2, w3 = (n ** (4 - c) for c in cycle)
+        first_l = _grouped(gather(y1 + y2, y3 + X4, lambda i, j, k: (((k, i), j), 0)))
+        rows_lm = gather(y3, X4, lambda l, m, j: ((j, par[l]), l * w3 + m))
+        rows_uv = _grouped(gather(y1, y2, lambda u, v, i: ((i, par[u], par[v]), u * w1 + v * w2)))
+        first_r = _grouped(gather(y1, y2 + y3 + X4, lambda i, j, k: ((k, j, par[i]), i * w1)))
+        # tails[j]: sum Q^{lm}_j(y2+y3, x4) Q^{uv}_l(y2, y3) [., u, v, m], split by (p_u, p_v)
+        rows_mid = _grouped(gather(y2, y3, lambda u, v, l: ((l, par[u], par[v]), u * w2 + v * w3)))
+        tails = {}
+        for (j, l), p in gather(y2 + y3, X4, lambda l, m, j: ((j, l), m)).items():
+            for pu, pv, row in rows_mid.get(l, ()):
+                add_product(tails.setdefault((j, pu, pv), {}), p, row)
+        tails = _grouped({key: compact_vector(t) for key, t in tails.items()})
+        images.append((partial(_zeta_sign, e), first_l, rows_lm, rows_uv, first_r, tails))
     for k in range(n):
         _record(rep, cop, k, "co-commutativity", 2, flips.get(k, {}), L)
         acc = {}
-        for i, row in first_l.get(k, {}).items():
-            part = {}
-            for j, p in row:
-                add_product(part, p, rows_lm.get(j, {}))
-            add_product(acc, compact_vector(part), rows_uv.get(i, {}))
-        for j in range(n):
-            add_product(acc, first_r.get((k, j), {}), tails.get(j, {}), True)
-        diff = compact_vector(acc)
-        once = _zeta_packed(diff, n, par)
-        resid = dict(diff)
-        for z in (once, _zeta_packed(once, n, par)):
-            add_product(resid, z, _UNIT)
-        _record(rep, cop, k, "co-jordan", 4, resid, L ** 3)
+        for sign, first_l, rows_lm, rows_uv, first_r, tails in images:
+            for i in range(n):
+                for x in (0, 1) if (k, i) in first_l else ():
+                    part = {}
+                    for j, p in first_l[k, i]:
+                        add_product(part, p, rows_lm.get((j, x), {}))
+                    part = compact_vector(part)
+                    for pu, pv, row in rows_uv.get(i, ()):
+                        add_product(acc, part, row, sign(pu, pv, x))
+            for j, x, first in first_r.get(k, ()):
+                for pu, pv, tail in tails.get(j, ()):
+                    add_product(acc, first, tail, not sign(x, pu, pv))
+        _record(rep, cop, k, "co-jordan", 4, acc, L ** 3)
     return rep
 
 

@@ -486,32 +486,6 @@ def compact_vector(acc: Dict[int, int]) -> Dict[int, int]:
     return out
 
 
-def relabel_vector(acc: Dict[int, int], sigma: Dict[str, str],
-                   component: Callable[[int], Tuple[int, bool]]) -> Dict[int, int]:
-    """A packed vector with its variables and components relabelled.
-
-    The exponent of v moves to sigma[v], sigma a permutation of its keys;
-    component(m) gives (m', negate), and the term at component m moves to m',
-    negated when negate is set.  acc must be compact (compact_vector).
-    """
-    moves = [(_VAR_SHIFT[v], _VAR_SHIFT[w]) for v, w in sigma.items()]
-    keep = _TERM_MASK & ~sum(_MAXEXP << s for s, _ in moves)
-    tags: Dict[int, Tuple[int, bool]] = {}
-    out: Dict[int, int] = {}
-    for k, c in acc.items():
-        m = k >> _COMPONENT_SHIFT
-        hit = tags.get(m)
-        if hit is None:
-            m2, negate = component(m)
-            hit = tags[m] = (m2 << _COMPONENT_SHIFT, negate)
-        tag, negate = hit
-        mono = k & keep
-        for s, t in moves:
-            mono |= ((k >> s) & _MAXEXP) << t
-        out[tag | mono] = -c if negate else c
-    return out
-
-
 def tagged(vec: Dict[int, int], m: int, negate: bool = False) -> Dict[int, int]:
     """vec, packed at component 0, moved to component m (negated with negate):
     a first factor whose product with a packed row lands at m plus its component."""

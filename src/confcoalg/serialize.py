@@ -27,13 +27,15 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _str_text
-from typing import Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
-from .coalgebra import Coproduct
 from .conformal import Generator, LIE, LambdaStructure, StructureError
 from .poly import (
     MultiPoly, _MAXEXP, _VAR_SHIFT, _exp_of, _sort_key, poly_from_json, poly_to_json,
 )
+
+if TYPE_CHECKING:
+    from .coalgebra import Coproduct
 
 FORMAT_VERSION = 1
 
@@ -128,6 +130,8 @@ def coproduct_to_json(C: Coproduct) -> dict:
 
 
 def coproduct_from_json(data: dict) -> Coproduct:
+    from .coalgebra import Coproduct
+
     if _doc_type(data) != "coproduct":
         raise StructureError("not a coproduct document")
     gens, index = _generators(data)
@@ -210,10 +214,12 @@ def dumps(obj) -> str:
     """A table or coproduct as its JSON document; any other JSON value as is."""
     if isinstance(obj, LambdaStructure):
         doc = structure_to_json(obj)
-    elif isinstance(obj, Coproduct):
-        doc = coproduct_to_json(obj)
-    else:
+    elif isinstance(obj, (dict, list)):
         doc = obj
+    else:   # coalgebra is imported only where a coproduct may be written
+        from .coalgebra import Coproduct
+
+        doc = coproduct_to_json(obj) if isinstance(obj, Coproduct) else obj
     return _json_text(doc)
 
 

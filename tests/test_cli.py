@@ -292,6 +292,14 @@ def test_imported_table_loads_no_constructor(tmp_path):
     assert not modules & {"families", "closed_form"}
 
 
+def test_construct_json_loads_no_coalgebra(tmp_path):
+    out = tmp_path / "k3.json"
+    code, modules = _main_footprint("construct", "--family", "K", "--n", "3",
+                                    "--format", "json", "--out", str(out))
+    assert code == 0 and "serialize" in modules and out.read_text().startswith("{")
+    assert not modules & {"coalgebra", "closed_form"}
+
+
 def test_verify_family_text_loads_no_emitter_or_serialiser():
     code, modules = _main_footprint("verify", "--family", "vir")
     assert code == 0 and "families" in modules

@@ -75,6 +75,23 @@ def test_emitter_output_pinned(emitter, args):
     assert hashlib.sha256(text.encode()).hexdigest() == EMITTER_DUMPS[emitter, args]
 
 
+@pytest.mark.parametrize("emitter, args", [
+    ("coproduct_vir", ()), ("coproduct_cur_sl2", ()), ("coproduct_W", (2,)),
+    ("coproduct_S", (2,)), ("coproduct_K", (3,)), ("coproduct_N", (2,)), ("coproduct_N", (3,)),
+    ("coproduct_N", (4,)), ("coproduct_K4prime", ()), ("coproduct_CK6", ()),
+    ("coproduct_Jn", (2,)), ("coproduct_JS1", ()), ("coproduct_JCK4", ()),
+])
+def test_emitter_calls_share_no_polynomial(emitter, args):
+    """An emitter makes its names and coefficient polynomials once per call and
+    keeps nothing between calls: two tables share no MultiPoly object."""
+    first, second = (getattr(cf, emitter)(*args) for _ in range(2))
+
+    def polys(C):
+        return {id(q) for k in range(C.rank) for _, _, q in C.table[k]}
+
+    assert polys(first) and not polys(first) & polys(second)
+
+
 def test_vir_and_current(vir, cur_sl2):
     assert compare(dualize(vir), cf.coproduct_vir()).ok
     assert compare(dualize(cur_sl2), cf.coproduct_cur_sl2()).ok

@@ -8,7 +8,7 @@ import pytest
 from confcoalg.poly import (
     BETA, D, LAM, MU, MultiPoly, P_ONE, P_ZERO, Scalar, X1, X2, X3,
     add_product, common_denominator, compact_vector, pack_vector, poly_from_json,
-    poly_to_json, relabel_vector, substitution, unpack_vector, _MONO_MASK, _VAR_SHIFT,
+    poly_to_json, substitution, unpack_vector, _MONO_MASK, _VAR_SHIFT,
     _sort_key,
 )
 
@@ -195,15 +195,13 @@ def _packed(p, m=0):
     return pack_vector([(m, p)])
 
 
-def test_compact_and_relabel_vector():
+def test_compact_vector():
     acc = {}
     add_product(acc, _packed(X1 + X2), pack_vector([(1, X1), (2, X3)]))
     add_product(acc, _packed(X2), pack_vector([(1, X1)]), negate=True)
     v = compact_vector(acc)                  # the x1*x2 terms cancel and go
     assert len(v) == 3
     assert unpack_vector(v) == {1: X1 * X1, 2: (X1 + X2) * X3}
-    swapped = relabel_vector(v, {"x1": "x2", "x2": "x1"}, lambda m: (3 - m, m == 2))
-    assert unpack_vector(swapped) == {2: X2 * X2, 1: -(X1 + X2) * X3}
     acc = {}
     add_product(acc, _packed(MultiPoly.var("x1", 200)), pack_vector([(0, MultiPoly.var("x1", 100))]))
     with pytest.raises(ValueError, match="overflow"):
