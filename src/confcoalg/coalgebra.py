@@ -404,7 +404,9 @@ def check_jordan_coalgebra(cop: Coproduct) -> Report:
     for e, cycle in enumerate(_CYCLE):
         y1, y2, y3 = ((X1, X2, X3)[c - 1] for c in cycle)
         w1, w2, w3 = (n ** (4 - c) for c in cycle)
-        first_l = _grouped(gather(y1 + y2, y3 + X4, lambda i, j, k: (((k, i), j), 0)))
+        first_l: Dict[int, Dict[int, list]] = {}
+        for (k, i, j), p in gather(y1 + y2, y3 + X4, lambda i, j, k: ((k, i, j), 0)).items():
+            first_l.setdefault(k, {}).setdefault(i, []).append((j, p))
         rows_lm = gather(y3, X4, lambda l, m, j: ((j, par[l]), l * w3 + m))
         rows_uv = _grouped(gather(y1, y2, lambda u, v, i: ((i, par[u], par[v]), u * w1 + v * w2)))
         first_r = _grouped(gather(y1, y2 + y3 + X4, lambda i, j, k: ((k, j, par[i]), i * w1)))
@@ -420,14 +422,14 @@ def check_jordan_coalgebra(cop: Coproduct) -> Report:
         _record(rep, cop, k, "co-commutativity", 2, flips.get(k, {}), L)
         acc = {}
         for sign, first_l, rows_lm, rows_uv, first_r, tails in images:
-            for i in range(n):
-                for x in (0, 1) if (k, i) in first_l else ():
+            for i, row in first_l.get(k, {}).items():
+                for x in (0, 1):
                     part = {}
-                    for j, p in first_l[k, i]:
+                    for j, p in row:
                         add_product(part, p, rows_lm.get((j, x), {}))
                     part = compact_vector(part)
-                    for pu, pv, row in rows_uv.get(i, ()):
-                        add_product(acc, part, row, sign(pu, pv, x))
+                    for pu, pv, uv in rows_uv.get(i, ()):
+                        add_product(acc, part, uv, sign(pu, pv, x))
             for j, x, first in first_r.get(k, ()):
                 for pu, pv, tail in tails.get(j, ()):
                     add_product(acc, first, tail, not sign(x, pu, pv))

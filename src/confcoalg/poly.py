@@ -428,7 +428,6 @@ _BETA_SHIFT = _WIDTH * _NVARS
 _BETA = 1 << _BETA_SHIFT                    # beta digit 1
 _BETA_SQ = 2 << _BETA_SHIFT                 # high bit of the beta digit: beta**2 = -1
 _COMPONENT_SHIFT = _BETA_SHIFT + 2
-_TERM_MASK = (1 << _COMPONENT_SHIFT) - 1    # monomial fields and beta digit
 
 
 def common_denominator(polys: Iterable[MultiPoly]) -> int:
