@@ -30,12 +30,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .conformal import (
     Generator, JORDAN, LIE, LambdaStructure, Record, Report, StructureError, Violation,
-    _gather, _packed,
+    _gather, _packed, _renaming,
 )
 from .poly import (
     D, LAM, MultiPoly, P_ONE, X1, X2, X3, X4, _MAXEXP, _MONO_MASK, _VAR_SHIFT, accumulate,
-    add_product, common_denominator, compact_vector, pack_vector,
-    substitution, unpack_vector,
+    add_product, compact_vector, unpack_vector,
 )
 
 _X = ("x1", "x2", "x3", "x4")
@@ -104,26 +103,33 @@ def dual_generators(S: LambdaStructure) -> List[Generator]:
 def dualize(S: LambdaStructure, name: Optional[str] = None) -> Coproduct:
     """The coproduct on the dual basis: Q^{ij}_k(x, y) = P^{ij}_k(x, -x-y).
 
-    The whole table is renamed as one packed vector, entry e at component e.
+    Each distinct entry polynomial is packed, renamed and unpacked once;
+    every entry still gets a MultiPoly of its own.
     """
-    entries = [(i, j, k, p) for (i, j), row in S.table.items() for k, p in row]
-    L = common_denominator(p for *_, p in entries)
-    rename = substitution("lam", "d", X1, _MINUS_X1_X2)
-    duals = unpack_vector(rename(pack_vector(((e, t[3]) for e, t in enumerate(entries)), L)), L)
+    L, (vecs, slots) = _packed([(i, j, k, p) for (i, j), row in S.table.items() for k, p in row])
+    duals = [unpack_vector(vec, L)[0].terms
+             for vec in _renaming(vecs, ("lam", "d"), X1, _MINUS_X1_X2)]
     table: Dict[int, List[Tuple[int, int, MultiPoly]]] = {}
-    for e, (i, j, k, _) in enumerate(entries):
-        table.setdefault(k, []).append((i, j, duals[e]))
+    for i, j, k, e in slots:
+        table.setdefault(k, []).append((i, j, MultiPoly(dict(duals[e]))))
     return Coproduct(S.kind, dual_generators(S), table, name=name or (S.name + "^c"))
 
 
 def double_dual_roundtrip(S: LambdaStructure) -> Report:
-    """d -> -lam-d applied twice to every table entry returns it exactly."""
+    """d -> -lam-d applied twice to every table entry returns it exactly.
+
+    Each distinct entry polynomial is substituted once; every entry counts
+    in the total and a failing one has its own violation.
+    """
     rep = Report("roundtrip", S.name)
     img = -LAM - D
+    backs: Dict[MultiPoly, MultiPoly] = {}
     for (i, j), entries in S.table.items():
         for k, p in entries:
             rep.total += 1
-            back = p.subst_general("d", img).subst_general("d", img)
+            back = backs.get(p)
+            if back is None:
+                back = backs[p] = p.subst_general("d", img).subst_general("d", img)
             if back != p:
                 names = (S.generators[i].id, S.generators[j].id, S.generators[k].id)
                 rep.violations.append(Violation(names, f"{p} -> {back}"))
@@ -269,9 +275,13 @@ def zeta(t: TensorElement) -> TensorElement:
 # component t_1 n^{r-1} + ... + t_r of a packed vector (see
 # poly.pack_vector), n the rank, so the component tag of a first factor plus
 # the component of a packed row is the output tuple.  As in conformal, the
-# table is packed times its common denominator L, and a residual of degree g
-# is reported divided by L**g.  The copies are built per check call, never
-# stored on the Coproduct.
+# table is packed times its common denominator L, each distinct entry
+# polynomial once, and a residual of degree g is reported divided by L**g.
+# A copy is made by conformal._gather: it renames each distinct polynomial
+# once and writes it into the slot of every entry that has it, at the
+# entry's component and sign, so the co-Jordan first factors and tails,
+# slotted one entry each, cost no rename of their own.  The copies are built
+# per check call, never stored on the Coproduct.
 
 _UNIT = {0: 1}
 

@@ -24,8 +24,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .poly import (
     D, LAM, MU, NU, MultiPoly, P_ONE, Scalar, accumulate, add_product,
-    common_denominator, compact_vector, _MAXEXP, _MONO_MASK, _VAR_SHIFT, pack_vector,
-    substitution, tagged, unpack_vector,
+    common_denominator, compact_vector, _COMPONENT_SHIFT, _MAXEXP, _MONO_MASK, _VAR_SHIFT,
+    pack_vector, substitution, unpack_vector,
 )
 
 LIE = "lie"
@@ -362,28 +362,49 @@ def _gen_names(S: LambdaStructure, idxs) -> Tuple[str, ...]:
 # contraction of copies of the table with its variables renamed,
 # P^{ij}_k(lam, d) -> P^{ij}_k(lam_img, d_img), packed once per check times
 # the common denominator L of the table (see poly.pack_vector), so a residual
-# of degree g is reported divided by L**g.  The copies are built per check
-# call, never stored on the structure, so a with_entry copy can never see
-# stale ones.  Free tuple indices ride in the component of packed vectors,
-# so one add_product covers a whole batch of tuples.
+# of degree g is reported divided by L**g.  A table has few distinct entry
+# polynomials (K_5 has 618 entries and 23 distinct ones), so a packed table
+# holds each distinct polynomial once and every entry names its own: a
+# renamed copy renames each distinct polynomial once and writes the result
+# into the slot of every entry that has it, at the entry's component and
+# sign.  The copies are built per check call, never stored on the structure,
+# so a with_entry copy can never see stale ones.  Free tuple indices ride in
+# the component of packed vectors, so one add_product covers a whole batch
+# of tuples.
 
 
 def _packed(entries):
-    """(L, [(i, j, k, L p packed)]) for entries [(i, j, k, p)], L their common denominator."""
-    L = common_denominator(p for *_, p in entries)
-    return L, [(i, j, k, pack_vector([(0, p)], L)) for i, j, k, p in entries]
+    """(L, (vecs, slots)) for entries [(i, j, k, p)], L their common denominator:
+    vecs holds each distinct p, packed times L, once, and slots is
+    [(i, j, k, e)] with vecs[e] the packed p of that entry."""
+    index: Dict[MultiPoly, int] = {}
+    slots = [(i, j, k, index.setdefault(p, len(index))) for i, j, k, p in entries]
+    L = common_denominator(index)
+    return L, ([pack_vector([(0, p)], L) for p in index], slots)
 
 
 def _packed_table(S: LambdaStructure):
     return _packed([(i, j, k, p) for (i, j), row in S.table.items() for k, p in row])
 
 
+def _renaming(vecs, names, x_img, y_img):
+    """The distinct packed entries vecs of a packed table (see _packed) with
+    names[0] -> x_img and names[1] -> y_img, each renamed once; with x_img
+    None, vecs themselves."""
+    if x_img is None:
+        return vecs
+    rename = substitution(*names, x_img, y_img)
+    return [rename(vec) for vec in vecs]
+
+
 def _renamed(table, n: int, lam_img: MultiPoly, d_img: MultiPoly):
-    """rows[i][j] = [(k, P^{ij}_k(lam_img, d_img))], lam and d replaced simultaneously."""
-    rename = substitution("lam", "d", lam_img, d_img)
+    """rows[i][j] = [(k, P^{ij}_k(lam_img, d_img))], lam and d replaced simultaneously;
+    entries with one polynomial share its renamed vector."""
+    vecs, slots = table
+    vecs = _renaming(vecs, ("lam", "d"), lam_img, d_img)
     rows = [[[] for _ in range(n)] for _ in range(n)]
-    for i, j, k, p in table:
-        rows[i][j].append((k, rename(p)))
+    for i, j, k, e in slots:
+        rows[i][j].append((k, vecs[e]))
     return rows
 
 
@@ -393,15 +414,25 @@ def _gather(table, lam_img, d_img, place, negate=None, names=("lam", "d")):
     place(i, j, k) = (slot, m) puts the entry at component m of out[slot];
     with negate given, the entries for which negate(i, j) holds change sign.
     names are the two variables renamed; with lam_img None nothing is.
+    The entries of one slot have distinct components, so each entry's terms
+    are written in place and no slot is summed or compacted.
     """
+    vecs, slots = table
+    vecs = _renaming(vecs, names, lam_img, d_img)
     out = {}
-    for i, j, k, p in table:
+    for i, j, k, e in slots:
         slot, m = place(i, j, k)
-        out.setdefault(slot, {}).update(tagged(p, m, bool(negate and negate(i, j))))
-    if lam_img is None:
-        return out
-    rename = substitution(*names, lam_img, d_img)
-    return {slot: rename(vec) for slot, vec in out.items()}
+        vec = out.get(slot)
+        if vec is None:
+            vec = out[slot] = {}
+        tag = m << _COMPONENT_SHIFT
+        if negate and negate(i, j):
+            for key, c in vecs[e].items():
+                vec[key + tag] = -c
+        else:
+            for key, c in vecs[e].items():
+                vec[key + tag] = c
+    return out
 
 
 def _check_flip(S: LambdaStructure, check: str, sign: int) -> Report:

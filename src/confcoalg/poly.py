@@ -485,13 +485,6 @@ def compact_vector(acc: Dict[int, int]) -> Dict[int, int]:
     return out
 
 
-def tagged(vec: Dict[int, int], m: int, negate: bool = False) -> Dict[int, int]:
-    """vec, packed at component 0, moved to component m (negated with negate):
-    a first factor whose product with a packed row lands at m plus its component."""
-    tag, sign = m << _COMPONENT_SHIFT, -1 if negate else 1
-    return {k + tag: sign * c for k, c in vec.items()}
-
-
 def substitution(x: str, y: str, a: MultiPoly, b: MultiPoly) -> Callable[[dict], dict]:
     """The map v -> v with x -> a and y -> b, simultaneously, on packed vectors.
 

@@ -1,6 +1,7 @@
 """Dualization, tensor calculus with Koszul signs, the co-axioms, and the
 JSON documents of tables, coproducts and reports."""
 
+import hashlib
 import importlib
 import json
 import random
@@ -35,6 +36,54 @@ def test_dualize_reindexes(cur_sl2):
     e = c.index["e*"]
     f = c.index["f*"]
     assert c.normalized(h) == {(e, f): P_ONE, (f, e): MultiPoly.const(-1)}
+
+
+# sha256 of serialize.dumps(dualize(S)) of every family table at every n the
+# CLI caps allow (families.CAPS; S_{2,b} at the three b of the fixtures),
+# recorded before dualize renamed each distinct entry polynomial once; the
+# duals must not change by a byte
+DUALIZE_DUMPS = {
+    ("make_vir", ()): "0c1b39e4572b06b6710a4ca6754a9107c03d1dc5034b9e8e9ddfa18847a209fd",
+    ("make_cur_sl2", ()): "540410ebfbb39921893bc075699d06d21cebe1b55c2d931d10f067b6257aadc3",
+    ("make_cur_jordan_unit", ()): "88cf4d5ec858c8deeb3c57bc15374f5879d6dfd04905c65bb1d91682ce55fb4c",
+    ("make_W", (0,)): "dd4426831e38731b360baec0436a48054d3115902aea595eb1e3b62546e5628d",
+    ("make_W", (1,)): "5cb6096fa3923b99424b12373dc93d613f81a5009b4cb68d537b034312987458",
+    ("make_W", (2,)): "b9a8e78dd50f2505deccb8c15cdd319ce633aa88402c851bdd13f4edb96e5ac3",
+    ("make_W", (3,)): "697315ebbd8007400daf580d98176c5e4e083ce12627d0ee6734a47667a65f41",
+    ("make_W", (4,)): "e84321f4982af1360ddc896b5a9809c03c3cb3396fbe7211f282ce1e8f3c3359",
+    ("make_K", (0,)): "9b8e32742dd48a54eace295bb335dc76651656a646ae0b3e5a78c7d869e8ce2d",
+    ("make_K", (1,)): "85c9b787750a4474234ce1526b165215f53e16a7272fba7c9f509c4f750db3ca",
+    ("make_K", (2,)): "704b0e4ae7581af8c0fe05d2c55822a93661bd1834c815ad63de1015b909f026",
+    ("make_K", (3,)): "ee8fd59f5e5defc3c0c8ee3a3fa4b6eefad036aa6c7809d40cd57fe6fddff98a",
+    ("make_K", (4,)): "2dd52c1bdb335606f930d62eff5b5995264630f5b9e8d313a913969d5383275e",
+    ("make_K", (5,)): "b1a9ed1f077d8d98762aad5e1600ad17bc445ff46cc58b0a0caf56ebedc835b7",
+    ("make_K", (6,)): "b684e24490a5e5c3fcad7e0efb0e278f2645d3bb97697fd173094f0380b8515a",
+    ("make_Jn", (0,)): "1f7c768ab69585526d329fb59a1810ac7dc24750116184c9370da0e20547e225",
+    ("make_Jn", (1,)): "86a604c7d2e8e99865f04c8123004e11bb4c8a23d2830438394f726caa472c0e",
+    ("make_Jn", (2,)): "85ebaa1c2068fb3172020ead8dcb70619827401307b0757b7f25610bdc50641d",
+    ("make_Jn", (3,)): "2d93cb552bd7ed2b9c93ee8af241f07b5104b94e1b843241a7596f774034552a",
+    ("make_S", (2,)): "31cc3bbb6b900405f28b805db612f28c0eb4ac62b90c9e0e2dda0899a1e762e3",
+    ("make_S", (3,)): "d0331177c64339bb24aafd6f04679476db4a34a0a36530cd30fcf2c7ea90bf95",
+    ("make_S_b", (2, Scalar(0))): "22230c349222025657f8c78ffb931e33a0da51b8ac6da724a59441bde88e470f",
+    ("make_S_b", (2, Scalar(1))): "ef975c787d5993140ec17d53f88a2d2c65a2c6f094b20c7b782106e21468ffcd",
+    ("make_S_b", (2, Scalar(0, 1))): "4b6882235af06fcdbb3f2f85e86797e067721ce203d3b2e2a0b9d79d7ad2670d",
+    ("make_S_tilde", (2,)): "e463ffc1674a31adcdd505c4220b61470bc3259ef9a7a01ed092ce8380dd6684",
+    ("make_K4prime", ()): "db54f13d051e30b7127ce6e6cb79e21910d49d93dd0e87defbfa387891f13e3c",
+    ("make_CK6", ()): "5bd04672cf48fdd881b48f74071d357b7d1243ce0796bbb0b3fbfa7746e46713",
+    ("make_JS1", ()): "dfef59a9f8dcd2d8dff5965135566b437c188eae75bf89d9e82ef9166d1a8997",
+    ("make_JCK4", ()): "5dae955f86220ff44955aac9662f6fbd325f1ffaf97f797600d7a5d80f6f65d9",
+}
+
+
+@pytest.mark.parametrize("make, args", list(DUALIZE_DUMPS),
+                         ids=[f"{make}{args}" for make, args in DUALIZE_DUMPS])
+def test_dualize_output_pinned(make, args):
+    cop = dualize(getattr(families, make)(*args))
+    text = serialize.dumps(cop)
+    assert hashlib.sha256(text.encode()).hexdigest() == DUALIZE_DUMPS[make, args]
+    # every entry has a polynomial of its own, though few of them are distinct
+    polys = [q for k in range(cop.rank) for _, _, q in cop.table[k]]
+    assert len({id(q) for q in polys}) == len({id(q.terms) for q in polys}) == len(polys)
 
 
 def _rand_tensor(rng, cop, arity):

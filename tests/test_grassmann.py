@@ -195,6 +195,39 @@ def test_only_poly_drops_zero_sums():
                 assert not _pops_key(node.body + node.orelse), (name, node.lineno)
 
 
+def _uses(tree, name):
+    """The innermost enclosing function (None at module level) of every
+    Name or attribute called name in tree."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Name) and child.id == name) or (
+                    isinstance(child, ast.Attribute) and child.attr == name):
+                found.append(func)
+            visit(child, getattr(child, "name", func)
+                  if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func)
+
+    visit(tree, None)
+    return found
+
+
+def test_one_helper_renames_table_entries():
+    """conformal._renaming is the one user of poly.substitution: every renamed
+    copy of a table, in the kernels, the co-kernels and dualize, renames each
+    distinct entry polynomial once through it, and no module imports
+    substitution under another name.  poly.tagged, which tagged one first
+    factor at a time before renaming a whole slot, is gone."""
+    users = set()
+    for name, tree in _production_sources():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                assert all(a.asname is None for a in node.names if a.name == "substitution"), name
+        users.update((name, func) for func in _uses(tree, "substitution"))
+    assert users == {("confcoalg.conformal", "_renaming")}
+    assert not hasattr(importlib.import_module("confcoalg.poly"), "tagged")
+
+
 def test_only_serialize_writes_indented_json():
     """serialize._json_text is the one JSON writer: no module of the package
     passes indent= to json.dumps or json.dump, which would write the same

@@ -21,20 +21,21 @@ from typing import Dict, List, Optional, Tuple
 import pytest
 
 from confcoalg import closed_form as cf
-from confcoalg import families
+from confcoalg import families, poly
 from confcoalg.coalgebra import (
-    Coproduct, TensorElement, apply_delta_slot, check_jordan_coalgebra,
+    Coproduct, TensorElement, _gatherer, apply_delta_slot, check_jordan_coalgebra,
     check_lie_coalgebra, dualize, tau, zeta,
 )
 from confcoalg.conformal import (
     CONSISTENT, JORDAN, LIE, PRINTED, ConformalElement, Generator, LambdaStructure,
-    ModuleMap, StructureError, _divmod_d, _normalise_content, bracket, bracket_pairs,
-    check_jacobi, check_jordan_comm, check_jordan_identity, check_skew, shift_spectral,
+    ModuleMap, Report, StructureError, Violation, _divmod_d, _gather, _normalise_content,
+    _packed_table, _renamed, bracket, bracket_pairs, check_jacobi, check_jordan_comm,
+    check_jordan_identity, check_skew, shift_spectral,
 )
 from confcoalg.families import corrupt_entry
 from confcoalg.grassmann import IndexSet, alpha_mask, derive, members, mul, mul_sign
 from confcoalg.poly import (
-    D, LAM, MU, NU, MultiPoly, P_ONE, Scalar, _MONO_MASK, _checked, accumulate,
+    D, LAM, MU, NU, X1, X2, X3, X4, MultiPoly, P_ONE, Scalar, _MONO_MASK, _checked, accumulate,
 )
 
 
@@ -268,6 +269,124 @@ def _jordan_per_tuple(S, variant):
         _split(acc, f_ca_split[c][a], s3_sec[b][d], s3_last, not odd_bc)
         _per_tuple_found(S, (a, b, c, d), acc, out)
     return n ** 4, out
+
+
+# -- per-slot gather oracle -------------------------------------------------------
+#
+# The renamed copies as they stood before each distinct entry polynomial was
+# renamed once per call: every entry packed on its own, tagged at its
+# component, and every slot renamed through its own poly.substitution call.
+# The functions are kept as they were, with the packed table they read and
+# poly.tagged written out.
+
+
+def _packed_per_entry(entries):
+    """(L, [(i, j, k, L p packed)]) for entries [(i, j, k, p)], L their common denominator."""
+    L = poly.common_denominator(p for *_, p in entries)
+    return L, [(i, j, k, poly.pack_vector([(0, p)], L)) for i, j, k, p in entries]
+
+
+def _tagged(vec, m, negate=False):
+    """vec, packed at component 0, moved to component m (negated with negate)."""
+    tag, sign = m << poly._COMPONENT_SHIFT, -1 if negate else 1
+    return {k + tag: sign * c for k, c in vec.items()}
+
+
+def _renamed_per_entry(table, n, lam_img, d_img):
+    """rows[i][j] = [(k, P^{ij}_k(lam_img, d_img))], lam and d replaced simultaneously."""
+    rename = poly.substitution("lam", "d", lam_img, d_img)
+    rows = [[[] for _ in range(n)] for _ in range(n)]
+    for i, j, k, p in table:
+        rows[i][j].append((k, rename(p)))
+    return rows
+
+
+def _gather_per_slot(table, lam_img, d_img, place, negate=None, names=("lam", "d")):
+    """Packed vectors out[slot] of the renamed entries P^{ij}_k(lam_img, d_img).
+
+    place(i, j, k) = (slot, m) puts the entry at component m of out[slot];
+    with negate given, the entries for which negate(i, j) holds change sign.
+    names are the two variables renamed; with lam_img None nothing is.
+    """
+    out = {}
+    for i, j, k, p in table:
+        slot, m = place(i, j, k)
+        out.setdefault(slot, {}).update(_tagged(p, m, bool(negate and negate(i, j))))
+    if lam_img is None:
+        return out
+    rename = poly.substitution(*names, lam_img, d_img)
+    return {slot: rename(vec) for slot, vec in out.items()}
+
+
+def _roundtrip_per_entry(S):
+    """double_dual_roundtrip as it stood: both substitutions once per entry."""
+    rep = Report("roundtrip", S.name)
+    img = -LAM - D
+    for (i, j), entries in S.table.items():
+        for k, p in entries:
+            rep.total += 1
+            back = p.subst_general("d", img).subst_general("d", img)
+            if back != p:
+                names = (S.generators[i].id, S.generators[j].id, S.generators[k].id)
+                rep.violations.append(Violation(names, f"{p} -> {back}"))
+    return rep
+
+
+def _kernel_gathers(n, par):
+    """(lam_img, d_img, place, negate): gathers shaped as the kernels make them
+    on a rank-n table, with a sign rule on some of them."""
+    n2 = n * n
+    return [
+        (None, None, lambda i, l, m: ((i, l), m), None),
+        (MU, LAM + D, lambda j, k, l: (l, (j * n + k) * n), None),
+        (LAM, -LAM - MU, lambda i, j, l: ((i, l), j * n2), None),
+        (MU, D, lambda j, l, m: (l, j * n2 + m), lambda j, l: par[j]),
+        (-LAM - D, D, lambda j, i, k: (0, (i * n + j) * n + k),
+         lambda j, i: not par[i] & par[j]),
+        (NU, LAM + D, lambda x, d, m: ((x, m), d * n), lambda x, d: par[x] ^ par[d]),
+    ]
+
+
+def _co_kernel_gathers(n, par):
+    """(x1_img, x2_img, place, negate): gathers shaped as the co-kernels make
+    them on a rank-n coproduct, with a sign rule on some of them."""
+    return [
+        (None, None, lambda i, j, k: (k, i * n + j), lambda i, j: True),
+        (X2, X1, lambda i, j, k: (k, j * n + i), lambda i, j: par[i] & par[j]),
+        (X1 + X2, X3 + X4, lambda i, j, k: ((k, i, j), 0), None),
+        (X2, X1 + X3, lambda i, j, k: ((k, j, par[i]), i * n), None),
+        (X3, X1, lambda u, v, i: ((i, par[u], par[v]), u + v * n ** 3), lambda u, v: par[u]),
+    ]
+
+
+def assert_gathers_match(S):
+    """_gather and _renamed of S, and the co-kernels' gathers of dualize(S),
+    against the per-slot oracle, with the placements the kernels use."""
+    entries = [(i, j, k, p) for (i, j), row in S.table.items() for k, p in row]
+    L, table = _packed_table(S)
+    L_old, old = _packed_per_entry(entries)
+    assert L == L_old
+    par = [S.parity(i) for i in range(S.rank)]
+    for lam_img, d_img, place, negate in _kernel_gathers(S.rank, par):
+        assert (_gather(table, lam_img, d_img, place, negate)
+                == _gather_per_slot(old, lam_img, d_img, place, negate))
+        if lam_img is not None:
+            assert (_renamed(table, S.rank, lam_img, d_img)
+                    == _renamed_per_entry(old, S.rank, lam_img, d_img))
+    cop = dualize(S)
+    L, gather = _gatherer(cop)
+    L_old, old = _packed_per_entry([(i, j, k, q) for k in range(cop.rank)
+                                    for (i, j), q in cop.normalized(k).items()])
+    assert L == L_old
+    for x1_img, x2_img, place, negate in _co_kernel_gathers(cop.rank, par):
+        assert (gather(x1_img, x2_img, place, negate)
+                == _gather_per_slot(old, x1_img, x2_img, place, negate, names=("x1", "x2")))
+
+
+@pytest.mark.parametrize("name", ["K_4", "W_2", "S_3", "CK_6", "J_2", "JCK_4"])
+def test_gathers_match_per_slot_oracle(name, K, W, S, CK6, Jn, JCK4):
+    table = {"K_4": K[4], "W_2": W[2], "S_3": S[3], "CK_6": CK6, "J_2": Jn[2], "JCK_4": JCK4}
+    assert_gathers_match(table[name])
 
 
 # -- families ------------------------------------------------------------------

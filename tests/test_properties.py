@@ -3,9 +3,11 @@
 The family tables are homogeneous in spectral weight, with small integral or
 beta coefficients.  The tables drawn here are not: rank 2-4, mixed parities,
 sparse entries of d-degree up to 3 in no particular weight, and coefficients
-with denominators 2, 3 and 5, some of them multiples of beta.  They satisfy
-no axiom, so every check has violations to report, and the integer kernels
-must report them exactly as the oracles of ``test_kernels`` do: the nested
+with denominators 2, 3 and 5, some of them multiples of beta; about half
+the entries repeat an earlier entry's polynomial, as in the family tables.
+They satisfy no axiom, so every check has violations to report, and the
+integer kernels must report them exactly as the oracles of
+``test_kernels`` do: the nested
 brackets, the per-tuple contractions on Scalar-valued vectors, and the
 definitional tensor operations.  ``bracket_pairs`` is compared with the
 ``bracket`` loop on such tables, and ``kernel_basis`` with its oracle on
@@ -19,7 +21,11 @@ random coproducts go through ``dumps`` and ``loads`` unchanged, and
 coefficients.  The co-Jacobi and co-Jordan kernels run on raw random
 coproducts against the tensor-slot oracle, and ``compare`` against a
 term-by-term diff of a coproduct and a permuted, partly dropped, negated
-and split copy of it.  The hypothesis profile is set in conftest.
+and split copy of it.  The renamed copies, which rename each distinct entry
+polynomial once, agree with the per-slot gather of ``test_kernels``;
+gathered slots and ``dualize`` entries share no state; and the double dual
+agrees with its per-entry oracle and takes each dual entry back to its
+table entry.  The hypothesis profile is set in conftest.
 """
 
 import json
@@ -33,19 +39,23 @@ from hypothesis import example, given, strategies as st  # noqa: E402
 
 from confcoalg import families, serialize  # noqa: E402
 from confcoalg.coalgebra import (  # noqa: E402
-    Coproduct, check_jordan_coalgebra, check_lie_coalgebra, compare, dual_generators, dualize,
+    Coproduct, check_jordan_coalgebra, check_lie_coalgebra, compare, double_dual_roundtrip,
+    dual_generators, dualize,
 )
 from confcoalg.conformal import (  # noqa: E402
     CONSISTENT, JORDAN, LIE, PRINTED, ConformalElement, Generator, LambdaStructure,
-    ModuleMap, bracket_pairs, check_jacobi, check_jordan_comm, check_jordan_identity,
-    check_skew, kernel_basis,
+    ModuleMap, _gather, _packed_table, bracket_pairs, check_jacobi, check_jordan_comm,
+    check_jordan_identity, check_skew, kernel_basis,
 )
-from confcoalg.poly import D, MultiPoly, Scalar, X1, X2, _pack, poly_from_json  # noqa: E402
+from confcoalg.poly import (  # noqa: E402
+    D, LAM, MU, MultiPoly, P_ONE, Scalar, X1, X2, _pack, poly_from_json,
+)
 
 from test_kernels import (  # noqa: E402
     _bracket_loop, _canonicalize_CK6_oracle, _canonicalize_S_oracle, _co_oracle,
     _coalg_residuals, _cojordan_residuals, _flip_residual, _found, _jacobi_residual,
-    _jordan_per_tuple, _kernel_basis_oracle, _oracle, _reading,
+    _jordan_per_tuple, _kernel_basis_oracle, _oracle, _reading, _roundtrip_per_entry,
+    assert_gathers_match,
 )
 
 _parts = st.builds(Fraction, st.sampled_from((1, -1, 2, -3)), st.sampled_from((1, 2, 3, 5)))
@@ -55,19 +65,29 @@ _coefficients = st.builds(Scalar, _parts, st.one_of(st.just(0), _parts))
 _terms = st.tuples(st.integers(0, 2), st.integers(0, 3), _coefficients)
 
 
+def _polys(draw):
+    """A sum of one or two terms c lam^a d^b (a <= 2, b <= 3)."""
+    p = MultiPoly.zero()
+    for a, b, c in draw(st.lists(_terms, min_size=1, max_size=2)):
+        p = p + MultiPoly.monomial({"lam": a, "d": b}, c)
+    return p
+
+
 @st.composite
 def tables(draw, kind, max_entries):
     """A table of rank 2-4 with one to max_entries entries, each a sum of one
-    or two terms lam^a d^b (a <= 2, b <= 3) on a target of the right parity."""
+    or two terms lam^a d^b (a <= 2, b <= 3) on a target of the right parity.
+    About half the entries after the first repeat the polynomial of an
+    earlier one, so that equal polynomials sit on different (i, j, k),
+    parities and signs, as they do in the family tables."""
     n = draw(st.integers(2, 4))
     par = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
-    table = {}
+    table, drawn = {}, []
     for _ in range(draw(st.integers(1, max_entries))):
         i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
         k = draw(st.sampled_from([k for k in range(n) if par[k] == par[i] ^ par[j]] or [None]))
-        p = MultiPoly.zero()
-        for a, b, c in draw(st.lists(_terms, min_size=1, max_size=2)):
-            p = p + MultiPoly.monomial({"lam": a, "d": b}, c)
+        p = draw(st.sampled_from(drawn)) if drawn and draw(st.booleans()) else _polys(draw)
+        drawn.append(p)
         if k is not None:
             table.setdefault((i, j), []).append((k, p))
     gens = [Generator(f"g{i}", p) for i, p in enumerate(par)]
@@ -91,7 +111,19 @@ def _assert_dual_matches(S, check, residuals):
     assert (rep.total, _found(rep)) == _co_oracle(cop, residuals)
 
 
+def _shared_table(kind):
+    """Rank 3, parities 0, 1, 1: one polynomial on an even-even, an even-odd, an
+    odd-even and an odd-odd pair, another on two pairs of different parity."""
+    p = LAM + D.scalar_mul(Scalar(Fraction(2, 3), 1))
+    q = LAM * D - MultiPoly.const(Fraction(1, 2))
+    table = {(0, 0): [(0, p)], (0, 1): [(1, p), (2, q)], (1, 0): [(2, p)], (1, 2): [(0, p)],
+             (2, 2): [(0, q)]}
+    gens = [Generator(f"g{i}", par) for i, par in enumerate((0, 1, 1))]
+    return LambdaStructure(kind, gens, table, name="shared")
+
+
 @given(tables(LIE, 8))
+@example(_shared_table(LIE))
 def test_lie_kernels_on_random_tables(S):
     rep = check_jacobi(S)
     assert (rep.total, _found(rep)) == (S.rank ** 3, _oracle(S, 3, _jacobi_residual))
@@ -102,6 +134,7 @@ def test_lie_kernels_on_random_tables(S):
 
 # a Jordan residual has degree 3 in the table, so its tables are smaller
 @given(tables(JORDAN, 4))
+@example(_shared_table(JORDAN))
 def test_jordan_kernels_on_random_tables(S):
     for variant in (CONSISTENT, PRINTED):
         rep = check_jordan_identity(S, variant=variant)
@@ -109,6 +142,68 @@ def test_jordan_kernels_on_random_tables(S):
     rep = check_jordan_comm(S)
     assert (rep.total, _found(rep)) == (S.rank ** 2, _oracle(S, 2, _flip_residual))
     _assert_dual_matches(S, check_jordan_coalgebra, _cojordan_residuals)
+
+
+# -- shared entries: the renamed copies, dualize and the double dual
+
+@given(tables(LIE, 8))
+@example(_shared_table(LIE))
+def test_gathers_match_per_slot_oracle_on_random_tables(S):
+    assert_gathers_match(S)
+
+
+_JUNK = 1 << 300      # a key above every component a test table reaches
+
+
+@given(tables(LIE, 8))
+@example(_shared_table(LIE))
+def test_gathered_slots_and_dual_entries_share_nothing(S):
+    """Changing one gathered slot or one dualize entry changes no other, and not the table."""
+    def entries(T):
+        return {key: [(k, dict(p.terms)) for k, p in row] for key, row in T.table.items()}
+
+    table_before = entries(S)
+    _, table = _packed_table(S)
+    vecs_before = [dict(vec) for vec in table[0]]
+    for lam_img, d_img in ((None, None), (MU, LAM + D)):
+        out = _gather(table, lam_img, d_img, lambda i, j, k: ((i, j), k))
+        fresh = _gather(table, lam_img, d_img, lambda i, j, k: ((i, j), k))
+        for slot in out:
+            out[slot][_JUNK] = 1
+            assert all(out[s] == fresh[s] for s in out if s != slot)
+            assert table[0] == vecs_before
+            del out[slot][_JUNK]
+    duals, fresh_duals = ([q for row in dualize(S).table.values() for _, _, q in row]
+                          for _ in range(2))
+    for q in duals:
+        q.terms[_JUNK] = Scalar(1)
+        assert all(r == f for r, f in zip(duals, fresh_duals) if r is not q)
+        assert entries(S) == table_before
+        del q.terms[_JUNK]
+
+
+def _faulty_subst_general(original):
+    """subst_general plus 1 whenever d is replaced in a polynomial that has d."""
+    def subst_general(self, var, repl):
+        out = original(self, var, repl)
+        return out + P_ONE if var == "d" and self.degree_in("d") > 0 else out
+    return subst_general
+
+
+@given(tables(LIE, 8))
+@example(_shared_table(LIE))
+def test_double_dual_on_random_tables(S):
+    assert double_dual_roundtrip(S) == _roundtrip_per_entry(S)
+    # a faulty substitution fails every entry that has d, once per entry
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(MultiPoly, "subst_general", _faulty_subst_general(MultiPoly.subst_general))
+        rep, expected = double_dual_roundtrip(S), _roundtrip_per_entry(S)
+    assert rep == expected
+    assert len(rep.violations) == sum(p.degree_in("d") > 0 for row in S.table.values() for _, p in row)
+    # x1 -> lam, x2 -> -lam-d turns each dual entry Q(x1, x2) = P(x1, -x1-x2) back into P
+    back = {(i, j, k): q.subst_general("x1", LAM).subst_general("x2", -LAM - D)
+            for k, row in dualize(S).table.items() for i, j, q in row}
+    assert back == {(i, j, k): p for (i, j), row in S.table.items() for k, p in row}
 
 
 def _d_poly(draw, min_size=0):
