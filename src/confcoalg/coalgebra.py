@@ -25,7 +25,7 @@ residual as one sparse contraction of slot-renamed copies of the table.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import cached_property, partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .conformal import (
@@ -85,6 +85,13 @@ class Coproduct:
     def parity(self, i: int) -> int:
         return self.generators[i].parity
 
+    @cached_property
+    def packed(self):
+        """The merged table packed by conformal._packed, entries (i, j, k, Q^{ij}_k),
+        built on first read; the table and its entries are never changed."""
+        return _packed((i, j, k, q) for k in range(self.rank)
+                       for (i, j), q in self.normalized(k).items())
+
     def normalized(self, k: int) -> Dict[Tuple[int, int], MultiPoly]:
         """Collapse the (i, j) list of delta(a_k^*) into a merged map."""
         out: Dict[Tuple[int, int], MultiPoly] = {}
@@ -103,10 +110,10 @@ def dual_generators(S: LambdaStructure) -> List[Generator]:
 def dualize(S: LambdaStructure, name: Optional[str] = None) -> Coproduct:
     """The coproduct on the dual basis: Q^{ij}_k(x, y) = P^{ij}_k(x, -x-y).
 
-    Each distinct entry polynomial is packed, renamed and unpacked once;
-    every entry still gets a MultiPoly of its own.
+    Each distinct entry polynomial of S.packed is renamed and unpacked
+    once; every entry still gets a MultiPoly of its own.
     """
-    L, (vecs, slots) = _packed([(i, j, k, p) for (i, j), row in S.table.items() for k, p in row])
+    L, (vecs, slots) = S.packed
     duals = [unpack_vector(vec, L)[0].terms
              for vec in _renaming(vecs, ("lam", "d"), X1, _MINUS_X1_X2)]
     table: Dict[int, List[Tuple[int, int, MultiPoly]]] = {}
@@ -119,7 +126,10 @@ def double_dual_roundtrip(S: LambdaStructure) -> Report:
     """d -> -lam-d applied twice to every table entry returns it exactly.
 
     Each distinct entry polynomial is substituted once; every entry counts
-    in the total and a failing one has its own violation.
+    in the total and a failing one has its own violation.  This exercises
+    only the involution d -> -lam-d of MultiPoly.subst_general, which holds
+    for every polynomial in lam and d, so it cannot fail on a table defect;
+    ROADMAP item 2 replaces it with a round trip through dualize and JSON.
     """
     rep = Report("roundtrip", S.name)
     img = -LAM - D
@@ -280,16 +290,16 @@ def zeta(t: TensorElement) -> TensorElement:
 # A copy is made by conformal._gather: it renames each distinct polynomial
 # once and writes it into the slot of every entry that has it, at the
 # entry's component and sign, so the co-Jordan first factors and tails,
-# slotted one entry each, cost no rename of their own.  The copies are built
-# per check call, never stored on the Coproduct.
+# slotted one entry each, cost no rename of their own.  A Coproduct and its
+# entries are never changed after construction, so the table is packed once,
+# as Coproduct.packed; the renamed copies are built per check call.
 
 _UNIT = {0: 1}
 
 
 def _gatherer(cop: Coproduct):
     """(L, gather): the merged table packed times its denominator L, and its _gather on x1, x2."""
-    L, table = _packed([(i, j, k, q) for k in range(cop.rank)
-                        for (i, j), q in cop.normalized(k).items()])
+    L, table = cop.packed
     return L, partial(_gather, table, names=("x1", "x2"))
 
 

@@ -19,6 +19,7 @@ to arbitrary elements.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -206,14 +207,11 @@ class LambdaStructure:
     def entry(self, i: int, j: int) -> "ConformalElement":
         return ConformalElement({k: p for k, p in self.table[(i, j)]})
 
-    def pair_element(self, i: int, j: int, svar: str) -> "ConformalElement":
-        """[a_i svar a_j] with the spectral variable renamed from lam."""
-        if svar == "lam":
-            return self.entry(i, j)
-        out = {}
-        for k, p in self.table[(i, j)]:
-            out[k] = p.permute_vars({"lam": svar}) if "lam" in p.variables() else p
-        return ConformalElement(out)
+    @cached_property
+    def packed(self):
+        """The table packed by _packed, entries (i, j, k, P^{ij}_k), built on first
+        read; the table and its entries are never changed after construction."""
+        return _packed((i, j, k, p) for (i, j), row in self.table.items() for k, p in row)
 
     def with_entry(self, i: int, j: int, value: "ConformalElement") -> "LambdaStructure":
         """Copy of the table with one (i, j) entry replaced (negative controls)."""
@@ -367,8 +365,10 @@ def _gen_names(S: LambdaStructure, idxs) -> Tuple[str, ...]:
 # holds each distinct polynomial once and every entry names its own: a
 # renamed copy renames each distinct polynomial once and writes the result
 # into the slot of every entry that has it, at the entry's component and
-# sign.  The copies are built per check call, never stored on the structure,
-# so a with_entry copy can never see stale ones.  Free tuple indices ride in
+# sign.  A table and its entries are never changed after construction, so
+# the packed form is built once, on the first read of S.packed, and every
+# check reads it; with_entry makes a new table with its own packed form.
+# The renamed copies are built per check call.  Free tuple indices ride in
 # the component of packed vectors, so one add_product covers a whole batch
 # of tuples.
 
@@ -381,10 +381,6 @@ def _packed(entries):
     slots = [(i, j, k, index.setdefault(p, len(index))) for i, j, k, p in entries]
     L = common_denominator(index)
     return L, ([pack_vector([(0, p)], L) for p in index], slots)
-
-
-def _packed_table(S: LambdaStructure):
-    return _packed([(i, j, k, p) for (i, j), row in S.table.items() for k, p in row])
 
 
 def _renaming(vecs, names, x_img, y_img):
@@ -441,7 +437,7 @@ def _check_flip(S: LambdaStructure, check: str, sign: int) -> Report:
     n = S.rank
     rep = Report(check, S.name, total=n * n)
     par = [S.parity(i) for i in range(n)]
-    L, table = _packed_table(S)
+    L, table = S.packed
     acc = _gather(table, None, None, lambda i, j, k: (0, (i * n + j) * n + k)).get(0, {})
     flipped = _gather(table, -LAM - D, D, lambda j, i, k: (0, (i * n + j) * n + k),
                       lambda j, i: (sign == 1) != bool(par[i] & par[j]))
@@ -502,7 +498,7 @@ def check_jacobi(S: LambdaStructure) -> Report:
     n2 = n * n
     rep = Report("jacobi", S.name, total=n ** 3)
     par = [S.parity(i) for i in range(n)]
-    L, table = _packed_table(S)
+    L, table = S.packed
     cols1 = _gather(table, MU, LAM + D, lambda j, k, l: (l, (j * n + k) * n))
     outer_il = _gather(table, None, None, lambda i, l, m: ((i, l), m))
     first2 = _gather(table, LAM, -LAM - MU, lambda i, j, l: ((i, l), j * n2))
@@ -588,7 +584,7 @@ def check_jordan_identity(S: LambdaStructure, variant: str = CONSISTENT) -> Repo
     rep = Report(f"jordan-id[{variant}]", S.name, total=n ** 4)
     nu_mu = NU - MU
     t = LAM + NU - MU if variant == CONSISTENT else LAM - MU
-    L, table = _packed_table(S)
+    L, table = S.packed
     # first factors, rows by the first pair of the term
     f_bc = _renamed(table, n, MU, -NU)
     f_ab = _renamed(table, n, LAM, -LAM - MU)

@@ -345,16 +345,6 @@ class MultiPoly:
             out[nk] = c
         return MultiPoly(out)
 
-    def exact_div_by_var(self, var: str) -> "MultiPoly":
-        """Divide by var exactly; every term must contain var."""
-        shift = _VAR_SHIFT[var]
-        out = {}
-        for k, c in self.terms.items():
-            if not (k >> shift) & _MAXEXP:
-                raise ValueError(f"term not divisible by {var}")
-            out[k - (1 << shift)] = c
-        return MultiPoly(out)
-
     def exact_div(self, divisor: "MultiPoly") -> "MultiPoly":
         """Exact polynomial division; raises ValueError if not a multiple."""
         if divisor.is_zero():

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+from confcoalg.conformal import ConformalElement
 from confcoalg.poly import ALPHABET, MultiPoly, Scalar
 
 
@@ -18,3 +19,13 @@ def random_poly(rng, nvars=4, nterms=4, maxexp=3, scalars=(1, -1, 2, Fraction(1,
             c = Scalar(c, rng.choice((1, -1)))
         out = out + MultiPoly.monomial(exps, c)
     return out
+
+
+def pair_element(S, i: int, j: int, svar: str) -> ConformalElement:
+    """[a_i svar a_j] of the table S with the spectral variable renamed from lam."""
+    if svar == "lam":
+        return S.entry(i, j)
+    out = {}
+    for k, p in S.table[(i, j)]:
+        out[k] = p.permute_vars({"lam": svar}) if "lam" in p.variables() else p
+    return ConformalElement(out)

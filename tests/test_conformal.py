@@ -15,6 +15,8 @@ from confcoalg.families import (
 )
 from confcoalg.poly import D, LAM, MU, MultiPoly, P_ONE, Scalar
 
+from helpers import pair_element
+
 
 def test_vir_bracket_and_sesquilinearity(vir):
     L = ConformalElement.gen(0)
@@ -82,7 +84,7 @@ def test_jordan_comm_examples(JS1):
     # T la T = (2 la + d) S = (-1)^{|T||T|} (T_{-la-d} T): the flip gives
     # (-2 la - d) S and the Koszul sign restores the table entry
     t = JS1.index["T"]
-    flipped = shift_spectral(JS1.pair_element(t, t, "mu"), "mu", -LAM - D)
+    flipped = shift_spectral(pair_element(JS1, t, t, "mu"), "mu", -LAM - D)
     assert flipped == ConformalElement({JS1.index["S"]: -(2 * LAM + D)})
 
 

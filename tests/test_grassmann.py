@@ -1,6 +1,7 @@
 """Grassmann sign calculus: spec examples plus exhaustive invariants."""
 
 import ast
+import functools
 import importlib
 import inspect
 import itertools
@@ -196,17 +197,19 @@ def test_only_poly_drops_zero_sums():
 
 
 def _uses(tree, name):
-    """The innermost enclosing function (None at module level) of every
-    Name or attribute called name in tree."""
+    """The dotted path of the classes and functions enclosing every Name or
+    attribute called name in tree (None at module level)."""
     found = []
 
-    def visit(node, func):
+    def visit(node, where):
         for child in ast.iter_child_nodes(node):
             if (isinstance(child, ast.Name) and child.id == name) or (
                     isinstance(child, ast.Attribute) and child.attr == name):
-                found.append(func)
-            visit(child, getattr(child, "name", func)
-                  if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func)
+                found.append(where)
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{where}.{child.name}" if where else child.name)
+            else:
+                visit(child, where)
 
     visit(tree, None)
     return found
@@ -226,6 +229,22 @@ def test_one_helper_renames_table_entries():
         users.update((name, func) for func in _uses(tree, "substitution"))
     assert users == {("confcoalg.conformal", "_renaming")}
     assert not hasattr(importlib.import_module("confcoalg.poly"), "tagged")
+
+
+def test_each_table_is_packed_once():
+    """conformal._packed has two callers, the cached packed properties of
+    LambdaStructure and Coproduct: every check, dualize and co-kernel reads
+    the table's packed form, and none builds an entry list to pack.
+    _packed_table, which packed the table again on every check call, is gone."""
+    users = sorted((name, where) for name, tree in _production_sources()
+                   for where in _uses(tree, "_packed"))
+    assert users == [("confcoalg.coalgebra", "Coproduct.packed"),
+                     ("confcoalg.conformal", "LambdaStructure.packed")]
+    conformal = importlib.import_module("confcoalg.conformal")
+    coalgebra = importlib.import_module("confcoalg.coalgebra")
+    for cls in (conformal.LambdaStructure, coalgebra.Coproduct):
+        assert isinstance(cls.__dict__["packed"], functools.cached_property), cls
+    assert not hasattr(conformal, "_packed_table")
 
 
 def test_only_serialize_writes_indented_json():

@@ -23,13 +23,13 @@ import pytest
 from confcoalg import closed_form as cf
 from confcoalg import families, poly
 from confcoalg.coalgebra import (
-    Coproduct, TensorElement, _gatherer, apply_delta_slot, check_jordan_coalgebra,
+    Coproduct, TensorElement, apply_delta_slot, check_jordan_coalgebra,
     check_lie_coalgebra, dualize, tau, zeta,
 )
 from confcoalg.conformal import (
     CONSISTENT, JORDAN, LIE, PRINTED, ConformalElement, Generator, LambdaStructure,
     ModuleMap, Report, StructureError, Violation, _divmod_d, _gather, _normalise_content,
-    _packed_table, _renamed, bracket, bracket_pairs, check_jacobi, check_jordan_comm,
+    _renamed, bracket, bracket_pairs, check_jacobi, check_jordan_comm,
     check_jordan_identity, check_skew, shift_spectral,
 )
 from confcoalg.families import corrupt_entry
@@ -37,6 +37,8 @@ from confcoalg.grassmann import IndexSet, alpha_mask, derive, members, mul, mul_
 from confcoalg.poly import (
     D, LAM, MU, NU, X1, X2, X3, X4, MultiPoly, P_ONE, Scalar, _MONO_MASK, _checked, accumulate,
 )
+
+from helpers import pair_element
 
 
 # -- oracles -------------------------------------------------------------------
@@ -49,7 +51,7 @@ def _sign(S, x, y):
 def _flip_residual(S, i, j):
     """[a lam b] - sign (-1)^{p(a)p(b)} [b_{-lam-d} a]; sign -1 (skew) or +1 (comm)."""
     sign = 1 if S.kind == JORDAN else -1
-    flipped = shift_spectral(S.pair_element(j, i, "mu"), "mu", -LAM - D)
+    flipped = shift_spectral(pair_element(S, j, i, "mu"), "mu", -LAM - D)
     return S.entry(i, j) - flipped.scale(_sign(S, i, j).scalar_mul(sign))
 
 
@@ -363,7 +365,7 @@ def assert_gathers_match(S):
     """_gather and _renamed of S, and the co-kernels' gathers of dualize(S),
     against the per-slot oracle, with the placements the kernels use."""
     entries = [(i, j, k, p) for (i, j), row in S.table.items() for k, p in row]
-    L, table = _packed_table(S)
+    L, table = S.packed
     L_old, old = _packed_per_entry(entries)
     assert L == L_old
     par = [S.parity(i) for i in range(S.rank)]
@@ -374,12 +376,12 @@ def assert_gathers_match(S):
             assert (_renamed(table, S.rank, lam_img, d_img)
                     == _renamed_per_entry(old, S.rank, lam_img, d_img))
     cop = dualize(S)
-    L, gather = _gatherer(cop)
+    L, table = cop.packed
     L_old, old = _packed_per_entry([(i, j, k, q) for k in range(cop.rank)
                                     for (i, j), q in cop.normalized(k).items()])
     assert L == L_old
     for x1_img, x2_img, place, negate in _co_kernel_gathers(cop.rank, par):
-        assert (gather(x1_img, x2_img, place, negate)
+        assert (_gather(table, x1_img, x2_img, place, negate, names=("x1", "x2"))
                 == _gather_per_slot(old, x1_img, x2_img, place, negate, names=("x1", "x2")))
 
 

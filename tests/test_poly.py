@@ -99,14 +99,6 @@ def test_permute_vars():
     assert sym.permute_vars(cyc) == sym
 
 
-def test_exact_div_by_var():
-    p = D * D + 2 * LAM * D
-    assert p.exact_div_by_var("d") == D + 2 * LAM
-    assert P_ZERO.exact_div_by_var("d") == P_ZERO
-    with pytest.raises(ValueError):
-        LAM.exact_div_by_var("d")
-
-
 def test_exact_div():
     rng = random.Random(3)
     for _ in range(300):

@@ -25,7 +25,9 @@ and split copy of it.  The renamed copies, which rename each distinct entry
 polynomial once, agree with the per-slot gather of ``test_kernels``;
 gathered slots and ``dualize`` entries share no state; and the double dual
 agrees with its per-entry oracle and takes each dual entry back to its
-table entry.  The hypothesis profile is set in conftest.
+table entry.  Each table's cached packed form still matches its entries
+after every check of the default ``verify`` set, and a ``with_entry`` copy
+packs its replaced entry.  The hypothesis profile is set in conftest.
 """
 
 import json
@@ -37,18 +39,18 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import example, given, strategies as st  # noqa: E402
 
-from confcoalg import families, serialize  # noqa: E402
+from confcoalg import cli, families, serialize  # noqa: E402
 from confcoalg.coalgebra import (  # noqa: E402
     Coproduct, check_jordan_coalgebra, check_lie_coalgebra, compare, double_dual_roundtrip,
     dual_generators, dualize,
 )
 from confcoalg.conformal import (  # noqa: E402
     CONSISTENT, JORDAN, LIE, PRINTED, ConformalElement, Generator, LambdaStructure,
-    ModuleMap, _gather, _packed_table, bracket_pairs, check_jacobi, check_jordan_comm,
+    ModuleMap, _gather, _packed, bracket_pairs, check_jacobi, check_jordan_comm,
     check_jordan_identity, check_skew, kernel_basis,
 )
 from confcoalg.poly import (  # noqa: E402
-    D, LAM, MU, MultiPoly, P_ONE, Scalar, X1, X2, _pack, poly_from_json,
+    D, LAM, MU, MultiPoly, P_ONE, Scalar, X1, X2, _pack, poly_from_json, unpack_vector,
 )
 
 from test_kernels import (  # noqa: E402
@@ -163,7 +165,7 @@ def test_gathered_slots_and_dual_entries_share_nothing(S):
         return {key: [(k, dict(p.terms)) for k, p in row] for key, row in T.table.items()}
 
     table_before = entries(S)
-    _, table = _packed_table(S)
+    _, table = S.packed
     vecs_before = [dict(vec) for vec in table[0]]
     for lam_img, d_img in ((None, None), (MU, LAM + D)):
         out = _gather(table, lam_img, d_img, lambda i, j, k: ((i, j), k))
@@ -180,6 +182,76 @@ def test_gathered_slots_and_dual_entries_share_nothing(S):
         assert all(r == f for r, f in zip(duals, fresh_duals) if r is not q)
         assert entries(S) == table_before
         del q.terms[_JUNK]
+
+
+# -- the packed form: built once per table, never changed by a check
+
+def _packed_entries(T):
+    """The entries (i, j, k, p) of a table or of a coproduct's merged table."""
+    if isinstance(T, Coproduct):
+        return [(i, j, k, q) for k in range(T.rank) for (i, j), q in T.normalized(k).items()]
+    return [(i, j, k, p) for (i, j), row in T.table.items() for k, p in row]
+
+
+def _unpacked(T):
+    """T.packed read back entry by entry: {(i, j, k): p}."""
+    L, (vecs, slots) = T.packed
+    return {(i, j, k): unpack_vector(vecs[e], L)[0] for i, j, k, e in slots}
+
+
+def assert_packed_once(S):
+    """S.packed is built once and still equals a fresh _packed of the entries
+    after every check of the default verify set; so is dualize(S).packed
+    after its co-check."""
+    packed = S.packed
+    for name in cli.LIE_CHECKS if S.kind == LIE else cli.JORDAN_CHECKS:
+        cli.CHECKS[name](S)
+        assert S.packed is packed and packed == _packed(_packed_entries(S)), name
+    cop = dualize(S)
+    packed = cop.packed
+    (check_lie_coalgebra if S.kind == LIE else check_jordan_coalgebra)(cop)
+    assert cop.packed is packed and packed == _packed(_packed_entries(cop))
+    assert _unpacked(cop) == {(i, j, k): q for i, j, k, q in _packed_entries(cop)}
+
+
+@given(st.one_of(tables(LIE, 8), tables(JORDAN, 4)))
+@example(_shared_table(LIE))
+@example(_shared_table(JORDAN))
+def test_packed_form_survives_every_check_on_random_tables(S):
+    assert_packed_once(S)
+
+
+@pytest.fixture(scope="module")
+def packed_families(W, K, S, CK6, Jn, JCK4):
+    return {"W_2": W[2], "K_4": K[4], "S_3": S[3], "CK_6": CK6, "J_2": Jn[2], "JCK_4": JCK4}
+
+
+@pytest.mark.parametrize("name", ["W_2", "K_4", "S_3", "CK_6", "J_2", "JCK_4"])
+def test_packed_form_survives_every_check(packed_families, name):
+    assert_packed_once(packed_families[name])
+
+
+def assert_copy_packs_its_entry(S, i, j, value):
+    """A with_entry copy made after S was packed packs its own table, with
+    the replaced entry, and leaves S's packed form alone."""
+    packed, before = S.packed, _unpacked(S)
+    T = S.with_entry(i, j, value)
+    assert _unpacked(T) == {(i_, j_, k): p for i_, j_, k, p in _packed_entries(T)}
+    assert {k: p for (i_, j_, k), p in _unpacked(T).items() if (i_, j_) == (i, j)} == value.terms
+    assert S.packed is packed and _unpacked(S) == before
+
+
+@given(st.data())
+def test_with_entry_copy_packs_its_entry_on_random_tables(data):
+    S = data.draw(st.one_of(tables(LIE, 8), tables(JORDAN, 4)))
+    i, j, k = (data.draw(st.integers(0, S.rank - 1)) for _ in range(3))
+    assert_copy_packs_its_entry(S, i, j, ConformalElement({k: _polys(data.draw)}))
+
+
+@pytest.mark.parametrize("name", ["W_2", "K_4", "S_3", "CK_6", "J_2", "JCK_4"])
+def test_with_entry_copy_packs_its_entry(packed_families, name):
+    T = packed_families[name]
+    assert_copy_packs_its_entry(T, 0, T.rank - 1, ConformalElement({0: LAM * D - P_ONE}))
 
 
 def _faulty_subst_general(original):
