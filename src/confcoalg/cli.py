@@ -14,6 +14,7 @@ Output is deterministic.
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from typing import Optional
@@ -70,17 +71,18 @@ FAMILIES = {
 LIE_CHECKS = ("skew", "jacobi", "coalg", "roundtrip")
 JORDAN_CHECKS = ("jordan-comm", "jordan-id", "cojordan", "roundtrip")
 
-# check name -> the report it makes of a table, its function imported when the
-# check runs; crosscheck reads the family from the command line instead (see
-# cmd_verify)
+# check name -> the report it makes of a table S, given dual() returning the
+# dual coproduct of S, built on the first call of a verify run; its function is
+# imported when the check runs.  crosscheck reads the family from the command
+# line instead (see cmd_verify)
 CHECKS = {
-    "skew": lambda S: confcoalg.check_skew(S),
-    "jacobi": lambda S: confcoalg.check_jacobi(S),
-    "jordan-comm": lambda S: confcoalg.check_jordan_comm(S),
-    "jordan-id": lambda S: confcoalg.check_jordan_identity(S),
-    "coalg": lambda S: confcoalg.check_lie_coalgebra(confcoalg.dualize(S)),
-    "cojordan": lambda S: confcoalg.check_jordan_coalgebra(confcoalg.dualize(S)),
-    "roundtrip": lambda S: confcoalg.double_dual_roundtrip(S),
+    "skew": lambda S, dual: confcoalg.check_skew(S),
+    "jacobi": lambda S, dual: confcoalg.check_jacobi(S),
+    "jordan-comm": lambda S, dual: confcoalg.check_jordan_comm(S),
+    "jordan-id": lambda S, dual: confcoalg.check_jordan_identity(S),
+    "coalg": lambda S, dual: confcoalg.check_lie_coalgebra(dual()),
+    "cojordan": lambda S, dual: confcoalg.check_jordan_coalgebra(dual()),
+    "roundtrip": lambda S, dual: confcoalg.double_dual_roundtrip(S),
     "crosscheck": None,
 }
 
@@ -149,101 +151,84 @@ class UsageError(Exception):
 
 
 def _write(text: str, out: Optional[str]):
+    if not text.endswith("\n"):
+        text += "\n"
     if out:
         with open(out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+            fh.write(text)
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
 
 
-def _emit_structure(S, fmt, out):
+def _emit(T, fmt, out):
+    """Write a table or a coproduct T as json, latex or text; the layouts of
+    the two differ only in the LaTeX writer and the text rows."""
+    table = isinstance(T, confcoalg.LambdaStructure)
     if fmt == "json":
         from .serialize import dumps
 
-        _write(dumps(S), out)
+        text = dumps(T)
     elif fmt == "latex":
-        from .serialize import structure_tex
+        from . import serialize
 
-        _write(structure_tex(S), out)
+        text = (serialize.structure_tex if table else serialize.coproduct_tex)(T)
     else:
-        lines = [f"# {S.name} (kind={S.kind}, rank={S.rank})"]
-        for i in range(S.rank):
-            for j in range(S.rank):
-                e = S.table[(i, j)]
-                if e:
-                    lines.append(
-                        f"[{S.generators[i].id} lam {S.generators[j].id}] = "
-                        + S.entry(i, j).pretty(S)
-                    )
-        _write("\n".join(lines), out)
+        g = T.generators
+        lines = [f"# {T.name} (kind={T.kind}, rank={T.rank})"]
+        if table:
+            lines += [f"[{g[i].id} lam {g[j].id}] = " + T.entry(i, j).pretty(T)
+                      for i in range(T.rank) for j in range(T.rank) if T.table[(i, j)]]
+        else:
+            for k in range(T.rank):
+                merged = T.normalized(k)
+                if merged:
+                    pairs = sorted(merged, key=lambda t: (g[t[0]].id, g[t[1]].id))
+                    lines.append(f"delta({g[k].id}) = " + ", ".join(
+                        f"{g[i].id}(x){g[j].id}: {merged[i, j]!r}" for i, j in pairs))
+        text = "\n".join(lines)
+    _write(text, out)
 
 
-def _emit_coproduct(C, fmt, out):
-    if fmt == "json":
-        from .serialize import dumps
+def _table(args) -> tuple:
+    """(table, family, n): the table imported with --in, family and n None,
+    or the table of the family on the command line."""
+    if getattr(args, "infile", None):
+        from .serialize import loads
 
-        _write(dumps(C), out)
-    elif fmt == "latex":
-        from .serialize import coproduct_tex
-
-        _write(coproduct_tex(C), out)
-    else:
-        lines = [f"# {C.name} (kind={C.kind}, rank={C.rank})"]
-        for k in range(C.rank):
-            merged = C.normalized(k)
-            if not merged:
-                continue
-            terms = ", ".join(
-                f"{C.generators[i].id}(x){C.generators[j].id}: {q!r}"
-                for (i, j), q in sorted(
-                    merged.items(),
-                    key=lambda kv: (C.generators[kv[0][0]].id, C.generators[kv[0][1]].id),
-                )
-            )
-            lines.append(f"delta({C.generators[k].id}) = {terms}")
-        _write("\n".join(lines), out)
-
-
-def _load_table(path: str) -> confcoalg.LambdaStructure:
-    from .serialize import loads
-
-    with open(path) as fh:
-        S = loads(fh.read())
-    if not isinstance(S, confcoalg.LambdaStructure):
-        raise confcoalg.StructureError(
-            f"{path} holds a coproduct; --in needs a lambda_structure table")
-    return S
+        with open(args.infile) as fh:
+            S = loads(fh.read())
+        if not isinstance(S, confcoalg.LambdaStructure):
+            raise confcoalg.StructureError(
+                f"{args.infile} holds a coproduct; --in needs a lambda_structure table")
+        return S, None, None
+    fd, n, b = _resolve(args)
+    return fd.build(n, b), fd, n
 
 
 def cmd_construct(args) -> int:
-    fd, n, b = _resolve(args)
-    S = fd.build(n, b)
-    _emit_structure(S, args.format, args.out)
+    _emit(_table(args)[0], args.format, args.out)
     return 0
 
 
 def cmd_verify(args) -> int:
-    if args.infile:
-        S = _load_table(args.infile)
-    else:
-        fd, n, b = _resolve(args)
-        S = fd.build(n, b)
+    S, fd, n = _table(args)
     from .conformal import LIE
 
     default = LIE_CHECKS if S.kind == LIE else JORDAN_CHECKS
     wanted = args.checks.split(",") if args.checks else list(default)
+    dual = functools.cache(lambda: confcoalg.dualize(S))
     reports = []
     for c in wanted:
         c = c.strip()
         if c not in CHECKS:
             raise UsageError(f"unknown check {c!r}")
         if c == "crosscheck":
-            if args.infile:
+            if fd is None:
                 raise UsageError("the crosscheck check needs --family; "
                                  "an imported table (--in) has no tabulated coproduct")
-            reports.append(confcoalg.compare(confcoalg.dualize(S), _formula(fd, args)(n)))
+            reports.append(confcoalg.compare(dual(), _formula(fd, args)(n)))
         else:
-            reports.append(CHECKS[c](S))
+            reports.append(CHECKS[c](S, dual))
     ok = all(r.ok for r in reports)
     if args.format == "json":
         from .serialize import dumps
@@ -255,28 +240,19 @@ def cmd_verify(args) -> int:
         }
         _write(dumps(doc), args.out)
     else:
-        lines = [r.summary() if hasattr(r, "summary") else repr(r) for r in reports]
-        for r in reports:
-            viols = getattr(r, "violations", None) or getattr(r, "lines", [])
-            for v in viols[:20]:
-                lines.append("  " + _viol_line(v))
+        lines = [r.summary() for r in reports]
+        for r in reports:   # a Report lists violations, a crosscheck's DiffReport lines
+            if hasattr(r, "violations"):
+                lines += [f"  {','.join(v.where)}: {v.residual}" for v in r.violations[:20]]
+            else:
+                lines += [f"  {l}" for l in r.lines[:20]]
         _write("\n".join(lines), args.out)
     return 0 if ok else CHECK_FAILURE
 
 
-def _viol_line(v) -> str:
-    if hasattr(v, "where"):
-        return f"{','.join(v.where)}: {v.residual}"
-    return str(v)
-
-
 def cmd_dualize(args) -> int:
-    if args.infile:
-        S = _load_table(args.infile)
-    else:
-        fd, n, b = _resolve(args)
-        S = fd.build(n, b)
-    _emit_coproduct(confcoalg.dualize(S), args.format, args.out)
+    S = _table(args)[0]   # before confcoalg.dualize, which imports coalgebra
+    _emit(confcoalg.dualize(S), args.format, args.out)
     return 0
 
 
@@ -289,7 +265,7 @@ def _formula(fd, args):
 
 def cmd_emit(args) -> int:
     fd, n, b = _resolve(args)
-    _emit_coproduct(_formula(fd, args)(n), args.format, args.out)
+    _emit(_formula(fd, args)(n), args.format, args.out)
     return 0
 
 
@@ -302,13 +278,9 @@ def cmd_crosscheck(args) -> int:
 
         _write(dumps(rep.to_json()), args.out)
     else:
-        if rep.ok:
-            _write(f"crosscheck {rep.name_a} vs {rep.name_b}: empty diff", args.out)
-        else:
-            lines = [f"crosscheck {rep.name_a} vs {rep.name_b}: "
-                     f"{len(rep.lines)} differences"]
-            lines += ["  " + str(l) for l in rep.lines]
-            _write("\n".join(lines), args.out)
+        status = "empty diff" if rep.ok else f"{len(rep.lines)} differences"
+        lines = [f"crosscheck {rep.name_a} vs {rep.name_b}: {status}"]
+        _write("\n".join(lines + ["  " + str(l) for l in rep.lines]), args.out)
     return 0 if rep.ok else CHECK_FAILURE
 
 

@@ -44,7 +44,12 @@ _MINUS_X1_X2 = -X1 - X2
 
 
 class Coproduct:
-    """Coproduct table of a differential (super)coalgebra on a dual basis."""
+    """Coproduct table of a differential (super)coalgebra on a dual basis.
+
+    Treat it and its polynomials as values, as a LambdaStructure: the checks
+    read a packed form built on first read, so an entry changed in place after
+    a check leaves later verdicts on the old table.  To change an entry, build
+    a new Coproduct, or change the table with with_entry and dualize it."""
 
     def __init__(
         self,
@@ -88,7 +93,7 @@ class Coproduct:
     @cached_property
     def packed(self):
         """The merged table packed by conformal._packed, entries (i, j, k, Q^{ij}_k),
-        built on first read; the table and its entries are never changed."""
+        built on first read and kept: the table is read as a value."""
         return _packed((i, j, k, q) for k in range(self.rank)
                        for (i, j), q in self.normalized(k).items())
 
@@ -290,9 +295,8 @@ def zeta(t: TensorElement) -> TensorElement:
 # A copy is made by conformal._gather: it renames each distinct polynomial
 # once and writes it into the slot of every entry that has it, at the
 # entry's component and sign, so the co-Jordan first factors and tails,
-# slotted one entry each, cost no rename of their own.  A Coproduct and its
-# entries are never changed after construction, so the table is packed once,
-# as Coproduct.packed; the renamed copies are built per check call.
+# slotted one entry each, cost no rename of their own.  The table is packed
+# once, as Coproduct.packed; the renamed copies are built per check call.
 
 _UNIT = {0: 1}
 

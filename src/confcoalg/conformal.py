@@ -149,7 +149,12 @@ class ConformalElement:
 
 
 class LambdaStructure:
-    """Structure-constant table of a finite free conformal (super)algebra."""
+    """Structure-constant table of a finite free conformal (super)algebra.
+
+    Treat a table and its polynomials as values: the checks read a packed form
+    built on first read, so changing an entry in place after a check leaves
+    later verdicts on the old table.  Change an entry with with_entry or
+    families.corrupt_entry, which make a new table."""
 
     def __init__(
         self,
@@ -210,7 +215,7 @@ class LambdaStructure:
     @cached_property
     def packed(self):
         """The table packed by _packed, entries (i, j, k, P^{ij}_k), built on first
-        read; the table and its entries are never changed after construction."""
+        read and kept: the table is read as a value (see the class docstring)."""
         return _packed((i, j, k, p) for (i, j), row in self.table.items() for k, p in row)
 
     def with_entry(self, i: int, j: int, value: "ConformalElement") -> "LambdaStructure":
@@ -330,9 +335,6 @@ class Report(Record):
     def ok(self) -> bool:
         return not self.violations
 
-    def add(self, where, residual_elem, S):
-        self.violations.append(Violation(tuple(where), residual_elem.pretty(S)))
-
     def summary(self) -> str:
         status = "pass" if self.ok else f"FAIL ({len(self.violations)} violations)"
         return f"{self.check}[{self.structure}]: {status} over {self.total} tuples"
@@ -350,10 +352,6 @@ class Report(Record):
         }
 
 
-def _gen_names(S: LambdaStructure, idxs) -> Tuple[str, ...]:
-    return tuple(S.generators[i].id for i in idxs)
-
-
 # -- renamed tables ------------------------------------------------------------
 #
 # Every term of the Jacobi and Jordan identities on generators is a sparse
@@ -365,9 +363,8 @@ def _gen_names(S: LambdaStructure, idxs) -> Tuple[str, ...]:
 # holds each distinct polynomial once and every entry names its own: a
 # renamed copy renames each distinct polynomial once and writes the result
 # into the slot of every entry that has it, at the entry's component and
-# sign.  A table and its entries are never changed after construction, so
-# the packed form is built once, on the first read of S.packed, and every
-# check reads it; with_entry makes a new table with its own packed form.
+# sign.  The packed form is built once, on the first read of S.packed, and
+# every check reads it; with_entry makes a new table with its own packed form.
 # The renamed copies are built per check call.  Free tuple indices ride in
 # the component of packed vectors, so one add_product covers a whole batch
 # of tuples.
@@ -465,16 +462,19 @@ def _record(rep: Report, S: LambdaStructure, head, acc, width: int, scale: int) 
 
     acc is a packed residual, scale times too large, at components tail n + m,
     m the generator of the residual and tail the last width tuple indices as
-    base-n digits; violations follow in the order of the tails.
+    base-n digits; violations follow in the order of the tails, and each
+    residual is written as ConformalElement.pretty writes it.
     """
     n = S.rank
+    names = [g.id for g in S.generators]
     by_tail: Dict[int, Dict[int, MultiPoly]] = {}
     for comp, p in unpack_vector(acc, scale).items():
         tail, m = divmod(comp, n)
         by_tail.setdefault(tail, {})[m] = p
     for tail in sorted(by_tail):
         where = head + tuple(tail // n ** e % n for e in reversed(range(width)))
-        rep.add(_gen_names(S, where), ConformalElement(by_tail[tail]), S)
+        residual = " + ".join(f"({p})*{names[m]}" for m, p in sorted(by_tail[tail].items()))
+        rep.violations.append(Violation(tuple(names[i] for i in where), residual))
 
 
 def check_jacobi(S: LambdaStructure) -> Report:

@@ -379,10 +379,8 @@ class MultiPoly:
         if not self.terms:
             return "0"
         parts = []
-        for exps, c in self.items():
-            mono = "*".join(
-                v if e == 1 else f"{v}^{e}" for v, e in sorted(exps.items(), key=lambda t: _VAR_INDEX[t[0]])
-            )
+        for exps, c in self.items():   # _unpack lists the variables in ALPHABET order
+            mono = "*".join(v if e == 1 else f"{v}^{e}" for v, e in exps.items())
             cs = repr(c)
             parts.append(cs if not mono else (mono if cs == "1" else f"{cs}*{mono}"))
         return " + ".join(parts).replace("+ -", "- ")

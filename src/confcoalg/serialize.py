@@ -20,6 +20,12 @@ Every JSON document this package writes, tables, coproducts and the CLI's
 reports alike, goes through one writer, ``_json_text``.  Its text is the
 layout of ``json.dumps(doc, indent=2)``: two-space indentation, every list
 item and object member on its own line, non-ASCII characters escaped.
+
+Each layout has one writer, and the rules the writers share are written
+once: ``_id_order`` is the generator order of every document,
+``_document`` the header of a table or coproduct document, ``_signed_sum``
+joins LaTeX terms with their signs and ``_factor`` drops a coefficient 1
+(and -1 to its sign) before a monomial.
 """
 
 from __future__ import annotations
@@ -40,37 +46,42 @@ if TYPE_CHECKING:
 FORMAT_VERSION = 1
 
 
-def structure_to_json(S: LambdaStructure) -> dict:
-    order = sorted(range(S.rank), key=lambda i: S.generators[i].id)
-    rows = []
-    for i in order:
-        for j in order:
-            entries = S.table[(i, j)]
-            if not entries:
-                continue
-            rows.append(
-                {
-                    "left": S.generators[i].id,
-                    "right": S.generators[j].id,
-                    "terms": [
-                        {"gen": S.generators[k].id, "poly": poly_to_json(p)}
-                        for k, p in sorted(
-                            entries, key=lambda t: S.generators[t[0]].id
-                        )
-                    ],
-                }
-            )
+def _id_order(T) -> List[int]:
+    """The generator indices of a table or coproduct, sorted by id: the order
+    of the generators and rows of every document."""
+    return sorted(range(T.rank), key=lambda i: T.generators[i].id)
+
+
+def _document(T, doc_type: str, order: List[int], rows: list) -> dict:
+    """The JSON document of T with its rows; generators listed in order."""
     return {
         "format_version": FORMAT_VERSION,
-        "type": "lambda_structure",
-        "kind": S.kind,
-        "name": S.name,
+        "type": doc_type,
+        "kind": T.kind,
+        "name": T.name,
         "generators": [
-            {"id": S.generators[i].id, "parity": S.generators[i].parity}
+            {"id": T.generators[i].id, "parity": T.generators[i].parity}
             for i in order
         ],
         "table": rows,
     }
+
+
+def structure_to_json(S: LambdaStructure) -> dict:
+    g = S.generators
+    order = _id_order(S)
+    rows = [
+        {
+            "left": g[i].id,
+            "right": g[j].id,
+            "terms": [
+                {"gen": g[k].id, "poly": poly_to_json(p)}
+                for k, p in sorted(S.table[(i, j)], key=lambda t: g[t[0]].id)
+            ],
+        }
+        for i in order for j in order if S.table[(i, j)]
+    ]
+    return _document(S, "lambda_structure", order, rows)
 
 
 def structure_from_json(data: dict) -> LambdaStructure:
@@ -94,39 +105,19 @@ def structure_from_json(data: dict) -> LambdaStructure:
 
 
 def coproduct_to_json(C: Coproduct) -> dict:
-    order = sorted(range(C.rank), key=lambda i: C.generators[i].id)
-    rows = []
-    for k in order:
-        entries = C.table[k]
-        if not entries:
-            continue
-        rows.append(
-            {
-                "gen": C.generators[k].id,
-                "pairs": [
-                    {
-                        "left": C.generators[i].id,
-                        "right": C.generators[j].id,
-                        "poly": poly_to_json(q),
-                    }
-                    for i, j, q in sorted(
-                        entries,
-                        key=lambda t: (C.generators[t[0]].id, C.generators[t[1]].id),
-                    )
-                ],
-            }
-        )
-    return {
-        "format_version": FORMAT_VERSION,
-        "type": "coproduct",
-        "kind": C.kind,
-        "name": C.name,
-        "generators": [
-            {"id": C.generators[i].id, "parity": C.generators[i].parity}
-            for i in order
-        ],
-        "table": rows,
-    }
+    g = C.generators
+    order = _id_order(C)
+    rows = [
+        {
+            "gen": g[k].id,
+            "pairs": [
+                {"left": g[i].id, "right": g[j].id, "poly": poly_to_json(q)}
+                for i, j, q in sorted(C.table[k], key=lambda t: (g[t[0]].id, g[t[1]].id))
+            ],
+        }
+        for k in order if C.table[k]
+    ]
+    return _document(C, "coproduct", order, rows)
 
 
 def coproduct_from_json(data: dict) -> Coproduct:
@@ -369,6 +360,16 @@ def _coeff_tex(c) -> str:
     return "(%s%s%s)" % (frac(c.re), "+" if c.im > 0 else "", bpart)
 
 
+def _signed_sum(parts: List[str]) -> str:
+    """parts joined by "+", save before a part that starts with its own "-"."""
+    return parts[0] + "".join(t if t.startswith("-") else "+" + t for t in parts[1:])
+
+
+def _factor(cs: str) -> str:
+    """A coefficient's LaTeX as the factor of a monomial: 1 is left out, -1 is "-"."""
+    return {"1": "", "-1": "-"}.get(cs, cs)
+
+
 def poly_tex(p: MultiPoly) -> str:
     if p.is_zero():
         return "0"
@@ -380,18 +381,8 @@ def poly_tex(p: MultiPoly) -> str:
             if e:
                 mono += tex if e == 1 else "%s^{%d}" % (tex, e)
         cs = _coeff_tex(p.terms[k])
-        if mono:
-            if cs == "1":
-                cs = ""
-            elif cs == "-1":
-                cs = "-"
-            parts.append(cs + mono)
-        else:
-            parts.append(cs)
-    out = parts[0]
-    for t in parts[1:]:
-        out += t if t.startswith("-") else "+" + t
-    return out
+        parts.append(_factor(cs) + mono if mono else cs)
+    return _signed_sum(parts)
 
 
 def _gen_tex(g: Generator) -> str:
@@ -400,29 +391,27 @@ def _gen_tex(g: Generator) -> str:
 
 def structure_tex(S: LambdaStructure) -> str:
     """One display line per nonzero bracket, in the lambda-bracket notation."""
+    g = S.generators
     lines = []
     op = "[%s_\\lambda\\, %s]" if S.kind == LIE else "%s_\\lambda\\, %s"
-    order = sorted(range(S.rank), key=lambda i: S.generators[i].id)
+    order = _id_order(S)
     for i in order:
         for j in order:
             entries = S.table[(i, j)]
             if not entries:
                 continue
-            lhs = op % (_gen_tex(S.generators[i]), _gen_tex(S.generators[j]))
             terms = []
-            for k, p in sorted(entries, key=lambda t: S.generators[t[0]].id):
+            for k, p in sorted(entries, key=lambda t: g[t[0]].id):
                 pt = poly_tex(p)
-                gt = _gen_tex(S.generators[k])
+                gt = _gen_tex(g[k])
                 if pt == "1":
                     terms.append(gt)
                 elif "+" in pt[1:] or "-" in pt[1:]:
                     terms.append("(%s)%s" % (pt, gt))
                 else:
                     terms.append("%s\\,%s" % (pt, gt))
-            rhs = terms[0]
-            for t in terms[1:]:
-                rhs += t if t.startswith("-") else "+" + t
-            lines.append("%s = %s" % (lhs, rhs))
+            lhs = op % (_gen_tex(g[i]), _gen_tex(g[j]))
+            lines.append("%s = %s" % (lhs, _signed_sum(terms)))
     return "\n".join(lines)
 
 
@@ -435,34 +424,23 @@ def _dual_tex(g: Generator) -> str:
 
 def coproduct_tex(C: Coproduct) -> str:
     r"""delta(g^*) displays: each Q(x1, x2) term becomes d^a g_i^* \otimes d^b g_j^*."""
+    g = C.generators
     sym = r"\delta" if C.kind == LIE else r"\Delta"
     lines = []
-    order = sorted(range(C.rank), key=lambda i: C.generators[i].id)
-    for k in order:
+    for k in _id_order(C):
         merged = C.normalized(k)
         if not merged:
             continue
         terms = []
-        for (i, j) in sorted(
-            merged, key=lambda t: (C.generators[t[0]].id, C.generators[t[1]].id)
-        ):
+        for (i, j) in sorted(merged, key=lambda t: (g[t[0]].id, g[t[1]].id)):
             q = merged[(i, j)]
             for m in sorted(q.terms, key=_sort_key):
-                a = _exp_of(m, "x1")
-                b = _exp_of(m, "x2")
-                cs = _coeff_tex(q.terms[m])
-                if cs == "1":
-                    cs = ""
-                elif cs == "-1":
-                    cs = "-"
-                lt = _pow_d(a) + _dual_tex(C.generators[i])
-                rt = _pow_d(b) + _dual_tex(C.generators[j])
+                cs = _factor(_coeff_tex(q.terms[m]))
                 sep = "\\," if cs not in ("", "-") else ""
+                lt = _pow_d(_exp_of(m, "x1")) + _dual_tex(g[i])
+                rt = _pow_d(_exp_of(m, "x2")) + _dual_tex(g[j])
                 terms.append("%s%s\\otimes %s" % (cs + sep, lt, rt))
-        rhs = terms[0]
-        for t in terms[1:]:
-            rhs += t if t.startswith("-") else "+" + t
-        lines.append("%s(%s) = %s" % (sym, _dual_tex(C.generators[k]), rhs))
+        lines.append("%s(%s) = %s" % (sym, _dual_tex(g[k]), _signed_sum(terms)))
     return "\n".join(lines)
 
 

@@ -101,6 +101,77 @@ def test_verify_crosscheck_builds_the_table_once(monkeypatch, capsys):
     assert code == 1 and json.loads(out)["reports"] == [json.loads(cross)]
 
 
+def test_verify_dualizes_the_table_once(monkeypatch, capsys):
+    calls = []
+    dual = confcoalg.dualize
+    monkeypatch.setattr(confcoalg, "dualize", lambda S: calls.append(S) or dual(S))
+    code, out, _ = run(capsys, "verify", "--family", "K", "--n", "3",
+                       "--checks", "coalg,crosscheck")
+    assert code == 0 and len(calls) == 1
+    assert out.splitlines() == ["coalg[K_3^c]: pass over 8 tuples",
+                                "crosscheck[K_3^c vs K_3^c[formula]]: empty diff"]
+
+
+# sha256 of the stdout of each emitting command in each format; the text
+# layouts are pinned nowhere else
+EMITTED = {
+    ("construct", "vir", "json"): "512d8aaa07fd426777885047f006f75b2d6cc7b9513d00d67783a545475e3b2b",
+    ("construct", "vir", "latex"): "6c52b306143ebb63c6d1d6266091af279319587e69b58fcfc2562bf1d8136702",
+    ("construct", "vir", "text"): "3a157ed8103b568c309052cdad058228e8d0cb26fb0be07eb53747cef8558fbe",
+    ("construct", "K_2", "json"): "9c825915a3f379e4319e94ca69cb0a3c03fae8b8ddd6b42a418c4a721466a64e",
+    ("construct", "K_2", "latex"): "05d127972edbe0a6350634a2638ae0dc889190954858f43a24fc6730eeeb0e2e",
+    ("construct", "K_2", "text"): "4d88a7381be4d2de5880812d80e2588e48cb2e4f86cca26fa565edbba9e47a76",
+    ("construct", "S_2", "json"): "5c58a4f5680ac5c985ddda5ca86466d0fe270fb7c9874f9f5f5e2bb4191d84a4",
+    ("construct", "S_2", "latex"): "0868dd9ed3515578153ea782e5716065585c5df888a7a452d53d6250df9fcc03",
+    ("construct", "S_2", "text"): "0f3945cc3c89bd5e4af292b675c9d5484deab8f70410590c85e4dc0288bd4d11",
+    ("construct", "CK6", "json"): "f156029a0a1756ad60b2950ca71084a66b7ec14d0835edd9c7f6beb547651906",
+    ("construct", "CK6", "latex"): "b0d14e7052656da47868fbccb2f726fbcd5d8ec0020829e873110400e0921bca",
+    ("construct", "CK6", "text"): "97c8d00f5d99109392c0e923c5ee5e094e5e0e582bdbcad624b7b1c537706ab8",
+    ("construct", "Jn_2", "json"): "7a8ddcb993f874b181a085d3a6af7d3e6e90a31b738bc5192b9e5f512114c65d",
+    ("construct", "Jn_2", "latex"): "6b44787cc9eab51a04f778222fa6f4957cc8a53c8732f46205e11cba0d4850df",
+    ("construct", "Jn_2", "text"): "3b1f4bb28778d576574dcc5c00ed20a524d4b948af8f3ee1a64cda549823f59a",
+    ("dualize", "vir", "json"): "f6157e18dfd6057163cec5d728e20e3d32afad9fa2644f2a06a1aab887e9d846",
+    ("dualize", "vir", "latex"): "822d5f1e46a6fea6eed44a75086b6eb6e8e02cc7d48f89ae1a5ea003b995fc61",
+    ("dualize", "vir", "text"): "951e28d7be68016a8bb98b25fd0fa4a271accd249b006b741012130ceb7a2552",
+    ("dualize", "K_2", "json"): "5e18d3ae1fcab964f38fb53931b4c35499f3eef961e62f5add78a011e6e899a5",
+    ("dualize", "K_2", "latex"): "4e1dfecb5c0e4c966d53d1a942c7c3e04c2d954fa61602b0277209049a6e652e",
+    ("dualize", "K_2", "text"): "b96bafa0fc9ece8c3beb5672393b7b6fcdca57bf61afb18c39659c149f978ef8",
+    ("dualize", "S_2", "json"): "bbc2f5fd8bb7428e4905641cee6583eb8504e10a02a85d2be580883d464de195",
+    ("dualize", "S_2", "latex"): "06c3c07e93f9466f75fe2c0629ab33c85e4072c2fd715caf0123434cd74d48dd",
+    ("dualize", "S_2", "text"): "d788a4380ee77c27c38391505258a49eb8835407a3853f5e62bef5e01a22778c",
+    ("dualize", "CK6", "json"): "ed49fd2df4045342507feaaf998cb1a877f054f1eb4bd920e407511f341731af",
+    ("dualize", "CK6", "latex"): "4558e2fcf8402bcd3cd3a8aa6046fd3fdbdd9ce6f05068c7515543084b45720a",
+    ("dualize", "CK6", "text"): "20bbf71e8dd2da3ff6a8c37033fcfa5add8c3459216086b43b36f3c870d24f07",
+    ("dualize", "Jn_2", "json"): "55dcb99aed1c0f1aa8dc1bd59196b6645fe1780b35d272cd745275934e7f742b",
+    ("dualize", "Jn_2", "latex"): "fe4fff700f3f96bebfac6ad76985cf32ec07b4b6f4944be6e0e5d6b01d3b9134",
+    ("dualize", "Jn_2", "text"): "db64f0c88b4a7d7254d7457357650b91e59bb7b82cb4661a94825903fffe7528",
+    ("emit", "vir", "json"): "c9536f3fe4bbb6e6f545568e674781706b16c04c2b04c3820bc6e987c798372c",
+    ("emit", "vir", "latex"): "014257318bb47be067ad880dc1f177c34bdda77ee289c541b207ece8ab16b129",
+    ("emit", "vir", "text"): "5356f8f8c020e96d8e8607f25d5f7c70c4b9c5e4d44a4f33b90302d918c2140c",
+    ("emit", "K_2", "json"): "a6675c1d9fd3486de4c327018862f089e2476a1002b0afbd7bb97034ff0d55e0",
+    ("emit", "K_2", "latex"): "0cdcff06220ab6e6d5e53312bbbf07c91d55483e1063b487ef40ee35f7c18747",
+    ("emit", "K_2", "text"): "6ea6da4a2961a6f8e0ca1b0e4fb9469d867bb3459d309f9d7ee6db48851d25a3",
+    ("emit", "S_2", "json"): "6d5ffd9ab391f05177116d1d1fa6eb6d54fbc2a6364de4afdba38ebf6af98c69",
+    ("emit", "S_2", "latex"): "c91caa0d2b5896248f7994750c1967337e118365ede16e50cb6839a8678881db",
+    ("emit", "S_2", "text"): "36523ac1bf5dd6146591fd15690d8981708fec458c7b547a6f3b29ace455833a",
+    ("emit", "CK6", "json"): "92c3c8a4e94716abbe6f499c81f91f1ec13848bc57a141abf54fbf9515eb39fa",
+    ("emit", "CK6", "latex"): "47536c5cefe2e2efd805dff6f2bf6f27b6083b11bf9185d4aedd821ce9d43d5d",
+    ("emit", "CK6", "text"): "3d11c3856687e1fada00b3badea847acc6c43e23322147a5db2fa422ff85d006",
+    ("emit", "Jn_2", "json"): "325a14e78c1fbeadce24de046ee64083fc7dca1374a2622a4a1be7318c0ffef4",
+    ("emit", "Jn_2", "latex"): "9c1b17d0783286e05e08c28a4671e8b88e3d76d9ebca1d1487738b7571b8c25e",
+    ("emit", "Jn_2", "text"): "9a448eb381f17f6a36698ccf6dac2853eaad52154f8ba524b23887b420693e1b",
+}
+
+
+@pytest.mark.parametrize("command, family, fmt", sorted(EMITTED))
+def test_emitted_documents_are_pinned(command, family, fmt, capsys):
+    name, _, n = family.partition("_")
+    code, out, err = run(capsys, command, "--family", name, *(("--n", n) if n else ()),
+                         "--format", fmt)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == EMITTED[command, family, fmt]
+
+
 def test_emit_formula(capsys):
     code, out, _ = run(capsys, "emit", "--family", "vir", "--format", "latex")
     assert code == 0 and r"\delta" in out
@@ -284,6 +355,12 @@ def test_unknown_family_loads_no_library_module():
     assert code == 2 and modules == {"confcoalg", "cli"}
 
 
+@pytest.mark.parametrize("command", ["construct", "dualize", "emit", "crosscheck"])
+def test_unknown_family_of_every_command_loads_no_library_module(command):
+    code, modules = _main_footprint(command, "--family", "nosuch")
+    assert code == 2 and modules == {"confcoalg", "cli"}
+
+
 def test_imported_table_loads_no_constructor(tmp_path):
     table = tmp_path / "vir.json"
     table.write_text(serialize.dumps(make_vir()))
@@ -304,6 +381,19 @@ def test_verify_family_text_loads_no_emitter_or_serialiser():
     code, modules = _main_footprint("verify", "--family", "vir")
     assert code == 0 and "families" in modules
     assert not modules & {"closed_form", "serialize"}
+
+
+def test_construct_text_loads_no_serialiser_or_coalgebra():
+    code, modules = _main_footprint("construct", "--family", "S", "--n", "2",
+                                    "--format", "text")
+    assert code == 0 and "families" in modules
+    assert not modules & {"serialize", "closed_form", "coalgebra"}
+
+
+def test_dualize_text_loads_no_emitter_or_serialiser():
+    code, modules = _main_footprint("dualize", "--family", "K", "--n", "2", "--format", "text")
+    assert code == 0 and "coalgebra" in modules
+    assert not modules & {"serialize", "closed_form"}
 
 
 def test_no_module_imports_dataclasses():

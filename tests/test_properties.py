@@ -205,7 +205,7 @@ def assert_packed_once(S):
     after its co-check."""
     packed = S.packed
     for name in cli.LIE_CHECKS if S.kind == LIE else cli.JORDAN_CHECKS:
-        cli.CHECKS[name](S)
+        cli.CHECKS[name](S, lambda: dualize(S))
         assert S.packed is packed and packed == _packed(_packed_entries(S)), name
     cop = dualize(S)
     packed = cop.packed
