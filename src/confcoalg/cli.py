@@ -179,12 +179,10 @@ def _emit(T, fmt, out):
             lines += [f"[{g[i].id} lam {g[j].id}] = " + T.entry(i, j).pretty(T)
                       for i in range(T.rank) for j in range(T.rank) if T.table[(i, j)]]
         else:
-            for k in range(T.rank):
-                merged = T.normalized(k)
-                if merged:
-                    pairs = sorted(merged, key=lambda t: (g[t[0]].id, g[t[1]].id))
-                    lines.append(f"delta({g[k].id}) = " + ", ".join(
-                        f"{g[i].id}(x){g[j].id}: {merged[i, j]!r}" for i, j in pairs))
+            lines += [f"delta({g[k].id}) = " + ", ".join(
+                f"{g[i].id}(x){g[j].id}: {q!r}"
+                for i, j, q in sorted(row, key=lambda t: (g[t[0]].id, g[t[1]].id)))
+                for k, row in T.table.items() if row]
         text = "\n".join(lines)
     _write(text, out)
 
@@ -278,9 +276,7 @@ def cmd_crosscheck(args) -> int:
 
         _write(dumps(rep.to_json()), args.out)
     else:
-        status = "empty diff" if rep.ok else f"{len(rep.lines)} differences"
-        lines = [f"crosscheck {rep.name_a} vs {rep.name_b}: {status}"]
-        _write("\n".join(lines + ["  " + str(l) for l in rep.lines]), args.out)
+        _write("\n".join([rep.summary()] + ["  " + str(l) for l in rep.lines]), args.out)
     return 0 if rep.ok else CHECK_FAILURE
 
 

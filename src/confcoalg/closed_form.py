@@ -67,9 +67,8 @@ class _Builder:
         self._polys: Dict[tuple, MultiPoly] = {}
 
     def put(self, k: int, i: int, j: int, p: MultiPoly):
-        """delta(a_k*) gets the term p a_i* (x) a_j*; a zero p adds nothing."""
-        if p.terms:
-            self.table.setdefault(k, []).append((i, j, p))
+        """delta(a_k*) gets the term p a_i* (x) a_j*; Coproduct merges the terms."""
+        self.table.setdefault(k, []).append((i, j, p))
 
     def add(self, k: str, i: str, j: str, p: MultiPoly):
         """put, with the generators given by primal name."""

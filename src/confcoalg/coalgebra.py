@@ -46,6 +46,12 @@ _MINUS_X1_X2 = -X1 - X2
 class Coproduct:
     """Coproduct table of a differential (super)coalgebra on a dual basis.
 
+    table[k] is delta(a_k^*) as its list of (i, j, Q^{ij}_k), each (i, j)
+    once: the constructor merges the rows it is given by (i, j), in order of
+    first occurrence, and drops every pair whose sum is zero, so two
+    coproducts with the same sums have the same table and the same document.
+    A pair given once keeps its MultiPoly object.
+
     Treat it and its polynomials as values, as a LambdaStructure: the checks
     read a packed form built on first read, so an entry changed in place after
     a check leaves later verdicts on the old table.  To change an entry, build
@@ -58,30 +64,31 @@ class Coproduct:
         table: Dict[int, List[Tuple[int, int, MultiPoly]]],
         name: str = "",
     ):
+        if kind not in (LIE, JORDAN):
+            raise StructureError(f"unknown kind {kind!r}")
         self.kind = kind
         self.generators = list(generators)
         self.name = name
         self.index = {g.id: i for i, g in enumerate(self.generators)}
         if len(self.index) != len(self.generators):
             raise StructureError("generator ids not unique")
+        g = self.generators
         self.table = {}
-        for k in range(len(self.generators)):
-            entries = [(i, j, q) for i, j, q in table.get(k, []) if not q.is_zero()]
-            pk = self.generators[k].parity
-            for i, j, q in entries:
-                if (self.generators[i].parity + self.generators[j].parity) & 1 != pk:
-                    raise StructureError(
-                        f"parity violation in delta({self.generators[k].id})"
-                    )
+        for k in range(len(g)):
+            merged: Dict[Tuple[int, int], MultiPoly] = {}
+            for i, j, q in table.get(k, ()):
+                accumulate(merged, (i, j), q)
+            for (i, j), q in merged.items():
+                if (g[i].parity + g[j].parity) & 1 != g[k].parity:
+                    raise StructureError(f"parity violation in delta({g[k].id})")
                 for key in q.terms:
                     if key & _NOT_SLOT:
                         stray = ", ".join(sorted(q.variables() - {"x1", "x2"}))
                         raise StructureError(
-                            f"delta({self.generators[k].id}) @ {self.generators[i].id} (x) "
-                            f"{self.generators[j].id} uses {stray}; "
+                            f"delta({g[k].id}) @ {g[i].id} (x) {g[j].id} uses {stray}; "
                             "coproduct entries may only use x1 and x2"
                         )
-            self.table[k] = entries
+            self.table[k] = [(i, j, q) for (i, j), q in merged.items()]
 
     @property
     def rank(self) -> int:
@@ -92,17 +99,9 @@ class Coproduct:
 
     @cached_property
     def packed(self):
-        """The merged table packed by conformal._packed, entries (i, j, k, Q^{ij}_k),
+        """The table packed by conformal._packed, entries (i, j, k, Q^{ij}_k),
         built on first read and kept: the table is read as a value."""
-        return _packed((i, j, k, q) for k in range(self.rank)
-                       for (i, j), q in self.normalized(k).items())
-
-    def normalized(self, k: int) -> Dict[Tuple[int, int], MultiPoly]:
-        """Collapse the (i, j) list of delta(a_k^*) into a merged map."""
-        out: Dict[Tuple[int, int], MultiPoly] = {}
-        for i, j, q in self.table[k]:
-            accumulate(out, (i, j), q)
-        return out
+        return _packed((i, j, k, q) for k, row in self.table.items() for i, j, q in row)
 
 
 def dual_generators(S: LambdaStructure) -> List[Generator]:
@@ -511,32 +510,23 @@ class DiffReport(Record):
 
 
 def compare(a: Coproduct, b: Coproduct) -> DiffReport:
-    """Exact table diff after normalising both sides to merged k -> (i,j) maps."""
-    ids_a = [g.id for g in a.generators]
-    ids_b = [g.id for g in b.generators]
-    if set(ids_a) != set(ids_b):
+    """Exact table diff of two coproducts on the same generator ids, pair by
+    pair of their merged tables, in a's generator order."""
+    if a.index.keys() != b.index.keys():
         raise StructureError(
-            f"generator sets differ: {sorted(set(ids_a) ^ set(ids_b))}"
+            f"generator sets differ: {sorted(a.index.keys() ^ b.index.keys())}"
         )
-    remap = {i: a.index[gid] for i, gid in enumerate(ids_b)}
+    ga, gb = a.generators, b.generators
     rep = DiffReport(a.name, b.name)
     for k in range(a.rank):
-        na = a.normalized(k)
-        kb = ids_b.index(ids_a[k])
-        nb = {
-            (remap[i], remap[j]): q for (i, j), q in b.normalized(kb).items()
-        }
-        for key in sorted(set(na) | set(nb)):
+        na = {(i, j): q for i, j, q in a.table[k]}
+        nb = {(a.index[gb[i].id], a.index[gb[j].id]): q
+              for i, j, q in b.table[b.index[ga[k].id]]}
+        for key in sorted(na.keys() | nb.keys()):
             qa = na.get(key, MultiPoly.zero())
             qb = nb.get(key, MultiPoly.zero())
             if qa != qb:
                 rep.lines.append(
-                    DiffLine(
-                        ids_a[k],
-                        a.generators[key[0]].id,
-                        a.generators[key[1]].id,
-                        repr(qa),
-                        repr(qb),
-                    )
+                    DiffLine(ga[k].id, ga[key[0]].id, ga[key[1]].id, repr(qa), repr(qb))
                 )
     return rep

@@ -53,8 +53,9 @@ from .conformal import (
 from .grassmann import alpha_mask, eps_mask, members, mul_sign
 from .poly import D, LAM, MultiPoly, P_ONE, P_ZERO, Scalar, _VAR_SHIFT, accumulate
 
-# desk-scale caps; constructors allow more when allow_large is set
-CAPS = {"W": 4, "S": 3, "K": 6, "Sb": 2, "Stilde": 2, "Jn": 3, "N": 4}
+# desk-scale caps on the CLI's --n; the constructors take any n, and the
+# CLI's --allow-large overrides the caps
+CAPS = {"W": 4, "S": 3, "K": 6, "Sb": 2, "Stilde": 2, "Jn": 3}
 
 
 class ConstructionMismatch(StructureError):

@@ -14,7 +14,11 @@ diff cleanly:
                           "pairs": [{"left": id, "right": id,
                                      "poly": [...]}, ...]}, ...]}
 
-Polynomials use the coefficient encoding of the poly module.
+Polynomials use the coefficient encoding of the poly module.  A coproduct
+lists each (left, right) pair of a row once and no zero entry, since
+Coproduct merges its rows when it is built, so equal coproducts write equal
+documents.  A reader takes generator ids and the name as JSON strings and a
+parity as the JSON integer 0 or 1, and rejects a repeated row.
 
 Every JSON document this package writes, tables, coproducts and the CLI's
 reports alike, goes through one writer, ``_json_text``.  Its text is the
@@ -99,9 +103,7 @@ def structure_from_json(data: dict) -> LambdaStructure:
             term_what = f"term {t} of {what}"
             terms.append((_gen_ref(index, term, "gen", term_what), _poly(term, term_what)))
         table[key] = terms
-    return LambdaStructure(
-        data.get("kind", LIE), gens, table, name=data.get("name", "imported")
-    )
+    return LambdaStructure(data.get("kind", LIE), gens, table, name=_name(data))
 
 
 def coproduct_to_json(C: Coproduct) -> dict:
@@ -129,7 +131,10 @@ def coproduct_from_json(data: dict) -> Coproduct:
     table: Dict[int, List[Tuple[int, int, MultiPoly]]] = {}
     for r, row in enumerate(_list(data, "table", "document")):
         what = f"table row {r}"
-        pairs = []
+        k = _gen_ref(index, row, "gen", what)
+        if k in table:
+            raise StructureError(f"{what} repeats the generator {row['gen']}")
+        pairs = table[k] = []
         for t, pair in enumerate(_list(row, "pairs", what)):
             pair_what = f"pair {t} of {what}"
             pairs.append((
@@ -137,10 +142,7 @@ def coproduct_from_json(data: dict) -> Coproduct:
                 _gen_ref(index, pair, "right", pair_what),
                 _poly(pair, pair_what),
             ))
-        table[_gen_ref(index, row, "gen", what)] = pairs
-    return Coproduct(
-        data.get("kind", LIE), gens, table, name=data.get("name", "imported")
-    )
+    return Coproduct(data.get("kind", LIE), gens, table, name=_name(data))
 
 
 # -- schema checks: every malformed document raises a StructureError
@@ -171,17 +173,25 @@ def _list(obj, key: str, what: str) -> list:
     return value
 
 
+def _str(value, key: str, what: str) -> str:
+    if not isinstance(value, str):
+        raise StructureError(f"{key!r} of {what} is not a JSON string")
+    return value
+
+
+def _name(data: dict) -> str:
+    return _str(data.get("name", "imported"), "name", "document")
+
+
 def _generators(data: dict):
     gens = []
     for g, gen in enumerate(_list(data, "generators", "document")):
         what = f"generator {g}"
-        try:
-            parity = int(_field(gen, "parity", what))
-        except (TypeError, ValueError):
-            parity = None
-        if parity not in (0, 1):
+        parity = _field(gen, "parity", what)
+        # the JSON integer 0 or 1, not a float, string or boolean
+        if type(parity) is not int or parity not in (0, 1):
             raise StructureError(f"parity of {what} is not 0 or 1")
-        gens.append(Generator(_field(gen, "id", what), parity))
+        gens.append(Generator(_str(_field(gen, "id", what), "id", what), parity))
     return gens, {g.id: i for i, g in enumerate(gens)}
 
 
@@ -428,12 +438,10 @@ def coproduct_tex(C: Coproduct) -> str:
     sym = r"\delta" if C.kind == LIE else r"\Delta"
     lines = []
     for k in _id_order(C):
-        merged = C.normalized(k)
-        if not merged:
+        if not C.table[k]:
             continue
         terms = []
-        for (i, j) in sorted(merged, key=lambda t: (g[t[0]].id, g[t[1]].id)):
-            q = merged[(i, j)]
+        for i, j, q in sorted(C.table[k], key=lambda t: (g[t[0]].id, g[t[1]].id)):
             for m in sorted(q.terms, key=_sort_key):
                 cs = _factor(_coeff_tex(q.terms[m]))
                 sep = "\\," if cs not in ("", "-") else ""

@@ -87,6 +87,23 @@ def test_crosschecks(capsys):
     assert code == 1 and "6 differences" in out
 
 
+def test_crosscheck_text_is_the_report_summary(capsys):
+    """crosscheck writes the status line of verify --checks crosscheck, then every line."""
+    code, out, _ = run(capsys, "crosscheck", "--family", "W", "--n", "2")
+    assert code == 0 and out == "crosscheck[W_2^c vs W_2^c[formula]]: empty diff\n"
+    code, out, _ = run(capsys, "crosscheck", "--family", "JCK4")
+    assert code == 1 and out.splitlines() == [
+        "crosscheck[JCK_4^c vs JCK_4^c[formula]]: 6 differences",
+        "  delta(x1*) @ w2* (x) x3*: 1  !=  -1",
+        "  delta(x1*) @ x3* (x) w2*: 1  !=  -1",
+        "  delta(x2*) @ w3* (x) x1*: 1  !=  -1",
+        "  delta(x2*) @ x1* (x) w3*: 1  !=  -1",
+        "  delta(x3*) @ w2* (x) x1*: 1  !=  -1",
+        "  delta(x3*) @ x1* (x) w2*: 1  !=  -1",
+    ]
+    assert run(capsys, "verify", "--family", "JCK4", "--checks", "crosscheck")[:2] == (1, out)
+
+
 def test_verify_crosscheck_builds_the_table_once(monkeypatch, capsys):
     calls = []
     make = families.make_CK6
@@ -148,16 +165,16 @@ EMITTED = {
     ("emit", "vir", "json"): "c9536f3fe4bbb6e6f545568e674781706b16c04c2b04c3820bc6e987c798372c",
     ("emit", "vir", "latex"): "014257318bb47be067ad880dc1f177c34bdda77ee289c541b207ece8ab16b129",
     ("emit", "vir", "text"): "5356f8f8c020e96d8e8607f25d5f7c70c4b9c5e4d44a4f33b90302d918c2140c",
-    ("emit", "K_2", "json"): "a6675c1d9fd3486de4c327018862f089e2476a1002b0afbd7bb97034ff0d55e0",
+    ("emit", "K_2", "json"): "0f3c1da9ee1fe50bee248c75ee6f1d4228e4c6d4c62708f95971e6e5fb54da91",
     ("emit", "K_2", "latex"): "0cdcff06220ab6e6d5e53312bbbf07c91d55483e1063b487ef40ee35f7c18747",
     ("emit", "K_2", "text"): "6ea6da4a2961a6f8e0ca1b0e4fb9469d867bb3459d309f9d7ee6db48851d25a3",
-    ("emit", "S_2", "json"): "6d5ffd9ab391f05177116d1d1fa6eb6d54fbc2a6364de4afdba38ebf6af98c69",
+    ("emit", "S_2", "json"): "2072aa19a6935ef6956aa60c65d11a0ddd545dcc67e8b0f0659c39b41b738a9b",
     ("emit", "S_2", "latex"): "c91caa0d2b5896248f7994750c1967337e118365ede16e50cb6839a8678881db",
     ("emit", "S_2", "text"): "36523ac1bf5dd6146591fd15690d8981708fec458c7b547a6f3b29ace455833a",
-    ("emit", "CK6", "json"): "92c3c8a4e94716abbe6f499c81f91f1ec13848bc57a141abf54fbf9515eb39fa",
+    ("emit", "CK6", "json"): "8e4728597350b8fd8cf8a2ec5e98b3ca0c36e815870f24053f10ddfc6a525e15",
     ("emit", "CK6", "latex"): "47536c5cefe2e2efd805dff6f2bf6f27b6083b11bf9185d4aedd821ce9d43d5d",
     ("emit", "CK6", "text"): "3d11c3856687e1fada00b3badea847acc6c43e23322147a5db2fa422ff85d006",
-    ("emit", "Jn_2", "json"): "325a14e78c1fbeadce24de046ee64083fc7dca1374a2622a4a1be7318c0ffef4",
+    ("emit", "Jn_2", "json"): "40b6001d84e3082f8658d8769be5a38ec9a004ec8d21664e53a3eeb37e26f6b1",
     ("emit", "Jn_2", "latex"): "9c1b17d0783286e05e08c28a4671e8b88e3d76d9ebca1d1487738b7571b8c25e",
     ("emit", "Jn_2", "text"): "9a448eb381f17f6a36698ccf6dac2853eaad52154f8ba524b23887b420693e1b",
 }
@@ -271,6 +288,17 @@ MALFORMED = {
                       "'right' of pair 0 of table row 0 names unknown generator 'nosuch'"),
     "bad-parity": (_table_doc, lambda doc: doc["generators"][0].update(parity=2),
                    "parity of generator 0 is not 0 or 1"),
+    **{f"parity-{name}": (_coproduct_doc, lambda doc, p=p: doc["generators"][0].update(parity=p),
+                          "parity of generator 0 is not 0 or 1")
+       for name, p in (("float", 1.7), ("true", True), ("string", "1"))},
+    "id-int": (_table_doc, lambda doc: doc["generators"][0].update(id=5),
+               "'id' of generator 0 is not a JSON string"),
+    "id-list": (_coproduct_doc, lambda doc: doc["generators"][0].update(id=["L"]),
+                "'id' of generator 0 is not a JSON string"),
+    "name-int": (_table_doc, lambda doc: doc.update(name=5),
+                 "'name' of document is not a JSON string"),
+    "name-list": (_coproduct_doc, lambda doc: doc.update(name=["vir"]),
+                  "'name' of document is not a JSON string"),
     "duplicate-id": (_coproduct_doc, lambda doc: doc["generators"].append(doc["generators"][0]),
                      "generator ids not unique"),
     "format-version": (_table_doc, lambda doc: doc.update(format_version=99),
@@ -284,6 +312,9 @@ MALFORMED = {
        for name, e in (("true", True), ("float", 1.5), ("string", "2"))},
     "duplicate-row": (_table_doc, lambda doc: doc["table"].append(doc["table"][0]),
                       "table row 1 repeats the pair (L, L)"),
+    "duplicate-gen-row": (_coproduct_doc,
+                          lambda doc: doc["table"].append({"gen": "L*", "pairs": []}),
+                          "table row 1 repeats the generator L*"),
     "stray-variable": (_coproduct_doc,
                        lambda doc: _first_row(doc)["pairs"][0]["poly"][0]["exps"].update(x3=1),
                        "delta(L*) @ L* (x) L* uses x3; coproduct entries may only use x1 and x2"),

@@ -27,7 +27,7 @@ from helpers import random_poly
 def test_dualize_vir(vir):
     c = dualize(vir)
     assert c.generators[0].id == "L*"
-    assert c.normalized(0) == {(0, 0): X1 - X2}
+    assert c.table[0] == [(0, 0, X1 - X2)]
 
 
 def test_dualize_reindexes(cur_sl2):
@@ -35,7 +35,7 @@ def test_dualize_reindexes(cur_sl2):
     h = c.index["h*"]
     e = c.index["e*"]
     f = c.index["f*"]
-    assert c.normalized(h) == {(e, f): P_ONE, (f, e): MultiPoly.const(-1)}
+    assert c.table[h] == [(e, f, P_ONE), (f, e, MultiPoly.const(-1))]
 
 
 # sha256 of serialize.dumps(dualize(S)) of every family table at every n the
@@ -203,6 +203,33 @@ def test_coproduct_rejects_stray_variables(var):
     gens = [Generator("L*", 0)]
     with pytest.raises(StructureError, match=f"uses {var}; "):
         Coproduct("lie", gens, {0: [(0, 0, X1 - MultiPoly.var(var))]}, name="bad")
+
+
+def test_coproduct_merges_each_pair_once():
+    """Repeated pairs are summed in order of first occurrence, a pair that
+    cancels is dropped, and a pair given once keeps its polynomial object."""
+    gens = [Generator("a*", 0), Generator("b*", 0)]
+    once = X1 - X2
+    C = Coproduct("lie", gens, {
+        0: [(0, 1, X1), (1, 1, once), (0, 1, X2), (1, 0, X1), (1, 0, -X1)],
+        1: [(0, 0, X2), (0, 0, -X2)],
+    }, name="merged")
+    assert C.table == {0: [(0, 1, X1 + X2), (1, 1, once)], 1: []}
+    assert C.table[0][1][2] is once
+    assert serialize.dumps(C) == serialize.dumps(
+        Coproduct("lie", gens, {0: [(1, 1, once), (0, 1, X2 + X1)]}, name="merged"))
+
+
+def test_coproduct_rejects_unknown_kind():
+    with pytest.raises(StructureError, match="unknown kind 'lei'"):
+        Coproduct("lei", [Generator("L*", 0)], {}, name="bad")
+
+
+def test_repeated_generator_row_is_rejected():
+    doc = json.loads(serialize.dumps(dualize(make_vir())))
+    doc["table"].append({"gen": "L*", "pairs": []})
+    with pytest.raises(StructureError, match=r"^table row 1 repeats the generator L\*$"):
+        serialize.loads(json.dumps(doc))
 
 
 def test_compare_identity_and_perturbation(vir):

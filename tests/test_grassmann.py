@@ -247,6 +247,15 @@ def test_each_table_is_packed_once():
     assert not hasattr(conformal, "_packed_table")
 
 
+def test_coproduct_rows_are_merged_once():
+    """Coproduct.__init__ merges each row by (i, j) and table[k] is the one form
+    of a coproduct: Coproduct.normalized, which merged a row again on every
+    read, is gone, and no module of the package names it."""
+    coalgebra = importlib.import_module("confcoalg.coalgebra")
+    assert not hasattr(coalgebra.Coproduct, "normalized")
+    assert [name for name, tree in _production_sources() if _uses(tree, "normalized")] == []
+
+
 def test_only_serialize_writes_indented_json():
     """serialize._json_text is the one JSON writer: no module of the package
     passes indent= to json.dumps or json.dump, which would write the same

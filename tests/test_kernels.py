@@ -377,8 +377,8 @@ def assert_gathers_match(S):
                     == _renamed_per_entry(old, S.rank, lam_img, d_img))
     cop = dualize(S)
     L, table = cop.packed
-    L_old, old = _packed_per_entry([(i, j, k, q) for k in range(cop.rank)
-                                    for (i, j), q in cop.normalized(k).items()])
+    L_old, old = _packed_per_entry([(i, j, k, q) for k, row in cop.table.items()
+                                    for i, j, q in row])
     assert L == L_old
     for x1_img, x2_img, place, negate in _co_kernel_gathers(cop.rank, par):
         assert (_gather(table, x1_img, x2_img, place, negate, names=("x1", "x2"))
