@@ -73,13 +73,25 @@ class Coproduct:
         if len(self.index) != len(self.generators):
             raise StructureError("generator ids not unique")
         g = self.generators
+        n = len(g)
+        par = dict(enumerate(gen.parity for gen in g))
+        if not table.keys() <= par.keys():
+            stray = next(k for k in table if k not in par)
+            raise StructureError(f"delta row {stray!r} is not a generator index in range({n})")
         self.table = {}
-        for k in range(len(g)):
+        for k in range(n):
             merged: Dict[Tuple[int, int], MultiPoly] = {}
             for i, j, q in table.get(k, ()):
                 accumulate(merged, (i, j), q)
             for (i, j), q in merged.items():
-                if (g[i].parity + g[j].parity) & 1 != g[k].parity:
+                # parities by index: a pair outside range(n) is a KeyError, not
+                # a Python negative index
+                try:
+                    odd = (par[i] + par[j]) & 1
+                except KeyError:
+                    raise StructureError(
+                        f"delta({g[k].id}) names the pair ({i}, {j}), not in range({n})") from None
+                if odd != par[k]:
                     raise StructureError(f"parity violation in delta({g[k].id})")
                 for key in q.terms:
                     if key & _NOT_SLOT:

@@ -18,6 +18,7 @@ to arbitrary elements.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
@@ -151,10 +152,11 @@ class ConformalElement:
 class LambdaStructure:
     """Structure-constant table of a finite free conformal (super)algebra.
 
-    Treat a table and its polynomials as values: the checks read a packed form
-    built on first read, so changing an entry in place after a check leaves
-    later verdicts on the old table.  Change an entry with with_entry or
-    families.corrupt_entry, which make a new table."""
+    Treat a table and its polynomials as values: the checks read two cached
+    forms, each built on first read, the packed table (packed) and its skew
+    or commutativity residual (flip_residual), so changing an entry in place
+    after a check leaves later verdicts on the old table.  Change an entry
+    with with_entry or families.corrupt_entry, which make a new table."""
 
     def __init__(
         self,
@@ -180,6 +182,9 @@ class LambdaStructure:
         # every pair gets a row, in row-major order; only the rows given with
         # terms are merged and validated, in that order too
         self.table = {(i, j): [] for i in range(n) for j in range(n)}
+        if not table.keys() <= self.table.keys():
+            stray = next(key for key in table if key not in self.table)
+            raise StructureError(f"row {stray!r} is not a pair of generator indices in range({n})")
         for (i, j), row in self.table.items():
             entries = table.get((i, j))
             if not entries:
@@ -187,7 +192,12 @@ class LambdaStructure:
             merged: Dict[int, MultiPoly] = {}
             for k, p in entries:
                 accumulate(merged, k, p)
-            for k in sorted(merged):
+            ks = sorted(merged)
+            if ks and (ks[0] < 0 or ks[-1] >= n):
+                stray = ks[0] if ks[0] < 0 else ks[-1]
+                raise StructureError(
+                    f"row ({i}, {j}) names generator index {stray}, not in range({n})")
+            for k in ks:
                 p = merged[k]
                 if validate:
                     # parity additivity and coefficient-variable discipline
@@ -217,6 +227,22 @@ class LambdaStructure:
         """The table packed by _packed, entries (i, j, k, P^{ij}_k), built on first
         read and kept: the table is read as a value (see the class docstring)."""
         return _packed((i, j, k, p) for (i, j), row in self.table.items() for k, p in row)
+
+    @cached_property
+    def flip_residual(self):
+        """The packed residual of skew-symmetry (Lie kind) or commutativity
+        (Jordan kind), L times too large for the L of packed, compacted: at
+        components (i n + j) n + k, P^{ij}_k minus the flipped term (see
+        _check_flip); empty exactly when the axiom holds.  Built on first
+        read and kept, as packed."""
+        n = self.rank
+        par = [g.parity for g in self.generators]
+        sign = -1 if self.kind == LIE else 1
+        _, table = self.packed
+        acc = _gather(table, None, None, lambda i, j, k: (0, (i * n + j) * n + k)).get(0, {})
+        flipped = _gather(table, -LAM - D, D, lambda j, i, k: (0, (i * n + j) * n + k),
+                          lambda j, i: (sign == 1) != bool(par[i] & par[j]))
+        return compact_vector(add_product(acc, flipped.get(0, {}), {0: 1}))
 
     def with_entry(self, i: int, j: int, value: "ConformalElement") -> "LambdaStructure":
         """Copy of the table with one (i, j) entry replaced (negative controls)."""
@@ -364,7 +390,8 @@ class Report(Record):
 # renamed copy renames each distinct polynomial once and writes the result
 # into the slot of every entry that has it, at the entry's component and
 # sign.  The packed form is built once, on the first read of S.packed, and
-# every check reads it; with_entry makes a new table with its own packed form.
+# every check reads it, as skew, commutativity and Jacobi read the flip
+# residual S.flip_residual; with_entry makes a new table with its own forms.
 # The renamed copies are built per check call.  Free tuple indices ride in
 # the component of packed vectors, so one add_product covers a whole batch
 # of tuples.
@@ -408,7 +435,8 @@ def _gather(table, lam_img, d_img, place, negate=None, names=("lam", "d")):
     with negate given, the entries for which negate(i, j) holds change sign.
     names are the two variables renamed; with lam_img None nothing is.
     The entries of one slot have distinct components, so each entry's terms
-    are written in place and no slot is summed or compacted.
+    are written in place and no slot is summed or compacted; they are
+    written in the order of the slots of table, the table's row order.
     """
     vecs, slots = table
     vecs = _renaming(vecs, names, lam_img, d_img)
@@ -428,18 +456,14 @@ def _gather(table, lam_img, d_img, place, negate=None, names=("lam", "d")):
     return out
 
 
-def _check_flip(S: LambdaStructure, check: str, sign: int) -> Report:
-    """[a lam b] = sign (-1)^{p(a)p(b)} [b_{-lam-d} a] per pair; the residual of (i, j),
-    at components (i n + j) n + k, has the flipped term times -sign (-1)^{p(a)p(b)}."""
+def _check_flip(S: LambdaStructure, check: str) -> Report:
+    """[a lam b] = sign (-1)^{p(a)p(b)} [b_{-lam-d} a] per pair, sign -1 for Lie
+    and +1 for Jordan kind; the residual of (i, j) is S.flip_residual at
+    components (i n + j) n + k, which has the flipped term times
+    -sign (-1)^{p(a)p(b)}."""
     n = S.rank
     rep = Report(check, S.name, total=n * n)
-    par = [S.parity(i) for i in range(n)]
-    L, table = S.packed
-    acc = _gather(table, None, None, lambda i, j, k: (0, (i * n + j) * n + k)).get(0, {})
-    flipped = _gather(table, -LAM - D, D, lambda j, i, k: (0, (i * n + j) * n + k),
-                      lambda j, i: (sign == 1) != bool(par[i] & par[j]))
-    add_product(acc, flipped.get(0, {}), {0: 1})
-    _record(rep, S, (), acc, 2, L)
+    _record(rep, S, (), S.flip_residual, 2, S.packed[0])
     return rep
 
 
@@ -447,14 +471,14 @@ def check_skew(S: LambdaStructure) -> Report:
     """[a lam b] = -(-1)^{p(a)p(b)} [b -lam-d a], exactly, per generator pair."""
     if S.kind != LIE:
         raise StructureError("skew-symmetry applies to Lie kind")
-    return _check_flip(S, "skew", -1)
+    return _check_flip(S, "skew")
 
 
 def check_jordan_comm(S: LambdaStructure) -> Report:
     """a lam b = (-1)^{p(a)p(b)} b_{-lam-d} a, exactly, per generator pair."""
     if S.kind != JORDAN:
         raise StructureError("commutativity applies to Jordan kind")
-    return _check_flip(S, "jordan-comm", 1)
+    return _check_flip(S, "jordan-comm")
 
 
 def _record(rep: Report, S: LambdaStructure, head, acc, width: int, scale: int) -> None:
@@ -486,41 +510,89 @@ def check_jacobi(S: LambdaStructure) -> Report:
       - sum_l P^{ij}_l(lam, -lam-mu) P^{lk}_m(lam+mu, d)
       - s sum_l P^{ik}_l(lam, mu+d) P^{jl}_m(mu, d),    s = (-1)^{p(i)p(j)}.
 
-    All (j, k) of one i form one accumulation at component (j n + k) n + m:
-    per l, the first term takes a column over (j, k), the second the first
-    factors tagged by j against a row packed over (k, m), and the third the
-    first factors tagged by k against a column over (j, m) that carries the
-    sign s, one column set for even i and one for odd i.
+    Write J(a, b, c)(lam, mu) for it.  Where skew-symmetry holds,
+    [b mu a] = -s [a_{-mu-d} b] turns the last bracket of J(b, a, c)(mu, lam)
+    into s [[a lam b] lam+mu c], so that
+
+        J(b, a, c)(mu, lam) = -s J(a, b, c)(lam, mu),
+
+    and the triples with j >= i decide the rest (Kac, Vertex algebras for
+    beginners, 1998; D'Andrea and Kac, Structure theory of finite conformal
+    algebras, 1998).  So when S.flip_residual is empty the kernel runs over
+    j >= i first, and if every residual there is zero the report is n^3
+    tuples without violations.  On the first nonzero residual, and on every
+    table that is not skew, the kernel runs over all triples and writes the
+    report, so a report is the same whichever path decides it.
     """
     if S.kind != LIE:
         raise StructureError("Jacobi applies to Lie kind")
     n = S.rank
-    n2 = n * n
     rep = Report("jacobi", S.name, total=n ** 3)
+    if not S.flip_residual and not any(map(compact_vector, _jacobi_rows(S, True))):
+        return rep
+    L = S.packed[0]
+    for i, acc in enumerate(_jacobi_rows(S, False)):
+        _record(rep, S, (i,), acc, 2, L * L)
+    return rep
+
+
+class _Items(list):
+    """Items of a packed vector, or a slice of them, that add_product reads as
+    a packed vector."""
+
+    __slots__ = ()
+
+    def items(self):
+        return self
+
+
+def _jacobi_rows(S: LambdaStructure, half: bool) -> Iterator[dict]:
+    """For each i, the packed Jacobi residuals of the triples (i, j, k), L**2
+    times too large, at components (j n + k) n + m; with half, of j >= i only.
+
+    All (j, k) of one i form one accumulation: per l, the first term takes
+    a column over (j, k), the second the first factors tagged by j against a
+    row packed over (k, m), and the third the first factors tagged by k
+    against a column over (j, m) that carries the sign s, one column set for
+    even i and one for odd i.  With half, the first factors of the second
+    term are gathered from the entries with j >= i only, and the columns,
+    gathered in table order, have keys that ascend in j, so the part of
+    j >= i is a suffix of their items.
+    """
+    n = S.rank
+    n2 = n * n
     par = [S.parity(i) for i in range(n)]
-    L, table = S.packed
+    _, table = S.packed
+    vecs, slots = table
+    upper = (vecs, [slot for slot in slots if slot[1] >= slot[0]]) if half else table
     cols1 = _gather(table, MU, LAM + D, lambda j, k, l: (l, (j * n + k) * n))
     outer_il = _gather(table, None, None, lambda i, l, m: ((i, l), m))
-    first2 = _gather(table, LAM, -LAM - MU, lambda i, j, l: ((i, l), j * n2))
+    first2 = _gather(upper, LAM, -LAM - MU, lambda i, j, l: ((i, l), j * n2))
     rows2 = _gather(table, LAM + MU, D, lambda l, k, m: (l, k * n + m))
     first3 = _gather(table, LAM, MU + D, lambda i, k, l: ((i, l), k * n))
     cols3 = [_gather(table, MU, D, lambda j, l, m: (l, j * n2 + m), odd)
              for odd in (None, lambda j, l: par[j])]
+    if half:
+        cols1 = {l: list(col.items()) for l, col in cols1.items()}
+        cols3 = [{l: list(col.items()) for l, col in cols.items()} for cols in cols3]
     for i in range(n):
         acc = {}
         signed = cols3[par[i]]
+        lo = (i * n2 << _COMPONENT_SHIFT,)   # sorts before the items of j >= i, after the rest
         for l in range(n):
             p = outer_il.get((i, l))
             if p and l in cols1:
-                add_product(acc, p, cols1[l])
+                col = cols1[l]
+                add_product(acc, p, _Items(col[bisect_left(col, lo):]) if half else col)
             p = first2.get((i, l))
             if p and l in rows2:
                 add_product(acc, p, rows2[l], negate=True)
             p = first3.get((i, l))
             if p and l in signed:
-                add_product(acc, p, signed[l], negate=True)
-        _record(rep, S, (i,), acc, 2, L * L)
-    return rep
+                col = signed[l]
+                add_product(acc, p, _Items(col[bisect_left(col, lo):]) if half else col,
+                            negate=True)
+        yield acc
 
 
 PRINTED = "printed"

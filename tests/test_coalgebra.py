@@ -220,6 +220,21 @@ def test_coproduct_merges_each_pair_once():
         Coproduct("lie", gens, {0: [(1, 1, once), (0, 1, X2 + X1)]}, name="merged"))
 
 
+def test_coproduct_rejects_out_of_range_indices():
+    """A row or a pair index outside the generators is an error, not a dropped
+    row or a Python negative index."""
+    gens = [Generator("L*", 0)]
+    cases = [
+        ({3: [(0, 0, X1 - X2)]}, r"^delta row 3 is not a generator index in range\(1\)$"),
+        ({-1: []}, r"^delta row -1 is not"),
+        ({0: [(-1, -1, X1 - X2)]}, r"^delta\(L\*\) names the pair \(-1, -1\), not in range\(1\)$"),
+        ({0: [(0, 0, X1), (0, 1, X2)]}, r"^delta\(L\*\) names the pair \(0, 1\), not in range\(1\)$"),
+    ]
+    for table, message in cases:
+        with pytest.raises(StructureError, match=message):
+            Coproduct("lie", gens, table, name="bad")
+
+
 def test_coproduct_rejects_unknown_kind():
     with pytest.raises(StructureError, match="unknown kind 'lei'"):
         Coproduct("lei", [Generator("L*", 0)], {}, name="bad")

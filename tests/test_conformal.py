@@ -116,6 +116,22 @@ def test_parity_validation():
     assert S.table[(1, 1)] == [(0, LAM + D)] and S.table[(0, 0)] == [(0, MU)]
 
 
+@pytest.mark.parametrize("validate", [True, False])
+def test_out_of_range_indices_rejected(validate):
+    """A row key or a target outside the generators is an error, not a dropped
+    row or a Python negative index, whether the entries are validated or not."""
+    gens = [Generator("L", 0)]
+    cases = [
+        ({(0, 2): [(0, LAM)]}, r"^row \(0, 2\) is not a pair of generator indices in range\(1\)$"),
+        ({(-1, 0): []}, r"^row \(-1, 0\) is not a pair"),
+        ({(0, 0): [(-1, LAM)]}, r"^row \(0, 0\) names generator index -1, not in range\(1\)$"),
+        ({(0, 0): [(0, D), (1, LAM)]}, r"^row \(0, 0\) names generator index 1, not in range\(1\)$"),
+    ]
+    for table, message in cases:
+        with pytest.raises(StructureError, match=message):
+            LambdaStructure("lie", gens, table, validate=validate)
+
+
 def element_parity(S, x):
     """Parity of a homogeneous element; raises on mixed parities."""
     ps = {S.parity(g) for g in x.terms}

@@ -247,6 +247,20 @@ def test_each_table_is_packed_once():
     assert not hasattr(conformal, "_packed_table")
 
 
+def test_each_flip_residual_is_computed_once():
+    """LambdaStructure.flip_residual, the skew or commutativity residual, is a
+    cached property read by _check_flip, which writes the skew and
+    commutativity reports, and by check_jacobi, which takes the half kernel
+    when it is empty; no other code reads it."""
+    users = sorted((name, where) for name, tree in _production_sources()
+                   for where in _uses(tree, "flip_residual"))
+    assert users == [("confcoalg.conformal", "_check_flip"),
+                     ("confcoalg.conformal", "check_jacobi")]
+    conformal = importlib.import_module("confcoalg.conformal")
+    assert isinstance(conformal.LambdaStructure.__dict__["flip_residual"],
+                      functools.cached_property)
+
+
 def test_coproduct_rows_are_merged_once():
     """Coproduct.__init__ merges each row by (i, j) and table[k] is the one form
     of a coproduct: Coproduct.normalized, which merged a row again on every

@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Tuple
 import pytest
 
 from confcoalg import closed_form as cf
-from confcoalg import families, poly
+from confcoalg import conformal, families, poly
 from confcoalg.coalgebra import (
     Coproduct, TensorElement, apply_delta_slot, check_jordan_coalgebra,
     check_lie_coalgebra, dualize, tau, zeta,
@@ -493,11 +493,75 @@ def test_seeded_jacobi_corruption_matches_per_tuple_oracle(CK6):
     assert rep.violations
 
 
+def _skew_corruption(S, left, right, out, q):
+    """S with q a_out added to [a_left lam a_right] and its skew image
+    -(-1)^{p(left)p(right)} q(-lam-d, d) a_out to [a_right lam a_left], so
+    that S stays skew (left and right differ)."""
+    i, j, k = S.index[left], S.index[right], S.index[out]
+    mirror = q.subst_general("lam", -LAM - D).scalar_mul(-1 if S.parity(i) & S.parity(j) else 1)
+    T = S.with_entry(i, j, S.entry(i, j) + ConformalElement({k: q}))
+    return T.with_entry(j, i, T.entry(j, i) - ConformalElement({k: mirror}))
+
+
+def test_skew_corruption_matches_per_tuple_oracle(K):
+    """A corruption that keeps K_3 skew fails Jacobi: the half kernel finds
+    the first nonzero residual and the full kernel writes the report."""
+    for left, right, out, q in (("xi1", "xi2", "xi12", LAM + 2 * D),
+                                ("1", "xi3", "xi3", LAM * D - P_ONE)):
+        bad = _skew_corruption(K[3], left, right, out, q)
+        assert check_skew(bad).ok and bad.table != K[3].table
+        rep = check_jacobi(bad)
+        assert rep.violations
+        assert (rep.total, _found(rep)) == _jacobi_per_tuple(bad)
+
+
+def _jacobi_products(monkeypatch, S):
+    """The number of term products check_jacobi(S) makes, with its report."""
+    count = [0]
+    real = conformal.add_product
+
+    def counting(acc, p, q, negate=False):
+        count[0] += len(p) * len(q)
+        return real(acc, p, q, negate)
+
+    check_skew(S)   # the flip residual, cached before the count
+    with monkeypatch.context() as m:
+        m.setattr(conformal, "add_product", counting)
+        rep = check_jacobi(S)
+    return count[0], rep
+
+
+def test_jacobi_runs_half_the_pairs_on_skew_tables(K, monkeypatch):
+    """On a skew table the Jacobi kernel accumulates the triples with j >= i
+    only.  A copy with one entry doubled is not skew but has the same terms
+    at the same places, and there the kernel accumulates every triple, about
+    twice as many products.  On a skew table that fails Jacobi it does both."""
+    def doubled(S):
+        i, j = S.index["xi1"], S.index["xi2"]
+        return S.with_entry(i, j, S.entry(i, j).scale(MultiPoly.const(2)))
+
+    bad = _skew_corruption(K[3], "xi1", "xi2", "xi12", LAM + 2 * D)
+    for S, passes in ((K[3], True), (bad, False)):
+        assert check_skew(S).ok and not check_skew(doubled(S)).ok
+        half, rep = _jacobi_products(monkeypatch, S)
+        assert rep.ok == passes and rep.total == 512
+        full, rep = _jacobi_products(monkeypatch, doubled(S))
+        assert not rep.ok
+        if passes:
+            assert half < 0.6 * full
+        else:
+            assert full < half < 1.6 * full
+
+
 def test_tables_are_not_cached_across_copies(K):
     bad = corrupt_entry(K[2], "xi1", "xi2", "xi12", MultiPoly.const(-1))
     assert check_jacobi(K[2]).ok
     assert not check_jacobi(bad).ok
     assert check_jacobi(K[2]).ok
+    # nor is the flip residual: the copy fails skew, its parent still passes
+    assert check_skew(K[2]).ok
+    assert not check_skew(bad).ok
+    assert check_skew(K[2]).ok
     # two constructor calls share no table state: negating every coefficient
     # of one, in place, leaves the other as it was built
     for make in (families.make_CK6, lambda: families.make_S(3)):

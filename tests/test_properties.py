@@ -26,8 +26,12 @@ polynomial once, agree with the per-slot gather of ``test_kernels``;
 gathered slots and ``dualize`` entries share no state; and the double dual
 agrees with its per-entry oracle and takes each dual entry back to its
 table entry.  Each table's cached packed form still matches its entries
-after every check of the default ``verify`` set, and a ``with_entry`` copy
-packs its replaced entry.  The hypothesis profile is set in conftest.
+after every check of the default ``verify`` set, and so does its cached
+flip residual, and a ``with_entry`` copy packs its replaced entry.  Skew
+tables, whose (j, i) entries are the skew images of the drawn (i, j) ones,
+pass skew-symmetry and get the nested-bracket Jacobi report, which takes
+the half kernel and, for most of them, its fallback to every triple.  The
+hypothesis profile is set in conftest.
 """
 
 import json
@@ -96,6 +100,32 @@ def tables(draw, kind, max_entries):
     return LambdaStructure(kind, gens, table, name="random")
 
 
+@st.composite
+def skew_tables(draw, max_pairs):
+    """A skew Lie table of rank 2-4: entries P^{ij}_k drawn for i <= j on 2
+    to max_pairs pairs, (j, i) filled with -(-1)^{p_i p_j} P^{ij}_k(-lam-d, d),
+    and each diagonal entry made (q - s q(-lam-d, d))/2 from a drawn q.  Most
+    such tables fail Jacobi."""
+    n = draw(st.integers(2, 4))
+    par = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    table = {}
+    for _ in range(draw(st.integers(2, max_pairs))):
+        i, j = sorted((draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))))
+        k = draw(st.sampled_from([k for k in range(n) if par[k] == par[i] ^ par[j]] or [None]))
+        if k is None:
+            continue
+        q = _polys(draw)
+        s = -1 if par[i] & par[j] else 1
+        flipped = q.subst_general("lam", -LAM - D).scalar_mul(-s)
+        if i == j:
+            table.setdefault((i, i), []).append((k, (q + flipped).scalar_mul(Fraction(1, 2))))
+        else:
+            table.setdefault((i, j), []).append((k, q))
+            table.setdefault((j, i), []).append((k, flipped))
+    gens = [Generator(f"g{i}", p) for i, p in enumerate(par)]
+    return LambdaStructure(LIE, gens, table, name="skew")
+
+
 def _dualize_oracle(S):
     """dualize, entry by entry through permute_vars and subst_general."""
     table = {}
@@ -124,14 +154,33 @@ def _shared_table(kind):
     return LambdaStructure(kind, gens, table, name="shared")
 
 
+def _lower_triples_table():
+    """Rank 2, both even, one entry [a1 lam a0] = lam a1: not skew, and every
+    Jacobi triple (i, j, k) with j >= i holds while (1, 0, 0) fails, so the
+    half kernel would pass it if it ran on a table that is not skew."""
+    gens = [Generator("a0", 0), Generator("a1", 0)]
+    return LambdaStructure(LIE, gens, {(1, 0): [(1, LAM)]}, name="lower")
+
+
 @given(tables(LIE, 8))
 @example(_shared_table(LIE))
+@example(_lower_triples_table())
 def test_lie_kernels_on_random_tables(S):
     rep = check_jacobi(S)
     assert (rep.total, _found(rep)) == (S.rank ** 3, _oracle(S, 3, _jacobi_residual))
     rep = check_skew(S)
     assert (rep.total, _found(rep)) == (S.rank ** 2, _oracle(S, 2, _flip_residual))
     _assert_dual_matches(S, check_lie_coalgebra, _coalg_residuals)
+
+
+@given(skew_tables(5))
+@example(families.make_K(2))
+def test_jacobi_on_random_skew_tables(S):
+    """On skew tables Jacobi runs the kernel over j >= i first and falls back
+    to every triple at its first nonzero residual: the report is the oracle's."""
+    assert check_skew(S).ok
+    rep = check_jacobi(S)
+    assert (rep.total, _found(rep)) == (S.rank ** 3, _oracle(S, 3, _jacobi_residual))
 
 
 # a Jordan residual has degree 3 in the table, so its tables are smaller
@@ -201,12 +250,15 @@ def _unpacked(T):
 
 def assert_packed_once(S):
     """S.packed is built once and still equals a fresh _packed of the entries
-    after every check of the default verify set; so is dualize(S).packed
-    after its co-check."""
+    after every check of the default verify set, and S.flip_residual equals
+    the flip residual of a fresh copy of S; so is dualize(S).packed after its
+    co-check."""
     packed = S.packed
+    fresh = LambdaStructure(S.kind, S.generators, S.table, validate=False).flip_residual
     for name in cli.LIE_CHECKS if S.kind == LIE else cli.JORDAN_CHECKS:
         cli.CHECKS[name](S, lambda: dualize(S))
         assert S.packed is packed and packed == _packed(_packed_entries(S)), name
+        assert S.flip_residual == fresh, name
     cop = dualize(S)
     packed = cop.packed
     (check_lie_coalgebra if S.kind == LIE else check_jordan_coalgebra)(cop)
