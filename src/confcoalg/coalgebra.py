@@ -30,11 +30,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .conformal import (
     Generator, JORDAN, LIE, LambdaStructure, Record, Report, StructureError, Violation,
-    _gather, _packed, _renaming,
+    _gather, _grouped, _packed, _renaming,
 )
 from .poly import (
     D, LAM, MultiPoly, P_ONE, X1, X2, X3, X4, _MAXEXP, _MONO_MASK, _VAR_SHIFT, accumulate,
-    add_product, compact_vector, unpack_vector,
+    add_product, compact_vector, unpack_vector, vector_text,
 )
 
 _X = ("x1", "x2", "x3", "x4")
@@ -112,7 +112,8 @@ class Coproduct:
     @cached_property
     def packed(self):
         """The table packed by conformal._packed, entries (i, j, k, Q^{ij}_k),
-        built on first read and kept: the table is read as a value."""
+        built on first read (or set by dualize) and kept: the table is read
+        as a value."""
         return _packed((i, j, k, q) for k, row in self.table.items() for i, j, q in row)
 
 
@@ -127,15 +128,26 @@ def dualize(S: LambdaStructure, name: Optional[str] = None) -> Coproduct:
     """The coproduct on the dual basis: Q^{ij}_k(x, y) = P^{ij}_k(x, -x-y).
 
     Each distinct entry polynomial of S.packed is renamed and unpacked
-    once; every entry still gets a MultiPoly of its own.
+    once; every entry still gets a MultiPoly of its own.  S has one entry
+    per (i, j, k) and none zero, so the Coproduct's merge keeps the rows, and
+    the renamed vectors are its packed form as _packed builds it: the
+    substitution is invertible over the integers, so L and distinctness are
+    kept.
     """
     L, (vecs, slots) = S.packed
-    duals = [unpack_vector(vec, L)[0].terms
-             for vec in _renaming(vecs, ("lam", "d"), X1, _MINUS_X1_X2)]
+    renamed = _renaming(vecs, ("lam", "d"), X1, _MINUS_X1_X2)
+    index: Dict[int, int] = {}      # e -> its place in order of first occurrence
+    # the slots grouped by k, in table order within each k, as the rows list them
+    slots = [(i, j, k, index.setdefault(e, len(index)))
+             for i, j, k, e in sorted(slots, key=lambda slot: slot[2])]
+    vecs = [renamed[e] for e in index]
+    duals = [unpack_vector(vec, L)[0].terms for vec in vecs]
     table: Dict[int, List[Tuple[int, int, MultiPoly]]] = {}
     for i, j, k, e in slots:
         table.setdefault(k, []).append((i, j, MultiPoly(dict(duals[e]))))
-    return Coproduct(S.kind, dual_generators(S), table, name=name or (S.name + "^c"))
+    cop = Coproduct(S.kind, dual_generators(S), table, name=name or (S.name + "^c"))
+    cop.packed = L, (vecs, slots)
+    return cop
 
 
 def double_dual_roundtrip(S: LambdaStructure) -> Report:
@@ -331,16 +343,12 @@ def _flips(gather, n: int, par, negate_plain: bool):
 def _record(rep: Report, cop: Coproduct, k: int, check: str, arity: int, acc, scale) -> None:
     """Add a violation at (a_k^*, check) unless the packed residual acc is zero;
     acc is scale times too large."""
-    resid = unpack_vector(acc, scale)
+    resid = vector_text(acc, scale)
     if resid:
-        terms = []
-        for m, p in resid.items():
-            digits = []
-            for _ in range(arity):
-                m, r = divmod(m, cop.rank)
-                digits.append(r)
-            terms.append((tuple(reversed(digits)), p))
-        text = " + ".join(f"({p})*{key}" for key, p in sorted(terms))
+        n = cop.rank
+        # the tuples of the components, as base-n digits, sort as the components do
+        text = " + ".join(f"({t})*{tuple(m // n ** e % n for e in reversed(range(arity)))}"
+                          for m, t in sorted(resid.items()))
         rep.violations.append(Violation((cop.generators[k].id, check), text))
 
 
@@ -390,14 +398,6 @@ def _zeta_sign(e: int, p1: int, p2: int, p3: int) -> int:
     """The sign bit of zeta^e on [a, b, c, d], where p1, p2, p3 are the parities of a, b, c:
     p(a)(p(b)+p(c)) for zeta, p(c)(p(a)+p(b)) for zeta^2."""
     return (0, p1 & (p2 ^ p3), p3 & (p1 ^ p2))[e]
-
-
-def _grouped(vectors: dict) -> dict:
-    """{(a, *rest): v} as {a: [(*rest, v)]}."""
-    out = {}
-    for (a, *rest), v in vectors.items():
-        out.setdefault(a, []).append((*rest, v))
-    return out
 
 
 # zeta^e moves the factor in slot s (s = 1, 2, 3) to slot _CYCLE[e][s - 1]

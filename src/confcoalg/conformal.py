@@ -27,7 +27,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from .poly import (
     D, LAM, MU, NU, MultiPoly, P_ONE, Scalar, accumulate, add_product,
     common_denominator, compact_vector, _COMPONENT_SHIFT, _MAXEXP, _MONO_MASK, _VAR_SHIFT,
-    pack_vector, substitution, unpack_vector,
+    pack_vector, substitution, unpack_vector, vector_text,
 )
 
 LIE = "lie"
@@ -36,6 +36,7 @@ JORDAN = "jordan"
 SPECTRAL_VARS = ("lam", "mu", "nu", "x1", "x2", "x3", "x4")
 # monomial fields of every variable but lam and d, the two of a table entry
 _NOT_LAM_D = _MONO_MASK & ~(_MAXEXP << _VAR_SHIFT["lam"] | _MAXEXP << _VAR_SHIFT["d"])
+_LAM1, _MU1 = 1 << _VAR_SHIFT["lam"], 1 << _VAR_SHIFT["mu"]   # lam and mu in a packed key
 
 
 class StructureError(ValueError):
@@ -417,17 +418,6 @@ def _renaming(vecs, names, x_img, y_img):
     return [rename(vec) for vec in vecs]
 
 
-def _renamed(table, n: int, lam_img: MultiPoly, d_img: MultiPoly):
-    """rows[i][j] = [(k, P^{ij}_k(lam_img, d_img))], lam and d replaced simultaneously;
-    entries with one polynomial share its renamed vector."""
-    vecs, slots = table
-    vecs = _renaming(vecs, ("lam", "d"), lam_img, d_img)
-    rows = [[[] for _ in range(n)] for _ in range(n)]
-    for i, j, k, e in slots:
-        rows[i][j].append((k, vecs[e]))
-    return rows
-
-
 def _gather(table, lam_img, d_img, place, negate=None, names=("lam", "d")):
     """Packed vectors out[slot] of the renamed entries P^{ij}_k(lam_img, d_img).
 
@@ -489,16 +479,17 @@ def _record(rep: Report, S: LambdaStructure, head, acc, width: int, scale: int) 
     base-n digits; violations follow in the order of the tails, and each
     residual is written as ConformalElement.pretty writes it.
     """
+    if not any(acc.values()):
+        return
     n = S.rank
     names = [g.id for g in S.generators]
-    by_tail: Dict[int, Dict[int, MultiPoly]] = {}
-    for comp, p in unpack_vector(acc, scale).items():
+    by_tail: Dict[int, List[str]] = {}
+    for comp, text in sorted(vector_text(acc, scale).items()):
         tail, m = divmod(comp, n)
-        by_tail.setdefault(tail, {})[m] = p
-    for tail in sorted(by_tail):
+        by_tail.setdefault(tail, []).append(f"({text})*{names[m]}")
+    for tail, parts in by_tail.items():
         where = head + tuple(tail // n ** e % n for e in reversed(range(width)))
-        residual = " + ".join(f"({p})*{names[m]}" for m, p in sorted(by_tail[tail].items()))
-        rep.violations.append(Violation(tuple(names[i] for i in where), residual))
+        rep.violations.append(Violation(tuple(names[i] for i in where), " + ".join(parts)))
 
 
 def check_jacobi(S: LambdaStructure) -> Report:
@@ -519,19 +510,28 @@ def check_jacobi(S: LambdaStructure) -> Report:
     and the triples with j >= i decide the rest (Kac, Vertex algebras for
     beginners, 1998; D'Andrea and Kac, Structure theory of finite conformal
     algebras, 1998).  So when S.flip_residual is empty the kernel runs over
-    j >= i first, and if every residual there is zero the report is n^3
-    tuples without violations.  On the first nonzero residual, and on every
-    table that is not skew, the kernel runs over all triples and writes the
-    report, so a report is the same whichever path decides it.
+    j >= i only, and each residual of j > i gives that of its mirror triple
+    (j, i, k) by the swap of lam and mu and the sign -s; on every table that
+    is not skew the kernel runs over all triples.
     """
     if S.kind != LIE:
         raise StructureError("Jacobi applies to Lie kind")
     n = S.rank
     rep = Report("jacobi", S.name, total=n ** 3)
-    if not S.flip_residual and not any(map(compact_vector, _jacobi_rows(S, True))):
-        return rep
+    if S.flip_residual:
+        rows = _jacobi_rows(S, False)
+    else:   # the rows of j >= i, each residual of j > i copied to its mirror (j, i, k)
+        rows = [compact_vector(acc) for acc in _jacobi_rows(S, True)]
+        par, n2 = [S.parity(i) for i in range(n)], n * n
+        for i, row in enumerate(rows):
+            for key, c in row.items():
+                j, km = divmod(key >> _COMPONENT_SHIFT, n2)
+                if j > i:   # lam and mu swapped, times -s
+                    swap = (key // _MU1 & _MAXEXP) - (key // _LAM1 & _MAXEXP)
+                    low = (key & (1 << _COMPONENT_SHIFT) - 1) + swap * (_LAM1 - _MU1)
+                    rows[j][(i * n2 + km) << _COMPONENT_SHIFT | low] = c if par[i] & par[j] else -c
     L = S.packed[0]
-    for i, acc in enumerate(_jacobi_rows(S, False)):
+    for i, acc in enumerate(rows):
         _record(rep, S, (i,), acc, 2, L * L)
     return rep
 
@@ -599,15 +599,26 @@ PRINTED = "printed"
 CONSISTENT = "consistent"
 
 
-def _hoisted(table, n: int, first, last):
+def _grouped(vectors: dict) -> dict:
+    """{(a, *rest): v} as {a: [(*rest, v)]}."""
+    out = {}
+    for (a, *rest), v in vectors.items():
+        out.setdefault(a, []).append((*rest, v))
+    return out
+
+
+def _hoisted(table, n: int, first, last, x_at=lambda x: (x, 0), y_at=lambda y: (y, 0)):
     """h[(x, y)] = sum_{d,m} P^{xd}_m(*first) P^{ym}_k(*last), packed at d n + k.
 
     first and last are (lam_img, d_img) pairs; the fourth tuple index d
-    rides in the component, so each h[(x, y)] serves every d at once.
+    rides in the component, so each h[(x, y)] serves every d at once.  With
+    x_at, x -> (key, tag), x rides too: key replaces x and tag is added to
+    the component; y_at does the same for y.
     """
-    firsts = _gather(table, *first, lambda x, d, m: ((x, m), d * n))
+    firsts = _gather(table, *first, lambda x, d, m: ((x_at(x)[0], m), x_at(x)[1] + d * n))
     lasts: Dict[int, list] = {}
-    for (y, m), row in _gather(table, *last, lambda y, m, k: ((y, m), k)).items():
+    for (y, m), row in _gather(table, *last,
+                               lambda y, m, k: ((y_at(y)[0], m), y_at(y)[1] + k)).items():
         lasts.setdefault(m, []).append((y, row))
     out: Dict[Tuple[int, int], dict] = {}
     for (x, m), p in firsts.items():
@@ -645,58 +656,59 @@ def check_jordan_identity(S: LambdaStructure, variant: str = CONSISTENT) -> Repo
             Q1[c, l] = sum P^{cd}_m(nu-mu, lam+mu+d) P^{lm}_n(lam+mu, d)
 
     and the others follow the same pattern.  Each R and Q depends on two
-    indices besides d and is built once per call (see _hoisted); d rides in
-    the packed component, so each (a, b, c) is one accumulation.
+    indices besides d and is built once per call (see _hoisted).  b, c and
+    d ride in the packed component, at (b n + c) n + d, so each a is one
+    accumulation: a first factor holds its indices but a and an R or Q its
+    index besides l, split by the parities the sign depends on.
     """
     if S.kind != JORDAN:
         raise StructureError("Jordan identity applies to Jordan kind")
     if variant not in (PRINTED, CONSISTENT):
         raise StructureError(f"unknown variant {variant!r}")
     n = S.rank
+    n2, n3 = n * n, n ** 3
     rep = Report(f"jordan-id[{variant}]", S.name, total=n ** 4)
     nu_mu = NU - MU
     t = LAM + NU - MU if variant == CONSISTENT else LAM - MU
     L, table = S.packed
-    # first factors, rows by the first pair of the term
-    f_bc = _renamed(table, n, MU, -NU)
-    f_ab = _renamed(table, n, LAM, -LAM - MU)
-    f_ca_chain = _renamed(table, n, nu_mu, -t)
-    f_ca_split = _renamed(table, n, nu_mu, MU - LAM - NU)
-    # chain terms r[(l, x)], split terms q[(x, l)]
-    r1 = _hoisted(table, n, (NU, LAM + D), (None, None))
-    r2 = _hoisted(table, n, (t, MU + D), (MU, D))
-    r3 = _hoisted(table, n, (LAM + MU, nu_mu + D), (nu_mu, D))
-    q1 = _hoisted(table, n, (nu_mu, LAM + MU + D), (LAM + MU, D))
-    q2 = _hoisted(table, n, (LAM, NU + D), (NU, D))
-    q3 = _hoisted(table, n, (MU, LAM + NU - MU + D), (LAM + NU - MU, D))
     par = [S.parity(i) for i in range(n)]
+    # first factors: of b c as a list, of a b and c a by a
+    f_bc = [(*key, p) for key, p in _gather(
+        table, MU, -NU, lambda b, c, l: ((l, par[b], par[c]), b * n3 + c * n2)).items()]
+    f_ab = _grouped(_gather(table, LAM, -LAM - MU, lambda a, b, l: ((a, l, par[b]), b * n3)))
+    f_ca_chain = _grouped(_gather(table, nu_mu, -t, lambda c, a, l: ((a, l), c * n2)))
+    f_ca_split = _grouped(_gather(table, nu_mu, MU - LAM - NU,
+                                  lambda c, a, l: ((a, l, par[c]), c * n2)))
+    # chain terms r[(l, x)], split terms q[(x, l)]; of b and c by their parity
+    at_b, at_c = (lambda b: (par[b], b * n3)), (lambda c: (par[c], c * n2))
+    r1 = _hoisted(table, n, (NU, LAM + D), (None, None))
+    r2 = _hoisted(table, n, (t, MU + D), (MU, D), y_at=at_b)
+    r3 = _hoisted(table, n, (LAM + MU, nu_mu + D), (nu_mu, D), y_at=at_c)
+    q1 = _hoisted(table, n, (nu_mu, LAM + MU + D), (LAM + MU, D), x_at=at_c)
+    q2 = _hoisted(table, n, (LAM, NU + D), (NU, D))
+    q3 = _hoisted(table, n, (MU, LAM + NU - MU + D), (LAM + NU - MU, D), x_at=at_b)
     for a in range(n):
-        for b in range(n):
-            ab = f_ab[a][b]
-            odd_ab = par[a] & par[b]
-            for c in range(n):
-                bc, ca_chain = f_bc[b][c], f_ca_chain[c][a]
-                if not (ab or bc or ca_chain):
-                    continue
-                odd_ac, odd_bc = par[a] & par[c], par[b] & par[c]
-                acc = {}
-                for l, p in bc:
-                    if (l, a) in r1:
-                        add_product(acc, p, r1[(l, a)], odd_ac)
-                    if (a, l) in q2:
-                        add_product(acc, p, q2[(a, l)], not odd_ab)
-                for l, p in ca_chain:
-                    if (l, b) in r2:
-                        add_product(acc, p, r2[(l, b)], odd_ab)
-                for l, p in ab:
-                    if (l, c) in r3:
-                        add_product(acc, p, r3[(l, c)], odd_bc)
-                    if (c, l) in q1:
-                        add_product(acc, p, q1[(c, l)], not odd_ac)
-                for l, p in f_ca_split[c][a]:
-                    if (b, l) in q3:
-                        add_product(acc, p, q3[(b, l)], not odd_bc)
-                _record(rep, S, (a, b, c), acc, 1, L ** 3)
+        pa, acc = par[a], {}
+        for l, pb, pc, p in f_bc:
+            if (l, a) in r1:
+                add_product(acc, p, r1[(l, a)], pa & pc)
+            if (a, l) in q2:
+                add_product(acc, p, q2[(a, l)], not pa & pb)
+        for l, p in f_ca_chain.get(a, ()):
+            for pb in (0, 1):
+                if (l, pb) in r2:
+                    add_product(acc, p, r2[(l, pb)], pa & pb)
+        for l, pb, p in f_ab.get(a, ()):
+            for pc in (0, 1):
+                if (l, pc) in r3:
+                    add_product(acc, p, r3[(l, pc)], pb & pc)
+                if (pc, l) in q1:
+                    add_product(acc, p, q1[(pc, l)], not pa & pc)
+        for l, pc, p in f_ca_split.get(a, ()):
+            for pb in (0, 1):
+                if (pb, l) in q3:
+                    add_product(acc, p, q3[(pb, l)], not pb & pc)
+        _record(rep, S, (a,), acc, 3, L ** 3)
     return rep
 
 

@@ -129,12 +129,7 @@ class Scalar:
         return hash((self.re, self.im))
 
     def __repr__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}*beta"
-        sign = "+" if self.im > 0 else "-"
-        return f"({self.re}{sign}{abs(self.im)}*beta)"
+        return _poly_text({0: (self.re, self.im)}, {})
 
 
 ZERO = Scalar(0)
@@ -376,14 +371,24 @@ class MultiPoly:
     # -- display -----------------------------------------------------------
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for exps, c in self.items():   # _unpack lists the variables in ALPHABET order
-            mono = "*".join(v if e == 1 else f"{v}^{e}" for v, e in exps.items())
-            cs = repr(c)
-            parts.append(cs if not mono else (mono if cs == "1" else f"{cs}*{mono}"))
-        return " + ".join(parts).replace("+ -", "- ")
+        return _poly_text({k: (c.re, c.im) for k, c in self.terms.items()}, {})
+
+
+def _poly_text(terms: Dict[int, tuple], texts: dict) -> str:
+    """The text of the polynomial {monomial key: (re, im)}, or of a Scalar as
+    {0: (re, im)}; texts holds each monomial's and coefficient's."""
+    parts = []
+    for k in sorted(terms, key=_sort_key):
+        c = re, im = terms[k]
+        cs = texts.get(c)
+        if cs is None:          # re, im*beta or (re+im*beta)
+            cs = texts[c] = (str(re) if im == 0 else f"{im}*beta" if re == 0
+                             else f"({re}{'+' if im > 0 else '-'}{abs(im)}*beta)")
+        mono = texts.get(k)
+        if mono is None:        # _unpack lists the variables in ALPHABET order
+            mono = texts[k] = "*".join(v if e == 1 else f"{v}^{e}" for v, e in _unpack(k).items())
+        parts.append(cs if not mono else (mono if cs == "1" else f"{cs}*{mono}"))
+    return " + ".join(parts).replace("+ -", "- ") or "0"
 
 
 def _sort_key(k: int) -> Tuple[int, int]:
@@ -410,7 +415,7 @@ def _checked(terms):
 # multiplies monomials and powers of beta and adds components, and
 # compact_vector folds beta**2 into -1.  Coefficients are ints because a
 # check packs its table times the common denominator L of its coefficients;
-# unpack_vector divides a residual of degree g by L**g when it is reported.
+# vector_text writes a residual of degree g divided by L**g when it is reported.
 
 _BETA_SHIFT = _WIDTH * _NVARS
 _BETA = 1 << _BETA_SHIFT                    # beta digit 1
@@ -447,17 +452,30 @@ def _divided(x: int, scale: int):
     return Fraction(x, scale) if x % scale else x // scale
 
 
-def unpack_vector(acc: Dict[int, int], scale: int = 1) -> Dict[int, MultiPoly]:
-    """Inverse of pack_vector: {m: p_m}, every coefficient divided by scale."""
+def _parts(acc: Dict[int, int], scale: int) -> Dict[int, Dict[int, tuple]]:
+    """{m: {monomial key: (re, im)}} of acc compacted, every part divided by scale."""
     vec = compact_vector(acc)
-    parts: Dict[int, Dict[int, Scalar]] = {}
+    parts: Dict[int, Dict[int, tuple]] = {}
     for k in vec:
         k &= ~_BETA             # the re key; a coefficient with re and im is made twice
-        re, im = vec.get(k, 0), vec.get(k | _BETA, 0)
+        c = vec.get(k, 0), vec.get(k | _BETA, 0)
         if scale != 1:
-            re, im = _divided(re, scale), _divided(im, scale)
-        parts.setdefault(k >> _COMPONENT_SHIFT, {})[k & _MONO_MASK] = _make(re, im)
-    return {m: MultiPoly(terms) for m, terms in parts.items()}
+            c = _divided(c[0], scale), _divided(c[1], scale)
+        parts.setdefault(k >> _COMPONENT_SHIFT, {})[k & _MONO_MASK] = c
+    return parts
+
+
+def unpack_vector(acc: Dict[int, int], scale: int = 1) -> Dict[int, MultiPoly]:
+    """Inverse of pack_vector: {m: p_m}, every coefficient divided by scale."""
+    return {m: MultiPoly({k: _make(*c) for k, c in terms.items()})
+            for m, terms in _parts(acc, scale).items()}
+
+
+def vector_text(acc: Dict[int, int], scale: int = 1) -> Dict[int, str]:
+    """{m: repr(p_m)} for {m: p_m} = unpack_vector(acc, scale), made from the
+    int keys without Scalars, the text of each monomial and coefficient once."""
+    texts: dict = {}
+    return {m: _poly_text(terms, texts) for m, terms in _parts(acc, scale).items()}
 
 
 def compact_vector(acc: Dict[int, int]) -> Dict[int, int]:

@@ -14,7 +14,9 @@ diff cleanly:
                           "pairs": [{"left": id, "right": id,
                                      "poly": [...]}, ...]}, ...]}
 
-Polynomials use the coefficient encoding of the poly module.  A coproduct
+Polynomials use the coefficient encoding of the poly module; ``dumps``
+converts each distinct one once, and its terms with equal polynomials share
+one "poly" list (``*_to_json`` give each term its own).  A coproduct
 lists each (left, right) pair of a row once and no zero entry, since
 Coproduct merges its rows when it is built, so equal coproducts write equal
 documents.  A reader takes generator ids and the name as JSON strings and a
@@ -34,6 +36,7 @@ joins LaTeX terms with their signs and ``_factor`` drops a coefficient 1
 
 from __future__ import annotations
 
+import functools
 import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _str_text
@@ -72,6 +75,10 @@ def _document(T, doc_type: str, order: List[int], rows: list) -> dict:
 
 
 def structure_to_json(S: LambdaStructure) -> dict:
+    return _structure_json(S, poly_to_json)
+
+
+def _structure_json(S: LambdaStructure, poly) -> dict:
     g = S.generators
     order = _id_order(S)
     rows = [
@@ -79,7 +86,7 @@ def structure_to_json(S: LambdaStructure) -> dict:
             "left": g[i].id,
             "right": g[j].id,
             "terms": [
-                {"gen": g[k].id, "poly": poly_to_json(p)}
+                {"gen": g[k].id, "poly": poly(p)}
                 for k, p in sorted(S.table[(i, j)], key=lambda t: g[t[0]].id)
             ],
         }
@@ -107,13 +114,17 @@ def structure_from_json(data: dict) -> LambdaStructure:
 
 
 def coproduct_to_json(C: Coproduct) -> dict:
+    return _coproduct_json(C, poly_to_json)
+
+
+def _coproduct_json(C: Coproduct, poly) -> dict:
     g = C.generators
     order = _id_order(C)
     rows = [
         {
             "gen": g[k].id,
             "pairs": [
-                {"left": g[i].id, "right": g[j].id, "poly": poly_to_json(q)}
+                {"left": g[i].id, "right": g[j].id, "poly": poly(q)}
                 for i, j, q in sorted(C.table[k], key=lambda t: (g[t[0]].id, g[t[1]].id))
             ],
         }
@@ -212,15 +223,17 @@ def _poly(obj, what: str) -> MultiPoly:
 
 
 def dumps(obj) -> str:
-    """A table or coproduct as its JSON document; any other JSON value as is."""
+    """A table or coproduct as its JSON document, each distinct polynomial
+    converted once; any other JSON value as is."""
+    poly = functools.cache(poly_to_json)    # by value: equal terms share a list
     if isinstance(obj, LambdaStructure):
-        doc = structure_to_json(obj)
+        doc = _structure_json(obj, poly)
     elif isinstance(obj, (dict, list)):
         doc = obj
     else:   # coalgebra is imported only where a coproduct may be written
         from .coalgebra import Coproduct
 
-        doc = coproduct_to_json(obj) if isinstance(obj, Coproduct) else obj
+        doc = _coproduct_json(obj, poly) if isinstance(obj, Coproduct) else obj
     return _json_text(doc)
 
 
@@ -260,11 +273,14 @@ def _json_text(doc) -> str:
 
     Subclasses of str, int, float, list, tuple and dict are written as json
     writes them, and an unsupported object or key raises json's TypeError.
-    A list or dict holding itself is not detected.
+    A list or dict holding itself is not detected.  A list of dicts met again
+    at the same indentation, as a "poly" list that terms share, is written
+    once: its slice of out is joined at the second meeting and put whole.
     """
     out = []
     put = out.append
     keys = {}   # str key -> _key_text(key), encoded once per call
+    seen = {}   # (id, indentation) of a list of dicts -> its slice of out, then its text
 
     def value(o, nl):
         # plain ints, strs, dicts and lists, nearly every value of a document,
@@ -301,6 +317,14 @@ def _json_text(doc) -> str:
         if not o:
             put("[]")
             return
+        shared = type(o[0]) is dict and (id(o), nl)    # the doc holds o: its id names it
+        if shared in seen:
+            text = seen[shared]
+            if type(text) is slice:
+                text = seen[shared] = "".join(out[text])
+            put(text)
+            return
+        start = len(out)
         inner = nl + "  "
         sep, comma = "[" + inner, "," + inner
         for v in o:
@@ -308,6 +332,8 @@ def _json_text(doc) -> str:
             sep = comma
             value(v, inner)
         put(nl + "]")
+        if shared:
+            seen[shared] = slice(start, len(out))
 
     def obj(o, nl):
         if not o:
@@ -405,6 +431,7 @@ def structure_tex(S: LambdaStructure) -> str:
     lines = []
     op = "[%s_\\lambda\\, %s]" if S.kind == LIE else "%s_\\lambda\\, %s"
     order = _id_order(S)
+    tex = functools.cache(poly_tex)
     for i in order:
         for j in order:
             entries = S.table[(i, j)]
@@ -412,7 +439,7 @@ def structure_tex(S: LambdaStructure) -> str:
                 continue
             terms = []
             for k, p in sorted(entries, key=lambda t: g[t[0]].id):
-                pt = poly_tex(p)
+                pt = tex(p)
                 gt = _gen_tex(g[k])
                 if pt == "1":
                     terms.append(gt)
@@ -435,6 +462,13 @@ def _dual_tex(g: Generator) -> str:
 def coproduct_tex(C: Coproduct) -> str:
     r"""delta(g^*) displays: each Q(x1, x2) term becomes d^a g_i^* \otimes d^b g_j^*."""
     g = C.generators
+    dual = [_dual_tex(gen) for gen in g]
+    @functools.cache
+    def pieces(q):  # (coefficient, d-power on the left, on the right) per term of Q(x1, x2)
+        factors = [(_factor(_coeff_tex(q.terms[m])), m) for m in sorted(q.terms, key=_sort_key)]
+        return [(cs if cs in ("", "-") else cs + "\\,", _pow_d(_exp_of(m, "x1")),
+                 _pow_d(_exp_of(m, "x2"))) for cs, m in factors]
+
     sym = r"\delta" if C.kind == LIE else r"\Delta"
     lines = []
     for k in _id_order(C):
@@ -442,13 +476,9 @@ def coproduct_tex(C: Coproduct) -> str:
             continue
         terms = []
         for i, j, q in sorted(C.table[k], key=lambda t: (g[t[0]].id, g[t[1]].id)):
-            for m in sorted(q.terms, key=_sort_key):
-                cs = _factor(_coeff_tex(q.terms[m]))
-                sep = "\\," if cs not in ("", "-") else ""
-                lt = _pow_d(_exp_of(m, "x1")) + _dual_tex(g[i])
-                rt = _pow_d(_exp_of(m, "x2")) + _dual_tex(g[j])
-                terms.append("%s%s\\otimes %s" % (cs + sep, lt, rt))
-        lines.append("%s(%s) = %s" % (sym, _dual_tex(g[k]), _signed_sum(terms)))
+            terms += ["%s%s%s\\otimes %s%s" % (cs, left, dual[i], right, dual[j])
+                      for cs, left, right in pieces(q)]
+        lines.append("%s(%s) = %s" % (sym, dual[k], _signed_sum(terms)))
     return "\n".join(lines)
 
 

@@ -29,3 +29,24 @@ def pair_element(S, i: int, j: int, svar: str) -> ConformalElement:
     for k, p in S.table[(i, j)]:
         out[k] = p.permute_vars({"lam": svar}) if "lam" in p.variables() else p
     return ConformalElement(out)
+
+
+def repr_oracle(p: MultiPoly) -> str:
+    """repr(p) written term by term through Scalars, as MultiPoly.__repr__
+    wrote it before its text rule was shared with poly.vector_text."""
+    def scalar(c):
+        if c.im == 0:
+            return str(c.re)
+        if c.re == 0:
+            return f"{c.im}*beta"
+        sign = "+" if c.im > 0 else "-"
+        return f"({c.re}{sign}{abs(c.im)}*beta)"
+
+    if not p.terms:
+        return "0"
+    parts = []
+    for exps, c in p.items():
+        mono = "*".join(v if e == 1 else f"{v}^{e}" for v, e in exps.items())
+        cs = scalar(c)
+        parts.append(cs if not mono else (mono if cs == "1" else f"{cs}*{mono}"))
+    return " + ".join(parts).replace("+ -", "- ")

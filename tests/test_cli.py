@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -187,6 +188,50 @@ def test_emitted_documents_are_pinned(command, family, fmt, capsys):
                          "--format", fmt)
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == EMITTED[command, family, fmt]
+
+
+# sha256 of the stdout of verify on tables that fail: violation residuals
+# with Fraction and beta coefficients, co-check residuals and diff lines.
+# JCK_4 passes its default checks, so its second command adds the crosscheck.
+VERIFIED = {
+    ("jn2", "text"): "e997b7e9879b37adc9c175ff5a1fadbb5271bd4a2cc216ce6e904c71369e5a7c",
+    ("jn2", "json"): "7cee602dcfd121fe69284ab880f7f803492e233fe05af44580d7d2af71ff68b3",
+    ("jn3", "text"): "faf8f00c1c484d6c5603c78b20c0e613da0adfcdd40395b06e1398631a1870d5",
+    ("jn3", "json"): "09762267146c09745a68f77b91aeb6f6055dce586bf1335106243da099a5c66e",
+    ("jck4", "text"): "17dfc71401052a995a4ae22d8e343cdf9791c999dd2404f29146615d36615103",
+    ("jck4", "json"): "03382efc04f6b9b6474371a7be7a35c085a7054c6e9328160071c102d1cc236b",
+    ("jck4-crosscheck", "text"): "75e03f853e61828cf7d53fde1f3bf22976a602ceffac5a3b77dfb01a5eeab071",
+    ("jck4-crosscheck", "json"): "b6462106121a86aaf787e2fae4a6a681d99e5beecd450a9913050a5e8813612e",
+    ("sb-corrupted", "text"): "dd6c6669d641d7df50e12d105c9508027cc073b1b42d2e991936c9fd325fd893",
+    ("sb-corrupted", "json"): "1c538855b7435c3804195ce2310823f8609736d32e7521e1b185033505fb11c1",
+}
+VERIFY_ARGV = {
+    "jn2": ["--family", "jn", "--n", "2"],
+    "jn3": ["--family", "jn", "--n", "3", "--checks", "jordan-id,cojordan"],
+    "jck4": ["--family", "jck4"],
+    "jck4-crosscheck": ["--family", "jck4",
+                        "--checks", "jordan-comm,jordan-id,cojordan,roundtrip,crosscheck"],
+    "sb-corrupted": ["--in", "{table}"],
+}
+
+
+def _corrupted_sb(path):
+    """S_{2,b=beta} with [k1 lam k4] replaced by ((1/2+beta) lam - 1/3 d) k5,
+    written as a table document: skew, Jacobi and coalg fail."""
+    S = families.make_S_b(2, Scalar(0, 1))
+    q = (MultiPoly.monomial({"lam": 1}, Scalar(Fraction(1, 2), 1))
+         + MultiPoly.monomial({"d": 1}, Scalar(Fraction(-1, 3))))
+    path.write_text(serialize.dumps(corrupt_entry(S, "k1", "k4", "k5", q)))
+    return str(path)
+
+
+@pytest.mark.parametrize("case, fmt", sorted(VERIFIED))
+def test_failing_verify_outputs_are_pinned(case, fmt, tmp_path, capsys):
+    table = _corrupted_sb(tmp_path / "sb.json") if case == "sb-corrupted" else None
+    argv = [a.format(table=table) for a in VERIFY_ARGV[case]]
+    code, out, err = run(capsys, "verify", *argv, "--format", fmt)
+    assert (code, err) == (0 if case == "jck4" else 1, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFIED[case, fmt]
 
 
 def test_emit_formula(capsys):

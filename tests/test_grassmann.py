@@ -281,3 +281,55 @@ def test_only_serialize_writes_indented_json():
                 called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
                 assert not (called in ("dumps", "dump")
                             and any(kw.arg == "indent" for kw in node.keywords)), (name, node.lineno)
+
+
+def test_residual_text_is_written_from_the_packed_form(monkeypatch):
+    """conformal._record and coalgebra._record write violation text with
+    poly.vector_text from the packed residual: neither names unpack_vector or
+    repr, and the checks write their violations with MultiPoly.__repr__,
+    Scalar.__repr__ and unpack_vector made to raise."""
+    records = [(name, node) for name, tree in _production_sources() for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and node.name == "_record"]
+    assert sorted(name for name, _ in records) == ["confcoalg.coalgebra", "confcoalg.conformal"]
+    for name, node in records:
+        names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+        names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+        assert "vector_text" in names, name
+        assert not names & {"unpack_vector", "repr", "__repr__"}, name
+
+    from confcoalg import coalgebra, conformal, families, poly
+    from test_kernels import _skew_corruption
+
+    J2, K2 = families.make_Jn(2), families.make_K(2)
+    bad = families.corrupt_entry(K2, "xi1", "xi2", "xi12", poly.MultiPoly.const(-1))
+    skew_bad = _skew_corruption(K2, "xi1", "xi2", "xi12", poly.LAM)
+    duals = [coalgebra.dualize(families.make_Jn(3)), coalgebra.dualize(bad)]
+
+    def refuse(*args):
+        raise AssertionError("residual text written through Scalars")
+
+    monkeypatch.setattr(poly.MultiPoly, "__repr__", refuse)
+    monkeypatch.setattr(poly.Scalar, "__repr__", refuse)
+    for module in (poly, conformal, coalgebra):
+        monkeypatch.setattr(module, "unpack_vector", refuse)
+    reports = [conformal.check_jordan_identity(J2), conformal.check_skew(bad),
+               conformal.check_jacobi(bad), conformal.check_jacobi(skew_bad),
+               coalgebra.check_jordan_coalgebra(duals[0]),
+               coalgebra.check_lie_coalgebra(duals[1])]
+    assert all(rep.violations for rep in reports)
+
+
+def test_verify_packs_the_table_once_and_not_its_dual(monkeypatch, capsys):
+    """verify --checks coalg,crosscheck calls conformal._packed once, for the
+    table: dualize sets its renamed vectors as the packed form of the
+    Coproduct it builds, which the co-check reads."""
+    from confcoalg import coalgebra, conformal
+    from confcoalg.cli import main
+
+    calls = []
+    real = conformal._packed
+    monkeypatch.setattr(conformal, "_packed", lambda entries: calls.append(1) or real(entries))
+    monkeypatch.setattr(coalgebra, "_packed", conformal._packed)
+    assert main(["verify", "--family", "K", "--n", "3", "--checks", "coalg,crosscheck"]) == 0
+    assert capsys.readouterr().out.startswith("coalg[K_3^c]: pass")
+    assert len(calls) == 1

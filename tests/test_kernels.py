@@ -29,13 +29,14 @@ from confcoalg.coalgebra import (
 from confcoalg.conformal import (
     CONSISTENT, JORDAN, LIE, PRINTED, ConformalElement, Generator, LambdaStructure,
     ModuleMap, Report, StructureError, Violation, _divmod_d, _gather, _normalise_content,
-    _renamed, bracket, bracket_pairs, check_jacobi, check_jordan_comm,
+    bracket, bracket_pairs, check_jacobi, check_jordan_comm,
     check_jordan_identity, check_skew, shift_spectral,
 )
 from confcoalg.families import corrupt_entry
 from confcoalg.grassmann import IndexSet, alpha_mask, derive, members, mul, mul_sign
 from confcoalg.poly import (
-    D, LAM, MU, NU, X1, X2, X3, X4, MultiPoly, P_ONE, Scalar, _MONO_MASK, _checked, accumulate,
+    BETA, D, LAM, MU, NU, X1, X2, X3, X4, MultiPoly, P_ONE, Scalar, _MONO_MASK, _checked,
+    accumulate,
 )
 
 from helpers import pair_element
@@ -294,15 +295,6 @@ def _tagged(vec, m, negate=False):
     return {k + tag: sign * c for k, c in vec.items()}
 
 
-def _renamed_per_entry(table, n, lam_img, d_img):
-    """rows[i][j] = [(k, P^{ij}_k(lam_img, d_img))], lam and d replaced simultaneously."""
-    rename = poly.substitution("lam", "d", lam_img, d_img)
-    rows = [[[] for _ in range(n)] for _ in range(n)]
-    for i, j, k, p in table:
-        rows[i][j].append((k, rename(p)))
-    return rows
-
-
 def _gather_per_slot(table, lam_img, d_img, place, negate=None, names=("lam", "d")):
     """Packed vectors out[slot] of the renamed entries P^{ij}_k(lam_img, d_img).
 
@@ -346,6 +338,10 @@ def _kernel_gathers(n, par):
         (-LAM - D, D, lambda j, i, k: (0, (i * n + j) * n + k),
          lambda j, i: not par[i] & par[j]),
         (NU, LAM + D, lambda x, d, m: ((x, m), d * n), lambda x, d: par[x] ^ par[d]),
+        # the Jordan identity's first factors and batched R and Q
+        (MU, -NU, lambda b, c, l: ((l, par[b], par[c]), b * n ** 3 + c * n2), None),
+        (NU - MU, -LAM + MU, lambda c, a, l: ((a, l, par[c]), c * n2), None),
+        (MU, D, lambda y, m, k: ((par[y], m), y * n ** 3 + k), None),
     ]
 
 
@@ -362,8 +358,8 @@ def _co_kernel_gathers(n, par):
 
 
 def assert_gathers_match(S):
-    """_gather and _renamed of S, and the co-kernels' gathers of dualize(S),
-    against the per-slot oracle, with the placements the kernels use."""
+    """_gather of S, and the co-kernels' gathers of dualize(S), against the
+    per-slot oracle, with the placements the kernels use."""
     entries = [(i, j, k, p) for (i, j), row in S.table.items() for k, p in row]
     L, table = S.packed
     L_old, old = _packed_per_entry(entries)
@@ -372,9 +368,6 @@ def assert_gathers_match(S):
     for lam_img, d_img, place, negate in _kernel_gathers(S.rank, par):
         assert (_gather(table, lam_img, d_img, place, negate)
                 == _gather_per_slot(old, lam_img, d_img, place, negate))
-        if lam_img is not None:
-            assert (_renamed(table, S.rank, lam_img, d_img)
-                    == _renamed_per_entry(old, S.rank, lam_img, d_img))
     cop = dualize(S)
     L, table = cop.packed
     L_old, old = _packed_per_entry([(i, j, k, q) for k, row in cop.table.items()
@@ -504,10 +497,14 @@ def _skew_corruption(S, left, right, out, q):
 
 
 def test_skew_corruption_matches_per_tuple_oracle(K):
-    """A corruption that keeps K_3 skew fails Jacobi: the half kernel finds
-    the first nonzero residual and the full kernel writes the report."""
+    """A corruption that keeps K_3 skew fails Jacobi: the half kernel writes
+    the residuals of j >= i and their mirrors the rest, for two odd
+    generators (xi1, xi2), an even and an odd one, and beta and Fraction
+    coefficients."""
     for left, right, out, q in (("xi1", "xi2", "xi12", LAM + 2 * D),
-                                ("1", "xi3", "xi3", LAM * D - P_ONE)):
+                                ("1", "xi3", "xi3", LAM * D - P_ONE),
+                                ("xi2", "xi13", "xi123", BETA * LAM * LAM + D.scalar_mul(
+                                    Fraction(1, 2)))):
         bad = _skew_corruption(K[3], left, right, out, q)
         assert check_skew(bad).ok and bad.table != K[3].table
         rep = check_jacobi(bad)
@@ -533,24 +530,25 @@ def _jacobi_products(monkeypatch, S):
 
 def test_jacobi_runs_half_the_pairs_on_skew_tables(K, monkeypatch):
     """On a skew table the Jacobi kernel accumulates the triples with j >= i
-    only.  A copy with one entry doubled is not skew but has the same terms
-    at the same places, and there the kernel accumulates every triple, about
-    twice as many products.  On a skew table that fails Jacobi it does both."""
+    only, whether Jacobi holds or not.  A copy with one entry doubled is not
+    skew but has the same terms at the same places, and there the kernel
+    accumulates every triple, about twice as many products (K_3 2,472, K_5
+    50,482)."""
     def doubled(S):
         i, j = S.index["xi1"], S.index["xi2"]
         return S.with_entry(i, j, S.entry(i, j).scale(MultiPoly.const(2)))
 
-    bad = _skew_corruption(K[3], "xi1", "xi2", "xi12", LAM + 2 * D)
-    for S, passes in ((K[3], True), (bad, False)):
-        assert check_skew(S).ok and not check_skew(doubled(S)).ok
-        half, rep = _jacobi_products(monkeypatch, S)
-        assert rep.ok == passes and rep.total == 512
-        full, rep = _jacobi_products(monkeypatch, doubled(S))
-        assert not rep.ok
-        if passes:
-            assert half < 0.6 * full
-        else:
-            assert full < half < 1.6 * full
+    for n in (3, 5):
+        bad = _skew_corruption(K[n], "xi1", "xi2", "xi12", LAM + 2 * D)
+        for S, passes in ((K[n], True), (bad, False)):
+            assert check_skew(S).ok and not check_skew(doubled(S)).ok
+            half, rep = _jacobi_products(monkeypatch, S)
+            assert rep.ok == passes and rep.total == 8 ** n
+            if not passes:
+                assert (rep.total, _found(rep)) == _jacobi_per_tuple(S)
+            full, rep = _jacobi_products(monkeypatch, doubled(S))
+            assert not rep.ok
+            assert half < 0.6 * full, (n, half, full)
 
 
 def test_tables_are_not_cached_across_copies(K):

@@ -14,8 +14,10 @@ definitional tensor operations.  ``bracket_pairs`` is compared with the
 random C[d]-module maps.  ``span_reader`` reads random Q(beta)[d]
 combinations of the embedded bases of the restricted families back to the
 drawn coefficients, and refuses a random extra component exactly when the
-coordinate oracles do.  The JSON writer is compared with
-``json.dumps(x, indent=2)`` on random JSON values, random tables and raw
+coordinate oracles do.  ``vector_text`` is compared with the old
+term-by-term writer (``helpers.repr_oracle``) on random packed residuals.
+The JSON writer is compared with ``json.dumps(x, indent=2)`` on random JSON
+values, also ones holding one list at several places, random tables and raw
 random coproducts go through ``dumps`` and ``loads`` unchanged, and
 ``poly_from_json`` agrees with its Fraction-only definition on random
 coefficients.  The co-Jacobi and co-Jordan kernels run on raw random
@@ -27,11 +29,12 @@ gathered slots and ``dualize`` entries share no state; and the double dual
 agrees with its per-entry oracle and takes each dual entry back to its
 table entry.  Each table's cached packed form still matches its entries
 after every check of the default ``verify`` set, and so does its cached
-flip residual, and a ``with_entry`` copy packs its replaced entry.  Skew
+flip residual, and ``dualize`` sets the packed form of its rows; a
+``with_entry`` copy packs its replaced entry.  Skew
 tables, whose (j, i) entries are the skew images of the drawn (i, j) ones,
 pass skew-symmetry and get the nested-bracket Jacobi report, which takes
-the half kernel and, for most of them, its fallback to every triple.  The
-hypothesis profile is set in conftest.
+the half kernel and, for most of them, the mirrors of its nonzero
+residuals.  The hypothesis profile is set in conftest.
 """
 
 import json
@@ -54,9 +57,11 @@ from confcoalg.conformal import (  # noqa: E402
     check_jordan_identity, check_skew, kernel_basis,
 )
 from confcoalg.poly import (  # noqa: E402
-    D, LAM, MU, MultiPoly, P_ONE, Scalar, X1, X2, _pack, poly_from_json, unpack_vector,
+    ALPHABET, D, LAM, MU, MultiPoly, P_ONE, Scalar, X1, X2, _BETA_SHIFT, _COMPONENT_SHIFT,
+    _pack, poly_from_json, unpack_vector, vector_text,
 )
 
+from helpers import repr_oracle  # noqa: E402
 from test_kernels import (  # noqa: E402
     _bracket_loop, _canonicalize_CK6_oracle, _canonicalize_S_oracle, _co_oracle,
     _coalg_residuals, _cojordan_residuals, _flip_residual, _found, _jacobi_residual,
@@ -176,8 +181,8 @@ def test_lie_kernels_on_random_tables(S):
 @given(skew_tables(5))
 @example(families.make_K(2))
 def test_jacobi_on_random_skew_tables(S):
-    """On skew tables Jacobi runs the kernel over j >= i first and falls back
-    to every triple at its first nonzero residual: the report is the oracle's."""
+    """On skew tables Jacobi runs the kernel over j >= i and writes each
+    nonzero residual of j > i at its mirror too: the report is the oracle's."""
     assert check_skew(S).ok
     rep = check_jacobi(S)
     assert (rep.total, _found(rep)) == (S.rank ** 3, _oracle(S, 3, _jacobi_residual))
@@ -251,7 +256,8 @@ def _unpacked(T):
 def assert_packed_once(S):
     """S.packed is built once and still equals a fresh _packed of the entries
     after every check of the default verify set, and S.flip_residual equals
-    the flip residual of a fresh copy of S; so is dualize(S).packed after its
+    the flip residual of a fresh copy of S; dualize(S) sets a packed form
+    equal to a fresh _packed of its rows, and it is still so after its
     co-check."""
     packed = S.packed
     fresh = LambdaStructure(S.kind, S.generators, S.table, validate=False).flip_residual
@@ -260,6 +266,8 @@ def assert_packed_once(S):
         assert S.packed is packed and packed == _packed(_packed_entries(S)), name
         assert S.flip_residual == fresh, name
     cop = dualize(S)
+    # dualize sets its renamed vectors as the packed form
+    assert "packed" in vars(cop) and cop.packed == _packed(_packed_entries(cop))
     packed = cop.packed
     (check_lie_coalgebra if S.kind == LIE else check_jordan_coalgebra)(cop)
     assert cop.packed is packed and packed == _packed(_packed_entries(cop))
@@ -411,6 +419,40 @@ def test_k4prime_reader_needs_d_to_divide_the_star(K4p, data):
         read(ConformalElement({star: MultiPoly.const(c) + D * q}))
 
 
+# -- residual text: vector_text against repr of the unpacked polynomials
+
+@st.composite
+def packed_residuals(draw):
+    """(acc, scale): a packed accumulation as the kernels leave it, with
+    components 0-5, beta digits 0-2 (beta**2 unfolded), exponents up to 255,
+    zero coefficients and pairs that cancel once beta**2 is folded, and a
+    scale 1, 2, 6 or L**2; some coefficients are multiples of the scale."""
+    scale = draw(st.sampled_from((1, 2, 6, 36, 900)))
+    coeffs = st.one_of(st.integers(-40, 40), st.integers(-3, 3).map(lambda c: c * scale))
+    exps = st.one_of(st.integers(0, 3), st.integers(250, 255))
+    acc = {}
+    for _ in range(draw(st.integers(0, 12))):
+        mono = _pack(draw(st.dictionaries(st.sampled_from(ALPHABET), exps, max_size=3)))
+        key = draw(st.integers(0, 5)) << _COMPONENT_SHIFT | mono
+        digit = draw(st.integers(0, 2))
+        c = draw(coeffs)
+        acc[key | digit << _BETA_SHIFT] = c
+        if digit < 2 and draw(st.booleans()):   # c beta^digit (1 + beta**2) = 0
+            acc[key | (digit + 2) << _BETA_SHIFT] = c
+    return acc, scale
+
+
+@given(packed_residuals())
+@example(({0: 3, 1 << _BETA_SHIFT: -3, 2 << _BETA_SHIFT: 3}, 6))      # -1/2*beta
+@example(({1: 2, 1 | 1 << _BETA_SHIFT: 4, 1 << _COMPONENT_SHIFT: 2}, 2))   # (1+2*beta)*lam, 1
+def test_vector_text_is_repr_of_the_unpacked_vector(residual):
+    acc, scale = residual
+    unpacked = unpack_vector(acc, scale)
+    expected = {m: repr_oracle(p) for m, p in unpacked.items()}
+    assert vector_text(acc, scale) == expected
+    assert {m: repr(p) for m, p in unpacked.items()} == expected
+
+
 # -- JSON: the writer, the round trip of both document types, the coefficient reader
 
 _json_leaves = st.one_of(
@@ -433,6 +475,29 @@ def _json_containers(children):
 @example({float("nan"): float("inf"), -float("inf"): 1, True: False, None: 2, 3: None})
 def test_json_writer_is_json_dumps_indent_2(x):
     assert serialize._json_text(x) == json.dumps(x, indent=2)
+
+
+@st.composite
+def _docs_with_shared_lists(draw):
+    """A JSON value holding one list of dicts, and one list nested in it, at
+    random places and depths."""
+    dicts = st.dictionaries(_json_keys, _json_leaves, max_size=3)
+    inner = draw(st.lists(dicts, min_size=1, max_size=3))
+    shared = draw(st.lists(st.one_of(dicts, st.just(inner)), min_size=1, max_size=3))
+    return draw(st.recursive(st.one_of(_json_leaves, st.just(shared), st.just(inner)),
+                             _json_containers, max_leaves=25))
+
+
+_POLY = [{"coeff": [1, 2, 0, 1], "exps": {"lam": 1}}, {"coeff": [-1, 1, 3, 1], "exps": {}}]
+
+
+@given(_docs_with_shared_lists())
+@example({"a": [_POLY, {"b": _POLY}], "c": _POLY, "d": [[_POLY], (_POLY,)], "e": _POLY})
+def test_json_writer_on_shared_lists(doc):
+    """A list of dicts met at several places and depths, as the "poly" lists
+    that the terms of a document share, is written as json.dumps writes
+    every copy."""
+    assert serialize._json_text(doc) == json.dumps(doc, indent=2)
 
 
 _unsupported = st.sampled_from([b"x", 1j, {1, 2}, Fraction(1, 2), Scalar(1), object()])
