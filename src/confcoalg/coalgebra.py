@@ -19,8 +19,9 @@ with a coproduct splits its variable into the sum of the two new ones
 ``apply_delta_slot``, ``tau`` and ``zeta`` implement these operations on
 ``TensorElement`` values and are the definitional path: no production code
 calls them, and ``tests/test_kernels.py`` uses them as the oracle for the
-co-Jacobi and co-Jordan checks.  Those checks evaluate each dual generator's
-residual as one sparse contraction of slot-renamed copies of the table.
+co-checks.  Co-antisymmetry, co-Jacobi and co-commutativity run conformal's
+flip and Jacobi kernels in slot variables; co-Jordan, which no variable map
+makes the Jordan identity, has a contraction of its own.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from functools import cached_property, partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .conformal import (
-    Generator, JORDAN, LIE, LambdaStructure, Record, Report, StructureError, Violation,
-    _gather, _grouped, _packed, _renaming,
+    Generator, JORDAN, LIE, LambdaStructure, Record, Report, SLOTS, StructureError, Violation,
+    _flip_kernel, _gather, _grouped, _jacobi_residuals, _packed, _renaming,
 )
 from .poly import (
     D, LAM, MultiPoly, P_ONE, X1, X2, X3, X4, _MAXEXP, _MONO_MASK, _VAR_SHIFT, accumulate,
@@ -307,48 +308,38 @@ def zeta(t: TensorElement) -> TensorElement:
 
 # -- contraction kernels ---------------------------------------------------------
 #
-# At a dual generator a_k^* every term of co-Jacobi and co-Jordan is a sparse
-# contraction of copies of the table with its slot variables renamed,
-# Q^{ij}_k(x1, x2) -> Q^{ij}_k(a, b).  A tensor tuple (t_1, ..., t_r) is the
-# component t_1 n^{r-1} + ... + t_r of a packed vector (see
-# poly.pack_vector), n the rank, so the component tag of a first factor plus
-# the component of a packed row is the output tuple.  As in conformal, the
-# table is packed times its common denominator L, each distinct entry
-# polynomial once, and a residual of degree g is reported divided by L**g.
-# A copy is made by conformal._gather: it renames each distinct polynomial
-# once and writes it into the slot of every entry that has it, at the
-# entry's component and sign, so the co-Jordan first factors and tails,
-# slotted one entry each, cost no rename of their own.  The table is packed
-# once, as Coproduct.packed; the renamed copies are built per check call.
-
-_UNIT = {0: 1}
+# Co-antisymmetry, co-Jacobi and co-commutativity run conformal's flip and
+# Jacobi kernels on the packed coproduct in slot variables (conformal.SLOTS):
+# with P(a, b) = Q(a, -a-b) and (lam, mu, d) = (x1, x2, -x1-x2-x3), each renamed
+# copy of P there is one of Q in x1, x2 and x3.  Row i of the Jacobi kernel
+# holds the residual of a_m^* at [i, j, k] at component (j n + k) n + m, n the
+# rank, and an antisymmetric coproduct gets the half kernel as a skew table does.
+#
+# Co-Jordan keeps a contraction of its own: a search over tuple orders, signs
+# and variable maps found none under which its residual is the Jordan
+# identity's.  Its terms contract copies of the table renamed
+# Q^{ij}_k(x1, x2) -> Q^{ij}_k(a, b), made as in conformal ("renamed tables");
+# the tuple (t_1, ..., t_r) is component t_1 n^{r-1} + ... + t_r of a packed
+# vector, so a first factor's component tag plus a row's is the output tuple.
 
 
-def _gatherer(cop: Coproduct):
-    """(L, gather): the merged table packed times its denominator L, and its _gather on x1, x2."""
-    L, table = cop.packed
-    return L, partial(_gather, table, names=("x1", "x2"))
-
-
-def _flips(gather, n: int, par, negate_plain: bool):
-    """Packed tau(delta a_k) + delta a_k (- with negate_plain) at slot k, [i,j]
-    at component i n + j; tau swaps x1 and x2 and has the Koszul sign."""
-    acc = gather(None, None, lambda i, j, k: (k, i * n + j), lambda i, j: negate_plain)
-    swapped = gather(X2, X1, lambda i, j, k: (k, j * n + i), lambda i, j: par[i] & par[j])
-    for k, vec in swapped.items():
-        add_product(acc.setdefault(k, {}), vec, _UNIT)
-    return acc
-
-
-def _record(rep: Report, cop: Coproduct, k: int, check: str, arity: int, acc, scale) -> None:
-    """Add a violation at (a_k^*, check) unless the packed residual acc is zero;
-    acc is scale times too large."""
-    resid = vector_text(acc, scale)
-    if resid:
-        n = cop.rank
-        # the tuples of the components, as base-n digits, sort as the components do
-        text = " + ".join(f"({t})*{tuple(m // n ** e % n for e in reversed(range(arity)))}"
-                          for m, t in sorted(resid.items()))
+def _record(rep: Report, cop: Coproduct, residuals) -> None:
+    """Add a violation at each (a_k^*, check) of residuals, [(check, arity, rows,
+    scale, at)], with a nonzero residual, in the order of k and then of
+    residuals.  Row r of rows is a packed residual, scale times too large, whose
+    component c is the part of a_k^* at the tuple with base-n digits t, for
+    (k, t) = at(r, c); a row's text is written as it is read."""
+    n = cop.rank
+    found: Dict[Tuple[int, int], list] = {}
+    for x, (_, _, rows, scale, at) in enumerate(residuals):
+        for r, row in enumerate(rows):
+            for c, text in vector_text(row, scale).items():
+                k, t = at(r, c)
+                found.setdefault((k, x), []).append((t, text))
+    for (k, x), parts in sorted(found.items()):
+        check, arity = residuals[x][:2]
+        text = " + ".join(f"({s})*{tuple(t // n ** e % n for e in reversed(range(arity)))}"
+                          for t, s in sorted(parts))
         rep.violations.append(Violation((cop.generators[k].id, check), text))
 
 
@@ -365,32 +356,20 @@ def check_lie_coalgebra(cop: Coproduct) -> Report:
         (tau (x) I)(I (x) delta) delta a_k
             = sum (-1)^{p_i p_l} Q^{ij}_k(x2, x1+x3) Q^{lm}_j(x1, x3) [l,i,m]
         (delta (x) I) delta a_k = sum Q^{ij}_k(x1+x2, x3) Q^{lm}_i(x1, x2) [l,m,j]
+
+    Both are conformal's kernels in slot variables (see "contraction kernels");
+    with antisymmetry, co-Jacobi runs over [i, j, k] with j >= i and mirrors.
     """
     if cop.kind != LIE:
         raise StructureError("Lie coalgebra axioms apply to Lie kind")
     n = cop.rank
-    n2 = n * n
     par = [g.parity for g in cop.generators]
     rep = Report("coalg", cop.name, total=n)
-    L, gather = _gatherer(cop)
-    flips = _flips(gather, n, par, False)
-    # first factors by (k, j), or (k, j, p_i), or (k, i); rows by the index they contract
-    first_a = gather(X1, X2 + X3, lambda i, j, k: ((k, j), i * n2))
-    rows_a = gather(X2, X3, lambda l, m, j: (j, l * n + m))
-    first_b = gather(X2, X1 + X3, lambda i, j, k: ((k, j, par[i]), i * n))
-    rows_b = [gather(X1, X3, lambda l, m, j: (j, l * n2 + m), odd)
-              for odd in (None, lambda l, m: par[l])]
-    first_c = gather(X1 + X2, X3, lambda i, j, k: ((k, i), j))
-    rows_c = gather(None, None, lambda l, m, i: (i, (l * n + m) * n))
-    for k in range(n):
-        _record(rep, cop, k, "antisymmetry", 2, flips.get(k, {}), L)
-        acc = {}
-        for j in range(n):
-            add_product(acc, first_a.get((k, j), {}), rows_a.get(j, {}))
-            for odd in (0, 1):
-                add_product(acc, first_b.get((k, j, odd), {}), rows_b[odd].get(j, {}), True)
-            add_product(acc, first_c.get((k, j), {}), rows_c.get(j, {}), True)
-        _record(rep, cop, k, "co-jacobi", 3, acc, L * L)
+    L, table = cop.packed
+    flip = _flip_kernel(table, par, LIE, SLOTS)
+    at = lambda i, c: (c % n, i * n * n + c // n)   # [i, j, k] of a_m^* from (j n + k) n + m
+    jacobi = _jacobi_residuals(table, par, SLOTS, not flip)
+    _record(rep, cop, [("antisymmetry", 2, [flip], L, at), ("co-jacobi", 3, jacobi, L * L, at)])
     return rep
 
 
@@ -433,8 +412,9 @@ def check_jordan_coalgebra(cop: Coproduct) -> Report:
     n = cop.rank
     par = [g.parity for g in cop.generators]
     rep = Report("cojordan", cop.name, total=n)
-    L, gather = _gatherer(cop)
-    flips = _flips(gather, n, par, True)
+    L, table = cop.packed
+    gather = partial(_gather, table, names=("x1", "x2"))
+    flip = _flip_kernel(table, par, JORDAN, SLOTS)   # -L times the co-commutativity residual
     images = []
     for e, cycle in enumerate(_CYCLE):
         y1, y2, y3 = ((X1, X2, X3)[c - 1] for c in cycle)
@@ -453,22 +433,26 @@ def check_jordan_coalgebra(cop: Coproduct) -> Report:
                 add_product(tails.setdefault((j, pu, pv), {}), p, row)
         tails = _grouped({key: compact_vector(t) for key, t in tails.items()})
         images.append((partial(_zeta_sign, e), first_l, rows_lm, rows_uv, first_r, tails))
-    for k in range(n):
-        _record(rep, cop, k, "co-commutativity", 2, flips.get(k, {}), L)
-        acc = {}
-        for sign, first_l, rows_lm, rows_uv, first_r, tails in images:
-            for i, row in first_l.get(k, {}).items():
-                for x in (0, 1):
-                    part = {}
-                    for j, p in row:
-                        add_product(part, p, rows_lm.get((j, x), {}))
-                    part = compact_vector(part)
-                    for pu, pv, uv in rows_uv.get(i, ()):
-                        add_product(acc, part, uv, sign(pu, pv, x))
-            for j, x, first in first_r.get(k, ()):
-                for pu, pv, tail in tails.get(j, ()):
-                    add_product(acc, first, tail, not sign(x, pu, pv))
-        _record(rep, cop, k, "co-jordan", 4, acc, L ** 3)
+
+    def residuals():   # one per dual generator, at its tuple components
+        for k in range(n):
+            acc = {}
+            for sign, first_l, rows_lm, rows_uv, first_r, tails in images:
+                for i, row in first_l.get(k, {}).items():
+                    for x in (0, 1):
+                        part = {}
+                        for j, p in row:
+                            add_product(part, p, rows_lm.get((j, x), {}))
+                        part = compact_vector(part)
+                        for pu, pv, uv in rows_uv.get(i, ()):
+                            add_product(acc, part, uv, sign(pu, pv, x))
+                for j, x, first in first_r.get(k, ()):
+                    for pu, pv, tail in tails.get(j, ()):
+                        add_product(acc, first, tail, not sign(x, pu, pv))
+            yield acc
+
+    _record(rep, cop, [("co-commutativity", 2, [flip], -L, lambda _, c: (c % n, c // n)),
+                       ("co-jordan", 4, residuals(), L ** 3, lambda k, c: (k, c))])
     return rep
 
 

@@ -25,7 +25,7 @@ from math import gcd
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .poly import (
-    D, LAM, MU, NU, MultiPoly, P_ONE, Scalar, accumulate, add_product,
+    D, LAM, MU, NU, X1, X2, X3, MultiPoly, P_ONE, Scalar, accumulate, add_product,
     common_denominator, compact_vector, _COMPONENT_SHIFT, _MAXEXP, _MONO_MASK, _VAR_SHIFT,
     pack_vector, substitution, unpack_vector, vector_text,
 )
@@ -36,7 +36,6 @@ JORDAN = "jordan"
 SPECTRAL_VARS = ("lam", "mu", "nu", "x1", "x2", "x3", "x4")
 # monomial fields of every variable but lam and d, the two of a table entry
 _NOT_LAM_D = _MONO_MASK & ~(_MAXEXP << _VAR_SHIFT["lam"] | _MAXEXP << _VAR_SHIFT["d"])
-_LAM1, _MU1 = 1 << _VAR_SHIFT["lam"], 1 << _VAR_SHIFT["mu"]   # lam and mu in a packed key
 
 
 class StructureError(ValueError):
@@ -231,19 +230,8 @@ class LambdaStructure:
 
     @cached_property
     def flip_residual(self):
-        """The packed residual of skew-symmetry (Lie kind) or commutativity
-        (Jordan kind), L times too large for the L of packed, compacted: at
-        components (i n + j) n + k, P^{ij}_k minus the flipped term (see
-        _check_flip); empty exactly when the axiom holds.  Built on first
-        read and kept, as packed."""
-        n = self.rank
-        par = [g.parity for g in self.generators]
-        sign = -1 if self.kind == LIE else 1
-        _, table = self.packed
-        acc = _gather(table, None, None, lambda i, j, k: (0, (i * n + j) * n + k)).get(0, {})
-        flipped = _gather(table, -LAM - D, D, lambda j, i, k: (0, (i * n + j) * n + k),
-                          lambda j, i: (sign == 1) != bool(par[i] & par[j]))
-        return compact_vector(add_product(acc, flipped.get(0, {}), {0: 1}))
+        """_flip_kernel of packed, L times too large; built on first read and kept."""
+        return _flip_kernel(self.packed[1], [g.parity for g in self.generators], self.kind, LAMBDA)
 
     def with_entry(self, i: int, j: int, value: "ConformalElement") -> "LambdaStructure":
         """Copy of the table with one (i, j) entry replaced (negative controls)."""
@@ -395,7 +383,18 @@ class Report(Record):
 # residual S.flip_residual; with_entry makes a new table with its own forms.
 # The renamed copies are built per check call.  Free tuple indices ride in
 # the component of packed vectors, so one add_product covers a whole batch
-# of tuples.
+# of tuples.  The flip and Jacobi kernels take an image set: the two variables
+# of an entry, their images in each copy, and the pair the half Jacobi
+# kernel's mirror swaps.  LAMBDA reads P^{ij}_k(lam, d); SLOTS reads a
+# coproduct Q(x1, x2) = P(x1, -x1-x2) at (lam, mu, d) = (x1, x2, -x1-x2-x3),
+# where the skew, commutativity and Jacobi residuals are the co-antisymmetry,
+# minus the co-commutativity and the co-Jacobi residuals (see coalgebra).
+LAMBDA = {"names": ("lam", "d"), "flip": (-LAM - D, D), "outer": (None, None),
+          "cols1": (MU, LAM + D), "first2": (LAM, -LAM - MU), "rows2": (LAM + MU, D),
+          "first3": (LAM, MU + D), "cols3": (MU, D), "mirror": ("lam", "mu")}
+SLOTS = {"names": ("x1", "x2"), "flip": (X2, X1), "outer": (X1, X2 + X3),
+         "cols1": (X2, X3), "first2": (X1, X2), "rows2": (X1 + X2, X3),
+         "first3": (X1, X3), "cols3": (X2, X1 + X3), "mirror": ("x1", "x2")}
 
 
 def _packed(entries):
@@ -446,13 +445,21 @@ def _gather(table, lam_img, d_img, place, negate=None, names=("lam", "d")):
     return out
 
 
+def _flip_kernel(table, par, kind: str, images) -> dict:
+    """The packed table's skew (Lie) or commutativity (Jordan) residual, compact,
+    at components (i n + j) n + k: P^{ij}_k - sign (-1)^{p_i p_j} P^{ji}_k under
+    images["flip"], sign -1 for Lie and +1 for Jordan; empty when the axiom holds."""
+    n = len(par)
+    acc = _gather(table, None, None, lambda i, j, k: (0, (i * n + j) * n + k)).get(0, {})
+    flipped = _gather(table, *images["flip"], lambda j, i, k: (0, (i * n + j) * n + k),
+                      lambda j, i: (kind == JORDAN) != bool(par[i] & par[j]), images["names"])
+    return compact_vector(add_product(acc, flipped.get(0, {}), {0: 1}))
+
+
 def _check_flip(S: LambdaStructure, check: str) -> Report:
-    """[a lam b] = sign (-1)^{p(a)p(b)} [b_{-lam-d} a] per pair, sign -1 for Lie
-    and +1 for Jordan kind; the residual of (i, j) is S.flip_residual at
-    components (i n + j) n + k, which has the flipped term times
-    -sign (-1)^{p(a)p(b)}."""
-    n = S.rank
-    rep = Report(check, S.name, total=n * n)
+    """[a lam b] = sign (-1)^{p(a)p(b)} [b_{-lam-d} a] per pair, written from
+    S.flip_residual (see _flip_kernel)."""
+    rep = Report(check, S.name, total=S.rank ** 2)
     _record(rep, S, (), S.flip_residual, 2, S.packed[0])
     return rep
 
@@ -518,22 +525,31 @@ def check_jacobi(S: LambdaStructure) -> Report:
         raise StructureError("Jacobi applies to Lie kind")
     n = S.rank
     rep = Report("jacobi", S.name, total=n ** 3)
-    if S.flip_residual:
-        rows = _jacobi_rows(S, False)
-    else:   # the rows of j >= i, each residual of j > i copied to its mirror (j, i, k)
-        rows = [compact_vector(acc) for acc in _jacobi_rows(S, True)]
-        par, n2 = [S.parity(i) for i in range(n)], n * n
-        for i, row in enumerate(rows):
-            for key, c in row.items():
-                j, km = divmod(key >> _COMPONENT_SHIFT, n2)
-                if j > i:   # lam and mu swapped, times -s
-                    swap = (key // _MU1 & _MAXEXP) - (key // _LAM1 & _MAXEXP)
-                    low = (key & (1 << _COMPONENT_SHIFT) - 1) + swap * (_LAM1 - _MU1)
-                    rows[j][(i * n2 + km) << _COMPONENT_SHIFT | low] = c if par[i] & par[j] else -c
-    L = S.packed[0]
+    L, table = S.packed
+    rows = _jacobi_residuals(table, [S.parity(i) for i in range(n)], LAMBDA, not S.flip_residual)
     for i, acc in enumerate(rows):
         _record(rep, S, (i,), acc, 2, L * L)
     return rep
+
+
+def _jacobi_residuals(table, par, images, half: bool):
+    """The rows of _jacobi_rows; with half, for a table whose flip residual is
+    empty, each residual of j > i also written at its mirror triple (j, i, k),
+    the variables of images["mirror"] swapped, times -s (see check_jacobi)."""
+    rows = _jacobi_rows(table, par, images, half)
+    if not half:
+        return rows
+    rows = [compact_vector(acc) for acc in rows]
+    n2 = len(par) ** 2
+    a1, b1 = (1 << _VAR_SHIFT[v] for v in images["mirror"])
+    for i in reversed(range(len(rows))):   # so that no row is read after mirrors reach it
+        for key, c in rows[i].items():
+            j, km = divmod(key >> _COMPONENT_SHIFT, n2)
+            if j > i:
+                swap = (key // b1 & _MAXEXP) - (key // a1 & _MAXEXP)
+                low = (key & (1 << _COMPONENT_SHIFT) - 1) + swap * (a1 - b1)
+                rows[j][(i * n2 + km) << _COMPONENT_SHIFT | low] = c if par[i] & par[j] else -c
+    return rows
 
 
 class _Items(list):
@@ -546,9 +562,9 @@ class _Items(list):
         return self
 
 
-def _jacobi_rows(S: LambdaStructure, half: bool) -> Iterator[dict]:
-    """For each i, the packed Jacobi residuals of the triples (i, j, k), L**2
-    times too large, at components (j n + k) n + m; with half, of j >= i only.
+def _jacobi_rows(table, par, images, half: bool) -> Iterator[dict]:
+    """For each i, the packed Jacobi residuals of table's triples (i, j, k) under
+    images, L**2 times too large, at components (j n + k) n + m; with half, j >= i.
 
     All (j, k) of one i form one accumulation: per l, the first term takes
     a column over (j, k), the second the first factors tagged by j against a
@@ -556,21 +572,21 @@ def _jacobi_rows(S: LambdaStructure, half: bool) -> Iterator[dict]:
     against a column over (j, m) that carries the sign s, one column set for
     even i and one for odd i.  With half, the first factors of the second
     term are gathered from the entries with j >= i only, and the columns,
-    gathered in table order, have keys that ascend in j, so the part of
-    j >= i is a suffix of their items.
+    gathered from the entries in row order, have keys that ascend in j, so
+    the part of j >= i is a suffix of their items.
     """
-    n = S.rank
+    n = len(par)
     n2 = n * n
-    par = [S.parity(i) for i in range(n)]
-    _, table = S.packed
+    names = images["names"]
+    table = (table[0], sorted(table[1])) if half else table
     vecs, slots = table
     upper = (vecs, [slot for slot in slots if slot[1] >= slot[0]]) if half else table
-    cols1 = _gather(table, MU, LAM + D, lambda j, k, l: (l, (j * n + k) * n))
-    outer_il = _gather(table, None, None, lambda i, l, m: ((i, l), m))
-    first2 = _gather(upper, LAM, -LAM - MU, lambda i, j, l: ((i, l), j * n2))
-    rows2 = _gather(table, LAM + MU, D, lambda l, k, m: (l, k * n + m))
-    first3 = _gather(table, LAM, MU + D, lambda i, k, l: ((i, l), k * n))
-    cols3 = [_gather(table, MU, D, lambda j, l, m: (l, j * n2 + m), odd)
+    cols1 = _gather(table, *images["cols1"], lambda j, k, l: (l, (j * n + k) * n), names=names)
+    outer_il = _gather(table, *images["outer"], lambda i, l, m: ((i, l), m), names=names)
+    first2 = _gather(upper, *images["first2"], lambda i, j, l: ((i, l), j * n2), names=names)
+    rows2 = _gather(table, *images["rows2"], lambda l, k, m: (l, k * n + m), names=names)
+    first3 = _gather(table, *images["first3"], lambda i, k, l: ((i, l), k * n), names=names)
+    cols3 = [_gather(table, *images["cols3"], lambda j, l, m: (l, j * n2 + m), odd, names)
              for odd in (None, lambda j, l: par[j])]
     if half:
         cols1 = {l: list(col.items()) for l, col in cols1.items()}

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+from confcoalg import conformal
 from confcoalg.conformal import ConformalElement
 from confcoalg.poly import ALPHABET, MultiPoly, Scalar
 
@@ -50,3 +51,19 @@ def repr_oracle(p: MultiPoly) -> str:
         cs = scalar(c)
         parts.append(cs if not mono else (mono if cs == "1" else f"{cs}*{mono}"))
     return " + ".join(parts).replace("+ -", "- ")
+
+
+def term_products(monkeypatch, check, arg):
+    """The number of term products check(arg) makes through the kernels of
+    confcoalg.conformal, counted at its add_product, with the report."""
+    count = [0]
+    real = conformal.add_product
+
+    def counting(acc, p, q, negate=False):
+        count[0] += len(p) * len(q)
+        return real(acc, p, q, negate)
+
+    with monkeypatch.context() as m:
+        m.setattr(conformal, "add_product", counting)
+        rep = check(arg)
+    return count[0], rep

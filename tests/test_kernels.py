@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Tuple
 import pytest
 
 from confcoalg import closed_form as cf
-from confcoalg import conformal, families, poly
+from confcoalg import families, poly
 from confcoalg.coalgebra import (
     Coproduct, TensorElement, apply_delta_slot, check_jordan_coalgebra,
     check_lie_coalgebra, dualize, tau, zeta,
@@ -39,7 +39,7 @@ from confcoalg.poly import (
     accumulate,
 )
 
-from helpers import pair_element
+from helpers import pair_element, term_products
 
 
 # -- oracles -------------------------------------------------------------------
@@ -346,13 +346,13 @@ def _kernel_gathers(n, par):
 
 
 def _co_kernel_gathers(n, par):
-    """(x1_img, x2_img, place, negate): gathers shaped as the co-kernels make
-    them on a rank-n coproduct, with a sign rule on some of them."""
+    """(x1_img, x2_img, place, negate): gathers shaped as the kernels make them
+    on a rank-n coproduct in slot variables, with a sign rule on some of them."""
     return [
-        (None, None, lambda i, j, k: (k, i * n + j), lambda i, j: True),
-        (X2, X1, lambda i, j, k: (k, j * n + i), lambda i, j: par[i] & par[j]),
+        (None, None, lambda i, j, k: (0, (i * n + j) * n + k), None),
+        (X2, X1, lambda j, i, k: (0, (i * n + j) * n + k), lambda j, i: par[i] & par[j]),
         (X1 + X2, X3 + X4, lambda i, j, k: ((k, i, j), 0), None),
-        (X2, X1 + X3, lambda i, j, k: ((k, j, par[i]), i * n), None),
+        (X2, X1 + X3, lambda j, l, m: (l, j * n * n + m), lambda j, l: par[j]),
         (X3, X1, lambda u, v, i: ((i, par[u], par[v]), u + v * n ** 3), lambda u, v: par[u]),
     ]
 
@@ -514,18 +514,14 @@ def test_skew_corruption_matches_per_tuple_oracle(K):
 
 def _jacobi_products(monkeypatch, S):
     """The number of term products check_jacobi(S) makes, with its report."""
-    count = [0]
-    real = conformal.add_product
-
-    def counting(acc, p, q, negate=False):
-        count[0] += len(p) * len(q)
-        return real(acc, p, q, negate)
-
     check_skew(S)   # the flip residual, cached before the count
-    with monkeypatch.context() as m:
-        m.setattr(conformal, "add_product", counting)
-        rep = check_jacobi(S)
-    return count[0], rep
+    return term_products(monkeypatch, check_jacobi, S)
+
+
+def _doubled(S):
+    """S with [xi1 lam xi2] doubled: not skew, with the same terms at the same places."""
+    i, j = S.index["xi1"], S.index["xi2"]
+    return S.with_entry(i, j, S.entry(i, j).scale(MultiPoly.const(2)))
 
 
 def test_jacobi_runs_half_the_pairs_on_skew_tables(K, monkeypatch):
@@ -534,19 +530,35 @@ def test_jacobi_runs_half_the_pairs_on_skew_tables(K, monkeypatch):
     skew but has the same terms at the same places, and there the kernel
     accumulates every triple, about twice as many products (K_3 2,472, K_5
     50,482)."""
-    def doubled(S):
-        i, j = S.index["xi1"], S.index["xi2"]
-        return S.with_entry(i, j, S.entry(i, j).scale(MultiPoly.const(2)))
-
     for n in (3, 5):
         bad = _skew_corruption(K[n], "xi1", "xi2", "xi12", LAM + 2 * D)
         for S, passes in ((K[n], True), (bad, False)):
-            assert check_skew(S).ok and not check_skew(doubled(S)).ok
+            assert check_skew(S).ok and not check_skew(_doubled(S)).ok
             half, rep = _jacobi_products(monkeypatch, S)
             assert rep.ok == passes and rep.total == 8 ** n
             if not passes:
                 assert (rep.total, _found(rep)) == _jacobi_per_tuple(S)
-            full, rep = _jacobi_products(monkeypatch, doubled(S))
+            full, rep = _jacobi_products(monkeypatch, _doubled(S))
+            assert not rep.ok
+            assert half < 0.6 * full, (n, half, full)
+
+
+def test_co_jacobi_runs_half_the_pairs_on_antisymmetric_duals(K, monkeypatch):
+    """check_lie_coalgebra runs the Jacobi kernel in slot variables, so the
+    dual of a skew table, which is antisymmetric, gets the half kernel too,
+    whether co-Jacobi holds or not: under 0.6 times the term products of the
+    dual of the copy with one entry doubled.  The skew-keeping corruption's
+    report, mirrors included, is the tensor-slot oracle's."""
+    for n in (3, 5):
+        bad = _skew_corruption(K[n], "xi1", "xi2", "xi12", LAM + 2 * D)
+        for S, passes in ((K[n], True), (bad, False)):
+            half, rep = term_products(monkeypatch, check_lie_coalgebra, dualize(S))
+            assert rep.ok == passes and rep.total == 2 ** n
+            if not passes:
+                cop = dualize(S)
+                assert (rep.total, _found(rep)) == _co_oracle(cop, _coalg_residuals)
+                assert {where[1] for where, _ in _found(rep)} == {"co-jacobi"}
+            full, rep = term_products(monkeypatch, check_lie_coalgebra, dualize(_doubled(S)))
             assert not rep.ok
             assert half < 0.6 * full, (n, half, full)
 

@@ -182,10 +182,13 @@ def test_lie_kernels_on_random_tables(S):
 @example(families.make_K(2))
 def test_jacobi_on_random_skew_tables(S):
     """On skew tables Jacobi runs the kernel over j >= i and writes each
-    nonzero residual of j > i at its mirror too: the report is the oracle's."""
+    nonzero residual of j > i at its mirror too: the report is the oracle's.
+    Their duals are antisymmetric, so co-Jacobi does the same with x1 and x2
+    swapped: its report is the tensor-slot oracle's."""
     assert check_skew(S).ok
     rep = check_jacobi(S)
     assert (rep.total, _found(rep)) == (S.rank ** 3, _oracle(S, 3, _jacobi_residual))
+    _assert_dual_matches(S, check_lie_coalgebra, _coalg_residuals)
 
 
 # a Jordan residual has degree 3 in the table, so its tables are smaller
