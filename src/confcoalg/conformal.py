@@ -18,9 +18,9 @@ to arbitrary elements.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
 from functools import cached_property
+from itertools import takewhile
 from math import gcd
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -552,14 +552,16 @@ def _jacobi_residuals(table, par, images, half: bool):
     return rows
 
 
-class _Items(list):
-    """Items of a packed vector, or a slice of them, that add_product reads as
-    a packed vector."""
+def _dropped_below(vec: dict, lo: int) -> dict:
+    """vec with its keys below lo, which come first in it, deleted in place.
 
-    __slots__ = ()
-
-    def items(self):
-        return self
+    add_product reads the pruned column itself, which allocates nothing per
+    item, so the half kernel sets off no more garbage collections than the
+    full one; a list of item tuples would, drawing full collections into
+    the checks that build it."""
+    for key in list(takewhile(lo.__gt__, vec)):
+        del vec[key]
+    return vec
 
 
 def _jacobi_rows(table, par, images, half: bool) -> Iterator[dict]:
@@ -573,7 +575,7 @@ def _jacobi_rows(table, par, images, half: bool) -> Iterator[dict]:
     even i and one for odd i.  With half, the first factors of the second
     term are gathered from the entries with j >= i only, and the columns,
     gathered from the entries in row order, have keys that ascend in j, so
-    the part of j >= i is a suffix of their items.
+    row i deletes their items of j < i, a prefix, before it reads them.
     """
     n = len(par)
     n2 = n * n
@@ -588,26 +590,22 @@ def _jacobi_rows(table, par, images, half: bool) -> Iterator[dict]:
     first3 = _gather(table, *images["first3"], lambda i, k, l: ((i, l), k * n), names=names)
     cols3 = [_gather(table, *images["cols3"], lambda j, l, m: (l, j * n2 + m), odd, names)
              for odd in (None, lambda j, l: par[j])]
-    if half:
-        cols1 = {l: list(col.items()) for l, col in cols1.items()}
-        cols3 = [{l: list(col.items()) for l, col in cols.items()} for cols in cols3]
     for i in range(n):
         acc = {}
         signed = cols3[par[i]]
-        lo = (i * n2 << _COMPONENT_SHIFT,)   # sorts before the items of j >= i, after the rest
+        lo = i * n2 << _COMPONENT_SHIFT   # the least key of j = i
         for l in range(n):
             p = outer_il.get((i, l))
             if p and l in cols1:
                 col = cols1[l]
-                add_product(acc, p, _Items(col[bisect_left(col, lo):]) if half else col)
+                add_product(acc, p, _dropped_below(col, lo) if half else col)
             p = first2.get((i, l))
             if p and l in rows2:
                 add_product(acc, p, rows2[l], negate=True)
             p = first3.get((i, l))
             if p and l in signed:
                 col = signed[l]
-                add_product(acc, p, _Items(col[bisect_left(col, lo):]) if half else col,
-                            negate=True)
+                add_product(acc, p, _dropped_below(col, lo) if half else col, negate=True)
         yield acc
 
 
