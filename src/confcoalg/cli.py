@@ -142,7 +142,7 @@ def _resolve(args) -> tuple:
         raise UsageError(f"family {args.family} takes no --n")
     if args.b is not None and not fd.takes_b:
         raise UsageError(f"family {args.family} takes no --b")
-    b = parse_scalar(args.b) if args.b else confcoalg.Scalar(0)
+    b = parse_scalar(args.b) if args.b is not None else confcoalg.Scalar(0)
     return fd, n, b
 
 
@@ -213,7 +213,7 @@ def cmd_verify(args) -> int:
     from .conformal import LIE
 
     default = LIE_CHECKS if S.kind == LIE else JORDAN_CHECKS
-    wanted = args.checks.split(",") if args.checks else list(default)
+    wanted = args.checks.split(",") if args.checks is not None else list(default)
     dual = functools.cache(lambda: confcoalg.dualize(S))
     reports = []
     for c in wanted:

@@ -5,7 +5,10 @@ formulas over the dual basis; none of them goes through ``dualize`` (a
 structural test enforces this), so agreement of the two paths is a genuine
 cross-check of the hand-computed tables.
 
-Each emitter works out every generator name and dual symbol once per call
+The generator lists are not part of what is checked: W_n, K_n (and the
+N = 2, 3, 4 and K_4' lists) and J_n take theirs, with their index maps,
+from ``families`` (``w_generators``, ``k_generators``, ``jn_generators``).
+Each emitter works out every dual symbol once per call (``_Builder.add_xi``)
 and then addresses generators by index, and it makes each coefficient
 polynomial (c, c x1, c x2, or a sum of these) once per call for all the
 entries that have it (``_Builder.poly``).  Nothing is kept between calls:
@@ -45,11 +48,12 @@ from .families import (
     _masks,
     _monomial,
     _sgn,
-    _xi_name,
-    _xi_word,
     ck6_symbol,
+    jn_generators,
+    k_generators,
     sl2_constants,
     sn_basis,
+    w_generators,
 )
 from .grassmann import alpha_mask, eps_mask, members
 from .poly import MultiPoly, Scalar, X1, X2
@@ -58,13 +62,16 @@ from .poly import MultiPoly, Scalar, X1, X2
 class _Builder:
     """The coproduct of one emitter call, its entries added by generator index."""
 
-    def __init__(self, kind: str, prim: Sequence[Tuple[str, int]], name: str):
+    def __init__(self, kind: str, prim: Sequence[Tuple[str, int]], name: str,
+                 xi: Optional[Dict[int, int]] = None):
         self.gens = [Generator(nm + "*", p) for nm, p in prim]
         self.at = {nm: i for i, (nm, _) in enumerate(prim)}   # primal name -> index
+        self.xi = xi   # mask m -> the index of xi_m*, for add_xi
         self.kind = kind
         self.name = name
         self.table: Dict[int, List[Tuple[int, int, MultiPoly]]] = {}
         self._polys: Dict[tuple, MultiPoly] = {}
+        self._syms: Dict[Tuple[int, ...], tuple] = {}
 
     def put(self, k: int, i: int, j: int, p: MultiPoly):
         """delta(a_k*) gets the term p a_i* (x) a_j*; Coproduct merges the terms."""
@@ -73,6 +80,30 @@ class _Builder:
     def add(self, k: str, i: str, j: str, p: MultiPoly):
         """put, with the generators given by primal name."""
         self.put(self.at[k], self.at[i], self.at[j], p)
+
+    def _xi_sym(self, t: Tuple[int, ...]) -> tuple:
+        """The xi dual symbol of an index tuple t in any order as (sign,
+        generator index), or () when an index repeats; each tuple is worked
+        out once per call."""
+        sym = self._syms.get(t)
+        if sym is None:
+            sign, m = _monomial(t)
+            sym = self._syms[t] = (sign, self.xi[m]) if sign else ()
+        return sym
+
+    def add_xi(self, k: Tuple[int, ...], coeff, left: Tuple[int, ...], right: Tuple[int, ...]):
+        """delta(xi_k*) gets the term coeff xi_left* (x) xi_right*, the xi
+        symbols signed as _xi_sym resolves them and coeff a triple (c, x1, x2)
+        of poly; no term when an index of left or right repeats."""
+        sl = self._xi_sym(left)
+        if not sl:
+            return
+        sr = self._xi_sym(right)
+        if not sr:
+            return
+        sk = self._xi_sym(k)
+        s = sl[0] * sr[0] * sk[0]
+        self.put(sk[1], sl[1], sr[1], self.poly(*(s * a for a in coeff)))
 
     def poly(self, c=0, x1=0, x2=0) -> MultiPoly:
         """c + x1 X1 + x2 X2, made once per call for each (c, x1, x2)."""
@@ -113,11 +144,6 @@ def _deg(m: int) -> int:
     return m.bit_count()
 
 
-def _xi_indices(b: _Builder, n: int) -> List[int]:
-    """The generator index of xi_m* for every mask m of {1..n}."""
-    return [b.at[_xi_name(m)] for m in range(1 << n)]
-
-
 # ---------------------------------------------------------------------------
 # Vir and currents
 
@@ -129,48 +155,27 @@ def coproduct_vir() -> Coproduct:
     return b.done()
 
 
-def coproduct_current(
-    gen_names: Sequence[str],
-    parities: Sequence[int],
-    products: Dict[Tuple[str, str], List[Tuple[str, Scalar]]],
-    kind: str = LIE,
-    name: str = "Cur^c[formula]",
-) -> Coproduct:
-    """delta(f) = dual of the finite-dimensional bracket, lambda-free."""
-    b = _Builder(kind, list(zip(gen_names, parities)), name)
-    for (u, v), terms in products.items():
+def coproduct_cur_sl2() -> Coproduct:
+    """delta(f) = dual of the sl2 bracket, lambda-free."""
+    names, pars, prods = sl2_constants()
+    b = _Builder(LIE, list(zip(names, pars)), "Cur(sl2)^c[formula]")
+    for (u, v), terms in prods.items():
         for w, c in terms:
             b.add(w, u, v, b.poly(c))
     return b.done()
-
-
-def coproduct_cur_sl2() -> Coproduct:
-    names, pars, prods = sl2_constants()
-    return coproduct_current(names, pars, prods, LIE, "Cur(sl2)^c[formula]")
 
 
 # ---------------------------------------------------------------------------
 # W_n
 
 
-def _w_primal(n: int) -> List[Tuple[str, int]]:
-    out = [(_xi_name(m), _deg(m) & 1) for m in _masks(n)]
-    for m in _masks(n):
-        for i in range(1, n + 1):
-            out.append((_w_name(m, i), (_deg(m) + 1) & 1))
-    return out
-
-
-def _w_name(m: int, i: int = 0) -> str:
-    return _xi_word(m) + f"d{i}" if i else _xi_name(m)
-
-
 def coproduct_W(n: int) -> Coproduct:
     """The two displayed sums for delta(xi_K*) and delta((xi_K d_k)*)."""
-    b = _Builder(LIE, _w_primal(n), f"W_{n}^c[formula]")
+    gens, lam_idx, w_idx = w_generators(n)
+    b = _Builder(LIE, [(g.id, g.parity) for g in gens], f"W_{n}^c[formula]")
     # w[m][0] indexes xi_m*, w[m][k] indexes (xi_m d_k)*
-    w = [[b.at[_w_name(m, k)] for k in range(n + 1)] for m in range(1 << n)]
-    for K in _masks(n):
+    w = [[lam_idx[m]] + [w_idx[(m, k)] for k in range(1, n + 1)] for m in range(1 << n)]
+    for K in lam_idx:
         Kw = w[K]
         # pairs with ord(I, J) = K
         for I in _submasks(K):
@@ -209,10 +214,6 @@ def coproduct_W(n: int) -> Coproduct:
 # K_n and the N = 2, 3, 4 lists
 
 
-def _k_primal(n: int) -> List[Tuple[str, int]]:
-    return [(_xi_name(m), _deg(m) & 1) for m in _masks(n)]
-
-
 def coproduct_K(n: int) -> Coproduct:
     """delta(xi_K*) = sum (-1)^alpha (|J|-2) [d xi_I* (x) xi_J*
     - (-1)^{|I||J|} xi_J* (x) d xi_I*]  +  the I cap J = {i} contact sum.
@@ -220,9 +221,9 @@ def coproduct_K(n: int) -> Coproduct:
     The second displayed exponent's stray index is read as eps_i^I (the
     cross-check against the machine dual adjudicates the reading).
     """
-    b = _Builder(LIE, _k_primal(n), f"K_{n}^c[formula]")
-    xi = _xi_indices(b, n)
-    for K in _masks(n):
+    gens, xi = k_generators(n)
+    b = _Builder(LIE, [(g.id, g.parity) for g in gens], f"K_{n}^c[formula]")
+    for K in xi:
         Kx = xi[K]
         for I in _submasks(K):
             J = K & ~I
@@ -245,16 +246,6 @@ def coproduct_K(n: int) -> Coproduct:
                 )
                 b.put(Kx, xi[I], xi[J], b.poly(_sgn(e)))
     return b.done()
-
-
-def _xi_syms(b: _Builder):
-    """The xi dual symbol of an index tuple in any order as (sign, generator
-    index), or None when an index repeats; each tuple is worked out once per call."""
-    @functools.cache
-    def sym(idxs: Tuple[int, ...]) -> Optional[Tuple[int, int]]:
-        sign, m = _monomial(idxs)
-        return (sign, b.at[_xi_name(m)]) if sign else None
-    return sym
 
 
 def _n4_rows(drop_star: bool):
@@ -375,18 +366,10 @@ def coproduct_N(n: int) -> Coproduct:
     """Verbatim transcription of the N = 2, 3, 4 superconformal lists."""
     if n not in (2, 3, 4):
         raise StructureError("the N-lists cover n in {2, 3, 4}")
-    b = _Builder(LIE, _k_primal(n), f"N={n}[formula]")
+    gens, lam_idx = k_generators(n)
+    b = _Builder(LIE, [(g.id, g.parity) for g in gens], f"N={n}[formula]", lam_idx)
+    add = b.add_xi
     one: Tuple[int, ...] = ()
-    sym = _xi_syms(b)
-
-    def add(K, coeff, lt, rt):
-        sl = sym(lt)
-        sr = sym(rt)
-        sk = sym(K)
-        if sl is None or sr is None:
-            return
-        s = sl[0] * sr[0] * sk[0]
-        b.put(sk[1], sl[1], sr[1], b.poly(*(s * a for a in coeff)))
 
     # delta(1*), common to all three cases (the n = 4 row list already
     # contains it)
@@ -457,25 +440,13 @@ def coproduct_N(n: int) -> Coproduct:
 def coproduct_K4prime() -> Coproduct:
     """delta on (K_4')^c: the K_4 list with xi_star* terms removed, plus the
     d xi_star generator's displayed sums."""
-    prim = [(_xi_name(m), _deg(m) & 1) for m in _masks(4) if m != 0b1111]
-    prim.append(("dxistar", 0))
-    b = _Builder(LIE, prim, "K_4'^c[formula]")
-    sym = _xi_syms(b)
-    dxistar = b.at["dxistar"]
-
-    def add(K, coeff, lt, rt):
-        sign, gens = 1, []
-        for t in (K, lt, rt):
-            if t == "dxistar":
-                gens.append(dxistar)
-            else:
-                st = sym(t)
-                if st is None:
-                    return
-                sign *= st[0]
-                gens.append(st[1])
-        b.put(*gens, b.poly(*(sign * a for a in coeff)))
-
+    gens, lam_idx = k_generators(4)
+    # (d xi_star)* takes the place of xi_star*, the last generator of K_4, so
+    # the index tuple of xi_star is its symbol
+    prim = [(g.id, g.parity) for g in gens[:-1]] + [("dxistar", 0)]
+    b = _Builder(LIE, prim, "K_4'^c[formula]", lam_idx)
+    add = b.add_xi
+    dxistar = (1, 2, 3, 4)
     for K, terms in _n4_rows(drop_star=True):
         for coeff, lt, rt in terms:
             add(K, coeff, lt, rt)
@@ -483,16 +454,16 @@ def coproduct_K4prime() -> Coproduct:
     for K in itertools.combinations(range(1, 5), 3):
         (mm,) = tuple(sorted(set(range(1, 5)) - set(K)))
         sg = _sgn(mm - 1)
-        add(K, _x2(sg), (mm,), "dxistar")
-        add(K, _x1(-sg), "dxistar", (mm,))
+        add(K, _x2(sg), (mm,), dxistar)
+        add(K, _x1(-sg), dxistar, (mm,))
     # delta((d xi_star)*)
     b.add("dxistar", "dxistar", "1", b.poly(x1=-2))
     b.add("dxistar", "1", "dxistar", b.poly(x2=2))
     for i in range(1, 5):
         ic = tuple(sorted(set(range(1, 5)) - {i}))
         sg = -_sgn(i - 1)
-        add("dxistar", _c(sg), ic, (i,))
-        add("dxistar", _c(sg), (i,), ic)
+        add(dxistar, _c(sg), ic, (i,))
+        add(dxistar, _c(sg), (i,), ic)
     return b.done()
 
 
@@ -896,22 +867,11 @@ def coproduct_CK6() -> Coproduct:
 # Jordan families
 
 
-def _jn_primal(n: int) -> List[Tuple[str, int]]:
-    out = [(_xi_name(m), _deg(m) & 1) for m in _masks(n)]
-    out += [(_th_name(m), (_deg(m) + 1) & 1) for m in _masks(n)]
-    return out
-
-
-def _th_name(m: int) -> str:
-    return _xi_word(m) + "th"
-
-
 def coproduct_Jn(n: int) -> Coproduct:
     """The two displayed formulas for Delta((xi_K theta)*) and Delta(xi_K*)."""
-    b = _Builder(JORDAN, _jn_primal(n), f"J_{n}^c[formula]")
-    xi = _xi_indices(b, n)
-    th = [b.at[_th_name(m)] for m in range(1 << n)]
-    for K in _masks(n):
+    gens, xi, th = jn_generators(n)
+    b = _Builder(JORDAN, [(g.id, g.parity) for g in gens], f"J_{n}^c[formula]")
+    for K in xi:
         for I in _submasks(K):
             J = K & ~I
             dI, dJ = _deg(I), _deg(J)

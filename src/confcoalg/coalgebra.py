@@ -30,8 +30,8 @@ from functools import cached_property, partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .conformal import (
-    Generator, JORDAN, LIE, LambdaStructure, Record, Report, SLOTS, StructureError, Violation,
-    _flip_kernel, _gather, _grouped, _jacobi_residuals, _packed, _renaming,
+    Generator, JORDAN, LIE, LambdaStructure, Record, Report, SLOTS, StructureError, Table,
+    Violation, _flip_kernel, _gather, _grouped, _jacobi_residuals, _packed, _renaming,
 )
 from .poly import (
     D, LAM, MultiPoly, P_ONE, X1, X2, X3, X4, _MAXEXP, _MONO_MASK, _VAR_SHIFT, accumulate,
@@ -44,8 +44,11 @@ _NOT_SLOT = _MONO_MASK & ~(_MAXEXP << _VAR_SHIFT["x1"] | _MAXEXP << _VAR_SHIFT["
 _MINUS_X1_X2 = -X1 - X2
 
 
-class Coproduct:
+class Coproduct(Table):
     """Coproduct table of a differential (super)coalgebra on a dual basis.
+
+    conformal.Table holds its kind, name, generators and their index, rank
+    and parity; this class adds the rows, their validation and packed form.
 
     table[k] is delta(a_k^*) as its list of (i, j, Q^{ij}_k), each (i, j)
     once: the constructor merges the rows it is given by (i, j), in order of
@@ -65,14 +68,7 @@ class Coproduct:
         table: Dict[int, List[Tuple[int, int, MultiPoly]]],
         name: str = "",
     ):
-        if kind not in (LIE, JORDAN):
-            raise StructureError(f"unknown kind {kind!r}")
-        self.kind = kind
-        self.generators = list(generators)
-        self.name = name
-        self.index = {g.id: i for i, g in enumerate(self.generators)}
-        if len(self.index) != len(self.generators):
-            raise StructureError("generator ids not unique")
+        super().__init__(kind, generators, name)
         g = self.generators
         n = len(g)
         par = dict(enumerate(gen.parity for gen in g))
@@ -103,13 +99,6 @@ class Coproduct:
                         )
             self.table[k] = [(i, j, q) for (i, j), q in merged.items()]
 
-    @property
-    def rank(self) -> int:
-        return len(self.generators)
-
-    def parity(self, i: int) -> int:
-        return self.generators[i].parity
-
     @cached_property
     def packed(self):
         """The table packed by conformal._packed, entries (i, j, k, Q^{ij}_k),
@@ -125,7 +114,7 @@ def dual_generators(S: LambdaStructure) -> List[Generator]:
     ]
 
 
-def dualize(S: LambdaStructure, name: Optional[str] = None) -> Coproduct:
+def dualize(S: LambdaStructure) -> Coproduct:
     """The coproduct on the dual basis: Q^{ij}_k(x, y) = P^{ij}_k(x, -x-y).
 
     Each distinct entry polynomial of S.packed is renamed and unpacked
@@ -146,7 +135,7 @@ def dualize(S: LambdaStructure, name: Optional[str] = None) -> Coproduct:
     table: Dict[int, List[Tuple[int, int, MultiPoly]]] = {}
     for i, j, k, e in slots:
         table.setdefault(k, []).append((i, j, MultiPoly(dict(duals[e]))))
-    cop = Coproduct(S.kind, dual_generators(S), table, name=name or (S.name + "^c"))
+    cop = Coproduct(S.kind, dual_generators(S), table, name=S.name + "^c")
     cop.packed = L, (vecs, slots)
     return cop
 

@@ -137,9 +137,6 @@ class ConformalElement:
             return "0"
         return " + ".join(f"({p})*<{g}>" for g, p in sorted(self.terms.items()))
 
-    def map_coeffs(self, fn) -> "ConformalElement":
-        return ConformalElement({g: fn(p) for g, p in self.terms.items()})
-
     def pretty(self, struct: "LambdaStructure") -> str:
         if not self.terms:
             return "0"
@@ -149,8 +146,34 @@ class ConformalElement:
         )
 
 
-class LambdaStructure:
+class Table:
+    """The generators of a table, with what both kinds of table read of them:
+    kind (LIE or JORDAN), generators, index (id -> position), rank and
+    parity.  The constructor refuses an unknown kind and repeated ids."""
+
+    def __init__(self, kind: str, generators: Sequence[Generator], name: str):
+        if kind not in (LIE, JORDAN):
+            raise StructureError(f"unknown kind {kind!r}")
+        self.kind = kind
+        self.generators = list(generators)
+        self.name = name
+        self.index = {g.id: i for i, g in enumerate(self.generators)}
+        if len(self.index) != len(self.generators):
+            raise StructureError("generator ids not unique")
+
+    @property
+    def rank(self) -> int:
+        return len(self.generators)
+
+    def parity(self, i: int) -> int:
+        return self.generators[i].parity
+
+
+class LambdaStructure(Table):
     """Structure-constant table of a finite free conformal (super)algebra.
+
+    Table holds its kind, name, generators and their index, rank and parity;
+    this class adds the rows, meta, and their validation and packed forms.
 
     Treat a table and its polynomials as values: the checks read two cached
     forms, each built on first read, the packed table (packed) and its skew
@@ -167,16 +190,8 @@ class LambdaStructure:
         meta: Optional[dict] = None,
         validate: bool = True,
     ):
-        if kind not in (LIE, JORDAN):
-            raise StructureError(f"unknown kind {kind!r}")
-        self.kind = kind
-        self.generators = list(generators)
-        self.name = name
+        super().__init__(kind, generators, name)
         self.meta = meta or {}
-        ids = [g.id for g in self.generators]
-        if len(set(ids)) != len(ids):
-            raise StructureError("generator ids not unique")
-        self.index = {g.id: i for i, g in enumerate(self.generators)}
         par = [g.parity for g in self.generators]
         n = len(par)
         # every pair gets a row, in row-major order; only the rows given with
@@ -211,13 +226,6 @@ class LambdaStructure:
                             bad = p.variables() - {"lam", "d"}
                             raise StructureError(f"table entry uses variables {bad}")
                 row.append((k, p))
-
-    @property
-    def rank(self) -> int:
-        return len(self.generators)
-
-    def parity(self, i: int) -> int:
-        return self.generators[i].parity
 
     def entry(self, i: int, j: int) -> "ConformalElement":
         return ConformalElement({k: p for k, p in self.table[(i, j)]})
@@ -325,7 +333,7 @@ def shift_spectral(
     x: ConformalElement, svar: str, image: MultiPoly
 ) -> ConformalElement:
     """Literal substitution svar -> image in every coefficient."""
-    return x.map_coeffs(lambda p: p.subst_general(svar, image))
+    return ConformalElement({g: p.subst_general(svar, image) for g, p in x.terms.items()})
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,14 @@ def _xi_latex(mask: int) -> str:
     return r"\xi_{" + _digits(members(mask)) + "}" if mask else "1"
 
 
+def k_generators(n: int) -> Tuple[List[Generator], Dict[int, int]]:
+    """The generators xi_I of Lambda(n), parity |I|, in table order, and
+    lam_idx: I -> the index of xi_I.  K_n has these; W_n and J_n start with them."""
+    masks = _masks(n)
+    gens = [Generator(_xi_name(m), m.bit_count() & 1, _xi_latex(m)) for m in masks]
+    return gens, {m: i for i, m in enumerate(masks)}
+
+
 # ---------------------------------------------------------------------------
 # restriction: coordinates over an embedded basis
 
@@ -296,6 +304,20 @@ def make_cur_sl2() -> LambdaStructure:
 # W_n
 
 
+def w_generators(n: int) -> Tuple[List[Generator], Dict[int, int], Dict[Tuple[int, int], int]]:
+    """The generators of W_n in table order, xi_I then xi_I d_i (parity
+    |I|+1), with lam_idx (see k_generators) and w_idx: (I, i) -> the index
+    of xi_I d_i."""
+    gens, lam_idx = k_generators(n)
+    w_idx: Dict[Tuple[int, int], int] = {}
+    for m in lam_idx:
+        for i in range(1, n + 1):
+            w_idx[(m, i)] = len(gens)
+            lx = (_xi_latex(m) if m else "") + r"\partial_{" + str(i) + "}"
+            gens.append(Generator(_xi_word(m) + f"d{i}", (m.bit_count() + 1) & 1, lx))
+    return gens, lam_idx, w_idx
+
+
 def make_W(n: int) -> LambdaStructure:
     """W_n = C[d] (x) (W(n) + Lambda(n)), rank (n+1) 2^n.
 
@@ -305,19 +327,7 @@ def make_W(n: int) -> LambdaStructure:
     """
     if n < 0:
         raise StructureError("W_n needs n >= 0")
-    masks = _masks(n)
-    gens: List[Generator] = []
-    lam_idx: Dict[int, int] = {}
-    w_idx: Dict[Tuple[int, int], int] = {}
-    for m in masks:
-        lam_idx[m] = len(gens)
-        gens.append(Generator(_xi_name(m), m.bit_count() & 1, _xi_latex(m)))
-    for m in masks:
-        for i in range(1, n + 1):
-            w_idx[(m, i)] = len(gens)
-            lx = (_xi_latex(m) if m else "") + r"\partial_{" + str(i) + "}"
-            gens.append(Generator(_xi_word(m) + f"d{i}", (m.bit_count() + 1) & 1, lx))
-
+    gens, lam_idx, w_idx = w_generators(n)
     table: Dict[Tuple[int, int], List[Tuple[int, MultiPoly]]] = {}
 
     def put(i, j, k, p):
@@ -325,9 +335,9 @@ def make_W(n: int) -> LambdaStructure:
 
     minus_d_2lam = -(D + 2 * LAM)
     unit = _units()
-    for I in masks:
+    for I in lam_idx:
         dI = I.bit_count()
-        for J in masks:
+        for J in lam_idx:
             dJ = J.bit_count()
             # [xi_I lam xi_J]
             s = mul_sign(I, J)
@@ -414,55 +424,43 @@ def div_module_map(W: LambdaStructure, b: Scalar = Scalar(0)) -> ModuleMap:
     return ModuleMap([g.id for g in W.generators], target, entries)
 
 
-def current_action(
-    W: LambdaStructure, x: ConformalElement, svar: str, g: ConformalElement
-) -> ConformalElement:
-    """Action of W_n on Lambda(n)-valued currents, extended sesquilinearly.
-
-    On generators: (f d_i) acts by the derivation f d_i(g); a Lambda-part f
-    acts by -(d + svar) f g.  This is the weight making div_b a homomorphism
-    of conformal modules; the adjoint bracket does not (its f-part carries
-    -(d + 2 svar)).
-    """
-    lam_idx = W.meta["lam_idx"]
-    rev = _reverse_maps(W)
-    sv = MultiPoly.var(svar)
-    out = ConformalElement()
-    for gd, p in x.terms.items():
-        kind, mask, i = rev[gd]
-        pl = p.subst_general("d", -sv)
-        for gg, q in g.terms.items():
-            gkind, gmask, _ = rev[gg]
-            if gkind != "lam":
-                raise StructureError("current_action target must be a current")
-            qr = q.subst_general("d", sv + D)
-            c = pl * qr
-            if c.is_zero():
-                continue
-            if kind == "w":
-                s, K = _d_mul(mask, i, gmask)
-                if s:
-                    out = out + ConformalElement({lam_idx[K]: c * s})
-            else:
-                s = mul_sign(mask, gmask)
-                if s:
-                    out = out + ConformalElement({lam_idx[mask | gmask]: -(D + sv) * c * s})
-    return out
+def _current_action(W: LambdaStructure) -> LambdaStructure:
+    """The action of W_n on Lambda(n)-valued currents as a table on the
+    generators of W_n, which conformal.bracket extends sesquilinearly: xi_I d_i
+    sends xi_J to xi_I d_i(xi_J), and xi_I sends xi_J to -(d + lam) xi_I xi_J.
+    This is the weight that makes div_b a homomorphism of conformal modules;
+    the adjoint bracket does not (its Lambda-part carries -(d + 2 lam)).
+    The rows of targets outside the currents are empty."""
+    lam_idx, w_idx = W.meta["lam_idx"], W.meta["w_idx"]
+    minus_d_lam = -(D + LAM)
+    unit = _units()
+    table: Dict[Tuple[int, int], List[Tuple[int, MultiPoly]]] = {}
+    for J, j in lam_idx.items():
+        for I, i in lam_idx.items():
+            s = mul_sign(I, J)
+            if s:
+                table[(i, j)] = [(lam_idx[I | J], minus_d_lam * s)]
+        for (I, i), g in w_idx.items():
+            s, K = _d_mul(I, i, J)
+            if s:
+                table[(g, j)] = [(lam_idx[K], unit[s])]
+    return LambdaStructure(LIE, W.generators, table, name=W.name + " on currents")
 
 
 def check_div_identity(n: int, b: Scalar = Scalar(0)) -> Report:
     """div_b [D1 lam D2] = (D1)_lam(div_b D2) - (-1)^{p1 p2} (D2)_{-lam-d}(div_b D1)
     over all generator pairs of W_n, with the current-module action."""
     W = make_W(n)
+    act = _current_action(W)
+    div = [div_w(W, ConformalElement.gen(g), b) for g in range(W.rank)]
     rep = Report(f"div-identity(b={b!r})", W.name)
     for i in range(W.rank):
         for j in range(W.rank):
             rep.total += 1
             ei, ej = ConformalElement.gen(i), ConformalElement.gen(j)
-            lhs = div_w(W, bracket(W, ei, ej, "lam"), b)
-            t1 = current_action(W, ei, "lam", div_w(W, ej, b))
-            t2 = current_action(W, ej, "mu", div_w(W, ei, b))
-            t2 = shift_spectral(t2, "mu", -LAM - D)
+            lhs = div_w(W, W.entry(i, j), b)
+            t1 = bracket(act, ei, div[j], "lam")
+            t2 = shift_spectral(bracket(act, ej, div[i], "mu"), "mu", -LAM - D)
             sg = _sgn(W.parity(i) * W.parity(j))
             resid = lhs - t1 + t2.scale(MultiPoly.const(sg))
             if not resid.is_zero():
@@ -827,17 +825,15 @@ def make_K(n: int) -> LambdaStructure:
     """
     if n < 0:
         raise StructureError("K_n needs n >= 0")
-    masks = _masks(n)
-    gens = [Generator(_xi_name(m), m.bit_count() & 1, _xi_latex(m)) for m in masks]
-    lam_idx = {m: i for i, m in enumerate(masks)}
+    gens, lam_idx = k_generators(n)
     d_key, lam_key = 1 << _VAR_SHIFT["d"], 1 << _VAR_SHIFT["lam"]
     # the entries take few values; each is made once and shared by its rows
     unit = _units()
     disjoint: Dict[Tuple[int, int, int], MultiPoly] = {}
     table: Dict[Tuple[int, int], List[Tuple[int, MultiPoly]]] = {}
-    for I in masks:
+    for I in lam_idx:
         dI = I.bit_count()
-        for J in masks:
+        for J in lam_idx:
             common = I & J
             if not common:
                 s, dJ = _sgn(alpha_mask(I, J)), J.bit_count()
@@ -1108,6 +1104,19 @@ def verify_ck6_printed(S: LambdaStructure) -> List[str]:
 # Jordan families
 
 
+def jn_generators(n: int) -> Tuple[List[Generator], Dict[int, int], Dict[int, int]]:
+    """The generators of J_n in table order, xi_I then xi_I theta (parity
+    |I|+1), with ev_idx: I -> the index of xi_I and th_idx: I -> the index
+    of xi_I theta."""
+    gens, ev_idx = k_generators(n)
+    th_idx: Dict[int, int] = {}
+    for m in ev_idx:
+        th_idx[m] = len(gens)
+        lx = (_xi_latex(m) if m else "") + r"\theta"
+        gens.append(Generator(_xi_word(m) + "th", (m.bit_count() + 1) & 1, lx))
+    return gens, ev_idx, th_idx
+
+
 def make_Jn(n: int) -> LambdaStructure:
     """J_n on Lambda(n) + Lambda(n) theta, rank 2 * 2^n, Jordan kind.
 
@@ -1121,17 +1130,7 @@ def make_Jn(n: int) -> LambdaStructure:
     """
     if n < 0:
         raise StructureError("J_n needs n >= 0")
-    masks = _masks(n)
-    gens: List[Generator] = []
-    ev_idx: Dict[int, int] = {}
-    th_idx: Dict[int, int] = {}
-    for m in masks:
-        ev_idx[m] = len(gens)
-        gens.append(Generator(_xi_name(m), m.bit_count() & 1, _xi_latex(m)))
-    for m in masks:
-        th_idx[m] = len(gens)
-        lx = (_xi_latex(m) if m else "") + r"\theta"
-        gens.append(Generator(_xi_word(m) + "th", (m.bit_count() + 1) & 1, lx))
+    gens, ev_idx, th_idx = jn_generators(n)
 
     def deriv_pairs():
         for i in range(1, max(n - 1, 0)):
@@ -1142,9 +1141,9 @@ def make_Jn(n: int) -> LambdaStructure:
 
     unit = _units()
     table: Dict[Tuple[int, int], List[Tuple[int, MultiPoly]]] = {}
-    for I in masks:
+    for I in ev_idx:
         dI = I.bit_count()
-        for J in masks:
+        for J in ev_idx:
             dJ = J.bit_count()
             s = mul_sign(I, J)
             # LambdaStructure merges the (a th) lam (b th) terms by target

@@ -453,10 +453,10 @@ def structure_tex(S: LambdaStructure) -> str:
 
 
 def _dual_tex(g: Generator) -> str:
-    base = g.latex if g.latex else g.id
-    if base.endswith("^*"):
-        return base
-    return base + "^*"
+    """The LaTeX name of a dual generator: its latex, or else its id with a
+    closing * written as ^*; ^* is added where it is missing."""
+    base = g.latex or g.id.removesuffix("*")
+    return base if base.endswith("^*") else base + "^*"
 
 
 def coproduct_tex(C: Coproduct) -> str:

@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 
 import confcoalg
-from confcoalg import families, serialize
+from confcoalg import cli, families, serialize
 from confcoalg.cli import main, parse_scalar
 from confcoalg.coalgebra import dualize
 from confcoalg.families import corrupt_entry, make_vir
@@ -75,8 +75,9 @@ def test_cap_enforcement(capsys):
 def test_unknown_family_and_check(capsys):
     code, _, _ = run(capsys, "construct", "--family", "nope")
     assert code == 2
-    code, _, _ = run(capsys, "verify", "--family", "vir", "--checks", "bogus")
-    assert code == 2
+    for checks in ("bogus", ""):
+        code, _, err = run(capsys, "verify", "--family", "vir", "--checks", checks)
+        assert code == 2 and err == f"error: unknown check {checks!r}\n"
 
 
 def test_crosschecks(capsys):
@@ -164,19 +165,19 @@ EMITTED = {
     ("dualize", "Jn_2", "latex"): "fe4fff700f3f96bebfac6ad76985cf32ec07b4b6f4944be6e0e5d6b01d3b9134",
     ("dualize", "Jn_2", "text"): "db64f0c88b4a7d7254d7457357650b91e59bb7b82cb4661a94825903fffe7528",
     ("emit", "vir", "json"): "c9536f3fe4bbb6e6f545568e674781706b16c04c2b04c3820bc6e987c798372c",
-    ("emit", "vir", "latex"): "014257318bb47be067ad880dc1f177c34bdda77ee289c541b207ece8ab16b129",
+    ("emit", "vir", "latex"): "822d5f1e46a6fea6eed44a75086b6eb6e8e02cc7d48f89ae1a5ea003b995fc61",
     ("emit", "vir", "text"): "5356f8f8c020e96d8e8607f25d5f7c70c4b9c5e4d44a4f33b90302d918c2140c",
     ("emit", "K_2", "json"): "0f3c1da9ee1fe50bee248c75ee6f1d4228e4c6d4c62708f95971e6e5fb54da91",
-    ("emit", "K_2", "latex"): "0cdcff06220ab6e6d5e53312bbbf07c91d55483e1063b487ef40ee35f7c18747",
+    ("emit", "K_2", "latex"): "7bdfe3b617abc2a581ed0b5dcf6c37e761420c1f54f81d15e3dd356670f6e388",
     ("emit", "K_2", "text"): "6ea6da4a2961a6f8e0ca1b0e4fb9469d867bb3459d309f9d7ee6db48851d25a3",
     ("emit", "S_2", "json"): "2072aa19a6935ef6956aa60c65d11a0ddd545dcc67e8b0f0659c39b41b738a9b",
-    ("emit", "S_2", "latex"): "c91caa0d2b5896248f7994750c1967337e118365ede16e50cb6839a8678881db",
+    ("emit", "S_2", "latex"): "2cfb37a4dceebbe5cfdd86c92424247e1a7c7f01f74f6a579a86c414e18ca11a",
     ("emit", "S_2", "text"): "36523ac1bf5dd6146591fd15690d8981708fec458c7b547a6f3b29ace455833a",
     ("emit", "CK6", "json"): "8e4728597350b8fd8cf8a2ec5e98b3ca0c36e815870f24053f10ddfc6a525e15",
-    ("emit", "CK6", "latex"): "47536c5cefe2e2efd805dff6f2bf6f27b6083b11bf9185d4aedd821ce9d43d5d",
+    ("emit", "CK6", "latex"): "9012ba4ff3af028e58ed0609a836cc9a38906182fcf465265d94e90403ed0662",
     ("emit", "CK6", "text"): "3d11c3856687e1fada00b3badea847acc6c43e23322147a5db2fa422ff85d006",
     ("emit", "Jn_2", "json"): "40b6001d84e3082f8658d8769be5a38ec9a004ec8d21664e53a3eeb37e26f6b1",
-    ("emit", "Jn_2", "latex"): "9c1b17d0783286e05e08c28a4671e8b88e3d76d9ebca1d1487738b7571b8c25e",
+    ("emit", "Jn_2", "latex"): "3966ff06718104f7020b1a3ed0bab1a68778d03a29534f09d16382e2cc74940c",
     ("emit", "Jn_2", "text"): "9a448eb381f17f6a36698ccf6dac2853eaad52154f8ba524b23887b420693e1b",
 }
 
@@ -237,6 +238,19 @@ def test_failing_verify_outputs_are_pinned(case, fmt, tmp_path, capsys):
 def test_emit_formula(capsys):
     code, out, _ = run(capsys, "emit", "--family", "vir", "--format", "latex")
     assert code == 0 and r"\delta" in out
+
+
+def test_emitted_latex_marks_each_dual_once(capsys):
+    """A closed-form dual's id ends in *, which the LaTeX writer writes as ^*,
+    so Vir's tabulated coproduct reads as its machine dual does."""
+    emitted = run(capsys, "emit", "--family", "vir", "--format", "latex")
+    assert emitted == run(capsys, "dualize", "--family", "vir", "--format", "latex")
+    for name, fd in sorted(cli.FAMILIES.items()):
+        if fd.formula is None:
+            continue
+        n = ("--n", "2") if fd.needs_n else ()
+        code, out, _ = run(capsys, "emit", "--family", name, *n, "--format", "latex")
+        assert code == 0 and "^*" in out and "*^*" not in out, name
 
 
 def test_json_round_trip_via_files(tmp_path, capsys):
@@ -388,7 +402,7 @@ def test_deeply_nested_document_is_an_input_error(tmp_path, capsys):
         assert err == "error: document is nested too deeply\n"
 
 
-@pytest.mark.parametrize("b", ["1/0", "0/0"])
+@pytest.mark.parametrize("b", ["1/0", "0/0", ""])
 def test_zero_denominator_scalar_is_an_input_error(b, capsys):
     code, out, err = run(capsys, "construct", "--family", "Sb", "--n", "2", "--b", b)
     assert code == 2 and out == ""

@@ -2,8 +2,10 @@
 discrepancies between the definitional constructions and the printed tables."""
 
 import gc
+import random
 import re
 import weakref
+from fractions import Fraction
 
 import pytest
 
@@ -11,10 +13,11 @@ from confcoalg.conformal import (
     ConformalElement, StructureError, bracket, check_jacobi, check_skew,
 )
 from confcoalg.families import (
-    CAPS, NotInSpan, check_div_identity, ck6_embed, corrupt_entry, div_module_map,
-    div_w, embed_sn, kernel_basis, make_CK6, make_current, make_Jn, make_S, make_S_b,
-    make_W, sn_basis, span_reader,
+    CAPS, NotInSpan, _current_action, _d_mul, _reverse_maps, check_div_identity, ck6_embed,
+    corrupt_entry, div_module_map, div_w, embed_sn, kernel_basis, make_CK6, make_current,
+    make_Jn, make_S, make_S_b, make_W, sn_basis, span_reader,
 )
+from confcoalg.grassmann import mul_sign
 from confcoalg.poly import D, LAM, MultiPoly, P_ONE, Scalar
 
 
@@ -104,6 +107,61 @@ def test_div_identity_b0_and_deformed():
     assert check_div_identity(2).ok
     assert check_div_identity(2, Scalar(1)).ok
     assert check_div_identity(2, Scalar(0, 1)).ok
+
+
+def current_action(W, x, svar, g):
+    """Action of W_n on Lambda(n)-valued currents, extended sesquilinearly
+    term by term: (f d_i) acts by the derivation f d_i(g); a Lambda-part f
+    acts by -(d + svar) f g.  The definitional path of _current_action."""
+    lam_idx = W.meta["lam_idx"]
+    rev = _reverse_maps(W)
+    sv = MultiPoly.var(svar)
+    out = ConformalElement()
+    for gd, p in x.terms.items():
+        kind, mask, i = rev[gd]
+        pl = p.subst_general("d", -sv)
+        for gg, q in g.terms.items():
+            gkind, gmask, _ = rev[gg]
+            if gkind != "lam":
+                raise StructureError("current_action target must be a current")
+            qr = q.subst_general("d", sv + D)
+            c = pl * qr
+            if c.is_zero():
+                continue
+            if kind == "w":
+                s, K = _d_mul(mask, i, gmask)
+                if s:
+                    out = out + ConformalElement({lam_idx[K]: c * s})
+            else:
+                s = mul_sign(mask, gmask)
+                if s:
+                    out = out + ConformalElement({lam_idx[mask | gmask]: -(D + sv) * c * s})
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_bracket_over_the_action_table_is_the_current_action(W, n):
+    """check_div_identity acts on currents through bracket over
+    _current_action's table; on random elements of W_n with coefficients in
+    d, acting on random currents, that is the definitional action."""
+    w = W[n]
+    act = _current_action(w)
+    rng = random.Random(n)
+    currents = sorted(w.meta["lam_idx"].values())
+
+    def coeff():
+        return sum((MultiPoly.monomial({"d": e}, Fraction(rng.randint(-3, 3), rng.randint(1, 2)))
+                    for e in range(1, rng.randint(2, 4))), MultiPoly.const(rng.randint(-2, 2)))
+
+    for _ in range(12):
+        x = ConformalElement({g: coeff() for g in rng.sample(range(w.rank), 4)})
+        f = ConformalElement({g: coeff() for g in rng.sample(currents, 3)})
+        for svar in ("lam", "mu"):
+            assert bracket(act, x, f, svar) == current_action(w, x, svar, f)
+    vector_field = ConformalElement.gen(w.meta["w_idx"][(0, 1)])
+    assert bracket(act, x, vector_field, "lam").is_zero()
+    with pytest.raises(StructureError, match="must be a current"):
+        current_action(w, x, "lam", vector_field)
 
 
 # -- S_n ---------------------------------------------------------------------
