@@ -19,23 +19,23 @@ with a coproduct splits its variable into the sum of the two new ones
 ``apply_delta_slot``, ``tau`` and ``zeta`` implement these operations on
 ``TensorElement`` values and are the definitional path: no production code
 calls them, and ``tests/test_kernels.py`` uses them as the oracle for the
-co-checks.  Co-antisymmetry, co-Jacobi and co-commutativity run conformal's
-flip and Jacobi kernels in slot variables; co-Jordan, which no variable map
-makes the Jordan identity, has a contraction of its own.
+co-checks.  Every co-check runs one of conformal's flip, Jacobi and Jordan
+kernels in slot variables; co-Jordan is the Jordan identity at
+(lam, mu, nu, d) = (x1, x2, x2+x3, -x1-x2-x3-x4), times -(-1)^{p(a)p(c)}.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .conformal import (
-    Generator, JORDAN, LIE, LambdaStructure, Record, Report, SLOTS, StructureError, Table,
-    Violation, _flip_kernel, _gather, _grouped, _jacobi_residuals, _packed, _renaming,
+    Generator, JORDAN, JORDAN_SLOTS, LIE, LambdaStructure, Record, Report, SLOTS, StructureError,
+    Table, Violation, _flip_kernel, _jacobi_residuals, _jordan_rows, _packed, _renaming,
 )
 from .poly import (
-    D, LAM, MultiPoly, P_ONE, X1, X2, X3, X4, _MAXEXP, _MONO_MASK, _VAR_SHIFT, accumulate,
-    add_product, compact_vector, unpack_vector, vector_text,
+    D, LAM, MultiPoly, P_ONE, X1, X2, _MAXEXP, _MONO_MASK, _VAR_SHIFT, accumulate,
+    unpack_vector, vector_text,
 )
 
 _X = ("x1", "x2", "x3", "x4")
@@ -297,34 +297,29 @@ def zeta(t: TensorElement) -> TensorElement:
 
 # -- contraction kernels ---------------------------------------------------------
 #
-# Co-antisymmetry, co-Jacobi and co-commutativity run conformal's flip and
-# Jacobi kernels on the packed coproduct in slot variables (conformal.SLOTS):
-# with P(a, b) = Q(a, -a-b) and (lam, mu, d) = (x1, x2, -x1-x2-x3), each renamed
-# copy of P there is one of Q in x1, x2 and x3.  Row i of the Jacobi kernel
-# holds the residual of a_m^* at [i, j, k] at component (j n + k) n + m, n the
-# rank, and an antisymmetric coproduct gets the half kernel as a skew table does.
-#
-# Co-Jordan keeps a contraction of its own: a search over tuple orders, signs
-# and variable maps found none under which its residual is the Jordan
-# identity's.  Its terms contract copies of the table renamed
-# Q^{ij}_k(x1, x2) -> Q^{ij}_k(a, b), made as in conformal ("renamed tables");
-# the tuple (t_1, ..., t_r) is component t_1 n^{r-1} + ... + t_r of a packed
-# vector, so a first factor's component tag plus a row's is the output tuple.
+# The co-checks run conformal's kernels on the packed coproduct in slot
+# variables: with P(a, b) = Q(a, -a-b), each renamed copy of P at (lam, mu, d)
+# = (x1, x2, -x1-x2-x3) (conformal.SLOTS: flip and Jacobi) or at (lam, mu, nu, d)
+# = (x1, x2, x2+x3, -x1-x2-x3-x4) (conformal.JORDAN_SLOTS: Jordan, with the sign
+# -(-1)^{p(a)p(c)}) is one of Q in the slot variables.  Row a of the Jacobi or
+# Jordan kernel holds the residual of a_m^* at [a, t] at component t n + m, n
+# the rank and t the rest of the tuple as base-n digits; an antisymmetric
+# coproduct gets the half Jacobi kernel as a skew table does.
 
 
 def _record(rep: Report, cop: Coproduct, residuals) -> None:
     """Add a violation at each (a_k^*, check) of residuals, [(check, arity, rows,
-    scale, at)], with a nonzero residual, in the order of k and then of
-    residuals.  Row r of rows is a packed residual, scale times too large, whose
-    component c is the part of a_k^* at the tuple with base-n digits t, for
-    (k, t) = at(r, c); a row's text is written as it is read."""
+    scale)], with a nonzero residual, in the order of k and then of residuals.
+    Row r of rows is a packed residual, scale times too large, whose component
+    t n + k is the part of a_k^* at the tuple with base-n digits r n^(arity-1) + t
+    (a flip residual is one row); a row's text is written as it is read."""
     n = cop.rank
     found: Dict[Tuple[int, int], list] = {}
-    for x, (_, _, rows, scale, at) in enumerate(residuals):
+    for x, (_, arity, rows, scale) in enumerate(residuals):
         for r, row in enumerate(rows):
             for c, text in vector_text(row, scale).items():
-                k, t = at(r, c)
-                found.setdefault((k, x), []).append((t, text))
+                t, k = divmod(c, n)
+                found.setdefault((k, x), []).append((r * n ** (arity - 1) + t, text))
     for (k, x), parts in sorted(found.items()):
         check, arity = residuals[x][:2]
         text = " + ".join(f"({s})*{tuple(t // n ** e % n for e in reversed(range(arity)))}"
@@ -356,20 +351,9 @@ def check_lie_coalgebra(cop: Coproduct) -> Report:
     rep = Report("coalg", cop.name, total=n)
     L, table = cop.packed
     flip = _flip_kernel(table, par, LIE, SLOTS)
-    at = lambda i, c: (c % n, i * n * n + c // n)   # [i, j, k] of a_m^* from (j n + k) n + m
     jacobi = _jacobi_residuals(table, par, SLOTS, not flip)
-    _record(rep, cop, [("antisymmetry", 2, [flip], L, at), ("co-jacobi", 3, jacobi, L * L, at)])
+    _record(rep, cop, [("antisymmetry", 2, [flip], L), ("co-jacobi", 3, jacobi, L * L)])
     return rep
-
-
-def _zeta_sign(e: int, p1: int, p2: int, p3: int) -> int:
-    """The sign bit of zeta^e on [a, b, c, d], where p1, p2, p3 are the parities of a, b, c:
-    p(a)(p(b)+p(c)) for zeta, p(c)(p(a)+p(b)) for zeta^2."""
-    return (0, p1 & (p2 ^ p3), p3 & (p1 ^ p2))[e]
-
-
-# zeta^e moves the factor in slot s (s = 1, 2, 3) to slot _CYCLE[e][s - 1]
-_CYCLE = ((1, 2, 3), (3, 1, 2), (2, 3, 1))
 
 
 def check_jordan_coalgebra(cop: Coproduct) -> Report:
@@ -378,23 +362,20 @@ def check_jordan_coalgebra(cop: Coproduct) -> Report:
     (1+zeta+zeta^2)(Delta (x) Delta) Delta
         = (1+zeta+zeta^2)(I (x) Delta (x) I)(I (x) Delta) Delta
 
-    zeta is linear, so the residual is (1+zeta+zeta^2)(lhs - rhs), with
+    where, with [u,v,l,m] standing for a_u^* (x) a_v^* (x) a_l^* (x) a_m^*,
 
         (Delta (x) Delta) Delta a_k
             = sum Q^{ij}_k(x1+x2, x3+x4) Q^{lm}_j(x3, x4) Q^{uv}_i(x1, x2) [u,v,l,m]
         (I (x) Delta (x) I)(I (x) Delta) Delta a_k
             = sum Q^{ij}_k(x1, x2+x3+x4) Q^{lm}_j(x2+x3, x4) Q^{uv}_l(x2, x3) [i,u,v,m]
 
-    zeta is applied to the operands, never to the residual.  zeta^e moves the
-    factor in slot s to slot c = _CYCLE[e][s-1], with its slot variable and
-    tuple digit, so each image is the same contraction of operands gathered
-    with x_c and the digit weight n^(4-c) in place of x_s and n^(4-s).  Its
-    sign depends on the parities of the first three factors, which the two
-    operands of the last product share out: a part vector holds l and its
-    row u and v, a first factor of the right side holds i and its tail u and
-    v.  Each operand is split by those parities, so every product of two
-    halves has one sign.  The three images sum into one accumulation per
-    dual generator.
+    At (lam, mu, nu, d) = (x1, x2, x2+x3, -x1-x2-x3-x4) the residual of a_m^* at
+    [a, b, c, d] is -(-1)^{p(a)p(c)} times the consistent Jordan residual of
+    (a, b, c, d) at a_m: that identity is a cyclic sum over (a, b, c) (see
+    conformal.check_jordan_identity), and (-1)^{p(a)p(c)} turns the sign of
+    each rotation into that of zeta^0, zeta or zeta^2.  So co-Jordan is the
+    Jordan kernel under conformal.JORDAN_SLOTS, which folds that sign in, at
+    scale -L^3; co-commutativity is minus the SLOTS commutativity residual.
     """
     if cop.kind != JORDAN:
         raise StructureError("Jordan coalgebra axioms apply to Jordan kind")
@@ -402,46 +383,9 @@ def check_jordan_coalgebra(cop: Coproduct) -> Report:
     par = [g.parity for g in cop.generators]
     rep = Report("cojordan", cop.name, total=n)
     L, table = cop.packed
-    gather = partial(_gather, table, names=("x1", "x2"))
-    flip = _flip_kernel(table, par, JORDAN, SLOTS)   # -L times the co-commutativity residual
-    images = []
-    for e, cycle in enumerate(_CYCLE):
-        y1, y2, y3 = ((X1, X2, X3)[c - 1] for c in cycle)
-        w1, w2, w3 = (n ** (4 - c) for c in cycle)
-        first_l: Dict[int, Dict[int, list]] = {}
-        for (k, i, j), p in gather(y1 + y2, y3 + X4, lambda i, j, k: ((k, i, j), 0)).items():
-            first_l.setdefault(k, {}).setdefault(i, []).append((j, p))
-        rows_lm = gather(y3, X4, lambda l, m, j: ((j, par[l]), l * w3 + m))
-        rows_uv = _grouped(gather(y1, y2, lambda u, v, i: ((i, par[u], par[v]), u * w1 + v * w2)))
-        first_r = _grouped(gather(y1, y2 + y3 + X4, lambda i, j, k: ((k, j, par[i]), i * w1)))
-        # tails[j]: sum Q^{lm}_j(y2+y3, x4) Q^{uv}_l(y2, y3) [., u, v, m], split by (p_u, p_v)
-        rows_mid = _grouped(gather(y2, y3, lambda u, v, l: ((l, par[u], par[v]), u * w2 + v * w3)))
-        tails = {}
-        for (j, l), p in gather(y2 + y3, X4, lambda l, m, j: ((j, l), m)).items():
-            for pu, pv, row in rows_mid.get(l, ()):
-                add_product(tails.setdefault((j, pu, pv), {}), p, row)
-        tails = _grouped({key: compact_vector(t) for key, t in tails.items()})
-        images.append((partial(_zeta_sign, e), first_l, rows_lm, rows_uv, first_r, tails))
-
-    def residuals():   # one per dual generator, at its tuple components
-        for k in range(n):
-            acc = {}
-            for sign, first_l, rows_lm, rows_uv, first_r, tails in images:
-                for i, row in first_l.get(k, {}).items():
-                    for x in (0, 1):
-                        part = {}
-                        for j, p in row:
-                            add_product(part, p, rows_lm.get((j, x), {}))
-                        part = compact_vector(part)
-                        for pu, pv, uv in rows_uv.get(i, ()):
-                            add_product(acc, part, uv, sign(pu, pv, x))
-                for j, x, first in first_r.get(k, ()):
-                    for pu, pv, tail in tails.get(j, ()):
-                        add_product(acc, first, tail, not sign(x, pu, pv))
-            yield acc
-
-    _record(rep, cop, [("co-commutativity", 2, [flip], -L, lambda _, c: (c % n, c // n)),
-                       ("co-jordan", 4, residuals(), L ** 3, lambda k, c: (k, c))])
+    flip = _flip_kernel(table, par, JORDAN, SLOTS)
+    jordan = _jordan_rows(table, par, JORDAN_SLOTS)
+    _record(rep, cop, [("co-commutativity", 2, [flip], -L), ("co-jordan", 4, jordan, -L ** 3)])
     return rep
 
 

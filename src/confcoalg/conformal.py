@@ -19,13 +19,13 @@ to arbitrary elements.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import takewhile
 from math import gcd
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .poly import (
-    D, LAM, MU, NU, X1, X2, X3, MultiPoly, P_ONE, Scalar, accumulate, add_product,
+    D, LAM, MU, NU, X1, X2, X3, X4, MultiPoly, P_ONE, Scalar, accumulate, add_product,
     common_denominator, compact_vector, _COMPONENT_SHIFT, _MAXEXP, _MONO_MASK, _VAR_SHIFT,
     pack_vector, substitution, unpack_vector, vector_text,
 )
@@ -391,18 +391,39 @@ class Report(Record):
 # residual S.flip_residual; with_entry makes a new table with its own forms.
 # The renamed copies are built per check call.  Free tuple indices ride in
 # the component of packed vectors, so one add_product covers a whole batch
-# of tuples.  The flip and Jacobi kernels take an image set: the two variables
-# of an entry, their images in each copy, and the pair the half Jacobi
-# kernel's mirror swaps.  LAMBDA reads P^{ij}_k(lam, d); SLOTS reads a
-# coproduct Q(x1, x2) = P(x1, -x1-x2) at (lam, mu, d) = (x1, x2, -x1-x2-x3),
-# where the skew, commutativity and Jacobi residuals are the co-antisymmetry,
-# minus the co-commutativity and the co-Jacobi residuals (see coalgebra).
+# of tuples.  The flip, Jacobi and Jordan kernels take an image set: the two
+# variables of an entry, their images in each copy, the pair the half Jacobi
+# kernel's mirror swaps and, for Jordan, a fold bit.  LAMBDA and
+# _jordan_images(T) read P^{ij}_k(lam, d).  SLOTS and JORDAN_SLOTS read a
+# coproduct Q(x1, x2) = P(x1, -x1-x2) at (lam, mu, d) = (x1, x2, -x1-x2-x3) and
+# (lam, mu, nu, d) = (x1, x2, x2+x3, -x1-x2-x3-x4), where the skew,
+# commutativity, Jacobi and consistent Jordan residuals are the co-antisymmetry,
+# minus the co-commutativity, the co-Jacobi and -(-1)^{p(a)p(c)} times the
+# co-Jordan residuals (see coalgebra); the fold multiplies each Jordan row by
+# (-1)^{p(a)p(c)}.
 LAMBDA = {"names": ("lam", "d"), "flip": (-LAM - D, D), "outer": (None, None),
           "cols1": (MU, LAM + D), "first2": (LAM, -LAM - MU), "rows2": (LAM + MU, D),
           "first3": (LAM, MU + D), "cols3": (MU, D), "mirror": ("lam", "mu")}
 SLOTS = {"names": ("x1", "x2"), "flip": (X2, X1), "outer": (X1, X2 + X3),
          "cols1": (X2, X3), "first2": (X1, X2), "rows2": (X1 + X2, X3),
          "first3": (X1, X3), "cols3": (X2, X1 + X3), "mirror": ("x1", "x2")}
+
+
+def _jordan_images(t: MultiPoly) -> dict:
+    """The Jordan kernel's image set on a table, T = t (see check_jordan_identity)."""
+    nu_mu, s = NU - MU, LAM + NU - MU
+    return {"names": ("lam", "d"), "fold": 0, "bc": (MU, -NU), "ab": (LAM, -LAM - MU),
+            "ca_chain": (nu_mu, -t), "ca_split": (nu_mu, -s),
+            "r1": ((NU, LAM + D), (None, None)), "q1": ((nu_mu, LAM + MU + D), (LAM + MU, D)),
+            "r2": ((t, MU + D), (MU, D)), "q2": ((LAM, NU + D), (NU, D)),
+            "r3": ((LAM + MU, nu_mu + D), (nu_mu, D)), "q3": ((MU, s + D), (s, D))}
+
+
+JORDAN_SLOTS = {"names": ("x1", "x2"), "fold": 1, "bc": (X2, X3), "ab": (X1, X2),
+                "ca_chain": (X3, X1), "ca_split": (X3, X1),
+                "r1": ((X2 + X3, X4), (X1, X2 + X3 + X4)), "q1": ((X3, X4), (X1 + X2, X3 + X4)),
+                "r2": ((X1 + X3, X4), (X2, X1 + X3 + X4)), "q2": ((X1, X4), (X2 + X3, X1 + X4)),
+                "r3": ((X1 + X2, X4), (X3, X1 + X2 + X4)), "q3": ((X2, X4), (X1 + X3, X2 + X4))}
 
 
 def _packed(entries):
@@ -629,18 +650,17 @@ def _grouped(vectors: dict) -> dict:
     return out
 
 
-def _hoisted(table, n: int, first, last, x_at=lambda x: (x, 0), y_at=lambda y: (y, 0)):
+def _hoisted(gather, n: int, first, last, x_at=lambda x: (x, 0), y_at=lambda y: (y, 0)):
     """h[(x, y)] = sum_{d,m} P^{xd}_m(*first) P^{ym}_k(*last), packed at d n + k.
 
-    first and last are (lam_img, d_img) pairs; the fourth tuple index d
-    rides in the component, so each h[(x, y)] serves every d at once.  With
-    x_at, x -> (key, tag), x rides too: key replaces x and tag is added to
-    the component; y_at does the same for y.
+    gather is _gather with the table and names bound, first and last (lam_img,
+    d_img) pairs; the fourth tuple index d rides in the component, so each
+    h[(x, y)] serves every d at once.  With x_at, x -> (key, tag), x rides
+    too: key replaces x and tag is added to the component; y_at does the same.
     """
-    firsts = _gather(table, *first, lambda x, d, m: ((x_at(x)[0], m), x_at(x)[1] + d * n))
+    firsts = gather(*first, lambda x, d, m: ((x_at(x)[0], m), x_at(x)[1] + d * n))
     lasts: Dict[int, list] = {}
-    for (y, m), row in _gather(table, *last,
-                               lambda y, m, k: ((y_at(y)[0], m), y_at(y)[1] + k)).items():
+    for (y, m), row in gather(*last, lambda y, m, k: ((y_at(y)[0], m), y_at(y)[1] + k)).items():
         lasts.setdefault(m, []).append((y, row))
     out: Dict[Tuple[int, int], dict] = {}
     for (x, m), p in firsts.items():
@@ -669,6 +689,32 @@ def check_jordan_identity(S: LambdaStructure, variant: str = CONSISTENT) -> Repo
     that a failure can be reported with its minimal failing quadruple and
     residual instead of being silently papered over.
 
+    The consistent identity is a cyclic sum: with (g1, l1; g2, l2; g3, l3) each
+    rotation of (a, lam; b, mu; c, nu-mu), it sums a chain term less a split term,
+
+        (-1)^{p(g1)p(g3)} (g1_{l1}((g2_{l2} g3)_{l2+l3} d) - (g1_{l1} g2)_{l1+l2}(g3_{l3} d)).
+
+    Its kernel is _jordan_rows under the image set _jordan_images(T).
+    """
+    if S.kind != JORDAN:
+        raise StructureError("Jordan identity applies to Jordan kind")
+    if variant not in (PRINTED, CONSISTENT):
+        raise StructureError(f"unknown variant {variant!r}")
+    n = S.rank
+    rep = Report(f"jordan-id[{variant}]", S.name, total=n ** 4)
+    L, table = S.packed
+    images = _jordan_images(LAM + NU - MU if variant == CONSISTENT else LAM - MU)
+    for a, acc in enumerate(_jordan_rows(table, [S.parity(i) for i in range(n)], images)):
+        _record(rep, S, (a,), acc, 3, L ** 3)
+    return rep
+
+
+def _jordan_rows(table, par, images) -> Iterator[dict]:
+    """For each a, the packed Jordan-identity residuals of table's quadruples
+    (a, b, c, d) under images, L**3 times too large, at components
+    ((b n + c) n + d) n + m; with images["fold"] set, each times
+    (-1)^{p(a)p(c)}.
+
     Each left-hand term is a chain contraction and each right-hand term a
     split one; for the first terms of each side
 
@@ -683,55 +729,46 @@ def check_jordan_identity(S: LambdaStructure, variant: str = CONSISTENT) -> Repo
     accumulation: a first factor holds its indices but a and an R or Q its
     index besides l, split by the parities the sign depends on.
     """
-    if S.kind != JORDAN:
-        raise StructureError("Jordan identity applies to Jordan kind")
-    if variant not in (PRINTED, CONSISTENT):
-        raise StructureError(f"unknown variant {variant!r}")
-    n = S.rank
+    n = len(par)
     n2, n3 = n * n, n ** 3
-    rep = Report(f"jordan-id[{variant}]", S.name, total=n ** 4)
-    nu_mu = NU - MU
-    t = LAM + NU - MU if variant == CONSISTENT else LAM - MU
-    L, table = S.packed
-    par = [S.parity(i) for i in range(n)]
+    names, fold = images["names"], images["fold"]
+    gather = partial(_gather, table, names=names)
+    hoisted = partial(_hoisted, gather, n)
     # first factors: of b c as a list, of a b and c a by a
-    f_bc = [(*key, p) for key, p in _gather(
-        table, MU, -NU, lambda b, c, l: ((l, par[b], par[c]), b * n3 + c * n2)).items()]
-    f_ab = _grouped(_gather(table, LAM, -LAM - MU, lambda a, b, l: ((a, l, par[b]), b * n3)))
-    f_ca_chain = _grouped(_gather(table, nu_mu, -t, lambda c, a, l: ((a, l), c * n2)))
-    f_ca_split = _grouped(_gather(table, nu_mu, MU - LAM - NU,
-                                  lambda c, a, l: ((a, l, par[c]), c * n2)))
+    f_bc = [(*key, p) for key, p in gather(
+        *images["bc"], lambda b, c, l: ((l, par[b], par[c]), b * n3 + c * n2)).items()]
+    f_ab = _grouped(gather(*images["ab"], lambda a, b, l: ((a, l, par[b]), b * n3)))
+    f_ca_chain = _grouped(gather(*images["ca_chain"],
+                                 lambda c, a, l: ((a, l, fold & par[c]), c * n2)))
+    f_ca_split = _grouped(gather(*images["ca_split"], lambda c, a, l: ((a, l, par[c]), c * n2)))
     # chain terms r[(l, x)], split terms q[(x, l)]; of b and c by their parity
     at_b, at_c = (lambda b: (par[b], b * n3)), (lambda c: (par[c], c * n2))
-    r1 = _hoisted(table, n, (NU, LAM + D), (None, None))
-    r2 = _hoisted(table, n, (t, MU + D), (MU, D), y_at=at_b)
-    r3 = _hoisted(table, n, (LAM + MU, nu_mu + D), (nu_mu, D), y_at=at_c)
-    q1 = _hoisted(table, n, (nu_mu, LAM + MU + D), (LAM + MU, D), x_at=at_c)
-    q2 = _hoisted(table, n, (LAM, NU + D), (NU, D))
-    q3 = _hoisted(table, n, (MU, LAM + NU - MU + D), (LAM + NU - MU, D), x_at=at_b)
+    r1, q2 = hoisted(*images["r1"]), hoisted(*images["q2"])
+    r2, q3 = hoisted(*images["r2"], y_at=at_b), hoisted(*images["q3"], x_at=at_b)
+    r3, q1 = hoisted(*images["r3"], y_at=at_c), hoisted(*images["q1"], x_at=at_c)
     for a in range(n):
-        pa, acc = par[a], {}
+        # with the fold, the sign of each term is (-1)^{f p(c)} times its own
+        pa, f, acc = par[a], fold & par[a], {}
         for l, pb, pc, p in f_bc:
             if (l, a) in r1:
-                add_product(acc, p, r1[(l, a)], pa & pc)
+                add_product(acc, p, r1[(l, a)], (pa ^ f) & pc)
             if (a, l) in q2:
-                add_product(acc, p, q2[(a, l)], not pa & pb)
-        for l, p in f_ca_chain.get(a, ()):
+                add_product(acc, p, q2[(a, l)], (not pa & pb) ^ (f & pc))
+        for l, pc, p in f_ca_chain.get(a, ()):
             for pb in (0, 1):
                 if (l, pb) in r2:
-                    add_product(acc, p, r2[(l, pb)], pa & pb)
+                    add_product(acc, p, r2[(l, pb)], (pa & pb) ^ (f & pc))
         for l, pb, p in f_ab.get(a, ()):
             for pc in (0, 1):
                 if (l, pc) in r3:
-                    add_product(acc, p, r3[(l, pc)], pb & pc)
+                    add_product(acc, p, r3[(l, pc)], (pb ^ f) & pc)
                 if (pc, l) in q1:
-                    add_product(acc, p, q1[(pc, l)], not pa & pc)
+                    add_product(acc, p, q1[(pc, l)], not (pa ^ f) & pc)
         for l, pc, p in f_ca_split.get(a, ()):
             for pb in (0, 1):
                 if (pb, l) in q3:
-                    add_product(acc, p, q3[(pb, l)], not pb & pc)
-        _record(rep, S, (a,), acc, 3, L ** 3)
-    return rep
+                    add_product(acc, p, q3[(pb, l)], (not pb & pc) ^ (f & pc))
+        yield acc
 
 
 # ---------------------------------------------------------------------------

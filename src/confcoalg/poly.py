@@ -587,17 +587,20 @@ def poly_to_json(p: MultiPoly) -> list:
 def poly_from_json(data: Iterable[dict]) -> MultiPoly:
     """The polynomial of poly_to_json's terms; repeated monomials are summed.
 
-    A term whose coefficient is zero adds nothing: of its monomial only the
-    type of each exponent is checked."""
+    The four coefficient parts and the exponents are JSON integers, not
+    booleans, and exps is an object.  A term whose coefficient is zero adds
+    nothing: of its monomial only the type of each exponent is checked."""
     terms: Dict[int, Scalar] = {}
     for term in data:
-        rn, rd, im_n, im_d = term["coeff"]
-        if (type(rn) is int and type(rd) is int and type(im_n) is int
-                and type(im_d) is int and rd == 1 and im_d == 1):
-            c = _make(rn, im_n)   # an integral coefficient needs no Fraction
-        else:
-            c = Scalar(Fraction(rn, rd), Fraction(im_n, im_d))
+        rn, rd, im_n, im_d = coeff = term["coeff"]
+        for x in coeff:
+            if type(x) is not int:
+                raise ValueError(f"coefficient part {x!r} is not an integer")
+        # an integral coefficient needs no Fraction
+        c = _make(rn, im_n) if rd == im_d == 1 else Scalar(Fraction(rn, rd), Fraction(im_n, im_d))
         exps = term["exps"]
+        if type(exps) is not dict:
+            raise ValueError(f"exponents {exps!r} are not an object")
         for v, e in exps.items():
             if type(e) is not int:
                 raise ValueError(f"exponent {e!r} of {v} is not an integer")

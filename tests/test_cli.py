@@ -369,6 +369,17 @@ MALFORMED = {
                             "malformed poly of term 0 of table row 0: "
                             + repr(ValueError(f"exponent {e!r} of lam is not an integer")))
        for name, e in (("true", True), ("float", 1.5), ("string", "2"))},
+    "exps-list": (_table_doc, lambda doc: _first_row(doc)["terms"][0]["poly"][0].update(exps=[1]),
+                  "malformed poly of term 0 of table row 0: "
+                  + repr(ValueError("exponents [1] are not an object"))),
+    "exps-string": (_coproduct_doc,
+                    lambda doc: _first_row(doc)["pairs"][0]["poly"][0].update(exps="x1"),
+                    "malformed poly of pair 0 of table row 0: "
+                    + repr(ValueError("exponents 'x1' are not an object"))),
+    "coeff-true": (_table_doc, lambda doc: _first_row(doc)["terms"][0]["poly"][0].update(
+                       coeff=[True, 1, 0, 1]),
+                   "malformed poly of term 0 of table row 0: "
+                   + repr(ValueError("coefficient part True is not an integer"))),
     "duplicate-row": (_table_doc, lambda doc: doc["table"].append(doc["table"][0]),
                       "table row 1 repeats the pair (L, L)"),
     "duplicate-gen-row": (_coproduct_doc,

@@ -10,7 +10,9 @@ operations).  The checks in ``confcoalg.conformal`` and
 tuples, in the same order, with the same residuals -- on every family and on
 seeded corruptions.  A second, faster oracle for the Jacobi and Jordan
 identities contracts renamed tables one generator tuple at a time, so it
-reaches tables too large for nested brackets.
+reaches tables too large for nested brackets.  The nested-bracket Jordan
+oracle and the tensor-slot co-Jordan oracle are also compared with each
+other, through the slot map on which the shared Jordan kernel rests.
 """
 
 import itertools
@@ -27,9 +29,9 @@ from confcoalg.coalgebra import (
     check_lie_coalgebra, dualize, tau, zeta,
 )
 from confcoalg.conformal import (
-    CONSISTENT, JORDAN, LIE, PRINTED, ConformalElement, Generator, LambdaStructure,
-    ModuleMap, Report, StructureError, Violation, _divmod_d, _gather, _normalise_content,
-    bracket, bracket_pairs, check_jacobi, check_jordan_comm,
+    CONSISTENT, JORDAN, JORDAN_SLOTS, LAMBDA, LIE, PRINTED, SLOTS, ConformalElement, Generator,
+    LambdaStructure, ModuleMap, Report, StructureError, Violation, _divmod_d, _gather,
+    _jordan_images, _normalise_content, bracket, bracket_pairs, check_jacobi, check_jordan_comm,
     check_jordan_identity, check_skew, shift_spectral,
 )
 from confcoalg.families import corrupt_entry
@@ -351,9 +353,11 @@ def _co_kernel_gathers(n, par):
     return [
         (None, None, lambda i, j, k: (0, (i * n + j) * n + k), None),
         (X2, X1, lambda j, i, k: (0, (i * n + j) * n + k), lambda j, i: par[i] & par[j]),
-        (X1 + X2, X3 + X4, lambda i, j, k: ((k, i, j), 0), None),
         (X2, X1 + X3, lambda j, l, m: (l, j * n * n + m), lambda j, l: par[j]),
-        (X3, X1, lambda u, v, i: ((i, par[u], par[v]), u + v * n ** 3), lambda u, v: par[u]),
+        # the Jordan kernel's first factors and R and Q under JORDAN_SLOTS
+        (X3, X1, lambda c, a, l: ((a, l, par[c]), c * n * n), None),
+        (X1 + X3, X4, lambda x, d, m: ((x, m), d * n), None),
+        (X1 + X2, X3 + X4, lambda y, m, k: ((y, m), k), None),
     ]
 
 
@@ -382,6 +386,48 @@ def assert_gathers_match(S):
 def test_gathers_match_per_slot_oracle(name, K, W, S, CK6, Jn, JCK4):
     table = {"K_4": K[4], "W_2": W[2], "S_3": S[3], "CK_6": CK6, "J_2": Jn[2], "JCK_4": JCK4}
     assert_gathers_match(table[name])
+
+
+# The slot maps under which a table identity is its coproduct identity: with
+# P(alpha, beta) = Q(alpha, -alpha-beta), the flip, Jacobi and Jordan kernels
+# read the dual at these images of the table's variables.
+SLOT_MAPS = {
+    "flip": {"lam": X1, "d": -X1 - X2},
+    "jacobi": {"lam": X1, "mu": X2, "d": -X1 - X2 - X3},
+    "jordan": {"lam": X1, "mu": X2, "nu": X2 + X3, "d": -X1 - X2 - X3 - X4},
+}
+
+
+def _at(p, slot_map):
+    """p with every table variable replaced by its image in slot_map."""
+    for v, img in slot_map.items():
+        p = p.subst_general(v, img)
+    return p
+
+
+def _in_slots(pair, slot_map):
+    """The images (x1_img, x2_img) in Q of the images (lam_img, d_img) of P."""
+    alpha, beta = (_at(p, slot_map) for p in ((LAM, D) if pair[0] is None else pair))
+    return alpha, -alpha - beta
+
+
+def test_slot_image_sets_follow_from_the_table_image_sets():
+    consistent = _jordan_images(LAM + NU - MU)
+    for images, slots, kernel in ((LAMBDA, SLOTS, "jacobi"), (consistent, JORDAN_SLOTS, "jordan")):
+        assert images.keys() == slots.keys() and slots["names"] == ("x1", "x2")
+        for key, pair in images.items():
+            if key in ("names", "fold"):
+                continue
+            slot_map = SLOT_MAPS["flip" if key == "flip" else kernel]
+            if key == "mirror":
+                assert tuple(slot_map[v] for v in pair) == tuple(map(MultiPoly.var, slots[key]))
+            elif isinstance(pair[0], tuple):   # the (first, last) pair of an R or Q
+                assert tuple(_in_slots(p, slot_map) for p in pair) == slots[key], key
+            else:
+                assert _in_slots(pair, slot_map) == slots[key], key
+    assert (consistent["fold"], JORDAN_SLOTS["fold"]) == (0, 1)
+    printed = _jordan_images(LAM - MU)
+    assert {key for key in printed if printed[key] != consistent[key]} == {"ca_chain", "r2"}
 
 
 # -- families ------------------------------------------------------------------
@@ -1270,3 +1316,23 @@ def _corrupt_coproduct(cop, seed):
 def test_seeded_co_corruptions_match_oracle(name, seed, Jn, JCK4):
     S = {"J_2": Jn[2], "JCK_4": JCK4}.get(name) or LIE_FAMILIES[name]()
     assert not assert_co_kernels_match(_corrupt_coproduct(dualize(S), seed)).ok
+
+
+@pytest.mark.parametrize("name", ["JS_1", "J_1", "CurJ", "JS_1~", "J_1~"])
+def test_co_jordan_is_the_jordan_identity_in_slots(name, Jn, JS1):
+    """Oracle against oracle: the nested-bracket consistent Jordan residual of
+    (a, b, c, d) at a_m, at SLOT_MAPS["jordan"], is -(-1)^{p(a)p(c)} times the
+    tensor-slot co-Jordan residual of dualize(S) at a_m^* and [a, b, c, d]."""
+    tables = {"JS_1": JS1, "J_1": Jn[1], "CurJ": families.make_cur_jordan_unit()}
+    S = tables.get(name) or _seeded_corruption(tables[name[:-1]], 1)
+    n = S.rank
+    co = [dict(_cojordan_residuals(dualize(S), m))["co-jordan"].terms for m in range(n)]
+    nonzero = 0
+    for a, b, c, d in itertools.product(range(n), repeat=4):
+        jordan = _jordan_residual(S, a, b, c, d, CONSISTENT).terms
+        odd = S.parity(a) & S.parity(c)
+        for m in range(n):
+            q = co[m].get((a, b, c, d), MultiPoly.zero())
+            assert _at(jordan.get(m, MultiPoly.zero()), SLOT_MAPS["jordan"]) == (q if odd else -q)
+            nonzero += not q.is_zero()
+    assert bool(nonzero) == name.endswith("~")

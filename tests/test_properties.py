@@ -626,12 +626,17 @@ def test_compare_matches_term_by_term_diff(pair):
 
 
 def _poly_from_json_oracle(data):
-    """poly_from_json by its definition: every coefficient part through Fraction."""
+    """poly_from_json by its definition: every coefficient part an integer, through Fraction."""
     terms = {}
     for term in data:
         rn, rd, im_n, im_d = term["coeff"]
+        for x in term["coeff"]:
+            if type(x) is not int:
+                raise ValueError(f"coefficient part {x!r} is not an integer")
         c = Scalar(Fraction(rn, rd), Fraction(im_n, im_d))
         exps = term["exps"]
+        if type(exps) is not dict:
+            raise ValueError(f"exponents {exps!r} are not an object")
         for v, e in exps.items():
             if type(e) is not int:
                 raise ValueError(f"exponent {e!r} of {v} is not an integer")
