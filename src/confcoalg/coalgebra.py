@@ -34,7 +34,7 @@ from .conformal import (
     Table, Violation, _flip_kernel, _jacobi_residuals, _jordan_rows, _packed, _renaming,
 )
 from .poly import (
-    D, LAM, MultiPoly, P_ONE, X1, X2, _MAXEXP, _MONO_MASK, _VAR_SHIFT, accumulate,
+    D, LAM, MultiPoly, P_ONE, X1, X2, _MAXEXP, _MONO_MASK, _VAR_SHIFT, _memo, accumulate,
     unpack_vector, vector_text,
 )
 
@@ -151,13 +151,11 @@ def double_dual_roundtrip(S: LambdaStructure) -> Report:
     """
     rep = Report("roundtrip", S.name)
     img = -LAM - D
-    backs: Dict[MultiPoly, MultiPoly] = {}
+    back_of = _memo(lambda p: p.subst_general("d", img).subst_general("d", img))
     for (i, j), entries in S.table.items():
         for k, p in entries:
             rep.total += 1
-            back = backs.get(p)
-            if back is None:
-                back = backs[p] = p.subst_general("d", img).subst_general("d", img)
+            back = back_of(p)
             if back != p:
                 names = (S.generators[i].id, S.generators[j].id, S.generators[k].id)
                 rep.violations.append(Violation(names, f"{p} -> {back}"))

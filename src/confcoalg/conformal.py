@@ -26,8 +26,8 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .poly import (
     D, LAM, MU, NU, X1, X2, X3, X4, MultiPoly, P_ONE, Scalar, accumulate, add_product,
-    common_denominator, compact_vector, _COMPONENT_SHIFT, _MAXEXP, _MONO_MASK, _VAR_SHIFT,
-    pack_vector, substitution, unpack_vector, vector_text,
+    common_denominator, compact_vector, _COMPONENT_SHIFT, _MAXEXP, _MONO_MASK, _VAR_SHIFT, _memo,
+    pack_vector, substitution, vector_text,
 )
 
 LIE = "lie"
@@ -178,8 +178,10 @@ class LambdaStructure(Table):
     Treat a table and its polynomials as values: the checks read two cached
     forms, each built on first read, the packed table (packed) and its skew
     or commutativity residual (flip_residual), so changing an entry in place
-    after a check leaves later verdicts on the old table.  Change an entry
-    with with_entry or families.corrupt_entry, which make a new table."""
+    after a check leaves later verdicts on the old table.  The constructor
+    keeps one object per distinct entry value, so changing an entry in place
+    changes every entry that shares it.  Change an entry with with_entry or
+    families.corrupt_entry, which make a new table."""
 
     def __init__(
         self,
@@ -200,32 +202,38 @@ class LambdaStructure(Table):
         if not table.keys() <= self.table.keys():
             stray = next(key for key in table if key not in self.table)
             raise StructureError(f"row {stray!r} is not a pair of generator indices in range({n})")
+        # each object is checked once; seen[id(p)] = (p, the first of p's value)
+        seen: Dict[int, tuple] = {}
+        first: Dict[MultiPoly, MultiPoly] = {}
         for (i, j), row in self.table.items():
             entries = table.get((i, j))
+            if entries and len(entries) > 1:
+                merged: Dict[int, MultiPoly] = {}
+                for k, p in entries:
+                    accumulate(merged, k, p)
+                entries = sorted(merged.items())
+            elif entries and not entries[0][1].terms:
+                entries = None
             if not entries:
                 continue
-            merged: Dict[int, MultiPoly] = {}
-            for k, p in entries:
-                accumulate(merged, k, p)
-            ks = sorted(merged)
-            if ks and (ks[0] < 0 or ks[-1] >= n):
-                stray = ks[0] if ks[0] < 0 else ks[-1]
+            if entries[0][0] < 0 or entries[-1][0] >= n:
+                stray = entries[0][0] if entries[0][0] < 0 else entries[-1][0]
                 raise StructureError(
                     f"row ({i}, {j}) names generator index {stray}, not in range({n})")
-            for k in ks:
-                p = merged[k]
-                if validate:
-                    # parity additivity and coefficient-variable discipline
-                    if par[k] != (par[i] + par[j]) & 1:
-                        raise StructureError(
-                            f"parity violation in ({self.generators[i].id},"
-                            f"{self.generators[j].id}) -> {self.generators[k].id}"
-                        )
-                    for key in p.terms:
-                        if key & _NOT_LAM_D:
-                            bad = p.variables() - {"lam", "d"}
-                            raise StructureError(f"table entry uses variables {bad}")
-                row.append((k, p))
+            for k, p in entries:
+                # parity additivity, then coefficient-variable discipline
+                if validate and par[k] != (par[i] + par[j]) & 1:
+                    raise StructureError(
+                        f"parity violation in ({self.generators[i].id},"
+                        f"{self.generators[j].id}) -> {self.generators[k].id}"
+                    )
+                hit = seen.get(id(p))
+                if hit is None:
+                    if validate and any(key & _NOT_LAM_D for key in p.terms):
+                        bad = p.variables() - {"lam", "d"}
+                        raise StructureError(f"table entry uses variables {bad}")
+                    hit = seen[id(p)] = p, first.setdefault(p, p)
+                row.append((k, hit[1]))
 
     def entry(self, i: int, j: int) -> "ConformalElement":
         return ConformalElement({k: p for k, p in self.table[(i, j)]})
@@ -283,26 +291,31 @@ def bracket(
 
 def bracket_pairs(
     S: LambdaStructure, xs: Sequence[ConformalElement]
-) -> Iterator[Tuple[Tuple[int, int], ConformalElement]]:
-    """Yield ((a, b), [x_a lam x_b]) for every ordered pair of xs, row by row.
+) -> Iterator[Tuple[Dict[int, int], int]]:
+    """Yield (row, scale) for each x_a of xs in order: row packs [x_a lam x_b]
+    for every b at component b n + k for a_k (n the rank of S), scale times too large.
 
-    The same values as bracket(S, x_a, x_b, "lam"), with the work shared.
-    Images are packed times the common denominator of their side: the
-    right images q(lam+d) once each, and for each generator a_i met on the
-    left one vector holds sum_j q_bj(lam+d) [a_i lam a_j] for every b at
-    once, at component b n + k for a_k (n the rank of S).  Row a is then
-    one product p(-lam) times that vector per term p a_i of x_a, split by
-    b.  The vector of a_i is dropped after the last row that meets it, so
-    a caller that keeps only what it derives from each bracket never holds
-    all the brackets at once (in CK_6 each generator of K_6 meets one row).
+    The same values as bracket(S, x_a, x_b, "lam"), with the work shared:
+    the right images q(lam+d) are packed once each, at component b n, and
+    each distinct entry polynomial of S once.  For each generator a_i met on
+    the left, one vector holds sum_j q_bj(lam+d) [a_i lam a_j] for every b,
+    each nonempty [a_i lam a_j] placed at the components k of its entries;
+    row a is one product p(-lam) times that vector per term p a_i of x_a.
+    The vector of a_i is dropped after the last row that meets it, so a
+    caller that keeps only what it derives from each row never holds all
+    the brackets at once (in CK_6 each generator of K_6 meets one row).
     """
     if any("lam" in p.variables() for x in xs for p in x.terms.values()):
         raise StructureError("left coefficient already uses lam")
     n = S.rank
     Lx = common_denominator(p for x in xs for p in x.terms.values())
-    Ls = common_denominator(p for row in S.table.values() for _, p in row)
-    rights = [[(j, pack_vector([(0, q.subst_general("d", LAM + D))], Lx))
-               for j, q in x.terms.items()] for x in xs]
+    Ls = common_denominator({id(p): p for row in S.table.values() for _, p in row}.values())
+    packed = _memo(lambda p: pack_vector([(0, p)], Ls))
+    rights: Dict[int, List[dict]] = {}
+    for b, x in enumerate(xs):
+        for j, q in x.terms.items():
+            rights.setdefault(j, []).append(
+                pack_vector([(b * n, q.subst_general("d", LAM + D))], Lx))
     last_row = {i: a for a, x in enumerate(xs) for i in x.terms}
     by_left: Dict[int, Dict[int, int]] = {}
     for a, x in enumerate(xs):
@@ -311,22 +324,21 @@ def bracket_pairs(
             vec = by_left.get(i)
             if vec is None:
                 vec = {}
-                for b, right in enumerate(rights):
-                    for j, qr in right:
-                        entries = S.table[(i, j)]
-                        if entries:
-                            add_product(vec, qr, pack_vector(
-                                [(b * n + k, P) for k, P in entries], Ls))
+                for j, qrs in rights.items():
+                    entries = S.table[(i, j)]
+                    if entries:
+                        row = {}
+                        for k, P in entries:
+                            tag = k << _COMPONENT_SHIFT
+                            for key, c in packed(P).items():
+                                row[key + tag] = c
+                        for qr in qrs:
+                            add_product(vec, qr, row)
                 vec = by_left[i] = compact_vector(vec)
             add_product(acc, pack_vector([(0, p.subst_general("d", -LAM))], Lx), vec)
             if last_row[i] == a:
                 del by_left[i]
-        row: List[Dict[int, MultiPoly]] = [{} for _ in xs]
-        for m, q in unpack_vector(acc, Lx * Lx * Ls).items():
-            b, k = divmod(m, n)
-            row[b][k] = q
-        for b, terms in enumerate(row):
-            yield (a, b), ConformalElement(terms)
+        yield compact_vector(acc), Lx * Lx * Ls
 
 
 def shift_spectral(
@@ -389,11 +401,11 @@ class Report(Record):
 # sign.  The packed form is built once, on the first read of S.packed, and
 # every check reads it, as skew, commutativity and Jacobi read the flip
 # residual S.flip_residual; with_entry makes a new table with its own forms.
-# The renamed copies are built per check call.  Free tuple indices ride in
-# the component of packed vectors, so one add_product covers a whole batch
-# of tuples.  The flip, Jacobi and Jordan kernels take an image set: the two
-# variables of an entry, their images in each copy, the pair the half Jacobi
-# kernel's mirror swaps and, for Jordan, a fold bit.  LAMBDA and
+# The renamed copies are built per check call, once per distinct image pair.
+# Free tuple indices ride in the component of packed vectors, so one add_product
+# covers a whole batch of tuples.  The flip, Jacobi and Jordan kernels take an
+# image set: the two variables of an entry, their images in each copy, the pair
+# the half Jacobi kernel's mirror swaps and, for Jordan, a fold bit.  LAMBDA and
 # _jordan_images(T) read P^{ij}_k(lam, d).  SLOTS and JORDAN_SLOTS read a
 # coproduct Q(x1, x2) = P(x1, -x1-x2) at (lam, mu, d) = (x1, x2, -x1-x2-x3) and
 # (lam, mu, nu, d) = (x1, x2, x2+x3, -x1-x2-x3-x4), where the skew,
@@ -412,8 +424,9 @@ SLOTS = {"names": ("x1", "x2"), "flip": (X2, X1), "outer": (X1, X2 + X3),
 def _jordan_images(t: MultiPoly) -> dict:
     """The Jordan kernel's image set on a table, T = t (see check_jordan_identity)."""
     nu_mu, s = NU - MU, LAM + NU - MU
+    ca_split = (nu_mu, -s)      # the consistent T is s: the chain shares the split's pair
     return {"names": ("lam", "d"), "fold": 0, "bc": (MU, -NU), "ab": (LAM, -LAM - MU),
-            "ca_chain": (nu_mu, -t), "ca_split": (nu_mu, -s),
+            "ca_chain": ca_split if t == s else (nu_mu, -t), "ca_split": ca_split,
             "r1": ((NU, LAM + D), (None, None)), "q1": ((nu_mu, LAM + MU + D), (LAM + MU, D)),
             "r2": ((t, MU + D), (MU, D)), "q2": ((LAM, NU + D), (NU, D)),
             "r3": ((LAM + MU, nu_mu + D), (nu_mu, D)), "q3": ((MU, s + D), (s, D))}
@@ -430,10 +443,11 @@ def _packed(entries):
     """(L, (vecs, slots)) for entries [(i, j, k, p)], L their common denominator:
     vecs holds each distinct p, packed times L, once, and slots is
     [(i, j, k, e)] with vecs[e] the packed p of that entry."""
-    index: Dict[MultiPoly, int] = {}
-    slots = [(i, j, k, index.setdefault(p, len(index))) for i, j, k, p in entries]
-    L = common_denominator(index)
-    return L, ([pack_vector([(0, p)], L) for p in index], slots)
+    distinct: List[MultiPoly] = []
+    number = _memo(lambda p: distinct.append(p) or len(distinct) - 1)
+    slots = [(i, j, k, number(p)) for i, j, k, p in entries]
+    L = common_denominator(distinct)
+    return L, ([pack_vector([(0, p)], L) for p in distinct], slots)
 
 
 def _renaming(vecs, names, x_img, y_img):
@@ -446,18 +460,25 @@ def _renaming(vecs, names, x_img, y_img):
     return [rename(vec) for vec in vecs]
 
 
-def _gather(table, lam_img, d_img, place, negate=None, names=("lam", "d")):
+def _gather(table, lam_img, d_img, place, negate=None, names=("lam", "d"), renamed=None):
     """Packed vectors out[slot] of the renamed entries P^{ij}_k(lam_img, d_img).
 
     place(i, j, k) = (slot, m) puts the entry at component m of out[slot];
     with negate given, the entries for which negate(i, j) holds change sign.
     names are the two variables renamed; with lam_img None nothing is.
+    renamed, a dict one kernel call passes to all its gathers (of tables with
+    the same vecs), keeps the renamed vecs by the ids of the image pair, so
+    each pair of image objects is renamed once; equal pairs share objects.
     The entries of one slot have distinct components, so each entry's terms
     are written in place and no slot is summed or compacted; they are
     written in the order of the slots of table, the table's row order.
     """
     vecs, slots = table
-    vecs = _renaming(vecs, names, lam_img, d_img)
+    renamed = {} if renamed is None else renamed
+    key = id(lam_img), id(d_img)
+    if key not in renamed:
+        renamed[key] = _renaming(vecs, names, lam_img, d_img)
+    vecs = renamed[key]
     out = {}
     for i, j, k, e in slots:
         slot, m = place(i, j, k)
@@ -612,12 +633,13 @@ def _jacobi_rows(table, par, images, half: bool) -> Iterator[dict]:
     table = (table[0], sorted(table[1])) if half else table
     vecs, slots = table
     upper = (vecs, [slot for slot in slots if slot[1] >= slot[0]]) if half else table
-    cols1 = _gather(table, *images["cols1"], lambda j, k, l: (l, (j * n + k) * n), names=names)
-    outer_il = _gather(table, *images["outer"], lambda i, l, m: ((i, l), m), names=names)
-    first2 = _gather(upper, *images["first2"], lambda i, j, l: ((i, l), j * n2), names=names)
-    rows2 = _gather(table, *images["rows2"], lambda l, k, m: (l, k * n + m), names=names)
-    first3 = _gather(table, *images["first3"], lambda i, k, l: ((i, l), k * n), names=names)
-    cols3 = [_gather(table, *images["cols3"], lambda j, l, m: (l, j * n2 + m), odd, names)
+    gather = partial(_gather, names=names, renamed={})
+    cols1 = gather(table, *images["cols1"], lambda j, k, l: (l, (j * n + k) * n))
+    outer_il = gather(table, *images["outer"], lambda i, l, m: ((i, l), m))
+    first2 = gather(upper, *images["first2"], lambda i, j, l: ((i, l), j * n2))
+    rows2 = gather(table, *images["rows2"], lambda l, k, m: (l, k * n + m))
+    first3 = gather(table, *images["first3"], lambda i, k, l: ((i, l), k * n))
+    cols3 = [gather(table, *images["cols3"], lambda j, l, m: (l, j * n2 + m), odd)
              for odd in (None, lambda j, l: par[j])]
     for i in range(n):
         acc = {}
@@ -653,9 +675,9 @@ def _grouped(vectors: dict) -> dict:
 def _hoisted(gather, n: int, first, last, x_at=lambda x: (x, 0), y_at=lambda y: (y, 0)):
     """h[(x, y)] = sum_{d,m} P^{xd}_m(*first) P^{ym}_k(*last), packed at d n + k.
 
-    gather is _gather with the table and names bound, first and last (lam_img,
-    d_img) pairs; the fourth tuple index d rides in the component, so each
-    h[(x, y)] serves every d at once.  With x_at, x -> (key, tag), x rides
+    gather is _gather with the table, names and renamed bound, first and last
+    (lam_img, d_img) pairs; the fourth tuple index d rides in the component,
+    so each h[(x, y)] serves every d at once.  With x_at, x -> (key, tag), x rides
     too: key replaces x and tag is added to the component; y_at does the same.
     """
     firsts = gather(*first, lambda x, d, m: ((x_at(x)[0], m), x_at(x)[1] + d * n))
@@ -732,7 +754,7 @@ def _jordan_rows(table, par, images) -> Iterator[dict]:
     n = len(par)
     n2, n3 = n * n, n ** 3
     names, fold = images["names"], images["fold"]
-    gather = partial(_gather, table, names=names)
+    gather = partial(_gather, table, names=names, renamed={})
     hoisted = partial(_hoisted, gather, n)
     # first factors: of b c as a list, of a b and c a by a
     f_bc = [(*key, p) for key, p in gather(

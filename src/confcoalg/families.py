@@ -5,9 +5,9 @@ out of the Grassmann sign calculus on plain int subset masks.  Families
 defined as subalgebras (S_n, S_{n,b}, S~_n, K_4', CK_6) are built by
 restriction inside the ambient algebra (W_n, K_4 or K_6): each lists its
 basis and embeds it, conformal.bracket_pairs gives the brackets of the
-embedded basis, and one span_reader per table gives their coordinates by
-forward substitution over pivots (a bracket outside the span raises
-NotInSpan).
+embedded basis as packed rows, and one span_reader per table gives their
+coordinates by forward substitution over pivots on packed vectors (a bracket
+outside the span raises NotInSpan), each distinct coordinate unpacked once.
 Where the paper tabulates the brackets (S_n, CK_6), the tabulated formulas
 are a second, independent path.  Its disagreements with the restriction
 are a meta entry computed when first read (``proposition_diffs``,
@@ -27,6 +27,7 @@ import functools
 import heapq
 import itertools
 from fractions import Fraction
+from math import gcd
 from typing import Dict, List, Sequence, Tuple
 
 from .conformal import (
@@ -51,7 +52,10 @@ from .conformal import (
     shift_spectral,
 )
 from .grassmann import alpha_mask, eps_mask, members, mul_sign
-from .poly import D, LAM, MultiPoly, P_ONE, P_ZERO, Scalar, _VAR_SHIFT, accumulate
+from .poly import (
+    D, LAM, MultiPoly, P_ONE, P_ZERO, Scalar, _COMPONENT_SHIFT, _GUARD, _VAR_SHIFT, accumulate,
+    add_product, common_denominator, compact_vector, pack_vector, unpack_vector,
+)
 
 # desk-scale caps on the CLI's --n; the constructors take any n, and the
 # CLI's --allow-large overrides the caps
@@ -82,10 +86,10 @@ def _sgn(e: int) -> int:
     return -1 if e & 1 else 1
 
 
-def _units() -> Dict[int, MultiPoly]:
-    """The constant polynomials +-1, made once per table for all its entries
-    that are one of them (two tables share no polynomial)."""
-    return {1: MultiPoly.const(1), -1: MultiPoly.const(-1)}
+def _signs(p: MultiPoly) -> Dict[int, MultiPoly]:
+    """{1: p, -1: -p}, made once per table for all its entries that are
+    one of them; p is made per call too, so two tables share no polynomial."""
+    return {1: p, -1: -p}
 
 
 def _digits(indices: Tuple[int, ...]) -> str:
@@ -152,11 +156,16 @@ def span_reader(ambient: LambdaStructure, embeds: Sequence[ConformalElement]):
 
     The basis is ordered once, by pivots.  A pivot is an ambient row touched
     by exactly one element not yet ordered; among those, the coefficient of
-    lowest d-degree comes first (then the lowest row).  A constant pivot is
-    multiplied by its inverse, any other (such as K_4''s d xi_star) divided
-    exactly.  The returned function maps an ambient element to {basis index:
-    coefficient}; a component left over, or a pivot row its coefficient does
-    not divide, raises NotInSpan naming that ambient generator.
+    lowest d-degree comes first (then the lowest row).  Each pivot is a
+    monomial c m (a constant, or K_4''s d xi_star).  The returned function
+    read(x, scale) takes an ambient element x as {generator: packed
+    polynomial}, scale times too large (see poly.pack_vector), uses up the
+    vectors of x and returns {basis index: (packed coefficient, its scale)}:
+    a pivot row divided by m, times the Gaussian-integer numerator of 1/c,
+    whose denominator joins the scale.  The rest of an element over -c is
+    packed times its denominator L, and L joins the scale of the rows still
+    to be read.  A component left over, or a pivot row that m does not
+    divide, raises NotInSpan naming that ambient generator.
     """
     touching: Dict[int, set] = {}
     for j, e in enumerate(embeds):
@@ -171,8 +180,8 @@ def span_reader(ambient: LambdaStructure, embeds: Sequence[ConformalElement]):
                 heapq.heappush(heap, (embeds[j].terms[r].degree_in("d"), r))
 
     offer(touching)
-    # (pivot row, element, inverse of a constant pivot or None for 1,
-    #  divisor for any other pivot, the rest of the element negated)
+    # (pivot row, element, m, the numerator of 1/c (None for c = 1) and its
+    #  denominator, the rest of the element over -c, packed, and its L)
     plan = []
     while heap:
         _, r = heapq.heappop(heap)
@@ -181,12 +190,14 @@ def span_reader(ambient: LambdaStructure, embeds: Sequence[ConformalElement]):
         j = touching[r].pop()
         rest = dict(embeds[j].terms)
         pivot = rest.pop(r)
-        inv = divisor = None
-        if list(pivot.terms) != [0]:
-            divisor = pivot
-        elif pivot != P_ONE:
-            inv = pivot.terms[0].inverse()
-        plan.append((r, j, inv, divisor, [(g, -q) for g, q in rest.items()]))
+        if len(pivot.terms) != 1:
+            raise StructureError(f"{ambient.name}: the pivot {pivot!r} is not a monomial")
+        (m, c), = pivot.terms.items()
+        inv = MultiPoly({0: c.inverse()})
+        den, rest = common_denominator([inv]), {g: q * -inv for g, q in rest.items()}
+        L = common_denominator(rest.values())
+        plan.append((r, j, m, None if inv == P_ONE else pack_vector([(0, inv)], den), den,
+                     [(g, pack_vector([(0, q)], L)) for g, q in rest.items()], L))
         for g in rest:
             touching[g].discard(j)
         offer(rest)
@@ -201,25 +212,28 @@ def span_reader(ambient: LambdaStructure, embeds: Sequence[ConformalElement]):
     position = {r: k for k, (r, *_) in enumerate(plan)}
     end = len(plan)
 
-    def read(x: ConformalElement) -> Dict[int, MultiPoly]:
-        work = dict(x.terms)
-        coords: Dict[int, MultiPoly] = {}
+    def read(work: Dict[int, Dict[int, int]], scale: int) -> Dict[int, Tuple[Dict[int, int], int]]:
+        coords = {}
         while work:
             k = min(position.get(g, end) for g in work)
             if k == end:
                 raise outside(min(work))
-            r, j, inv, divisor, rest = plan[k]
+            r, j, m, numerator, den, rest, L = plan[k]
             p = work.pop(r)
-            if divisor is not None:
-                try:
-                    p = p.exact_div(divisor)
-                except ValueError:
-                    raise outside(r) from None
-            elif inv is not None:
-                p = p.scalar_mul(inv)
-            coords[j] = p
+            if m:
+                # m divides a key iff no field of key - m borrows from its guard bit
+                if any(((key | _GUARD) - m) & _GUARD != _GUARD for key in p):
+                    raise outside(r)
+                p = {key - m: c for key, c in p.items()}
+            coords[j] = (p if numerator is None else compact_vector(add_product({}, p, numerator)),
+                         scale * den)
+            if L != 1:
+                scale, work = scale * L, {g: {key: c * L for key, c in vec.items()}
+                                          for g, vec in work.items()}
             for g, q in rest:
-                accumulate(work, g, p * q)
+                work[g] = compact_vector(add_product(work.get(g, {}), p, q))
+                if not work[g]:
+                    del work[g]
         return coords
 
     return read
@@ -227,10 +241,33 @@ def span_reader(ambient: LambdaStructure, embeds: Sequence[ConformalElement]):
 
 def _restrict(ambient: LambdaStructure, embeds: List[ConformalElement]):
     """The table of the subalgebra spanned by embeds: each bracket taken in
-    ambient and read back in coordinates over embeds."""
+    ambient and read back in coordinates over embeds.  Each distinct
+    coordinate is unpacked once, keyed by its packed form in lowest terms."""
     read = span_reader(ambient, embeds)
-    # rows in any order: LambdaStructure sorts each by generator
-    return {key: list(read(w).items()) for key, w in bracket_pairs(ambient, embeds)}
+    n, low = ambient.rank, (1 << _COMPONENT_SHIFT) - 1
+    polys: Dict[tuple, MultiPoly] = {}
+    table = {}
+    for a, (row, scale) in enumerate(bracket_pairs(ambient, embeds)):
+        # row a split into its brackets, elements {k: packed polynomial}
+        brackets: Dict[int, Dict[int, Dict[int, int]]] = {}
+        for key, c in row.items():
+            b, k = divmod(key >> _COMPONENT_SHIFT, n)
+            x = brackets.setdefault(b, {})
+            vec = x.get(k)
+            if vec is None:
+                vec = x[k] = {}
+            vec[key & low] = c
+        for b in range(len(embeds)):
+            # rows in any order: LambdaStructure sorts each by generator
+            entries = table[(a, b)] = []
+            for j, (v, s) in read(brackets.get(b, {}), scale).items():
+                g = gcd(s, *v.values())
+                key = frozenset((k, c // g) for k, c in v.items()), s // g
+                p = polys.get(key)
+                if p is None:
+                    p = polys[key] = unpack_vector(v, s)[0]
+                entries.append((j, p))
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +370,9 @@ def make_W(n: int) -> LambdaStructure:
     def put(i, j, k, p):
         table.setdefault((i, j), []).append((k, p))
 
-    minus_d_2lam = -(D + 2 * LAM)
-    unit = _units()
+    # the entries take eight values; each is made once and shared by its rows
+    unit, minus_d_2lam = _signs(MultiPoly.const(1)), _signs(-(D + 2 * LAM))
+    minus_lam, minus_lam_d = _signs(-LAM), _signs(-(LAM + D))
     for I in lam_idx:
         dI = I.bit_count()
         for J in lam_idx:
@@ -342,7 +380,7 @@ def make_W(n: int) -> LambdaStructure:
             # [xi_I lam xi_J]
             s = mul_sign(I, J)
             if s:
-                put(lam_idx[I], lam_idx[J], lam_idx[I | J], minus_d_2lam * s)
+                put(lam_idx[I], lam_idx[J], lam_idx[I | J], minus_d_2lam[s])
             s_JI = mul_sign(J, I)
             # xi_J d_j(xi_I) for each j, used by [xi_I d_i lam xi_J d_j]
             d_IJ = [_d_mul(J, j, I) for j in range(1, n + 1)]
@@ -357,8 +395,8 @@ def make_W(n: int) -> LambdaStructure:
                         unit[-_sgn(dJ * (dI + 1)) * s_d])
                 if s_JI:
                     # -lam (-1)^{(|I|+1)|J|} xi_J xi_I d_i, and -(lam+d) xi_J xi_I d_i
-                    put(wi, lam_idx[J], w_idx[(I | J, i)], -LAM * (_sgn((dI + 1) * dJ) * s_JI))
-                    put(lam_idx[J], wi, w_idx[(I | J, i)], -(LAM + D) * s_JI)
+                    put(wi, lam_idx[J], w_idx[(I | J, i)], minus_lam[_sgn((dI + 1) * dJ) * s_JI])
+                    put(lam_idx[J], wi, w_idx[(I | J, i)], minus_lam_d[s_JI])
                 # [xi_I d_i lam xi_J d_j]
                 for j in range(1, n + 1):
                     if s_d:
@@ -432,14 +470,13 @@ def _current_action(W: LambdaStructure) -> LambdaStructure:
     the adjoint bracket does not (its Lambda-part carries -(d + 2 lam)).
     The rows of targets outside the currents are empty."""
     lam_idx, w_idx = W.meta["lam_idx"], W.meta["w_idx"]
-    minus_d_lam = -(D + LAM)
-    unit = _units()
+    minus_d_lam, unit = _signs(-(D + LAM)), _signs(MultiPoly.const(1))
     table: Dict[Tuple[int, int], List[Tuple[int, MultiPoly]]] = {}
     for J, j in lam_idx.items():
         for I, i in lam_idx.items():
             s = mul_sign(I, J)
             if s:
-                table[(i, j)] = [(lam_idx[I | J], minus_d_lam * s)]
+                table[(i, j)] = [(lam_idx[I | J], minus_d_lam[s])]
         for (I, i), g in w_idx.items():
             s, K = _d_mul(I, i, J)
             if s:
@@ -828,23 +865,20 @@ def make_K(n: int) -> LambdaStructure:
     gens, lam_idx = k_generators(n)
     d_key, lam_key = 1 << _VAR_SHIFT["d"], 1 << _VAR_SHIFT["lam"]
     # the entries take few values; each is made once and shared by its rows
-    unit = _units()
-    disjoint: Dict[Tuple[int, int, int], MultiPoly] = {}
+    unit = _signs(MultiPoly.const(1))
+    disjoint: Dict[Tuple[int, int], MultiPoly] = {}     # by the coefficients of d and lam
     table: Dict[Tuple[int, int], List[Tuple[int, MultiPoly]]] = {}
     for I in lam_idx:
         dI = I.bit_count()
         for J in lam_idx:
             common = I & J
             if not common:
-                s, dJ = _sgn(alpha_mask(I, J)), J.bit_count()
-                p = disjoint.get((s, dI, dJ))
+                s = _sgn(alpha_mask(I, J))
+                key = s * (dI - 2), s * (dI + J.bit_count() - 4)
+                p = disjoint.get(key)
                 if p is None:
-                    terms = {}
-                    if dI != 2:
-                        terms[d_key] = Scalar(s * (dI - 2))
-                    if dI + dJ != 4:
-                        terms[lam_key] = Scalar(s * (dI + dJ - 4))
-                    p = disjoint[(s, dI, dJ)] = MultiPoly(terms)
+                    p = disjoint[key] = MultiPoly(
+                        {v: Scalar(c) for v, c in zip((d_key, lam_key), key) if c})
                 if p.terms:
                     table[(lam_idx[I], lam_idx[J])] = [(lam_idx[I | J], p)]
             elif not common & (common - 1):
@@ -1139,7 +1173,7 @@ def make_Jn(n: int) -> LambdaStructure:
             yield n, n - 1
             yield n - 1, n
 
-    unit = _units()
+    unit = _signs(MultiPoly.const(1))
     table: Dict[Tuple[int, int], List[Tuple[int, MultiPoly]]] = {}
     for I in ev_idx:
         dI = I.bit_count()

@@ -132,7 +132,6 @@ class Scalar:
         return _poly_text({0: (self.re, self.im)}, {})
 
 
-ZERO = Scalar(0)
 ONE = Scalar(1)
 
 
@@ -340,34 +339,6 @@ class MultiPoly:
             out[nk] = c
         return MultiPoly(out)
 
-    def exact_div(self, divisor: "MultiPoly") -> "MultiPoly":
-        """Exact polynomial division; raises ValueError if not a multiple."""
-        if divisor.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        lead = max(divisor.terms, key=_sort_key)
-        lead_c = divisor.terms[lead]
-        lead_c_inv = lead_c.inverse()
-        rem = dict(self.terms)
-        quot: Dict[int, Scalar] = {}
-        while rem:
-            k = max(rem, key=_sort_key)
-            # lead divides k iff no field of k - lead borrows from its guard bit
-            if ((k | _GUARD) - lead) & _GUARD != _GUARD:
-                raise ValueError("polynomial division is not exact")
-            qk = k - lead
-            qc = rem[k] * lead_c_inv
-            quot[qk] = qc
-            for dk, dc in divisor.terms.items():
-                t = dk + qk
-                prev = rem.get(t)
-                s = (prev if prev is not None else ZERO) - dc * qc
-                if s.is_zero():
-                    if prev is not None:
-                        del rem[t]
-                else:
-                    rem[t] = s
-        return MultiPoly(quot)
-
     # -- display -----------------------------------------------------------
 
     def __repr__(self):
@@ -539,6 +510,22 @@ def add_product(acc: Dict[int, int], p: Dict[int, int], q: Dict[int, int],
             k = k1 + k2
             acc[k] = get(k, 0) + c1 * c2
     return acc
+
+
+def _memo(f: Callable):
+    """f kept by value for the life of the returned function, which looks an
+    argument up by its id before it hashes it (MultiPoly.__hash__ builds a
+    frozenset) and keeps it alive, so that no id is reused."""
+    by_value: dict = {}
+    by_id: dict = {}
+
+    def g(p):
+        hit = by_id.get(id(p))
+        if hit is None:
+            hit = by_id[id(p)] = p, by_value[p] if p in by_value else by_value.setdefault(p, f(p))
+        return hit[1]
+
+    return g
 
 
 def accumulate(store: Dict, key, p: MultiPoly) -> None:

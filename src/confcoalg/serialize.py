@@ -36,7 +36,6 @@ joins LaTeX terms with their signs and ``_factor`` drops a coefficient 1
 
 from __future__ import annotations
 
-import functools
 import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _str_text
@@ -44,7 +43,7 @@ from typing import TYPE_CHECKING, Dict, List, Tuple
 
 from .conformal import Generator, LIE, LambdaStructure, StructureError
 from .poly import (
-    MultiPoly, _MAXEXP, _VAR_SHIFT, _exp_of, _sort_key, poly_from_json, poly_to_json,
+    MultiPoly, _MAXEXP, _VAR_SHIFT, _exp_of, _memo, _sort_key, poly_from_json, poly_to_json,
 )
 
 if TYPE_CHECKING:
@@ -225,7 +224,7 @@ def _poly(obj, what: str) -> MultiPoly:
 def dumps(obj) -> str:
     """A table or coproduct as its JSON document, each distinct polynomial
     converted once; any other JSON value as is."""
-    poly = functools.cache(poly_to_json)    # by value: equal terms share a list
+    poly = _memo(poly_to_json)    # by value: equal terms share a list
     if isinstance(obj, LambdaStructure):
         doc = _structure_json(obj, poly)
     elif isinstance(obj, (dict, list)):
@@ -431,7 +430,7 @@ def structure_tex(S: LambdaStructure) -> str:
     lines = []
     op = "[%s_\\lambda\\, %s]" if S.kind == LIE else "%s_\\lambda\\, %s"
     order = _id_order(S)
-    tex = functools.cache(poly_tex)
+    tex = _memo(poly_tex)
     for i in order:
         for j in order:
             entries = S.table[(i, j)]
@@ -463,7 +462,7 @@ def coproduct_tex(C: Coproduct) -> str:
     r"""delta(g^*) displays: each Q(x1, x2) term becomes d^a g_i^* \otimes d^b g_j^*."""
     g = C.generators
     dual = [_dual_tex(gen) for gen in g]
-    @functools.cache
+    @_memo
     def pieces(q):  # (coefficient, d-power on the left, on the right) per term of Q(x1, x2)
         factors = [(_factor(_coeff_tex(q.terms[m])), m) for m in sorted(q.terms, key=_sort_key)]
         return [(cs if cs in ("", "-") else cs + "\\,", _pow_d(_exp_of(m, "x1")),

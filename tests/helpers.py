@@ -2,9 +2,12 @@
 
 from fractions import Fraction
 
-from confcoalg import conformal
+from confcoalg import conformal, families
 from confcoalg.conformal import ConformalElement
-from confcoalg.poly import ALPHABET, MultiPoly, Scalar
+from confcoalg.poly import (
+    ALPHABET, MultiPoly, Scalar, _GUARD, _sort_key, common_denominator, pack_vector,
+    unpack_vector,
+)
 
 
 def random_poly(rng, nvars=4, nterms=4, maxexp=3, scalars=(1, -1, 2, Fraction(1, 2))) -> MultiPoly:
@@ -20,6 +23,32 @@ def random_poly(rng, nvars=4, nterms=4, maxexp=3, scalars=(1, -1, 2, Fraction(1,
             c = Scalar(c, rng.choice((1, -1)))
         out = out + MultiPoly.monomial(exps, c)
     return out
+
+
+def exact_div(p: MultiPoly, divisor: MultiPoly) -> MultiPoly:
+    """p / divisor by long division on leading terms; raises ValueError if
+    divisor does not divide p (the span reader oracle's division)."""
+    if divisor.is_zero():
+        raise ZeroDivisionError("division by zero polynomial")
+    lead = max(divisor.terms, key=_sort_key)
+    lead_c_inv = divisor.terms[lead].inverse()
+    rem = dict(p.terms)
+    quot = {}
+    while rem:
+        k = max(rem, key=_sort_key)
+        # lead divides k iff no field of k - lead borrows from its guard bit
+        if ((k | _GUARD) - lead) & _GUARD != _GUARD:
+            raise ValueError("polynomial division is not exact")
+        qk = k - lead
+        qc = quot[qk] = rem[k] * lead_c_inv
+        for dk, dc in divisor.terms.items():
+            t = dk + qk
+            s = rem.get(t, Scalar(0)) - dc * qc
+            if s.is_zero():
+                rem.pop(t, None)
+            else:
+                rem[t] = s
+    return MultiPoly(quot)
 
 
 def pair_element(S, i: int, j: int, svar: str) -> ConformalElement:
@@ -67,3 +96,42 @@ def term_products(monkeypatch, check, arg):
         m.setattr(conformal, "add_product", counting)
         rep = check(arg)
     return count[0], rep
+
+
+# -- the packed restriction seams on ConformalElements
+
+def element_pairs(S, xs):
+    """((a, b), [x_a lam x_b]) for every ordered pair of xs, row by row, as
+    ConformalElements: the packed rows of conformal.bracket_pairs unpacked."""
+    n = S.rank
+    for a, (row, scale) in enumerate(conformal.bracket_pairs(S, xs)):
+        terms = [{} for _ in xs]
+        for m, p in unpack_vector(row, scale).items():
+            b, k = divmod(m, n)
+            terms[b][k] = p
+        for b, t in enumerate(terms):
+            yield (a, b), ConformalElement(t)
+
+
+def packed_rows(pairs, n):
+    """The rows of conformal.bracket_pairs, (row, scale), made from the
+    ((a, b), element) pairs of each row a in turn: [x_a lam x_b] at the
+    components b n + k of row a."""
+    rows = {}
+    for (a, b), w in pairs:
+        rows.setdefault(a, []).extend((b * n + k, p) for k, p in w.terms.items())
+    for entries in rows.values():
+        scale = common_denominator(p for _, p in entries)
+        yield pack_vector(entries, scale), scale
+
+
+def element_reader(ambient, embeds):
+    """families.span_reader on ConformalElements: x -> {basis index: MultiPoly}."""
+    read = families.span_reader(ambient, embeds)
+
+    def on_element(x):
+        scale = common_denominator(x.terms.values())
+        coords = read({g: pack_vector([(0, p)], scale) for g, p in x.terms.items()}, scale)
+        return {j: unpack_vector(vec, s)[0] for j, (vec, s) in coords.items()}
+
+    return on_element

@@ -20,6 +20,8 @@ from confcoalg.families import (
 from confcoalg.grassmann import mul_sign
 from confcoalg.poly import D, LAM, MultiPoly, P_ONE, Scalar
 
+from helpers import element_reader
+
 
 def E(S, name):
     return ConformalElement.gen(S.index[name])
@@ -276,7 +278,7 @@ def test_s_proposition_diffs_follow_basis_names():
 
 def test_span_reader_s_rejects_outsiders(S):
     w2 = S[2].meta["W"]
-    read = span_reader(w2, S[2].meta["embeds"])
+    read = element_reader(w2, S[2].meta["embeds"])
     # xi_star has no preimage in S_2: no basis element touches it
     with pytest.raises(NotInSpan, match=r"^component on xi12 is outside the span$"):
         read(E(w2, "xi12"))
@@ -291,7 +293,7 @@ def test_span_reader_s_rejects_outsiders(S):
 
 def test_span_reader_s_round_trip(S):
     s2 = S[2]
-    read = span_reader(s2.meta["W"], s2.meta["embeds"])
+    read = element_reader(s2.meta["W"], s2.meta["embeds"])
     for j, emb in enumerate(s2.meta["embeds"]):
         assert read(emb) == {j: P_ONE}
         assert read(emb.scale(D + LAM)) == {j: D + LAM}
@@ -347,7 +349,7 @@ def test_sb0_matches_s2_after_base_change(S, S2b):
     assert W2.meta["n"] == sb.meta["W"].meta["n"]
     Wb = sb.meta["W"]
     table_embeds = s2.meta["embeds"]
-    read = span_reader(Wb, table_embeds)
+    read = element_reader(Wb, table_embeds)
     for a in range(sb.rank):
         for c in range(sb.rank):
             direct = bracket(Wb, sb.meta["embeds"][a], sb.meta["embeds"][c], "lam")
@@ -481,7 +483,7 @@ def test_ck6_axioms(CK6):
 def test_span_reader_ck6(CK6):
     K6 = CK6.meta["K6"]
     lam_idx = K6.meta["lam_idx"]
-    read = span_reader(K6, CK6.meta["embeds"])
+    read = element_reader(K6, CK6.meta["embeds"])
     L, C123 = CK6.index["L"], CK6.index["C123"]
     # xi_empty - beta d^3 xi_star = -2 L
     x = ConformalElement({

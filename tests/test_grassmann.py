@@ -247,6 +247,27 @@ def test_each_table_is_packed_once():
     assert not hasattr(conformal, "_packed_table")
 
 
+def test_restriction_stays_packed():
+    """conformal.bracket_pairs and families._restrict construct no
+    ConformalElement and call neither bracket nor shift_spectral: a
+    restricted family's brackets stay packed vectors from the bracket rows
+    to the coordinates.  families.span_reader is the one coordinate reader:
+    _restrict is its only caller, and no other code raises NotInSpan."""
+    sources = dict(_production_sources())
+    for module, name in (("confcoalg.conformal", "bracket_pairs"), ("confcoalg.families", "_restrict")):
+        func, = [node for node in ast.walk(sources[module])
+                 if isinstance(node, ast.FunctionDef) and node.name == name]
+        called = {node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
+                  for node in ast.walk(func) if isinstance(node, ast.Call)}
+        assert not called & {"ConformalElement", "gen", "bracket", "shift_spectral"}, (name, called)
+
+    def users(name):
+        return sorted((module, where) for module, tree in _production_sources()
+                      for where in _uses(tree, name))
+
+    assert users("span_reader") == [("confcoalg.families", "_restrict")]
+    assert set(users("NotInSpan")) == {("confcoalg.families", "span_reader.outside")}
+
 def test_each_flip_residual_is_computed_once():
     """LambdaStructure.flip_residual, the skew or commutativity residual, is a
     cached property read by _check_flip, which writes the skew and
@@ -329,7 +350,7 @@ def test_residual_text_is_written_from_the_packed_form(monkeypatch):
     monkeypatch.setattr(poly.MultiPoly, "__repr__", refuse)
     monkeypatch.setattr(poly.Scalar, "__repr__", refuse)
     for module in (poly, conformal, coalgebra):
-        monkeypatch.setattr(module, "unpack_vector", refuse)
+        monkeypatch.setattr(module, "unpack_vector", refuse, raising=False)
     reports = [conformal.check_jordan_identity(J2), conformal.check_skew(bad),
                conformal.check_jacobi(bad), conformal.check_jacobi(skew_bad),
                coalgebra.check_jordan_coalgebra(duals[0]),

@@ -15,15 +15,17 @@ oracle and the tensor-slot co-Jordan oracle are also compared with each
 other, through the slot map on which the shared Jordan kernel rests.
 """
 
+import heapq
 import itertools
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Dict, List, Optional, Tuple
 
 import pytest
 
 from confcoalg import closed_form as cf
-from confcoalg import families, poly
+from confcoalg import conformal, families, poly
 from confcoalg.coalgebra import (
     Coproduct, TensorElement, apply_delta_slot, check_jordan_coalgebra,
     check_lie_coalgebra, dualize, tau, zeta,
@@ -41,7 +43,10 @@ from confcoalg.poly import (
     accumulate,
 )
 
-from helpers import pair_element, term_products
+from helpers import (
+    element_pairs, element_reader, exact_div, packed_rows, pair_element, term_products,
+)
+from test_coalgebra import _bench_workloads
 
 
 # -- oracles -------------------------------------------------------------------
@@ -388,6 +393,31 @@ def test_gathers_match_per_slot_oracle(name, K, W, S, CK6, Jn, JCK4):
     assert_gathers_match(table[name])
 
 
+def test_each_image_pair_is_renamed_once_per_check(monkeypatch):
+    """A kernel call renames the table once per distinct image pair: the
+    consistent Jordan images and JORDAN_SLOTS give ca_chain and ca_split the
+    same pair, and the Jacobi kernel gathers cols3 twice; the printed Jordan
+    images rename once per gather.  The tables are fresh, so check_jacobi
+    also runs the flip kernel."""
+    J2, JS1, K3 = families.make_Jn(2), families.make_JS1(), families.make_K(3)
+    pairs = []
+    real = conformal._renaming
+
+    def renaming(vecs, names, x_img, y_img):
+        if x_img is not None:
+            pairs.append((x_img, y_img))
+        return real(vecs, names, x_img, y_img)
+
+    monkeypatch.setattr(conformal, "_renaming", renaming)
+    for check, arg, renamed in (
+            (check_jordan_identity, J2, 14), (lambda S: check_jordan_identity(S, PRINTED), JS1, 15),
+            (check_jacobi, K3, 6), (check_jordan_coalgebra, dualize(J2), 16),
+            (check_lie_coalgebra, dualize(K3), 7)):
+        pairs.clear()
+        check(arg)
+        assert len(pairs) == len(set(pairs)) == renamed, (arg.name, pairs)
+
+
 # The slot maps under which a table identity is its coproduct identity: with
 # P(alpha, beta) = Q(alpha, -alpha-beta), the flip, Jacobi and Jordan kernels
 # read the dual at these images of the table's variables.
@@ -619,22 +649,37 @@ def test_tables_are_not_cached_across_copies(K):
     assert not check_skew(bad).ok
     assert check_skew(K[2]).ok
     # two constructor calls share no table state: negating every coefficient
-    # of one, in place, leaves the other as it was built
+    # of one, each entry polynomial once, in place, leaves the other as it was built
     for make in (families.make_CK6, lambda: families.make_S(3)):
         one, two = make(), make()
         assert one.table == two.table
         built = repr(sorted(two.table.items()))
-        for entries in one.table.values():
-            for _, p in entries:
-                for key, c in p.terms.items():
-                    p.terms[key] = -c
+        for p in {id(p): p for entries in one.table.values() for _, p in entries}.values():
+            for key, c in p.terms.items():
+                p.terms[key] = -c
         assert one.table != two.table
         assert repr(sorted(two.table.items())) == built
-    # the ambient tables share polynomials between their entries, never between calls
-    for make in (families.make_W, families.make_K, families.make_Jn):
-        one, two = make(3), make(3)
+    # the ambient and the restricted tables share polynomials between their
+    # entries, never between calls
+    for make in (lambda: families.make_W(3), lambda: families.make_K(3),
+                 lambda: families.make_Jn(3), lambda: families.make_S(3),
+                 lambda: families.make_S_b(2, Scalar(0, 1)), lambda: families.make_S_tilde(2),
+                 families.make_K4prime, families.make_CK6):
+        one, two = make(), make()
         polys = [{id(p) for row in S.table.values() for _, p in row} for S in (one, two)]
-        assert not polys[0] & polys[1]
+        assert len(polys[0]) < sum(map(len, one.table.values())), one.name
+        assert not polys[0] & polys[1], one.name
+
+
+def test_benchmark_tables_hold_each_entry_value_once():
+    """Every table of the benchmark holds each distinct entry value as one
+    polynomial object, shared by every entry that has it."""
+    wl = _bench_workloads()
+    lib = SimpleNamespace(poly=poly, families=families)
+    for name in wl.FAMILIES:
+        S = wl.build_table(lib, name)
+        polys = [p for row in S.table.values() for _, p in row]
+        assert len({id(p) for p in polys}) == len(set(polys)), name
 
 
 # -- constructors ----------------------------------------------------------------
@@ -912,11 +957,13 @@ def _built(S):
 
 
 def _by_oracle(monkeypatch, make, make_K=_make_K_oracle, restrict=_bracket_loop):
+    """make() with the oracle constructors and the pairs of restrict, packed
+    into the rows bracket_pairs yields (helpers.packed_rows)."""
     with monkeypatch.context() as m:
         m.setattr(families, "make_W", _make_W_oracle)
         m.setattr(families, "make_K", make_K)
         m.setattr(families, "make_Jn", _make_Jn_oracle)
-        m.setattr(families, "bracket_pairs", restrict)
+        m.setattr(families, "bracket_pairs", lambda S, xs: packed_rows(restrict(S, xs), S.rank))
         return make()
 
 
@@ -950,7 +997,7 @@ def test_constructor_oracle_bites(monkeypatch):
 
 def test_bracket_pairs_match_bracket_and_refuse_lam(K):
     xs = [ConformalElement.gen(g).scale(D + MultiPoly.const(g)) for g in range(K[2].rank)]
-    assert list(bracket_pairs(K[2], xs)) == list(_bracket_loop(K[2], xs))
+    assert list(element_pairs(K[2], xs)) == list(_bracket_loop(K[2], xs))
     with pytest.raises(StructureError, match="already uses lam"):
         list(bracket_pairs(K[1], [ConformalElement({0: LAM})]))
 
@@ -1050,7 +1097,7 @@ def _proposition_diffs_oracle(n):
             prop_coords[(a, b)] = {nm: p.subst_general("lam", -LAM - D) * -sg
                                    for nm, p in mirror.items()}
     diffs = []
-    for (a, b), w in bracket_pairs(W, embeds):
+    for (a, b), w in element_pairs(W, embeds):
         coords = _canonicalize_S_oracle(w, W)
         printed = prop_coords[(a, b)]
         for nm in sorted(set(coords) | set(printed)):
@@ -1066,7 +1113,7 @@ def _named_reader(S):
     """span_reader over the embedded basis of S, with basis indices mapped to
     the generator names of S, as the oracles name them."""
     ambient = S.meta["K6"] if "K6" in S.meta else S.meta["W"]
-    read = families.span_reader(ambient, S.meta["embeds"])
+    read = element_reader(ambient, S.meta["embeds"])
     return lambda x: {S.generators[j].id: p for j, p in read(x).items()}
 
 
@@ -1085,7 +1132,7 @@ def _reading(read, x):
 def test_ck6_coordinates_match_oracle(CK6):
     K6 = CK6.meta["K6"]
     read = _named_reader(CK6)
-    for _, w in bracket_pairs(K6, CK6.meta["embeds"]):
+    for _, w in element_pairs(K6, CK6.meta["embeds"]):
         assert read(w) == _canonicalize_CK6_oracle(w, K6)
 
 
@@ -1094,7 +1141,7 @@ def test_s_coordinates_match_oracle(n, S):
     built = S[n] if n in S else families.make_S(n)
     W = built.meta["W"]
     read = _named_reader(built)
-    for _, w in bracket_pairs(W, built.meta["embeds"]):
+    for _, w in element_pairs(W, built.meta["embeds"]):
         assert read(w) == _canonicalize_S_oracle(w, W)
 
 
@@ -1108,7 +1155,7 @@ def test_ck6_corruptions_refused_like_oracle(CK6, seed):
     star = (1 << 6) - 1
     read = _named_reader(CK6)
     oracle = lambda x: _canonicalize_CK6_oracle(x, K6)  # noqa: E731
-    brackets = [w for _, w in bracket_pairs(K6, CK6.meta["embeds"]) if w.terms]
+    brackets = [w for _, w in element_pairs(K6, CK6.meta["embeds"]) if w.terms]
     # leading monomial -> Hodge partner, for the CK_6 basis elements
     partner = {}
     for t in families._ck6_basis_tuples():
@@ -1139,7 +1186,7 @@ def test_s_corruptions_read_like_oracle(S, seed):
     W = S[3].meta["W"]
     read = _named_reader(S[3])
     oracle = lambda x: _canonicalize_S_oracle(x, W)  # noqa: E731
-    brackets = [w for _, w in bracket_pairs(W, S[3].meta["embeds"]) if w.terms]
+    brackets = [w for _, w in element_pairs(W, S[3].meta["embeds"]) if w.terms]
     refused = 0
     for _ in range(20):
         w = rng.choice(brackets)
@@ -1161,6 +1208,137 @@ def test_proposition_diffs_match_eager_oracle(n, S):
         families.make_S(n, strict=True)
     assert exc.value.diffs == want
     assert str(exc.value).splitlines() == [f"S_{n}: construction cross-check failed:"] + want[:10]
+
+
+
+def _span_reader_oracle(ambient, embeds):
+    """span_reader as it stood on MultiPolys, before it read packed vectors:
+    the same pivot order, then forward substitution on {generator:
+    MultiPoly} with exact_div for a non-constant pivot, the scalar inverse
+    for a constant one and accumulate for the rest of each element."""
+    touching = {}
+    for j, e in enumerate(embeds):
+        for r in e.terms:
+            touching.setdefault(r, set()).add(j)
+    heap = []
+
+    def offer(rows):
+        for r in rows:
+            if len(touching[r]) == 1:
+                j, = touching[r]
+                heapq.heappush(heap, (embeds[j].terms[r].degree_in("d"), r))
+
+    offer(touching)
+    plan = []
+    while heap:
+        _, r = heapq.heappop(heap)
+        if len(touching[r]) != 1:
+            continue
+        j = touching[r].pop()
+        rest = dict(embeds[j].terms)
+        pivot = rest.pop(r)
+        inv = divisor = None
+        if list(pivot.terms) != [0]:
+            divisor = pivot
+        elif pivot != P_ONE:
+            inv = pivot.terms[0].inverse()
+        plan.append((r, j, inv, divisor, [(g, -q) for g, q in rest.items()]))
+        for g in rest:
+            touching[g].discard(j)
+        offer(rest)
+    if len(plan) != len(embeds):
+        raise StructureError(f"{ambient.name}: the embedded basis has no pivot order")
+
+    def outside(g):
+        return families.NotInSpan(f"component on {ambient.generators[g].id} is outside the span")
+
+    position = {r: k for k, (r, *_) in enumerate(plan)}
+    end = len(plan)
+
+    def read(x):
+        work = dict(x.terms)
+        coords = {}
+        while work:
+            k = min(position.get(g, end) for g in work)
+            if k == end:
+                raise outside(min(work))
+            r, j, inv, divisor, rest = plan[k]
+            p = work.pop(r)
+            if divisor is not None:
+                try:
+                    p = exact_div(p, divisor)
+                except ValueError:
+                    raise outside(r) from None
+            elif inv is not None:
+                p = p.scalar_mul(inv)
+            coords[j] = p
+            for g, q in rest:
+                accumulate(work, g, p * q)
+        return coords
+
+    return read
+
+
+def _outcome(read, x):
+    """read(x), or the class name and message of the StructureError it raises."""
+    try:
+        return read(x)
+    except StructureError as e:
+        return type(e).__name__, str(e)
+
+
+RESTRICTED = ("S_3", "S~_2", "S_2b-beta", "K_4'", "CK_6")
+
+
+def _restricted(name, S, Stilde2, S2b, K4p, CK6):
+    """(ambient, embeds) of a restricted family."""
+    T, ambient = {"S_3": (S[3], "W"), "S~_2": (Stilde2, "W"), "S_2b-beta": (S2b["beta"], "W"),
+                  "K_4'": (K4p, "K4"), "CK_6": (CK6, "K6")}[name]
+    return T.meta[ambient], T.meta["embeds"]
+
+
+@pytest.mark.parametrize("name", RESTRICTED)
+def test_packed_reader_matches_multipoly_oracle(name, S, Stilde2, S2b, K4p, CK6):
+    """On every bracket of a restricted family, and on each nonzero one with
+    one ambient component added, span_reader gives the coordinates of the
+    MultiPoly forward substitution, or raises NotInSpan with its message."""
+    ambient, embeds = _restricted(name, S, Stilde2, S2b, K4p, CK6)
+    read, oracle = element_reader(ambient, embeds), _span_reader_oracle(ambient, embeds)
+    rng = random.Random(name)
+    refused = 0
+    for _, w in element_pairs(ambient, embeds):
+        assert read(w) == oracle(w)
+        if w.terms:
+            bump = rng.choice((P_ONE, D, MultiPoly.const(Scalar(1, 2)), LAM, D * D))
+            x = w + ConformalElement({rng.randrange(ambient.rank): bump})
+            got = _outcome(read, x)
+            assert got == _outcome(oracle, x)
+            refused += isinstance(got, tuple)
+    assert refused
+
+
+def test_packed_reader_refuses_like_multipoly_oracle(S, K4p, CK6):
+    """The NotInSpan cases of the span_reader tests, and K_4''s pivot d on
+    xi_star, which divides d q and refuses d q plus a constant, give the
+    oracle's coordinates or its NotInSpan message."""
+    W2, K4, K6 = S[2].meta["W"], K4p.meta["K4"], CK6.meta["K6"]
+    star, top = K4.index["xi1234"], K6.index["xi123456"]
+    cases = [(W2, S[2].meta["embeds"], [ConformalElement.gen(W2.index[g])
+                                        for g in ("xi12", "xi1d1", "xi12d1")]),
+             (K6, CK6.meta["embeds"], [ConformalElement.gen(K6.index["1"]), ConformalElement(
+                 {K6.index["1"]: P_ONE, top: MultiPoly.monomial({"d": 3}, Scalar(0, -1))})]),
+             (K4, K4p.meta["embeds"], [ConformalElement({star: q}) for q in (
+                 D, D * D * 3 - LAM * D, D + MultiPoly.const(Scalar(1, 2)), LAM, MultiPoly.const(2))])]
+    outcomes = []
+    for ambient, embeds, elements in cases:
+        read, oracle = element_reader(ambient, embeds), _span_reader_oracle(ambient, embeds)
+        for x in elements:
+            outcomes.append(_outcome(read, x))
+            assert outcomes[-1] == _outcome(oracle, x)
+    assert [o if isinstance(o, tuple) else "read" for o in outcomes] == [
+        ("NotInSpan", f"component on {g} is outside the span") for g in ("xi12", "xi2d2", "xi12d1")
+    ] + [("NotInSpan", "component on xi123456 is outside the span"), "read", "read", "read"] + [
+        ("NotInSpan", "component on xi1234 is outside the span")] * 3
 
 
 # -- kernel of a module map --------------------------------------------------------

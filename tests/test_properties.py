@@ -53,7 +53,7 @@ from confcoalg.coalgebra import (  # noqa: E402
 )
 from confcoalg.conformal import (  # noqa: E402
     CONSISTENT, JORDAN, LIE, PRINTED, ConformalElement, Generator, LambdaStructure,
-    ModuleMap, _gather, _packed, bracket_pairs, check_jacobi, check_jordan_comm,
+    ModuleMap, _gather, _packed, check_jacobi, check_jordan_comm,
     check_jordan_identity, check_skew, kernel_basis,
 )
 from confcoalg.poly import (  # noqa: E402
@@ -61,7 +61,7 @@ from confcoalg.poly import (  # noqa: E402
     _pack, poly_from_json, unpack_vector, vector_text,
 )
 
-from helpers import repr_oracle  # noqa: E402
+from helpers import element_pairs, element_reader, repr_oracle  # noqa: E402
 from test_kernels import (  # noqa: E402
     _bracket_loop, _canonicalize_CK6_oracle, _canonicalize_S_oracle, _co_oracle,
     _coalg_residuals, _cojordan_residuals, _flip_residual, _found, _jacobi_residual,
@@ -360,7 +360,7 @@ def elements(draw, rank):
 def test_bracket_pairs_match_bracket_loop_on_random_tables(data):
     S = data.draw(tables(LIE, 12))
     xs = data.draw(elements(S.rank))
-    assert list(bracket_pairs(S, xs)) == list(_bracket_loop(S, xs))
+    assert list(element_pairs(S, xs)) == list(_bracket_loop(S, xs))
 
 
 @st.composite
@@ -396,7 +396,7 @@ def restricted(S, Stilde2, S2b, K4p, CK6):
 def test_span_reader_on_random_combinations(restricted, name, data):
     S, ambient, oracle = restricted[name]
     embeds = S.meta["embeds"]
-    read = families.span_reader(ambient, embeds)
+    read = element_reader(ambient, embeds)
     coeffs = {data.draw(st.integers(0, S.rank - 1)): _d_poly(data.draw, 1)
               for _ in range(data.draw(st.integers(0, 3)))}
     x = ConformalElement()
@@ -414,7 +414,7 @@ def test_span_reader_on_random_combinations(restricted, name, data):
 def test_k4prime_reader_needs_d_to_divide_the_star(K4p, data):
     """A component d q on xi_star is read as q d xi_star; adding a nonzero
     constant c leaves a remainder that no basis element of K_4' holds."""
-    read = families.span_reader(K4p.meta["K4"], K4p.meta["embeds"])
+    read = element_reader(K4p.meta["K4"], K4p.meta["embeds"])
     star, dstar = K4p.meta["K4"].index["xi1234"], K4p.index["dxistar"]
     c, q = data.draw(_coefficients), _d_poly(data.draw)
     assert read(ConformalElement({star: D * q})) == ({dstar: q} if q else {})
