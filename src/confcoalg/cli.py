@@ -2,10 +2,10 @@
 
 Commands:
   construct   build a family table and emit it (json | latex | text)
-  verify      run axiom checks; exit 0 iff all selected checks pass
+  verify      run axiom checks; exit 0 iff all selected checks pass (json | text)
   dualize     emit the coproduct of a family or an imported table
   emit        emit the closed-form (tabulated) coproduct of a family
-  crosscheck  diff the machine dual against the tabulated coproduct
+  crosscheck  diff the machine dual against the tabulated coproduct (json | text)
 
 Exit codes: 0 success, 1 verification/crosscheck failure, 2 usage error.
 Output is deterministic.
@@ -288,14 +288,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, infile=False):
+    def common(p, infile=False, formats=("json", "latex", "text")):
         p.add_argument("--family", help="family name (vir, cur, W, S, Sb, "
                        "Stilde, K, N, K4prime, CK6, Jn, JS1, JCK4, CurJordan)")
         p.add_argument("--n", type=int, default=None)
         p.add_argument("--b", default=None,
                        help="deformation parameter, e.g. 1, 1/2, beta, 1+2i")
-        p.add_argument("--format", choices=("json", "latex", "text"),
-                       default="text")
+        p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--out", default=None)
         p.add_argument("--allow-large", action="store_true")
         if infile:
@@ -306,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(fn=cmd_construct)
     p = sub.add_parser("verify", help="run axiom checks")
-    common(p, infile=True)
+    common(p, infile=True, formats=("json", "text"))
     p.add_argument("--checks", default=None, help="comma list: " + ",".join(CHECKS))
     p.set_defaults(fn=cmd_verify)
     p = sub.add_parser("dualize", help="emit the machine-dual coproduct")
@@ -317,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_emit)
     p = sub.add_parser("crosscheck",
                        help="diff machine dual against the tabulated coproduct")
-    common(p)
+    common(p, formats=("json", "text"))
     p.set_defaults(fn=cmd_crosscheck)
     return ap
 

@@ -6,8 +6,10 @@ structural test enforces this), so agreement of the two paths is a genuine
 cross-check of the hand-computed tables.
 
 The generator lists are not part of what is checked: W_n, K_n (and the
-N = 2, 3, 4 and K_4' lists) and J_n take theirs, with their index maps,
-from ``families`` (``w_generators``, ``k_generators``, ``jn_generators``).
+N = 2, 3, 4 and K_4' lists), J_n and JCK_4 take theirs, with their index
+maps, from ``families`` (``w_generators``, ``k_generators``,
+``jn_generators``, ``jck4_generators``), and every dual is named, in LaTeX
+too, as ``coalgebra.dual_generators`` names the duals of ``dualize``.
 Each emitter works out every dual symbol once per call (``_Builder.add_xi``)
 and then addresses generators by index, and it makes each coefficient
 polynomial (c, c x1, c x2, or a sum of these) once per call for all the
@@ -37,9 +39,10 @@ import itertools
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .coalgebra import Coproduct
+from .coalgebra import Coproduct, dual_generators
 from .conformal import Generator, JORDAN, LIE, StructureError
 from .families import (
+    DXI_STAR,
     _CK6_STAR,
     _ck6_basis_tuples,
     _ck6_name,
@@ -49,6 +52,7 @@ from .families import (
     _monomial,
     _sgn,
     ck6_symbol,
+    jck4_generators,
     jn_generators,
     k_generators,
     sl2_constants,
@@ -62,10 +66,10 @@ from .poly import MultiPoly, Scalar, X1, X2
 class _Builder:
     """The coproduct of one emitter call, its entries added by generator index."""
 
-    def __init__(self, kind: str, prim: Sequence[Tuple[str, int]], name: str,
+    def __init__(self, kind: str, prim: Sequence[Generator], name: str,
                  xi: Optional[Dict[int, int]] = None):
-        self.gens = [Generator(nm + "*", p) for nm, p in prim]
-        self.at = {nm: i for i, (nm, _) in enumerate(prim)}   # primal name -> index
+        self.gens = dual_generators(prim)   # named, LaTeX too, as dualize names them
+        self.at = {g.id: i for i, g in enumerate(prim)}   # primal name -> index
         self.xi = xi   # mask m -> the index of xi_m*, for add_xi
         self.kind = kind
         self.name = name
@@ -150,7 +154,7 @@ def _deg(m: int) -> int:
 
 def coproduct_vir() -> Coproduct:
     """delta(L*) = d L* (x) L* - L* (x) d L*."""
-    b = _Builder(LIE, [("L", 0)], "Vir^c[formula]")
+    b = _Builder(LIE, [Generator("L", 0, "L")], "Vir^c[formula]")
     b.add("L", "L", "L", X1 - X2)
     return b.done()
 
@@ -158,7 +162,7 @@ def coproduct_vir() -> Coproduct:
 def coproduct_cur_sl2() -> Coproduct:
     """delta(f) = dual of the sl2 bracket, lambda-free."""
     names, pars, prods = sl2_constants()
-    b = _Builder(LIE, list(zip(names, pars)), "Cur(sl2)^c[formula]")
+    b = _Builder(LIE, [Generator(nm, p) for nm, p in zip(names, pars)], "Cur(sl2)^c[formula]")
     for (u, v), terms in prods.items():
         for w, c in terms:
             b.add(w, u, v, b.poly(c))
@@ -172,7 +176,7 @@ def coproduct_cur_sl2() -> Coproduct:
 def coproduct_W(n: int) -> Coproduct:
     """The two displayed sums for delta(xi_K*) and delta((xi_K d_k)*)."""
     gens, lam_idx, w_idx = w_generators(n)
-    b = _Builder(LIE, [(g.id, g.parity) for g in gens], f"W_{n}^c[formula]")
+    b = _Builder(LIE, gens, f"W_{n}^c[formula]")
     # w[m][0] indexes xi_m*, w[m][k] indexes (xi_m d_k)*
     w = [[lam_idx[m]] + [w_idx[(m, k)] for k in range(1, n + 1)] for m in range(1 << n)]
     for K in lam_idx:
@@ -222,7 +226,7 @@ def coproduct_K(n: int) -> Coproduct:
     cross-check against the machine dual adjudicates the reading).
     """
     gens, xi = k_generators(n)
-    b = _Builder(LIE, [(g.id, g.parity) for g in gens], f"K_{n}^c[formula]")
+    b = _Builder(LIE, gens, f"K_{n}^c[formula]")
     for K in xi:
         Kx = xi[K]
         for I in _submasks(K):
@@ -367,7 +371,7 @@ def coproduct_N(n: int) -> Coproduct:
     if n not in (2, 3, 4):
         raise StructureError("the N-lists cover n in {2, 3, 4}")
     gens, lam_idx = k_generators(n)
-    b = _Builder(LIE, [(g.id, g.parity) for g in gens], f"N={n}[formula]", lam_idx)
+    b = _Builder(LIE, gens, f"N={n}[formula]", lam_idx)
     add = b.add_xi
     one: Tuple[int, ...] = ()
 
@@ -443,8 +447,7 @@ def coproduct_K4prime() -> Coproduct:
     gens, lam_idx = k_generators(4)
     # (d xi_star)* takes the place of xi_star*, the last generator of K_4, so
     # the index tuple of xi_star is its symbol
-    prim = [(g.id, g.parity) for g in gens[:-1]] + [("dxistar", 0)]
-    b = _Builder(LIE, prim, "K_4'^c[formula]", lam_idx)
+    b = _Builder(LIE, gens[:-1] + [DXI_STAR], "K_4'^c[formula]", lam_idx)
     add = b.add_xi
     dxistar = (1, 2, 3, 4)
     for K, terms in _n4_rows(drop_star=True):
@@ -510,7 +513,8 @@ def coproduct_S(n: int) -> Coproduct:
     if n < 2:
         raise StructureError("S_n needs n >= 2")
     basis = sn_basis(n)
-    b = _Builder(LIE, [(e.name(), e.parity()) for e in basis], f"S_{n}^c[formula]")
+    b = _Builder(LIE, [Generator(e.name(), e.parity(), e.latex()) for e in basis],
+                 f"S_{n}^c[formula]")
     at = {(e.tag, e.mask, e.i, e.j): g for g, e in enumerate(basis)}
     full = (1 << n) - 1
 
@@ -742,7 +746,7 @@ def _contact_sign(x: int, y: int, z: int) -> int:
 
 def coproduct_CK6() -> Coproduct:
     """The displayed coproducts of L*, C_l*, C_{1st}* and C_{rs}*."""
-    prim = [(_ck6_name(t), _ck6_parity(t)) for t in _ck6_basis_tuples()]
+    prim = [Generator(_ck6_name(t), _ck6_parity(t)) for t in _ck6_basis_tuples()]
     b = _Builder(LIE, prim, "CK_6^c[formula]")
     beta = Scalar.beta()
     dual = _ck6_duals(b)
@@ -870,7 +874,7 @@ def coproduct_CK6() -> Coproduct:
 def coproduct_Jn(n: int) -> Coproduct:
     """The two displayed formulas for Delta((xi_K theta)*) and Delta(xi_K*)."""
     gens, xi, th = jn_generators(n)
-    b = _Builder(JORDAN, [(g.id, g.parity) for g in gens], f"J_{n}^c[formula]")
+    b = _Builder(JORDAN, gens, f"J_{n}^c[formula]")
     for K in xi:
         for I in _submasks(K):
             J = K & ~I
@@ -918,7 +922,7 @@ def _add_swap_deriv(b: "_Builder", xi: List[int], th: List[int], K: int, i: int,
 def coproduct_JS1() -> Coproduct:
     """Delta(T*) = T* (x) S* + S* (x) T*;
     Delta(S*) = 2 S* (x) S* + d T* (x) T* - T* (x) d T*."""
-    b = _Builder(JORDAN, [("S", 0), ("T", 1)], "JS_1^c[formula]")
+    b = _Builder(JORDAN, [Generator("S", 0), Generator("T", 1)], "JS_1^c[formula]")
     b.add("T", "T", "S", b.poly(1))
     b.add("T", "S", "T", b.poly(1))
     b.add("S", "S", "S", b.poly(2))
@@ -928,9 +932,7 @@ def coproduct_JS1() -> Coproduct:
 
 def coproduct_JCK4() -> Coproduct:
     """The displayed JCK_4 coproducts on 1*, x*, omega_i*, x_k*."""
-    prim = [("one", 0), ("w1", 0), ("w2", 0), ("w3", 0),
-            ("x", 1), ("x1", 1), ("x2", 1), ("x3", 1)]
-    b = _Builder(JORDAN, prim, "JCK_4^c[formula]")
+    b = _Builder(JORDAN, jck4_generators(), "JCK_4^c[formula]")
     b.add("one", "one", "one", b.poly(1))
     for i, sg in ((1, 1), (2, 1), (3, -1)):
         b.add("one", f"w{i}", f"w{i}", b.poly(sg))

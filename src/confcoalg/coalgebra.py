@@ -19,9 +19,9 @@ with a coproduct splits its variable into the sum of the two new ones
 ``apply_delta_slot``, ``tau`` and ``zeta`` implement these operations on
 ``TensorElement`` values and are the definitional path: no production code
 calls them, and ``tests/test_kernels.py`` uses them as the oracle for the
-co-checks.  Every co-check runs one of conformal's flip, Jacobi and Jordan
-kernels in slot variables; co-Jordan is the Jordan identity at
-(lam, mu, nu, d) = (x1, x2, x2+x3, -x1-x2-x3-x4), times -(-1)^{p(a)p(c)}.
+co-checks.  Every check, of a table or of a coproduct, runs conformal's
+kernels in slot variables; co-Jordan is the Jordan identity at (lam, mu,
+nu, d) = (x1, x2, x2+x3, -x1-x2-x3-x4), times -(-1)^{p(a)p(c)}.
 """
 
 from __future__ import annotations
@@ -30,18 +30,17 @@ from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .conformal import (
-    Generator, JORDAN, JORDAN_SLOTS, LIE, LambdaStructure, Record, Report, SLOTS, StructureError,
-    Table, Violation, _flip_kernel, _jacobi_residuals, _jordan_rows, _packed, _renaming,
+    Generator, JORDAN, JORDAN_IMAGES, LIE, LambdaStructure, Record, Report, StructureError,
+    Table, Violation, _jacobi_residuals, _jordan_rows, _packed,
 )
 from .poly import (
-    D, LAM, MultiPoly, P_ONE, X1, X2, _MAXEXP, _MONO_MASK, _VAR_SHIFT, _memo, accumulate,
+    D, LAM, MultiPoly, P_ONE, _MAXEXP, _MONO_MASK, _VAR_SHIFT, _memo, accumulate,
     unpack_vector, vector_text,
 )
 
 _X = ("x1", "x2", "x3", "x4")
 # monomial fields of every variable but x1 and x2, the two coproduct slots
 _NOT_SLOT = _MONO_MASK & ~(_MAXEXP << _VAR_SHIFT["x1"] | _MAXEXP << _VAR_SHIFT["x2"])
-_MINUS_X1_X2 = -X1 - X2
 
 
 class Coproduct(Table):
@@ -57,9 +56,10 @@ class Coproduct(Table):
     A pair given once keeps its MultiPoly object.
 
     Treat it and its polynomials as values, as a LambdaStructure: the checks
-    read a packed form built on first read, so an entry changed in place after
-    a check leaves later verdicts on the old table.  To change an entry, build
-    a new Coproduct, or change the table with with_entry and dualize it."""
+    read a packed form and its flip residual (Table.flip_residual), each built
+    on first read, so an entry changed in place after a check leaves later
+    verdicts on the old table.  To change an entry, build a new Coproduct, or
+    change the table with with_entry and dualize it."""
 
     def __init__(
         self,
@@ -107,35 +107,31 @@ class Coproduct(Table):
         return _packed((i, j, k, q) for k, row in self.table.items() for i, j, q in row)
 
 
-def dual_generators(S: LambdaStructure) -> List[Generator]:
-    return [
-        Generator(g.id + "*", g.parity, (g.latex or g.id) + "^*")
-        for g in S.generators
-    ]
+def dual_generators(gens: Sequence[Generator]) -> List[Generator]:
+    """The dual basis of gens: a_k^* for each a_k, its LaTeX name ending in ^*."""
+    return [Generator(g.id + "*", g.parity, (g.latex or g.id) + "^*") for g in gens]
 
 
 def dualize(S: LambdaStructure) -> Coproduct:
     """The coproduct on the dual basis: Q^{ij}_k(x, y) = P^{ij}_k(x, -x-y).
 
-    Each distinct entry polynomial of S.packed is renamed and unpacked
-    once; every entry still gets a MultiPoly of its own.  S has one entry
-    per (i, j, k) and none zero, so the Coproduct's merge keeps the rows, and
-    the renamed vectors are its packed form as _packed builds it: the
-    substitution is invertible over the integers, so L and distinctness are
-    kept.
+    S.packed already holds the table as Q, so dualize renames nothing: it
+    unpacks each distinct vector of S.packed once, and every entry still
+    gets a MultiPoly of its own.  S has one entry per (i, j, k) and none
+    zero, so the Coproduct's merge keeps the rows, and the same vectors,
+    regrouped by k, are its packed form as _packed builds it.
     """
     L, (vecs, slots) = S.packed
-    renamed = _renaming(vecs, ("lam", "d"), X1, _MINUS_X1_X2)
     index: Dict[int, int] = {}      # e -> its place in order of first occurrence
     # the slots grouped by k, in table order within each k, as the rows list them
     slots = [(i, j, k, index.setdefault(e, len(index)))
              for i, j, k, e in sorted(slots, key=lambda slot: slot[2])]
-    vecs = [renamed[e] for e in index]
+    vecs = [vecs[e] for e in index]
     duals = [unpack_vector(vec, L)[0].terms for vec in vecs]
     table: Dict[int, List[Tuple[int, int, MultiPoly]]] = {}
     for i, j, k, e in slots:
         table.setdefault(k, []).append((i, j, MultiPoly(dict(duals[e]))))
-    cop = Coproduct(S.kind, dual_generators(S), table, name=S.name + "^c")
+    cop = Coproduct(S.kind, dual_generators(S.generators), table, name=S.name + "^c")
     cop.packed = L, (vecs, slots)
     return cop
 
@@ -295,14 +291,14 @@ def zeta(t: TensorElement) -> TensorElement:
 
 # -- contraction kernels ---------------------------------------------------------
 #
-# The co-checks run conformal's kernels on the packed coproduct in slot
-# variables: with P(a, b) = Q(a, -a-b), each renamed copy of P at (lam, mu, d)
-# = (x1, x2, -x1-x2-x3) (conformal.SLOTS: flip and Jacobi) or at (lam, mu, nu, d)
-# = (x1, x2, x2+x3, -x1-x2-x3-x4) (conformal.JORDAN_SLOTS: Jordan, with the sign
-# -(-1)^{p(a)p(c)}) is one of Q in the slot variables.  Row a of the Jacobi or
-# Jordan kernel holds the residual of a_m^* at [a, t] at component t n + m, n
-# the rank and t the rest of the tuple as base-n digits; an antisymmetric
-# coproduct gets the half Jacobi kernel as a skew table does.
+# The co-checks run conformal's kernels on the packed coproduct, which holds Q
+# in the slot variables as a packed table does (see conformal, "packed
+# tables"): the flip residual is the co-antisymmetry residual and minus the
+# co-commutativity one, the Jacobi rows are the co-Jacobi residuals and the
+# consistent Jordan rows, times -(-1)^{p(a)p(c)}, the co-Jordan ones.  Row a
+# of the Jacobi or Jordan kernel holds the residual of a_m^* at [a, t] at
+# component t n + m, n the rank and t the rest of the tuple as base-n digits;
+# an antisymmetric coproduct gets the half Jacobi kernel as a skew table does.
 
 
 def _record(rep: Report, cop: Coproduct, residuals) -> None:
@@ -339,8 +335,10 @@ def check_lie_coalgebra(cop: Coproduct) -> Report:
             = sum (-1)^{p_i p_l} Q^{ij}_k(x2, x1+x3) Q^{lm}_j(x1, x3) [l,i,m]
         (delta (x) I) delta a_k = sum Q^{ij}_k(x1+x2, x3) Q^{lm}_i(x1, x2) [l,m,j]
 
-    Both are conformal's kernels in slot variables (see "contraction kernels");
-    with antisymmetry, co-Jacobi runs over [i, j, k] with j >= i and mirrors.
+    For cop = dualize(S), cop.flip_residual and the rows of conformal's
+    Jacobi kernel are the rows check_skew and check_jacobi map back to lam,
+    mu and d, written as they come (see "contraction kernels"); with
+    antisymmetry, co-Jacobi runs over [i, j, k] with j >= i and mirrors.
     """
     if cop.kind != LIE:
         raise StructureError("Lie coalgebra axioms apply to Lie kind")
@@ -348,8 +346,8 @@ def check_lie_coalgebra(cop: Coproduct) -> Report:
     par = [g.parity for g in cop.generators]
     rep = Report("coalg", cop.name, total=n)
     L, table = cop.packed
-    flip = _flip_kernel(table, par, LIE, SLOTS)
-    jacobi = _jacobi_residuals(table, par, SLOTS, not flip)
+    flip = cop.flip_residual
+    jacobi = _jacobi_residuals(table, par, not flip)
     _record(rep, cop, [("antisymmetry", 2, [flip], L), ("co-jacobi", 3, jacobi, L * L)])
     return rep
 
@@ -372,8 +370,10 @@ def check_jordan_coalgebra(cop: Coproduct) -> Report:
     (a, b, c, d) at a_m: that identity is a cyclic sum over (a, b, c) (see
     conformal.check_jordan_identity), and (-1)^{p(a)p(c)} turns the sign of
     each rotation into that of zeta^0, zeta or zeta^2.  So co-Jordan is the
-    Jordan kernel under conformal.JORDAN_SLOTS, which folds that sign in, at
-    scale -L^3; co-commutativity is minus the SLOTS commutativity residual.
+    consistent Jordan kernel under conformal.JORDAN_IMAGES with fold 1, which
+    folds that sign in, at scale -L^3, and co-commutativity is minus
+    cop.flip_residual: the rows that check_jordan_identity and
+    check_jordan_comm map back to lam, mu, nu and d, written as they come.
     """
     if cop.kind != JORDAN:
         raise StructureError("Jordan coalgebra axioms apply to Jordan kind")
@@ -381,9 +381,9 @@ def check_jordan_coalgebra(cop: Coproduct) -> Report:
     par = [g.parity for g in cop.generators]
     rep = Report("cojordan", cop.name, total=n)
     L, table = cop.packed
-    flip = _flip_kernel(table, par, JORDAN, SLOTS)
-    jordan = _jordan_rows(table, par, JORDAN_SLOTS)
-    _record(rep, cop, [("co-commutativity", 2, [flip], -L), ("co-jordan", 4, jordan, -L ** 3)])
+    jordan = _jordan_rows(table, par, JORDAN_IMAGES, 1)
+    _record(rep, cop, [("co-commutativity", 2, [cop.flip_residual], -L),
+                       ("co-jordan", 4, jordan, -L ** 3)])
     return rep
 
 

@@ -168,6 +168,12 @@ class Table:
     def parity(self, i: int) -> int:
         return self.generators[i].parity
 
+    @cached_property
+    def flip_residual(self):
+        """_flip_kernel of the packed table, L times too large; built on first
+        read and kept, as the packed table of each subclass is."""
+        return _flip_kernel(self.packed[1], [g.parity for g in self.generators], self.kind)
+
 
 class LambdaStructure(Table):
     """Structure-constant table of a finite free conformal (super)algebra.
@@ -240,14 +246,11 @@ class LambdaStructure(Table):
 
     @cached_property
     def packed(self):
-        """The table packed by _packed, entries (i, j, k, P^{ij}_k), built on first
-        read and kept: the table is read as a value (see the class docstring)."""
-        return _packed((i, j, k, p) for (i, j), row in self.table.items() for k, p in row)
-
-    @cached_property
-    def flip_residual(self):
-        """_flip_kernel of packed, L times too large; built on first read and kept."""
-        return _flip_kernel(self.packed[1], [g.parity for g in self.generators], self.kind, LAMBDA)
+        """The table packed by _packed as its dual, Q^{ij}_k(x1, x2) = P^{ij}_k(x1,
+        -x1-x2), each distinct P renamed once; built on first read and kept."""
+        entries = ((i, j, k, p) for (i, j), row in self.table.items() for k, p in row)
+        L, (vecs, slots) = _packed(entries)
+        return L, ([_TO_SLOTS(vec) for vec in vecs], slots)
 
     def with_entry(self, i: int, j: int, value: "ConformalElement") -> "LambdaStructure":
         """Copy of the table with one (i, j) entry replaced (negative controls)."""
@@ -387,56 +390,47 @@ class Report(Record):
         }
 
 
-# -- renamed tables ------------------------------------------------------------
+# -- packed tables ---------------------------------------------------------------
 #
-# Every term of the Jacobi and Jordan identities on generators is a sparse
-# contraction of copies of the table with its variables renamed,
-# P^{ij}_k(lam, d) -> P^{ij}_k(lam_img, d_img), packed once per check times
-# the common denominator L of the table (see poly.pack_vector), so a residual
-# of degree g is reported divided by L**g.  A table has few distinct entry
-# polynomials (K_5 has 618 entries and 23 distinct ones), so a packed table
-# holds each distinct polynomial once and every entry names its own: a
-# renamed copy renames each distinct polynomial once and writes the result
-# into the slot of every entry that has it, at the entry's component and
-# sign.  The packed form is built once, on the first read of S.packed, and
-# every check reads it, as skew, commutativity and Jacobi read the flip
-# residual S.flip_residual; with_entry makes a new table with its own forms.
-# The renamed copies are built per check call, once per distinct image pair.
-# Free tuple indices ride in the component of packed vectors, so one add_product
-# covers a whole batch of tuples.  The flip, Jacobi and Jordan kernels take an
-# image set: the two variables of an entry, their images in each copy, the pair
-# the half Jacobi kernel's mirror swaps and, for Jordan, a fold bit.  LAMBDA and
-# _jordan_images(T) read P^{ij}_k(lam, d).  SLOTS and JORDAN_SLOTS read a
-# coproduct Q(x1, x2) = P(x1, -x1-x2) at (lam, mu, d) = (x1, x2, -x1-x2-x3) and
-# (lam, mu, nu, d) = (x1, x2, x2+x3, -x1-x2-x3-x4), where the skew,
-# commutativity, Jacobi and consistent Jordan residuals are the co-antisymmetry,
-# minus the co-commutativity, the co-Jacobi and -(-1)^{p(a)p(c)} times the
-# co-Jordan residuals (see coalgebra); the fold multiplies each Jordan row by
-# (-1)^{p(a)p(c)}.
-LAMBDA = {"names": ("lam", "d"), "flip": (-LAM - D, D), "outer": (None, None),
-          "cols1": (MU, LAM + D), "first2": (LAM, -LAM - MU), "rows2": (LAM + MU, D),
-          "first3": (LAM, MU + D), "cols3": (MU, D), "mirror": ("lam", "mu")}
-SLOTS = {"names": ("x1", "x2"), "flip": (X2, X1), "outer": (X1, X2 + X3),
-         "cols1": (X2, X3), "first2": (X1, X2), "rows2": (X1 + X2, X3),
-         "first3": (X1, X3), "cols3": (X2, X1 + X3), "mirror": ("x1", "x2")}
-
-
-def _jordan_images(t: MultiPoly) -> dict:
-    """The Jordan kernel's image set on a table, T = t (see check_jordan_identity)."""
-    nu_mu, s = NU - MU, LAM + NU - MU
-    ca_split = (nu_mu, -s)      # the consistent T is s: the chain shares the split's pair
-    return {"names": ("lam", "d"), "fold": 0, "bc": (MU, -NU), "ab": (LAM, -LAM - MU),
-            "ca_chain": ca_split if t == s else (nu_mu, -t), "ca_split": ca_split,
-            "r1": ((NU, LAM + D), (None, None)), "q1": ((nu_mu, LAM + MU + D), (LAM + MU, D)),
-            "r2": ((t, MU + D), (MU, D)), "q2": ((LAM, NU + D), (NU, D)),
-            "r3": ((LAM + MU, nu_mu + D), (nu_mu, D)), "q3": ((MU, s + D), (s, D))}
-
-
-JORDAN_SLOTS = {"names": ("x1", "x2"), "fold": 1, "bc": (X2, X3), "ab": (X1, X2),
-                "ca_chain": (X3, X1), "ca_split": (X3, X1),
-                "r1": ((X2 + X3, X4), (X1, X2 + X3 + X4)), "q1": ((X3, X4), (X1 + X2, X3 + X4)),
-                "r2": ((X1 + X3, X4), (X2, X1 + X3 + X4)), "q2": ((X1, X4), (X2 + X3, X1 + X4)),
-                "r3": ((X1 + X2, X4), (X3, X1 + X2 + X4)), "q3": ((X2, X4), (X1 + X3, X2 + X4))}
+# A table and its dual coproduct are one object in two coordinate systems,
+# Q^{ij}_k(x1, x2) = P^{ij}_k(x1, -x1-x2), and the kernels work in the second:
+# LambdaStructure.packed renames each distinct entry polynomial into the slot
+# variables once (_TO_SLOTS), Coproduct.packed packs Q as it is, and dualize
+# reuses the table's vectors.  A table has few distinct entry polynomials (K_5
+# has 618 entries and 23 distinct ones), so a packed table holds each once,
+# times the common denominator L of the table (see poly.pack_vector), and
+# every entry names its own.  The packed form and the flip residual
+# (Table.flip_residual) are built once per table, on first read; with_entry
+# makes a new table with its own forms.  Every term of the Jacobi and Jordan
+# identities on generators is a sparse contraction of renamed copies
+# Q^{ij}_k(x1_img, x2_img), so a residual of degree g is reported divided by
+# L**g.  A copy renames each distinct polynomial once per check call and image
+# pair and writes the result into the slot of every entry that has it, at the
+# entry's component and sign; free tuple indices ride in the component, so one
+# add_product covers a whole batch of tuples.  With P(a, b) = Q(a, -a-b), the
+# kernels read the table at (lam, d) = (x1, -x1-x2) for the flip, (lam, mu, d)
+# = (x1, x2, -x1-x2-x3) for Jacobi and (lam, mu, nu, d) = (x1, x2, x2+x3,
+# -x1-x2-x3-x4) for Jordan, where the skew, commutativity, Jacobi and
+# consistent Jordan residuals are the co-antisymmetry, minus the
+# co-commutativity, the co-Jacobi and -(-1)^{p(a)p(c)} times the co-Jordan
+# residuals (see coalgebra).  The co-checks write the kernels' rows as they
+# come; the table checks map each nonzero row back first (_FLIP_BACK,
+# _JACOBI_BACK, _JORDAN_BACK; each map keeps the image of every monomial it
+# meets).  The image sets give each copy's (x1_img, x2_img), (None, None) for
+# the table as it is.
+JACOBI_IMAGES = {"outer": (X1, X2 + X3), "cols1": (X2, X3), "first2": (None, None),
+                 "rows2": (X1 + X2, X3), "first3": (X1, X3), "cols3": (X2, X1 + X3)}
+JORDAN_IMAGES = {"bc": (X2, X3), "ab": (None, None), "ca_chain": (X3, X1), "ca_split": (X3, X1),
+                 "r1": ((X2 + X3, X4), (X1, X2 + X3 + X4)), "q1": ((X3, X4), (X1 + X2, X3 + X4)),
+                 "r2": ((X1 + X3, X4), (X2, X1 + X3 + X4)), "q2": ((X1, X4), (X2 + X3, X1 + X4)),
+                 "r3": ((X1 + X2, X4), (X3, X1 + X2 + X4)), "q3": ((X2, X4), (X1 + X3, X2 + X4))}
+# the printed T = lam - mu (see check_jordan_identity) moves two of them
+PRINTED_JORDAN_IMAGES = {**JORDAN_IMAGES, "ca_chain": (X3, X1 - X2 - X3),
+                         "r2": ((X1 - X2, X2 + X3 + X4), (X2, X1 + X3 + X4))}
+_TO_SLOTS = substitution("lam", "d", X1, -X1 - X2)
+_FLIP_BACK = substitution("x1", "x2", LAM, -LAM - D)
+_JACOBI_BACK = substitution("x1", "x2", "x3", LAM, MU, -LAM - MU - D)
+_JORDAN_BACK = substitution("x1", "x2", "x3", "x4", LAM, MU, NU - MU, -LAM - NU - D)
 
 
 def _packed(entries):
@@ -450,34 +444,24 @@ def _packed(entries):
     return L, ([pack_vector([(0, p)], L) for p in distinct], slots)
 
 
-def _renaming(vecs, names, x_img, y_img):
-    """The distinct packed entries vecs of a packed table (see _packed) with
-    names[0] -> x_img and names[1] -> y_img, each renamed once; with x_img
-    None, vecs themselves."""
-    if x_img is None:
-        return vecs
-    rename = substitution(*names, x_img, y_img)
-    return [rename(vec) for vec in vecs]
-
-
-def _gather(table, lam_img, d_img, place, negate=None, names=("lam", "d"), renamed=None):
-    """Packed vectors out[slot] of the renamed entries P^{ij}_k(lam_img, d_img).
+def _gather(table, x1_img, x2_img, place, negate=None, renamed=None):
+    """Packed vectors out[slot] of the renamed entries Q^{ij}_k(x1_img, x2_img).
 
     place(i, j, k) = (slot, m) puts the entry at component m of out[slot];
     with negate given, the entries for which negate(i, j) holds change sign.
-    names are the two variables renamed; with lam_img None nothing is.
-    renamed, a dict one kernel call passes to all its gathers (of tables with
-    the same vecs), keeps the renamed vecs by the ids of the image pair, so
-    each pair of image objects is renamed once; equal pairs share objects.
-    The entries of one slot have distinct components, so each entry's terms
-    are written in place and no slot is summed or compacted; they are
-    written in the order of the slots of table, the table's row order.
+    With x1_img None nothing is renamed.  renamed, a dict one kernel call
+    passes to all its gathers, keeps the renamed vecs by the ids of the image
+    pair, so each pair of image objects is renamed once; equal pairs share
+    objects.  The entries of one slot have distinct components, so each
+    entry's terms are written in place and no slot is summed or compacted;
+    they are written in the order of the slots of table, the table's row order.
     """
     vecs, slots = table
     renamed = {} if renamed is None else renamed
-    key = id(lam_img), id(d_img)
+    key = id(x1_img), id(x2_img)
     if key not in renamed:
-        renamed[key] = _renaming(vecs, names, lam_img, d_img)
+        renamed[key] = vecs if x1_img is None else list(
+            map(substitution("x1", "x2", x1_img, x2_img), vecs))
     vecs = renamed[key]
     out = {}
     for i, j, k, e in slots:
@@ -495,22 +479,22 @@ def _gather(table, lam_img, d_img, place, negate=None, names=("lam", "d"), renam
     return out
 
 
-def _flip_kernel(table, par, kind: str, images) -> dict:
+def _flip_kernel(table, par, kind: str) -> dict:
     """The packed table's skew (Lie) or commutativity (Jordan) residual, compact,
-    at components (i n + j) n + k: P^{ij}_k - sign (-1)^{p_i p_j} P^{ji}_k under
-    images["flip"], sign -1 for Lie and +1 for Jordan; empty when the axiom holds."""
+    at components (i n + j) n + k: Q^{ij}_k(x1, x2) - sign (-1)^{p_i p_j}
+    Q^{ji}_k(x2, x1), sign -1 for Lie and +1 for Jordan; empty when the axiom holds."""
     n = len(par)
     acc = _gather(table, None, None, lambda i, j, k: (0, (i * n + j) * n + k)).get(0, {})
-    flipped = _gather(table, *images["flip"], lambda j, i, k: (0, (i * n + j) * n + k),
-                      lambda j, i: (kind == JORDAN) != bool(par[i] & par[j]), images["names"])
+    flipped = _gather(table, X2, X1, lambda j, i, k: (0, (i * n + j) * n + k),
+                      lambda j, i: (kind == JORDAN) != bool(par[i] & par[j]))
     return compact_vector(add_product(acc, flipped.get(0, {}), {0: 1}))
 
 
 def _check_flip(S: LambdaStructure, check: str) -> Report:
     """[a lam b] = sign (-1)^{p(a)p(b)} [b_{-lam-d} a] per pair, written from
-    S.flip_residual (see _flip_kernel)."""
+    S.flip_residual (see _flip_kernel) at (x1, x2) = (lam, -lam-d)."""
     rep = Report(check, S.name, total=S.rank ** 2)
-    _record(rep, S, (), S.flip_residual, 2, S.packed[0])
+    _record(rep, S, (), S.flip_residual, 2, S.packed[0], _FLIP_BACK)
     return rep
 
 
@@ -528,16 +512,18 @@ def check_jordan_comm(S: LambdaStructure) -> Report:
     return _check_flip(S, "jordan-comm")
 
 
-def _record(rep: Report, S: LambdaStructure, head, acc, width: int, scale: int) -> None:
+def _record(rep: Report, S: LambdaStructure, head, acc, width: int, scale: int, back) -> None:
     """Add a violation at each tuple head + tail whose part of acc is nonzero.
 
-    acc is a packed residual, scale times too large, at components tail n + m,
-    m the generator of the residual and tail the last width tuple indices as
-    base-n digits; violations follow in the order of the tails, and each
+    acc is a packed residual in slot variables, scale times too large, at
+    components tail n + m, m the generator of the residual and tail the last
+    width tuple indices as base-n digits; back maps it to the table's
+    variables.  Violations follow in the order of the tails, and each
     residual is written as ConformalElement.pretty writes it.
     """
     if not any(acc.values()):
         return
+    acc = back(compact_vector(acc))   # a full kernel's rows keep the zeros of cancelled terms
     n = S.rank
     names = [g.id for g in S.generators]
     by_tail: Dict[int, List[str]] = {}
@@ -569,29 +555,30 @@ def check_jacobi(S: LambdaStructure) -> Report:
     algebras, 1998).  So when S.flip_residual is empty the kernel runs over
     j >= i only, and each residual of j > i gives that of its mirror triple
     (j, i, k) by the swap of lam and mu and the sign -s; on every table that
-    is not skew the kernel runs over all triples.
+    is not skew the kernel runs over all triples, in slot variables (see
+    "packed tables").
     """
     if S.kind != LIE:
         raise StructureError("Jacobi applies to Lie kind")
     n = S.rank
     rep = Report("jacobi", S.name, total=n ** 3)
     L, table = S.packed
-    rows = _jacobi_residuals(table, [S.parity(i) for i in range(n)], LAMBDA, not S.flip_residual)
+    rows = _jacobi_residuals(table, [S.parity(i) for i in range(n)], not S.flip_residual)
     for i, acc in enumerate(rows):
-        _record(rep, S, (i,), acc, 2, L * L)
+        _record(rep, S, (i,), acc, 2, L * L, _JACOBI_BACK)
     return rep
 
 
-def _jacobi_residuals(table, par, images, half: bool):
+def _jacobi_residuals(table, par, half: bool):
     """The rows of _jacobi_rows; with half, for a table whose flip residual is
     empty, each residual of j > i also written at its mirror triple (j, i, k),
-    the variables of images["mirror"] swapped, times -s (see check_jacobi)."""
-    rows = _jacobi_rows(table, par, images, half)
+    x1 and x2 (lam and mu) swapped, times -s (see check_jacobi)."""
+    rows = _jacobi_rows(table, par, half)
     if not half:
         return rows
     rows = [compact_vector(acc) for acc in rows]
     n2 = len(par) ** 2
-    a1, b1 = (1 << _VAR_SHIFT[v] for v in images["mirror"])
+    a1, b1 = 1 << _VAR_SHIFT["x1"], 1 << _VAR_SHIFT["x2"]
     for i in reversed(range(len(rows))):   # so that no row is read after mirrors reach it
         for key, c in rows[i].items():
             j, km = divmod(key >> _COMPONENT_SHIFT, n2)
@@ -614,9 +601,9 @@ def _dropped_below(vec: dict, lo: int) -> dict:
     return vec
 
 
-def _jacobi_rows(table, par, images, half: bool) -> Iterator[dict]:
+def _jacobi_rows(table, par, half: bool) -> Iterator[dict]:
     """For each i, the packed Jacobi residuals of table's triples (i, j, k) under
-    images, L**2 times too large, at components (j n + k) n + m; with half, j >= i.
+    JACOBI_IMAGES, L**2 times too large, at components (j n + k) n + m; with half, j >= i.
 
     All (j, k) of one i form one accumulation: per l, the first term takes
     a column over (j, k), the second the first factors tagged by j against a
@@ -629,17 +616,16 @@ def _jacobi_rows(table, par, images, half: bool) -> Iterator[dict]:
     """
     n = len(par)
     n2 = n * n
-    names = images["names"]
     table = (table[0], sorted(table[1])) if half else table
     vecs, slots = table
     upper = (vecs, [slot for slot in slots if slot[1] >= slot[0]]) if half else table
-    gather = partial(_gather, names=names, renamed={})
-    cols1 = gather(table, *images["cols1"], lambda j, k, l: (l, (j * n + k) * n))
-    outer_il = gather(table, *images["outer"], lambda i, l, m: ((i, l), m))
-    first2 = gather(upper, *images["first2"], lambda i, j, l: ((i, l), j * n2))
-    rows2 = gather(table, *images["rows2"], lambda l, k, m: (l, k * n + m))
-    first3 = gather(table, *images["first3"], lambda i, k, l: ((i, l), k * n))
-    cols3 = [gather(table, *images["cols3"], lambda j, l, m: (l, j * n2 + m), odd)
+    gather = partial(_gather, renamed={})
+    cols1 = gather(table, *JACOBI_IMAGES["cols1"], lambda j, k, l: (l, (j * n + k) * n))
+    outer_il = gather(table, *JACOBI_IMAGES["outer"], lambda i, l, m: ((i, l), m))
+    first2 = gather(upper, *JACOBI_IMAGES["first2"], lambda i, j, l: ((i, l), j * n2))
+    rows2 = gather(table, *JACOBI_IMAGES["rows2"], lambda l, k, m: (l, k * n + m))
+    first3 = gather(table, *JACOBI_IMAGES["first3"], lambda i, k, l: ((i, l), k * n))
+    cols3 = [gather(table, *JACOBI_IMAGES["cols3"], lambda j, l, m: (l, j * n2 + m), odd)
              for odd in (None, lambda j, l: par[j])]
     for i in range(n):
         acc = {}
@@ -673,10 +659,10 @@ def _grouped(vectors: dict) -> dict:
 
 
 def _hoisted(gather, n: int, first, last, x_at=lambda x: (x, 0), y_at=lambda y: (y, 0)):
-    """h[(x, y)] = sum_{d,m} P^{xd}_m(*first) P^{ym}_k(*last), packed at d n + k.
+    """h[(x, y)] = sum_{d,m} Q^{xd}_m(*first) Q^{ym}_k(*last), packed at d n + k.
 
-    gather is _gather with the table, names and renamed bound, first and last
-    (lam_img, d_img) pairs; the fourth tuple index d rides in the component,
+    gather is _gather with the table and renamed bound, first and last
+    (x1_img, x2_img) pairs; the fourth tuple index d rides in the component,
     so each h[(x, y)] serves every d at once.  With x_at, x -> (key, tag), x rides
     too: key replaces x and tag is added to the component; y_at does the same.
     """
@@ -716,7 +702,8 @@ def check_jordan_identity(S: LambdaStructure, variant: str = CONSISTENT) -> Repo
 
         (-1)^{p(g1)p(g3)} (g1_{l1}((g2_{l2} g3)_{l2+l3} d) - (g1_{l1} g2)_{l1+l2}(g3_{l3} d)).
 
-    Its kernel is _jordan_rows under the image set _jordan_images(T).
+    Its kernel is _jordan_rows under JORDAN_IMAGES, or PRINTED_JORDAN_IMAGES
+    for the printed T, in slot variables (see "packed tables").
     """
     if S.kind != JORDAN:
         raise StructureError("Jordan identity applies to Jordan kind")
@@ -725,17 +712,16 @@ def check_jordan_identity(S: LambdaStructure, variant: str = CONSISTENT) -> Repo
     n = S.rank
     rep = Report(f"jordan-id[{variant}]", S.name, total=n ** 4)
     L, table = S.packed
-    images = _jordan_images(LAM + NU - MU if variant == CONSISTENT else LAM - MU)
-    for a, acc in enumerate(_jordan_rows(table, [S.parity(i) for i in range(n)], images)):
-        _record(rep, S, (a,), acc, 3, L ** 3)
+    images = JORDAN_IMAGES if variant == CONSISTENT else PRINTED_JORDAN_IMAGES
+    for a, acc in enumerate(_jordan_rows(table, [S.parity(i) for i in range(n)], images, 0)):
+        _record(rep, S, (a,), acc, 3, L ** 3, _JORDAN_BACK)
     return rep
 
 
-def _jordan_rows(table, par, images) -> Iterator[dict]:
+def _jordan_rows(table, par, images, fold: int) -> Iterator[dict]:
     """For each a, the packed Jordan-identity residuals of table's quadruples
     (a, b, c, d) under images, L**3 times too large, at components
-    ((b n + c) n + d) n + m; with images["fold"] set, each times
-    (-1)^{p(a)p(c)}.
+    ((b n + c) n + d) n + m; with fold 1, each times (-1)^{p(a)p(c)}.
 
     Each left-hand term is a chain contraction and each right-hand term a
     split one; for the first terms of each side
@@ -745,7 +731,8 @@ def _jordan_rows(table, par, images) -> Iterator[dict]:
         (a_{-mu-d} b)_{lam+mu}(c_{nu-mu} d) = sum_l P^{ab}_l(lam, -lam-mu) Q1[c, l]
             Q1[c, l] = sum P^{cd}_m(nu-mu, lam+mu+d) P^{lm}_n(lam+mu, d)
 
-    and the others follow the same pattern.  Each R and Q depends on two
+    and the others follow the same pattern, each P(alpha, beta) read as
+    Q(alpha, -alpha-beta) at the images.  Each R and Q depends on two
     indices besides d and is built once per call (see _hoisted).  b, c and
     d ride in the packed component, at (b n + c) n + d, so each a is one
     accumulation: a first factor holds its indices but a and an R or Q its
@@ -753,8 +740,7 @@ def _jordan_rows(table, par, images) -> Iterator[dict]:
     """
     n = len(par)
     n2, n3 = n * n, n ** 3
-    names, fold = images["names"], images["fold"]
-    gather = partial(_gather, table, names=names, renamed={})
+    gather = partial(_gather, table, renamed={})
     hoisted = partial(_hoisted, gather, n)
     # first factors: of b c as a list, of a b and c a by a
     f_bc = [(*key, p) for key, p in gather(

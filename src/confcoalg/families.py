@@ -890,6 +890,9 @@ def make_K(n: int) -> LambdaStructure:
     )
 
 
+DXI_STAR = Generator("dxistar", 0, r"\partial\xi_\star")   # the generator d xi_star of K_4'
+
+
 def make_K4prime() -> LambdaStructure:
     """K_4' of rank 16: xi_I (|I| <= 3) plus the generator d xi_star.
 
@@ -904,7 +907,7 @@ def make_K4prime() -> LambdaStructure:
     star = 0b1111
     keep = [m for m in _masks(4) if m != star]
     gens = [K4.generators[lam_idx[m]] for m in keep]
-    gens.append(Generator("dxistar", 0, r"\partial\xi_\star"))
+    gens.append(DXI_STAR)
     elems = [ConformalElement.gen(lam_idx[m]) for m in keep]
     elems.append(ConformalElement({lam_idx[star]: D}))
     return LambdaStructure(
@@ -1233,6 +1236,13 @@ _JCK4_CROSS = {
 }
 
 
+def jck4_generators() -> List[Generator]:
+    """The generators of JCK_4: even 1, omega_1..3; odd x, x_1..3."""
+    return [Generator(nm, p, l) for nm, p, l in zip(
+        ("one", "w1", "w2", "w3", "x", "x1", "x2", "x3"), (0, 0, 0, 0, 1, 1, 1, 1),
+        ("1", r"\omega_1", r"\omega_2", r"\omega_3", "x", "x_1", "x_2", "x_3"))]
+
+
 def make_JCK4() -> LambdaStructure:
     """JCK_4: even 1, omega_1..3; odd x, x_1..3.
 
@@ -1243,10 +1253,8 @@ def make_JCK4() -> LambdaStructure:
     -x_{2x3} = x_{3x2} = x_1.  Orders without a tabulated product are filled
     by commutativity.
     """
-    names = ["one", "w1", "w2", "w3", "x", "x1", "x2", "x3"]
-    pars = [0, 0, 0, 0, 1, 1, 1, 1]
-    lx = ["1", r"\omega_1", r"\omega_2", r"\omega_3", "x", "x_1", "x_2", "x_3"]
-    gens = [Generator(nm, p, l) for nm, p, l in zip(names, pars, lx)]
+    gens = jck4_generators()
+    names = [g.id for g in gens]
     idx = {nm: i for i, nm in enumerate(names)}
     table: Dict[Tuple[int, int], List[Tuple[int, MultiPoly]]] = {}
     for nm in names:

@@ -462,28 +462,32 @@ def compact_vector(acc: Dict[int, int]) -> Dict[int, int]:
     return out
 
 
-def substitution(x: str, y: str, a: MultiPoly, b: MultiPoly) -> Callable[[dict], dict]:
-    """The map v -> v with x -> a and y -> b, simultaneously, on packed vectors.
+def substitution(*args) -> Callable[[dict], dict]:
+    """The map v -> v with x_s -> a_s for every s, simultaneously, on packed
+    vectors, for args x_1, .., x_r, a_1, .., a_r: variable names, then their images.
 
-    Each monomial x^e1 y^e2 m maps to a^e1 b^e2 m, its beta digit and
-    component going along; the image of x^e1 y^e2 is computed once per map
-    and reused for every vector it renames.  a and b need integer coefficients.
+    Each monomial x_1^e1 .. x_r^er m maps to a_1^e1 .. a_r^er m, its beta
+    digit and component going along; the image of each x_1^e1 .. x_r^er is
+    computed once per map and reused for every vector it renames.  The a_s
+    need integer coefficients.
     """
-    sx, sy = _VAR_SHIFT[x], _VAR_SHIFT[y]
-    xy = _MAXEXP << sx | _MAXEXP << sy
-    a, b = pack_vector([(0, a)]), pack_vector([(0, b)])
+    r = len(args) // 2
+    shifts = [_VAR_SHIFT[x] for x in args[:r]]
+    factors = [pack_vector([(0, a)]) for a in args[r:]]
+    xs = sum(_MAXEXP << s for s in shifts)
     images: Dict[int, Dict[int, int]] = {}
 
     def rename(vec: Dict[int, int]) -> Dict[int, int]:
         acc: Dict[int, int] = {}
         get = acc.get
         for key, c in vec.items():
-            exps = key & xy
+            exps = key & xs
             img = images.get(exps)
             if img is None:
                 img = {0: 1}
-                for factor in [a] * (exps >> sx & _MAXEXP) + [b] * (exps >> sy & _MAXEXP):
-                    img = compact_vector(add_product({}, img, factor))
+                for s, factor in zip(shifts, factors):
+                    for _ in range(exps >> s & _MAXEXP):
+                        img = compact_vector(add_product({}, img, factor))
                 images[exps] = img
             rest = key - exps
             for k, ci in img.items():

@@ -5,7 +5,7 @@ from fractions import Fraction
 from confcoalg import conformal, families
 from confcoalg.conformal import ConformalElement
 from confcoalg.poly import (
-    ALPHABET, MultiPoly, Scalar, _GUARD, _sort_key, common_denominator, pack_vector,
+    ALPHABET, MultiPoly, Scalar, X1, X2, _GUARD, _sort_key, common_denominator, pack_vector,
     unpack_vector,
 )
 
@@ -49,6 +49,11 @@ def exact_div(p: MultiPoly, divisor: MultiPoly) -> MultiPoly:
             else:
                 rem[t] = s
     return MultiPoly(quot)
+
+
+def dual_entry(p: MultiPoly) -> MultiPoly:
+    """Q(x1, x2) = P(x1, -x1-x2) for a table entry P(lam, d), through MultiPoly."""
+    return p.permute_vars({"lam": "x1"}).subst_general("d", -X1 - X2)
 
 
 def pair_element(S, i: int, j: int, svar: str) -> ConformalElement:

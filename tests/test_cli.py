@@ -80,6 +80,16 @@ def test_unknown_family_and_check(capsys):
         assert code == 2 and err == f"error: unknown check {checks!r}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--family", "vir", "--format", "latex"),
+    ("crosscheck", "--family", "vir", "--format", "latex"),
+])
+def test_reports_have_no_latex_layout(argv, capsys):
+    """verify and crosscheck write text or JSON: --format latex is a usage error."""
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "invalid choice: 'latex'" in err
+
+
 def test_crosschecks(capsys):
     code, out, _ = run(capsys, "crosscheck", "--family", "W", "--n", "2")
     assert code == 0 and "empty diff" in out
@@ -168,16 +178,16 @@ EMITTED = {
     ("emit", "vir", "latex"): "822d5f1e46a6fea6eed44a75086b6eb6e8e02cc7d48f89ae1a5ea003b995fc61",
     ("emit", "vir", "text"): "5356f8f8c020e96d8e8607f25d5f7c70c4b9c5e4d44a4f33b90302d918c2140c",
     ("emit", "K_2", "json"): "0f3c1da9ee1fe50bee248c75ee6f1d4228e4c6d4c62708f95971e6e5fb54da91",
-    ("emit", "K_2", "latex"): "7bdfe3b617abc2a581ed0b5dcf6c37e761420c1f54f81d15e3dd356670f6e388",
+    ("emit", "K_2", "latex"): "4e1dfecb5c0e4c966d53d1a942c7c3e04c2d954fa61602b0277209049a6e652e",
     ("emit", "K_2", "text"): "6ea6da4a2961a6f8e0ca1b0e4fb9469d867bb3459d309f9d7ee6db48851d25a3",
     ("emit", "S_2", "json"): "2072aa19a6935ef6956aa60c65d11a0ddd545dcc67e8b0f0659c39b41b738a9b",
-    ("emit", "S_2", "latex"): "2cfb37a4dceebbe5cfdd86c92424247e1a7c7f01f74f6a579a86c414e18ca11a",
+    ("emit", "S_2", "latex"): "0e8525f942fac748e3d613c16bc46b46a824700a4a24fd2a0cc6af9f9738fd1f",
     ("emit", "S_2", "text"): "36523ac1bf5dd6146591fd15690d8981708fec458c7b547a6f3b29ace455833a",
     ("emit", "CK6", "json"): "8e4728597350b8fd8cf8a2ec5e98b3ca0c36e815870f24053f10ddfc6a525e15",
     ("emit", "CK6", "latex"): "9012ba4ff3af028e58ed0609a836cc9a38906182fcf465265d94e90403ed0662",
     ("emit", "CK6", "text"): "3d11c3856687e1fada00b3badea847acc6c43e23322147a5db2fa422ff85d006",
     ("emit", "Jn_2", "json"): "40b6001d84e3082f8658d8769be5a38ec9a004ec8d21664e53a3eeb37e26f6b1",
-    ("emit", "Jn_2", "latex"): "3966ff06718104f7020b1a3ed0bab1a68778d03a29534f09d16382e2cc74940c",
+    ("emit", "Jn_2", "latex"): "fe4fff700f3f96bebfac6ad76985cf32ec07b4b6f4944be6e0e5d6b01d3b9134",
     ("emit", "Jn_2", "text"): "9a448eb381f17f6a36698ccf6dac2853eaad52154f8ba524b23887b420693e1b",
 }
 
@@ -242,7 +252,9 @@ def test_emit_formula(capsys):
 
 def test_emitted_latex_marks_each_dual_once(capsys):
     """A closed-form dual's id ends in *, which the LaTeX writer writes as ^*,
-    so Vir's tabulated coproduct reads as its machine dual does."""
+    so Vir's tabulated coproduct reads as its machine dual does.  For every
+    family with a formula, emit and dualize give each dual the same LaTeX
+    name, the primal's LaTeX name with ^* (\\xi_{1}^*, not xi1^*)."""
     emitted = run(capsys, "emit", "--family", "vir", "--format", "latex")
     assert emitted == run(capsys, "dualize", "--family", "vir", "--format", "latex")
     for name, fd in sorted(cli.FAMILIES.items()):
@@ -251,6 +263,11 @@ def test_emitted_latex_marks_each_dual_once(capsys):
         n = ("--n", "2") if fd.needs_n else ()
         code, out, _ = run(capsys, "emit", "--family", name, *n, "--format", "latex")
         assert code == 0 and "^*" in out and "*^*" not in out, name
+        args = (2 if n else None,)
+        names = [{g.id: serialize._dual_tex(g) for g in cop.generators}
+                 for cop in (fd.tabulated(*args), dualize(fd.build(*args, Scalar(0))))]
+        assert names[0] == names[1], name
+        assert all(tex in out for tex in names[0].values() if "\\" in tex), name
 
 
 def test_json_round_trip_via_files(tmp_path, capsys):

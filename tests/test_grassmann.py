@@ -216,19 +216,29 @@ def _uses(tree, name):
 
 
 def test_one_helper_renames_table_entries():
-    """conformal._renaming is the one user of poly.substitution: every renamed
-    copy of a table, in the kernels, the co-kernels and dualize, renames each
-    distinct entry polynomial once through it, and no module imports
-    substitution under another name.  poly.tagged, which tagged one first
-    factor at a time before renaming a whole slot, is gone."""
+    """conformal._gather is the one function that calls poly.substitution:
+    every renamed copy of a packed table, in the kernels and the co-kernels,
+    renames each distinct entry polynomial once through it.  The other maps
+    are module constants of conformal that change coordinates:
+    LambdaStructure.packed packs a table as its dual Q(x1, x2) = P(x1,
+    -x1-x2) through one, and the table checks map their residual rows back
+    to the table's variables through the others.  dualize renames nothing,
+    and no module imports substitution under another name.  poly.tagged,
+    which tagged one first factor at a time before renaming a whole slot,
+    and conformal._renaming, which also renamed the table's variables, are gone."""
     users = set()
     for name, tree in _production_sources():
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom):
                 assert all(a.asname is None for a in node.names if a.name == "substitution"), name
         users.update((name, func) for func in _uses(tree, "substitution"))
-    assert users == {("confcoalg.conformal", "_renaming")}
+    assert users == {("confcoalg.conformal", None), ("confcoalg.conformal", "_gather")}
+    tree = dict(_production_sources())["confcoalg.conformal"]
+    maps = {node.targets[0].id for node in tree.body if isinstance(node, ast.Assign)
+            and getattr(getattr(node.value, "func", None), "id", None) == "substitution"}
+    assert maps == {"_TO_SLOTS", "_FLIP_BACK", "_JACOBI_BACK", "_JORDAN_BACK"}
     assert not hasattr(importlib.import_module("confcoalg.poly"), "tagged")
+    assert not hasattr(importlib.import_module("confcoalg.conformal"), "_renaming")
 
 
 def test_each_table_is_packed_once():
@@ -269,17 +279,23 @@ def test_restriction_stays_packed():
     assert set(users("NotInSpan")) == {("confcoalg.families", "span_reader.outside")}
 
 def test_each_flip_residual_is_computed_once():
-    """LambdaStructure.flip_residual, the skew or commutativity residual, is a
-    cached property read by _check_flip, which writes the skew and
-    commutativity reports, and by check_jacobi, which takes the half kernel
-    when it is empty; no other code reads it."""
+    """Table.flip_residual, the skew or commutativity residual of a packed
+    table or coproduct, is a cached property, the one caller of _flip_kernel.
+    _check_flip writes the skew and commutativity reports from it, the
+    co-checks the co-antisymmetry and co-commutativity reports, and
+    check_jacobi and check_lie_coalgebra take the half kernel when it is
+    empty; no other code reads it."""
     users = sorted((name, where) for name, tree in _production_sources()
                    for where in _uses(tree, "flip_residual"))
-    assert users == [("confcoalg.conformal", "_check_flip"),
+    assert users == [("confcoalg.coalgebra", "check_jordan_coalgebra"),
+                     ("confcoalg.coalgebra", "check_lie_coalgebra"),
+                     ("confcoalg.conformal", "_check_flip"),
                      ("confcoalg.conformal", "check_jacobi")]
+    assert sorted((name, where) for name, tree in _production_sources()
+                  for where in _uses(tree, "_flip_kernel")) == [
+        ("confcoalg.conformal", "Table.flip_residual")]
     conformal = importlib.import_module("confcoalg.conformal")
-    assert isinstance(conformal.LambdaStructure.__dict__["flip_residual"],
-                      functools.cached_property)
+    assert isinstance(conformal.Table.__dict__["flip_residual"], functools.cached_property)
 
 
 def test_co_lie_checks_run_the_lambda_kernels():

@@ -27,10 +27,11 @@ and split copy of it.  The renamed copies, which rename each distinct entry
 polynomial once, agree with the per-slot gather of ``test_kernels``;
 gathered slots and ``dualize`` entries share no state; and the double dual
 agrees with its per-entry oracle and takes each dual entry back to its
-table entry.  Each table's cached packed form still matches its entries
-after every check of the default ``verify`` set, and so does its cached
-flip residual, and ``dualize`` sets the packed form of its rows; a
-``with_entry`` copy packs its replaced entry.  Skew
+table entry.  Each table's cached packed form still matches its dual
+entries Q(x1, x2) = P(x1, -x1-x2) after every check of the default
+``verify`` set, and so does its cached flip residual, and ``dualize`` sets
+the packed form of its rows; a ``with_entry`` copy packs its replaced
+entry.  Skew
 tables, whose (j, i) entries are the skew images of the drawn (i, j) ones,
 pass skew-symmetry and get the nested-bracket Jacobi report, which takes
 the half kernel and, for most of them, the mirrors of its nonzero
@@ -57,11 +58,11 @@ from confcoalg.conformal import (  # noqa: E402
     check_jordan_identity, check_skew, kernel_basis,
 )
 from confcoalg.poly import (  # noqa: E402
-    ALPHABET, D, LAM, MU, MultiPoly, P_ONE, Scalar, X1, X2, _BETA_SHIFT, _COMPONENT_SHIFT,
+    ALPHABET, D, LAM, MultiPoly, P_ONE, Scalar, X1, X2, X3, _BETA_SHIFT, _COMPONENT_SHIFT,
     _pack, poly_from_json, unpack_vector, vector_text,
 )
 
-from helpers import element_pairs, element_reader, repr_oracle  # noqa: E402
+from helpers import dual_entry, element_pairs, element_reader, repr_oracle  # noqa: E402
 from test_kernels import (  # noqa: E402
     _bracket_loop, _canonicalize_CK6_oracle, _canonicalize_S_oracle, _co_oracle,
     _coalg_residuals, _cojordan_residuals, _flip_residual, _found, _jacobi_residual,
@@ -138,7 +139,7 @@ def _dualize_oracle(S):
         for k, p in entries:
             q = p.permute_vars({"lam": "x4"}).subst_general("d", -X1 - X2).subst_general("x4", X1)
             table.setdefault(k, []).append((i, j, q))
-    return Coproduct(S.kind, dual_generators(S), table, name=S.name + "^c")
+    return Coproduct(S.kind, dual_generators(S.generators), table, name=S.name + "^c")
 
 
 def _assert_dual_matches(S, check, residuals):
@@ -224,9 +225,9 @@ def test_gathered_slots_and_dual_entries_share_nothing(S):
     table_before = entries(S)
     _, table = S.packed
     vecs_before = [dict(vec) for vec in table[0]]
-    for lam_img, d_img in ((None, None), (MU, LAM + D)):
-        out = _gather(table, lam_img, d_img, lambda i, j, k: ((i, j), k))
-        fresh = _gather(table, lam_img, d_img, lambda i, j, k: ((i, j), k))
+    for x1_img, x2_img in ((None, None), (X2, X3)):
+        out = _gather(table, x1_img, x2_img, lambda i, j, k: ((i, j), k))
+        fresh = _gather(table, x1_img, x2_img, lambda i, j, k: ((i, j), k))
         for slot in out:
             out[slot][_JUNK] = 1
             assert all(out[s] == fresh[s] for s in out if s != slot)
@@ -244,10 +245,11 @@ def test_gathered_slots_and_dual_entries_share_nothing(S):
 # -- the packed form: built once per table, never changed by a check
 
 def _packed_entries(T):
-    """The entries (i, j, k, p) of a table or of a coproduct."""
+    """The entries (i, j, k, Q^{ij}_k) of a coproduct, or of the dual of a
+    table, Q(x1, x2) = P(x1, -x1-x2), as both pack them."""
     if isinstance(T, Coproduct):
         return [(i, j, k, q) for k, row in T.table.items() for i, j, q in row]
-    return [(i, j, k, p) for (i, j), row in T.table.items() for k, p in row]
+    return [(i, j, k, dual_entry(p)) for (i, j), row in T.table.items() for k, p in row]
 
 
 def _unpacked(T):
@@ -257,8 +259,8 @@ def _unpacked(T):
 
 
 def assert_packed_once(S):
-    """S.packed is built once and still equals a fresh _packed of the entries
-    after every check of the default verify set, and S.flip_residual equals
+    """S.packed is built once and still equals a fresh _packed of the dual
+    entries after every check of the default verify set, and S.flip_residual equals
     the flip residual of a fresh copy of S; dualize(S) sets a packed form
     equal to a fresh _packed of its rows, and it is still so after its
     co-check."""
@@ -296,11 +298,12 @@ def test_packed_form_survives_every_check(packed_families, name):
 
 def assert_copy_packs_its_entry(S, i, j, value):
     """A with_entry copy made after S was packed packs its own table, with
-    the replaced entry, and leaves S's packed form alone."""
+    the replaced entry as its dual, and leaves S's packed form alone."""
     packed, before = S.packed, _unpacked(S)
     T = S.with_entry(i, j, value)
     assert _unpacked(T) == {(i_, j_, k): p for i_, j_, k, p in _packed_entries(T)}
-    assert {k: p for (i_, j_, k), p in _unpacked(T).items() if (i_, j_) == (i, j)} == value.terms
+    assert ({k: p for (i_, j_, k), p in _unpacked(T).items() if (i_, j_) == (i, j)}
+            == {k: dual_entry(p) for k, p in value.terms.items()})
     assert S.packed is packed and _unpacked(S) == before
 
 
