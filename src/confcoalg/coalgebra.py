@@ -298,7 +298,8 @@ def zeta(t: TensorElement) -> TensorElement:
 # consistent Jordan rows, times -(-1)^{p(a)p(c)}, the co-Jordan ones.  Row a
 # of the Jacobi or Jordan kernel holds the residual of a_m^* at [a, t] at
 # component t n + m, n the rank and t the rest of the tuple as base-n digits;
-# an antisymmetric coproduct gets the half Jacobi kernel as a skew table does.
+# an antisymmetric coproduct, whose entries keep parity, gets the reduced
+# Jacobi kernel as a skew table does.
 
 
 def _record(rep: Report, cop: Coproduct, residuals) -> None:
@@ -337,8 +338,9 @@ def check_lie_coalgebra(cop: Coproduct) -> Report:
 
     For cop = dualize(S), cop.flip_residual and the rows of conformal's
     Jacobi kernel are the rows check_skew and check_jacobi map back to lam,
-    mu and d, written as they come (see "contraction kernels"); with
-    antisymmetry, co-Jacobi runs over [i, j, k] with j >= i and mirrors.
+    mu and d, written as they come (see "contraction kernels").  With
+    antisymmetry co-Jacobi is (1+zeta+zeta^2)(I (x) delta) delta = 0, so it
+    runs over [i, j, k] with j <= i <= k and writes the other permutations.
     """
     if cop.kind != LIE:
         raise StructureError("Lie coalgebra axioms apply to Lie kind")

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, partial
-from itertools import takewhile
+from itertools import combinations, permutations, takewhile
 from math import gcd
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -444,7 +444,7 @@ def _packed(entries):
     return L, ([pack_vector([(0, p)], L) for p in distinct], slots)
 
 
-def _gather(table, x1_img, x2_img, place, negate=None, renamed=None):
+def _gather(table, x1_img, x2_img, place, negate=None, renamed=None, out=None):
     """Packed vectors out[slot] of the renamed entries Q^{ij}_k(x1_img, x2_img).
 
     place(i, j, k) = (slot, m) puts the entry at component m of out[slot];
@@ -454,7 +454,8 @@ def _gather(table, x1_img, x2_img, place, negate=None, renamed=None):
     pair, so each pair of image objects is renamed once; equal pairs share
     objects.  The entries of one slot have distinct components, so each
     entry's terms are written in place and no slot is summed or compacted;
-    they are written in the order of the slots of table, the table's row order.
+    they are written in the order of the slots of table, the table's row order,
+    into out when it is given (a kernel's windows) and else into a new dict.
     """
     vecs, slots = table
     renamed = {} if renamed is None else renamed
@@ -463,7 +464,7 @@ def _gather(table, x1_img, x2_img, place, negate=None, renamed=None):
         renamed[key] = vecs if x1_img is None else list(
             map(substitution("x1", "x2", x1_img, x2_img), vecs))
     vecs = renamed[key]
-    out = {}
+    out = {} if out is None else out
     for i, j, k, e in slots:
         slot, m = place(i, j, k)
         vec = out.get(slot)
@@ -544,19 +545,21 @@ def check_jacobi(S: LambdaStructure) -> Report:
       - sum_l P^{ij}_l(lam, -lam-mu) P^{lk}_m(lam+mu, d)
       - s sum_l P^{ik}_l(lam, mu+d) P^{jl}_m(mu, d),    s = (-1)^{p(i)p(j)}.
 
-    Write J(a, b, c)(lam, mu) for it.  Where skew-symmetry holds,
-    [b mu a] = -s [a_{-mu-d} b] turns the last bracket of J(b, a, c)(mu, lam)
-    into s [[a lam b] lam+mu c], so that
+    Write R(i, j, k)(x1, x2, x3) for it at (lam, mu, d) = (x1, x2, -x1-x2-x3),
+    x1, x2 and x3 going with a_i, a_j and a_k.  Under skew-symmetry, [b mu a]
+    = -s [a_{-mu-d} b] makes R the cyclic sum [a_lam [b_mu c]] + [b_mu
+    [c_{-lam-mu-d} a]] + [c_{-lam-mu-d} [a_lam b]] up to signs (D'Andrea and
+    Kac, Structure theory of finite conformal algebras, 1998).  With every
+    entry also parity-homogeneous (p_k = p_i + p_j), rotating (a, b, c)
+    rotates the sum, with the Koszul sign of moving a past b and c, so that
 
-        J(b, a, c)(mu, lam) = -s J(a, b, c)(lam, mu),
+        R(j, i, k)(x1, x2, x3) = -(-1)^{p_i p_j} R(i, j, k)(x2, x1, x3)
+        R(j, k, i)(x1, x2, x3) = (-1)^{p_i (p_j + p_k)} R(i, j, k)(x3, x1, x2),
 
-    and the triples with j >= i decide the rest (Kac, Vertex algebras for
-    beginners, 1998; D'Andrea and Kac, Structure theory of finite conformal
-    algebras, 1998).  So when S.flip_residual is empty the kernel runs over
-    j >= i only, and each residual of j > i gives that of its mirror triple
-    (j, i, k) by the swap of lam and mu and the sign -s; on every table that
-    is not skew the kernel runs over all triples, in slot variables (see
-    "packed tables").
+    and the triples j <= i <= k, one per S_3 orbit, decide the rest.  So when
+    S.flip_residual is empty and every entry is parity-homogeneous the kernel
+    runs over those triples only (see _jacobi_residuals), and on every other
+    table over all triples, in slot variables (see "packed tables").
     """
     if S.kind != LIE:
         raise StructureError("Jacobi applies to Lie kind")
@@ -569,80 +572,128 @@ def check_jacobi(S: LambdaStructure) -> Report:
     return rep
 
 
-def _jacobi_residuals(table, par, half: bool):
-    """The rows of _jacobi_rows; with half, for a table whose flip residual is
-    empty, each residual of j > i also written at its mirror triple (j, i, k),
-    x1 and x2 (lam and mu) swapped, times -s (see check_jacobi)."""
-    rows = _jacobi_rows(table, par, half)
-    if not half:
+_SLOT_SHIFTS = [_VAR_SHIFT[x] for x in ("x1", "x2", "x3")]
+_SLOT_FIELDS = sum(_MAXEXP << shift for shift in _SLOT_SHIFTS)
+# each permutation of a triple's positions, the shifts its slot exponents move
+# to, and the pairs of positions it inverts
+_S3 = [(perm, [_SLOT_SHIFTS[perm.index(p)] for p in range(3)],
+        [(p, q) for p, q in combinations(range(3), 2) if perm.index(p) > perm.index(q)])
+       for perm in permutations(range(3))]
+
+
+def _jacobi_residuals(table, par, skew: bool):
+    """The rows of _jacobi_rows over every triple; skew when the flip residual
+    is empty.  A skew table of parity-homogeneous entries, where the residual
+    is a cyclic sum, R(j, i, k)(x1, x2, x3) = -(-1)^{p_i p_j} R(i, j, k)(x2,
+    x1, x3) and R(j, k, i)(x1, x2, x3) = (-1)^{p_i (p_j + p_k)} R(i, j, k)(x3,
+    x1, x2) (see check_jacobi), gets the reduced kernel, and each residual
+    term is written at every permutation of its triple, exponents and digits
+    permuted alike, times -1 per inverted pair of positions unless both are
+    odd.  A skew table that breaks parity additivity (with_entry does not
+    check it) fails the rotation and gets the full kernel."""
+    reduced = skew and all(par[k] == par[i] ^ par[j] for i, j, k, _ in table[1])
+    rows = _jacobi_rows(table, par, reduced)
+    if not reduced:
         return rows
-    rows = [compact_vector(acc) for acc in rows]
-    n2 = len(par) ** 2
-    a1, b1 = 1 << _VAR_SHIFT["x1"], 1 << _VAR_SHIFT["x2"]
-    for i in reversed(range(len(rows))):   # so that no row is read after mirrors reach it
-        for key, c in rows[i].items():
-            j, km = divmod(key >> _COMPONENT_SHIFT, n2)
-            if j > i:
-                swap = (key // b1 & _MAXEXP) - (key // a1 & _MAXEXP)
-                low = (key & (1 << _COMPONENT_SHIFT) - 1) + swap * (a1 - b1)
-                rows[j][(i * n2 + km) << _COMPONENT_SHIFT | low] = c if par[i] & par[j] else -c
-    return rows
+    n = len(par)
+    out = [{} for _ in par]
+    for i, acc in enumerate(rows):
+        images = {}   # component -> (row, component key, shifts, sign) per permutation
+        for key, c in compact_vector(acc).items() if any(acc.values()) else ():
+            comp = key >> _COMPONENT_SHIFT
+            if comp not in images:
+                jk, m = divmod(comp, n)
+                t = i, *divmod(jk, n)
+                images[comp] = [(out[t[perm[0]]],
+                                 ((t[perm[1]] * n + t[perm[2]]) * n + m) << _COMPONENT_SHIFT,
+                                 shifts, sum(not par[t[p]] & par[t[q]] for p, q in inverted) & 1)
+                                for perm, shifts, inverted in _S3]
+            e1, e2, e3 = (key >> shift & _MAXEXP for shift in _SLOT_SHIFTS)
+            rest = key & ((1 << _COMPONENT_SHIFT) - 1) & ~_SLOT_FIELDS
+            for row, tag, (s1, s2, s3), odd in images[comp]:
+                row[tag | rest + (e1 << s1) + (e2 << s2) + (e3 << s3)] = -c if odd else c
+    return out
 
 
 def _dropped_below(vec: dict, lo: int) -> dict:
     """vec with its keys below lo, which come first in it, deleted in place.
 
-    add_product reads the pruned column itself, which allocates nothing per
-    item, so the half kernel sets off no more garbage collections than the
-    full one; a list of item tuples would, drawing full collections into
+    add_product reads the pruned row itself, which allocates nothing per
+    item, so the reduced kernel sets off no more garbage collections than
+    the full one; a list of item tuples would, drawing full collections into
     the checks that build it."""
     for key in list(takewhile(lo.__gt__, vec)):
         del vec[key]
     return vec
 
 
-def _jacobi_rows(table, par, half: bool) -> Iterator[dict]:
+def _jacobi_rows(table, par, reduced: bool) -> Iterator[dict]:
     """For each i, the packed Jacobi residuals of table's triples (i, j, k) under
-    JACOBI_IMAGES, L**2 times too large, at components (j n + k) n + m; with half, j >= i.
+    JACOBI_IMAGES, L**2 times too large, at components (j n + k) n + m; with
+    reduced, of j <= i <= k only, which give the rest on a skew table of
+    parity-homogeneous entries (R(j, i, k) is -(-1)^{p_i p_j} R(i, j, k) at
+    (x2, x1, x3), R(j, k, i) (-1)^{p_i (p_j + p_k)} R(i, j, k) at (x3, x1, x2)).
 
     All (j, k) of one i form one accumulation: per l, the first term takes
     a column over (j, k), the second the first factors tagged by j against a
     row packed over (k, m), and the third the first factors tagged by k
-    against a column over (j, m) that carries the sign s, one column set for
-    even i and one for odd i.  With half, the first factors of the second
-    term are gathered from the entries with j >= i only, and the columns,
-    gathered from the entries in row order, have keys that ascend in j, so
-    row i deletes their items of j < i, a prefix, before it reads them.
+    against a column over (j, m), one for even and one for odd j (the sign
+    s).  Row i gathers its own first factors and writes the entries of j = i
+    into the columns of the first and third terms (without reduced, row 0
+    writes them all).  With reduced the first factors of the second and
+    third terms take the entries with j <= i and k >= i, the columns of the
+    first those with j <= k, each leaving after row k, and the rows of the
+    second, gathered in row order, have keys that ascend in k, so row i
+    deletes their items of k < i, a prefix, before it reads them: no product
+    leaves j <= i <= k.
     """
     n = len(par)
     n2 = n * n
-    table = (table[0], sorted(table[1])) if half else table
     vecs, slots = table
-    upper = (vecs, [slot for slot in slots if slot[1] >= slot[0]]) if half else table
+    by_first = [[] for _ in par]   # the entries (i, j, k) of each i
+    for slot in slots:
+        by_first[slot[0]].append(slot)
+    lower = upper = by_first
+    # the column entries of the first and third terms by the row they enter at,
+    # and of the first by the row they leave after
+    enter1 = enter3 = [slots] + [[]] * (n - 1)
+    leave1 = [[]] * n
+    if reduced:
+        slots = sorted(slots)
+        lower = [[slot for slot in own if slot[1] <= i] for i, own in enumerate(by_first)]
+        upper = [[slot for slot in own if slot[1] >= i] for i, own in enumerate(by_first)]
+        enter1, enter3, leave1 = upper, by_first, [[] for _ in par]
+        for own in upper:
+            for slot in own:
+                leave1[slot[1]].append(slot)
     gather = partial(_gather, renamed={})
-    cols1 = gather(table, *JACOBI_IMAGES["cols1"], lambda j, k, l: (l, (j * n + k) * n))
-    outer_il = gather(table, *JACOBI_IMAGES["outer"], lambda i, l, m: ((i, l), m))
-    first2 = gather(upper, *JACOBI_IMAGES["first2"], lambda i, j, l: ((i, l), j * n2))
-    rows2 = gather(table, *JACOBI_IMAGES["rows2"], lambda l, k, m: (l, k * n + m))
-    first3 = gather(table, *JACOBI_IMAGES["first3"], lambda i, k, l: ((i, l), k * n))
-    cols3 = [gather(table, *JACOBI_IMAGES["cols3"], lambda j, l, m: (l, j * n2 + m), odd)
-             for odd in (None, lambda j, l: par[j])]
+    rows2 = gather((vecs, slots), *JACOBI_IMAGES["rows2"], lambda l, k, m: (l, k * n + m))
+    cols1, cols3 = {}, {}
     for i in range(n):
+        gather((vecs, enter1[i]), *JACOBI_IMAGES["cols1"], lambda j, k, l: (l, (j * n + k) * n),
+               out=cols1)
+        gather((vecs, enter3[i]), *JACOBI_IMAGES["cols3"],
+               lambda j, l, m: ((l, par[j]), j * n2 + m), out=cols3)
         acc = {}
-        signed = cols3[par[i]]
-        lo = i * n2 << _COMPONENT_SHIFT   # the least key of j = i
-        for l in range(n):
-            p = outer_il.get((i, l))
-            if p and l in cols1:
-                col = cols1[l]
-                add_product(acc, p, _dropped_below(col, lo) if half else col)
-            p = first2.get((i, l))
-            if p and l in rows2:
-                add_product(acc, p, rows2[l], negate=True)
-            p = first3.get((i, l))
-            if p and l in signed:
-                col = signed[l]
-                add_product(acc, p, _dropped_below(col, lo) if half else col, negate=True)
+        for l, p in gather((vecs, by_first[i]), *JACOBI_IMAGES["outer"],
+                           lambda i, l, m: (l, m)).items():
+            if cols1.get(l):
+                add_product(acc, p, cols1[l])
+        lo = i * n << _COMPONENT_SHIFT   # the least key of k = i
+        for l, p in gather((vecs, lower[i]), *JACOBI_IMAGES["first2"],
+                           lambda i, j, l: (l, j * n2)).items():
+            if l in rows2:
+                row = _dropped_below(rows2[l], lo) if reduced else rows2[l]
+                add_product(acc, p, row, negate=True)
+        for l, p in gather((vecs, upper[i]), *JACOBI_IMAGES["first3"],
+                           lambda i, k, l: (l, k * n)).items():
+            for pj in (0, 1):
+                if cols3.get((l, pj)):
+                    add_product(acc, p, cols3[(l, pj)], negate=not par[i] & pj)
+        for l, col in gather((vecs, leave1[i]), *JACOBI_IMAGES["cols1"],
+                             lambda j, k, l: (l, (j * n + k) * n)).items():
+            for key in col:
+                del cols1[l][key]
         yield acc
 
 

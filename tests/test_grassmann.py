@@ -283,7 +283,7 @@ def test_each_flip_residual_is_computed_once():
     table or coproduct, is a cached property, the one caller of _flip_kernel.
     _check_flip writes the skew and commutativity reports from it, the
     co-checks the co-antisymmetry and co-commutativity reports, and
-    check_jacobi and check_lie_coalgebra take the half kernel when it is
+    check_jacobi and check_lie_coalgebra take the reduced kernel when it is
     empty; no other code reads it."""
     users = sorted((name, where) for name, tree in _production_sources()
                    for where in _uses(tree, "flip_residual"))

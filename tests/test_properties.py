@@ -34,8 +34,8 @@ the packed form of its rows; a ``with_entry`` copy packs its replaced
 entry.  Skew
 tables, whose (j, i) entries are the skew images of the drawn (i, j) ones,
 pass skew-symmetry and get the nested-bracket Jacobi report, which takes
-the half kernel and, for most of them, the mirrors of its nonzero
-residuals.  The hypothesis profile is set in conftest.
+the reduced kernel and, for most of them, the other permutations of its
+nonzero residuals.  The hypothesis profile is set in conftest.
 """
 
 import json
@@ -58,8 +58,8 @@ from confcoalg.conformal import (  # noqa: E402
     check_jordan_identity, check_skew, kernel_basis,
 )
 from confcoalg.poly import (  # noqa: E402
-    ALPHABET, D, LAM, MultiPoly, P_ONE, Scalar, X1, X2, X3, _BETA_SHIFT, _COMPONENT_SHIFT,
-    _pack, poly_from_json, unpack_vector, vector_text,
+    ALPHABET, BETA, D, LAM, MultiPoly, P_ONE, Scalar, X1, X2, X3, _BETA_SHIFT,
+    _COMPONENT_SHIFT, _pack, poly_from_json, unpack_vector, vector_text,
 )
 
 from helpers import dual_entry, element_pairs, element_reader, repr_oracle  # noqa: E402
@@ -67,7 +67,7 @@ from test_kernels import (  # noqa: E402
     _bracket_loop, _canonicalize_CK6_oracle, _canonicalize_S_oracle, _co_oracle,
     _coalg_residuals, _cojordan_residuals, _flip_residual, _found, _jacobi_residual,
     _jordan_per_tuple, _kernel_basis_oracle, _oracle, _reading, _roundtrip_per_entry,
-    assert_gathers_match,
+    _skew_corruption, assert_gathers_match,
 )
 
 _parts = st.builds(Fraction, st.sampled_from((1, -1, 2, -3)), st.sampled_from((1, 2, 3, 5)))
@@ -162,8 +162,9 @@ def _shared_table(kind):
 
 def _lower_triples_table():
     """Rank 2, both even, one entry [a1 lam a0] = lam a1: not skew, and every
-    Jacobi triple (i, j, k) with j >= i holds while (1, 0, 0) fails, so the
-    half kernel would pass it if it ran on a table that is not skew."""
+    Jacobi triple (i, j, k) with j >= i holds while (1, 0, 0) fails, so a
+    kernel over part of the triples could pass it if it ran on a table that
+    is not skew."""
     gens = [Generator("a0", 0), Generator("a1", 0)]
     return LambdaStructure(LIE, gens, {(1, 0): [(1, LAM)]}, name="lower")
 
@@ -181,11 +182,12 @@ def test_lie_kernels_on_random_tables(S):
 
 @given(skew_tables(5))
 @example(families.make_K(2))
+@example(_skew_corruption(families.make_K(3), "xi2", "xi13", "xi123", BETA * LAM * LAM))
 def test_jacobi_on_random_skew_tables(S):
-    """On skew tables Jacobi runs the kernel over j >= i and writes each
-    nonzero residual of j > i at its mirror too: the report is the oracle's.
-    Their duals are antisymmetric, so co-Jacobi does the same with x1 and x2
-    swapped: its report is the tensor-slot oracle's."""
+    """On skew tables Jacobi runs the kernel over j <= i <= k and writes each
+    nonzero residual at the other permutations of its triple too: the report
+    is the oracle's.  Their duals are antisymmetric, so co-Jacobi does the
+    same: its report is the tensor-slot oracle's."""
     assert check_skew(S).ok
     rep = check_jacobi(S)
     assert (rep.total, _found(rep)) == (S.rank ** 3, _oracle(S, 3, _jacobi_residual))
