@@ -34,7 +34,7 @@ from .conformal import (
     Table, Violation, _jacobi_residuals, _jordan_rows, _packed,
 )
 from .poly import (
-    D, LAM, MultiPoly, P_ONE, _MAXEXP, _MONO_MASK, _VAR_SHIFT, _memo, accumulate,
+    D, LAM, MultiPoly, P_ONE, _MAXEXP, _MONO_MASK, _VAR_SHIFT, accumulate,
     unpack_vector, vector_text,
 )
 
@@ -53,13 +53,16 @@ class Coproduct(Table):
     once: the constructor merges the rows it is given by (i, j), in order of
     first occurrence, and drops every pair whose sum is zero, so two
     coproducts with the same sums have the same table and the same document.
-    A pair given once keeps its MultiPoly object.
+    A pair given once keeps its MultiPoly object.  Each pair is checked for
+    parity, and each distinct polynomial object once for its variables, at
+    its first pair.
 
     Treat it and its polynomials as values, as a LambdaStructure: the checks
     read a packed form and its flip residual (Table.flip_residual), each built
     on first read, so an entry changed in place after a check leaves later
-    verdicts on the old table.  To change an entry, build a new Coproduct, or
-    change the table with with_entry and dualize it."""
+    verdicts on the old table, and dualize gives the entries of one value
+    one object, so such a change reaches all of them.  To change an entry,
+    build a new Coproduct, or change the table with with_entry and dualize it."""
 
     def __init__(
         self,
@@ -76,6 +79,7 @@ class Coproduct(Table):
             stray = next(k for k in table if k not in par)
             raise StructureError(f"delta row {stray!r} is not a generator index in range({n})")
         self.table = {}
+        checked = set()     # the ids of the polynomials whose variables passed
         for k in range(n):
             merged: Dict[Tuple[int, int], MultiPoly] = {}
             for i, j, q in table.get(k, ()):
@@ -90,6 +94,8 @@ class Coproduct(Table):
                         f"delta({g[k].id}) names the pair ({i}, {j}), not in range({n})") from None
                 if odd != par[k]:
                     raise StructureError(f"parity violation in delta({g[k].id})")
+                if id(q) in checked:
+                    continue
                 for key in q.terms:
                     if key & _NOT_SLOT:
                         stray = ", ".join(sorted(q.variables() - {"x1", "x2"}))
@@ -97,6 +103,7 @@ class Coproduct(Table):
                             f"delta({g[k].id}) @ {g[i].id} (x) {g[j].id} uses {stray}; "
                             "coproduct entries may only use x1 and x2"
                         )
+                checked.add(id(q))
             self.table[k] = [(i, j, q) for (i, j), q in merged.items()]
 
     @cached_property
@@ -116,10 +123,12 @@ def dualize(S: LambdaStructure) -> Coproduct:
     """The coproduct on the dual basis: Q^{ij}_k(x, y) = P^{ij}_k(x, -x-y).
 
     S.packed already holds the table as Q, so dualize renames nothing: it
-    unpacks each distinct vector of S.packed once, and every entry still
-    gets a MultiPoly of its own.  S has one entry per (i, j, k) and none
-    zero, so the Coproduct's merge keeps the rows, and the same vectors,
-    regrouped by k, are its packed form as _packed builds it.
+    unpacks each distinct vector of S.packed once into one MultiPoly, which
+    every entry of that value shares, as a table's entries do; no object is
+    shared with S or with another dualize call.  S has one entry per
+    (i, j, k) and none zero, so the Coproduct's merge keeps the rows and
+    their objects, and the same vectors, regrouped by k, are its packed form
+    as _packed builds it.
     """
     L, (vecs, slots) = S.packed
     index: Dict[int, int] = {}      # e -> its place in order of first occurrence
@@ -127,10 +136,10 @@ def dualize(S: LambdaStructure) -> Coproduct:
     slots = [(i, j, k, index.setdefault(e, len(index)))
              for i, j, k, e in sorted(slots, key=lambda slot: slot[2])]
     vecs = [vecs[e] for e in index]
-    duals = [unpack_vector(vec, L)[0].terms for vec in vecs]
+    duals = [unpack_vector(vec, L)[0] for vec in vecs]
     table: Dict[int, List[Tuple[int, int, MultiPoly]]] = {}
     for i, j, k, e in slots:
-        table.setdefault(k, []).append((i, j, MultiPoly(dict(duals[e]))))
+        table.setdefault(k, []).append((i, j, duals[e]))
     cop = Coproduct(S.kind, dual_generators(S.generators), table, name=S.name + "^c")
     cop.packed = L, (vecs, slots)
     return cop
@@ -139,22 +148,28 @@ def dualize(S: LambdaStructure) -> Coproduct:
 def double_dual_roundtrip(S: LambdaStructure) -> Report:
     """d -> -lam-d applied twice to every table entry returns it exactly.
 
-    Each distinct entry polynomial is substituted once; every entry counts
-    in the total and a failing one has its own violation.  This exercises
+    Each distinct entry object is substituted and compared once, and the
+    total counts every entry; the entries are walked again only when a value
+    fails, and then each entry of it has its own violation.  This exercises
     only the involution d -> -lam-d of MultiPoly.subst_general, which holds
     for every polynomial in lam and d, so it cannot fail on a table defect;
     ROADMAP item 2 replaces it with a round trip through dualize and JSON.
     """
-    rep = Report("roundtrip", S.name)
+    rows = S.table.values()
+    rep = Report("roundtrip", S.name, total=sum(map(len, rows)))
     img = -LAM - D
-    back_of = _memo(lambda p: p.subst_general("d", img).subst_general("d", img))
-    for (i, j), entries in S.table.items():
-        for k, p in entries:
-            rep.total += 1
-            back = back_of(p)
-            if back != p:
-                names = (S.generators[i].id, S.generators[j].id, S.generators[k].id)
-                rep.violations.append(Violation(names, f"{p} -> {back}"))
+    failed = {}     # id(p) -> its double dual, for each distinct p that fails
+    for key, p in {id(p): p for row in rows for _, p in row}.items():
+        back = p.subst_general("d", img).subst_general("d", img)
+        if back != p:
+            failed[key] = back
+    if failed:
+        for (i, j), entries in S.table.items():
+            for k, p in entries:
+                back = failed.get(id(p))
+                if back is not None:
+                    names = (S.generators[i].id, S.generators[j].id, S.generators[k].id)
+                    rep.violations.append(Violation(names, f"{p} -> {back}"))
     return rep
 
 

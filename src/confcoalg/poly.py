@@ -293,9 +293,13 @@ class MultiPoly:
         return self.subst_general(var, repl)
 
     def subst_general(self, var: str, repl: "MultiPoly") -> "MultiPoly":
-        """Image of self under var -> repl in a single pass; repl may itself contain var."""
+        """Image of self under var -> repl in a single pass; repl may itself contain var.
+
+        The powers of repl are made once per call, every term's image is
+        accumulated into one dict, and the zero sums are dropped at the end,
+        after the exponent-overflow check."""
         shift = _VAR_SHIFT[var]
-        mask = _MAXEXP << shift
+        keep = ~(_MAXEXP << shift)
         maxexp = 0
         for k in self.terms:
             e = (k >> shift) & _MAXEXP
@@ -303,15 +307,23 @@ class MultiPoly:
                 maxexp = e
         if maxexp == 0:
             return self
-        powers = [MultiPoly({0: ONE})]
+        powers = [P_ONE]
         for _ in range(maxexp):
             powers.append(powers[-1] * repl)
-        out = MultiPoly({})
+        out: Dict[int, Scalar] = {}
+        get = out.get
         for k, c in self.terms.items():
             e = (k >> shift) & _MAXEXP
-            base = MultiPoly({k & ~mask: c})
-            out = out + (base * powers[e] if e else base)
-        return out
+            if not e:
+                prev = get(k)
+                out[k] = c if prev is None else prev + c
+                continue
+            rest = k & keep
+            for kp, cp in powers[e].terms.items():
+                kp += rest
+                prev = get(kp)
+                out[kp] = c * cp if prev is None else prev + c * cp
+        return MultiPoly({k: c for k, c in _checked(out).items() if c.re or c.im})
 
     def permute_vars(self, sigma: Dict[str, str]) -> "MultiPoly":
         """Relabel variables: the exponent of v moves to sigma[v].

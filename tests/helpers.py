@@ -5,8 +5,8 @@ from fractions import Fraction
 from confcoalg import conformal, families
 from confcoalg.conformal import ConformalElement
 from confcoalg.poly import (
-    ALPHABET, MultiPoly, Scalar, X1, X2, _GUARD, _sort_key, common_denominator, pack_vector,
-    unpack_vector,
+    ALPHABET, MultiPoly, ONE, Scalar, X1, X2, _GUARD, _MAXEXP, _VAR_SHIFT, _sort_key,
+    common_denominator, pack_vector, unpack_vector,
 )
 
 
@@ -49,6 +49,44 @@ def exact_div(p: MultiPoly, divisor: MultiPoly) -> MultiPoly:
             else:
                 rem[t] = s
     return MultiPoly(quot)
+
+
+def subst_general_oracle(self: MultiPoly, var: str, repl: MultiPoly) -> MultiPoly:
+    """MultiPoly.subst_general as it stood before it accumulated every term
+    into one dict: one MultiPoly sum per term."""
+    shift = _VAR_SHIFT[var]
+    mask = _MAXEXP << shift
+    maxexp = 0
+    for k in self.terms:
+        e = (k >> shift) & _MAXEXP
+        if e > maxexp:
+            maxexp = e
+    if maxexp == 0:
+        return self
+    powers = [MultiPoly({0: ONE})]
+    for _ in range(maxexp):
+        powers.append(powers[-1] * repl)
+    out = MultiPoly({})
+    for k, c in self.terms.items():
+        e = (k >> shift) & _MAXEXP
+        base = MultiPoly({k & ~mask: c})
+        out = out + (base * powers[e] if e else base)
+    return out
+
+
+def count_calls(monkeypatch, owner, name):
+    """The list of the argument tuples of every call to owner.name while
+    monkeypatch holds: the attribute is replaced by a wrapper that records
+    its arguments and calls through."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
 
 
 def dual_entry(p: MultiPoly) -> MultiPoly:

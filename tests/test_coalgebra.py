@@ -21,7 +21,7 @@ from confcoalg.conformal import ConformalElement, Generator, LambdaStructure, St
 from confcoalg.families import make_vir
 from confcoalg.poly import D, LAM, MultiPoly, P_ONE, Scalar, X1, X2
 
-from helpers import random_poly
+from helpers import count_calls, random_poly
 
 
 def test_dualize_vir(vir):
@@ -78,12 +78,23 @@ DUALIZE_DUMPS = {
 @pytest.mark.parametrize("make, args", list(DUALIZE_DUMPS),
                          ids=[f"{make}{args}" for make, args in DUALIZE_DUMPS])
 def test_dualize_output_pinned(make, args):
-    cop = dualize(getattr(families, make)(*args))
+    S = getattr(families, make)(*args)
+    cop = dualize(S)
     text = serialize.dumps(cop)
     assert hashlib.sha256(text.encode()).hexdigest() == DUALIZE_DUMPS[make, args]
-    # every entry has a polynomial of its own, though few of them are distinct
+    # the entries of one value share one polynomial, as a table's do, and no
+    # polynomial or term dict is shared with S or with a second dualize call
     polys = [q for k in range(cop.rank) for _, _, q in cop.table[k]]
-    assert len({id(q) for q in polys}) == len({id(q.terms) for q in polys}) == len(polys)
+    first = {}
+    assert all(first.setdefault(q, q) is q for q in polys)
+    assert len({id(q.terms) for q in first}) == len(first)
+
+    def owned(objects):
+        return {id(x) for p in objects for x in (p, p.terms)}
+
+    others = [p for row in S.table.values() for _, p in row]
+    others += [q for row in dualize(S).table.values() for _, _, q in row]
+    assert not owned(first) & owned(others)
 
 
 def _rand_tensor(rng, cop, arity):
@@ -187,6 +198,18 @@ def test_double_dual_roundtrip_families(vir, W, K, JS1):
         assert double_dual_roundtrip(S).ok
 
 
+def test_double_dual_roundtrip_substitutes_each_distinct_object_once(monkeypatch, K):
+    """Two subst_general calls and one comparison per distinct entry object,
+    none per entry: K_6 has 2,097 entries and 31 distinct polynomials."""
+    S = K[6]
+    objects = {id(p) for row in S.table.values() for _, p in row}
+    calls = count_calls(monkeypatch, MultiPoly, "subst_general")
+    compared = count_calls(monkeypatch, MultiPoly, "__eq__")
+    rep = double_dual_roundtrip(S)
+    assert (rep.total, rep.ok, len(objects), len(calls), len(compared)) == (2097, True, 31, 62, 31)
+    assert sorted(id(p) for p, *_ in calls[::2]) == sorted(objects)
+
+
 def test_double_dual_roundtrip_random_tables():
     rng = random.Random(21)
     img = -LAM - D
@@ -218,6 +241,41 @@ def test_coproduct_merges_each_pair_once():
     assert C.table[0][1][2] is once
     assert serialize.dumps(C) == serialize.dumps(
         Coproduct("lie", gens, {0: [(1, 1, once), (0, 1, X2 + X1)]}, name="merged"))
+
+
+def test_coproduct_checks_each_polynomial_object_once():
+    """A pair given once keeps its object; the variables of each distinct
+    object are checked at its first pair, which names it in the message,
+    when it is shared by several pairs or first met on a later row, and the
+    parity of every pair is checked."""
+    class Scanned(dict):
+        """Terms that count how often they are walked."""
+        walks = 0
+
+        def __iter__(self):
+            Scanned.walks += 1
+            return super().__iter__()
+
+    gens = [Generator("a*", 0), Generator("b*", 0), Generator("t*", 1)]
+    good, bad = MultiPoly(Scanned((X1 - X2).terms)), X1 - MultiPoly.var("x3")
+    C = Coproduct("lie", gens, {0: [(0, 1, good), (1, 0, good)], 1: [(1, 1, good)]}, name="ok")
+    assert C.table == {0: [(0, 1, good), (1, 0, good)], 1: [(1, 1, good)], 2: []}
+    assert all(q is good for row in C.table.values() for _, _, q in row)
+    assert Scanned.walks == 1
+    cases = [
+        ({0: [(0, 0, good), (0, 1, bad), (1, 1, bad)]}, r"^delta\(a\*\) @ a\* \(x\) b\* uses x3; "),
+        ({0: [(0, 0, good)], 1: [(0, 1, good), (1, 0, bad), (1, 1, bad)]},
+         r"^delta\(b\*\) @ b\* \(x\) a\* uses x3; "),
+        ({0: [(0, 0, good), (0, 2, good)]}, r"^parity violation in delta\(a\*\)$"),
+    ]
+    for table, message in cases:
+        with pytest.raises(StructureError, match=message):
+            Coproduct("lie", gens, table, name="bad")
+    # a repeated pair of one object still merges, and a zero entry is dropped
+    C = Coproduct("lie", gens, {0: [(0, 1, good), (0, 1, good)],
+                                1: [(0, 0, good), (1, 0, MultiPoly.zero())]}, name="merged")
+    assert C.table == {0: [(0, 1, 2 * good)], 1: [(0, 0, good)], 2: []}
+    assert C.table[1][0][2] is good
 
 
 def test_coproduct_rejects_out_of_range_indices():

@@ -44,8 +44,8 @@ from confcoalg.poly import (
 )
 
 from helpers import (
-    dual_entry, element_pairs, element_reader, exact_div, packed_rows, pair_element,
-    term_products,
+    count_calls, dual_entry, element_pairs, element_reader, exact_div, packed_rows,
+    pair_element, term_products,
 )
 from test_coalgebra import _bench_workloads
 
@@ -443,21 +443,15 @@ def test_each_image_pair_is_renamed_once_per_check(monkeypatch):
     flip kernel.  A table check renames as its co-check does; the maps into
     and out of the slot variables are made once, on import."""
     J2, JS1, K3 = families.make_Jn(2), families.make_JS1(), families.make_K(3)
-    pairs = []
-    real = conformal.substitution
-
-    def substitution(x, y, *images):
-        assert (x, y) == ("x1", "x2")
-        pairs.append(images)
-        return real(x, y, *images)
-
-    monkeypatch.setattr(conformal, "substitution", substitution)
+    made = count_calls(monkeypatch, conformal, "substitution")
     for check, arg, renamed in (
             (check_jordan_identity, J2, 14), (lambda S: check_jordan_identity(S, PRINTED), JS1, 15),
             (check_jacobi, K3, 6), (check_jordan_coalgebra, dualize(J2), 15),
             (check_lie_coalgebra, dualize(K3), 6)):
-        pairs.clear()
+        made.clear()
         check(arg)
+        assert all(args[:2] == ("x1", "x2") for args in made), arg.name
+        pairs = [args[2:] for args in made]
         assert len(pairs) == len(set(pairs)) == renamed, (arg.name, pairs)
 
 

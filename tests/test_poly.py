@@ -12,7 +12,7 @@ from confcoalg.poly import (
     _sort_key,
 )
 
-from helpers import exact_div, random_poly
+from helpers import exact_div, random_poly, subst_general_oracle
 
 
 def test_beta_squares_to_minus_one():
@@ -70,6 +70,39 @@ def test_substitute_examples():
     # image containing the variable is rejected on the strict entry point
     with pytest.raises(ValueError):
         (D * D).substitute("d", D + LAM)
+
+
+def test_subst_general_matches_the_per_term_sums():
+    """The one-pass subst_general equals the implementation that summed one
+    MultiPoly per term, on int, Fraction and Gaussian coefficients, with
+    images that contain the substituted variable, and on sums that cancel,
+    in part or to zero; an exponent overflow still raises, when a power of
+    the image overflows and when only a term times its power does."""
+    rng = random.Random(29)
+    # random_poly makes about 30 % of its coefficients Gaussian; the third
+    # set scales every polynomial by a Gaussian with a Fraction part
+    seen = set()
+    for coefficients, scale in (((1, -1, 2, -3), 1), ((Fraction(1, 2), Fraction(-2, 3), 1), 1),
+                                ((1, -1, 2), Scalar(Fraction(1, 2), 2))):
+        for _ in range(300):
+            p, repl, g = (random_poly(rng, nvars=4, nterms=nterms, scalars=coefficients) * scale
+                          for nterms in (4, 3, 4))
+            var = rng.choice(("lam", "mu", "d"))
+            # p + (var - repl) g: the added terms cancel in the image
+            for q in (p, p + (MultiPoly.var(var) - repl) * g, (MultiPoly.var(var) - repl) * g):
+                got = q.subst_general(var, repl)
+                assert got == subst_general_oracle(q, var, repl), (q, var, repl)
+                assert all(not c.is_zero() for c in got.terms.values())
+                seen.add((var in repl.variables(), got.is_zero() and not q.is_zero()))
+    assert seen == {(False, False), (False, True), (True, False)}
+    # an image that contains the variable, with terms that cancel
+    p = D * D - 2 * LAM * D
+    assert p.subst_general("d", D + LAM) == D * D - LAM * LAM == subst_general_oracle(p, "d", D + LAM)
+    for p, var, repl in ((MultiPoly.var("d", 128), "d", D * D),
+                         (MultiPoly.var("lam", 200) * D, "d", MultiPoly.var("lam", 100))):
+        for subst in (MultiPoly.subst_general, subst_general_oracle):
+            with pytest.raises(ValueError, match="exponent overflow"):
+                subst(p, var, repl)
 
 
 def test_slot_substitution_is_involution():

@@ -220,7 +220,9 @@ _JUNK = 1 << 300      # a key above every component a test table reaches
 @given(tables(LIE, 8))
 @example(_shared_table(LIE))
 def test_gathered_slots_and_dual_entries_share_nothing(S):
-    """Changing one gathered slot or one dualize entry changes no other, and not the table."""
+    """Changing one gathered slot changes no other, and not the table; changing
+    one dualize value changes the entries of that value only, not the table
+    and not a second dual."""
     def entries(T):
         return {key: [(k, dict(p.terms)) for k, p in row] for key, row in T.table.items()}
 
@@ -237,8 +239,13 @@ def test_gathered_slots_and_dual_entries_share_nothing(S):
             del out[slot][_JUNK]
     duals, fresh_duals = ([q for row in dualize(S).table.values() for _, _, q in row]
                           for _ in range(2))
-    for q in duals:
+    first = {}
+    assert all(first.setdefault(q, q) is q for q in duals)
+    for q in first:
+        # q reaches the entries of its value, and no other entry, the second
+        # dual or the table
         q.terms[_JUNK] = Scalar(1)
+        assert all((r is q) == (_JUNK in r.terms) for r in duals)
         assert all(r == f for r, f in zip(duals, fresh_duals) if r is not q)
         assert entries(S) == table_before
         del q.terms[_JUNK]
