@@ -34,7 +34,7 @@ from .conformal import (
     Table, Violation, _jacobi_residuals, _jordan_rows, _packed,
 )
 from .poly import (
-    D, LAM, MultiPoly, P_ONE, _MAXEXP, _MONO_MASK, _VAR_SHIFT, accumulate,
+    D, LAM, MultiPoly, P_ONE, P_ZERO, _MAXEXP, _MONO_MASK, _VAR_SHIFT, accumulate,
     unpack_vector, vector_text,
 )
 
@@ -313,8 +313,8 @@ def zeta(t: TensorElement) -> TensorElement:
 # consistent Jordan rows, times -(-1)^{p(a)p(c)}, the co-Jordan ones.  Row a
 # of the Jacobi or Jordan kernel holds the residual of a_m^* at [a, t] at
 # component t n + m, n the rank and t the rest of the tuple as base-n digits;
-# an antisymmetric coproduct, whose entries keep parity, gets the reduced
-# Jacobi kernel as a skew table does.
+# an antisymmetric coproduct gets the reduced Jacobi kernel as a skew table
+# does.
 
 
 def _record(rep: Report, cop: Coproduct, residuals) -> None:
@@ -467,8 +467,8 @@ def compare(a: Coproduct, b: Coproduct) -> DiffReport:
         nb = {(a.index[gb[i].id], a.index[gb[j].id]): q
               for i, j, q in b.table[b.index[ga[k].id]]}
         for key in sorted(na.keys() | nb.keys()):
-            qa = na.get(key, MultiPoly.zero())
-            qb = nb.get(key, MultiPoly.zero())
+            qa = na.get(key, P_ZERO)
+            qb = nb.get(key, P_ZERO)
             if qa != qb:
                 rep.lines.append(
                     DiffLine(ga[k].id, ga[key[0]].id, ga[key[1]].id, repr(qa), repr(qb))

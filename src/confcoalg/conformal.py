@@ -196,14 +196,13 @@ class LambdaStructure(Table):
         table: Dict[Tuple[int, int], List[Tuple[int, MultiPoly]]],
         name: str = "",
         meta: Optional[dict] = None,
-        validate: bool = True,
     ):
         super().__init__(kind, generators, name)
         self.meta = meta or {}
         par = [g.parity for g in self.generators]
         n = len(par)
         # every pair gets a row, in row-major order; only the rows given with
-        # terms are merged and validated, in that order too
+        # terms are merged and checked, in that order too
         self.table = {(i, j): [] for i in range(n) for j in range(n)}
         if not table.keys() <= self.table.keys():
             stray = next(key for key in table if key not in self.table)
@@ -228,14 +227,14 @@ class LambdaStructure(Table):
                     f"row ({i}, {j}) names generator index {stray}, not in range({n})")
             for k, p in entries:
                 # parity additivity, then coefficient-variable discipline
-                if validate and par[k] != (par[i] + par[j]) & 1:
+                if par[k] != (par[i] + par[j]) & 1:
                     raise StructureError(
                         f"parity violation in ({self.generators[i].id},"
                         f"{self.generators[j].id}) -> {self.generators[k].id}"
                     )
                 hit = seen.get(id(p))
                 if hit is None:
-                    if validate and any(key & _NOT_LAM_D for key in p.terms):
+                    if any(key & _NOT_LAM_D for key in p.terms):
                         bad = p.variables() - {"lam", "d"}
                         raise StructureError(f"table entry uses variables {bad}")
                     hit = seen[id(p)] = p, first.setdefault(p, p)
@@ -253,12 +252,12 @@ class LambdaStructure(Table):
         return L, ([_TO_SLOTS(vec) for vec in vecs], slots)
 
     def with_entry(self, i: int, j: int, value: "ConformalElement") -> "LambdaStructure":
-        """Copy of the table with one (i, j) entry replaced (negative controls)."""
-        table = {key: list(v) for key, v in self.table.items()}
+        """Copy of the table with one (i, j) entry replaced (negative controls),
+        checked as the constructor checks every table."""
+        table = dict(self.table)
         table[(i, j)] = sorted(value.terms.items())
         return LambdaStructure(
-            self.kind, self.generators, table, name=self.name + "?",
-            meta=type(self.meta)(self.meta), validate=False,
+            self.kind, self.generators, table, name=self.name + "?", meta=dict(self.meta),
         )
 
 
@@ -549,17 +548,18 @@ def check_jacobi(S: LambdaStructure) -> Report:
     x1, x2 and x3 going with a_i, a_j and a_k.  Under skew-symmetry, [b mu a]
     = -s [a_{-mu-d} b] makes R the cyclic sum [a_lam [b_mu c]] + [b_mu
     [c_{-lam-mu-d} a]] + [c_{-lam-mu-d} [a_lam b]] up to signs (D'Andrea and
-    Kac, Structure theory of finite conformal algebras, 1998).  With every
-    entry also parity-homogeneous (p_k = p_i + p_j), rotating (a, b, c)
-    rotates the sum, with the Koszul sign of moving a past b and c, so that
+    Kac, Structure theory of finite conformal algebras, 1998).  As every
+    entry is parity-homogeneous (p_k = p_i + p_j, which the constructor
+    checks), rotating (a, b, c) rotates the sum, with the Koszul sign of
+    moving a past b and c, so that
 
         R(j, i, k)(x1, x2, x3) = -(-1)^{p_i p_j} R(i, j, k)(x2, x1, x3)
         R(j, k, i)(x1, x2, x3) = (-1)^{p_i (p_j + p_k)} R(i, j, k)(x3, x1, x2),
 
     and the triples j <= i <= k, one per S_3 orbit, decide the rest.  So when
-    S.flip_residual is empty and every entry is parity-homogeneous the kernel
-    runs over those triples only (see _jacobi_residuals), and on every other
-    table over all triples, in slot variables (see "packed tables").
+    S.flip_residual is empty the kernel runs over those triples only (see
+    _jacobi_residuals), and on every other table over all triples, in slot
+    variables (see "packed tables").
     """
     if S.kind != LIE:
         raise StructureError("Jacobi applies to Lie kind")
@@ -583,17 +583,14 @@ _S3 = [(perm, [_SLOT_SHIFTS[perm.index(p)] for p in range(3)],
 
 def _jacobi_residuals(table, par, skew: bool):
     """The rows of _jacobi_rows over every triple; skew when the flip residual
-    is empty.  A skew table of parity-homogeneous entries, where the residual
-    is a cyclic sum, R(j, i, k)(x1, x2, x3) = -(-1)^{p_i p_j} R(i, j, k)(x2,
-    x1, x3) and R(j, k, i)(x1, x2, x3) = (-1)^{p_i (p_j + p_k)} R(i, j, k)(x3,
-    x1, x2) (see check_jacobi), gets the reduced kernel, and each residual
-    term is written at every permutation of its triple, exponents and digits
-    permuted alike, times -1 per inverted pair of positions unless both are
-    odd.  A skew table that breaks parity additivity (with_entry does not
-    check it) fails the rotation and gets the full kernel."""
-    reduced = skew and all(par[k] == par[i] ^ par[j] for i, j, k, _ in table[1])
-    rows = _jacobi_rows(table, par, reduced)
-    if not reduced:
+    is empty.  On a skew table, where the residual is a cyclic sum, R(j, i,
+    k)(x1, x2, x3) = -(-1)^{p_i p_j} R(i, j, k)(x2, x1, x3) and R(j, k, i)(x1,
+    x2, x3) = (-1)^{p_i (p_j + p_k)} R(i, j, k)(x3, x1, x2) (see check_jacobi),
+    so it gets the reduced kernel, and each residual term is written at
+    every permutation of its triple, exponents and digits permuted alike,
+    times -1 per inverted pair of positions unless both are odd."""
+    rows = _jacobi_rows(table, par, skew)
+    if not skew:
         return rows
     n = len(par)
     out = [{} for _ in par]
@@ -630,9 +627,9 @@ def _dropped_below(vec: dict, lo: int) -> dict:
 def _jacobi_rows(table, par, reduced: bool) -> Iterator[dict]:
     """For each i, the packed Jacobi residuals of table's triples (i, j, k) under
     JACOBI_IMAGES, L**2 times too large, at components (j n + k) n + m; with
-    reduced, of j <= i <= k only, which give the rest on a skew table of
-    parity-homogeneous entries (R(j, i, k) is -(-1)^{p_i p_j} R(i, j, k) at
-    (x2, x1, x3), R(j, k, i) (-1)^{p_i (p_j + p_k)} R(i, j, k) at (x3, x1, x2)).
+    reduced, of j <= i <= k only, which give the rest on a skew table (R(j,
+    i, k) is -(-1)^{p_i p_j} R(i, j, k) at (x2, x1, x3), R(j, k, i) (-1)^{p_i
+    (p_j + p_k)} R(i, j, k) at (x3, x1, x2)).
 
     All (j, k) of one i form one accumulation: per l, the first term takes
     a column over (j, k), the second the first factors tagged by j against a

@@ -9,10 +9,10 @@ embedded basis as packed rows, and one span_reader per table gives their
 coordinates by forward substitution over pivots on packed vectors (a bracket
 outside the span raises NotInSpan), each distinct coordinate unpacked once.
 Where the paper tabulates the brackets (S_n, CK_6), the tabulated formulas
-are a second, independent path.  Its disagreements with the restriction
-are a meta entry computed when first read (``proposition_diffs``,
-``printed_diffs``); with ``strict=True`` the constructor computes them at
-once and raises ConstructionMismatch if there are any.
+are a second, independent path: ``proposition_diffs`` and
+``verify_ck6_printed`` list the disagreements of the table they are given
+with them.  A constructor never evaluates them, and meta holds only the
+data of the construction.
 
 Parity conventions (stated once, used everywhere): p(xi_I) = |I| mod 2 in
 the Lambda(n) parts, p(xi_I d_i) = |I|+1, p(xi_I theta) = |I|+1; in CK_6,
@@ -22,8 +22,6 @@ in JCK_4, 1 and omega_i are even, x and x_i odd.
 
 from __future__ import annotations
 
-import copy
-import functools
 import heapq
 import itertools
 from fractions import Fraction
@@ -60,26 +58,6 @@ from .poly import (
 # desk-scale caps on the CLI's --n; the constructors take any n, and the
 # CLI's --allow-large overrides the caps
 CAPS = {"W": 4, "S": 3, "K": 6, "Sb": 2, "Stilde": 2, "Jn": 3}
-
-
-class ConstructionMismatch(StructureError):
-    """Two independent constructions of one table disagree."""
-
-    def __init__(self, name, diffs):
-        self.diffs = diffs
-        lines = "\n".join(str(d) for d in diffs[:10])
-        super().__init__(f"{name}: construction cross-check failed:\n{lines}")
-
-
-class LazyMeta(dict):
-    """A meta dict that calls its callable values when read (functools.cache ones run once)."""
-
-    def __getitem__(self, key):
-        value = dict.__getitem__(self, key)
-        return value() if callable(value) else value
-
-    def get(self, key, default=None):
-        return self[key] if key in self else default
 
 
 def _sgn(e: int) -> int:
@@ -721,19 +699,14 @@ _PRINTED_ORDERS = {
 }
 
 
-def make_S(n: int, strict: bool = False) -> LambdaStructure:
-    """S_n = ker(div) in W_n, rank n 2^n, built two independent ways.
+def make_S(n: int) -> LambdaStructure:
+    """S_n = ker(div) in W_n, rank n 2^n, the W-restriction of the embedded
+    basis (embed_sn), read back through span_reader.
 
-    Path one takes the brackets of the embedded basis (embed_sn) in W_n and
-    reads them back through span_reader; path two evaluates the
-    tabulated bracket formulas (mirrored orders via skew-symmetry).  The
-    returned table is always the definitional W-restriction.  The
-    term-level disagreements of the tabulated formulas with it are
-    meta["proposition_diffs"], computed when first read; strict computes
-    them at once and raises ConstructionMismatch if there are any.  (The
-    pair/single case of the tabulated formulas is missing its i-in-J
-    contributions, so the diff list is not empty; see the diffs themselves
-    for the exact terms.)
+    The tabulated bracket formulas are a second, independent path, compared
+    with a table by proposition_diffs.  (The pair/single case of the
+    tabulated formulas is missing its i-in-J contributions, so that list is
+    not empty for S_n; see the diffs themselves for the exact terms.)
     """
     if n < 2:
         raise StructureError("S_n needs n >= 2")
@@ -741,22 +714,18 @@ def make_S(n: int, strict: bool = False) -> LambdaStructure:
     basis = sn_basis(n)
     gens = [Generator(b.name(), b.parity(), b.latex()) for b in basis]
     embeds = [embed_sn(b, W) for b in basis]
-    S = LambdaStructure(
+    return LambdaStructure(
         LIE, gens, _restrict(W, embeds), name=f"S_{n}",
-        meta=LazyMeta(n=n, basis=basis, W=W, embeds=embeds),
+        meta={"n": n, "basis": basis, "W": W, "embeds": embeds},
     )
-    # the closure holds the rows, not S, so that S and its meta make no cycle
-    rows = S.table
-    S.meta["proposition_diffs"] = functools.cache(lambda: _proposition_diffs(n, basis, rows))
-    if strict and S.meta["proposition_diffs"]:
-        raise ConstructionMismatch(f"S_{n}", S.meta["proposition_diffs"])
-    return S
 
 
-def _proposition_diffs(n: int, basis: List[SnBasisElement], rows) -> List[str]:
-    """The terms where the tabulated S_n formulas differ from the rows of
-    the table, bracket by bracket in row-major order, by basis name within
-    a bracket."""
+def proposition_diffs(S: LambdaStructure) -> List[str]:
+    """The terms where the tabulated S_n formulas (mirrored orders via
+    skew-symmetry) differ from the rows of S, an S_n of make_S or a copy of
+    one, bracket by bracket in row-major order, by basis name within a
+    bracket."""
+    n, basis = S.meta["n"], S.meta["basis"]
     names = [b.name() for b in basis]
     printed: Dict[Tuple[int, int], Dict[str, MultiPoly]] = {}
     for a, u in enumerate(basis):
@@ -764,7 +733,7 @@ def _proposition_diffs(n: int, basis: List[SnBasisElement], rows) -> List[str]:
             if (u.tag, v.tag) in _PRINTED_ORDERS:
                 printed[(a, b)] = _prop_entry(n, u, v)
     diffs = []
-    for (a, b), row in rows.items():
+    for (a, b), row in S.table.items():
         want = printed.get((a, b))
         if want is None:
             sg = -_sgn(basis[a].parity() * basis[b].parity())
@@ -966,33 +935,22 @@ def ck6_embed(t: Tuple[int, ...], K6: LambdaStructure) -> ConformalElement:
     })
 
 
-def make_CK6(strict: bool = False) -> LambdaStructure:
-    """CK_6 of rank 32 inside K_6; the printed closed-form brackets are
-    verified against the restriction table term-by-term.
+def make_CK6() -> LambdaStructure:
+    """CK_6 of rank 32, the K_6 restriction of its embedded basis (ck6_embed).
 
-    The returned table is the K_6 restriction (the definition).  The
-    comparison against the tabulated brackets, computed when it is first
-    read, is meta["printed_diffs"]; it is not empty, because the tabulated weights
-    of C_i and C_ij are transposed ([L lam C_i] restricts to
-    (3/2 lam + d) C_i, matching the standard weight-(2, 3/2, 1, 1/2)
-    field content, while the table prints (lam + d) C_i).  strict raises
-    instead."""
+    The printed closed-form brackets are compared with a table term by term
+    by verify_ck6_printed.  That list is not empty for CK_6, because the
+    tabulated weights of C_i and C_ij are transposed ([L lam C_i] restricts
+    to (3/2 lam + d) C_i, matching the standard weight-(2, 3/2, 1, 1/2)
+    field content, while the table prints (lam + d) C_i)."""
     K6 = make_K(6)
     tuples = _ck6_basis_tuples()
     gens = [Generator(_ck6_name(t), _ck6_parity(t), None) for t in tuples]
     embeds = [ck6_embed(t, K6) for t in tuples]
-    S = LambdaStructure(
+    return LambdaStructure(
         LIE, gens, _restrict(K6, embeds), name="CK_6",
-        meta=LazyMeta(K6=K6, tuples=tuples, embeds=embeds),
+        meta={"K6": K6, "tuples": tuples, "embeds": embeds},
     )
-    # the check reads a shallow copy of S with a plain meta dict, so that S
-    # and its meta make no reference cycle
-    view = copy.copy(S)
-    view.meta = dict(S.meta)
-    S.meta["printed_diffs"] = functools.cache(lambda: verify_ck6_printed(view))
-    if strict and S.meta["printed_diffs"]:
-        raise ConstructionMismatch("CK_6", S.meta["printed_diffs"])
-    return S
 
 
 def ck6_symbol(t: Tuple[int, ...]) -> Dict[str, Scalar]:
@@ -1012,7 +970,8 @@ def ck6_symbol(t: Tuple[int, ...]) -> Dict[str, Scalar]:
 
 
 def verify_ck6_printed(S: LambdaStructure) -> List[str]:
-    """Check the restriction table against the tabulated CK_6 brackets.
+    """The brackets where S, CK_6 of make_CK6 or a copy of one, differs from
+    the tabulated CK_6 brackets.
 
     All comparisons happen inside K_6 (table entries are embedded back), so
     right-hand sides given in monomials and right-hand sides given in C

@@ -16,11 +16,11 @@ diff cleanly:
 
 Polynomials use the coefficient encoding of the poly module; ``dumps``
 converts each distinct one once, and its terms with equal polynomials share
-one "poly" list (``*_to_json`` give each term its own).  A coproduct
-lists each (left, right) pair of a row once and no zero entry, since
-Coproduct merges its rows when it is built, so equal coproducts write equal
-documents.  A reader takes generator ids and the name as JSON strings and a
-parity as the JSON integer 0 or 1, and rejects a repeated row.
+one "poly" list.  A coproduct lists each (left, right) pair of a row once
+and no zero entry, since Coproduct merges its rows when it is built, so
+equal coproducts write equal documents.  A reader takes generator ids and
+the name as JSON strings and a parity as the JSON integer 0 or 1, and
+rejects a repeated row.
 
 Every JSON document this package writes, tables, coproducts and the CLI's
 reports alike, goes through one writer, ``_json_text``.  Its text is the
@@ -73,11 +73,8 @@ def _document(T, doc_type: str, order: List[int], rows: list) -> dict:
     }
 
 
-def structure_to_json(S: LambdaStructure) -> dict:
-    return _structure_json(S, poly_to_json)
-
-
-def _structure_json(S: LambdaStructure, poly) -> dict:
+def _structure_json(S: LambdaStructure) -> dict:
+    poly = _memo(poly_to_json)    # by value: equal terms share a list
     g = S.generators
     order = _id_order(S)
     rows = [
@@ -112,11 +109,8 @@ def structure_from_json(data: dict) -> LambdaStructure:
     return LambdaStructure(data.get("kind", LIE), gens, table, name=_name(data))
 
 
-def coproduct_to_json(C: Coproduct) -> dict:
-    return _coproduct_json(C, poly_to_json)
-
-
-def _coproduct_json(C: Coproduct, poly) -> dict:
+def _coproduct_json(C: Coproduct) -> dict:
+    poly = _memo(poly_to_json)    # by value: equal terms share a list
     g = C.generators
     order = _id_order(C)
     rows = [
@@ -224,15 +218,14 @@ def _poly(obj, what: str) -> MultiPoly:
 def dumps(obj) -> str:
     """A table or coproduct as its JSON document, each distinct polynomial
     converted once; any other JSON value as is."""
-    poly = _memo(poly_to_json)    # by value: equal terms share a list
     if isinstance(obj, LambdaStructure):
-        doc = _structure_json(obj, poly)
+        doc = _structure_json(obj)
     elif isinstance(obj, (dict, list)):
         doc = obj
     else:   # coalgebra is imported only where a coproduct may be written
         from .coalgebra import Coproduct
 
-        doc = _coproduct_json(obj, poly) if isinstance(obj, Coproduct) else obj
+        doc = _coproduct_json(obj) if isinstance(obj, Coproduct) else obj
     return _json_text(doc)
 
 

@@ -89,6 +89,18 @@ def count_calls(monkeypatch, owner, name):
     return calls
 
 
+def parity_keeping_targets(S):
+    """A hypothesis strategy for an entry (i, j, k) of the table S with p_k =
+    p_i + p_j: where with_entry and corrupt_entry may write a_k.  It draws
+    nothing, so the example is dropped, when S has no such entry (every
+    generator odd)."""
+    from hypothesis import strategies as st   # only the property tests draw
+
+    par = [g.parity for g in S.generators]
+    return st.sampled_from([(i, j, k) for i in range(S.rank) for j in range(S.rank)
+                            for k in range(S.rank) if par[k] == par[i] ^ par[j]])
+
+
 def dual_entry(p: MultiPoly) -> MultiPoly:
     """Q(x1, x2) = P(x1, -x1-x2) for a table entry P(lam, d), through MultiPoly."""
     return p.permute_vars({"lam": "x1"}).subst_general("d", -X1 - X2)

@@ -111,15 +111,28 @@ def test_parity_validation():
     # duplicate targets are summed, zero sums dropped, and rows sorted by target
     S = LambdaStructure("lie", gens, {(1, 1): [(0, D), (0, -D)], (0, 1): [(1, LAM), (1, D)]})
     assert S.table == {(0, 0): [], (0, 1): [(1, LAM + D)], (1, 0): [], (1, 1): []}
-    S = LambdaStructure("lie", gens, {(1, 1): [(0, LAM), (0, D)], (0, 0): [(0, MU)]},
-                        validate=False)
-    assert S.table[(1, 1)] == [(0, LAM + D)] and S.table[(0, 0)] == [(0, MU)]
 
 
-@pytest.mark.parametrize("validate", [True, False])
-def test_out_of_range_indices_rejected(validate):
+def test_with_entry_checks_its_copy_as_the_constructor_does(K):
+    """with_entry and corrupt_entry build their copy through the checks of
+    every table, with the constructor's messages: in K_2, [xi1 lam xi2] = xi1
+    breaks parity additivity and [1 lam 1] = mu 1 uses mu."""
+    K2 = K[2]
+    xi1, xi2 = K2.index["xi1"], K2.index["xi2"]
+    cases = [((xi1, xi2, xi1, P_ONE), r"^parity violation in \(xi1,xi2\) -> xi1$"),
+             ((0, 0, 0, MU), r"^table entry uses variables \{'mu'\}$")]
+    for (i, j, k, p), message in cases:
+        ids = (K2.generators[i].id, K2.generators[j].id, K2.generators[k].id)
+        for make in (lambda: LambdaStructure(K2.kind, K2.generators, {(i, j): [(k, p)]}),
+                     lambda: K2.with_entry(i, j, ConformalElement({k: p})),
+                     lambda: corrupt_entry(K2, *ids, p)):
+            with pytest.raises(StructureError, match=message):
+                make()
+
+
+def test_out_of_range_indices_rejected():
     """A row key or a target outside the generators is an error, not a dropped
-    row or a Python negative index, whether the entries are validated or not."""
+    row or a Python negative index."""
     gens = [Generator("L", 0)]
     cases = [
         ({(0, 2): [(0, LAM)]}, r"^row \(0, 2\) is not a pair of generator indices in range\(1\)$"),
@@ -129,7 +142,7 @@ def test_out_of_range_indices_rejected(validate):
     ]
     for table, message in cases:
         with pytest.raises(StructureError, match=message):
-            LambdaStructure("lie", gens, table, validate=validate)
+            LambdaStructure("lie", gens, table)
 
 
 def element_parity(S, x):

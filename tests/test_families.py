@@ -15,7 +15,8 @@ from confcoalg.conformal import (
 from confcoalg.families import (
     CAPS, NotInSpan, _current_action, _d_mul, _reverse_maps, check_div_identity, ck6_embed,
     corrupt_entry, div_module_map, div_w, embed_sn, kernel_basis, make_CK6, make_current,
-    make_Jn, make_S, make_S_b, make_W, sn_basis, span_reader,
+    make_Jn, make_S, make_S_b, make_W, proposition_diffs, sn_basis, span_reader,
+    verify_ck6_printed,
 )
 from confcoalg.grassmann import mul_sign
 from confcoalg.poly import D, LAM, MultiPoly, P_ONE, Scalar
@@ -199,14 +200,14 @@ def test_s_axioms(S):
 def test_s_proposition_diffs_documented(S):
     """The tabulated bracket formulas drop the contributions where a pair
     element's indices meet the partner's support; the diff set is pinned."""
-    d2 = S[2].meta["proposition_diffs"]
+    d2 = proposition_diffs(S[2])
     assert sorted(d2) == sorted([
         "[A_1_2 lam A1_2] @ A1_2: W-path 2 vs formula 1",
         "[A_1_2 lam A2_1] @ A2_1: W-path -2 vs formula -1",
         "[A1_2 lam A_1_2] @ A1_2: W-path -2 vs formula -1",
         "[A2_1 lam A_1_2] @ A2_1: W-path 2 vs formula 1",
     ])
-    d3 = S[3].meta["proposition_diffs"]
+    d3 = proposition_diffs(S[3])
     assert len(d3) == 56
     # every diff involves a pair element; none involves a B element
     for d in d3:
@@ -215,48 +216,46 @@ def test_s_proposition_diffs_documented(S):
         assert any(x.count("_") == 2 for x in head.groups())
 
 
-def test_s_strict_mode_raises():
-    from confcoalg.families import ConstructionMismatch
-
-    with pytest.raises(ConstructionMismatch):
-        make_S(2, strict=True)
-
-
-def test_s_proposition_diffs_run_on_first_read(monkeypatch, S):
+def test_constructors_never_evaluate_the_printed_formulas(monkeypatch):
+    """make_S and make_CK6 build the restriction only: the tabulated
+    formulas are evaluated by proposition_diffs and verify_ck6_printed
+    alone, and meta holds the data of the construction."""
     from confcoalg import families
-    from confcoalg.families import ConstructionMismatch
 
     def refuse(*args):
         raise AssertionError("tabulated formulas evaluated during construction")
 
-    with monkeypatch.context() as m:
-        m.setattr(families, "_prop_entry", refuse)
-        S3 = make_S(3)
-    calls = []
-    prop_entry = families._prop_entry
-    monkeypatch.setattr(families, "_prop_entry",
-                        lambda *args: calls.append(args) or prop_entry(*args))
-    copy = corrupt_entry(S3, "B", "B", "B", D)
-    diffs = S3.meta["proposition_diffs"]
-    assert diffs == S[3].meta["proposition_diffs"]
-    evaluated = len(calls)
-    assert evaluated and S3.meta.get("proposition_diffs") is diffs
-    # a copy sees the value of the table it was made from, computed once
-    assert copy.meta["proposition_diffs"] is diffs and len(calls) == evaluated
-    with pytest.raises(ConstructionMismatch):
-        make_S(3, strict=True)
-    assert len(calls) == 2 * evaluated
+    monkeypatch.setattr(families, "_prop_entry", refuse)
+    monkeypatch.setattr(families, "verify_ck6_printed", refuse)
+    assert sorted(make_S(3).meta) == ["W", "basis", "embeds", "n"]
+    assert sorted(make_CK6().meta) == ["K6", "embeds", "tuples"]
 
 
-@pytest.mark.parametrize("make, key", [(make_CK6, "printed_diffs"),
-                                       (lambda: make_S(2), "proposition_diffs")])
-def test_lazy_diffs_hold_no_cycle(make, key):
-    """A table whose diffs are computed when read is freed as soon as it is
+def test_corrupted_copy_compares_its_own_table(S, CK6):
+    """The comparisons read the table they are given, so a corrupted copy
+    gets its own diffs: the diffs of the table it was made from plus those of
+    the corrupted bracket."""
+    bad = corrupt_entry(S[2], "A_1", "A_1", "B", D)
+    assert proposition_diffs(bad) == [
+        "[A_1 lam A_1] @ B: W-path d vs formula 0"] + proposition_diffs(S[2])
+    assert len(proposition_diffs(bad)) == 5 and len(proposition_diffs(S[2])) == 4
+    bad = corrupt_entry(CK6, "L", "L", "L", D)
+    assert verify_ck6_printed(bad) == [
+        "[L lam L]: restriction vs printed",
+        "[L lam L]: restriction vs skew of printed"] + verify_ck6_printed(CK6)
+    assert len(verify_ck6_printed(bad)) == 44
+
+
+@pytest.mark.parametrize("make, compare", [(make_CK6, verify_ck6_printed),
+                                           (lambda: make_S(2), proposition_diffs)])
+def test_restricted_table_is_freed_without_the_cycle_collector(make, compare):
+    """A restricted table and its meta make no reference cycle, also after
+    its comparison with the tabulated formulas: it is freed as soon as it is
     dropped, without waiting for the cycle collector."""
     gc.disable()
     try:
         S = make()
-        assert S.meta[key]
+        assert compare(S)
         table = weakref.ref(S)
         del S
         assert table() is None
@@ -265,10 +264,10 @@ def test_lazy_diffs_hold_no_cycle(make, key):
 
 
 def test_s_proposition_diffs_follow_basis_names():
-    """Within one bracket the diffs appear in name order, so the list (and a
-    strict ConstructionMismatch) does not depend on the string hash seed."""
+    """Within one bracket the diffs appear in name order, so the list does
+    not depend on the string hash seed."""
     by_pair = {}
-    for d in make_S(4).meta["proposition_diffs"]:
+    for d in proposition_diffs(make_S(4)):
         pair, at = re.match(r"(\[.+\]) @ (\S+):", d).groups()
         by_pair.setdefault(pair, []).append(at)
     assert sum(map(len, by_pair.values())) == 414
@@ -444,7 +443,7 @@ def test_ck6_rank_weights_and_examples(CK6):
 
 
 def test_ck6_printed_diffs_are_the_weight_transposition(CK6):
-    diffs = CK6.meta["printed_diffs"]
+    diffs = verify_ck6_printed(CK6)
     assert len(diffs) == 42
     for d in diffs:
         m = re.match(r"\[(\S+) lam (\S+)\]", d)
@@ -453,27 +452,6 @@ def test_ck6_printed_diffs_are_the_weight_transposition(CK6):
         assert "L" in pair
         other = (pair - {"L"}).pop() if pair != {"L"} else "L"
         assert other != "L" and len(other) in (2, 3)  # C_i or C_ij only
-
-
-def test_ck6_printed_check_runs_on_first_read(monkeypatch):
-    from confcoalg import families
-    from confcoalg.families import ConstructionMismatch
-
-    calls = []
-    verify = families.verify_ck6_printed
-    monkeypatch.setattr(families, "verify_ck6_printed",
-                        lambda S: calls.append(S.name) or verify(S))
-    S = make_CK6()
-    assert calls == []
-    copy = corrupt_entry(S, "L", "L", "L", D)
-    diffs = S.meta["printed_diffs"]
-    assert len(diffs) == 42 and calls == ["CK_6"]
-    assert S.meta.get("printed_diffs") is diffs and S.meta.get("nosuch") is None
-    # a copy sees the value of the table it was made from, computed once
-    assert copy.meta["printed_diffs"] is diffs and calls == ["CK_6"]
-    with pytest.raises(ConstructionMismatch):
-        make_CK6(strict=True)
-    assert calls == ["CK_6", "CK_6"]
 
 
 def test_ck6_axioms(CK6):

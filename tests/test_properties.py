@@ -62,7 +62,9 @@ from confcoalg.poly import (  # noqa: E402
     _COMPONENT_SHIFT, _pack, poly_from_json, unpack_vector, vector_text,
 )
 
-from helpers import dual_entry, element_pairs, element_reader, repr_oracle  # noqa: E402
+from helpers import (  # noqa: E402
+    dual_entry, element_pairs, element_reader, parity_keeping_targets, repr_oracle,
+)
 from test_kernels import (  # noqa: E402
     _bracket_loop, _canonicalize_CK6_oracle, _canonicalize_S_oracle, _co_oracle,
     _coalg_residuals, _cojordan_residuals, _flip_residual, _found, _jacobi_residual,
@@ -274,7 +276,7 @@ def assert_packed_once(S):
     equal to a fresh _packed of its rows, and it is still so after its
     co-check."""
     packed = S.packed
-    fresh = LambdaStructure(S.kind, S.generators, S.table, validate=False).flip_residual
+    fresh = LambdaStructure(S.kind, S.generators, S.table).flip_residual
     for name in cli.LIE_CHECKS if S.kind == LIE else cli.JORDAN_CHECKS:
         cli.CHECKS[name](S, lambda: dualize(S))
         assert S.packed is packed and packed == _packed(_packed_entries(S)), name
@@ -319,14 +321,16 @@ def assert_copy_packs_its_entry(S, i, j, value):
 @given(st.data())
 def test_with_entry_copy_packs_its_entry_on_random_tables(data):
     S = data.draw(st.one_of(tables(LIE, 8), tables(JORDAN, 4)))
-    i, j, k = (data.draw(st.integers(0, S.rank - 1)) for _ in range(3))
+    i, j, k = data.draw(parity_keeping_targets(S))
     assert_copy_packs_its_entry(S, i, j, ConformalElement({k: _polys(data.draw)}))
 
 
 @pytest.mark.parametrize("name", ["W_2", "K_4", "S_3", "CK_6", "J_2", "JCK_4"])
-def test_with_entry_copy_packs_its_entry(packed_families, name):
+@given(st.data())
+def test_with_entry_copy_packs_its_entry(packed_families, name, data):
     T = packed_families[name]
-    assert_copy_packs_its_entry(T, 0, T.rank - 1, ConformalElement({0: LAM * D - P_ONE}))
+    i, j, k = data.draw(parity_keeping_targets(T))
+    assert_copy_packs_its_entry(T, i, j, ConformalElement({k: LAM * D - P_ONE}))
 
 
 def _faulty_subst_general(original):
