@@ -130,19 +130,25 @@ def test_with_entry_checks_its_copy_as_the_constructor_does(K):
                 make()
 
 
-def test_out_of_range_indices_rejected():
+@pytest.mark.parametrize("via_with_entry", [True, False])
+def test_out_of_range_indices_rejected(via_with_entry):
     """A row key or a target outside the generators is an error, not a dropped
-    row or a Python negative index."""
+    row or a Python negative index, whether the row is given to the
+    constructor or written into a valid table by with_entry."""
     gens = [Generator("L", 0)]
     cases = [
-        ({(0, 2): [(0, LAM)]}, r"^row \(0, 2\) is not a pair of generator indices in range\(1\)$"),
-        ({(-1, 0): []}, r"^row \(-1, 0\) is not a pair"),
-        ({(0, 0): [(-1, LAM)]}, r"^row \(0, 0\) names generator index -1, not in range\(1\)$"),
-        ({(0, 0): [(0, D), (1, LAM)]}, r"^row \(0, 0\) names generator index 1, not in range\(1\)$"),
+        ((0, 2), {0: LAM}, r"^row \(0, 2\) is not a pair of generator indices in range\(1\)$"),
+        ((-1, 0), {}, r"^row \(-1, 0\) is not a pair"),
+        ((0, 0), {-1: LAM}, r"^row \(0, 0\) names generator index -1, not in range\(1\)$"),
+        ((0, 0), {0: D, 1: LAM}, r"^row \(0, 0\) names generator index 1, not in range\(1\)$"),
     ]
-    for table, message in cases:
+    valid = LambdaStructure("lie", gens, {(0, 0): [(0, LAM)]})
+    for (i, j), terms, message in cases:
         with pytest.raises(StructureError, match=message):
-            LambdaStructure("lie", gens, table)
+            if via_with_entry:
+                valid.with_entry(i, j, ConformalElement(terms))
+            else:
+                LambdaStructure("lie", gens, {(i, j): sorted(terms.items())})
 
 
 def element_parity(S, x):

@@ -216,19 +216,30 @@ def test_s_proposition_diffs_documented(S):
         assert any(x.count("_") == 2 for x in head.groups())
 
 
-def test_constructors_never_evaluate_the_printed_formulas(monkeypatch):
-    """make_S and make_CK6 build the restriction only: the tabulated
-    formulas are evaluated by proposition_diffs and verify_ck6_printed
-    alone, and meta holds the data of the construction."""
+def test_s_proposition_diffs_run_on_first_read(monkeypatch, S):
+    """make_S builds the restriction only: the tabulated formulas are
+    evaluated when proposition_diffs reads a table, on every call and on the
+    table given, and meta holds the data of the construction."""
     from confcoalg import families
 
     def refuse(*args):
         raise AssertionError("tabulated formulas evaluated during construction")
 
-    monkeypatch.setattr(families, "_prop_entry", refuse)
-    monkeypatch.setattr(families, "verify_ck6_printed", refuse)
-    assert sorted(make_S(3).meta) == ["W", "basis", "embeds", "n"]
-    assert sorted(make_CK6().meta) == ["K6", "embeds", "tuples"]
+    with monkeypatch.context() as m:
+        m.setattr(families, "_prop_entry", refuse)
+        S3 = make_S(3)
+        copy = corrupt_entry(S3, "B", "B", "B", D)
+    assert sorted(S3.meta) == ["W", "basis", "embeds", "n"]
+    calls = []
+    prop_entry = families._prop_entry
+    monkeypatch.setattr(families, "_prop_entry",
+                        lambda *args: calls.append(args) or prop_entry(*args))
+    diffs = proposition_diffs(S3)
+    assert diffs == proposition_diffs(S[3])
+    evaluated = len(calls) // 2
+    assert evaluated and len(calls) == 2 * evaluated
+    # a copy is compared on its own table, not given its source's verdict
+    assert proposition_diffs(copy) != diffs and len(calls) == 3 * evaluated
 
 
 def test_corrupted_copy_compares_its_own_table(S, CK6):
@@ -452,6 +463,23 @@ def test_ck6_printed_diffs_are_the_weight_transposition(CK6):
         assert "L" in pair
         other = (pair - {"L"}).pop() if pair != {"L"} else "L"
         assert other != "L" and len(other) in (2, 3)  # C_i or C_ij only
+
+
+def test_ck6_printed_check_runs_on_first_read(monkeypatch):
+    """make_CK6 never runs the printed check; verify_ck6_printed runs it on
+    the table it is given, each time it is called."""
+    from confcoalg import families
+
+    calls = []
+    verify = families.verify_ck6_printed
+    monkeypatch.setattr(families, "verify_ck6_printed",
+                        lambda S: calls.append(S.name) or verify(S))
+    S = make_CK6()
+    copy = corrupt_entry(S, "L", "L", "L", D)
+    assert calls == [] and sorted(S.meta) == ["K6", "embeds", "tuples"]
+    assert len(families.verify_ck6_printed(S)) == 42 and calls == ["CK_6"]
+    assert len(families.verify_ck6_printed(copy)) == 44
+    assert calls == ["CK_6", "CK_6?"]
 
 
 def test_ck6_axioms(CK6):
