@@ -26,14 +26,15 @@ CHECK_FAILURE = 1
 
 
 class FamilyDef:
-    """A family of the command line, naming its constructor in families, its
-    cap in families.CAPS and its closed-form emitter in closed_form, so that
-    a command imports only the modules it runs."""
+    """A family of the command line, naming its constructor in families and
+    its closed-form emitter in closed_form, so that a command imports only
+    the modules it runs.  A family takes --n when it has a desk-scale cap on
+    n (--allow-large overrides it) or a set of allowed n.  The constructors
+    run no check; a verdict comes only from the checks of a verify run."""
 
-    def __init__(self, make, needs_n=False, cap=None, formula=None,
-                 allowed_n=None, takes_b=False):
+    def __init__(self, make, cap=None, formula=None, allowed_n=None, takes_b=False):
         self.make = make
-        self.needs_n = needs_n
+        self.needs_n = cap is not None or allowed_n is not None
         self.cap = cap
         self.formula = formula
         self.allowed_n = allowed_n
@@ -54,15 +55,15 @@ class FamilyDef:
 FAMILIES = {
     "vir": FamilyDef("make_vir", formula="coproduct_vir"),
     "cur": FamilyDef("make_cur_sl2", formula="coproduct_cur_sl2"),
-    "w": FamilyDef("make_W", needs_n=True, cap="W", formula="coproduct_W"),
-    "s": FamilyDef("make_S", needs_n=True, cap="S", formula="coproduct_S"),
-    "sb": FamilyDef("make_S_b", needs_n=True, cap="Sb", takes_b=True),
-    "stilde": FamilyDef("make_S_tilde", needs_n=True, cap="Stilde"),
-    "k": FamilyDef("make_K", needs_n=True, cap="K", formula="coproduct_K"),
-    "n": FamilyDef("make_K", needs_n=True, allowed_n=(2, 3, 4), formula="coproduct_N"),
+    "w": FamilyDef("make_W", cap=4, formula="coproduct_W"),
+    "s": FamilyDef("make_S", cap=3, formula="coproduct_S"),
+    "sb": FamilyDef("make_S_b", cap=2, takes_b=True),
+    "stilde": FamilyDef("make_S_tilde", cap=2),
+    "k": FamilyDef("make_K", cap=6, formula="coproduct_K"),
+    "n": FamilyDef("make_K", allowed_n=(2, 3, 4), formula="coproduct_N"),
     "k4prime": FamilyDef("make_K4prime", formula="coproduct_K4prime"),
     "ck6": FamilyDef("make_CK6", formula="coproduct_CK6"),
-    "jn": FamilyDef("make_Jn", needs_n=True, cap="Jn", formula="coproduct_Jn"),
+    "jn": FamilyDef("make_Jn", cap=3, formula="coproduct_Jn"),
     "js1": FamilyDef("make_JS1", formula="coproduct_JS1"),
     "jck4": FamilyDef("make_JCK4", formula="coproduct_JCK4"),
     "curjordan": FamilyDef("make_cur_jordan_unit"),
@@ -128,14 +129,11 @@ def _resolve(args) -> tuple:
             raise UsageError(
                 f"family {args.family} allows n in {fd.allowed_n}"
             )
-        if fd.cap is not None:
-            from .families import CAPS
-
-            if n > CAPS[fd.cap] and not args.allow_large:
-                raise UsageError(
-                    f"n={n} exceeds the desk-scale cap {CAPS[fd.cap]} for "
-                    f"{args.family}; pass --allow-large to override"
-                )
+        if fd.cap is not None and n > fd.cap and not args.allow_large:
+            raise UsageError(
+                f"n={n} exceeds the desk-scale cap {fd.cap} for "
+                f"{args.family}; pass --allow-large to override"
+            )
         if n < 0:
             raise UsageError("n must be >= 0")
     elif n is not None:

@@ -11,8 +11,11 @@ outside the span raises NotInSpan), each distinct coordinate unpacked once.
 Where the paper tabulates the brackets (S_n, CK_6), the tabulated formulas
 are a second, independent path: ``proposition_diffs`` and
 ``verify_ck6_printed`` list the disagreements of the table they are given
-with them.  A constructor never evaluates them, and meta holds only the
-data of the construction.
+with them.  A constructor never evaluates them and runs no check, so
+constants that break the axioms (make_current) give a table whose checks
+fail.  meta holds only the data of the construction and is never written
+afterwards.  The constructors take any n; the command line's caps on --n
+live in cli.FAMILIES.
 
 Parity conventions (stated once, used everywhere): p(xi_I) = |I| mod 2 in
 the Lambda(n) parts, p(xi_I d_i) = |I|+1, p(xi_I theta) = |I|+1; in CK_6,
@@ -42,10 +45,6 @@ from .conformal import (
     _eliminate_columns,
     bracket,
     bracket_pairs,
-    check_jacobi,
-    check_jordan_comm,
-    check_jordan_identity,
-    check_skew,
     kernel_basis,
     shift_spectral,
 )
@@ -54,11 +53,6 @@ from .poly import (
     D, LAM, MultiPoly, P_ONE, P_ZERO, Scalar, _COMPONENT_SHIFT, _GUARD, _VAR_SHIFT, accumulate,
     add_product, common_denominator, compact_vector, pack_vector, unpack_vector,
 )
-
-# desk-scale caps on the CLI's --n; the constructors take any n, and the
-# CLI's --allow-large overrides the caps
-CAPS = {"W": 4, "S": 3, "K": 6, "Sb": 2, "Stilde": 2, "Jn": 3}
-
 
 def _sgn(e: int) -> int:
     return -1 if e & 1 else 1
@@ -268,31 +262,23 @@ def make_current(
     """Current conformal (super)algebra of a finite-dimensional table.
 
     products maps (a, b) to the structure constants of the underlying
-    algebra; the lambda-product is lambda-free.  The input algebra's own
-    axioms are validated by running the conformal checkers (for a
-    lambda-free table they reduce to the classical identities).
+    algebra; the lambda-product is lambda-free.  Like every constructor it
+    runs no check: constants that break the axioms of kind give a table
+    whose checks fail (for a lambda-free table they reduce to the classical
+    identities).  A product naming a generator outside gen_names, or
+    parities of another length, raises StructureError.
     """
-    gens = [Generator(g, p) for g, p in zip(gen_names, parities)]
-    idx = {g: i for i, g in enumerate(gen_names)}
-    table = {}
-    for (a, b), terms in products.items():
-        table[(idx[a], idx[b])] = [
-            (idx[c], MultiPoly.const(sc)) for c, sc in terms
-        ]
-    S = LambdaStructure(kind, gens, table, name=name)
-    if kind == LIE:
-        bad = [r for r in (check_skew(S), check_jacobi(S)) if not r.ok]
-    else:
-        bad = [
-            r
-            for r in (check_jordan_comm(S), check_jordan_identity(S))
-            if not r.ok
-        ]
-    if bad:
+    if len(parities) != len(gen_names):
         raise StructureError(
-            f"{name}: input constants violate {bad[0].check}"
-        )
-    return S
+            f"{name}: {len(gen_names)} generators but {len(parities)} parities")
+    idx = {g: i for i, g in enumerate(gen_names)}
+    try:
+        table = {(idx[a], idx[b]): [(idx[c], MultiPoly.const(sc)) for c, sc in terms]
+                 for (a, b), terms in products.items()}
+    except KeyError as e:
+        raise StructureError(f"{name}: products name an unknown generator {e.args[0]!r}") from None
+    gens = [Generator(g, p) for g, p in zip(gen_names, parities)]
+    return LambdaStructure(kind, gens, table, name=name)
 
 
 def sl2_constants():
@@ -401,28 +387,20 @@ def div_w(W: LambdaStructure, x: ConformalElement, b: Scalar = Scalar(0)) -> Con
     """div_b on an element of W_n: div(f d_i) = (-1)^{p(f)} d_i f,
     div(f) = (b - d) f; C[d]-linear, valued in the Lambda(n) part."""
     lam_idx = W.meta["lam_idx"]
-    rev = _reverse_maps(W)
+    # generator -> (I, i): xi_I d_i, or xi_I for i = 0
+    rev = {g: (m, 0) for m, g in lam_idx.items()}
+    rev.update({g: key for key, g in W.meta["w_idx"].items()})
     out = ConformalElement()
     bd = MultiPoly.const(b) - D
     for g, p in x.terms.items():
-        kind, mask, i = rev[g]
-        if kind == "lam":
+        mask, i = rev[g]
+        if not i:
             out = out + ConformalElement({g: p * bd})
         else:
             s, K = _d_mul(0, i, mask)
             if s:
                 out = out + ConformalElement({lam_idx[K]: p * (_sgn(mask.bit_count()) * s)})
     return out
-
-
-def _reverse_maps(W: LambdaStructure) -> Dict[int, Tuple[str, int, int]]:
-    """Generator of W_n -> ("lam", I, 0) for xi_I or ("w", I, i) for xi_I d_i,
-    worked out on first use and kept in W.meta."""
-    rev = W.meta.get("rev")
-    if rev is None:
-        rev = W.meta["rev"] = {g: ("lam", m, 0) for m, g in W.meta["lam_idx"].items()}
-        rev.update({g: ("w", m, i) for (m, i), g in W.meta["w_idx"].items()})
-    return rev
 
 
 def div_module_map(W: LambdaStructure, b: Scalar = Scalar(0)) -> ModuleMap:

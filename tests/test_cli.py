@@ -67,9 +67,23 @@ def test_verify_families(capsys):
 
 
 def test_cap_enforcement(capsys):
-    code, _, err = run(capsys, "construct", "--family", "S", "--n", "5")
-    assert code == 2
-    assert "allow-large" in err
+    """Each capped family refuses n = cap + 1 with a message naming the cap,
+    and --allow-large lets that n through _resolve (nothing is built)."""
+    capped = {name: fd.cap for name, fd in cli.FAMILIES.items() if fd.cap is not None}
+    assert sorted(capped) == ["jn", "k", "s", "sb", "stilde", "w"]
+    for name, cap in capped.items():
+        code, out, err = run(capsys, "construct", "--family", name, "--n", str(cap + 1))
+        assert (code, out) == (2, ""), name
+        assert err == (f"error: n={cap + 1} exceeds the desk-scale cap {cap} for {name}; "
+                       "pass --allow-large to override\n")
+        args = cli.build_parser().parse_args(
+            ["construct", "--family", name, "--n", str(cap + 1), "--allow-large"])
+        assert cli._resolve(args)[:2] == (cli.FAMILIES[name], cap + 1)
+
+
+def test_caps_table():
+    caps = {name: fd.cap for name, fd in cli.FAMILIES.items()}
+    assert caps["w"] == 4 and caps["k"] == 6 and caps["jn"] == 3
 
 
 def test_unknown_family_and_check(capsys):
@@ -476,6 +490,11 @@ def test_unknown_family_loads_no_library_module():
 @pytest.mark.parametrize("command", ["construct", "dualize", "emit", "crosscheck"])
 def test_unknown_family_of_every_command_loads_no_library_module(command):
     code, modules = _main_footprint(command, "--family", "nosuch")
+    assert code == 2 and modules == {"confcoalg", "cli"}
+
+
+def test_cap_error_loads_no_library_module():
+    code, modules = _main_footprint("construct", "--family", "S", "--n", "5")
     assert code == 2 and modules == {"confcoalg", "cli"}
 
 

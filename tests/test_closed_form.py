@@ -37,7 +37,7 @@ def test_emitters_never_call_dualize():
 
 
 # sha256 of serialize.dumps of each emitter at every n the CLI caps allow
-# (families.CAPS).  Recorded before the emitters built each name and
+# (cli.FAMILIES).  Recorded before the emitters built each name and
 # coefficient polynomial once per call, and re-recorded when Coproduct began
 # merging the pairs of each row at construction: the 23 emitters whose rows
 # repeat a pair (i, j) now write one entry per pair and no zero entries, so

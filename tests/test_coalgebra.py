@@ -39,7 +39,7 @@ def test_dualize_reindexes(cur_sl2):
 
 
 # sha256 of serialize.dumps(dualize(S)) of every family table at every n the
-# CLI caps allow (families.CAPS; S_{2,b} at the three b of the fixtures),
+# CLI caps allow (cli.FAMILIES; S_{2,b} at the three b of the fixtures),
 # recorded before dualize renamed each distinct entry polynomial once; the
 # duals must not change by a byte
 DUALIZE_DUMPS = {

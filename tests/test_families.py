@@ -9,14 +9,14 @@ from fractions import Fraction
 
 import pytest
 
+from confcoalg import cli, coalgebra, conformal, families
 from confcoalg.conformal import (
     ConformalElement, StructureError, bracket, check_jacobi, check_skew,
 )
 from confcoalg.families import (
-    CAPS, NotInSpan, _current_action, _d_mul, _reverse_maps, check_div_identity, ck6_embed,
-    corrupt_entry, div_module_map, div_w, embed_sn, kernel_basis, make_CK6, make_current,
-    make_Jn, make_S, make_S_b, make_W, proposition_diffs, sn_basis, span_reader,
-    verify_ck6_printed,
+    NotInSpan, _current_action, _d_mul, check_div_identity, ck6_embed, corrupt_entry,
+    div_module_map, div_w, embed_sn, kernel_basis, make_CK6, make_current, make_Jn, make_S,
+    make_S_b, make_W, proposition_diffs, sn_basis, span_reader, verify_ck6_printed,
 )
 from confcoalg.grassmann import mul_sign
 from confcoalg.poly import D, LAM, MultiPoly, P_ONE, Scalar
@@ -45,12 +45,44 @@ def test_current_is_lambda_free(cur_sl2):
 
 
 def test_current_rejects_invalid_constants():
-    with pytest.raises(StructureError):
-        make_current(
-            ["a", "b"], [0, 0],
-            {("a", "b"): [("a", Scalar(1))]},  # not antisymmetric
-            kind="lie",
-        )
+    """Constants that break the axioms build a table; its checks fail."""
+    S = make_current(
+        ["a", "b"], [0, 0],
+        {("a", "b"): [("a", Scalar(1))]},  # not antisymmetric
+        kind="lie",
+    )
+    rep = check_skew(S)
+    assert [(v.where, v.residual) for v in rep.violations] == [
+        (("a", "b"), "(1)*a"), (("b", "a"), "(1)*a")]
+
+
+def test_current_names_an_unknown_generator():
+    with pytest.raises(StructureError, match="unknown generator 'b'"):
+        make_current(["a"], [0], {("a", "b"): [("a", Scalar(1))]})
+
+
+@pytest.mark.parametrize("parities", [[0], [0, 0, 0]])
+def test_current_needs_one_parity_per_generator(parities):
+    with pytest.raises(StructureError, match=f"2 generators but {len(parities)} parities"):
+        make_current(["a", "b"], parities, {})
+
+
+def test_constructors_run_no_check(monkeypatch):
+    """Every family of the command line builds, at n = 2 where it takes --n
+    (the smallest n every such family accepts), with every check of
+    conformal and coalgebra raising; cur and curjordan are make_current on
+    the sl2 constants and on the Jordan unit."""
+    def boom(*args, **kwargs):
+        raise AssertionError("a constructor ran a check")
+
+    checks = {id(f) for mod in (conformal, coalgebra)
+              for name, f in vars(mod).items() if name.startswith("check_")}
+    for mod in (conformal, coalgebra, families):
+        for name, f in list(vars(mod).items()):
+            if id(f) in checks:
+                monkeypatch.setattr(mod, name, boom)
+    for name, fd in cli.FAMILIES.items():
+        assert fd.build(2 if fd.needs_n else None, Scalar(0)).rank > 0, name
 
 
 def test_jordan_current_idempotent():
@@ -112,12 +144,31 @@ def test_div_identity_b0_and_deformed():
     assert check_div_identity(2, Scalar(0, 1)).ok
 
 
+def test_divergence_writes_no_meta(monkeypatch):
+    """div_w, div_module_map and check_div_identity leave W_n's meta the
+    record of its construction."""
+    built = []
+
+    def make_and_keep_W(n):
+        built.append(make_W(n))
+        return built[-1]
+
+    monkeypatch.setattr(families, "make_W", make_and_keep_W)
+    w = make_W(2)
+    div_w(w, ConformalElement.gen(w.index["xi1d2"]))
+    div_module_map(w)
+    check_div_identity(2)
+    for table in (w, *built):
+        assert sorted(table.meta) == ["lam_idx", "n", "w_idx"]
+
+
 def current_action(W, x, svar, g):
     """Action of W_n on Lambda(n)-valued currents, extended sesquilinearly
     term by term: (f d_i) acts by the derivation f d_i(g); a Lambda-part f
     acts by -(d + svar) f g.  The definitional path of _current_action."""
     lam_idx = W.meta["lam_idx"]
-    rev = _reverse_maps(W)
+    rev = {g: ("lam", m, 0) for m, g in lam_idx.items()}
+    rev.update({g: ("w", m, i) for (m, i), g in W.meta["w_idx"].items()})
     sv = MultiPoly.var(svar)
     out = ConformalElement()
     for gd, p in x.terms.items():
@@ -558,10 +609,6 @@ def test_jck4_products(JCK4):
     )
     assert JCK4.entry(x1, x) == ConformalElement({w1: P_ONE})
     assert JCK4.entry(x, x1) == ConformalElement({w1: MultiPoly.const(-1)})
-
-
-def test_caps_table():
-    assert CAPS["W"] == 4 and CAPS["K"] == 6 and CAPS["Jn"] == 3
 
 
 @pytest.mark.parametrize("t", [(2, 1), (1, 1), (3, 7), (0, 2)])

@@ -1175,7 +1175,7 @@ def _canonicalize_S_oracle(x, W):
     n = W.meta["n"]
     lam_idx = W.meta["lam_idx"]
     w_idx = W.meta["w_idx"]
-    rev = families._reverse_maps(W)
+    rev = {g: (m, i) for (m, i), g in w_idx.items()}
     coords = {}
     work = dict(x.terms)
 
@@ -1193,13 +1193,13 @@ def _canonicalize_S_oracle(x, W):
             accumulate(work, gidx, -(cb * (D * mul_sign(m, 1 << (i - 1)))))
 
     for g in list(work):
-        _, mask, i = rev[g]
+        mask, i = rev[g]
         if not (mask >> (i - 1)) & 1:
             coords[families.SnBasisElement("A", mask, i).name()] = work.pop(g)
 
     by_I = {}
     for g, p in work.items():
-        _, mask, i = rev[g]
+        mask, i = rev[g]
         I = mask & ~(1 << (i - 1))
         by_I.setdefault(I, {})[i] = p * (-1 if alpha_mask(I, 1 << (i - 1)) & 1 else 1)
     for I, comps in by_I.items():
