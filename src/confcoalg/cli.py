@@ -89,12 +89,13 @@ CHECKS = {
 
 
 def parse_scalar(text: str) -> confcoalg.Scalar:
-    """Parse "re/den+im/den i" style scalars; also 0, 1, -2, beta, 1+2i, -i."""
+    """Parse "re/den+im/den i" style scalars; also 0, 1, -2, beta, 2i, 1+2i, -i.
+    A number written right before i, I or beta is the imaginary part."""
     from fractions import Fraction
 
     t = text.strip().replace(" ", "")
-    m = re.fullmatch(
-        r"(?P<re>[+-]?\d+(?:/\d+)?)?"
+    m = re.fullmatch(   # the real part is lazy, so "2i" reads as the imaginary 2
+        r"(?P<re>[+-]?\d+(?:/\d+)?)??"
         r"(?:(?P<sign>[+-])?(?P<im>\d+(?:/\d+)?)?(?P<unit>i|I|beta))?",
         t,
     )

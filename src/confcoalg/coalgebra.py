@@ -21,7 +21,8 @@ with a coproduct splits its variable into the sum of the two new ones
 calls them, and ``tests/test_kernels.py`` uses them as the oracle for the
 co-checks.  Every check, of a table or of a coproduct, runs conformal's
 kernels in slot variables; co-Jordan is the Jordan identity at (lam, mu,
-nu, d) = (x1, x2, x2+x3, -x1-x2-x3-x4), times -(-1)^{p(a)p(c)}.
+nu, d) = (x1, x2, x2+x3, -x1-x2-x3-x4), times -(-1)^{p(a)p(c)}, a sign that
+check_jordan_coalgebra puts on the kernel's rows as it writes them.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from .conformal import (
     Table, Violation, _jacobi_residuals, _jordan_rows, _packed,
 )
 from .poly import (
-    D, LAM, MultiPoly, P_ONE, P_ZERO, _MAXEXP, _MONO_MASK, _VAR_SHIFT, accumulate,
-    unpack_vector, vector_text,
+    D, LAM, MultiPoly, P_ONE, P_ZERO, _COMPONENT_SHIFT, _MAXEXP, _MONO_MASK, _VAR_SHIFT,
+    accumulate, unpack_vector, vector_text,
 )
 
 _X = ("x1", "x2", "x3", "x4")
@@ -198,8 +199,7 @@ class TensorElement:
 
     @staticmethod
     def seed(k: int, cop: Coproduct) -> "TensorElement":
-        pars = tuple(g.parity for g in cop.generators)
-        return TensorElement(1, {(k,): P_ONE}, pars)
+        return TensorElement(1, {(k,): P_ONE}, cop.parities)
 
     def __add__(self, other: "TensorElement") -> "TensorElement":
         if self.arity != other.arity:
@@ -359,12 +359,10 @@ def check_lie_coalgebra(cop: Coproduct) -> Report:
     """
     if cop.kind != LIE:
         raise StructureError("Lie coalgebra axioms apply to Lie kind")
-    n = cop.rank
-    par = [g.parity for g in cop.generators]
-    rep = Report("coalg", cop.name, total=n)
+    rep = Report("coalg", cop.name, total=cop.rank)
     L, table = cop.packed
     flip = cop.flip_residual
-    jacobi = _jacobi_residuals(table, par, not flip)
+    jacobi = _jacobi_residuals(table, cop.parities, not flip)
     _record(rep, cop, [("antisymmetry", 2, [flip], L), ("co-jacobi", 3, jacobi, L * L)])
     return rep
 
@@ -387,18 +385,19 @@ def check_jordan_coalgebra(cop: Coproduct) -> Report:
     (a, b, c, d) at a_m: that identity is a cyclic sum over (a, b, c) (see
     conformal.check_jordan_identity), and (-1)^{p(a)p(c)} turns the sign of
     each rotation into that of zeta^0, zeta or zeta^2.  So co-Jordan is the
-    consistent Jordan kernel under conformal.JORDAN_IMAGES with fold 1, which
-    folds that sign in, at scale -L^3, and co-commutativity is minus
-    cop.flip_residual: the rows that check_jordan_identity and
-    check_jordan_comm map back to lam, mu, nu and d, written as they come.
+    consistent Jordan kernel under conformal.JORDAN_IMAGES, row a written
+    times (-1)^{p(a)p(c)}, c the second index of each component, at scale
+    -L^3, and co-commutativity is minus cop.flip_residual: the rows that
+    check_jordan_identity and check_jordan_comm map back to lam, mu, nu and d.
     """
     if cop.kind != JORDAN:
         raise StructureError("Jordan coalgebra axioms apply to Jordan kind")
-    n = cop.rank
-    par = [g.parity for g in cop.generators]
+    n, par = cop.rank, cop.parities
     rep = Report("cojordan", cop.name, total=n)
     L, table = cop.packed
-    jordan = _jordan_rows(table, par, JORDAN_IMAGES, 1)
+    jordan = [{key: -v if pa & par[(key >> _COMPONENT_SHIFT) // n ** 2 % n] else v
+               for key, v in row.items()}
+              for pa, row in zip(par, _jordan_rows(table, par, JORDAN_IMAGES))]
     _record(rep, cop, [("co-commutativity", 2, [cop.flip_residual], -L),
                        ("co-jordan", 4, jordan, -L ** 3)])
     return rep

@@ -149,13 +149,14 @@ class ConformalElement:
 class Table:
     """The generators of a table, with what both kinds of table read of them:
     kind (LIE or JORDAN), generators, index (id -> position), rank and
-    parity.  The constructor refuses an unknown kind and repeated ids."""
+    parities.  The constructor refuses an unknown kind and repeated ids."""
 
     def __init__(self, kind: str, generators: Sequence[Generator], name: str):
         if kind not in (LIE, JORDAN):
             raise StructureError(f"unknown kind {kind!r}")
         self.kind = kind
         self.generators = list(generators)
+        self.parities = tuple(g.parity for g in self.generators)
         self.name = name
         self.index = {g.id: i for i, g in enumerate(self.generators)}
         if len(self.index) != len(self.generators):
@@ -166,13 +167,13 @@ class Table:
         return len(self.generators)
 
     def parity(self, i: int) -> int:
-        return self.generators[i].parity
+        return self.parities[i]
 
     @cached_property
     def flip_residual(self):
         """_flip_kernel of the packed table, L times too large; built on first
         read and kept, as the packed table of each subclass is."""
-        return _flip_kernel(self.packed[1], [g.parity for g in self.generators], self.kind)
+        return _flip_kernel(self.packed[1], self.parities, self.kind)
 
 
 class LambdaStructure(Table):
@@ -199,7 +200,7 @@ class LambdaStructure(Table):
     ):
         super().__init__(kind, generators, name)
         self.meta = meta or {}
-        par = [g.parity for g in self.generators]
+        par = self.parities
         n = len(par)
         # every pair gets a row, in row-major order; only the rows given with
         # terms are merged and checked, in that order too
@@ -412,11 +413,12 @@ class Report(Record):
 # -x1-x2-x3-x4) for Jordan, where the skew, commutativity, Jacobi and
 # consistent Jordan residuals are the co-antisymmetry, minus the
 # co-commutativity, the co-Jacobi and -(-1)^{p(a)p(c)} times the co-Jordan
-# residuals (see coalgebra).  The co-checks write the kernels' rows as they
-# come; the table checks map each nonzero row back first (_FLIP_BACK,
-# _JACOBI_BACK, _JORDAN_BACK; each map keeps the image of every monomial it
-# meets).  The image sets give each copy's (x1_img, x2_img), (None, None) for
-# the table as it is.
+# residuals (see coalgebra).  A kernel's row is a plain residual, compact ({}
+# when zero) and in the slot variables, and its writer applies its own map,
+# sign and scale: the table checks map it back (_FLIP_BACK, _JACOBI_BACK,
+# _JORDAN_BACK; each map keeps the image of every monomial it meets), and
+# co-Jordan signs it.  The image sets give each copy's (x1_img, x2_img), (None,
+# None) for the table as it is.
 JACOBI_IMAGES = {"outer": (X1, X2 + X3), "cols1": (X2, X3), "first2": (None, None),
                  "rows2": (X1 + X2, X3), "first3": (X1, X3), "cols3": (X2, X1 + X3)}
 JORDAN_IMAGES = {"bc": (X2, X3), "ab": (None, None), "ca_chain": (X3, X1), "ca_split": (X3, X1),
@@ -515,15 +517,15 @@ def check_jordan_comm(S: LambdaStructure) -> Report:
 def _record(rep: Report, S: LambdaStructure, head, acc, width: int, scale: int, back) -> None:
     """Add a violation at each tuple head + tail whose part of acc is nonzero.
 
-    acc is a packed residual in slot variables, scale times too large, at
-    components tail n + m, m the generator of the residual and tail the last
-    width tuple indices as base-n digits; back maps it to the table's
-    variables.  Violations follow in the order of the tails, and each
+    acc is a compact packed residual in slot variables, scale times too
+    large, at components tail n + m, m the generator of the residual and tail
+    the last width tuple indices as base-n digits; back maps it to the
+    table's variables.  Violations follow in the order of the tails, and each
     residual is written as ConformalElement.pretty writes it.
     """
-    if not any(acc.values()):
+    if not acc:
         return
-    acc = back(compact_vector(acc))   # a full kernel's rows keep the zeros of cancelled terms
+    acc = back(acc)
     n = S.rank
     names = [g.id for g in S.generators]
     by_tail: Dict[int, List[str]] = {}
@@ -563,11 +565,9 @@ def check_jacobi(S: LambdaStructure) -> Report:
     """
     if S.kind != LIE:
         raise StructureError("Jacobi applies to Lie kind")
-    n = S.rank
-    rep = Report("jacobi", S.name, total=n ** 3)
+    rep = Report("jacobi", S.name, total=S.rank ** 3)
     L, table = S.packed
-    rows = _jacobi_residuals(table, [S.parity(i) for i in range(n)], not S.flip_residual)
-    for i, acc in enumerate(rows):
+    for i, acc in enumerate(_jacobi_residuals(table, S.parities, not S.flip_residual)):
         _record(rep, S, (i,), acc, 2, L * L, _JACOBI_BACK)
     return rep
 
@@ -596,7 +596,7 @@ def _jacobi_residuals(table, par, skew: bool):
     out = [{} for _ in par]
     for i, acc in enumerate(rows):
         images = {}   # component -> (row, component key, shifts, sign) per permutation
-        for key, c in compact_vector(acc).items() if any(acc.values()) else ():
+        for key, c in acc.items():
             comp = key >> _COMPONENT_SHIFT
             if comp not in images:
                 jk, m = divmod(comp, n)
@@ -625,7 +625,7 @@ def _dropped_below(vec: dict, lo: int) -> dict:
 
 
 def _jacobi_rows(table, par, reduced: bool) -> Iterator[dict]:
-    """For each i, the packed Jacobi residuals of table's triples (i, j, k) under
+    """For each i, the compact Jacobi residuals of table's triples (i, j, k) under
     JACOBI_IMAGES, L**2 times too large, at components (j n + k) n + m; with
     reduced, of j <= i <= k only, which give the rest on a skew table (R(j,
     i, k) is -(-1)^{p_i p_j} R(i, j, k) at (x2, x1, x3), R(j, k, i) (-1)^{p_i
@@ -691,7 +691,7 @@ def _jacobi_rows(table, par, reduced: bool) -> Iterator[dict]:
                              lambda j, k, l: (l, (j * n + k) * n)).items():
             for key in col:
                 del cols1[l][key]
-        yield acc
+        yield compact_vector(acc) if any(acc.values()) else {}
 
 
 PRINTED = "printed"
@@ -757,19 +757,18 @@ def check_jordan_identity(S: LambdaStructure, variant: str = CONSISTENT) -> Repo
         raise StructureError("Jordan identity applies to Jordan kind")
     if variant not in (PRINTED, CONSISTENT):
         raise StructureError(f"unknown variant {variant!r}")
-    n = S.rank
-    rep = Report(f"jordan-id[{variant}]", S.name, total=n ** 4)
+    rep = Report(f"jordan-id[{variant}]", S.name, total=S.rank ** 4)
     L, table = S.packed
     images = JORDAN_IMAGES if variant == CONSISTENT else PRINTED_JORDAN_IMAGES
-    for a, acc in enumerate(_jordan_rows(table, [S.parity(i) for i in range(n)], images, 0)):
+    for a, acc in enumerate(_jordan_rows(table, S.parities, images)):
         _record(rep, S, (a,), acc, 3, L ** 3, _JORDAN_BACK)
     return rep
 
 
-def _jordan_rows(table, par, images, fold: int) -> Iterator[dict]:
-    """For each a, the packed Jordan-identity residuals of table's quadruples
+def _jordan_rows(table, par, images) -> Iterator[dict]:
+    """For each a, the compact Jordan-identity residuals of table's quadruples
     (a, b, c, d) under images, L**3 times too large, at components
-    ((b n + c) n + d) n + m; with fold 1, each times (-1)^{p(a)p(c)}.
+    ((b n + c) n + d) n + m.
 
     Each left-hand term is a chain contraction and each right-hand term a
     split one; for the first terms of each side
@@ -784,7 +783,10 @@ def _jordan_rows(table, par, images, fold: int) -> Iterator[dict]:
     indices besides d and is built once per call (see _hoisted).  b, c and
     d ride in the packed component, at (b n + c) n + d, so each a is one
     accumulation: a first factor holds its indices but a and an R or Q its
-    index besides l, split by the parities the sign depends on.
+    index besides l, split by the parity the sign depends on.  A first
+    factor's other parity is fixed by l, as every entry is
+    parity-homogeneous: p(c) = p(b) + p(l) for b c, p(b) = p(a) + p(l) for
+    a b and p(c) = p(a) + p(l) for c a.
     """
     n = len(par)
     n2, n3 = n * n, n ** 3
@@ -792,39 +794,37 @@ def _jordan_rows(table, par, images, fold: int) -> Iterator[dict]:
     hoisted = partial(_hoisted, gather, n)
     # first factors: of b c as a list, of a b and c a by a
     f_bc = [(*key, p) for key, p in gather(
-        *images["bc"], lambda b, c, l: ((l, par[b], par[c]), b * n3 + c * n2)).items()]
-    f_ab = _grouped(gather(*images["ab"], lambda a, b, l: ((a, l, par[b]), b * n3)))
-    f_ca_chain = _grouped(gather(*images["ca_chain"],
-                                 lambda c, a, l: ((a, l, fold & par[c]), c * n2)))
-    f_ca_split = _grouped(gather(*images["ca_split"], lambda c, a, l: ((a, l, par[c]), c * n2)))
+        *images["bc"], lambda b, c, l: ((l, par[b]), b * n3 + c * n2)).items()]
+    f_ab = _grouped(gather(*images["ab"], lambda a, b, l: ((a, l), b * n3)))
+    f_ca_chain = _grouped(gather(*images["ca_chain"], lambda c, a, l: ((a, l), c * n2)))
+    f_ca_split = _grouped(gather(*images["ca_split"], lambda c, a, l: ((a, l), c * n2)))
     # chain terms r[(l, x)], split terms q[(x, l)]; of b and c by their parity
     at_b, at_c = (lambda b: (par[b], b * n3)), (lambda c: (par[c], c * n2))
     r1, q2 = hoisted(*images["r1"]), hoisted(*images["q2"])
     r2, q3 = hoisted(*images["r2"], y_at=at_b), hoisted(*images["q3"], x_at=at_b)
     r3, q1 = hoisted(*images["r3"], y_at=at_c), hoisted(*images["q1"], x_at=at_c)
     for a in range(n):
-        # with the fold, the sign of each term is (-1)^{f p(c)} times its own
-        pa, f, acc = par[a], fold & par[a], {}
-        for l, pb, pc, p in f_bc:
+        pa, acc = par[a], {}
+        for l, pb, p in f_bc:
             if (l, a) in r1:
-                add_product(acc, p, r1[(l, a)], (pa ^ f) & pc)
+                add_product(acc, p, r1[(l, a)], pa & (pb ^ par[l]))
             if (a, l) in q2:
-                add_product(acc, p, q2[(a, l)], (not pa & pb) ^ (f & pc))
-        for l, pc, p in f_ca_chain.get(a, ()):
+                add_product(acc, p, q2[(a, l)], not pa & pb)
+        for l, p in f_ca_chain.get(a, ()):
             for pb in (0, 1):
                 if (l, pb) in r2:
-                    add_product(acc, p, r2[(l, pb)], (pa & pb) ^ (f & pc))
-        for l, pb, p in f_ab.get(a, ()):
+                    add_product(acc, p, r2[(l, pb)], pa & pb)
+        for l, p in f_ab.get(a, ()):
             for pc in (0, 1):
                 if (l, pc) in r3:
-                    add_product(acc, p, r3[(l, pc)], (pb ^ f) & pc)
+                    add_product(acc, p, r3[(l, pc)], (pa ^ par[l]) & pc)
                 if (pc, l) in q1:
-                    add_product(acc, p, q1[(pc, l)], not (pa ^ f) & pc)
-        for l, pc, p in f_ca_split.get(a, ()):
+                    add_product(acc, p, q1[(pc, l)], not pa & pc)
+        for l, p in f_ca_split.get(a, ()):
             for pb in (0, 1):
                 if (pb, l) in q3:
-                    add_product(acc, p, q3[(pb, l)], (not pb & pc) ^ (f & pc))
-        yield acc
+                    add_product(acc, p, q3[(pb, l)], not pb & (pa ^ par[l]))
+        yield compact_vector(acc) if any(acc.values()) else {}
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,13 @@ def test_parse_scalar():
     assert parse_scalar("beta") == Scalar(0, 1)
     assert parse_scalar("1/2+3/4i") == Scalar(Fraction(1, 2), Fraction(3, 4))
     assert parse_scalar("-i").im == -1
+    # a number written right before the unit is the imaginary part
+    for text, im in (("2i", 2), ("1/2i", Fraction(1, 2)), ("-2i", -2), ("3beta", 3),
+                     ("2 i", 2), ("2I", 2)):
+        assert parse_scalar(text) == Scalar(0, im), text
+    for text, value in (("1+2i", Scalar(1, 2)), ("1-i", Scalar(1, -1)), ("+i", Scalar(0, 1)),
+                        ("i", Scalar(0, 1)), ("2", Scalar(2))):
+        assert parse_scalar(text) == value, text
 
 
 def test_construct_vir_latex(capsys):

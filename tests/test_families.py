@@ -15,8 +15,8 @@ from confcoalg.conformal import (
 )
 from confcoalg.families import (
     NotInSpan, _current_action, _d_mul, check_div_identity, ck6_embed, corrupt_entry,
-    div_module_map, div_w, embed_sn, kernel_basis, make_CK6, make_current, make_Jn, make_S,
-    make_S_b, make_W, proposition_diffs, sn_basis, span_reader, verify_ck6_printed,
+    div_module_map, div_w, embed_sn, make_CK6, make_current, make_S, make_S_b, make_W,
+    proposition_diffs, sn_basis, span_reader, verify_ck6_printed,
 )
 from confcoalg.grassmann import mul_sign
 from confcoalg.poly import D, LAM, MultiPoly, P_ONE, Scalar

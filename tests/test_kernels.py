@@ -20,7 +20,7 @@ import itertools
 import random
 from fractions import Fraction
 from types import SimpleNamespace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 import pytest
 
@@ -499,6 +499,26 @@ def test_slot_image_sets_follow_from_the_table_image_sets(monkeypatch):
         assert {key for key in printed if printed[key] != consistent[key]} == {"ca_chain", "r2"}
 
 
+def _lie_fixtures(request):
+    """Every Lie table of the session fixtures."""
+    return [request.getfixturevalue("vir"), request.getfixturevalue("cur_sl2"),
+            *request.getfixturevalue("W").values(), *request.getfixturevalue("K").values(),
+            *request.getfixturevalue("S").values(), *request.getfixturevalue("S2b").values(),
+            request.getfixturevalue("Stilde2"), request.getfixturevalue("K4p"),
+            request.getfixturevalue("CK6")]
+
+
+def _jordan_fixtures(request):
+    """Every Jordan table of the session fixtures (J_0-J_3, JS_1, JCK_4) and the
+    Jordan current."""
+    return [*request.getfixturevalue("Jn").values(), request.getfixturevalue("JS1"),
+            request.getfixturevalue("JCK4"), families.make_cur_jordan_unit()]
+
+
+def _corrupt_J2():
+    return corrupt_entry(families.make_Jn(2), "xi1", "xi2th", "xi12th", LAM + D)
+
+
 @pytest.mark.parametrize("corrupt", [None, "skew-keeping", "skew-breaking"])
 def test_table_checks_and_co_checks_share_one_packed_form(corrupt, request, monkeypatch):
     """dualize(S).packed holds the very vectors of S.packed, and the skew and
@@ -507,11 +527,7 @@ def test_table_checks_and_co_checks_share_one_packed_form(corrupt, request, monk
     family of the fixtures, or on a skew-keeping and a skew-breaking
     corruption of K_3; each table is a fresh copy, so no form is cached."""
     if corrupt is None:
-        tables = [request.getfixturevalue("vir"), request.getfixturevalue("cur_sl2"),
-                  *request.getfixturevalue("W").values(), *request.getfixturevalue("K").values(),
-                  *request.getfixturevalue("S").values(), *request.getfixturevalue("S2b").values(),
-                  request.getfixturevalue("Stilde2"), request.getfixturevalue("K4p"),
-                  request.getfixturevalue("CK6")]
+        tables = _lie_fixtures(request)
     elif corrupt == "skew-keeping":
         tables = [_skew_corruption(families.make_K(3), "xi1", "xi2", "xi12", LAM + 2 * D)]
     else:
@@ -526,6 +542,49 @@ def test_table_checks_and_co_checks_share_one_packed_form(corrupt, request, monk
         assert rep.ok == (corrupt is None), S.name
         co, rep = term_products(monkeypatch, check_lie_coalgebra, cop)
         assert skew + jacobi == co and rep.ok == (corrupt is None), S.name
+
+
+# the term products of check_jordan_comm and of the consistent
+# check_jordan_identity, whose sum check_jordan_coalgebra makes on the dual
+JORDAN_SHARED_PRODUCTS = {"J_3": (150, 55914), "J_2?": (49, 10626)}
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+def test_jordan_table_checks_and_co_checks_share_one_packed_form(corrupt, request, monkeypatch):
+    """The Jordan twin of the test above: commutativity plus the consistent
+    Jordan identity of a table make exactly the term products of the
+    co-Jordan check of its dual, which runs the same kernels on the same
+    vectors, parities and images and only signs the rows it writes.  On every
+    Jordan fixture and the Jordan current, or on a corruption of J_2; each
+    table is a fresh copy, so no form is cached."""
+    tables = [_corrupt_J2()] if corrupt else _jordan_fixtures(request)
+    for T in tables:
+        S = LambdaStructure(T.kind, T.generators, T.table, name=T.name)
+        cop = dualize(S)
+        comm, comm_rep = term_products(monkeypatch, check_jordan_comm, S)
+        jordan, jordan_rep = term_products(monkeypatch, check_jordan_identity, S)
+        co, rep = term_products(monkeypatch, check_jordan_coalgebra, cop)
+        assert comm + jordan == co and rep.ok == (comm_rep.ok and jordan_rep.ok), S.name
+        if S.name in JORDAN_SHARED_PRODUCTS:
+            assert (comm, jordan) == JORDAN_SHARED_PRODUCTS[S.name]
+
+
+def test_kernel_rows_are_compact(request):
+    """No row that _jacobi_residuals or _jordan_rows (under the consistent and
+    the printed images) hands to a writer holds a zero coefficient: each is
+    compact, and a zero row is {}.  On every Lie and Jordan fixture, the
+    skew-breaking corruption of K_3, which runs the full Jacobi kernel, and a
+    corruption of J_2."""
+    breaking = corrupt_entry(families.make_K(3), "xi1", "xi2", "xi12", MultiPoly.const(-1))
+    assert breaking.flip_residual
+    rows = [(S.name, row) for S in [*_lie_fixtures(request), breaking]
+            for row in conformal._jacobi_residuals(S.packed[1], S.parities, not S.flip_residual)]
+    rows += [(S.name, row) for S in [*_jordan_fixtures(request), _corrupt_J2()]
+             for images in (JORDAN_IMAGES, PRINTED_JORDAN_IMAGES)
+             for row in conformal._jordan_rows(S.packed[1], S.parities, images)]
+    assert {name for name, row in rows if row} >= {"K_3?", "J_2", "J_2?", "JCK_4"}
+    for name, row in rows:
+        assert 0 not in row.values() and row == compact_vector(row), name
 
 
 # -- families ------------------------------------------------------------------
@@ -648,12 +707,11 @@ def _diagonal_corruption(S, gen, out, q):
 
 
 def _full_and_reduced_rows(S):
-    """The compact rows of the full Jacobi kernel of S, and the rows of the
-    reduced kernel with every permutation of each residual written."""
-    par = [g.parity for g in S.generators]
+    """The rows of the full Jacobi kernel of S, and the rows of the reduced
+    kernel with every permutation of each residual written."""
     table = S.packed[1]
-    full = [compact_vector(acc) for acc in conformal._jacobi_rows(table, par, False)]
-    return full, conformal._jacobi_residuals(table, par, True)
+    full = list(conformal._jacobi_rows(table, S.parities, False))
+    return full, conformal._jacobi_residuals(table, S.parities, True)
 
 
 def test_skew_corruption_matches_per_tuple_oracle(K, W, CK6):
@@ -742,12 +800,7 @@ def test_co_jacobi_runs_half_the_pairs_on_antisymmetric_duals(K, monkeypatch):
 def test_reduced_jacobi_rows_match_the_full_kernel_on_every_lie_family(request):
     """On every Lie family of the fixtures the reduced and the full kernel
     leave the same rows: none, as each family satisfies Jacobi."""
-    tables = [request.getfixturevalue("vir"), request.getfixturevalue("cur_sl2"),
-              *request.getfixturevalue("W").values(), *request.getfixturevalue("K").values(),
-              *request.getfixturevalue("S").values(), *request.getfixturevalue("S2b").values(),
-              request.getfixturevalue("Stilde2"), request.getfixturevalue("K4p"),
-              request.getfixturevalue("CK6")]
-    for S in tables:
+    for S in _lie_fixtures(request):
         full, reduced = _full_and_reduced_rows(S)
         assert reduced == full == [{}] * S.rank, S.name
 
