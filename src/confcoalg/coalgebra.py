@@ -389,6 +389,9 @@ def check_jordan_coalgebra(cop: Coproduct) -> Report:
     times (-1)^{p(a)p(c)}, c the second index of each component, at scale
     -L^3, and co-commutativity is minus cop.flip_residual: the rows that
     check_jordan_identity and check_jordan_comm map back to lam, mu, nu and d.
+    The kernel accumulates one [a, b, c] per rotation orbit and writes each
+    term at the rotations before it hands a row on, so the sign is taken at
+    the tuple where each term lands.
     """
     if cop.kind != JORDAN:
         raise StructureError("Jordan coalgebra axioms apply to Jordan kind")

@@ -418,13 +418,19 @@ class Report(Record):
 # sign and scale: the table checks map it back (_FLIP_BACK, _JACOBI_BACK,
 # _JORDAN_BACK; each map keeps the image of every monomial it meets), and
 # co-Jordan signs it.  The image sets give each copy's (x1_img, x2_img), (None,
-# None) for the table as it is.
+# None) for the table as it is.  The Jordan kernel renames the table for its
+# first factors and for the intermediates r1 and q2 only: r2 and q3 are r1 and
+# q2 with x1 and x2 swapped, r3 and q1 with x1 and x3 swapped, so it renames
+# the products instead (see _jordan_rows), and _RENAMED writes their images so.
 JACOBI_IMAGES = {"outer": (X1, X2 + X3), "cols1": (X2, X3), "first2": (None, None),
                  "rows2": (X1 + X2, X3), "first3": (X1, X3), "cols3": (X2, X1 + X3)}
+_SWAP12, _SWAP13 = {"x1": "x2", "x2": "x1"}, {"x1": "x3", "x3": "x1"}
+_RENAMED = {"r2": ("r1", _SWAP12), "q3": ("q2", _SWAP12), "r3": ("r1", _SWAP13), "q1": ("q2", _SWAP13)}
 JORDAN_IMAGES = {"bc": (X2, X3), "ab": (None, None), "ca_chain": (X3, X1), "ca_split": (X3, X1),
-                 "r1": ((X2 + X3, X4), (X1, X2 + X3 + X4)), "q1": ((X3, X4), (X1 + X2, X3 + X4)),
-                 "r2": ((X1 + X3, X4), (X2, X1 + X3 + X4)), "q2": ((X1, X4), (X2 + X3, X1 + X4)),
-                 "r3": ((X1 + X2, X4), (X3, X1 + X2 + X4)), "q3": ((X2, X4), (X1 + X3, X2 + X4))}
+                 "r1": ((X2 + X3, X4), (X1, X2 + X3 + X4)), "q2": ((X1, X4), (X2 + X3, X1 + X4))}
+JORDAN_IMAGES.update({key: tuple(tuple(p.permute_vars(sigma) for p in pair)
+                                 for pair in JORDAN_IMAGES[base])
+                      for key, (base, sigma) in _RENAMED.items()})
 # the printed T = lam - mu (see check_jordan_identity) moves two of them
 PRINTED_JORDAN_IMAGES = {**JORDAN_IMAGES, "ca_chain": (X3, X1 - X2 - X3),
                          "r2": ((X1 - X2, X2 + X3 + X4), (X2, X1 + X3 + X4))}
@@ -706,23 +712,74 @@ def _grouped(vectors: dict) -> dict:
     return out
 
 
-def _hoisted(gather, n: int, first, last, x_at=lambda x: (x, 0), y_at=lambda y: (y, 0)):
+def _hoisted(gather, n: int, first, last) -> dict:
     """h[(x, y)] = sum_{d,m} Q^{xd}_m(*first) Q^{ym}_k(*last), packed at d n + k.
 
     gather is _gather with the table and renamed bound, first and last
     (x1_img, x2_img) pairs; the fourth tuple index d rides in the component,
-    so each h[(x, y)] serves every d at once.  With x_at, x -> (key, tag), x rides
-    too: key replaces x and tag is added to the component; y_at does the same.
+    so each h[(x, y)] serves every d at once.
     """
-    firsts = gather(*first, lambda x, d, m: ((x_at(x)[0], m), x_at(x)[1] + d * n))
+    firsts = gather(*first, lambda x, d, m: ((x, m), d * n))
     lasts: Dict[int, list] = {}
-    for (y, m), row in gather(*last, lambda y, m, k: ((y_at(y)[0], m), y_at(y)[1] + k)).items():
+    for (y, m), row in gather(*last, lambda y, m, k: ((y, m), k)).items():
         lasts.setdefault(m, []).append((y, row))
     out: Dict[Tuple[int, int], dict] = {}
     for (x, m), p in firsts.items():
         for y, row in lasts.get(m, ()):
             add_product(out.setdefault((x, y), {}), p, row)
     return {key: compact_vector(acc) for key, acc in out.items()}
+
+
+class _SlotMoves(dict):
+    """{f: f renamed} for the x1-x3 fields f of a key (key & _SLOT_FIELDS),
+    under sigma, {name: name} as for MultiPoly.permute_vars: the exponent of
+    each x_s moves to sigma's image of x_s.  Each image is made on first use."""
+
+    __slots__ = ("shifts",)
+
+    def __init__(self, sigma: Dict[str, str]):
+        super().__init__()
+        self.shifts = [_VAR_SHIFT[sigma.get(x, x)] for x in ("x1", "x2", "x3")]
+
+    def __missing__(self, f: int) -> int:
+        g = self[f] = sum((f >> s & _MAXEXP) << t for s, t in zip(_SLOT_SHIFTS, self.shifts))
+        return g
+
+
+# the rotations (b, c, a) and (c, a, b) of a triple, which move a term's x1-x3
+# exponents (e1, e2, e3) to (e2, e3, e1) and (e3, e1, e2) (see _write_rotations)
+_ROTATIONS = ({"x1": "x3", "x2": "x1", "x3": "x2"}, {"x1": "x2", "x2": "x3", "x3": "x1"})
+
+
+def _combined(parts) -> dict:
+    """out[key] summed over parts [(h, moves, place, negate)]: each vector
+    h[(x, y)] with its x1-x3 fields moved by moves (a _SlotMoves; None moves
+    nothing), negated where negate(x, y), at component m plus its own, for
+    (key, m) = place(x, y).  Each out[key] is compact and nonempty and holds
+    its pieces in the order of m.  Renaming commutes with the products, so a
+    renamed _hoisted is _hoisted at the renamed image pairs."""
+    pieces = sorted((place(x, y), i, negate(x, y), vec)
+                    for i, (h, _, place, negate) in enumerate(parts) for (x, y), vec in h.items())
+    fields = _SLOT_FIELDS
+    out: Dict[tuple, dict] = {}
+    for (key, m), i, negated, vec in pieces:
+        dst = out.get(key)
+        if dst is None:
+            dst = out[key] = {}
+        get, moves, tag = dst.get, parts[i][1], m << _COMPONENT_SHIFT
+        if moves is None:
+            for k, c in vec.items():
+                k += tag
+                dst[k] = get(k, 0) - c if negated else get(k, 0) + c
+        else:
+            for k, c in vec.items():
+                f = k & fields
+                k += moves[f] - f + tag
+                dst[k] = get(k, 0) - c if negated else get(k, 0) + c
+    if len(parts) == 1:   # a renamed copy: no two pieces meet
+        return out
+    out = {key: {k: c for k, c in vec.items() if c} for key, vec in out.items()}
+    return {key: vec for key, vec in out.items() if vec}
 
 
 def check_jordan_identity(S: LambdaStructure, variant: str = CONSISTENT) -> Report:
@@ -750,8 +807,16 @@ def check_jordan_identity(S: LambdaStructure, variant: str = CONSISTENT) -> Repo
 
         (-1)^{p(g1)p(g3)} (g1_{l1}((g2_{l2} g3)_{l2+l3} d) - (g1_{l1} g2)_{l1+l2}(g3_{l3} d)).
 
-    Its kernel is _jordan_rows under JORDAN_IMAGES, or PRINTED_JORDAN_IMAGES
-    for the printed T, in slot variables (see "packed tables").
+    At the kernel's slot map (lam, mu, nu, d) = (x1, x2, x2+x3, -x1-x2-x3-x4)
+    the rotation of (a, b, c) is that of (x1, x2, x3), so the residual R
+    satisfies R(b, c, a, d)(x2, x3, x1, x4) = R(a, b, c, d)(x1, x2, x3, x4),
+    with sign +1: the signs rotate with the terms, and no axiom but parity
+    homogeneity, which the constructor checks, is needed.  The kernel,
+    _jordan_rows, so accumulates one quadruple per rotation orbit and writes
+    the rest; the printed identity is the consistent one plus s2 times the
+    second term at T = lam-mu less that term at T = lam+nu-mu.  Its image
+    sets are JORDAN_IMAGES and PRINTED_JORDAN_IMAGES, in slot variables (see
+    "packed tables").
     """
     if S.kind != JORDAN:
         raise StructureError("Jordan identity applies to Jordan kind")
@@ -767,8 +832,8 @@ def check_jordan_identity(S: LambdaStructure, variant: str = CONSISTENT) -> Repo
 
 def _jordan_rows(table, par, images) -> Iterator[dict]:
     """For each a, the compact Jordan-identity residuals of table's quadruples
-    (a, b, c, d) under images, L**3 times too large, at components
-    ((b n + c) n + d) n + m.
+    (a, b, c, d) under images, JORDAN_IMAGES or PRINTED_JORDAN_IMAGES, L**3
+    times too large, at components ((b n + c) n + d) n + m.
 
     Each left-hand term is a chain contraction and each right-hand term a
     split one; for the first terms of each side
@@ -779,52 +844,155 @@ def _jordan_rows(table, par, images) -> Iterator[dict]:
             Q1[c, l] = sum P^{cd}_m(nu-mu, lam+mu+d) P^{lm}_n(lam+mu, d)
 
     and the others follow the same pattern, each P(alpha, beta) read as
-    Q(alpha, -alpha-beta) at the images.  Each R and Q depends on two
-    indices besides d and is built once per call (see _hoisted).  b, c and
-    d ride in the packed component, at (b n + c) n + d, so each a is one
-    accumulation: a first factor holds its indices but a and an R or Q its
-    index besides l, split by the parity the sign depends on.  A first
-    factor's other parity is fixed by l, as every entry is
-    parity-homogeneous: p(c) = p(b) + p(l) for b c, p(b) = p(a) + p(l) for
-    a b and p(c) = p(a) + p(l) for c a.
+    Q(alpha, -alpha-beta) at the images: T1 and S2 take the first factor b
+    c, T2 and S3 c a, and T3 and S1 a b.  b, c and d ride in the packed
+    component, so each a is one accumulation.  In slot variables the terms
+    are one chain and one split at the rotations of (a, x1; b, x2; c, x3),
+    so _hoisted builds R1 and Q2 once per call, and
+
+        T1 + S2 = (-1)^{p(a)p(b)} sum_l bc_l w[l, a],
+            w[l, a] = (-1)^{p(a)p(l)} R1[l, a] - Q2[a, l],
+        T2 + S3 = (-1)^{p(a)p(b)} sum_l ca_l u[l, b],
+            u[l, b] = (-1)^{p(b)p(l)} w[l, b] with x1 and x2 swapped,
+        T3 + S1 = (-1)^{p(a)p(c)} sum_l ab_l v[l, c],
+            v[l, c] = w[l, c] with x1 and x3 swapped (see _RENAMED),
+
+    bc_l, ca_l and ab_l the first factors, b riding in u at b n^3 and c in
+    v at c n^2, split by parity.  A first factor's other parity is fixed by
+    l, as every entry is parity-homogeneous: p(c) = p(b) + p(l) for b c and
+    p(c) = p(a) + p(l) for c a.
+
+    As R(b, c, a, d)(x2, x3, x1, x4) = R(a, b, c, d)(x1, x2, x3, x4) for the
+    consistent identity (see check_jordan_identity), row a accumulates only
+    the representatives (a, b, c) of the rotation orbits, the least rotation
+    of each: a <= b and a < c, or a = b = c, the tie rule leaving (a, b, a)
+    with b > a to (a, a, b).  Each term is cut exactly:
+
+      - b c: an entry (b, c) is live in the rows a <= b if b <= c and a < c
+        if b > c, gathered once and deleted after its last row;
+      - c a: entries with c > a meet T2 + S3 at b >= a, and c = a, which
+        leaves (a, a, a) only, its slice b = a;
+      - a b: entries with b = a meet T3 + S1 at c >= a, and b > a at c > a.
+
+    The riding index is the top digit of T2 + S3 and T3 + S1, built in its
+    order, so b >= a, c >= a and c > a are a prefix deleted in place
+    (_dropped_below) before a row reads them, and a row reads c >= a before
+    c > a.  A term of row a at (b, c, d, m) with slot exponents (e1, e2, e3,
+    e4) is then also the term of row b at (c, a, d, m) with (e2, e3, e1, e4)
+    and of row c at (a, b, d, m) with (e3, e1, e2, e4) (but once for a = b =
+    c); both rows are a or later, so each term is written forward
+    (_write_rotations) and row a is done, and handed on, after its own
+    accumulation.
+
+    The printed images break the rotation in the second chain term only, so
+    their rows are the consistent rows plus that term at the printed images
+    less that term at the consistent ones, over all quadruples.
     """
     n = len(par)
     n2, n3 = n * n, n ** 3
-    gather = partial(_gather, table, renamed={})
-    hoisted = partial(_hoisted, gather, n)
-    # first factors: of b c as a list, of a b and c a by a
-    f_bc = [(*key, p) for key, p in gather(
-        *images["bc"], lambda b, c, l: ((l, par[b]), b * n3 + c * n2)).items()]
-    f_ab = _grouped(gather(*images["ab"], lambda a, b, l: ((a, l), b * n3)))
-    f_ca_chain = _grouped(gather(*images["ca_chain"], lambda c, a, l: ((a, l), c * n2)))
-    f_ca_split = _grouped(gather(*images["ca_split"], lambda c, a, l: ((a, l), c * n2)))
-    # chain terms r[(l, x)], split terms q[(x, l)]; of b and c by their parity
-    at_b, at_c = (lambda b: (par[b], b * n3)), (lambda c: (par[c], c * n2))
-    r1, q2 = hoisted(*images["r1"]), hoisted(*images["q2"])
-    r2, q3 = hoisted(*images["r2"], y_at=at_b), hoisted(*images["q3"], x_at=at_b)
-    r3, q1 = hoisted(*images["r3"], y_at=at_c), hoisted(*images["q1"], x_at=at_c)
+    vecs, slots = table
+    slots = sorted(slots)
+    full = vecs, slots
+    gather = partial(_gather, renamed={})
+    hoisted = partial(_hoisted, partial(gather, full), n)
+    J = JORDAN_IMAGES
+    # r[(l, a)] = R1[l, a] and q[(a, l)] = Q2[a, l]; w[(l, a)], the sum b c
+    # meets, and its renamed copies u, which c a meets (b at b n^3), and v,
+    # which a b meets (c at c n^2), by l and the parity of b or c
+    r, q = hoisted(*J["r1"]), hoisted(*J["q2"])
+    never = lambda x, y: False
+    odd = lambda x, y: par[x] & par[y]
+    at_b = lambda l, b: ((l, par[b]), b * n3)
+    moves12, moves13 = _SlotMoves(_SWAP12), _SlotMoves(_SWAP13)
+    w = _combined([(r, None, lambda l, a: ((l, a), 0), odd),
+                   (q, None, lambda a, l: ((l, a), 0), lambda a, l: True)])
+    u = _combined([(w, moves12, at_b, odd)])
+    v = _combined([(w, moves13, lambda l, c: ((l, par[c]), c * n2), never)])
+    del q
+    # first factors: of b c live in the current row (last, its last row), of
+    # a b with b >= a and c a with c >= a by a and whether the index exceeds a
+    last = [[b if b <= c else c - 1 for c in range(n)] for b in range(n)]
+    leaving = [[] for _ in par]
+    for slot in slots:
+        if last[slot[0]][slot[1]] >= 0:
+            leaving[last[slot[0]][slot[1]]].append(slot)
+    place_bc = lambda b, c, l: ((l, par[b]), b * n3 + c * n2)
+    f_bc = gather((vecs, [s for s in slots if last[s[0]][s[1]] >= 0]), *J["bc"], place_bc)
+    f_ab = _grouped(gather((vecs, [s for s in slots if s[1] >= s[0]]), *J["ab"],
+                           lambda a, b, l: ((a, b > a, l), b * n3)))
+    f_ca = _grouped(gather((vecs, [s for s in slots if s[0] >= s[1]]), *J["ca_split"],
+                           lambda c, a, l: ((a, c > a, l), c * n2)))
+    # the printed second chain term and the consistent one over all quadruples,
+    # each with the sign it is added with
+    fixes = []
+    if (images["ca_chain"], images["r2"]) != (J["ca_chain"], J["r2"]):
+        place_ca = lambda c, a, l: ((a, l), c * n2)
+        fixes = [(_grouped(gather(full, *images["ca_chain"], place_ca)),
+                  _combined([(hoisted(*images["r2"]), None, at_b, never)]), 0),
+                 (_grouped(gather(full, *J["ca_chain"], place_ca)),
+                  _combined([(r, moves12, at_b, never)]), 1)]
+    del r
+    rotations = [_SlotMoves(sigma) for sigma in _ROTATIONS]
+    rows = [{} for _ in par]   # the terms written forward into each row
     for a in range(n):
         pa, acc = par[a], {}
-        for l, pb, p in f_bc:
-            if (l, a) in r1:
-                add_product(acc, p, r1[(l, a)], pa & (pb ^ par[l]))
-            if (a, l) in q2:
-                add_product(acc, p, q2[(a, l)], not pa & pb)
-        for l, p in f_ca_chain.get(a, ()):
-            for pb in (0, 1):
-                if (l, pb) in r2:
-                    add_product(acc, p, r2[(l, pb)], pa & pb)
-        for l, p in f_ab.get(a, ()):
+        for (l, pb), p in f_bc.items():
+            if (l, a) in w:
+                add_product(acc, p, w[(l, a)], pa & pb)
+        lo, hi = a * n3 << _COMPONENT_SHIFT, (a + 1) * n3 << _COMPONENT_SHIFT
+        for above, l, p in f_ca.get(a, ()):
+            for pb in (0, 1) if above else (pa,):
+                if (l, pb) in u:
+                    vec = _dropped_below(u[(l, pb)], lo)
+                    if not above:   # (a, a, a): the slice b = a
+                        vec = dict(takewhile(lambda item: item[0] < hi, vec.items()))
+                    add_product(acc, p, vec, pa & pb)
+        for above, l, p in f_ab.get(a, ()):
+            lo = (a + above) * n2 << _COMPONENT_SHIFT
             for pc in (0, 1):
-                if (l, pc) in r3:
-                    add_product(acc, p, r3[(l, pc)], (pa ^ par[l]) & pc)
-                if (pc, l) in q1:
-                    add_product(acc, p, q1[(pc, l)], not pa & pc)
-        for l, p in f_ca_split.get(a, ()):
-            for pb in (0, 1):
-                if (pb, l) in q3:
-                    add_product(acc, p, q3[(pb, l)], not pb & (pa ^ par[l]))
-        yield compact_vector(acc) if any(acc.values()) else {}
+                if (l, pc) in v:
+                    add_product(acc, p, _dropped_below(v[(l, pc)], lo), pa & pc)
+        for key, vec in gather((vecs, leaving[a]), *J["bc"], place_bc).items():
+            live = f_bc[key]
+            for k in vec:
+                del live[k]
+            if not live:
+                del f_bc[key]
+        row, rows[a] = rows[a], None
+        if any(acc.values()):
+            _write_rotations(compact_vector(acc), a, n, rows, row, rotations)
+        for f, r2, flip in fixes:
+            for l, p in f.get(a, ()):
+                for pb in (0, 1):
+                    if (l, pb) in r2:
+                        add_product(row, p, r2[(l, pb)], (pa & pb) ^ flip)
+        yield (compact_vector(row) if any(row.values()) else {}) if fixes else row
+
+
+def _write_rotations(acc: dict, a: int, n: int, rows: list, row: dict, rotations) -> None:
+    """Write each term of acc, row a's representatives at (b, c, d, m), into
+    row (its own) and at the rotations (b, c, a) and (c, a, b) of its triple,
+    into rows[b] (row when b = a) and rows[c], its slot exponents moved by
+    rotations (see _jordan_rows); a = b = c is its own rotation."""
+    n2 = n * n
+    low = (1 << _COMPONENT_SHIFT) - 1
+    first, second = rotations
+    targets = {}   # component -> (row, tag) at both rotations, or () for (a, a, a)
+    for key, v in acc.items():
+        row[key] = v
+        comp = key >> _COMPONENT_SHIFT
+        at = targets.get(comp)
+        if at is None:
+            bc, dm = divmod(comp, n2)
+            b, c = divmod(bc, n)
+            at = targets[comp] = () if a == b == c else (
+                row if b == a else rows[b], ((c * n + a) * n2 + dm) << _COMPONENT_SHIFT,
+                rows[c], ((a * n + b) * n2 + dm) << _COMPONENT_SHIFT)
+        if at:
+            f = key & _SLOT_FIELDS
+            rest = (key & low) - f
+            at[0][at[1] + rest + first[f]] = v
+            at[2][at[3] + rest + second[f]] = v
 
 
 # ---------------------------------------------------------------------------

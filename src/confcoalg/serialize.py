@@ -6,7 +6,7 @@ diff cleanly:
 
   structure:  {"format_version": 1, "type": "lambda_structure",
                "kind": ..., "name": ...,
-               "generators": [{"id": ..., "parity": 0|1}, ...],
+               "generators": [{"id": ..., "parity": 0|1, "latex": ...}, ...],
                "table": [{"left": id, "right": id,
                           "terms": [{"gen": id, "poly": [...]}, ...]}, ...]}
   coproduct:  {..., "type": "coproduct",
@@ -18,8 +18,10 @@ Polynomials use the coefficient encoding of the poly module; ``dumps``
 converts each distinct one once, and its terms with equal polynomials share
 one "poly" list.  A coproduct lists each (left, right) pair of a row once
 and no zero entry, since Coproduct merges its rows when it is built, so
-equal coproducts write equal documents.  A reader takes generator ids and
-the name as JSON strings and a parity as the JSON integer 0 or 1, and
+equal coproducts write equal documents.  A generator's "latex" is written
+only when it has a LaTeX name, so a document read back emits the LaTeX of
+the table it was written from.  A reader takes generator ids, LaTeX names
+and the name as JSON strings and a parity as the JSON integer 0 or 1, and
 rejects a repeated row.
 
 Every JSON document this package writes, tables, coproducts and the CLI's
@@ -65,12 +67,16 @@ def _document(T, doc_type: str, order: List[int], rows: list) -> dict:
         "type": doc_type,
         "kind": T.kind,
         "name": T.name,
-        "generators": [
-            {"id": T.generators[i].id, "parity": T.generators[i].parity}
-            for i in order
-        ],
+        "generators": [_generator(T.generators[i]) for i in order],
         "table": rows,
     }
+
+
+def _generator(g: Generator) -> dict:
+    doc = {"id": g.id, "parity": g.parity}
+    if g.latex is not None:
+        doc["latex"] = g.latex
+    return doc
 
 
 def _structure_json(S: LambdaStructure) -> dict:
@@ -195,7 +201,8 @@ def _generators(data: dict):
         # the JSON integer 0 or 1, not a float, string or boolean
         if type(parity) is not int or parity not in (0, 1):
             raise StructureError(f"parity of {what} is not 0 or 1")
-        gens.append(Generator(_str(_field(gen, "id", what), "id", what), parity))
+        latex = _str(gen["latex"], "latex", what) if "latex" in gen else None
+        gens.append(Generator(_str(_field(gen, "id", what), "id", what), parity, latex))
     return gens, {g.id: i for i, g in enumerate(gens)}
 
 

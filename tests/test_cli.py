@@ -165,49 +165,49 @@ def test_verify_dualizes_the_table_once(monkeypatch, capsys):
 # sha256 of the stdout of each emitting command in each format; the text
 # layouts are pinned nowhere else
 EMITTED = {
-    ("construct", "vir", "json"): "512d8aaa07fd426777885047f006f75b2d6cc7b9513d00d67783a545475e3b2b",
+    ("construct", "vir", "json"): "f4582ec89166d89db53108a49051cd18e440b623b9117718cbc8426acc23d0da",
     ("construct", "vir", "latex"): "6c52b306143ebb63c6d1d6266091af279319587e69b58fcfc2562bf1d8136702",
     ("construct", "vir", "text"): "3a157ed8103b568c309052cdad058228e8d0cb26fb0be07eb53747cef8558fbe",
-    ("construct", "K_2", "json"): "9c825915a3f379e4319e94ca69cb0a3c03fae8b8ddd6b42a418c4a721466a64e",
+    ("construct", "K_2", "json"): "0d195aa23b1637c4eb4d545b13794d29309bd6ba41c62a303bf93efadfee9b33",
     ("construct", "K_2", "latex"): "05d127972edbe0a6350634a2638ae0dc889190954858f43a24fc6730eeeb0e2e",
     ("construct", "K_2", "text"): "4d88a7381be4d2de5880812d80e2588e48cb2e4f86cca26fa565edbba9e47a76",
-    ("construct", "S_2", "json"): "5c58a4f5680ac5c985ddda5ca86466d0fe270fb7c9874f9f5f5e2bb4191d84a4",
+    ("construct", "S_2", "json"): "e42fa4be4e6c4cbf99e6f2bfaf67be64f93e66efd50263d4c415c8ee7813b668",
     ("construct", "S_2", "latex"): "0868dd9ed3515578153ea782e5716065585c5df888a7a452d53d6250df9fcc03",
     ("construct", "S_2", "text"): "0f3945cc3c89bd5e4af292b675c9d5484deab8f70410590c85e4dc0288bd4d11",
     ("construct", "CK6", "json"): "f156029a0a1756ad60b2950ca71084a66b7ec14d0835edd9c7f6beb547651906",
     ("construct", "CK6", "latex"): "b0d14e7052656da47868fbccb2f726fbcd5d8ec0020829e873110400e0921bca",
     ("construct", "CK6", "text"): "97c8d00f5d99109392c0e923c5ee5e094e5e0e582bdbcad624b7b1c537706ab8",
-    ("construct", "Jn_2", "json"): "7a8ddcb993f874b181a085d3a6af7d3e6e90a31b738bc5192b9e5f512114c65d",
+    ("construct", "Jn_2", "json"): "bbdf559b19937902bb0bf84032458378915dbb492afb47501051505e23dec2f2",
     ("construct", "Jn_2", "latex"): "6b44787cc9eab51a04f778222fa6f4957cc8a53c8732f46205e11cba0d4850df",
     ("construct", "Jn_2", "text"): "3b1f4bb28778d576574dcc5c00ed20a524d4b948af8f3ee1a64cda549823f59a",
-    ("dualize", "vir", "json"): "f6157e18dfd6057163cec5d728e20e3d32afad9fa2644f2a06a1aab887e9d846",
+    ("dualize", "vir", "json"): "c30ed053f4fda3232a232f6a94197a72a9533704a5720a0c7b75219d8c5886ff",
     ("dualize", "vir", "latex"): "822d5f1e46a6fea6eed44a75086b6eb6e8e02cc7d48f89ae1a5ea003b995fc61",
     ("dualize", "vir", "text"): "951e28d7be68016a8bb98b25fd0fa4a271accd249b006b741012130ceb7a2552",
-    ("dualize", "K_2", "json"): "5e18d3ae1fcab964f38fb53931b4c35499f3eef961e62f5add78a011e6e899a5",
+    ("dualize", "K_2", "json"): "5d23b612bbc64d9765ab1346def928074a3ca6569898e052a02da6753d88af7a",
     ("dualize", "K_2", "latex"): "4e1dfecb5c0e4c966d53d1a942c7c3e04c2d954fa61602b0277209049a6e652e",
     ("dualize", "K_2", "text"): "b96bafa0fc9ece8c3beb5672393b7b6fcdca57bf61afb18c39659c149f978ef8",
-    ("dualize", "S_2", "json"): "bbc2f5fd8bb7428e4905641cee6583eb8504e10a02a85d2be580883d464de195",
+    ("dualize", "S_2", "json"): "ebf3863beca38d50a19957d2b9ac917f30b1ad6fa2a38788c16b9b152b7e9bbd",
     ("dualize", "S_2", "latex"): "06c3c07e93f9466f75fe2c0629ab33c85e4072c2fd715caf0123434cd74d48dd",
     ("dualize", "S_2", "text"): "d788a4380ee77c27c38391505258a49eb8835407a3853f5e62bef5e01a22778c",
-    ("dualize", "CK6", "json"): "ed49fd2df4045342507feaaf998cb1a877f054f1eb4bd920e407511f341731af",
+    ("dualize", "CK6", "json"): "767d08450a8a258934fc0a8cd3f18560a3d6a7b0fdc792759f1c0fa1e9959eb5",
     ("dualize", "CK6", "latex"): "4558e2fcf8402bcd3cd3a8aa6046fd3fdbdd9ce6f05068c7515543084b45720a",
     ("dualize", "CK6", "text"): "20bbf71e8dd2da3ff6a8c37033fcfa5add8c3459216086b43b36f3c870d24f07",
-    ("dualize", "Jn_2", "json"): "55dcb99aed1c0f1aa8dc1bd59196b6645fe1780b35d272cd745275934e7f742b",
+    ("dualize", "Jn_2", "json"): "2d5f657d2925f67b9609d3d4de41c6c9491cf6d0e2311794a2287d36cf844129",
     ("dualize", "Jn_2", "latex"): "fe4fff700f3f96bebfac6ad76985cf32ec07b4b6f4944be6e0e5d6b01d3b9134",
     ("dualize", "Jn_2", "text"): "db64f0c88b4a7d7254d7457357650b91e59bb7b82cb4661a94825903fffe7528",
-    ("emit", "vir", "json"): "c9536f3fe4bbb6e6f545568e674781706b16c04c2b04c3820bc6e987c798372c",
+    ("emit", "vir", "json"): "9bdb576e0c8aef61ae9f825daa7be5687febdea6839b6aa1defebe8e9a1322b6",
     ("emit", "vir", "latex"): "822d5f1e46a6fea6eed44a75086b6eb6e8e02cc7d48f89ae1a5ea003b995fc61",
     ("emit", "vir", "text"): "5356f8f8c020e96d8e8607f25d5f7c70c4b9c5e4d44a4f33b90302d918c2140c",
-    ("emit", "K_2", "json"): "0f3c1da9ee1fe50bee248c75ee6f1d4228e4c6d4c62708f95971e6e5fb54da91",
+    ("emit", "K_2", "json"): "028d1f04f4b1ee1ac9ed9d7b15e86a889e15ca682fce250ccab73096fcdab0b1",
     ("emit", "K_2", "latex"): "4e1dfecb5c0e4c966d53d1a942c7c3e04c2d954fa61602b0277209049a6e652e",
     ("emit", "K_2", "text"): "6ea6da4a2961a6f8e0ca1b0e4fb9469d867bb3459d309f9d7ee6db48851d25a3",
-    ("emit", "S_2", "json"): "2072aa19a6935ef6956aa60c65d11a0ddd545dcc67e8b0f0659c39b41b738a9b",
+    ("emit", "S_2", "json"): "aa690b3ea61f930e56eb9a56c6e9e4c1cbfbff1dafcde082554dc74b9f7a4897",
     ("emit", "S_2", "latex"): "0e8525f942fac748e3d613c16bc46b46a824700a4a24fd2a0cc6af9f9738fd1f",
     ("emit", "S_2", "text"): "36523ac1bf5dd6146591fd15690d8981708fec458c7b547a6f3b29ace455833a",
-    ("emit", "CK6", "json"): "8e4728597350b8fd8cf8a2ec5e98b3ca0c36e815870f24053f10ddfc6a525e15",
+    ("emit", "CK6", "json"): "11c73cc12bc531772d8fff3c730d9aa6f36f5584ffe6b8526f1414ebc311b1f3",
     ("emit", "CK6", "latex"): "9012ba4ff3af028e58ed0609a836cc9a38906182fcf465265d94e90403ed0662",
     ("emit", "CK6", "text"): "3d11c3856687e1fada00b3badea847acc6c43e23322147a5db2fa422ff85d006",
-    ("emit", "Jn_2", "json"): "40b6001d84e3082f8658d8769be5a38ec9a004ec8d21664e53a3eeb37e26f6b1",
+    ("emit", "Jn_2", "json"): "a4b927baa94d3527e0702cd68565754735bc95effa04f496995f8a456679764c",
     ("emit", "Jn_2", "latex"): "fe4fff700f3f96bebfac6ad76985cf32ec07b4b6f4944be6e0e5d6b01d3b9134",
     ("emit", "Jn_2", "text"): "9a448eb381f17f6a36698ccf6dac2853eaad52154f8ba524b23887b420693e1b",
 }
@@ -220,6 +220,30 @@ def test_emitted_documents_are_pinned(command, family, fmt, capsys):
                          "--format", fmt)
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == EMITTED[command, family, fmt]
+
+
+@pytest.mark.parametrize("family", sorted(cli.FAMILIES))
+def test_documents_keep_latex_names(family, capsys, tmp_path):
+    """A table written with construct --format json and read back with --in
+    dualizes as the family does, and its LaTeX is the table's: the documents
+    keep each generator's LaTeX name.  JSON and LaTeX list the generators by
+    id and match byte for byte; text lists them in table order, which a
+    document does not keep, so its lines match in some order."""
+    fam = cli.FAMILIES[family]
+    n = (fam.allowed_n[0] if fam.allowed_n else min(2, fam.cap)) if fam.needs_n else None
+    flags = ["--family", family, *(("--n", str(n)) if fam.needs_n else ())]
+    code, doc, _ = run(capsys, "construct", *flags, "--format", "json")
+    assert code == 0
+    path = tmp_path / "table.json"
+    path.write_text(doc)
+    for fmt in ("json", "latex", "text"):
+        got, expected = (run(capsys, "dualize", *source, "--format", fmt)
+                         for source in (("--in", str(path)), flags))
+        if fmt == "text":
+            got, expected = ((code, sorted(out.splitlines()), err) for code, out, err in (got, expected))
+        assert got == expected, fmt
+    S = fam.build(n, None if not fam.takes_b else Scalar(0))
+    assert serialize.structure_tex(serialize.loads(serialize.dumps(S))) == serialize.structure_tex(S)
 
 
 # sha256 of the stdout of verify on tables that fail: violation residuals

@@ -40,38 +40,39 @@ def test_dualize_reindexes(cur_sl2):
 
 # sha256 of serialize.dumps(dualize(S)) of every family table at every n the
 # CLI caps allow (cli.FAMILIES; S_{2,b} at the three b of the fixtures),
-# recorded before dualize renamed each distinct entry polynomial once; the
-# duals must not change by a byte
+# recorded before dualize renamed each distinct entry polynomial once, and
+# again when documents began to keep each generator's LaTeX name; the duals
+# must not change by a byte
 DUALIZE_DUMPS = {
-    ("make_vir", ()): "0c1b39e4572b06b6710a4ca6754a9107c03d1dc5034b9e8e9ddfa18847a209fd",
-    ("make_cur_sl2", ()): "540410ebfbb39921893bc075699d06d21cebe1b55c2d931d10f067b6257aadc3",
-    ("make_cur_jordan_unit", ()): "88cf4d5ec858c8deeb3c57bc15374f5879d6dfd04905c65bb1d91682ce55fb4c",
-    ("make_W", (0,)): "dd4426831e38731b360baec0436a48054d3115902aea595eb1e3b62546e5628d",
-    ("make_W", (1,)): "5cb6096fa3923b99424b12373dc93d613f81a5009b4cb68d537b034312987458",
-    ("make_W", (2,)): "b9a8e78dd50f2505deccb8c15cdd319ce633aa88402c851bdd13f4edb96e5ac3",
-    ("make_W", (3,)): "697315ebbd8007400daf580d98176c5e4e083ce12627d0ee6734a47667a65f41",
-    ("make_W", (4,)): "e84321f4982af1360ddc896b5a9809c03c3cb3396fbe7211f282ce1e8f3c3359",
-    ("make_K", (0,)): "9b8e32742dd48a54eace295bb335dc76651656a646ae0b3e5a78c7d869e8ce2d",
-    ("make_K", (1,)): "85c9b787750a4474234ce1526b165215f53e16a7272fba7c9f509c4f750db3ca",
-    ("make_K", (2,)): "704b0e4ae7581af8c0fe05d2c55822a93661bd1834c815ad63de1015b909f026",
-    ("make_K", (3,)): "ee8fd59f5e5defc3c0c8ee3a3fa4b6eefad036aa6c7809d40cd57fe6fddff98a",
-    ("make_K", (4,)): "2dd52c1bdb335606f930d62eff5b5995264630f5b9e8d313a913969d5383275e",
-    ("make_K", (5,)): "b1a9ed1f077d8d98762aad5e1600ad17bc445ff46cc58b0a0caf56ebedc835b7",
-    ("make_K", (6,)): "b684e24490a5e5c3fcad7e0efb0e278f2645d3bb97697fd173094f0380b8515a",
-    ("make_Jn", (0,)): "1f7c768ab69585526d329fb59a1810ac7dc24750116184c9370da0e20547e225",
-    ("make_Jn", (1,)): "86a604c7d2e8e99865f04c8123004e11bb4c8a23d2830438394f726caa472c0e",
-    ("make_Jn", (2,)): "85ebaa1c2068fb3172020ead8dcb70619827401307b0757b7f25610bdc50641d",
-    ("make_Jn", (3,)): "2d93cb552bd7ed2b9c93ee8af241f07b5104b94e1b843241a7596f774034552a",
-    ("make_S", (2,)): "31cc3bbb6b900405f28b805db612f28c0eb4ac62b90c9e0e2dda0899a1e762e3",
-    ("make_S", (3,)): "d0331177c64339bb24aafd6f04679476db4a34a0a36530cd30fcf2c7ea90bf95",
-    ("make_S_b", (2, Scalar(0))): "22230c349222025657f8c78ffb931e33a0da51b8ac6da724a59441bde88e470f",
-    ("make_S_b", (2, Scalar(1))): "ef975c787d5993140ec17d53f88a2d2c65a2c6f094b20c7b782106e21468ffcd",
-    ("make_S_b", (2, Scalar(0, 1))): "4b6882235af06fcdbb3f2f85e86797e067721ce203d3b2e2a0b9d79d7ad2670d",
-    ("make_S_tilde", (2,)): "e463ffc1674a31adcdd505c4220b61470bc3259ef9a7a01ed092ce8380dd6684",
-    ("make_K4prime", ()): "db54f13d051e30b7127ce6e6cb79e21910d49d93dd0e87defbfa387891f13e3c",
-    ("make_CK6", ()): "5bd04672cf48fdd881b48f74071d357b7d1243ce0796bbb0b3fbfa7746e46713",
-    ("make_JS1", ()): "dfef59a9f8dcd2d8dff5965135566b437c188eae75bf89d9e82ef9166d1a8997",
-    ("make_JCK4", ()): "5dae955f86220ff44955aac9662f6fbd325f1ffaf97f797600d7a5d80f6f65d9",
+    ("make_vir", ()): "bedbe119b08c14c8708c5730b77a931b3942713299e9d997169bc590ad62cace",
+    ("make_cur_sl2", ()): "d0c302aed8dc3834423d03cf22ca78ee9c9097c1bb615915fbe60f36674c9018",
+    ("make_cur_jordan_unit", ()): "9b6fbf8075523e7a5a40ea010cf65bbc6bc7168237f5338c5cbc8720d45d6e11",
+    ("make_W", (0,)): "46d2ac0fd51aaacbe83ff79fab287f1500bf95b12c7dedbe8157af1d086e530e",
+    ("make_W", (1,)): "252cb2b8a3f202a969d812a10d63efa6fec14d631159898836698be48a11d731",
+    ("make_W", (2,)): "cab8b7b6fdf3d66c1af1a4260c391a18339d2a04f30d3a2b7886000a7c032284",
+    ("make_W", (3,)): "e88736c821b7d8f945ebc7a71c271ad61afe4d9f24a8f03bb94f5178251eaae5",
+    ("make_W", (4,)): "76f28d973f9dedc1826a0cdf81f0b48f80d881386c327fb2e309a7b60dd0a458",
+    ("make_K", (0,)): "514ce93202162f53b0f6edb11d158a8aadd8ed951a272af1a3cde2c828ab9e89",
+    ("make_K", (1,)): "2304c33446a02db05eebcd047f19e9c59546c04c5943799bd12c560781ef7d13",
+    ("make_K", (2,)): "077e5a46a00f58fc185be71939fe78d4bae5cb5901cdda72269b2f2de56de14a",
+    ("make_K", (3,)): "f7e98bdbf1341c6a2a10614fac9f4dfbfbe1df35cb0aa8ffba20c29e6ffc9a72",
+    ("make_K", (4,)): "b448f62ece7ffbdde7e926ac481294164f1dde0e6c474126fe08f65ba86256e9",
+    ("make_K", (5,)): "430f533f66bd31b94879d4adb44b934579bf697a8b257321194a3191a08e7800",
+    ("make_K", (6,)): "06b27173dceba16d6a2811aafa30e882592dac874ff853f35be1834f75775364",
+    ("make_Jn", (0,)): "e1d3b38c2952aa874c9aa9e9de97fd5ea367729c96cceba60a3f512444c0237b",
+    ("make_Jn", (1,)): "3bc3055a9e8b0fbbe4161d3ec26daa0b4d69260634fcde728aced07e780590b7",
+    ("make_Jn", (2,)): "e94306b555f53606b96d9c6c7124a6f1159877b88a493115bed8b0e344802a96",
+    ("make_Jn", (3,)): "0d8d06a9fb7ee4b7ca12273ecc4fb02b276da9d4d3511ff5cc31e3fbc696a08f",
+    ("make_S", (2,)): "e79ce52b96a78f46166b53ed075b96a6c3dca5706614f0d1704c2a68e7be61ba",
+    ("make_S", (3,)): "3bf77abbdcfc73989a4eda2b5b0461b6f5fe16a2e1f9db81988a3f74361ccb16",
+    ("make_S_b", (2, Scalar(0))): "c7c4e9b79158d402e8ae1b99d267bf6596efe871f4b9dba44f9980f38fdb42fb",
+    ("make_S_b", (2, Scalar(1))): "ddff4b6c0bde7934163a1e0577191c7eb1ce1d282748013b1f73937d4d34c980",
+    ("make_S_b", (2, Scalar(0, 1))): "4413387bb02e17edaf3d88a0a3238e1e788c6cb2f9088e7b47e33228cded62d4",
+    ("make_S_tilde", (2,)): "8eb19230b797e360dd389c654b072c70a96a72884e56161a8fa825ec2cd3f69e",
+    ("make_K4prime", ()): "5237cc77efae1aadf5cb93af12dc7309a8d6b72ae69edbcc69adc02d0a511f6a",
+    ("make_CK6", ()): "772ee1c093ca82636526dd62e7277be6e0629da177532dc872a080abc1dabe92",
+    ("make_JS1", ()): "9423c02da1a93d6ab72f678e287b1ad9d96a1a2f528cfc0a64c78f3761721235",
+    ("make_JCK4", ()): "bea7b07a263b4fb3e3ff9650b599ffc0671fe07014921596889b380835a0ad32",
 }
 
 

@@ -18,9 +18,11 @@ other, through the slot map on which the shared Jordan kernel rests.
 import heapq
 import itertools
 import random
+import sys
 from fractions import Fraction
+from functools import partial
 from types import SimpleNamespace
-from typing import Dict, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 import pytest
 
@@ -436,17 +438,19 @@ def test_gathers_match_per_slot_oracle(name, K, W, S, CK6, Jn, JCK4):
 
 def test_each_image_pair_is_renamed_once_per_check(monkeypatch):
     """A kernel call renames the table once per distinct image pair: the
-    consistent Jordan images give ca_chain and ca_split the same pair, and
-    the Jacobi kernel gathers cols3 twice; the printed Jordan images rename
-    once per gather.  The copy that is the table as it is, Jacobi's first2
-    and Jordan's ab, is not renamed.  The tables are fresh, so check_jacobi also runs the
-    flip kernel.  A table check renames as its co-check does; the maps into
-    and out of the slot variables are made once, on import."""
+    consistent Jordan kernel renames for its first factors (ca_chain and
+    ca_split share a pair) and for r1 and q2 only, as it renames their
+    products for r2, r3, q1 and q3; the printed one renames for the printed
+    ca_chain and r2 besides.  The Jacobi kernel gathers cols3 twice.  The
+    copy that is the table as it is, Jacobi's first2 and Jordan's ab, is not
+    renamed.  The tables are fresh, so check_jacobi also runs the flip
+    kernel.  A table check renames as its co-check does; the maps into and
+    out of the slot variables are made once, on import."""
     J2, JS1, K3 = families.make_Jn(2), families.make_JS1(), families.make_K(3)
     made = count_calls(monkeypatch, conformal, "substitution")
     for check, arg, renamed in (
-            (check_jordan_identity, J2, 14), (lambda S: check_jordan_identity(S, PRINTED), JS1, 15),
-            (check_jacobi, K3, 6), (check_jordan_coalgebra, dualize(J2), 15),
+            (check_jordan_identity, J2, 6), (lambda S: check_jordan_identity(S, PRINTED), JS1, 9),
+            (check_jacobi, K3, 6), (check_jordan_coalgebra, dualize(J2), 7),
             (check_lie_coalgebra, dualize(K3), 6)):
         made.clear()
         check(arg)
@@ -546,7 +550,8 @@ def test_table_checks_and_co_checks_share_one_packed_form(corrupt, request, monk
 
 # the term products of check_jordan_comm and of the consistent
 # check_jordan_identity, whose sum check_jordan_coalgebra makes on the dual
-JORDAN_SHARED_PRODUCTS = {"J_3": (150, 55914), "J_2?": (49, 10626)}
+# (the kernel over every quadruple made 55,914 and 10,626)
+JORDAN_SHARED_PRODUCTS = {"J_3": (150, 8752), "J_2?": (49, 1828)}
 
 
 @pytest.mark.parametrize("corrupt", [False, True])
@@ -585,6 +590,242 @@ def test_kernel_rows_are_compact(request):
     assert {name for name, row in rows if row} >= {"K_3?", "J_2", "J_2?", "JCK_4"}
     for name, row in rows:
         assert 0 not in row.values() and row == compact_vector(row), name
+
+
+# -- the Jordan kernel over rotation orbits ----------------------------------------
+#
+# _jordan_rows as it stood before it accumulated one quadruple per rotation
+# orbit: every quadruple, against six intermediates each built by _hoisted.
+# The three functions are kept as they were, on the packed vectors of
+# confcoalg.poly (this module's add_product is the per-tuple oracles'), and
+# add_product may be replaced to watch the products.
+
+
+def _full_jordan_kernel(add_product=poly.add_product):
+    compact_vector = poly.compact_vector
+
+    def _grouped(vectors: dict) -> dict:
+        """{(a, *rest): v} as {a: [(*rest, v)]}."""
+        out = {}
+        for (a, *rest), v in vectors.items():
+            out.setdefault(a, []).append((*rest, v))
+        return out
+
+    def _hoisted(gather, n: int, first, last, x_at=lambda x: (x, 0), y_at=lambda y: (y, 0)):
+        """h[(x, y)] = sum_{d,m} Q^{xd}_m(*first) Q^{ym}_k(*last), packed at d n + k.
+
+        gather is _gather with the table and renamed bound, first and last
+        (x1_img, x2_img) pairs; the fourth tuple index d rides in the component,
+        so each h[(x, y)] serves every d at once.  With x_at, x -> (key, tag), x rides
+        too: key replaces x and tag is added to the component; y_at does the same.
+        """
+        firsts = gather(*first, lambda x, d, m: ((x_at(x)[0], m), x_at(x)[1] + d * n))
+        lasts: Dict[int, list] = {}
+        for (y, m), row in gather(*last, lambda y, m, k: ((y_at(y)[0], m), y_at(y)[1] + k)).items():
+            lasts.setdefault(m, []).append((y, row))
+        out: Dict[Tuple[int, int], dict] = {}
+        for (x, m), p in firsts.items():
+            for y, row in lasts.get(m, ()):
+                add_product(out.setdefault((x, y), {}), p, row)
+        return {key: compact_vector(acc) for key, acc in out.items()}
+
+    def _jordan_rows(table, par, images) -> Iterator[dict]:
+        """For each a, the compact Jordan-identity residuals of table's quadruples
+        (a, b, c, d) under images, L**3 times too large, at components
+        ((b n + c) n + d) n + m.
+
+        Each left-hand term is a chain contraction and each right-hand term a
+        split one; for the first terms of each side
+
+            a_lam((b_mu c)_nu d) = sum_l P^{bc}_l(mu, -nu) R1[l, a]
+                R1[l, a] = sum P^{ld}_m(nu, lam+d) P^{am}_n(lam, d)
+            (a_{-mu-d} b)_{lam+mu}(c_{nu-mu} d) = sum_l P^{ab}_l(lam, -lam-mu) Q1[c, l]
+                Q1[c, l] = sum P^{cd}_m(nu-mu, lam+mu+d) P^{lm}_n(lam+mu, d)
+
+        and the others follow the same pattern, each P(alpha, beta) read as
+        Q(alpha, -alpha-beta) at the images.  Each R and Q depends on two
+        indices besides d and is built once per call (see _hoisted).  b, c and
+        d ride in the packed component, at (b n + c) n + d, so each a is one
+        accumulation: a first factor holds its indices but a and an R or Q its
+        index besides l, split by the parity the sign depends on.  A first
+        factor's other parity is fixed by l, as every entry is
+        parity-homogeneous: p(c) = p(b) + p(l) for b c, p(b) = p(a) + p(l) for
+        a b and p(c) = p(a) + p(l) for c a.
+        """
+        n = len(par)
+        n2, n3 = n * n, n ** 3
+        gather = partial(_gather, table, renamed={})
+        hoisted = partial(_hoisted, gather, n)
+        # first factors: of b c as a list, of a b and c a by a
+        f_bc = [(*key, p) for key, p in gather(
+            *images["bc"], lambda b, c, l: ((l, par[b]), b * n3 + c * n2)).items()]
+        f_ab = _grouped(gather(*images["ab"], lambda a, b, l: ((a, l), b * n3)))
+        f_ca_chain = _grouped(gather(*images["ca_chain"], lambda c, a, l: ((a, l), c * n2)))
+        f_ca_split = _grouped(gather(*images["ca_split"], lambda c, a, l: ((a, l), c * n2)))
+        # chain terms r[(l, x)], split terms q[(x, l)]; of b and c by their parity
+        at_b, at_c = (lambda b: (par[b], b * n3)), (lambda c: (par[c], c * n2))
+        r1, q2 = hoisted(*images["r1"]), hoisted(*images["q2"])
+        r2, q3 = hoisted(*images["r2"], y_at=at_b), hoisted(*images["q3"], x_at=at_b)
+        r3, q1 = hoisted(*images["r3"], y_at=at_c), hoisted(*images["q1"], x_at=at_c)
+        for a in range(n):
+            pa, acc = par[a], {}
+            for l, pb, p in f_bc:
+                if (l, a) in r1:
+                    add_product(acc, p, r1[(l, a)], pa & (pb ^ par[l]))
+                if (a, l) in q2:
+                    add_product(acc, p, q2[(a, l)], not pa & pb)
+            for l, p in f_ca_chain.get(a, ()):
+                for pb in (0, 1):
+                    if (l, pb) in r2:
+                        add_product(acc, p, r2[(l, pb)], pa & pb)
+            for l, p in f_ab.get(a, ()):
+                for pc in (0, 1):
+                    if (l, pc) in r3:
+                        add_product(acc, p, r3[(l, pc)], (pa ^ par[l]) & pc)
+                    if (pc, l) in q1:
+                        add_product(acc, p, q1[(pc, l)], not pa & pc)
+            for l, p in f_ca_split.get(a, ()):
+                for pb in (0, 1):
+                    if (pb, l) in q3:
+                        add_product(acc, p, q3[(pb, l)], not pb & (pa ^ par[l]))
+            yield compact_vector(acc) if any(acc.values()) else {}
+
+    return _jordan_rows
+
+
+_full_jordan_rows = _full_jordan_kernel()
+JCK4_PAIR = ("w1", "x", "x1")
+
+
+def _comm_corruption(S, left, right, out, q):
+    """S with q a_out added to [a_left lam a_right] and its commutative image
+    (-1)^{p(left)p(right)} q(-lam-d, d) a_out to [a_right lam a_left], so that
+    S stays Jordan-commutative (left and right differ)."""
+    i, j, k = S.index[left], S.index[right], S.index[out]
+    mirror = q.subst_general("lam", -LAM - D).scalar_mul(-1 if S.parity(i) & S.parity(j) else 1)
+    T = S.with_entry(i, j, S.entry(i, j) + ConformalElement({k: q}))
+    return T.with_entry(j, i, T.entry(j, i) + ConformalElement({k: mirror}))
+
+
+def _repaired_Jn(n):
+    """J_n with README defect 2's repair, the theta-theta coefficient
+    lam(|a|+|b|-2) + (|a|-1) d for lam(|a|+|b|-4) + (|a|-2) d: 2 lam + d more
+    at each (a th) lam (b th) -> ab, with that entry's sign (-1)^{|b|} s(a, b)."""
+    J = families.make_Jn(n)
+    ev, th = J.meta["ev_idx"], J.meta["th_idx"]
+    table = {key: list(row) for key, row in J.table.items()}
+    for I in ev:
+        for K in ev:
+            s = mul_sign(I, K)
+            if s:
+                sign = -s if bin(K).count("1") % 2 else s
+                table[(th[I], th[K])].append((ev[I | K], (2 * LAM + D) * sign))
+    return LambdaStructure(JORDAN, J.generators, table, name=f"J_{n}+")
+
+
+def _jordan_kernel_tables(request):
+    """Every Jordan fixture and the Jordan current, and corruptions of J_2 and
+    JCK_4 that keep Jordan commutativity and that break it."""
+    J2, JCK4 = request.getfixturevalue("Jn")[2], request.getfixturevalue("JCK4")
+    keeping = [_comm_corruption(J2, "xi1", "xi2th", "xi12th", LAM + 2 * D),
+               _comm_corruption(JCK4, *JCK4_PAIR, LAM * LAM - D)]
+    breaking = [_corrupt_J2(), corrupt_entry(JCK4, *JCK4_PAIR, LAM + D)]
+    for S in keeping:
+        assert check_jordan_comm(S).ok and not check_jordan_identity(S).ok, S.name
+    for S in breaking:
+        assert not check_jordan_comm(S).ok, S.name
+    return _jordan_fixtures(request) + keeping + breaking
+
+
+def test_reduced_jordan_rows_match_the_full_kernel(request):
+    """The kernel's rows, one quadruple per rotation orbit accumulated and
+    the rest written, equal the full kernel's row for row, under the
+    consistent and the printed images, on each table and on its dual."""
+    for S in _jordan_kernel_tables(request):
+        for T in (S, dualize(S)):
+            table = T.packed[1]
+            for images in (JORDAN_IMAGES, PRINTED_JORDAN_IMAGES):
+                assert (list(conformal._jordan_rows(table, T.parities, images))
+                        == list(_full_jordan_rows(table, T.parities, images))), (T.name, images)
+
+
+def _least_rotation(a, b, c):
+    return min((a, b, c), (b, c, a), (c, a, b))
+
+
+def _accumulating(touched, n):
+    """A packed add_product that adds to touched the triple (a, b, c) of each
+    product a Jordan kernel accumulates into a row: a the row index of the
+    calling _jordan_rows, b and c the top digits of the product's component."""
+    def add_product(acc, p, q, negate=False):
+        frame = sys._getframe(1)
+        if frame.f_code.co_name == "_jordan_rows":
+            a = frame.f_locals["a"]
+            for k1 in p:
+                for k2 in q:
+                    comp = (k1 + k2) >> poly._COMPONENT_SHIFT
+                    touched.add((a, comp // n ** 3, comp // n ** 2 % n))
+        return poly.add_product(acc, p, q, negate)
+
+    return add_product
+
+
+@pytest.mark.parametrize("name", ["J_2", "JCK_4"])
+def test_representatives_meet_every_rotation_orbit_once(name, Jn, JCK4, monkeypatch):
+    """The representatives, a <= b and a < c or a = b = c, are the least
+    rotations, one per rotation orbit.  The kernel's rows accumulate products
+    at representatives only, at the least rotation of a triple at which the
+    full kernel's rows do, and at that of every triple with a violation (J_2
+    fails, and a corruption of JCK_4 that keeps commutativity)."""
+    S = {"J_2": Jn[2], "JCK_4": _comm_corruption(JCK4, *JCK4_PAIR, LAM * LAM - D)}[name]
+    n = S.rank
+    for a, b, c in itertools.product(range(n), repeat=3):
+        orbit = {(a, b, c), (b, c, a), (c, a, b)}
+        assert [t for t in orbit if (t[0] <= t[1] and t[0] < t[2]) or len(set(t)) == 1] \
+            == [_least_rotation(a, b, c)]
+    full, reduced = set(), set()
+    rows = list(_full_jordan_kernel(_accumulating(full, n))(S.packed[1], S.parities, JORDAN_IMAGES))
+    monkeypatch.setattr(conformal, "add_product", _accumulating(reduced, n))
+    list(conformal._jordan_rows(S.packed[1], S.parities, JORDAN_IMAGES))
+    failing = {(a, comp // n ** 3, comp // n ** 2 % n) for a, row in enumerate(rows)
+               for comp in (key >> poly._COMPONENT_SHIFT for key in row)}
+    assert failing and all(t == _least_rotation(*t) for t in reduced)
+    assert {_least_rotation(*t) for t in failing} <= reduced <= {_least_rotation(*t) for t in full}
+    assert len(full) > 2 * len(reduced)
+
+
+# the term products of the kernel per fixture: check_jordan_identity consistent
+# and printed, and the co-Jordan of check_jordan_coalgebra on the dual (the
+# full kernel made J_2 10,380 / 10,693 / 10,380, J_3 55,914 / 57,456 / 55,914,
+# JS_1 342 / 355 / 342 and JCK_4 8,766 / 9,028 / 8,766)
+REDUCED_JORDAN_PRODUCTS = {"J_2": (1626, 5293, 1626), "J_3": (8752, 28742, 8752),
+                           "JS_1": (89, 206, 89), "JCK_4": (1362, 4446, 1362)}
+
+
+def test_reduced_jordan_term_products(Jn, JS1, JCK4, monkeypatch):
+    tables = {"J_2": Jn[2], "J_3": Jn[3], "JS_1": JS1, "JCK_4": JCK4}
+    for name, products in REDUCED_JORDAN_PRODUCTS.items():
+        S, cop = tables[name], dualize(tables[name])
+        check_jordan_comm(S), check_jordan_coalgebra(cop)   # the flip residuals, cached
+        assert (term_products(monkeypatch, check_jordan_identity, S)[0],
+                term_products(monkeypatch, lambda S: check_jordan_identity(S, PRINTED), S)[0],
+                term_products(monkeypatch, check_jordan_coalgebra, cop)[0]) == products, name
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_repaired_jn_passes_through_both_kernels(n):
+    """J_n with README defect 2 repaired satisfies Jordan commutativity, the
+    consistent identity and, on its dual, co-Jordan: every row of the kernel
+    and of the full kernel is zero, so a term written at a wrong rotation
+    would show as a violation."""
+    S = _repaired_Jn(n)
+    assert check_jordan_comm(S).ok and check_jordan_identity(S).ok
+    assert check_jordan_coalgebra(dualize(S)).ok
+    assert not check_jordan_identity(families.make_Jn(n)).ok
+    for T in (S, dualize(S)):
+        table = T.packed[1]
+        assert (list(conformal._jordan_rows(table, T.parities, JORDAN_IMAGES))
+                == list(_full_jordan_rows(table, T.parities, JORDAN_IMAGES)) == [{}] * T.rank)
 
 
 # -- families ------------------------------------------------------------------
