@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .conformal import (
     Generator, JORDAN, JORDAN_IMAGES, LIE, LambdaStructure, Record, Report, StructureError,
-    Table, Violation, _jacobi_residuals, _jordan_rows, _packed,
+    Table, Violation, _jacobi_rows, _jordan_rows, _packed,
 )
 from .poly import (
     D, LAM, MultiPoly, P_ONE, P_ZERO, _COMPONENT_SHIFT, _MAXEXP, _MONO_MASK, _VAR_SHIFT,
@@ -355,14 +355,15 @@ def check_lie_coalgebra(cop: Coproduct) -> Report:
     Jacobi kernel are the rows check_skew and check_jacobi map back to lam,
     mu and d, written as they come (see "contraction kernels").  With
     antisymmetry co-Jacobi is (1+zeta+zeta^2)(I (x) delta) delta = 0, so it
-    runs over [i, j, k] with j <= i <= k and writes the other permutations.
+    runs over [i, j, k] with j <= i <= k, and conformal._write_images writes
+    the other permutations.
     """
     if cop.kind != LIE:
         raise StructureError("Lie coalgebra axioms apply to Lie kind")
     rep = Report("coalg", cop.name, total=cop.rank)
     L, table = cop.packed
     flip = cop.flip_residual
-    jacobi = _jacobi_residuals(table, cop.parities, not flip)
+    jacobi = _jacobi_rows(table, cop.parities, not flip)
     _record(rep, cop, [("antisymmetry", 2, [flip], L), ("co-jacobi", 3, jacobi, L * L)])
     return rep
 
@@ -390,8 +391,8 @@ def check_jordan_coalgebra(cop: Coproduct) -> Report:
     -L^3, and co-commutativity is minus cop.flip_residual: the rows that
     check_jordan_identity and check_jordan_comm map back to lam, mu, nu and d.
     The kernel accumulates one [a, b, c] per rotation orbit and writes each
-    term at the rotations before it hands a row on, so the sign is taken at
-    the tuple where each term lands.
+    term at the rotations (conformal._write_images) before it hands a row on,
+    so the sign is taken at the tuple where each term lands.
     """
     if cop.kind != JORDAN:
         raise StructureError("Jordan coalgebra axioms apply to Jordan kind")

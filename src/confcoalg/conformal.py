@@ -422,6 +422,10 @@ class Report(Record):
 # first factors and for the intermediates r1 and q2 only: r2 and q3 are r1 and
 # q2 with x1 and x2 swapped, r3 and q1 with x1 and x3 swapped, so it renames
 # the products instead (see _jordan_rows), and _RENAMED writes their images so.
+# Where a group acts on the tuples, S_3 on skew Jacobi triples and the
+# rotations on Jordan triples, a kernel accumulates one tuple per orbit, and
+# _write_images writes the rest of the orbit from the group's table (_S3 with
+# Koszul signs, _Z3 without), slot exponents and component digits alike.
 JACOBI_IMAGES = {"outer": (X1, X2 + X3), "cols1": (X2, X3), "first2": (None, None),
                  "rows2": (X1 + X2, X3), "first3": (X1, X3), "cols3": (X2, X1 + X3)}
 _SWAP12, _SWAP13 = {"x1": "x2", "x2": "x1"}, {"x1": "x3", "x3": "x1"}
@@ -565,57 +569,75 @@ def check_jacobi(S: LambdaStructure) -> Report:
         R(j, k, i)(x1, x2, x3) = (-1)^{p_i (p_j + p_k)} R(i, j, k)(x3, x1, x2),
 
     and the triples j <= i <= k, one per S_3 orbit, decide the rest.  So when
-    S.flip_residual is empty the kernel runs over those triples only (see
-    _jacobi_residuals), and on every other table over all triples, in slot
-    variables (see "packed tables").
+    S.flip_residual is empty the kernel, _jacobi_rows, accumulates those
+    triples only and writes the rest (see _write_images), and on every other
+    table it runs over all triples, in slot variables (see "packed tables").
     """
     if S.kind != LIE:
         raise StructureError("Jacobi applies to Lie kind")
     rep = Report("jacobi", S.name, total=S.rank ** 3)
     L, table = S.packed
-    for i, acc in enumerate(_jacobi_residuals(table, S.parities, not S.flip_residual)):
+    for i, acc in enumerate(_jacobi_rows(table, S.parities, not S.flip_residual)):
         _record(rep, S, (i,), acc, 2, L * L, _JACOBI_BACK)
     return rep
 
 
 _SLOT_SHIFTS = [_VAR_SHIFT[x] for x in ("x1", "x2", "x3")]
 _SLOT_FIELDS = sum(_MAXEXP << shift for shift in _SLOT_SHIFTS)
-# each permutation of a triple's positions, the shifts its slot exponents move
-# to, and the pairs of positions it inverts
-_S3 = [(perm, [_SLOT_SHIFTS[perm.index(p)] for p in range(3)],
-        [(p, q) for p, q in combinations(range(3), 2) if perm.index(p) > perm.index(q)])
-       for perm in permutations(range(3))]
 
 
-def _jacobi_residuals(table, par, skew: bool):
-    """The rows of _jacobi_rows over every triple; skew when the flip residual
-    is empty.  On a skew table, where the residual is a cyclic sum, R(j, i,
-    k)(x1, x2, x3) = -(-1)^{p_i p_j} R(i, j, k)(x2, x1, x3) and R(j, k, i)(x1,
-    x2, x3) = (-1)^{p_i (p_j + p_k)} R(i, j, k)(x3, x1, x2) (see check_jacobi),
-    so it gets the reduced kernel, and each residual term is written at
-    every permutation of its triple, exponents and digits permuted alike,
-    times -1 per inverted pair of positions unless both are odd."""
-    rows = _jacobi_rows(table, par, skew)
-    if not skew:
-        return rows
-    n = len(par)
-    out = [{} for _ in par]
-    for i, acc in enumerate(rows):
-        images = {}   # component -> (row, component key, shifts, sign) per permutation
-        for key, c in acc.items():
-            comp = key >> _COMPONENT_SHIFT
-            if comp not in images:
-                jk, m = divmod(comp, n)
-                t = i, *divmod(jk, n)
-                images[comp] = [(out[t[perm[0]]],
-                                 ((t[perm[1]] * n + t[perm[2]]) * n + m) << _COMPONENT_SHIFT,
-                                 shifts, sum(not par[t[p]] & par[t[q]] for p, q in inverted) & 1)
-                                for perm, shifts, inverted in _S3]
-            e1, e2, e3 = (key >> shift & _MAXEXP for shift in _SLOT_SHIFTS)
-            rest = key & ((1 << _COMPONENT_SHIFT) - 1) & ~_SLOT_FIELDS
-            for row, tag, (s1, s2, s3), odd in images[comp]:
-                row[tag | rest + (e1 << s1) + (e2 << s2) + (e3 << s3)] = -c if odd else c
+class _SlotMoves(dict):
+    """{f: f renamed} for the x1-x3 fields f of a key (key & _SLOT_FIELDS),
+    under sigma, {name: name} as for MultiPoly.permute_vars: the exponent of
+    each x_s moves to sigma's image of x_s.  Each image is made on first use."""
+
+    __slots__ = ("shifts",)
+
+    def __init__(self, sigma: Dict[str, str]):
+        super().__init__()
+        self.shifts = [_VAR_SHIFT[sigma.get(x, x)] for x in ("x1", "x2", "x3")]
+
+    def __missing__(self, f: int) -> int:
+        g = self[f] = sum((f >> s & _MAXEXP) << t for s, t in zip(_SLOT_SHIFTS, self.shifts))
+        return g
+
+
+def _images(perms, signed: bool) -> list:
+    """(perm, moves, odd) per permutation perm of a triple's positions, which
+    puts position perm[q] at q: moves sends the slot exponent of each
+    position p to perm.index(p), and odd[P], for the parities P = p_0 + 2 p_1
+    + 4 p_2 of the positions, is whether the term changes sign, when signed
+    once per pair of positions that perm inverts unless both are odd."""
+    out = []
+    for perm in perms:
+        inverted = [(p, q) for p, q in combinations(range(3), 2) if perm.index(p) > perm.index(q)]
+        out.append((perm, _SlotMoves({f"x{p + 1}": f"x{perm.index(p) + 1}" for p in range(3)}),
+                    [signed and sum(not P >> p & P >> q & 1 for p, q in inverted) % 2 == 1
+                     for P in range(8)]))
     return out
+
+
+# S_3 on Jacobi triples and its rotations on Jordan triples (see check_jacobi)
+_S3 = _images(list(permutations(range(3))), True)
+_Z3 = _images([(0, 1, 2), (1, 2, 0), (2, 0, 1)], False)
+
+
+def _write_images(acc: dict, a: int, n: int, width: int, par, rows: list, images) -> None:
+    """Write each term of acc, row a's residuals at the triples t = (a, b, c)
+    at components (b n + c) n**width + r, at each image of t under images
+    (see _images): into rows[t[perm[0]]] at (t[perm[1]] n + t[perm[2]])
+    n**width + r, moved and signed.  Where an index repeats, images meet with
+    equal terms, as a representative's accumulation is its whole residual."""
+    nw, low = n ** width, (1 << _COMPONENT_SHIFT) - 1
+    for key, c in acc.items():
+        bc, r = divmod(key >> _COMPONENT_SHIFT, nw)
+        t = a, *divmod(bc, n)
+        P = par[a] + 2 * par[t[1]] + 4 * par[t[2]]
+        f = key & _SLOT_FIELDS
+        rest = (key & low) - f
+        for (p0, p1, p2), moves, odd in images:
+            tag = ((t[p1] * n + t[p2]) * nw + r) << _COMPONENT_SHIFT
+            rows[t[p0]][tag + rest + moves[f]] = -c if odd[P] else c
 
 
 def _dropped_below(vec: dict, lo: int) -> dict:
@@ -632,10 +654,12 @@ def _dropped_below(vec: dict, lo: int) -> dict:
 
 def _jacobi_rows(table, par, reduced: bool) -> Iterator[dict]:
     """For each i, the compact Jacobi residuals of table's triples (i, j, k) under
-    JACOBI_IMAGES, L**2 times too large, at components (j n + k) n + m; with
-    reduced, of j <= i <= k only, which give the rest on a skew table (R(j,
-    i, k) is -(-1)^{p_i p_j} R(i, j, k) at (x2, x1, x3), R(j, k, i) (-1)^{p_i
-    (p_j + p_k)} R(i, j, k) at (x3, x1, x2)).
+    JACOBI_IMAGES, L**2 times too large, at components (j n + k) n + m.
+    With reduced, for a skew table, only j <= i <= k, one triple per S_3
+    orbit, are accumulated, and _write_images writes each residual at every
+    permutation of its triple under _S3 (R(j, i, k) is -(-1)^{p_i p_j} R(i,
+    j, k) at (x2, x1, x3), R(j, k, i) (-1)^{p_i (p_j + p_k)} R(i, j, k) at
+    (x3, x1, x2); see check_jacobi), so the rows follow the last one.
 
     All (j, k) of one i form one accumulation: per l, the first term takes
     a column over (j, k), the second the first factors tagged by j against a
@@ -672,6 +696,7 @@ def _jacobi_rows(table, par, reduced: bool) -> Iterator[dict]:
     gather = partial(_gather, renamed={})
     rows2 = gather((vecs, slots), *JACOBI_IMAGES["rows2"], lambda l, k, m: (l, k * n + m))
     cols1, cols3 = {}, {}
+    rows = [{} for _ in par]   # with reduced, the images written into each row
     for i in range(n):
         gather((vecs, enter1[i]), *JACOBI_IMAGES["cols1"], lambda j, k, l: (l, (j * n + k) * n),
                out=cols1)
@@ -697,7 +722,12 @@ def _jacobi_rows(table, par, reduced: bool) -> Iterator[dict]:
                              lambda j, k, l: (l, (j * n + k) * n)).items():
             for key in col:
                 del cols1[l][key]
-        yield compact_vector(acc) if any(acc.values()) else {}
+        if not reduced:
+            yield compact_vector(acc)
+        elif any(acc.values()):
+            _write_images(compact_vector(acc), i, n, 1, par, rows, _S3)
+    if reduced:
+        yield from rows
 
 
 PRINTED = "printed"
@@ -728,27 +758,6 @@ def _hoisted(gather, n: int, first, last) -> dict:
         for y, row in lasts.get(m, ()):
             add_product(out.setdefault((x, y), {}), p, row)
     return {key: compact_vector(acc) for key, acc in out.items()}
-
-
-class _SlotMoves(dict):
-    """{f: f renamed} for the x1-x3 fields f of a key (key & _SLOT_FIELDS),
-    under sigma, {name: name} as for MultiPoly.permute_vars: the exponent of
-    each x_s moves to sigma's image of x_s.  Each image is made on first use."""
-
-    __slots__ = ("shifts",)
-
-    def __init__(self, sigma: Dict[str, str]):
-        super().__init__()
-        self.shifts = [_VAR_SHIFT[sigma.get(x, x)] for x in ("x1", "x2", "x3")]
-
-    def __missing__(self, f: int) -> int:
-        g = self[f] = sum((f >> s & _MAXEXP) << t for s, t in zip(_SLOT_SHIFTS, self.shifts))
-        return g
-
-
-# the rotations (b, c, a) and (c, a, b) of a triple, which move a term's x1-x3
-# exponents (e1, e2, e3) to (e2, e3, e1) and (e3, e1, e2) (see _write_rotations)
-_ROTATIONS = ({"x1": "x3", "x2": "x1", "x3": "x2"}, {"x1": "x2", "x2": "x3", "x3": "x1"})
 
 
 def _combined(parts) -> dict:
@@ -879,10 +888,10 @@ def _jordan_rows(table, par, images) -> Iterator[dict]:
     (_dropped_below) before a row reads them, and a row reads c >= a before
     c > a.  A term of row a at (b, c, d, m) with slot exponents (e1, e2, e3,
     e4) is then also the term of row b at (c, a, d, m) with (e2, e3, e1, e4)
-    and of row c at (a, b, d, m) with (e3, e1, e2, e4) (but once for a = b =
-    c); both rows are a or later, so each term is written forward
-    (_write_rotations) and row a is done, and handed on, after its own
-    accumulation.
+    and of row c at (a, b, d, m) with (e3, e1, e2, e4); both rows are a or
+    later, so _write_images writes each term at the three rotations under
+    _Z3, its own row included, and row a is done, and handed on, after its
+    own accumulation.
 
     The printed images break the rotation in the second chain term only, so
     their rows are the consistent rows plus that term at the printed images
@@ -932,7 +941,6 @@ def _jordan_rows(table, par, images) -> Iterator[dict]:
                  (_grouped(gather(full, *J["ca_chain"], place_ca)),
                   _combined([(r, moves12, at_b, never)]), 1)]
     del r
-    rotations = [_SlotMoves(sigma) for sigma in _ROTATIONS]
     rows = [{} for _ in par]   # the terms written forward into each row
     for a in range(n):
         pa, acc = par[a], {}
@@ -958,41 +966,15 @@ def _jordan_rows(table, par, images) -> Iterator[dict]:
                 del live[k]
             if not live:
                 del f_bc[key]
-        row, rows[a] = rows[a], None
         if any(acc.values()):
-            _write_rotations(compact_vector(acc), a, n, rows, row, rotations)
+            _write_images(compact_vector(acc), a, n, 2, par, rows, _Z3)
+        row = rows[a]
         for f, r2, flip in fixes:
             for l, p in f.get(a, ()):
                 for pb in (0, 1):
                     if (l, pb) in r2:
                         add_product(row, p, r2[(l, pb)], (pa & pb) ^ flip)
         yield (compact_vector(row) if any(row.values()) else {}) if fixes else row
-
-
-def _write_rotations(acc: dict, a: int, n: int, rows: list, row: dict, rotations) -> None:
-    """Write each term of acc, row a's representatives at (b, c, d, m), into
-    row (its own) and at the rotations (b, c, a) and (c, a, b) of its triple,
-    into rows[b] (row when b = a) and rows[c], its slot exponents moved by
-    rotations (see _jordan_rows); a = b = c is its own rotation."""
-    n2 = n * n
-    low = (1 << _COMPONENT_SHIFT) - 1
-    first, second = rotations
-    targets = {}   # component -> (row, tag) at both rotations, or () for (a, a, a)
-    for key, v in acc.items():
-        row[key] = v
-        comp = key >> _COMPONENT_SHIFT
-        at = targets.get(comp)
-        if at is None:
-            bc, dm = divmod(comp, n2)
-            b, c = divmod(bc, n)
-            at = targets[comp] = () if a == b == c else (
-                row if b == a else rows[b], ((c * n + a) * n2 + dm) << _COMPONENT_SHIFT,
-                rows[c], ((a * n + b) * n2 + dm) << _COMPONENT_SHIFT)
-        if at:
-            f = key & _SLOT_FIELDS
-            rest = (key & low) - f
-            at[0][at[1] + rest + first[f]] = v
-            at[2][at[3] + rest + second[f]] = v
 
 
 # ---------------------------------------------------------------------------

@@ -300,18 +300,20 @@ def test_each_flip_residual_is_computed_once():
 
 def test_co_lie_checks_run_the_lambda_kernels():
     """check_lie_coalgebra runs conformal's flip and Jacobi kernels in slot
-    variables: it calls neither add_product nor _gather, and _jacobi_rows has
-    one caller, _jacobi_residuals, which check_jacobi and check_lie_coalgebra
-    share.  The co-Lie check's own flip and contraction (_flips, _UNIT) are gone."""
+    variables: it calls neither add_product nor _gather, and _jacobi_rows,
+    which writes its own orbits, is the one that check_jacobi and
+    check_lie_coalgebra share.  The co-Lie check's own flip and contraction
+    (_flips, _UNIT) are gone."""
     def users(name):
         return sorted((module, where) for module, tree in _production_sources()
                       for where in _uses(tree, name))
 
     for name in ("add_product", "_gather"):
         assert ("confcoalg.coalgebra", "check_lie_coalgebra") not in users(name), name
-    assert users("_jacobi_rows") == [("confcoalg.conformal", "_jacobi_residuals")]
-    assert users("_jacobi_residuals") == [("confcoalg.coalgebra", "check_lie_coalgebra"),
-                                          ("confcoalg.conformal", "check_jacobi")]
+    assert users("_jacobi_rows") == [("confcoalg.coalgebra", "check_lie_coalgebra"),
+                                     ("confcoalg.conformal", "check_jacobi")]
+    assert users("_write_images") == [("confcoalg.conformal", "_jacobi_rows"),
+                                      ("confcoalg.conformal", "_jordan_rows")]
     coalgebra = importlib.import_module("confcoalg.coalgebra")
     assert not hasattr(coalgebra, "_flips") and not hasattr(coalgebra, "_UNIT")
 

@@ -575,7 +575,7 @@ def test_jordan_table_checks_and_co_checks_share_one_packed_form(corrupt, reques
 
 
 def test_kernel_rows_are_compact(request):
-    """No row that _jacobi_residuals or _jordan_rows (under the consistent and
+    """No row that _jacobi_rows or _jordan_rows (under the consistent and
     the printed images) hands to a writer holds a zero coefficient: each is
     compact, and a zero row is {}.  On every Lie and Jordan fixture, the
     skew-breaking corruption of K_3, which runs the full Jacobi kernel, and a
@@ -583,7 +583,7 @@ def test_kernel_rows_are_compact(request):
     breaking = corrupt_entry(families.make_K(3), "xi1", "xi2", "xi12", MultiPoly.const(-1))
     assert breaking.flip_residual
     rows = [(S.name, row) for S in [*_lie_fixtures(request), breaking]
-            for row in conformal._jacobi_residuals(S.packed[1], S.parities, not S.flip_residual)]
+            for row in conformal._jacobi_rows(S.packed[1], S.parities, not S.flip_residual)]
     rows += [(S.name, row) for S in [*_jordan_fixtures(request), _corrupt_J2()]
              for images in (JORDAN_IMAGES, PRINTED_JORDAN_IMAGES)
              for row in conformal._jordan_rows(S.packed[1], S.parities, images)]
@@ -952,7 +952,7 @@ def _full_and_reduced_rows(S):
     kernel with every permutation of each residual written."""
     table = S.packed[1]
     full = list(conformal._jacobi_rows(table, S.parities, False))
-    return full, conformal._jacobi_residuals(table, S.parities, True)
+    return full, list(conformal._jacobi_rows(table, S.parities, True))
 
 
 def test_skew_corruption_matches_per_tuple_oracle(K, W, CK6):
@@ -1044,6 +1044,103 @@ def test_reduced_jacobi_rows_match_the_full_kernel_on_every_lie_family(request):
     for S in _lie_fixtures(request):
         full, reduced = _full_and_reduced_rows(S)
         assert reduced == full == [{}] * S.rank, S.name
+
+
+def _jacobi_representative(i, j, k):
+    """The member j <= i <= k of the S_3 orbit of (i, j, k)."""
+    x, y, z = sorted((i, j, k))
+    return y, x, z
+
+
+def _accumulating_jacobi(touched, n):
+    """A packed add_product that adds to touched the triple (i, j, k) of each
+    product the Jacobi kernel accumulates into a row: i the row index of the
+    calling _jacobi_rows, j and k the top digits of the product's component."""
+    def add_product(acc, p, q, negate=False):
+        frame = sys._getframe(1)
+        if frame.f_code.co_name == "_jacobi_rows":
+            i = frame.f_locals["i"]
+            for k1 in p:
+                for k2 in q:
+                    comp = (k1 + k2) >> poly._COMPONENT_SHIFT
+                    touched.add((i, comp // n ** 2, comp // n % n))
+        return poly.add_product(acc, p, q, negate)
+
+    return add_product
+
+
+@pytest.mark.parametrize("name", ["K_4", "W_2"])
+def test_representatives_meet_every_s3_orbit_once(name, K, W, monkeypatch):
+    """The representatives j <= i <= k are one triple per S_3 orbit.  On a
+    corruption of each table that keeps skew-symmetry, the reduced kernel's
+    rows accumulate products at representatives only, at the representative
+    of a triple at which the full kernel's rows do, and at that of every
+    triple with a violation."""
+    S = {"K_4": _skew_corruption(K[4], "xi1", "xi2", "xi12", LAM + 2 * D),
+         "W_2": _skew_corruption(W[2], "xi1", "d2", "xi1d1", LAM + 2 * D)}[name]
+    n = S.rank
+    for t in itertools.product(range(n), repeat=3):
+        orbit = set(itertools.permutations(t))
+        assert [u for u in orbit if u[1] <= u[0] <= u[2]] == [_jacobi_representative(*t)]
+    assert check_skew(S).ok
+    full, reduced = set(), set()
+    monkeypatch.setattr(conformal, "add_product", _accumulating_jacobi(full, n))
+    rows = list(conformal._jacobi_rows(S.packed[1], S.parities, False))
+    monkeypatch.setattr(conformal, "add_product", _accumulating_jacobi(reduced, n))
+    list(conformal._jacobi_rows(S.packed[1], S.parities, True))
+    failing = {(i, comp // n ** 2, comp // n % n) for i, row in enumerate(rows)
+               for comp in (key >> poly._COMPONENT_SHIFT for key in row)}
+    assert failing and all(t == _jacobi_representative(*t) for t in reduced)
+    representatives = {_jacobi_representative(*t) for t in full}
+    assert {_jacobi_representative(*t) for t in failing} <= reduced <= representatives
+    assert len(full) > 3 * len(reduced)
+
+
+def _composed(first, then):
+    """The permutation of a triple's positions that applies first, then then."""
+    return tuple(first[then[q]] for q in range(3))
+
+
+def _image_sign(odd, par):
+    return -1 if odd[par[0] + 2 * par[1] + 4 * par[2]] else 1
+
+
+@pytest.mark.parametrize("group, order, width", [("_S3", 6, 1), ("_Z3", 3, 2)])
+def test_image_tables(group, order, width):
+    """The orbit writer's tables: _S3 and _Z3 hold the identity and are closed
+    under composition, and each image's moves sends the slot exponents (1,
+    2, 3) where its digit permutation says.  The sign of _S3 is the Koszul
+    sign of check_jacobi and multiplicative under composition for every
+    parity pattern; that of _Z3 is +1.  A term written at a triple of three
+    distinct indices lands on order distinct triples, all in its orbit."""
+    images = getattr(conformal, group)
+    table = {perm: (moves, odd) for perm, moves, odd in images}
+    assert len(images) == len(table) == order and (0, 1, 2) in table
+    slots = lambda exps: sum(e << poly._VAR_SHIFT[x] for e, x in zip(exps, ("x1", "x2", "x3")))
+    for perm, (moves, odd) in table.items():
+        assert moves[slots((1, 2, 3))] == slots([p + 1 for p in perm]), perm
+        assert group == "_S3" or not any(odd)
+    for first, then in itertools.product(table, repeat=2):
+        assert _composed(first, then) in table
+        for par in itertools.product((0, 1), repeat=3):
+            moved = [par[p] for p in first]
+            assert (_image_sign(table[_composed(first, then)][1], par)
+                    == _image_sign(table[first][1], par) * _image_sign(table[then][1], moved))
+    if group == "_S3":
+        for pi, pj, pk in itertools.product((0, 1), repeat=3):
+            assert _image_sign(table[(1, 0, 2)][1], (pi, pj, pk)) == -(-1) ** (pi * pj)
+            assert _image_sign(table[(1, 2, 0)][1], (pi, pj, pk)) == (-1) ** (pi * (pj + pk))
+    n, rest, f = 3, 1, slots((1, 2, 3))
+    rows = [{} for _ in range(n)]
+    key = (((1 * n + 2) * n ** width + rest) << poly._COMPONENT_SHIFT) + f
+    conformal._write_images({key: 5}, 0, n, width, [1, 1, 0], rows, images)
+    landed = [(r, comp // n ** (width + 1), comp // n ** width % n, comp % n ** width, c)
+              for r, row in enumerate(rows) for comp, c in
+              ((k >> poly._COMPONENT_SHIFT, c) for k, c in row.items())]
+    triples = {t[:3] for t in landed}
+    assert len(landed) == len(triples) == order
+    assert triples == {tuple(perm) for perm in table} <= set(itertools.permutations(range(3)))
+    assert {t[3:] for t in landed} <= {(rest, 5), (rest, -5)}
 
 
 # the term products of the reduced kernel: check_jacobi on the tables of the
