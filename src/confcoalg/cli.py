@@ -190,7 +190,8 @@ def _table(args) -> tuple:
     """(table, family, n): the table imported with --in, family and n None,
     or the table of the family on the command line."""
     if getattr(args, "infile", None):
-        for flag, value in (("--family", args.family), ("--n", args.n), ("--b", args.b)):
+        for flag, value in (("--family", args.family), ("--n", args.n), ("--b", args.b),
+                            ("--allow-large", args.allow_large or None)):
             if value is not None:
                 raise UsageError(f"--in takes no {flag}")
         from .serialize import loads

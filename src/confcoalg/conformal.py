@@ -996,14 +996,6 @@ class ModuleMap:
                 raise StructureError("module map entries must live in C[d]")
             self.entries[(ti, si)] = p
 
-    def apply(self, coords: Dict[int, MultiPoly]) -> Dict[int, MultiPoly]:
-        out: Dict[int, MultiPoly] = {}
-        for (ti, si), p in self.entries.items():
-            c = coords.get(si)
-            if c is not None:
-                accumulate(out, ti, p * c)
-        return out
-
 
 _D_SHIFT = _VAR_SHIFT["d"]
 

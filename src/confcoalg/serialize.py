@@ -224,7 +224,7 @@ def _poly(obj, what: str) -> MultiPoly:
 
 def dumps(obj) -> str:
     """A table or coproduct as its JSON document, each distinct polynomial
-    converted once; any other JSON value as is."""
+    converted once, or a report dict of verify or crosscheck as it is."""
     if isinstance(obj, LambdaStructure):
         doc = _structure_json(obj)
     elif isinstance(obj, (dict, list)):
@@ -242,48 +242,22 @@ def dumps(obj) -> str:
 _int_text = int.__repr__
 
 
-def _float_text(f: float) -> str:
-    if f != f:
-        return "NaN"
-    if f == float("inf"):
-        return "Infinity"
-    if f == float("-inf"):
-        return "-Infinity"
-    return float.__repr__(f)
-
-
-def _key_text(k) -> str:
-    """An object key and the separator after it, as json writes them."""
-    if isinstance(k, str):
-        text = k
-    elif isinstance(k, float):
-        text = _float_text(k)
-    elif k is True or k is False or k is None:
-        text = "null" if k is None else "true" if k else "false"
-    elif isinstance(k, int):
-        text = _int_text(k)
-    else:
-        raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
-    return _str_text(text) + ": "
-
-
 def _json_text(doc) -> str:
     """The text of json.dumps(doc, indent=2), appended to one list and joined once.
 
-    Subclasses of str, int, float, list, tuple and dict are written as json
-    writes them, and an unsupported object or key raises json's TypeError.
-    A list or dict holding itself is not detected.  A list of dicts met again
-    at the same indentation, as a "poly" list that terms share, is written
-    once: its slice of out is joined at the second meeting and put whole.
+    doc is a document value: a dict with str keys, a list, a str, an int or
+    a bool, each of exactly that type.  Any other value or key raises a
+    TypeError.  A list or dict holding itself is not detected.  A list of
+    dicts met again at the same indentation, as a "poly" list that terms
+    share, is written once: its slice of out is joined at the second meeting
+    and put whole.
     """
     out = []
     put = out.append
-    keys = {}   # str key -> _key_text(key), encoded once per call
+    keys = {}   # str key -> its text and the separator after it, encoded once per call
     seen = {}   # (id, indentation) of a list of dicts -> its slice of out, then its text
 
     def value(o, nl):
-        # plain ints, strs, dicts and lists, nearly every value of a document,
-        # are dispatched on their exact type; the rest in json's order
         t = type(o)
         if t is int:
             put(_int_text(o))
@@ -293,22 +267,8 @@ def _json_text(doc) -> str:
             obj(o, nl)
         elif t is list:
             array(o, nl)
-        elif isinstance(o, str):
-            put(_str_text(o))
-        elif o is None:
-            put("null")
-        elif o is True:
-            put("true")
-        elif o is False:
-            put("false")
-        elif isinstance(o, int):
-            put(_int_text(o))
-        elif isinstance(o, float):
-            put(_float_text(o))
-        elif isinstance(o, (list, tuple)):
-            array(o, nl)
-        elif isinstance(o, dict):
-            obj(o, nl)
+        elif t is bool:
+            put("true" if o else "false")
         else:
             raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
 
@@ -343,10 +303,12 @@ def _json_text(doc) -> str:
         for k, v in o.items():
             put(sep)
             sep = comma
-            if type(k) is str:
-                put(keys.get(k) or keys.setdefault(k, _key_text(k)))
-            else:
-                put(_key_text(k))
+            text = keys.get(k)
+            if text is None:
+                if type(k) is not str:
+                    raise TypeError(f"keys must be str, not {k.__class__.__name__}")
+                text = keys[k] = _str_text(k) + ": "
+            put(text)
             value(v, inner)
         put(nl + "}")
 
@@ -371,10 +333,8 @@ def loads(text: str):
 # LaTeX
 
 
-_VAR_TEX = {
-    "lam": r"\lambda", "mu": r"\mu", "nu": r"\nu", "d": r"\partial",
-    "x1": "x_1", "x2": "x_2", "x3": "x_3", "x4": "x_4",
-}
+# the variables of a table entry, which LambdaStructure holds to lam and d
+_VAR_TEX = {"lam": r"\lambda", "d": r"\partial"}
 # (field shift in a packed monomial, LaTeX) of each variable, in name order
 _TEX_FIELDS = tuple((_VAR_SHIFT[v], _VAR_TEX[v]) for v in sorted(_VAR_TEX))
 
@@ -406,6 +366,7 @@ def _factor(cs: str) -> str:
 
 
 def poly_tex(p: MultiPoly) -> str:
+    """The LaTeX of a table entry, a polynomial in lam and d."""
     if p.is_zero():
         return "0"
     parts = []

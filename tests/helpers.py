@@ -6,7 +6,7 @@ from confcoalg import conformal, families
 from confcoalg.conformal import ConformalElement
 from confcoalg.poly import (
     ALPHABET, MultiPoly, ONE, Scalar, X1, X2, _GUARD, _MAXEXP, _VAR_SHIFT, _sort_key,
-    common_denominator, pack_vector, unpack_vector,
+    accumulate, common_denominator, pack_vector, unpack_vector,
 )
 
 
@@ -104,6 +104,17 @@ def parity_keeping_targets(S):
 def dual_entry(p: MultiPoly) -> MultiPoly:
     """Q(x1, x2) = P(x1, -x1-x2) for a table entry P(lam, d), through MultiPoly."""
     return p.permute_vars({"lam": "x1"}).subst_general("d", -X1 - X2)
+
+
+def apply_map(M, coords):
+    """The image of coords (source index -> polynomial) under the ModuleMap M,
+    as target index -> polynomial with no zero entry: the kernel tests' check."""
+    out = {}
+    for (ti, si), p in M.entries.items():
+        c = coords.get(si)
+        if c is not None:
+            accumulate(out, ti, p * c)
+    return out
 
 
 def pair_element(S, i: int, j: int, svar: str) -> ConformalElement:

@@ -376,12 +376,13 @@ def test_crosscheck_of_imported_table_is_a_usage_error(tmp_path, capsys):
     assert "--family" in err
 
 
-@pytest.mark.parametrize("flags", [("--family", "vir"), ("--n", "5"), ("--b", "1")],
-                         ids=["family", "n", "b"])
+@pytest.mark.parametrize("flags", [("--family", "vir"), ("--n", "5"), ("--b", "1"),
+                                   ("--allow-large",)],
+                         ids=["family", "n", "b", "allow-large"])
 @pytest.mark.parametrize("command", ["verify", "dualize"])
 def test_imported_table_takes_no_family_n_or_b(command, flags, tmp_path, capsys):
-    """--in names the whole table, so a --family, --n or --b next to it is a
-    usage error rather than dropped."""
+    """--in names the whole table, so a --family, --n, --b or --allow-large
+    next to it is a usage error rather than dropped."""
     table = tmp_path / "k2.json"
     table.write_text(serialize.dumps(families.make_K(2)))
     code, out, err = run(capsys, command, "--in", str(table), *flags)

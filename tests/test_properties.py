@@ -63,7 +63,7 @@ from confcoalg.poly import (  # noqa: E402
 )
 
 from helpers import (  # noqa: E402
-    dual_entry, element_pairs, element_reader, parity_keeping_targets, repr_oracle,
+    apply_map, dual_entry, element_pairs, element_reader, parity_keeping_targets, repr_oracle,
 )
 from test_kernels import (  # noqa: E402
     _bracket_loop, _canonicalize_CK6_oracle, _canonicalize_S_oracle, _co_oracle,
@@ -390,7 +390,7 @@ def module_maps(draw):
 @given(module_maps())
 def test_kernel_basis_matches_oracle_on_random_maps(M):
     basis = kernel_basis(M)
-    assert all(M.apply(v) == {} for v in basis)
+    assert all(apply_map(M, v) == {} for v in basis)
     assert [list(v.items()) for v in basis] == [list(v.items()) for v in _kernel_basis_oracle(M)]
 
 
@@ -474,32 +474,31 @@ def test_vector_text_is_repr_of_the_unpacked_vector(residual):
 
 # -- JSON: the writer, the round trip of both document types, the coefficient reader
 
+# document values: str keys, bool, int and str leaves, list and dict containers
 _json_leaves = st.one_of(
-    st.none(), st.booleans(), st.integers(), st.integers(-2 ** 200, 2 ** 200),
-    st.floats(allow_nan=True, allow_infinity=True),
+    st.booleans(), st.integers(), st.integers(-2 ** 200, 2 ** 200),
     # non-ASCII, control and lone surrogate characters
     st.text(st.characters(exclude_categories=()), max_size=6),
 )
-_json_keys = st.one_of(st.text(st.characters(exclude_categories=()), max_size=4),
-                       st.integers(-3, 3), st.floats(), st.booleans(), st.none())
+_json_keys = st.text(st.characters(exclude_categories=()), max_size=4)
 
 
 def _json_containers(children):
-    return st.one_of(st.lists(children, max_size=4), st.lists(children, max_size=3).map(tuple),
+    return st.one_of(st.lists(children, max_size=4),
                      st.dictionaries(_json_keys, children, max_size=4))
 
 
 @given(st.recursive(_json_leaves, _json_containers, max_leaves=25))
-@example([float("nan"), float("inf"), -float("inf"), -0.0, {}, [], (), "\u00e9\x00\ud800"])
-@example({float("nan"): float("inf"), -float("inf"): 1, True: False, None: 2, 3: None})
+@example([True, False, 0, -2 ** 70, {}, [], "", "\u00e9\x00\ud800"])
+@example({"\u00e9": {}, "": [[]], "\ud800": {"\x00": True}})
 def test_json_writer_is_json_dumps_indent_2(x):
     assert serialize._json_text(x) == json.dumps(x, indent=2)
 
 
 @st.composite
 def _docs_with_shared_lists(draw):
-    """A JSON value holding one list of dicts, and one list nested in it, at
-    random places and depths."""
+    """A document value holding one list of dicts, and one list nested in
+    it, at random places and depths."""
     dicts = st.dictionaries(_json_keys, _json_leaves, max_size=3)
     inner = draw(st.lists(dicts, min_size=1, max_size=3))
     shared = draw(st.lists(st.one_of(dicts, st.just(inner)), min_size=1, max_size=3))
@@ -511,7 +510,7 @@ _POLY = [{"coeff": [1, 2, 0, 1], "exps": {"lam": 1}}, {"coeff": [-1, 1, 3, 1], "
 
 
 @given(_docs_with_shared_lists())
-@example({"a": [_POLY, {"b": _POLY}], "c": _POLY, "d": [[_POLY], (_POLY,)], "e": _POLY})
+@example({"a": [_POLY, {"b": _POLY}], "c": _POLY, "d": [[_POLY], [_POLY]], "e": _POLY})
 def test_json_writer_on_shared_lists(doc):
     """A list of dicts met at several places and depths, as the "poly" lists
     that the terms of a document share, is written as json.dumps writes
@@ -519,21 +518,26 @@ def test_json_writer_on_shared_lists(doc):
     assert serialize._json_text(doc) == json.dumps(doc, indent=2)
 
 
-_unsupported = st.sampled_from([b"x", 1j, {1, 2}, Fraction(1, 2), Scalar(1), object()])
+_OTHER_KEYS = [1, 1.5, True, None]
 
 
-@given(st.recursive(_unsupported, _json_containers, max_leaves=6),
-       st.recursive(_json_leaves, _json_containers, max_leaves=6))
-def test_json_writer_refuses_what_json_refuses(bad, good):
-    for x in (bad, [good, bad], {"k": [good, {(1,): good}]}):
-        try:
-            expected = json.dumps(x, indent=2)
-        except TypeError as e:
-            with pytest.raises(TypeError) as got:
-                serialize._json_text(x)
-            assert str(got.value) == str(e)
-        else:   # an empty container holds nothing to refuse
-            assert serialize._json_text(x) == expected
+@pytest.mark.parametrize(
+    "bad",
+    [1.5, float("nan"), float("inf"), None, (1,), b"x", 1j, {1}, Fraction(1, 2), Scalar(1)]
+    + [{k: 1} for k in _OTHER_KEYS],
+    ids=["float", "nan", "inf", "None", "tuple", "bytes", "complex", "set", "Fraction",
+         "Scalar"] + [f"{type(k).__name__}-key" for k in _OTHER_KEYS])
+def test_json_writer_refuses_all_but_document_values(bad):
+    """Any value but a dict, list, str, int or bool, and any key but a str,
+    raises a TypeError at any depth, a key also after str keys were met."""
+    if type(bad) is dict:
+        message = f"keys must be str, not {type(next(iter(bad))).__name__}"
+    else:
+        message = f"Object of type {type(bad).__name__} is not JSON serializable"
+    for x in (bad, [1, "s", bad], {"k": [True, {"k": bad}]}):
+        with pytest.raises(TypeError) as got:
+            serialize._json_text(x)
+        assert str(got.value) == message
 
 
 def _same_table(a, b):
