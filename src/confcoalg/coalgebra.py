@@ -27,7 +27,6 @@ check_jordan_coalgebra puts on the kernel's rows as it writes them.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .conformal import (
@@ -36,7 +35,7 @@ from .conformal import (
 )
 from .poly import (
     D, LAM, MultiPoly, P_ONE, P_ZERO, _COMPONENT_SHIFT, _MAXEXP, _MONO_MASK, _VAR_SHIFT,
-    accumulate, unpack_vector, vector_text,
+    accumulate, vector_text,
 )
 
 _X = ("x1", "x2", "x3", "x4")
@@ -47,23 +46,14 @@ _NOT_SLOT = _MONO_MASK & ~(_MAXEXP << _VAR_SHIFT["x1"] | _MAXEXP << _VAR_SHIFT["
 class Coproduct(Table):
     """Coproduct table of a differential (super)coalgebra on a dual basis.
 
-    conformal.Table holds its kind, name, generators and their index, rank
-    and parity; this class adds the rows, their validation and packed form.
-
-    table[k] is delta(a_k^*) as its list of (i, j, Q^{ij}_k), each (i, j)
-    once: the constructor merges the rows it is given by (i, j), in order of
-    first occurrence, and drops every pair whose sum is zero, so two
-    coproducts with the same sums have the same table and the same document.
-    A pair given once keeps its MultiPoly object.  Each pair is checked for
-    parity, and each distinct polynomial object once for its variables, at
-    its first pair.
-
-    Treat it and its polynomials as values, as a LambdaStructure: the checks
-    read a packed form and its flip residual (Table.flip_residual), each built
-    on first read, so an entry changed in place after a check leaves later
-    verdicts on the old table, and dualize gives the entries of one value
-    one object, so such a change reaches all of them.  To change an entry,
-    build a new Coproduct, or change the table with with_entry and dualize it."""
+    conformal.Table holds its generators and stored form; this class adds
+    the validation of the rows it is given and their view, table[k] =
+    delta(a_k^*) as its list of (i, j, Q^{ij}_k), each (i, j) once, for
+    every k.  The constructor merges the rows it is given by (i, j), in
+    order of first occurrence, and drops every pair whose sum is zero, so
+    two coproducts with the same sums have the same table and the same
+    document.  Each pair is checked for parity, and each distinct
+    polynomial object once for its variables, at its first pair."""
 
     def __init__(
         self,
@@ -75,11 +65,11 @@ class Coproduct(Table):
         super().__init__(kind, generators, name)
         g = self.generators
         n = len(g)
-        par = dict(enumerate(gen.parity for gen in g))
+        par = dict(enumerate(self.parities))
         if not table.keys() <= par.keys():
             stray = next(k for k in table if k not in par)
             raise StructureError(f"delta row {stray!r} is not a generator index in range({n})")
-        self.table = {}
+        entries = []
         checked = set()     # the ids of the polynomials whose variables passed
         for k in range(n):
             merged: Dict[Tuple[int, int], MultiPoly] = {}
@@ -95,6 +85,7 @@ class Coproduct(Table):
                         f"delta({g[k].id}) names the pair ({i}, {j}), not in range({n})") from None
                 if odd != par[k]:
                     raise StructureError(f"parity violation in delta({g[k].id})")
+                entries.append((i, j, k, q))
                 if id(q) in checked:
                     continue
                 for key in q.terms:
@@ -105,14 +96,16 @@ class Coproduct(Table):
                             "coproduct entries may only use x1 and x2"
                         )
                 checked.add(id(q))
-            self.table[k] = [(i, j, q) for (i, j), q in merged.items()]
+        self.packed = _packed(entries)
 
-    @cached_property
-    def packed(self):
-        """The table packed by conformal._packed, entries (i, j, k, Q^{ij}_k),
-        built on first read (or set by dualize) and kept: the table is read
-        as a value."""
-        return _packed((i, j, k, q) for k, row in self.table.items() for i, j, q in row)
+    def _unslotted(self, vec: dict) -> dict:
+        return vec      # the rows are in the slot variables too
+
+    def _rows(self, slots, values) -> dict:
+        rows = {k: [] for k in range(self.rank)}
+        for i, j, k, e in slots:
+            rows[k].append((i, j, values[e]))
+        return rows
 
 
 def dual_generators(gens: Sequence[Generator]) -> List[Generator]:
@@ -123,26 +116,17 @@ def dual_generators(gens: Sequence[Generator]) -> List[Generator]:
 def dualize(S: LambdaStructure) -> Coproduct:
     """The coproduct on the dual basis: Q^{ij}_k(x, y) = P^{ij}_k(x, -x-y).
 
-    S.packed already holds the table as Q, so dualize renames nothing: it
-    unpacks each distinct vector of S.packed once into one MultiPoly, which
-    every entry of that value shares, as a table's entries do; no object is
-    shared with S or with another dualize call.  S has one entry per
-    (i, j, k) and none zero, so the Coproduct's merge keeps the rows and
-    their objects, and the same vectors, regrouped by k, are its packed form
-    as _packed builds it.
+    S's stored form already holds the table as Q, so dualize relabels it
+    and builds no rows: the coproduct stores S's L and vectors, with S's
+    slots stably regrouped by k, as its rows list them.  It skips the
+    Coproduct constructor, which would find nothing to merge or refuse: S
+    has one entry per (i, j, k), none zero, checked for parity additivity,
+    and its stored form uses only x1 and x2.
     """
     L, (vecs, slots) = S.packed
-    index: Dict[int, int] = {}      # e -> its place in order of first occurrence
-    # the slots grouped by k, in table order within each k, as the rows list them
-    slots = [(i, j, k, index.setdefault(e, len(index)))
-             for i, j, k, e in sorted(slots, key=lambda slot: slot[2])]
-    vecs = [vecs[e] for e in index]
-    duals = [unpack_vector(vec, L)[0] for vec in vecs]
-    table: Dict[int, List[Tuple[int, int, MultiPoly]]] = {}
-    for i, j, k, e in slots:
-        table.setdefault(k, []).append((i, j, duals[e]))
-    cop = Coproduct(S.kind, dual_generators(S.generators), table, name=S.name + "^c")
-    cop.packed = L, (vecs, slots)
+    cop = Coproduct.__new__(Coproduct)
+    Table.__init__(cop, S.kind, dual_generators(S.generators), S.name + "^c")
+    cop.packed = L, (vecs, sorted(slots, key=lambda slot: slot[2]))
     return cop
 
 

@@ -27,7 +27,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from .poly import (
     D, LAM, MU, NU, X1, X2, X3, X4, MultiPoly, P_ONE, Scalar, accumulate, add_product,
     common_denominator, compact_vector, _COMPONENT_SHIFT, _MAXEXP, _MONO_MASK, _VAR_SHIFT, _memo,
-    pack_vector, substitution, vector_text,
+    pack_vector, substitution, unpack_vector, vector_text,
 )
 
 LIE = "lie"
@@ -147,15 +147,27 @@ class ConformalElement:
 
 
 class Table:
-    """The generators of a table, with what both kinds of table read of them:
-    kind (LIE or JORDAN), generators, index (id -> position), rank and
-    parities.  The constructor refuses an unknown kind and repeated ids."""
+    """A table's generators and its one stored form: kind (LIE or JORDAN),
+    generators, index (id -> position), rank, parities and packed, and the
+    rows (table) and flip residual, made from packed on first read and kept.
+
+    packed is (L, (vecs, slots)) as _packed makes it, in the slot variables
+    (see "packed tables"), which the subclass constructors build once from
+    the rows they are given.  Every verdict reads packed, so a row
+    polynomial changed in place never reaches a verdict, on a fresh table or
+    a checked one, though the writers, which read the rows, show it.  Change
+    an entry with with_entry or families.corrupt_entry, which make a new
+    table.  The constructor refuses an unknown kind, repeated ids and a
+    parity other than the int 0 or 1."""
 
     def __init__(self, kind: str, generators: Sequence[Generator], name: str):
         if kind not in (LIE, JORDAN):
             raise StructureError(f"unknown kind {kind!r}")
         self.kind = kind
         self.generators = list(generators)
+        for g in self.generators:
+            if type(g.parity) is not int or g.parity not in (0, 1):
+                raise StructureError(f"parity {g.parity!r} of generator {g.id!r} is not 0 or 1")
         self.parities = tuple(g.parity for g in self.generators)
         self.name = name
         self.index = {g.id: i for i, g in enumerate(self.generators)}
@@ -170,25 +182,26 @@ class Table:
         return self.parities[i]
 
     @cached_property
+    def table(self) -> dict:
+        """The rows, a view of packed: each distinct vector unpacked once in
+        the subclass's variables (_unslotted), so the rows hold one object
+        per distinct value, laid out by the subclass (_rows)."""
+        L, (vecs, slots) = self.packed
+        return self._rows(slots, [unpack_vector(self._unslotted(vec), L)[0] for vec in vecs])
+
+    @cached_property
     def flip_residual(self):
-        """_flip_kernel of the packed table, L times too large; built on first
-        read and kept, as the packed table of each subclass is."""
+        """_flip_kernel of packed, L times too large."""
         return _flip_kernel(self.packed[1], self.parities, self.kind)
 
 
 class LambdaStructure(Table):
     """Structure-constant table of a finite free conformal (super)algebra.
 
-    Table holds its kind, name, generators and their index, rank and parity;
-    this class adds the rows, meta, and their validation and packed forms.
-
-    Treat a table and its polynomials as values: the checks read two cached
-    forms, each built on first read, the packed table (packed) and its skew
-    or commutativity residual (flip_residual), so changing an entry in place
-    after a check leaves later verdicts on the old table.  The constructor
-    keeps one object per distinct entry value, so changing an entry in place
-    changes every entry that shares it.  Change an entry with with_entry or
-    families.corrupt_entry, which make a new table."""
+    Table holds its generators and stored form; this class adds meta, the
+    validation of the rows it is given and their view, table[(i, j)] =
+    [(k, P^{ij}_k)] for every pair in row-major order, each row sorted by k
+    when it was given merged."""
 
     def __init__(
         self,
@@ -202,55 +215,54 @@ class LambdaStructure(Table):
         self.meta = meta or {}
         par = self.parities
         n = len(par)
-        # every pair gets a row, in row-major order; only the rows given with
-        # terms are merged and checked, in that order too
-        self.table = {(i, j): [] for i in range(n) for j in range(n)}
-        if not table.keys() <= self.table.keys():
-            stray = next(key for key in table if key not in self.table)
-            raise StructureError(f"row {stray!r} is not a pair of generator indices in range({n})")
-        # each object is checked once; seen[id(p)] = (p, the first of p's value)
-        seen: Dict[int, tuple] = {}
-        first: Dict[MultiPoly, MultiPoly] = {}
-        for (i, j), row in self.table.items():
-            entries = table.get((i, j))
-            if entries and len(entries) > 1:
+        pairs = range(n)
+        for key in table:
+            if not (isinstance(key, tuple) and len(key) == 2 and key[0] in pairs and key[1] in pairs):
+                raise StructureError(f"row {key!r} is not a pair of generator indices in range({n})")
+        entries = []
+        checked = set()     # the ids of the polynomials whose variables passed
+        # the rows in row-major order, each merged by k if given more than once
+        for i, j in sorted(table):
+            row = table[(i, j)]
+            if row and len(row) > 1:
                 merged: Dict[int, MultiPoly] = {}
-                for k, p in entries:
+                for k, p in row:
                     accumulate(merged, k, p)
-                entries = sorted(merged.items())
-            elif entries and not entries[0][1].terms:
-                entries = None
-            if not entries:
+                row = sorted(merged.items())
+            if not row or not row[0][1].terms:      # a merged row holds no zero
                 continue
-            if entries[0][0] < 0 or entries[-1][0] >= n:
-                stray = entries[0][0] if entries[0][0] < 0 else entries[-1][0]
+            if row[0][0] < 0 or row[-1][0] >= n:
+                stray = row[0][0] if row[0][0] < 0 else row[-1][0]
                 raise StructureError(
                     f"row ({i}, {j}) names generator index {stray}, not in range({n})")
-            for k, p in entries:
+            for k, p in row:
                 # parity additivity, then coefficient-variable discipline
                 if par[k] != (par[i] + par[j]) & 1:
                     raise StructureError(
                         f"parity violation in ({self.generators[i].id},"
                         f"{self.generators[j].id}) -> {self.generators[k].id}"
                     )
-                hit = seen.get(id(p))
-                if hit is None:
+                if id(p) not in checked:
                     if any(key & _NOT_LAM_D for key in p.terms):
                         bad = p.variables() - {"lam", "d"}
                         raise StructureError(f"table entry uses variables {bad}")
-                    hit = seen[id(p)] = p, first.setdefault(p, p)
-                row.append((k, hit[1]))
+                    checked.add(id(p))
+                entries.append((i, j, k, p))
+        L, (vecs, slots) = _packed(entries)
+        self.packed = L, ([_TO_SLOTS(vec) for vec in vecs], slots)
+
+    def _unslotted(self, vec: dict) -> dict:
+        return _FLIP_BACK(vec)      # P(lam, d) = Q(lam, -lam-d)
+
+    def _rows(self, slots, values) -> dict:
+        n = self.rank
+        rows = {(i, j): [] for i in range(n) for j in range(n)}
+        for i, j, k, e in slots:
+            rows[(i, j)].append((k, values[e]))
+        return rows
 
     def entry(self, i: int, j: int) -> "ConformalElement":
         return ConformalElement({k: p for k, p in self.table[(i, j)]})
-
-    @cached_property
-    def packed(self):
-        """The table packed by _packed as its dual, Q^{ij}_k(x1, x2) = P^{ij}_k(x1,
-        -x1-x2), each distinct P renamed once; built on first read and kept."""
-        entries = ((i, j, k, p) for (i, j), row in self.table.items() for k, p in row)
-        L, (vecs, slots) = _packed(entries)
-        return L, ([_TO_SLOTS(vec) for vec in vecs], slots)
 
     def with_entry(self, i: int, j: int, value: "ConformalElement") -> "LambdaStructure":
         """Copy of the table with one (i, j) entry replaced (negative controls),
@@ -300,8 +312,9 @@ def bracket_pairs(
 
     The same values as bracket(S, x_a, x_b, "lam"), with the work shared:
     the right images q(lam+d) are packed once each, at component b n, and
-    each distinct entry polynomial of S once.  For each generator a_i met on
-    the left, one vector holds sum_j q_bj(lam+d) [a_i lam a_j] for every b,
+    S is read in its stored form, each distinct vector mapped back to P, L
+    times too large, once (_FLIP_BACK).  For each generator a_i met on the
+    left, one vector holds sum_j q_bj(lam+d) [a_i lam a_j] for every b,
     each nonempty [a_i lam a_j] placed at the components k of its entries;
     row a is one product p(-lam) times that vector per term p a_i of x_a.
     The vector of a_i is dropped after the last row that meets it, so a
@@ -312,8 +325,11 @@ def bracket_pairs(
         raise StructureError("left coefficient already uses lam")
     n = S.rank
     Lx = common_denominator(p for x in xs for p in x.terms.values())
-    Ls = common_denominator({id(p): p for row in S.table.values() for _, p in row}.values())
-    packed = _memo(lambda p: pack_vector([(0, p)], Ls))
+    Ls, (vecs, slots) = S.packed
+    backs = [_FLIP_BACK(vec) for vec in vecs]
+    entries: Dict[int, Dict[int, list]] = {}    # i -> j -> [(k, P packed times Ls)]
+    for i, j, k, e in slots:
+        entries.setdefault(i, {}).setdefault(j, []).append((k, backs[e]))
     rights: Dict[int, List[dict]] = {}
     for b, x in enumerate(xs):
         for j, q in x.terms.items():
@@ -327,13 +343,13 @@ def bracket_pairs(
             vec = by_left.get(i)
             if vec is None:
                 vec = {}
-                for j, qrs in rights.items():
-                    entries = S.table[(i, j)]
-                    if entries:
+                for j, pair in entries.get(i, {}).items():
+                    qrs = rights.get(j)
+                    if qrs:
                         row = {}
-                        for k, P in entries:
+                        for k, P in pair:
                             tag = k << _COMPONENT_SHIFT
-                            for key, c in packed(P).items():
+                            for key, c in P.items():
                                 row[key + tag] = c
                         for qr in qrs:
                             add_product(vec, qr, row)
@@ -393,15 +409,15 @@ class Report(Record):
 # -- packed tables ---------------------------------------------------------------
 #
 # A table and its dual coproduct are one object in two coordinate systems,
-# Q^{ij}_k(x1, x2) = P^{ij}_k(x1, -x1-x2), and the kernels work in the second:
-# LambdaStructure.packed renames each distinct entry polynomial into the slot
-# variables once (_TO_SLOTS), Coproduct.packed packs Q as it is, and dualize
-# reuses the table's vectors.  A table has few distinct entry polynomials (K_5
-# has 618 entries and 23 distinct ones), so a packed table holds each once,
-# times the common denominator L of the table (see poly.pack_vector), and
-# every entry names its own.  The packed form and the flip residual
-# (Table.flip_residual) are built once per table, on first read; with_entry
-# makes a new table with its own forms.  Every term of the Jacobi and Jordan
+# Q^{ij}_k(x1, x2) = P^{ij}_k(x1, -x1-x2), and every table stores the second
+# (Table.packed): the LambdaStructure constructor renames each distinct entry
+# polynomial into the slot variables once (_TO_SLOTS), the Coproduct
+# constructor packs Q as it is, and dualize relabels the table's stored form.
+# A table has few distinct entry polynomials (K_5 has 618 entries and 23
+# distinct ones), so the stored form holds each once, times the common
+# denominator L of the table (see poly.pack_vector), and every entry names its
+# own.  The rows (Table.table) and the flip residual are made from it on first
+# read; with_entry makes a new table.  Every term of the Jacobi and Jordan
 # identities on generators is a sparse contraction of renamed copies
 # Q^{ij}_k(x1_img, x2_img), so a residual of degree g is reported divided by
 # L**g.  A copy renames each distinct polynomial once per check call and image

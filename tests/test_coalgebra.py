@@ -231,7 +231,8 @@ def test_coproduct_rejects_stray_variables(var):
 
 def test_coproduct_merges_each_pair_once():
     """Repeated pairs are summed in order of first occurrence, a pair that
-    cancels is dropped, and a pair given once keeps its polynomial object."""
+    cancels is dropped, and a pair given once keeps its value; the rows are
+    a view of the stored form, so they hold the value, not the object."""
     gens = [Generator("a*", 0), Generator("b*", 0)]
     once = X1 - X2
     C = Coproduct("lie", gens, {
@@ -239,16 +240,16 @@ def test_coproduct_merges_each_pair_once():
         1: [(0, 0, X2), (0, 0, -X2)],
     }, name="merged")
     assert C.table == {0: [(0, 1, X1 + X2), (1, 1, once)], 1: []}
-    assert C.table[0][1][2] is once
+    assert C.table[0][1][2] == once and C.table[0][1][2] is not once
     assert serialize.dumps(C) == serialize.dumps(
         Coproduct("lie", gens, {0: [(1, 1, once), (0, 1, X2 + X1)]}, name="merged"))
 
 
 def test_coproduct_checks_each_polynomial_object_once():
-    """A pair given once keeps its object; the variables of each distinct
-    object are checked at its first pair, which names it in the message,
-    when it is shared by several pairs or first met on a later row, and the
-    parity of every pair is checked."""
+    """A pair given once keeps its value, and the rows hold one object per
+    value; the variables of each distinct object are checked at its first
+    pair, which names it in the message, when it is shared by several pairs
+    or first met on a later row, and the parity of every pair is checked."""
     class Scanned(dict):
         """Terms that count how often they are walked."""
         walks = 0
@@ -261,7 +262,7 @@ def test_coproduct_checks_each_polynomial_object_once():
     good, bad = MultiPoly(Scanned((X1 - X2).terms)), X1 - MultiPoly.var("x3")
     C = Coproduct("lie", gens, {0: [(0, 1, good), (1, 0, good)], 1: [(1, 1, good)]}, name="ok")
     assert C.table == {0: [(0, 1, good), (1, 0, good)], 1: [(1, 1, good)], 2: []}
-    assert all(q is good for row in C.table.values() for _, _, q in row)
+    assert len({id(q) for row in C.table.values() for _, _, q in row}) == 1
     assert Scanned.walks == 1
     cases = [
         ({0: [(0, 0, good), (0, 1, bad), (1, 1, bad)]}, r"^delta\(a\*\) @ a\* \(x\) b\* uses x3; "),
@@ -276,7 +277,6 @@ def test_coproduct_checks_each_polynomial_object_once():
     C = Coproduct("lie", gens, {0: [(0, 1, good), (0, 1, good)],
                                 1: [(0, 0, good), (1, 0, MultiPoly.zero())]}, name="merged")
     assert C.table == {0: [(0, 1, 2 * good)], 1: [(0, 0, good)], 2: []}
-    assert C.table[1][0][2] is good
 
 
 def test_coproduct_rejects_out_of_range_indices():
@@ -377,3 +377,67 @@ def test_diff_records_keep_their_dataclass_behaviour():
     for record in (line, rep):
         with pytest.raises(TypeError):
             hash(record)
+
+
+# -- the stored form: one per table, rows as its view, dualize as a relabelling
+
+
+def _family_tables():
+    """Every cli.FAMILIES table at its cap, or its largest allowed or only n,
+    and a corrupt_entry copy of each, whose (a_0, a_0) entry is d a_k for
+    the first generator a_k of even parity."""
+    from confcoalg import cli
+
+    tables = []
+    for name, fd in sorted(cli.FAMILIES.items()):
+        n = (fd.cap if fd.cap is not None else max(fd.allowed_n)) if fd.needs_n else None
+        S = fd.build(n, Scalar(0))
+        g = S.generators
+        even = next(k for k in range(S.rank) if not S.parities[k])
+        tables.append((name, S, fd.tabulated(n) if fd.formula else None))
+        tables.append((name + "?", families.corrupt_entry(S, g[0].id, g[0].id, g[even].id, D), None))
+    return tables
+
+
+@pytest.fixture(scope="module")
+def family_tables():
+    return _family_tables()
+
+
+def _one_object_per_value(polys):
+    first = {}
+    return all(first.setdefault(p, p) is p for p in polys)
+
+
+def test_rows_rebuild_the_stored_form(family_tables):
+    """The rows are a faithful view: a table built from a table's rows stores
+    what it does, a coproduct built from a dual's rows has the dual's rows,
+    and dualize keeps the table's vectors, the very list."""
+    for name, S, _ in family_tables:
+        assert LambdaStructure(S.kind, S.generators, S.table).packed == S.packed, name
+        cop = dualize(S)
+        assert Coproduct(cop.kind, cop.generators, cop.table).table == cop.table, name
+        assert dualize(S).packed[1][0] is S.packed[1][0], name
+
+
+def test_every_view_holds_one_object_per_value(family_tables):
+    """Tables, duals, closed forms and the tables and coproducts that loads
+    reads back each hold one polynomial object per distinct entry value."""
+    for name, S, tabulated in family_tables:
+        cops = [dualize(S), serialize.loads(serialize.dumps(dualize(S)))]
+        cops += [tabulated] if tabulated is not None else []
+        for T in (S, serialize.loads(serialize.dumps(S))):
+            assert _one_object_per_value(p for row in T.table.values() for _, p in row), name
+        for C in cops:
+            assert _one_object_per_value(q for row in C.table.values() for _, _, q in row), name
+
+
+def test_row_views_keep_their_shape(family_tables):
+    """A table's rows are every pair in row-major order and a coproduct's
+    every generator index in order, empty ones included: the writers and
+    the benchmark's input counts read them so."""
+    for name, S, tabulated in family_tables:
+        n = S.rank
+        assert list(S.table) == [(i, j) for i in range(n) for j in range(n)], name
+        for C in [dualize(S)] + ([tabulated] if tabulated is not None else []):
+            assert list(C.table) == list(range(C.rank)), name

@@ -268,3 +268,20 @@ def test_records_copy_and_deepcopy():
         assert clone(g) == g and clone(rep) == rep
     assert copy.copy(rep).violations is rep.violations
     assert copy.deepcopy(rep).violations is not rep.violations
+
+
+@pytest.mark.parametrize("parity", [2, -1, True, "odd"])
+def test_parity_is_the_int_0_or_1(parity):
+    """Both kinds of table refuse a parity other than the int 0 or 1: the
+    constructors would read 2 as even and the kernels as odd."""
+    from confcoalg.coalgebra import Coproduct
+    from confcoalg.families import make_current
+
+    gens = [Generator("a", 0), Generator("b", parity)]
+    message = rf"^parity {parity!r} of generator 'b' is not 0 or 1$"
+    for make in (lambda: LambdaStructure("lie", gens, {}),
+                 lambda: Coproduct("lie", gens, {}),
+                 lambda: make_current(["a", "b"], [0, parity],
+                                      {("b", "b"): [("a", Scalar(1))]})):
+        with pytest.raises(StructureError, match=message):
+            make()

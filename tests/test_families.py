@@ -391,6 +391,30 @@ def test_restricted_constructors_build_one_reader_each(monkeypatch):
         assert built == [ambient]
 
 
+def test_restriction_reads_the_ambient_stored_form(monkeypatch):
+    """bracket_pairs reads its ambient's stored form, never its rows: with
+    every row view refused, the brackets of elements of W_1 equal those
+    bracket takes from the rows, and the restricted families store what they
+    store with the rows readable, so an ambient never builds its rows."""
+    from helpers import element_pairs
+
+    W1 = make_W(1)
+    xs = [E(W1, "1").scale(D + P_ONE) + E(W1, "d1"), E(W1, "xi1"), E(W1, "xi1d1").scale(D * D)]
+    want = {(a, b): bracket(W1, x, y, "lam") for a, x in enumerate(xs) for b, y in enumerate(xs)}
+    makes = {"S_2": lambda: make_S(2), "S~_2": lambda: families.make_S_tilde(2),
+             "S_2,b": lambda: make_S_b(2, Scalar(0, 1)), "K_4'": families.make_K4prime,
+             "CK_6": make_CK6}
+    stored = {name: make().packed for name, make in makes.items()}
+
+    def refuse(self):
+        raise AssertionError("a row view was read")
+
+    monkeypatch.setattr(conformal.Table, "table", property(refuse))
+    assert dict(element_pairs(make_W(1), xs)) == want
+    for name, make in makes.items():
+        assert make().packed == stored[name], name
+
+
 # -- S_{n,b} and S~_n --------------------------------------------------------
 
 

@@ -219,10 +219,10 @@ def test_one_helper_renames_table_entries():
     """conformal._gather is the one function that calls poly.substitution:
     every renamed copy of a packed table, in the kernels and the co-kernels,
     renames each distinct entry polynomial once through it.  The other maps
-    are module constants of conformal that change coordinates:
-    LambdaStructure.packed packs a table as its dual Q(x1, x2) = P(x1,
-    -x1-x2) through one, and the table checks map their residual rows back
-    to the table's variables through the others.  dualize renames nothing,
+    are module constants of conformal that change coordinates: the
+    LambdaStructure constructor packs a table as its dual Q(x1, x2) =
+    P(x1, -x1-x2) through one, and the table checks and rows map back to
+    the table's variables through the others.  dualize renames nothing,
     and no module imports substitution under another name.  poly.tagged,
     which tagged one first factor at a time before renaming a whole slot,
     and conformal._renaming, which also renamed the table's variables, are gone."""
@@ -242,18 +242,24 @@ def test_one_helper_renames_table_entries():
 
 
 def test_each_table_is_packed_once():
-    """conformal._packed has two callers, the cached packed properties of
-    LambdaStructure and Coproduct: every check, dualize and co-kernel reads
-    the table's packed form, and none builds an entry list to pack.
-    _packed_table, which packed the table again on every check call, is gone."""
+    """conformal._packed has two callers, the constructors of LambdaStructure
+    and Coproduct, which set the stored form as a plain attribute: every
+    check, dualize and co-kernel reads it, and none builds an entry list to
+    pack.  Table.table, the rows made from it, is the one row view, and
+    neither subclass defines packed or table.  _packed_table, which packed
+    the table again on every check call, is gone."""
     users = sorted((name, where) for name, tree in _production_sources()
                    for where in _uses(tree, "_packed"))
-    assert users == [("confcoalg.coalgebra", "Coproduct.packed"),
-                     ("confcoalg.conformal", "LambdaStructure.packed")]
+    assert users == [("confcoalg.coalgebra", "Coproduct.__init__"),
+                     ("confcoalg.conformal", "LambdaStructure.__init__")]
     conformal = importlib.import_module("confcoalg.conformal")
     coalgebra = importlib.import_module("confcoalg.coalgebra")
+    assert isinstance(conformal.Table.__dict__["table"], functools.cached_property)
     for cls in (conformal.LambdaStructure, coalgebra.Coproduct):
-        assert isinstance(cls.__dict__["packed"], functools.cached_property), cls
+        assert not {"packed", "table"} & cls.__dict__.keys(), cls
+    K = importlib.import_module("confcoalg.families").make_K(2)
+    for T in (K, coalgebra.dualize(K)):
+        assert "packed" in vars(T) and "table" not in vars(T)
     assert not hasattr(conformal, "_packed_table")
 
 
@@ -377,9 +383,9 @@ def test_residual_text_is_written_from_the_packed_form(monkeypatch):
 
 
 def test_verify_packs_the_table_once_and_not_its_dual(monkeypatch, capsys):
-    """verify --checks coalg,crosscheck calls conformal._packed once, for the
-    table: dualize sets its renamed vectors as the packed form of the
-    Coproduct it builds, which the co-check reads."""
+    """verify --checks coalg,crosscheck calls conformal._packed twice: once
+    when K_3 is built and once when its closed-form coproduct is.  dualize
+    relabels the table's stored form and packs nothing."""
     from confcoalg import coalgebra, conformal
     from confcoalg.cli import main
 
@@ -389,4 +395,7 @@ def test_verify_packs_the_table_once_and_not_its_dual(monkeypatch, capsys):
     monkeypatch.setattr(coalgebra, "_packed", conformal._packed)
     assert main(["verify", "--family", "K", "--n", "3", "--checks", "coalg,crosscheck"]) == 0
     assert capsys.readouterr().out.startswith("coalg[K_3^c]: pass")
+    assert len(calls) == 2
+    calls.clear()
+    coalgebra.dualize(importlib.import_module("confcoalg.families").make_K(3))
     assert len(calls) == 1

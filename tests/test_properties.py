@@ -253,7 +253,7 @@ def test_gathered_slots_and_dual_entries_share_nothing(S):
         del q.terms[_JUNK]
 
 
-# -- the packed form: built once per table, never changed by a check
+# -- the stored form: packed once by the constructor, never changed by a check
 
 def _packed_entries(T):
     """The entries (i, j, k, Q^{ij}_k) of a coproduct, or of the dual of a
@@ -270,23 +270,24 @@ def _unpacked(T):
 
 
 def assert_packed_once(S):
-    """S.packed is built once and still equals a fresh _packed of the dual
-    entries after every check of the default verify set, and S.flip_residual equals
-    the flip residual of a fresh copy of S; dualize(S) sets a packed form
-    equal to a fresh _packed of its rows, and it is still so after its
-    co-check."""
+    """S.packed, set by the constructor, is the same object and still equals
+    a fresh _packed of the dual entries after every check of the default
+    verify set, and S.flip_residual equals the flip residual of a fresh copy
+    of S; dualize(S) keeps S's L and vector list with the slots stably
+    regrouped by k, and its stored form is still so after its co-check."""
     packed = S.packed
     fresh = LambdaStructure(S.kind, S.generators, S.table).flip_residual
     for name in cli.LIE_CHECKS if S.kind == LIE else cli.JORDAN_CHECKS:
         cli.CHECKS[name](S, lambda: dualize(S))
         assert S.packed is packed and packed == _packed(_packed_entries(S)), name
         assert S.flip_residual == fresh, name
+    L, (vecs, slots) = packed
     cop = dualize(S)
-    # dualize sets its renamed vectors as the packed form
-    assert "packed" in vars(cop) and cop.packed == _packed(_packed_entries(cop))
-    packed = cop.packed
+    stored = cop.packed
+    assert stored == (L, (vecs, sorted(slots, key=lambda slot: slot[2]))) and stored[1][0] is vecs
     (check_lie_coalgebra if S.kind == LIE else check_jordan_coalgebra)(cop)
-    assert cop.packed is packed and packed == _packed(_packed_entries(cop))
+    assert cop.packed is stored and packed == _packed(_packed_entries(S))
+    assert stored[1][1] == sorted(slots, key=lambda slot: slot[2])
     assert _unpacked(cop) == {(i, j, k): q for i, j, k, q in _packed_entries(cop)}
 
 
