@@ -11,10 +11,12 @@ maps, from ``families`` (``w_generators``, ``k_generators``,
 ``jn_generators``, ``jck4_generators``), and every dual is named, in LaTeX
 too, as ``coalgebra.dual_generators`` names the duals of ``dualize``.
 Each emitter works out every dual symbol once per call (``_Builder.add_xi``)
-and then addresses generators by index, and it makes each coefficient
-polynomial (c, c x1, c x2, or a sum of these) once per call for all the
-entries that have it (``_Builder.poly``).  Nothing is kept between calls:
-two calls share no polynomial.
+and then addresses generators by index.  Every coefficient of the lists is
+c + a x1 + b x2: ``_Builder.put`` adds the exact triple (c, a, b) of each
+term into one sum per (k, i, j), and ``_Builder.done`` makes one polynomial
+per distinct nonzero sum, so the ``Coproduct`` is given one entry per pair
+and one object per value.  Nothing is kept between calls: two calls share
+no polynomial.
 
 Dual-symbol conventions used while transcribing:
 
@@ -60,11 +62,18 @@ from .families import (
     w_generators,
 )
 from .grassmann import alpha_mask, eps_mask, members
-from .poly import MultiPoly, Scalar, X1, X2
+from .poly import MultiPoly, Scalar
 
 
 class _Builder:
-    """The coproduct of one emitter call, its entries added by generator index."""
+    """The coproduct of one emitter call, its entries added by generator index.
+
+    Every coefficient of the lists is c + a x1 + b x2, so put adds the exact
+    triple (c, a, b) of each term into one sum per (k, i, j), in order of
+    first occurrence, and drops a pair whose sum is zero, as Coproduct's
+    merge does.  done makes one MultiPoly per distinct value of the sums,
+    and the Coproduct it returns is given one entry per pair and one object
+    per value."""
 
     def __init__(self, kind: str, prim: Sequence[Generator], name: str,
                  xi: Optional[Dict[int, int]] = None):
@@ -73,17 +82,25 @@ class _Builder:
         self.xi = xi   # mask m -> the index of xi_m*, for add_xi
         self.kind = kind
         self.name = name
-        self.table: Dict[int, List[Tuple[int, int, MultiPoly]]] = {}
-        self._polys: Dict[tuple, MultiPoly] = {}
+        self.sums: Dict[int, Dict[Tuple[int, int], tuple]] = {}
         self._syms: Dict[Tuple[int, ...], tuple] = {}
 
-    def put(self, k: int, i: int, j: int, p: MultiPoly):
-        """delta(a_k*) gets the term p a_i* (x) a_j*; Coproduct merges the terms."""
-        self.table.setdefault(k, []).append((i, j, p))
+    def put(self, k: int, i: int, j: int, c=0, x1=0, x2=0):
+        """delta(a_k*) gets the term (c + x1 X1 + x2 X2) a_i* (x) a_j*; the
+        parts are ints and Fractions, or Scalars (CK_6), one kind per pair."""
+        row = self.sums.get(k)
+        if row is None:
+            row = self.sums[k] = {}
+        s = row.get((i, j))
+        s = (c, x1, x2) if s is None else (s[0] + c, s[1] + x1, s[2] + x2)
+        if s[0] or s[1] or s[2]:
+            row[(i, j)] = s
+        else:
+            row.pop((i, j), None)
 
-    def add(self, k: str, i: str, j: str, p: MultiPoly):
+    def add(self, k: str, i: str, j: str, c=0, x1=0, x2=0):
         """put, with the generators given by primal name."""
-        self.put(self.at[k], self.at[i], self.at[j], p)
+        self.put(self.at[k], self.at[i], self.at[j], c, x1, x2)
 
     def _xi_sym(self, t: Tuple[int, ...]) -> tuple:
         """The xi dual symbol of an index tuple t in any order as (sign,
@@ -98,7 +115,7 @@ class _Builder:
     def add_xi(self, k: Tuple[int, ...], coeff, left: Tuple[int, ...], right: Tuple[int, ...]):
         """delta(xi_k*) gets the term coeff xi_left* (x) xi_right*, the xi
         symbols signed as _xi_sym resolves them and coeff a triple (c, x1, x2)
-        of poly; no term when an index of left or right repeats."""
+        of put; no term when an index of left or right repeats."""
         sl = self._xi_sym(left)
         if not sl:
             return
@@ -107,19 +124,24 @@ class _Builder:
             return
         sk = self._xi_sym(k)
         s = sl[0] * sr[0] * sk[0]
-        self.put(sk[1], sl[1], sr[1], self.poly(*(s * a for a in coeff)))
-
-    def poly(self, c=0, x1=0, x2=0) -> MultiPoly:
-        """c + x1 X1 + x2 X2, made once per call for each (c, x1, x2)."""
-        key = (c, x1, x2)
-        p = self._polys.get(key)
-        if p is None:
-            p = self._polys[key] = (MultiPoly.const(c) + MultiPoly.var("x1", 1, x1)
-                                    + MultiPoly.var("x2", 1, x2))
-        return p
+        c, x1, x2 = coeff
+        self.put(sk[1], sl[1], sr[1], s * c, s * x1, s * x2)
 
     def done(self) -> Coproduct:
-        return Coproduct(self.kind, self.gens, self.table, self.name)
+        polys: Dict[tuple, MultiPoly] = {}       # a sum -> its polynomial
+        values: Dict[MultiPoly, MultiPoly] = {}   # sums of 1 and of Scalar(1) share one
+        table = {}
+        while self.sums:    # popped row by row: the sums and the table are never held whole at once
+            k, row = self.sums.popitem()
+            entries = table[k] = []
+            for (i, j), s in row.items():
+                p = polys.get(s)
+                if p is None:
+                    c, x1, x2 = s
+                    p = MultiPoly.const(c) + MultiPoly.var("x1", 1, x1) + MultiPoly.var("x2", 1, x2)
+                    p = polys[s] = values.setdefault(p, p)
+                entries.append((i, j, p))
+        return Coproduct(self.kind, self.gens, table, self.name)
 
 
 # coefficient triples (c, x1, x2) of the hand-written lists: c, c x1, c x2
@@ -155,7 +177,7 @@ def _deg(m: int) -> int:
 def coproduct_vir() -> Coproduct:
     """delta(L*) = d L* (x) L* - L* (x) d L*."""
     b = _Builder(LIE, [Generator("L", 0, "L")], "Vir^c[formula]")
-    b.add("L", "L", "L", X1 - X2)
+    b.add("L", "L", "L", x1=1, x2=-1)
     return b.done()
 
 
@@ -165,7 +187,7 @@ def coproduct_cur_sl2() -> Coproduct:
     b = _Builder(LIE, [Generator(nm, p) for nm, p in zip(names, pars)], "Cur(sl2)^c[formula]")
     for (u, v), terms in prods.items():
         for w, c in terms:
-            b.add(w, u, v, b.poly(c))
+            b.add(w, u, v, c)
     return b.done()
 
 
@@ -187,12 +209,12 @@ def coproduct_W(n: int) -> Coproduct:
             a = alpha_mask(I, J)
             c = _sgn(a)
             kosz = _sgn(_deg(I) * _deg(J))
-            b.put(Kw[0], w[I][0], w[J][0], b.poly(x2=c))
-            b.put(Kw[0], w[J][0], w[I][0], b.poly(x1=-c * kosz))
+            b.put(Kw[0], w[I][0], w[J][0], x2=c)
+            b.put(Kw[0], w[J][0], w[I][0], x1=-c * kosz)
             for k in range(1, n + 1):
                 kosz2 = _sgn(_deg(I) * (_deg(J) + 1))
-                b.put(Kw[k], w[I][0], w[J][k], b.poly(x2=c))
-                b.put(Kw[k], w[J][k], w[I][0], b.poly(x1=-c * kosz2))
+                b.put(Kw[k], w[I][0], w[J][k], x2=c)
+                b.put(Kw[k], w[J][k], w[I][0], x1=-c * kosz2)
         # triples (I, J, i): i in J, I cap (J - i) = empty, ord(I, J - i) = K
         for I in _submasks(K):
             Jm = K & ~I
@@ -203,14 +225,13 @@ def coproduct_W(n: int) -> Coproduct:
                     continue
                 J = Jm | _mask_of(i)
                 c = _sgn(eps_mask(i, J) + alpha_mask(I, Jm))
-                cf = b.poly(c)
                 kosz = _sgn(_deg(J) * (_deg(I) + 1))
-                b.put(Kw[0], w[I][i], w[J][0], cf)
-                b.put(Kw[0], w[J][0], w[I][i], b.poly(-c * kosz))
+                b.put(Kw[0], w[I][i], w[J][0], c)
+                b.put(Kw[0], w[J][0], w[I][i], -c * kosz)
                 for k in range(1, n + 1):
                     kosz2 = _sgn((_deg(I) + 1) * (_deg(J) + 1))
-                    b.put(Kw[k], w[I][i], w[J][k], cf)
-                    b.put(Kw[k], w[J][k], w[I][i], b.poly(-c * kosz2))
+                    b.put(Kw[k], w[I][i], w[J][k], c)
+                    b.put(Kw[k], w[J][k], w[I][i], -c * kosz2)
     return b.done()
 
 
@@ -233,8 +254,8 @@ def coproduct_K(n: int) -> Coproduct:
             J = K & ~I
             c = _sgn(alpha_mask(I, J)) * (_deg(J) - 2)
             kosz = _sgn(_deg(I) * _deg(J))
-            b.put(Kx, xi[I], xi[J], b.poly(x1=c))
-            b.put(Kx, xi[J], xi[I], b.poly(x2=-c * kosz))
+            b.put(Kx, xi[I], xi[J], x1=c)
+            b.put(Kx, xi[J], xi[I], x2=-c * kosz)
         for Ip in _submasks(K):
             Jp = K & ~Ip
             for i in range(1, n + 1):
@@ -248,7 +269,7 @@ def coproduct_K(n: int) -> Coproduct:
                     + eps_mask(i, J)
                     + alpha_mask(Ip, Jp)
                 )
-                b.put(Kx, xi[I], xi[J], b.poly(_sgn(e)))
+                b.put(Kx, xi[I], xi[J], _sgn(e))
     return b.done()
 
 
@@ -460,8 +481,8 @@ def coproduct_K4prime() -> Coproduct:
         add(K, _x2(sg), (mm,), dxistar)
         add(K, _x1(-sg), dxistar, (mm,))
     # delta((d xi_star)*)
-    b.add("dxistar", "dxistar", "1", b.poly(x1=-2))
-    b.add("dxistar", "1", "dxistar", b.poly(x2=2))
+    b.add("dxistar", "dxistar", "1", x1=-2)
+    b.add("dxistar", "1", "dxistar", x2=2)
     for i in range(1, 5):
         ic = tuple(sorted(set(range(1, 5)) - {i}))
         sg = -_sgn(i - 1)
@@ -542,8 +563,8 @@ def coproduct_S(n: int) -> Coproduct:
             kosz = _sgn(dI * dJ)
             # sum 1
             c = al * (n - dJ)
-            b.put(Kn, B(I), B(J), b.poly(x1=c))
-            b.put(Kn, B(J), B(I), b.poly(x2=-c * kosz))
+            b.put(Kn, B(I), B(J), x1=c)
+            b.put(Kn, B(J), B(I), x2=-c * kosz)
             # sums 3 and 4 over consecutive pairs of I^c
             comp = comp_members(I)
             for r in range(len(comp) - 1):
@@ -559,8 +580,8 @@ def coproduct_S(n: int) -> Coproduct:
                     cc = -cc
                 a2 = A2(I, ir, ir1)
                 kosz2 = _sgn(dI * dJ)
-                b.put(Kn, a2, B(J), b.poly(cc))
-                b.put(Kn, B(J), a2, b.poly(-cc * kosz2))
+                b.put(Kn, a2, B(J), cc)
+                b.put(Kn, B(J), a2, -cc * kosz2)
         # sum 2: i in J, i not in I
         for I in _submasks(K):
             Jm = K & ~I
@@ -575,8 +596,8 @@ def coproduct_S(n: int) -> Coproduct:
                 assert den != 0
                 c = Fraction(dJ - n, den) * _sgn(eps_mask(i, J) + alpha_mask(I, Jm))
                 kosz = _sgn((dI + 1) * dJ)
-                b.put(Kn, A(I, i), B(J), b.poly(c))
-                b.put(Kn, B(J), A(I, i), b.poly(-c * kosz))
+                b.put(Kn, A(I, i), B(J), c)
+                b.put(Kn, B(J), A(I, i), -c * kosz)
 
     # ---- delta(A_{K,k}*) ----
     for K in _masks(n):
@@ -592,17 +613,17 @@ def coproduct_S(n: int) -> Coproduct:
                 kosz = _sgn(dI * (dJ + 1))
                 if r + 1 < len(compI):
                     a2 = A2(I, k, compI[r + 1])
-                    b.put(Kn, a2, A(J, k), b.poly(-al))
-                    b.put(Kn, A(J, k), a2, b.poly(al * kosz))
+                    b.put(Kn, a2, A(J, k), -al)
+                    b.put(Kn, A(J, k), a2, al * kosz)
                 if r > 0:
                     a2 = A2(I, compI[r - 1], k)
-                    b.put(Kn, a2, A(J, k), b.poly(al))
-                    b.put(Kn, A(J, k), a2, b.poly(-al * kosz))
+                    b.put(Kn, a2, A(J, k), al)
+                    b.put(Kn, A(J, k), a2, -al * kosz)
                 # sum 3: B-paired terms
                 c = al * _sgn(dJ)
                 kosz3 = _sgn((dI + 1) * dJ)
-                b.put(Kn, A(I, k), B(J), b.poly(x1=c * (n - dJ), x2=c * (dI - 1)))
-                b.put(Kn, B(J), A(I, k), b.poly(x1=-kosz3 * c * (dI - 1), x2=-kosz3 * c * (n - dJ)))
+                b.put(Kn, A(I, k), B(J), x1=c * (n - dJ), x2=c * (dI - 1))
+                b.put(Kn, B(J), A(I, k), x1=-kosz3 * c * (dI - 1), x2=-kosz3 * c * (n - dJ))
             # sum 2: i in J, i not in I, i != k
             for I in _submasks(K):
                 Jm = K & ~I
@@ -613,8 +634,8 @@ def coproduct_S(n: int) -> Coproduct:
                     dI, dJ = _deg(I), _deg(J)
                     c = _sgn(eps_mask(i, J) + alpha_mask(I, Jm))
                     kosz = _sgn((dI + 1) * (dJ + 1))
-                    b.put(Kn, A(I, i), A(J, k), b.poly(c))
-                    b.put(Kn, A(J, k), A(I, i), b.poly(-c * kosz))
+                    b.put(Kn, A(I, i), A(J, k), c)
+                    b.put(Kn, A(J, k), A(I, i), -c * kosz)
 
     # ---- delta(A_{K,i_k,i_{k+1}}*) ----
     for K in _masks(n):
@@ -636,8 +657,8 @@ def coproduct_S(n: int) -> Coproduct:
                     sg, p, q = sym
                     c = sg * _sgn(eps_mask(l, I) + 1 + dI + dJ + alpha_mask(Ip, J))
                     kosz = _sgn(dI * (dJ + 1))
-                    b.put(Kn, A2(I, p, q), A(J, l), b.poly(c))
-                    b.put(Kn, A(J, l), A2(I, p, q), b.poly(-c * kosz))
+                    b.put(Kn, A2(I, p, q), A(J, l), c)
+                    b.put(Kn, A(J, l), A2(I, p, q), -c * kosz)
             # sum 2: i in J \ I, j in I \ J
             for Ip in _submasks(K):
                 Jp = K & ~Ip
@@ -658,8 +679,8 @@ def coproduct_S(n: int) -> Coproduct:
                             + dI + dJ + alpha_mask(Ip, Jp)
                         )
                         kosz = _sgn((dI + 1) * (dJ + 1))
-                        b.put(Kn, A(I, i), A(J, j), b.poly(c))
-                        b.put(Kn, A(J, j), A(I, i), b.poly(-c * kosz))
+                        b.put(Kn, A(I, i), A(J, j), c)
+                        b.put(Kn, A(J, j), A(I, i), -c * kosz)
             # sum 3: i in J, I cap J = empty, inner sum over j
             for I in _submasks(K):
                 Jm = K & ~I
@@ -677,8 +698,8 @@ def coproduct_S(n: int) -> Coproduct:
                         continue
                     c = Fraction(ev, den) * _sgn(eps_mask(i, J) + alpha_mask(I, Jm))
                     kosz = _sgn((dI + 1) * dJ)
-                    b.put(Kn, A(I, i), B(J), b.poly(x1=c * (dJ - n), x2=c * (1 - dI)))
-                    b.put(Kn, B(J), A(I, i), b.poly(x1=-kosz * c * (1 - dI), x2=-kosz * c * (dJ - n)))
+                    b.put(Kn, A(I, i), B(J), x1=c * (dJ - n), x2=c * (1 - dI))
+                    b.put(Kn, B(J), A(I, i), x1=-kosz * c * (1 - dI), x2=-kosz * c * (dJ - n))
             # sums 4, 5, 6: B-paired terms over disjoint (I, J) with ord = K
             for I in _submasks(K):
                 J = K & ~I
@@ -689,8 +710,8 @@ def coproduct_S(n: int) -> Coproduct:
                 if sym is not None:
                     sg, p, q = sym
                     c = al * sg
-                    b.put(Kn, A2(I, p, q), B(J), b.poly(x1=c * (n - dJ), x2=c * dI))
-                    b.put(Kn, B(J), A2(I, p, q), b.poly(x1=-kosz * c * dI, x2=-kosz * c * (n - dJ)))
+                    b.put(Kn, A2(I, p, q), B(J), x1=c * (n - dJ), x2=c * dI)
+                    b.put(Kn, B(J), A2(I, p, q), x1=-kosz * c * dI, x2=-kosz * c * (n - dJ))
                 compI = comp_members(I)
                 for r in range(len(compI) - 1):
                     jr, jr1 = compI[r], compI[r + 1]
@@ -710,8 +731,8 @@ def coproduct_S(n: int) -> Coproduct:
                     if not in_r:  # j_r not in J, j_{r+1} in J: leading minus
                         c = -c
                     a2 = A2(I, jr, jr1)
-                    b.put(Kn, a2, B(J), b.poly(x1=c * (dJ - n), x2=-c * dI))
-                    b.put(Kn, B(J), a2, b.poly(x1=kosz * c * dI, x2=-kosz * c * (dJ - n)))
+                    b.put(Kn, a2, B(J), x1=c * (dJ - n), x2=-c * dI)
+                    b.put(Kn, B(J), a2, x1=kosz * c * dI, x2=-kosz * c * (dJ - n))
     return b.done()
 
 
@@ -751,6 +772,7 @@ def coproduct_CK6() -> Coproduct:
     beta = Scalar.beta()
     dual = _ck6_duals(b)
     half = Fraction(1, 2)
+    zero = Scalar(0)
 
     def add(k: int, coeff, lt: Tuple[int, ...], rt: Tuple[int, ...]):
         sl = dual(lt)
@@ -758,11 +780,11 @@ def coproduct_CK6() -> Coproduct:
         if sl is None or sr is None:
             return
         s = sl[0] * sr[0]
-        b.put(k, sl[1], sr[1], b.poly(*(s * (a if isinstance(a, Scalar) else Scalar(a))
-                                        for a in coeff)))
+        b.put(k, sl[1], sr[1], *(s * (a if isinstance(a, Scalar) else Scalar(a)) if a else zero
+                                 for a in coeff))
 
     # delta(L*)
-    b.add("L", "L", "L", X1 - X2)
+    b.add("L", "L", "L", x1=1, x2=-1)
     for i in range(1, 7):
         add(b.at["L"], _c(2), (i,), (i,))
 
@@ -881,14 +903,14 @@ def coproduct_Jn(n: int) -> Coproduct:
             dI, dJ = _deg(I), _deg(J)
             al = _sgn(alpha_mask(I, J))
             # Delta((xi_K th)*)
-            b.put(th[K], xi[I], th[J], b.poly(al))
-            b.put(th[K], th[J], xi[I], b.poly(al * _sgn(dI * (dJ + 1))))
+            b.put(th[K], xi[I], th[J], al)
+            b.put(th[K], th[J], xi[I], al * _sgn(dI * (dJ + 1)))
             # Delta(xi_K*), first and second sums
-            b.put(xi[K], xi[I], xi[J], b.poly(al))
+            b.put(xi[K], xi[I], xi[J], al)
             c = _sgn(dJ + alpha_mask(I, J)) * (dJ - 2)
             kosz = _sgn((dI + 1) * (dJ + 1))
-            b.put(xi[K], th[I], th[J], b.poly(x1=c))
-            b.put(xi[K], th[J], th[I], b.poly(x2=c * kosz))
+            b.put(xi[K], th[I], th[J], x1=c)
+            b.put(xi[K], th[J], th[I], x2=c * kosz)
         # derivative sums: diagonal pairs up to n-2 and the swapped last two
         for i in range(1, max(n - 1, 0)):
             _add_swap_deriv(b, xi, th, K, i, i)
@@ -916,42 +938,42 @@ def _add_swap_deriv(b: "_Builder", xi: List[int], th: List[int], K: int, i: int,
             + eps_mask(j, J)
             + alpha_mask(Ip, Jp)
         )
-        b.put(xi[K], th[I], th[J], b.poly(_sgn(e)))
+        b.put(xi[K], th[I], th[J], _sgn(e))
 
 
 def coproduct_JS1() -> Coproduct:
     """Delta(T*) = T* (x) S* + S* (x) T*;
     Delta(S*) = 2 S* (x) S* + d T* (x) T* - T* (x) d T*."""
     b = _Builder(JORDAN, [Generator("S", 0), Generator("T", 1)], "JS_1^c[formula]")
-    b.add("T", "T", "S", b.poly(1))
-    b.add("T", "S", "T", b.poly(1))
-    b.add("S", "S", "S", b.poly(2))
-    b.add("S", "T", "T", X1 - X2)
+    b.add("T", "T", "S", 1)
+    b.add("T", "S", "T", 1)
+    b.add("S", "S", "S", 2)
+    b.add("S", "T", "T", x1=1, x2=-1)
     return b.done()
 
 
 def coproduct_JCK4() -> Coproduct:
     """The displayed JCK_4 coproducts on 1*, x*, omega_i*, x_k*."""
     b = _Builder(JORDAN, jck4_generators(), "JCK_4^c[formula]")
-    b.add("one", "one", "one", b.poly(1))
+    b.add("one", "one", "one", 1)
     for i, sg in ((1, 1), (2, 1), (3, -1)):
-        b.add("one", f"w{i}", f"w{i}", b.poly(sg))
-    b.add("one", "x", "x", X1 - X2)
-    b.add("x", "one", "x", b.poly(1))
-    b.add("x", "x", "one", b.poly(1))
+        b.add("one", f"w{i}", f"w{i}", sg)
+    b.add("one", "x", "x", x1=1, x2=-1)
+    b.add("x", "one", "x", 1)
+    b.add("x", "x", "one", 1)
     for i in (1, 2, 3):
-        b.add(f"w{i}", "one", f"w{i}", b.poly(1))
-        b.add(f"w{i}", f"w{i}", "one", b.poly(1))
-        b.add(f"w{i}", f"x{i}", "x", b.poly(1))
-        b.add(f"w{i}", "x", f"x{i}", b.poly(-1))
+        b.add(f"w{i}", "one", f"w{i}", 1)
+        b.add(f"w{i}", f"w{i}", "one", 1)
+        b.add(f"w{i}", f"x{i}", "x", 1)
+        b.add(f"w{i}", "x", f"x{i}", -1)
     for k in (1, 2, 3):
-        b.add(f"x{k}", "one", f"x{k}", b.poly(1))
-        b.add(f"x{k}", f"x{k}", "one", b.poly(1))
-        b.add(f"x{k}", f"w{k}", "x", b.poly(x1=1))
-        b.add(f"x{k}", "x", f"w{k}", b.poly(x2=1))
+        b.add(f"x{k}", "one", f"x{k}", 1)
+        b.add(f"x{k}", f"x{k}", "one", 1)
+        b.add(f"x{k}", f"w{k}", "x", x1=1)
+        b.add(f"x{k}", "x", f"w{k}", x2=1)
         for i in (1, 2, 3):
             for j in (1, 2, 3):
                 if i != j and i != k and j != k:
-                    b.add(f"x{k}", f"w{i}", f"x{j}", b.poly(-1))
-                    b.add(f"x{k}", f"x{j}", f"w{i}", b.poly(-1))
+                    b.add(f"x{k}", f"w{i}", f"x{j}", -1)
+                    b.add(f"x{k}", f"x{j}", f"w{i}", -1)
     return b.done()

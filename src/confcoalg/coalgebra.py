@@ -34,7 +34,7 @@ from .conformal import (
     Table, Violation, _jacobi_rows, _jordan_rows, _packed,
 )
 from .poly import (
-    D, LAM, MultiPoly, P_ONE, P_ZERO, _COMPONENT_SHIFT, _MAXEXP, _MONO_MASK, _VAR_SHIFT,
+    D, LAM, MultiPoly, P_ONE, _COMPONENT_SHIFT, _MAXEXP, _MONO_MASK, _VAR_SHIFT, _memo,
     accumulate, vector_text,
 )
 
@@ -442,22 +442,46 @@ class DiffReport(Record):
 
 def compare(a: Coproduct, b: Coproduct) -> DiffReport:
     """Exact table diff of two coproducts on the same generator ids, pair by
-    pair of their merged tables, in a's generator order."""
+    pair of their merged tables, in a's generator order.
+
+    It reads the stored forms: each side's slots give (k, i, j) -> vector,
+    b's indices mapped to a's by id, and each distinct pair of vectors is
+    compared once, at the common scale (v_a L_b == v_b L_a).  Only a pair
+    that differs is written, with vector_text, which is repr of the
+    polynomial, or "0" for a side without it; an empty diff unpacks nothing.
+    """
     if a.index.keys() != b.index.keys():
         raise StructureError(
             f"generator sets differ: {sorted(a.index.keys() ^ b.index.keys())}"
         )
-    ga, gb = a.generators, b.generators
+    ga = a.generators
+    to_a = [a.index[g.id] for g in b.generators]
+    La, (va, sa) = a.packed
+    Lb, (vb, sb) = b.packed
+    right = {(to_a[k], to_a[i], to_a[j]): e for i, j, k, e in sb}
+    same: Dict[Tuple[int, int], bool] = {}   # (e_a, e_b) -> their vectors are equal
+    differ = []     # (k, i, j, e_a, e_b) of each pair that differs, None for a side without it
+    for i, j, k, ea in sa:
+        eb = right.pop((k, i, j), None)
+        if eb is not None:
+            eq = same.get((ea, eb))
+            if eq is None:
+                eq = same[ea, eb] = _scaled_equal(va[ea], Lb, vb[eb], La)
+            if eq:
+                continue
+        differ.append((k, i, j, ea, eb))
+    differ += [(k, i, j, None, eb) for (k, i, j), eb in right.items()]
     rep = DiffReport(a.name, b.name)
-    for k in range(a.rank):
-        na = {(i, j): q for i, j, q in a.table[k]}
-        nb = {(a.index[gb[i].id], a.index[gb[j].id]): q
-              for i, j, q in b.table[b.index[ga[k].id]]}
-        for key in sorted(na.keys() | nb.keys()):
-            qa = na.get(key, P_ZERO)
-            qb = nb.get(key, P_ZERO)
-            if qa != qb:
-                rep.lines.append(
-                    DiffLine(ga[k].id, ga[key[0]].id, ga[key[1]].id, repr(qa), repr(qb))
-                )
+    # the text of each side's vector e, written once; "0" for a side without the pair
+    text_a = _memo(lambda e: "0" if e is None else vector_text(va[e], La)[0])
+    text_b = _memo(lambda e: "0" if e is None else vector_text(vb[e], Lb)[0])
+    for k, i, j, ea, eb in sorted(differ):
+        rep.lines.append(DiffLine(ga[k].id, ga[i].id, ga[j].id, text_a(ea), text_b(eb)))
     return rep
+
+
+def _scaled_equal(u: dict, su: int, v: dict, sv: int) -> bool:
+    """u / sv == v / su for packed vectors u and v, that is u su == v sv."""
+    if su == sv:
+        return u == v
+    return len(u) == len(v) and all(c * su == v.get(key, 0) * sv for key, c in u.items())

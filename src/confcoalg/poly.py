@@ -118,6 +118,9 @@ class Scalar:
     def is_zero(self) -> bool:
         return not self.re and not self.im
 
+    def __bool__(self):
+        return bool(self.re or self.im)
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Scalar)

@@ -14,15 +14,21 @@ diff cleanly:
                           "pairs": [{"left": id, "right": id,
                                      "poly": [...]}, ...]}, ...]}
 
-Polynomials use the coefficient encoding of the poly module; ``dumps``
-converts each distinct one once, and its terms with equal polynomials share
-one "poly" list.  A coproduct lists each (left, right) pair of a row once
-and no zero entry, since Coproduct merges its rows when it is built, so
-equal coproducts write equal documents.  A generator's "latex" is written
-only when it has a LaTeX name, so a document read back emits the LaTeX of
-the table it was written from.  A reader takes generator ids, LaTeX names
-and the name as JSON strings and a parity as the JSON integer 0 or 1, and
-rejects a repeated row.
+Polynomials use the coefficient encoding of the poly module.  The readers
+and writers work once per distinct value: ``dumps`` converts each distinct
+polynomial once, its terms with equal polynomials share one "poly" list,
+and the rows of a table with equal terms (the same generators and
+polynomial objects) share one "terms" list, which ``_json_text`` writes
+once per indentation.  A reader converts and checks each distinct "poly"
+list of a document once, at its first occurrence, keyed by its exact JSON
+value, and gives the constructor one object for it.  A coproduct lists
+each (left, right) pair of a row once and no zero entry, since Coproduct
+merges its rows when it is built, so equal coproducts write equal
+documents.  A generator's "latex" is written only when it has a LaTeX
+name, so a document read back emits the LaTeX of the table it was written
+from.  A reader takes generator ids, LaTeX names and the name as JSON
+strings and a parity as the JSON integer 0 or 1, and rejects a repeated
+row.
 
 Every JSON document this package writes, tables, coproducts and the CLI's
 reports alike, goes through one writer, ``_json_text``.  Its text is the
@@ -83,15 +89,18 @@ def _structure_json(S: LambdaStructure) -> dict:
     poly = _memo(poly_to_json)    # by value: equal terms share a list
     g = S.generators
     order = _id_order(S)
+    shared: Dict[tuple, list] = {}    # (k, id(p)) of a row's terms -> its terms list
+
+    def terms(row):
+        key = tuple((k, id(p)) for k, p in row)
+        out = shared.get(key)
+        if out is None:
+            out = shared[key] = [{"gen": g[k].id, "poly": poly(p)}
+                                 for k, p in sorted(row, key=lambda t: g[t[0]].id)]
+        return out
+
     rows = [
-        {
-            "left": g[i].id,
-            "right": g[j].id,
-            "terms": [
-                {"gen": g[k].id, "poly": poly(p)}
-                for k, p in sorted(S.table[(i, j)], key=lambda t: g[t[0]].id)
-            ],
-        }
+        {"left": g[i].id, "right": g[j].id, "terms": terms(S.table[(i, j)])}
         for i in order for j in order if S.table[(i, j)]
     ]
     return _document(S, "lambda_structure", order, rows)
@@ -101,6 +110,7 @@ def structure_from_json(data: dict) -> LambdaStructure:
     if _doc_type(data) != "lambda_structure":
         raise StructureError("not a lambda_structure document")
     gens, index = _generators(data)
+    poly = _poly_reader()
     table: Dict[Tuple[int, int], List[Tuple[int, MultiPoly]]] = {}
     for r, row in enumerate(_list(data, "table", "document")):
         what = f"table row {r}"
@@ -110,7 +120,7 @@ def structure_from_json(data: dict) -> LambdaStructure:
         terms = []
         for t, term in enumerate(_list(row, "terms", what)):
             term_what = f"term {t} of {what}"
-            terms.append((_gen_ref(index, term, "gen", term_what), _poly(term, term_what)))
+            terms.append((_gen_ref(index, term, "gen", term_what), poly(term, term_what)))
         table[key] = terms
     return LambdaStructure(data.get("kind", LIE), gens, table, name=_name(data))
 
@@ -138,6 +148,7 @@ def coproduct_from_json(data: dict) -> Coproduct:
     if _doc_type(data) != "coproduct":
         raise StructureError("not a coproduct document")
     gens, index = _generators(data)
+    poly = _poly_reader()
     table: Dict[int, List[Tuple[int, int, MultiPoly]]] = {}
     for r, row in enumerate(_list(data, "table", "document")):
         what = f"table row {r}"
@@ -150,7 +161,7 @@ def coproduct_from_json(data: dict) -> Coproduct:
             pairs.append((
                 _gen_ref(index, pair, "left", pair_what),
                 _gen_ref(index, pair, "right", pair_what),
-                _poly(pair, pair_what),
+                poly(pair, pair_what),
             ))
     return Coproduct(data.get("kind", LIE), gens, table, name=_name(data))
 
@@ -214,12 +225,24 @@ def _gen_ref(index: Dict[str, int], obj, key: str, what: str) -> int:
         raise StructureError(f"{key!r} of {what} names unknown generator {gid!r}") from None
 
 
-def _poly(obj, what: str) -> MultiPoly:
-    data = _list(obj, "poly", what)
-    try:
-        return poly_from_json(data)
-    except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
-        raise StructureError(f"malformed poly of {what}: {e!r}") from None
+def _poly_reader():
+    """(obj, what) -> the polynomial of obj's "poly" list, for one document:
+    each distinct list is converted and checked once, at its first
+    occurrence, keyed by its repr, which tells 1, 1.0, true and "1" apart."""
+    polys: Dict[str, MultiPoly] = {}
+
+    def poly(obj, what: str) -> MultiPoly:
+        data = _list(obj, "poly", what)
+        key = repr(data)
+        p = polys.get(key)
+        if p is None:
+            try:
+                p = polys[key] = poly_from_json(data)
+            except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
+                raise StructureError(f"malformed poly of {what}: {e!r}") from None
+        return p
+
+    return poly
 
 
 def dumps(obj) -> str:

@@ -3,9 +3,10 @@
 from fractions import Fraction
 
 from confcoalg import conformal, families
-from confcoalg.conformal import ConformalElement
+from confcoalg.coalgebra import DiffLine, DiffReport
+from confcoalg.conformal import ConformalElement, StructureError
 from confcoalg.poly import (
-    ALPHABET, MultiPoly, ONE, Scalar, X1, X2, _GUARD, _MAXEXP, _VAR_SHIFT, _sort_key,
+    ALPHABET, MultiPoly, ONE, P_ZERO, Scalar, X1, X2, _GUARD, _MAXEXP, _VAR_SHIFT, _sort_key,
     accumulate, common_denominator, pack_vector, unpack_vector,
 )
 
@@ -146,6 +147,30 @@ def repr_oracle(p: MultiPoly) -> str:
         cs = scalar(c)
         parts.append(cs if not mono else (mono if cs == "1" else f"{cs}*{mono}"))
     return " + ".join(parts).replace("+ -", "- ")
+
+
+def compare_oracle(a, b) -> DiffReport:
+    """coalgebra.compare as it stood before it read the stored forms: the
+    rows of both coproducts, MultiPoly by MultiPoly, pair by pair, in a's
+    generator order."""
+    if a.index.keys() != b.index.keys():
+        raise StructureError(
+            f"generator sets differ: {sorted(a.index.keys() ^ b.index.keys())}"
+        )
+    ga, gb = a.generators, b.generators
+    rep = DiffReport(a.name, b.name)
+    for k in range(a.rank):
+        na = {(i, j): q for i, j, q in a.table[k]}
+        nb = {(a.index[gb[i].id], a.index[gb[j].id]): q
+              for i, j, q in b.table[b.index[ga[k].id]]}
+        for key in sorted(na.keys() | nb.keys()):
+            qa = na.get(key, P_ZERO)
+            qb = nb.get(key, P_ZERO)
+            if qa != qb:
+                rep.lines.append(
+                    DiffLine(ga[k].id, ga[key[0]].id, ga[key[1]].id, repr(qa), repr(qb))
+                )
+    return rep
 
 
 def term_products(monkeypatch, check, arg):

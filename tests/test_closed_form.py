@@ -16,10 +16,12 @@ import pytest
 from confcoalg import closed_form as cf
 from confcoalg import families, serialize
 from confcoalg.coalgebra import (
-    check_jordan_coalgebra, check_lie_coalgebra, compare, dualize,
+    Coproduct, check_jordan_coalgebra, check_lie_coalgebra, compare, dualize,
 )
 from confcoalg.families import make_S_b
-from confcoalg.poly import Scalar
+from confcoalg.poly import MultiPoly, Scalar
+
+from helpers import count_calls
 
 
 def test_emitters_never_call_dualize():
@@ -97,6 +99,41 @@ def test_emitter_calls_share_no_polynomial(emitter, args):
         return {id(q) for k in range(C.rank) for _, _, q in C.table[k]}
 
     assert polys(first) and not polys(first) & polys(second)
+
+
+class _Appending(cf._Builder):
+    """_Builder as it stood before it summed by pair: each contribution
+    appended as a polynomial of its own, the sums left to Coproduct's merge."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.terms = {}
+
+    def put(self, k, i, j, c=0, x1=0, x2=0):
+        p = MultiPoly.const(c) + MultiPoly.var("x1", 1, x1) + MultiPoly.var("x2", 1, x2)
+        self.terms.setdefault(k, []).append((i, j, p))
+
+    def done(self):
+        return Coproduct(self.kind, self.gens, self.terms, self.name)
+
+
+@pytest.mark.parametrize("emitter, args", sorted(EMITTER_DUMPS))
+def test_builder_hands_one_entry_per_pair_and_one_object_per_value(monkeypatch, emitter, args):
+    """_Builder sums each (k, i, j) as it goes: Coproduct is given one entry
+    per pair and one object per distinct value, and stores what the terms
+    appended one by one and merged by Coproduct store."""
+    with monkeypatch.context() as m:
+        given = count_calls(m, Coproduct, "__init__")
+        C = getattr(cf, emitter)(*args)
+    (_, _, _, table, _), = given
+    pairs = [(k, i, j) for k, row in table.items() for i, j, _ in row]
+    polys = [q for row in table.values() for _, _, q in row]
+    assert len(set(pairs)) == len(pairs)
+    assert len({id(q) for q in polys}) == len(set(polys))
+    if (emitter, args) == ("coproduct_K", (6,)):
+        assert (len(pairs), len(set(polys))) == (2097, 31)
+    monkeypatch.setattr(cf, "_Builder", _Appending)
+    assert getattr(cf, emitter)(*args).packed == C.packed
 
 
 # the family table each emitter is the closed-form coproduct of

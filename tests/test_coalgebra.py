@@ -5,7 +5,9 @@ import hashlib
 import importlib
 import json
 import random
+import re
 import sys
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -21,7 +23,7 @@ from confcoalg.conformal import Generator, LambdaStructure, StructureError
 from confcoalg.families import make_vir
 from confcoalg.poly import D, LAM, MultiPoly, P_ONE, Scalar, X1, X2
 
-from helpers import count_calls, random_poly
+from helpers import compare_oracle, count_calls, random_poly
 
 
 def test_dualize_vir(vir):
@@ -322,6 +324,99 @@ def test_compare_rejects_generator_mismatch(vir, JS1):
         compare(dualize(vir), dualize(JS1))
 
 
+# the 23 criterion-4 pairs: (family constructor, closed_form emitter, arguments)
+CRITERION_4 = [
+    ("make_vir", "coproduct_vir", ()), ("make_cur_sl2", "coproduct_cur_sl2", ()),
+    *(("make_W", "coproduct_W", (n,)) for n in range(4)),
+    *(("make_S", "coproduct_S", (n,)) for n in (2, 3)),
+    *(("make_K", "coproduct_K", (n,)) for n in range(1, 7)),
+    *(("make_K", "coproduct_N", (n,)) for n in (2, 3, 4)),
+    ("make_K4prime", "coproduct_K4prime", ()), ("make_CK6", "coproduct_CK6", ()),
+    *(("make_Jn", "coproduct_Jn", (n,)) for n in (2, 3)),
+    ("make_JS1", "coproduct_JS1", ()), ("make_JCK4", "coproduct_JCK4", ()),
+]
+
+
+def _crosscheck(make, emitter, args):
+    """(the machine dual, the closed form) of a criterion-4 pair, built fresh."""
+    return dualize(getattr(families, make)(*args)), getattr(closed_form, emitter)(*args)
+
+
+def _rebuilt(C, order=None, edit=None):
+    """A Coproduct with C's rows, its generators listed in order (a list of
+    C's indices; C's order by default), after edit(rows) changed the rows,
+    {k: {(i, j): q}} in C's indices, in place."""
+    rows = {k: {(i, j): q for i, j, q in C.table[k]} for k in range(C.rank)}
+    if edit is not None:
+        edit(rows)
+    order = list(range(C.rank)) if order is None else order
+    at = {old: new for new, old in enumerate(order)}
+    table = {at[k]: [(at[i], at[j], q) for (i, j), q in row.items()] for k, row in rows.items()}
+    return Coproduct(C.kind, [C.generators[k] for k in order], table, C.name + "'")
+
+
+def test_compare_matches_the_row_oracle_on_criterion_4():
+    """compare reads the stored forms; its report is the row-by-row one,
+    lines, order and text, on every criterion-4 pair in both orders."""
+    assert len(CRITERION_4) == 23
+    for make, emitter, args in CRITERION_4:
+        dual, formula = _crosscheck(make, emitter, args)
+        for a, b in ((dual, formula), (formula, dual)):
+            assert compare(a, b) == compare_oracle(a, b), (emitter, args)
+
+
+@pytest.mark.parametrize("make, emitter, args", [
+    ("make_S", "coproduct_S", (3,)), ("make_CK6", "coproduct_CK6", ()),
+    ("make_K", "coproduct_N", (4,)), ("make_JCK4", "coproduct_JCK4", ()),
+])
+def test_compare_maps_generators_by_id(make, emitter, args):
+    """A closed form whose generators are listed in another order has the
+    report of the row-by-row oracle, on either side."""
+    dual, formula = _crosscheck(make, emitter, args)
+    shuffled = _rebuilt(formula, order=random.Random(7).sample(range(formula.rank), formula.rank))
+    assert shuffled.generators != formula.generators
+    for a, b in ((dual, shuffled), (shuffled, dual), (formula, shuffled)):
+        assert compare(a, b) == compare_oracle(a, b), emitter
+    assert compare(formula, shuffled).ok
+
+
+@pytest.mark.parametrize("make, emitter, args", [
+    ("make_K", "coproduct_K", (3,)), ("make_S", "coproduct_S", (3,)),
+    ("make_CK6", "coproduct_CK6", ()), ("make_K", "coproduct_N", (4,)),
+    ("make_JCK4", "coproduct_JCK4", ()),
+])
+def test_compare_matches_the_row_oracle_on_seeded_changes(make, emitter, args):
+    """One entry changed, one pair added or one pair removed, on either side,
+    gives the oracle's report.  The changes bring fifths, halves and beta,
+    so the two stored forms have different common denominators L, and
+    their equal pairs must still compare equal."""
+    dual, formula = _crosscheck(make, emitter, args)
+    values = [MultiPoly.const(Fraction(1, 5)), X1 * Fraction(-2, 5) + X2,
+              MultiPoly.const(Scalar(0, 1)), X2 * Scalar(Fraction(1, 2), 1)]
+    n, par = formula.rank, formula.parities
+    scales = set()
+    for seed in range(6):
+        rng = random.Random(seed)
+        k = rng.choice([k for k in range(n) if formula.table[k]])
+        i, j, q = rng.choice(formula.table[k])
+        taken = {(u, v) for u, v, _ in formula.table[k]}
+        free = [(u, v) for u in range(n) for v in range(n)
+                if (par[u] + par[v]) % 2 == par[k] and (u, v) not in taken]
+        new, value = rng.choice(free), rng.choice(values)
+        edits = {
+            "changed": lambda rows: rows[k].__setitem__((i, j), q + value),
+            "added": lambda rows: rows[k].__setitem__(new, value),
+            "removed": lambda rows: rows[k].pop((i, j)),
+        }
+        for what, edit in edits.items():
+            seeded = _rebuilt(formula, edit=edit)
+            scales.add((dual.packed[0], seeded.packed[0]))
+            for a, b in ((dual, seeded), (seeded, dual), (formula, seeded), (seeded, formula)):
+                assert compare(a, b) == compare_oracle(a, b), (emitter, seed, what)
+            assert len(compare(formula, seeded).lines) == 1, (emitter, seed, what)
+    assert any(La != Lb for La, Lb in scales), scales
+
+
 def _bench_workloads():
     """bench/workloads.py: the families and crosschecks the benchmark runs."""
     bench = str(Path(__file__).resolve().parents[1] / "bench")
@@ -441,3 +536,65 @@ def test_row_views_keep_their_shape(family_tables):
         assert list(S.table) == [(i, j) for i in range(n) for j in range(n)], name
         for C in [dualize(S)] + ([tabulated] if tabulated is not None else []):
             assert list(C.table) == list(range(C.rank)), name
+
+
+def test_readers_hand_one_object_per_value(monkeypatch, family_tables):
+    """loads converts each distinct "poly" list of a document once: the
+    constructor of a table or coproduct read back is given one object per
+    distinct value (K_5: 618 entries, 23 objects)."""
+    cases = [(name, T) for name, S, _ in family_tables for T in (S, dualize(S))]
+    cases += [("K_5", families.make_K(5))]
+    for name, T in cases:
+        cls = LambdaStructure if isinstance(T, LambdaStructure) else Coproduct
+        text = serialize.dumps(T)
+        with monkeypatch.context() as m:
+            given = count_calls(m, cls, "__init__")
+            serialize.loads(text)
+        (_, _, _, table, *_), = given
+        polys = [t[-1] for row in table.values() for t in row]
+        assert len({id(p) for p in polys}) == len(set(polys)), name
+        if name == "K_5":
+            assert (len(polys), len(set(polys))) == (618, 23)
+
+
+def _poly_holders(doc):
+    """(what, obj) of every object with a "poly" list in a table or coproduct
+    document, in document order, named as the readers name them."""
+    for r, row in enumerate(doc["table"]):
+        for t, obj in enumerate(row.get("terms", row.get("pairs"))):
+            yield f"{'term' if 'terms' in row else 'pair'} {t} of table row {r}", obj
+
+
+@pytest.mark.parametrize("bad", [True, 1.0])
+def test_reader_keys_each_poly_list_by_its_exact_json(K, bad):
+    """Two polys equal as Python values but not as JSON, a coefficient part
+    1 against true or 1.0, are converted apart: the malformed one raises
+    loads' message at its own location, whichever comes first."""
+    for T in (K[3], dualize(K[3])):
+        doc = json.loads(serialize.dumps(T))
+        alike = {}
+        for where, obj in _poly_holders(doc):
+            alike.setdefault(json.dumps(obj["poly"]), []).append((where, obj))
+        (first, a), (second, b) = next(group for group in alike.values() if len(group) > 1)[:2]
+        assert a["poly"][0]["coeff"][1] == 1
+        for where, obj in ((first, a), (second, b)):
+            edited = json.loads(json.dumps(doc))
+            target = dict(_poly_holders(edited))[where]
+            target["poly"][0]["coeff"][1] = bad
+            assert target["poly"] == obj["poly"]    # equal as Python values
+            message = f"malformed poly of {where}: ValueError('coefficient part {bad!r} is not an integer')"
+            with pytest.raises(StructureError, match=f"^{re.escape(message)}$"):
+                serialize.loads(json.dumps(edited))
+
+
+def test_reader_raises_at_the_first_of_a_repeated_malformed_list(K):
+    """A malformed list repeated in a document raises at its first occurrence."""
+    for T in (K[3], dualize(K[3])):
+        doc = json.loads(serialize.dumps(T))
+        holders = list(_poly_holders(doc))
+        for _, obj in holders[2:5]:
+            obj["poly"] = [{"coeff": [1, 0, 0, 1], "exps": {}}]
+        where = holders[2][0]
+        message = f"malformed poly of {where}: ZeroDivisionError('Fraction(1, 0)')"
+        with pytest.raises(StructureError, match=f"^{re.escape(message)}$"):
+            serialize.loads(json.dumps(doc))

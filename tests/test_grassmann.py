@@ -263,6 +263,19 @@ def test_each_table_is_packed_once():
     assert not hasattr(conformal, "_packed_table")
 
 
+def test_an_empty_diff_unpacks_no_rows():
+    """compare reads the stored forms of both coproducts and writes only the
+    pairs that differ: an empty diff of a machine dual and a closed form
+    leaves neither with rows."""
+    families = importlib.import_module("confcoalg.families")
+    coalgebra = importlib.import_module("confcoalg.coalgebra")
+    closed_form = importlib.import_module("confcoalg.closed_form")
+    dual, formula = coalgebra.dualize(families.make_K(6)), closed_form.coproduct_K(6)
+    assert coalgebra.compare(dual, formula).ok
+    for C in (dual, formula):
+        assert "packed" in vars(C) and "table" not in vars(C)
+
+
 def test_restriction_stays_packed():
     """conformal.bracket_pairs and families._restrict construct no
     ConformalElement and call neither bracket nor shift_spectral: a
