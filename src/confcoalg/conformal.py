@@ -18,6 +18,7 @@ to arbitrary elements.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from functools import cached_property, partial
 from itertools import combinations, permutations, takewhile
@@ -420,10 +421,14 @@ class Report(Record):
 # read; with_entry makes a new table.  Every term of the Jacobi and Jordan
 # identities on generators is a sparse contraction of renamed copies
 # Q^{ij}_k(x1_img, x2_img), so a residual of degree g is reported divided by
-# L**g.  A copy renames each distinct polynomial once per check call and image
-# pair and writes the result into the slot of every entry that has it, at the
-# entry's component and sign; free tuple indices ride in the component, so one
-# add_product covers a whole batch of tuples.  With P(a, b) = Q(a, -a-b), the
+# L**g.  _renamed renames each distinct polynomial once per check call and
+# image pair, and a kernel places each entry's renamed vector into the slot of
+# every role the entry plays, at the entry's component and sign: the Jacobi
+# kernel in one pass over each row's entries, with tags computed from (i, j,
+# k), the others through _gather and a place function.  A window that an
+# entry leaves loses its keys, recomputed from the vector and the tag.  Free
+# tuple indices ride in the component, so one add_product covers a whole batch
+# of tuples.  With P(a, b) = Q(a, -a-b), the
 # kernels read the table at (lam, d) = (x1, -x1-x2) for the flip, (lam, mu, d)
 # = (x1, x2, -x1-x2-x3) for Jacobi and (lam, mu, nu, d) = (x1, x2, x2+x3,
 # -x1-x2-x3-x4) for Jordan, where the skew, commutativity, Jacobi and
@@ -471,27 +476,44 @@ def _packed(entries):
     return L, ([pack_vector([(0, p)], L) for p in distinct], slots)
 
 
-def _gather(table, x1_img, x2_img, place, negate=None, renamed=None, out=None):
+_SLOT_VARS = {id(X1): "x1", id(X2): "x2", id(X3): "x3"}
+
+
+def _renamed(vecs, x1_img, x2_img, renamed: dict) -> list:
+    """vecs, a packed table's distinct entries Q(x1, x2), as Q(x1_img, x2_img);
+    vecs itself with x1_img None.  Where the images are two distinct ones of
+    the objects X1, X2 and X3, the renaming is a relabelling: as vecs hold
+    x1 and x2 only, no two keys meet, and each key's x1-x3 fields move (see
+    _SlotMoves) with no product or compaction.
+    renamed, a dict one kernel call passes to all its copies, keeps each
+    renamed list by the ids of the image pair, so each pair of image objects
+    is renamed once; equal pairs share objects."""
+    key = id(x1_img), id(x2_img)
+    if key not in renamed:
+        names = [_SLOT_VARS.get(i) for i in key]
+        if None not in names and names[0] != names[1]:
+            moves, fields = _SlotMoves(dict(zip(("x1", "x2"), names))), _SLOT_FIELDS
+            renamed[key] = [{k - (k & fields) + moves[k & fields]: c for k, c in vec.items()}
+                            for vec in vecs]
+        else:
+            renamed[key] = vecs if x1_img is None else list(
+                map(substitution("x1", "x2", x1_img, x2_img), vecs))
+    return renamed[key]
+
+
+def _gather(table, x1_img, x2_img, place, negate=None, renamed=None):
     """Packed vectors out[slot] of the renamed entries Q^{ij}_k(x1_img, x2_img).
 
     place(i, j, k) = (slot, m) puts the entry at component m of out[slot];
     with negate given, the entries for which negate(i, j) holds change sign.
-    With x1_img None nothing is renamed.  renamed, a dict one kernel call
-    passes to all its gathers, keeps the renamed vecs by the ids of the image
-    pair, so each pair of image objects is renamed once; equal pairs share
-    objects.  The entries of one slot have distinct components, so each
-    entry's terms are written in place and no slot is summed or compacted;
-    they are written in the order of the slots of table, the table's row order,
-    into out when it is given (a kernel's windows) and else into a new dict.
+    The entries are renamed by _renamed, through renamed when it is given.
+    The entries of one slot have distinct components, so each entry's terms
+    are written in place and no slot is summed or compacted; they are
+    written in the order of the slots of table, the table's row order.
     """
     vecs, slots = table
-    renamed = {} if renamed is None else renamed
-    key = id(x1_img), id(x2_img)
-    if key not in renamed:
-        renamed[key] = vecs if x1_img is None else list(
-            map(substitution("x1", "x2", x1_img, x2_img), vecs))
-    vecs = renamed[key]
-    out = {} if out is None else out
+    vecs = _renamed(vecs, x1_img, x2_img, {} if renamed is None else renamed)
+    out = {}
     for i, j, k, e in slots:
         slot, m = place(i, j, k)
         vec = out.get(slot)
@@ -678,66 +700,91 @@ def _jacobi_rows(table, par, reduced: bool) -> Iterator[dict]:
     (x3, x1, x2); see check_jacobi), so the rows follow the last one.
 
     All (j, k) of one i form one accumulation: per l, the first term takes
-    a column over (j, k), the second the first factors tagged by j against a
-    row packed over (k, m), and the third the first factors tagged by k
-    against a column over (j, m), one for even and one for odd j (the sign
-    s).  Row i gathers its own first factors and writes the entries of j = i
-    into the columns of the first and third terms (without reduced, row 0
-    writes them all).  With reduced the first factors of the second and
-    third terms take the entries with j <= i and k >= i, the columns of the
-    first those with j <= k, each leaving after row k, and the rows of the
-    second, gathered in row order, have keys that ascend in k, so row i
-    deletes their items of k < i, a prefix, before it reads them: no product
-    leaves j <= i <= k.
+    the first factors outer against a column over (j, k), cols1, the second
+    the first factors first2, tagged by j, against a row packed over (k, m),
+    rows2, and the third the first factors first3, tagged by k, against a
+    column over (j, m), cols3.  Each copy is renamed once per call
+    (_renamed), and row i makes one pass over its own entries (i, j) -> k,
+    placing each in every role it plays at a tag computed from (i, j, k):
+    outer at slot j and component k, first2 (j <= i) at slot k and j n^2,
+    first3 (j >= i) at slot k and j n, and, with reduced, the windows cols1
+    (j >= i) at slot k and (i n + j) n and cols3 at slot (j, p_i) and i n^2
+    + k.  An entry leaves cols1 after row j by deleting its keys, those of
+    its renamed vector plus its tag.  cols3 holds rows 0 to i, one column
+    for even and one for odd j (the sign s), and rows2, written in row
+    order, has keys that ascend in k, so row i deletes their items of k < i,
+    a prefix, before it reads them: no product leaves j <= i <= k.  Without
+    reduced every entry is a first factor of each term, and the columns are
+    static, gathered once before row 0: cols1 whole, and cols3 in two signed
+    copies, (l, 0) as it is, which even rows read negated, and (l, 1) with
+    the entries of even j negated, which odd rows read as they are; so each
+    (row, l) makes one add_product call per term.
     """
-    n = len(par)
-    n2 = n * n
-    vecs, slots = table
-    by_first = [[] for _ in par]   # the entries (i, j, k) of each i
+    n, n2, shift = len(par), len(par) ** 2, _COMPONENT_SHIFT
+    vecs, slots = table[0], sorted(table[1])
+    renamed = {}
+    outer_v, cols1_v, first2_v, rows2_v, first3_v, cols3_v = (
+        _renamed(vecs, *JACOBI_IMAGES[key], renamed)
+        for key in ("outer", "cols1", "first2", "rows2", "first3", "cols3"))
+    by_first, rows2 = [[] for _ in par], defaultdict(dict)   # the entries (i, j, k, e) of each i
     for slot in slots:
-        by_first[slot[0]].append(slot)
-    lower = upper = by_first
-    # the column entries of the first and third terms by the row they enter at,
-    # and of the first by the row they leave after
-    enter1 = enter3 = [slots] + [[]] * (n - 1)
-    leave1 = [[]] * n
-    if reduced:
-        slots = sorted(slots)
-        lower = [[slot for slot in own if slot[1] <= i] for i, own in enumerate(by_first)]
-        upper = [[slot for slot in own if slot[1] >= i] for i, own in enumerate(by_first)]
-        enter1, enter3, leave1 = upper, by_first, [[] for _ in par]
-        for own in upper:
-            for slot in own:
-                leave1[slot[1]].append(slot)
-    gather = partial(_gather, renamed={})
-    rows2 = gather((vecs, slots), *JACOBI_IMAGES["rows2"], lambda l, k, m: (l, k * n + m))
-    cols1, cols3 = {}, {}
+        i, j, k, e = slot
+        by_first[i].append(slot)
+        vec, tag = rows2[i], j * n + k << shift
+        for key, c in rows2_v[e].items():
+            vec[key + tag] = c
+    cols1, cols3 = defaultdict(dict), defaultdict(dict)
+    if not reduced:   # static columns, cols3 in two signed copies
+        cols1 = _gather((vecs, slots), *JACOBI_IMAGES["cols1"],
+                        lambda i, j, k: (k, (i * n + j) * n), renamed=renamed)
+        for pj in (0, 1):
+            cols3.update(_gather((vecs, slots), *JACOBI_IMAGES["cols3"],
+                                 lambda i, j, k: ((j, pj), i * n2 + k),
+                                 lambda i, j: pj and not par[i], renamed))
+    leaving = [[] for _ in par]   # with reduced, the cols1 entries by their last row
     rows = [{} for _ in par]   # with reduced, the images written into each row
     for i in range(n):
-        gather((vecs, enter1[i]), *JACOBI_IMAGES["cols1"], lambda j, k, l: (l, (j * n + k) * n),
-               out=cols1)
-        gather((vecs, enter3[i]), *JACOBI_IMAGES["cols3"],
-               lambda j, l, m: ((l, par[j]), j * n2 + m), out=cols3)
+        pi = par[i]
+        outer, first2, first3 = defaultdict(dict), defaultdict(dict), defaultdict(dict)
+        for slot in by_first[i]:
+            _, j, k, e = slot
+            vec, tag = outer[j], k << shift
+            for key, c in outer_v[e].items():
+                vec[key + tag] = c
+            if j <= i or not reduced:
+                vec, tag = first2[k], j * n2 << shift
+                for key, c in first2_v[e].items():
+                    vec[key + tag] = c
+            if j >= i or not reduced:
+                vec, tag = first3[k], j * n << shift
+                for key, c in first3_v[e].items():
+                    vec[key + tag] = c
+            if reduced:
+                vec, tag = cols3[(j, pi)], i * n2 + k << shift
+                for key, c in cols3_v[e].items():
+                    vec[key + tag] = c
+            if reduced and j >= i:
+                leaving[j].append(slot)
+                vec, tag = cols1[k], (i * n + j) * n << shift
+                for key, c in cols1_v[e].items():
+                    vec[key + tag] = c
         acc = {}
-        for l, p in gather((vecs, by_first[i]), *JACOBI_IMAGES["outer"],
-                           lambda i, l, m: (l, m)).items():
+        for l, p in outer.items():
             if cols1.get(l):
                 add_product(acc, p, cols1[l])
-        lo = i * n << _COMPONENT_SHIFT   # the least key of k = i
-        for l, p in gather((vecs, lower[i]), *JACOBI_IMAGES["first2"],
-                           lambda i, j, l: (l, j * n2)).items():
+        lo = i * n << shift   # the least key of k = i
+        for l, p in first2.items():
             if l in rows2:
                 row = _dropped_below(rows2[l], lo) if reduced else rows2[l]
                 add_product(acc, p, row, negate=True)
-        for l, p in gather((vecs, upper[i]), *JACOBI_IMAGES["first3"],
-                           lambda i, k, l: (l, k * n)).items():
-            for pj in (0, 1):
+        for l, p in first3.items():
+            for pj in (0, 1) if reduced else (pi,):
                 if cols3.get((l, pj)):
-                    add_product(acc, p, cols3[(l, pj)], negate=not par[i] & pj)
-        for l, col in gather((vecs, leave1[i]), *JACOBI_IMAGES["cols1"],
-                             lambda j, k, l: (l, (j * n + k) * n)).items():
-            for key in col:
-                del cols1[l][key]
+                    add_product(acc, p, cols3[(l, pj)], negate=not pi & pj)
+        for h, j, k, e in leaving[i]:   # each entry's keys, placed as above
+            vec, tag = cols1[k], (h * n + j) * n << shift
+            for key in cols1_v[e]:
+                del vec[key + tag]
         if not reduced:
             yield compact_vector(acc)
         elif any(acc.values()):
@@ -918,7 +965,8 @@ def _jordan_rows(table, par, images) -> Iterator[dict]:
     vecs, slots = table
     slots = sorted(slots)
     full = vecs, slots
-    gather = partial(_gather, renamed={})
+    renamed = {}
+    gather = partial(_gather, renamed=renamed)
     hoisted = partial(_hoisted, partial(gather, full), n)
     J = JORDAN_IMAGES
     # r[(l, a)] = R1[l, a] and q[(a, l)] = Q2[a, l]; w[(l, a)], the sum b c
@@ -943,6 +991,7 @@ def _jordan_rows(table, par, images) -> Iterator[dict]:
             leaving[last[slot[0]][slot[1]]].append(slot)
     place_bc = lambda b, c, l: ((l, par[b]), b * n3 + c * n2)
     f_bc = gather((vecs, [s for s in slots if last[s[0]][s[1]] >= 0]), *J["bc"], place_bc)
+    bc = _renamed(vecs, *J["bc"], renamed)   # the vector f_bc holds of each entry
     f_ab = _grouped(gather((vecs, [s for s in slots if s[1] >= s[0]]), *J["ab"],
                            lambda a, b, l: ((a, b > a, l), b * n3)))
     f_ca = _grouped(gather((vecs, [s for s in slots if s[0] >= s[1]]), *J["ca_split"],
@@ -976,12 +1025,13 @@ def _jordan_rows(table, par, images) -> Iterator[dict]:
             for pc in (0, 1):
                 if (l, pc) in v:
                     add_product(acc, p, _dropped_below(v[(l, pc)], lo), pa & pc)
-        for key, vec in gather((vecs, leaving[a]), *J["bc"], place_bc).items():
-            live = f_bc[key]
-            for k in vec:
-                del live[k]
+        for b, c, l, e in leaving[a]:   # each entry's keys, placed as f_bc's
+            slot, m = place_bc(b, c, l)
+            live, tag = f_bc[slot], m << _COMPONENT_SHIFT
+            for key in bc[e]:
+                del live[key + tag]
             if not live:
-                del f_bc[key]
+                del f_bc[slot]
         if any(acc.values()):
             _write_images(compact_vector(acc), a, n, 2, par, rows, _Z3)
         row = rows[a]

@@ -173,20 +173,22 @@ def compare_oracle(a, b) -> DiffReport:
     return rep
 
 
-def term_products(monkeypatch, check, arg):
+def term_products(monkeypatch, check, arg, calls=False):
     """The number of term products check(arg) makes through the kernels of
-    confcoalg.conformal, counted at its add_product, with the report."""
-    count = [0]
+    confcoalg.conformal, counted at its add_product, with the report; with
+    calls, (products, the number of add_product calls, report)."""
+    count = [0, 0]
     real = conformal.add_product
 
     def counting(acc, p, q, negate=False):
         count[0] += len(p) * len(q)
+        count[1] += 1
         return real(acc, p, q, negate)
 
     with monkeypatch.context() as m:
         m.setattr(conformal, "add_product", counting)
         rep = check(arg)
-    return count[0], rep
+    return (count[0], count[1], rep) if calls else (count[0], rep)
 
 
 # -- the packed restriction seams on ConformalElements

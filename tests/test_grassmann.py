@@ -216,9 +216,10 @@ def _uses(tree, name):
 
 
 def test_one_helper_renames_table_entries():
-    """conformal._gather is the one function that calls poly.substitution:
+    """conformal._renamed is the one function that calls poly.substitution:
     every renamed copy of a packed table, in the kernels and the co-kernels,
-    renames each distinct entry polynomial once through it.  The other maps
+    renames each distinct entry polynomial once through it, and _gather and
+    the Jacobi kernel read the copies it makes.  The other maps
     are module constants of conformal that change coordinates: the
     LambdaStructure constructor packs a table as its dual Q(x1, x2) =
     P(x1, -x1-x2) through one, and the table checks and rows map back to
@@ -232,7 +233,7 @@ def test_one_helper_renames_table_entries():
             if isinstance(node, ast.ImportFrom):
                 assert all(a.asname is None for a in node.names if a.name == "substitution"), name
         users.update((name, func) for func in _uses(tree, "substitution"))
-    assert users == {("confcoalg.conformal", None), ("confcoalg.conformal", "_gather")}
+    assert users == {("confcoalg.conformal", None), ("confcoalg.conformal", "_renamed")}
     tree = dict(_production_sources())["confcoalg.conformal"]
     maps = {node.targets[0].id for node in tree.body if isinstance(node, ast.Assign)
             and getattr(getattr(node.value, "func", None), "id", None) == "substitution"}

@@ -441,22 +441,35 @@ def test_each_image_pair_is_renamed_once_per_check(monkeypatch):
     consistent Jordan kernel renames for its first factors (ca_chain and
     ca_split share a pair) and for r1 and q2 only, as it renames their
     products for r2, r3, q1 and q3; the printed one renames for the printed
-    ca_chain and r2 besides.  The Jacobi kernel gathers cols3 twice.  The
-    copy that is the table as it is, Jacobi's first2 and Jordan's ab, is not
-    renamed.  The tables are fresh, so check_jacobi also runs the flip
-    kernel.  A table check renames as its co-check does; the maps into and
-    out of the slot variables are made once, on import."""
+    ca_chain and r2 besides.  The Jacobi kernel renames for each of its five
+    other pairs once and reads each copy in every row.  The copy that is the
+    table as it is, Jacobi's first2 and Jordan's ab, is not renamed.  The
+    tables are fresh, so check_jacobi also runs the flip kernel.  A pair of
+    two distinct ones of X1, X2 and X3 is a relabelling, made by moving
+    exponent fields: the flip's (x2, x1), Jacobi's cols1 and first3 and
+    Jordan's b c and c a pairs; every other pair calls substitution once.
+    A table check renames as its co-check does; the maps into and out of the
+    slot variables are made once, on import."""
     J2, JS1, K3 = families.make_Jn(2), families.make_JS1(), families.make_K(3)
     made = count_calls(monkeypatch, conformal, "substitution")
-    for check, arg, renamed in (
-            (check_jordan_identity, J2, 6), (lambda S: check_jordan_identity(S, PRINTED), JS1, 9),
-            (check_jacobi, K3, 6), (check_jordan_coalgebra, dualize(J2), 7),
-            (check_lie_coalgebra, dualize(K3), 6)):
+    asked = count_calls(monkeypatch, conformal, "_renamed")
+    slot_vars = {id(X1), id(X2), id(X3)}
+    for check, arg, substituted, relabelled in (
+            (check_jordan_identity, J2, 4, 2),
+            (lambda S: check_jordan_identity(S, PRINTED), JS1, 7, 2),
+            (check_jacobi, K3, 3, 3), (check_jordan_coalgebra, dualize(J2), 4, 3),
+            (check_lie_coalgebra, dualize(K3), 3, 3)):
         made.clear()
+        asked.clear()
         check(arg)
         assert all(args[:2] == ("x1", "x2") for args in made), arg.name
         pairs = [args[2:] for args in made]
-        assert len(pairs) == len(set(pairs)) == renamed, (arg.name, pairs)
+        assert len(pairs) == len(set(pairs)) == substituted, (arg.name, pairs)
+        moved = {(id(a), id(b)) for _, a, b, _ in asked if a is not None and a is not b
+                 and {id(a), id(b)} <= slot_vars}
+        assert len(moved) == relabelled, arg.name
+        assert len({(id(a), id(b)) for _, a, b, _ in asked if a is not None}) == (
+            substituted + relabelled), arg.name
 
 
 # The kernels' image sets in the table's variables (lam, mu, nu, d), as the
@@ -1160,6 +1173,75 @@ def test_reduced_jacobi_term_products(W, K, S, S2b, CK6, monkeypatch):
         cop = dualize(tables[name])
         assert check_lie_coalgebra(cop).ok   # the flip residual, cached before the count
         assert term_products(monkeypatch, check_lie_coalgebra, cop)[0] == products, name
+
+
+# add_product calls of the reduced Jacobi kernel, on the tables above: one per
+# first-factor slot and nonempty column or row of each term, the parity of j
+# splitting term 3's column; and of the Jordan kernel, consistent and printed
+REDUCED_JACOBI_CALLS = {"W_2": 208, "K_4": 410, "S_3": 620, "S_2b-beta": 104,
+                        "W_3": 1116, "K_5": 1362, "CK_6": 1602}
+JORDAN_CALLS = {"J_2": (452, 788), "JS_1": (25, 49), "JCK_4": (522, 906)}
+
+
+def test_add_product_calls_of_the_reduced_kernels(W, K, S, S2b, CK6, Jn, JS1, JCK4, monkeypatch):
+    """The reduced Jacobi kernel keeps term 3's window split by the parity of
+    j, and the Jordan kernel drops a b c slot once its last entry leaves, so
+    their add_product calls stay as they were: on the tables and duals of
+    test_reduced_jacobi_term_products, and on the Jordan tables of the
+    jordan-identity benchmark under both variants."""
+    tables = {"W_2": W[2], "K_4": K[4], "S_3": S[3], "S_2b-beta": S2b["beta"], "W_3": W[3],
+              "K_5": K[5], "CK_6": CK6}
+    for name, calls in REDUCED_JACOBI_CALLS.items():
+        if name in REDUCED_JACOBI_PRODUCTS:
+            check, arg = check_jacobi, tables[name]
+            check_skew(arg)
+        else:
+            check, arg = check_lie_coalgebra, dualize(tables[name])
+            check(arg)
+        _, made, rep = term_products(monkeypatch, check, arg, calls=True)
+        assert rep.ok and made == calls, name
+    for name, calls in JORDAN_CALLS.items():
+        T = {"J_2": Jn[2], "JS_1": JS1, "JCK_4": JCK4}[name]
+        assert tuple(term_products(monkeypatch, partial(check_jordan_identity, variant=variant),
+                                   T, calls=True)[1]
+                     for variant in (CONSISTENT, PRINTED)) == calls, name
+
+
+def test_full_jacobi_term_3_makes_one_call_per_row_and_slot(K, monkeypatch):
+    """Without skew-symmetry term 3's column is static, held in two signed
+    copies, so each (row, l) with a column makes one add_product call for
+    it, as terms 1 and 2 do.  On the criterion-9 corruption of K_4 there are
+    183 such (row, l), whose columns hold 366 parts by the parity of j: the
+    column split by parity made 1 + 183 + 183 + 366 = 733 calls, the first
+    the flip residual's, and check_jacobi makes 550.  The term products,
+    10,427, and the report, the per-tuple oracle's, are as before; the
+    co-Lie check of the dual makes the same calls."""
+    bad = corrupt_entry(K[4], "xi1", "xi2", "xi12", MultiPoly.const(-1))
+    slots = bad.packed[1][1]
+    parities = {}   # l -> the parities of the j with an entry (j, l)
+    for j, l, m, e in slots:
+        parities.setdefault(l, set()).add(bad.parities[j])
+    term3 = {(i, k) for i, j, k, e in slots if k in parities}   # (row, l) with a column
+    assert (len(term3), sum(len(parities[k]) for _, k in term3)) == (183, 366)
+    products, calls, rep = term_products(monkeypatch, check_jacobi, bad, calls=True)
+    assert (products, calls, len(rep.violations)) == (10427, 1 + 183 + 183 + 183, 49)
+    assert (rep.total, _found(rep)) == _jacobi_per_tuple(bad)
+    products, calls, rep = term_products(monkeypatch, check_lie_coalgebra, dualize(bad), calls=True)
+    assert (products, calls) == (10427, 550) and not rep.ok
+
+
+def test_jacobi_kernel_gathers_nothing(K, monkeypatch):
+    """The Jacobi kernel places every entry in each of its roles in one pass
+    per row, reading renamed vectors made once per call and image pair, and
+    a window entry leaves by its recomputed keys: on a skew table whose flip
+    residual is built, check_jacobi and check_lie_coalgebra of its dual call
+    _gather not once."""
+    S, cop = K[4], dualize(K[4])
+    assert check_skew(S).ok and check_lie_coalgebra(cop).ok
+    gathered = count_calls(monkeypatch, conformal, "_gather")
+    for check, arg in ((check_jacobi, S), (check_lie_coalgebra, cop)):
+        assert check(arg).ok
+        assert gathered == [], arg.name
 
 
 def test_tables_are_not_cached_across_copies(K):
