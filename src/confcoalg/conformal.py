@@ -422,31 +422,31 @@ class Report(Record):
 # identities on generators is a sparse contraction of renamed copies
 # Q^{ij}_k(x1_img, x2_img), so a residual of degree g is reported divided by
 # L**g.  _renamed renames each distinct polynomial once per check call and
-# image pair, and a kernel places each entry's renamed vector into the slot of
-# every role the entry plays, at the entry's component and sign: the Jacobi
-# kernel in one pass over each row's entries, with tags computed from (i, j,
-# k), the others through _gather and a place function.  A window that an
-# entry leaves loses its keys, recomputed from the vector and the tag.  Free
-# tuple indices ride in the component, so one add_product covers a whole batch
-# of tuples.  With P(a, b) = Q(a, -a-b), the
-# kernels read the table at (lam, d) = (x1, -x1-x2) for the flip, (lam, mu, d)
-# = (x1, x2, -x1-x2-x3) for Jacobi and (lam, mu, nu, d) = (x1, x2, x2+x3,
-# -x1-x2-x3-x4) for Jordan, where the skew, commutativity, Jacobi and
-# consistent Jordan residuals are the co-antisymmetry, minus the
-# co-commutativity, the co-Jacobi and -(-1)^{p(a)p(c)} times the co-Jordan
-# residuals (see coalgebra).  A kernel's row is a plain residual, compact ({}
-# when zero) and in the slot variables, and its writer applies its own map,
-# sign and scale: the table checks map it back (_FLIP_BACK, _JACOBI_BACK,
-# _JORDAN_BACK; each map keeps the image of every monomial it meets), and
-# co-Jordan signs it.  The image sets give each copy's (x1_img, x2_img), (None,
-# None) for the table as it is.  The Jordan kernel renames the table for its
-# first factors and for the intermediates r1 and q2 only: r2 and q3 are r1 and
-# q2 with x1 and x2 swapped, r3 and q1 with x1 and x3 swapped, so it renames
-# the products instead (see _jordan_rows), and _RENAMED writes their images so.
-# Where a group acts on the tuples, S_3 on skew Jacobi triples and the
-# rotations on Jordan triples, a kernel accumulates one tuple per orbit, and
-# _write_images writes the rest of the orbit from the group's table (_S3 with
-# Koszul signs, _Z3 without), slot exponents and component digits alike.
+# image pair, and a kernel writes each entry's renamed vector (_put) into the
+# slot of every role the entry plays, at the entry's component and sign: the
+# Jacobi kernel in one pass over each row's entries, with tags computed from
+# (i, j, k), the flip kernel the same way, and the Jordan kernel through
+# _gather and a place function.  A window that an entry leaves loses its keys,
+# recomputed from the vector and the tag.  Free tuple indices ride in the
+# component, so one add_product covers a whole batch of tuples.  With P(a, b) = Q(a, -a-b), the kernels read the table at (lam, d)
+# = (x1, -x1-x2) for the flip, (lam, mu, d) = (x1, x2, -x1-x2-x3) for Jacobi
+# and (lam, mu, nu, d) = (x1, x2, x2+x3, -x1-x2-x3-x4) for Jordan, where the
+# skew, commutativity, Jacobi and consistent Jordan residuals are the
+# co-antisymmetry, minus the co-commutativity, the co-Jacobi and
+# -(-1)^{p(a)p(c)} times the co-Jordan residuals (see coalgebra).  A kernel's
+# row is a plain residual, compact ({} when zero) and in the slot variables,
+# and its writer applies its own map, sign and scale: the table checks map it
+# back (_FLIP_BACK, _JACOBI_BACK, _JORDAN_BACK; each map keeps the image of
+# every monomial it meets), and co-Jordan signs it.  The image sets give each
+# copy's (x1_img, x2_img), (None, None) for the table as it is.  The Jordan
+# kernel renames the table for its first factors and for the intermediates r1
+# and q2 only: r2 and q3 are r1 and q2 with x1 and x2 swapped, r3 and q1 with
+# x1 and x3 swapped, so it renames the products instead (see _jordan_rows),
+# and _RENAMED writes their images so.  Where a group acts on the tuples, S_3
+# on skew Jacobi triples and the rotations on Jordan triples, a kernel
+# accumulates one tuple per orbit, and _write_images writes the rest of the
+# orbit from the group's table (_S3 with Koszul signs, _Z3 without), slot
+# exponents and component digits alike.
 JACOBI_IMAGES = {"outer": (X1, X2 + X3), "cols1": (X2, X3), "first2": (None, None),
                  "rows2": (X1 + X2, X3), "first3": (X1, X3), "cols3": (X2, X1 + X3)}
 _SWAP12, _SWAP13 = {"x1": "x2", "x2": "x1"}, {"x1": "x3", "x3": "x1"}
@@ -476,68 +476,58 @@ def _packed(entries):
     return L, ([pack_vector([(0, p)], L) for p in distinct], slots)
 
 
-_SLOT_VARS = {id(X1): "x1", id(X2): "x2", id(X3): "x3"}
-
-
 def _renamed(vecs, x1_img, x2_img, renamed: dict) -> list:
-    """vecs, a packed table's distinct entries Q(x1, x2), as Q(x1_img, x2_img);
-    vecs itself with x1_img None.  Where the images are two distinct ones of
-    the objects X1, X2 and X3, the renaming is a relabelling: as vecs hold
-    x1 and x2 only, no two keys meet, and each key's x1-x3 fields move (see
-    _SlotMoves) with no product or compaction.
+    """vecs, a packed table's distinct entries Q(x1, x2), as Q(x1_img, x2_img),
+    through one substitution per image pair; vecs itself with x1_img None.
     renamed, a dict one kernel call passes to all its copies, keeps each
     renamed list by the ids of the image pair, so each pair of image objects
     is renamed once; equal pairs share objects."""
     key = id(x1_img), id(x2_img)
-    if key not in renamed:
-        names = [_SLOT_VARS.get(i) for i in key]
-        if None not in names and names[0] != names[1]:
-            moves, fields = _SlotMoves(dict(zip(("x1", "x2"), names))), _SLOT_FIELDS
-            renamed[key] = [{k - (k & fields) + moves[k & fields]: c for k, c in vec.items()}
-                            for vec in vecs]
-        else:
-            renamed[key] = vecs if x1_img is None else list(
-                map(substitution("x1", "x2", x1_img, x2_img), vecs))
-    return renamed[key]
+    if key not in renamed and x1_img is not None:
+        renamed[key] = list(map(substitution("x1", "x2", x1_img, x2_img), vecs))
+    return renamed.get(key, vecs)
+
+
+def _put(vec: dict, src: dict, tag: int) -> None:
+    """Write the terms of the packed vector src into vec at their keys plus
+    tag, a component shifted into place, which no key of vec holds yet."""
+    for key, c in src.items():
+        vec[key + tag] = c
 
 
 def _gather(table, x1_img, x2_img, place, negate=None, renamed=None):
     """Packed vectors out[slot] of the renamed entries Q^{ij}_k(x1_img, x2_img).
 
     place(i, j, k) = (slot, m) puts the entry at component m of out[slot];
-    with negate given, the entries for which negate(i, j) holds change sign.
-    The entries are renamed by _renamed, through renamed when it is given.
-    The entries of one slot have distinct components, so each entry's terms
-    are written in place and no slot is summed or compacted; they are
-    written in the order of the slots of table, the table's row order.
+    with negate given, the entries for which negate(i, j) holds change sign,
+    each distinct vector negated once.  The entries are renamed by _renamed,
+    through renamed when it is given.  The entries of one slot have distinct
+    components, so each entry's terms are written in place (_put) and no
+    slot is summed or compacted; they are written in the order of the slots
+    of table, the table's row order.
     """
-    vecs, slots = table
-    vecs = _renamed(vecs, x1_img, x2_img, {} if renamed is None else renamed)
-    out = {}
-    for i, j, k, e in slots:
+    vecs = _renamed(table[0], x1_img, x2_img, {} if renamed is None else renamed)
+    negated = negate and [{key: -c for key, c in vec.items()} for vec in vecs]
+    out = defaultdict(dict)
+    for i, j, k, e in table[1]:
         slot, m = place(i, j, k)
-        vec = out.get(slot)
-        if vec is None:
-            vec = out[slot] = {}
-        tag = m << _COMPONENT_SHIFT
-        if negate and negate(i, j):
-            for key, c in vecs[e].items():
-                vec[key + tag] = -c
-        else:
-            for key, c in vecs[e].items():
-                vec[key + tag] = c
-    return out
+        _put(out[slot], (negated if negate and negate(i, j) else vecs)[e], m << _COMPONENT_SHIFT)
+    return dict(out)
 
 
 def _flip_kernel(table, par, kind: str) -> dict:
     """The packed table's skew (Lie) or commutativity (Jordan) residual, compact,
     at components (i n + j) n + k: Q^{ij}_k(x1, x2) - sign (-1)^{p_i p_j}
-    Q^{ji}_k(x2, x1), sign -1 for Lie and +1 for Jordan; empty when the axiom holds."""
-    n = len(par)
-    acc = _gather(table, None, None, lambda i, j, k: (0, (i * n + j) * n + k)).get(0, {})
-    flipped = _gather(table, X2, X1, lambda j, i, k: (0, (i * n + j) * n + k),
-                      lambda j, i: (kind == JORDAN) != bool(par[i] & par[j]))
-    return compact_vector(add_product(acc, flipped.get(0, {}), {0: 1}))
+    Q^{ji}_k(x2, x1), sign -1 for Lie and +1 for Jordan; empty when the axiom holds.
+    Each entry is written (_put) once as it is and once renamed, each
+    distinct vector negated once, and one add_product sums the two copies."""
+    n, (vecs, slots), shift = len(par), table, _COMPONENT_SHIFT
+    flipped = _renamed(vecs, X2, X1, {})
+    signed, acc, back = (flipped, [{key: -c for key, c in vec.items()} for vec in flipped]), {}, {}
+    for i, j, k, e in slots:   # Q^{ij}_k at (i, j, k) and, signed, at (j, i, k) flipped
+        _put(acc, vecs[e], (i * n + j) * n + k << shift)
+        _put(back, signed[(kind == JORDAN) ^ par[i] & par[j]][e], (j * n + i) * n + k << shift)
+    return compact_vector(add_product(acc, back, {0: 1}))
 
 
 def _check_flip(S: LambdaStructure, check: str) -> Report:
@@ -705,83 +695,71 @@ def _jacobi_rows(table, par, reduced: bool) -> Iterator[dict]:
     rows2, and the third the first factors first3, tagged by k, against a
     column over (j, m), cols3.  Each copy is renamed once per call
     (_renamed), and row i makes one pass over its own entries (i, j) -> k,
-    placing each in every role it plays at a tag computed from (i, j, k):
-    outer at slot j and component k, first2 (j <= i) at slot k and j n^2,
-    first3 (j >= i) at slot k and j n, and, with reduced, the windows cols1
-    (j >= i) at slot k and (i n + j) n and cols3 at slot (j, p_i) and i n^2
-    + k.  An entry leaves cols1 after row j by deleting its keys, those of
-    its renamed vector plus its tag.  cols3 holds rows 0 to i, one column
-    for even and one for odd j (the sign s), and rows2, written in row
-    order, has keys that ascend in k, so row i deletes their items of k < i,
-    a prefix, before it reads them: no product leaves j <= i <= k.  Without
-    reduced every entry is a first factor of each term, and the columns are
-    static, gathered once before row 0: cols1 whole, and cols3 in two signed
-    copies, (l, 0) as it is, which even rows read negated, and (l, 1) with
-    the entries of even j negated, which odd rows read as they are; so each
-    (row, l) makes one add_product call per term.
+    writing each (_put) into every role it plays at a tag computed from (i,
+    j, k): outer at slot j and component k, first2 (j <= i) at slot k and j
+    n^2, first3 (j >= i) at slot k and j n, and, with reduced, through
+    window, the windows cols1 (j >= i) at slot k and (i n + j) n and cols3
+    at slot (j, p_i) and i n^2 + k.  An entry leaves cols1 after row j by
+    deleting its keys, those of its renamed vector plus its tag.  cols3 holds
+    rows 0 to i, one column for even and one for odd j (the sign s), and
+    rows2, written in row order, has keys that ascend in k, so row i deletes
+    their items of k < i, a prefix, before it reads them: no product leaves
+    j <= i <= k.  Without reduced every entry is a first factor of each term,
+    and the columns are static, written by window for every entry before row
+    0: cols1 whole, and cols3 in two signed copies, (l, 0) as it is, which
+    even rows read negated, and (l, 1) with the entries of even j negated,
+    which odd rows read as they are; so each (row, l) makes one add_product
+    call per term.
     """
     n, n2, shift = len(par), len(par) ** 2, _COMPONENT_SHIFT
     vecs, slots = table[0], sorted(table[1])
-    renamed = {}
-    outer_v, cols1_v, first2_v, rows2_v, first3_v, cols3_v = (
-        _renamed(vecs, *JACOBI_IMAGES[key], renamed)
+    outer_v, cols1_v, first2_v, rows2_v, first3_v, cols3_v = (   # six pairs, none shared
+        _renamed(vecs, *JACOBI_IMAGES[key], {})
         for key in ("outer", "cols1", "first2", "rows2", "first3", "cols3"))
     by_first, rows2 = [[] for _ in par], defaultdict(dict)   # the entries (i, j, k, e) of each i
     for slot in slots:
         i, j, k, e = slot
         by_first[i].append(slot)
-        vec, tag = rows2[i], j * n + k << shift
-        for key, c in rows2_v[e].items():
-            vec[key + tag] = c
+        _put(rows2[i], rows2_v[e], j * n + k << shift)
+    negated = not reduced and [{key: -c for key, c in vec.items()} for vec in cols3_v]
+    copies = [[(p, cols3_v)] if reduced else [(0, cols3_v), (1, cols3_v if p else negated)]
+              for p in (0, 1)]   # (parity slot, vectors) by the row's parity
     cols1, cols3 = defaultdict(dict), defaultdict(dict)
-    if not reduced:   # static columns, cols3 in two signed copies
-        cols1 = _gather((vecs, slots), *JACOBI_IMAGES["cols1"],
-                        lambda i, j, k: (k, (i * n + j) * n), renamed=renamed)
-        for pj in (0, 1):
-            cols3.update(_gather((vecs, slots), *JACOBI_IMAGES["cols3"],
-                                 lambda i, j, k: ((j, pj), i * n2 + k),
-                                 lambda i, j: pj and not par[i], renamed))
-    leaving = [[] for _ in par]   # with reduced, the cols1 entries by their last row
-    rows = [{} for _ in par]   # with reduced, the images written into each row
+    leaving, rows = [[] for _ in par], [{} for _ in par]   # with reduced: cols1 exits, images
+
+    def window(slot):   # the entry (h, j) -> k into the columns of terms 1 and 3
+        h, j, k, e = slot
+        for pj, vecs3 in copies[par[h]]:
+            _put(cols3[(j, pj)], vecs3[e], h * n2 + k << shift)
+        if j >= h or not reduced:
+            _put(cols1[k], cols1_v[e], (h * n + j) * n << shift)
+            leaving[j].append(slot)
+
+    for slot in slots if not reduced else ():   # static columns
+        window(slot)
     for i in range(n):
-        pi = par[i]
-        outer, first2, first3 = defaultdict(dict), defaultdict(dict), defaultdict(dict)
+        acc, outer, first2, first3 = {}, defaultdict(dict), defaultdict(dict), defaultdict(dict)
         for slot in by_first[i]:
             _, j, k, e = slot
-            vec, tag = outer[j], k << shift
-            for key, c in outer_v[e].items():
-                vec[key + tag] = c
-            if j <= i or not reduced:
-                vec, tag = first2[k], j * n2 << shift
-                for key, c in first2_v[e].items():
-                    vec[key + tag] = c
-            if j >= i or not reduced:
-                vec, tag = first3[k], j * n << shift
-                for key, c in first3_v[e].items():
-                    vec[key + tag] = c
             if reduced:
-                vec, tag = cols3[(j, pi)], i * n2 + k << shift
-                for key, c in cols3_v[e].items():
-                    vec[key + tag] = c
-            if reduced and j >= i:
-                leaving[j].append(slot)
-                vec, tag = cols1[k], (i * n + j) * n << shift
-                for key, c in cols1_v[e].items():
-                    vec[key + tag] = c
-        acc = {}
+                window(slot)
+            _put(outer[j], outer_v[e], k << shift)
+            if j <= i or not reduced:
+                _put(first2[k], first2_v[e], j * n2 << shift)
+            if j >= i or not reduced:
+                _put(first3[k], first3_v[e], j * n << shift)
         for l, p in outer.items():
             if cols1.get(l):
                 add_product(acc, p, cols1[l])
         lo = i * n << shift   # the least key of k = i
         for l, p in first2.items():
             if l in rows2:
-                row = _dropped_below(rows2[l], lo) if reduced else rows2[l]
-                add_product(acc, p, row, negate=True)
+                add_product(acc, p, _dropped_below(rows2[l], lo) if reduced else rows2[l], True)
         for l, p in first3.items():
-            for pj in (0, 1) if reduced else (pi,):
+            for pj in (0, 1) if reduced else (par[i],):
                 if cols3.get((l, pj)):
-                    add_product(acc, p, cols3[(l, pj)], negate=not pi & pj)
-        for h, j, k, e in leaving[i]:   # each entry's keys, placed as above
+                    add_product(acc, p, cols3[(l, pj)], not par[i] & pj)
+        for h, j, k, e in leaving[i] if reduced else ():   # each entry's keys, as window put them
             vec, tag = cols1[k], (h * n + j) * n << shift
             for key in cols1_v[e]:
                 del vec[key + tag]
@@ -962,8 +940,7 @@ def _jordan_rows(table, par, images) -> Iterator[dict]:
     """
     n = len(par)
     n2, n3 = n * n, n ** 3
-    vecs, slots = table
-    slots = sorted(slots)
+    vecs, slots = table[0], sorted(table[1])
     full = vecs, slots
     renamed = {}
     gather = partial(_gather, renamed=renamed)
@@ -1027,9 +1004,9 @@ def _jordan_rows(table, par, images) -> Iterator[dict]:
                     add_product(acc, p, _dropped_below(v[(l, pc)], lo), pa & pc)
         for b, c, l, e in leaving[a]:   # each entry's keys, placed as f_bc's
             slot, m = place_bc(b, c, l)
-            live, tag = f_bc[slot], m << _COMPONENT_SHIFT
+            live = f_bc[slot]
             for key in bc[e]:
-                del live[key + tag]
+                del live[key + (m << _COMPONENT_SHIFT)]
             if not live:
                 del f_bc[slot]
         if any(acc.values()):
