@@ -31,11 +31,11 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .conformal import (
     Generator, JORDAN, JORDAN_IMAGES, LIE, LambdaStructure, Record, Report, StructureError,
-    Table, Violation, _jacobi_rows, _jordan_rows, _packed,
+    Table, Violation, _FLIP_BACK, _jacobi_rows, _jordan_rows, _packed,
 )
 from .poly import (
     D, LAM, MultiPoly, P_ONE, _COMPONENT_SHIFT, _MAXEXP, _MONO_MASK, _VAR_SHIFT, _memo,
-    accumulate, vector_text,
+    accumulate, unpack_vector, vector_text,
 )
 
 _X = ("x1", "x2", "x3", "x4")
@@ -133,28 +133,29 @@ def dualize(S: LambdaStructure) -> Coproduct:
 def double_dual_roundtrip(S: LambdaStructure) -> Report:
     """d -> -lam-d applied twice to every table entry returns it exactly.
 
-    Each distinct entry object is substituted and compared once, and the
-    total counts every entry; the entries are walked again only when a value
-    fails, and then each entry of it has its own violation.  This exercises
+    The check reads S's stored form, not its rows: each distinct vector is
+    unpacked once (through _FLIP_BACK, as the rows are), substituted and
+    compared once, and the total counts every slot; the slots are walked
+    again only when a value fails, and then each entry of it has its own
+    violation, in slot order, which is the rows' order.  This exercises
     only the involution d -> -lam-d of MultiPoly.subst_general, which holds
     for every polynomial in lam and d, so it cannot fail on a table defect;
     ROADMAP item 2 replaces it with a round trip through dualize and JSON.
     """
-    rows = S.table.values()
-    rep = Report("roundtrip", S.name, total=sum(map(len, rows)))
+    L, (vecs, slots) = S.packed
+    rep = Report("roundtrip", S.name, total=len(slots))
     img = -LAM - D
-    failed = {}     # id(p) -> its double dual, for each distinct p that fails
-    for key, p in {id(p): p for row in rows for _, p in row}.items():
+    failed = {}     # e -> "p -> its double dual", for each distinct p that fails
+    for e, vec in enumerate(vecs):
+        p = unpack_vector(_FLIP_BACK(vec), L)[0]
         back = p.subst_general("d", img).subst_general("d", img)
         if back != p:
-            failed[key] = back
+            failed[e] = f"{p} -> {back}"
     if failed:
-        for (i, j), entries in S.table.items():
-            for k, p in entries:
-                back = failed.get(id(p))
-                if back is not None:
-                    names = (S.generators[i].id, S.generators[j].id, S.generators[k].id)
-                    rep.violations.append(Violation(names, f"{p} -> {back}"))
+        names = [g.id for g in S.generators]
+        for i, j, k, e in slots:
+            if e in failed:
+                rep.violations.append(Violation((names[i], names[j], names[k]), failed[e]))
     return rep
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import combinations, permutations, takewhile
 from math import gcd
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
@@ -422,30 +422,30 @@ class Report(Record):
 # identities on generators is a sparse contraction of renamed copies
 # Q^{ij}_k(x1_img, x2_img), so a residual of degree g is reported divided by
 # L**g.  _renamed renames each distinct polynomial once per check call and
-# image pair, and a kernel writes each entry's renamed vector (_put) into the
-# slot of every role the entry plays, at the entry's component and sign: the
-# Jacobi kernel in one pass over each row's entries, with tags computed from
-# (i, j, k), the flip kernel the same way, and the Jordan kernel through
-# _gather and a place function.  A window that an entry leaves loses its keys,
-# recomputed from the vector and the tag.  Free tuple indices ride in the
-# component, so one add_product covers a whole batch of tuples.  With P(a, b) = Q(a, -a-b), the kernels read the table at (lam, d)
-# = (x1, -x1-x2) for the flip, (lam, mu, d) = (x1, x2, -x1-x2-x3) for Jacobi
-# and (lam, mu, nu, d) = (x1, x2, x2+x3, -x1-x2-x3-x4) for Jordan, where the
-# skew, commutativity, Jacobi and consistent Jordan residuals are the
-# co-antisymmetry, minus the co-commutativity, the co-Jacobi and
-# -(-1)^{p(a)p(c)} times the co-Jordan residuals (see coalgebra).  A kernel's
-# row is a plain residual, compact ({} when zero) and in the slot variables,
-# and its writer applies its own map, sign and scale: the table checks map it
-# back (_FLIP_BACK, _JACOBI_BACK, _JORDAN_BACK; each map keeps the image of
-# every monomial it meets), and co-Jordan signs it.  The image sets give each
-# copy's (x1_img, x2_img), (None, None) for the table as it is.  The Jordan
-# kernel renames the table for its first factors and for the intermediates r1
-# and q2 only: r2 and q3 are r1 and q2 with x1 and x2 swapped, r3 and q1 with
-# x1 and x3 swapped, so it renames the products instead (see _jordan_rows),
-# and _RENAMED writes their images so.  Where a group acts on the tuples, S_3
-# on skew Jacobi triples and the rotations on Jordan triples, a kernel
-# accumulates one tuple per orbit, and _write_images writes the rest of the
-# orbit from the group's table (_S3 with Koszul signs, _Z3 without), slot
+# image pair.  Every kernel places entries one way: a pass over the slots
+# (the Jacobi kernel's over each row's own) writes each entry's renamed
+# vector, signed where its role asks, once per role it plays (_put), into the
+# slot of that role at a tag computed from the entry's indices.  A window
+# that an entry leaves loses its keys, those of the vector plus the tag.
+# Free tuple indices ride in the component, so one add_product covers a
+# whole batch of tuples.  With P(a, b) = Q(a, -a-b), the kernels read the
+# table at (lam, d) = (x1, -x1-x2) for the flip, (lam, mu, d) = (x1, x2,
+# -x1-x2-x3) for Jacobi and (lam, mu, nu, d) = (x1, x2, x2+x3, -x1-x2-x3-x4)
+# for Jordan, where the skew, commutativity, Jacobi and consistent Jordan
+# residuals are the co-antisymmetry, minus the co-commutativity, the
+# co-Jacobi and -(-1)^{p(a)p(c)} times the co-Jordan residuals (see
+# coalgebra).  A kernel's row is a plain residual, compact ({} when zero) and
+# in the slot variables, and its writer applies its own map, sign and scale:
+# the table checks map it back (_FLIP_BACK, _JACOBI_BACK, _JORDAN_BACK; each
+# map keeps the image of every monomial it meets), and co-Jordan signs it.  The
+# image sets give each copy's (x1_img, x2_img), (None, None) for the table as
+# it is.  The Jordan kernel renames the table for its first factors and for the
+# intermediates r1 and q2 only: r2 and q3 are r1 and q2 with x1 and x2 swapped,
+# r3 and q1 with x1 and x3 swapped, so it renames the products instead (see
+# _jordan_rows), and _RENAMED writes their images so.  Where a group acts on
+# the tuples, S_3 on skew Jacobi triples and the rotations on Jordan triples, a
+# kernel accumulates one tuple per orbit, and _write_images writes the rest of
+# the orbit from the group's table (_S3 with Koszul signs, _Z3 without), slot
 # exponents and component digits alike.
 JACOBI_IMAGES = {"outer": (X1, X2 + X3), "cols1": (X2, X3), "first2": (None, None),
                  "rows2": (X1 + X2, X3), "first3": (X1, X3), "cols3": (X2, X1 + X3)}
@@ -493,26 +493,6 @@ def _put(vec: dict, src: dict, tag: int) -> None:
     tag, a component shifted into place, which no key of vec holds yet."""
     for key, c in src.items():
         vec[key + tag] = c
-
-
-def _gather(table, x1_img, x2_img, place, negate=None, renamed=None):
-    """Packed vectors out[slot] of the renamed entries Q^{ij}_k(x1_img, x2_img).
-
-    place(i, j, k) = (slot, m) puts the entry at component m of out[slot];
-    with negate given, the entries for which negate(i, j) holds change sign,
-    each distinct vector negated once.  The entries are renamed by _renamed,
-    through renamed when it is given.  The entries of one slot have distinct
-    components, so each entry's terms are written in place (_put) and no
-    slot is summed or compacted; they are written in the order of the slots
-    of table, the table's row order.
-    """
-    vecs = _renamed(table[0], x1_img, x2_img, {} if renamed is None else renamed)
-    negated = negate and [{key: -c for key, c in vec.items()} for vec in vecs]
-    out = defaultdict(dict)
-    for i, j, k, e in table[1]:
-        slot, m = place(i, j, k)
-        _put(out[slot], (negated if negate and negate(i, j) else vecs)[e], m << _COMPONENT_SHIFT)
-    return dict(out)
 
 
 def _flip_kernel(table, par, kind: str) -> dict:
@@ -775,28 +755,23 @@ PRINTED = "printed"
 CONSISTENT = "consistent"
 
 
-def _grouped(vectors: dict) -> dict:
-    """{(a, *rest): v} as {a: [(*rest, v)]}."""
-    out = {}
-    for (a, *rest), v in vectors.items():
-        out.setdefault(a, []).append((*rest, v))
-    return out
-
-
-def _hoisted(gather, n: int, first, last) -> dict:
+def _hoisted(vecs, slots, n: int, first, last, renamed: dict) -> dict:
     """h[(x, y)] = sum_{d,m} Q^{xd}_m(*first) Q^{ym}_k(*last), packed at d n + k.
 
-    gather is _gather with the table and renamed bound, first and last
-    (x1_img, x2_img) pairs; the fourth tuple index d rides in the component,
-    so each h[(x, y)] serves every d at once.
+    vecs and slots are a packed table, first and last (x1_img, x2_img)
+    pairs, renamed through renamed (_renamed); the fourth tuple index d rides
+    in the component, so each h[(x, y)] serves every d at once.  One pass
+    over the slots writes each entry (i, j) -> k (_put) as a first factor,
+    into firsts[(i, k)] at j n, and as a last one, into lasts[j][i] at k.
     """
-    firsts = gather(*first, lambda x, d, m: ((x, m), d * n))
-    lasts: Dict[int, list] = {}
-    for (y, m), row in gather(*last, lambda y, m, k: ((y, m), k)).items():
-        lasts.setdefault(m, []).append((y, row))
+    first_v, last_v = _renamed(vecs, *first, renamed), _renamed(vecs, *last, renamed)
+    firsts, lasts = defaultdict(dict), defaultdict(lambda: defaultdict(dict))
+    for i, j, k, e in slots:
+        _put(firsts[(i, k)], first_v[e], j * n << _COMPONENT_SHIFT)
+        _put(lasts[j][i], last_v[e], k << _COMPONENT_SHIFT)
     out: Dict[Tuple[int, int], dict] = {}
     for (x, m), p in firsts.items():
-        for y, row in lasts.get(m, ()):
+        for y, row in lasts.get(m, {}).items():
             add_product(out.setdefault((x, y), {}), p, row)
     return {key: compact_vector(acc) for key, acc in out.items()}
 
@@ -910,7 +885,13 @@ def _jordan_rows(table, par, images) -> Iterator[dict]:
     bc_l, ca_l and ab_l the first factors, b riding in u at b n^3 and c in
     v at c n^2, split by parity.  A first factor's other parity is fixed by
     l, as every entry is parity-homogeneous: p(c) = p(b) + p(l) for b c and
-    p(c) = p(a) + p(l) for c a.
+    p(c) = p(a) + p(l) for c a.  Each copy is renamed once per call
+    (_renamed), and one pass over the slots writes each entry (_put) into
+    every role it plays, at a tag computed from its indices: b c into
+    f_bc[(l, p(b))] at b n^3 + c n^2, a b with b >= a into f_ab[a][(b > a,
+    l)] at b n^3, c a with c >= a into f_ca[a][(c > a, l)] at c n^2 and, for
+    the printed images, c a into the first factors of both chain terms below
+    by a and l, at c n^2.
 
     As R(b, c, a, d)(x2, x3, x1, x4) = R(a, b, c, d)(x1, x2, x3, x4) for the
     consistent identity (see check_jordan_identity), row a accumulates only
@@ -919,7 +900,8 @@ def _jordan_rows(table, par, images) -> Iterator[dict]:
     with b > a to (a, a, b).  Each term is cut exactly:
 
       - b c: an entry (b, c) is live in the rows a <= b if b <= c and a < c
-        if b > c, gathered once and deleted after its last row;
+        if b > c, written once and, after its last row, deleted by its keys,
+        those of its renamed vector plus its tag;
       - c a: entries with c > a meet T2 + S3 at b >= a, and c = a, which
         leaves (a, a, a) only, its slice b = a;
       - a b: entries with b = a meet T3 + S1 at c >= a, and b > a at c > a.
@@ -938,18 +920,15 @@ def _jordan_rows(table, par, images) -> Iterator[dict]:
     their rows are the consistent rows plus that term at the printed images
     less that term at the consistent ones, over all quadruples.
     """
-    n = len(par)
+    n, shift = len(par), _COMPONENT_SHIFT
     n2, n3 = n * n, n ** 3
     vecs, slots = table[0], sorted(table[1])
-    full = vecs, slots
     renamed = {}
-    gather = partial(_gather, renamed=renamed)
-    hoisted = partial(_hoisted, partial(gather, full), n)
     J = JORDAN_IMAGES
     # r[(l, a)] = R1[l, a] and q[(a, l)] = Q2[a, l]; w[(l, a)], the sum b c
     # meets, and its renamed copies u, which c a meets (b at b n^3), and v,
     # which a b meets (c at c n^2), by l and the parity of b or c
-    r, q = hoisted(*J["r1"]), hoisted(*J["q2"])
+    r, q = (_hoisted(vecs, slots, n, *J[key], renamed) for key in ("r1", "q2"))
     never = lambda x, y: False
     odd = lambda x, y: par[x] & par[y]
     at_b = lambda l, b: ((l, par[b]), b * n3)
@@ -959,61 +938,63 @@ def _jordan_rows(table, par, images) -> Iterator[dict]:
     u = _combined([(w, moves12, at_b, odd)])
     v = _combined([(w, moves13, lambda l, c: ((l, par[c]), c * n2), never)])
     del q
-    # first factors: of b c live in the current row (last, its last row), of
-    # a b with b >= a and c a with c >= a by a and whether the index exceeds a
-    last = [[b if b <= c else c - 1 for c in range(n)] for b in range(n)]
-    leaving = [[] for _ in par]
-    for slot in slots:
-        if last[slot[0]][slot[1]] >= 0:
-            leaving[last[slot[0]][slot[1]]].append(slot)
-    place_bc = lambda b, c, l: ((l, par[b]), b * n3 + c * n2)
-    f_bc = gather((vecs, [s for s in slots if last[s[0]][s[1]] >= 0]), *J["bc"], place_bc)
-    bc = _renamed(vecs, *J["bc"], renamed)   # the vector f_bc holds of each entry
-    f_ab = _grouped(gather((vecs, [s for s in slots if s[1] >= s[0]]), *J["ab"],
-                           lambda a, b, l: ((a, b > a, l), b * n3)))
-    f_ca = _grouped(gather((vecs, [s for s in slots if s[0] >= s[1]]), *J["ca_split"],
-                           lambda c, a, l: ((a, c > a, l), c * n2)))
-    # the printed second chain term and the consistent one over all quadruples,
-    # each with the sign it is added with
+    # the printed second chain term and the consistent one over all quadruples:
+    # first factors c a by a and l, their vectors, the term and its sign
     fixes = []
     if (images["ca_chain"], images["r2"]) != (J["ca_chain"], J["r2"]):
-        place_ca = lambda c, a, l: ((a, l), c * n2)
-        fixes = [(_grouped(gather(full, *images["ca_chain"], place_ca)),
-                  _combined([(hoisted(*images["r2"]), None, at_b, never)]), 0),
-                 (_grouped(gather(full, *J["ca_chain"], place_ca)),
-                  _combined([(r, moves12, at_b, never)]), 1)]
+        fixes = [([defaultdict(dict) for _ in par], _renamed(vecs, *chain, renamed),
+                  _combined([(h, moves, at_b, never)]), flip)
+                 for chain, h, moves, flip in (
+                    (images["ca_chain"], _hoisted(vecs, slots, n, *images["r2"], renamed), None, 0),
+                    (J["ca_chain"], r, moves12, 1))]
     del r
+    # first factors: of b c live in the current row (last, its last row), of
+    # a b with b >= a and c a with c >= a by a, whether the index exceeds a and l
+    last = [[b if b <= c else c - 1 for c in range(n)] for b in range(n)]
+    bc, ab, ca = (_renamed(vecs, *J[key], renamed) for key in ("bc", "ab", "ca_split"))
+    f_bc, leaving = defaultdict(dict), [[] for _ in par]
+    f_ab, f_ca = [defaultdict(dict) for _ in par], [defaultdict(dict) for _ in par]
+    for i, j, l, e in slots:   # the entry (i, j) -> l in every role it plays
+        if last[i][j] >= 0:   # b c
+            slot, tag = (l, par[i]), i * n3 + j * n2 << shift
+            _put(f_bc[slot], bc[e], tag)
+            leaving[last[i][j]].append((slot, tag, e))
+        if j >= i:   # a b
+            _put(f_ab[i][(j > i, l)], ab[e], j * n3 << shift)
+        if i >= j:   # c a
+            _put(f_ca[j][(i > j, l)], ca[e], i * n2 << shift)
+        for f, chain, _, _ in fixes:   # c a, chained
+            _put(f[j][l], chain[e], i * n2 << shift)
     rows = [{} for _ in par]   # the terms written forward into each row
     for a in range(n):
         pa, acc = par[a], {}
         for (l, pb), p in f_bc.items():
             if (l, a) in w:
                 add_product(acc, p, w[(l, a)], pa & pb)
-        lo, hi = a * n3 << _COMPONENT_SHIFT, (a + 1) * n3 << _COMPONENT_SHIFT
-        for above, l, p in f_ca.get(a, ()):
+        lo, hi = a * n3 << shift, (a + 1) * n3 << shift
+        for (above, l), p in f_ca[a].items():
             for pb in (0, 1) if above else (pa,):
                 if (l, pb) in u:
                     vec = _dropped_below(u[(l, pb)], lo)
                     if not above:   # (a, a, a): the slice b = a
                         vec = dict(takewhile(lambda item: item[0] < hi, vec.items()))
                     add_product(acc, p, vec, pa & pb)
-        for above, l, p in f_ab.get(a, ()):
-            lo = (a + above) * n2 << _COMPONENT_SHIFT
+        for (above, l), p in f_ab[a].items():
+            lo = (a + above) * n2 << shift
             for pc in (0, 1):
                 if (l, pc) in v:
                     add_product(acc, p, _dropped_below(v[(l, pc)], lo), pa & pc)
-        for b, c, l, e in leaving[a]:   # each entry's keys, placed as f_bc's
-            slot, m = place_bc(b, c, l)
+        for slot, tag, e in leaving[a]:   # each entry's keys, as the pass put them
             live = f_bc[slot]
             for key in bc[e]:
-                del live[key + (m << _COMPONENT_SHIFT)]
+                del live[key + tag]
             if not live:
                 del f_bc[slot]
         if any(acc.values()):
             _write_images(compact_vector(acc), a, n, 2, par, rows, _Z3)
         row = rows[a]
-        for f, r2, flip in fixes:
-            for l, p in f.get(a, ()):
+        for f, _, r2, flip in fixes:
+            for l, p in f[a].items():
                 for pb in (0, 1):
                     if (l, pb) in r2:
                         add_product(row, p, r2[(l, pb)], (pa & pb) ^ flip)

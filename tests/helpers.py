@@ -1,13 +1,14 @@
 """Test-only helpers shared by several test modules."""
 
+from collections import defaultdict
 from fractions import Fraction
 
 from confcoalg import conformal, families
 from confcoalg.coalgebra import DiffLine, DiffReport
-from confcoalg.conformal import ConformalElement, StructureError
+from confcoalg.conformal import ConformalElement, StructureError, _put, _renamed
 from confcoalg.poly import (
-    ALPHABET, MultiPoly, ONE, P_ZERO, Scalar, X1, X2, _GUARD, _MAXEXP, _VAR_SHIFT, _sort_key,
-    accumulate, common_denominator, pack_vector, unpack_vector,
+    ALPHABET, MultiPoly, ONE, P_ZERO, Scalar, X1, X2, _COMPONENT_SHIFT, _GUARD, _MAXEXP,
+    _VAR_SHIFT, _sort_key, accumulate, common_denominator, pack_vector, unpack_vector,
 )
 
 
@@ -73,6 +74,29 @@ def subst_general_oracle(self: MultiPoly, var: str, repl: MultiPoly) -> MultiPol
         base = MultiPoly({k & ~mask: c})
         out = out + (base * powers[e] if e else base)
     return out
+
+
+# A gather with a place function per entry, as the kernels placed their
+# entries before each wrote them in one pass: the placement tests compare it
+# with a per-slot oracle, and the full Jordan kernel of test_kernels reads it.
+def _gather(table, x1_img, x2_img, place, negate=None, renamed=None):
+    """Packed vectors out[slot] of the renamed entries Q^{ij}_k(x1_img, x2_img).
+
+    place(i, j, k) = (slot, m) puts the entry at component m of out[slot];
+    with negate given, the entries for which negate(i, j) holds change sign,
+    each distinct vector negated once.  The entries are renamed by _renamed,
+    through renamed when it is given.  The entries of one slot have distinct
+    components, so each entry's terms are written in place (_put) and no
+    slot is summed or compacted; they are written in the order of the slots
+    of table, the table's row order.
+    """
+    vecs = _renamed(table[0], x1_img, x2_img, {} if renamed is None else renamed)
+    negated = negate and [{key: -c for key, c in vec.items()} for vec in vecs]
+    out = defaultdict(dict)
+    for i, j, k, e in table[1]:
+        slot, m = place(i, j, k)
+        _put(out[slot], (negated if negate and negate(i, j) else vecs)[e], m << _COMPONENT_SHIFT)
+    return dict(out)
 
 
 def count_calls(monkeypatch, owner, name):

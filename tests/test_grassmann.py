@@ -218,8 +218,8 @@ def _uses(tree, name):
 def test_one_helper_renames_table_entries():
     """conformal._renamed is the one function that calls poly.substitution:
     every renamed copy of a packed table, in the kernels and the co-kernels,
-    renames each distinct entry polynomial once through it, and _gather and
-    the Jacobi kernel read the copies it makes.  The other maps
+    renames each distinct entry polynomial once through it, and the kernels
+    read the copies it makes.  The other maps
     are module constants of conformal that change coordinates: the
     LambdaStructure constructor packs a table as its dual Q(x1, x2) =
     P(x1, -x1-x2) through one, and the table checks and rows map back to
@@ -318,9 +318,34 @@ def test_each_flip_residual_is_computed_once():
     assert isinstance(conformal.Table.__dict__["flip_residual"], functools.cached_property)
 
 
+def test_every_kernel_places_entries_through_put():
+    """Every kernel writes each table entry in one pass over the slots,
+    through conformal._put, at a tag computed from the entry's indices: no
+    module of the package defines or names _gather or _grouped, which
+    placed entries through a place function per call and regrouped the
+    result, no function or lambda of conformal takes a place parameter, and
+    the callers of _put are the flip, Jacobi and Jordan kernels and
+    _hoisted, the Jordan kernel's intermediates."""
+    sources = _production_sources()
+    callers = set()
+    for name, tree in sources:
+        defined = {node.name for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        for gone in ("_gather", "_grouped"):
+            assert gone not in defined and not _uses(tree, gone), (name, gone)
+        callers.update((name, where.split(".")[0]) for where in _uses(tree, "_put"))
+    for node in ast.walk(dict(sources)["confcoalg.conformal"]):
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            args = node.args
+            params = {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)}
+            assert "place" not in params, getattr(node, "name", "lambda")
+    assert callers == {("confcoalg.conformal", kernel) for kernel in (
+        "_flip_kernel", "_jacobi_rows", "_hoisted", "_jordan_rows")}
+
+
 def test_co_lie_checks_run_the_lambda_kernels():
     """check_lie_coalgebra runs conformal's flip and Jacobi kernels in slot
-    variables: it calls neither add_product nor _gather, and _jacobi_rows,
+    variables: it calls no add_product, and _jacobi_rows,
     which writes its own orbits, is the one that check_jacobi and
     check_lie_coalgebra share.  The co-Lie check's own flip and contraction
     (_flips, _UNIT) are gone."""
@@ -328,8 +353,7 @@ def test_co_lie_checks_run_the_lambda_kernels():
         return sorted((module, where) for module, tree in _production_sources()
                       for where in _uses(tree, name))
 
-    for name in ("add_product", "_gather"):
-        assert ("confcoalg.coalgebra", "check_lie_coalgebra") not in users(name), name
+    assert ("confcoalg.coalgebra", "check_lie_coalgebra") not in users("add_product")
     assert users("_jacobi_rows") == [("confcoalg.coalgebra", "check_lie_coalgebra"),
                                      ("confcoalg.conformal", "check_jacobi")]
     assert users("_write_images") == [("confcoalg.conformal", "_jacobi_rows"),

@@ -15,10 +15,12 @@ oracle and the tensor-slot co-Jordan oracle are also compared with each
 other, through the slot map on which the shared Jordan kernel rests.
 """
 
+import copy
 import heapq
 import itertools
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 from types import SimpleNamespace
@@ -30,12 +32,12 @@ from confcoalg import closed_form as cf
 from confcoalg import conformal, families, poly
 from confcoalg.coalgebra import (
     Coproduct, TensorElement, apply_delta_slot, check_jordan_coalgebra,
-    check_lie_coalgebra, dualize, tau, zeta,
+    check_lie_coalgebra, double_dual_roundtrip, dualize, tau, zeta,
 )
 from confcoalg.conformal import (
     CONSISTENT, JACOBI_IMAGES, JORDAN, JORDAN_IMAGES, LIE, PRINTED, PRINTED_JORDAN_IMAGES,
     ConformalElement, Generator, LambdaStructure, ModuleMap, Report, StructureError, Violation,
-    _divmod_d, _gather, _normalise_content, bracket, bracket_pairs, check_jacobi,
+    _divmod_d, _normalise_content, bracket, bracket_pairs, check_jacobi,
     check_jordan_comm, check_jordan_identity, check_skew, shift_spectral,
 )
 from confcoalg.families import corrupt_entry
@@ -46,7 +48,7 @@ from confcoalg.poly import (
 )
 
 from helpers import (
-    count_calls, dual_entry, element_pairs, element_reader, exact_div, packed_rows,
+    _gather, count_calls, dual_entry, element_pairs, element_reader, exact_div, packed_rows,
     pair_element, term_products,
 )
 from test_coalgebra import _bench_workloads
@@ -591,6 +593,63 @@ def test_kernel_rows_are_compact(request):
     assert {name for name, row in rows if row} >= {"K_3?", "J_2", "J_2?", "JCK_4"}
     for name, row in rows:
         assert 0 not in row.values() and row == compact_vector(row), name
+
+
+def _seeded_corruptions():
+    """A skew-keeping and a skew-breaking corruption of K_3, the second run by
+    the full Jacobi kernel, and a corruption of J_2."""
+    return [_skew_corruption(families.make_K(3), "xi1", "xi2", "xi12", LAM + 2 * D),
+            corrupt_entry(families.make_K(3), "xi1", "xi2", "xi12", MultiPoly.const(-1)),
+            _corrupt_J2()]
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+def test_no_check_changes_the_stored_form(corrupt, request):
+    """The kernels write into vectors of their own and never into the stored
+    form they read: after skew, Jacobi and co-Lie, or commutativity, both
+    Jordan variants and co-Jordan, a table's packed form and its dual's,
+    which shares the table's vectors, equal deep copies taken before, and a
+    second run of the checks gives equal reports.  On every fixture or on
+    the seeded corruptions; each table is a fresh copy, so no form is cached."""
+    tables = (_seeded_corruptions() if corrupt
+              else [*_lie_fixtures(request), *_jordan_fixtures(request)])
+    for T in tables:
+        S = LambdaStructure(T.kind, T.generators, T.table, name=T.name)
+        cop = dualize(S)
+        if S.kind == LIE:
+            checks = [(check_skew, S), (check_jacobi, S), (check_lie_coalgebra, cop)]
+        else:
+            checks = [(check_jordan_comm, S), (check_jordan_identity, S),
+                      (lambda S: check_jordan_identity(S, PRINTED), S),
+                      (check_jordan_coalgebra, cop)]
+        before = copy.deepcopy((S.packed, cop.packed))
+        first = [check(arg) for check, arg in checks]
+        assert (S.packed, cop.packed) == before, S.name
+        assert [check(arg) for check, arg in checks] == first, S.name
+        assert (S.packed, cop.packed) == before, S.name
+
+
+@pytest.mark.parametrize("corrupt", [False, True])
+def test_double_dual_roundtrip_matches_the_per_entry_oracle(corrupt, request, monkeypatch):
+    """double_dual_roundtrip reads the stored form and builds no row view,
+    and its report equals the per-entry oracle's, which reads the rows: on
+    every fixture or on the seeded corruptions, and again under a
+    subst_general that adds 1 to the first substitution of one value, the
+    most frequent, so that each entry of it fails, in the rows' order."""
+    tables = (_seeded_corruptions() if corrupt
+              else [*_lie_fixtures(request), *_jordan_fixtures(request)])
+    real = MultiPoly.subst_general
+    for T in tables:
+        S = LambdaStructure(T.kind, T.generators, T.table, name=T.name)
+        rep = double_dual_roundtrip(S)
+        assert "table" not in S.__dict__, S.name
+        assert rep.ok and rep == _roundtrip_per_entry(S), S.name
+        (target, count), = Counter(p for row in S.table.values() for _, p in row).most_common(1)
+        with monkeypatch.context() as mp:
+            mp.setattr(MultiPoly, "subst_general", lambda self, var, repl: (
+                real(self, var, repl) + P_ONE if self == target else real(self, var, repl)))
+            rep, expected = double_dual_roundtrip(S), _roundtrip_per_entry(S)
+        assert len(rep.violations) == count and rep == expected, S.name
 
 
 # -- the Jordan kernel over rotation orbits ----------------------------------------
@@ -1216,23 +1275,6 @@ def test_full_jacobi_term_3_makes_one_call_per_row_and_slot(K, monkeypatch):
     assert (rep.total, _found(rep)) == _jacobi_per_tuple(bad)
     products, calls, rep = term_products(monkeypatch, check_lie_coalgebra, dualize(bad), calls=True)
     assert (products, calls) == (10427, 550) and not rep.ok
-
-
-def test_jacobi_kernel_gathers_nothing(K, monkeypatch):
-    """The Jacobi kernel places every entry in each of its roles in one pass
-    per row, reading renamed vectors made once per call and image pair, and
-    a window entry leaves by its recomputed keys; without skew-symmetry the
-    same code writes the static columns before row 0.  So once a table's
-    flip residual is built, check_jacobi and check_lie_coalgebra of its dual
-    call _gather not once, on K_4 and on its criterion-9 corruption."""
-    bad = corrupt_entry(K[4], "xi1", "xi2", "xi12", MultiPoly.const(-1))
-    for S, ok in ((K[4], True), (bad, False)):
-        cop = dualize(S)
-        assert check_skew(S).ok == check_lie_coalgebra(cop).ok == ok
-        gathered = count_calls(monkeypatch, conformal, "_gather")
-        for check, arg in ((check_jacobi, S), (check_lie_coalgebra, cop)):
-            assert check(arg).ok == ok
-            assert gathered == [], arg.name
 
 
 def test_tables_are_not_cached_across_copies(K):

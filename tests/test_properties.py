@@ -54,7 +54,7 @@ from confcoalg.coalgebra import (  # noqa: E402
 )
 from confcoalg.conformal import (  # noqa: E402
     CONSISTENT, JORDAN, LIE, PRINTED, ConformalElement, Generator, LambdaStructure,
-    ModuleMap, _gather, _packed, check_jacobi, check_jordan_comm,
+    ModuleMap, _packed, check_jacobi, check_jordan_comm,
     check_jordan_identity, check_skew, kernel_basis,
 )
 from confcoalg.poly import (  # noqa: E402
@@ -63,7 +63,8 @@ from confcoalg.poly import (  # noqa: E402
 )
 
 from helpers import (  # noqa: E402
-    apply_map, dual_entry, element_pairs, element_reader, parity_keeping_targets, repr_oracle,
+    _gather, apply_map, dual_entry, element_pairs, element_reader, parity_keeping_targets,
+    repr_oracle,
 )
 from test_kernels import (  # noqa: E402
     _bracket_loop, _canonicalize_CK6_oracle, _canonicalize_S_oracle, _co_oracle,
