@@ -34,8 +34,8 @@ from .conformal import (
     Table, Violation, _FLIP_BACK, _jacobi_rows, _jordan_rows, _packed,
 )
 from .poly import (
-    D, LAM, MultiPoly, P_ONE, _COMPONENT_SHIFT, _MAXEXP, _MONO_MASK, _VAR_SHIFT, _memo,
-    accumulate, unpack_vector, vector_text,
+    D, LAM, MultiPoly, P_ONE, _COMPONENT_SHIFT, _MAXEXP, _MONO_MASK, _VAR_SHIFT, _memo, _parts,
+    _poly_text, accumulate, unpack_vector, vector_text,
 )
 
 _X = ("x1", "x2", "x3", "x4")
@@ -307,19 +307,20 @@ def _record(rep: Report, cop: Coproduct, residuals) -> None:
     scale)], with a nonzero residual, in the order of k and then of residuals.
     Row r of rows is a packed residual, scale times too large, whose component
     t n + k is the part of a_k^* at the tuple with base-n digits r n^(arity-1) + t
-    (a flip residual is one row); a row's text is written as it is read."""
-    n = cop.rank
+    (a flip residual is one row); a row's text is written as it is read, the
+    text of each monomial and coefficient made once per call."""
+    n, texts = cop.rank, {}
+    powers = [[n ** e for e in reversed(range(arity))] for _, arity, _, _ in residuals]
     found: Dict[Tuple[int, int], list] = {}
-    for x, (_, arity, rows, scale) in enumerate(residuals):
+    for x, (_, _, rows, scale) in enumerate(residuals):
         for r, row in enumerate(rows):
-            for c, text in vector_text(row, scale).items():
+            for c, terms in _parts(row, scale).items():
                 t, k = divmod(c, n)
-                found.setdefault((k, x), []).append((r * n ** (arity - 1) + t, text))
+                text = _poly_text(terms, texts)
+                found.setdefault((k, x), []).append((r * powers[x][0] + t, text))
     for (k, x), parts in sorted(found.items()):
-        check, arity = residuals[x][:2]
-        text = " + ".join(f"({s})*{tuple(t // n ** e % n for e in reversed(range(arity)))}"
-                          for t, s in sorted(parts))
-        rep.violations.append(Violation((cop.generators[k].id, check), text))
+        text = " + ".join(f"({s})*{tuple(t // p % n for p in powers[x])}" for t, s in sorted(parts))
+        rep.violations.append(Violation((cop.generators[k].id, residuals[x][0]), text))
 
 
 def check_lie_coalgebra(cop: Coproduct) -> Report:

@@ -26,9 +26,9 @@ from math import gcd
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .poly import (
-    D, LAM, MU, NU, X1, X2, X3, X4, MultiPoly, P_ONE, Scalar, accumulate, add_product,
+    D, LAM, MU, NU, X1, X2, X3, X4, MultiPoly, P_ONE, P_ZERO, Scalar, accumulate, add_product,
     common_denominator, compact_vector, _COMPONENT_SHIFT, _MAXEXP, _MONO_MASK, _VAR_SHIFT, _memo,
-    pack_vector, substitution, unpack_vector, vector_text,
+    _parts, _poly_text, pack_vector, substitution, unpack_vector,
 )
 
 LIE = "lie"
@@ -376,7 +376,8 @@ class Violation(Record):
     __slots__ = ("where", "residual")
 
     def __init__(self, where: Tuple[str, ...], residual: str):
-        self._set(where, residual)
+        self.where = where
+        self.residual = residual
 
 
 class Report(Record):
@@ -440,13 +441,14 @@ class Report(Record):
 # map keeps the image of every monomial it meets), and co-Jordan signs it.  The
 # image sets give each copy's (x1_img, x2_img), (None, None) for the table as
 # it is.  The Jordan kernel renames the table for its first factors and for the
-# intermediates r1 and q2 only: r2 and q3 are r1 and q2 with x1 and x2 swapped,
-# r3 and q1 with x1 and x3 swapped, so it renames the products instead (see
-# _jordan_rows), and _RENAMED writes their images so.  Where a group acts on
-# the tuples, S_3 on skew Jacobi triples and the rotations on Jordan triples, a
-# kernel accumulates one tuple per orbit, and _write_images writes the rest of
-# the orbit from the group's table (_S3 with Koszul signs, _Z3 without), slot
-# exponents and component digits alike.
+# intermediate r1 only: q2 and the printed r2 are r1 in other slot variables,
+# r2 and q3 are r1 and q2 with x1 and x2 swapped, r3 and q1 with x1 and x3
+# swapped, so it renames the products instead (see _jordan_rows), and _RENAMED
+# writes their images so.  Where a group acts on the tuples, S_3 on skew
+# Jacobi triples and the rotations on Jordan triples, a kernel accumulates one
+# tuple per orbit, and _write_images writes the rest of the orbit from the
+# group's table (_S3 with Koszul signs, _Z3 without), slot exponents and
+# component digits alike.
 JACOBI_IMAGES = {"outer": (X1, X2 + X3), "cols1": (X2, X3), "first2": (None, None),
                  "rows2": (X1 + X2, X3), "first3": (X1, X3), "cols3": (X2, X1 + X3)}
 _SWAP12, _SWAP13 = {"x1": "x2", "x2": "x1"}, {"x1": "x3", "x3": "x1"}
@@ -463,6 +465,9 @@ _TO_SLOTS = substitution("lam", "d", X1, -X1 - X2)
 _FLIP_BACK = substitution("x1", "x2", LAM, -LAM - D)
 _JACOBI_BACK = substitution("x1", "x2", "x3", LAM, MU, -LAM - MU - D)
 _JORDAN_BACK = substitution("x1", "x2", "x3", "x4", LAM, MU, NU - MU, -LAM - NU - D)
+# Q2 and the printed R2 as R1 in other slot variables (see _jordan_rows)
+_R1_TO_Q2 = substitution("x1", "x2", "x3", X2 + X3, X1, P_ZERO)
+_R1_TO_PRINTED_R2 = substitution("x1", "x2", "x3", "x4", X2, X1 - X2, P_ZERO, X2 + X3 + X4)
 
 
 def _packed(entries):
@@ -514,7 +519,7 @@ def _check_flip(S: LambdaStructure, check: str) -> Report:
     """[a lam b] = sign (-1)^{p(a)p(b)} [b_{-lam-d} a] per pair, written from
     S.flip_residual (see _flip_kernel) at (x1, x2) = (lam, -lam-d)."""
     rep = Report(check, S.name, total=S.rank ** 2)
-    _record(rep, S, (), S.flip_residual, 2, S.packed[0], _FLIP_BACK)
+    _record(rep, S, [S.flip_residual], 2, S.packed[0], _FLIP_BACK)
     return rep
 
 
@@ -532,27 +537,29 @@ def check_jordan_comm(S: LambdaStructure) -> Report:
     return _check_flip(S, "jordan-comm")
 
 
-def _record(rep: Report, S: LambdaStructure, head, acc, width: int, scale: int, back) -> None:
-    """Add a violation at each tuple head + tail whose part of acc is nonzero.
+def _record(rep: Report, S: LambdaStructure, rows, arity: int, scale: int, back) -> None:
+    """Add a violation at each tuple whose part of rows is nonzero.
 
-    acc is a compact packed residual in slot variables, scale times too
-    large, at components tail n + m, m the generator of the residual and tail
-    the last width tuple indices as base-n digits; back maps it to the
-    table's variables.  Violations follow in the order of the tails, and each
-    residual is written as ConformalElement.pretty writes it.
+    Row r of rows is a compact packed residual in slot variables, scale
+    times too large, at components t n + m, m the generator of the residual
+    and r n**(arity-1) + t the tuple's base-n digits (a flip residual is one
+    row); back maps it to the table's variables.  Violations follow in the
+    order of the tuples, each residual written as ConformalElement.pretty
+    writes it, each monomial's and coefficient's text made once per call.
     """
-    if not acc:
-        return
-    acc = back(acc)
-    n = S.rank
-    names = [g.id for g in S.generators]
-    by_tail: Dict[int, List[str]] = {}
-    for comp, text in sorted(vector_text(acc, scale).items()):
-        tail, m = divmod(comp, n)
-        by_tail.setdefault(tail, []).append(f"({text})*{names[m]}")
-    for tail, parts in by_tail.items():
-        where = head + tuple(tail // n ** e % n for e in reversed(range(width)))
-        rep.violations.append(Violation(tuple(names[i] for i in where), " + ".join(parts)))
+    n, names, texts = S.rank, [g.id for g in S.generators], {}
+    powers = [n ** e for e in reversed(range(arity))]
+    for r, acc in enumerate(rows):
+        if not acc:
+            continue
+        by_tuple: Dict[int, List[str]] = {}
+        for comp, terms in sorted(_parts(back(acc), scale).items()):
+            t, m = divmod(comp, n)
+            text = f"({_poly_text(terms, texts)})*{names[m]}"
+            by_tuple.setdefault(r * powers[0] + t, []).append(text)
+        for t, parts in by_tuple.items():
+            where = tuple([names[t // p % n] for p in powers])
+            rep.violations.append(Violation(where, " + ".join(parts)))
 
 
 def check_jacobi(S: LambdaStructure) -> Report:
@@ -585,8 +592,7 @@ def check_jacobi(S: LambdaStructure) -> Report:
         raise StructureError("Jacobi applies to Lie kind")
     rep = Report("jacobi", S.name, total=S.rank ** 3)
     L, table = S.packed
-    for i, acc in enumerate(_jacobi_rows(table, S.parities, not S.flip_residual)):
-        _record(rep, S, (i,), acc, 2, L * L, _JACOBI_BACK)
+    _record(rep, S, _jacobi_rows(table, S.parities, not S.flip_residual), 3, L * L, _JACOBI_BACK)
     return rep
 
 
@@ -763,6 +769,7 @@ def _hoisted(vecs, slots, n: int, first, last, renamed: dict) -> dict:
     in the component, so each h[(x, y)] serves every d at once.  One pass
     over the slots writes each entry (i, j) -> k (_put) as a first factor,
     into firsts[(i, k)] at j n, and as a last one, into lasts[j][i] at k.
+    The Jordan kernel runs it once per call, for R1 (see _jordan_rows).
     """
     first_v, last_v = _renamed(vecs, *first, renamed), _renamed(vecs, *last, renamed)
     firsts, lasts = defaultdict(dict), defaultdict(lambda: defaultdict(dict))
@@ -850,8 +857,7 @@ def check_jordan_identity(S: LambdaStructure, variant: str = CONSISTENT) -> Repo
     rep = Report(f"jordan-id[{variant}]", S.name, total=S.rank ** 4)
     L, table = S.packed
     images = JORDAN_IMAGES if variant == CONSISTENT else PRINTED_JORDAN_IMAGES
-    for a, acc in enumerate(_jordan_rows(table, S.parities, images)):
-        _record(rep, S, (a,), acc, 3, L ** 3, _JORDAN_BACK)
+    _record(rep, S, _jordan_rows(table, S.parities, images), 4, L ** 3, _JORDAN_BACK)
     return rep
 
 
@@ -872,8 +878,12 @@ def _jordan_rows(table, par, images) -> Iterator[dict]:
     Q(alpha, -alpha-beta) at the images: T1 and S2 take the first factor b
     c, T2 and S3 c a, and T3 and S1 a b.  b, c and d ride in the packed
     component, so each a is one accumulation.  In slot variables the terms
-    are one chain and one split at the rotations of (a, x1; b, x2; c, x3),
-    so _hoisted builds R1 and Q2 once per call, and
+    are one chain and one split at the rotations of (a, x1; b, x2; c, x3).
+    R1's images ((x2+x3, x4), (x1, x2+x3+x4)) read x2 and x3 only through
+    x2+x3, and (x1, x2, x3, x4) -> (x2+x3, x1, 0, x4) (_R1_TO_Q2) sends them
+    exactly onto q2's, (x2, x1-x2, 0, x2+x3+x4) (_R1_TO_PRINTED_R2) onto the
+    printed r2's, neither moving a component: so _hoisted contracts R1 once
+    per call, the two maps rename it into Q2 and the printed R2, and
 
         T1 + S2 = (-1)^{p(a)p(b)} sum_l bc_l w[l, a],
             w[l, a] = (-1)^{p(a)p(l)} R1[l, a] - Q2[a, l],
@@ -918,26 +928,27 @@ def _jordan_rows(table, par, images) -> Iterator[dict]:
 
     The printed images break the rotation in the second chain term only, so
     their rows are the consistent rows plus that term at the printed images
-    less that term at the consistent ones, over all quadruples.
+    (first factors at the printed ca_chain, the printed R2) less that term
+    at the consistent ones, over all quadruples.
     """
     n, shift = len(par), _COMPONENT_SHIFT
     n2, n3 = n * n, n ** 3
     vecs, slots = table[0], sorted(table[1])
     renamed = {}
     J = JORDAN_IMAGES
-    # r[(l, a)] = R1[l, a] and q[(a, l)] = Q2[a, l]; w[(l, a)], the sum b c
-    # meets, and its renamed copies u, which c a meets (b at b n^3), and v,
-    # which a b meets (c at c n^2), by l and the parity of b or c
-    r, q = (_hoisted(vecs, slots, n, *J[key], renamed) for key in ("r1", "q2"))
+    # r[(l, a)] = R1[l, a], and R1 renamed, Q2[a, l] at (a, l); w[(l, a)], the
+    # sum b c meets, and its renamed copies u, which c a meets (b at b n^3),
+    # and v, which a b meets (c at c n^2), by l and the parity of b or c
+    r = _hoisted(vecs, slots, n, *J["r1"], renamed)
+    r_renamed = lambda rename: {key: rename(vec) for key, vec in r.items()}
     never = lambda x, y: False
     odd = lambda x, y: par[x] & par[y]
     at_b = lambda l, b: ((l, par[b]), b * n3)
     moves12, moves13 = _SlotMoves(_SWAP12), _SlotMoves(_SWAP13)
     w = _combined([(r, None, lambda l, a: ((l, a), 0), odd),
-                   (q, None, lambda a, l: ((l, a), 0), lambda a, l: True)])
+                   (r_renamed(_R1_TO_Q2), None, lambda a, l: ((l, a), 0), lambda a, l: True)])
     u = _combined([(w, moves12, at_b, odd)])
     v = _combined([(w, moves13, lambda l, c: ((l, par[c]), c * n2), never)])
-    del q
     # the printed second chain term and the consistent one over all quadruples:
     # first factors c a by a and l, their vectors, the term and its sign
     fixes = []
@@ -945,7 +956,7 @@ def _jordan_rows(table, par, images) -> Iterator[dict]:
         fixes = [([defaultdict(dict) for _ in par], _renamed(vecs, *chain, renamed),
                   _combined([(h, moves, at_b, never)]), flip)
                  for chain, h, moves, flip in (
-                    (images["ca_chain"], _hoisted(vecs, slots, n, *images["r2"], renamed), None, 0),
+                    (images["ca_chain"], r_renamed(_R1_TO_PRINTED_R2), None, 0),
                     (J["ca_chain"], r, moves12, 1))]
     del r
     # first factors: of b c live in the current row (last, its last row), of

@@ -364,7 +364,7 @@ def _poly_text(terms: Dict[int, tuple], texts: dict) -> str:
     """The text of the polynomial {monomial key: (re, im)}, or of a Scalar as
     {0: (re, im)}; texts holds each monomial's and coefficient's."""
     parts = []
-    for k in sorted(terms, key=_sort_key):
+    for k in sorted(terms, key=_sort_key) if len(terms) > 1 else terms:
         c = re, im = terms[k]
         cs = texts.get(c)
         if cs is None:          # re, im*beta or (re+im*beta)
@@ -439,15 +439,21 @@ def _divided(x: int, scale: int):
 
 
 def _parts(acc: Dict[int, int], scale: int) -> Dict[int, Dict[int, tuple]]:
-    """{m: {monomial key: (re, im)}} of acc compacted, every part divided by scale."""
-    vec = compact_vector(acc)
+    """{m: {monomial key: (re, im)}} of acc divided by scale, in one pass that
+    folds beta**2 into -1, drops zeros and checks overflow as compact_vector does."""
+    sums: Dict[int, list] = {}   # [re, im] by the re key
+    for k, c in acc.items():
+        if c:
+            if k & (_GUARD | _BETA_SQ):   # beta**2 = -1, unless an exponent overflowed
+                _checked((k,))
+                k, c = k ^ _BETA_SQ, -c
+            sums.setdefault(k & ~_BETA, [0, 0])[k >> _BETA_SHIFT & 1] += c
     parts: Dict[int, Dict[int, tuple]] = {}
-    for k in vec:
-        k &= ~_BETA             # the re key; a coefficient with re and im is made twice
-        c = vec.get(k, 0), vec.get(k | _BETA, 0)
-        if scale != 1:
-            c = _divided(c[0], scale), _divided(c[1], scale)
-        parts.setdefault(k >> _COMPONENT_SHIFT, {})[k & _MONO_MASK] = c
+    for k, (re, im) in sums.items():
+        if re or im:
+            if scale != 1:
+                re, im = _divided(re, scale), _divided(im, scale)
+            parts.setdefault(k >> _COMPONENT_SHIFT, {})[k & _MONO_MASK] = re, im
     return parts
 
 

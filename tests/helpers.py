@@ -2,13 +2,17 @@
 
 from collections import defaultdict
 from fractions import Fraction
+from typing import Dict, List, Tuple
 
 from confcoalg import conformal, families
-from confcoalg.coalgebra import DiffLine, DiffReport
-from confcoalg.conformal import ConformalElement, StructureError, _put, _renamed
+from confcoalg.coalgebra import Coproduct, DiffLine, DiffReport
+from confcoalg.conformal import (
+    ConformalElement, LambdaStructure, Report, StructureError, Violation, _put, _renamed,
+)
 from confcoalg.poly import (
     ALPHABET, MultiPoly, ONE, P_ZERO, Scalar, X1, X2, _COMPONENT_SHIFT, _GUARD, _MAXEXP,
     _VAR_SHIFT, _sort_key, accumulate, common_denominator, pack_vector, unpack_vector,
+    vector_text,
 )
 
 
@@ -213,6 +217,62 @@ def term_products(monkeypatch, check, arg, calls=False):
         m.setattr(conformal, "add_product", counting)
         rep = check(arg)
     return (count[0], count[1], rep) if calls else (count[0], rep)
+
+
+# -- the violation writers as they stood before they kept one text cache per
+# check call: one conformal call per kernel row, each row's text through
+# vector_text; test_kernels swaps them in for conformal._record and
+# coalgebra._record and compares the reports.
+
+def record_oracle(rep: Report, S: LambdaStructure, head, acc, width: int, scale: int, back) -> None:
+    """Add a violation at each tuple head + tail whose part of acc is nonzero.
+
+    acc is a compact packed residual in slot variables, scale times too
+    large, at components tail n + m, m the generator of the residual and tail
+    the last width tuple indices as base-n digits; back maps it to the
+    table's variables.  Violations follow in the order of the tails, and each
+    residual is written as ConformalElement.pretty writes it.
+    """
+    if not acc:
+        return
+    acc = back(acc)
+    n = S.rank
+    names = [g.id for g in S.generators]
+    by_tail: Dict[int, List[str]] = {}
+    for comp, text in sorted(vector_text(acc, scale).items()):
+        tail, m = divmod(comp, n)
+        by_tail.setdefault(tail, []).append(f"({text})*{names[m]}")
+    for tail, parts in by_tail.items():
+        where = head + tuple(tail // n ** e % n for e in reversed(range(width)))
+        rep.violations.append(Violation(tuple(names[i] for i in where), " + ".join(parts)))
+
+
+def co_record_oracle(rep: Report, cop: Coproduct, residuals) -> None:
+    """Add a violation at each (a_k^*, check) of residuals, [(check, arity, rows,
+    scale)], with a nonzero residual, in the order of k and then of residuals.
+    Row r of rows is a packed residual, scale times too large, whose component
+    t n + k is the part of a_k^* at the tuple with base-n digits r n^(arity-1) + t
+    (a flip residual is one row); a row's text is written as it is read."""
+    n = cop.rank
+    found: Dict[Tuple[int, int], list] = {}
+    for x, (_, arity, rows, scale) in enumerate(residuals):
+        for r, row in enumerate(rows):
+            for c, text in vector_text(row, scale).items():
+                t, k = divmod(c, n)
+                found.setdefault((k, x), []).append((r * n ** (arity - 1) + t, text))
+    for (k, x), parts in sorted(found.items()):
+        check, arity = residuals[x][:2]
+        text = " + ".join(f"({s})*{tuple(t // n ** e % n for e in reversed(range(arity)))}"
+                          for t, s in sorted(parts))
+        rep.violations.append(Violation((cop.generators[k].id, check), text))
+
+
+def conformal_record_oracle(rep, S, rows, arity, scale, back):
+    """conformal._record's arguments as record_oracle took them, one row at
+    a time: the row index as head, none for the one row of a flip residual."""
+    for r, acc in enumerate(rows):
+        head, width = ((), 2) if arity == 2 else ((r,), arity - 1)
+        record_oracle(rep, S, head, acc, width, scale, back)
 
 
 # -- the packed restriction seams on ConformalElements

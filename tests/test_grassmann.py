@@ -222,8 +222,9 @@ def test_one_helper_renames_table_entries():
     read the copies it makes.  The other maps
     are module constants of conformal that change coordinates: the
     LambdaStructure constructor packs a table as its dual Q(x1, x2) =
-    P(x1, -x1-x2) through one, and the table checks and rows map back to
-    the table's variables through the others.  dualize renames nothing,
+    P(x1, -x1-x2) through one, the table checks and rows map back to the
+    table's variables through three, and the Jordan kernel maps R1 to Q2 and
+    to the printed R2 through the last two.  dualize renames nothing,
     and no module imports substitution under another name.  poly.tagged,
     which tagged one first factor at a time before renaming a whole slot,
     and conformal._renaming, which also renamed the table's variables, are gone."""
@@ -237,7 +238,8 @@ def test_one_helper_renames_table_entries():
     tree = dict(_production_sources())["confcoalg.conformal"]
     maps = {node.targets[0].id for node in tree.body if isinstance(node, ast.Assign)
             and getattr(getattr(node.value, "func", None), "id", None) == "substitution"}
-    assert maps == {"_TO_SLOTS", "_FLIP_BACK", "_JACOBI_BACK", "_JORDAN_BACK"}
+    assert maps == {"_TO_SLOTS", "_FLIP_BACK", "_JACOBI_BACK", "_JORDAN_BACK", "_R1_TO_Q2",
+                    "_R1_TO_PRINTED_R2"}
     assert not hasattr(importlib.import_module("confcoalg.poly"), "tagged")
     assert not hasattr(importlib.import_module("confcoalg.conformal"), "_renaming")
 
@@ -385,17 +387,19 @@ def test_only_serialize_writes_indented_json():
 
 
 def test_residual_text_is_written_from_the_packed_form(monkeypatch):
-    """conformal._record and coalgebra._record write violation text with
-    poly.vector_text from the packed residual: neither names unpack_vector or
-    repr, and the checks write their violations with MultiPoly.__repr__,
-    Scalar.__repr__ and unpack_vector made to raise."""
+    """conformal._record and coalgebra._record write violation text from the
+    packed residual with the two halves of poly.vector_text, poly._parts and
+    poly._poly_text, whose text cache each keeps for the whole check call:
+    neither names unpack_vector or repr, and the checks write their
+    violations with MultiPoly.__repr__, Scalar.__repr__ and unpack_vector
+    made to raise."""
     records = [(name, node) for name, tree in _production_sources() for node in ast.walk(tree)
                if isinstance(node, ast.FunctionDef) and node.name == "_record"]
     assert sorted(name for name, _ in records) == ["confcoalg.coalgebra", "confcoalg.conformal"]
     for name, node in records:
         names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
         names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
-        assert "vector_text" in names, name
+        assert {"_parts", "_poly_text"} <= names, name
         assert not names & {"unpack_vector", "repr", "__repr__"}, name
 
     from confcoalg import coalgebra, conformal, families, poly

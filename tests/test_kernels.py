@@ -29,7 +29,7 @@ from typing import Dict, Iterator, List, Tuple
 import pytest
 
 from confcoalg import closed_form as cf
-from confcoalg import conformal, families, poly
+from confcoalg import coalgebra, conformal, families, poly
 from confcoalg.coalgebra import (
     Coproduct, TensorElement, apply_delta_slot, check_jordan_coalgebra,
     check_lie_coalgebra, double_dual_roundtrip, dualize, tau, zeta,
@@ -48,8 +48,8 @@ from confcoalg.poly import (
 )
 
 from helpers import (
-    _gather, count_calls, dual_entry, element_pairs, element_reader, exact_div, packed_rows,
-    pair_element, term_products,
+    _gather, co_record_oracle, conformal_record_oracle, count_calls, dual_entry, element_pairs,
+    element_reader, exact_div, packed_rows, pair_element, term_products,
 )
 from test_coalgebra import _bench_workloads
 
@@ -441,19 +441,20 @@ def test_gathers_match_per_slot_oracle(name, K, W, S, CK6, Jn, JCK4):
 def test_each_image_pair_is_renamed_once_per_check(monkeypatch):
     """A kernel call renames the table once per distinct image pair: the
     consistent Jordan kernel renames for its first factors (ca_chain and
-    ca_split share a pair) and for r1 and q2 only, as it renames their
-    products for r2, r3, q1 and q3; the printed one renames for the printed
-    ca_chain and r2 besides.  The Jacobi kernel renames for each of its five
-    other pairs once and reads each copy in every row.  The copy that is the
-    table as it is, Jacobi's first2 and Jordan's ab, is not renamed.  The
-    tables are fresh, so check_jacobi also runs the flip kernel.  A table
-    check renames as its co-check does; the maps into and out of the slot
-    variables are made once, on import."""
+    ca_split share a pair) and for r1 only, as it maps R1 to Q2 and renames
+    their products for r2, r3, q1 and q3; the printed one renames for the
+    printed ca_chain besides, as it maps R1 to the printed R2 too.  The
+    Jacobi kernel renames for each of its five other pairs once and reads
+    each copy in every row.  The copy that is the table as it is, Jacobi's
+    first2 and Jordan's ab, is not renamed.  The tables are fresh, so
+    check_jacobi also runs the flip kernel.  A table check renames as its
+    co-check does; the maps into and out of the slot variables, and those
+    from R1, are made once, on import."""
     J2, JS1, K3 = families.make_Jn(2), families.make_JS1(), families.make_K(3)
     made = count_calls(monkeypatch, conformal, "substitution")
     for check, arg, renamed in (
-            (check_jordan_identity, J2, 6), (lambda S: check_jordan_identity(S, PRINTED), JS1, 9),
-            (check_jacobi, K3, 6), (check_jordan_coalgebra, dualize(J2), 7),
+            (check_jordan_identity, J2, 4), (lambda S: check_jordan_identity(S, PRINTED), JS1, 5),
+            (check_jacobi, K3, 6), (check_jordan_coalgebra, dualize(J2), 5),
             (check_lie_coalgebra, dualize(K3), 6)):
         made.clear()
         check(arg)
@@ -553,8 +554,9 @@ def test_table_checks_and_co_checks_share_one_packed_form(corrupt, request, monk
 
 # the term products of check_jordan_comm and of the consistent
 # check_jordan_identity, whose sum check_jordan_coalgebra makes on the dual
-# (the kernel over every quadruple made 55,914 and 10,626)
-JORDAN_SHARED_PRODUCTS = {"J_3": (150, 8752), "J_2?": (49, 1828)}
+# (the kernel over every quadruple made 55,914 and 10,626, and the rotation
+# kernel that hoisted Q2 as well as R1 8,752 and 1,828)
+JORDAN_SHARED_PRODUCTS = {"J_3": (150, 7512), "J_2?": (49, 1528)}
 
 
 @pytest.mark.parametrize("corrupt", [False, True])
@@ -857,9 +859,10 @@ def test_representatives_meet_every_rotation_orbit_once(name, Jn, JCK4, monkeypa
 # the term products of the kernel per fixture: check_jordan_identity consistent
 # and printed, and the co-Jordan of check_jordan_coalgebra on the dual (the
 # full kernel made J_2 10,380 / 10,693 / 10,380, J_3 55,914 / 57,456 / 55,914,
-# JS_1 342 / 355 / 342 and JCK_4 8,766 / 9,028 / 8,766)
-REDUCED_JORDAN_PRODUCTS = {"J_2": (1626, 5293, 1626), "J_3": (8752, 28742, 8752),
-                           "JS_1": (89, 206, 89), "JCK_4": (1362, 4446, 1362)}
+# JS_1 342 / 355 / 342 and JCK_4 8,766 / 9,028 / 8,766; the rotation kernel,
+# hoisting Q2 and the printed R2 besides R1, J_2 1,626 / 5,293 / 1,626)
+REDUCED_JORDAN_PRODUCTS = {"J_2": (1330, 4633, 1330), "J_3": (7512, 25994, 7512),
+                           "JS_1": (73, 170, 73), "JCK_4": (1118, 3900, 1118)}
 
 
 def test_reduced_jordan_term_products(Jn, JS1, JCK4, monkeypatch):
@@ -886,6 +889,75 @@ def test_repaired_jn_passes_through_both_kernels(n):
         table = T.packed[1]
         assert (list(conformal._jordan_rows(table, T.parities, JORDAN_IMAGES))
                 == list(_full_jordan_rows(table, T.parities, JORDAN_IMAGES)) == [{}] * T.rank)
+
+
+def test_r1_image_pairs_map_onto_q2_and_the_printed_r2():
+    """R1's image pairs ((x2+x3, x4), (x1, x2+x3+x4)) read x2 and x3 only
+    through x2+x3, and _R1_TO_Q2 and _R1_TO_PRINTED_R2 send each of the four
+    image polynomials exactly onto the one in its place in q2's and in the
+    printed r2's pairs."""
+    r1 = [poly.pack_vector([(0, p)]) for pair in JORDAN_IMAGES["r1"] for p in pair]
+    for rename, images in ((conformal._R1_TO_Q2, JORDAN_IMAGES["q2"]),
+                           (conformal._R1_TO_PRINTED_R2, PRINTED_JORDAN_IMAGES["r2"])):
+        assert [rename(p) for p in r1] == [poly.pack_vector([(0, q)])
+                                           for pair in images for q in pair]
+
+
+def assert_r1_renames_to_q2_and_the_printed_r2(S):
+    """_hoisted at q2's image pairs and at the printed r2's equals R1,
+    _hoisted at r1's, with every vector renamed by _R1_TO_Q2 or
+    _R1_TO_PRINTED_R2: the same keys, each with the same compact vector."""
+    vecs, slots = S.packed[1]
+    n, renamed = S.rank, {}
+    hoisted = lambda pair: conformal._hoisted(vecs, sorted(slots), n, *pair, renamed)
+    r1 = hoisted(JORDAN_IMAGES["r1"])
+    for rename, pair in ((conformal._R1_TO_Q2, JORDAN_IMAGES["q2"]),
+                         (conformal._R1_TO_PRINTED_R2, PRINTED_JORDAN_IMAGES["r2"])):
+        assert {key: rename(vec) for key, vec in r1.items()} == hoisted(pair), S.name
+
+
+def test_r1_renames_to_q2_and_the_printed_r2(request):
+    """On every Jordan fixture, J_4 and a corruption of J_2 (random tables
+    with beta and Fraction coefficients are in test_properties)."""
+    tables = [*_jordan_fixtures(request), families.make_Jn(4), _corrupt_J2()]
+    for S in tables:
+        assert_r1_renames_to_q2_and_the_printed_r2(S)
+
+
+def test_hoisted_runs_once_per_jordan_check(Jn, JCK4, monkeypatch):
+    """The consistent, printed and co-Jordan checks each contract one
+    intermediate, R1, through _hoisted; Q2 and the printed R2 are R1 renamed."""
+    made = count_calls(monkeypatch, conformal, "_hoisted")
+    for check, arg in ((check_jordan_identity, Jn[2]), (check_jordan_identity, JCK4),
+                       (partial(check_jordan_identity, variant=PRINTED), Jn[2]),
+                       (partial(check_jordan_identity, variant=PRINTED), JCK4),
+                       (check_jordan_coalgebra, dualize(Jn[3]))):
+        made.clear()
+        check(arg)
+        assert len(made) == 1, arg.name
+
+
+def test_violations_match_the_writer_oracle(Jn, JS1, JCK4, monkeypatch):
+    """The checks write the very violations, where and residual, that the
+    writers did when they wrote each row with vector_text on its own
+    (helpers.record_oracle and co_record_oracle, swapped in for
+    conformal._record and coalgebra._record): consistent and printed J_2 and
+    J_3, printed JCK_4 and JS_1, co-Jordan of J_2 and J_3, skew and Jacobi on
+    the skew-breaking corruption of K_3, which runs the full Jacobi kernel,
+    and co-Lie of the CK_6 closed form, which fails co-Jacobi."""
+    printed = partial(check_jordan_identity, variant=PRINTED)
+    breaking = corrupt_entry(families.make_K(3), "xi1", "xi2", "xi12", MultiPoly.const(-1))
+    cases = [(check_jordan_identity, Jn[2]), (check_jordan_identity, Jn[3]), (printed, Jn[2]),
+             (printed, Jn[3]), (printed, JCK4), (printed, JS1), (check_skew, breaking),
+             (check_jacobi, breaking), (check_jordan_coalgebra, dualize(Jn[2])),
+             (check_jordan_coalgebra, dualize(Jn[3])), (check_lie_coalgebra, cf.coproduct_CK6())]
+    for check, arg in cases:
+        rep = check(arg)
+        with monkeypatch.context() as m:
+            m.setattr(conformal, "_record", conformal_record_oracle)
+            m.setattr(coalgebra, "_record", co_record_oracle)
+            expected = check(arg)
+        assert rep.violations and rep.violations == expected.violations, (rep.check, arg.name)
 
 
 # -- families ------------------------------------------------------------------
@@ -1225,9 +1297,11 @@ def test_reduced_jacobi_term_products(W, K, S, S2b, CK6, monkeypatch):
 # add_product calls of the reduced Jacobi kernel, on the tables above: one per
 # first-factor slot and nonempty column or row of each term, the parity of j
 # splitting term 3's column; and of the Jordan kernel, consistent and printed
+# (J_2 452 / 788, JS_1 25 / 49 and JCK_4 522 / 906 while it contracted Q2 and
+# the printed R2 as well as R1)
 REDUCED_JACOBI_CALLS = {"W_2": 208, "K_4": 410, "S_3": 620, "S_2b-beta": 104,
                         "W_3": 1116, "K_5": 1362, "CK_6": 1602}
-JORDAN_CALLS = {"J_2": (452, 788), "JS_1": (25, 49), "JCK_4": (522, 906)}
+JORDAN_CALLS = {"J_2": (276, 436), "JS_1": (17, 33), "JCK_4": (310, 482)}
 
 
 def test_add_product_calls_of_the_reduced_kernels(W, K, S, S2b, CK6, Jn, JS1, JCK4, monkeypatch):

@@ -9,7 +9,8 @@ They satisfy no axiom, so every check has violations to report, and the
 integer kernels must report them exactly as the oracles of
 ``test_kernels`` do: the nested
 brackets, the per-tuple contractions on Scalar-valued vectors, and the
-definitional tensor operations.  ``bracket_pairs`` is compared with the
+definitional tensor operations.  On such tables the Jordan kernel's Q2 and
+printed R2 intermediates are its R1 in other slot variables.  ``bracket_pairs`` is compared with the
 ``bracket`` loop on such tables, and ``kernel_basis`` with its oracle on
 random C[d]-module maps.  ``span_reader`` reads random Q(beta)[d]
 combinations of the embedded bases of the restricted families back to the
@@ -70,7 +71,7 @@ from test_kernels import (  # noqa: E402
     _bracket_loop, _canonicalize_CK6_oracle, _canonicalize_S_oracle, _co_oracle,
     _coalg_residuals, _cojordan_residuals, _flip_residual, _found, _jacobi_residual,
     _jordan_per_tuple, _kernel_basis_oracle, _oracle, _reading, _roundtrip_per_entry,
-    _skew_corruption, assert_gathers_match,
+    _skew_corruption, assert_gathers_match, assert_r1_renames_to_q2_and_the_printed_r2,
 )
 
 _parts = st.builds(Fraction, st.sampled_from((1, -1, 2, -3)), st.sampled_from((1, 2, 3, 5)))
@@ -207,6 +208,12 @@ def test_jordan_kernels_on_random_tables(S):
     rep = check_jordan_comm(S)
     assert (rep.total, _found(rep)) == (S.rank ** 2, _oracle(S, 2, _flip_residual))
     _assert_dual_matches(S, check_jordan_coalgebra, _cojordan_residuals)
+
+
+# the contraction is bilinear in the table, so larger tables cost little here
+@given(tables(JORDAN, 12))
+def test_r1_renames_to_q2_and_the_printed_r2_on_random_tables(S):
+    assert_r1_renames_to_q2_and_the_printed_r2(S)
 
 
 # -- shared entries: the renamed copies, dualize and the double dual
