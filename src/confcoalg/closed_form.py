@@ -10,8 +10,11 @@ N = 2, 3, 4 and K_4' lists), J_n and JCK_4 take theirs, with their index
 maps, from ``families`` (``w_generators``, ``k_generators``,
 ``jn_generators``, ``jck4_generators``), and every dual is named, in LaTeX
 too, as ``coalgebra.dual_generators`` names the duals of ``dualize``.
-Each emitter works out every dual symbol once per call (``_Builder.add_xi``)
-and then addresses generators by index.  Every coefficient of the lists is
+S_n, K_4' and CK_6 take their bases, generators and symbols from
+``restricted``, which their emitters import inside their bodies, so an
+emitter of another family never compiles it.  Each emitter works out every
+dual symbol once per call (``_Builder.add_xi``) and then addresses
+generators by index.  Every coefficient of the lists is
 c + a x1 + b x2: ``_Builder.put`` adds the exact triple (c, a, b) of each
 term into one sum per (k, i, j), and ``_Builder.done`` makes one polynomial
 per distinct nonzero sum, so the ``Coproduct`` is given one entry per pair
@@ -44,21 +47,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .coalgebra import Coproduct, dual_generators
 from .conformal import Generator, JORDAN, LIE, StructureError
 from .families import (
-    DXI_STAR,
-    _CK6_STAR,
-    _ck6_basis_tuples,
-    _ck6_name,
-    _ck6_parity,
     _mask_of,
     _masks,
     _monomial,
     _sgn,
-    ck6_symbol,
     jck4_generators,
     jn_generators,
     k_generators,
     sl2_constants,
-    sn_basis,
     w_generators,
 )
 from .grassmann import alpha_mask, eps_mask, members
@@ -465,6 +461,8 @@ def coproduct_N(n: int) -> Coproduct:
 def coproduct_K4prime() -> Coproduct:
     """delta on (K_4')^c: the K_4 list with xi_star* terms removed, plus the
     d xi_star generator's displayed sums."""
+    from .restricted import DXI_STAR
+
     gens, lam_idx = k_generators(4)
     # (d xi_star)* takes the place of xi_star*, the last generator of K_4, so
     # the index tuple of xi_star is its symbol
@@ -531,6 +529,8 @@ def coproduct_S(n: int) -> Coproduct:
     evaluations on raw pair elements resolve through the telescoped basis
     coefficient; both readings are adjudicated by the machine cross-check.
     """
+    from .restricted import sn_basis
+
     if n < 2:
         raise StructureError("S_n needs n >= 2")
     basis = sn_basis(n)
@@ -748,6 +748,8 @@ def _ck6_duals(b: _Builder):
     Permutations contribute their sign; a 3-tuple without 1 reduces through
     the inverse of the primal scaling relation (1/beta = -beta).
     """
+    from .restricted import ck6_symbol
+
     @functools.cache
     def dual(t: Tuple[int, ...]) -> Optional[Tuple[Scalar, int]]:
         coords = ck6_symbol(t)
@@ -760,6 +762,8 @@ def _ck6_duals(b: _Builder):
 
 def _contact_sign(x: int, y: int, z: int) -> int:
     """(-1)^(alpha(I, I^c) + alpha({x}, I^c) + alpha({x} + I^c, {y, z})) for I = {x, y, z}."""
+    from .restricted import _CK6_STAR
+
     X, YZ = _mask_of(x), _mask_of(y) | _mask_of(z)
     Ic = _CK6_STAR ^ X ^ YZ
     return _sgn(alpha_mask(X | YZ, Ic) + alpha_mask(X, Ic) + alpha_mask(X | Ic, YZ))
@@ -767,6 +771,8 @@ def _contact_sign(x: int, y: int, z: int) -> int:
 
 def coproduct_CK6() -> Coproduct:
     """The displayed coproducts of L*, C_l*, C_{1st}* and C_{rs}*."""
+    from .restricted import _CK6_STAR, _ck6_basis_tuples, _ck6_name, _ck6_parity
+
     prim = [Generator(_ck6_name(t), _ck6_parity(t)) for t in _ck6_basis_tuples()]
     b = _Builder(LIE, prim, "CK_6^c[formula]")
     beta = Scalar.beta()

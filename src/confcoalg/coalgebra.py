@@ -19,10 +19,11 @@ with a coproduct splits its variable into the sum of the two new ones
 ``apply_delta_slot``, ``tau`` and ``zeta`` implement these operations on
 ``TensorElement`` values and are the definitional path: no production code
 calls them, and ``tests/test_kernels.py`` uses them as the oracle for the
-co-checks.  Every check, of a table or of a coproduct, runs conformal's
-kernels in slot variables; co-Jordan is the Jordan identity at (lam, mu,
-nu, d) = (x1, x2, x2+x3, -x1-x2-x3-x4), times -(-1)^{p(a)p(c)}, a sign that
-check_jordan_coalgebra puts on the kernel's rows as it writes them.
+co-checks.  Every check, of a table or of a coproduct, runs the kernels of
+conformal and kernels in slot variables; co-Jordan is the Jordan identity
+at (lam, mu, nu, d) = (x1, x2, x2+x3, -x1-x2-x3-x4), times
+-(-1)^{p(a)p(c)}, a sign that check_jordan_coalgebra puts on the kernel's
+rows as it writes them.
 """
 
 from __future__ import annotations
@@ -30,9 +31,10 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .conformal import (
-    Generator, JORDAN, JORDAN_IMAGES, LIE, LambdaStructure, Record, Report, StructureError,
-    Table, Violation, _FLIP_BACK, _jacobi_rows, _jordan_rows, _packed,
+    CONSISTENT, Generator, JORDAN, LIE, LambdaStructure, Record, Report, StructureError, Table,
+    Violation, _FLIP_BACK, _packed,
 )
+from .kernels import _jacobi_rows, _jordan_rows   # the co-checks run both kernels
 from .poly import (
     D, LAM, MultiPoly, P_ONE, _COMPONENT_SHIFT, _MAXEXP, _MONO_MASK, _VAR_SHIFT, _memo, _parts,
     _poly_text, accumulate, unpack_vector, vector_text,
@@ -291,15 +293,15 @@ def zeta(t: TensorElement) -> TensorElement:
 
 # -- contraction kernels ---------------------------------------------------------
 #
-# The co-checks run conformal's kernels on the packed coproduct, which holds Q
-# in the slot variables as a packed table does (see conformal, "packed
-# tables"): the flip residual is the co-antisymmetry residual and minus the
-# co-commutativity one, the Jacobi rows are the co-Jacobi residuals and the
-# consistent Jordan rows, times -(-1)^{p(a)p(c)}, the co-Jordan ones.  Row a
-# of the Jacobi or Jordan kernel holds the residual of a_m^* at [a, t] at
-# component t n + m, n the rank and t the rest of the tuple as base-n digits;
-# an antisymmetric coproduct gets the reduced Jacobi kernel as a skew table
-# does.
+# The co-checks run the flip kernel of conformal and the row kernels of
+# kernels on the packed coproduct, which holds Q in the slot variables as a
+# packed table does (see conformal, "packed tables"): the flip residual is
+# the co-antisymmetry residual and minus the co-commutativity one, the Jacobi
+# rows are the co-Jacobi residuals and the consistent Jordan rows, times
+# -(-1)^{p(a)p(c)}, the co-Jordan ones.  Row a of the Jacobi or Jordan kernel
+# holds the residual of a_m^* at [a, t] at component t n + m, n the rank and
+# t the rest of the tuple as base-n digits; an antisymmetric coproduct gets
+# the reduced Jacobi kernel as a skew table does.
 
 
 def _record(rep: Report, cop: Coproduct, residuals) -> None:
@@ -337,11 +339,11 @@ def check_lie_coalgebra(cop: Coproduct) -> Report:
             = sum (-1)^{p_i p_l} Q^{ij}_k(x2, x1+x3) Q^{lm}_j(x1, x3) [l,i,m]
         (delta (x) I) delta a_k = sum Q^{ij}_k(x1+x2, x3) Q^{lm}_i(x1, x2) [l,m,j]
 
-    For cop = dualize(S), cop.flip_residual and the rows of conformal's
-    Jacobi kernel are the rows check_skew and check_jacobi map back to lam,
-    mu and d, written as they come (see "contraction kernels").  With
+    For cop = dualize(S), cop.flip_residual and the rows of the Jacobi
+    kernel, kernels._jacobi_rows, are the rows check_skew and check_jacobi
+    map back to lam, mu and d, written as they come (see "contraction kernels").  With
     antisymmetry co-Jacobi is (1+zeta+zeta^2)(I (x) delta) delta = 0, so it
-    runs over [i, j, k] with j <= i <= k, and conformal._write_images writes
+    runs over [i, j, k] with j <= i <= k, and kernels._write_images writes
     the other permutations.
     """
     if cop.kind != LIE:
@@ -372,12 +374,12 @@ def check_jordan_coalgebra(cop: Coproduct) -> Report:
     (a, b, c, d) at a_m: that identity is a cyclic sum over (a, b, c) (see
     conformal.check_jordan_identity), and (-1)^{p(a)p(c)} turns the sign of
     each rotation into that of zeta^0, zeta or zeta^2.  So co-Jordan is the
-    consistent Jordan kernel under conformal.JORDAN_IMAGES, row a written
+    consistent Jordan kernel (kernels._jordan_rows), row a written
     times (-1)^{p(a)p(c)}, c the second index of each component, at scale
     -L^3, and co-commutativity is minus cop.flip_residual: the rows that
     check_jordan_identity and check_jordan_comm map back to lam, mu, nu and d.
     The kernel accumulates one [a, b, c] per rotation orbit and writes each
-    term at the rotations (conformal._write_images) before it hands a row on,
+    term at the rotations (kernels._write_images) before it hands a row on,
     so the sign is taken at the tuple where each term lands.
     """
     if cop.kind != JORDAN:
@@ -387,7 +389,7 @@ def check_jordan_coalgebra(cop: Coproduct) -> Report:
     L, table = cop.packed
     jordan = [{key: -v if pa & par[(key >> _COMPONENT_SHIFT) // n ** 2 % n] else v
                for key, v in row.items()}
-              for pa, row in zip(par, _jordan_rows(table, par, JORDAN_IMAGES))]
+              for pa, row in zip(par, _jordan_rows(table, par, CONSISTENT))]
     _record(rep, cop, [("co-commutativity", 2, [cop.flip_residual], -L),
                        ("co-jordan", 4, jordan, -L ** 3)])
     return rep

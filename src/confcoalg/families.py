@@ -1,21 +1,21 @@
 """Constructors for every family in the classification.
 
-Each constructor returns a ``LambdaStructure`` built from first principles
-out of the Grassmann sign calculus on plain int subset masks.  Families
-defined as subalgebras (S_n, S_{n,b}, S~_n, K_4', CK_6) are built by
-restriction inside the ambient algebra (W_n, K_4 or K_6): each lists its
-basis and embeds it, conformal.bracket_pairs gives the brackets of the
-embedded basis as packed rows, and one span_reader per table gives their
-coordinates by forward substitution over pivots on packed vectors (a bracket
-outside the span raises NotInSpan), each distinct coordinate unpacked once.
-Where the paper tabulates the brackets (S_n, CK_6), the tabulated formulas
-are a second, independent path: ``proposition_diffs`` and
-``verify_ck6_printed`` list the disagreements of the table they are given
-with them.  A constructor never evaluates them and runs no check, so
-constants that break the axioms (make_current) give a table whose checks
-fail.  meta holds only the data of the construction and is never written
-afterwards.  The constructors take any n; the command line's caps on --n
-live in cli.FAMILIES.
+The module has three roles.  It builds the families defined directly, out
+of the Grassmann sign calculus on plain int subset masks: Vir, the
+currents, W_n, K_n and the Jordan series J_n, JS_1, JCK_4 and the Jordan
+current.  It is the one entry point for the families defined as
+subalgebras (S_n, S_{n,b}, S~_n, K_4', CK_6), whose constructors import the
+restriction machinery of restricted inside their bodies, so a command that
+builds no subalgebra family never compiles it.  And it holds the mask
+helpers and generator lists (k_generators, w_generators, jn_generators,
+jck4_generators) that closed_form and restricted share.
+
+A constructor runs no check, so constants that break the axioms
+(make_current) give a table whose checks fail.  Where the paper tabulates
+the brackets (S_n, CK_6), the tabulated formulas are a second, independent
+path in printed, which no constructor evaluates.  meta holds only the data
+of the construction and is never written afterwards.  The constructors take
+any n; the command line's caps on --n live in cli.FAMILIES.
 
 Parity conventions (stated once, used everywhere): p(xi_I) = |I| mod 2 in
 the Lambda(n) parts, p(xi_I d_i) = |I|+1, p(xi_I theta) = |I|+1; in CK_6,
@@ -25,34 +25,15 @@ in JCK_4, 1 and omega_i are even, x and x_i odd.
 
 from __future__ import annotations
 
-import heapq
-import itertools
-from fractions import Fraction
-from math import gcd
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from .conformal import (
-    ConformalElement,
-    FrozenRecord,
-    Generator,
-    JORDAN,
-    LIE,
-    LambdaStructure,
-    ModuleMap,
-    Report,
-    StructureError,
-    Violation,
-    _eliminate_columns,
-    bracket,
-    bracket_pairs,
+    ConformalElement, Generator, JORDAN, LIE, LambdaStructure, StructureError, _eliminate_columns,
     kernel_basis,
-    shift_spectral,
 )
 from .grassmann import alpha_mask, eps_mask, members, mul_sign
-from .poly import (
-    D, LAM, MultiPoly, P_ONE, P_ZERO, Scalar, _COMPONENT_SHIFT, _GUARD, _VAR_SHIFT, accumulate,
-    add_product, common_denominator, compact_vector, pack_vector, unpack_vector,
-)
+from .poly import D, LAM, MultiPoly, P_ONE, Scalar, _VAR_SHIFT, accumulate
+
 
 def _sgn(e: int) -> int:
     return -1 if e & 1 else 1
@@ -113,133 +94,6 @@ def k_generators(n: int) -> Tuple[List[Generator], Dict[int, int]]:
     masks = _masks(n)
     gens = [Generator(_xi_name(m), m.bit_count() & 1, _xi_latex(m)) for m in masks]
     return gens, {m: i for i, m in enumerate(masks)}
-
-
-# ---------------------------------------------------------------------------
-# restriction: coordinates over an embedded basis
-
-
-class NotInSpan(StructureError):
-    """An element outside the span of an embedded basis."""
-
-
-def span_reader(ambient: LambdaStructure, embeds: Sequence[ConformalElement]):
-    """Coordinates over a free basis embedded in ambient, by forward substitution.
-
-    The basis is ordered once, by pivots.  A pivot is an ambient row touched
-    by exactly one element not yet ordered; among those, the coefficient of
-    lowest d-degree comes first (then the lowest row).  Each pivot is a
-    monomial c m (a constant, or K_4''s d xi_star).  The returned function
-    read(x, scale) takes an ambient element x as {generator: packed
-    polynomial}, scale times too large (see poly.pack_vector), uses up the
-    vectors of x and returns {basis index: (packed coefficient, its scale)}:
-    a pivot row divided by m, times the Gaussian-integer numerator of 1/c,
-    whose denominator joins the scale.  The rest of an element over -c is
-    packed times its denominator L, and L joins the scale of the rows still
-    to be read.  A component left over, or a pivot row that m does not
-    divide, raises NotInSpan naming that ambient generator.
-    """
-    touching: Dict[int, set] = {}
-    for j, e in enumerate(embeds):
-        for r in e.terms:
-            touching.setdefault(r, set()).add(j)
-    heap: List[Tuple[int, int]] = []
-
-    def offer(rows):
-        for r in rows:
-            if len(touching[r]) == 1:
-                j, = touching[r]
-                heapq.heappush(heap, (embeds[j].terms[r].degree_in("d"), r))
-
-    offer(touching)
-    # (pivot row, element, m, the numerator of 1/c (None for c = 1) and its
-    #  denominator, the rest of the element over -c, packed, and its L)
-    plan = []
-    while heap:
-        _, r = heapq.heappop(heap)
-        if len(touching[r]) != 1:   # its element was ordered through another row
-            continue
-        j = touching[r].pop()
-        rest = dict(embeds[j].terms)
-        pivot = rest.pop(r)
-        if len(pivot.terms) != 1:
-            raise StructureError(f"{ambient.name}: the pivot {pivot!r} is not a monomial")
-        (m, c), = pivot.terms.items()
-        inv = MultiPoly({0: c.inverse()})
-        den, rest = common_denominator([inv]), {g: q * -inv for g, q in rest.items()}
-        L = common_denominator(rest.values())
-        plan.append((r, j, m, None if inv == P_ONE else pack_vector([(0, inv)], den), den,
-                     [(g, pack_vector([(0, q)], L)) for g, q in rest.items()], L))
-        for g in rest:
-            touching[g].discard(j)
-        offer(rest)
-    if len(plan) != len(embeds):
-        raise StructureError(f"{ambient.name}: the embedded basis has no pivot order")
-
-    def outside(g: int) -> NotInSpan:
-        return NotInSpan(f"component on {ambient.generators[g].id} is outside the span")
-
-    # an element adds rows only at later positions, so the next pivot is
-    # always the earliest row present
-    position = {r: k for k, (r, *_) in enumerate(plan)}
-    end = len(plan)
-
-    def read(work: Dict[int, Dict[int, int]], scale: int) -> Dict[int, Tuple[Dict[int, int], int]]:
-        coords = {}
-        while work:
-            k = min(position.get(g, end) for g in work)
-            if k == end:
-                raise outside(min(work))
-            r, j, m, numerator, den, rest, L = plan[k]
-            p = work.pop(r)
-            if m:
-                # m divides a key iff no field of key - m borrows from its guard bit
-                if any(((key | _GUARD) - m) & _GUARD != _GUARD for key in p):
-                    raise outside(r)
-                p = {key - m: c for key, c in p.items()}
-            coords[j] = (p if numerator is None else compact_vector(add_product({}, p, numerator)),
-                         scale * den)
-            if L != 1:
-                scale, work = scale * L, {g: {key: c * L for key, c in vec.items()}
-                                          for g, vec in work.items()}
-            for g, q in rest:
-                work[g] = compact_vector(add_product(work.get(g, {}), p, q))
-                if not work[g]:
-                    del work[g]
-        return coords
-
-    return read
-
-
-def _restrict(ambient: LambdaStructure, embeds: List[ConformalElement]):
-    """The table of the subalgebra spanned by embeds: each bracket taken in
-    ambient and read back in coordinates over embeds.  Each distinct
-    coordinate is unpacked once, keyed by its packed form in lowest terms."""
-    read = span_reader(ambient, embeds)
-    n, low = ambient.rank, (1 << _COMPONENT_SHIFT) - 1
-    polys: Dict[tuple, MultiPoly] = {}
-    table = {}
-    for a, (row, scale) in enumerate(bracket_pairs(ambient, embeds)):
-        # row a split into its brackets, elements {k: packed polynomial}
-        brackets: Dict[int, Dict[int, Dict[int, int]]] = {}
-        for key, c in row.items():
-            b, k = divmod(key >> _COMPONENT_SHIFT, n)
-            x = brackets.setdefault(b, {})
-            vec = x.get(k)
-            if vec is None:
-                vec = x[k] = {}
-            vec[key & low] = c
-        for b in range(len(embeds)):
-            # rows in any order: LambdaStructure sorts each by generator
-            entries = table[(a, b)] = []
-            for j, (v, s) in read(brackets.get(b, {}), scale).items():
-                g = gcd(s, *v.values())
-                key = frozenset((k, c // g) for k, c in v.items()), s // g
-                p = polys.get(key)
-                if p is None:
-                    p = polys[key] = unpack_vector(v, s)[0]
-                entries.append((j, p))
-    return table
 
 
 # ---------------------------------------------------------------------------
@@ -380,312 +234,20 @@ def make_W(n: int) -> LambdaStructure:
 
 
 # ---------------------------------------------------------------------------
-# divergence
-
-
-def div_w(W: LambdaStructure, x: ConformalElement, b: Scalar = Scalar(0)) -> ConformalElement:
-    """div_b on an element of W_n: div(f d_i) = (-1)^{p(f)} d_i f,
-    div(f) = (b - d) f; C[d]-linear, valued in the Lambda(n) part."""
-    lam_idx = W.meta["lam_idx"]
-    # generator -> (I, i): xi_I d_i, or xi_I for i = 0
-    rev = {g: (m, 0) for m, g in lam_idx.items()}
-    rev.update({g: key for key, g in W.meta["w_idx"].items()})
-    out = ConformalElement()
-    bd = MultiPoly.const(b) - D
-    for g, p in x.terms.items():
-        mask, i = rev[g]
-        if not i:
-            out = out + ConformalElement({g: p * bd})
-        else:
-            s, K = _d_mul(0, i, mask)
-            if s:
-                out = out + ConformalElement({lam_idx[K]: p * (_sgn(mask.bit_count()) * s)})
-    return out
-
-
-def div_module_map(W: LambdaStructure, b: Scalar = Scalar(0)) -> ModuleMap:
-    """div_b as a C[d]-module map from W_n onto its Lambda(n)-current part."""
-    n = W.meta["n"]
-    lam_idx = W.meta["lam_idx"]
-    entries: Dict[Tuple[int, int], MultiPoly] = {}
-    bd = MultiPoly.const(b) - D
-    target = [W.generators[lam_idx[m]].id for m in sorted(lam_idx)]
-    tpos = {lam_idx[m]: k for k, m in enumerate(sorted(lam_idx))}
-    for g in range(W.rank):
-        e = div_w(W, ConformalElement.gen(g), b)
-        for tg, p in e.terms.items():
-            entries[(tpos[tg], g)] = p
-    return ModuleMap([g.id for g in W.generators], target, entries)
-
-
-def _current_action(W: LambdaStructure) -> LambdaStructure:
-    """The action of W_n on Lambda(n)-valued currents as a table on the
-    generators of W_n, which conformal.bracket extends sesquilinearly: xi_I d_i
-    sends xi_J to xi_I d_i(xi_J), and xi_I sends xi_J to -(d + lam) xi_I xi_J.
-    This is the weight that makes div_b a homomorphism of conformal modules;
-    the adjoint bracket does not (its Lambda-part carries -(d + 2 lam)).
-    The rows of targets outside the currents are empty."""
-    lam_idx, w_idx = W.meta["lam_idx"], W.meta["w_idx"]
-    minus_d_lam, unit = _signs(-(D + LAM)), _signs(MultiPoly.const(1))
-    table: Dict[Tuple[int, int], List[Tuple[int, MultiPoly]]] = {}
-    for J, j in lam_idx.items():
-        for I, i in lam_idx.items():
-            s = mul_sign(I, J)
-            if s:
-                table[(i, j)] = [(lam_idx[I | J], minus_d_lam[s])]
-        for (I, i), g in w_idx.items():
-            s, K = _d_mul(I, i, J)
-            if s:
-                table[(g, j)] = [(lam_idx[K], unit[s])]
-    return LambdaStructure(LIE, W.generators, table, name=W.name + " on currents")
-
-
-def check_div_identity(n: int, b: Scalar = Scalar(0)) -> Report:
-    """div_b [D1 lam D2] = (D1)_lam(div_b D2) - (-1)^{p1 p2} (D2)_{-lam-d}(div_b D1)
-    over all generator pairs of W_n, with the current-module action."""
-    W = make_W(n)
-    act = _current_action(W)
-    div = [div_w(W, ConformalElement.gen(g), b) for g in range(W.rank)]
-    rep = Report(f"div-identity(b={b!r})", W.name)
-    for i in range(W.rank):
-        for j in range(W.rank):
-            rep.total += 1
-            ei, ej = ConformalElement.gen(i), ConformalElement.gen(j)
-            lhs = div_w(W, W.entry(i, j), b)
-            t1 = bracket(act, ei, div[j], "lam")
-            t2 = shift_spectral(bracket(act, ej, div[i], "mu"), "mu", -LAM - D)
-            sg = _sgn(W.parity(i) * W.parity(j))
-            resid = lhs - t1 + t2.scale(MultiPoly.const(sg))
-            if not resid.is_zero():
-                rep.violations.append(
-                    Violation(
-                        (W.generators[i].id, W.generators[j].id),
-                        resid.pretty(W),
-                    )
-                )
-    return rep
-
-
-# ---------------------------------------------------------------------------
-# S_n: basis, embedding, canonicalization, two-path construction
-
-
-class SnBasisElement(FrozenRecord):
-    """Tagged S_n basis element: A (single), A2 (consecutive pair), or B."""
-
-    __slots__ = ("tag", "mask", "i", "j")
-
-    def __init__(self, tag: str, mask: int, i: int = 0, j: int = 0):
-        self._set(tag, mask, i, j)   # tag "A" | "A2" | "B"; mask the set I
-
-    def name(self) -> str:
-        ds = _digits(members(self.mask))
-        if self.tag == "A":
-            return f"A{ds}_{self.i}"
-        if self.tag == "A2":
-            return f"A{ds}_{self.i}_{self.j}"
-        return f"B{ds}"
-
-    def parity(self) -> int:
-        deg = bin(self.mask).count("1")
-        return (deg + 1) & 1 if self.tag == "A" else deg & 1
-
-    def latex(self) -> str:
-        ds = "{" + _digits(members(self.mask)) + "}"
-        if self.tag == "A":
-            return f"A_{{{ds},{self.i}}}"
-        if self.tag == "A2":
-            return f"A_{{{ds},{self.i},{self.j}}}"
-        return f"B_{ds}"
-
-
-def sn_basis(n: int) -> List[SnBasisElement]:
-    out = []
-    for m in _masks(n):
-        comp = members(~m & ((1 << n) - 1))
-        for i in comp:
-            out.append(SnBasisElement("A", m, i))
-        for a, b in zip(comp, comp[1:]):
-            out.append(SnBasisElement("A2", m, a, b))
-        if bin(m).count("1") < n:
-            out.append(SnBasisElement("B", m))
-    return out
-
-
-def embed_sn(el: SnBasisElement, W: LambdaStructure) -> ConformalElement:
-    """The S_n basis element as an explicit element of W_n."""
-    n = W.meta["n"]
-    w_idx = W.meta["w_idx"]
-    I = el.mask
-    if el.tag == "A":
-        return ConformalElement({w_idx[(I, el.i)]: P_ONE})
-    if el.tag == "A2":
-        out = ConformalElement()
-        for idx, sign in ((el.i, 1), (el.j, -1)):
-            s = sign * mul_sign(I, _mask_of(idx))
-            out = out + ConformalElement({w_idx[(I | _mask_of(idx), idx)]: MultiPoly.const(s)})
-        return out
-    out = ConformalElement({W.meta["lam_idx"][I]: MultiPoly.const(I.bit_count() - n)})
-    for i in members(~I & ((1 << n) - 1)):
-        out = out + ConformalElement({w_idx[(I | _mask_of(i), i)]: D * mul_sign(I, _mask_of(i))})
-    return out
-
-
-def _raw_A_pair(n: int, mask: int, p: int, q: int, coeff: MultiPoly,
-                store: Dict[str, MultiPoly]):
-    """Accumulate coeff * A_{mask,p,q} over the consecutive-pair basis."""
-    if p == q:
-        return
-    if (mask >> (p - 1)) & 1 or (mask >> (q - 1)) & 1:
-        raise StructureError("A pair indices must avoid I")
-    if p > q:
-        p, q = q, p
-        coeff = -coeff
-    comp = members(~mask & ((1 << n) - 1))
-    for a, b in zip(comp, comp[1:]):
-        if p <= a and b <= q:
-            accumulate(store, SnBasisElement("A2", mask, a, b).name(), coeff)
-
-
-def _raw_B(n: int, mask: int, coeff: MultiPoly, store: Dict[str, MultiPoly]):
-    if bin(mask).count("1") < n:
-        accumulate(store, SnBasisElement("B", mask).name(), coeff)
-    # B on the full set degenerates to 0: (|I|-n) and the complement sum both vanish
-
-
-def _prop_entry(n: int, u: SnBasisElement, v: SnBasisElement) -> Dict[str, MultiPoly]:
-    """One bracket [u lam v] straight from the tabulated S_n formulas.
-
-    Only the printed orders are produced here; mirrored orders are derived
-    from these by skew-symmetry in make_S.
-    """
-    out: Dict[str, MultiPoly] = {}
-    I, J = u.mask, v.mask
-    dI, dJ = I.bit_count(), J.bit_count()
-    disjoint = not I & J
-    full = (1 << n) - 1
-
-    def single(mask: int, i: int) -> str:
-        return SnBasisElement("A", mask, i).name()
-
-    if u.tag == "A2" and v.tag == "A2":
-        return out
-
-    if u.tag == "A2" and v.tag == "A":
-        i, j, r = u.i, u.j, v.i
-        if I & _mask_of(r) and disjoint and not J & (_mask_of(i) | _mask_of(j)):
-            Ir = I ^ _mask_of(r)
-            s = mul_sign(Ir, J)
-            if s:
-                sg = _sgn(eps_mask(r, I) + 1 + dI + dJ) * s
-                _raw_A_pair(n, Ir | J, i, j, MultiPoly.const(sg), out)
-        elif not I & _mask_of(r) and disjoint:
-            s = mul_sign(I, J)
-            if s:
-                if r == j and not J & _mask_of(j):
-                    accumulate(out, single(I | J, j), MultiPoly.const(s))
-                if r == i and not J & _mask_of(i):
-                    accumulate(out, single(I | J, i), MultiPoly.const(-s))
-        return out
-
-    if u.tag == "A" and v.tag == "A":
-        i, j = u.i, v.i
-        i_in_J, j_in_I = J & _mask_of(i), I & _mask_of(j)
-        if not i_in_J and not j_in_I:
-            return out
-        if i_in_J and not j_in_I:
-            s, K = _d_mul(I, i, J)
-            if s and not K & _mask_of(j):
-                accumulate(out, single(K, j), MultiPoly.const(s))
-        elif j_in_I and not i_in_J:
-            rest = I ^ _mask_of(j)
-            s = _sgn(eps_mask(j, I)) * mul_sign(rest, J)
-            if s and not (rest | J) & _mask_of(i):
-                accumulate(out, single(rest | J, i), MultiPoly.const(_sgn(dI) * s))
-        else:
-            Iw, Jv = I ^ _mask_of(j), J ^ _mask_of(i)
-            s = mul_sign(Iw, Jv)
-            if s:
-                sg = _sgn(dI + dJ + eps_mask(i, J) + eps_mask(j, I)) * s
-                _raw_A_pair(n, Iw | Jv, j, i, MultiPoly.const(sg), out)
-        return out
-
-    if u.tag == "B" and v.tag == "B":
-        if not disjoint:
-            return out
-        coeff = (LAM * (2 * n - dI - dJ) + D * (n - dI)) * mul_sign(I, J)
-        _raw_B(n, I | J, coeff, out)
-        return out
-
-    if u.tag == "A" and v.tag == "B":
-        i = u.i
-        if not disjoint:
-            return out
-        if not J & _mask_of(i):
-            s = mul_sign(I, J)
-            if s:
-                coeff = (LAM * (n - dJ + 1 - dI) + D * (1 - dI)) * (_sgn(dJ) * s)
-                accumulate(out, single(I | J, i), coeff)
-        else:
-            s, K = _d_mul(I, i, J)
-            if not s:
-                return out
-            den = dI + dJ - n - 1
-            assert den != 0, "S_n proposition denominator vanished"
-            _raw_B(n, K, MultiPoly.const(Fraction(dJ - n, den) * s), out)
-            coeff_d = D.scalar_mul(Fraction(dI - 1, den)) * s
-            for j in members(~(I | J) & full):
-                _raw_A_pair(n, K, j, i, coeff_d, out)
-                _raw_A_pair(n, K, j, i, LAM * s, out)
-        return out
-
-    if u.tag == "A2" and v.tag == "B":
-        i, k = u.i, u.j
-        if not disjoint:
-            return out
-        i_in, k_in = J & _mask_of(i), J & _mask_of(k)
-        if i_in and k_in:
-            return out
-        s = mul_sign(I, J)
-        if not s:
-            return out
-        K = I | J
-        if not i_in and not k_in:
-            coeff = (LAM * (n - dJ - dI) - D * dI) * s
-            _raw_A_pair(n, K, i, k, coeff, out)
-            return out
-        den = dI + dJ - n
-        assert den != 0, "S_n proposition denominator vanished"
-        free = members(~K & full)
-        if i_in:
-            _raw_B(n, K, MultiPoly.const(Fraction(dJ - n, den)) * s, out)
-            coeff = (LAM + D.scalar_mul(Fraction(dI, den))) * s
-            for j in free:
-                _raw_A_pair(n, K, j, k, coeff, out)
-        else:
-            _raw_B(n, K, MultiPoly.const(Fraction(n - dJ, den)) * s, out)
-            coeff = (LAM + D.scalar_mul(Fraction(dI, den))) * s
-            for j in free:
-                _raw_A_pair(n, K, j, i, -coeff, out)
-        return out
-
-    raise StructureError(f"no printed formula for ({u.tag}, {v.tag})")
-
-
-_PRINTED_ORDERS = {
-    ("A2", "A2"), ("A2", "A"), ("A", "A"), ("B", "B"), ("A", "B"), ("A2", "B")
-}
+# subalgebras of W_n: S_n, S_{n,b} and S~_n, restricted (see restricted)
 
 
 def make_S(n: int) -> LambdaStructure:
     """S_n = ker(div) in W_n, rank n 2^n, the W-restriction of the embedded
-    basis (embed_sn), read back through span_reader.
+    basis (restricted.embed_sn), read back through restricted.span_reader.
 
     The tabulated bracket formulas are a second, independent path, compared
-    with a table by proposition_diffs.  (The pair/single case of the
+    with a table by printed.proposition_diffs.  (The pair/single case of the
     tabulated formulas is missing its i-in-J contributions, so that list is
     not empty for S_n; see the diffs themselves for the exact terms.)
     """
+    from .restricted import _restrict, embed_sn, sn_basis
+
     if n < 2:
         raise StructureError("S_n needs n >= 2")
     W = make_W(n)
@@ -698,41 +260,6 @@ def make_S(n: int) -> LambdaStructure:
     )
 
 
-def proposition_diffs(S: LambdaStructure) -> List[str]:
-    """The terms where the tabulated S_n formulas (mirrored orders via
-    skew-symmetry) differ from the rows of S, an S_n of make_S or a copy of
-    one, bracket by bracket in row-major order, by basis name within a
-    bracket."""
-    n, basis = S.meta["n"], S.meta["basis"]
-    names = [b.name() for b in basis]
-    printed: Dict[Tuple[int, int], Dict[str, MultiPoly]] = {}
-    for a, u in enumerate(basis):
-        for b, v in enumerate(basis):
-            if (u.tag, v.tag) in _PRINTED_ORDERS:
-                printed[(a, b)] = _prop_entry(n, u, v)
-    diffs = []
-    for (a, b), row in S.table.items():
-        want = printed.get((a, b))
-        if want is None:
-            sg = -_sgn(basis[a].parity() * basis[b].parity())
-            want = {nm: p.subst_general("lam", -LAM - D) * sg
-                    for nm, p in printed[(b, a)].items()}
-        got = {names[k]: p for k, p in row}
-        for nm in sorted(set(got) | set(want)):
-            pa = got.get(nm, P_ZERO)
-            pb = want.get(nm, P_ZERO)
-            if pa != pb:
-                diffs.append(
-                    f"[{names[a]} lam {names[b]}] @ {nm}: W-path {pa!r}"
-                    f" vs formula {pb!r}"
-                )
-    return diffs
-
-
-# ---------------------------------------------------------------------------
-# S_{n,b} and S~_n
-
-
 def make_S_b(n: int, b: Scalar) -> LambdaStructure:
     """S_{n,b} = ker(div_b) in W_n, rank n 2^n, basis from kernel_basis.
 
@@ -740,6 +267,8 @@ def make_S_b(n: int, b: Scalar) -> LambdaStructure:
     n = 3 that step changes it); brackets are read back through span_reader,
     and closure failure raises NotInSpan.
     """
+    from .restricted import _restrict, div_module_map
+
     if n < 2:
         raise StructureError("S_{n,b} needs n >= 2")
     W = make_W(n)
@@ -772,6 +301,8 @@ def make_S_tilde(n: int) -> LambdaStructure:
     xi_1 ... xi_n keeps only the components of e free of xi.  Brackets are
     read back through span_reader.
     """
+    from .restricted import _restrict, embed_sn, sn_basis
+
     if n < 2 or n % 2:
         raise StructureError("S~_n needs even n >= 2")
     W = make_W(n)
@@ -795,7 +326,7 @@ def make_S_tilde(n: int) -> LambdaStructure:
 
 
 # ---------------------------------------------------------------------------
-# K_n, K_4', CK_6
+# K_n, and its subalgebras K_4' and CK_6, restricted (see restricted)
 
 
 def make_K(n: int) -> LambdaStructure:
@@ -837,9 +368,6 @@ def make_K(n: int) -> LambdaStructure:
     )
 
 
-DXI_STAR = Generator("dxistar", 0, r"\partial\xi_\star")   # the generator d xi_star of K_4'
-
-
 def make_K4prime() -> LambdaStructure:
     """K_4' of rank 16: xi_I (|I| <= 3) plus the generator d xi_star.
 
@@ -849,6 +377,8 @@ def make_K4prime() -> LambdaStructure:
     of the derived algebra are verified against this inheritance in the
     tests.
     """
+    from .restricted import DXI_STAR, _restrict
+
     K4 = make_K(4)
     lam_idx = K4.meta["lam_idx"]
     star = 0b1111
@@ -863,64 +393,16 @@ def make_K4prime() -> LambdaStructure:
     )
 
 
-# CK_6 -----------------------------------------------------------------------
-
-_CK6_STAR = (1 << 6) - 1    # the mask of xi_star = xi_1 ... xi_6
-
-
-def _hodge_sign(m: int) -> int:
-    """The sign of xi_m^bullet = +-xi_{m^c} in Lambda(6), so that xi_m xi_m^bullet = xi_star."""
-    return _sgn(alpha_mask(m, _CK6_STAR ^ m))
-
-
-def _ck6_basis_tuples() -> List[Tuple[int, ...]]:
-    out: List[Tuple[int, ...]] = [()]
-    out += [(i,) for i in range(1, 7)]
-    out += [(i, j) for i in range(1, 7) for j in range(i + 1, 7)]
-    out += [(1, j, k) for j in range(2, 7) for k in range(j + 1, 7)]
-    return out
-
-
-def _ck6_name(t: Tuple[int, ...]) -> str:
-    return "L" if t == () else "C" + _digits(t)
-
-
-def _ck6_parity(t: Tuple[int, ...]) -> int:
-    return len(t) & 1
-
-
-def ck6_embed(t: Tuple[int, ...], K6: LambdaStructure) -> ConformalElement:
-    """Generator of CK_6 as an element of K_6.
-
-    L = -1/2 (1 - beta d^3 xi_star); C_i = xi_i - beta d^2 xi_i^bullet;
-    C_ij = xi_ij + beta d xi_ij^bullet; C_ijk = xi_ijk + beta xi_ijk^bullet.
-    """
-    lam_idx = K6.meta["lam_idx"]
-    beta = Scalar.beta()
-    if t == ():
-        return ConformalElement({
-            lam_idx[0]: MultiPoly.const(Fraction(-1, 2)),
-            lam_idx[_CK6_STAR]: MultiPoly.monomial({"d": 3}, beta * Scalar(Fraction(1, 2))),
-        })
-    _, m = _monomial(t)
-    if members(m) != t or m >> 6:
-        raise ValueError(f"CK_6 index tuple must be strictly increasing in 1..6, got {t}")
-    deg = len(t)
-    coeff = {1: -beta, 2: beta, 3: beta}[deg] * Scalar(_hodge_sign(m))
-    return ConformalElement({
-        lam_idx[m]: P_ONE,
-        lam_idx[_CK6_STAR ^ m]: MultiPoly.monomial({"d": 3 - deg}, coeff),
-    })
-
-
 def make_CK6() -> LambdaStructure:
     """CK_6 of rank 32, the K_6 restriction of its embedded basis (ck6_embed).
 
     The printed closed-form brackets are compared with a table term by term
-    by verify_ck6_printed.  That list is not empty for CK_6, because the
-    tabulated weights of C_i and C_ij are transposed ([L lam C_i] restricts
-    to (3/2 lam + d) C_i, matching the standard weight-(2, 3/2, 1, 1/2)
-    field content, while the table prints (lam + d) C_i)."""
+    by printed.verify_ck6_printed.  That list is not empty for CK_6, because
+    the tabulated weights of C_i and C_ij are transposed ([L lam C_i]
+    restricts to (3/2 lam + d) C_i, matching the standard weight-(2, 3/2, 1,
+    1/2) field content, while the table prints (lam + d) C_i)."""
+    from .restricted import _ck6_basis_tuples, _ck6_name, _ck6_parity, _restrict, ck6_embed
+
     K6 = make_K(6)
     tuples = _ck6_basis_tuples()
     gens = [Generator(_ck6_name(t), _ck6_parity(t), None) for t in tuples]
@@ -929,149 +411,6 @@ def make_CK6() -> LambdaStructure:
         LIE, gens, _restrict(K6, embeds), name="CK_6",
         meta={"K6": K6, "tuples": tuples, "embeds": embeds},
     )
-
-
-def ck6_symbol(t: Tuple[int, ...]) -> Dict[str, Scalar]:
-    """Resolve C with an arbitrary index tuple to basis coordinates.
-
-    Repeated indices give zero; permutations contribute their sign; a
-    3-tuple not containing 1 reduces through C_{I^c} = beta (-1)^{alpha(I^c,I)} C_I.
-    The empty tuple names L.
-    """
-    sign, m = _monomial(t)
-    if not sign:
-        return {}
-    if m.bit_count() == 3 and not m & 1:
-        coeff = Scalar.beta() * Scalar(_hodge_sign(m) * sign)
-        return {_ck6_name(members(_CK6_STAR ^ m)): coeff}
-    return {_ck6_name(members(m)): Scalar(sign)}
-
-
-def verify_ck6_printed(S: LambdaStructure) -> List[str]:
-    """The brackets where S, CK_6 of make_CK6 or a copy of one, differs from
-    the tabulated CK_6 brackets.
-
-    All comparisons happen inside K_6 (table entries are embedded back), so
-    right-hand sides given in monomials and right-hand sides given in C
-    symbols are on an equal footing.  Mirrored orders are derived from the
-    printed ones by skew-symmetry.
-    """
-    diffs: List[str] = []
-    K6 = S.meta["K6"]
-    lam_idx = K6.meta["lam_idx"]
-    embeds = S.meta["embeds"]
-    beta = Scalar.beta()
-
-    def in_k6(a: int, b: int) -> ConformalElement:
-        out = ConformalElement()
-        for k, p in S.table[(a, b)]:
-            out = out + embeds[k].scale(p)
-        return out
-
-    def emb_sym(t: Tuple[int, ...], poly: MultiPoly) -> ConformalElement:
-        out = ConformalElement()
-        for nm, c in ck6_symbol(t).items():
-            out = out + embeds[S.index[nm]].scale(poly.scalar_mul(c))
-        return out
-
-    def check(ta: Tuple[int, ...], tb: Tuple[int, ...], want: ConformalElement):
-        ca, cb = ck6_symbol(ta), ck6_symbol(tb)
-        if not ca or not cb:
-            return
-        (na, sa), = ca.items()
-        (nb, sb), = cb.items()
-        a, b = S.index[na], S.index[nb]
-        scale = MultiPoly.const(sa * sb)
-        got = in_k6(a, b).scale(scale)
-        if not (got - want).is_zero():
-            diffs.append(f"[{_ck6_name(ta)} lam {_ck6_name(tb)}]: restriction vs printed")
-        got_m = in_k6(b, a).scale(scale)
-        sgn = -_sgn(_ck6_parity(ta) * _ck6_parity(tb))
-        want_m = shift_spectral(want, "lam", -LAM - D).scale(MultiPoly.const(sgn))
-        if not (got_m - want_m).is_zero():
-            diffs.append(f"[{_ck6_name(tb)} lam {_ck6_name(ta)}]: restriction vs skew of printed")
-
-    # [L lam L] and [L lam C_t]: (2, 1, 3/2, 1/2) lam + d
-    weights = {0: Fraction(2), 1: Fraction(1), 2: Fraction(3, 2), 3: Fraction(1, 2)}
-    for t in S.meta["tuples"]:
-        check((), t, emb_sym(t, LAM.scalar_mul(weights[len(t)]) + D))
-
-    # [C_i lam C_j] = -(2 lam + d) C_ij + 2 delta_ij L
-    for i in range(1, 7):
-        for j in range(1, 7):
-            want = emb_sym((i, j), -(LAM * 2 + D))
-            if i == j:
-                want = want + emb_sym((), MultiPoly.const(2))
-            check((i,), (j,), want)
-
-    # [C_ij lam C_k] = -lam C_ijk + delta_ki C_j - delta_kj C_i
-    for i in range(1, 7):
-        for j in range(i + 1, 7):
-            for k in range(1, 7):
-                want = emb_sym((i, j, k), -LAM)
-                if k == i:
-                    want = want + emb_sym((j,), P_ONE)
-                if k == j:
-                    want = want - emb_sym((i,), P_ONE)
-                check((i, j), (k,), want)
-
-    # [C_ij lam C_kl], Kronecker contractions
-    for i in range(1, 7):
-        for j in range(i + 1, 7):
-            for k in range(1, 7):
-                for l in range(k + 1, 7):
-                    want = ConformalElement()
-                    for d1, d2, s, t2 in (
-                        (i, k, 1, (j, l)), (i, l, -1, (j, k)),
-                        (j, k, -1, (i, l)), (j, l, 1, (i, k)),
-                    ):
-                        if d1 == d2:
-                            want = want + emb_sym(t2, MultiPoly.const(s))
-                    check((i, j), (k, l), want)
-
-    # [C_ij lam C_klm], six Kronecker contractions
-    for i in range(1, 7):
-        for j in range(i + 1, 7):
-            for klm in itertools.combinations(range(2, 7), 2):
-                k, l, m = 1, klm[0], klm[1]
-                want = ConformalElement()
-                for d1, d2, s, t2 in (
-                    (i, k, 1, (j, l, m)), (i, l, -1, (j, k, m)), (i, m, 1, (j, k, l)),
-                    (j, k, -1, (i, l, m)), (j, l, 1, (i, k, m)), (j, m, -1, (i, k, l)),
-                ):
-                    if d1 == d2:
-                        want = want + emb_sym(t2, MultiPoly.const(s))
-                check((i, j), (k, l, m), want)
-
-    # [C_ijk lam C_lmn] = 0
-    for ijk in itertools.combinations(range(2, 7), 2):
-        for lmn in itertools.combinations(range(2, 7), 2):
-            check((1,) + ijk, (1,) + lmn, ConformalElement())
-
-    # [C_i lam C_jkl] = beta (xi_{ijkl}^bullet + beta d xi_{ijkl})
-    #                   - ((xi_i xi_{jkl}^bullet)^bullet + beta d xi_i xi_{jkl}^bullet)
-    def mono(m: int, poly: MultiPoly) -> ConformalElement:
-        return ConformalElement({lam_idx[m]: poly})
-
-    for i in range(1, 7):
-        for jk in itertools.combinations(range(2, 7), 2):
-            jkl = (1,) + jk
-            want = ConformalElement()
-            sgn, m = _monomial((i,) + jkl)
-            if sgn:
-                h = sgn * _hodge_sign(m)
-                want = want + mono(_CK6_STAR ^ m, MultiPoly.const(beta * Scalar(h)))
-                want = want + mono(m, D.scalar_mul(beta * beta * Scalar(sgn)))
-            _, m_jkl = _monomial(jkl)
-            hj = _CK6_STAR ^ m_jkl
-            sgn2 = _hodge_sign(m_jkl) * mul_sign(_mask_of(i), hj)
-            if sgn2:
-                m2 = _mask_of(i) | hj
-                want = want - mono(_CK6_STAR ^ m2, MultiPoly.const(Scalar(sgn2 * _hodge_sign(m2))))
-                want = want - mono(m2, D.scalar_mul(beta * Scalar(sgn2)))
-            check((i,), jkl, want)
-
-    return diffs
 
 
 # ---------------------------------------------------------------------------

@@ -360,6 +360,32 @@ class MultiPoly:
         return _poly_text({k: (c.re, c.im) for k, c in self.terms.items()}, {})
 
 
+_CHUNK_DIGITS = 600   # below 640, the least int-string limit Python allows
+_CHUNK = 10 ** _CHUNK_DIGITS
+
+
+def _int_text(x: int) -> str:
+    """str(x) at any length.  str refuses an int of more decimal digits than
+    sys.get_int_max_str_digits() (4300 unless set otherwise), a setting of
+    the whole process that the package leaves alone, so a longer int is
+    written _CHUNK_DIGITS digits at a time, exactly."""
+    try:
+        return int.__repr__(x)
+    except ValueError:
+        head, chunks = abs(x), []
+        while head >= _CHUNK:
+            head, low = divmod(head, _CHUNK)
+            chunks.append(int.__repr__(low).zfill(_CHUNK_DIGITS))
+        return ("-" if x < 0 else "") + int.__repr__(head) + "".join(reversed(chunks))
+
+
+def _part_text(x) -> str:
+    """str(x) of a coefficient part, an int or a Fraction, at any length."""
+    if type(x) is int:
+        return _int_text(x)
+    return f"{_int_text(x.numerator)}/{_int_text(x.denominator)}"
+
+
 def _poly_text(terms: Dict[int, tuple], texts: dict) -> str:
     """The text of the polynomial {monomial key: (re, im)}, or of a Scalar as
     {0: (re, im)}; texts holds each monomial's and coefficient's."""
@@ -368,8 +394,9 @@ def _poly_text(terms: Dict[int, tuple], texts: dict) -> str:
         c = re, im = terms[k]
         cs = texts.get(c)
         if cs is None:          # re, im*beta or (re+im*beta)
-            cs = texts[c] = (str(re) if im == 0 else f"{im}*beta" if re == 0
-                             else f"({re}{'+' if im > 0 else '-'}{abs(im)}*beta)")
+            cs = texts[c] = (
+                _part_text(re) if im == 0 else f"{_part_text(im)}*beta" if re == 0
+                else f"({_part_text(re)}{'+' if im > 0 else '-'}{_part_text(abs(im))}*beta)")
         mono = texts.get(k)
         if mono is None:        # _unpack lists the variables in ALPHABET order
             mono = texts[k] = "*".join(v if e == 1 else f"{v}^{e}" for v, e in _unpack(k).items())

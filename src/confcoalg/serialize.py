@@ -49,15 +49,23 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _str_text
 from typing import TYPE_CHECKING, Dict, List, Tuple
 
-from .conformal import Generator, LIE, LambdaStructure, StructureError
+from .conformal import Generator, JORDAN, LIE, LambdaStructure, StructureError
 from .poly import (
-    MultiPoly, _MAXEXP, _VAR_SHIFT, _exp_of, _memo, _sort_key, poly_from_json, poly_to_json,
+    MultiPoly, _MAXEXP, _VAR_SHIFT, _exp_of, _int_text, _memo, _sort_key, poly_from_json,
+    poly_to_json,
 )
 
 if TYPE_CHECKING:
     from .coalgebra import Coproduct
 
 FORMAT_VERSION = 1
+
+# the highest total degree of an entry a reader takes, by kind.  A check
+# multiplies at most two entries of a Lie table (Jacobi, co-Jacobi) and three
+# of a Jordan one (the Jordan identity, co-Jordan); the slot maps and the maps
+# back are linear, so no variable's exponent in a product exceeds the sum of
+# its factors' total degrees, which must fit an exponent field (poly._MAXEXP)
+MAX_DEGREE = {LIE: _MAXEXP // 2, JORDAN: _MAXEXP // 3}
 
 
 def _id_order(T) -> List[int]:
@@ -110,7 +118,7 @@ def structure_from_json(data: dict) -> LambdaStructure:
     if _doc_type(data) != "lambda_structure":
         raise StructureError("not a lambda_structure document")
     gens, index = _generators(data)
-    poly = _poly_reader()
+    poly = _poly_reader(data.get("kind", LIE))
     table: Dict[Tuple[int, int], List[Tuple[int, MultiPoly]]] = {}
     for r, row in enumerate(_list(data, "table", "document")):
         what = f"table row {r}"
@@ -148,7 +156,7 @@ def coproduct_from_json(data: dict) -> Coproduct:
     if _doc_type(data) != "coproduct":
         raise StructureError("not a coproduct document")
     gens, index = _generators(data)
-    poly = _poly_reader()
+    poly = _poly_reader(data.get("kind", LIE))
     table: Dict[int, List[Tuple[int, int, MultiPoly]]] = {}
     for r, row in enumerate(_list(data, "table", "document")):
         what = f"table row {r}"
@@ -225,11 +233,14 @@ def _gen_ref(index: Dict[str, int], obj, key: str, what: str) -> int:
         raise StructureError(f"{key!r} of {what} names unknown generator {gid!r}") from None
 
 
-def _poly_reader():
-    """(obj, what) -> the polynomial of obj's "poly" list, for one document:
-    each distinct list is converted and checked once, at its first
-    occurrence, keyed by its repr, which tells 1, 1.0, true and "1" apart."""
+def _poly_reader(kind):
+    """(obj, what) -> the polynomial of obj's "poly" list, for one document
+    of kind: each distinct list is converted and checked once, at its first
+    occurrence, keyed by its repr, which tells 1, 1.0, true and "1" apart.
+    A polynomial of total degree above MAX_DEGREE[kind] is refused (a kind
+    that is neither is left to the constructor, which refuses it)."""
     polys: Dict[str, MultiPoly] = {}
+    top = MAX_DEGREE[kind] if kind in (LIE, JORDAN) else _MAXEXP
 
     def poly(obj, what: str) -> MultiPoly:
         data = _list(obj, "poly", what)
@@ -240,6 +251,10 @@ def _poly_reader():
                 p = polys[key] = poly_from_json(data)
             except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
                 raise StructureError(f"malformed poly of {what}: {e!r}") from None
+            degree = max((_sort_key(k)[0] for k in p.terms), default=0)
+            if degree > top:
+                raise StructureError(f"poly of {what} has total degree {degree}; "
+                                     f"a {kind} table takes at most {top}")
         return p
 
     return poly
@@ -260,9 +275,8 @@ def dumps(obj) -> str:
 
 
 # -- the JSON writer: json.dumps(doc, indent=2), without its generators.  The
-# standard library runs its C encoder only when indent is None.
-
-_int_text = int.__repr__
+# standard library runs its C encoder only when indent is None.  Ints are
+# written by poly._int_text, exactly at any length.
 
 
 def _json_text(doc) -> str:
@@ -365,8 +379,8 @@ _TEX_FIELDS = tuple((_VAR_SHIFT[v], _VAR_TEX[v]) for v in sorted(_VAR_TEX))
 def _coeff_tex(c) -> str:
     def frac(f: Fraction) -> str:
         if f.denominator == 1:
-            return str(f.numerator)
-        return r"\tfrac{%d}{%d}" % (f.numerator, f.denominator)
+            return _int_text(f.numerator)
+        return r"\tfrac{%s}{%s}" % (_int_text(f.numerator), _int_text(f.denominator))
 
     if c.im == 0:
         return frac(c.re)

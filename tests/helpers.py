@@ -4,7 +4,7 @@ from collections import defaultdict
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from confcoalg import conformal, families
+from confcoalg import conformal, kernels, restricted
 from confcoalg.coalgebra import Coproduct, DiffLine, DiffReport
 from confcoalg.conformal import (
     ConformalElement, LambdaStructure, Report, StructureError, Violation, _put, _renamed,
@@ -203,8 +203,9 @@ def compare_oracle(a, b) -> DiffReport:
 
 def term_products(monkeypatch, check, arg, calls=False):
     """The number of term products check(arg) makes through the kernels of
-    confcoalg.conformal, counted at its add_product, with the report; with
-    calls, (products, the number of add_product calls, report)."""
+    confcoalg.conformal and confcoalg.kernels, counted at their add_product,
+    with the report; with calls, (products, the number of add_product calls,
+    report)."""
     count = [0, 0]
     real = conformal.add_product
 
@@ -214,7 +215,8 @@ def term_products(monkeypatch, check, arg, calls=False):
         return real(acc, p, q, negate)
 
     with monkeypatch.context() as m:
-        m.setattr(conformal, "add_product", counting)
+        for module in (conformal, kernels):
+            m.setattr(module, "add_product", counting)
         rep = check(arg)
     return (count[0], count[1], rep) if calls else (count[0], rep)
 
@@ -303,8 +305,8 @@ def packed_rows(pairs, n):
 
 
 def element_reader(ambient, embeds):
-    """families.span_reader on ConformalElements: x -> {basis index: MultiPoly}."""
-    read = families.span_reader(ambient, embeds)
+    """restricted.span_reader on ConformalElements: x -> {basis index: MultiPoly}."""
+    read = restricted.span_reader(ambient, embeds)
 
     def on_element(x):
         scale = common_denominator(x.terms.values())

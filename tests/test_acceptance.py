@@ -20,7 +20,7 @@ import time
 import pytest
 
 from confcoalg import closed_form as cf
-from confcoalg import families, serialize
+from confcoalg import families, printed, serialize
 from confcoalg.cli import main as cli_main
 from confcoalg.coalgebra import (
     check_jordan_coalgebra, check_lie_coalgebra, compare,
@@ -29,10 +29,10 @@ from confcoalg.coalgebra import (
 from confcoalg.conformal import (
     check_jacobi, check_jordan_comm, check_jordan_identity, check_skew,
 )
-from confcoalg.families import (
-    check_div_identity, corrupt_entry, div_w, embed_sn, sn_basis,
-)
+from confcoalg.families import corrupt_entry
 from confcoalg.poly import D, LAM, MultiPoly, Scalar
+from confcoalg.printed import check_div_identity
+from confcoalg.restricted import div_w, embed_sn, sn_basis
 
 from helpers import random_poly
 
@@ -116,9 +116,9 @@ def test_criterion_2_jordan_identity(name, Jn, JS1, JCK4):
 @pytest.mark.parametrize("name", ["S_2", "S_3", "CK_6"])
 def test_criterion_3_two_path_equality(name, S, CK6):
     if name == "CK_6":
-        diffs = families.verify_ck6_printed(CK6)
+        diffs = printed.verify_ck6_printed(CK6)
     else:
-        diffs = families.proposition_diffs(S[int(name[-1])])
+        diffs = printed.proposition_diffs(S[int(name[-1])])
     crit(3, not diffs, f"{name}: restriction vs tabulated brackets, "
                        f"{len(diffs)} term diffs")
     if diffs:

@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -480,6 +481,66 @@ def test_malformed_document_is_an_input_error(case, tmp_path, capsys):
         assert err == f"error: {message}\n"
 
 
+# -- the arithmetic limits: every table the reader takes gets a verdict
+
+
+def _first_term(doc):
+    return doc["table"][0]["terms"][0]["poly"][0]
+
+
+@pytest.mark.parametrize("family, kind, top", [("K", "lie", 127), ("JS1", "jordan", 85)])
+def test_entry_degree_bound(family, kind, top, tmp_path, capsys):
+    """A reader takes an entry of total degree up to serialize.MAX_DEGREE of
+    its kind, the most whose products in the checks, of two entries of a Lie
+    table and three of a Jordan one, fit an exponent field (255), and
+    refuses one of degree one above, before any check runs: verify gives
+    a verdict on every check at the bound and dualize writes the dual."""
+    assert serialize.MAX_DEGREE[kind] == top == 255 // {"lie": 2, "jordan": 3}[kind]
+    S = families.make_K(2) if family == "K" else families.make_JS1()
+    path = tmp_path / "doc.json"
+    for degree in (top, top + 1):
+        doc = json.loads(serialize.dumps(S))
+        _first_term(doc)["exps"] = {"lam": degree}
+        path.write_text(json.dumps(doc))
+        verify = run(capsys, "verify", "--in", str(path))
+        dual = run(capsys, "dualize", "--in", str(path))
+        if degree == top:
+            code, out, err = verify
+            assert code == 1 and err == ""
+            assert len(re.findall(r"^\S+: (?:pass|FAIL)", out, re.M)) == 4
+            assert dual[0] == 0 and f"^{top}" in dual[1]
+        else:
+            message = (f"error: poly of term 0 of table row 0 has total degree {degree}; "
+                       f"a {kind} table takes at most {top}\n")
+            assert verify == dual == (2, "", message)
+
+
+def test_coefficient_past_the_int_string_limit_gets_a_verdict(tmp_path, capsys):
+    """K_2 with one coefficient of 3,000 digits: the Jacobi residual squares
+    it, past the interpreter's int-string limit (4,300 digits unless set
+    otherwise), and verify still exits 1 with every violation, written
+    exactly, in text and in JSON: as it writes them with the limit lifted.
+    The limit is left as it was."""
+    doc = json.loads(serialize.dumps(families.make_K(2)))
+    _first_term(doc)["coeff"][0] = 10 ** 2999 + 7
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    limit = sys.get_int_max_str_digits()
+    got = [run(capsys, "verify", "--in", str(path), "--format", fmt) for fmt in ("text", "json")]
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        want = [run(capsys, "verify", "--in", str(path), "--format", fmt) for fmt in ("text", "json")]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert got == want
+    (code, text, err), (json_code, document, json_err) = got
+    assert code == json_code == 1 and err == json_err == ""
+    assert max(map(len, re.findall(r"\d+", text))) > 4300
+    reports = json.loads(document)["reports"]
+    assert [r["check"] for r in reports if r["violations"]] == ["skew", "jacobi", "coalg"]
+
+
 def test_deeply_nested_document_is_an_input_error(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000)
@@ -578,6 +639,47 @@ def test_dualize_text_loads_no_emitter_or_serialiser():
     assert not modules & {"serialize", "closed_form"}
 
 
+# the confcoalg submodules each command of the benchmark's cli-commands
+# workload loads, by its name there: kernels only with coalgebra, restricted
+# only for a subalgebra family, and printed for none
+_COMMON = {"cli", "conformal", "families", "grassmann", "poly"}
+_CHECKS = {"cli", "coalgebra", "conformal", "kernels", "poly"}
+BENCH_FOOTPRINTS = {
+    "construct-json": _COMMON | {"serialize"},
+    "construct-latex": _COMMON | {"serialize"},
+    "construct-text": _COMMON | {"restricted"},
+    "verify-in": _CHECKS | {"serialize"},
+    "dualize-latex": _COMMON | _CHECKS | {"restricted", "serialize"},
+    "emit": _COMMON | _CHECKS | {"closed_form"},
+    "crosscheck-json": _COMMON | _CHECKS | {"closed_form", "restricted", "serialize"},
+    "verify-vir": _COMMON | _CHECKS,
+    "unknown-family": {"cli"},
+}
+
+
+def test_each_benchmark_command_loads_exactly_what_it_runs(tmp_path):
+    """The exact confcoalg submodules of each of the nine commands of
+    bench/workloads.CLI_COMMANDS, verify --in reading K_3's document."""
+    from test_coalgebra import _bench_workloads
+
+    table = tmp_path / "k3.json"
+    table.write_text(serialize.dumps(families.make_K(3)))
+    commands = _bench_workloads().CLI_COMMANDS
+    assert [name for name, _, _ in commands] == list(BENCH_FOOTPRINTS)
+    for name, argv, _ in commands:
+        argv = [str(table) if a == "{table}" else a for a in argv]
+        code, modules = _main_footprint(*argv, "--out", str(tmp_path / "out"))
+        assert code == {"crosscheck-json": 1, "unknown-family": 2}.get(name, 0), name
+        assert modules == {"confcoalg"} | BENCH_FOOTPRINTS[name], (name, sorted(modules))
+
+
+def test_coalgebra_loads_the_kernels_it_runs():
+    """coalgebra imports kernels at its top, as its co-checks run both
+    kernels, and nothing else of the package beyond conformal and poly."""
+    _, modules = _footprint("import confcoalg.coalgebra\nresult = None")
+    assert modules == {"confcoalg", "conformal", "kernels", "poly", "coalgebra"}
+
+
 def test_no_module_imports_dataclasses():
     names, modules = _footprint(
         "import importlib, pkgutil, confcoalg\n"
@@ -603,4 +705,4 @@ def test_package_root_imports_lazily():
     assert loaded == []
     assert resolved == confcoalg.__all__ and len(resolved) == 21
     assert unknown == "module 'confcoalg' has no attribute 'nosuch'"
-    assert modules == {"confcoalg", "conformal", "coalgebra", "poly"}
+    assert modules == {"confcoalg", "conformal", "coalgebra", "kernels", "poly"}

@@ -10,10 +10,9 @@ from confcoalg.conformal import (
     bracket, check_jacobi, check_jordan_comm, check_jordan_identity,
     check_skew, kernel_basis, shift_spectral,
 )
-from confcoalg.families import (
-    SnBasisElement, corrupt_entry, div_module_map, make_cur_sl2, make_JS1, make_vir, make_W,
-)
+from confcoalg.families import corrupt_entry, make_cur_sl2, make_JS1, make_vir, make_W
 from confcoalg.poly import D, LAM, MU, MultiPoly, P_ONE, Scalar
+from confcoalg.restricted import SnBasisElement, div_module_map
 
 from helpers import apply_map, pair_element
 

@@ -9,14 +9,18 @@ from fractions import Fraction
 
 import pytest
 
-from confcoalg import cli, coalgebra, conformal, families
+from confcoalg import cli, coalgebra, conformal, families, printed, restricted
 from confcoalg.conformal import (
     ConformalElement, StructureError, bracket, check_jacobi, check_skew,
 )
 from confcoalg.families import (
-    NotInSpan, _current_action, _d_mul, check_div_identity, ck6_embed, corrupt_entry,
-    div_module_map, div_w, embed_sn, make_CK6, make_current, make_S, make_S_b, make_W,
-    proposition_diffs, sn_basis, span_reader, verify_ck6_printed,
+    _d_mul, corrupt_entry, make_CK6, make_current, make_S, make_S_b, make_W,
+)
+from confcoalg.printed import (
+    _current_action, check_div_identity, proposition_diffs, verify_ck6_printed,
+)
+from confcoalg.restricted import (
+    NotInSpan, ck6_embed, div_module_map, div_w, embed_sn, sn_basis, span_reader,
 )
 from confcoalg.grassmann import mul_sign
 from confcoalg.poly import D, LAM, MultiPoly, P_ONE, Scalar
@@ -77,7 +81,7 @@ def test_constructors_run_no_check(monkeypatch):
 
     checks = {id(f) for mod in (conformal, coalgebra)
               for name, f in vars(mod).items() if name.startswith("check_")}
-    for mod in (conformal, coalgebra, families):
+    for mod in (conformal, coalgebra, families, restricted):
         for name, f in list(vars(mod).items()):
             if id(f) in checks:
                 monkeypatch.setattr(mod, name, boom)
@@ -153,11 +157,12 @@ def test_divergence_writes_no_meta(monkeypatch):
         built.append(make_W(n))
         return built[-1]
 
-    monkeypatch.setattr(families, "make_W", make_and_keep_W)
+    monkeypatch.setattr(printed, "make_W", make_and_keep_W)
     w = make_W(2)
     div_w(w, ConformalElement.gen(w.index["xi1d2"]))
     div_module_map(w)
     check_div_identity(2)
+    assert len(built) == 1
     for table in (w, *built):
         assert sorted(table.meta) == ["lam_idx", "n", "w_idx"]
 
@@ -271,19 +276,17 @@ def test_s_proposition_diffs_run_on_first_read(monkeypatch, S):
     """make_S builds the restriction only: the tabulated formulas are
     evaluated when proposition_diffs reads a table, on every call and on the
     table given, and meta holds the data of the construction."""
-    from confcoalg import families
-
     def refuse(*args):
         raise AssertionError("tabulated formulas evaluated during construction")
 
     with monkeypatch.context() as m:
-        m.setattr(families, "_prop_entry", refuse)
+        m.setattr(printed, "_prop_entry", refuse)
         S3 = make_S(3)
         copy = corrupt_entry(S3, "B", "B", "B", D)
     assert sorted(S3.meta) == ["W", "basis", "embeds", "n"]
     calls = []
-    prop_entry = families._prop_entry
-    monkeypatch.setattr(families, "_prop_entry",
+    prop_entry = printed._prop_entry
+    monkeypatch.setattr(printed, "_prop_entry",
                         lambda *args: calls.append(args) or prop_entry(*args))
     diffs = proposition_diffs(S3)
     assert diffs == proposition_diffs(S[3])
@@ -372,13 +375,13 @@ def test_restricted_constructors_build_one_reader_each(monkeypatch):
     from confcoalg import families
 
     built = []
-    real = families.span_reader
+    real = restricted.span_reader
 
     def counted(ambient, embeds):
         built.append(ambient.name)
         return real(ambient, embeds)
 
-    monkeypatch.setattr(families, "span_reader", counted)
+    monkeypatch.setattr(restricted, "span_reader", counted)
     for make, ambient in (
         (lambda: make_S(3), "W_3"),
         (lambda: families.make_S_tilde(2), "W_2"),
@@ -543,17 +546,15 @@ def test_ck6_printed_diffs_are_the_weight_transposition(CK6):
 def test_ck6_printed_check_runs_on_first_read(monkeypatch):
     """make_CK6 never runs the printed check; verify_ck6_printed runs it on
     the table it is given, each time it is called."""
-    from confcoalg import families
-
     calls = []
-    verify = families.verify_ck6_printed
-    monkeypatch.setattr(families, "verify_ck6_printed",
+    verify = printed.verify_ck6_printed
+    monkeypatch.setattr(printed, "verify_ck6_printed",
                         lambda S: calls.append(S.name) or verify(S))
     S = make_CK6()
     copy = corrupt_entry(S, "L", "L", "L", D)
     assert calls == [] and sorted(S.meta) == ["K6", "embeds", "tuples"]
-    assert len(families.verify_ck6_printed(S)) == 42 and calls == ["CK_6"]
-    assert len(families.verify_ck6_printed(copy)) == 44
+    assert len(printed.verify_ck6_printed(S)) == 42 and calls == ["CK_6"]
+    assert len(printed.verify_ck6_printed(copy)) == 44
     assert calls == ["CK_6", "CK_6?"]
 
 

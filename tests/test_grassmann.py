@@ -220,11 +220,11 @@ def test_one_helper_renames_table_entries():
     every renamed copy of a packed table, in the kernels and the co-kernels,
     renames each distinct entry polynomial once through it, and the kernels
     read the copies it makes.  The other maps
-    are module constants of conformal that change coordinates: the
+    are module constants that change coordinates, four of conformal: the
     LambdaStructure constructor packs a table as its dual Q(x1, x2) =
-    P(x1, -x1-x2) through one, the table checks and rows map back to the
-    table's variables through three, and the Jordan kernel maps R1 to Q2 and
-    to the printed R2 through the last two.  dualize renames nothing,
+    P(x1, -x1-x2) through one, and the table checks and rows map back to the
+    table's variables through three; and two of kernels, through which the
+    Jordan kernel maps R1 to Q2 and to the printed R2.  dualize renames nothing,
     and no module imports substitution under another name.  poly.tagged,
     which tagged one first factor at a time before renaming a whole slot,
     and conformal._renaming, which also renamed the table's variables, are gone."""
@@ -234,12 +234,15 @@ def test_one_helper_renames_table_entries():
             if isinstance(node, ast.ImportFrom):
                 assert all(a.asname is None for a in node.names if a.name == "substitution"), name
         users.update((name, func) for func in _uses(tree, "substitution"))
-    assert users == {("confcoalg.conformal", None), ("confcoalg.conformal", "_renamed")}
-    tree = dict(_production_sources())["confcoalg.conformal"]
-    maps = {node.targets[0].id for node in tree.body if isinstance(node, ast.Assign)
+    assert users == {("confcoalg.conformal", None), ("confcoalg.conformal", "_renamed"),
+                     ("confcoalg.kernels", None)}
+    sources = dict(_production_sources())
+    maps = {(module, node.targets[0].id) for module in ("confcoalg.conformal", "confcoalg.kernels")
+            for node in sources[module].body if isinstance(node, ast.Assign)
             and getattr(getattr(node.value, "func", None), "id", None) == "substitution"}
-    assert maps == {"_TO_SLOTS", "_FLIP_BACK", "_JACOBI_BACK", "_JORDAN_BACK", "_R1_TO_Q2",
-                    "_R1_TO_PRINTED_R2"}
+    assert maps == {("confcoalg.conformal", name)
+                    for name in ("_TO_SLOTS", "_FLIP_BACK", "_JACOBI_BACK", "_JORDAN_BACK")} | {
+        ("confcoalg.kernels", "_R1_TO_Q2"), ("confcoalg.kernels", "_R1_TO_PRINTED_R2")}
     assert not hasattr(importlib.import_module("confcoalg.poly"), "tagged")
     assert not hasattr(importlib.import_module("confcoalg.conformal"), "_renaming")
 
@@ -280,13 +283,13 @@ def test_an_empty_diff_unpacks_no_rows():
 
 
 def test_restriction_stays_packed():
-    """conformal.bracket_pairs and families._restrict construct no
+    """conformal.bracket_pairs and restricted._restrict construct no
     ConformalElement and call neither bracket nor shift_spectral: a
     restricted family's brackets stay packed vectors from the bracket rows
-    to the coordinates.  families.span_reader is the one coordinate reader:
+    to the coordinates.  restricted.span_reader is the one coordinate reader:
     _restrict is its only caller, and no other code raises NotInSpan."""
     sources = dict(_production_sources())
-    for module, name in (("confcoalg.conformal", "bracket_pairs"), ("confcoalg.families", "_restrict")):
+    for module, name in (("confcoalg.conformal", "bracket_pairs"), ("confcoalg.restricted", "_restrict")):
         func, = [node for node in ast.walk(sources[module])
                  if isinstance(node, ast.FunctionDef) and node.name == name]
         called = {node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
@@ -297,8 +300,8 @@ def test_restriction_stays_packed():
         return sorted((module, where) for module, tree in _production_sources()
                       for where in _uses(tree, name))
 
-    assert users("span_reader") == [("confcoalg.families", "_restrict")]
-    assert set(users("NotInSpan")) == {("confcoalg.families", "span_reader.outside")}
+    assert users("span_reader") == [("confcoalg.restricted", "_restrict")]
+    assert set(users("NotInSpan")) == {("confcoalg.restricted", "span_reader.outside")}
 
 def test_each_flip_residual_is_computed_once():
     """Table.flip_residual, the skew or commutativity residual of a packed
@@ -325,9 +328,10 @@ def test_every_kernel_places_entries_through_put():
     through conformal._put, at a tag computed from the entry's indices: no
     module of the package defines or names _gather or _grouped, which
     placed entries through a place function per call and regrouped the
-    result, no function or lambda of conformal takes a place parameter, and
-    the callers of _put are the flip, Jacobi and Jordan kernels and
-    _hoisted, the Jordan kernel's intermediates."""
+    result, no function or lambda of conformal or kernels takes a place
+    parameter, and the callers of _put are the flip kernel of conformal and
+    the Jacobi and Jordan kernels of kernels and _hoisted, the Jordan
+    kernel's intermediates."""
     sources = _production_sources()
     callers = set()
     for name, tree in sources:
@@ -336,18 +340,19 @@ def test_every_kernel_places_entries_through_put():
         for gone in ("_gather", "_grouped"):
             assert gone not in defined and not _uses(tree, gone), (name, gone)
         callers.update((name, where.split(".")[0]) for where in _uses(tree, "_put"))
-    for node in ast.walk(dict(sources)["confcoalg.conformal"]):
-        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
-            args = node.args
-            params = {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)}
-            assert "place" not in params, getattr(node, "name", "lambda")
-    assert callers == {("confcoalg.conformal", kernel) for kernel in (
-        "_flip_kernel", "_jacobi_rows", "_hoisted", "_jordan_rows")}
+    for module in ("confcoalg.conformal", "confcoalg.kernels"):
+        for node in ast.walk(dict(sources)[module]):
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                args = node.args
+                params = {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)}
+                assert "place" not in params, (module, getattr(node, "name", "lambda"))
+    assert callers == {("confcoalg.conformal", "_flip_kernel")} | {
+        ("confcoalg.kernels", kernel) for kernel in ("_jacobi_rows", "_hoisted", "_jordan_rows")}
 
 
 def test_co_lie_checks_run_the_lambda_kernels():
-    """check_lie_coalgebra runs conformal's flip and Jacobi kernels in slot
-    variables: it calls no add_product, and _jacobi_rows,
+    """check_lie_coalgebra runs the flip kernel of conformal and the Jacobi
+    kernel of kernels in slot variables: it calls no add_product, and _jacobi_rows,
     which writes its own orbits, is the one that check_jacobi and
     check_lie_coalgebra share.  The co-Lie check's own flip and contraction
     (_flips, _UNIT) are gone."""
@@ -358,8 +363,8 @@ def test_co_lie_checks_run_the_lambda_kernels():
     assert ("confcoalg.coalgebra", "check_lie_coalgebra") not in users("add_product")
     assert users("_jacobi_rows") == [("confcoalg.coalgebra", "check_lie_coalgebra"),
                                      ("confcoalg.conformal", "check_jacobi")]
-    assert users("_write_images") == [("confcoalg.conformal", "_jacobi_rows"),
-                                      ("confcoalg.conformal", "_jordan_rows")]
+    assert users("_write_images") == [("confcoalg.kernels", "_jacobi_rows"),
+                                      ("confcoalg.kernels", "_jordan_rows")]
     coalgebra = importlib.import_module("confcoalg.coalgebra")
     assert not hasattr(coalgebra, "_flips") and not hasattr(coalgebra, "_UNIT")
 

@@ -29,18 +29,18 @@ from typing import Dict, Iterator, List, Tuple
 import pytest
 
 from confcoalg import closed_form as cf
-from confcoalg import coalgebra, conformal, families, poly
+from confcoalg import coalgebra, conformal, families, kernels, poly, printed, restricted
 from confcoalg.coalgebra import (
     Coproduct, TensorElement, apply_delta_slot, check_jordan_coalgebra,
     check_lie_coalgebra, double_dual_roundtrip, dualize, tau, zeta,
 )
 from confcoalg.conformal import (
-    CONSISTENT, JACOBI_IMAGES, JORDAN, JORDAN_IMAGES, LIE, PRINTED, PRINTED_JORDAN_IMAGES,
-    ConformalElement, Generator, LambdaStructure, ModuleMap, Report, StructureError, Violation,
+    CONSISTENT, JORDAN, LIE, PRINTED, ConformalElement, Generator, LambdaStructure, ModuleMap, Report, StructureError, Violation,
     _divmod_d, _normalise_content, bracket, bracket_pairs, check_jacobi,
     check_jordan_comm, check_jordan_identity, check_skew, shift_spectral,
 )
 from confcoalg.families import corrupt_entry
+from confcoalg.kernels import JACOBI_IMAGES, JORDAN_IMAGES, PRINTED_JORDAN_IMAGES
 from confcoalg.grassmann import IndexSet, alpha_mask, derive, members, mul, mul_sign
 from confcoalg.poly import (
     BETA, D, LAM, MU, NU, X1, X2, X3, X4, MultiPoly, P_ONE, Scalar, _MONO_MASK, _checked,
@@ -588,10 +588,10 @@ def test_kernel_rows_are_compact(request):
     breaking = corrupt_entry(families.make_K(3), "xi1", "xi2", "xi12", MultiPoly.const(-1))
     assert breaking.flip_residual
     rows = [(S.name, row) for S in [*_lie_fixtures(request), breaking]
-            for row in conformal._jacobi_rows(S.packed[1], S.parities, not S.flip_residual)]
+            for row in kernels._jacobi_rows(S.packed[1], S.parities, not S.flip_residual)]
     rows += [(S.name, row) for S in [*_jordan_fixtures(request), _corrupt_J2()]
-             for images in (JORDAN_IMAGES, PRINTED_JORDAN_IMAGES)
-             for row in conformal._jordan_rows(S.packed[1], S.parities, images)]
+             for variant in (CONSISTENT, PRINTED)
+             for row in kernels._jordan_rows(S.packed[1], S.parities, variant)]
     assert {name for name, row in rows if row} >= {"K_3?", "J_2", "J_2?", "JCK_4"}
     for name, row in rows:
         assert 0 not in row.values() and row == compact_vector(row), name
@@ -806,9 +806,21 @@ def test_reduced_jordan_rows_match_the_full_kernel(request):
     for S in _jordan_kernel_tables(request):
         for T in (S, dualize(S)):
             table = T.packed[1]
-            for images in (JORDAN_IMAGES, PRINTED_JORDAN_IMAGES):
-                assert (list(conformal._jordan_rows(table, T.parities, images))
-                        == list(_full_jordan_rows(table, T.parities, images))), (T.name, images)
+            for variant, images in ((CONSISTENT, JORDAN_IMAGES), (PRINTED, PRINTED_JORDAN_IMAGES)):
+                assert (list(kernels._jordan_rows(table, T.parities, variant))
+                        == list(_full_jordan_rows(table, T.parities, images))), (T.name, variant)
+
+
+def test_jordan_kernel_refuses_an_unknown_variant(Jn):
+    """_jordan_rows takes the variant by name, CONSISTENT or PRINTED, and
+    refuses anything else, an image set included, as check_jordan_identity
+    does through it."""
+    S = Jn[2]
+    for variant in ("bogus", JORDAN_IMAGES, PRINTED_JORDAN_IMAGES, None):
+        with pytest.raises(StructureError, match="^unknown variant "):
+            list(kernels._jordan_rows(S.packed[1], S.parities, variant))
+    with pytest.raises(StructureError, match="^unknown variant 'bogus'$"):
+        check_jordan_identity(S, "bogus")
 
 
 def _least_rotation(a, b, c):
@@ -847,8 +859,8 @@ def test_representatives_meet_every_rotation_orbit_once(name, Jn, JCK4, monkeypa
             == [_least_rotation(a, b, c)]
     full, reduced = set(), set()
     rows = list(_full_jordan_kernel(_accumulating(full, n))(S.packed[1], S.parities, JORDAN_IMAGES))
-    monkeypatch.setattr(conformal, "add_product", _accumulating(reduced, n))
-    list(conformal._jordan_rows(S.packed[1], S.parities, JORDAN_IMAGES))
+    monkeypatch.setattr(kernels, "add_product", _accumulating(reduced, n))
+    list(kernels._jordan_rows(S.packed[1], S.parities, CONSISTENT))
     failing = {(a, comp // n ** 3, comp // n ** 2 % n) for a, row in enumerate(rows)
                for comp in (key >> poly._COMPONENT_SHIFT for key in row)}
     assert failing and all(t == _least_rotation(*t) for t in reduced)
@@ -887,7 +899,7 @@ def test_repaired_jn_passes_through_both_kernels(n):
     assert not check_jordan_identity(families.make_Jn(n)).ok
     for T in (S, dualize(S)):
         table = T.packed[1]
-        assert (list(conformal._jordan_rows(table, T.parities, JORDAN_IMAGES))
+        assert (list(kernels._jordan_rows(table, T.parities, CONSISTENT))
                 == list(_full_jordan_rows(table, T.parities, JORDAN_IMAGES)) == [{}] * T.rank)
 
 
@@ -897,8 +909,8 @@ def test_r1_image_pairs_map_onto_q2_and_the_printed_r2():
     image polynomials exactly onto the one in its place in q2's and in the
     printed r2's pairs."""
     r1 = [poly.pack_vector([(0, p)]) for pair in JORDAN_IMAGES["r1"] for p in pair]
-    for rename, images in ((conformal._R1_TO_Q2, JORDAN_IMAGES["q2"]),
-                           (conformal._R1_TO_PRINTED_R2, PRINTED_JORDAN_IMAGES["r2"])):
+    for rename, images in ((kernels._R1_TO_Q2, JORDAN_IMAGES["q2"]),
+                           (kernels._R1_TO_PRINTED_R2, PRINTED_JORDAN_IMAGES["r2"])):
         assert [rename(p) for p in r1] == [poly.pack_vector([(0, q)])
                                            for pair in images for q in pair]
 
@@ -909,10 +921,10 @@ def assert_r1_renames_to_q2_and_the_printed_r2(S):
     _R1_TO_PRINTED_R2: the same keys, each with the same compact vector."""
     vecs, slots = S.packed[1]
     n, renamed = S.rank, {}
-    hoisted = lambda pair: conformal._hoisted(vecs, sorted(slots), n, *pair, renamed)
+    hoisted = lambda pair: kernels._hoisted(vecs, sorted(slots), n, *pair, renamed)
     r1 = hoisted(JORDAN_IMAGES["r1"])
-    for rename, pair in ((conformal._R1_TO_Q2, JORDAN_IMAGES["q2"]),
-                         (conformal._R1_TO_PRINTED_R2, PRINTED_JORDAN_IMAGES["r2"])):
+    for rename, pair in ((kernels._R1_TO_Q2, JORDAN_IMAGES["q2"]),
+                         (kernels._R1_TO_PRINTED_R2, PRINTED_JORDAN_IMAGES["r2"])):
         assert {key: rename(vec) for key, vec in r1.items()} == hoisted(pair), S.name
 
 
@@ -927,7 +939,7 @@ def test_r1_renames_to_q2_and_the_printed_r2(request):
 def test_hoisted_runs_once_per_jordan_check(Jn, JCK4, monkeypatch):
     """The consistent, printed and co-Jordan checks each contract one
     intermediate, R1, through _hoisted; Q2 and the printed R2 are R1 renamed."""
-    made = count_calls(monkeypatch, conformal, "_hoisted")
+    made = count_calls(monkeypatch, kernels, "_hoisted")
     for check, arg in ((check_jordan_identity, Jn[2]), (check_jordan_identity, JCK4),
                        (partial(check_jordan_identity, variant=PRINTED), Jn[2]),
                        (partial(check_jordan_identity, variant=PRINTED), JCK4),
@@ -1083,8 +1095,8 @@ def _full_and_reduced_rows(S):
     """The rows of the full Jacobi kernel of S, and the rows of the reduced
     kernel with every permutation of each residual written."""
     table = S.packed[1]
-    full = list(conformal._jacobi_rows(table, S.parities, False))
-    return full, list(conformal._jacobi_rows(table, S.parities, True))
+    full = list(kernels._jacobi_rows(table, S.parities, False))
+    return full, list(kernels._jacobi_rows(table, S.parities, True))
 
 
 def test_skew_corruption_matches_per_tuple_oracle(K, W, CK6):
@@ -1216,10 +1228,10 @@ def test_representatives_meet_every_s3_orbit_once(name, K, W, monkeypatch):
         assert [u for u in orbit if u[1] <= u[0] <= u[2]] == [_jacobi_representative(*t)]
     assert check_skew(S).ok
     full, reduced = set(), set()
-    monkeypatch.setattr(conformal, "add_product", _accumulating_jacobi(full, n))
-    rows = list(conformal._jacobi_rows(S.packed[1], S.parities, False))
-    monkeypatch.setattr(conformal, "add_product", _accumulating_jacobi(reduced, n))
-    list(conformal._jacobi_rows(S.packed[1], S.parities, True))
+    monkeypatch.setattr(kernels, "add_product", _accumulating_jacobi(full, n))
+    rows = list(kernels._jacobi_rows(S.packed[1], S.parities, False))
+    monkeypatch.setattr(kernels, "add_product", _accumulating_jacobi(reduced, n))
+    list(kernels._jacobi_rows(S.packed[1], S.parities, True))
     failing = {(i, comp // n ** 2, comp // n % n) for i, row in enumerate(rows)
                for comp in (key >> poly._COMPONENT_SHIFT for key in row)}
     assert failing and all(t == _jacobi_representative(*t) for t in reduced)
@@ -1245,7 +1257,7 @@ def test_image_tables(group, order, width):
     sign of check_jacobi and multiplicative under composition for every
     parity pattern; that of _Z3 is +1.  A term written at a triple of three
     distinct indices lands on order distinct triples, all in its orbit."""
-    images = getattr(conformal, group)
+    images = getattr(kernels, group)
     table = {perm: (moves, odd) for perm, moves, odd in images}
     assert len(images) == len(table) == order and (0, 1, 2) in table
     slots = lambda exps: sum(e << poly._VAR_SHIFT[x] for e, x in zip(exps, ("x1", "x2", "x3")))
@@ -1265,7 +1277,7 @@ def test_image_tables(group, order, width):
     n, rest, f = 3, 1, slots((1, 2, 3))
     rows = [{} for _ in range(n)]
     key = (((1 * n + 2) * n ** width + rest) << poly._COMPONENT_SHIFT) + f
-    conformal._write_images({key: 5}, 0, n, width, [1, 1, 0], rows, images)
+    kernels._write_images({key: 5}, 0, n, width, [1, 1, 0], rows, images)
     landed = [(r, comp // n ** (width + 1), comp // n ** width % n, comp % n ** width, c)
               for r, row in enumerate(rows) for comp, c in
               ((k >> poly._COMPONENT_SHIFT, c) for k, c in row.items())]
@@ -1662,8 +1674,8 @@ CONSTRUCTORS = {
 
 
 # the comparisons with the tabulated brackets, of the families the paper prints
-COMPARISONS = {"CK_6": families.verify_ck6_printed, "S_2": families.proposition_diffs,
-               "S_3": families.proposition_diffs}
+COMPARISONS = {"CK_6": printed.verify_ck6_printed, "S_2": printed.proposition_diffs,
+               "S_3": printed.proposition_diffs}
 
 
 def _built(S):
@@ -1682,7 +1694,7 @@ def _by_oracle(monkeypatch, make, make_K=_make_K_oracle, restrict=_bracket_loop)
         m.setattr(families, "make_W", _make_W_oracle)
         m.setattr(families, "make_K", make_K)
         m.setattr(families, "make_Jn", _make_Jn_oracle)
-        m.setattr(families, "bracket_pairs", lambda S, xs: packed_rows(restrict(S, xs), S.rank))
+        m.setattr(restricted, "bracket_pairs", lambda S, xs: packed_rows(restrict(S, xs), S.rank))
         return make()
 
 
@@ -1744,10 +1756,10 @@ def _canonicalize_CK6_oracle(x, K6):
         else:
             continue
         if not c.is_zero():
-            coords[families._ck6_name(t)] = c
-            expect = expect + families.ck6_embed(t, K6).scale(c)
+            coords[restricted._ck6_name(t)] = c
+            expect = expect + restricted.ck6_embed(t, K6).scale(c)
     if not (x - expect).is_zero():
-        raise families.NotInSpan("element outside the CK_6 span")
+        raise restricted.NotInSpan("element outside the CK_6 span")
     return coords
 
 
@@ -1765,9 +1777,9 @@ def _canonicalize_S_oracle(x, W):
             continue
         deg = m.bit_count()
         if deg == n:
-            raise families.NotInSpan("component on the top Lambda monomial")
+            raise restricted.NotInSpan("component on the top Lambda monomial")
         cb = p.scalar_mul(Fraction(1, deg - n))
-        coords[families.SnBasisElement("B", m).name()] = cb
+        coords[restricted.SnBasisElement("B", m).name()] = cb
         for i in members(~m & ((1 << n) - 1)):
             gidx = w_idx[(m | (1 << (i - 1)), i)]
             accumulate(work, gidx, -(cb * (D * mul_sign(m, 1 << (i - 1)))))
@@ -1775,7 +1787,7 @@ def _canonicalize_S_oracle(x, W):
     for g in list(work):
         mask, i = rev[g]
         if not (mask >> (i - 1)) & 1:
-            coords[families.SnBasisElement("A", mask, i).name()] = work.pop(g)
+            coords[restricted.SnBasisElement("A", mask, i).name()] = work.pop(g)
 
     by_I = {}
     for g, p in work.items():
@@ -1788,25 +1800,25 @@ def _canonicalize_S_oracle(x, W):
         for a in comp:
             total = total + comps.get(a, MultiPoly.zero())
         if not total.is_zero():
-            raise families.NotInSpan(f"nonzero divergence defect on I={I:b}")
+            raise restricted.NotInSpan(f"nonzero divergence defect on I={I:b}")
         partial = MultiPoly.zero()
         for a, b in zip(comp, comp[1:]):
             partial = partial + comps.get(a, MultiPoly.zero())
             if not partial.is_zero():
-                coords[families.SnBasisElement("A2", I, a, b).name()] = partial
+                coords[restricted.SnBasisElement("A2", I, a, b).name()] = partial
     return coords
 
 
 def _proposition_diffs_oracle(n):
     W = families.make_W(n)
-    basis = families.sn_basis(n)
+    basis = restricted.sn_basis(n)
     names = [b.name() for b in basis]
-    embeds = [families.embed_sn(b, W) for b in basis]
+    embeds = [restricted.embed_sn(b, W) for b in basis]
     prop_coords = {}
     for a, u in enumerate(basis):
         for b, v in enumerate(basis):
-            if (u.tag, v.tag) in families._PRINTED_ORDERS:
-                prop_coords[(a, b)] = families._prop_entry(n, u, v)
+            if (u.tag, v.tag) in printed._PRINTED_ORDERS:
+                prop_coords[(a, b)] = printed._prop_entry(n, u, v)
     for a, u in enumerate(basis):
         for b, v in enumerate(basis):
             if (a, b) in prop_coords:
@@ -1818,10 +1830,10 @@ def _proposition_diffs_oracle(n):
     diffs = []
     for (a, b), w in element_pairs(W, embeds):
         coords = _canonicalize_S_oracle(w, W)
-        printed = prop_coords[(a, b)]
-        for nm in sorted(set(coords) | set(printed)):
+        tabulated = prop_coords[(a, b)]
+        for nm in sorted(set(coords) | set(tabulated)):
             pa = coords.get(nm, MultiPoly.zero())
-            pb = printed.get(nm, MultiPoly.zero())
+            pb = tabulated.get(nm, MultiPoly.zero())
             if pa != pb:
                 diffs.append(f"[{names[a]} lam {names[b]}] @ {nm}: W-path {pa!r}"
                              f" vs formula {pb!r}")
@@ -1840,7 +1852,7 @@ def _reading(read, x):
     """The coordinates of x, or "NotInSpan"."""
     try:
         return read(x)
-    except families.NotInSpan:
+    except restricted.NotInSpan:
         return "NotInSpan"
 
 
@@ -1877,7 +1889,7 @@ def test_ck6_corruptions_refused_like_oracle(CK6, seed):
     brackets = [w for _, w in element_pairs(K6, CK6.meta["embeds"]) if w.terms]
     # leading monomial -> Hodge partner, for the CK_6 basis elements
     partner = {}
-    for t in families._ck6_basis_tuples():
+    for t in restricted._ck6_basis_tuples():
         m = sum(1 << (i - 1) for i in t)
         partner[lam_idx[m]] = lam_idx[star ^ m]
     for _ in range(5):
@@ -1922,7 +1934,7 @@ def test_s_corruptions_read_like_oracle(S, seed):
 def test_proposition_diffs_match_eager_oracle(n, S):
     want = _proposition_diffs_oracle(n)
     built = S[n] if n in S else families.make_S(n)
-    assert families.proposition_diffs(built) == want
+    assert printed.proposition_diffs(built) == want
 
 
 
@@ -1965,7 +1977,7 @@ def _span_reader_oracle(ambient, embeds):
         raise StructureError(f"{ambient.name}: the embedded basis has no pivot order")
 
     def outside(g):
-        return families.NotInSpan(f"component on {ambient.generators[g].id} is outside the span")
+        return restricted.NotInSpan(f"component on {ambient.generators[g].id} is outside the span")
 
     position = {r: k for k, (r, *_) in enumerate(plan)}
     end = len(plan)

@@ -1,6 +1,7 @@
 """Exact scalar and polynomial arithmetic."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from confcoalg.poly import (
     BETA, D, LAM, MU, MultiPoly, P_ONE, P_ZERO, Scalar, X1, X2, X3,
     add_product, common_denominator, compact_vector, pack_vector, poly_from_json,
     poly_to_json, substitution, unpack_vector, _MONO_MASK, _VAR_SHIFT,
-    _sort_key,
+    _int_text, _part_text, _sort_key,
 )
 
 from helpers import exact_div, random_poly, subst_general_oracle
@@ -219,6 +220,28 @@ def test_exponent_overflow_raises():
 
 def _packed(p, m=0):
     return pack_vector([(m, p)])
+
+
+def test_int_text_is_str_at_any_length():
+    """_int_text and _part_text write what str writes with the int-string
+    limit lifted, past the limit too, where str refuses, and at the
+    boundaries of their 600-digit chunks; the limit is left as it was."""
+    rng = random.Random(11)
+    ints = [0, 7, -7, 10 ** 600 - 1, 10 ** 600, 10 ** 1200 + 10 ** 600, 10 ** 5000 + 1,
+            -(10 ** 4300)]
+    ints += [rng.choice((1, -1)) * rng.randrange(10 ** (d - 1), 10 ** d)
+             for d in (4299, 4300, 4301, 9000)]
+    parts = ints + [Fraction(x, 3) for x in ints if x % 3] + [Fraction(7, 10 ** 4400 + 1)]
+    limit = sys.get_int_max_str_digits()
+    got = [_part_text(x) for x in parts]
+    assert [_int_text(x) for x in ints] == got[:len(ints)]
+    sys.set_int_max_str_digits(0)
+    try:
+        want = [str(x) for x in parts]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert got == want
+    assert sys.get_int_max_str_digits() == limit
 
 
 def test_compact_vector():

@@ -62,6 +62,7 @@ from confcoalg.poly import (  # noqa: E402
     ALPHABET, BETA, D, LAM, MultiPoly, P_ONE, Scalar, X1, X2, X3, _BETA_SHIFT,
     _COMPONENT_SHIFT, _pack, poly_from_json, unpack_vector, vector_text,
 )
+from confcoalg.restricted import NotInSpan  # noqa: E402
 
 from helpers import (  # noqa: E402
     _gather, apply_map, dual_entry, element_pairs, element_reader, parity_keeping_targets,
@@ -443,7 +444,7 @@ def test_k4prime_reader_needs_d_to_divide_the_star(K4p, data):
     star, dstar = K4p.meta["K4"].index["xi1234"], K4p.index["dxistar"]
     c, q = data.draw(_coefficients), _d_poly(data.draw)
     assert read(ConformalElement({star: D * q})) == ({dstar: q} if q else {})
-    with pytest.raises(families.NotInSpan, match="^component on xi1234 is outside the span$"):
+    with pytest.raises(NotInSpan, match="^component on xi1234 is outside the span$"):
         read(ConformalElement({star: MultiPoly.const(c) + D * q}))
 
 
