@@ -14,12 +14,9 @@ S_n, K_4' and CK_6 take their bases, generators and symbols from
 ``restricted``, which their emitters import inside their bodies, so an
 emitter of another family never compiles it.  Each emitter works out every
 dual symbol once per call (``_Builder.add_xi``) and then addresses
-generators by index.  Every coefficient of the lists is
-c + a x1 + b x2: ``_Builder.put`` adds the exact triple (c, a, b) of each
-term into one sum per (k, i, j), and ``_Builder.done`` makes one polynomial
-per distinct nonzero sum, so the ``Coproduct`` is given one entry per pair
-and one object per value.  Nothing is kept between calls: two calls share
-no polynomial.
+generators by index; ``_Builder`` sums the terms and builds the
+``Coproduct`` from one polynomial per distinct sum.  Nothing is kept
+between calls: two calls share no polynomial.
 
 Dual-symbol conventions used while transcribing:
 
@@ -41,6 +38,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -58,7 +56,7 @@ from .families import (
     w_generators,
 )
 from .grassmann import alpha_mask, eps_mask, members
-from .poly import MultiPoly, Scalar
+from .poly import MultiPoly, Scalar, _VAR_SHIFT, _exact
 
 
 class _Builder:
@@ -66,10 +64,9 @@ class _Builder:
 
     Every coefficient of the lists is c + a x1 + b x2, so put adds the exact
     triple (c, a, b) of each term into one sum per (k, i, j), in order of
-    first occurrence, and drops a pair whose sum is zero, as Coproduct's
-    merge does.  done makes one MultiPoly per distinct value of the sums,
-    and the Coproduct it returns is given one entry per pair and one object
-    per value."""
+    first occurrence, dropping a pair whose sum is zero (put_gaussian does so
+    for CK_6's Gaussian sums), and done hands one MultiPoly per distinct sum
+    and one slot per pair to Table.from_slots."""
 
     def __init__(self, kind: str, prim: Sequence[Generator], name: str,
                  xi: Optional[Dict[int, int]] = None):
@@ -78,21 +75,27 @@ class _Builder:
         self.xi = xi   # mask m -> the index of xi_m*, for add_xi
         self.kind = kind
         self.name = name
-        self.sums: Dict[int, Dict[Tuple[int, int], tuple]] = {}
+        self.sums: Dict[Tuple[int, int, int], tuple] = {}   # (k, i, j) -> its sum
         self._syms: Dict[Tuple[int, ...], tuple] = {}
 
     def put(self, k: int, i: int, j: int, c=0, x1=0, x2=0):
         """delta(a_k*) gets the term (c + x1 X1 + x2 X2) a_i* (x) a_j*; the
-        parts are ints and Fractions, or Scalars (CK_6), one kind per pair."""
-        row = self.sums.get(k)
-        if row is None:
-            row = self.sums[k] = {}
-        s = row.get((i, j))
+        parts are ints and Fractions, or Scalars (Cur(sl2)), one kind per pair."""
+        s = self.sums.get((k, i, j))
         s = (c, x1, x2) if s is None else (s[0] + c, s[1] + x1, s[2] + x2)
         if s[0] or s[1] or s[2]:
-            row[(i, j)] = s
+            self.sums[(k, i, j)] = s
         else:
-            row.pop((i, j), None)
+            self.sums.pop((k, i, j), None)
+
+    def put_gaussian(self, k: int, i: int, j: int, parts: tuple):
+        """put for CK_6: parts is twice (re c, im c, re x1, im x1, re x2, im x2)."""
+        s = self.sums.get((k, i, j))
+        s = parts if s is None else tuple(map(operator.add, s, parts))
+        if any(s):
+            self.sums[(k, i, j)] = s
+        else:
+            self.sums.pop((k, i, j), None)
 
     def add(self, k: str, i: str, j: str, c=0, x1=0, x2=0):
         """put, with the generators given by primal name."""
@@ -124,20 +127,23 @@ class _Builder:
         self.put(sk[1], sl[1], sr[1], s * c, s * x1, s * x2)
 
     def done(self) -> Coproduct:
-        polys: Dict[tuple, MultiPoly] = {}       # a sum -> its polynomial
-        values: Dict[MultiPoly, MultiPoly] = {}   # sums of 1 and of Scalar(1) share one
-        table = {}
-        while self.sums:    # popped row by row: the sums and the table are never held whole at once
-            k, row = self.sums.popitem()
-            entries = table[k] = []
-            for (i, j), s in row.items():
-                p = polys.get(s)
-                if p is None:
-                    c, x1, x2 = s
-                    p = MultiPoly.const(c) + MultiPoly.var("x1", 1, x1) + MultiPoly.var("x2", 1, x2)
-                    p = polys[s] = values.setdefault(p, p)
-                entries.append((i, j, p))
-        return Coproduct(self.kind, self.gens, table, self.name)
+        number: Dict[tuple, int] = {}     # a sum -> the index of its polynomial
+        slots = [(i, j, k, number.setdefault(s, len(number))) for (k, i, j), s in self.sums.items()]
+        values = list(map(_sum_poly, number))
+        return Coproduct.from_slots(self.kind, self.gens, values, slots, self.name)
+
+
+_SLOT_MONOMIALS = (0, 1 << _VAR_SHIFT["x1"], 1 << _VAR_SHIFT["x2"])   # 1, x1 and x2
+
+
+def _sum_poly(s: tuple) -> MultiPoly:
+    """c + x1 X1 + x2 X2 of a sum of put, (c, x1, x2), or of put_gaussian,
+    (re c, im c, re x1, im x1, re x2, im x2) times 2."""
+    if len(s) == 3:
+        return MultiPoly({m: x if isinstance(x, Scalar) else Scalar(x)
+                          for m, x in zip(_SLOT_MONOMIALS, s) if x})
+    return MultiPoly({m: Scalar(Fraction(re, 2), Fraction(im, 2))
+                      for m, re, im in zip(_SLOT_MONOMIALS, s[::2], s[1::2]) if re or im})
 
 
 # coefficient triples (c, x1, x2) of the hand-written lists: c, c x1, c x2
@@ -742,8 +748,8 @@ def coproduct_S(n: int) -> Coproduct:
 
 def _ck6_duals(b: _Builder):
     """The dual C symbol of an index tuple in any order as (coefficient,
-    generator index), or None when an index repeats; each tuple is worked
-    out once per call.
+    generator index), the coefficient a Gaussian integer (re, im), or None
+    when an index repeats; each tuple is worked out once per call.
 
     Permutations contribute their sign; a 3-tuple without 1 reduces through
     the inverse of the primal scaling relation (1/beta = -beta).
@@ -751,13 +757,22 @@ def _ck6_duals(b: _Builder):
     from .restricted import ck6_symbol
 
     @functools.cache
-    def dual(t: Tuple[int, ...]) -> Optional[Tuple[Scalar, int]]:
+    def dual(t: Tuple[int, ...]) -> Optional[Tuple[Tuple[int, int], int]]:
         coords = ck6_symbol(t)
         if not coords:
             return None
         (nm, c), = coords.items()
-        return c.inverse(), b.at[nm]
+        c = c.inverse()
+        return (c.re, c.im), b.at[nm]
     return dual
+
+
+@functools.cache
+def _twice_gaussian(coeff: tuple) -> tuple:
+    """put_gaussian's parts of a coefficient triple (c, x1, x2) of ints,
+    Fractions and Scalars: twice the real and the imaginary part of each."""
+    return tuple(_exact(2 * x) for a in coeff
+                 for x in ((a.re, a.im) if isinstance(a, Scalar) else (a, 0)))
 
 
 def _contact_sign(x: int, y: int, z: int) -> int:
@@ -778,19 +793,21 @@ def coproduct_CK6() -> Coproduct:
     beta = Scalar.beta()
     dual = _ck6_duals(b)
     half = Fraction(1, 2)
-    zero = Scalar(0)
 
     def add(k: int, coeff, lt: Tuple[int, ...], rt: Tuple[int, ...]):
         sl = dual(lt)
         sr = dual(rt)
         if sl is None or sr is None:
             return
-        s = sl[0] * sr[0]
-        b.put(k, sl[1], sr[1], *(s * (a if isinstance(a, Scalar) else Scalar(a)) if a else zero
-                                 for a in coeff))
+        (a, b_), (c, d) = sl[0], sr[0]
+        re, im = a * c - b_ * d, a * d + b_ * c     # the product of the two dual coefficients
+        t = _twice_gaussian(coeff)
+        b.put_gaussian(k, sl[1], sr[1], (re * t[0] - im * t[1], re * t[1] + im * t[0],
+                                         re * t[2] - im * t[3], re * t[3] + im * t[2],
+                                         re * t[4] - im * t[5], re * t[5] + im * t[4]))
 
     # delta(L*)
-    b.add("L", "L", "L", x1=1, x2=-1)
+    add(b.at["L"], (0, 1, -1), (), ())
     for i in range(1, 7):
         add(b.at["L"], _c(2), (i,), (i,))
 

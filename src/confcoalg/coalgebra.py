@@ -28,16 +28,17 @@ rows as it writes them.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .conformal import (
     CONSISTENT, Generator, JORDAN, LIE, LambdaStructure, Record, Report, StructureError, Table,
-    Violation, _FLIP_BACK, _packed,
+    Violation, _numbered,
 )
 from .kernels import _jacobi_rows, _jordan_rows   # the co-checks run both kernels
 from .poly import (
     D, LAM, MultiPoly, P_ONE, _COMPONENT_SHIFT, _MAXEXP, _MONO_MASK, _VAR_SHIFT, _memo, _parts,
-    _poly_text, accumulate, unpack_vector, vector_text,
+    _poly_text, accumulate, vector_text,
 )
 
 _X = ("x1", "x2", "x3", "x4")
@@ -49,59 +50,36 @@ class Coproduct(Table):
     """Coproduct table of a differential (super)coalgebra on a dual basis.
 
     conformal.Table holds its generators and stored form; this class adds
-    the validation of the rows it is given and their view, table[k] =
-    delta(a_k^*) as its list of (i, j, Q^{ij}_k), each (i, j) once, for
-    every k.  The constructor merges the rows it is given by (i, j), in
-    order of first occurrence, and drops every pair whose sum is zero, so
-    two coproducts with the same sums have the same table and the same
-    document.  Each pair is checked for parity, and each distinct
-    polynomial object once for its variables, at its first pair."""
+    the row view, table[k] = delta(a_k^*) as its list of (i, j, Q^{ij}_k),
+    each (i, j) once and in order of first occurrence, for every k, so two
+    coproducts with the same sums have the same table and the same document."""
 
-    def __init__(
-        self,
-        kind: str,
-        generators: Sequence[Generator],
-        table: Dict[int, List[Tuple[int, int, MultiPoly]]],
-        name: str = "",
-    ):
+    _ORDER, _STRAY_VARS = itemgetter(2), _NOT_SLOT     # sorted stably by k; entries in x1 and x2
+
+    def __init__(self, kind: str, generators: Sequence[Generator],
+                 table: Dict[int, List[Tuple[int, int, MultiPoly]]], name: str = ""):
         super().__init__(kind, generators, name)
-        g = self.generators
-        n = len(g)
-        par = dict(enumerate(self.parities))
-        if not table.keys() <= par.keys():
-            stray = next(k for k in table if k not in par)
-            raise StructureError(f"delta row {stray!r} is not a generator index in range({n})")
-        entries = []
-        checked = set()     # the ids of the polynomials whose variables passed
-        for k in range(n):
-            merged: Dict[Tuple[int, int], MultiPoly] = {}
-            for i, j, q in table.get(k, ()):
-                accumulate(merged, (i, j), q)
-            for (i, j), q in merged.items():
-                # parities by index: a pair outside range(n) is a KeyError, not
-                # a Python negative index
-                try:
-                    odd = (par[i] + par[j]) & 1
-                except KeyError:
-                    raise StructureError(
-                        f"delta({g[k].id}) names the pair ({i}, {j}), not in range({n})") from None
-                if odd != par[k]:
-                    raise StructureError(f"parity violation in delta({g[k].id})")
-                entries.append((i, j, k, q))
-                if id(q) in checked:
-                    continue
-                for key in q.terms:
-                    if key & _NOT_SLOT:
-                        stray = ", ".join(sorted(q.variables() - {"x1", "x2"}))
-                        raise StructureError(
-                            f"delta({g[k].id}) @ {g[i].id} (x) {g[j].id} uses {stray}; "
-                            "coproduct entries may only use x1 and x2"
-                        )
-                checked.add(id(q))
-        self.packed = _packed(entries)
+        stray = [k for k in table if k not in range(self.rank)]
+        if stray:
+            raise self._refusal(0, 0, stray[0], None)
+        self._store(*_numbered((i, j, k, q) for k, row in table.items() for i, j, q in row))
+
+    def _refusal(self, i, j, k, q) -> StructureError:
+        n, g, par = self.rank, self.generators, self.parities
+        if k not in range(n):
+            return StructureError(f"delta row {k!r} is not a generator index in range({n})")
+        if not (i in range(n) and j in range(n)):
+            return StructureError(f"delta({g[k].id}) names the pair ({i}, {j}), not in range({n})")
+        if par[k] != (par[i] + par[j]) & 1:
+            return StructureError(f"parity violation in delta({g[k].id})")
+        stray = ", ".join(sorted(q.variables() - {"x1", "x2"}))
+        return StructureError(f"delta({g[k].id}) @ {g[i].id} (x) {g[j].id} uses {stray}; "
+                              "coproduct entries may only use x1 and x2")
 
     def _unslotted(self, vec: dict) -> dict:
-        return vec      # the rows are in the slot variables too
+        return vec      # Q is stored as it is, and the rows are in the slot variables too
+
+    _slotted = _unslotted
 
     def _rows(self, slots, values) -> dict:
         rows = {k: [] for k in range(self.rank)}
@@ -120,8 +98,8 @@ def dualize(S: LambdaStructure) -> Coproduct:
 
     S's stored form already holds the table as Q, so dualize relabels it
     and builds no rows: the coproduct stores S's L and vectors, with S's
-    slots stably regrouped by k, as its rows list them.  It skips the
-    Coproduct constructor, which would find nothing to merge or refuse: S
+    slots stably regrouped by k, as its rows list them.  It skips
+    Table._store, which would find nothing to merge or refuse: S
     has one entry per (i, j, k), none zero, checked for parity additivity,
     and its stored form uses only x1 and x2.
     """
@@ -136,7 +114,7 @@ def double_dual_roundtrip(S: LambdaStructure) -> Report:
     """d -> -lam-d applied twice to every table entry returns it exactly.
 
     The check reads S's stored form, not its rows: each distinct vector is
-    unpacked once (through _FLIP_BACK, as the rows are), substituted and
+    unpacked once (Table._values, as the rows are), substituted and
     compared once, and the total counts every slot; the slots are walked
     again only when a value fails, and then each entry of it has its own
     violation, in slot order, which is the rows' order.  This exercises
@@ -144,12 +122,11 @@ def double_dual_roundtrip(S: LambdaStructure) -> Report:
     for every polynomial in lam and d, so it cannot fail on a table defect;
     ROADMAP item 2 replaces it with a round trip through dualize and JSON.
     """
-    L, (vecs, slots) = S.packed
+    slots = S.packed[1][1]
     rep = Report("roundtrip", S.name, total=len(slots))
     img = -LAM - D
     failed = {}     # e -> "p -> its double dual", for each distinct p that fails
-    for e, vec in enumerate(vecs):
-        p = unpack_vector(_FLIP_BACK(vec), L)[0]
+    for e, p in enumerate(S._values()):
         back = p.subst_general("d", img).subst_general("d", img)
         if back != p:
             failed[e] = f"{p} -> {back}"

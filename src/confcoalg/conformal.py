@@ -20,12 +20,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from itertools import groupby
 from math import gcd
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .poly import (
     D, LAM, MU, NU, X1, X2, MultiPoly, P_ONE, Scalar, accumulate, add_product,
-    common_denominator, compact_vector, _COMPONENT_SHIFT, _MAXEXP, _MONO_MASK, _VAR_SHIFT, _memo,
+    common_denominator, compact_vector, _COMPONENT_SHIFT, _MAXEXP, _MONO_MASK, _VAR_SHIFT,
     _parts, _poly_text, pack_vector, substitution, unpack_vector,
 )
 
@@ -150,14 +152,11 @@ class Table:
     generators, index (id -> position), rank, parities and packed, and the
     rows (table) and flip residual, made from packed on first read and kept.
 
-    packed is (L, (vecs, slots)) as _packed makes it, in the slot variables
-    (see "packed tables"), which the subclass constructors build once from
-    the rows they are given.  Every verdict reads packed, so a row
-    polynomial changed in place never reaches a verdict, on a fresh table or
-    a checked one, though the writers, which read the rows, show it.  Change
-    an entry with with_entry or families.corrupt_entry, which make a new
-    table.  The constructor refuses an unknown kind, repeated ids and a
-    parity other than the int 0 or 1."""
+    packed is (L, (vecs, slots)), made once by _store (see "packed tables").
+    Every verdict reads packed, so a row polynomial changed in place never
+    reaches a verdict, though the writers, which read the rows, show it;
+    with_entry and families.corrupt_entry make a new table.  The constructor
+    refuses an unknown kind, repeated ids and parities other than int 0 or 1."""
 
     def __init__(self, kind: str, generators: Sequence[Generator], name: str):
         if kind not in (LIE, JORDAN):
@@ -173,6 +172,43 @@ class Table:
         if len(self.index) != len(self.generators):
             raise StructureError("generator ids not unique")
 
+    @classmethod
+    def from_slots(cls, kind: str, generators: Sequence[Generator], values: Sequence[MultiPoly],
+                   slots: Iterable[Tuple[int, int, int, int]], name: str = "", **fields):
+        """The table of the entries (i, j, k, values[e]) of slots (see _store)."""
+        T = cls.__new__(cls)
+        Table.__init__(T, kind, generators, name)
+        T.__dict__.update(fields)
+        T._store(values, slots)
+        return T
+
+    def _store(self, values: Sequence[MultiPoly], slots: Iterable[Tuple[int, int, int, int]]):
+        """Set packed from the entries (i, j, k, values[e]): zero ones dropped,
+        repeats of an (i, j, k) summed (a zero sum dropped), sorted by _ORDER,
+        checked in that order for index ranges, parity additivity and, once
+        per value, variables (_refusal words the first failure), and each
+        distinct value packed once at the common denominator L."""
+        par, ix = self.parities, range(self.rank)     # the generator indices
+        zero = {e for e, p in enumerate(values) if not p.terms}
+        slots = [slot for slot in slots if slot[3] not in zero] if zero else list(slots)
+        if len(set(map(itemgetter(0, 1, 2), slots))) < len(slots):
+            merged: Dict[tuple, MultiPoly] = {}
+            for i, j, k, e in slots:
+                accumulate(merged, (i, j, k), values[e])
+            values, slots = _numbered((*key, p) for key, p in merged.items())
+        slots.sort(key=self._ORDER)
+        used = dict.fromkeys(map(itemgetter(3), slots))
+        stray = {e for e in used if any(key & self._STRAY_VARS for key in values[e].terms)}
+        for i, j, k, e in slots:
+            if not (i in ix and j in ix and k in ix and par[i] ^ par[j] == par[k]) or e in stray:
+                raise self._refusal(i, j, k, values[e])
+        number: Dict[MultiPoly, int] = {}       # each distinct value -> its index
+        used = {e: number.setdefault(values[e], len(number)) for e in used}
+        if any(e != f for e, f in used.items()):
+            slots = [(i, j, k, used[e]) for i, j, k, e in slots]
+        L = common_denominator(number)
+        self.packed = L, ([self._slotted(pack_vector([(0, p)], L)) for p in number], slots)
+
     @property
     def rank(self) -> int:
         return len(self.generators)
@@ -182,11 +218,13 @@ class Table:
 
     @cached_property
     def table(self) -> dict:
-        """The rows, a view of packed: each distinct vector unpacked once in
-        the subclass's variables (_unslotted), so the rows hold one object
-        per distinct value, laid out by the subclass (_rows)."""
-        L, (vecs, slots) = self.packed
-        return self._rows(slots, [unpack_vector(self._unslotted(vec), L)[0] for vec in vecs])
+        """The rows, a view of packed laid out by the subclass (_rows), which
+        hold one object per distinct value (_values)."""
+        return self._rows(self.packed[1][1], self._values())
+
+    def _values(self) -> List[MultiPoly]:     # each vector unpacked, in the subclass's variables
+        L, (vecs, _) = self.packed
+        return [unpack_vector(self._unslotted(vec), L)[0] for vec in vecs]
 
     @cached_property
     def flip_residual(self):
@@ -197,58 +235,42 @@ class Table:
 class LambdaStructure(Table):
     """Structure-constant table of a finite free conformal (super)algebra.
 
-    Table holds its generators and stored form; this class adds meta, the
-    validation of the rows it is given and their view, table[(i, j)] =
-    [(k, P^{ij}_k)] for every pair in row-major order, each row sorted by k
-    when it was given merged."""
+    Table holds its generators and stored form; this class adds meta and
+    the row view, table[(i, j)] = [(k, P^{ij}_k)] for every pair in
+    row-major order, each row sorted by k; the constructor refuses a row key
+    that is not a pair of generator indices."""
 
-    def __init__(
-        self,
-        kind: str,
-        generators: Sequence[Generator],
-        table: Dict[Tuple[int, int], List[Tuple[int, MultiPoly]]],
-        name: str = "",
-        meta: Optional[dict] = None,
-    ):
+    _ORDER, _STRAY_VARS = None, _NOT_LAM_D       # sorted by (i, j, k); entries in lam and d
+
+    def __init__(self, kind: str, generators: Sequence[Generator],
+                 table: Dict[Tuple[int, int], List[Tuple[int, MultiPoly]]], name: str = "",
+                 meta: Optional[dict] = None):
         super().__init__(kind, generators, name)
         self.meta = meta or {}
-        par = self.parities
-        n = len(par)
+        n = self.rank
         pairs = range(n)
         for key in table:
             if not (isinstance(key, tuple) and len(key) == 2 and key[0] in pairs and key[1] in pairs):
                 raise StructureError(f"row {key!r} is not a pair of generator indices in range({n})")
-        entries = []
-        checked = set()     # the ids of the polynomials whose variables passed
-        # the rows in row-major order, each merged by k if given more than once
-        for i, j in sorted(table):
-            row = table[(i, j)]
-            if row and len(row) > 1:
-                merged: Dict[int, MultiPoly] = {}
-                for k, p in row:
-                    accumulate(merged, k, p)
-                row = sorted(merged.items())
-            if not row or not row[0][1].terms:      # a merged row holds no zero
-                continue
-            if row[0][0] < 0 or row[-1][0] >= n:
-                stray = row[0][0] if row[0][0] < 0 else row[-1][0]
-                raise StructureError(
-                    f"row ({i}, {j}) names generator index {stray}, not in range({n})")
-            for k, p in row:
-                # parity additivity, then coefficient-variable discipline
-                if par[k] != (par[i] + par[j]) & 1:
-                    raise StructureError(
-                        f"parity violation in ({self.generators[i].id},"
-                        f"{self.generators[j].id}) -> {self.generators[k].id}"
-                    )
-                if id(p) not in checked:
-                    if any(key & _NOT_LAM_D for key in p.terms):
-                        bad = p.variables() - {"lam", "d"}
-                        raise StructureError(f"table entry uses variables {bad}")
-                    checked.add(id(p))
-                entries.append((i, j, k, p))
-        L, (vecs, slots) = _packed(entries)
-        self.packed = L, ([_TO_SLOTS(vec) for vec in vecs], slots)
+        self._store(*_numbered((i, j, k, p) for (i, j), row in table.items() for k, p in row))
+
+    @classmethod
+    def from_slots(cls, kind, generators, values, slots, name="", meta=None):
+        return super().from_slots(kind, generators, values, slots, name, meta=meta or {})
+
+    def _refusal(self, i, j, k, p) -> StructureError:
+        n, g = self.rank, self.generators
+        if not (i in range(n) and j in range(n)):
+            return StructureError(
+                f"row {(i, j)!r} is not a pair of generator indices in range({n})")
+        if k not in range(n):
+            return StructureError(f"row ({i}, {j}) names generator index {k}, not in range({n})")
+        if self.parities[k] != (self.parities[i] + self.parities[j]) & 1:
+            return StructureError(f"parity violation in ({g[i].id},{g[j].id}) -> {g[k].id}")
+        return StructureError(f"table entry uses variables {p.variables() - {'lam', 'd'}}")
+
+    def _slotted(self, vec: dict) -> dict:
+        return _TO_SLOTS(vec)       # Q(x1, x2) = P(x1, -x1-x2)
 
     def _unslotted(self, vec: dict) -> dict:
         return _FLIP_BACK(vec)      # P(lam, d) = Q(lam, -lam-d)
@@ -264,13 +286,23 @@ class LambdaStructure(Table):
         return ConformalElement({k: p for k, p in self.table[(i, j)]})
 
     def with_entry(self, i: int, j: int, value: "ConformalElement") -> "LambdaStructure":
-        """Copy of the table with one (i, j) entry replaced (negative controls),
-        checked as the constructor checks every table."""
-        table = dict(self.table)
-        table[(i, j)] = sorted(value.terms.items())
-        return LambdaStructure(
-            self.kind, self.generators, table, name=self.name + "?", meta=dict(self.meta),
-        )
+        """Copy of the table with one (i, j) entry replaced (negative controls):
+        the table's slots, those of (i, j) replaced by value's, through _store."""
+        if not (i in range(self.rank) and j in range(self.rank)):
+            raise self._refusal(i, j, 0, None)
+        values = self._values() + list(value.terms.values())
+        slots = [slot for slot in self.packed[1][1] if slot[:2] != (i, j)]
+        slots += [(i, j, k, len(values) - len(value.terms) + t) for t, k in enumerate(value.terms)]
+        return LambdaStructure.from_slots(self.kind, self.generators, values, slots,
+                                          name=self.name + "?", meta=dict(self.meta))
+
+
+def _numbered(entries) -> Tuple[List[MultiPoly], List[Tuple[int, int, int, int]]]:
+    """(values, slots) of entries [(i, j, k, p)]: each object p once, in order
+    of first occurrence, and (i, j, k, e) with values[e] the entry's p."""
+    objects: Dict[int, tuple] = {}      # id(p) -> (e, p), which keeps p alive
+    slots = [(i, j, k, objects.setdefault(id(p), (len(objects), p))[0]) for i, j, k, p in entries]
+    return [p for _, p in objects.values()], slots
 
 
 def bracket(
@@ -326,9 +358,7 @@ def bracket_pairs(
     Lx = common_denominator(p for x in xs for p in x.terms.values())
     Ls, (vecs, slots) = S.packed
     backs = [_FLIP_BACK(vec) for vec in vecs]
-    entries: Dict[int, Dict[int, list]] = {}    # i -> j -> [(k, P packed times Ls)]
-    for i, j, k, e in slots:
-        entries.setdefault(i, {}).setdefault(j, []).append((k, backs[e]))
+    rows = {i: list(row) for i, row in groupby(slots, itemgetter(0))}   # slots sorted by i
     rights: Dict[int, List[dict]] = {}
     for b, x in enumerate(xs):
         for j, q in x.terms.items():
@@ -342,16 +372,14 @@ def bracket_pairs(
             vec = by_left.get(i)
             if vec is None:
                 vec = {}
-                for j, pair in entries.get(i, {}).items():
-                    qrs = rights.get(j)
-                    if qrs:
-                        row = {}
-                        for k, P in pair:
-                            tag = k << _COMPONENT_SHIFT
-                            for key, c in P.items():
-                                row[key + tag] = c
-                        for qr in qrs:
-                            add_product(vec, qr, row)
+                get = vec.get
+                for _, j, k, e in rows.get(i, ()):     # vec += q_bj(lam+d) P^{ij}_k at k
+                    tag, P = k << _COMPONENT_SHIFT, backs[e].items()
+                    for qr in rights.get(j, ()):
+                        for k1, c1 in qr.items():
+                            k1 += tag
+                            for k2, c2 in P:
+                                vec[k1 + k2] = get(k1 + k2, 0) + c1 * c2
                 vec = by_left[i] = compact_vector(vec)
             add_product(acc, pack_vector([(0, p.subst_general("d", -LAM))], Lx), vec)
             if last_row[i] == a:
@@ -410,9 +438,10 @@ class Report(Record):
 #
 # A table and its dual coproduct are one object in two coordinate systems,
 # Q^{ij}_k(x1, x2) = P^{ij}_k(x1, -x1-x2), and every table stores the second
-# (Table.packed): the LambdaStructure constructor renames each distinct entry
-# polynomial into the slot variables once (_TO_SLOTS), the Coproduct
-# constructor packs Q as it is, and dualize relabels the table's stored form.
+# (Table.packed).  Table._store is the one path into it: it takes the values
+# and slots of a builder (Table.from_slots) or of a constructor's rows, checks
+# them, and packs each distinct value once, renamed into the slot variables
+# (_TO_SLOTS) for a LambdaStructure; dualize relabels a table's stored form.
 # A table has few distinct entry polynomials (K_5 has 618 entries and 23
 # distinct ones), so the stored form holds each once, times the common
 # denominator L of the table (see poly.pack_vector), and every entry names its
@@ -443,17 +472,6 @@ _TO_SLOTS = substitution("lam", "d", X1, -X1 - X2)
 _FLIP_BACK = substitution("x1", "x2", LAM, -LAM - D)
 _JACOBI_BACK = substitution("x1", "x2", "x3", LAM, MU, -LAM - MU - D)
 _JORDAN_BACK = substitution("x1", "x2", "x3", "x4", LAM, MU, NU - MU, -LAM - NU - D)
-
-
-def _packed(entries):
-    """(L, (vecs, slots)) for entries [(i, j, k, p)], L their common denominator:
-    vecs holds each distinct p, packed times L, once, and slots is
-    [(i, j, k, e)] with vecs[e] the packed p of that entry."""
-    distinct: List[MultiPoly] = []
-    number = _memo(lambda p: distinct.append(p) or len(distinct) - 1)
-    slots = [(i, j, k, number(p)) for i, j, k, p in entries]
-    L = common_denominator(distinct)
-    return L, ([pack_vector([(0, p)], L) for p in distinct], slots)
 
 
 def _renamed(vecs, x1_img, x2_img, renamed: dict) -> list:
@@ -551,7 +569,7 @@ def check_jacobi(S: LambdaStructure) -> Report:
     = -s [a_{-mu-d} b] makes R the cyclic sum [a_lam [b_mu c]] + [b_mu
     [c_{-lam-mu-d} a]] + [c_{-lam-mu-d} [a_lam b]] up to signs (D'Andrea and
     Kac, Structure theory of finite conformal algebras, 1998).  As every
-    entry is parity-homogeneous (p_k = p_i + p_j, which the constructor
+    entry is parity-homogeneous (p_k = p_i + p_j, which Table._store
     checks), rotating (a, b, c) rotates the sum, with the Koszul sign of
     moving a past b and c, so that
 
@@ -607,7 +625,7 @@ def check_jordan_identity(S: LambdaStructure, variant: str = CONSISTENT) -> Repo
     the rotation of (a, b, c) is that of (x1, x2, x3), so the residual R
     satisfies R(b, c, a, d)(x2, x3, x1, x4) = R(a, b, c, d)(x1, x2, x3, x4),
     with sign +1: the signs rotate with the terms, and no axiom but parity
-    homogeneity, which the constructor checks, is needed.  The kernel,
+    homogeneity, which Table._store checks, is needed.  The kernel,
     kernels._jordan_rows, so accumulates one quadruple per rotation orbit and
     writes the rest; the printed identity is the consistent one plus s2
     times the second term at T = lam-mu less that term at T = lam+nu-mu.

@@ -3,7 +3,8 @@
 The module has three roles.  It builds the families defined directly, out
 of the Grassmann sign calculus on plain int subset masks: Vir, the
 currents, W_n, K_n and the Jordan series J_n, JS_1, JCK_4 and the Jordan
-current.  It is the one entry point for the families defined as
+current (the currents, W_n, K_n and J_n straight into the stored form,
+Table.from_slots).  It is the one entry point for the families defined as
 subalgebras (S_n, S_{n,b}, S~_n, K_4', CK_6), whose constructors import the
 restriction machinery of restricted inside their bodies, so a command that
 builds no subalgebra family never compiles it.  And it holds the mask
@@ -31,7 +32,7 @@ from .conformal import (
     ConformalElement, Generator, JORDAN, LIE, LambdaStructure, StructureError, _eliminate_columns,
     kernel_basis,
 )
-from .grassmann import alpha_mask, eps_mask, members, mul_sign
+from .grassmann import eps_mask, members, mul_sign
 from .poly import D, LAM, MultiPoly, P_ONE, Scalar, _VAR_SHIFT, accumulate
 
 
@@ -39,14 +40,29 @@ def _sgn(e: int) -> int:
     return -1 if e & 1 else 1
 
 
-def _signs(p: MultiPoly) -> Dict[int, MultiPoly]:
-    """{1: p, -1: -p}, made once per table for all its entries that are
-    one of them; p is made per call too, so two tables share no polynomial."""
-    return {1: p, -1: -p}
+_C_D_LAM = (0, 1 << _VAR_SHIFT["d"], 1 << _VAR_SHIFT["lam"])   # the monomials 1, d and lam
+
+
+def _entry_polys(number: Dict[Tuple[int, int, int], int]) -> List[MultiPoly]:
+    """c + a d + b lam for each key (c, a, b) of number, which a builder fills
+    with number.setdefault(key, len(number)): each value made once."""
+    return [MultiPoly({m: Scalar(x) for m, x in zip(_C_D_LAM, key) if x}) for key in number]
+
+
+def _sign_tables(n: int) -> Tuple[List[List[int]], List[int]]:
+    """(eps, odd) on the masks m of {1..n}: eps[i][m] = eps(i, m + {i}) from
+    grassmann.eps_mask (row 0 empty), and odd[m] the j with an odd number of
+    members of m above j: alpha(I, J) is odd iff J & odd[I] has an odd bit count."""
+    odd = [0] * (1 << n)
+    for m in range(1, 1 << n):
+        top = 1 << (m.bit_length() - 1)     # adding the top member flips the j below it
+        odd[m] = odd[m ^ top] ^ (top - 1)
+    below = [[eps_mask(i, m | _mask_of(i)) for m in range(1 << n)] for i in range(1, n + 1)]
+    return [[]] + below, odd
 
 
 def _digits(indices: Tuple[int, ...]) -> str:
-    return "".join(str(i) for i in indices)
+    return "".join(map(str, indices))
 
 
 def _mask_of(i: int) -> int:
@@ -126,13 +142,15 @@ def make_current(
         raise StructureError(
             f"{name}: {len(gen_names)} generators but {len(parities)} parities")
     idx = {g: i for i, g in enumerate(gen_names)}
+    number: Dict[object, int] = {}      # a structure constant -> the index of its value
     try:
-        table = {(idx[a], idx[b]): [(idx[c], MultiPoly.const(sc)) for c, sc in terms]
-                 for (a, b), terms in products.items()}
+        slots = [(idx[a], idx[b], idx[c], number.setdefault(sc, len(number)))
+                 for (a, b), terms in products.items() for c, sc in terms]
     except KeyError as e:
         raise StructureError(f"{name}: products name an unknown generator {e.args[0]!r}") from None
     gens = [Generator(g, p) for g, p in zip(gen_names, parities)]
-    return LambdaStructure(kind, gens, table, name=name)
+    values = list(map(MultiPoly.const, number))
+    return LambdaStructure.from_slots(kind, gens, values, slots, name=name)
 
 
 def sl2_constants():
@@ -183,14 +201,14 @@ def make_W(n: int) -> LambdaStructure:
     if n < 0:
         raise StructureError("W_n needs n >= 0")
     gens, lam_idx, w_idx = w_generators(n)
-    table: Dict[Tuple[int, int], List[Tuple[int, MultiPoly]]] = {}
-
-    def put(i, j, k, p):
-        table.setdefault((i, j), []).append((k, p))
-
-    # the entries take eight values; each is made once and shared by its rows
-    unit, minus_d_2lam = _signs(MultiPoly.const(1)), _signs(-(D + 2 * LAM))
-    minus_lam, minus_lam_d = _signs(-LAM), _signs(-(LAM + D))
+    slots: List[Tuple[int, int, int, int]] = []
+    put = slots.append
+    # the entries take eight values, each made once: 1, -(d + 2 lam), -lam,
+    # -(lam + d) and their negatives, by sign (see _entry_polys)
+    number: Dict[Tuple[int, int, int], int] = {}
+    unit, minus_d_2lam, minus_lam, minus_lam_d = (
+        {s: number.setdefault((s * c, s * a, s * b), len(number)) for s in (1, -1)}
+        for c, a, b in ((1, 0, 0), (0, -1, -2), (0, 0, -1), (0, -1, -1)))
     for I in lam_idx:
         dI = I.bit_count()
         for J in lam_idx:
@@ -198,7 +216,7 @@ def make_W(n: int) -> LambdaStructure:
             # [xi_I lam xi_J]
             s = mul_sign(I, J)
             if s:
-                put(lam_idx[I], lam_idx[J], lam_idx[I | J], minus_d_2lam[s])
+                put((lam_idx[I], lam_idx[J], lam_idx[I | J], minus_d_2lam[s]))
             s_JI = mul_sign(J, I)
             # xi_J d_j(xi_I) for each j, used by [xi_I d_i lam xi_J d_j]
             d_IJ = [_d_mul(J, j, I) for j in range(1, n + 1)]
@@ -208,29 +226,24 @@ def make_W(n: int) -> LambdaStructure:
                 s_d, K = _d_mul(I, i, J)
                 if s_d:
                     # xi_I d_i(xi_J), and -(-1)^{|J|(|I|+1)} of it in the flipped order
-                    put(wi, lam_idx[J], lam_idx[K], unit[s_d])
-                    put(lam_idx[J], wi, lam_idx[K],
-                        unit[-_sgn(dJ * (dI + 1)) * s_d])
+                    put((wi, lam_idx[J], lam_idx[K], unit[s_d]))
+                    put((lam_idx[J], wi, lam_idx[K], unit[-_sgn(dJ * (dI + 1)) * s_d]))
                 if s_JI:
                     # -lam (-1)^{(|I|+1)|J|} xi_J xi_I d_i, and -(lam+d) xi_J xi_I d_i
-                    put(wi, lam_idx[J], w_idx[(I | J, i)], minus_lam[_sgn((dI + 1) * dJ) * s_JI])
-                    put(lam_idx[J], wi, w_idx[(I | J, i)], minus_lam_d[s_JI])
+                    put((wi, lam_idx[J], w_idx[(I | J, i)], minus_lam[_sgn((dI + 1) * dJ) * s_JI]))
+                    put((lam_idx[J], wi, w_idx[(I | J, i)], minus_lam_d[s_JI]))
                 # [xi_I d_i lam xi_J d_j]
                 for j in range(1, n + 1):
                     if s_d:
-                        put(wi, w_idx[(J, j)], w_idx[(K, j)], unit[s_d])
+                        put((wi, w_idx[(J, j)], w_idx[(K, j)], unit[s_d]))
                     s_e, K_e = d_IJ[j - 1]
                     if s_e:
-                        put(wi, w_idx[(J, j)], w_idx[(K_e, i)],
-                            unit[-_sgn((dI + 1) * (dJ + 1)) * s_e])
-    S = LambdaStructure(
-        LIE,
-        gens,
-        table,
-        name=f"W_{n}",
+                        put((wi, w_idx[(J, j)], w_idx[(K_e, i)],
+                             unit[-_sgn((dI + 1) * (dJ + 1)) * s_e]))
+    return LambdaStructure.from_slots(
+        LIE, gens, _entry_polys(number), slots, name=f"W_{n}",
         meta={"n": n, "lam_idx": lam_idx, "w_idx": w_idx},
     )
-    return S
 
 
 # ---------------------------------------------------------------------------
@@ -254,8 +267,8 @@ def make_S(n: int) -> LambdaStructure:
     basis = sn_basis(n)
     gens = [Generator(b.name(), b.parity(), b.latex()) for b in basis]
     embeds = [embed_sn(b, W) for b in basis]
-    return LambdaStructure(
-        LIE, gens, _restrict(W, embeds), name=f"S_{n}",
+    return LambdaStructure.from_slots(
+        LIE, gens, *_restrict(W, embeds), name=f"S_{n}",
         meta={"n": n, "basis": basis, "W": W, "embeds": embeds},
     )
 
@@ -288,8 +301,8 @@ def make_S_b(n: int, b: Scalar) -> LambdaStructure:
             raise StructureError("kernel basis element not parity-homogeneous")
         gens.append(Generator(f"k{j}", par.pop()))
         embeds.append(ConformalElement(dict(c)))
-    return LambdaStructure(
-        LIE, gens, _restrict(W, embeds), name=f"S_{n},b",
+    return LambdaStructure.from_slots(
+        LIE, gens, *_restrict(W, embeds), name=f"S_{n},b",
         meta={"n": n, "b": b, "W": W, "embeds": embeds},
     )
 
@@ -319,8 +332,8 @@ def make_S_tilde(n: int) -> LambdaStructure:
             accumulate(terms, lift[g], -terms[g])
         embeds.append(ConformalElement(terms))
     gens = [Generator(b.name(), b.parity(), b.latex()) for b in basis]
-    return LambdaStructure(
-        LIE, gens, _restrict(W, embeds), name=f"S~_{n}",
+    return LambdaStructure.from_slots(
+        LIE, gens, *_restrict(W, embeds), name=f"S~_{n}",
         meta={"n": n, "W": W, "embeds": embeds, "basis": basis},
     )
 
@@ -341,30 +354,26 @@ def make_K(n: int) -> LambdaStructure:
     if n < 0:
         raise StructureError("K_n needs n >= 0")
     gens, lam_idx = k_generators(n)
-    d_key, lam_key = 1 << _VAR_SHIFT["d"], 1 << _VAR_SHIFT["lam"]
-    # the entries take few values; each is made once and shared by its rows
-    unit = _signs(MultiPoly.const(1))
-    disjoint: Dict[Tuple[int, int], MultiPoly] = {}     # by the coefficients of d and lam
-    table: Dict[Tuple[int, int], List[Tuple[int, MultiPoly]]] = {}
-    for I in lam_idx:
+    eps_at, odd = _sign_tables(n)
+    number: Dict[Tuple[int, int, int], int] = {}    # the index of each value (see _entry_polys)
+    slots = []
+    for I, row in lam_idx.items():
         dI = I.bit_count()
-        for J in lam_idx:
+        for J, col in lam_idx.items():
             common = I & J
             if not common:
-                s = _sgn(alpha_mask(I, J))
-                key = s * (dI - 2), s * (dI + J.bit_count() - 4)
-                p = disjoint.get(key)
-                if p is None:
-                    p = disjoint[key] = MultiPoly(
-                        {v: Scalar(c) for v, c in zip((d_key, lam_key), key) if c})
-                if p.terms:
-                    table[(lam_idx[I], lam_idx[J])] = [(lam_idx[I | J], p)]
+                dJ = J.bit_count()
+                if dI != 2 or dJ != 2:      # else the entry is zero
+                    s = -1 if (J & odd[I]).bit_count() & 1 else 1     # (-1)^alpha(I, J)
+                    e = number.setdefault((0, s * (dI - 2), s * (dI + dJ - 4)), len(number))
+                    slots.append((row, col, lam_idx[I | J], e))
             elif not common & (common - 1):
                 i = common.bit_length()
-                e = dI + eps_mask(i, I) + eps_mask(i, J) + alpha_mask(I ^ common, J ^ common)
-                table[(lam_idx[I], lam_idx[J])] = [(lam_idx[(I | J) ^ common], unit[_sgn(e)])]
-    return LambdaStructure(
-        LIE, gens, table, name=f"K_{n}", meta={"n": n, "lam_idx": lam_idx}
+                e = dI + eps_at[i][I] + eps_at[i][J] + ((J ^ common) & odd[I ^ common]).bit_count()
+                slots.append((row, col, lam_idx[(I | J) ^ common],
+                              number.setdefault((_sgn(e), 0, 0), len(number))))
+    return LambdaStructure.from_slots(
+        LIE, gens, _entry_polys(number), slots, name=f"K_{n}", meta={"n": n, "lam_idx": lam_idx}
     )
 
 
@@ -387,8 +396,8 @@ def make_K4prime() -> LambdaStructure:
     gens.append(DXI_STAR)
     elems = [ConformalElement.gen(lam_idx[m]) for m in keep]
     elems.append(ConformalElement({lam_idx[star]: D}))
-    return LambdaStructure(
-        LIE, gens, _restrict(K4, elems), name="K_4'",
+    return LambdaStructure.from_slots(
+        LIE, gens, *_restrict(K4, elems), name="K_4'",
         meta={"n": 4, "keep": keep, "K4": K4, "embeds": elems},
     )
 
@@ -407,8 +416,8 @@ def make_CK6() -> LambdaStructure:
     tuples = _ck6_basis_tuples()
     gens = [Generator(_ck6_name(t), _ck6_parity(t), None) for t in tuples]
     embeds = [ck6_embed(t, K6) for t in tuples]
-    return LambdaStructure(
-        LIE, gens, _restrict(K6, embeds), name="CK_6",
+    return LambdaStructure.from_slots(
+        LIE, gens, *_restrict(K6, embeds), name="CK_6",
         meta={"K6": K6, "tuples": tuples, "embeds": embeds},
     )
 
@@ -445,52 +454,48 @@ def make_Jn(n: int) -> LambdaStructure:
         raise StructureError("J_n needs n >= 0")
     gens, ev_idx, th_idx = jn_generators(n)
 
-    def deriv_pairs():
-        for i in range(1, max(n - 1, 0)):
-            yield i, i
-        if n >= 2:
-            yield n, n - 1
-            yield n - 1, n
+    # the derivative pairs: (i, i) for i <= n - 2, then the swapped last two
+    deriv_pairs = [(i, i) for i in range(1, n - 1)] + ([(n, n - 1), (n - 1, n)] if n >= 2 else [])
+    eps_at = _sign_tables(n)[0]
+    number: Dict[Tuple[int, int, int], int] = {}    # the index of each value (see _entry_polys)
+    slots = []
 
-    unit = _signs(MultiPoly.const(1))
-    table: Dict[Tuple[int, int], List[Tuple[int, MultiPoly]]] = {}
+    def value(c: int, a: int = 0, b: int = 0) -> int:
+        return number.setdefault((c, a, b), len(number))
+
     for I in ev_idx:
         dI = I.bit_count()
         for J in ev_idx:
             dJ = J.bit_count()
             s = mul_sign(I, J)
-            # LambdaStructure merges the (a th) lam (b th) terms by target
-            th_th = table[(th_idx[I], th_idx[J])] = []
             if s:
-                k = I | J
-                table[(ev_idx[I], ev_idx[J])] = [(ev_idx[k], unit[s])]
-                table[(ev_idx[I], th_idx[J])] = [(th_idx[k], unit[s])]
-                table[(th_idx[I], ev_idx[J])] = [(th_idx[k], unit[_sgn(dJ) * s])]
-                th_th.append((ev_idx[k], (LAM * (dI + dJ - 4) + D * (dI - 2)) * (_sgn(dJ) * s)))
-            for i, j in deriv_pairs():
+                k, t = I | J, _sgn(dJ) * s
+                slots.append((ev_idx[I], ev_idx[J], ev_idx[k], value(s)))
+                slots.append((ev_idx[I], th_idx[J], th_idx[k], value(s)))
+                slots.append((th_idx[I], ev_idx[J], th_idx[k], value(t)))
+                if dI != 2 or dJ != 2:
+                    slots.append((th_idx[I], th_idx[J], ev_idx[k],
+                                  value(0, (dI - 2) * t, (dI + dJ - 4) * t)))
+            # Table._store sums the (a th) lam (b th) terms by target
+            for i, j in deriv_pairs:
                 if not (I & _mask_of(i) and J & _mask_of(j)):
                     continue
                 Ii, Jj = I ^ _mask_of(i), J ^ _mask_of(j)
                 sd = mul_sign(Ii, Jj)
                 if sd:
-                    sd *= _sgn(dJ + dI + eps_mask(i, I) + eps_mask(j, J))
-                    th_th.append((ev_idx[Ii | Jj], unit[sd]))
-    return LambdaStructure(
-        JORDAN, gens, table, name=f"J_{n}",
+                    sd *= _sgn(dJ + dI + eps_at[i][I] + eps_at[j][J])
+                    slots.append((th_idx[I], th_idx[J], ev_idx[Ii | Jj], value(sd)))
+    return LambdaStructure.from_slots(
+        JORDAN, gens, _entry_polys(number), slots, name=f"J_{n}",
         meta={"n": n, "ev_idx": ev_idx, "th_idx": th_idx},
     )
 
 
 def _mirror_fill(gens, table):
     """Materialise missing (j, i) entries from (i, j) via commutativity."""
-    for (i, j) in [(i, j) for i in range(len(gens)) for j in range(len(gens))]:
-        if (i, j) in table or (j, i) not in table:
-            continue
+    for i, j in [(j, i) for i, j in table if (j, i) not in table]:
         sg = _sgn(gens[i].parity * gens[j].parity)
-        flipped = []
-        for k, p in table[(j, i)]:
-            flipped.append((k, p.subst_general("lam", -LAM - D) * sg))
-        table[(i, j)] = flipped
+        table[(i, j)] = [(k, p.subst_general("lam", -LAM - D) * sg) for k, p in table[(j, i)]]
 
 
 def make_JS1() -> LambdaStructure:
@@ -538,20 +543,14 @@ def make_JCK4() -> LambdaStructure:
     for i in (1, 2, 3):
         val = MultiPoly.const(1 if i < 3 else -1)
         table[(idx[f"w{i}"], idx[f"w{i}"])] = [(idx["one"], val)]
-        for j in (1, 2, 3):
-            if i != j:
-                table[(idx[f"w{i}"], idx[f"w{j}"])] = []
         table[(idx[f"w{i}"], idx["x"])] = [(idx[f"x{i}"], LAM)]
         for j in (1, 2, 3):
             s, k = _JCK4_CROSS.get((i, j), (0, 0))
-            table[(idx[f"w{i}"], idx[f"x{j}"])] = (
-                [(idx[f"x{k}"], MultiPoly.const(-s))] if s else []
-            )
+            if s:
+                table[(idx[f"w{i}"], idx[f"x{j}"])] = [(idx[f"x{k}"], MultiPoly.const(-s))]
     table[(idx["x"], idx["x"])] = [(idx["one"], LAM * 2 + D)]
     for i in (1, 2, 3):
         table[(idx[f"x{i}"], idx["x"])] = [(idx[f"w{i}"], P_ONE)]
-        for j in (1, 2, 3):
-            table[(idx[f"x{i}"], idx[f"x{j}"])] = []
     _mirror_fill(gens, table)
     return LambdaStructure(JORDAN, gens, table, name="JCK_4")
 

@@ -9,8 +9,10 @@ juxtaposition I.J.  The sign rule lives here once, on masks: ``alpha_mask``,
 
 The ``IndexSet``/``SignedMonomial`` layer wraps these helpers for readable
 examples; it is the reference that the tests and ``bench/micro.py`` use, and
-no production module calls it.  Sign errors are the dominant bug class in
-this domain, so its constructors reject unsorted input instead of sorting it.
+no production module calls it (its ``eps`` and ``derive``, which only the
+tests use, are in ``tests/helpers.py``).  Sign errors are the dominant bug
+class in this domain, so its constructors reject unsorted input instead of
+sorting it.
 """
 
 from __future__ import annotations
@@ -154,21 +156,6 @@ def eps_mask(i: int, m: int) -> int:
     if not m >> (i - 1) & 1:
         raise ValueError(f"{i} not a member of mask {m:b}")
     return (m & ((1 << (i - 1)) - 1)).bit_count()
-
-
-def eps(i: int, J: IndexSet) -> int:
-    """Count of members of J strictly below i; i must belong to J."""
-    if i not in J:
-        raise ValueError(f"{i} not a member of {J}")
-    return eps_mask(i, J.mask)
-
-
-def derive(i: int, J: IndexSet) -> Optional[SignedMonomial]:
-    """The odd derivation d_i applied to xi_J."""
-    if not 1 <= i <= J.n or i not in J:
-        return None
-    sign = -1 if eps_mask(i, J.mask) & 1 else 1
-    return SignedMonomial(sign, IndexSet.from_mask(J.n, J.mask & ~(1 << (i - 1))))
 
 
 def complement(I: IndexSet) -> IndexSet:

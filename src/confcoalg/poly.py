@@ -567,12 +567,9 @@ def add_product(acc: Dict[int, int], p: Dict[int, int], q: Dict[int, int],
 def _memo(f: Callable):
     """f kept by value for the life of the returned function, which looks an
     argument up by its id before it hashes it and keeps it alive, so that no
-    id is reused.  The id comes first for two reasons: MultiPoly.__hash__
-    builds a frozenset, and equal hashes of unequal values are common, since
-    in CPython hash(-1) == hash(-2); K_6's 31 distinct entry values have 22
-    distinct hashes.  Even with the hash cached, a set of K_6's entries makes
-    420 MultiPoly.__eq__ calls, so a round trip deduplicated that way made
-    451 where the id-keyed one makes 31 (one per double dual compared)."""
+    id is reused.  The id comes first because MultiPoly.__hash__ builds a
+    frozenset and unequal values often share a hash (in CPython hash(-1) ==
+    hash(-2): K_6's 31 distinct entry values have 22 distinct hashes)."""
     by_value: dict = {}
     by_id: dict = {}
 

@@ -19,7 +19,7 @@ from .conformal import (
     ConformalElement, LIE, LambdaStructure, Report, StructureError, Violation, bracket,
     shift_spectral,
 )
-from .families import _d_mul, _mask_of, _monomial, _sgn, _signs, make_W
+from .families import _d_mul, _entry_polys, _mask_of, _monomial, _sgn, make_W
 from .grassmann import eps_mask, members, mul_sign
 from .poly import D, LAM, MultiPoly, P_ONE, P_ZERO, Scalar, accumulate
 from .restricted import (
@@ -39,18 +39,19 @@ def _current_action(W: LambdaStructure) -> LambdaStructure:
     the adjoint bracket does not (its Lambda-part carries -(d + 2 lam)).
     The rows of targets outside the currents are empty."""
     lam_idx, w_idx = W.meta["lam_idx"], W.meta["w_idx"]
-    minus_d_lam, unit = _signs(-(D + LAM)), _signs(MultiPoly.const(1))
-    table: Dict[Tuple[int, int], List[Tuple[int, MultiPoly]]] = {}
+    number: Dict[Tuple[int, int, int], int] = {}    # see families._entry_polys
+    slots = []
     for J, j in lam_idx.items():
         for I, i in lam_idx.items():
             s = mul_sign(I, J)
-            if s:
-                table[(i, j)] = [(lam_idx[I | J], minus_d_lam[s])]
+            if s:       # -s (d + lam)
+                slots.append((i, j, lam_idx[I | J], number.setdefault((0, -s, -s), len(number))))
         for (I, i), g in w_idx.items():
             s, K = _d_mul(I, i, J)
             if s:
-                table[(g, j)] = [(lam_idx[K], unit[s])]
-    return LambdaStructure(LIE, W.generators, table, name=W.name + " on currents")
+                slots.append((g, j, lam_idx[K], number.setdefault((s, 0, 0), len(number))))
+    return LambdaStructure.from_slots(LIE, W.generators, _entry_polys(number), slots,
+                                      name=W.name + " on currents")
 
 
 def check_div_identity(n: int, b: Scalar = Scalar(0)) -> Report:

@@ -3,10 +3,10 @@
 S_n, S_{n,b}, S~_n, K_4' and CK_6 are built by restriction inside an
 ambient algebra (W_n, K_4 or K_6): each lists its basis and embeds it,
 conformal.bracket_pairs gives the brackets of the embedded basis as packed
-rows, and one span_reader per table gives their coordinates by forward
+rows, one span_reader per table gives their coordinates by forward
 substitution over pivots on packed vectors (a bracket outside the span
-raises NotInSpan), each distinct coordinate unpacked once (_restrict).
-This module holds that machinery, the divergence div_b of W_n, whose kernel
+raises NotInSpan), and _restrict gives them to Table.from_slots.  This
+module holds that machinery, the divergence div_b of W_n, whose kernel
 S_{n,b} is, and the bases, embeddings and symbols of S_n and CK_6.  The five
 constructors in families import it inside their bodies, and closed_form's
 emitters of S_n, K_4' and CK_6 inside theirs, so a command that builds or
@@ -125,34 +125,33 @@ def span_reader(ambient: LambdaStructure, embeds: Sequence[ConformalElement]):
 
 
 def _restrict(ambient: LambdaStructure, embeds: List[ConformalElement]):
-    """The table of the subalgebra spanned by embeds: each bracket taken in
-    ambient and read back in coordinates over embeds.  Each distinct
-    coordinate is unpacked once, keyed by its packed form in lowest terms."""
+    """(values, slots) of the subalgebra spanned by embeds: each bracket taken
+    in ambient and read back in coordinates over embeds, each distinct
+    coordinate, keyed by its packed form in lowest terms, unpacked once."""
     read = span_reader(ambient, embeds)
     n, low = ambient.rank, (1 << _COMPONENT_SHIFT) - 1
-    polys: Dict[tuple, MultiPoly] = {}
-    table = {}
+    number: Dict[tuple, int] = {}   # a coordinate in lowest terms -> its index in values
+    values: List[MultiPoly] = []
+    slots = []
     for a, (row, scale) in enumerate(bracket_pairs(ambient, embeds)):
-        # row a split into its brackets, elements {k: packed polynomial}
-        brackets: Dict[int, Dict[int, Dict[int, int]]] = {}
+        # row a split into its components b n + k, then into its brackets {k: vector}
+        parts: Dict[int, Dict[int, int]] = {}
         for key, c in row.items():
-            b, k = divmod(key >> _COMPONENT_SHIFT, n)
-            x = brackets.setdefault(b, {})
-            vec = x.get(k)
-            if vec is None:
-                vec = x[k] = {}
-            vec[key & low] = c
-        for b in range(len(embeds)):
-            # rows in any order: LambdaStructure sorts each by generator
-            entries = table[(a, b)] = []
-            for j, (v, s) in read(brackets.get(b, {}), scale).items():
+            parts.setdefault(key >> _COMPONENT_SHIFT, {})[key & low] = c
+        brackets: Dict[int, Dict[int, Dict[int, int]]] = {}
+        for comp, vec in parts.items():
+            brackets.setdefault(comp // n, {})[comp % n] = vec
+        for b, x in sorted(brackets.items()):
+            # slots in any order: Table._store sorts them
+            for j, (v, s) in read(x, scale).items():
                 g = gcd(s, *v.values())
-                key = frozenset((k, c // g) for k, c in v.items()), s // g
-                p = polys.get(key)
-                if p is None:
-                    p = polys[key] = unpack_vector(v, s)[0]
-                entries.append((j, p))
-    return table
+                key = frozenset(zip(v, map(g.__rfloordiv__, v.values()))), s // g
+                e = number.get(key)
+                if e is None:
+                    e = number[key] = len(values)
+                    values.append(unpack_vector(v, s)[0])
+                slots.append((a, b, j, e))
+    return values, slots
 
 
 # ---------------------------------------------------------------------------

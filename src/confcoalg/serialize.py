@@ -21,10 +21,10 @@ and the rows of a table with equal terms (the same generators and
 polynomial objects) share one "terms" list, which ``_json_text`` writes
 once per indentation.  A reader converts and checks each distinct "poly"
 list of a document once, at its first occurrence, keyed by its exact JSON
-value, and gives the constructor one object for it.  A coproduct lists
-each (left, right) pair of a row once and no zero entry, since Coproduct
-merges its rows when it is built, so equal coproducts write equal
-documents.  A generator's "latex" is written only when it has a LaTeX
+value, and builds the table from those values and their slots
+(Table.from_slots).  A coproduct lists each (left, right) pair of a row
+once and no zero entry, so equal coproducts write equal documents.  A
+generator's "latex" is written only when it has a LaTeX
 name, so a document read back emits the LaTeX of the table it was written
 from.  A reader takes generator ids, LaTeX names and the name as JSON
 strings and a parity as the JSON integer 0 or 1, and rejects a repeated
@@ -47,7 +47,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _str_text
-from typing import TYPE_CHECKING, Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List
 
 from .conformal import Generator, JORDAN, LIE, LambdaStructure, StructureError
 from .poly import (
@@ -118,19 +118,18 @@ def structure_from_json(data: dict) -> LambdaStructure:
     if _doc_type(data) != "lambda_structure":
         raise StructureError("not a lambda_structure document")
     gens, index = _generators(data)
-    poly = _poly_reader(data.get("kind", LIE))
-    table: Dict[Tuple[int, int], List[Tuple[int, MultiPoly]]] = {}
+    values, number = _poly_reader(data.get("kind", LIE))
+    slots, pairs = [], set()
     for r, row in enumerate(_list(data, "table", "document")):
         what = f"table row {r}"
-        key = (_gen_ref(index, row, "left", what), _gen_ref(index, row, "right", what))
-        if key in table:
+        i, j = _gen_ref(index, row, "left", what), _gen_ref(index, row, "right", what)
+        if (i, j) in pairs:
             raise StructureError(f"{what} repeats the pair ({row['left']}, {row['right']})")
-        terms = []
+        pairs.add((i, j))
         for t, term in enumerate(_list(row, "terms", what)):
             term_what = f"term {t} of {what}"
-            terms.append((_gen_ref(index, term, "gen", term_what), poly(term, term_what)))
-        table[key] = terms
-    return LambdaStructure(data.get("kind", LIE), gens, table, name=_name(data))
+            slots.append((i, j, _gen_ref(index, term, "gen", term_what), number(term, term_what)))
+    return LambdaStructure.from_slots(data.get("kind", LIE), gens, values, slots, name=_name(data))
 
 
 def _coproduct_json(C: Coproduct) -> dict:
@@ -156,22 +155,19 @@ def coproduct_from_json(data: dict) -> Coproduct:
     if _doc_type(data) != "coproduct":
         raise StructureError("not a coproduct document")
     gens, index = _generators(data)
-    poly = _poly_reader(data.get("kind", LIE))
-    table: Dict[int, List[Tuple[int, int, MultiPoly]]] = {}
+    values, number = _poly_reader(data.get("kind", LIE))
+    slots, rows = [], set()
     for r, row in enumerate(_list(data, "table", "document")):
         what = f"table row {r}"
         k = _gen_ref(index, row, "gen", what)
-        if k in table:
+        if k in rows:
             raise StructureError(f"{what} repeats the generator {row['gen']}")
-        pairs = table[k] = []
+        rows.add(k)
         for t, pair in enumerate(_list(row, "pairs", what)):
             pair_what = f"pair {t} of {what}"
-            pairs.append((
-                _gen_ref(index, pair, "left", pair_what),
-                _gen_ref(index, pair, "right", pair_what),
-                poly(pair, pair_what),
-            ))
-    return Coproduct(data.get("kind", LIE), gens, table, name=_name(data))
+            slots.append((_gen_ref(index, pair, "left", pair_what),
+                          _gen_ref(index, pair, "right", pair_what), k, number(pair, pair_what)))
+    return Coproduct.from_slots(data.get("kind", LIE), gens, values, slots, name=_name(data))
 
 
 # -- schema checks: every malformed document raises a StructureError
@@ -234,30 +230,33 @@ def _gen_ref(index: Dict[str, int], obj, key: str, what: str) -> int:
 
 
 def _poly_reader(kind):
-    """(obj, what) -> the polynomial of obj's "poly" list, for one document
-    of kind: each distinct list is converted and checked once, at its first
-    occurrence, keyed by its repr, which tells 1, 1.0, true and "1" apart.
-    A polynomial of total degree above MAX_DEGREE[kind] is refused (a kind
-    that is neither is left to the constructor, which refuses it)."""
-    polys: Dict[str, MultiPoly] = {}
+    """(values, number) for one document of kind: number(obj, what) is the index in
+    values of the polynomial of obj's "poly" list, each distinct list converted
+    and checked once, keyed by its repr, which tells 1, 1.0, true and "1" apart.
+    A polynomial of total degree above MAX_DEGREE[kind] is refused (a kind that
+    is neither is left to the table, which refuses it)."""
+    values: List[MultiPoly] = []
+    first: Dict[str, int] = {}      # the repr of a "poly" list -> its index in values
     top = MAX_DEGREE[kind] if kind in (LIE, JORDAN) else _MAXEXP
 
-    def poly(obj, what: str) -> MultiPoly:
+    def number(obj, what: str) -> int:
         data = _list(obj, "poly", what)
         key = repr(data)
-        p = polys.get(key)
-        if p is None:
+        e = first.get(key)
+        if e is None:
             try:
-                p = polys[key] = poly_from_json(data)
-            except (KeyError, TypeError, ValueError, ZeroDivisionError) as e:
-                raise StructureError(f"malformed poly of {what}: {e!r}") from None
+                p = poly_from_json(data)
+            except (KeyError, TypeError, ValueError, ZeroDivisionError) as err:
+                raise StructureError(f"malformed poly of {what}: {err!r}") from None
             degree = max((_sort_key(k)[0] for k in p.terms), default=0)
             if degree > top:
                 raise StructureError(f"poly of {what} has total degree {degree}; "
                                      f"a {kind} table takes at most {top}")
-        return p
+            e = first[key] = len(values)
+            values.append(p)
+        return e
 
-    return poly
+    return values, number
 
 
 def dumps(obj) -> str:

@@ -2,18 +2,37 @@
 
 from collections import defaultdict
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from confcoalg import conformal, kernels, restricted
-from confcoalg.coalgebra import Coproduct, DiffLine, DiffReport
+from confcoalg.coalgebra import Coproduct, DiffLine, DiffReport, _NOT_SLOT
 from confcoalg.conformal import (
-    ConformalElement, LambdaStructure, Report, StructureError, Violation, _put, _renamed,
+    ConformalElement, LambdaStructure, Report, StructureError, Table, Violation, _NOT_LAM_D,
+    _TO_SLOTS, _put, _renamed,
 )
+from confcoalg.grassmann import IndexSet, SignedMonomial, eps_mask
 from confcoalg.poly import (
     ALPHABET, MultiPoly, ONE, P_ZERO, Scalar, X1, X2, _COMPONENT_SHIFT, _GUARD, _MAXEXP,
-    _VAR_SHIFT, _sort_key, accumulate, common_denominator, pack_vector, unpack_vector,
+    _VAR_SHIFT, _memo, _sort_key, accumulate, common_denominator, pack_vector, unpack_vector,
     vector_text,
 )
+
+
+# The IndexSet versions of eps_mask and the derivation d_i, which only the
+# tests use (grassmann keeps the rest of the IndexSet layer for bench/micro.py)
+def eps(i: int, J: IndexSet) -> int:
+    """Count of members of J strictly below i; i must belong to J."""
+    if i not in J:
+        raise ValueError(f"{i} not a member of {J}")
+    return eps_mask(i, J.mask)
+
+
+def derive(i: int, J: IndexSet) -> Optional[SignedMonomial]:
+    """The odd derivation d_i applied to xi_J."""
+    if not 1 <= i <= J.n or i not in J:
+        return None
+    sign = -1 if eps_mask(i, J.mask) & 1 else 1
+    return SignedMonomial(sign, IndexSet.from_mask(J.n, J.mask & ~(1 << (i - 1))))
 
 
 def random_poly(rng, nvars=4, nterms=4, maxexp=3, scalars=(1, -1, 2, Fraction(1, 2))) -> MultiPoly:
@@ -101,6 +120,122 @@ def _gather(table, x1_img, x2_img, place, negate=None, renamed=None):
         slot, m = place(i, j, k)
         _put(out[slot], (negated if negate and negate(i, j) else vecs)[e], m << _COMPONENT_SHIFT)
     return dict(out)
+
+
+# The two constructors as they stood before Table._store, each walking its
+# rows entry by entry to merge, check and number the values, and conformal's
+# _packed, which numbered and packed them: the oracles of the slot path.
+def _packed(entries):
+    """(L, (vecs, slots)) for entries [(i, j, k, p)], L their common denominator:
+    vecs holds each distinct p, packed times L, once, and slots is
+    [(i, j, k, e)] with vecs[e] the packed p of that entry."""
+    distinct: List[MultiPoly] = []
+    number = _memo(lambda p: distinct.append(p) or len(distinct) - 1)
+    slots = [(i, j, k, number(p)) for i, j, k, p in entries]
+    L = common_denominator(distinct)
+    return L, ([pack_vector([(0, p)], L) for p in distinct], slots)
+
+
+class OracleLambdaStructure(LambdaStructure):
+    """A LambdaStructure whose rows are merged, checked and packed as its
+    constructor did before the slot path."""
+
+    def __init__(self, kind, generators, table, name="", meta=None):
+        Table.__init__(self, kind, generators, name)
+        self.meta = meta or {}
+        par = self.parities
+        n = len(par)
+        pairs = range(n)
+        for key in table:
+            if not (isinstance(key, tuple) and len(key) == 2 and key[0] in pairs and key[1] in pairs):
+                raise StructureError(f"row {key!r} is not a pair of generator indices in range({n})")
+        entries = []
+        checked = set()     # the ids of the polynomials whose variables passed
+        # the rows in row-major order, each merged by k if given more than once
+        for i, j in sorted(table):
+            row = table[(i, j)]
+            if row and len(row) > 1:
+                merged: Dict[int, MultiPoly] = {}
+                for k, p in row:
+                    accumulate(merged, k, p)
+                row = sorted(merged.items())
+            if not row or not row[0][1].terms:      # a merged row holds no zero
+                continue
+            if row[0][0] < 0 or row[-1][0] >= n:
+                stray = row[0][0] if row[0][0] < 0 else row[-1][0]
+                raise StructureError(
+                    f"row ({i}, {j}) names generator index {stray}, not in range({n})")
+            for k, p in row:
+                # parity additivity, then coefficient-variable discipline
+                if par[k] != (par[i] + par[j]) & 1:
+                    raise StructureError(
+                        f"parity violation in ({self.generators[i].id},"
+                        f"{self.generators[j].id}) -> {self.generators[k].id}"
+                    )
+                if id(p) not in checked:
+                    if any(key & _NOT_LAM_D for key in p.terms):
+                        bad = p.variables() - {"lam", "d"}
+                        raise StructureError(f"table entry uses variables {bad}")
+                    checked.add(id(p))
+                entries.append((i, j, k, p))
+        L, (vecs, slots) = _packed(entries)
+        self.packed = L, ([_TO_SLOTS(vec) for vec in vecs], slots)
+
+
+class OracleCoproduct(Coproduct):
+    """A Coproduct whose rows are merged, checked and packed as its
+    constructor did before the slot path."""
+
+    def __init__(self, kind, generators, table, name=""):
+        Table.__init__(self, kind, generators, name)
+        g = self.generators
+        n = len(g)
+        par = dict(enumerate(self.parities))
+        if not table.keys() <= par.keys():
+            stray = next(k for k in table if k not in par)
+            raise StructureError(f"delta row {stray!r} is not a generator index in range({n})")
+        entries = []
+        checked = set()     # the ids of the polynomials whose variables passed
+        for k in range(n):
+            merged: Dict[Tuple[int, int], MultiPoly] = {}
+            for i, j, q in table.get(k, ()):
+                accumulate(merged, (i, j), q)
+            for (i, j), q in merged.items():
+                # parities by index: a pair outside range(n) is a KeyError, not
+                # a Python negative index
+                try:
+                    odd = (par[i] + par[j]) & 1
+                except KeyError:
+                    raise StructureError(
+                        f"delta({g[k].id}) names the pair ({i}, {j}), not in range({n})") from None
+                if odd != par[k]:
+                    raise StructureError(f"parity violation in delta({g[k].id})")
+                entries.append((i, j, k, q))
+                if id(q) in checked:
+                    continue
+                for key in q.terms:
+                    if key & _NOT_SLOT:
+                        stray = ", ".join(sorted(q.variables() - {"x1", "x2"}))
+                        raise StructureError(
+                            f"delta({g[k].id}) @ {g[i].id} (x) {g[j].id} uses {stray}; "
+                            "coproduct entries may only use x1 and x2"
+                        )
+                checked.add(id(q))
+        self.packed = _packed(entries)
+
+
+def oracle_of(T):
+    """The table the pre-slot-path constructor makes of T's rows."""
+    if isinstance(T, Coproduct):
+        return OracleCoproduct(T.kind, T.generators, T.table, T.name)
+    return OracleLambdaStructure(T.kind, T.generators, T.table, T.name, T.meta)
+
+
+def assert_stored_as_the_oracle(T, oracle=None):
+    """T.packed and T.table equal those of oracle, by default oracle_of(T)."""
+    oracle = oracle_of(T) if oracle is None else oracle
+    assert T.packed == oracle.packed, T.name
+    assert T.table == oracle.table, T.name
 
 
 def count_calls(monkeypatch, owner, name):

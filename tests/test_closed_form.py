@@ -10,6 +10,7 @@ import hashlib
 import inspect
 import json
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -113,25 +114,30 @@ class _Appending(cf._Builder):
         p = MultiPoly.const(c) + MultiPoly.var("x1", 1, x1) + MultiPoly.var("x2", 1, x2)
         self.terms.setdefault(k, []).append((i, j, p))
 
+    def put_gaussian(self, k, i, j, parts):
+        c, x1, x2 = (Scalar(Fraction(re, 2), Fraction(im, 2)) for re, im in zip(parts[::2], parts[1::2]))
+        self.put(k, i, j, c, x1, x2)
+
     def done(self):
         return Coproduct(self.kind, self.gens, self.terms, self.name)
 
 
 @pytest.mark.parametrize("emitter, args", sorted(EMITTER_DUMPS))
 def test_builder_hands_one_entry_per_pair_and_one_object_per_value(monkeypatch, emitter, args):
-    """_Builder sums each (k, i, j) as it goes: Coproduct is given one entry
-    per pair and one object per distinct value, and stores what the terms
-    appended one by one and merged by Coproduct store."""
+    """_Builder sums each (k, i, j) as it goes: Table.from_slots is given one
+    slot per pair and one object per distinct value, each used, and the
+    coproduct stores what the terms appended one by one and merged by
+    Coproduct store."""
     with monkeypatch.context() as m:
-        given = count_calls(m, Coproduct, "__init__")
+        given = count_calls(m, Coproduct, "from_slots")
         C = getattr(cf, emitter)(*args)
-    (_, _, _, table, _), = given
-    pairs = [(k, i, j) for k, row in table.items() for i, j, _ in row]
-    polys = [q for row in table.values() for _, _, q in row]
+    (_, _, values, slots, _), = given
+    pairs = [(k, i, j) for i, j, k, _ in slots]
     assert len(set(pairs)) == len(pairs)
-    assert len({id(q) for q in polys}) == len(set(polys))
+    assert len({id(q) for q in values}) == len(set(values)) == len(values)
+    assert {e for *_, e in slots} == set(range(len(values)))
     if (emitter, args) == ("coproduct_K", (6,)):
-        assert (len(pairs), len(set(polys))) == (2097, 31)
+        assert (len(pairs), len(values)) == (2097, 31)
     monkeypatch.setattr(cf, "_Builder", _Appending)
     assert getattr(cf, emitter)(*args).packed == C.packed
 

@@ -11,9 +11,10 @@ import pytest
 
 import confcoalg
 from confcoalg.grassmann import (
-    IndexSet, SignedMonomial, alpha, complement, derive, eps, hodge, members,
-    mul, mul_sign, subsets,
+    IndexSet, SignedMonomial, alpha, complement, hodge, members, mul, mul_sign, subsets,
 )
+
+from helpers import derive, eps
 
 
 def test_constructor_rejects_unsorted():
@@ -248,16 +249,20 @@ def test_one_helper_renames_table_entries():
 
 
 def test_each_table_is_packed_once():
-    """conformal._packed has two callers, the constructors of LambdaStructure
-    and Coproduct, which set the stored form as a plain attribute: every
-    check, dualize and co-kernel reads it, and none builds an entry list to
-    pack.  Table.table, the rows made from it, is the one row view, and
-    neither subclass defines packed or table.  _packed_table, which packed
-    the table again on every check call, is gone."""
+    """conformal.Table._store, the one path that checks entries and packs
+    them, has three callers: the constructors of LambdaStructure and
+    Coproduct, which hand it their rows, and Table.from_slots, through which
+    the builders hand it their values and slots.  It sets the stored form as
+    a plain attribute: every check, dualize and co-kernel reads it, and none
+    builds an entry list to pack.  Table.table, the rows made from it, is
+    the one row view, and neither subclass defines packed or table.
+    _packed_table, which packed the table again on every check call, and
+    _packed, which packed the constructors' entry lists, are gone."""
     users = sorted((name, where) for name, tree in _production_sources()
-                   for where in _uses(tree, "_packed"))
+                   for where in _uses(tree, "_store"))
     assert users == [("confcoalg.coalgebra", "Coproduct.__init__"),
-                     ("confcoalg.conformal", "LambdaStructure.__init__")]
+                     ("confcoalg.conformal", "LambdaStructure.__init__"),
+                     ("confcoalg.conformal", "Table.from_slots")]
     conformal = importlib.import_module("confcoalg.conformal")
     coalgebra = importlib.import_module("confcoalg.coalgebra")
     assert isinstance(conformal.Table.__dict__["table"], functools.cached_property)
@@ -266,7 +271,7 @@ def test_each_table_is_packed_once():
     K = importlib.import_module("confcoalg.families").make_K(2)
     for T in (K, coalgebra.dualize(K)):
         assert "packed" in vars(T) and "table" not in vars(T)
-    assert not hasattr(conformal, "_packed_table")
+    assert not hasattr(conformal, "_packed_table") and not hasattr(conformal, "_packed")
 
 
 def test_an_empty_diff_unpacks_no_rows():
@@ -430,16 +435,16 @@ def test_residual_text_is_written_from_the_packed_form(monkeypatch):
 
 
 def test_verify_packs_the_table_once_and_not_its_dual(monkeypatch, capsys):
-    """verify --checks coalg,crosscheck calls conformal._packed twice: once
-    when K_3 is built and once when its closed-form coproduct is.  dualize
+    """verify --checks coalg,crosscheck calls Table._store twice: once when
+    K_3 is built and once when its closed-form coproduct is.  dualize
     relabels the table's stored form and packs nothing."""
     from confcoalg import coalgebra, conformal
     from confcoalg.cli import main
 
     calls = []
-    real = conformal._packed
-    monkeypatch.setattr(conformal, "_packed", lambda entries: calls.append(1) or real(entries))
-    monkeypatch.setattr(coalgebra, "_packed", conformal._packed)
+    real = conformal.Table._store
+    monkeypatch.setattr(conformal.Table, "_store",
+                        lambda self, values, slots: calls.append(1) or real(self, values, slots))
     assert main(["verify", "--family", "K", "--n", "3", "--checks", "coalg,crosscheck"]) == 0
     assert capsys.readouterr().out.startswith("coalg[K_3^c]: pass")
     assert len(calls) == 2

@@ -41,15 +41,15 @@ from confcoalg.conformal import (
 )
 from confcoalg.families import corrupt_entry
 from confcoalg.kernels import JACOBI_IMAGES, JORDAN_IMAGES, PRINTED_JORDAN_IMAGES
-from confcoalg.grassmann import IndexSet, alpha_mask, derive, members, mul, mul_sign
+from confcoalg.grassmann import IndexSet, alpha_mask, members, mul, mul_sign
 from confcoalg.poly import (
     BETA, D, LAM, MU, NU, X1, X2, X3, X4, MultiPoly, P_ONE, Scalar, _MONO_MASK, _checked,
     accumulate, compact_vector,
 )
 
 from helpers import (
-    _gather, co_record_oracle, conformal_record_oracle, count_calls, dual_entry, element_pairs,
-    element_reader, exact_div, packed_rows, pair_element, term_products,
+    _gather, co_record_oracle, conformal_record_oracle, count_calls, derive, dual_entry,
+    element_pairs, element_reader, exact_div, packed_rows, pair_element, term_products,
 )
 from test_coalgebra import _bench_workloads
 

@@ -55,7 +55,7 @@ from confcoalg.coalgebra import (  # noqa: E402
 )
 from confcoalg.conformal import (  # noqa: E402
     CONSISTENT, JORDAN, LIE, PRINTED, ConformalElement, Generator, LambdaStructure,
-    ModuleMap, _packed, check_jacobi, check_jordan_comm,
+    ModuleMap, check_jacobi, check_jordan_comm,
     check_jordan_identity, check_skew, kernel_basis,
 )
 from confcoalg.poly import (  # noqa: E402
@@ -65,8 +65,9 @@ from confcoalg.poly import (  # noqa: E402
 from confcoalg.restricted import NotInSpan  # noqa: E402
 
 from helpers import (  # noqa: E402
-    _gather, apply_map, dual_entry, element_pairs, element_reader, parity_keeping_targets,
-    repr_oracle,
+    OracleCoproduct, OracleLambdaStructure, _gather, _packed, apply_map,
+    assert_stored_as_the_oracle, dual_entry, element_pairs, element_reader,
+    parity_keeping_targets, repr_oracle,
 )
 from test_kernels import (  # noqa: E402
     _bracket_loop, _canonicalize_CK6_oracle, _canonicalize_S_oracle, _co_oracle,
@@ -91,12 +92,13 @@ def _polys(draw):
 
 
 @st.composite
-def tables(draw, kind, max_entries):
-    """A table of rank 2-4 with one to max_entries entries, each a sum of one
-    or two terms lam^a d^b (a <= 2, b <= 3) on a target of the right parity.
-    About half the entries after the first repeat the polynomial of an
-    earlier one, so that equal polynomials sit on different (i, j, k),
-    parities and signs, as they do in the family tables."""
+def table_rows(draw, kind, max_entries):
+    """(kind, generators, rows) of a table of rank 2-4 with one to
+    max_entries entries, each a sum of one or two terms lam^a d^b (a <= 2,
+    b <= 3) on a target of the right parity.  About half the entries after
+    the first repeat the polynomial of an earlier one, so that equal
+    polynomials sit on different (i, j, k), parities and signs, as they do
+    in the family tables, and some repeat an (i, j, k)."""
     n = draw(st.integers(2, 4))
     par = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
     table, drawn = {}, []
@@ -108,7 +110,12 @@ def tables(draw, kind, max_entries):
         if k is not None:
             table.setdefault((i, j), []).append((k, p))
     gens = [Generator(f"g{i}", p) for i, p in enumerate(par)]
-    return LambdaStructure(kind, gens, table, name="random")
+    return kind, gens, table
+
+
+def tables(kind, max_entries):
+    """The LambdaStructure of table_rows."""
+    return table_rows(kind, max_entries).map(lambda rows: LambdaStructure(*rows, name="random"))
 
 
 @st.composite
@@ -305,6 +312,25 @@ def assert_packed_once(S):
 @example(_shared_table(JORDAN))
 def test_packed_form_survives_every_check_on_random_tables(S):
     assert_packed_once(S)
+
+
+@given(st.one_of(table_rows(LIE, 8), table_rows(JORDAN, 4)))
+def test_random_tables_are_stored_as_the_oracle_stores_them(rows):
+    """The rows through the constructor, their entries through from_slots
+    (one value per entry) and their duals as coproduct rows are stored as
+    the row oracles store them."""
+    kind, gens, table = rows
+    oracle = OracleLambdaStructure(kind, gens, table)
+    assert_stored_as_the_oracle(LambdaStructure(kind, gens, table), oracle)
+    entries = [(i, j, k, p) for (i, j), row in table.items() for k, p in row]
+    slots = [(i, j, k, e) for e, (i, j, k, _) in enumerate(entries)]
+    assert_stored_as_the_oracle(
+        LambdaStructure.from_slots(kind, gens, [p for *_, p in entries], slots), oracle)
+    dual = {}
+    for i, j, k, p in entries:
+        dual.setdefault(k, []).append((i, j, dual_entry(p)))
+    cop = Coproduct(kind, dual_generators(gens), dual)
+    assert_stored_as_the_oracle(cop, OracleCoproduct(kind, dual_generators(gens), dual))
 
 
 @pytest.fixture(scope="module")
