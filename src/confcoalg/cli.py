@@ -173,15 +173,18 @@ def _emit(T, fmt, out):
         text = (serialize.structure_tex if table else serialize.coproduct_tex)(T)
     else:
         g = T.generators
+        value = [repr(p) for p in T._values()]      # each distinct value's text, by its index
+        rows = T._indexed_rows().items()
         lines = [f"# {T.name} (kind={T.kind}, rank={T.rank})"]
         if table:
-            lines += [f"[{g[i].id} lam {g[j].id}] = " + T.entry(i, j).pretty(T)
-                      for i in range(T.rank) for j in range(T.rank) if T.table[(i, j)]]
+            lines += [f"[{g[i].id} lam {g[j].id}] = "
+                      + " + ".join(f"({value[e]})*{g[k].id}" for k, e in row)
+                      for (i, j), row in rows if row]
         else:
             lines += [f"delta({g[k].id}) = " + ", ".join(
-                f"{g[i].id}(x){g[j].id}: {q!r}"
-                for i, j, q in sorted(row, key=lambda t: (g[t[0]].id, g[t[1]].id)))
-                for k, row in T.table.items() if row]
+                f"{g[i].id}(x){g[j].id}: {value[e]}"
+                for i, j, e in sorted(row, key=lambda t: (g[t[0]].id, g[t[1]].id)))
+                for k, row in rows if row]
         text = "\n".join(lines)
     _write(text, out)
 

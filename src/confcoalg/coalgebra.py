@@ -37,7 +37,7 @@ from .conformal import (
 )
 from .kernels import _jacobi_rows, _jordan_rows   # the co-checks run both kernels
 from .poly import (
-    D, LAM, MultiPoly, P_ONE, _COMPONENT_SHIFT, _MAXEXP, _MONO_MASK, _VAR_SHIFT, _memo, _parts,
+    D, LAM, MultiPoly, P_ONE, _COMPONENT_SHIFT, _MAXEXP, _MONO_MASK, _VAR_SHIFT, _parts,
     _poly_text, accumulate, vector_text,
 )
 
@@ -453,11 +453,11 @@ def compare(a: Coproduct, b: Coproduct) -> DiffReport:
         differ.append((k, i, j, ea, eb))
     differ += [(k, i, j, None, eb) for (k, i, j), eb in right.items()]
     rep = DiffReport(a.name, b.name)
-    # the text of each side's vector e, written once; "0" for a side without the pair
-    text_a = _memo(lambda e: "0" if e is None else vector_text(va[e], La)[0])
-    text_b = _memo(lambda e: "0" if e is None else vector_text(vb[e], Lb)[0])
+    # the text of each distinct vector e of a side that differs; "0" for a side without the pair
+    text_a = {e: "0" if e is None else vector_text(va[e], La)[0] for e in {d[3] for d in differ}}
+    text_b = {e: "0" if e is None else vector_text(vb[e], Lb)[0] for e in {d[4] for d in differ}}
     for k, i, j, ea, eb in sorted(differ):
-        rep.lines.append(DiffLine(ga[k].id, ga[i].id, ga[j].id, text_a(ea), text_b(eb)))
+        rep.lines.append(DiffLine(ga[k].id, ga[i].id, ga[j].id, text_a[ea], text_b[eb]))
     return rep
 
 

@@ -153,10 +153,10 @@ class Table:
     rows (table) and flip residual, made from packed on first read and kept.
 
     packed is (L, (vecs, slots)), made once by _store (see "packed tables").
-    Every verdict reads packed, so a row polynomial changed in place never
-    reaches a verdict, though the writers, which read the rows, show it;
-    with_entry and families.corrupt_entry make a new table.  The constructor
-    refuses an unknown kind, repeated ids and parities other than int 0 or 1."""
+    Every verdict and writer reads packed, so a row polynomial changed in
+    place reaches no command; with_entry and families.corrupt_entry make a
+    new table.  The constructor refuses an unknown kind, repeated ids and
+    parities other than int 0 or 1."""
 
     def __init__(self, kind: str, generators: Sequence[Generator], name: str):
         if kind not in (LIE, JORDAN):
@@ -184,24 +184,26 @@ class Table:
 
     def _store(self, values: Sequence[MultiPoly], slots: Iterable[Tuple[int, int, int, int]]):
         """Set packed from the entries (i, j, k, values[e]): zero ones dropped,
-        repeats of an (i, j, k) summed (a zero sum dropped), sorted by _ORDER,
-        checked in that order for index ranges, parity additivity and, once
-        per value, variables (_refusal words the first failure), and each
-        distinct value packed once at the common denominator L."""
+        the others sorted by _ORDER and checked as given, in that order, for
+        index ranges, parity additivity and, once per value, variables
+        (_refusal words the first failure), repeats of an (i, j, k) then
+        summed (a zero sum dropped), and each distinct value packed once at
+        the common denominator L."""
         par, ix = self.parities, range(self.rank)     # the generator indices
         zero = {e for e, p in enumerate(values) if not p.terms}
         slots = [slot for slot in slots if slot[3] not in zero] if zero else list(slots)
-        if len(set(map(itemgetter(0, 1, 2), slots))) < len(slots):
-            merged: Dict[tuple, MultiPoly] = {}
-            for i, j, k, e in slots:
-                accumulate(merged, (i, j, k), values[e])
-            values, slots = _numbered((*key, p) for key, p in merged.items())
         slots.sort(key=self._ORDER)
         used = dict.fromkeys(map(itemgetter(3), slots))
         stray = {e for e in used if any(key & self._STRAY_VARS for key in values[e].terms)}
         for i, j, k, e in slots:
             if not (i in ix and j in ix and k in ix and par[i] ^ par[j] == par[k]) or e in stray:
                 raise self._refusal(i, j, k, values[e])
+        if len(set(map(itemgetter(0, 1, 2), slots))) < len(slots):
+            merged: Dict[tuple, MultiPoly] = {}     # keyed in _ORDER, as slots are sorted
+            for i, j, k, e in slots:
+                accumulate(merged, (i, j, k), values[e])
+            values, slots = _numbered((*key, p) for key, p in merged.items())
+            used = range(len(values))
         number: Dict[MultiPoly, int] = {}       # each distinct value -> its index
         used = {e: number.setdefault(values[e], len(number)) for e in used}
         if any(e != f for e, f in used.items()):
@@ -221,6 +223,11 @@ class Table:
         """The rows, a view of packed laid out by the subclass (_rows), which
         hold one object per distinct value (_values)."""
         return self._rows(self.packed[1][1], self._values())
+
+    def _indexed_rows(self) -> dict:
+        """The rows with each entry's value index e, into _values(), for its value."""
+        L, (vecs, slots) = self.packed
+        return self._rows(slots, range(len(vecs)))
 
     def _values(self) -> List[MultiPoly]:     # each vector unpacked, in the subclass's variables
         L, (vecs, _) = self.packed
@@ -446,7 +453,8 @@ class Report(Record):
 # distinct ones), so the stored form holds each once, times the common
 # denominator L of the table (see poly.pack_vector), and every entry names its
 # own.  The rows (Table.table) and the flip residual are made from it on first
-# read; with_entry makes a new table.  Every term of the Jacobi and Jordan
+# read, and the writers take each distinct value by its index (_indexed_rows);
+# with_entry makes a new table.  Every term of the Jacobi and Jordan
 # identities on generators is a sparse contraction of renamed copies
 # Q^{ij}_k(x1_img, x2_img), so a residual of degree g is reported divided by
 # L**g.  _renamed renames each distinct polynomial once per check call and

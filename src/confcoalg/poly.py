@@ -564,24 +564,6 @@ def add_product(acc: Dict[int, int], p: Dict[int, int], q: Dict[int, int],
     return acc
 
 
-def _memo(f: Callable):
-    """f kept by value for the life of the returned function, which looks an
-    argument up by its id before it hashes it and keeps it alive, so that no
-    id is reused.  The id comes first because MultiPoly.__hash__ builds a
-    frozenset and unequal values often share a hash (in CPython hash(-1) ==
-    hash(-2): K_6's 31 distinct entry values have 22 distinct hashes)."""
-    by_value: dict = {}
-    by_id: dict = {}
-
-    def g(p):
-        hit = by_id.get(id(p))
-        if hit is None:
-            hit = by_id[id(p)] = p, by_value[p] if p in by_value else by_value.setdefault(p, f(p))
-        return hit[1]
-
-    return g
-
-
 def accumulate(store: Dict, key, p: MultiPoly) -> None:
     """store[key] += p for a dict of polynomials; the key is dropped when the sum is zero."""
     prev = store.get(key)

@@ -15,13 +15,14 @@ diff cleanly:
                                      "poly": [...]}, ...]}, ...]}
 
 Polynomials use the coefficient encoding of the poly module.  The readers
-and writers work once per distinct value: ``dumps`` converts each distinct
-polynomial once, its terms with equal polynomials share one "poly" list,
-and the rows of a table with equal terms (the same generators and
-polynomial objects) share one "terms" list, which ``_json_text`` writes
-once per indentation.  A reader converts and checks each distinct "poly"
-list of a document once, at its first occurrence, keyed by its exact JSON
-value, and builds the table from those values and their slots
+and writers work once per distinct value.  A writer writes each distinct
+value of a table's stored form once (Table._values) and lays the rows out
+by value index (Table._indexed_rows): in ``dumps`` equal polynomials share
+one "poly" list, and equal rows of terms (the same generators and value
+indices) one "terms" list, which ``_json_text`` writes once per
+indentation.  A reader converts and checks each distinct "poly" list of a
+document once, at its first occurrence, keyed by its exact JSON value, and
+builds the table from those values and their slots
 (Table.from_slots).  A coproduct lists each (left, right) pair of a row
 once and no zero entry, so equal coproducts write equal documents.  A
 generator's "latex" is written only when it has a LaTeX
@@ -51,8 +52,7 @@ from typing import TYPE_CHECKING, Dict, List
 
 from .conformal import Generator, JORDAN, LIE, LambdaStructure, StructureError
 from .poly import (
-    MultiPoly, _MAXEXP, _VAR_SHIFT, _exp_of, _int_text, _memo, _sort_key, poly_from_json,
-    poly_to_json,
+    MultiPoly, _MAXEXP, _VAR_SHIFT, _exp_of, _int_text, _sort_key, poly_from_json, poly_to_json,
 )
 
 if TYPE_CHECKING:
@@ -94,22 +94,23 @@ def _generator(g: Generator) -> dict:
 
 
 def _structure_json(S: LambdaStructure) -> dict:
-    poly = _memo(poly_to_json)    # by value: equal terms share a list
+    polys = [poly_to_json(p) for p in S._values()]   # by value index: equal terms share a list
     g = S.generators
     order = _id_order(S)
-    shared: Dict[tuple, list] = {}    # (k, id(p)) of a row's terms -> its terms list
+    table = S._indexed_rows()
+    shared: Dict[tuple, list] = {}    # the (k, e) of a row's terms -> its terms list
 
     def terms(row):
-        key = tuple((k, id(p)) for k, p in row)
+        key = tuple(row)
         out = shared.get(key)
         if out is None:
-            out = shared[key] = [{"gen": g[k].id, "poly": poly(p)}
-                                 for k, p in sorted(row, key=lambda t: g[t[0]].id)]
+            out = shared[key] = [{"gen": g[k].id, "poly": polys[e]}
+                                 for k, e in sorted(row, key=lambda t: g[t[0]].id)]
         return out
 
     rows = [
-        {"left": g[i].id, "right": g[j].id, "terms": terms(S.table[(i, j)])}
-        for i in order for j in order if S.table[(i, j)]
+        {"left": g[i].id, "right": g[j].id, "terms": terms(table[(i, j)])}
+        for i in order for j in order if table[(i, j)]
     ]
     return _document(S, "lambda_structure", order, rows)
 
@@ -133,18 +134,19 @@ def structure_from_json(data: dict) -> LambdaStructure:
 
 
 def _coproduct_json(C: Coproduct) -> dict:
-    poly = _memo(poly_to_json)    # by value: equal terms share a list
+    polys = [poly_to_json(q) for q in C._values()]   # by value index: equal pairs share a list
     g = C.generators
     order = _id_order(C)
+    table = C._indexed_rows()
     rows = [
         {
             "gen": g[k].id,
             "pairs": [
-                {"left": g[i].id, "right": g[j].id, "poly": poly(q)}
-                for i, j, q in sorted(C.table[k], key=lambda t: (g[t[0]].id, g[t[1]].id))
+                {"left": g[i].id, "right": g[j].id, "poly": polys[e]}
+                for i, j, e in sorted(table[k], key=lambda t: (g[t[0]].id, g[t[1]].id))
             ],
         }
-        for k in order if C.table[k]
+        for k in order if table[k]
     ]
     return _document(C, "coproduct", order, rows)
 
@@ -427,15 +429,16 @@ def structure_tex(S: LambdaStructure) -> str:
     lines = []
     op = "[%s_\\lambda\\, %s]" if S.kind == LIE else "%s_\\lambda\\, %s"
     order = _id_order(S)
-    tex = _memo(poly_tex)
+    tex = [poly_tex(p) for p in S._values()]
+    table = S._indexed_rows()
     for i in order:
         for j in order:
-            entries = S.table[(i, j)]
+            entries = table[(i, j)]
             if not entries:
                 continue
             terms = []
-            for k, p in sorted(entries, key=lambda t: g[t[0]].id):
-                pt = tex(p)
+            for k, e in sorted(entries, key=lambda t: g[t[0]].id):
+                pt = tex[e]
                 gt = _gen_tex(g[k])
                 if pt == "1":
                     terms.append(gt)
@@ -459,21 +462,23 @@ def coproduct_tex(C: Coproduct) -> str:
     r"""delta(g^*) displays: each Q(x1, x2) term becomes d^a g_i^* \otimes d^b g_j^*."""
     g = C.generators
     dual = [_dual_tex(gen) for gen in g]
-    @_memo
+
     def pieces(q):  # (coefficient, d-power on the left, on the right) per term of Q(x1, x2)
         factors = [(_factor(_coeff_tex(q.terms[m])), m) for m in sorted(q.terms, key=_sort_key)]
         return [(cs if cs in ("", "-") else cs + "\\,", _pow_d(_exp_of(m, "x1")),
                  _pow_d(_exp_of(m, "x2"))) for cs, m in factors]
 
+    value_pieces = [pieces(q) for q in C._values()]
+    table = C._indexed_rows()
     sym = r"\delta" if C.kind == LIE else r"\Delta"
     lines = []
     for k in _id_order(C):
-        if not C.table[k]:
+        if not table[k]:
             continue
         terms = []
-        for i, j, q in sorted(C.table[k], key=lambda t: (g[t[0]].id, g[t[1]].id)):
+        for i, j, e in sorted(table[k], key=lambda t: (g[t[0]].id, g[t[1]].id)):
             terms += ["%s%s%s\\otimes %s%s" % (cs, left, dual[i], right, dual[j])
-                      for cs, left, right in pieces(q)]
+                      for cs, left, right in value_pieces[e]]
         lines.append("%s(%s) = %s" % (sym, dual[k], _signed_sum(terms)))
     return "\n".join(lines)
 

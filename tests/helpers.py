@@ -2,7 +2,7 @@
 
 from collections import defaultdict
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from confcoalg import conformal, kernels, restricted
 from confcoalg.coalgebra import Coproduct, DiffLine, DiffReport, _NOT_SLOT
@@ -13,7 +13,7 @@ from confcoalg.conformal import (
 from confcoalg.grassmann import IndexSet, SignedMonomial, eps_mask
 from confcoalg.poly import (
     ALPHABET, MultiPoly, ONE, P_ZERO, Scalar, X1, X2, _COMPONENT_SHIFT, _GUARD, _MAXEXP,
-    _VAR_SHIFT, _memo, _sort_key, accumulate, common_denominator, pack_vector, unpack_vector,
+    _VAR_SHIFT, _sort_key, accumulate, common_denominator, pack_vector, unpack_vector,
     vector_text,
 )
 
@@ -120,6 +120,26 @@ def _gather(table, x1_img, x2_img, place, negate=None, renamed=None):
         slot, m = place(i, j, k)
         _put(out[slot], (negated if negate and negate(i, j) else vecs)[e], m << _COMPONENT_SHIFT)
     return dict(out)
+
+
+# The by-value cache that numbers _packed's values, as poly kept it until
+# the writers and compare took each distinct value by its index
+def _memo(f: Callable):
+    """f kept by value for the life of the returned function, which looks an
+    argument up by its id before it hashes it and keeps it alive, so that no
+    id is reused.  The id comes first because MultiPoly.__hash__ builds a
+    frozenset and unequal values often share a hash (in CPython hash(-1) ==
+    hash(-2): K_6's 31 distinct entry values have 22 distinct hashes)."""
+    by_value: dict = {}
+    by_id: dict = {}
+
+    def g(p):
+        hit = by_id.get(id(p))
+        if hit is None:
+            hit = by_id[id(p)] = p, by_value[p] if p in by_value else by_value.setdefault(p, f(p))
+        return hit[1]
+
+    return g
 
 
 # The two constructors as they stood before Table._store, each walking its

@@ -15,7 +15,7 @@ from confcoalg import cli, families, serialize
 from confcoalg.cli import main, parse_scalar
 from confcoalg.coalgebra import dualize
 from confcoalg.families import corrupt_entry, make_vir
-from confcoalg.poly import D, LAM, MultiPoly, Scalar
+from confcoalg.poly import D, LAM, MultiPoly, Scalar, poly_to_json
 
 
 def run(capsys, *argv):
@@ -342,6 +342,19 @@ def test_corrupted_table_import_fails_with_one_line(tmp_path, capsys):
     assert code == 1
     lines = [l for l in out.splitlines() if l.strip().startswith("L,L")]
     assert len(lines) == 1 and "(d)*L" in lines[0]
+
+
+def test_import_with_terms_that_cancel_on_an_odd_generator_is_refused(tmp_path, capsys):
+    """Two [L lam L] terms on an added odd generator b cancel, but each breaks
+    parity additivity as given: verify --in refuses the document."""
+    doc = json.loads(serialize.dumps(make_vir()))
+    doc["generators"].append({"id": "b", "parity": 1})
+    row, = [row for row in doc["table"] if row["left"] == row["right"] == "L"]
+    row["terms"] += [{"gen": "b", "poly": poly_to_json(p)} for p in (LAM, -LAM)]
+    path = tmp_path / "cancel.json"
+    path.write_text(json.dumps(doc))
+    assert run(capsys, "verify", "--in", str(path)) == (
+        2, "", "error: parity violation in (L,L) -> b\n")
 
 
 COMMANDS = ("construct", "dualize", "emit", "crosscheck", "verify")
@@ -671,6 +684,31 @@ def test_each_benchmark_command_loads_exactly_what_it_runs(tmp_path):
         code, modules = _main_footprint(*argv, "--out", str(tmp_path / "out"))
         assert code == {"crosscheck-json": 1, "unknown-family": 2}.get(name, 0), name
         assert modules == {"confcoalg"} | BENCH_FOOTPRINTS[name], (name, sorted(modules))
+
+
+# run in a child before its commands: reading the row view raises
+_NO_ROW_VIEW = ("from confcoalg.conformal import Table\n"
+                "def _refuse(self):\n"
+                "    raise AssertionError('a command read Table.table')\n"
+                "Table.table = property(_refuse)\n")
+
+
+def test_no_command_reads_the_row_view(tmp_path):
+    """The nine commands of bench/workloads.CLI_COMMANDS, and dualize and
+    emit writing JSON, exit as they do with Table.table made to raise: the
+    writers and compare read only the stored form."""
+    from test_coalgebra import _bench_workloads
+
+    table = tmp_path / "k3.json"
+    table.write_text(serialize.dumps(families.make_K(3)))
+    runs = [[str(table) if a == "{table}" else a for a in argv]
+            for _, argv, _ in _bench_workloads().CLI_COMMANDS]
+    runs += [["dualize", "--family", "K", "--n", "3", "--format", "json"],
+             ["emit", "--family", "CK6", "--format", "json"]]
+    runs = [argv + ["--out", str(tmp_path / "out")] for argv in runs]
+    codes, _ = _footprint(_NO_ROW_VIEW + "from confcoalg.cli import main\n"
+                          f"result = [main(argv) for argv in {runs!r}]")
+    assert codes == [0, 0, 0, 0, 0, 0, 1, 0, 2, 0, 0]
 
 
 def test_coalgebra_loads_the_kernels_it_runs():

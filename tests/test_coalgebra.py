@@ -14,7 +14,7 @@ from types import SimpleNamespace
 import pytest
 
 from confcoalg import closed_form, families, poly, serialize
-from confcoalg.cli import main
+from confcoalg.cli import _emit, main
 from confcoalg.coalgebra import (
     Coproduct, DiffLine, DiffReport, TensorElement, apply_delta_slot, check_jordan_coalgebra,
     check_lie_coalgebra, compare, double_dual_roundtrip, dualize, tau, zeta,
@@ -529,10 +529,30 @@ def test_every_view_holds_one_object_per_value(family_tables):
             assert _one_object_per_value(q for row in C.table.values() for _, _, q in row), name
 
 
+def test_a_row_changed_in_place_reaches_no_writer(capsys):
+    """Every writer reads the stored form: with each value of the rows of
+    K_3, of its dual and of its closed form negated in place, dumps, the
+    LaTeX writers and the CLI text equal those of a fresh copy."""
+    def written(T):
+        tex = serialize.structure_tex if isinstance(T, LambdaStructure) else serialize.coproduct_tex
+        _emit(T, "text", None)
+        return serialize.dumps(T), tex(T), capsys.readouterr().out
+
+    for make in (lambda: families.make_K(3), lambda: dualize(families.make_K(3)),
+                 lambda: closed_form.coproduct_K(3)):
+        T, fresh = make(), make()
+        for p in {id(row[-1]): row[-1] for rows in T.table.values() for row in rows}.values():
+            for key, c in p.terms.items():
+                p.terms[key] = -c
+        assert T.table != fresh.table
+        assert written(T) == written(fresh)
+
+
 def test_row_views_keep_their_shape(family_tables):
     """A table's rows are every pair in row-major order and a coproduct's
-    every generator index in order, empty ones included: the writers and
-    the benchmark's input counts read them so."""
+    every generator index in order, empty ones included: the writers, by
+    value index (Table._indexed_rows), and the benchmark's input counts
+    read them so."""
     for name, S, tabulated in family_tables:
         n = S.rank
         assert list(S.table) == [(i, j) for i in range(n) for j in range(n)], name

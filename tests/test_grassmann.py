@@ -383,6 +383,20 @@ def test_coproduct_rows_are_merged_once():
     assert [name for name, tree in _production_sources() if _uses(tree, "normalized")] == []
 
 
+def test_writers_take_each_value_by_its_index():
+    """The writers and compare take each distinct value by its index into
+    Table._values(), so no module of the package defines _memo, the cache
+    by id and value they used, and serialize and cli read no row view."""
+    for name, tree in _production_sources():
+        defined = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        defined |= {node.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+        assert "_memo" not in defined, name
+        if name in ("confcoalg.serialize", "confcoalg.cli"):
+            assert not [node.lineno for node in ast.walk(tree)
+                        if isinstance(node, ast.Attribute) and node.attr == "table"], name
+
+
 def test_only_serialize_writes_indented_json():
     """serialize._json_text is the one JSON writer: no module of the package
     passes indent= to json.dumps or json.dump, which would write the same

@@ -283,6 +283,30 @@ def test_slot_path_refuses_with_the_constructor_messages(cls, gens, slots, value
         cls.from_slots(LIE, gens, [value], slots)
 
 
+@pytest.mark.parametrize("cls, gens, entry, value, message", [
+    (LambdaStructure, [Generator("a", 0)], (0, 0, 5), LAM,
+     r"^row \(0, 0\) names generator index 5, not in range\(1\)$"),
+    (LambdaStructure, LIE_GENS, (0, 0, 1), LAM, r"^parity violation in \(a,a\) -> b$"),
+    (LambdaStructure, LIE_GENS, (0, 0, 0), MU, r"^table entry uses variables \{'mu'\}$"),
+    (Coproduct, [Generator("a*", 0)], (5, 0, 0), X1,
+     r"^delta\(a\*\) names the pair \(5, 0\), not in range\(1\)$"),
+    (Coproduct, CO_GENS, (0, 1, 0), X1, r"^parity violation in delta\(a\*\)$"),
+    (Coproduct, CO_GENS, (0, 0, 0), LAM,
+     r"^delta\(a\*\) @ a\* \(x\) a\* uses lam; coproduct entries may only use x1 and x2$"),
+])
+def test_entries_that_cancel_are_checked_as_given(cls, gens, entry, value, message):
+    """Each nonzero entry is checked before repeats are summed: two entries
+    (i, j, k) that cancel still name generators in range, add parities and
+    use the table's variables, through the rows and through the slots."""
+    i, j, k = entry
+    rows = ({(i, j): [(k, value), (k, -value)]} if cls is LambdaStructure
+            else {k: [(i, j, value), (i, j, -value)]})
+    with pytest.raises(StructureError, match=message):
+        cls(LIE, gens, rows)
+    with pytest.raises(StructureError, match=message):
+        cls.from_slots(LIE, gens, [value, -value], [(i, j, k, 0), (i, j, k, 1)])
+
+
 @pytest.mark.parametrize("cls", [LambdaStructure, Coproduct])
 def test_slot_path_refuses_an_unknown_kind_and_a_bad_parity(cls):
     with pytest.raises(StructureError, match=r"^unknown kind 'lei'$"):
