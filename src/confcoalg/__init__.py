@@ -17,13 +17,15 @@ import importlib
 # exported name -> the module that defines it
 _HOME = {
     **dict.fromkeys((
-        "ConformalElement", "Generator", "LambdaStructure", "ModuleMap",
-        "Report", "StructureError", "bracket", "check_jacobi",
-        "check_jordan_comm", "check_jordan_identity", "check_skew",
-        "kernel_basis", "shift_spectral"), "conformal"),
+        "ConformalElement", "Coproduct", "Generator", "LambdaStructure", "StructureError"),
+        "tables"),
     **dict.fromkeys((
-        "Coproduct", "check_jordan_coalgebra", "check_lie_coalgebra",
-        "compare", "double_dual_roundtrip", "dualize"), "coalgebra"),
+        "Report", "bracket", "check_jacobi", "check_jordan_comm", "check_jordan_identity",
+        "check_skew", "shift_spectral"), "conformal"),
+    **dict.fromkeys(("ModuleMap", "kernel_basis"), "restricted"),
+    **dict.fromkeys(("compare", "dualize"), "dual"),
+    **dict.fromkeys((
+        "check_jordan_coalgebra", "check_lie_coalgebra", "double_dual_roundtrip"), "coalgebra"),
     **dict.fromkeys(("MultiPoly", "Scalar"), "poly"),
 }
 

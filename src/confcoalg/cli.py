@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import importlib
 import re
 import sys
 from typing import Optional
@@ -26,13 +27,15 @@ CHECK_FAILURE = 1
 
 
 class FamilyDef:
-    """A family of the command line, naming its constructor in families and
-    its closed-form emitter in closed_form, so that a command imports only
-    the modules it runs.  A family takes --n when it has a desk-scale cap on
-    n (--allow-large overrides it) or a set of allowed n.  The constructors
+    """A family of the command line: its series, whose constructor module
+    families_<series> holds make and whose emitter module
+    closed_form_<series> holds formula, so that a command imports only the
+    series it runs.  A family takes --n when it has a desk-scale cap on n
+    (--allow-large overrides it) or a set of allowed n.  The constructors
     run no check; a verdict comes only from the checks of a verify run."""
 
-    def __init__(self, make, cap=None, formula=None, allowed_n=None, takes_b=False):
+    def __init__(self, series, make, cap=None, formula=None, allowed_n=None, takes_b=False):
+        self.series = series
         self.make = make
         self.needs_n = cap is not None or allowed_n is not None
         self.cap = cap
@@ -41,32 +44,30 @@ class FamilyDef:
         self.takes_b = takes_b
 
     def build(self, n, b):
-        from . import families
-
+        module = importlib.import_module(f"confcoalg.families_{self.series}")
         args = ((n,) if self.needs_n else ()) + ((b,) if self.takes_b else ())
-        return getattr(families, self.make)(*args)
+        return getattr(module, self.make)(*args)
 
     def tabulated(self, n):
-        from . import closed_form
-
-        return getattr(closed_form, self.formula)(*((n,) if self.needs_n else ()))
+        module = importlib.import_module(f"confcoalg.closed_form_{self.series}")
+        return getattr(module, self.formula)(*((n,) if self.needs_n else ()))
 
 
 FAMILIES = {
-    "vir": FamilyDef("make_vir", formula="coproduct_vir"),
-    "cur": FamilyDef("make_cur_sl2", formula="coproduct_cur_sl2"),
-    "w": FamilyDef("make_W", cap=4, formula="coproduct_W"),
-    "s": FamilyDef("make_S", cap=3, formula="coproduct_S"),
-    "sb": FamilyDef("make_S_b", cap=2, takes_b=True),
-    "stilde": FamilyDef("make_S_tilde", cap=2),
-    "k": FamilyDef("make_K", cap=6, formula="coproduct_K"),
-    "n": FamilyDef("make_K", allowed_n=(2, 3, 4), formula="coproduct_N"),
-    "k4prime": FamilyDef("make_K4prime", formula="coproduct_K4prime"),
-    "ck6": FamilyDef("make_CK6", formula="coproduct_CK6"),
-    "jn": FamilyDef("make_Jn", cap=3, formula="coproduct_Jn"),
-    "js1": FamilyDef("make_JS1", formula="coproduct_JS1"),
-    "jck4": FamilyDef("make_JCK4", formula="coproduct_JCK4"),
-    "curjordan": FamilyDef("make_cur_jordan_unit"),
+    "vir": FamilyDef("current", "make_vir", formula="coproduct_vir"),
+    "cur": FamilyDef("current", "make_cur_sl2", formula="coproduct_cur_sl2"),
+    "w": FamilyDef("w", "make_W", cap=4, formula="coproduct_W"),
+    "s": FamilyDef("w", "make_S", cap=3, formula="coproduct_S"),
+    "sb": FamilyDef("w", "make_S_b", cap=2, takes_b=True),
+    "stilde": FamilyDef("w", "make_S_tilde", cap=2),
+    "k": FamilyDef("contact", "make_K", cap=6, formula="coproduct_K"),
+    "n": FamilyDef("contact", "make_K", allowed_n=(2, 3, 4), formula="coproduct_N"),
+    "k4prime": FamilyDef("contact", "make_K4prime", formula="coproduct_K4prime"),
+    "ck6": FamilyDef("contact", "make_CK6", formula="coproduct_CK6"),
+    "jn": FamilyDef("jordan", "make_Jn", cap=3, formula="coproduct_Jn"),
+    "js1": FamilyDef("jordan", "make_JS1", formula="coproduct_JS1"),
+    "jck4": FamilyDef("jordan", "make_JCK4", formula="coproduct_JCK4"),
+    "curjordan": FamilyDef("current", "make_cur_jordan_unit"),
 }
 
 LIE_CHECKS = ("skew", "jacobi", "coalg", "roundtrip")
@@ -216,7 +217,7 @@ def cmd_construct(args) -> int:
 
 def cmd_verify(args) -> int:
     S, fd, n = _table(args)
-    from .conformal import LIE
+    from .tables import LIE
 
     default = LIE_CHECKS if S.kind == LIE else JORDAN_CHECKS
     wanted = args.checks.split(",") if args.checks is not None else list(default)
@@ -255,7 +256,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_dualize(args) -> int:
-    S = _table(args)[0]   # before confcoalg.dualize, which imports coalgebra
+    S = _table(args)[0]
     _emit(confcoalg.dualize(S), args.format, args.out)
     return 0
 

@@ -1,14 +1,14 @@
-"""Differential (super)coalgebras dual to conformal structure tables.
+"""Differential (super)coalgebras dual to conformal structure tables: the co-checks.
 
-Dualization is the substitution functor on structure constants:
-
-    Q^{ij}_k(x1, x2) = P^{ij}_k(x1, -x1-x2),
-
-re-indexed from (i,j) -> k lists to k -> (i,j) lists.  The coproduct of a
-dual generator a_k^* is  delta(a_k^*) = sum Q^{ij}_k(x1, x2) a_i^* (x) a_j^*,
-where x_s stands for d acting on tensor slot s.  Because the substitution
-d -> -x1-x2 is (after identifying x2 with d) an involution, applying it
-twice is the identity -- the double-dual round trip.
+Dualization is the substitution functor on structure constants,
+Q^{ij}_k(x1, x2) = P^{ij}_k(x1, -x1-x2) (dual.dualize).  Because the
+substitution d -> -x1-x2 is (after identifying x2 with d) an involution,
+applying it twice is the identity -- the double-dual round trip.  This
+module checks the coalgebra axioms of a coproduct (check_lie_coalgebra,
+check_jordan_coalgebra) and the round trip; the coproducts themselves
+(tables.Coproduct), dualize and compare are imported here from their own
+modules, so the commands that only dualize, emit or cross-check compile
+none of these checks.
 
 Tensor arithmetic keeps one coefficient polynomial in x1..x_arity per tuple
 of generator indices.  Swapping adjacent slots introduces the Koszul sign
@@ -28,86 +28,17 @@ rows as it writes them.
 
 from __future__ import annotations
 
-from operator import itemgetter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
-from .conformal import (
-    CONSISTENT, Generator, JORDAN, LIE, LambdaStructure, Record, Report, StructureError, Table,
-    Violation, _numbered,
-)
+from .conformal import CONSISTENT, Report, Violation
+from .dual import DiffLine, DiffReport, compare, dualize  # noqa: F401  (reached here too)
 from .kernels import _jacobi_rows, _jordan_rows   # the co-checks run both kernels
-from .poly import (
-    D, LAM, MultiPoly, P_ONE, _COMPONENT_SHIFT, _MAXEXP, _MONO_MASK, _VAR_SHIFT, _parts,
-    _poly_text, accumulate, vector_text,
+from .poly import D, LAM, MultiPoly, P_ONE, _COMPONENT_SHIFT, _parts, _poly_text, accumulate
+from .tables import (  # noqa: F401  (dual_generators reached here too)
+    Coproduct, JORDAN, LIE, LambdaStructure, StructureError, dual_generators,
 )
 
 _X = ("x1", "x2", "x3", "x4")
-# monomial fields of every variable but x1 and x2, the two coproduct slots
-_NOT_SLOT = _MONO_MASK & ~(_MAXEXP << _VAR_SHIFT["x1"] | _MAXEXP << _VAR_SHIFT["x2"])
-
-
-class Coproduct(Table):
-    """Coproduct table of a differential (super)coalgebra on a dual basis.
-
-    conformal.Table holds its generators and stored form; this class adds
-    the row view, table[k] = delta(a_k^*) as its list of (i, j, Q^{ij}_k),
-    each (i, j) once and in order of first occurrence, for every k, so two
-    coproducts with the same sums have the same table and the same document."""
-
-    _ORDER, _STRAY_VARS = itemgetter(2), _NOT_SLOT     # sorted stably by k; entries in x1 and x2
-
-    def __init__(self, kind: str, generators: Sequence[Generator],
-                 table: Dict[int, List[Tuple[int, int, MultiPoly]]], name: str = ""):
-        super().__init__(kind, generators, name)
-        stray = [k for k in table if k not in range(self.rank)]
-        if stray:
-            raise self._refusal(0, 0, stray[0], None)
-        self._store(*_numbered((i, j, k, q) for k, row in table.items() for i, j, q in row))
-
-    def _refusal(self, i, j, k, q) -> StructureError:
-        n, g, par = self.rank, self.generators, self.parities
-        if k not in range(n):
-            return StructureError(f"delta row {k!r} is not a generator index in range({n})")
-        if not (i in range(n) and j in range(n)):
-            return StructureError(f"delta({g[k].id}) names the pair ({i}, {j}), not in range({n})")
-        if par[k] != (par[i] + par[j]) & 1:
-            return StructureError(f"parity violation in delta({g[k].id})")
-        stray = ", ".join(sorted(q.variables() - {"x1", "x2"}))
-        return StructureError(f"delta({g[k].id}) @ {g[i].id} (x) {g[j].id} uses {stray}; "
-                              "coproduct entries may only use x1 and x2")
-
-    def _unslotted(self, vec: dict) -> dict:
-        return vec      # Q is stored as it is, and the rows are in the slot variables too
-
-    _slotted = _unslotted
-
-    def _rows(self, slots, values) -> dict:
-        rows = {k: [] for k in range(self.rank)}
-        for i, j, k, e in slots:
-            rows[k].append((i, j, values[e]))
-        return rows
-
-
-def dual_generators(gens: Sequence[Generator]) -> List[Generator]:
-    """The dual basis of gens: a_k^* for each a_k, its LaTeX name ending in ^*."""
-    return [Generator(g.id + "*", g.parity, (g.latex or g.id) + "^*") for g in gens]
-
-
-def dualize(S: LambdaStructure) -> Coproduct:
-    """The coproduct on the dual basis: Q^{ij}_k(x, y) = P^{ij}_k(x, -x-y).
-
-    S's stored form already holds the table as Q, so dualize relabels it
-    and builds no rows: the coproduct stores S's L and vectors, with S's
-    slots stably regrouped by k, as its rows list them.  It skips
-    Table._store, which would find nothing to merge or refuse: S
-    has one entry per (i, j, k), none zero, checked for parity additivity,
-    and its stored form uses only x1 and x2.
-    """
-    L, (vecs, slots) = S.packed
-    cop = Coproduct.__new__(Coproduct)
-    Table.__init__(cop, S.kind, dual_generators(S.generators), S.name + "^c")
-    cop.packed = L, (vecs, sorted(slots, key=lambda slot: slot[2]))
-    return cop
 
 
 def double_dual_roundtrip(S: LambdaStructure) -> Report:
@@ -371,98 +302,3 @@ def check_jordan_coalgebra(cop: Coproduct) -> Report:
                        ("co-jordan", 4, jordan, -L ** 3)])
     return rep
 
-
-# ---------------------------------------------------------------------------
-# comparison of coproducts (machine-dual vs closed-form transcription)
-
-
-class DiffLine(Record):
-    __slots__ = ("gen", "left", "right", "got", "expected")
-
-    def __init__(self, gen: str, left: str, right: str, got: str, expected: str):
-        self._set(gen, left, right, got, expected)
-
-    def __str__(self):
-        return (
-            f"delta({self.gen}) @ {self.left} (x) {self.right}: "
-            f"{self.got}  !=  {self.expected}"
-        )
-
-
-class DiffReport(Record):
-    __slots__ = ("name_a", "name_b", "lines")
-
-    def __init__(self, name_a: str, name_b: str, lines: Optional[List[DiffLine]] = None):
-        self._set(name_a, name_b, [] if lines is None else lines)
-
-    @property
-    def ok(self) -> bool:
-        return not self.lines
-
-    def summary(self) -> str:
-        status = "empty diff" if self.ok else f"{len(self.lines)} differences"
-        return f"crosscheck[{self.name_a} vs {self.name_b}]: {status}"
-
-    def to_json(self) -> dict:
-        return {
-            "a": self.name_a,
-            "b": self.name_b,
-            "ok": self.ok,
-            "diffs": [
-                {
-                    "gen": l.gen,
-                    "left": l.left,
-                    "right": l.right,
-                    "a_poly": l.got,
-                    "b_poly": l.expected,
-                }
-                for l in self.lines
-            ],
-        }
-
-
-def compare(a: Coproduct, b: Coproduct) -> DiffReport:
-    """Exact table diff of two coproducts on the same generator ids, pair by
-    pair of their merged tables, in a's generator order.
-
-    It reads the stored forms: each side's slots give (k, i, j) -> vector,
-    b's indices mapped to a's by id, and each distinct pair of vectors is
-    compared once, at the common scale (v_a L_b == v_b L_a).  Only a pair
-    that differs is written, with vector_text, which is repr of the
-    polynomial, or "0" for a side without it; an empty diff unpacks nothing.
-    """
-    if a.index.keys() != b.index.keys():
-        raise StructureError(
-            f"generator sets differ: {sorted(a.index.keys() ^ b.index.keys())}"
-        )
-    ga = a.generators
-    to_a = [a.index[g.id] for g in b.generators]
-    La, (va, sa) = a.packed
-    Lb, (vb, sb) = b.packed
-    right = {(to_a[k], to_a[i], to_a[j]): e for i, j, k, e in sb}
-    same: Dict[Tuple[int, int], bool] = {}   # (e_a, e_b) -> their vectors are equal
-    differ = []     # (k, i, j, e_a, e_b) of each pair that differs, None for a side without it
-    for i, j, k, ea in sa:
-        eb = right.pop((k, i, j), None)
-        if eb is not None:
-            eq = same.get((ea, eb))
-            if eq is None:
-                eq = same[ea, eb] = _scaled_equal(va[ea], Lb, vb[eb], La)
-            if eq:
-                continue
-        differ.append((k, i, j, ea, eb))
-    differ += [(k, i, j, None, eb) for (k, i, j), eb in right.items()]
-    rep = DiffReport(a.name, b.name)
-    # the text of each distinct vector e of a side that differs; "0" for a side without the pair
-    text_a = {e: "0" if e is None else vector_text(va[e], La)[0] for e in {d[3] for d in differ}}
-    text_b = {e: "0" if e is None else vector_text(vb[e], Lb)[0] for e in {d[4] for d in differ}}
-    for k, i, j, ea, eb in sorted(differ):
-        rep.lines.append(DiffLine(ga[k].id, ga[i].id, ga[j].id, text_a[ea], text_b[eb]))
-    return rep
-
-
-def _scaled_equal(u: dict, su: int, v: dict, sv: int) -> bool:
-    """u / sv == v / su for packed vectors u and v, that is u su == v sv."""
-    if su == sv:
-        return u == v
-    return len(u) == len(v) and all(c * su == v.get(key, 0) * sv for key, c in u.items())

@@ -1,23 +1,25 @@
-"""Sign combinatorics of the Grassmann algebra on n odd generators.
+"""Readable Grassmann monomials: the ``IndexSet``/``SignedMonomial`` layer.
 
-Monomials are indexed by subsets of {1..n}, held as bitmasks (bit i-1 set
-means generator i occurs); plain int masks are the one representation the
-package builds its tables on.  All products carry the sign (-1)**alpha(I,J)
-where alpha counts the adjacent transpositions needed to sort the
-juxtaposition I.J.  The sign rule lives here once, on masks: ``alpha_mask``,
-``eps_mask`` (derivative signs) and ``mul_sign`` (product signs).
-
-The ``IndexSet``/``SignedMonomial`` layer wraps these helpers for readable
-examples; it is the reference that the tests and ``bench/micro.py`` use, and
-no production module calls it (its ``eps`` and ``derive``, which only the
-tests use, are in ``tests/helpers.py``).  Sign errors are the dominant bug
-class in this domain, so its constructors reject unsorted input instead of
-sorting it.
+The sign rule of the Grassmann algebra lives once, on plain int masks, in
+masks (``alpha_mask``, ``eps_mask``, ``mul_sign``, ``members``), which this
+module imports for its callers.  The ``IndexSet``/``SignedMonomial`` layer
+wraps those helpers for readable examples; it is the reference that the
+tests and ``bench/micro.py`` use, and no production module calls it (its
+``eps`` and ``derive``, which only the tests use, are in
+``tests/helpers.py``).  Sign errors are the dominant bug class in this
+domain, so its constructors reject unsorted input instead of sorting it.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional, Tuple
+
+from .masks import alpha_mask, eps_mask, members, mul_sign
+
+__all__ = [
+    "IndexSet", "MAX_N", "SignedMonomial", "alpha", "alpha_mask", "complement", "eps_mask",
+    "hodge", "members", "mul", "mul_sign", "subsets",
+]
 
 MAX_N = 16
 
@@ -105,33 +107,9 @@ class SignedMonomial:
         return f"{'+' if self.sign > 0 else '-'}xi{self.idxset}"
 
 
-def members(mask: int) -> Tuple[int, ...]:
-    """The members of a subset mask, ascending."""
-    return tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
-
-
 def _check_ambient(a: IndexSet, b: IndexSet):
     if a.n != b.n:
         raise ValueError("ambient dimensions differ")
-
-
-def alpha_mask(a: int, b: int) -> int:
-    """alpha on plain masks: #{(i, j): i in a, j in b, j < i}; a, b disjoint."""
-    if a & b:
-        raise ValueError("alpha undefined for overlapping sets")
-    count = 0
-    while a:
-        low = a & -a                        # the lowest member left in a
-        count += (b & (low - 1)).bit_count()
-        a ^= low
-    return count
-
-
-def mul_sign(a: int, b: int) -> int:
-    """Sign of xi_a * xi_b = sign * xi_{a|b} on plain masks; 0 when a and b overlap."""
-    if a & b:
-        return 0
-    return -1 if alpha_mask(a, b) & 1 else 1
 
 
 def alpha(I: IndexSet, J: IndexSet) -> int:
@@ -149,13 +127,6 @@ def mul(I: IndexSet, J: IndexSet) -> Optional[SignedMonomial]:
     _check_ambient(I, J)
     sign = mul_sign(I.mask, J.mask)
     return SignedMonomial(sign, IndexSet.from_mask(I.n, I.mask | J.mask)) if sign else None
-
-
-def eps_mask(i: int, m: int) -> int:
-    """eps on a plain mask: members of m strictly below i; i must belong to m."""
-    if not m >> (i - 1) & 1:
-        raise ValueError(f"{i} not a member of mask {m:b}")
-    return (m & ((1 << (i - 1)) - 1)).bit_count()
 
 
 def complement(I: IndexSet) -> IndexSet:

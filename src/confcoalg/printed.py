@@ -15,12 +15,13 @@ import itertools
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
+from .bases import _entry_polys
 from .conformal import (
     ConformalElement, LIE, LambdaStructure, Report, StructureError, Violation, bracket,
     shift_spectral,
 )
-from .families import _d_mul, _entry_polys, _mask_of, _monomial, _sgn, make_W
-from .grassmann import eps_mask, members, mul_sign
+from .families_w import make_W
+from .masks import _d_mul, _mask_of, _monomial, _sgn, eps_mask, members, mul_sign
 from .poly import D, LAM, MultiPoly, P_ONE, P_ZERO, Scalar, accumulate
 from .restricted import (
     SnBasisElement, _CK6_STAR, _ck6_name, _ck6_parity, _hodge_sign, ck6_symbol, div_w,
@@ -39,7 +40,7 @@ def _current_action(W: LambdaStructure) -> LambdaStructure:
     the adjoint bracket does not (its Lambda-part carries -(d + 2 lam)).
     The rows of targets outside the currents are empty."""
     lam_idx, w_idx = W.meta["lam_idx"], W.meta["w_idx"]
-    number: Dict[Tuple[int, int, int], int] = {}    # see families._entry_polys
+    number: Dict[Tuple[int, int, int], int] = {}    # see bases._entry_polys
     slots = []
     for J, j in lam_idx.items():
         for I, i in lam_idx.items():

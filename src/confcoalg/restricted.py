@@ -2,38 +2,96 @@
 
 S_n, S_{n,b}, S~_n, K_4' and CK_6 are built by restriction inside an
 ambient algebra (W_n, K_4 or K_6): each lists its basis and embeds it,
-conformal.bracket_pairs gives the brackets of the embedded basis as packed
-rows, one span_reader per table gives their coordinates by forward
-substitution over pivots on packed vectors (a bracket outside the span
-raises NotInSpan), and _restrict gives them to Table.from_slots.  This
-module holds that machinery, the divergence div_b of W_n, whose kernel
-S_{n,b} is, and the bases, embeddings and symbols of S_n and CK_6.  The five
-constructors in families import it inside their bodies, and closed_form's
-emitters of S_n, K_4' and CK_6 inside theirs, so a command that builds or
-emits no subalgebra family never compiles it.
+bracket_pairs gives the brackets of the embedded basis as packed rows, one
+span_reader per table gives their coordinates by forward substitution over
+pivots on packed vectors (a bracket outside the span raises NotInSpan), and
+_restrict gives them to Table.from_slots.  This module holds that
+machinery, the kernel of a C[d]-module map (ModuleMap, kernel_basis), the
+divergence div_b of W_n, whose kernel S_{n,b} is, and the bases,
+embeddings and symbols of S_n and CK_6.  The five constructors of these
+families (families_w, families_contact) import it inside their bodies, and
+the emitters of S_n, K_4' and CK_6 (closed_form_w, closed_form_contact)
+inside theirs, so a command that builds or emits no subalgebra family never
+compiles it.
 """
 
 from __future__ import annotations
 
 import heapq
 from fractions import Fraction
+from itertools import groupby
 from math import gcd
-from typing import Dict, List, Sequence, Tuple
+from operator import itemgetter
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .conformal import (
-    ConformalElement, FrozenRecord, Generator, LambdaStructure, ModuleMap, StructureError,
-    bracket_pairs,
+from .masks import (
+    _d_mul, _digits, _mask_of, _masks, _monomial, _sgn, alpha_mask, members, mul_sign,
 )
-from .families import _d_mul, _digits, _mask_of, _masks, _monomial, _sgn
-from .grassmann import alpha_mask, members, mul_sign
 from .poly import (
-    D, MultiPoly, P_ONE, Scalar, _COMPONENT_SHIFT, _GUARD, add_product, common_denominator,
-    compact_vector, pack_vector, unpack_vector,
+    D, LAM, MultiPoly, P_ONE, Scalar, _COMPONENT_SHIFT, _GUARD, _VAR_SHIFT, accumulate,
+    add_product, common_denominator, compact_vector, pack_vector, unpack_vector,
+)
+from .tables import (
+    ConformalElement, FrozenRecord, Generator, LambdaStructure, StructureError, _FLIP_BACK,
 )
 
 
 class NotInSpan(StructureError):
     """An element outside the span of an embedded basis."""
+
+
+def bracket_pairs(
+    S: LambdaStructure, xs: Sequence[ConformalElement]
+) -> Iterator[Tuple[Dict[int, int], int]]:
+    """Yield (row, scale) for each x_a of xs in order: row packs [x_a lam x_b]
+    for every b at component b n + k for a_k (n the rank of S), scale times too large.
+
+    The same values as bracket(S, x_a, x_b, "lam"), with the work shared:
+    the right images q(lam+d) are packed once each, at component b n, and
+    S is read in its stored form, each distinct vector mapped back to P, L
+    times too large, once (_FLIP_BACK).  For each generator a_i met on the
+    left, one vector holds sum_j q_bj(lam+d) [a_i lam a_j] for every b,
+    each nonempty [a_i lam a_j] placed at the components k of its entries;
+    row a is one product p(-lam) times that vector per term p a_i of x_a.
+    The vector of a_i is dropped after the last row that meets it, so a
+    caller that keeps only what it derives from each row never holds all
+    the brackets at once (in CK_6 each generator of K_6 meets one row).
+    """
+    if any("lam" in p.variables() for x in xs for p in x.terms.values()):
+        raise StructureError("left coefficient already uses lam")
+    n = S.rank
+    Lx = common_denominator(p for x in xs for p in x.terms.values())
+    Ls, (vecs, slots) = S.packed
+    backs = [_FLIP_BACK(vec) for vec in vecs]
+    rows = {i: list(row) for i, row in groupby(slots, itemgetter(0))}   # slots sorted by i
+    rights: Dict[int, List[dict]] = {}
+    for b, x in enumerate(xs):
+        for j, q in x.terms.items():
+            rights.setdefault(j, []).append(
+                pack_vector([(b * n, q.subst_general("d", LAM + D))], Lx))
+    last_row = {i: a for a, x in enumerate(xs) for i in x.terms}
+    by_left: Dict[int, Dict[int, int]] = {}
+    for a, x in enumerate(xs):
+        acc: Dict[int, int] = {}
+        for i, p in x.terms.items():
+            vec = by_left.get(i)
+            if vec is None:
+                vec = {}
+                get = vec.get
+                for _, j, k, e in rows.get(i, ()):     # vec += q_bj(lam+d) P^{ij}_k at k
+                    tag, P = k << _COMPONENT_SHIFT, backs[e].items()
+                    for qr in rights.get(j, ()):
+                        for k1, c1 in qr.items():
+                            k1 += tag
+                            for k2, c2 in P:
+                                vec[k1 + k2] = get(k1 + k2, 0) + c1 * c2
+                vec = by_left[i] = compact_vector(vec)
+            add_product(acc, pack_vector([(0, p.subst_general("d", -LAM))], Lx), vec)
+            if last_row[i] == a:
+                del by_left[i]
+        yield compact_vector(acc), Lx * Lx * Ls
+
+
 
 
 def span_reader(ambient: LambdaStructure, embeds: Sequence[ConformalElement]):
@@ -152,6 +210,105 @@ def _restrict(ambient: LambdaStructure, embeds: List[ConformalElement]):
                     values.append(unpack_vector(v, s)[0])
                 slots.append((a, b, j, e))
     return values, slots
+
+
+# ---------------------------------------------------------------------------
+# kernel of a C[d]-module map
+
+
+class ModuleMap:
+    """C[d]-linear map between free modules, entries polynomial in d only."""
+
+    def __init__(self, source: Sequence[str], target: Sequence[str],
+                 entries: Dict[Tuple[int, int], MultiPoly]):
+        self.source = list(source)
+        self.target = list(target)
+        self.entries = {}
+        for (ti, si), p in entries.items():
+            if p.is_zero():
+                continue
+            if p.variables() - {"d"}:
+                raise StructureError("module map entries must live in C[d]")
+            self.entries[(ti, si)] = p
+
+
+_D_SHIFT = _VAR_SHIFT["d"]
+
+
+def _divmod_d(a: MultiPoly, b: MultiPoly) -> Tuple[MultiPoly, MultiPoly]:
+    """Univariate division in Q(beta)[d]: a = q*b + r with deg r < deg b."""
+    q = MultiPoly.zero()
+    r = a
+    db = b.degree_in("d")
+    lead_b = b.terms.get(db << _D_SHIFT) if db >= 0 else None
+    while not r.is_zero() and r.degree_in("d") >= db:
+        dr = r.degree_in("d")
+        lead_r = r.terms.get(dr << _D_SHIFT)
+        if lead_r is None:
+            raise StructureError("non-univariate entry in kernel elimination")
+        step = MultiPoly.monomial({"d": dr - db}, lead_r * lead_b.inverse())
+        q = q + step
+        r = r - step * b
+    return q, r
+
+
+def _eliminate_columns(
+    cols: List[Dict[int, MultiPoly]], track: Optional[List[Dict[int, MultiPoly]]] = None
+) -> List[Tuple[int, int]]:
+    """Unimodular column reduction of cols in place, each step repeated on track.
+
+    Row by row, division with remainder in d between the live columns leaves
+    one column nonzero in that row, its pivot.  Returns the pivots as
+    (row, col) in elimination order.
+    """
+    stores = [cols] if track is None else [cols, track]
+    pivots = []
+    active = list(range(len(cols)))
+    for row in sorted({r for c in cols for r in c}):
+        live = [j for j in active if row in cols[j]]
+        while len(live) > 1:
+            live.sort(key=lambda j: cols[j][row].degree_in("d"))
+            pivot, other = live[0], live[1]
+            q, _ = _divmod_d(cols[other][row], cols[pivot][row])
+            for store in stores:  # column other -= q * column pivot
+                dst = store[other]
+                for r, p in store[pivot].items():
+                    accumulate(dst, r, -(q * p))
+            live = [j for j in active if row in cols[j]]
+        if live:
+            pivots.append((row, live[0]))
+            active.remove(live[0])
+    return pivots
+
+
+def kernel_basis(M: ModuleMap) -> List[Dict[int, MultiPoly]]:
+    """Free basis of ker M over Q(beta)[d], by tracked column elimination.
+
+    Unimodular column operations reduce M; columns that become zero give the
+    kernel, read off from the tracking matrix.  Returned as coordinate dicts
+    over the source basis, content-normalised.
+    """
+    ncols = len(M.source)
+    cols = [{i: M.entries[(i, j)] for i in range(len(M.target)) if (i, j) in M.entries}
+            for j in range(ncols)]
+    track = [{j: P_ONE} for j in range(ncols)]
+    pivots = {j for _, j in _eliminate_columns(cols, track)}
+    return [_normalise_content(track[j]) for j in range(ncols)
+            if j not in pivots and not cols[j]]
+
+
+def _normalise_content(coords: Dict[int, MultiPoly]) -> Dict[int, MultiPoly]:
+    """Divide through by the rational content and fix the leading sign."""
+    g = gcd(*(x.numerator for p in coords.values() for c in p.terms.values()
+              for x in (c.re, c.im)))
+    if not g:
+        return coords
+    scale = Scalar(Fraction(common_denominator(coords.values()), g))
+    first = min(coords)
+    lead = coords[first].terms[max(coords[first].terms)]
+    if (lead * scale).re < 0 or ((lead * scale).re == 0 and (lead * scale).im < 0):
+        scale = -scale
+    return {g_: p.scalar_mul(scale) for g_, p in coords.items()}
 
 
 # ---------------------------------------------------------------------------

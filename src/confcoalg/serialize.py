@@ -48,15 +48,12 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _str_text
-from typing import TYPE_CHECKING, Dict, List
+from typing import Dict, List
 
-from .conformal import Generator, JORDAN, LIE, LambdaStructure, StructureError
 from .poly import (
     MultiPoly, _MAXEXP, _VAR_SHIFT, _exp_of, _int_text, _sort_key, poly_from_json, poly_to_json,
 )
-
-if TYPE_CHECKING:
-    from .coalgebra import Coproduct
+from .tables import Coproduct, Generator, JORDAN, LIE, LambdaStructure, StructureError
 
 FORMAT_VERSION = 1
 
@@ -152,8 +149,6 @@ def _coproduct_json(C: Coproduct) -> dict:
 
 
 def coproduct_from_json(data: dict) -> Coproduct:
-    from .coalgebra import Coproduct
-
     if _doc_type(data) != "coproduct":
         raise StructureError("not a coproduct document")
     gens, index = _generators(data)
@@ -266,12 +261,10 @@ def dumps(obj) -> str:
     converted once, or a report dict of verify or crosscheck as it is."""
     if isinstance(obj, LambdaStructure):
         doc = _structure_json(obj)
-    elif isinstance(obj, (dict, list)):
+    elif isinstance(obj, Coproduct):
+        doc = _coproduct_json(obj)
+    else:
         doc = obj
-    else:   # coalgebra is imported only where a coproduct may be written
-        from .coalgebra import Coproduct
-
-        doc = _coproduct_json(obj) if isinstance(obj, Coproduct) else obj
     return _json_text(doc)
 
 

@@ -5,10 +5,11 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
 from confcoalg import conformal, kernels, restricted
-from confcoalg.coalgebra import Coproduct, DiffLine, DiffReport, _NOT_SLOT
-from confcoalg.conformal import (
-    ConformalElement, LambdaStructure, Report, StructureError, Table, Violation, _NOT_LAM_D,
-    _TO_SLOTS, _put, _renamed,
+from confcoalg.conformal import Report, Violation, _put, _renamed
+from confcoalg.dual import DiffLine, DiffReport
+from confcoalg.tables import (
+    ConformalElement, Coproduct, LambdaStructure, StructureError, Table, _NOT_LAM_D, _NOT_SLOT,
+    _TO_SLOTS,
 )
 from confcoalg.grassmann import IndexSet, SignedMonomial, eps_mask
 from confcoalg.poly import (
@@ -436,9 +437,9 @@ def conformal_record_oracle(rep, S, rows, arity, scale, back):
 
 def element_pairs(S, xs):
     """((a, b), [x_a lam x_b]) for every ordered pair of xs, row by row, as
-    ConformalElements: the packed rows of conformal.bracket_pairs unpacked."""
+    ConformalElements: the packed rows of restricted.bracket_pairs unpacked."""
     n = S.rank
-    for a, (row, scale) in enumerate(conformal.bracket_pairs(S, xs)):
+    for a, (row, scale) in enumerate(restricted.bracket_pairs(S, xs)):
         terms = [{} for _ in xs]
         for m, p in unpack_vector(row, scale).items():
             b, k = divmod(m, n)
@@ -448,7 +449,7 @@ def element_pairs(S, xs):
 
 
 def packed_rows(pairs, n):
-    """The rows of conformal.bracket_pairs, (row, scale), made from the
+    """The rows of restricted.bracket_pairs, (row, scale), made from the
     ((a, b), element) pairs of each row a in turn: [x_a lam x_b] at the
     components b n + k of row a."""
     rows = {}

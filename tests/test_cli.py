@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 import confcoalg
-from confcoalg import cli, families, serialize
+from confcoalg import cli, families, families_contact, serialize
 from confcoalg.cli import main, parse_scalar
 from confcoalg.coalgebra import dualize
 from confcoalg.families import corrupt_entry, make_vir
@@ -141,7 +141,7 @@ def test_crosscheck_text_is_the_report_summary(capsys):
 def test_verify_crosscheck_builds_the_table_once(monkeypatch, capsys):
     calls = []
     make = families.make_CK6
-    monkeypatch.setattr(families, "make_CK6", lambda: calls.append(1) or make())
+    monkeypatch.setattr(families_contact, "make_CK6", lambda: calls.append(1) or make())
     code, out, _ = run(capsys, "verify", "--family", "ck6", "--checks", "crosscheck",
                        "--format", "json")
     assert code == 1 and len(calls) == 1
@@ -635,39 +635,47 @@ def test_construct_json_loads_no_coalgebra(tmp_path):
 
 def test_verify_family_text_loads_no_emitter_or_serialiser():
     code, modules = _main_footprint("verify", "--family", "vir")
-    assert code == 0 and "families" in modules
-    assert not modules & {"closed_form", "serialize"}
+    assert code == 0 and "families_current" in modules
+    assert not modules & {"families", "closed_form", "closed_form_builder", "serialize"}
 
 
 def test_construct_text_loads_no_serialiser_or_coalgebra():
     code, modules = _main_footprint("construct", "--family", "S", "--n", "2",
                                     "--format", "text")
-    assert code == 0 and "families" in modules
-    assert not modules & {"serialize", "closed_form", "coalgebra"}
+    assert code == 0 and "families_w" in modules
+    assert not modules & {"families", "serialize", "closed_form", "coalgebra", "dual"}
 
 
 def test_dualize_text_loads_no_emitter_or_serialiser():
     code, modules = _main_footprint("dualize", "--family", "K", "--n", "2", "--format", "text")
-    assert code == 0 and "coalgebra" in modules
-    assert not modules & {"serialize", "closed_form"}
+    assert code == 0 and "dual" in modules
+    assert not modules & {"serialize", "closed_form", "coalgebra", "conformal", "kernels"}
 
 
 # the confcoalg submodules each command of the benchmark's cli-commands
-# workload loads, by its name there: kernels only with coalgebra, restricted
-# only for a subalgebra family, and printed for none
-_COMMON = {"cli", "conformal", "families", "grassmann", "poly"}
-_CHECKS = {"cli", "coalgebra", "conformal", "kernels", "poly"}
+# workload loads, by its name there: the one series module of its family
+# (families_<series>, closed_form_<series>), the checks and kernels only for
+# verify, restricted only for a subalgebra family, and printed, grassmann and
+# the families and closed_form hubs for none
+_STORED = {"cli", "poly", "tables"}
+_MASKS = _STORED | {"bases", "masks"}
+_CHECKS = _STORED | {"coalgebra", "conformal", "dual", "kernels"}
 BENCH_FOOTPRINTS = {
-    "construct-json": _COMMON | {"serialize"},
-    "construct-latex": _COMMON | {"serialize"},
-    "construct-text": _COMMON | {"restricted"},
+    "construct-json": _MASKS | {"families_contact", "serialize"},
+    "construct-latex": _MASKS | {"families_w", "serialize"},
+    "construct-text": _MASKS | {"families_w", "restricted"},
     "verify-in": _CHECKS | {"serialize"},
-    "dualize-latex": _COMMON | _CHECKS | {"restricted", "serialize"},
-    "emit": _COMMON | _CHECKS | {"closed_form"},
-    "crosscheck-json": _COMMON | _CHECKS | {"closed_form", "restricted", "serialize"},
-    "verify-vir": _COMMON | _CHECKS,
+    "dualize-latex": _MASKS | {"dual", "families_contact", "restricted", "serialize"},
+    "emit": _MASKS | {"closed_form_builder", "closed_form_w"},
+    "crosscheck-json": _MASKS | {"closed_form_builder", "closed_form_w", "dual", "families_w",
+                                 "restricted", "serialize"},
+    "verify-vir": _CHECKS | {"families_current"},
     "unknown-family": {"cli"},
 }
+# the most source lines the nine commands may compile in one pass, each
+# module they load counted once per command that loads it: with no bytecode
+# cache a child compiles every line of every module it imports
+COMPILED_LINES_PER_PASS = 21_000
 
 
 def test_each_benchmark_command_loads_exactly_what_it_runs(tmp_path):
@@ -684,6 +692,23 @@ def test_each_benchmark_command_loads_exactly_what_it_runs(tmp_path):
         code, modules = _main_footprint(*argv, "--out", str(tmp_path / "out"))
         assert code == {"crosscheck-json": 1, "unknown-family": 2}.get(name, 0), name
         assert modules == {"confcoalg"} | BENCH_FOOTPRINTS[name], (name, sorted(modules))
+
+
+def test_benchmark_commands_compile_at_most_21000_lines():
+    """The source lines of the confcoalg modules each command of
+    bench/workloads.CLI_COMMANDS loads (BENCH_FOOTPRINTS, the package root
+    included), summed over the nine commands of one pass."""
+    package = os.path.dirname(confcoalg.__file__)
+
+    def lines(module):
+        name = "__init__" if module == "confcoalg" else module
+        with open(os.path.join(package, name + ".py")) as fh:
+            return sum(1 for _ in fh)
+
+    per_command = {name: sum(map(lines, {"confcoalg"} | modules))
+                   for name, modules in BENCH_FOOTPRINTS.items()}
+    assert sum(per_command.values()) <= COMPILED_LINES_PER_PASS, per_command
+    assert per_command["emit"] < 2_200, per_command
 
 
 # run in a child before its commands: reading the row view raises
@@ -713,9 +738,38 @@ def test_no_command_reads_the_row_view(tmp_path):
 
 def test_coalgebra_loads_the_kernels_it_runs():
     """coalgebra imports kernels at its top, as its co-checks run both
-    kernels, and nothing else of the package beyond conformal and poly."""
+    kernels, and nothing else of the package beyond conformal, dual, tables
+    and poly."""
     _, modules = _footprint("import confcoalg.coalgebra\nresult = None")
-    assert modules == {"confcoalg", "conformal", "kernels", "poly", "coalgebra"}
+    assert modules == {"confcoalg", "conformal", "dual", "kernels", "poly", "tables", "coalgebra"}
+
+
+def test_benchmark_library_reaches_every_name_it_runs():
+    """bench/run.Library imports the modules of bench/run.MODULES: every name
+    of bench/tracing.TARGETS and every constructor and emitter that
+    bench/workloads names is in their namespaces after that import, none of
+    them resolves a name lazily (a module __getattr__), and the import has
+    loaded kernels and every series module, so that no workload compiles a
+    module of the package inside a timed pass."""
+    root = os.path.dirname(os.path.dirname(os.path.dirname(confcoalg.__file__)))
+    (missing, lazy, loaded), _ = _footprint(
+        f"sys.path.insert(0, {os.path.join(root, 'bench')!r})\n"
+        "import run, tracing, workloads\n"
+        "mods = run.Library().modules()\n"
+        "def space(owner):\n"
+        "    module, _, cls = owner.partition('.')\n"
+        "    return vars(getattr(mods[module], cls) if cls else mods[module])\n"
+        "missing = [f'{t.owner}.{t.attr}' for t in tracing.TARGETS if t.attr not in space(t.owner)]\n"
+        "missing += [f'families.{fn}' for fn, _ in workloads.FAMILIES.values()\n"
+        "            if fn not in space('families')]\n"
+        "missing += [f'closed_form.{fn}' for _, _, fn, _ in workloads.CROSSCHECKS\n"
+        "            if fn not in space('closed_form')]\n"
+        "lazy = sorted(name for name, module in mods.items() if '__getattr__' in vars(module))\n"
+        "result = [missing, lazy, sorted(m for m in sys.modules if m.startswith('confcoalg.'))]")
+    series = {f"confcoalg.{kind}_{fd.series}" for fd in cli.FAMILIES.values()
+              for kind in ("families", "closed_form")}
+    assert missing == [] and lazy == []
+    assert len(series) == 8 and {"confcoalg.kernels"} | series <= set(loaded), loaded
 
 
 def test_no_module_imports_dataclasses():
@@ -743,4 +797,5 @@ def test_package_root_imports_lazily():
     assert loaded == []
     assert resolved == confcoalg.__all__ and len(resolved) == 21
     assert unknown == "module 'confcoalg' has no attribute 'nosuch'"
-    assert modules == {"confcoalg", "conformal", "coalgebra", "kernels", "poly"}
+    assert modules == {"confcoalg", "tables", "conformal", "restricted", "masks", "dual",
+                       "coalgebra", "kernels", "poly"}

@@ -7,6 +7,7 @@ any drift in either path is caught.
 
 import collections
 import hashlib
+import importlib
 import inspect
 import json
 import re
@@ -15,6 +16,7 @@ from fractions import Fraction
 import pytest
 
 from confcoalg import closed_form as cf
+from confcoalg import closed_form_builder
 from confcoalg import families, serialize
 from confcoalg.coalgebra import (
     Coproduct, check_jordan_coalgebra, check_lie_coalgebra, compare, dualize,
@@ -26,17 +28,30 @@ from helpers import count_calls
 
 
 def test_emitters_never_call_dualize():
-    """Structural independence: the emitter module neither imports nor
-    references dualize anywhere in executable code."""
+    """Structural independence: no module that holds an emitter, and no
+    package module that such a module imports, at its top or inside a
+    function, directly or through another, imports or references dualize
+    anywhere in executable code; none of them imports dual, which defines it."""
     import ast
 
-    tree = ast.parse(inspect.getsource(cf))
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom):
-            assert all(a.name != "dualize" for a in node.names)
-        if isinstance(node, (ast.Name, ast.Attribute)):
-            name = getattr(node, "id", getattr(node, "attr", ""))
-            assert name != "dualize"
+    emitters = {getattr(cf, name).__module__ for name in cf.__all__}
+    assert len(emitters) == 4, emitters     # one module per series
+    todo, seen = [cf.__name__, *emitters], set()
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(ast.parse(inspect.getsource(importlib.import_module(name)))):
+            if isinstance(node, ast.ImportFrom):
+                assert all(a.name != "dualize" for a in node.names), name
+                if node.level:      # a module of the package
+                    todo += ([f"confcoalg.{node.module}"] if node.module
+                             else [f"confcoalg.{a.name}" for a in node.names])
+            if isinstance(node, (ast.Name, ast.Attribute)):
+                assert getattr(node, "id", getattr(node, "attr", "")) != "dualize", name
+    assert {"confcoalg.closed_form_builder", "confcoalg.restricted", "confcoalg.tables"} <= seen
+    assert "confcoalg.dual" not in seen, sorted(seen)
 
 
 # sha256 of serialize.dumps of each emitter at every n the CLI caps allow
@@ -102,7 +117,7 @@ def test_emitter_calls_share_no_polynomial(emitter, args):
     assert polys(first) and not polys(first) & polys(second)
 
 
-class _Appending(cf._Builder):
+class _Appending(closed_form_builder._Builder):
     """_Builder as it stood before it summed by pair: each contribution
     appended as a polynomial of its own, the sums left to Coproduct's merge."""
 
@@ -138,7 +153,8 @@ def test_builder_hands_one_entry_per_pair_and_one_object_per_value(monkeypatch, 
     assert {e for *_, e in slots} == set(range(len(values)))
     if (emitter, args) == ("coproduct_K", (6,)):
         assert (len(pairs), len(values)) == (2097, 31)
-    monkeypatch.setattr(cf, "_Builder", _Appending)
+    monkeypatch.setattr(importlib.import_module(getattr(cf, emitter).__module__), "_Builder",
+                        _Appending)
     assert getattr(cf, emitter)(*args).packed == C.packed
 
 

@@ -6,13 +6,13 @@ import random
 import pytest
 
 from confcoalg.conformal import (
-    ConformalElement, Generator, LambdaStructure, ModuleMap, Report, StructureError, Violation,
+    ConformalElement, Generator, LambdaStructure, Report, StructureError, Violation,
     bracket, check_jacobi, check_jordan_comm, check_jordan_identity,
-    check_skew, kernel_basis, shift_spectral,
+    check_skew, shift_spectral,
 )
 from confcoalg.families import corrupt_entry, make_cur_sl2, make_JS1, make_vir, make_W
 from confcoalg.poly import D, LAM, MU, MultiPoly, P_ONE, Scalar
-from confcoalg.restricted import SnBasisElement, div_module_map
+from confcoalg.restricted import ModuleMap, SnBasisElement, div_module_map, kernel_basis
 
 from helpers import apply_map, pair_element
 

@@ -2,6 +2,7 @@
 discrepancies between the definitional constructions and the printed tables."""
 
 import gc
+import importlib
 import random
 import re
 import weakref
@@ -11,10 +12,10 @@ import pytest
 
 from confcoalg import cli, coalgebra, conformal, families, printed, restricted
 from confcoalg.conformal import (
-    ConformalElement, StructureError, bracket, check_jacobi, check_skew,
+    ConformalElement, LambdaStructure, StructureError, bracket, check_jacobi, check_skew,
 )
 from confcoalg.families import (
-    _d_mul, corrupt_entry, make_CK6, make_current, make_S, make_S_b, make_W,
+    corrupt_entry, make_CK6, make_current, make_S, make_S_b, make_W,
 )
 from confcoalg.printed import (
     _current_action, check_div_identity, proposition_diffs, verify_ck6_printed,
@@ -23,6 +24,7 @@ from confcoalg.restricted import (
     NotInSpan, ck6_embed, div_module_map, div_w, embed_sn, sn_basis, span_reader,
 )
 from confcoalg.grassmann import mul_sign
+from confcoalg.masks import _d_mul
 from confcoalg.poly import D, LAM, MultiPoly, P_ONE, Scalar
 
 from helpers import element_reader
@@ -81,7 +83,9 @@ def test_constructors_run_no_check(monkeypatch):
 
     checks = {id(f) for mod in (conformal, coalgebra)
               for name, f in vars(mod).items() if name.startswith("check_")}
-    for mod in (conformal, coalgebra, families, restricted):
+    series = [importlib.import_module(f"confcoalg.families_{fd.series}")
+              for fd in cli.FAMILIES.values()]
+    for mod in (conformal, coalgebra, families, restricted, *series):
         for name, f in list(vars(mod).items()):
             if id(f) in checks:
                 monkeypatch.setattr(mod, name, boom)
@@ -120,6 +124,27 @@ def test_w_axioms(W):
     for n in range(3):
         assert check_skew(W[n]).ok
         assert check_jacobi(W[n]).ok
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_make_w_hands_each_entry_once(n, monkeypatch):
+    """The two terms of [xi_I d_i lam xi_J d_j] that land on one slot (j = i)
+    cancel, and make_W puts neither, so Table.from_slots gets each (i, j, k)
+    once and every slot it gets is an entry of the table: W_3 hands 567
+    slots, not 621."""
+    handed = []
+    real = LambdaStructure.from_slots.__func__
+
+    def spy(cls, kind, gens, values, slots, *args, **kwargs):
+        handed.append(slots)
+        return real(cls, kind, gens, values, slots, *args, **kwargs)
+
+    monkeypatch.setattr(LambdaStructure, "from_slots", classmethod(spy))
+    W = families.make_W(n)
+    slots, = handed
+    assert len({slot[:3] for slot in slots}) == len(slots) == len(W.packed[1][1])
+    if n == 3:
+        assert len(slots) == 567
 
 
 # -- divergence --------------------------------------------------------------
@@ -460,9 +485,9 @@ def test_stilde_rank_and_axioms(Stilde2):
 
 
 def test_stilde_does_not_build_s(Stilde2, monkeypatch):
-    from confcoalg import families
+    from confcoalg import families, families_w
 
-    monkeypatch.setattr(families, "make_S", None)
+    monkeypatch.setattr(families_w, "make_S", None)
     assert families.make_S_tilde(2).table == Stilde2.table
 
 

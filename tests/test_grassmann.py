@@ -221,10 +221,11 @@ def test_one_helper_renames_table_entries():
     every renamed copy of a packed table, in the kernels and the co-kernels,
     renames each distinct entry polynomial once through it, and the kernels
     read the copies it makes.  The other maps
-    are module constants that change coordinates, four of conformal: the
+    are module constants that change coordinates, two of tables: the
     LambdaStructure constructor packs a table as its dual Q(x1, x2) =
-    P(x1, -x1-x2) through one, and the table checks and rows map back to the
-    table's variables through three; and two of kernels, through which the
+    P(x1, -x1-x2) through one, and its rows and the flip check map back to
+    the table's variables through the other; two of conformal, through which
+    the Jacobi and Jordan checks map back; and two of kernels, through which the
     Jordan kernel maps R1 to Q2 and to the printed R2.  dualize renames nothing,
     and no module imports substitution under another name.  poly.tagged,
     which tagged one first factor at a time before renaming a whole slot,
@@ -236,20 +237,21 @@ def test_one_helper_renames_table_entries():
                 assert all(a.asname is None for a in node.names if a.name == "substitution"), name
         users.update((name, func) for func in _uses(tree, "substitution"))
     assert users == {("confcoalg.conformal", None), ("confcoalg.conformal", "_renamed"),
-                     ("confcoalg.kernels", None)}
+                     ("confcoalg.kernels", None), ("confcoalg.tables", None)}
     sources = dict(_production_sources())
-    maps = {(module, node.targets[0].id) for module in ("confcoalg.conformal", "confcoalg.kernels")
+    maps = {(module, node.targets[0].id)
+            for module in ("confcoalg.conformal", "confcoalg.kernels", "confcoalg.tables")
             for node in sources[module].body if isinstance(node, ast.Assign)
             and getattr(getattr(node.value, "func", None), "id", None) == "substitution"}
-    assert maps == {("confcoalg.conformal", name)
-                    for name in ("_TO_SLOTS", "_FLIP_BACK", "_JACOBI_BACK", "_JORDAN_BACK")} | {
-        ("confcoalg.kernels", "_R1_TO_Q2"), ("confcoalg.kernels", "_R1_TO_PRINTED_R2")}
+    assert maps == {("confcoalg.tables", "_TO_SLOTS"), ("confcoalg.tables", "_FLIP_BACK"),
+                    ("confcoalg.conformal", "_JACOBI_BACK"), ("confcoalg.conformal", "_JORDAN_BACK"),
+                    ("confcoalg.kernels", "_R1_TO_Q2"), ("confcoalg.kernels", "_R1_TO_PRINTED_R2")}
     assert not hasattr(importlib.import_module("confcoalg.poly"), "tagged")
     assert not hasattr(importlib.import_module("confcoalg.conformal"), "_renaming")
 
 
 def test_each_table_is_packed_once():
-    """conformal.Table._store, the one path that checks entries and packs
+    """tables.Table._store, the one path that checks entries and packs
     them, has three callers: the constructors of LambdaStructure and
     Coproduct, which hand it their rows, and Table.from_slots, through which
     the builders hand it their values and slots.  It sets the stored form as
@@ -260,9 +262,9 @@ def test_each_table_is_packed_once():
     _packed, which packed the constructors' entry lists, are gone."""
     users = sorted((name, where) for name, tree in _production_sources()
                    for where in _uses(tree, "_store"))
-    assert users == [("confcoalg.coalgebra", "Coproduct.__init__"),
-                     ("confcoalg.conformal", "LambdaStructure.__init__"),
-                     ("confcoalg.conformal", "Table.from_slots")]
+    assert users == [("confcoalg.tables", "Coproduct.__init__"),
+                     ("confcoalg.tables", "LambdaStructure.__init__"),
+                     ("confcoalg.tables", "Table.from_slots")]
     conformal = importlib.import_module("confcoalg.conformal")
     coalgebra = importlib.import_module("confcoalg.coalgebra")
     assert isinstance(conformal.Table.__dict__["table"], functools.cached_property)
@@ -288,13 +290,13 @@ def test_an_empty_diff_unpacks_no_rows():
 
 
 def test_restriction_stays_packed():
-    """conformal.bracket_pairs and restricted._restrict construct no
+    """restricted.bracket_pairs and restricted._restrict construct no
     ConformalElement and call neither bracket nor shift_spectral: a
     restricted family's brackets stay packed vectors from the bracket rows
     to the coordinates.  restricted.span_reader is the one coordinate reader:
     _restrict is its only caller, and no other code raises NotInSpan."""
     sources = dict(_production_sources())
-    for module, name in (("confcoalg.conformal", "bracket_pairs"), ("confcoalg.restricted", "_restrict")):
+    for module, name in (("confcoalg.restricted", "bracket_pairs"), ("confcoalg.restricted", "_restrict")):
         func, = [node for node in ast.walk(sources[module])
                  if isinstance(node, ast.FunctionDef) and node.name == name]
         called = {node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)
@@ -323,7 +325,7 @@ def test_each_flip_residual_is_computed_once():
                      ("confcoalg.conformal", "check_jacobi")]
     assert sorted((name, where) for name, tree in _production_sources()
                   for where in _uses(tree, "_flip_kernel")) == [
-        ("confcoalg.conformal", "Table.flip_residual")]
+        ("confcoalg.tables", "Table.flip_residual")]
     conformal = importlib.import_module("confcoalg.conformal")
     assert isinstance(conformal.Table.__dict__["flip_residual"], functools.cached_property)
 
@@ -426,7 +428,7 @@ def test_residual_text_is_written_from_the_packed_form(monkeypatch):
         assert {"_parts", "_poly_text"} <= names, name
         assert not names & {"unpack_vector", "repr", "__repr__"}, name
 
-    from confcoalg import coalgebra, conformal, families, poly
+    from confcoalg import coalgebra, conformal, families, poly, tables
     from test_kernels import _skew_corruption
 
     J2, K2 = families.make_Jn(2), families.make_K(2)
@@ -439,7 +441,7 @@ def test_residual_text_is_written_from_the_packed_form(monkeypatch):
 
     monkeypatch.setattr(poly.MultiPoly, "__repr__", refuse)
     monkeypatch.setattr(poly.Scalar, "__repr__", refuse)
-    for module in (poly, conformal, coalgebra):
+    for module in (poly, tables, conformal, coalgebra):
         monkeypatch.setattr(module, "unpack_vector", refuse, raising=False)
     reports = [conformal.check_jordan_identity(J2), conformal.check_skew(bad),
                conformal.check_jacobi(bad), conformal.check_jacobi(skew_bad),

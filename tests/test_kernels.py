@@ -30,17 +30,18 @@ import pytest
 
 from confcoalg import closed_form as cf
 from confcoalg import coalgebra, conformal, families, kernels, poly, printed, restricted
+from confcoalg import families_contact, families_jordan, families_w
 from confcoalg.coalgebra import (
     Coproduct, TensorElement, apply_delta_slot, check_jordan_coalgebra,
     check_lie_coalgebra, double_dual_roundtrip, dualize, tau, zeta,
 )
 from confcoalg.conformal import (
-    CONSISTENT, JORDAN, LIE, PRINTED, ConformalElement, Generator, LambdaStructure, ModuleMap, Report, StructureError, Violation,
-    _divmod_d, _normalise_content, bracket, bracket_pairs, check_jacobi,
-    check_jordan_comm, check_jordan_identity, check_skew, shift_spectral,
+    CONSISTENT, JORDAN, LIE, PRINTED, ConformalElement, Generator, LambdaStructure, Report, StructureError, Violation,
+    bracket, check_jacobi, check_jordan_comm, check_jordan_identity, check_skew, shift_spectral,
 )
 from confcoalg.families import corrupt_entry
 from confcoalg.kernels import JACOBI_IMAGES, JORDAN_IMAGES, PRINTED_JORDAN_IMAGES
+from confcoalg.restricted import ModuleMap, _divmod_d, _normalise_content, bracket_pairs
 from confcoalg.grassmann import IndexSet, alpha_mask, members, mul, mul_sign
 from confcoalg.poly import (
     BETA, D, LAM, MU, NU, X1, X2, X3, X4, MultiPoly, P_ONE, Scalar, _MONO_MASK, _checked,
@@ -1691,9 +1692,11 @@ def _by_oracle(monkeypatch, make, make_K=_make_K_oracle, restrict=_bracket_loop)
     """make() with the oracle constructors and the pairs of restrict, packed
     into the rows bracket_pairs yields (helpers.packed_rows)."""
     with monkeypatch.context() as m:
-        m.setattr(families, "make_W", _make_W_oracle)
-        m.setattr(families, "make_K", make_K)
-        m.setattr(families, "make_Jn", _make_Jn_oracle)
+        for module, name, oracle in ((families_w, "make_W", _make_W_oracle),
+                                     (families_contact, "make_K", make_K),
+                                     (families_jordan, "make_Jn", _make_Jn_oracle)):
+            m.setattr(families, name, oracle)       # the constructor the case calls
+            m.setattr(module, name, oracle)         # and the one its restriction calls
         m.setattr(restricted, "bracket_pairs", lambda S, xs: packed_rows(restrict(S, xs), S.rank))
         return make()
 

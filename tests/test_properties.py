@@ -55,14 +55,13 @@ from confcoalg.coalgebra import (  # noqa: E402
 )
 from confcoalg.conformal import (  # noqa: E402
     CONSISTENT, JORDAN, LIE, PRINTED, ConformalElement, Generator, LambdaStructure,
-    ModuleMap, check_jacobi, check_jordan_comm,
-    check_jordan_identity, check_skew, kernel_basis,
+    check_jacobi, check_jordan_comm, check_jordan_identity, check_skew,
 )
 from confcoalg.poly import (  # noqa: E402
     ALPHABET, BETA, D, LAM, MultiPoly, P_ONE, Scalar, X1, X2, X3, _BETA_SHIFT,
     _COMPONENT_SHIFT, _pack, poly_from_json, unpack_vector, vector_text,
 )
-from confcoalg.restricted import NotInSpan  # noqa: E402
+from confcoalg.restricted import ModuleMap, NotInSpan, kernel_basis  # noqa: E402
 
 from helpers import (  # noqa: E402
     OracleCoproduct, OracleLambdaStructure, _gather, _packed, apply_map,

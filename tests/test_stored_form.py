@@ -15,7 +15,7 @@ from fractions import Fraction
 
 import pytest
 
-from confcoalg import cli, closed_form as cf, families, serialize
+from confcoalg import cli, closed_form as cf, closed_form_builder, families, masks, serialize
 from confcoalg.coalgebra import Coproduct
 from confcoalg.conformal import JORDAN, LIE, Generator, LambdaStructure, StructureError
 from confcoalg.grassmann import alpha_mask, eps_mask
@@ -320,7 +320,7 @@ def test_sign_tables_are_eps_mask_and_alpha_mask():
     """make_K and make_Jn read eps(i, I) and the parity of alpha(I, J) from
     the tables of one call: every entry agrees with grassmann, n <= 6."""
     for n in range(7):
-        eps, odd = families._sign_tables(n)
+        eps, odd = masks._sign_tables(n)
         assert len(eps) == n + 1 and all(len(row) == 1 << n for row in eps[1:])
         assert len(odd) == 1 << n
         for m in range(1 << n):
@@ -353,7 +353,7 @@ def test_builders_hand_each_value_once(monkeypatch, build):
 def test_sums_of_one_and_of_scalar_one_share_one_value():
     """An emitter's sums of 1 and of Scalar(1), and put's and put_gaussian's
     equal sums, are one value of the coproduct."""
-    b = cf._Builder(LIE, [Generator("a", 0), Generator("b", 0)], "ones")
+    b = closed_form_builder._Builder(LIE, [Generator("a", 0), Generator("b", 0)], "ones")
     b.put(0, 0, 0, 1)
     b.put(0, 1, 1, Scalar(1))
     b.put(1, 0, 1, Fraction(1, 2), x1=Fraction(1, 2))
