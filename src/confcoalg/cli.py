@@ -31,8 +31,9 @@ class FamilyDef:
     families_<series> holds make and whose emitter module
     closed_form_<series> holds formula, so that a command imports only the
     series it runs.  A family takes --n when it has a desk-scale cap on n
-    (--allow-large overrides it) or a set of allowed n.  The constructors
-    run no check; a verdict comes only from the checks of a verify run."""
+    (--allow-large, which only such a family takes, overrides it) or a set
+    of allowed n.  The constructors run no check; a verdict comes only from
+    the checks of a verify run."""
 
     def __init__(self, series, make, cap=None, formula=None, allowed_n=None, takes_b=False):
         self.series = series
@@ -142,6 +143,8 @@ def _resolve(args) -> tuple:
         raise UsageError(f"family {args.family} takes no --n")
     if args.b is not None and not fd.takes_b:
         raise UsageError(f"family {args.family} takes no --b")
+    if args.allow_large and fd.cap is None:
+        raise UsageError(f"family {args.family} takes no --allow-large")
     b = parse_scalar(args.b) if args.b is not None else confcoalg.Scalar(0)
     return fd, n, b
 

@@ -20,19 +20,17 @@ with a coproduct splits its variable into the sum of the two new ones
 ``TensorElement`` values and are the definitional path: no production code
 calls them, and ``tests/test_kernels.py`` uses them as the oracle for the
 co-checks.  Every check, of a table or of a coproduct, runs the kernels of
-conformal and kernels in slot variables; co-Jordan is the Jordan identity
-at (lam, mu, nu, d) = (x1, x2, x2+x3, -x1-x2-x3-x4), times
--(-1)^{p(a)p(c)}, a sign that check_jordan_coalgebra puts on the kernel's
-rows as it writes them.
+conformal in slot variables; co-Jordan is the Jordan identity at (lam, mu,
+nu, d) = (x1, x2, x2+x3, -x1-x2-x3-x4), times -(-1)^{p(a)p(c)}, a sign that
+check_jordan_coalgebra puts on the kernel's rows as it writes them.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from .conformal import CONSISTENT, Report, Violation
+from .conformal import CONSISTENT, Report, Violation, _jacobi_rows, _jordan_rows
 from .dual import DiffLine, DiffReport, compare, dualize  # noqa: F401  (reached here too)
-from .kernels import _jacobi_rows, _jordan_rows   # the co-checks run both kernels
 from .poly import D, LAM, MultiPoly, P_ONE, _COMPONENT_SHIFT, _parts, _poly_text, accumulate
 from .tables import (  # noqa: F401  (dual_generators reached here too)
     Coproduct, JORDAN, LIE, LambdaStructure, StructureError, dual_generators,
@@ -201,9 +199,9 @@ def zeta(t: TensorElement) -> TensorElement:
 
 # -- contraction kernels ---------------------------------------------------------
 #
-# The co-checks run the flip kernel of conformal and the row kernels of
-# kernels on the packed coproduct, which holds Q in the slot variables as a
-# packed table does (see conformal, "packed tables"): the flip residual is
+# The co-checks run the flip and row kernels of conformal on the packed
+# coproduct, which holds Q in the slot variables as a packed table does
+# (see conformal, "packed tables"): the flip residual is
 # the co-antisymmetry residual and minus the co-commutativity one, the Jacobi
 # rows are the co-Jacobi residuals and the consistent Jordan rows, times
 # -(-1)^{p(a)p(c)}, the co-Jordan ones.  Row a of the Jacobi or Jordan kernel
@@ -248,11 +246,11 @@ def check_lie_coalgebra(cop: Coproduct) -> Report:
         (delta (x) I) delta a_k = sum Q^{ij}_k(x1+x2, x3) Q^{lm}_i(x1, x2) [l,m,j]
 
     For cop = dualize(S), cop.flip_residual and the rows of the Jacobi
-    kernel, kernels._jacobi_rows, are the rows check_skew and check_jacobi
-    map back to lam, mu and d, written as they come (see "contraction kernels").  With
+    kernel, _jacobi_rows, are the rows check_skew and check_jacobi map back
+    to lam, mu and d, written as they come (see "contraction kernels").  With
     antisymmetry co-Jacobi is (1+zeta+zeta^2)(I (x) delta) delta = 0, so it
-    runs over [i, j, k] with j <= i <= k, and kernels._write_images writes
-    the other permutations.
+    runs over [i, j, k] with j <= i <= k, and _write_images writes the other
+    permutations.
     """
     if cop.kind != LIE:
         raise StructureError("Lie coalgebra axioms apply to Lie kind")
@@ -282,13 +280,13 @@ def check_jordan_coalgebra(cop: Coproduct) -> Report:
     (a, b, c, d) at a_m: that identity is a cyclic sum over (a, b, c) (see
     conformal.check_jordan_identity), and (-1)^{p(a)p(c)} turns the sign of
     each rotation into that of zeta^0, zeta or zeta^2.  So co-Jordan is the
-    consistent Jordan kernel (kernels._jordan_rows), row a written
-    times (-1)^{p(a)p(c)}, c the second index of each component, at scale
-    -L^3, and co-commutativity is minus cop.flip_residual: the rows that
+    consistent Jordan kernel (_jordan_rows), row a written times
+    (-1)^{p(a)p(c)}, c the second index of each component, at scale -L^3,
+    and co-commutativity is minus cop.flip_residual: the rows that
     check_jordan_identity and check_jordan_comm map back to lam, mu, nu and d.
     The kernel accumulates one [a, b, c] per rotation orbit and writes each
-    term at the rotations (kernels._write_images) before it hands a row on,
-    so the sign is taken at the tuple where each term lands.
+    term at the rotations (_write_images) before it hands a row on, so the
+    sign is taken at the tuple where each term lands.
     """
     if cop.kind != JORDAN:
         raise StructureError("Jordan coalgebra axioms apply to Jordan kind")

@@ -135,9 +135,6 @@ class Scalar:
         return _poly_text({0: (self.re, self.im)}, {})
 
 
-ONE = Scalar(1)
-
-
 def _pack(exps: Dict[str, int]) -> int:
     key = 0
     for v, e in exps.items():

@@ -53,9 +53,6 @@ def bracket_pairs(
     left, one vector holds sum_j q_bj(lam+d) [a_i lam a_j] for every b,
     each nonempty [a_i lam a_j] placed at the components k of its entries;
     row a is one product p(-lam) times that vector per term p a_i of x_a.
-    The vector of a_i is dropped after the last row that meets it, so a
-    caller that keeps only what it derives from each row never holds all
-    the brackets at once (in CK_6 each generator of K_6 meets one row).
     """
     if any("lam" in p.variables() for x in xs for p in x.terms.values()):
         raise StructureError("left coefficient already uses lam")
@@ -69,9 +66,8 @@ def bracket_pairs(
         for j, q in x.terms.items():
             rights.setdefault(j, []).append(
                 pack_vector([(b * n, q.subst_general("d", LAM + D))], Lx))
-    last_row = {i: a for a, x in enumerate(xs) for i in x.terms}
     by_left: Dict[int, Dict[int, int]] = {}
-    for a, x in enumerate(xs):
+    for x in xs:
         acc: Dict[int, int] = {}
         for i, p in x.terms.items():
             vec = by_left.get(i)
@@ -87,11 +83,7 @@ def bracket_pairs(
                                 vec[k1 + k2] = get(k1 + k2, 0) + c1 * c2
                 vec = by_left[i] = compact_vector(vec)
             add_product(acc, pack_vector([(0, p.subst_general("d", -LAM))], Lx), vec)
-            if last_row[i] == a:
-                del by_left[i]
         yield compact_vector(acc), Lx * Lx * Ls
-
-
 
 
 def span_reader(ambient: LambdaStructure, embeds: Sequence[ConformalElement]):

@@ -10,8 +10,8 @@ delta(a_k^*) = sum Q^{ij}_k(x1, x2) a_i^* (x) a_j^*.  Both hold one stored
 form, Table.packed, made by Table._store: the entries as
 Q^{ij}_k(x1, x2) = P^{ij}_k(x1, -x1-x2) (see conformal, "packed tables").
 The constructors, the closed forms, the readers and the writers build and
-read tables through this module alone; the checks are in conformal, kernels
-and coalgebra, and dualize and compare in dual.
+read tables through this module alone; the checks are in conformal and
+coalgebra, and dualize and compare in dual.
 """
 
 from __future__ import annotations

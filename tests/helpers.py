@@ -4,7 +4,7 @@ from collections import defaultdict
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
-from confcoalg import conformal, kernels, restricted
+from confcoalg import conformal, restricted
 from confcoalg.conformal import Report, Violation, _put, _renamed
 from confcoalg.dual import DiffLine, DiffReport
 from confcoalg.tables import (
@@ -13,7 +13,7 @@ from confcoalg.tables import (
 )
 from confcoalg.grassmann import IndexSet, SignedMonomial, eps_mask
 from confcoalg.poly import (
-    ALPHABET, MultiPoly, ONE, P_ZERO, Scalar, X1, X2, _COMPONENT_SHIFT, _GUARD, _MAXEXP,
+    ALPHABET, MultiPoly, P_ZERO, Scalar, X1, X2, _COMPONENT_SHIFT, _GUARD, _MAXEXP,
     _VAR_SHIFT, _sort_key, accumulate, common_denominator, pack_vector, unpack_vector,
     vector_text,
 )
@@ -89,7 +89,7 @@ def subst_general_oracle(self: MultiPoly, var: str, repl: MultiPoly) -> MultiPol
             maxexp = e
     if maxexp == 0:
         return self
-    powers = [MultiPoly({0: ONE})]
+    powers = [MultiPoly({0: Scalar(1)})]
     for _ in range(maxexp):
         powers.append(powers[-1] * repl)
     out = MultiPoly({})
@@ -103,18 +103,17 @@ def subst_general_oracle(self: MultiPoly, var: str, repl: MultiPoly) -> MultiPol
 # A gather with a place function per entry, as the kernels placed their
 # entries before each wrote them in one pass: the placement tests compare it
 # with a per-slot oracle, and the full Jordan kernel of test_kernels reads it.
-def _gather(table, x1_img, x2_img, place, negate=None, renamed=None):
+def _gather(table, x1_img, x2_img, place, negate=None):
     """Packed vectors out[slot] of the renamed entries Q^{ij}_k(x1_img, x2_img).
 
     place(i, j, k) = (slot, m) puts the entry at component m of out[slot];
     with negate given, the entries for which negate(i, j) holds change sign,
-    each distinct vector negated once.  The entries are renamed by _renamed,
-    through renamed when it is given.  The entries of one slot have distinct
-    components, so each entry's terms are written in place (_put) and no
-    slot is summed or compacted; they are written in the order of the slots
-    of table, the table's row order.
+    each distinct vector negated once.  The entries are renamed by _renamed.
+    The entries of one slot have distinct components, so each entry's terms
+    are written in place (_put) and no slot is summed or compacted; they are
+    written in the order of the slots of table, the table's row order.
     """
-    vecs = _renamed(table[0], x1_img, x2_img, {} if renamed is None else renamed)
+    vecs = _renamed(table[0], x1_img, x2_img)
     negated = negate and [{key: -c for key, c in vec.items()} for vec in vecs]
     out = defaultdict(dict)
     for i, j, k, e in table[1]:
@@ -359,7 +358,7 @@ def compare_oracle(a, b) -> DiffReport:
 
 def term_products(monkeypatch, check, arg, calls=False):
     """The number of term products check(arg) makes through the kernels of
-    confcoalg.conformal and confcoalg.kernels, counted at their add_product,
+    confcoalg.conformal, counted at its add_product,
     with the report; with calls, (products, the number of add_product calls,
     report)."""
     count = [0, 0]
@@ -371,8 +370,7 @@ def term_products(monkeypatch, check, arg, calls=False):
         return real(acc, p, q, negate)
 
     with monkeypatch.context() as m:
-        for module in (conformal, kernels):
-            m.setattr(module, "add_product", counting)
+        m.setattr(conformal, "add_product", counting)
         rep = check(arg)
     return (count[0], count[1], rep) if calls else (count[0], rep)
 

@@ -89,6 +89,20 @@ def test_cap_enforcement(capsys):
         assert cli._resolve(args)[:2] == (cli.FAMILIES[name], cap + 1)
 
 
+@pytest.mark.parametrize("name", ["vir", "cur", "n", "k4prime", "ck6", "js1", "jck4", "curjordan"])
+def test_allow_large_on_an_uncapped_family_is_a_usage_error(name, capsys):
+    """--allow-large overrides a cap on --n, so on a family without one it
+    is a usage error rather than dropped; a capped family still takes it."""
+    assert cli.FAMILIES[name].cap is None
+    argv = ["construct", "--family", name, "--allow-large"]
+    if cli.FAMILIES[name].needs_n:
+        argv += ["--n", "2"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: family {name} takes no --allow-large\n")
+    code, out, err = run(capsys, "construct", "--family", "k", "--n", "2", "--allow-large")
+    assert (code, err) == (0, "") and out
+
+
 def test_caps_table():
     caps = {name: fd.cap for name, fd in cli.FAMILIES.items()}
     assert caps["w"] == 4 and caps["k"] == 6 and caps["jn"] == 3
@@ -649,17 +663,16 @@ def test_construct_text_loads_no_serialiser_or_coalgebra():
 def test_dualize_text_loads_no_emitter_or_serialiser():
     code, modules = _main_footprint("dualize", "--family", "K", "--n", "2", "--format", "text")
     assert code == 0 and "dual" in modules
-    assert not modules & {"serialize", "closed_form", "coalgebra", "conformal", "kernels"}
+    assert not modules & {"serialize", "closed_form", "coalgebra", "conformal"}
 
 
 # the confcoalg submodules each command of the benchmark's cli-commands
 # workload loads, by its name there: the one series module of its family
-# (families_<series>, closed_form_<series>), the checks and kernels only for
-# verify, restricted only for a subalgebra family, and printed, grassmann and
+# (families_<series>, closed_form_<series>), the checks only for verify, restricted only for a subalgebra family, and printed, grassmann and
 # the families and closed_form hubs for none
 _STORED = {"cli", "poly", "tables"}
 _MASKS = _STORED | {"bases", "masks"}
-_CHECKS = _STORED | {"coalgebra", "conformal", "dual", "kernels"}
+_CHECKS = _STORED | {"coalgebra", "conformal", "dual"}
 BENCH_FOOTPRINTS = {
     "construct-json": _MASKS | {"families_contact", "serialize"},
     "construct-latex": _MASKS | {"families_w", "serialize"},
@@ -737,11 +750,15 @@ def test_no_command_reads_the_row_view(tmp_path):
 
 
 def test_coalgebra_loads_the_kernels_it_runs():
-    """coalgebra imports kernels at its top, as its co-checks run both
-    kernels, and nothing else of the package beyond conformal, dual, tables
+    """coalgebra imports both row kernels from conformal at its top, as its
+    co-checks run them, and nothing else of the package beyond dual, tables
     and poly."""
     _, modules = _footprint("import confcoalg.coalgebra\nresult = None")
-    assert modules == {"confcoalg", "conformal", "dual", "kernels", "poly", "tables", "coalgebra"}
+    assert modules == {"confcoalg", "conformal", "dual", "poly", "tables", "coalgebra"}
+    from confcoalg import coalgebra, conformal
+
+    assert (coalgebra._jacobi_rows, coalgebra._jordan_rows) == (conformal._jacobi_rows,
+                                                                 conformal._jordan_rows)
 
 
 def test_benchmark_library_reaches_every_name_it_runs():
@@ -749,10 +766,11 @@ def test_benchmark_library_reaches_every_name_it_runs():
     of bench/tracing.TARGETS and every constructor and emitter that
     bench/workloads names is in their namespaces after that import, none of
     them resolves a name lazily (a module __getattr__), and the import has
-    loaded kernels and every series module, so that no workload compiles a
-    module of the package inside a timed pass."""
+    loaded conformal, which holds the row kernels, and every series module,
+    so that no workload compiles a module of the package inside a timed
+    pass."""
     root = os.path.dirname(os.path.dirname(os.path.dirname(confcoalg.__file__)))
-    (missing, lazy, loaded), _ = _footprint(
+    (missing, lazy, loaded, kernels), _ = _footprint(
         f"sys.path.insert(0, {os.path.join(root, 'bench')!r})\n"
         "import run, tracing, workloads\n"
         "mods = run.Library().modules()\n"
@@ -765,11 +783,14 @@ def test_benchmark_library_reaches_every_name_it_runs():
         "missing += [f'closed_form.{fn}' for _, _, fn, _ in workloads.CROSSCHECKS\n"
         "            if fn not in space('closed_form')]\n"
         "lazy = sorted(name for name, module in mods.items() if '__getattr__' in vars(module))\n"
-        "result = [missing, lazy, sorted(m for m in sys.modules if m.startswith('confcoalg.'))]")
+        "kernels = [hasattr(mods['conformal'], name) for name in ('_jacobi_rows', '_jordan_rows')]\n"
+        "result = [missing, lazy, sorted(m for m in sys.modules if m.startswith('confcoalg.')),\n"
+        "          kernels]")
     series = {f"confcoalg.{kind}_{fd.series}" for fd in cli.FAMILIES.values()
               for kind in ("families", "closed_form")}
     assert missing == [] and lazy == []
-    assert len(series) == 8 and {"confcoalg.kernels"} | series <= set(loaded), loaded
+    assert len(series) == 8 and {"confcoalg.conformal"} | series <= set(loaded), loaded
+    assert kernels == [True, True]
 
 
 def test_no_module_imports_dataclasses():
@@ -798,4 +819,4 @@ def test_package_root_imports_lazily():
     assert resolved == confcoalg.__all__ and len(resolved) == 21
     assert unknown == "module 'confcoalg' has no attribute 'nosuch'"
     assert modules == {"confcoalg", "tables", "conformal", "restricted", "masks", "dual",
-                       "coalgebra", "kernels", "poly"}
+                       "coalgebra", "poly"}

@@ -220,14 +220,14 @@ def test_one_helper_renames_table_entries():
     """conformal._renamed is the one function that calls poly.substitution:
     every renamed copy of a packed table, in the kernels and the co-kernels,
     renames each distinct entry polynomial once through it, and the kernels
-    read the copies it makes.  The other maps
-    are module constants that change coordinates, two of tables: the
-    LambdaStructure constructor packs a table as its dual Q(x1, x2) =
-    P(x1, -x1-x2) through one, and its rows and the flip check map back to
-    the table's variables through the other; two of conformal, through which
-    the Jacobi and Jordan checks map back; and two of kernels, through which the
-    Jordan kernel maps R1 to Q2 and to the printed R2.  dualize renames nothing,
-    and no module imports substitution under another name.  poly.tagged,
+    read the copies it makes.  The other maps are module constants that
+    change coordinates, two of tables: the LambdaStructure constructor packs
+    a table as its dual Q(x1, x2) = P(x1, -x1-x2) through one, and its rows
+    and the flip check map back to the table's variables through the other;
+    and four of conformal: the Jacobi and Jordan checks map back through
+    two, and the Jordan kernel maps R1 to Q2 and to the printed R2 through
+    two.  dualize renames nothing, and no module imports substitution under
+    another name.  poly.tagged,
     which tagged one first factor at a time before renaming a whole slot,
     and conformal._renaming, which also renamed the table's variables, are gone."""
     users = set()
@@ -237,15 +237,15 @@ def test_one_helper_renames_table_entries():
                 assert all(a.asname is None for a in node.names if a.name == "substitution"), name
         users.update((name, func) for func in _uses(tree, "substitution"))
     assert users == {("confcoalg.conformal", None), ("confcoalg.conformal", "_renamed"),
-                     ("confcoalg.kernels", None), ("confcoalg.tables", None)}
+                     ("confcoalg.tables", None)}
     sources = dict(_production_sources())
     maps = {(module, node.targets[0].id)
-            for module in ("confcoalg.conformal", "confcoalg.kernels", "confcoalg.tables")
+            for module in ("confcoalg.conformal", "confcoalg.tables")
             for node in sources[module].body if isinstance(node, ast.Assign)
             and getattr(getattr(node.value, "func", None), "id", None) == "substitution"}
     assert maps == {("confcoalg.tables", "_TO_SLOTS"), ("confcoalg.tables", "_FLIP_BACK"),
                     ("confcoalg.conformal", "_JACOBI_BACK"), ("confcoalg.conformal", "_JORDAN_BACK"),
-                    ("confcoalg.kernels", "_R1_TO_Q2"), ("confcoalg.kernels", "_R1_TO_PRINTED_R2")}
+                    ("confcoalg.conformal", "_R1_TO_Q2"), ("confcoalg.conformal", "_R1_TO_PRINTED_R2")}
     assert not hasattr(importlib.import_module("confcoalg.poly"), "tagged")
     assert not hasattr(importlib.import_module("confcoalg.conformal"), "_renaming")
 
@@ -335,10 +335,9 @@ def test_every_kernel_places_entries_through_put():
     through conformal._put, at a tag computed from the entry's indices: no
     module of the package defines or names _gather or _grouped, which
     placed entries through a place function per call and regrouped the
-    result, no function or lambda of conformal or kernels takes a place
-    parameter, and the callers of _put are the flip kernel of conformal and
-    the Jacobi and Jordan kernels of kernels and _hoisted, the Jordan
-    kernel's intermediates."""
+    result, no function or lambda of conformal takes a place parameter, and
+    the callers of _put are the flip, Jacobi and Jordan kernels of conformal
+    and _hoisted, the Jordan kernel's intermediates."""
     sources = _production_sources()
     callers = set()
     for name, tree in sources:
@@ -347,21 +346,20 @@ def test_every_kernel_places_entries_through_put():
         for gone in ("_gather", "_grouped"):
             assert gone not in defined and not _uses(tree, gone), (name, gone)
         callers.update((name, where.split(".")[0]) for where in _uses(tree, "_put"))
-    for module in ("confcoalg.conformal", "confcoalg.kernels"):
-        for node in ast.walk(dict(sources)[module]):
-            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
-                args = node.args
-                params = {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)}
-                assert "place" not in params, (module, getattr(node, "name", "lambda"))
-    assert callers == {("confcoalg.conformal", "_flip_kernel")} | {
-        ("confcoalg.kernels", kernel) for kernel in ("_jacobi_rows", "_hoisted", "_jordan_rows")}
+    for node in ast.walk(dict(sources)["confcoalg.conformal"]):
+        if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            args = node.args
+            params = {a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs)}
+            assert "place" not in params, getattr(node, "name", "lambda")
+    assert callers == {("confcoalg.conformal", kernel)
+                       for kernel in ("_flip_kernel", "_jacobi_rows", "_hoisted", "_jordan_rows")}
 
 
 def test_co_lie_checks_run_the_lambda_kernels():
-    """check_lie_coalgebra runs the flip kernel of conformal and the Jacobi
-    kernel of kernels in slot variables: it calls no add_product, and _jacobi_rows,
-    which writes its own orbits, is the one that check_jacobi and
-    check_lie_coalgebra share.  The co-Lie check's own flip and contraction
+    """check_lie_coalgebra runs the flip and Jacobi kernels of conformal in
+    slot variables: it calls no add_product, and _jacobi_rows, which writes
+    its own orbits, is the one that check_jacobi and check_lie_coalgebra
+    share.  The co-Lie check's own flip and contraction
     (_flips, _UNIT) are gone."""
     def users(name):
         return sorted((module, where) for module, tree in _production_sources()
@@ -370,10 +368,45 @@ def test_co_lie_checks_run_the_lambda_kernels():
     assert ("confcoalg.coalgebra", "check_lie_coalgebra") not in users("add_product")
     assert users("_jacobi_rows") == [("confcoalg.coalgebra", "check_lie_coalgebra"),
                                      ("confcoalg.conformal", "check_jacobi")]
-    assert users("_write_images") == [("confcoalg.kernels", "_jacobi_rows"),
-                                      ("confcoalg.kernels", "_jordan_rows")]
+    assert users("_write_images") == [("confcoalg.conformal", "_jacobi_rows"),
+                                      ("confcoalg.conformal", "_jordan_rows")]
     coalgebra = importlib.import_module("confcoalg.coalgebra")
     assert not hasattr(coalgebra, "_flips") and not hasattr(coalgebra, "_UNIT")
+
+
+def test_function_bodies_import_what_some_commands_skip():
+    """The imports inside functions of the package, (module, function, the
+    module imported from): the command line's serialiser, tables and
+    Fraction, the restriction machinery of the subalgebra families, and
+    conformal's flip kernel, which tables reads for the flip residual, as
+    every command loads tables.  conformal imports nothing inside a
+    function: its checks run the row kernels defined beside them, which
+    coalgebra imports at its top."""
+    found = set()
+
+    def visit(module, node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(module, child, f"{where}.{child.name}" if where else child.name)
+                continue
+            if where and isinstance(child, ast.ImportFrom):
+                found.add((module, where, "." * child.level + (child.module or "")))
+            assert not (where and isinstance(child, ast.Import)), (module, where)
+            visit(module, child, where)
+
+    for name, tree in _production_sources():
+        visit(name.rpartition(".")[2], tree, None)
+    restricted = {("closed_form_contact", "coproduct_K4prime"), ("closed_form_contact", "_ck6_duals"),
+                  ("closed_form_contact", "_contact_sign"), ("closed_form_contact", "coproduct_CK6"),
+                  ("closed_form_w", "coproduct_S"), ("families_contact", "make_K4prime"),
+                  ("families_contact", "make_CK6"), ("families_w", "make_S"),
+                  ("families_w", "make_S_b"), ("families_w", "make_S_tilde")}
+    assert found == {("cli", "parse_scalar", "fractions"), ("cli", "_emit", ".serialize"),
+                     ("cli", "_emit", "."), ("cli", "_table", ".serialize"),
+                     ("cli", "cmd_verify", ".tables"), ("cli", "cmd_verify", ".serialize"),
+                     ("cli", "cmd_crosscheck", ".serialize"),
+                     ("tables", "Table.flip_residual", ".conformal")} | {
+        (module, function, ".restricted") for module, function in restricted}
 
 
 def test_coproduct_rows_are_merged_once():

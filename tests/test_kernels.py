@@ -29,7 +29,7 @@ from typing import Dict, Iterator, List, Tuple
 import pytest
 
 from confcoalg import closed_form as cf
-from confcoalg import coalgebra, conformal, families, kernels, poly, printed, restricted
+from confcoalg import coalgebra, conformal, families, poly, printed, restricted
 from confcoalg import families_contact, families_jordan, families_w
 from confcoalg.coalgebra import (
     Coproduct, TensorElement, apply_delta_slot, check_jordan_coalgebra,
@@ -40,7 +40,7 @@ from confcoalg.conformal import (
     bracket, check_jacobi, check_jordan_comm, check_jordan_identity, check_skew, shift_spectral,
 )
 from confcoalg.families import corrupt_entry
-from confcoalg.kernels import JACOBI_IMAGES, JORDAN_IMAGES, PRINTED_JORDAN_IMAGES
+from confcoalg.conformal import JACOBI_IMAGES, JORDAN_IMAGES, PRINTED_JORDAN_IMAGES
 from confcoalg.restricted import ModuleMap, _divmod_d, _normalise_content, bracket_pairs
 from confcoalg.grassmann import IndexSet, alpha_mask, members, mul, mul_sign
 from confcoalg.poly import (
@@ -589,10 +589,10 @@ def test_kernel_rows_are_compact(request):
     breaking = corrupt_entry(families.make_K(3), "xi1", "xi2", "xi12", MultiPoly.const(-1))
     assert breaking.flip_residual
     rows = [(S.name, row) for S in [*_lie_fixtures(request), breaking]
-            for row in kernels._jacobi_rows(S.packed[1], S.parities, not S.flip_residual)]
+            for row in conformal._jacobi_rows(S.packed[1], S.parities, not S.flip_residual)]
     rows += [(S.name, row) for S in [*_jordan_fixtures(request), _corrupt_J2()]
              for variant in (CONSISTENT, PRINTED)
-             for row in kernels._jordan_rows(S.packed[1], S.parities, variant)]
+             for row in conformal._jordan_rows(S.packed[1], S.parities, variant)]
     assert {name for name, row in rows if row} >= {"K_3?", "J_2", "J_2?", "JCK_4"}
     for name, row in rows:
         assert 0 not in row.values() and row == compact_vector(row), name
@@ -717,7 +717,7 @@ def _full_jordan_kernel(add_product=poly.add_product):
         """
         n = len(par)
         n2, n3 = n * n, n ** 3
-        gather = partial(_gather, table, renamed={})
+        gather = partial(_gather, table)
         hoisted = partial(_hoisted, gather, n)
         # first factors: of b c as a list, of a b and c a by a
         f_bc = [(*key, p) for key, p in gather(
@@ -808,7 +808,7 @@ def test_reduced_jordan_rows_match_the_full_kernel(request):
         for T in (S, dualize(S)):
             table = T.packed[1]
             for variant, images in ((CONSISTENT, JORDAN_IMAGES), (PRINTED, PRINTED_JORDAN_IMAGES)):
-                assert (list(kernels._jordan_rows(table, T.parities, variant))
+                assert (list(conformal._jordan_rows(table, T.parities, variant))
                         == list(_full_jordan_rows(table, T.parities, images))), (T.name, variant)
 
 
@@ -819,7 +819,7 @@ def test_jordan_kernel_refuses_an_unknown_variant(Jn):
     S = Jn[2]
     for variant in ("bogus", JORDAN_IMAGES, PRINTED_JORDAN_IMAGES, None):
         with pytest.raises(StructureError, match="^unknown variant "):
-            list(kernels._jordan_rows(S.packed[1], S.parities, variant))
+            list(conformal._jordan_rows(S.packed[1], S.parities, variant))
     with pytest.raises(StructureError, match="^unknown variant 'bogus'$"):
         check_jordan_identity(S, "bogus")
 
@@ -860,8 +860,8 @@ def test_representatives_meet_every_rotation_orbit_once(name, Jn, JCK4, monkeypa
             == [_least_rotation(a, b, c)]
     full, reduced = set(), set()
     rows = list(_full_jordan_kernel(_accumulating(full, n))(S.packed[1], S.parities, JORDAN_IMAGES))
-    monkeypatch.setattr(kernels, "add_product", _accumulating(reduced, n))
-    list(kernels._jordan_rows(S.packed[1], S.parities, CONSISTENT))
+    monkeypatch.setattr(conformal, "add_product", _accumulating(reduced, n))
+    list(conformal._jordan_rows(S.packed[1], S.parities, CONSISTENT))
     failing = {(a, comp // n ** 3, comp // n ** 2 % n) for a, row in enumerate(rows)
                for comp in (key >> poly._COMPONENT_SHIFT for key in row)}
     assert failing and all(t == _least_rotation(*t) for t in reduced)
@@ -900,7 +900,7 @@ def test_repaired_jn_passes_through_both_kernels(n):
     assert not check_jordan_identity(families.make_Jn(n)).ok
     for T in (S, dualize(S)):
         table = T.packed[1]
-        assert (list(kernels._jordan_rows(table, T.parities, CONSISTENT))
+        assert (list(conformal._jordan_rows(table, T.parities, CONSISTENT))
                 == list(_full_jordan_rows(table, T.parities, JORDAN_IMAGES)) == [{}] * T.rank)
 
 
@@ -910,8 +910,8 @@ def test_r1_image_pairs_map_onto_q2_and_the_printed_r2():
     image polynomials exactly onto the one in its place in q2's and in the
     printed r2's pairs."""
     r1 = [poly.pack_vector([(0, p)]) for pair in JORDAN_IMAGES["r1"] for p in pair]
-    for rename, images in ((kernels._R1_TO_Q2, JORDAN_IMAGES["q2"]),
-                           (kernels._R1_TO_PRINTED_R2, PRINTED_JORDAN_IMAGES["r2"])):
+    for rename, images in ((conformal._R1_TO_Q2, JORDAN_IMAGES["q2"]),
+                           (conformal._R1_TO_PRINTED_R2, PRINTED_JORDAN_IMAGES["r2"])):
         assert [rename(p) for p in r1] == [poly.pack_vector([(0, q)])
                                            for pair in images for q in pair]
 
@@ -921,11 +921,10 @@ def assert_r1_renames_to_q2_and_the_printed_r2(S):
     _hoisted at r1's, with every vector renamed by _R1_TO_Q2 or
     _R1_TO_PRINTED_R2: the same keys, each with the same compact vector."""
     vecs, slots = S.packed[1]
-    n, renamed = S.rank, {}
-    hoisted = lambda pair: kernels._hoisted(vecs, sorted(slots), n, *pair, renamed)
+    hoisted = lambda pair: conformal._hoisted(vecs, sorted(slots), S.rank, *pair)
     r1 = hoisted(JORDAN_IMAGES["r1"])
-    for rename, pair in ((kernels._R1_TO_Q2, JORDAN_IMAGES["q2"]),
-                         (kernels._R1_TO_PRINTED_R2, PRINTED_JORDAN_IMAGES["r2"])):
+    for rename, pair in ((conformal._R1_TO_Q2, JORDAN_IMAGES["q2"]),
+                         (conformal._R1_TO_PRINTED_R2, PRINTED_JORDAN_IMAGES["r2"])):
         assert {key: rename(vec) for key, vec in r1.items()} == hoisted(pair), S.name
 
 
@@ -940,7 +939,7 @@ def test_r1_renames_to_q2_and_the_printed_r2(request):
 def test_hoisted_runs_once_per_jordan_check(Jn, JCK4, monkeypatch):
     """The consistent, printed and co-Jordan checks each contract one
     intermediate, R1, through _hoisted; Q2 and the printed R2 are R1 renamed."""
-    made = count_calls(monkeypatch, kernels, "_hoisted")
+    made = count_calls(monkeypatch, conformal, "_hoisted")
     for check, arg in ((check_jordan_identity, Jn[2]), (check_jordan_identity, JCK4),
                        (partial(check_jordan_identity, variant=PRINTED), Jn[2]),
                        (partial(check_jordan_identity, variant=PRINTED), JCK4),
@@ -1096,8 +1095,8 @@ def _full_and_reduced_rows(S):
     """The rows of the full Jacobi kernel of S, and the rows of the reduced
     kernel with every permutation of each residual written."""
     table = S.packed[1]
-    full = list(kernels._jacobi_rows(table, S.parities, False))
-    return full, list(kernels._jacobi_rows(table, S.parities, True))
+    full = list(conformal._jacobi_rows(table, S.parities, False))
+    return full, list(conformal._jacobi_rows(table, S.parities, True))
 
 
 def test_skew_corruption_matches_per_tuple_oracle(K, W, CK6):
@@ -1229,10 +1228,10 @@ def test_representatives_meet_every_s3_orbit_once(name, K, W, monkeypatch):
         assert [u for u in orbit if u[1] <= u[0] <= u[2]] == [_jacobi_representative(*t)]
     assert check_skew(S).ok
     full, reduced = set(), set()
-    monkeypatch.setattr(kernels, "add_product", _accumulating_jacobi(full, n))
-    rows = list(kernels._jacobi_rows(S.packed[1], S.parities, False))
-    monkeypatch.setattr(kernels, "add_product", _accumulating_jacobi(reduced, n))
-    list(kernels._jacobi_rows(S.packed[1], S.parities, True))
+    monkeypatch.setattr(conformal, "add_product", _accumulating_jacobi(full, n))
+    rows = list(conformal._jacobi_rows(S.packed[1], S.parities, False))
+    monkeypatch.setattr(conformal, "add_product", _accumulating_jacobi(reduced, n))
+    list(conformal._jacobi_rows(S.packed[1], S.parities, True))
     failing = {(i, comp // n ** 2, comp // n % n) for i, row in enumerate(rows)
                for comp in (key >> poly._COMPONENT_SHIFT for key in row)}
     assert failing and all(t == _jacobi_representative(*t) for t in reduced)
@@ -1258,7 +1257,7 @@ def test_image_tables(group, order, width):
     sign of check_jacobi and multiplicative under composition for every
     parity pattern; that of _Z3 is +1.  A term written at a triple of three
     distinct indices lands on order distinct triples, all in its orbit."""
-    images = getattr(kernels, group)
+    images = getattr(conformal, group)
     table = {perm: (moves, odd) for perm, moves, odd in images}
     assert len(images) == len(table) == order and (0, 1, 2) in table
     slots = lambda exps: sum(e << poly._VAR_SHIFT[x] for e, x in zip(exps, ("x1", "x2", "x3")))
@@ -1278,7 +1277,7 @@ def test_image_tables(group, order, width):
     n, rest, f = 3, 1, slots((1, 2, 3))
     rows = [{} for _ in range(n)]
     key = (((1 * n + 2) * n ** width + rest) << poly._COMPONENT_SHIFT) + f
-    kernels._write_images({key: 5}, 0, n, width, [1, 1, 0], rows, images)
+    conformal._write_images({key: 5}, 0, n, width, [1, 1, 0], rows, images)
     landed = [(r, comp // n ** (width + 1), comp // n ** width % n, comp % n ** width, c)
               for r, row in enumerate(rows) for comp, c in
               ((k >> poly._COMPONENT_SHIFT, c) for k, c in row.items())]
@@ -1342,14 +1341,15 @@ def test_add_product_calls_of_the_reduced_kernels(W, K, S, S2b, CK6, Jn, JS1, JC
 
 
 def test_full_jacobi_term_3_makes_one_call_per_row_and_slot(K, monkeypatch):
-    """Without skew-symmetry term 3's column is static, held in two signed
-    copies, so each (row, l) with a column makes one add_product call for
-    it, as terms 1 and 2 do.  On the criterion-9 corruption of K_4 there are
-    183 such (row, l), whose columns hold 366 parts by the parity of j: the
-    column split by parity made 1 + 183 + 183 + 366 = 733 calls, the first
-    the flip residual's, and check_jacobi makes 550.  The term products,
-    10,427, and the report, the per-tuple oracle's, are as before; the
-    co-Lie check of the dual makes the same calls."""
+    """Without skew-symmetry term 3's column is static and split by the
+    parity of j, as the reduced kernel's is, so each (row, l) with a column
+    makes one add_product call per part of it.  On the criterion-9
+    corruption of K_4 there are 183 such (row, l), whose columns hold 366
+    parts by the parity of j: check_jacobi makes 1 + 183 + 183 + 366 = 733
+    calls, the first the flip residual's.  The term products, 10,427, and
+    the report, the per-tuple oracle's, are those of the two signed copies
+    the full kernel kept before; the co-Lie check of the dual makes the
+    same calls."""
     bad = corrupt_entry(K[4], "xi1", "xi2", "xi12", MultiPoly.const(-1))
     slots = bad.packed[1][1]
     parities = {}   # l -> the parities of the j with an entry (j, l)
@@ -1358,10 +1358,10 @@ def test_full_jacobi_term_3_makes_one_call_per_row_and_slot(K, monkeypatch):
     term3 = {(i, k) for i, j, k, e in slots if k in parities}   # (row, l) with a column
     assert (len(term3), sum(len(parities[k]) for _, k in term3)) == (183, 366)
     products, calls, rep = term_products(monkeypatch, check_jacobi, bad, calls=True)
-    assert (products, calls, len(rep.violations)) == (10427, 1 + 183 + 183 + 183, 49)
+    assert (products, calls, len(rep.violations)) == (10427, 1 + 183 + 183 + 366, 49)
     assert (rep.total, _found(rep)) == _jacobi_per_tuple(bad)
     products, calls, rep = term_products(monkeypatch, check_lie_coalgebra, dualize(bad), calls=True)
-    assert (products, calls) == (10427, 550) and not rep.ok
+    assert (products, calls) == (10427, 733) and not rep.ok
 
 
 def test_tables_are_not_cached_across_copies(K):
