@@ -17,7 +17,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 from .masks import _monomial
 from .poly import MultiPoly, Scalar, _VAR_SHIFT
-from .tables import Coproduct, Generator, dual_generators
+from .tables import Coproduct, Generator, LIE, dual_generators
 
 
 class _Builder:
@@ -48,6 +48,15 @@ class _Builder:
             self.sums[(k, i, j)] = s
         else:
             self.sums.pop((k, i, j), None)
+
+    def put_flip(self, k: int, i: int, j: int, c=0, x1=0, x2=0):
+        """put the term and then its flip, (c + x2 X1 + x1 X2) a_j* (x) a_i*
+        times -(-1)^{p_i p_j} in a Lie coproduct and (-1)^{p_i p_j} in a
+        Jordan one: the pair of a displayed (anti)symmetrized sum."""
+        s = -1 if self.gens[i].parity & self.gens[j].parity else 1
+        s = -s if self.kind == LIE else s
+        self.put(k, i, j, c, x1, x2)
+        self.put(k, j, i, s * c, s * x2, s * x1)
 
     def put_gaussian(self, k: int, i: int, j: int, parts: tuple):
         """put for CK_6: parts is twice (re c, im c, re x1, im x1, re x2, im x2)."""
@@ -119,15 +128,3 @@ def _x1(v):
 def _x2(v):
     return (0, 0, v)
 
-
-def _submasks(m: int):
-    sub = m
-    while True:
-        yield sub
-        if sub == 0:
-            return
-        sub = (sub - 1) & m
-
-
-def _deg(m: int) -> int:
-    return m.bit_count()

@@ -20,8 +20,8 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from .bases import k_generators
-from .closed_form_builder import _Builder, _c, _deg, _submasks, _x1, _x2
-from .masks import _mask_of, _sgn, alpha_mask, eps_mask, members
+from .closed_form_builder import _Builder, _c, _x1, _x2
+from .masks import _mask_of, _sgn, _submasks, alpha_mask, eps_mask, members
 from .poly import Scalar, _exact
 from .tables import Coproduct, Generator, LIE, StructureError
 
@@ -39,10 +39,7 @@ def coproduct_K(n: int) -> Coproduct:
         Kx = xi[K]
         for I in _submasks(K):
             J = K & ~I
-            c = _sgn(alpha_mask(I, J)) * (_deg(J) - 2)
-            kosz = _sgn(_deg(I) * _deg(J))
-            b.put(Kx, xi[I], xi[J], x1=c)
-            b.put(Kx, xi[J], xi[I], x2=-c * kosz)
+            b.put_flip(Kx, xi[I], xi[J], x1=_sgn(alpha_mask(I, J)) * (J.bit_count() - 2))
         for Ip in _submasks(K):
             Jp = K & ~Ip
             for i in range(1, n + 1):
@@ -51,7 +48,7 @@ def coproduct_K(n: int) -> Coproduct:
                 I = Ip | _mask_of(i)
                 J = Jp | _mask_of(i)
                 e = (
-                    _deg(I)
+                    I.bit_count()
                     + eps_mask(i, I)
                     + eps_mask(i, J)
                     + alpha_mask(Ip, Jp)

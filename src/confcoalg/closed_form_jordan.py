@@ -5,8 +5,8 @@ from __future__ import annotations
 from typing import List
 
 from .bases import jck4_generators, jn_generators
-from .closed_form_builder import _Builder, _deg, _submasks
-from .masks import _mask_of, _sgn, alpha_mask, eps_mask
+from .closed_form_builder import _Builder
+from .masks import _mask_of, _sgn, _submasks, alpha_mask, eps_mask
 from .tables import Coproduct, Generator, JORDAN
 
 
@@ -17,17 +17,13 @@ def coproduct_Jn(n: int) -> Coproduct:
     for K in xi:
         for I in _submasks(K):
             J = K & ~I
-            dI, dJ = _deg(I), _deg(J)
+            dJ = J.bit_count()
             al = _sgn(alpha_mask(I, J))
             # Delta((xi_K th)*)
-            b.put(th[K], xi[I], th[J], al)
-            b.put(th[K], th[J], xi[I], al * _sgn(dI * (dJ + 1)))
+            b.put_flip(th[K], xi[I], th[J], al)
             # Delta(xi_K*), first and second sums
             b.put(xi[K], xi[I], xi[J], al)
-            c = _sgn(dJ + alpha_mask(I, J)) * (dJ - 2)
-            kosz = _sgn((dI + 1) * (dJ + 1))
-            b.put(xi[K], th[I], th[J], x1=c)
-            b.put(xi[K], th[J], th[I], x2=c * kosz)
+            b.put_flip(xi[K], th[I], th[J], x1=_sgn(dJ + alpha_mask(I, J)) * (dJ - 2))
         # derivative sums: diagonal pairs up to n-2 and the swapped last two
         for i in range(1, max(n - 1, 0)):
             _add_swap_deriv(b, xi, th, K, i, i)
@@ -48,9 +44,8 @@ def _add_swap_deriv(b: "_Builder", xi: List[int], th: List[int], K: int, i: int,
             continue
         I = Ip | _mask_of(i)
         J = Jp | _mask_of(j)
-        dI, dJ = _deg(I), _deg(J)
         e = (
-            dI + dJ
+            I.bit_count() + J.bit_count()
             + eps_mask(i, I)
             + eps_mask(j, J)
             + alpha_mask(Ip, Jp)

@@ -14,8 +14,8 @@ from fractions import Fraction
 from typing import Optional, Tuple
 
 from .bases import w_generators
-from .closed_form_builder import _Builder, _deg, _submasks
-from .masks import _mask_of, _masks, _sgn, alpha_mask, eps_mask, members
+from .closed_form_builder import _Builder
+from .masks import _mask_of, _masks, _sgn, _submasks, alpha_mask, eps_mask, members
 from .tables import Coproduct, Generator, LIE, StructureError
 
 
@@ -32,13 +32,9 @@ def coproduct_W(n: int) -> Coproduct:
             J = K & ~I
             a = alpha_mask(I, J)
             c = _sgn(a)
-            kosz = _sgn(_deg(I) * _deg(J))
-            b.put(Kw[0], w[I][0], w[J][0], x2=c)
-            b.put(Kw[0], w[J][0], w[I][0], x1=-c * kosz)
+            b.put_flip(Kw[0], w[I][0], w[J][0], x2=c)
             for k in range(1, n + 1):
-                kosz2 = _sgn(_deg(I) * (_deg(J) + 1))
-                b.put(Kw[k], w[I][0], w[J][k], x2=c)
-                b.put(Kw[k], w[J][k], w[I][0], x1=-c * kosz2)
+                b.put_flip(Kw[k], w[I][0], w[J][k], x2=c)
         # triples (I, J, i): i in J, I cap (J - i) = empty, ord(I, J - i) = K
         for I in _submasks(K):
             Jm = K & ~I
@@ -49,13 +45,9 @@ def coproduct_W(n: int) -> Coproduct:
                     continue
                 J = Jm | _mask_of(i)
                 c = _sgn(eps_mask(i, J) + alpha_mask(I, Jm))
-                kosz = _sgn(_deg(J) * (_deg(I) + 1))
-                b.put(Kw[0], w[I][i], w[J][0], c)
-                b.put(Kw[0], w[J][0], w[I][i], -c * kosz)
+                b.put_flip(Kw[0], w[I][i], w[J][0], c)
                 for k in range(1, n + 1):
-                    kosz2 = _sgn((_deg(I) + 1) * (_deg(J) + 1))
-                    b.put(Kw[k], w[I][i], w[J][k], c)
-                    b.put(Kw[k], w[J][k], w[I][i], -c * kosz2)
+                    b.put_flip(Kw[k], w[I][i], w[J][k], c)
     return b.done()
 
 
@@ -119,18 +111,15 @@ def coproduct_S(n: int) -> Coproduct:
 
     # ---- delta(B_K*) ----
     for K in _masks(n):
-        if _deg(K) == n:
+        if K.bit_count() == n:
             continue
         Kn = B(K)
         for I in _submasks(K):
             J = K & ~I
-            dI, dJ = _deg(I), _deg(J)
+            dI, dJ = I.bit_count(), J.bit_count()
             al = _sgn(alpha_mask(I, J))
-            kosz = _sgn(dI * dJ)
             # sum 1
-            c = al * (n - dJ)
-            b.put(Kn, B(I), B(J), x1=c)
-            b.put(Kn, B(J), B(I), x2=-c * kosz)
+            b.put_flip(Kn, B(I), B(J), x1=al * (n - dJ))
             # sums 3 and 4 over consecutive pairs of I^c
             comp = comp_members(I)
             for r in range(len(comp) - 1):
@@ -144,10 +133,7 @@ def coproduct_S(n: int) -> Coproduct:
                 cc = Fraction(dJ - n, den) * al
                 if in_r1:  # i_r not in J, i_{r+1} in J: leading minus
                     cc = -cc
-                a2 = A2(I, ir, ir1)
-                kosz2 = _sgn(dI * dJ)
-                b.put(Kn, a2, B(J), cc)
-                b.put(Kn, B(J), a2, -cc * kosz2)
+                b.put_flip(Kn, A2(I, ir, ir1), B(J), cc)
         # sum 2: i in J, i not in I
         for I in _submasks(K):
             Jm = K & ~I
@@ -157,13 +143,11 @@ def coproduct_S(n: int) -> Coproduct:
                 J = Jm | _mask_of(i)
                 if J == full:   # the factor |J| - n vanishes, and B_{1..n} is no generator
                     continue
-                dI, dJ = _deg(I), _deg(J)
+                dI, dJ = I.bit_count(), J.bit_count()
                 den = dI + dJ - n - 1
                 assert den != 0
                 c = Fraction(dJ - n, den) * _sgn(eps_mask(i, J) + alpha_mask(I, Jm))
-                kosz = _sgn((dI + 1) * dJ)
-                b.put(Kn, A(I, i), B(J), c)
-                b.put(Kn, B(J), A(I, i), -c * kosz)
+                b.put_flip(Kn, A(I, i), B(J), c)
 
     # ---- delta(A_{K,k}*) ----
     for K in _masks(n):
@@ -171,25 +155,18 @@ def coproduct_S(n: int) -> Coproduct:
             Kn = A(K, k)
             for I in _submasks(K):
                 J = K & ~I
-                dI, dJ = _deg(I), _deg(J)
+                dI, dJ = I.bit_count(), J.bit_count()
                 al = _sgn(alpha_mask(I, J))
                 # sum 1: neighbours of k in I^c
                 compI = comp_members(I)
                 r = compI.index(k)
-                kosz = _sgn(dI * (dJ + 1))
                 if r + 1 < len(compI):
-                    a2 = A2(I, k, compI[r + 1])
-                    b.put(Kn, a2, A(J, k), -al)
-                    b.put(Kn, A(J, k), a2, al * kosz)
+                    b.put_flip(Kn, A2(I, k, compI[r + 1]), A(J, k), -al)
                 if r > 0:
-                    a2 = A2(I, compI[r - 1], k)
-                    b.put(Kn, a2, A(J, k), al)
-                    b.put(Kn, A(J, k), a2, -al * kosz)
+                    b.put_flip(Kn, A2(I, compI[r - 1], k), A(J, k), al)
                 # sum 3: B-paired terms
                 c = al * _sgn(dJ)
-                kosz3 = _sgn((dI + 1) * dJ)
-                b.put(Kn, A(I, k), B(J), x1=c * (n - dJ), x2=c * (dI - 1))
-                b.put(Kn, B(J), A(I, k), x1=-kosz3 * c * (dI - 1), x2=-kosz3 * c * (n - dJ))
+                b.put_flip(Kn, A(I, k), B(J), x1=c * (n - dJ), x2=c * (dI - 1))
             # sum 2: i in J, i not in I, i != k
             for I in _submasks(K):
                 Jm = K & ~I
@@ -197,11 +174,7 @@ def coproduct_S(n: int) -> Coproduct:
                     if (K | I) & _mask_of(i) or i == k:
                         continue
                     J = Jm | _mask_of(i)
-                    dI, dJ = _deg(I), _deg(J)
-                    c = _sgn(eps_mask(i, J) + alpha_mask(I, Jm))
-                    kosz = _sgn((dI + 1) * (dJ + 1))
-                    b.put(Kn, A(I, i), A(J, k), c)
-                    b.put(Kn, A(J, k), A(I, i), -c * kosz)
+                    b.put_flip(Kn, A(I, i), A(J, k), _sgn(eps_mask(i, J) + alpha_mask(I, Jm)))
 
     # ---- delta(A_{K,i_k,i_{k+1}}*) ----
     for K in _masks(n):
@@ -216,15 +189,13 @@ def coproduct_S(n: int) -> Coproduct:
                     if (K & _mask_of(l)) or l in (ik, ik1):
                         continue
                     I = Ip | _mask_of(l)
-                    dI, dJ = _deg(I), _deg(J)
                     sym = _A2_dual(n, I, ik, ik1)
                     if sym is None:
                         continue
                     sg, p, q = sym
-                    c = sg * _sgn(eps_mask(l, I) + 1 + dI + dJ + alpha_mask(Ip, J))
-                    kosz = _sgn(dI * (dJ + 1))
-                    b.put(Kn, A2(I, p, q), A(J, l), c)
-                    b.put(Kn, A(J, l), A2(I, p, q), -c * kosz)
+                    c = sg * _sgn(eps_mask(l, I) + 1 + I.bit_count() + J.bit_count()
+                                  + alpha_mask(Ip, J))
+                    b.put_flip(Kn, A2(I, p, q), A(J, l), c)
             # sum 2: i in J \ I, j in I \ J
             for Ip in _submasks(K):
                 Jp = K & ~Ip
@@ -239,14 +210,11 @@ def coproduct_S(n: int) -> Coproduct:
                         ev = _pair_coeff(j, i, ik, ik1)
                         if not ev:
                             continue
-                        dI, dJ = _deg(I), _deg(J)
                         c = ev * _sgn(
                             eps_mask(i, J) + eps_mask(j, I)
-                            + dI + dJ + alpha_mask(Ip, Jp)
+                            + I.bit_count() + J.bit_count() + alpha_mask(Ip, Jp)
                         )
-                        kosz = _sgn((dI + 1) * (dJ + 1))
-                        b.put(Kn, A(I, i), A(J, j), c)
-                        b.put(Kn, A(J, j), A(I, i), -c * kosz)
+                        b.put_flip(Kn, A(I, i), A(J, j), c)
             # sum 3: i in J, I cap J = empty, inner sum over j
             for I in _submasks(K):
                 Jm = K & ~I
@@ -254,7 +222,7 @@ def coproduct_S(n: int) -> Coproduct:
                     if (K | I) & _mask_of(i):
                         continue
                     J = Jm | _mask_of(i)
-                    dI, dJ = _deg(I), _deg(J)
+                    dI, dJ = I.bit_count(), J.bit_count()
                     den = dI + dJ - n - 1
                     assert den != 0
                     ev = 0
@@ -263,21 +231,17 @@ def coproduct_S(n: int) -> Coproduct:
                     if not ev:
                         continue
                     c = Fraction(ev, den) * _sgn(eps_mask(i, J) + alpha_mask(I, Jm))
-                    kosz = _sgn((dI + 1) * dJ)
-                    b.put(Kn, A(I, i), B(J), x1=c * (dJ - n), x2=c * (1 - dI))
-                    b.put(Kn, B(J), A(I, i), x1=-kosz * c * (1 - dI), x2=-kosz * c * (dJ - n))
+                    b.put_flip(Kn, A(I, i), B(J), x1=c * (dJ - n), x2=c * (1 - dI))
             # sums 4, 5, 6: B-paired terms over disjoint (I, J) with ord = K
             for I in _submasks(K):
                 J = K & ~I
-                dI, dJ = _deg(I), _deg(J)
+                dI, dJ = I.bit_count(), J.bit_count()
                 al = _sgn(alpha_mask(I, J))
-                kosz = _sgn(dI * dJ)
                 sym = _A2_dual(n, I, ik, ik1)
                 if sym is not None:
                     sg, p, q = sym
                     c = al * sg
-                    b.put(Kn, A2(I, p, q), B(J), x1=c * (n - dJ), x2=c * dI)
-                    b.put(Kn, B(J), A2(I, p, q), x1=-kosz * c * dI, x2=-kosz * c * (n - dJ))
+                    b.put_flip(Kn, A2(I, p, q), B(J), x1=c * (n - dJ), x2=c * dI)
                 compI = comp_members(I)
                 for r in range(len(compI) - 1):
                     jr, jr1 = compI[r], compI[r + 1]
@@ -296,7 +260,5 @@ def coproduct_S(n: int) -> Coproduct:
                     c = Fraction(ev * al, den)
                     if not in_r:  # j_r not in J, j_{r+1} in J: leading minus
                         c = -c
-                    a2 = A2(I, jr, jr1)
-                    b.put(Kn, a2, B(J), x1=c * (dJ - n), x2=-c * dI)
-                    b.put(Kn, B(J), a2, x1=kosz * c * dI, x2=-kosz * c * (dJ - n))
+                    b.put_flip(Kn, A2(I, jr, jr1), B(J), x1=c * (dJ - n), x2=-c * dI)
     return b.done()

@@ -14,8 +14,7 @@ Spectral substitution convention: on a free C[d]-module the action of d on
 values and the symbol d inside coefficient polynomials agree, so shifted
 evaluations such as b_{-lam-d} a are literal polynomial substitutions.
 Axioms are checked on generator tuples only; sesquilinearity extends them
-to arbitrary elements.  The names of the stored form are imported here from
-tables too, for the callers that know them from this module.
+to arbitrary elements.
 """
 
 from __future__ import annotations
@@ -28,9 +27,8 @@ from .poly import (
     D, LAM, MU, NU, P_ZERO, X1, X2, X3, X4, MultiPoly, _COMPONENT_SHIFT, _MAXEXP, _VAR_SHIFT,
     _parts, _poly_text, accumulate, add_product, compact_vector, substitution,
 )
-from .tables import (  # noqa: F401  (Generator and Table for the callers of this module)
-    ConformalElement, Generator, JORDAN, LIE, LambdaStructure, Record, StructureError, Table,
-    _FLIP_BACK,
+from .tables import (
+    ConformalElement, JORDAN, LIE, LambdaStructure, Record, StructureError, _FLIP_BACK,
 )
 
 SPECTRAL_VARS = ("lam", "mu", "nu", "x1", "x2", "x3", "x4")
@@ -245,12 +243,12 @@ JACOBI_IMAGES = {"outer": (X1, X2 + X3), "cols1": (X2, X3), "first2": (None, Non
                  "rows2": (X1 + X2, X3), "first3": (X1, X3), "cols3": (X2, X1 + X3)}
 _SWAP12, _SWAP13 = {"x1": "x2", "x2": "x1"}, {"x1": "x3", "x3": "x1"}
 _RENAMED = {"r2": ("r1", _SWAP12), "q3": ("q2", _SWAP12), "r3": ("r1", _SWAP13), "q1": ("q2", _SWAP13)}
-JORDAN_IMAGES = {"bc": (X2, X3), "ab": (None, None), "ca_chain": (X3, X1), "ca_split": (X3, X1),
+JORDAN_IMAGES = {"bc": (X2, X3), "ab": (None, None), "ca_split": (X3, X1),
                  "r1": ((X2 + X3, X4), (X1, X2 + X3 + X4)), "q2": ((X1, X4), (X2 + X3, X1 + X4))}
 JORDAN_IMAGES.update({key: tuple(tuple(p.permute_vars(sigma) for p in pair)
                                  for pair in JORDAN_IMAGES[base])
                       for key, (base, sigma) in _RENAMED.items()})
-# the printed T = lam - mu (see check_jordan_identity) moves two of them
+# the printed T = lam - mu moves r2 and, as ca_chain, the chain term's copy of ca_split
 PRINTED_JORDAN_IMAGES = {**JORDAN_IMAGES, "ca_chain": (X3, X1 - X2 - X3),
                          "r2": ((X1 - X2, X2 + X3 + X4), (X2, X1 + X3 + X4))}
 # Q2 and the printed R2 as R1 in other slot variables (see _jordan_rows)
@@ -373,7 +371,8 @@ def _jacobi_rows(table, par, reduced: bool) -> Iterator[dict]:
         _put(cols3[(j, par[h])], cols3_v[e], h * n2 + k << shift)
         if j >= h or not reduced:
             _put(cols1[k], cols1_v[e], (h * n + j) * n << shift)
-            leaving[j].append(slot)
+            if reduced:
+                leaving[j].append(slot)
 
     for slot in slots if not reduced else ():   # static columns
         window(slot)
@@ -399,7 +398,7 @@ def _jacobi_rows(table, par, reduced: bool) -> Iterator[dict]:
             for pj in (0, 1):
                 if cols3.get((l, pj)):
                     add_product(acc, p, cols3[(l, pj)], not par[i] & pj)
-        for h, j, k, e in leaving[i] if reduced else ():   # each entry's keys, as window put them
+        for h, j, k, e in leaving[i]:   # each entry's keys, as window put them
             vec, tag = cols1[k], (h * n + j) * n << shift
             for key in cols1_v[e]:
                 del vec[key + tag]

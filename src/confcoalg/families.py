@@ -27,21 +27,17 @@ in JCK_4, 1 and omega_i are even, x and x_i odd.
 
 from __future__ import annotations
 
-from .bases import jck4_generators, jn_generators, k_generators, w_generators
 from .families_contact import make_CK6, make_K, make_K4prime
-from .families_current import (
-    make_cur_jordan_unit, make_cur_sl2, make_current, make_vir, sl2_constants,
-)
+from .families_current import make_cur_jordan_unit, make_cur_sl2, make_current, make_vir
 from .families_jordan import make_JCK4, make_JS1, make_Jn
 from .families_w import make_S, make_S_b, make_S_tilde, make_W
 from .poly import MultiPoly
 from .tables import ConformalElement, LambdaStructure
 
 __all__ = [
-    "corrupt_entry", "jck4_generators", "jn_generators", "k_generators", "make_CK6",
-    "make_JCK4", "make_JS1", "make_Jn", "make_K", "make_K4prime", "make_S", "make_S_b",
-    "make_S_tilde", "make_W", "make_cur_jordan_unit", "make_cur_sl2", "make_current",
-    "make_vir", "sl2_constants", "w_generators",
+    "corrupt_entry", "make_CK6", "make_JCK4", "make_JS1", "make_Jn", "make_K", "make_K4prime",
+    "make_S", "make_S_b", "make_S_tilde", "make_W", "make_cur_jordan_unit", "make_cur_sl2",
+    "make_current", "make_vir",
 ]
 
 

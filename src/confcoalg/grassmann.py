@@ -1,8 +1,8 @@
 """Readable Grassmann monomials: the ``IndexSet``/``SignedMonomial`` layer.
 
 The sign rule of the Grassmann algebra lives once, on plain int masks, in
-masks (``alpha_mask``, ``eps_mask``, ``mul_sign``, ``members``), which this
-module imports for its callers.  The ``IndexSet``/``SignedMonomial`` layer
+masks (``alpha_mask``, ``eps_mask``, ``mul_sign``, ``members``), of which
+this module imports the ones it wraps.  The ``IndexSet``/``SignedMonomial`` layer
 wraps those helpers for readable examples; it is the reference that the
 tests and ``bench/micro.py`` use, and no production module calls it (its
 ``eps`` and ``derive``, which only the tests use, are in
@@ -14,11 +14,11 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Tuple
 
-from .masks import alpha_mask, eps_mask, members, mul_sign
+from .masks import alpha_mask, members, mul_sign
 
 __all__ = [
-    "IndexSet", "MAX_N", "SignedMonomial", "alpha", "alpha_mask", "complement", "eps_mask",
-    "hodge", "members", "mul", "mul_sign", "subsets",
+    "IndexSet", "MAX_N", "SignedMonomial", "alpha", "alpha_mask", "complement", "hodge",
+    "members", "mul", "mul_sign", "subsets",
 ]
 
 MAX_N = 16
@@ -59,7 +59,7 @@ class IndexSet:
 
     @property
     def degree(self) -> int:
-        return bin(self.mask).count("1")
+        return self.mask.bit_count()
 
     @property
     def parity(self) -> int:

@@ -7,7 +7,8 @@ where alpha counts the adjacent transpositions needed to sort the
 juxtaposition I.J.  The sign rule lives here once: ``alpha_mask``,
 ``eps_mask`` (derivative signs) and ``mul_sign`` (product signs), with the
 mask helpers that the constructors, the closed forms and the restriction
-machinery share (``_monomial``, ``_d_mul``, ``_masks``, ``_sign_tables``).
+machinery share (``_monomial``, ``_d_mul``, ``_submasks``, ``_masks``,
+``_sign_tables``).
 The readable ``IndexSet`` layer over these is in grassmann.
 """
 
@@ -77,6 +78,16 @@ def _d_mul(a: int, i: int, b: int) -> Tuple[int, int]:
         return 0, 0
     rest = b ^ _mask_of(i)
     return _sgn(eps_mask(i, b)) * mul_sign(a, rest), a | rest
+
+
+def _submasks(m: int):
+    """Every submask of m, m first and 0 last."""
+    sub = m
+    while True:
+        yield sub
+        if sub == 0:
+            return
+        sub = (sub - 1) & m
 
 
 def _masks(n: int) -> List[int]:

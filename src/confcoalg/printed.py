@@ -102,7 +102,7 @@ def _raw_A_pair(n: int, mask: int, p: int, q: int, coeff: MultiPoly,
 
 
 def _raw_B(n: int, mask: int, coeff: MultiPoly, store: Dict[str, MultiPoly]):
-    if bin(mask).count("1") < n:
+    if mask.bit_count() < n:
         accumulate(store, SnBasisElement("B", mask).name(), coeff)
     # B on the full set degenerates to 0: (|I|-n) and the complement sum both vanish
 

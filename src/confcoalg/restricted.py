@@ -363,7 +363,7 @@ class SnBasisElement(FrozenRecord):
         return f"B{ds}"
 
     def parity(self) -> int:
-        deg = bin(self.mask).count("1")
+        deg = self.mask.bit_count()
         return (deg + 1) & 1 if self.tag == "A" else deg & 1
 
     def latex(self) -> str:
@@ -383,7 +383,7 @@ def sn_basis(n: int) -> List[SnBasisElement]:
             out.append(SnBasisElement("A", m, i))
         for a, b in zip(comp, comp[1:]):
             out.append(SnBasisElement("A2", m, a, b))
-        if bin(m).count("1") < n:
+        if m.bit_count() < n:
             out.append(SnBasisElement("B", m))
     return out
 

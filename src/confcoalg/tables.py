@@ -317,8 +317,9 @@ class Coproduct(Table):
 
     Table holds its generators and stored form; this class adds the row
     view, table[k] = delta(a_k^*) as its list of (i, j, Q^{ij}_k), each
-    (i, j) once and in order of first occurrence, for every k, so two
-    coproducts with the same sums have the same table and the same document."""
+    (i, j) once and in order of first occurrence, for every k.  Two
+    coproducts with the same sums have the same document, whose writers sort
+    each row's pairs by id, but their rows can list the pairs in other orders."""
 
     _ORDER, _STRAY_VARS = itemgetter(2), _NOT_SLOT     # sorted stably by k; entries in x1 and x2
 

@@ -11,7 +11,8 @@ from confcoalg.tables import (
     ConformalElement, Coproduct, LambdaStructure, StructureError, Table, _NOT_LAM_D, _NOT_SLOT,
     _TO_SLOTS,
 )
-from confcoalg.grassmann import IndexSet, SignedMonomial, eps_mask
+from confcoalg.grassmann import IndexSet, SignedMonomial
+from confcoalg.masks import eps_mask
 from confcoalg.poly import (
     ALPHABET, MultiPoly, P_ZERO, Scalar, X1, X2, _COMPONENT_SHIFT, _GUARD, _MAXEXP,
     _VAR_SHIFT, _sort_key, accumulate, common_denominator, pack_vector, unpack_vector,

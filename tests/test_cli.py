@@ -725,7 +725,7 @@ def test_benchmark_commands_compile_at_most_21000_lines():
 
 
 # run in a child before its commands: reading the row view raises
-_NO_ROW_VIEW = ("from confcoalg.conformal import Table\n"
+_NO_ROW_VIEW = ("from confcoalg.tables import Table\n"
                 "def _refuse(self):\n"
                 "    raise AssertionError('a command read Table.table')\n"
                 "Table.table = property(_refuse)\n")

@@ -16,12 +16,14 @@ import pytest
 from confcoalg import closed_form, families, poly, serialize
 from confcoalg.cli import _emit, main
 from confcoalg.coalgebra import (
-    Coproduct, DiffLine, DiffReport, TensorElement, apply_delta_slot, check_jordan_coalgebra,
-    check_lie_coalgebra, compare, double_dual_roundtrip, dualize, tau, zeta,
+    Coproduct, TensorElement, apply_delta_slot, check_jordan_coalgebra, check_lie_coalgebra,
+    compare, double_dual_roundtrip, dualize, tau, zeta,
 )
-from confcoalg.conformal import Generator, LambdaStructure, StructureError
+from confcoalg.conformal import LambdaStructure, StructureError
+from confcoalg.dual import DiffLine, DiffReport
 from confcoalg.families import make_vir
 from confcoalg.poly import D, LAM, MultiPoly, P_ONE, Scalar, X1, X2
+from confcoalg.tables import Generator
 
 from helpers import compare_oracle, count_calls, random_poly
 
@@ -231,6 +233,19 @@ def test_coproduct_rejects_stray_variables(var):
     gens = [Generator("L*", 0)]
     with pytest.raises(StructureError, match=f"uses {var}; "):
         Coproduct("lie", gens, {0: [(0, 0, X1 - MultiPoly.var(var))]}, name="bad")
+
+
+def test_coproducts_with_the_same_sums_write_one_document():
+    """Two coproducts with the same sums, given in other orders, write the
+    same document, whose writers sort each row's pairs by id; their rows keep
+    the order of first occurrence, so they are equal as sets, not as lists."""
+    gens = [Generator("a*", 0), Generator("b*", 0)]
+    first = Coproduct("lie", gens, {0: [(0, 1, X1), (1, 0, X2)]})
+    second = Coproduct("lie", gens, {0: [(1, 0, X2), (0, 1, X1)]})
+    assert serialize.dumps(first) == serialize.dumps(second)
+    assert first.table != second.table
+    assert {k: set(row) for k, row in first.table.items()} == {
+        k: set(row) for k, row in second.table.items()}
 
 
 def test_coproduct_merges_each_pair_once():

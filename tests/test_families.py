@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from confcoalg import cli, coalgebra, conformal, families, printed, restricted
+from confcoalg import cli, coalgebra, conformal, families, printed, restricted, tables
 from confcoalg.conformal import (
     ConformalElement, LambdaStructure, StructureError, bracket, check_jacobi, check_skew,
 )
@@ -437,7 +437,7 @@ def test_restriction_reads_the_ambient_stored_form(monkeypatch):
     def refuse(self):
         raise AssertionError("a row view was read")
 
-    monkeypatch.setattr(conformal.Table, "table", property(refuse))
+    monkeypatch.setattr(tables.Table, "table", property(refuse))
     assert dict(element_pairs(make_W(1), xs)) == want
     for name, make in makes.items():
         assert make().packed == stored[name], name

@@ -185,6 +185,23 @@ def _pops_key(stmts):
                for stmt in stmts for node in ast.walk(stmt))
 
 
+def test_every_module_uses_the_package_names_it_imports():
+    """Each name has one home: no module of the package imports a name of
+    another that it never uses, so none is reached through a module that
+    only passes it on.  The two hubs, families and closed_form, import every
+    constructor and emitter for their callers, and coalgebra imports compare
+    and dualize for bench/run.Library and bench/tracing.TARGETS."""
+    passed_on = {"confcoalg.coalgebra": {"compare", "dualize"}}
+    for name, tree in _production_sources():
+        if name in ("confcoalg.families", "confcoalg.closed_form"):
+            continue
+        imported = {alias.asname or alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.level
+                    for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported - used == passed_on.get(name, set()), name
+
+
 def test_only_poly_drops_zero_sums():
     """poly.accumulate is the one copy of the rule "add at a key and drop the
     key when the sum is zero": no other module branches on a zero test into
@@ -267,7 +284,8 @@ def test_each_table_is_packed_once():
                      ("confcoalg.tables", "Table.from_slots")]
     conformal = importlib.import_module("confcoalg.conformal")
     coalgebra = importlib.import_module("confcoalg.coalgebra")
-    assert isinstance(conformal.Table.__dict__["table"], functools.cached_property)
+    tables = importlib.import_module("confcoalg.tables")
+    assert isinstance(tables.Table.__dict__["table"], functools.cached_property)
     for cls in (conformal.LambdaStructure, coalgebra.Coproduct):
         assert not {"packed", "table"} & cls.__dict__.keys(), cls
     K = importlib.import_module("confcoalg.families").make_K(2)
@@ -326,8 +344,8 @@ def test_each_flip_residual_is_computed_once():
     assert sorted((name, where) for name, tree in _production_sources()
                   for where in _uses(tree, "_flip_kernel")) == [
         ("confcoalg.tables", "Table.flip_residual")]
-    conformal = importlib.import_module("confcoalg.conformal")
-    assert isinstance(conformal.Table.__dict__["flip_residual"], functools.cached_property)
+    tables = importlib.import_module("confcoalg.tables")
+    assert isinstance(tables.Table.__dict__["flip_residual"], functools.cached_property)
 
 
 def test_every_kernel_places_entries_through_put():
@@ -487,12 +505,12 @@ def test_verify_packs_the_table_once_and_not_its_dual(monkeypatch, capsys):
     """verify --checks coalg,crosscheck calls Table._store twice: once when
     K_3 is built and once when its closed-form coproduct is.  dualize
     relabels the table's stored form and packs nothing."""
-    from confcoalg import coalgebra, conformal
+    from confcoalg import coalgebra, tables
     from confcoalg.cli import main
 
     calls = []
-    real = conformal.Table._store
-    monkeypatch.setattr(conformal.Table, "_store",
+    real = tables.Table._store
+    monkeypatch.setattr(tables.Table, "_store",
                         lambda self, values, slots: calls.append(1) or real(self, values, slots))
     assert main(["verify", "--family", "K", "--n", "3", "--checks", "coalg,crosscheck"]) == 0
     assert capsys.readouterr().out.startswith("coalg[K_3^c]: pass")

@@ -24,6 +24,19 @@ parity pair (Schwartz 1980, Zippel 1979), D the residual's degree in (lam,
 mu, d) and R the range of the draws.  The seeds are fixed.  The tests
 compare the sketch with the same sums of the kernel's rows and with the
 verdicts of check_jacobi and of co-Jacobi on the dual.
+
+The flip identities, skew-symmetry and Jordan commutativity, have a sketch
+of their own, taken as the docstrings of check_skew and check_jordan_comm
+write them: at (l0, d0) of the same draws, with u and v each of one parity,
+
+    [u_lam v] - s [v_{-lam-d} u],   s = -(-1)^{p(u)p(v)} (Lie), (-1)^{p(u)p(v)} (Jordan),
+
+two walks over the row view.  On a coproduct it is the co-side, read from
+its own rows: sum u_i v_j (Q^{ij}_k(x1, x2) - s Q^{ji}_k(x2, x1)) at a point
+(x1, x2), so tau delta = -delta (Lie) or tau Delta = Delta (Jordan) holds
+where it is zero.  On a machine dual at (x1, x2) = (l0, -l0-d0) it equals
+the table's sketch, since Q^{ij}_k(x1, x2) = P^{ij}_k(x1, -x1-x2).  It reads
+neither flip_residual nor the flip kernel.
 """
 
 import functools
@@ -33,8 +46,12 @@ from fractions import Fraction
 import pytest
 
 from confcoalg import cli
-from confcoalg.coalgebra import check_lie_coalgebra, dualize
-from confcoalg.conformal import LIE, ConformalElement, StructureError, _jacobi_rows, check_jacobi
+from confcoalg import closed_form as cf
+from confcoalg.coalgebra import check_jordan_coalgebra, check_lie_coalgebra, dualize
+from confcoalg.conformal import (
+    JORDAN, LIE, ConformalElement, StructureError, _jacobi_rows, check_jacobi, check_jordan_comm,
+    check_skew,
+)
 from confcoalg.poly import D, LAM, MultiPoly, Scalar, unpack_vector
 
 _RANGE = 2 ** 31
@@ -56,22 +73,34 @@ def _value(P, at):
     return re, im
 
 
-def _bracket(S, x, y, point, values):
-    """{k: sum_{i,j} x_i y_j P^{ij}_k(point)} over the row view of S, x and y
-    {generator: (re, im)}; values keeps each polynomial's value at each point."""
+def _walk(entries, x, y, at, values):
+    """{k: sum_{i,j} x_i y_j P(at)} over entries (i, j, k, P), x and y
+    {generator: (re, im)} and at ((variable, value), ...); values keeps each
+    polynomial's value at each point."""
     out = {}
-    for (i, j), row in S.table.items():
+    for i, j, k, P in entries:
         if i not in x or j not in y:
             continue
-        c = _times(x[i], y[j])
-        for k, P in row:
-            key = id(P), point
-            if key not in values:
-                values[key] = _value(P, {"lam": point[0], "d": point[1]})
-            re, im = _times(c, values[key])
-            old = out.get(k, (0, 0))
-            out[k] = old[0] + re, old[1] + im
+        key = id(P), at
+        if key not in values:
+            values[key] = _value(P, dict(at))
+        re, im = _times(_times(x[i], y[j]), values[key])
+        old = out.get(k, (0, 0))
+        out[k] = old[0] + re, old[1] + im
     return out
+
+
+def _bracket(S, x, y, point, values):
+    """{k: sum_{i,j} x_i y_j P^{ij}_k(point)} over the row view of S, point (lam, d)."""
+    entries = ((i, j, k, P) for (i, j), row in S.table.items() if i in x and j in y for k, P in row)
+    return _walk(entries, x, y, (("lam", point[0]), ("d", point[1])), values)
+
+
+def _cobracket(C, x, y, point, values):
+    """{k: sum_{i,j} x_i y_j Q^{ij}_k(point)} over the row view of the
+    coproduct C, point (x1, x2)."""
+    entries = ((i, j, k, Q) for k, row in C.table.items() for i, j, Q in row)
+    return _walk(entries, x, y, (("x1", point[0]), ("x2", point[1])), values)
 
 
 def _draws(S, seed: int):
@@ -148,8 +177,8 @@ def assert_sketch_agrees(S, seed):
     return nonzero
 
 
-def _cli_lie_tables():
-    """Every Lie table the command line builds within its caps, with the id
+def _cli_tables():
+    """Every table the command line builds within its caps, with the id
     family-n-b: each n up to the cap or each allowed n, Sb at b in 0, 1 and
     beta."""
     out = []
@@ -161,12 +190,12 @@ def _cli_lie_tables():
                     S = fd.build(n, cli.parse_scalar(b) if b else Scalar(0))
                 except StructureError:   # below the family's least n
                     continue
-                if S.kind == LIE:
-                    out.append(pytest.param(S, id=f"{name}-{n}-{b}"))
+                out.append(pytest.param(S, id=f"{name}-{n}-{b}"))
     return out
 
 
-_LIE_TABLES = _cli_lie_tables()
+_TABLES = _cli_tables()
+_LIE_TABLES = [p for p in _TABLES if p.values[0].kind == LIE]
 
 
 def test_every_lie_family_the_caps_allow_is_covered():
@@ -183,11 +212,12 @@ def test_sketch_is_zero_on_every_lie_family(S):
 
 
 def _skew_partner(S, i, j, k, q):
-    """S with q a_k added to [a_i lam a_j] and its skew image
-    -(-1)^{p_i p_j} q(-lam-d, d) a_k to [a_j lam a_i], i != j."""
-    sign = -1 if S.parities[i] & S.parities[j] else 1
+    """S with q a_k added to [a_i lam a_j] and its flip image s q(-lam-d,
+    d) a_k to [a_j lam a_i], i != j: s = -(-1)^{p_i p_j} in a Lie table,
+    (-1)^{p_i p_j} in a Jordan one."""
+    sign = _flip_sign(S.kind, S.parities[i], S.parities[j])
     T = S.with_entry(i, j, S.entry(i, j) + ConformalElement({k: q}))
-    mirror = q.subst_general("lam", -LAM - D).scalar_mul(-sign)
+    mirror = q.subst_general("lam", -LAM - D).scalar_mul(sign)
     return T.with_entry(j, i, T.entry(j, i) + ConformalElement({k: mirror}))
 
 
@@ -198,13 +228,20 @@ def _small_tables():
         ("k", 4, (0,)), ("s", 2, (0,)), ("sb", 2, (0, 1)), ("stilde", 2, (0,)))}
 
 
-def _corruption(seed):
-    """A seeded corruption of a small Lie table and its kind: one entry that
-    breaks skew ("breaks"), one entry with its skew image ("mirrored"), or
-    one diagonal entry [a lam a] whose q(-lam-d, d) = -(-1)^{p(a)} q keeps
-    the table skew ("diagonal")."""
+@functools.lru_cache(maxsize=None)
+def _small_jordan_tables():
+    return {(name, n): cli.FAMILIES[name].build(n, Scalar(0)) for name, n in (
+        ("jn", 1), ("jn", 2), ("js1", None), ("curjordan", None))}
+
+
+def _corruption(seed, pool=_small_tables):
+    """A seeded corruption of a small table of pool, Lie by default, and its
+    kind: one entry that breaks the flip identity ("breaks"), one entry with
+    its flip image ("mirrored"), or one diagonal entry [a lam a] whose
+    q(-lam-d, d) = s q, s = _flip_sign(kind, p(a), p(a)), keeps it
+    ("diagonal")."""
     rng, kind = random.Random(seed), ("breaks", "mirrored", "diagonal")[seed % 3]
-    tables = [T for _, T in sorted(_small_tables().items(), key=str)
+    tables = [T for _, T in sorted(pool().items(), key=str)
               if kind != "mirrored" or T.rank > 1]
     S = rng.choice(tables)
     par, n = S.parities, S.rank
@@ -221,7 +258,7 @@ def _corruption(seed):
     k = rng.choice(targets)
     if kind == "diagonal":   # lam(lam+d) is fixed by lam -> -lam-d, 2 lam + d negated
         q = (LAM * (LAM + D) if rng.randrange(2) else MultiPoly.const(1)) * c
-        q = q if par[i] else q * (2 * LAM + D)
+        q = q if _flip_sign(S.kind, par[i], par[i]) == 1 else q * (2 * LAM + D)
         return S.with_entry(i, i, S.entry(i, i) + ConformalElement({k: q})), kind
     q = MultiPoly.monomial({"lam": rng.randrange(3), "d": rng.randrange(2)}, c)
     if kind == "mirrored":
@@ -239,3 +276,107 @@ def test_sketch_agrees_with_the_checks_on_corruptions():
         assert (kind == "breaks") == bool(T.flip_residual), (seed, T.name, kind)
         failing[kind] += assert_sketch_agrees(T, seed)
     assert failing == {"breaks": 12, "mirrored": 12, "diagonal": 12}
+
+
+# -- the flip identities: skew-symmetry and Jordan commutativity
+
+
+def _flip_sign(kind, p, q):
+    """s of the flip identity x = s tau(x): -(-1)^{pq} for Lie, (-1)^{pq} for Jordan."""
+    sign = -1 if p & q else 1
+    return -sign if kind == LIE else sign
+
+
+def _flip_residuals(T, draws, walk, there, back) -> dict:
+    """{(p(u), p(v)): {k: nonzero residual}} of walk(T, u, v, there) - s
+    walk(T, v, u, back) at the draws' weights."""
+    _, _, pairs = draws
+    gaussian = lambda x: {g: (c, 0) for g, c in x.items()}
+    sketch, values = {}, {}
+    for (pu, pv), (u, v) in pairs.items():
+        u, v, s = gaussian(u), gaussian(v), _flip_sign(T.kind, pu, pv)
+        a, b = walk(T, u, v, there, values), walk(T, v, u, back, values)
+        residual = {}
+        for k in set(a) | set(b):
+            (are, aim), (bre, bim) = a.get(k, (0, 0)), b.get(k, (0, 0))
+            residual[k] = are - s * bre, aim - s * bim
+        sketch[(pu, pv)] = {k: r for k, r in residual.items() if r != (0, 0)}
+    return sketch
+
+
+def flip_sketch(S, draws) -> dict:
+    """The table side: [u_lam v] - s [v_{-lam-d} u] at (lam, d) = (l0, d0)."""
+    (l0, _, d0), _, _ = draws
+    return _flip_residuals(S, draws, _bracket, (l0, d0), (-l0 - d0, d0))
+
+
+def coflip_sketch(C, draws) -> dict:
+    """The co-side: sum u_i v_j (Q^{ij}_k(x1, x2) - s Q^{ji}_k(x2, x1)) at
+    (x1, x2) = (l0, -l0-d0), the point of flip_sketch on a machine dual."""
+    (l0, _, d0), _, _ = draws
+    return _flip_residuals(C, draws, _cobracket, (l0, -l0 - d0), (-l0 - d0, l0))
+
+
+def _flip_violations(C) -> list:
+    """The antisymmetry or co-commutativity violations of C's exact report."""
+    report = (check_lie_coalgebra if C.kind == LIE else check_jordan_coalgebra)(C)
+    return [v.where for v in report.violations if v.where[1] in ("antisymmetry", "co-commutativity")]
+
+
+def assert_flip_sketch_agrees(S, seed):
+    """The flip sketch of S equals the co-side sketch of its dual, and is
+    nonzero exactly when check_skew or check_jordan_comm reports a violation
+    and exactly when the dual's exact report has a flip violation; returns
+    whether it is."""
+    draws, dual = _draws(S, seed), dualize(S)
+    sketch = flip_sketch(S, draws)
+    assert coflip_sketch(dual, draws) == sketch, S.name
+    nonzero = any(sketch.values())
+    check = check_skew if S.kind == LIE else check_jordan_comm
+    assert nonzero == (not check(S).ok) == bool(_flip_violations(dual)), (S.name, nonzero)
+    return nonzero
+
+
+def test_every_jordan_family_the_caps_allow_is_covered():
+    assert [p.id for p in _TABLES if p.values[0].kind == JORDAN] == [
+        *(f"jn-{n}-None" for n in range(4)), "js1-None-None", "jck4-None-None",
+        "curjordan-None-None"]
+
+
+@pytest.mark.parametrize("S", _TABLES)
+def test_flip_sketch_is_zero_on_every_family(S):
+    assert not assert_flip_sketch_agrees(S, seed=S.rank)
+
+
+def test_flip_sketch_agrees_with_the_checks_on_corruptions():
+    """24 seeded corruptions, twelve Lie and twelve Jordan, four of each
+    kind: the ones that break the flip identity fail, the others pass."""
+    failing = []
+    for seed in range(24):
+        T, kind = _corruption(seed, (_small_tables, _small_jordan_tables)[seed % 2])
+        assert T.kind == (LIE, JORDAN)[seed % 2]
+        failing.append(assert_flip_sketch_agrees(T, seed))
+        assert failing[-1] == (kind == "breaks"), (seed, T.name, kind)
+    assert sum(failing) == 8
+
+
+# family-n of every closed form the caps allow, one per table of a family with one
+_CLOSED_FORMS = [p.id.rsplit("-", 1)[0] for p in _TABLES if cli.FAMILIES[p.id.split("-")[0]].formula]
+
+
+def test_every_closed_form_the_caps_allow_is_covered():
+    assert _CLOSED_FORMS == [
+        "vir-None", "cur-None", *(f"w-{n}" for n in range(5)), "s-2", "s-3",
+        *(f"k-{n}" for n in range(7)), *(f"n-{n}" for n in (2, 3, 4)), "k4prime-None",
+        "ck6-None", *(f"jn-{n}" for n in range(4)), "js1-None", "jck4-None"]
+
+
+@pytest.mark.parametrize("case", _CLOSED_FORMS)
+def test_coflip_sketch_on_every_closed_form(case):
+    """The co-side sketch of every closed form the caps allow is nonzero
+    exactly when its exact report has a flip violation: on the N = 4 list
+    and K_4', whose three xi_kl* rows carry the slips of defect 5."""
+    name, n = case.split("-")
+    C = cli.FAMILIES[name].tabulated(None if n == "None" else int(n))
+    nonzero = any(coflip_sketch(C, _draws(C, seed=C.rank)).values())
+    assert nonzero == bool(_flip_violations(C)) == (case in ("n-4", "k4prime-None"))
