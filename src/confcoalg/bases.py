@@ -3,8 +3,10 @@
 W_n, K_n (and the N = 2, 3, 4 and K_4' lists), J_n and JCK_4 list their
 generators here once, with the index maps of their masks: the constructors
 (families_*) and the closed forms (closed_form_*) take them from this
-module, so that neither imports the other.  _entry_polys makes the entry
-values of the constructors that build straight into the stored form.
+module, so that no closed form imports a constructor module for its
+generators (closed_form_current does import families_current, for the sl2
+constants of Cur(sl2)).  _entry_polys makes the entry values of the
+constructors that build straight into the stored form.
 """
 
 from __future__ import annotations

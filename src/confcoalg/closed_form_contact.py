@@ -306,12 +306,11 @@ def _twice_gaussian(coeff: tuple) -> tuple:
                  for x in ((a.re, a.im) if isinstance(a, Scalar) else (a, 0)))
 
 
-def _contact_sign(x: int, y: int, z: int) -> int:
-    """(-1)^(alpha(I, I^c) + alpha({x}, I^c) + alpha({x} + I^c, {y, z})) for I = {x, y, z}."""
-    from .restricted import _CK6_STAR
-
+def _contact_sign(x: int, y: int, z: int, star: int) -> int:
+    """(-1)^(alpha(I, I^c) + alpha({x}, I^c) + alpha({x} + I^c, {y, z})) for I = {x, y, z},
+    I^c its complement in star, the mask of xi_star."""
     X, YZ = _mask_of(x), _mask_of(y) | _mask_of(z)
-    Ic = _CK6_STAR ^ X ^ YZ
+    Ic = star ^ X ^ YZ
     return _sgn(alpha_mask(X | YZ, Ic) + alpha_mask(X, Ic) + alpha_mask(X | Ic, YZ))
 
 
@@ -425,19 +424,19 @@ def coproduct_CK6() -> Coproduct:
                         add(Kn, cf, (i,), (1, k, l))
                         add(Kn, cf, (1, k, l), (i,))
             if r > 1:
-                cf = _c(-_contact_sign(1, r, s))
+                cf = _c(-_contact_sign(1, r, s, _CK6_STAR))
                 add(Kn, cf, (1,), (1, r, s))
                 add(Kn, cf, (1, r, s), (1,))
             else:
                 for i in range(2, s):
-                    cf = _c(-_contact_sign(i, 1, s))
+                    cf = _c(-_contact_sign(i, 1, s, _CK6_STAR))
                     add(Kn, cf, (i,), (1, i, s))
                     # the display labels this factor C_{i1s}; reading the
                     # subscript as an unordered label (no permutation sign)
                     # keeps the formula tau-antisymmetric
                     add(Kn, cf, (1, i, s), (i,))
                 for i in range(s + 1, 7):
-                    cf = _c(_contact_sign(i, 1, s))
+                    cf = _c(_contact_sign(i, 1, s, _CK6_STAR))
                     add(Kn, cf, (i,), (1, s, i))
                     add(Kn, cf, (1, s, i), (i,))
     return b.done()

@@ -22,17 +22,17 @@ calls them, and ``tests/test_kernels.py`` uses them as the oracle for the
 co-checks.  Every check, of a table or of a coproduct, runs the kernels of
 conformal in slot variables; co-Jordan is the Jordan identity at (lam, mu,
 nu, d) = (x1, x2, x2+x3, -x1-x2-x3-x4), times -(-1)^{p(a)p(c)}, a sign that
-check_jordan_coalgebra puts on the kernel's rows as it writes them.
+the writer puts on each tuple's part as it reads the kernel's rows.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from .conformal import CONSISTENT, Report, Violation, _jacobi_rows, _jordan_rows
+from .conformal import CONSISTENT, Report, Violation, _jacobi_rows, _jordan_rows, _residual_parts
 # compare and dualize are read here by bench/run.Library and bench/tracing.TARGETS
 from .dual import compare, dualize  # noqa: F401
-from .poly import D, LAM, MultiPoly, P_ONE, _COMPONENT_SHIFT, _parts, _poly_text, accumulate
+from .poly import D, LAM, MultiPoly, P_ONE, _poly_text, accumulate
 from .tables import Coproduct, JORDAN, LIE, LambdaStructure, StructureError
 
 _X = ("x1", "x2", "x3", "x4")
@@ -205,28 +205,26 @@ def zeta(t: TensorElement) -> TensorElement:
 # rows are the co-Jacobi residuals and the consistent Jordan rows, times
 # -(-1)^{p(a)p(c)}, the co-Jordan ones.  Row a of the Jacobi or Jordan kernel
 # holds the residual of a_m^* at [a, t] at component t n + m, n the rank and
-# t the rest of the tuple as base-n digits; an antisymmetric coproduct gets
-# the reduced Jacobi kernel as a skew table does.
+# t the rest of the tuple as base-n digits, which conformal._residual_parts
+# decodes for the table checks and the co-checks alike; an antisymmetric
+# coproduct gets the reduced Jacobi kernel as a skew table does.
 
 
 def _record(rep: Report, cop: Coproduct, residuals) -> None:
     """Add a violation at each (a_k^*, check) of residuals, [(check, arity, rows,
-    scale)], with a nonzero residual, in the order of k and then of residuals.
-    Row r of rows is a packed residual, scale times too large, whose component
-    t n + k is the part of a_k^* at the tuple with base-n digits r n^(arity-1) + t
-    (a flip residual is one row); a row's text is written as it is read, the
-    text of each monomial and coefficient made once per call."""
+    scale, odd)], with a nonzero residual, in the order of k and then of
+    residuals, read through _residual_parts, the part of each tuple t with
+    odd(t) negated (odd None: none); each monomial's text is made once per call."""
     n, texts = cop.rank, {}
-    powers = [[n ** e for e in reversed(range(arity))] for _, arity, _, _ in residuals]
     found: Dict[Tuple[int, int], list] = {}
-    for x, (_, _, rows, scale) in enumerate(residuals):
-        for r, row in enumerate(rows):
-            for c, terms in _parts(row, scale).items():
-                t, k = divmod(c, n)
-                text = _poly_text(terms, texts)
-                found.setdefault((k, x), []).append((r * powers[x][0] + t, text))
+    for x, (_, arity, rows, scale, odd) in enumerate(residuals):
+        for t, k, terms in _residual_parts(rows, n, arity, scale):
+            if odd and odd(t):
+                terms = {key: (-re, -im) for key, (re, im) in terms.items()}
+            found.setdefault((k, x), []).append((t, _poly_text(terms, texts)))
     for (k, x), parts in sorted(found.items()):
-        text = " + ".join(f"({s})*{tuple(t // p % n for p in powers[x])}" for t, s in sorted(parts))
+        powers = [n ** e for e in reversed(range(residuals[x][1]))]
+        text = " + ".join(f"({s})*{tuple(t // p % n for p in powers)}" for t, s in sorted(parts))
         rep.violations.append(Violation((cop.generators[k].id, residuals[x][0]), text))
 
 
@@ -257,7 +255,7 @@ def check_lie_coalgebra(cop: Coproduct) -> Report:
     L, table = cop.packed
     flip = cop.flip_residual
     jacobi = _jacobi_rows(table, cop.parities, not flip)
-    _record(rep, cop, [("antisymmetry", 2, [flip], L), ("co-jacobi", 3, jacobi, L * L)])
+    _record(rep, cop, [("antisymmetry", 2, [flip], L, None), ("co-jacobi", 3, jacobi, L * L, None)])
     return rep
 
 
@@ -279,8 +277,8 @@ def check_jordan_coalgebra(cop: Coproduct) -> Report:
     (a, b, c, d) at a_m: that identity is a cyclic sum over (a, b, c) (see
     conformal.check_jordan_identity), and (-1)^{p(a)p(c)} turns the sign of
     each rotation into that of zeta^0, zeta or zeta^2.  So co-Jordan is the
-    consistent Jordan kernel (_jordan_rows), row a written times
-    (-1)^{p(a)p(c)}, c the second index of each component, at scale -L^3,
+    consistent Jordan kernel (_jordan_rows), each tuple's part negated as
+    _record reads it where p(a)p(c) is odd, at scale -L^3,
     and co-commutativity is minus cop.flip_residual: the rows that
     check_jordan_identity and check_jordan_comm map back to lam, mu, nu and d.
     The kernel accumulates one [a, b, c] per rotation orbit and writes each
@@ -292,10 +290,8 @@ def check_jordan_coalgebra(cop: Coproduct) -> Report:
     n, par = cop.rank, cop.parities
     rep = Report("cojordan", cop.name, total=n)
     L, table = cop.packed
-    jordan = [{key: -v if pa & par[(key >> _COMPONENT_SHIFT) // n ** 2 % n] else v
-               for key, v in row.items()}
-              for pa, row in zip(par, _jordan_rows(table, par, CONSISTENT))]
-    _record(rep, cop, [("co-commutativity", 2, [cop.flip_residual], -L),
-                       ("co-jordan", 4, jordan, -L ** 3)])
+    odd = lambda t: par[t // n ** 3] & par[t // n % n]   # p(a) p(c) of t = (a, b, c, d)
+    _record(rep, cop, [("co-commutativity", 2, [cop.flip_residual], -L, None),
+                       ("co-jordan", 4, _jordan_rows(table, par, CONSISTENT), -L ** 3, odd)])
     return rep
 

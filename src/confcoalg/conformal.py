@@ -20,7 +20,7 @@ to arbitrary elements.
 from __future__ import annotations
 
 from collections import defaultdict
-from itertools import combinations, permutations, takewhile
+from itertools import chain, combinations, permutations, takewhile
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .poly import (
@@ -142,9 +142,10 @@ class Report(Record):
 # co-commutativity, the co-Jacobi and -(-1)^{p(a)p(c)} times the co-Jordan
 # residuals (see coalgebra, whose co-checks run the same kernels).  A
 # kernel's row is a plain residual, compact ({} when zero) and in the slot
-# variables, and its writer applies its own map, sign and scale: the table
-# checks map it back (_FLIP_BACK, _JACOBI_BACK, _JORDAN_BACK; each map keeps
-# the image of every monomial it meets), and co-Jordan signs it.
+# variables; one walk, _residual_parts, decodes the rows for every report, and
+# each writer applies its own map, sign and scale: the table checks map them
+# back (_FLIP_BACK, _JACOBI_BACK, _JORDAN_BACK; each map keeps the image of
+# every monomial it meets), and co-Jordan signs each tuple's part.
 # The image sets (JACOBI_IMAGES, JORDAN_IMAGES) give each renamed copy its
 # (x1_img, x2_img), (None, None) for the table as it is.  The Jordan kernel
 # renames the table for its first factors and for the intermediate r1 only:
@@ -211,29 +212,30 @@ def check_jordan_comm(S: LambdaStructure) -> Report:
     return _check_flip(S, "jordan-comm")
 
 
-def _record(rep: Report, S: LambdaStructure, rows, arity: int, scale: int, back) -> None:
-    """Add a violation at each tuple whose part of rows is nonzero.
+def _residual_parts(rows, n: int, arity: int, scale: int, back=None) -> Iterator[tuple]:
+    """(t, m, terms) for each nonzero part of rows, in row order, then component
+    order.  Row r is a compact packed residual (a flip residual is one row),
+    scale times too large, at components t' n + m: t = r n**(arity-1) + t' is
+    the tuple's base-n digits, m its generator, and terms that part's
+    poly._parts terms after back, if given, maps the row."""
+    top = n ** (arity - 1)
+    return chain.from_iterable(   # one row's parts at a time
+        [(r * top + comp // n, comp % n, terms)
+         for comp, terms in sorted(_parts(back(row) if back else row, scale).items())]
+        for r, row in enumerate(rows) if row)
 
-    Row r of rows is a compact packed residual in slot variables, scale
-    times too large, at components t n + m, m the generator of the residual
-    and r n**(arity-1) + t the tuple's base-n digits (a flip residual is one
-    row); back maps it to the table's variables.  Violations follow in the
-    order of the tuples, each residual written as ConformalElement.pretty
-    writes it, each monomial's and coefficient's text made once per call.
-    """
+
+def _record(rep: Report, S: LambdaStructure, rows, arity: int, scale: int, back) -> None:
+    """Add a violation at each tuple with a nonzero part of rows (_residual_parts),
+    in tuple order, written as ConformalElement.pretty writes it, each
+    monomial's and coefficient's text made once per call."""
     n, names, texts = S.rank, [g.id for g in S.generators], {}
-    powers = [n ** e for e in reversed(range(arity))]
-    for r, acc in enumerate(rows):
-        if not acc:
-            continue
-        by_tuple: Dict[int, List[str]] = {}
-        for comp, terms in sorted(_parts(back(acc), scale).items()):
-            t, m = divmod(comp, n)
-            text = f"({_poly_text(terms, texts)})*{names[m]}"
-            by_tuple.setdefault(r * powers[0] + t, []).append(text)
-        for t, parts in by_tuple.items():
-            where = tuple([names[t // p % n] for p in powers])
-            rep.violations.append(Violation(where, " + ".join(parts)))
+    powers, by_tuple = [n ** e for e in reversed(range(arity))], {}
+    for t, m, terms in _residual_parts(rows, n, arity, scale, back):
+        by_tuple.setdefault(t, []).append(f"({_poly_text(terms, texts)})*{names[m]}")
+    for t, parts in by_tuple.items():
+        where = tuple([names[t // p % n] for p in powers])
+        rep.violations.append(Violation(where, " + ".join(parts)))
 
 
 PRINTED = "printed"

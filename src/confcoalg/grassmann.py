@@ -16,10 +16,7 @@ from typing import Iterable, Optional, Tuple
 
 from .masks import alpha_mask, members, mul_sign
 
-__all__ = [
-    "IndexSet", "MAX_N", "SignedMonomial", "alpha", "alpha_mask", "complement", "hodge",
-    "members", "mul", "mul_sign", "subsets",
-]
+__all__ = ["IndexSet", "MAX_N", "SignedMonomial", "alpha", "complement", "hodge", "mul", "subsets"]
 
 MAX_N = 16
 

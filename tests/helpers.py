@@ -406,17 +406,22 @@ def record_oracle(rep: Report, S: LambdaStructure, head, acc, width: int, scale:
 
 def co_record_oracle(rep: Report, cop: Coproduct, residuals) -> None:
     """Add a violation at each (a_k^*, check) of residuals, [(check, arity, rows,
-    scale)], with a nonzero residual, in the order of k and then of residuals.
+    scale, odd)], with a nonzero residual, in the order of k and then of residuals.
     Row r of rows is a packed residual, scale times too large, whose component
     t n + k is the part of a_k^* at the tuple with base-n digits r n^(arity-1) + t
-    (a flip residual is one row); a row's text is written as it is read."""
+    (a flip residual is one row); a row's text is written as it is read, the
+    keys of each tuple whose digits t have odd(t) negated first."""
     n = cop.rank
     found: Dict[Tuple[int, int], list] = {}
-    for x, (_, arity, rows, scale) in enumerate(residuals):
+    for x, (_, arity, rows, scale, odd) in enumerate(residuals):
         for r, row in enumerate(rows):
+            top = r * n ** (arity - 1)
+            if odd:
+                row = {key: -v if odd(top + (key >> _COMPONENT_SHIFT) // n) else v
+                       for key, v in row.items()}
             for c, text in vector_text(row, scale).items():
                 t, k = divmod(c, n)
-                found.setdefault((k, x), []).append((r * n ** (arity - 1) + t, text))
+                found.setdefault((k, x), []).append((top + t, text))
     for (k, x), parts in sorted(found.items()):
         check, arity = residuals[x][:2]
         text = " + ".join(f"({s})*{tuple(t // n ** e % n for e in reversed(range(arity)))}"

@@ -23,8 +23,7 @@ from confcoalg.printed import (
 from confcoalg.restricted import (
     NotInSpan, ck6_embed, div_module_map, div_w, embed_sn, sn_basis, span_reader,
 )
-from confcoalg.grassmann import mul_sign
-from confcoalg.masks import _d_mul
+from confcoalg.masks import _d_mul, members, mul_sign
 from confcoalg.poly import D, LAM, MultiPoly, P_ONE, Scalar
 
 from helpers import element_reader
@@ -476,6 +475,46 @@ def test_sb0_matches_s2_after_base_change(S, S2b):
                     for k, P in s2.table[(ia, ic)]:
                         via = via + table_embeds[k].scale(pa_l * pc_r * P)
             assert (direct - via).is_zero(), (a, c)
+
+
+def _sb_basis(W, b):
+    """An explicit basis of S_{n,b} in W = W_n: A and A2 as embed_sn writes
+    them, and B_I^b = (|I| - n) xi_I + (d - b) sum_{i not in I} mul_sign(I,
+    {i}) xi_{I+i} d_i, S_n's B with its d replaced by d - b."""
+    n, w_idx, lam_idx = W.meta["n"], W.meta["w_idx"], W.meta["lam_idx"]
+    out = []
+    for el in sn_basis(n):
+        if el.tag != "B":
+            out.append(embed_sn(el, W))
+            continue
+        I = el.mask
+        terms = {lam_idx[I]: MultiPoly.const(I.bit_count() - n)}
+        for i in members(~I & ((1 << n) - 1)):
+            terms[w_idx[(I | 1 << i - 1, i)]] = (D - MultiPoly.const(b)) * mul_sign(I, 1 << i - 1)
+        out.append(ConformalElement(terms))
+    return out
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_sb_explicit_basis_spans_what_the_kernel_basis_spans(n):
+    """div_b kills every element of the explicit basis, which spans over C[d]
+    the module that make_S_b's kernel basis spans: each basis reads every
+    element of the other through span_reader, exactly, with no NotInSpan.
+    At b = 0 it is make_S's basis, so make_S(n) and make_S_b(n, 0) restrict
+    the same submodule of W_n."""
+    for b in (Scalar(0), Scalar(1), Scalar(0, 1), Scalar(3, -2)):
+        machine = make_S_b(n, b)
+        W, kernel = machine.meta["W"], machine.meta["embeds"]
+        explicit = _sb_basis(W, b)
+        assert all(div_w(W, x, b).is_zero() for x in explicit), b
+        for basis, other in ((explicit, kernel), (kernel, explicit)):
+            read = element_reader(W, basis)
+            for x in other:
+                spanned = ConformalElement()
+                for j, p in read(x).items():
+                    spanned = spanned + basis[j].scale(p)
+                assert spanned == x, b
+    assert _sb_basis(make_W(n), Scalar(0)) == make_S(n).meta["embeds"]
 
 
 def test_stilde_rank_and_axioms(Stilde2):

@@ -10,9 +10,8 @@ import pkgutil
 import pytest
 
 import confcoalg
-from confcoalg.grassmann import (
-    IndexSet, SignedMonomial, alpha, complement, hodge, members, mul, mul_sign, subsets,
-)
+from confcoalg.grassmann import IndexSet, SignedMonomial, alpha, complement, hodge, mul, subsets
+from confcoalg.masks import members, mul_sign
 
 from helpers import derive, eps
 
@@ -185,21 +184,58 @@ def _pops_key(stmts):
                for stmt in stmts for node in ast.walk(stmt))
 
 
+def _module_scope_names(tree):
+    """The names a module binds at its top level other than by an import:
+    its functions, classes and assignment targets."""
+    out = set()
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                out.add(child.name)
+            elif not isinstance(child, (ast.Import, ast.ImportFrom, ast.Lambda, ast.ListComp,
+                                        ast.SetComp, ast.DictComp, ast.GeneratorExp)):
+                if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Store):
+                    out.add(child.id)
+                visit(child)
+
+    visit(tree)
+    return out
+
+
 def test_every_module_uses_the_package_names_it_imports():
     """Each name has one home: no module of the package imports a name of
     another that it never uses, so none is reached through a module that
-    only passes it on.  The two hubs, families and closed_form, import every
-    constructor and emitter for their callers, and coalgebra imports compare
-    and dualize for bench/run.Library and bench/tracing.TARGETS."""
+    only passes it on, and every from .X import name names the module X
+    that defines name (from . import X names a module).  The two hubs,
+    families and closed_form, import every constructor and emitter for
+    their callers, and coalgebra imports compare and dualize for
+    bench/run.Library and bench/tracing.TARGETS; a name imported from a hub
+    or one of those two from coalgebra would be exempt from the second rule.
+    grassmann's __all__ lists only names it defines, none of masks'."""
     passed_on = {"confcoalg.coalgebra": {"compare", "dualize"}}
-    for name, tree in _production_sources():
-        if name in ("confcoalg.families", "confcoalg.closed_form"):
+    sources = dict(_production_sources())
+    hubs = ("confcoalg.families", "confcoalg.closed_form")
+    for name, tree in sources.items():
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.ImportFrom) and node.level):
+                continue
+            home = f"confcoalg.{node.module}" if node.module else "confcoalg"
+            for alias in node.names:
+                if home == "confcoalg":
+                    assert f"confcoalg.{alias.name}" in sources, (name, alias.name)
+                elif home not in hubs and alias.name not in passed_on.get(home, ()):
+                    defined = _module_scope_names(sources[home])
+                    assert alias.name in defined, (name, alias.name, home)
+        if name in hubs:
             continue
         imported = {alias.asname or alias.name for node in ast.walk(tree)
                     if isinstance(node, ast.ImportFrom) and node.level
                     for alias in node.names}
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert imported - used == passed_on.get(name, set()), name
+    grassmann = importlib.import_module("confcoalg.grassmann")
+    assert set(grassmann.__all__) <= _module_scope_names(sources["confcoalg.grassmann"])
 
 
 def test_only_poly_drops_zero_sums():
@@ -399,7 +435,9 @@ def test_function_bodies_import_what_some_commands_skip():
     conformal's flip kernel, which tables reads for the flip residual, as
     every command loads tables.  conformal imports nothing inside a
     function: its checks run the row kernels defined beside them, which
-    coalgebra imports at its top."""
+    coalgebra imports at its top.  closed_form_contact._contact_sign takes
+    the mask of xi_star from coproduct_CK6, which imports it, so the loops
+    that call it run no import."""
     found = set()
 
     def visit(module, node, where):
@@ -415,7 +453,7 @@ def test_function_bodies_import_what_some_commands_skip():
     for name, tree in _production_sources():
         visit(name.rpartition(".")[2], tree, None)
     restricted = {("closed_form_contact", "coproduct_K4prime"), ("closed_form_contact", "_ck6_duals"),
-                  ("closed_form_contact", "_contact_sign"), ("closed_form_contact", "coproduct_CK6"),
+                  ("closed_form_contact", "coproduct_CK6"),
                   ("closed_form_w", "coproduct_S"), ("families_contact", "make_K4prime"),
                   ("families_contact", "make_CK6"), ("families_w", "make_S"),
                   ("families_w", "make_S_b"), ("families_w", "make_S_tilde")}
@@ -465,19 +503,32 @@ def test_only_serialize_writes_indented_json():
 
 def test_residual_text_is_written_from_the_packed_form(monkeypatch):
     """conformal._record and coalgebra._record write violation text from the
-    packed residual with the two halves of poly.vector_text, poly._parts and
-    poly._poly_text, whose text cache each keeps for the whole check call:
-    neither names unpack_vector or repr, and the checks write their
-    violations with MultiPoly.__repr__, Scalar.__repr__ and unpack_vector
-    made to raise."""
-    records = [(name, node) for name, tree in _production_sources() for node in ast.walk(tree)
-               if isinstance(node, ast.FunctionDef) and node.name == "_record"]
+    packed residual with the two halves of poly.vector_text: the one walk
+    over the kernels' rows, conformal._residual_parts, splits them with
+    poly._parts, and each writer writes the parts with poly._poly_text,
+    whose text cache it keeps for the whole check call.  No writer names
+    unpack_vector or repr, no other function of conformal or coalgebra
+    calls _parts, coalgebra imports neither _parts nor _COMPONENT_SHIFT,
+    and the checks write their violations with MultiPoly.__repr__,
+    Scalar.__repr__ and unpack_vector made to raise."""
+    def names_in(node):
+        names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+        return names | {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
+
+    functions = [(name, node) for name, tree in _production_sources() for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef)
+                 and name in ("confcoalg.coalgebra", "confcoalg.conformal")]
+    records = [(name, node) for name, node in functions if node.name == "_record"]
     assert sorted(name for name, _ in records) == ["confcoalg.coalgebra", "confcoalg.conformal"]
     for name, node in records:
-        names = {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
-        names |= {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)}
-        assert {"_parts", "_poly_text"} <= names, name
-        assert not names & {"unpack_vector", "repr", "__repr__"}, name
+        names = names_in(node)
+        assert {"_residual_parts", "_poly_text"} <= names, name
+        assert not names & {"_parts", "unpack_vector", "repr", "__repr__"}, name
+    assert [(name, node.name) for name, node in functions if "_parts" in names_in(node)] == [
+        ("confcoalg.conformal", "_residual_parts")]
+    tree = dict(_production_sources())["confcoalg.coalgebra"]   # the digits stay in the walk
+    assert not {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names} & {"_parts", "_COMPONENT_SHIFT"}
 
     from confcoalg import coalgebra, conformal, families, poly, tables
     from test_kernels import _skew_corruption

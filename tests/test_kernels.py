@@ -42,7 +42,8 @@ from confcoalg.conformal import (
 from confcoalg.families import corrupt_entry
 from confcoalg.conformal import JACOBI_IMAGES, JORDAN_IMAGES, PRINTED_JORDAN_IMAGES
 from confcoalg.restricted import ModuleMap, _divmod_d, _normalise_content, bracket_pairs
-from confcoalg.grassmann import IndexSet, alpha_mask, members, mul, mul_sign
+from confcoalg.grassmann import IndexSet, mul
+from confcoalg.masks import alpha_mask, members, mul_sign
 from confcoalg.tables import Generator
 from confcoalg.poly import (
     BETA, D, LAM, MU, NU, X1, X2, X3, X4, MultiPoly, P_ONE, Scalar, _MONO_MASK, _checked,

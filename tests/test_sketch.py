@@ -37,10 +37,22 @@ its own rows: sum u_i v_j (Q^{ij}_k(x1, x2) - s Q^{ji}_k(x2, x1)) at a point
 where it is zero.  On a machine dual at (x1, x2) = (l0, -l0-d0) it equals
 the table's sketch, since Q^{ij}_k(x1, x2) = P^{ij}_k(x1, -x1-x2).  It reads
 neither flip_residual nor the flip kernel.
+
+The six-term Jordan identity, both variants as check_jordan_identity's
+docstring writes them, is sketched at (lam, mu, nu, d) = (l0, m0, n0, d0)
+with u, v and w each of one parity (which fixes s1, s2 and s3) and a fourth
+combination z, each term three walks over the row view (see jordan_sketch),
+and compared with the same sums of _jordan_rows' rows.
+
+Beside each sketch the exact reports are compared with each other: a table
+check and the co-check of its machine dual, each read from its report,
+name the same (tuple, generator) pairs.
 """
 
 import functools
+import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -49,8 +61,8 @@ from confcoalg import cli
 from confcoalg import closed_form as cf
 from confcoalg.coalgebra import check_jordan_coalgebra, check_lie_coalgebra, dualize
 from confcoalg.conformal import (
-    JORDAN, LIE, ConformalElement, StructureError, _jacobi_rows, check_jacobi, check_jordan_comm,
-    check_skew,
+    CONSISTENT, JORDAN, LIE, PRINTED, ConformalElement, StructureError, _jacobi_rows,
+    _jordan_rows, check_jacobi, check_jordan_comm, check_jordan_identity, check_skew,
 )
 from confcoalg.poly import D, LAM, MultiPoly, Scalar, unpack_vector
 
@@ -163,17 +175,76 @@ def _from_rows(T, draws) -> dict:
     return sketch
 
 
+_PARENTHESIS = re.compile(r"[()]")
+
+
+def _closing(text: str, i: int) -> int:
+    """The index of the parenthesis that closes the one at text[i]."""
+    depth = 0
+    for match in _PARENTHESIS.finditer(text, i):
+        depth += 1 if match.group() == "(" else -1
+        if not depth:
+            return match.start()
+    raise AssertionError(f"unbalanced: {text!r}")
+
+
+def _labels(residual: str) -> list:
+    """The label of each part of a violation's residual, "(p)*label + ...":
+    a generator name in a table check's report, a tuple "(i, j, ...)" in a
+    co-check's.  Each (p) is read to its closing parenthesis, as the
+    polynomial's text holds parentheses and " + " of its own."""
+    labels, i = [], 0
+    while i < len(residual):
+        j = _closing(residual, i)
+        assert residual[j + 1] == "*", residual
+        if residual[j + 2] == "(":
+            end = _closing(residual, j + 2) + 1
+        else:
+            end = residual.find(" ", j + 2)
+            end = len(residual) if end < 0 else end
+        labels.append(residual[j + 2:end])
+        assert residual.startswith(" + (", end) or end == len(residual), residual
+        i = end + 3
+    return labels
+
+
+def _table_pairs(S, report) -> set:
+    """The (tuple, generator) pairs, as indices, that a table check's report names."""
+    index = {g.id: k for k, g in enumerate(S.generators)}
+    return {(tuple(index[x] for x in v.where), index[m])
+            for v in report.violations for m in _labels(v.residual)}
+
+
+def _co_pairs(C, report, line) -> set:
+    """The (tuple, generator) pairs, as indices, that the lines named line of
+    a co-check's report name; the dual generator a_m^* has the index of a_m."""
+    index = {g.id: k for k, g in enumerate(C.generators)}
+    return {(tuple(map(int, t[1:-1].split(", "))), index[v.where[0]])
+            for v in report.violations if v.where[1] == line for t in _labels(v.residual)}
+
+
+def assert_reports_agree(S, report, dual, co_report, line) -> int:
+    """A table check's report on S and the lines named line of the co-check's
+    report on its machine dual name the same (tuple, generator) pairs, each
+    violation of the table's report at least one; returns how many."""
+    pairs = _table_pairs(S, report)
+    assert len({where for where, _ in pairs}) == len(report.violations), (S.name, report.check)
+    assert pairs == _co_pairs(dual, co_report, line), (S.name, report.check)
+    return len(pairs)
+
+
 def assert_sketch_agrees(S, seed):
     """The sketch equals the same sums of the kernel's rows, for S and for
     its dual, and is nonzero exactly when check_jacobi reports a violation
-    and exactly when check_lie_coalgebra reports a co-Jacobi one on the dual;
-    returns whether it is."""
+    and exactly when check_lie_coalgebra reports a co-Jacobi one on the dual,
+    the two reports naming the same pairs; returns whether it is."""
     draws, dual = _draws(S, seed), dualize(S)
     sketch = jacobi_sketch(S, draws)
     assert _from_rows(S, draws) == _from_rows(dual, draws) == sketch, S.name
     nonzero = any(sketch.values())
-    co = [v for v in check_lie_coalgebra(dual).violations if v.where[1] == "co-jacobi"]
-    assert nonzero == (not check_jacobi(S).ok) == bool(co), (S.name, nonzero)
+    report, co_report = check_jacobi(S), check_lie_coalgebra(dual)
+    assert nonzero == bool(assert_reports_agree(S, report, dual, co_report, "co-jacobi")), S.name
+    assert nonzero == (not report.ok), (S.name, nonzero)
     return nonzero
 
 
@@ -317,23 +388,32 @@ def coflip_sketch(C, draws) -> dict:
     return _flip_residuals(C, draws, _cobracket, (l0, -l0 - d0), (-l0 - d0, l0))
 
 
+def _co_report(C):
+    return (check_lie_coalgebra if C.kind == LIE else check_jordan_coalgebra)(C)
+
+
+def _flip_line(C) -> str:
+    return "antisymmetry" if C.kind == LIE else "co-commutativity"
+
+
 def _flip_violations(C) -> list:
     """The antisymmetry or co-commutativity violations of C's exact report."""
-    report = (check_lie_coalgebra if C.kind == LIE else check_jordan_coalgebra)(C)
-    return [v.where for v in report.violations if v.where[1] in ("antisymmetry", "co-commutativity")]
+    return [v.where for v in _co_report(C).violations if v.where[1] == _flip_line(C)]
 
 
 def assert_flip_sketch_agrees(S, seed):
     """The flip sketch of S equals the co-side sketch of its dual, and is
     nonzero exactly when check_skew or check_jordan_comm reports a violation
-    and exactly when the dual's exact report has a flip violation; returns
-    whether it is."""
+    and exactly when the dual's exact report has a flip violation, the two
+    reports naming the same pairs; returns whether it is."""
     draws, dual = _draws(S, seed), dualize(S)
     sketch = flip_sketch(S, draws)
     assert coflip_sketch(dual, draws) == sketch, S.name
     nonzero = any(sketch.values())
-    check = check_skew if S.kind == LIE else check_jordan_comm
-    assert nonzero == (not check(S).ok) == bool(_flip_violations(dual)), (S.name, nonzero)
+    report = (check_skew if S.kind == LIE else check_jordan_comm)(S)
+    agree = assert_reports_agree(S, report, dual, _co_report(dual), _flip_line(dual))
+    assert nonzero == bool(agree), S.name
+    assert nonzero == (not report.ok), (S.name, nonzero)
     return nonzero
 
 
@@ -358,6 +438,124 @@ def test_flip_sketch_agrees_with_the_checks_on_corruptions():
         failing.append(assert_flip_sketch_agrees(T, seed))
         assert failing[-1] == (kind == "breaks"), (seed, T.name, kind)
     assert sum(failing) == 8
+
+
+# -- the Jordan identity
+
+
+def _jordan_draws(S, seed: int):
+    """The point (l0, m0, n0, d0), the weights z and, for each parity triple
+    (p(u), p(v), p(w)) that S has, the weights u, v and w, drawn from seed."""
+    rng = random.Random(seed)
+    draw = lambda: rng.randrange(-_RANGE, _RANGE)
+    point, z, triples = (draw(), draw(), draw(), draw()), {k: draw() for k in range(S.rank)}, {}
+    for parities in itertools.product((0, 1), repeat=3):
+        u, v, w = ({i: draw() for i in range(S.rank) if S.parities[i] == p} for p in parities)
+        if u and v and w:
+            triples[parities] = u, v, w
+    return point, z, triples
+
+
+def jordan_sketch(S, draws, variant) -> dict:
+    """{(p(u), p(v), p(w)): {m: residual at a_m}} at the draws, nonzero parts
+    only: the left side less the right side of the identity of
+    check_jordan_identity's docstring, at (a, b, c, d) = (u, v, w, z) and
+    (lam, mu, nu, d) = (l0, m0, n0, d0), T = lam-mu for PRINTED and
+    lam+nu-mu for CONSISTENT.  Each term is three walks over the row view:
+    [x_a q(d) y] = q(a+d) [x_a y] reads an inner right factor at a+d, and
+    [q(d) x_a y] = q(-a) [x_a y] an inner left one at -a, so that, with
+    a_{-mu-d} b read at lam+mu as [a_lam b] at d = -lam-mu,
+
+        BC = [v w] at (m0, -n0),  AB = [u v] at (l0, -l0-m0),  CA = [w u] at (n0-m0, -T),
+        a_lam((b_mu c)_nu d)                = [u [BC z] at (n0, l0+d0)] at (l0, d0),
+        b_mu((c_{nu-mu} a)_T d)             = [v [CA z] at (T, m0+d0)] at (m0, d0),
+        c_{nu-mu}((a_{-mu-d} b)_{lam+mu} d) = [w [AB z] at (l0+m0, n0-m0+d0)] at (n0-m0, d0),
+
+    and the right side likewise, each term times its sign s1, s2 or s3."""
+    (l0, m0, n0, d0), z, triples = draws
+    gaussian = lambda x: {g: (c, 0) for g, c in x.items()}
+    z, sketch, values = gaussian(z), {}, {}
+    br = lambda x, y, point: _bracket(S, x, y, point, values)
+    T, T3 = (l0 - m0 if variant == PRINTED else l0 + n0 - m0), l0 + n0 - m0
+    for (pu, pv, pw), weights in triples.items():
+        u, v, w = map(gaussian, weights)
+        BC, AB = br(v, w, (m0, -n0)), br(u, v, (l0, -l0 - m0))
+        sides = ((pu & pw, br(u, br(BC, z, (n0, l0 + d0)), (l0, d0)),
+                  br(AB, br(w, z, (n0 - m0, l0 + m0 + d0)), (l0 + m0, d0))),
+                 (pu & pv, br(v, br(br(w, u, (n0 - m0, -T)), z, (T, m0 + d0)), (m0, d0)),
+                  br(BC, br(u, z, (l0, n0 + d0)), (n0, d0))),
+                 (pv & pw, br(w, br(AB, z, (l0 + m0, n0 - m0 + d0)), (n0 - m0, d0)),
+                  br(br(w, u, (n0 - m0, -T3)), br(v, z, (m0, T3 + d0)), (T3, d0))))
+        residual = {}
+        for odd, left, right in sides:
+            s = -1 if odd else 1
+            for m in set(left) | set(right):
+                (a, b), (c, e) = left.get(m, (0, 0)), right.get(m, (0, 0))
+                old = residual.get(m, (0, 0))
+                residual[m] = old[0] + s * (a - c), old[1] + s * (b - e)
+        sketch[(pu, pv, pw)] = {m: r for m, r in residual.items() if r != (0, 0)}
+    return sketch
+
+
+def _from_jordan_rows(T, draws, variant) -> dict:
+    """The Jordan sketch's sums taken from the rows of _jordan_rows: row a
+    holds the residual of (a, b, c, d) at a_m, component ((b n + c) n + d) n
+    + m, in the slot variables and L**3 times too large, so it is read at
+    (x1, x2, x3, x4) = (l0, m0, n0-m0, -l0-n0-d0)."""
+    (l0, m0, n0, d0), z, triples = draws
+    n, (L, table) = T.rank, T.packed
+    at = {"x1": l0, "x2": m0, "x3": n0 - m0, "x4": -l0 - n0 - d0}
+    rows = [{c: _value(p, at) for c, p in unpack_vector(row, L ** 3).items()}
+            for row in _jordan_rows(table, T.parities, variant)]
+    sketch = {}
+    for key, (u, v, w) in triples.items():
+        residual = {}
+        for a, row in enumerate(rows):
+            for comp, (re_, im) in row.items():
+                (b, c, d), m = (comp // n ** 3, comp // n ** 2 % n, comp // n % n), comp % n
+                if a in u and b in v and c in w:
+                    f = u[a] * v[b] * w[c] * z[d]
+                    old = residual.get(m, (0, 0))
+                    residual[m] = old[0] + f * re_, old[1] + f * im
+        sketch[key] = {m: r for m, r in residual.items() if r != (0, 0)}
+    return sketch
+
+
+def assert_jordan_sketch_agrees(S, seed, variant):
+    """The Jordan sketch equals the same sums of the kernel's rows and is
+    nonzero exactly when check_jordan_identity reports a violation; for the
+    consistent identity also exactly when the dual's exact report has a
+    co-Jordan violation, the two reports naming the same pairs.  Returns
+    whether it is nonzero."""
+    draws = _jordan_draws(S, seed)
+    sketch = jordan_sketch(S, draws, variant)
+    assert _from_jordan_rows(S, draws, variant) == sketch, (S.name, variant)
+    nonzero, report = any(sketch.values()), check_jordan_identity(S, variant)
+    assert nonzero == (not report.ok), (S.name, variant, nonzero)
+    if variant == CONSISTENT:
+        dual = dualize(S)
+        assert nonzero == bool(assert_reports_agree(S, report, dual, _co_report(dual), "co-jordan"))
+    return nonzero
+
+
+@pytest.mark.parametrize("S", [p for p in _TABLES if p.values[0].kind == JORDAN])
+def test_jordan_sketch_on_every_jordan_family(S):
+    """Nonzero on the by-design failures only: the consistent identity on
+    J_2 and J_3, the printed one on J_0 to J_3, JS_1 and JCK_4."""
+    failing = {CONSISTENT: ("J_2", "J_3"), PRINTED: ("J_0", "J_1", "J_2", "J_3", "JS_1", "JCK_4")}
+    for variant, names in failing.items():
+        assert assert_jordan_sketch_agrees(S, S.rank, variant) == (S.name in names), variant
+
+
+def test_jordan_sketch_agrees_with_the_checks_on_corruptions():
+    """24 seeded corruptions of the small Jordan tables, eight of each kind,
+    under both variants."""
+    failing = {CONSISTENT: 0, PRINTED: 0}
+    for seed in range(24):
+        T, _ = _corruption(seed, _small_jordan_tables)
+        for variant in failing:
+            failing[variant] += assert_jordan_sketch_agrees(T, seed, variant)
+    assert failing == {CONSISTENT: 23, PRINTED: 24}
 
 
 # family-n of every closed form the caps allow, one per table of a family with one
