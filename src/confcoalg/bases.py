@@ -1,21 +1,22 @@
-"""Generator lists and entry values shared by the constructors by series.
+"""Generator lists, bases, symbols and entry values shared by constructors and closed forms.
 
 W_n, K_n (and the N = 2, 3, 4 and K_4' lists), J_n and JCK_4 list their
-generators here once, with the index maps of their masks: the constructors
-(families_*) and the closed forms (closed_form_*) take them from this
-module, so that no closed form imports a constructor module for its
-generators (closed_form_current does import families_current, for the sl2
-constants of Cur(sl2)).  _entry_polys makes the entry values of the
-constructors that build straight into the stored form.
+generators here once, with the index maps of their masks; S_n lists its
+basis (sn_basis), K_4' its generator d xi_star (DXI_STAR), and CK_6 its
+basis and the symbols C_t of any index tuple (ck6_symbol).  The
+constructors (families_*), the closed forms (closed_form_*) and the printed
+paths take them from this module, so no closed form imports a constructor
+module or the restriction machinery of restricted.  _entry_polys makes the
+entry values of the constructors that build straight into the stored form.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from .masks import _digits, _masks, members
+from .masks import _digits, _masks, _monomial, _sgn, alpha_mask, members
 from .poly import MultiPoly, Scalar, _VAR_SHIFT
-from .tables import Generator
+from .tables import FrozenRecord, Generator
 
 _C_D_LAM = (0, 1 << _VAR_SHIFT["d"], 1 << _VAR_SHIFT["lam"])   # the monomials 1, d and lam
 
@@ -79,3 +80,87 @@ def jck4_generators() -> List[Generator]:
     return [Generator(nm, p, l) for nm, p, l in zip(
         ("one", "w1", "w2", "w3", "x", "x1", "x2", "x3"), (0, 0, 0, 0, 1, 1, 1, 1),
         ("1", r"\omega_1", r"\omega_2", r"\omega_3", "x", "x_1", "x_2", "x_3"))]
+
+
+class SnBasisElement(FrozenRecord):
+    """Tagged S_n basis element: A (single), A2 (consecutive pair), or B."""
+
+    __slots__ = ("tag", "mask", "i", "j")
+
+    def __init__(self, tag: str, mask: int, i: int = 0, j: int = 0):
+        self._set(tag, mask, i, j)   # tag "A" | "A2" | "B"; mask the set I
+
+    def name(self) -> str:
+        ds = _digits(members(self.mask))
+        if self.tag == "A":
+            return f"A{ds}_{self.i}"
+        if self.tag == "A2":
+            return f"A{ds}_{self.i}_{self.j}"
+        return f"B{ds}"
+
+    def parity(self) -> int:
+        deg = self.mask.bit_count()
+        return (deg + 1) & 1 if self.tag == "A" else deg & 1
+
+    def latex(self) -> str:
+        ds = "{" + _digits(members(self.mask)) + "}"
+        if self.tag == "A":
+            return f"A_{{{ds},{self.i}}}"
+        if self.tag == "A2":
+            return f"A_{{{ds},{self.i},{self.j}}}"
+        return f"B_{ds}"
+
+
+def sn_basis(n: int) -> List[SnBasisElement]:
+    out = []
+    for m in _masks(n):
+        comp = members(~m & ((1 << n) - 1))
+        for i in comp:
+            out.append(SnBasisElement("A", m, i))
+        for a, b in zip(comp, comp[1:]):
+            out.append(SnBasisElement("A2", m, a, b))
+        if m.bit_count() < n:
+            out.append(SnBasisElement("B", m))
+    return out
+
+
+# K_4' and CK_6: the generator d xi_star; the basis and symbols of CK_6
+DXI_STAR = Generator("dxistar", 0, r"\partial\xi_\star")   # the generator d xi_star of K_4'
+_CK6_STAR = (1 << 6) - 1    # the mask of xi_star = xi_1 ... xi_6
+
+
+def _hodge_sign(m: int) -> int:
+    """The sign of xi_m^bullet = +-xi_{m^c} in Lambda(6), so that xi_m xi_m^bullet = xi_star."""
+    return _sgn(alpha_mask(m, _CK6_STAR ^ m))
+
+
+def _ck6_basis_tuples() -> List[Tuple[int, ...]]:
+    out: List[Tuple[int, ...]] = [()]
+    out += [(i,) for i in range(1, 7)]
+    out += [(i, j) for i in range(1, 7) for j in range(i + 1, 7)]
+    out += [(1, j, k) for j in range(2, 7) for k in range(j + 1, 7)]
+    return out
+
+
+def _ck6_name(t: Tuple[int, ...]) -> str:
+    return "L" if t == () else "C" + _digits(t)
+
+
+def _ck6_parity(t: Tuple[int, ...]) -> int:
+    return len(t) & 1
+
+
+def ck6_symbol(t: Tuple[int, ...]) -> Dict[str, Scalar]:
+    """Resolve C with an arbitrary index tuple to basis coordinates.
+
+    Repeated indices give zero; permutations contribute their sign; a
+    3-tuple not containing 1 reduces through C_{I^c} = beta (-1)^{alpha(I^c,I)} C_I.
+    The empty tuple names L.
+    """
+    sign, m = _monomial(t)
+    if not sign:
+        return {}
+    if m.bit_count() == 3 and not m & 1:
+        coeff = Scalar.beta() * Scalar(_hodge_sign(m) * sign)
+        return {_ck6_name(members(_CK6_STAR ^ m)): coeff}
+    return {_ck6_name(members(m)): Scalar(sign)}

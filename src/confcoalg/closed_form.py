@@ -13,12 +13,13 @@ K_4', CK_6) and closed_form_jordan (J_n, JS_1, JCK_4).  This module
 imports all four, so every emitter is reached here; the command line
 imports the one series module of its family (cli.FAMILIES).
 
-The generator lists are not part of what is checked: W_n, K_n (and the
-N = 2, 3, 4 and K_4' lists), J_n and JCK_4 take theirs, with their index
-maps, from ``bases``, as the constructors do, and every dual is named, in
-LaTeX too, as ``tables.dual_generators`` names the duals of ``dualize``.
-S_n, K_4' and CK_6 take their bases, generators and symbols from
-``restricted``, which their emitters import inside their bodies.  Each
+The generator lists are not part of what is checked: every emitter but
+Vir's and Cur(sl2)'s takes its generators, basis and symbols, with their
+index maps, from ``bases``, as the constructors do, and every dual is
+named, in LaTeX too, as ``tables.dual_generators`` names the duals of
+``dualize``.  No emitter imports a constructor module or ``restricted``:
+the series modules import ``closed_form_builder``, ``bases``, ``masks``,
+``poly`` and ``tables`` alone.  Each
 emitter works out every dual symbol once per call
 (``closed_form_builder._Builder.add_xi``) and then addresses generators by
 index; ``_Builder`` sums the terms and builds the ``Coproduct`` from one

@@ -1,9 +1,9 @@
 """Closed-form coproducts of the contact series: K_n, the N = 2, 3, 4 lists,
 K_4' and CK_6.
 
-K_4' and CK_6 take their generators and symbols from restricted, which
-their emitters import inside their bodies, so emitting K_n or an N-list
-never compiles it.  Dual-symbol conventions used while transcribing:
+The generators and symbols come from bases: those of K_n, the generator
+d xi_star of K_4', and the basis and C symbols of CK_6.  Dual-symbol
+conventions used while transcribing:
 
 * xi/C symbols with permuted indices resolve with the permutation sign,
   exactly like their primal counterparts (the pairing is diagonal);
@@ -19,7 +19,9 @@ import itertools
 from fractions import Fraction
 from typing import Optional, Tuple
 
-from .bases import k_generators
+from .bases import (
+    DXI_STAR, _CK6_STAR, _ck6_basis_tuples, _ck6_name, _ck6_parity, ck6_symbol, k_generators,
+)
 from .closed_form_builder import _Builder, _c, _x1, _x2
 from .masks import _mask_of, _sgn, _submasks, alpha_mask, eps_mask, members
 from .poly import Scalar, _exact
@@ -249,8 +251,6 @@ def coproduct_N(n: int) -> Coproduct:
 def coproduct_K4prime() -> Coproduct:
     """delta on (K_4')^c: the K_4 list with xi_star* terms removed, plus the
     d xi_star generator's displayed sums."""
-    from .restricted import DXI_STAR
-
     gens, lam_idx = k_generators(4)
     # (d xi_star)* takes the place of xi_star*, the last generator of K_4, so
     # the index tuple of xi_star is its symbol
@@ -285,7 +285,6 @@ def _ck6_duals(b: _Builder):
     Permutations contribute their sign; a 3-tuple without 1 reduces through
     the inverse of the primal scaling relation (1/beta = -beta).
     """
-    from .restricted import ck6_symbol
 
     @functools.cache
     def dual(t: Tuple[int, ...]) -> Optional[Tuple[Tuple[int, int], int]]:
@@ -306,18 +305,16 @@ def _twice_gaussian(coeff: tuple) -> tuple:
                  for x in ((a.re, a.im) if isinstance(a, Scalar) else (a, 0)))
 
 
-def _contact_sign(x: int, y: int, z: int, star: int) -> int:
+def _contact_sign(x: int, y: int, z: int) -> int:
     """(-1)^(alpha(I, I^c) + alpha({x}, I^c) + alpha({x} + I^c, {y, z})) for I = {x, y, z},
-    I^c its complement in star, the mask of xi_star."""
+    I^c its complement in {1, ..., 6}."""
     X, YZ = _mask_of(x), _mask_of(y) | _mask_of(z)
-    Ic = star ^ X ^ YZ
+    Ic = _CK6_STAR ^ X ^ YZ
     return _sgn(alpha_mask(X | YZ, Ic) + alpha_mask(X, Ic) + alpha_mask(X | Ic, YZ))
 
 
 def coproduct_CK6() -> Coproduct:
     """The displayed coproducts of L*, C_l*, C_{1st}* and C_{rs}*."""
-    from .restricted import _CK6_STAR, _ck6_basis_tuples, _ck6_name, _ck6_parity
-
     prim = [Generator(_ck6_name(t), _ck6_parity(t)) for t in _ck6_basis_tuples()]
     b = _Builder(LIE, prim, "CK_6^c[formula]")
     beta = Scalar.beta()
@@ -424,19 +421,19 @@ def coproduct_CK6() -> Coproduct:
                         add(Kn, cf, (i,), (1, k, l))
                         add(Kn, cf, (1, k, l), (i,))
             if r > 1:
-                cf = _c(-_contact_sign(1, r, s, _CK6_STAR))
+                cf = _c(-_contact_sign(1, r, s))
                 add(Kn, cf, (1,), (1, r, s))
                 add(Kn, cf, (1, r, s), (1,))
             else:
                 for i in range(2, s):
-                    cf = _c(-_contact_sign(i, 1, s, _CK6_STAR))
+                    cf = _c(-_contact_sign(i, 1, s))
                     add(Kn, cf, (i,), (1, i, s))
                     # the display labels this factor C_{i1s}; reading the
                     # subscript as an unordered label (no permutation sign)
                     # keeps the formula tau-antisymmetric
                     add(Kn, cf, (1, i, s), (i,))
                 for i in range(s + 1, 7):
-                    cf = _c(_contact_sign(i, 1, s, _CK6_STAR))
+                    cf = _c(_contact_sign(i, 1, s))
                     add(Kn, cf, (i,), (1, s, i))
                     add(Kn, cf, (1, s, i), (i,))
     return b.done()

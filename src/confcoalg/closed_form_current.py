@@ -1,9 +1,9 @@
-"""Closed-form coproducts of the current series: Vir and Cur(sl2)."""
+"""Closed-form coproducts of the current series: Vir and Cur(sl2), each
+written from its displayed sums, not from the constants of families_current."""
 
 from __future__ import annotations
 
 from .closed_form_builder import _Builder
-from .families_current import sl2_constants
 from .tables import Coproduct, Generator, LIE
 
 
@@ -15,10 +15,14 @@ def coproduct_vir() -> Coproduct:
 
 
 def coproduct_cur_sl2() -> Coproduct:
-    """delta(f) = dual of the sl2 bracket, lambda-free."""
-    names, pars, prods = sl2_constants()
-    b = _Builder(LIE, [Generator(nm, p) for nm, p in zip(names, pars)], "Cur(sl2)^c[formula]")
-    for (u, v), terms in prods.items():
-        for w, c in terms:
-            b.add(w, u, v, c)
+    """The dual of [e, f] = h, [h, e] = 2e and [h, f] = -2f, lambda-free:
+    delta(h*) = e* (x) f* - f* (x) e*, delta(e*) = 2 h* (x) e* - 2 e* (x) h*
+    and delta(f*) = -2 h* (x) f* + 2 f* (x) h*."""
+    b = _Builder(LIE, [Generator(nm, 0) for nm in ("e", "h", "f")], "Cur(sl2)^c[formula]")
+    b.add("h", "e", "f", 1)
+    b.add("h", "f", "e", -1)
+    b.add("e", "h", "e", 2)
+    b.add("e", "e", "h", -2)
+    b.add("f", "h", "f", -2)
+    b.add("f", "f", "h", 2)
     return b.done()

@@ -1,11 +1,10 @@
 """Closed-form coproducts of the W series: W_n and S_n, transcribed sum by sum.
 
-S_n takes its basis, generators and symbols from restricted, which
-coproduct_S imports inside its body, so emitting W_n never compiles it.
-An A-pair dual symbol A*_{I,p,q} whose pair is not consecutive in the
-complement of I resolves to zero (the adjoint of the telescoping rewrite:
-a consecutive-pair functional extends by "interval containment", and a
-separated pair is contained in no single consecutive interval).
+W_n takes its generators and S_n its basis from bases.  An A-pair dual
+symbol A*_{I,p,q} whose pair is not consecutive in the complement of I
+resolves to zero (the adjoint of the telescoping rewrite: a consecutive-pair
+functional extends by "interval containment", and a separated pair is
+contained in no single consecutive interval).
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Tuple
 
-from .bases import w_generators
+from .bases import sn_basis, w_generators
 from .closed_form_builder import _Builder
 from .masks import _mask_of, _masks, _sgn, _submasks, alpha_mask, eps_mask, members
 from .tables import Coproduct, Generator, LIE, StructureError
@@ -87,8 +86,6 @@ def coproduct_S(n: int) -> Coproduct:
     evaluations on raw pair elements resolve through the telescoped basis
     coefficient; both readings are adjudicated by the machine cross-check.
     """
-    from .restricted import sn_basis
-
     if n < 2:
         raise StructureError("S_n needs n >= 2")
     basis = sn_basis(n)

@@ -148,12 +148,13 @@ class Report(Record):
 # every monomial it meets), and co-Jordan signs each tuple's part.
 # The image sets (JACOBI_IMAGES, JORDAN_IMAGES) give each renamed copy its
 # (x1_img, x2_img), (None, None) for the table as it is.  The Jordan kernel
-# renames the table for its first factors and for the intermediate r1 only:
-# q2 and the printed r2 are r1 in other slot variables, r2 and q3 are r1 and
-# q2 with x1 and x2 swapped, r3 and q1 with x1 and x3 swapped, so it renames
-# the products instead (see _jordan_rows), and _RENAMED writes their images
-# so.  Where a group acts on the tuples, S_3 on skew Jacobi triples and the
-# rotations on Jordan triples, a kernel accumulates one tuple per orbit, and
+# renames the table for its first factors and for the intermediate r1 only,
+# so JORDAN_IMAGES holds those pairs and PRINTED_JORDAN_IMAGES the one the
+# printed identity moves: q2 and the printed r2 are r1 in other slot
+# variables, and the other R and Q are r1 and q2 with x1 and x2 or x1 and x3
+# swapped, so it renames the products instead (see _jordan_rows).  Where a
+# group acts on the tuples, S_3 on skew Jacobi triples and the rotations on
+# Jordan triples, a kernel accumulates one tuple per orbit, and
 # _write_images writes the rest of the orbit from the group's table (_S3 with
 # Koszul signs, _Z3 without), slot exponents and component digits alike.
 _JACOBI_BACK = substitution("x1", "x2", "x3", LAM, MU, -LAM - MU - D)
@@ -244,15 +245,11 @@ CONSISTENT = "consistent"
 JACOBI_IMAGES = {"outer": (X1, X2 + X3), "cols1": (X2, X3), "first2": (None, None),
                  "rows2": (X1 + X2, X3), "first3": (X1, X3), "cols3": (X2, X1 + X3)}
 _SWAP12, _SWAP13 = {"x1": "x2", "x2": "x1"}, {"x1": "x3", "x3": "x1"}
-_RENAMED = {"r2": ("r1", _SWAP12), "q3": ("q2", _SWAP12), "r3": ("r1", _SWAP13), "q1": ("q2", _SWAP13)}
 JORDAN_IMAGES = {"bc": (X2, X3), "ab": (None, None), "ca_split": (X3, X1),
-                 "r1": ((X2 + X3, X4), (X1, X2 + X3 + X4)), "q2": ((X1, X4), (X2 + X3, X1 + X4))}
-JORDAN_IMAGES.update({key: tuple(tuple(p.permute_vars(sigma) for p in pair)
-                                 for pair in JORDAN_IMAGES[base])
-                      for key, (base, sigma) in _RENAMED.items()})
-# the printed T = lam - mu moves r2 and, as ca_chain, the chain term's copy of ca_split
-PRINTED_JORDAN_IMAGES = {**JORDAN_IMAGES, "ca_chain": (X3, X1 - X2 - X3),
-                         "r2": ((X1 - X2, X2 + X3 + X4), (X2, X1 + X3 + X4))}
+                 "r1": ((X2 + X3, X4), (X1, X2 + X3 + X4))}
+# the printed T = lam - mu moves, as ca_chain, the chain term's copy of ca_split
+# (and r2, which the kernel reaches through _R1_TO_PRINTED_R2)
+PRINTED_JORDAN_IMAGES = {"ca_chain": (X3, X1 - X2 - X3)}
 # Q2 and the printed R2 as R1 in other slot variables (see _jordan_rows)
 _R1_TO_Q2 = substitution("x1", "x2", "x3", X2 + X3, X1, P_ZERO)
 _R1_TO_PRINTED_R2 = substitution("x1", "x2", "x3", "x4", X2, X1 - X2, P_ZERO, X2 + X3 + X4)
@@ -480,23 +477,25 @@ def _jordan_rows(table, par, variant: str) -> Iterator[dict]:
             Q1[c, l] = sum P^{cd}_m(nu-mu, lam+mu+d) P^{lm}_n(lam+mu, d)
 
     and the others follow the same pattern, each P(alpha, beta) read as
-    Q(alpha, -alpha-beta) at the images of JORDAN_IMAGES, or of
-    PRINTED_JORDAN_IMAGES for the printed variant: T1 and S2 take the first
-    factor b c, T2 and S3 c a, and T3 and S1 a b.  b, c and d ride in the
+    Q(alpha, -alpha-beta) at its slot images (JORDAN_IMAGES, and
+    PRINTED_JORDAN_IMAGES for the printed chain term): T1 and S2 take the
+    first factor b c, T2 and S3 c a, and T3 and S1 a b.  b, c and d ride in the
     packed component, so each a is one accumulation.  In slot variables the terms
     are one chain and one split at the rotations of (a, x1; b, x2; c, x3).
     R1's images ((x2+x3, x4), (x1, x2+x3+x4)) read x2 and x3 only through
     x2+x3, and (x1, x2, x3, x4) -> (x2+x3, x1, 0, x4) (_R1_TO_Q2) sends them
-    exactly onto q2's, (x2, x1-x2, 0, x2+x3+x4) (_R1_TO_PRINTED_R2) onto the
-    printed r2's, neither moving a component: so _hoisted contracts R1 once
-    per call, the two maps rename it into Q2 and the printed R2, and
+    exactly onto q2's, ((x1, x4), (x2+x3, x1+x4)), and (x2, x1-x2, 0,
+    x2+x3+x4) (_R1_TO_PRINTED_R2) onto the printed r2's, ((x1-x2,
+    x2+x3+x4), (x2, x1+x3+x4)), neither moving a component: so _hoisted
+    contracts R1 once per call, the two maps rename it into Q2 and the
+    printed R2, and
 
         T1 + S2 = (-1)^{p(a)p(b)} sum_l bc_l w[l, a],
             w[l, a] = (-1)^{p(a)p(l)} R1[l, a] - Q2[a, l],
         T2 + S3 = (-1)^{p(a)p(b)} sum_l ca_l u[l, b],
             u[l, b] = (-1)^{p(b)p(l)} w[l, b] with x1 and x2 swapped,
         T3 + S1 = (-1)^{p(a)p(c)} sum_l ab_l v[l, c],
-            v[l, c] = w[l, c] with x1 and x3 swapped (see _RENAMED),
+            v[l, c] = w[l, c] with x1 and x3 swapped (_SlotMoves),
 
     bc_l, ca_l and ab_l the first factors, b riding in u at b n^3 and c in
     v at c n^2, split by parity.  A first factor's other parity is fixed by
@@ -687,9 +686,9 @@ def check_jordan_identity(S: LambdaStructure, variant: str = CONSISTENT) -> Repo
     _jordan_rows, so accumulates one quadruple per rotation orbit and
     writes the rest; the printed identity is the consistent one plus s2
     times the second term at T = lam-mu less that term at T = lam+nu-mu.
-    Its image sets are JORDAN_IMAGES and PRINTED_JORDAN_IMAGES, in slot
-    variables (see "packed tables"), and the kernel refuses a variant other
-    than PRINTED or CONSISTENT.
+    Its slot images are in JORDAN_IMAGES and PRINTED_JORDAN_IMAGES (see
+    "packed tables"), and the kernel refuses a variant other than PRINTED
+    or CONSISTENT.
     """
     if S.kind != JORDAN:
         raise StructureError("Jordan identity applies to Jordan kind")

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from .bases import _entry_polys, k_generators
+from .bases import (
+    DXI_STAR, _ck6_basis_tuples, _ck6_name, _ck6_parity, _entry_polys, k_generators,
+)
 from .masks import _masks, _sgn, _sign_tables
 from .poly import D
 from .tables import ConformalElement, Generator, LIE, LambdaStructure, StructureError
@@ -61,7 +63,7 @@ def make_K4prime() -> LambdaStructure:
     of the derived algebra are verified against this inheritance in the
     tests.
     """
-    from .restricted import DXI_STAR, _restrict
+    from .restricted import _restrict
 
     K4 = make_K(4)
     lam_idx = K4.meta["lam_idx"]
@@ -85,7 +87,7 @@ def make_CK6() -> LambdaStructure:
     the tabulated weights of C_i and C_ij are transposed ([L lam C_i]
     restricts to (3/2 lam + d) C_i, matching the standard weight-(2, 3/2, 1,
     1/2) field content, while the table prints (lam + d) C_i)."""
-    from .restricted import _ck6_basis_tuples, _ck6_name, _ck6_parity, _restrict, ck6_embed
+    from .restricted import _restrict, ck6_embed
 
     K6 = make_K(6)
     tuples = _ck6_basis_tuples()

@@ -2,8 +2,9 @@
 
 A current algebra's lambda-product is lambda-free: make_current builds it
 from the structure constants of a finite-dimensional (super)algebra, such
-as sl2_constants, which the closed form of Cur(sl2) reads too.  Like every
-constructor these run no check (see families).
+as sl2_constants.  The closed form of Cur(sl2) writes its dual from the
+displayed sums, not from these constants.  Like every constructor these
+run no check (see families).
 """
 
 from __future__ import annotations

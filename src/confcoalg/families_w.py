@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from .bases import _entry_polys, w_generators
+from .bases import _entry_polys, sn_basis, w_generators
 from .masks import _d_mul, _sgn, mul_sign
 from .poly import Scalar, accumulate
 from .tables import ConformalElement, Generator, LIE, LambdaStructure, StructureError
@@ -86,7 +86,7 @@ def make_S(n: int) -> LambdaStructure:
     tabulated formulas is missing its i-in-J contributions, so that list is
     not empty for S_n; see the diffs themselves for the exact terms.)
     """
-    from .restricted import _restrict, embed_sn, sn_basis
+    from .restricted import _restrict, embed_sn
 
     if n < 2:
         raise StructureError("S_n needs n >= 2")
@@ -141,7 +141,7 @@ def make_S_tilde(n: int) -> LambdaStructure:
     xi_1 ... xi_n keeps only the components of e free of xi.  Brackets are
     read back through span_reader.
     """
-    from .restricted import _restrict, embed_sn, sn_basis
+    from .restricted import _restrict, embed_sn
 
     if n < 2 or n % 2:
         raise StructureError("S~_n needs even n >= 2")

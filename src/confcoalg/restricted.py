@@ -1,18 +1,17 @@
 """The restriction machinery of the families defined as subalgebras.
 
 S_n, S_{n,b}, S~_n, K_4' and CK_6 are built by restriction inside an
-ambient algebra (W_n, K_4 or K_6): each lists its basis and embeds it,
-bracket_pairs gives the brackets of the embedded basis as packed rows, one
-span_reader per table gives their coordinates by forward substitution over
-pivots on packed vectors (a bracket outside the span raises NotInSpan), and
+ambient algebra (W_n, K_4 or K_6): each embeds its basis, bracket_pairs
+gives the brackets of the embedded basis as packed rows, one span_reader
+per table gives their coordinates by forward substitution over pivots on
+packed vectors (a bracket outside the span raises NotInSpan), and
 _restrict gives them to Table.from_slots.  This module holds that
 machinery, the kernel of a C[d]-module map (ModuleMap, kernel_basis), the
-divergence div_b of W_n, whose kernel S_{n,b} is, and the bases,
-embeddings and symbols of S_n and CK_6.  The five constructors of these
-families (families_w, families_contact) import it inside their bodies, and
-the emitters of S_n, K_4' and CK_6 (closed_form_w, closed_form_contact)
-inside theirs, so a command that builds or emits no subalgebra family never
-compiles it.
+divergence div_b of W_n, whose kernel S_{n,b} is, and the embeddings of
+the bases of S_n and CK_6 that bases lists (embed_sn, ck6_embed).  The
+five constructors of these families (families_w, families_contact) import
+it inside their bodies, so a command that builds no subalgebra family
+never compiles it; no closed form imports it.
 """
 
 from __future__ import annotations
@@ -24,16 +23,13 @@ from math import gcd
 from operator import itemgetter
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .masks import (
-    _d_mul, _digits, _mask_of, _masks, _monomial, _sgn, alpha_mask, members, mul_sign,
-)
+from .bases import SnBasisElement, _CK6_STAR, _hodge_sign
+from .masks import _d_mul, _mask_of, _monomial, _sgn, members, mul_sign
 from .poly import (
     D, LAM, MultiPoly, P_ONE, Scalar, _COMPONENT_SHIFT, _GUARD, _VAR_SHIFT, accumulate,
     add_product, common_denominator, compact_vector, pack_vector, unpack_vector,
 )
-from .tables import (
-    ConformalElement, FrozenRecord, Generator, LambdaStructure, StructureError, _FLIP_BACK,
-)
+from .tables import ConformalElement, LambdaStructure, StructureError, _FLIP_BACK
 
 
 class NotInSpan(StructureError):
@@ -343,49 +339,7 @@ def div_module_map(W: LambdaStructure, b: Scalar = Scalar(0)) -> ModuleMap:
 
 
 # ---------------------------------------------------------------------------
-# S_n: basis and embedding
-
-
-class SnBasisElement(FrozenRecord):
-    """Tagged S_n basis element: A (single), A2 (consecutive pair), or B."""
-
-    __slots__ = ("tag", "mask", "i", "j")
-
-    def __init__(self, tag: str, mask: int, i: int = 0, j: int = 0):
-        self._set(tag, mask, i, j)   # tag "A" | "A2" | "B"; mask the set I
-
-    def name(self) -> str:
-        ds = _digits(members(self.mask))
-        if self.tag == "A":
-            return f"A{ds}_{self.i}"
-        if self.tag == "A2":
-            return f"A{ds}_{self.i}_{self.j}"
-        return f"B{ds}"
-
-    def parity(self) -> int:
-        deg = self.mask.bit_count()
-        return (deg + 1) & 1 if self.tag == "A" else deg & 1
-
-    def latex(self) -> str:
-        ds = "{" + _digits(members(self.mask)) + "}"
-        if self.tag == "A":
-            return f"A_{{{ds},{self.i}}}"
-        if self.tag == "A2":
-            return f"A_{{{ds},{self.i},{self.j}}}"
-        return f"B_{ds}"
-
-
-def sn_basis(n: int) -> List[SnBasisElement]:
-    out = []
-    for m in _masks(n):
-        comp = members(~m & ((1 << n) - 1))
-        for i in comp:
-            out.append(SnBasisElement("A", m, i))
-        for a, b in zip(comp, comp[1:]):
-            out.append(SnBasisElement("A2", m, a, b))
-        if m.bit_count() < n:
-            out.append(SnBasisElement("B", m))
-    return out
+# S_n and CK_6: the embeddings of their bases (bases lists them)
 
 
 def embed_sn(el: SnBasisElement, W: LambdaStructure) -> ConformalElement:
@@ -405,34 +359,6 @@ def embed_sn(el: SnBasisElement, W: LambdaStructure) -> ConformalElement:
     for i in members(~I & ((1 << n) - 1)):
         out = out + ConformalElement({w_idx[(I | _mask_of(i), i)]: D * mul_sign(I, _mask_of(i))})
     return out
-
-
-# ---------------------------------------------------------------------------
-# K_4' and CK_6: the generator d xi_star; the basis, embedding and symbols of CK_6
-
-DXI_STAR = Generator("dxistar", 0, r"\partial\xi_\star")   # the generator d xi_star of K_4'
-_CK6_STAR = (1 << 6) - 1    # the mask of xi_star = xi_1 ... xi_6
-
-
-def _hodge_sign(m: int) -> int:
-    """The sign of xi_m^bullet = +-xi_{m^c} in Lambda(6), so that xi_m xi_m^bullet = xi_star."""
-    return _sgn(alpha_mask(m, _CK6_STAR ^ m))
-
-
-def _ck6_basis_tuples() -> List[Tuple[int, ...]]:
-    out: List[Tuple[int, ...]] = [()]
-    out += [(i,) for i in range(1, 7)]
-    out += [(i, j) for i in range(1, 7) for j in range(i + 1, 7)]
-    out += [(1, j, k) for j in range(2, 7) for k in range(j + 1, 7)]
-    return out
-
-
-def _ck6_name(t: Tuple[int, ...]) -> str:
-    return "L" if t == () else "C" + _digits(t)
-
-
-def _ck6_parity(t: Tuple[int, ...]) -> int:
-    return len(t) & 1
 
 
 def ck6_embed(t: Tuple[int, ...], K6: LambdaStructure) -> ConformalElement:
@@ -457,19 +383,3 @@ def ck6_embed(t: Tuple[int, ...], K6: LambdaStructure) -> ConformalElement:
         lam_idx[m]: P_ONE,
         lam_idx[_CK6_STAR ^ m]: MultiPoly.monomial({"d": 3 - deg}, coeff),
     })
-
-
-def ck6_symbol(t: Tuple[int, ...]) -> Dict[str, Scalar]:
-    """Resolve C with an arbitrary index tuple to basis coordinates.
-
-    Repeated indices give zero; permutations contribute their sign; a
-    3-tuple not containing 1 reduces through C_{I^c} = beta (-1)^{alpha(I^c,I)} C_I.
-    The empty tuple names L.
-    """
-    sign, m = _monomial(t)
-    if not sign:
-        return {}
-    if m.bit_count() == 3 and not m & 1:
-        coeff = Scalar.beta() * Scalar(_hodge_sign(m) * sign)
-        return {_ck6_name(members(_CK6_STAR ^ m)): coeff}
-    return {_ck6_name(members(m)): Scalar(sign)}

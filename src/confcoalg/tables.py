@@ -183,24 +183,27 @@ class Table:
     def _store(self, values: Sequence[MultiPoly], slots: Iterable[Tuple[int, int, int, int]]):
         """Set packed from the entries (i, j, k, values[e]): zero ones dropped,
         the others sorted by _ORDER and checked as given, in that order, for
-        index ranges, parity additivity and, once per value, variables
-        (_refusal words the first failure), repeats of an (i, j, k) then
-        summed (a zero sum dropped), and each distinct value packed once at
-        the common denominator L."""
+        index ranges, parity additivity and, once per distinct value,
+        variables (_refusal words the first failure), repeats of an (i, j, k)
+        then summed (a zero sum dropped), and each distinct value numbered in
+        order of first use and packed once at the common denominator L.  The
+        values may repeat: a row constructor gives one per entry."""
         par, ix = self.parities, range(self.rank)     # the generator indices
         zero = {e for e, p in enumerate(values) if not p.terms}
         slots = [slot for slot in slots if slot[3] not in zero] if zero else list(slots)
         slots.sort(key=self._ORDER)
         used = dict.fromkeys(map(itemgetter(3), slots))
-        stray = {e for e in used if any(key & self._STRAY_VARS for key in values[e].terms)}
+        stray = {p for p in dict.fromkeys(map(values.__getitem__, used))     # each value once
+                 if any(key & self._STRAY_VARS for key in p.terms)}
         for i, j, k, e in slots:
-            if not (i in ix and j in ix and k in ix and par[i] ^ par[j] == par[k]) or e in stray:
+            if (not (i in ix and j in ix and k in ix and par[i] ^ par[j] == par[k])
+                    or stray and values[e] in stray):
                 raise self._refusal(i, j, k, values[e])
         if len(set(map(itemgetter(0, 1, 2), slots))) < len(slots):
             merged: Dict[tuple, MultiPoly] = {}     # keyed in _ORDER, as slots are sorted
             for i, j, k, e in slots:
                 accumulate(merged, (i, j, k), values[e])
-            values, slots = _numbered((*key, p) for key, p in merged.items())
+            values, slots = list(merged.values()), [(*key, e) for e, key in enumerate(merged)]
             used = range(len(values))
         number: Dict[MultiPoly, int] = {}       # each distinct value -> its index
         used = {e: number.setdefault(values[e], len(number)) for e in used}
@@ -259,7 +262,9 @@ class LambdaStructure(Table):
         for key in table:
             if not (isinstance(key, tuple) and len(key) == 2 and key[0] in pairs and key[1] in pairs):
                 raise StructureError(f"row {key!r} is not a pair of generator indices in range({n})")
-        self._store(*_numbered((i, j, k, p) for (i, j), row in table.items() for k, p in row))
+        entries = [(i, j, k, p) for (i, j), row in table.items() for k, p in row]
+        self._store([p for *_, p in entries],
+                    [(i, j, k, e) for e, (i, j, k, _) in enumerate(entries)])
 
     @classmethod
     def from_slots(cls, kind, generators, values, slots, name="", meta=None):
@@ -304,14 +309,6 @@ class LambdaStructure(Table):
                                           name=self.name + "?", meta=dict(self.meta))
 
 
-def _numbered(entries) -> Tuple[List[MultiPoly], List[Tuple[int, int, int, int]]]:
-    """(values, slots) of entries [(i, j, k, p)]: each object p once, in order
-    of first occurrence, and (i, j, k, e) with values[e] the entry's p."""
-    objects: Dict[int, tuple] = {}      # id(p) -> (e, p), which keeps p alive
-    slots = [(i, j, k, objects.setdefault(id(p), (len(objects), p))[0]) for i, j, k, p in entries]
-    return [p for _, p in objects.values()], slots
-
-
 class Coproduct(Table):
     """Coproduct table of a differential (super)coalgebra on a dual basis.
 
@@ -329,7 +326,9 @@ class Coproduct(Table):
         stray = [k for k in table if k not in range(self.rank)]
         if stray:
             raise self._refusal(0, 0, stray[0], None)
-        self._store(*_numbered((i, j, k, q) for k, row in table.items() for i, j, q in row))
+        entries = [(i, j, k, q) for k, row in table.items() for i, j, q in row]
+        self._store([q for *_, q in entries],
+                    [(i, j, k, e) for e, (i, j, k, _) in enumerate(entries)])
 
     def _refusal(self, i, j, k, q) -> StructureError:
         n, g, par = self.rank, self.generators, self.parities

@@ -5,7 +5,9 @@ from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
 from confcoalg import conformal, restricted
-from confcoalg.conformal import Report, Violation, _put, _renamed
+from confcoalg.conformal import (
+    JORDAN_IMAGES, PRINTED_JORDAN_IMAGES, Report, Violation, _SWAP12, _SWAP13, _put, _renamed,
+)
 from confcoalg.dual import DiffLine, DiffReport
 from confcoalg.tables import (
     ConformalElement, Coproduct, LambdaStructure, StructureError, Table, _NOT_LAM_D, _NOT_SLOT,
@@ -14,7 +16,7 @@ from confcoalg.tables import (
 from confcoalg.grassmann import IndexSet, SignedMonomial
 from confcoalg.masks import eps_mask
 from confcoalg.poly import (
-    ALPHABET, MultiPoly, P_ZERO, Scalar, X1, X2, _COMPONENT_SHIFT, _GUARD, _MAXEXP,
+    ALPHABET, MultiPoly, P_ZERO, Scalar, X1, X2, X3, X4, _COMPONENT_SHIFT, _GUARD, _MAXEXP,
     _VAR_SHIFT, _sort_key, accumulate, common_denominator, pack_vector, unpack_vector,
     vector_text,
 )
@@ -121,6 +123,22 @@ def _gather(table, x1_img, x2_img, place, negate=None):
         slot, m = place(i, j, k)
         _put(out[slot], (negated if negate and negate(i, j) else vecs)[e], m << _COMPONENT_SHIFT)
     return dict(out)
+
+
+# Every image pair of the Jordan identity's first factors, R and Q, in slot
+# variables.  conformal keeps the pairs its kernel renames the table for (the
+# first factors, r1 and the printed ca_chain) and reaches the others by
+# renaming R1 or the products; the full Jordan kernel of test_kernels and the
+# image-set tests read them all.  r2 and q3 are r1 and q2 with x1 and x2
+# swapped, r3 and q1 with x1 and x3 swapped.
+_RENAMED = {"r2": ("r1", _SWAP12), "q3": ("q2", _SWAP12), "r3": ("r1", _SWAP13), "q1": ("q2", _SWAP13)}
+FULL_JORDAN_IMAGES = {**JORDAN_IMAGES, "q2": ((X1, X4), (X2 + X3, X1 + X4))}
+FULL_JORDAN_IMAGES.update({key: tuple(tuple(p.permute_vars(sigma) for p in pair)
+                                      for pair in FULL_JORDAN_IMAGES[base])
+                           for key, (base, sigma) in _RENAMED.items()})
+# the printed T = lam - mu moves r2 and, as ca_chain, the chain term's copy of ca_split
+FULL_PRINTED_JORDAN_IMAGES = {**FULL_JORDAN_IMAGES, **PRINTED_JORDAN_IMAGES,
+                              "r2": ((X1 - X2, X2 + X3 + X4), (X2, X1 + X3 + X4))}
 
 
 # The by-value cache that numbers _packed's values, as poly kept it until

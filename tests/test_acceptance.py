@@ -32,7 +32,8 @@ from confcoalg.conformal import (
 from confcoalg.families import corrupt_entry
 from confcoalg.poly import D, LAM, MultiPoly, Scalar
 from confcoalg.printed import check_div_identity
-from confcoalg.restricted import div_w, embed_sn, sn_basis
+from confcoalg.bases import sn_basis
+from confcoalg.restricted import div_w, embed_sn
 
 from helpers import random_poly
 

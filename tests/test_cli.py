@@ -818,5 +818,5 @@ def test_package_root_imports_lazily():
     assert loaded == []
     assert resolved == confcoalg.__all__ and len(resolved) == 21
     assert unknown == "module 'confcoalg' has no attribute 'nosuch'"
-    assert modules == {"confcoalg", "tables", "conformal", "restricted", "masks", "dual",
+    assert modules == {"confcoalg", "tables", "conformal", "restricted", "bases", "masks", "dual",
                        "coalgebra", "poly"}

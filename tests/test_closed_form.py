@@ -11,19 +11,19 @@ import importlib
 import inspect
 import json
 import re
+import sys
 from fractions import Fraction
 
 import pytest
 
 from confcoalg import closed_form as cf
 from confcoalg import closed_form_builder
-from confcoalg import families, serialize
-from confcoalg.coalgebra import (
-    Coproduct, check_jordan_coalgebra, check_lie_coalgebra, compare, dualize,
-)
+from confcoalg import families, families_current, serialize
+from confcoalg.coalgebra import check_jordan_coalgebra, check_lie_coalgebra, compare, dualize
+from confcoalg.conformal import check_skew
 from confcoalg.families import make_S_b
 from confcoalg.poly import MultiPoly, Scalar
-from confcoalg.tables import JORDAN, LIE, Generator
+from confcoalg.tables import JORDAN, LIE, Coproduct, Generator
 
 from helpers import count_calls
 
@@ -32,7 +32,11 @@ def test_emitters_never_call_dualize():
     """Structural independence: no module that holds an emitter, and no
     package module that such a module imports, at its top or inside a
     function, directly or through another, imports or references dualize
-    anywhere in executable code; none of them imports dual, which defines it."""
+    anywhere in executable code.  The modules reached are exactly the hub,
+    the builder, the four series modules and bases, masks, poly and tables,
+    and conformal, whose flip kernel Table.flip_residual imports for the
+    checks: no emitter reaches dual, which defines dualize, restricted,
+    which builds the subalgebra families, or a constructor module."""
     import ast
 
     emitters = {getattr(cf, name).__module__ for name in cf.__all__}
@@ -51,8 +55,10 @@ def test_emitters_never_call_dualize():
                              else [f"confcoalg.{a.name}" for a in node.names])
             if isinstance(node, (ast.Name, ast.Attribute)):
                 assert getattr(node, "id", getattr(node, "attr", "")) != "dualize", name
-    assert {"confcoalg.closed_form_builder", "confcoalg.restricted", "confcoalg.tables"} <= seen
-    assert "confcoalg.dual" not in seen, sorted(seen)
+    assert seen == {cf.__name__, *emitters} | {
+        f"confcoalg.{name}"
+        for name in ("closed_form_builder", "bases", "masks", "poly", "tables", "conformal")
+    }, sorted(seen)
 
 
 # sha256 of serialize.dumps of each emitter at every n the CLI caps allow
@@ -222,6 +228,27 @@ def test_equal_coproducts_write_equal_documents(emitter, args):
 def test_vir_and_current(vir, cur_sl2):
     assert compare(dualize(vir), cf.coproduct_vir()).ok
     assert compare(dualize(cur_sl2), cf.coproduct_cur_sl2()).ok
+
+
+def test_cur_sl2_crosscheck_sees_the_constructor_constants(monkeypatch):
+    """The closed form of Cur(sl2) is written from its displayed sums, not
+    from sl2_constants: constants with [h, e] = 3e, put in place of
+    sl2_constants wherever a module of the package binds it, build a table
+    that fails skew-symmetry, and its dual differs from the closed form in
+    the one sum that changed."""
+    real = families_current.sl2_constants
+
+    def three():
+        names, pars, prods = real()
+        return names, pars, {**prods, ("h", "e"): [("e", Scalar(3))]}
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("confcoalg") and getattr(module, "sl2_constants", None) is real:
+            monkeypatch.setattr(module, "sl2_constants", three)
+    S = families.make_cur_sl2()
+    assert len(check_skew(S).violations) == 2
+    rep = compare(dualize(S), cf.coproduct_cur_sl2())
+    assert [(l.gen, l.left, l.right) for l in rep.lines] == [("e*", "h*", "e*")], rep.lines
 
 
 def test_w_crosschecks(W):

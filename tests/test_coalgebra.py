@@ -16,14 +16,13 @@ import pytest
 from confcoalg import closed_form, families, poly, serialize
 from confcoalg.cli import _emit, main
 from confcoalg.coalgebra import (
-    Coproduct, TensorElement, apply_delta_slot, check_jordan_coalgebra, check_lie_coalgebra,
+    TensorElement, apply_delta_slot, check_jordan_coalgebra, check_lie_coalgebra,
     compare, double_dual_roundtrip, dualize, tau, zeta,
 )
-from confcoalg.conformal import LambdaStructure, StructureError
 from confcoalg.dual import DiffLine, DiffReport
 from confcoalg.families import make_vir
 from confcoalg.poly import D, LAM, MultiPoly, P_ONE, Scalar, X1, X2
-from confcoalg.tables import Generator
+from confcoalg.tables import Coproduct, Generator, LambdaStructure, StructureError
 
 from helpers import compare_oracle, count_calls, random_poly
 

@@ -5,15 +5,15 @@ import random
 
 import pytest
 
+from confcoalg.bases import SnBasisElement
 from confcoalg.conformal import (
-    ConformalElement, LambdaStructure, Report, StructureError, Violation,
-    bracket, check_jacobi, check_jordan_comm, check_jordan_identity,
+    Report, Violation, bracket, check_jacobi, check_jordan_comm, check_jordan_identity,
     check_skew, shift_spectral,
 )
 from confcoalg.families import corrupt_entry, make_cur_sl2, make_JS1, make_vir, make_W
 from confcoalg.poly import D, LAM, MU, MultiPoly, P_ONE, Scalar
-from confcoalg.restricted import ModuleMap, SnBasisElement, div_module_map, kernel_basis
-from confcoalg.tables import Generator
+from confcoalg.restricted import ModuleMap, div_module_map, kernel_basis
+from confcoalg.tables import ConformalElement, Coproduct, Generator, LambdaStructure, StructureError
 
 from helpers import apply_map, pair_element
 
@@ -274,7 +274,6 @@ def test_records_copy_and_deepcopy():
 def test_parity_is_the_int_0_or_1(parity):
     """Both kinds of table refuse a parity other than the int 0 or 1: the
     constructors would read 2 as even and the kernels as odd."""
-    from confcoalg.coalgebra import Coproduct
     from confcoalg.families import make_current
 
     gens = [Generator("a", 0), Generator("b", parity)]

@@ -11,9 +11,8 @@ from fractions import Fraction
 import pytest
 
 from confcoalg import cli, coalgebra, conformal, families, printed, restricted, tables
-from confcoalg.conformal import (
-    ConformalElement, LambdaStructure, StructureError, bracket, check_jacobi, check_skew,
-)
+from confcoalg.bases import sn_basis
+from confcoalg.conformal import bracket, check_jacobi, check_skew
 from confcoalg.families import (
     corrupt_entry, make_CK6, make_current, make_S, make_S_b, make_W,
 )
@@ -21,10 +20,11 @@ from confcoalg.printed import (
     _current_action, check_div_identity, proposition_diffs, verify_ck6_printed,
 )
 from confcoalg.restricted import (
-    NotInSpan, ck6_embed, div_module_map, div_w, embed_sn, sn_basis, span_reader,
+    NotInSpan, ck6_embed, div_module_map, div_w, embed_sn, span_reader,
 )
 from confcoalg.masks import _d_mul, members, mul_sign
 from confcoalg.poly import D, LAM, MultiPoly, P_ONE, Scalar
+from confcoalg.tables import ConformalElement, LambdaStructure, StructureError
 
 from helpers import element_reader
 

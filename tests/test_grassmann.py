@@ -5,6 +5,7 @@ import functools
 import importlib
 import inspect
 import itertools
+import pathlib
 import pkgutil
 
 import pytest
@@ -207,15 +208,22 @@ def test_every_module_uses_the_package_names_it_imports():
     """Each name has one home: no module of the package imports a name of
     another that it never uses, so none is reached through a module that
     only passes it on, and every from .X import name names the module X
-    that defines name (from . import X names a module).  The two hubs,
-    families and closed_form, import every constructor and emitter for
-    their callers, and coalgebra imports compare and dualize for
-    bench/run.Library and bench/tracing.TARGETS; a name imported from a hub
-    or one of those two from coalgebra would be exempt from the second rule.
+    that defines name (from . import X names a module).  The test modules
+    keep the second rule too: every from confcoalg.X import name in tests/
+    names the module X that defines name.  The two hubs, families and
+    closed_form, import every constructor and emitter for their callers,
+    and coalgebra imports compare and dualize for bench/run.Library and
+    bench/tracing.TARGETS; a name imported from the package root, a hub or
+    one of those two from coalgebra is exempt from the second rule.
     grassmann's __all__ lists only names it defines, none of masks'."""
     passed_on = {"confcoalg.coalgebra": {"compare", "dualize"}}
     sources = dict(_production_sources())
     hubs = ("confcoalg.families", "confcoalg.closed_form")
+
+    def assert_home(name, home, alias):
+        if home not in hubs and alias not in passed_on.get(home, ()):
+            assert alias in _module_scope_names(sources[home]), (name, alias, home)
+
     for name, tree in sources.items():
         for node in ast.walk(tree):
             if not (isinstance(node, ast.ImportFrom) and node.level):
@@ -224,9 +232,8 @@ def test_every_module_uses_the_package_names_it_imports():
             for alias in node.names:
                 if home == "confcoalg":
                     assert f"confcoalg.{alias.name}" in sources, (name, alias.name)
-                elif home not in hubs and alias.name not in passed_on.get(home, ()):
-                    defined = _module_scope_names(sources[home])
-                    assert alias.name in defined, (name, alias.name, home)
+                else:
+                    assert_home(name, home, alias.name)
         if name in hubs:
             continue
         imported = {alias.asname or alias.name for node in ast.walk(tree)
@@ -234,6 +241,13 @@ def test_every_module_uses_the_package_names_it_imports():
                     for alias in node.names}
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert imported - used == passed_on.get(name, set()), name
+    tests = sorted(pathlib.Path(__file__).parent.glob("*.py"))
+    assert len(tests) > 5
+    for path in tests:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("confcoalg."):
+                for alias in node.names:
+                    assert_home(path.name, node.module, alias.name)
     grassmann = importlib.import_module("confcoalg.grassmann")
     assert set(grassmann.__all__) <= _module_scope_names(sources["confcoalg.grassmann"])
 
@@ -431,13 +445,13 @@ def test_co_lie_checks_run_the_lambda_kernels():
 def test_function_bodies_import_what_some_commands_skip():
     """The imports inside functions of the package, (module, function, the
     module imported from): the command line's serialiser, tables and
-    Fraction, the restriction machinery of the subalgebra families, and
-    conformal's flip kernel, which tables reads for the flip residual, as
-    every command loads tables.  conformal imports nothing inside a
-    function: its checks run the row kernels defined beside them, which
-    coalgebra imports at its top.  closed_form_contact._contact_sign takes
-    the mask of xi_star from coproduct_CK6, which imports it, so the loops
-    that call it run no import."""
+    Fraction, the restriction machinery in the constructors of the
+    subalgebra families, and conformal's flip kernel, which tables reads
+    for the flip residual, as every command loads tables.  conformal
+    imports nothing inside a function: its checks run the row kernels
+    defined beside them, which coalgebra imports at its top.  No closed
+    form imports inside a function: each emitter takes its generators,
+    bases and symbols from bases at its module's top."""
     found = set()
 
     def visit(module, node, where):
@@ -452,11 +466,9 @@ def test_function_bodies_import_what_some_commands_skip():
 
     for name, tree in _production_sources():
         visit(name.rpartition(".")[2], tree, None)
-    restricted = {("closed_form_contact", "coproduct_K4prime"), ("closed_form_contact", "_ck6_duals"),
-                  ("closed_form_contact", "coproduct_CK6"),
-                  ("closed_form_w", "coproduct_S"), ("families_contact", "make_K4prime"),
-                  ("families_contact", "make_CK6"), ("families_w", "make_S"),
-                  ("families_w", "make_S_b"), ("families_w", "make_S_tilde")}
+    restricted = {("families_contact", "make_K4prime"), ("families_contact", "make_CK6"),
+                  ("families_w", "make_S"), ("families_w", "make_S_b"),
+                  ("families_w", "make_S_tilde")}
     assert found == {("cli", "parse_scalar", "fractions"), ("cli", "_emit", ".serialize"),
                      ("cli", "_emit", "."), ("cli", "_table", ".serialize"),
                      ("cli", "cmd_verify", ".tables"), ("cli", "cmd_verify", ".serialize"),

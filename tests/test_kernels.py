@@ -29,30 +29,33 @@ from typing import Dict, Iterator, List, Tuple
 import pytest
 
 from confcoalg import closed_form as cf
-from confcoalg import coalgebra, conformal, families, poly, printed, restricted
+from confcoalg import bases, coalgebra, conformal, families, poly, printed, restricted
 from confcoalg import families_contact, families_jordan, families_w
 from confcoalg.coalgebra import (
-    Coproduct, TensorElement, apply_delta_slot, check_jordan_coalgebra,
+    TensorElement, apply_delta_slot, check_jordan_coalgebra,
     check_lie_coalgebra, double_dual_roundtrip, dualize, tau, zeta,
 )
 from confcoalg.conformal import (
-    CONSISTENT, JORDAN, LIE, PRINTED, ConformalElement, LambdaStructure, Report, StructureError, Violation,
-    bracket, check_jacobi, check_jordan_comm, check_jordan_identity, check_skew, shift_spectral,
+    CONSISTENT, PRINTED, Report, Violation, bracket, check_jacobi, check_jordan_comm,
+    check_jordan_identity, check_skew, shift_spectral,
 )
 from confcoalg.families import corrupt_entry
-from confcoalg.conformal import JACOBI_IMAGES, JORDAN_IMAGES, PRINTED_JORDAN_IMAGES
+from confcoalg.conformal import JACOBI_IMAGES
 from confcoalg.restricted import ModuleMap, _divmod_d, _normalise_content, bracket_pairs
 from confcoalg.grassmann import IndexSet, mul
 from confcoalg.masks import alpha_mask, members, mul_sign
-from confcoalg.tables import Generator
+from confcoalg.tables import (
+    JORDAN, LIE, ConformalElement, Coproduct, Generator, LambdaStructure, StructureError,
+)
 from confcoalg.poly import (
     BETA, D, LAM, MU, NU, X1, X2, X3, X4, MultiPoly, P_ONE, Scalar, _MONO_MASK, _checked,
     accumulate, compact_vector,
 )
 
 from helpers import (
-    _gather, co_record_oracle, conformal_record_oracle, count_calls, derive, dual_entry,
-    element_pairs, element_reader, exact_div, packed_rows, pair_element, term_products,
+    FULL_JORDAN_IMAGES, FULL_PRINTED_JORDAN_IMAGES, _gather, co_record_oracle,
+    conformal_record_oracle, count_calls, derive, dual_entry, element_pairs, element_reader,
+    exact_div, packed_rows, pair_element, term_products,
 )
 from test_coalgebra import _bench_workloads
 
@@ -397,7 +400,7 @@ def _co_kernel_gathers(n, par):
         (None, None, lambda i, j, k: (0, (i * n + j) * n + k), None),
         (X2, X1, lambda j, i, k: (0, (i * n + j) * n + k), lambda j, i: par[i] & par[j]),
         (X2, X1 + X3, lambda j, l, m: (l, j * n * n + m), lambda j, l: par[j]),
-        # the Jordan kernel's first factors and R and Q under JORDAN_IMAGES
+        # the Jordan kernel's first factors and R and Q under the consistent images
         (X3, X1, lambda c, a, l: ((a, l, par[c]), c * n * n), None),
         (X1 + X3, X4, lambda x, d, m: ((x, m), d * n), None),
         (X1 + X2, X3 + X4, lambda y, m, k: ((y, m), k), None),
@@ -496,8 +499,8 @@ def test_slot_image_sets_follow_from_the_table_image_sets(monkeypatch):
     conformal._flip_kernel(K1.packed[1], [g.parity for g in K1.generators], LIE)
     assert renamed == [_in_slots((-LAM - D, D), SLOT_MAPS["flip"])]
     for lam_images, slots, kernel in ((LAMBDA_JACOBI, JACOBI_IMAGES, "jacobi"),
-                                      (LAMBDA_JORDAN, JORDAN_IMAGES, "jordan"),
-                                      (LAMBDA_PRINTED, PRINTED_JORDAN_IMAGES, "jordan")):
+                                      (LAMBDA_JORDAN, FULL_JORDAN_IMAGES, "jordan"),
+                                      (LAMBDA_PRINTED, FULL_PRINTED_JORDAN_IMAGES, "jordan")):
         assert lam_images.keys() == slots.keys()
         for key, pair in lam_images.items():
             if isinstance(pair[0], tuple):   # the (first, last) pair of an R or Q
@@ -506,7 +509,7 @@ def test_slot_image_sets_follow_from_the_table_image_sets(monkeypatch):
             else:
                 assert _in_slots(pair, SLOT_MAPS[kernel]) == _slot_pair(slots[key]), key
     for printed, consistent in ((LAMBDA_PRINTED, LAMBDA_JORDAN),
-                                (PRINTED_JORDAN_IMAGES, JORDAN_IMAGES)):
+                                (FULL_PRINTED_JORDAN_IMAGES, FULL_JORDAN_IMAGES)):
         # the consistent chain term c a reads ca_split's copy, the printed one its own
         chain = {**consistent, "ca_chain": consistent["ca_split"]}
         assert printed.keys() == chain.keys()
@@ -813,7 +816,8 @@ def test_reduced_jordan_rows_match_the_full_kernel(request):
     for S in _jordan_kernel_tables(request):
         for T in (S, dualize(S)):
             table = T.packed[1]
-            for variant, images in ((CONSISTENT, JORDAN_IMAGES), (PRINTED, PRINTED_JORDAN_IMAGES)):
+            for variant, images in ((CONSISTENT, FULL_JORDAN_IMAGES),
+                                    (PRINTED, FULL_PRINTED_JORDAN_IMAGES)):
                 assert (list(conformal._jordan_rows(table, T.parities, variant))
                         == list(_full_jordan_rows(table, T.parities, images))), (T.name, variant)
 
@@ -823,7 +827,7 @@ def test_jordan_kernel_refuses_an_unknown_variant(Jn):
     refuses anything else, an image set included, as check_jordan_identity
     does through it."""
     S = Jn[2]
-    for variant in ("bogus", JORDAN_IMAGES, PRINTED_JORDAN_IMAGES, None):
+    for variant in ("bogus", FULL_JORDAN_IMAGES, FULL_PRINTED_JORDAN_IMAGES, None):
         with pytest.raises(StructureError, match="^unknown variant "):
             list(conformal._jordan_rows(S.packed[1], S.parities, variant))
     with pytest.raises(StructureError, match="^unknown variant 'bogus'$"):
@@ -865,7 +869,8 @@ def test_representatives_meet_every_rotation_orbit_once(name, Jn, JCK4, monkeypa
         assert [t for t in orbit if (t[0] <= t[1] and t[0] < t[2]) or len(set(t)) == 1] \
             == [_least_rotation(a, b, c)]
     full, reduced = set(), set()
-    rows = list(_full_jordan_kernel(_accumulating(full, n))(S.packed[1], S.parities, JORDAN_IMAGES))
+    rows = list(_full_jordan_kernel(_accumulating(full, n))(S.packed[1], S.parities,
+                                                            FULL_JORDAN_IMAGES))
     monkeypatch.setattr(conformal, "add_product", _accumulating(reduced, n))
     list(conformal._jordan_rows(S.packed[1], S.parities, CONSISTENT))
     failing = {(a, comp // n ** 3, comp // n ** 2 % n) for a, row in enumerate(rows)
@@ -907,7 +912,7 @@ def test_repaired_jn_passes_through_both_kernels(n):
     for T in (S, dualize(S)):
         table = T.packed[1]
         assert (list(conformal._jordan_rows(table, T.parities, CONSISTENT))
-                == list(_full_jordan_rows(table, T.parities, JORDAN_IMAGES)) == [{}] * T.rank)
+                == list(_full_jordan_rows(table, T.parities, FULL_JORDAN_IMAGES)) == [{}] * T.rank)
 
 
 def test_r1_image_pairs_map_onto_q2_and_the_printed_r2():
@@ -915,9 +920,9 @@ def test_r1_image_pairs_map_onto_q2_and_the_printed_r2():
     through x2+x3, and _R1_TO_Q2 and _R1_TO_PRINTED_R2 send each of the four
     image polynomials exactly onto the one in its place in q2's and in the
     printed r2's pairs."""
-    r1 = [poly.pack_vector([(0, p)]) for pair in JORDAN_IMAGES["r1"] for p in pair]
-    for rename, images in ((conformal._R1_TO_Q2, JORDAN_IMAGES["q2"]),
-                           (conformal._R1_TO_PRINTED_R2, PRINTED_JORDAN_IMAGES["r2"])):
+    r1 = [poly.pack_vector([(0, p)]) for pair in FULL_JORDAN_IMAGES["r1"] for p in pair]
+    for rename, images in ((conformal._R1_TO_Q2, FULL_JORDAN_IMAGES["q2"]),
+                           (conformal._R1_TO_PRINTED_R2, FULL_PRINTED_JORDAN_IMAGES["r2"])):
         assert [rename(p) for p in r1] == [poly.pack_vector([(0, q)])
                                            for pair in images for q in pair]
 
@@ -928,9 +933,9 @@ def assert_r1_renames_to_q2_and_the_printed_r2(S):
     _R1_TO_PRINTED_R2: the same keys, each with the same compact vector."""
     vecs, slots = S.packed[1]
     hoisted = lambda pair: conformal._hoisted(vecs, sorted(slots), S.rank, *pair)
-    r1 = hoisted(JORDAN_IMAGES["r1"])
-    for rename, pair in ((conformal._R1_TO_Q2, JORDAN_IMAGES["q2"]),
-                         (conformal._R1_TO_PRINTED_R2, PRINTED_JORDAN_IMAGES["r2"])):
+    r1 = hoisted(FULL_JORDAN_IMAGES["r1"])
+    for rename, pair in ((conformal._R1_TO_Q2, FULL_JORDAN_IMAGES["q2"]),
+                         (conformal._R1_TO_PRINTED_R2, FULL_PRINTED_JORDAN_IMAGES["r2"])):
         assert {key: rename(vec) for key, vec in r1.items()} == hoisted(pair), S.name
 
 
@@ -1765,7 +1770,7 @@ def _canonicalize_CK6_oracle(x, K6):
         else:
             continue
         if not c.is_zero():
-            coords[restricted._ck6_name(t)] = c
+            coords[bases._ck6_name(t)] = c
             expect = expect + restricted.ck6_embed(t, K6).scale(c)
     if not (x - expect).is_zero():
         raise restricted.NotInSpan("element outside the CK_6 span")
@@ -1788,7 +1793,7 @@ def _canonicalize_S_oracle(x, W):
         if deg == n:
             raise restricted.NotInSpan("component on the top Lambda monomial")
         cb = p.scalar_mul(Fraction(1, deg - n))
-        coords[restricted.SnBasisElement("B", m).name()] = cb
+        coords[bases.SnBasisElement("B", m).name()] = cb
         for i in members(~m & ((1 << n) - 1)):
             gidx = w_idx[(m | (1 << (i - 1)), i)]
             accumulate(work, gidx, -(cb * (D * mul_sign(m, 1 << (i - 1)))))
@@ -1796,7 +1801,7 @@ def _canonicalize_S_oracle(x, W):
     for g in list(work):
         mask, i = rev[g]
         if not (mask >> (i - 1)) & 1:
-            coords[restricted.SnBasisElement("A", mask, i).name()] = work.pop(g)
+            coords[bases.SnBasisElement("A", mask, i).name()] = work.pop(g)
 
     by_I = {}
     for g, p in work.items():
@@ -1814,13 +1819,13 @@ def _canonicalize_S_oracle(x, W):
         for a, b in zip(comp, comp[1:]):
             partial = partial + comps.get(a, MultiPoly.zero())
             if not partial.is_zero():
-                coords[restricted.SnBasisElement("A2", I, a, b).name()] = partial
+                coords[bases.SnBasisElement("A2", I, a, b).name()] = partial
     return coords
 
 
 def _proposition_diffs_oracle(n):
     W = families.make_W(n)
-    basis = restricted.sn_basis(n)
+    basis = bases.sn_basis(n)
     names = [b.name() for b in basis]
     embeds = [restricted.embed_sn(b, W) for b in basis]
     prop_coords = {}
@@ -1898,7 +1903,7 @@ def test_ck6_corruptions_refused_like_oracle(CK6, seed):
     brackets = [w for _, w in element_pairs(K6, CK6.meta["embeds"]) if w.terms]
     # leading monomial -> Hodge partner, for the CK_6 basis elements
     partner = {}
-    for t in restricted._ck6_basis_tuples():
+    for t in bases._ck6_basis_tuples():
         m = sum(1 << (i - 1) for i in t)
         partner[lam_idx[m]] = lam_idx[star ^ m]
     for _ in range(5):

@@ -50,19 +50,19 @@ from hypothesis import example, given, strategies as st  # noqa: E402
 
 from confcoalg import cli, families, serialize  # noqa: E402
 from confcoalg.coalgebra import (  # noqa: E402
-    Coproduct, check_jordan_coalgebra, check_lie_coalgebra, compare, double_dual_roundtrip,
-    dualize,
+    check_jordan_coalgebra, check_lie_coalgebra, compare, double_dual_roundtrip, dualize,
 )
 from confcoalg.conformal import (  # noqa: E402
-    CONSISTENT, JORDAN, LIE, PRINTED, ConformalElement, LambdaStructure,
-    check_jacobi, check_jordan_comm, check_jordan_identity, check_skew,
+    CONSISTENT, PRINTED, check_jacobi, check_jordan_comm, check_jordan_identity, check_skew,
 )
 from confcoalg.poly import (  # noqa: E402
     ALPHABET, BETA, D, LAM, MultiPoly, P_ONE, Scalar, X1, X2, X3, _BETA_SHIFT,
     _COMPONENT_SHIFT, _pack, poly_from_json, unpack_vector, vector_text,
 )
 from confcoalg.restricted import ModuleMap, NotInSpan, kernel_basis  # noqa: E402
-from confcoalg.tables import Generator, dual_generators  # noqa: E402
+from confcoalg.tables import (  # noqa: E402
+    JORDAN, LIE, ConformalElement, Coproduct, Generator, LambdaStructure, dual_generators,
+)
 
 from helpers import (  # noqa: E402
     OracleCoproduct, OracleLambdaStructure, _gather, _packed, apply_map,

@@ -61,10 +61,11 @@ from confcoalg import cli
 from confcoalg import closed_form as cf
 from confcoalg.coalgebra import check_jordan_coalgebra, check_lie_coalgebra, dualize
 from confcoalg.conformal import (
-    CONSISTENT, JORDAN, LIE, PRINTED, ConformalElement, StructureError, _jacobi_rows,
-    _jordan_rows, check_jacobi, check_jordan_comm, check_jordan_identity, check_skew,
+    CONSISTENT, PRINTED, _jacobi_rows, _jordan_rows, check_jacobi, check_jordan_comm,
+    check_jordan_identity, check_skew,
 )
 from confcoalg.poly import D, LAM, MultiPoly, Scalar, unpack_vector
+from confcoalg.tables import JORDAN, LIE, ConformalElement, StructureError
 
 _RANGE = 2 ** 31
 

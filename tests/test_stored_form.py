@@ -16,11 +16,9 @@ from fractions import Fraction
 import pytest
 
 from confcoalg import cli, closed_form as cf, closed_form_builder, families, masks, serialize
-from confcoalg.coalgebra import Coproduct
-from confcoalg.conformal import JORDAN, LIE, LambdaStructure, StructureError
 from confcoalg.masks import alpha_mask, eps_mask
 from confcoalg.poly import D, LAM, MU, MultiPoly, Scalar, X1, X2, X3, poly_from_json
-from confcoalg.tables import Generator
+from confcoalg.tables import Coproduct, Generator, JORDAN, LIE, LambdaStructure, StructureError
 
 from helpers import (
     OracleCoproduct, OracleLambdaStructure, assert_stored_as_the_oracle, count_calls, random_poly,
