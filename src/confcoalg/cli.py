@@ -18,6 +18,8 @@ import functools
 import importlib
 import re
 import sys
+from itertools import groupby
+from operator import itemgetter
 from typing import Optional
 
 import confcoalg
@@ -164,31 +166,28 @@ def _write(text: str, out: Optional[str]):
 
 
 def _emit(T, fmt, out):
-    """Write a table or a coproduct T as json, latex or text; the layouts of
-    the two differ only in the LaTeX writer and the text rows."""
+    """Write a table or a coproduct T as json, latex or text.  The text rows group
+    the stored slots, a table's sorted by (i, j, k) and a coproduct's by k (Table._store)."""
     table = isinstance(T, confcoalg.LambdaStructure)
-    if fmt == "json":
-        from .serialize import dumps
-
-        text = dumps(T)
-    elif fmt == "latex":
+    if fmt != "text":
         from . import serialize
 
-        text = (serialize.structure_tex if table else serialize.coproduct_tex)(T)
+        text = (serialize.dumps if fmt == "json"
+                else serialize.structure_tex if table else serialize.coproduct_tex)(T)
     else:
         g = T.generators
         value = [repr(p) for p in T._values()]      # each distinct value's text, by its index
-        rows = T._indexed_rows().items()
+        rows = groupby(T.packed[1][1], itemgetter(0, 1) if table else itemgetter(2))
         lines = [f"# {T.name} (kind={T.kind}, rank={T.rank})"]
         if table:
             lines += [f"[{g[i].id} lam {g[j].id}] = "
-                      + " + ".join(f"({value[e]})*{g[k].id}" for k, e in row)
-                      for (i, j), row in rows if row]
+                      + " + ".join(f"({value[e]})*{g[k].id}" for _, _, k, e in row)
+                      for (i, j), row in rows]
         else:
             lines += [f"delta({g[k].id}) = " + ", ".join(
                 f"{g[i].id}(x){g[j].id}: {value[e]}"
-                for i, j, e in sorted(row, key=lambda t: (g[t[0]].id, g[t[1]].id)))
-                for k, row in rows if row]
+                for i, j, _, e in sorted(row, key=lambda t: (g[t[0]].id, g[t[1]].id)))
+                for k, row in rows]
         text = "\n".join(lines)
     _write(text, out)
 

@@ -16,10 +16,10 @@ diff cleanly:
 
 Polynomials use the coefficient encoding of the poly module.  The readers
 and writers work once per distinct value.  A writer writes each distinct
-value of a table's stored form once (Table._values) and lays the rows out
-by value index (Table._indexed_rows): in ``dumps`` equal polynomials share
-one "poly" list, and equal rows of terms (the same generators and value
-indices) one "terms" list, which ``_json_text`` writes once per
+value of a table's stored form once (Table._values) and walks its stored
+slots once, sorted into document order: in ``dumps`` equal polynomials
+share one "poly" list, and equal rows of terms (the same generators and
+value indices) one "terms" list, which ``_json_text`` writes once per
 indentation.  A reader converts and checks each distinct "poly" list of a
 document once, at its first occurrence, keyed by its exact JSON value, and
 builds the table from those values and their slots
@@ -37,18 +37,22 @@ layout of ``json.dumps(doc, indent=2)``: two-space indentation, every list
 item and object member on its own line, non-ASCII characters escaped.
 
 Each layout has one writer, and the rules the writers share are written
-once: ``_id_order`` is the generator order of every document,
-``_document`` the header of a table or coproduct document, ``_signed_sum``
-joins LaTeX terms with their signs and ``_factor`` drops a coefficient 1
-(and -1 to its sign) before a monomial.
+once: ``_in_document_order`` is the order of every document, its
+generators by id and its rows with their terms or pairs, a walk the
+writers group with ``itertools.groupby``; ``_document`` is the header of a
+table or coproduct document, ``_signed_sum`` joins LaTeX terms with their
+signs and ``_factor`` drops a coefficient 1 (and -1 to its sign) before a
+monomial.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import groupby
 from json.encoder import encode_basestring_ascii as _str_text
-from typing import Dict, List
+from operator import itemgetter
+from typing import Dict, List, Tuple
 
 from .poly import (
     MultiPoly, _MAXEXP, _VAR_SHIFT, _exp_of, _int_text, _sort_key, poly_from_json, poly_to_json,
@@ -65,10 +69,22 @@ FORMAT_VERSION = 1
 MAX_DEGREE = {LIE: _MAXEXP // 2, JORDAN: _MAXEXP // 3}
 
 
-def _id_order(T) -> List[int]:
-    """The generator indices of a table or coproduct, sorted by id: the order
-    of the generators and rows of every document."""
-    return sorted(range(T.rank), key=lambda i: T.generators[i].id)
+def _in_document_order(T) -> Tuple[List[int], list]:
+    """(order, slots): T's generator indices sorted by id, the order of the
+    generators of every document, and T's stored slots (i, j, k, e) sorted
+    by the places in order of (i, j, k) for a table and of (k, i, j) for a
+    coproduct: the order of its rows and of their terms or pairs, as no
+    slot repeats an (i, j, k)."""
+    n = T.rank
+    order = sorted(range(n), key=lambda i: T.generators[i].id)
+    rank = [0] * n      # generator index -> its place in order
+    for r, i in enumerate(order):
+        rank[i] = r
+    if isinstance(T, LambdaStructure):
+        key = lambda slot: (rank[slot[0]] * n + rank[slot[1]]) * n + rank[slot[2]]
+    else:
+        key = lambda slot: (rank[slot[2]] * n + rank[slot[0]]) * n + rank[slot[1]]
+    return order, sorted(T.packed[1][1], key=key)
 
 
 def _document(T, doc_type: str, order: List[int], rows: list) -> dict:
@@ -93,22 +109,15 @@ def _generator(g: Generator) -> dict:
 def _structure_json(S: LambdaStructure) -> dict:
     polys = [poly_to_json(p) for p in S._values()]   # by value index: equal terms share a list
     g = S.generators
-    order = _id_order(S)
-    table = S._indexed_rows()
+    order, slots = _in_document_order(S)
     shared: Dict[tuple, list] = {}    # the (k, e) of a row's terms -> its terms list
-
-    def terms(row):
-        key = tuple(row)
-        out = shared.get(key)
-        if out is None:
-            out = shared[key] = [{"gen": g[k].id, "poly": polys[e]}
-                                 for k, e in sorted(row, key=lambda t: g[t[0]].id)]
-        return out
-
-    rows = [
-        {"left": g[i].id, "right": g[j].id, "terms": terms(table[(i, j)])}
-        for i in order for j in order if table[(i, j)]
-    ]
+    rows = []
+    for (i, j), row in groupby(slots, itemgetter(0, 1)):
+        key = tuple(slot[2:] for slot in row)
+        terms = shared.get(key)
+        if terms is None:
+            terms = shared[key] = [{"gen": g[k].id, "poly": polys[e]} for k, e in key]
+        rows.append({"left": g[i].id, "right": g[j].id, "terms": terms})
     return _document(S, "lambda_structure", order, rows)
 
 
@@ -133,17 +142,11 @@ def structure_from_json(data: dict) -> LambdaStructure:
 def _coproduct_json(C: Coproduct) -> dict:
     polys = [poly_to_json(q) for q in C._values()]   # by value index: equal pairs share a list
     g = C.generators
-    order = _id_order(C)
-    table = C._indexed_rows()
+    order, slots = _in_document_order(C)
     rows = [
-        {
-            "gen": g[k].id,
-            "pairs": [
-                {"left": g[i].id, "right": g[j].id, "poly": polys[e]}
-                for i, j, e in sorted(table[k], key=lambda t: (g[t[0]].id, g[t[1]].id))
-            ],
-        }
-        for k in order if table[k]
+        {"gen": g[k].id,
+         "pairs": [{"left": g[i].id, "right": g[j].id, "poly": polys[e]} for i, j, _, e in row]}
+        for k, row in groupby(slots, itemgetter(2))
     ]
     return _document(C, "coproduct", order, rows)
 
@@ -421,26 +424,20 @@ def structure_tex(S: LambdaStructure) -> str:
     g = S.generators
     lines = []
     op = "[%s_\\lambda\\, %s]" if S.kind == LIE else "%s_\\lambda\\, %s"
-    order = _id_order(S)
     tex = [poly_tex(p) for p in S._values()]
-    table = S._indexed_rows()
-    for i in order:
-        for j in order:
-            entries = table[(i, j)]
-            if not entries:
-                continue
-            terms = []
-            for k, e in sorted(entries, key=lambda t: g[t[0]].id):
-                pt = tex[e]
-                gt = _gen_tex(g[k])
-                if pt == "1":
-                    terms.append(gt)
-                elif "+" in pt[1:] or "-" in pt[1:]:
-                    terms.append("(%s)%s" % (pt, gt))
-                else:
-                    terms.append("%s\\,%s" % (pt, gt))
-            lhs = op % (_gen_tex(g[i]), _gen_tex(g[j]))
-            lines.append("%s = %s" % (lhs, _signed_sum(terms)))
+    for (i, j), row in groupby(_in_document_order(S)[1], itemgetter(0, 1)):
+        terms = []
+        for _, _, k, e in row:
+            pt = tex[e]
+            gt = _gen_tex(g[k])
+            if pt == "1":
+                terms.append(gt)
+            elif "+" in pt[1:] or "-" in pt[1:]:
+                terms.append("(%s)%s" % (pt, gt))
+            else:
+                terms.append("%s\\,%s" % (pt, gt))
+        lhs = op % (_gen_tex(g[i]), _gen_tex(g[j]))
+        lines.append("%s = %s" % (lhs, _signed_sum(terms)))
     return "\n".join(lines)
 
 
@@ -462,16 +459,11 @@ def coproduct_tex(C: Coproduct) -> str:
                  _pow_d(_exp_of(m, "x2"))) for cs, m in factors]
 
     value_pieces = [pieces(q) for q in C._values()]
-    table = C._indexed_rows()
     sym = r"\delta" if C.kind == LIE else r"\Delta"
     lines = []
-    for k in _id_order(C):
-        if not table[k]:
-            continue
-        terms = []
-        for i, j, e in sorted(table[k], key=lambda t: (g[t[0]].id, g[t[1]].id)):
-            terms += ["%s%s%s\\otimes %s%s" % (cs, left, dual[i], right, dual[j])
-                      for cs, left, right in value_pieces[e]]
+    for k, row in groupby(_in_document_order(C)[1], itemgetter(2)):
+        terms = ["%s%s%s\\otimes %s%s" % (cs, left, dual[i], right, dual[j])
+                 for i, j, _, e in row for cs, left, right in value_pieces[e]]
         lines.append("%s(%s) = %s" % (sym, dual[k], _signed_sum(terms)))
     return "\n".join(lines)
 

@@ -192,22 +192,21 @@ class Table:
         zero = {e for e, p in enumerate(values) if not p.terms}
         slots = [slot for slot in slots if slot[3] not in zero] if zero else list(slots)
         slots.sort(key=self._ORDER)
-        used = dict.fromkeys(map(itemgetter(3), slots))
-        stray = {p for p in dict.fromkeys(map(values.__getitem__, used))     # each value once
-                 if any(key & self._STRAY_VARS for key in p.terms)}
+        number: Dict[MultiPoly, int] = {}       # each distinct value -> its index
+        used = {e: number.setdefault(values[e], len(number))    # each used value hashed once
+                for e in dict.fromkeys(map(itemgetter(3), slots))}
+        stray = {f for p, f in number.items() if any(key & self._STRAY_VARS for key in p.terms)}
         for i, j, k, e in slots:
             if (not (i in ix and j in ix and k in ix and par[i] ^ par[j] == par[k])
-                    or stray and values[e] in stray):
+                    or stray and used[e] in stray):
                 raise self._refusal(i, j, k, values[e])
         if len(set(map(itemgetter(0, 1, 2), slots))) < len(slots):
             merged: Dict[tuple, MultiPoly] = {}     # keyed in _ORDER, as slots are sorted
             for i, j, k, e in slots:
                 accumulate(merged, (i, j, k), values[e])
-            values, slots = list(merged.values()), [(*key, e) for e, key in enumerate(merged)]
-            used = range(len(values))
-        number: Dict[MultiPoly, int] = {}       # each distinct value -> its index
-        used = {e: number.setdefault(values[e], len(number)) for e in used}
-        if any(e != f for e, f in used.items()):
+            number = {}
+            slots = [(*key, number.setdefault(p, len(number))) for key, p in merged.items()]
+        elif any(e != f for e, f in used.items()):
             slots = [(i, j, k, used[e]) for i, j, k, e in slots]
         L = common_denominator(number)
         self.packed = L, ([self._slotted(pack_vector([(0, p)], L)) for p in number], slots)
@@ -224,11 +223,6 @@ class Table:
         """The rows, a view of packed laid out by the subclass (_rows), which
         hold one object per distinct value (_values)."""
         return self._rows(self.packed[1][1], self._values())
-
-    def _indexed_rows(self) -> dict:
-        """The rows with each entry's value index e, into _values(), for its value."""
-        L, (vecs, slots) = self.packed
-        return self._rows(slots, range(len(vecs)))
 
     def _values(self) -> List[MultiPoly]:     # each vector unpacked, in the subclass's variables
         L, (vecs, _) = self.packed

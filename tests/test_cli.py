@@ -16,6 +16,7 @@ from confcoalg.cli import main, parse_scalar
 from confcoalg.coalgebra import dualize
 from confcoalg.families import corrupt_entry, make_vir
 from confcoalg.poly import D, LAM, MultiPoly, Scalar, poly_to_json
+from confcoalg.tables import Coproduct, LambdaStructure
 
 
 def run(capsys, *argv):
@@ -235,6 +236,30 @@ def test_emitted_documents_are_pinned(command, family, fmt, capsys):
                          "--format", fmt)
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == EMITTED[command, family, fmt]
+
+
+def test_writers_walk_the_stored_slots(monkeypatch, capsys):
+    """No writer lays out the row view: with _rows, which lays out every
+    generator pair of a table and every row of a coproduct, raising, dumps,
+    structure_tex and coproduct_tex and every pinned construct, dualize and
+    emit output still write their pinned bytes."""
+    def laid_out(self, slots, values):
+        raise AssertionError(f"a writer laid out the rows of {self.name}")
+
+    for cls in (LambdaStructure, Coproduct):
+        monkeypatch.setattr(cls, "_rows", laid_out)
+    S = families.make_K(2)
+    for text, (command, fmt) in ((serialize.dumps(S), ("construct", "json")),
+                                 (serialize.structure_tex(S), ("construct", "latex")),
+                                 (serialize.coproduct_tex(dualize(S)), ("dualize", "latex"))):
+        digest = hashlib.sha256((text + "\n").encode()).hexdigest()
+        assert digest == EMITTED[command, "K_2", fmt], (command, fmt)
+    for (command, family, fmt), pin in sorted(EMITTED.items()):
+        name, _, n = family.partition("_")
+        code, out, err = run(capsys, command, "--family", name, *(("--n", n) if n else ()),
+                             "--format", fmt)
+        assert (code, err, hashlib.sha256(out.encode()).hexdigest()) == (0, "", pin), \
+            (command, family, fmt)
 
 
 @pytest.mark.parametrize("family", sorted(cli.FAMILIES))

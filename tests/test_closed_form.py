@@ -36,7 +36,11 @@ def test_emitters_never_call_dualize():
     the builder, the four series modules and bases, masks, poly and tables,
     and conformal, whose flip kernel Table.flip_residual imports for the
     checks: no emitter reaches dual, which defines dualize, restricted,
-    which builds the subalgebra families, or a constructor module."""
+    which builds the subalgebra families, or a constructor module.  No
+    closed_form module, the builder included, names masks._sign_tables, the
+    sign tables make_K and make_Jn read: an emitter's signs come from
+    eps_mask and alpha_mask, so a sign bug in the tables is no bug of the
+    coproducts they are compared with."""
     import ast
 
     emitters = {getattr(cf, name).__module__ for name in cf.__all__}
@@ -47,14 +51,16 @@ def test_emitters_never_call_dualize():
         if name in seen:
             continue
         seen.add(name)
+        banned = {"dualize"} | ({"_sign_tables"} if name.startswith("confcoalg.closed_form")
+                                else set())
         for node in ast.walk(ast.parse(inspect.getsource(importlib.import_module(name)))):
             if isinstance(node, ast.ImportFrom):
-                assert all(a.name != "dualize" for a in node.names), name
+                assert all(a.name not in banned for a in node.names), name
                 if node.level:      # a module of the package
                     todo += ([f"confcoalg.{node.module}"] if node.module
                              else [f"confcoalg.{a.name}" for a in node.names])
             if isinstance(node, (ast.Name, ast.Attribute)):
-                assert getattr(node, "id", getattr(node, "attr", "")) != "dualize", name
+                assert getattr(node, "id", getattr(node, "attr", "")) not in banned, name
     assert seen == {cf.__name__, *emitters} | {
         f"confcoalg.{name}"
         for name in ("closed_form_builder", "bases", "masks", "poly", "tables", "conformal")

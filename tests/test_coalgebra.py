@@ -564,9 +564,8 @@ def test_a_row_changed_in_place_reaches_no_writer(capsys):
 
 def test_row_views_keep_their_shape(family_tables):
     """A table's rows are every pair in row-major order and a coproduct's
-    every generator index in order, empty ones included: the writers, by
-    value index (Table._indexed_rows), and the benchmark's input counts
-    read them so."""
+    every generator index in order, empty ones included: the oracles,
+    printed and the benchmark's input counts read them so."""
     for name, S, tabulated in family_tables:
         n = S.rank
         assert list(S.table) == [(i, j) for i in range(n) for j in range(n)], name

@@ -256,6 +256,28 @@ def test_equal_values_share_one_vector_in_order_of_first_use():
     assert S.packed[1][1] == [(0, 0, 0, 0), (0, 1, 1, 1), (1, 0, 0, 0), (1, 1, 0, 1)]
 
 
+@pytest.mark.parametrize("cls", [LambdaStructure, Coproduct])
+def test_store_hashes_each_used_value_once(monkeypatch, cls):
+    """With no repeated (i, j, k), _store hashes each used value index once,
+    to number it, and no value that no slot uses: equal values, a value two
+    slots share, and one with stray variables, whose refusal is the first
+    failing slot's."""
+    x, y = (LAM, D) if cls is LambdaStructure else (X1, X2)
+    gens = [Generator("a", 0), Generator("b", 0)]
+    values = [x, x * y, MultiPoly.const(1), x * y, y, MultiPoly.const(5)]     # 5 unused
+    slots = [(1, 1, 0, 0), (0, 0, 1, 1), (0, 1, 1, 2), (1, 0, 0, 3), (0, 1, 0, 2), (1, 1, 1, 4)]
+    with monkeypatch.context() as m:
+        hashed = count_calls(m, MultiPoly, "__hash__")
+        T = cls.from_slots(LIE, gens, values, slots)
+    assert len(hashed) == 5 and len(T.packed[1][0]) == 4
+    stray, message = (MU, "variables {'mu'}$") if cls is LambdaStructure else (X3, "uses x3;")
+    with monkeypatch.context() as m:
+        hashed = count_calls(m, MultiPoly, "__hash__")
+        with pytest.raises(StructureError, match=message):
+            cls.from_slots(LIE, gens, values + [stray], slots + [(0, 0, 0, 6)])
+    assert len(hashed) == 6
+
+
 LIE_GENS = [Generator("a", 0), Generator("b", 1)]
 CO_GENS = [Generator("a*", 0), Generator("b*", 1)]
 

@@ -4,8 +4,8 @@
 
 The suite runs as ROADMAP.md's Tier-1 command, with src on PYTHONPATH and a
 JUnit XML report written into a temporary directory.  The gate exits 0 only
-if the failing tests (failures and errors), each as its node id with the
-first line of its message, are exactly the committed list in
+if the failing tests (failures and errors), each as its node id with its
+whole message, are exactly the committed list in
 tools/tier1_failures.json: the by-design failures of
 tests/test_acceptance.py, each tied to a documented source-table defect.  A
 new failure, a changed message or a documented failure that now passes exits
@@ -27,13 +27,13 @@ EXPECTED = Path(__file__).resolve().parent / "tier1_failures.json"
 
 
 def failures(report: Path) -> list:
-    """[node id, first line of the message] of every failed or erroring test case, sorted."""
+    """[node id, whole message] of every failed or erroring test case, sorted."""
     out = []
     for case in ET.parse(report).getroot().iter("testcase"):
         for bad in (*case.findall("failure"), *case.findall("error")):
             message = (bad.get("message") or bad.text or "").strip()
             module = case.get("classname", "").replace(".", "/") + ".py"   # no test classes
-            out.append([f"{module}::{case.get('name', '')}", message.splitlines()[0] if message else ""])
+            out.append([f"{module}::{case.get('name', '')}", message])
     return sorted(out)
 
 
