@@ -1,12 +1,14 @@
 """Generator lists, bases, symbols and entry values shared by constructors and closed forms.
 
 W_n, K_n (and the N = 2, 3, 4 and K_4' lists), J_n and JCK_4 list their
-generators here once, with the index maps of their masks; S_n lists its
-basis (sn_basis), K_4' its generator d xi_star (DXI_STAR), and CK_6 its
-basis and the symbols C_t of any index tuple (ck6_symbol).  The
-constructors (families_*), the closed forms (closed_form_*) and the printed
-paths take them from this module, so no closed form imports a constructor
-module or the restriction machinery of restricted.  _entry_polys makes the
+generators here once, with the index maps of their masks: each mask's
+digits are made once, from those of the mask without its largest member,
+and W_n and J_n reuse the names of xi_I.  S_n lists its basis (sn_basis),
+K_4' its generator d xi_star (DXI_STAR), and CK_6 its basis and the
+symbols C_t of any index tuple (ck6_symbol).  The constructors
+(families_*), the closed forms (closed_form_*) and the printed paths take
+them from this module, so no closed form imports a constructor module or
+the restriction machinery of restricted.  _entry_polys makes the
 entry values of the constructors that build straight into the stored form.
 """
 
@@ -27,24 +29,16 @@ def _entry_polys(number: Dict[Tuple[int, int, int], int]) -> List[MultiPoly]:
     return [MultiPoly({m: Scalar(x) for m, x in zip(_C_D_LAM, key) if x}) for key in number]
 
 
-def _xi_word(mask: int) -> str:
-    """xi followed by the members of mask; empty for the empty set."""
-    return "xi" + _digits(members(mask)) if mask else ""
-
-
-def _xi_name(mask: int) -> str:
-    return _xi_word(mask) or "1"
-
-
-def _xi_latex(mask: int) -> str:
-    return r"\xi_{" + _digits(members(mask)) + "}" if mask else "1"
-
-
 def k_generators(n: int) -> Tuple[List[Generator], Dict[int, int]]:
     """The generators xi_I of Lambda(n), parity |I|, in table order, and
     lam_idx: I -> the index of xi_I.  K_n has these; W_n and J_n start with them."""
     masks = _masks(n)
-    gens = [Generator(_xi_name(m), m.bit_count() & 1, _xi_latex(m)) for m in masks]
+    gens = [Generator("1", 0, "1")]     # masks[0] is the empty set
+    digits = {0: ""}    # mask -> its members as a digit string
+    for m in masks[1:]:     # graded, so m without its largest member top comes first
+        top = m.bit_length()
+        ds = digits[m] = digits[m ^ (1 << (top - 1))] + str(top)
+        gens.append(Generator("xi" + ds, m.bit_count() & 1, r"\xi_{" + ds + "}"))
     return gens, {m: i for i, m in enumerate(masks)}
 
 
@@ -54,11 +48,11 @@ def w_generators(n: int) -> Tuple[List[Generator], Dict[int, int], Dict[Tuple[in
     of xi_I d_i."""
     gens, lam_idx = k_generators(n)
     w_idx: Dict[Tuple[int, int], int] = {}
-    for m in lam_idx:
+    for m, g in list(zip(lam_idx, gens)):
+        word, lx = (g.id, g.latex) if m else ("", "")     # the prefix xi_I; none for I empty
         for i in range(1, n + 1):
             w_idx[(m, i)] = len(gens)
-            lx = (_xi_latex(m) if m else "") + r"\partial_{" + str(i) + "}"
-            gens.append(Generator(_xi_word(m) + f"d{i}", (m.bit_count() + 1) & 1, lx))
+            gens.append(Generator(f"{word}d{i}", g.parity ^ 1, lx + r"\partial_{" + str(i) + "}"))
     return gens, lam_idx, w_idx
 
 
@@ -68,10 +62,10 @@ def jn_generators(n: int) -> Tuple[List[Generator], Dict[int, int], Dict[int, in
     of xi_I theta."""
     gens, ev_idx = k_generators(n)
     th_idx: Dict[int, int] = {}
-    for m in ev_idx:
+    for m, g in list(zip(ev_idx, gens)):
+        word, lx = (g.id, g.latex) if m else ("", "")
         th_idx[m] = len(gens)
-        lx = (_xi_latex(m) if m else "") + r"\theta"
-        gens.append(Generator(_xi_word(m) + "th", (m.bit_count() + 1) & 1, lx))
+        gens.append(Generator(word + "th", g.parity ^ 1, lx + r"\theta"))
     return gens, ev_idx, th_idx
 
 
@@ -88,7 +82,10 @@ class SnBasisElement(FrozenRecord):
     __slots__ = ("tag", "mask", "i", "j")
 
     def __init__(self, tag: str, mask: int, i: int = 0, j: int = 0):
-        self._set(tag, mask, i, j)   # tag "A" | "A2" | "B"; mask the set I
+        object.__setattr__(self, "tag", tag)     # "A" | "A2" | "B"
+        object.__setattr__(self, "mask", mask)   # the set I
+        object.__setattr__(self, "i", i)
+        object.__setattr__(self, "j", j)
 
     def name(self) -> str:
         ds = _digits(members(self.mask))

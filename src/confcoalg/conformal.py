@@ -88,7 +88,8 @@ class Report(Record):
 
     def __init__(self, check: str, structure: str, total: int = 0,
                  violations: Optional[List[Violation]] = None):
-        self._set(check, structure, total, [] if violations is None else violations)
+        self.check, self.structure, self.total = check, structure, total
+        self.violations = [] if violations is None else violations
 
     @property
     def ok(self) -> bool:

@@ -34,7 +34,7 @@ def dualize(S: LambdaStructure) -> Coproduct:
     L, (vecs, slots) = S.packed
     cop = Coproduct.__new__(Coproduct)
     Table.__init__(cop, S.kind, dual_generators(S.generators), S.name + "^c")
-    cop.packed = L, (vecs, sorted(slots, key=lambda slot: slot[2]))
+    cop.packed = L, (vecs, sorted(slots, key=Coproduct._ORDER))
     return cop
 
 
@@ -46,7 +46,7 @@ class DiffLine(Record):
     __slots__ = ("gen", "left", "right", "got", "expected")
 
     def __init__(self, gen: str, left: str, right: str, got: str, expected: str):
-        self._set(gen, left, right, got, expected)
+        self.gen, self.left, self.right, self.got, self.expected = gen, left, right, got, expected
 
     def __str__(self):
         return (
@@ -59,7 +59,7 @@ class DiffReport(Record):
     __slots__ = ("name_a", "name_b", "lines")
 
     def __init__(self, name_a: str, name_b: str, lines: Optional[List[DiffLine]] = None):
-        self._set(name_a, name_b, [] if lines is None else lines)
+        self.name_a, self.name_b, self.lines = name_a, name_b, [] if lines is None else lines
 
     @property
     def ok(self) -> bool:

@@ -14,6 +14,7 @@ The readable ``IndexSet`` layer over these is in grassmann.
 
 from __future__ import annotations
 
+from itertools import combinations
 from typing import List, Tuple
 
 
@@ -91,8 +92,10 @@ def _submasks(m: int):
 
 
 def _masks(n: int) -> List[int]:
-    """All subset masks of {1..n}, graded then lexicographic on members."""
-    return sorted(range(1 << n), key=lambda m: (m.bit_count(), members(m)))
+    """All subset masks of {1..n}, graded then lexicographic on members:
+    combinations of the members' bits come in that order."""
+    bits = [1 << i for i in range(n)]
+    return [sum(c) for r in range(n + 1) for c in combinations(bits, r)]
 
 
 def _sign_tables(n: int) -> Tuple[List[List[int]], List[int]]:

@@ -295,7 +295,8 @@ class MultiPoly:
     def subst_general(self, var: str, repl: "MultiPoly") -> "MultiPoly":
         """Image of self under var -> repl in a single pass; repl may itself contain var.
 
-        The powers of repl are made once per call, every term's image is
+        The powers of repl are made once per call, from repl itself, so an
+        entry linear in var makes no product; every term's image is
         accumulated into one dict, and the zero sums are dropped at the end,
         after the exponent-overflow check."""
         shift = _VAR_SHIFT[var]
@@ -307,8 +308,8 @@ class MultiPoly:
                 maxexp = e
         if maxexp == 0:
             return self
-        powers = [P_ONE]
-        for _ in range(maxexp):
+        powers = [None, repl]       # powers[e] = repl**e
+        for _ in range(1, maxexp):
             powers.append(powers[-1] * repl)
         out: Dict[int, Scalar] = {}
         get = out.get

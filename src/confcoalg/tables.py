@@ -45,15 +45,11 @@ class Record:
 
     It gives what the package used of dataclasses: the dataclass repr,
     field-wise equality with records of the same class only, no hash, and
-    copies through the constructor. Each subclass writes its __init__ and
-    stores the fields with _set.
+    copies through the constructor. Each subclass's __init__ sets its own
+    fields, a FrozenRecord's through object.__setattr__.
     """
 
     __slots__ = ()
-
-    def _set(self, *values):
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
@@ -90,7 +86,9 @@ class Generator(FrozenRecord):
     __slots__ = ("id", "parity", "latex")
 
     def __init__(self, id: str, parity: int, latex: Optional[str] = None):
-        self._set(id, parity, latex)
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "parity", parity)
+        object.__setattr__(self, "latex", latex)
 
 
 class ConformalElement:

@@ -13,7 +13,7 @@ from confcoalg.poly import (
     _int_text, _part_text, _sort_key,
 )
 
-from helpers import exact_div, random_poly, subst_general_oracle
+from helpers import count_calls, exact_div, random_poly, subst_general_oracle
 
 
 def test_beta_squares_to_minus_one():
@@ -104,6 +104,21 @@ def test_subst_general_matches_the_per_term_sums():
         for subst in (MultiPoly.subst_general, subst_general_oracle):
             with pytest.raises(ValueError, match="exponent overflow"):
                 subst(p, var, repl)
+
+
+def test_subst_general_makes_only_the_powers_past_the_first(monkeypatch):
+    """The powers of the image start at the image itself: an entry linear in
+    the variable makes no polynomial product, and a cubic one makes two, the
+    square and the cube."""
+    img = -LAM - D
+    linear = 3 * D + 2 * LAM + P_ONE
+    cubic = D * D * D - LAM
+    want = [subst_general_oracle(p, "d", img) for p in (linear, cubic)]
+    products = count_calls(monkeypatch, MultiPoly, "__mul__")
+    assert linear.subst_general("d", img) == want[0]
+    assert products == []
+    assert cubic.subst_general("d", img) == want[1]
+    assert len(products) == 2
 
 
 def test_slot_substitution_is_involution():
