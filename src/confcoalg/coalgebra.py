@@ -19,17 +19,20 @@ with a coproduct splits its variable into the sum of the two new ones
 ``apply_delta_slot``, ``tau`` and ``zeta`` implement these operations on
 ``TensorElement`` values and are the definitional path: no production code
 calls them, and ``tests/test_kernels.py`` uses them as the oracle for the
-co-checks.  Every check, of a table or of a coproduct, runs the kernels of
-conformal in slot variables; co-Jordan is the Jordan identity at (lam, mu,
-nu, d) = (x1, x2, x2+x3, -x1-x2-x3-x4), times -(-1)^{p(a)p(c)}, a sign that
-the writer puts on each tuple's part as it reads the kernel's rows.
+co-checks; apply_delta_slot reads a coproduct's stored form, as every
+reader of a coproduct does, for a coproduct keeps no rows.  Every check, of
+a table or of a coproduct, runs the kernels of conformal in slot variables;
+co-Jordan is the Jordan identity at (lam, mu, nu, d) = (x1, x2, x2+x3,
+-x1-x2-x3-x4), times -(-1)^{p(a)p(c)}, a sign that the writer puts on each
+tuple's part as it reads the kernel's rows.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional, Tuple
 
-from .conformal import CONSISTENT, Report, Violation, _jacobi_rows, _jordan_rows, _residual_parts
+from .conformal import (CONSISTENT, Report, Violation, _flip_kernel, _jacobi_rows, _jordan_rows,
+                        _residual_parts)
 # compare and dualize are read here by bench/run.Library and bench/tracing.TARGETS
 from .dual import compare, dualize  # noqa: F401
 from .poly import D, LAM, MultiPoly, P_ONE, _poly_text, accumulate
@@ -132,7 +135,7 @@ def apply_delta_slot(t: TensorElement, cop: Coproduct, slot: int) -> TensorEleme
 
     The slot variable splits into the sum of the two new slot variables and
     later slot variables shift up by one.  The coproduct is an even map, so
-    no Koszul sign appears.
+    no Koszul sign appears.  cop's slots, sorted by k, are grouped by k once.
     """
     if not 1 <= slot <= t.arity:
         raise StructureError("slot out of range")
@@ -142,6 +145,9 @@ def apply_delta_slot(t: TensorElement, cop: Coproduct, slot: int) -> TensorEleme
     xs = MultiPoly.var(_X[slot - 1])
     xs1 = MultiPoly.var(_X[slot])
     split = xs + xs1
+    values, delta = cop._values(), {}
+    for i, j, k, e in cop.packed[1][1]:
+        delta.setdefault(k, []).append((i, j, values[e]))
     for key, p in t.terms.items():
         # shift variables of later slots up, then split the expanded slot
         shifted = p
@@ -154,7 +160,7 @@ def apply_delta_slot(t: TensorElement, cop: Coproduct, slot: int) -> TensorEleme
             sigma["x1"] = _X[slot - 1]
         if _X[slot] != "x2":
             sigma["x2"] = _X[slot]
-        for i, j, q in cop.table[g]:
+        for i, j, q in delta.get(g, ()):
             qq = q.permute_vars(sigma) if sigma else q
             nkey = key[: slot - 1] + (i, j) + key[slot:]
             accumulate(out.terms, nkey, shifted * qq)
@@ -242,9 +248,10 @@ def check_lie_coalgebra(cop: Coproduct) -> Report:
             = sum (-1)^{p_i p_l} Q^{ij}_k(x2, x1+x3) Q^{lm}_j(x1, x3) [l,i,m]
         (delta (x) I) delta a_k = sum Q^{ij}_k(x1+x2, x3) Q^{lm}_i(x1, x2) [l,m,j]
 
-    For cop = dualize(S), cop.flip_residual and the rows of the Jacobi
-    kernel, _jacobi_rows, are the rows check_skew and check_jacobi map back
-    to lam, mu and d, written as they come (see "contraction kernels").  With
+    For cop = dualize(S), the residual of the flip kernel, _flip_kernel,
+    and the rows of the Jacobi kernel, _jacobi_rows, are the rows check_skew
+    and check_jacobi map back to lam, mu and d, written as they come (see
+    "contraction kernels"); each is computed once per call.  With
     antisymmetry co-Jacobi is (1+zeta+zeta^2)(I (x) delta) delta = 0, so it
     runs over [i, j, k] with j <= i <= k, and _write_images writes the other
     permutations.
@@ -253,7 +260,7 @@ def check_lie_coalgebra(cop: Coproduct) -> Report:
         raise StructureError("Lie coalgebra axioms apply to Lie kind")
     rep = Report("coalg", cop.name, total=cop.rank)
     L, table = cop.packed
-    flip = cop.flip_residual
+    flip = _flip_kernel(table, cop.parities, LIE)
     jacobi = _jacobi_rows(table, cop.parities, not flip)
     _record(rep, cop, [("antisymmetry", 2, [flip], L, None), ("co-jacobi", 3, jacobi, L * L, None)])
     return rep
@@ -279,7 +286,7 @@ def check_jordan_coalgebra(cop: Coproduct) -> Report:
     each rotation into that of zeta^0, zeta or zeta^2.  So co-Jordan is the
     consistent Jordan kernel (_jordan_rows), each tuple's part negated as
     _record reads it where p(a)p(c) is odd, at scale -L^3,
-    and co-commutativity is minus cop.flip_residual: the rows that
+    and co-commutativity is minus the flip kernel's residual: the rows that
     check_jordan_identity and check_jordan_comm map back to lam, mu, nu and d.
     The kernel accumulates one [a, b, c] per rotation orbit and writes each
     term at the rotations (_write_images) before it hands a row on, so the
@@ -291,7 +298,7 @@ def check_jordan_coalgebra(cop: Coproduct) -> Report:
     rep = Report("cojordan", cop.name, total=n)
     L, table = cop.packed
     odd = lambda t: par[t // n ** 3] & par[t // n % n]   # p(a) p(c) of t = (a, b, c, d)
-    _record(rep, cop, [("co-commutativity", 2, [cop.flip_residual], -L, None),
+    _record(rep, cop, [("co-commutativity", 2, [_flip_kernel(table, par, JORDAN)], -L, None),
                        ("co-jordan", 4, _jordan_rows(table, par, CONSISTENT), -L ** 3, odd)])
     return rep
 

@@ -124,9 +124,9 @@ class Report(Record):
 # A table has few distinct entry polynomials (K_5 has 618 entries and 23
 # distinct ones), so the stored form holds each once, times the common
 # denominator L of the table (see poly.pack_vector), and every entry names its
-# own.  The rows (Table.table), read only by the oracles (bracket,
-# apply_delta_slot), printed and the benchmark, and the flip residual are
-# made from it on first read; the writers walk its slots, each value by its
+# own.  A LambdaStructure's rows (its table), read by bracket, entry, printed
+# and the benchmark, and its flip residual are made from it on first read; a
+# coproduct keeps neither.  The writers walk the slots, each value by its
 # index, and with_entry makes a new table.  Every term of the Jacobi and Jordan
 # identities on generators is a sparse contraction of renamed copies
 # Q^{ij}_k(x1_img, x2_img), so a residual of degree g is reported divided by

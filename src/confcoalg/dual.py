@@ -26,7 +26,7 @@ def dualize(S: LambdaStructure) -> Coproduct:
 
     S's stored form already holds the table as Q, so dualize relabels it
     and builds no rows: the coproduct stores S's L and vectors, with S's
-    slots stably regrouped by k, as its rows list them.  It skips
+    slots stably regrouped by k (Coproduct._ORDER).  It skips
     Table._store, which would find nothing to merge or refuse: S
     has one entry per (i, j, k), none zero, checked for parity additivity,
     and its stored form uses only x1 and x2.

@@ -144,11 +144,10 @@ class ConformalElement:
 
 class Table:
     """A table's generators and its one stored form: kind (LIE or JORDAN),
-    generators, index (id -> position), rank, parities and packed, and the
-    rows (table) and flip residual, made from packed on first read and kept.
+    generators, index (id -> position), rank, parities and packed.
 
     packed is (L, (vecs, slots)), made once by _store (see conformal,
-    "packed tables").
+    "packed tables"), its vectors in x1 and x2 (_slotted, _unslotted).
     Every verdict and writer reads packed, so a row polynomial changed in
     place reaches no command; with_entry and families.corrupt_entry make a
     new table.  The constructor refuses an unknown kind, repeated ids and
@@ -216,31 +215,24 @@ class Table:
     def parity(self, i: int) -> int:
         return self.parities[i]
 
-    @cached_property
-    def table(self) -> dict:
-        """The rows, a view of packed laid out by the subclass (_rows), which
-        hold one object per distinct value (_values)."""
-        return self._rows(self.packed[1][1], self._values())
-
     def _values(self) -> List[MultiPoly]:     # each vector unpacked, in the subclass's variables
         L, (vecs, _) = self.packed
         return [unpack_vector(self._unslotted(vec), L)[0] for vec in vecs]
 
-    @cached_property
-    def flip_residual(self):
-        """_flip_kernel of packed, L times too large."""
-        from .conformal import _flip_kernel     # a check reads it, and imports conformal first
+    def _slotted(self, vec: dict) -> dict:
+        return vec      # a value in x1 and x2 is stored as it is
 
-        return _flip_kernel(self.packed[1], self.parities, self.kind)
+    _unslotted = _slotted
 
 
 class LambdaStructure(Table):
     """Structure-constant table of a finite free conformal (super)algebra.
 
-    Table holds its generators and stored form; this class adds meta and
-    the row view, table[(i, j)] = [(k, P^{ij}_k)] for every pair in
-    row-major order, each row sorted by k; the constructor refuses a row key
-    that is not a pair of generator indices."""
+    Table holds its generators and stored form; this class adds meta, the
+    row view, table[(i, j)] = [(k, P^{ij}_k)] for every pair in row-major
+    order, each row sorted by k, and the flip residual, both made from packed
+    on first read and kept; the constructor refuses a row key that is not a
+    pair of generator indices."""
 
     _ORDER, _STRAY_VARS = None, _NOT_LAM_D       # sorted by (i, j, k); entries in lam and d
 
@@ -279,12 +271,21 @@ class LambdaStructure(Table):
     def _unslotted(self, vec: dict) -> dict:
         return _FLIP_BACK(vec)      # P(lam, d) = Q(lam, -lam-d)
 
-    def _rows(self, slots, values) -> dict:
-        n = self.rank
+    @cached_property
+    def table(self) -> dict:
+        """The rows, a view of packed with one object per distinct value (_values)."""
+        n, values = self.rank, self._values()
         rows = {(i, j): [] for i in range(n) for j in range(n)}
-        for i, j, k, e in slots:
+        for i, j, k, e in self.packed[1][1]:
             rows[(i, j)].append((k, values[e]))
         return rows
+
+    @cached_property
+    def flip_residual(self):
+        """_flip_kernel of packed, L times too large."""
+        from .conformal import _flip_kernel     # a check reads it, and imports conformal first
+
+        return _flip_kernel(self.packed[1], self.parities, self.kind)
 
     def entry(self, i: int, j: int) -> "ConformalElement":
         return ConformalElement({k: p for k, p in self.table[(i, j)]})
@@ -304,11 +305,11 @@ class LambdaStructure(Table):
 class Coproduct(Table):
     """Coproduct table of a differential (super)coalgebra on a dual basis.
 
-    Table holds its generators and stored form; this class adds the row
-    view, table[k] = delta(a_k^*) as its list of (i, j, Q^{ij}_k), each
-    (i, j) once and in order of first occurrence, for every k.  Two
-    coproducts with the same sums have the same document, whose writers sort
-    each row's pairs by id, but their rows can list the pairs in other orders."""
+    It is its generators and its stored form, Q^{ij}_k as it is, the slots
+    sorted stably by k, so delta(a_k^*) = sum Q^{ij}_k(x1, x2) a_i^* (x) a_j^*
+    is the run of slots of k.  Two coproducts with the same sums have the
+    same document, whose writers sort each k's pairs by id, though their
+    slots can list the pairs of a k in other orders."""
 
     _ORDER, _STRAY_VARS = itemgetter(2), _NOT_SLOT     # sorted stably by k; entries in x1 and x2
 
@@ -333,17 +334,6 @@ class Coproduct(Table):
         stray = ", ".join(sorted(q.variables() - {"x1", "x2"}))
         return StructureError(f"delta({g[k].id}) @ {g[i].id} (x) {g[j].id} uses {stray}; "
                               "coproduct entries may only use x1 and x2")
-
-    def _unslotted(self, vec: dict) -> dict:
-        return vec      # Q is stored as it is, and the rows are in the slot variables too
-
-    _slotted = _unslotted
-
-    def _rows(self, slots, values) -> dict:
-        rows = {k: [] for k in range(self.rank)}
-        for i, j, k, e in slots:
-            rows[k].append((i, j, values[e]))
-        return rows
 
 
 def dual_generators(gens: Sequence[Generator]) -> List[Generator]:

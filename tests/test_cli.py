@@ -1,5 +1,6 @@
 """CLI surface: commands, formats, exit codes."""
 
+import functools
 import hashlib
 import json
 import os
@@ -16,7 +17,7 @@ from confcoalg.cli import main, parse_scalar
 from confcoalg.coalgebra import dualize
 from confcoalg.families import corrupt_entry, make_vir
 from confcoalg.poly import D, LAM, MultiPoly, Scalar, poly_to_json
-from confcoalg.tables import Coproduct, LambdaStructure
+from confcoalg.tables import Coproduct, LambdaStructure, Table
 
 
 def run(capsys, *argv):
@@ -239,15 +240,14 @@ def test_emitted_documents_are_pinned(command, family, fmt, capsys):
 
 
 def test_writers_walk_the_stored_slots(monkeypatch, capsys):
-    """No writer lays out the row view: with _rows, which lays out every
-    generator pair of a table and every row of a coproduct, raising, dumps,
-    structure_tex and coproduct_tex and every pinned construct, dualize and
-    emit output still write their pinned bytes."""
-    def laid_out(self, slots, values):
+    """No writer lays out the row view: with LambdaStructure.table, which
+    lays out every generator pair of a table, raising (a coproduct keeps no
+    rows), dumps, structure_tex and coproduct_tex and every pinned
+    construct, dualize and emit output still write their pinned bytes."""
+    def laid_out(self):
         raise AssertionError(f"a writer laid out the rows of {self.name}")
 
-    for cls in (LambdaStructure, Coproduct):
-        monkeypatch.setattr(cls, "_rows", laid_out)
+    monkeypatch.setattr(LambdaStructure, "table", property(laid_out))
     S = families.make_K(2)
     for text, (command, fmt) in ((serialize.dumps(S), ("construct", "json")),
                                  (serialize.structure_tex(S), ("construct", "latex")),
@@ -750,16 +750,26 @@ def test_benchmark_commands_compile_at_most_21000_lines():
 
 
 # run in a child before its commands: reading the row view raises
-_NO_ROW_VIEW = ("from confcoalg.tables import Table\n"
+_NO_ROW_VIEW = ("from confcoalg.tables import LambdaStructure\n"
                 "def _refuse(self):\n"
-                "    raise AssertionError('a command read Table.table')\n"
-                "Table.table = property(_refuse)\n")
+                "    raise AssertionError('a command read LambdaStructure.table')\n"
+                "LambdaStructure.table = property(_refuse)\n")
+
+
+def test_only_a_table_keeps_a_row_view():
+    """The row view and the flip residual are a LambdaStructure's alone, so
+    patching them there, as _NO_ROW_VIEW does, reaches every reader: a
+    Coproduct is its generators and stored form, and Table caches nothing."""
+    for name in ("table", "_rows", "flip_residual"):
+        assert not hasattr(Coproduct, name), name
+    assert not [v for v in vars(Table).values() if isinstance(v, functools.cached_property)]
+    assert {"table", "flip_residual"} <= vars(LambdaStructure).keys()
 
 
 def test_no_command_reads_the_row_view(tmp_path):
     """The nine commands of bench/workloads.CLI_COMMANDS, and dualize and
-    emit writing JSON, exit as they do with Table.table made to raise: the
-    writers and compare read only the stored form."""
+    emit writing JSON, exit as they do with LambdaStructure.table made to
+    raise: the writers and compare read only the stored form."""
     from test_coalgebra import _bench_workloads
 
     table = tmp_path / "k3.json"
@@ -775,15 +785,15 @@ def test_no_command_reads_the_row_view(tmp_path):
 
 
 def test_coalgebra_loads_the_kernels_it_runs():
-    """coalgebra imports both row kernels from conformal at its top, as its
-    co-checks run them, and nothing else of the package beyond dual, tables
-    and poly."""
+    """coalgebra imports the flip kernel and both row kernels from conformal
+    at its top, as its co-checks run them, and nothing else of the package
+    beyond dual, tables and poly."""
     _, modules = _footprint("import confcoalg.coalgebra\nresult = None")
     assert modules == {"confcoalg", "conformal", "dual", "poly", "tables", "coalgebra"}
     from confcoalg import coalgebra, conformal
 
-    assert (coalgebra._jacobi_rows, coalgebra._jordan_rows) == (conformal._jacobi_rows,
-                                                                 conformal._jordan_rows)
+    kernels = ("_flip_kernel", "_jacobi_rows", "_jordan_rows")
+    assert [getattr(coalgebra, k) for k in kernels] == [getattr(conformal, k) for k in kernels]
 
 
 def test_benchmark_library_reaches_every_name_it_runs():

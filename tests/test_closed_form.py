@@ -34,8 +34,8 @@ def test_emitters_never_call_dualize():
     function, directly or through another, imports or references dualize
     anywhere in executable code.  The modules reached are exactly the hub,
     the builder, the four series modules and bases, masks, poly and tables,
-    and conformal, whose flip kernel Table.flip_residual imports for the
-    checks: no emitter reaches dual, which defines dualize, restricted,
+    and conformal, whose flip kernel LambdaStructure.flip_residual imports
+    for the checks: no emitter reaches dual, which defines dualize, restricted,
     which builds the subalgebra families, or a constructor module.  No
     closed_form module, the builder included, names masks._sign_tables, the
     sign tables make_K and make_Jn read: an emitter's signs come from
@@ -121,13 +121,13 @@ def test_emitter_output_pinned(emitter, args):
 ])
 def test_emitter_calls_share_no_polynomial(emitter, args):
     """An emitter makes its names and coefficient polynomials once per call and
-    keeps nothing between calls: two tables share no MultiPoly object."""
+    keeps nothing between calls: two coproducts share no stored vector."""
     first, second = (getattr(cf, emitter)(*args) for _ in range(2))
 
-    def polys(C):
-        return {id(q) for k in range(C.rank) for _, _, q in C.table[k]}
+    def vectors(C):
+        return {id(vec) for vec in C.packed[1][0]}
 
-    assert polys(first) and not polys(first) & polys(second)
+    assert vectors(first) and not vectors(first) & vectors(second)
 
 
 class _Appending(closed_form_builder._Builder):

@@ -24,13 +24,13 @@ from confcoalg.families import make_vir
 from confcoalg.poly import D, LAM, MultiPoly, P_ONE, Scalar, X1, X2
 from confcoalg.tables import Coproduct, Generator, LambdaStructure, StructureError
 
-from helpers import compare_oracle, count_calls, random_poly
+from helpers import compare_oracle, count_calls, random_poly, rows_of
 
 
 def test_dualize_vir(vir):
     c = dualize(vir)
     assert c.generators[0].id == "L*"
-    assert c.table[0] == [(0, 0, X1 - X2)]
+    assert rows_of(c)[0] == [(0, 0, X1 - X2)]
 
 
 def test_dualize_reindexes(cur_sl2):
@@ -38,7 +38,7 @@ def test_dualize_reindexes(cur_sl2):
     h = c.index["h*"]
     e = c.index["e*"]
     f = c.index["f*"]
-    assert c.table[h] == [(e, f, P_ONE), (f, e, MultiPoly.const(-1))]
+    assert rows_of(c)[h] == [(e, f, P_ONE), (f, e, MultiPoly.const(-1))]
 
 
 # sha256 of serialize.dumps(dualize(S)) of every family table at every n the
@@ -86,19 +86,18 @@ def test_dualize_output_pinned(make, args):
     cop = dualize(S)
     text = serialize.dumps(cop)
     assert hashlib.sha256(text.encode()).hexdigest() == DUALIZE_DUMPS[make, args]
-    # the entries of one value share one polynomial, as a table's do, and no
-    # polynomial or term dict is shared with S or with a second dualize call
-    polys = [q for k in range(cop.rank) for _, _, q in cop.table[k]]
-    first = {}
-    assert all(first.setdefault(q, q) is q for q in polys)
-    assert len({id(q.terms) for q in first}) == len(first)
+    # the stored form holds each distinct value once, as a table's does, and
+    # its values share no polynomial or term dict with S or with a second
+    # dualize call
+    values = cop._values()
+    assert len(set(values)) == len(values)
+    assert len({id(q.terms) for q in values}) == len(values)
 
     def owned(objects):
         return {id(x) for p in objects for x in (p, p.terms)}
 
-    others = [p for row in S.table.values() for _, p in row]
-    others += [q for row in dualize(S).table.values() for _, _, q in row]
-    assert not owned(first) & owned(others)
+    others = [p for row in S.table.values() for _, p in row] + dualize(S)._values()
+    assert not owned(values) & owned(others)
 
 
 def _rand_tensor(rng, cop, arity):
@@ -236,38 +235,39 @@ def test_coproduct_rejects_stray_variables(var):
 
 def test_coproducts_with_the_same_sums_write_one_document():
     """Two coproducts with the same sums, given in other orders, write the
-    same document, whose writers sort each row's pairs by id; their rows keep
-    the order of first occurrence, so they are equal as sets, not as lists."""
+    same document, whose writers sort each row's pairs by id; their stored
+    forms keep the order of first occurrence, so their rows are equal as
+    sets, not as lists."""
     gens = [Generator("a*", 0), Generator("b*", 0)]
     first = Coproduct("lie", gens, {0: [(0, 1, X1), (1, 0, X2)]})
     second = Coproduct("lie", gens, {0: [(1, 0, X2), (0, 1, X1)]})
     assert serialize.dumps(first) == serialize.dumps(second)
-    assert first.table != second.table
-    assert {k: set(row) for k, row in first.table.items()} == {
-        k: set(row) for k, row in second.table.items()}
+    assert first.packed != second.packed and rows_of(first) != rows_of(second)
+    assert {k: set(row) for k, row in rows_of(first).items()} == {
+        k: set(row) for k, row in rows_of(second).items()}
 
 
 def test_coproduct_merges_each_pair_once():
     """Repeated pairs are summed in order of first occurrence, a pair that
-    cancels is dropped, and a pair given once keeps its value; the rows are
-    a view of the stored form, so they hold the value, not the object."""
+    cancels is dropped, and a pair given once keeps its value; the stored
+    form holds the value, not the object."""
     gens = [Generator("a*", 0), Generator("b*", 0)]
     once = X1 - X2
     C = Coproduct("lie", gens, {
         0: [(0, 1, X1), (1, 1, once), (0, 1, X2), (1, 0, X1), (1, 0, -X1)],
         1: [(0, 0, X2), (0, 0, -X2)],
     }, name="merged")
-    assert C.table == {0: [(0, 1, X1 + X2), (1, 1, once)], 1: []}
-    assert C.table[0][1][2] == once and C.table[0][1][2] is not once
+    assert rows_of(C) == {0: [(0, 1, X1 + X2), (1, 1, once)], 1: []}
+    assert rows_of(C)[0][1][2] == once and rows_of(C)[0][1][2] is not once
     assert serialize.dumps(C) == serialize.dumps(
         Coproduct("lie", gens, {0: [(1, 1, once), (0, 1, X2 + X1)]}, name="merged"))
 
 
 def test_coproduct_checks_each_polynomial_object_once():
-    """A pair given once keeps its value, and the rows hold one object per
-    value; the variables of each distinct object are checked at its first
-    pair, which names it in the message, when it is shared by several pairs
-    or first met on a later row, and the parity of every pair is checked."""
+    """A pair given once keeps its value, and the stored form holds each
+    value once; the variables of each distinct object are checked at its
+    first pair, which names it in the message, when it is shared by several
+    pairs or first met on a later row, and the parity of every pair is checked."""
     class Scanned(dict):
         """Terms that count how often they are walked."""
         walks = 0
@@ -279,8 +279,8 @@ def test_coproduct_checks_each_polynomial_object_once():
     gens = [Generator("a*", 0), Generator("b*", 0), Generator("t*", 1)]
     good, bad = MultiPoly(Scanned((X1 - X2).terms)), X1 - MultiPoly.var("x3")
     C = Coproduct("lie", gens, {0: [(0, 1, good), (1, 0, good)], 1: [(1, 1, good)]}, name="ok")
-    assert C.table == {0: [(0, 1, good), (1, 0, good)], 1: [(1, 1, good)], 2: []}
-    assert len({id(q) for row in C.table.values() for _, _, q in row}) == 1
+    assert rows_of(C) == {0: [(0, 1, good), (1, 0, good)], 1: [(1, 1, good)], 2: []}
+    assert len(C.packed[1][0]) == 1
     assert Scanned.walks == 1
     cases = [
         ({0: [(0, 0, good), (0, 1, bad), (1, 1, bad)]}, r"^delta\(a\*\) @ a\* \(x\) b\* uses x3; "),
@@ -294,7 +294,7 @@ def test_coproduct_checks_each_polynomial_object_once():
     # a repeated pair of one object still merges, and a zero entry is dropped
     C = Coproduct("lie", gens, {0: [(0, 1, good), (0, 1, good)],
                                 1: [(0, 0, good), (1, 0, MultiPoly.zero())]}, name="merged")
-    assert C.table == {0: [(0, 1, 2 * good)], 1: [(0, 0, good)], 2: []}
+    assert rows_of(C) == {0: [(0, 1, 2 * good)], 1: [(0, 0, good)], 2: []}
 
 
 def test_coproduct_rejects_out_of_range_indices():
@@ -362,7 +362,7 @@ def _rebuilt(C, order=None, edit=None):
     """A Coproduct with C's rows, its generators listed in order (a list of
     C's indices; C's order by default), after edit(rows) changed the rows,
     {k: {(i, j): q}} in C's indices, in place."""
-    rows = {k: {(i, j): q for i, j, q in C.table[k]} for k in range(C.rank)}
+    rows = {k: {(i, j): q for i, j, q in row} for k, row in rows_of(C).items()}
     if edit is not None:
         edit(rows)
     order = list(range(C.rank)) if order is None else order
@@ -410,12 +410,12 @@ def test_compare_matches_the_row_oracle_on_seeded_changes(make, emitter, args):
     values = [MultiPoly.const(Fraction(1, 5)), X1 * Fraction(-2, 5) + X2,
               MultiPoly.const(Scalar(0, 1)), X2 * Scalar(Fraction(1, 2), 1)]
     n, par = formula.rank, formula.parities
-    scales = set()
+    scales, rows = set(), rows_of(formula)
     for seed in range(6):
         rng = random.Random(seed)
-        k = rng.choice([k for k in range(n) if formula.table[k]])
-        i, j, q = rng.choice(formula.table[k])
-        taken = {(u, v) for u, v, _ in formula.table[k]}
+        k = rng.choice([k for k in range(n) if rows[k]])
+        i, j, q = rng.choice(rows[k])
+        taken = {(u, v) for u, v, _ in rows[k]}
         free = [(u, v) for u in range(n) for v in range(n)
                 if (par[u] + par[v]) % 2 == par[k] and (u, v) not in taken]
         new, value = rng.choice(free), rng.choice(values)
@@ -522,55 +522,57 @@ def _one_object_per_value(polys):
 
 def test_rows_rebuild_the_stored_form(family_tables):
     """The rows are a faithful view: a table built from a table's rows stores
-    what it does, a coproduct built from a dual's rows has the dual's rows,
-    and dualize keeps the table's vectors, the very list."""
+    what it does, a coproduct built from a dual's rows (helpers.rows_of) has
+    the dual's rows, and dualize keeps the table's vectors, the very list."""
     for name, S, _ in family_tables:
         assert LambdaStructure(S.kind, S.generators, S.table).packed == S.packed, name
         cop = dualize(S)
-        assert Coproduct(cop.kind, cop.generators, cop.table).table == cop.table, name
+        assert rows_of(Coproduct(cop.kind, cop.generators, rows_of(cop))) == rows_of(cop), name
         assert dualize(S).packed[1][0] is S.packed[1][0], name
 
 
 def test_every_view_holds_one_object_per_value(family_tables):
-    """Tables, duals, closed forms and the tables and coproducts that loads
-    reads back each hold one polynomial object per distinct entry value."""
+    """The rows of tables, and of the tables that loads reads back, hold one
+    polynomial object per distinct entry value, and the stored forms of
+    duals, closed forms and the coproducts that loads reads back hold each
+    distinct value once."""
     for name, S, tabulated in family_tables:
         cops = [dualize(S), serialize.loads(serialize.dumps(dualize(S)))]
         cops += [tabulated] if tabulated is not None else []
         for T in (S, serialize.loads(serialize.dumps(S))):
             assert _one_object_per_value(p for row in T.table.values() for _, p in row), name
         for C in cops:
-            assert _one_object_per_value(q for row in C.table.values() for _, _, q in row), name
+            values = C._values()
+            assert len(set(values)) == len(values), name
 
 
 def test_a_row_changed_in_place_reaches_no_writer(capsys):
     """Every writer reads the stored form: with each value of the rows of
-    K_3, of its dual and of its closed form negated in place, dumps, the
-    LaTeX writers and the CLI text equal those of a fresh copy."""
+    K_3 negated in place, dumps, the LaTeX writer and the CLI text equal
+    those of a fresh copy.  A coproduct keeps no rows to change."""
     def written(T):
-        tex = serialize.structure_tex if isinstance(T, LambdaStructure) else serialize.coproduct_tex
         _emit(T, "text", None)
-        return serialize.dumps(T), tex(T), capsys.readouterr().out
+        return serialize.dumps(T), serialize.structure_tex(T), capsys.readouterr().out
 
-    for make in (lambda: families.make_K(3), lambda: dualize(families.make_K(3)),
-                 lambda: closed_form.coproduct_K(3)):
-        T, fresh = make(), make()
-        for p in {id(row[-1]): row[-1] for rows in T.table.values() for row in rows}.values():
-            for key, c in p.terms.items():
-                p.terms[key] = -c
-        assert T.table != fresh.table
-        assert written(T) == written(fresh)
+    T, fresh = families.make_K(3), families.make_K(3)
+    for p in {id(p): p for rows in T.table.values() for _, p in rows}.values():
+        for key, c in p.terms.items():
+            p.terms[key] = -c
+    assert T.table != fresh.table
+    assert written(T) == written(fresh)
 
 
 def test_row_views_keep_their_shape(family_tables):
-    """A table's rows are every pair in row-major order and a coproduct's
-    every generator index in order, empty ones included: the oracles,
-    printed and the benchmark's input counts read them so."""
+    """A table's rows are every pair in row-major order, empty ones
+    included: the oracles, printed and the benchmark's input counts read
+    them so.  A coproduct's slots are sorted by k, as apply_delta_slot and
+    the writers group them."""
     for name, S, tabulated in family_tables:
         n = S.rank
         assert list(S.table) == [(i, j) for i in range(n) for j in range(n)], name
         for C in [dualize(S)] + ([tabulated] if tabulated is not None else []):
-            assert list(C.table) == list(range(C.rank)), name
+            ks = [k for _, _, k, _ in C.packed[1][1]]
+            assert ks == sorted(ks), name
 
 
 def test_readers_hand_one_object_per_value(monkeypatch, family_tables):

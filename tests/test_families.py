@@ -436,7 +436,7 @@ def test_restriction_reads_the_ambient_stored_form(monkeypatch):
     def refuse(self):
         raise AssertionError("a row view was read")
 
-    monkeypatch.setattr(tables.Table, "table", property(refuse))
+    monkeypatch.setattr(tables.LambdaStructure, "table", property(refuse))
     assert dict(element_pairs(make_W(1), xs)) == want
     for name, make in makes.items():
         assert make().packed == stored[name], name

@@ -323,8 +323,9 @@ def test_each_table_is_packed_once():
     Coproduct, which hand it their rows, and Table.from_slots, through which
     the builders hand it their values and slots.  It sets the stored form as
     a plain attribute: every check, dualize and co-kernel reads it, and none
-    builds an entry list to pack.  Table.table, the rows made from it, is
-    the one row view, and neither subclass defines packed or table.
+    builds an entry list to pack.  LambdaStructure.table, the rows made
+    from it, is the one row view; no class defines packed, and Coproduct
+    keeps no rows.
     _packed_table, which packed the table again on every check call, and
     _packed, which packed the constructors' entry lists, are gone."""
     users = sorted((name, where) for name, tree in _production_sources()
@@ -335,9 +336,10 @@ def test_each_table_is_packed_once():
     conformal = importlib.import_module("confcoalg.conformal")
     coalgebra = importlib.import_module("confcoalg.coalgebra")
     tables = importlib.import_module("confcoalg.tables")
-    assert isinstance(tables.Table.__dict__["table"], functools.cached_property)
-    for cls in (conformal.LambdaStructure, coalgebra.Coproduct):
-        assert not {"packed", "table"} & cls.__dict__.keys(), cls
+    assert isinstance(tables.LambdaStructure.__dict__["table"], functools.cached_property)
+    for cls in (tables.Table, conformal.LambdaStructure, coalgebra.Coproduct):
+        assert "packed" not in cls.__dict__, cls
+    assert not hasattr(coalgebra.Coproduct, "table")
     K = importlib.import_module("confcoalg.families").make_K(2)
     for T in (K, coalgebra.dualize(K)):
         assert "packed" in vars(T) and "table" not in vars(T)
@@ -379,23 +381,25 @@ def test_restriction_stays_packed():
     assert set(users("NotInSpan")) == {("confcoalg.restricted", "span_reader.outside")}
 
 def test_each_flip_residual_is_computed_once():
-    """Table.flip_residual, the skew or commutativity residual of a packed
-    table or coproduct, is a cached property, the one caller of _flip_kernel.
-    _check_flip writes the skew and commutativity reports from it, the
-    co-checks the co-antisymmetry and co-commutativity reports, and
-    check_jacobi and check_lie_coalgebra take the reduced kernel when it is
-    empty; no other code reads it."""
+    """LambdaStructure.flip_residual, the skew or commutativity residual of
+    a packed table, is a cached property: _check_flip writes the skew and
+    commutativity reports from it, and check_jacobi takes the reduced
+    kernel when it is empty; no other code reads it.  Each co-check calls
+    _flip_kernel once on the coproduct it is given, for the co-antisymmetry
+    or co-commutativity report, and check_lie_coalgebra takes the reduced
+    kernel when that residual is empty; nothing else calls it."""
     users = sorted((name, where) for name, tree in _production_sources()
                    for where in _uses(tree, "flip_residual"))
-    assert users == [("confcoalg.coalgebra", "check_jordan_coalgebra"),
-                     ("confcoalg.coalgebra", "check_lie_coalgebra"),
-                     ("confcoalg.conformal", "_check_flip"),
+    assert users == [("confcoalg.conformal", "_check_flip"),
                      ("confcoalg.conformal", "check_jacobi")]
     assert sorted((name, where) for name, tree in _production_sources()
                   for where in _uses(tree, "_flip_kernel")) == [
-        ("confcoalg.tables", "Table.flip_residual")]
+        ("confcoalg.coalgebra", "check_jordan_coalgebra"),
+        ("confcoalg.coalgebra", "check_lie_coalgebra"),
+        ("confcoalg.tables", "LambdaStructure.flip_residual")]
     tables = importlib.import_module("confcoalg.tables")
-    assert isinstance(tables.Table.__dict__["flip_residual"], functools.cached_property)
+    assert isinstance(tables.LambdaStructure.__dict__["flip_residual"], functools.cached_property)
+    assert not hasattr(tables.Coproduct, "flip_residual")
 
 
 def test_every_kernel_places_entries_through_put():
@@ -473,7 +477,7 @@ def test_function_bodies_import_what_some_commands_skip():
                      ("cli", "_emit", "."), ("cli", "_table", ".serialize"),
                      ("cli", "cmd_verify", ".tables"), ("cli", "cmd_verify", ".serialize"),
                      ("cli", "cmd_crosscheck", ".serialize"),
-                     ("tables", "Table.flip_residual", ".conformal")} | {
+                     ("tables", "LambdaStructure.flip_residual", ".conformal")} | {
         (module, function, ".restricted") for module, function in restricted}
 
 

@@ -55,7 +55,7 @@ from confcoalg.poly import (
 from helpers import (
     FULL_JORDAN_IMAGES, FULL_PRINTED_JORDAN_IMAGES, _gather, co_record_oracle,
     conformal_record_oracle, count_calls, derive, dual_entry, element_pairs, element_reader,
-    exact_div, packed_rows, pair_element, term_products,
+    exact_div, packed_rows, pair_element, rows_of, term_products,
 )
 from test_coalgebra import _bench_workloads
 
@@ -889,14 +889,23 @@ REDUCED_JORDAN_PRODUCTS = {"J_2": (1330, 4633, 1330), "J_3": (7512, 25994, 7512)
                            "JS_1": (73, 170, 73), "JCK_4": (1118, 3900, 1118)}
 
 
+def _flip_work(monkeypatch, cop) -> tuple:
+    """(term products, add_product calls) of the flip kernel that a co-check
+    runs on cop, once per call: the counts below leave it out."""
+    flip = lambda C: conformal._flip_kernel(C.packed[1], C.parities, C.kind)
+    return term_products(monkeypatch, flip, cop, calls=True)[:2]
+
+
 def test_reduced_jordan_term_products(Jn, JS1, JCK4, monkeypatch):
     tables = {"J_2": Jn[2], "J_3": Jn[3], "JS_1": JS1, "JCK_4": JCK4}
     for name, products in REDUCED_JORDAN_PRODUCTS.items():
         S, cop = tables[name], dualize(tables[name])
-        check_jordan_comm(S), check_jordan_coalgebra(cop)   # the flip residuals, cached
+        check_jordan_comm(S)    # the flip residual, cached
+        co_jordan = (term_products(monkeypatch, check_jordan_coalgebra, cop)[0]
+                     - _flip_work(monkeypatch, cop)[0])
         assert (term_products(monkeypatch, check_jordan_identity, S)[0],
                 term_products(monkeypatch, lambda S: check_jordan_identity(S, PRINTED), S)[0],
-                term_products(monkeypatch, check_jordan_coalgebra, cop)[0]) == products, name
+                co_jordan) == products, name
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -1313,8 +1322,8 @@ def test_reduced_jacobi_term_products(W, K, S, S2b, CK6, monkeypatch):
         assert _jacobi_products(monkeypatch, tables[name])[0] == products, name
     for name, products in REDUCED_CO_JACOBI_PRODUCTS.items():
         cop = dualize(tables[name])
-        assert check_lie_coalgebra(cop).ok   # the flip residual, cached before the count
-        assert term_products(monkeypatch, check_lie_coalgebra, cop)[0] == products, name
+        made, rep = term_products(monkeypatch, check_lie_coalgebra, cop)
+        assert rep.ok and made - _flip_work(monkeypatch, cop)[0] == products, name
 
 
 # add_product calls of the reduced Jacobi kernel, on the tables above: one per
@@ -1341,8 +1350,9 @@ def test_add_product_calls_of_the_reduced_kernels(W, K, S, S2b, CK6, Jn, JS1, JC
             check_skew(arg)
         else:
             check, arg = check_lie_coalgebra, dualize(tables[name])
-            check(arg)
         _, made, rep = term_products(monkeypatch, check, arg, calls=True)
+        if check is check_lie_coalgebra:
+            made -= _flip_work(monkeypatch, arg)[1]
         assert rep.ok and made == calls, name
     for name, calls in JORDAN_CALLS.items():
         T = {"J_2": Jn[2], "JS_1": JS1, "JCK_4": JCK4}[name]
@@ -2225,7 +2235,7 @@ def _corrupt_coproduct(cop, seed):
     for _ in range(rng.randrange(1, 4)):
         c = rng.choice((1, -1, 2, Scalar(1, 1), Scalar(0, -1)))
         q = q + MultiPoly.monomial({"x1": rng.randrange(3), "x2": rng.randrange(3)}, c)
-    table = {g: list(cop.table[g]) for g in range(cop.rank)}
+    table = {g: list(row) for g, row in rows_of(cop).items()}
     table[k].append((i, j, q))
     return Coproduct(cop.kind, cop.generators, table, name=f"{cop.name}~{seed}")
 

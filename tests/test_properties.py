@@ -67,7 +67,7 @@ from confcoalg.tables import (  # noqa: E402
 from helpers import (  # noqa: E402
     OracleCoproduct, OracleLambdaStructure, _gather, _packed, apply_map,
     assert_stored_as_the_oracle, dual_entry, element_pairs, element_reader,
-    parity_keeping_targets, repr_oracle,
+    parity_keeping_targets, repr_oracle, rows_of,
 )
 from test_kernels import (  # noqa: E402
     _bracket_loop, _canonicalize_CK6_oracle, _canonicalize_S_oracle, _co_oracle,
@@ -156,7 +156,7 @@ def _dualize_oracle(S):
 
 def _assert_dual_matches(S, check, residuals):
     cop = dualize(S)
-    assert cop.table == _dualize_oracle(S).table
+    assert rows_of(cop) == rows_of(_dualize_oracle(S))
     rep = check(cop)
     assert (rep.total, _found(rep)) == _co_oracle(cop, residuals)
 
@@ -255,7 +255,7 @@ def test_gathered_slots_and_dual_entries_share_nothing(S):
             assert all(out[s] == fresh[s] for s in out if s != slot)
             assert table[0] == vecs_before
             del out[slot][_JUNK]
-    duals, fresh_duals = ([q for row in dualize(S).table.values() for _, _, q in row]
+    duals, fresh_duals = ([q for row in rows_of(dualize(S)).values() for _, _, q in row]
                           for _ in range(2))
     first = {}
     assert all(first.setdefault(q, q) is q for q in duals)
@@ -275,7 +275,7 @@ def _packed_entries(T):
     """The entries (i, j, k, Q^{ij}_k) of a coproduct, or of the dual of a
     table, Q(x1, x2) = P(x1, -x1-x2), as both pack them."""
     if isinstance(T, Coproduct):
-        return [(i, j, k, q) for k, row in T.table.items() for i, j, q in row]
+        return [(i, j, k, q) for k, row in rows_of(T).items() for i, j, q in row]
     return [(i, j, k, dual_entry(p)) for (i, j), row in T.table.items() for k, p in row]
 
 
@@ -389,7 +389,7 @@ def test_double_dual_on_random_tables(S):
     assert len(rep.violations) == sum(p.degree_in("d") > 0 for row in S.table.values() for _, p in row)
     # x1 -> lam, x2 -> -lam-d turns each dual entry Q(x1, x2) = P(x1, -x1-x2) back into P
     back = {(i, j, k): q.subst_general("x1", LAM).subst_general("x2", -LAM - D)
-            for k, row in dualize(S).table.items() for i, j, q in row}
+            for k, row in rows_of(dualize(S)).items() for i, j, q in row}
     assert back == {(i, j, k): p for (i, j), row in S.table.items() for k, p in row}
 
 
@@ -640,8 +640,8 @@ def coproduct_pairs(draw):
     order = draw(st.permutations(range(a.rank)))
     at = {g: p for p, g in enumerate(order)}
     table = {}
-    for k in range(a.rank):
-        for i, j, q in a.table[k]:
+    for k, row in rows_of(a).items():
+        for i, j, q in row:
             how = draw(st.sampled_from(("keep", "drop", "negate", "split")))
             if how == "drop":
                 continue
@@ -656,7 +656,7 @@ def _compare_oracle(a, b):
     ids, the differing (gen, left, right) in a's generator order."""
     def sums(C):
         out = {}
-        for k, entries in C.table.items():
+        for k, entries in rows_of(C).items():
             for i, j, q in entries:
                 key = tuple(C.generators[g].id for g in (k, i, j))
                 acc = out.setdefault(key, {})

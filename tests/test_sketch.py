@@ -32,9 +32,9 @@ write them: at (l0, d0) of the same draws, with u and v each of one parity,
     [u_lam v] - s [v_{-lam-d} u],   s = -(-1)^{p(u)p(v)} (Lie), (-1)^{p(u)p(v)} (Jordan),
 
 two walks over the row view.  On a coproduct it is the co-side, read from
-its own rows: sum u_i v_j (Q^{ij}_k(x1, x2) - s Q^{ji}_k(x2, x1)) at a point
-(x1, x2), so tau delta = -delta (Lie) or tau Delta = Delta (Jordan) holds
-where it is zero.  On a machine dual at (x1, x2) = (l0, -l0-d0) it equals
+its rows (helpers.rows_of): sum u_i v_j (Q^{ij}_k(x1, x2) - s Q^{ji}_k(x2,
+x1)) at a point (x1, x2), so tau delta = -delta (Lie) or tau Delta = Delta
+(Jordan) holds where it is zero.  On a machine dual at (x1, x2) = (l0, -l0-d0) it equals
 the table's sketch, since Q^{ij}_k(x1, x2) = P^{ij}_k(x1, -x1-x2).  It reads
 neither flip_residual nor the flip kernel.
 
@@ -61,11 +61,13 @@ from confcoalg import cli
 from confcoalg import closed_form as cf
 from confcoalg.coalgebra import check_jordan_coalgebra, check_lie_coalgebra, dualize
 from confcoalg.conformal import (
-    CONSISTENT, PRINTED, _jacobi_rows, _jordan_rows, check_jacobi, check_jordan_comm,
-    check_jordan_identity, check_skew,
+    CONSISTENT, PRINTED, _flip_kernel, _jacobi_rows, _jordan_rows, check_jacobi,
+    check_jordan_comm, check_jordan_identity, check_skew,
 )
 from confcoalg.poly import D, LAM, MultiPoly, Scalar, unpack_vector
 from confcoalg.tables import JORDAN, LIE, ConformalElement, StructureError
+
+from helpers import rows_of
 
 _RANGE = 2 ** 31
 
@@ -110,9 +112,11 @@ def _bracket(S, x, y, point, values):
 
 
 def _cobracket(C, x, y, point, values):
-    """{k: sum_{i,j} x_i y_j Q^{ij}_k(point)} over the row view of the
-    coproduct C, point (x1, x2)."""
-    entries = ((i, j, k, Q) for k, row in C.table.items() for i, j, Q in row)
+    """{k: sum_{i,j} x_i y_j Q^{ij}_k(point)} over the rows of the coproduct
+    C, point (x1, x2), made once per values, which keys on their ids."""
+    if C not in values:
+        values[C] = rows_of(C)
+    entries = ((i, j, k, Q) for k, row in values[C].items() for i, j, Q in row)
     return _walk(entries, x, y, (("x1", point[0]), ("x2", point[1])), values)
 
 
@@ -159,9 +163,10 @@ def _from_rows(T, draws) -> dict:
     large, so it is read at (x1, x2, x3) = (l0, m0, -l0-m0-d0)."""
     (l0, m0, d0), w, pairs = draws
     n, (L, table) = T.rank, T.packed
+    skew = not _flip_kernel(table, T.parities, T.kind)
     at = {"x1": l0, "x2": m0, "x3": -l0 - m0 - d0}
     rows = [{c: _value(p, at) for c, p in unpack_vector(row, L * L).items()}
-            for row in _jacobi_rows(table, T.parities, not T.flip_residual)]
+            for row in _jacobi_rows(table, T.parities, skew)]
     sketch = {}
     for key, (u, v) in pairs.items():
         residual = {}

@@ -22,6 +22,7 @@ from confcoalg.tables import Coproduct, Generator, JORDAN, LIE, LambdaStructure,
 
 from helpers import (
     OracleCoproduct, OracleLambdaStructure, assert_stored_as_the_oracle, count_calls, random_poly,
+    rows_of,
 )
 
 # sha256 (first 16 hex digits) of repr((L, [sorted(vec.items()) for vec in
@@ -211,7 +212,7 @@ def test_repeated_entries_are_summed_and_zero_sums_dropped():
     rows = {0: [(0, 1, q), (1, 0, q), (0, 1, -q), (0, 1, X1), (1, 1, q), (1, 1, -q)]}
     C = _both(LIE, gens, rows, [q, -q, X1], [(0, 1, 0, 0), (1, 0, 0, 0), (0, 1, 0, 1),
                                              (0, 1, 0, 2), (1, 1, 0, 0), (1, 1, 0, 1)], Coproduct)
-    assert C.table == {0: [(1, 0, q), (0, 1, X1)], 1: []}
+    assert rows_of(C) == {0: [(1, 0, q), (0, 1, X1)], 1: []}
 
 
 def test_zero_entries_are_dropped():
@@ -241,7 +242,7 @@ def test_cancelled_denominators_and_gaussian_parts_leave_the_common_denominator(
     third = X1 * Fraction(1, 3)
     C = _both(LIE, gens, {0: [(0, 0, third), (0, 0, -third), (0, 0, X2)]}, [third, -third, X2],
               [(0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 0, 2)], Coproduct)
-    assert C.packed[0] == 1 and C.table[0] == [(0, 0, X2)]
+    assert C.packed[0] == 1 and rows_of(C)[0] == [(0, 0, X2)]
 
 
 def test_equal_values_share_one_vector_in_order_of_first_use():
@@ -381,7 +382,7 @@ def test_sums_of_one_and_of_scalar_one_share_one_value():
     b.put_gaussian(1, 1, 0, (1, 0, 1, 0, 0, 0))
     C = b.done()
     half = (MultiPoly.const(1) + X1) * Fraction(1, 2)
-    assert C.table == {0: [(0, 0, MultiPoly.const(1)), (1, 1, MultiPoly.const(1))],
-                       1: [(0, 1, half), (1, 0, half)]}
+    assert rows_of(C) == {0: [(0, 0, MultiPoly.const(1)), (1, 1, MultiPoly.const(1))],
+                          1: [(0, 1, half), (1, 0, half)]}
     assert len(C.packed[1][0]) == 2
     assert C.packed[1][1] == [(0, 0, 0, 0), (1, 1, 0, 0), (0, 1, 1, 1), (1, 0, 1, 1)]

@@ -1,15 +1,19 @@
-"""Run the Tier-1 suite and compare its failures with the documented ones.
+"""Run the Tier-1 suite, or the benchmark's tests, and compare its failures
+with the documented ones.
 
-    python tools/tier1_gate.py
+    python tools/tier1_gate.py           # Tier-1
+    python tools/tier1_gate.py bench     # pytest bench -q -p no:cacheprovider
 
-The suite runs as ROADMAP.md's Tier-1 command, with src on PYTHONPATH and a
-JUnit XML report written into a temporary directory.  The gate exits 0 only
-if the failing tests (failures and errors), each as its node id with its
-whole message, are exactly the committed list in
-tools/tier1_failures.json: the by-design failures of
-tests/test_acceptance.py, each tied to a documented source-table defect.  A
+The suite runs as ROADMAP.md's Tier-1 command, or the benchmark's tests as
+pytest bench, with src on PYTHONPATH and a JUnit XML report written into a
+temporary directory.  The gate exits 0 only if the failing tests (failures
+and errors), each as its node id with its whole message, are exactly the
+committed list: tools/tier1_failures.json holds the by-design failures of
+tests/test_acceptance.py, each tied to a documented source-table defect, and
+tools/bench_failures.json the benchmark test that ROADMAP item 1a mends.  A
 new failure, a changed message or a documented failure that now passes exits
-1, and a run that writes no report exits 2.  Standard library only.
+1, and a run that writes no report exits 2.  The summary line gives the
+suite's wall time.  Standard library only.
 """
 
 from __future__ import annotations
@@ -19,11 +23,15 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-EXPECTED = Path(__file__).resolve().parent / "tier1_failures.json"
+HERE = Path(__file__).resolve().parent
+# each suite's pytest arguments and its documented failures
+SUITES = {"tier1": (["--continue-on-collection-errors"], HERE / "tier1_failures.json"),
+          "bench": (["bench"], HERE / "bench_failures.json")}
 
 
 def failures(report: Path) -> list:
@@ -37,20 +45,29 @@ def failures(report: Path) -> list:
     return sorted(out)
 
 
-def main() -> int:
-    expected = sorted(json.loads(EXPECTED.read_text()))
+def main(argv) -> int:
+    suite = argv[0] if argv else "tier1"
+    if len(argv) > 1 or suite not in SUITES:
+        print(f"usage: tier1_gate.py [{' | '.join(SUITES)}]", file=sys.stderr)
+        return 2
+    args, documented = SUITES[suite]
+    expected = sorted(json.loads(documented.read_text()))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     with tempfile.TemporaryDirectory() as tmp:
-        report = Path(tmp) / "tier1.xml"
-        run = subprocess.run([sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+        report = Path(tmp) / f"{suite}.xml"
+        start = time.perf_counter()
+        run = subprocess.run([sys.executable, "-m", "pytest", "-q", *args,
                               "-p", "no:cacheprovider", f"--junitxml={report}"], cwd=ROOT, env=env)
+        wall = time.perf_counter() - start
         if not report.is_file():
-            print(f"tier1 gate: pytest exited {run.returncode} and wrote no report", file=sys.stderr)
+            print(f"{suite} gate: pytest exited {run.returncode} and wrote no report",
+                  file=sys.stderr)
             return 2
         got = failures(report)
     if got == expected:
-        print(f"tier1 gate: the {len(got)} documented failures, with their messages")
+        print(f"{suite} gate: the {len(got)} documented failures, with their messages, "
+              f"in {wall:.1f} s")
         return 0
     for node, message in got:
         if [node, message] not in expected:
@@ -62,4 +79,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
