@@ -6,10 +6,10 @@ digits are made once, from those of the mask without its largest member,
 and W_n and J_n reuse the names of xi_I.  S_n lists its basis (sn_basis),
 K_4' its generator d xi_star (DXI_STAR), and CK_6 its basis and the
 symbols C_t of any index tuple (ck6_symbol).  The constructors
-(families_*), the closed forms (closed_form_*) and the printed paths take
-them from this module, so no closed form imports a constructor module or
-the restriction machinery of restricted.  _entry_polys makes the
-entry values of the constructors that build straight into the stored form.
+(families), the closed forms (closed_form_*) and the printed paths take
+them from this module, so no closed form imports families or the
+restriction machinery of restricted.  _entry_polys makes the entry values
+of the constructors that build straight into the stored form.
 """
 
 from __future__ import annotations

@@ -29,13 +29,12 @@ CHECK_FAILURE = 1
 
 
 class FamilyDef:
-    """A family of the command line: its series, whose constructor module
-    families_<series> holds make and whose emitter module
-    closed_form_<series> holds formula, so that a command imports only the
-    series it runs.  A family takes --n when it has a desk-scale cap on n
-    (--allow-large, which only such a family takes, overrides it) or a set
-    of allowed n.  The constructors run no check; a verdict comes only from
-    the checks of a verify run."""
+    """A family of the command line: its constructor make, of families, and
+    its series, whose emitter module closed_form_<series> holds formula, so
+    that a command imports only the emitters it runs.  A family takes --n
+    when it has a desk-scale cap on n (--allow-large, which only such a
+    family takes, overrides it) or a set of allowed n.  The constructors run
+    no check; a verdict comes only from the checks of a verify run."""
 
     def __init__(self, series, make, cap=None, formula=None, allowed_n=None, takes_b=False):
         self.series = series
@@ -47,7 +46,7 @@ class FamilyDef:
         self.takes_b = takes_b
 
     def build(self, n, b):
-        module = importlib.import_module(f"confcoalg.families_{self.series}")
+        module = importlib.import_module("confcoalg.families")
         args = ((n,) if self.needs_n else ()) + ((b,) if self.takes_b else ())
         return getattr(module, self.make)(*args)
 

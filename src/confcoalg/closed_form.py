@@ -17,7 +17,7 @@ The generator lists are not part of what is checked: every emitter but
 Vir's and Cur(sl2)'s takes its generators, basis and symbols, with their
 index maps, from ``bases``, as the constructors do, and every dual is
 named, in LaTeX too, as ``tables.dual_generators`` names the duals of
-``dualize``.  No emitter imports a constructor module or ``restricted``:
+``dualize``.  No emitter imports ``families`` or ``restricted``:
 the series modules import ``closed_form_builder``, ``bases``, ``masks``,
 ``poly`` and ``tables`` alone.  Each
 emitter works out every dual symbol once per call

@@ -1,5 +1,5 @@
 """Closed-form coproducts of the current series: Vir and Cur(sl2), each
-written from its displayed sums, not from the constants of families_current."""
+written from its displayed sums, not from the constants of make_cur_sl2."""
 
 from __future__ import annotations
 

@@ -19,7 +19,7 @@ from .bases import (
     SnBasisElement, _CK6_STAR, _ck6_name, _ck6_parity, _entry_polys, _hodge_sign, ck6_symbol,
 )
 from .conformal import Report, Violation, bracket, shift_spectral
-from .families_w import make_W
+from .families import make_W
 from .masks import _d_mul, _mask_of, _monomial, _sgn, eps_mask, members, mul_sign
 from .poly import D, LAM, MultiPoly, P_ONE, P_ZERO, Scalar, accumulate
 from .restricted import div_w

@@ -9,9 +9,9 @@ _restrict gives them to Table.from_slots.  This module holds that
 machinery, the kernel of a C[d]-module map (ModuleMap, kernel_basis), the
 divergence div_b of W_n, whose kernel S_{n,b} is, and the embeddings of
 the bases of S_n and CK_6 that bases lists (embed_sn, ck6_embed).  The
-five constructors of these families (families_w, families_contact) import
-it inside their bodies, so a command that builds no subalgebra family
-never compiles it; no closed form imports it.
+five constructors of these families (in families) import it inside their
+bodies, so a command that builds no subalgebra family never compiles it;
+no closed form imports it.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 import confcoalg
-from confcoalg import cli, families, families_contact, serialize
+from confcoalg import cli, families, serialize
 from confcoalg.cli import main, parse_scalar
 from confcoalg.coalgebra import dualize
 from confcoalg.families import corrupt_entry, make_vir
@@ -157,7 +157,7 @@ def test_crosscheck_text_is_the_report_summary(capsys):
 def test_verify_crosscheck_builds_the_table_once(monkeypatch, capsys):
     calls = []
     make = families.make_CK6
-    monkeypatch.setattr(families_contact, "make_CK6", lambda: calls.append(1) or make())
+    monkeypatch.setattr(families, "make_CK6", lambda: calls.append(1) or make())
     code, out, _ = run(capsys, "verify", "--family", "ck6", "--checks", "crosscheck",
                        "--format", "json")
     assert code == 1 and len(calls) == 1
@@ -674,15 +674,15 @@ def test_construct_json_loads_no_coalgebra(tmp_path):
 
 def test_verify_family_text_loads_no_emitter_or_serialiser():
     code, modules = _main_footprint("verify", "--family", "vir")
-    assert code == 0 and "families_current" in modules
-    assert not modules & {"families", "closed_form", "closed_form_builder", "serialize"}
+    assert code == 0 and "families" in modules
+    assert not modules & {"closed_form", "closed_form_builder", "serialize", "restricted"}
 
 
 def test_construct_text_loads_no_serialiser_or_coalgebra():
     code, modules = _main_footprint("construct", "--family", "S", "--n", "2",
                                     "--format", "text")
-    assert code == 0 and "families_w" in modules
-    assert not modules & {"families", "serialize", "closed_form", "coalgebra", "dual"}
+    assert code == 0 and "families" in modules
+    assert not modules & {"serialize", "closed_form", "coalgebra", "dual"}
 
 
 def test_dualize_text_loads_no_emitter_or_serialiser():
@@ -692,28 +692,29 @@ def test_dualize_text_loads_no_emitter_or_serialiser():
 
 
 # the confcoalg submodules each command of the benchmark's cli-commands
-# workload loads, by its name there: the one series module of its family
-# (families_<series>, closed_form_<series>), the checks only for verify, restricted only for a subalgebra family, and printed, grassmann and
-# the families and closed_form hubs for none
+# workload loads, by its name there: families for a built table and the one
+# emitter module of its family's series (closed_form_<series>), the checks
+# only for verify, restricted only for a subalgebra family, and printed,
+# grassmann and the closed_form hub for none
 _STORED = {"cli", "poly", "tables"}
 _MASKS = _STORED | {"bases", "masks"}
 _CHECKS = _STORED | {"coalgebra", "conformal", "dual"}
 BENCH_FOOTPRINTS = {
-    "construct-json": _MASKS | {"families_contact", "serialize"},
-    "construct-latex": _MASKS | {"families_w", "serialize"},
-    "construct-text": _MASKS | {"families_w", "restricted"},
+    "construct-json": _MASKS | {"families", "serialize"},
+    "construct-latex": _MASKS | {"families", "serialize"},
+    "construct-text": _MASKS | {"families", "restricted"},
     "verify-in": _CHECKS | {"serialize"},
-    "dualize-latex": _MASKS | {"dual", "families_contact", "restricted", "serialize"},
+    "dualize-latex": _MASKS | {"dual", "families", "restricted", "serialize"},
     "emit": _MASKS | {"closed_form_builder", "closed_form_w"},
-    "crosscheck-json": _MASKS | {"closed_form_builder", "closed_form_w", "dual", "families_w",
+    "crosscheck-json": _MASKS | {"closed_form_builder", "closed_form_w", "dual", "families",
                                  "restricted", "serialize"},
-    "verify-vir": _CHECKS | {"families_current"},
+    "verify-vir": _CHECKS | {"bases", "families", "masks"},
     "unknown-family": {"cli"},
 }
 # the most source lines the nine commands may compile in one pass, each
 # module they load counted once per command that loads it: with no bytecode
 # cache a child compiles every line of every module it imports
-COMPILED_LINES_PER_PASS = 21_000
+COMPILED_LINES_PER_PASS = 23_000
 
 
 def test_each_benchmark_command_loads_exactly_what_it_runs(tmp_path):
@@ -732,7 +733,7 @@ def test_each_benchmark_command_loads_exactly_what_it_runs(tmp_path):
         assert modules == {"confcoalg"} | BENCH_FOOTPRINTS[name], (name, sorted(modules))
 
 
-def test_benchmark_commands_compile_at_most_21000_lines():
+def test_benchmark_commands_compile_at_most_23000_lines():
     """The source lines of the confcoalg modules each command of
     bench/workloads.CLI_COMMANDS loads (BENCH_FOOTPRINTS, the package root
     included), summed over the nine commands of one pass."""
@@ -801,9 +802,9 @@ def test_benchmark_library_reaches_every_name_it_runs():
     of bench/tracing.TARGETS and every constructor and emitter that
     bench/workloads names is in their namespaces after that import, none of
     them resolves a name lazily (a module __getattr__), and the import has
-    loaded conformal, which holds the row kernels, and every series module,
-    so that no workload compiles a module of the package inside a timed
-    pass."""
+    loaded conformal, which holds the row kernels, families and every
+    emitter module, so that no workload compiles a module of the package
+    inside a timed pass."""
     root = os.path.dirname(os.path.dirname(os.path.dirname(confcoalg.__file__)))
     (missing, lazy, loaded, kernels), _ = _footprint(
         f"sys.path.insert(0, {os.path.join(root, 'bench')!r})\n"
@@ -821,10 +822,10 @@ def test_benchmark_library_reaches_every_name_it_runs():
         "kernels = [hasattr(mods['conformal'], name) for name in ('_jacobi_rows', '_jordan_rows')]\n"
         "result = [missing, lazy, sorted(m for m in sys.modules if m.startswith('confcoalg.')),\n"
         "          kernels]")
-    series = {f"confcoalg.{kind}_{fd.series}" for fd in cli.FAMILIES.values()
-              for kind in ("families", "closed_form")}
+    series = {f"confcoalg.closed_form_{fd.series}" for fd in cli.FAMILIES.values()}
     assert missing == [] and lazy == []
-    assert len(series) == 8 and {"confcoalg.conformal"} | series <= set(loaded), loaded
+    assert len(series) == 4, series
+    assert {"confcoalg.conformal", "confcoalg.families"} | series <= set(loaded), loaded
     assert kernels == [True, True]
 
 

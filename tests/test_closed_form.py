@@ -18,7 +18,7 @@ import pytest
 
 from confcoalg import closed_form as cf
 from confcoalg import closed_form_builder
-from confcoalg import families, families_current, serialize
+from confcoalg import families, serialize
 from confcoalg.coalgebra import check_jordan_coalgebra, check_lie_coalgebra, compare, dualize
 from confcoalg.conformal import check_skew
 from confcoalg.families import make_S_b
@@ -36,7 +36,7 @@ def test_emitters_never_call_dualize():
     the builder, the four series modules and bases, masks, poly and tables,
     and conformal, whose flip kernel LambdaStructure.flip_residual imports
     for the checks: no emitter reaches dual, which defines dualize, restricted,
-    which builds the subalgebra families, or a constructor module.  No
+    which builds the subalgebra families, or families, the constructors.  No
     closed_form module, the builder included, names masks._sign_tables, the
     sign tables make_K and make_Jn read: an emitter's signs come from
     eps_mask and alpha_mask, so a sign bug in the tables is no bug of the
@@ -242,7 +242,7 @@ def test_cur_sl2_crosscheck_sees_the_constructor_constants(monkeypatch):
     sl2_constants wherever a module of the package binds it, build a table
     that fails skew-symmetry, and its dual differs from the closed form in
     the one sum that changed."""
-    real = families_current.sl2_constants
+    real = families.sl2_constants
 
     def three():
         names, pars, prods = real()

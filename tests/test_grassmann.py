@@ -210,15 +210,15 @@ def test_every_module_uses_the_package_names_it_imports():
     only passes it on, and every from .X import name names the module X
     that defines name (from . import X names a module).  The test modules
     keep the second rule too: every from confcoalg.X import name in tests/
-    names the module X that defines name.  The two hubs, families and
-    closed_form, import every constructor and emitter for their callers,
-    and coalgebra imports compare and dualize for bench/run.Library and
-    bench/tracing.TARGETS; a name imported from the package root, a hub or
-    one of those two from coalgebra is exempt from the second rule.
+    names the module X that defines name.  The hub closed_form imports
+    every emitter for its callers, and coalgebra imports compare and
+    dualize for bench/run.Library and bench/tracing.TARGETS; a name
+    imported from the package root, the hub or one of those two from
+    coalgebra is exempt from the second rule.
     grassmann's __all__ lists only names it defines, none of masks'."""
     passed_on = {"confcoalg.coalgebra": {"compare", "dualize"}}
     sources = dict(_production_sources())
-    hubs = ("confcoalg.families", "confcoalg.closed_form")
+    hubs = ("confcoalg.closed_form",)
 
     def assert_home(name, home, alias):
         if home not in hubs and alias not in passed_on.get(home, ()):
@@ -250,6 +250,21 @@ def test_every_module_uses_the_package_names_it_imports():
                     assert_home(path.name, node.module, alias.name)
     grassmann = importlib.import_module("confcoalg.grassmann")
     assert set(grassmann.__all__) <= _module_scope_names(sources["confcoalg.grassmann"])
+
+
+def test_every_constructor_is_defined_once_in_families():
+    """Each name has one home for the constructors too: the 14 make_*
+    functions and the negative control corrupt_entry are defined once in
+    the package, each at the top of families."""
+    sources = dict(_production_sources())
+    defined = sorted((node.name, name) for name, tree in sources.items()
+                     for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+                     and (node.name.startswith("make_") or node.name == "corrupt_entry"))
+    assert len(defined) == 15 and len(dict(defined)) == 15, defined
+    assert {name for _, name in defined} == {"confcoalg.families"}, defined
+    top = {node.name for node in sources["confcoalg.families"].body
+           if isinstance(node, ast.FunctionDef)}
+    assert {function for function, _ in defined} <= top
 
 
 def test_only_poly_drops_zero_sums():
@@ -470,15 +485,13 @@ def test_function_bodies_import_what_some_commands_skip():
 
     for name, tree in _production_sources():
         visit(name.rpartition(".")[2], tree, None)
-    restricted = {("families_contact", "make_K4prime"), ("families_contact", "make_CK6"),
-                  ("families_w", "make_S"), ("families_w", "make_S_b"),
-                  ("families_w", "make_S_tilde")}
+    restricted = {"make_K4prime", "make_CK6", "make_S", "make_S_b", "make_S_tilde"}
     assert found == {("cli", "parse_scalar", "fractions"),
                      ("cli", "_emit", "."), ("cli", "_table", ".serialize"),
                      ("cli", "cmd_verify", ".tables"), ("cli", "cmd_verify", ".serialize"),
                      ("cli", "cmd_crosscheck", ".serialize"),
                      ("tables", "LambdaStructure.flip_residual", ".conformal")} | {
-        (module, function, ".restricted") for module, function in restricted}
+        ("families", function, ".restricted") for function in restricted}
 
 
 def test_coproduct_rows_are_merged_once():

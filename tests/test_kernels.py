@@ -30,7 +30,6 @@ import pytest
 
 from confcoalg import closed_form as cf
 from confcoalg import bases, coalgebra, conformal, families, poly, printed, restricted
-from confcoalg import families_contact, families_jordan, families_w
 from confcoalg.coalgebra import (
     TensorElement, apply_delta_slot, check_jordan_coalgebra,
     check_lie_coalgebra, double_dual_roundtrip, dualize, tau, zeta,
@@ -1713,11 +1712,9 @@ def _by_oracle(monkeypatch, make, make_K=_make_K_oracle, restrict=_bracket_loop)
     """make() with the oracle constructors and the pairs of restrict, packed
     into the rows bracket_pairs yields (helpers.packed_rows)."""
     with monkeypatch.context() as m:
-        for module, name, oracle in ((families_w, "make_W", _make_W_oracle),
-                                     (families_contact, "make_K", make_K),
-                                     (families_jordan, "make_Jn", _make_Jn_oracle)):
-            m.setattr(families, name, oracle)       # the constructor the case calls
-            m.setattr(module, name, oracle)         # and the one its restriction calls
+        for name, oracle in (("make_W", _make_W_oracle), ("make_K", make_K),
+                             ("make_Jn", _make_Jn_oracle)):
+            m.setattr(families, name, oracle)   # for the case and for its restriction
         m.setattr(restricted, "bracket_pairs", lambda S, xs: packed_rows(restrict(S, xs), S.rank))
         return make()
 
